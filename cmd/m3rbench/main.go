@@ -1,8 +1,9 @@
 // m3rbench regenerates every figure of the paper's evaluation (§6) on the
 // simulated cluster: for each experiment it prints the same series the
 // paper plots, with engine wall-clock times in seconds. Absolute numbers
-// are scaled (see DESIGN.md); the shapes — who wins, by what factor, what
-// is flat and what is linear — are the reproduction target.
+// are scaled (see "How sizes were chosen" in benchmark/README.md); the
+// shapes — who wins, by what factor, what is flat and what is linear — are
+// the reproduction target.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -165,51 +166,142 @@ func (h *HDFS) CreateOn(path, host string) (io.WriteCloser, error) {
 	return &hdfsWriter{fs: h, path: path, hint: host}, nil
 }
 
+// hdfsWriter streams a file into block files: each block is written to its
+// own file through a pooled bufio.Writer as the bytes arrive, so a block is
+// buffered once (blockWriteBuf bytes of it at a time) instead of being
+// assembled whole in memory before it is written.
 type hdfsWriter struct {
 	fs     *HDFS
 	path   string
 	hint   string
-	buf    []byte
-	blocks []hdfsBlock
+	blocks []hdfsBlock // completed blocks
 	size   int64
 	closed bool
+	err    error // first write failure; sticky
+
+	// The block being written, f == nil between blocks.
+	f  *os.File
+	bw *bufio.Writer
+	id int64
+	n  int64 // bytes of the current block so far
 }
+
+// blockWriteBuf is the size of the pooled buffers block files are written
+// through: large enough that a default 256 KiB block costs a handful of
+// write calls, small next to any block.
+const blockWriteBuf = 64 << 10
+
+var blockWriters = sync.Pool{New: func() any {
+	return bufio.NewWriterSize(nil, blockWriteBuf)
+}}
 
 // Write implements io.Writer, cutting block files at block-size boundaries.
 func (w *hdfsWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("dfs: write to closed file %s", w.path)
 	}
-	w.buf = append(w.buf, p...)
-	for int64(len(w.buf)) >= w.fs.blockSize {
-		if err := w.cutBlock(w.buf[:w.fs.blockSize]); err != nil {
-			return 0, err
-		}
-		w.buf = w.buf[w.fs.blockSize:]
+	if w.err != nil {
+		return 0, w.err
 	}
-	return len(p), nil
+	total := len(p)
+	for len(p) > 0 {
+		if w.f == nil {
+			if err := w.openBlock(); err != nil {
+				return 0, w.fail(err)
+			}
+		}
+		chunk := p
+		if room := w.fs.blockSize - w.n; int64(len(chunk)) > room {
+			chunk = chunk[:room]
+		}
+		if _, err := w.bw.Write(chunk); err != nil {
+			return 0, w.fail(fmt.Errorf("dfs: writing block: %w", err))
+		}
+		w.n += int64(len(chunk))
+		p = p[len(chunk):]
+		if w.n == w.fs.blockSize {
+			if err := w.finishBlock(); err != nil {
+				return 0, w.fail(err)
+			}
+		}
+	}
+	return total, nil
 }
 
-func (w *hdfsWriter) cutBlock(data []byte) error {
+// openBlock starts the next block file.
+func (w *hdfsWriter) openBlock() error {
 	w.fs.mu.Lock()
 	id := w.fs.nextBlockID
 	w.fs.nextBlockID++
-	hosts := w.fs.placeBlock(w.hint)
 	w.fs.mu.Unlock()
-
-	if err := os.WriteFile(w.fs.blockPath(id), data, 0o644); err != nil {
+	f, err := os.Create(w.fs.blockPath(id))
+	if err != nil {
 		return fmt.Errorf("dfs: writing block: %w", err)
 	}
-	n := int64(len(data))
+	w.f, w.id, w.n = f, id, 0
+	w.bw = blockWriters.Get().(*bufio.Writer)
+	w.bw.Reset(f)
+	return nil
+}
+
+// releaseBlockFile closes the current block file and returns the pooled
+// buffer, whatever the outcome; with flush false the buffered bytes are
+// dropped (the block is being discarded).
+func (w *hdfsWriter) releaseBlockFile(flush bool) error {
+	var err error
+	if flush {
+		err = w.bw.Flush()
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.bw.Reset(nil)
+	blockWriters.Put(w.bw)
+	w.f, w.bw = nil, nil
+	return err
+}
+
+// finishBlock completes the current block: its file is flushed and closed,
+// its replicas are placed and charged — per completed block, as the bytes
+// reach the datanodes.
+func (w *hdfsWriter) finishBlock() error {
+	if err := w.releaseBlockFile(true); err != nil {
+		os.Remove(w.fs.blockPath(w.id))
+		return fmt.Errorf("dfs: writing block: %w", err)
+	}
+	w.fs.mu.Lock()
+	hosts := w.fs.placeBlock(w.hint)
+	w.fs.mu.Unlock()
+	n := w.n
 	w.fs.stats.Add(sim.HDFSWriteBytes, n)
 	// Replicas cross the network; the pipeline also pays disk on each.
 	w.fs.cost.ChargeDisk(w.fs.stats, n*int64(len(hosts)))
 	if len(hosts) > 1 {
 		w.fs.cost.ChargeNet(w.fs.stats, n*int64(len(hosts)-1))
 	}
-	w.blocks = append(w.blocks, hdfsBlock{id: id, length: n, hosts: hosts})
+	w.blocks = append(w.blocks, hdfsBlock{id: w.id, length: n, hosts: hosts})
 	w.size += n
 	return nil
+}
+
+// fail records the writer's first error and discards what it has written:
+// the open block's descriptor and buffer are released and every block file
+// of this never-to-be-committed file is removed.
+func (w *hdfsWriter) fail(err error) error {
+	w.err = err
+	if w.f != nil {
+		_ = w.releaseBlockFile(false) // err, the failure that got us here, is the one reported
+		os.Remove(w.fs.blockPath(w.id))
+	}
+	w.removeBlocks()
+	return err
+}
+
+func (w *hdfsWriter) removeBlocks() {
+	for _, b := range w.blocks {
+		os.Remove(w.fs.blockPath(b.id))
+	}
+	w.blocks = nil
 }
 
 // placeBlock chooses replica hosts; caller holds fs.mu.
@@ -240,20 +332,20 @@ func (w *hdfsWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if len(w.buf) > 0 {
-		if err := w.cutBlock(w.buf); err != nil {
-			return err
+	if w.err != nil {
+		return w.err
+	}
+	if w.f != nil {
+		if err := w.finishBlock(); err != nil {
+			return w.fail(err)
 		}
-		w.buf = nil
 	}
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	node, ok := w.fs.files[w.path]
 	if !ok {
 		// Deleted while being written; drop the blocks.
-		for _, b := range w.blocks {
-			os.Remove(w.fs.blockPath(b.id))
-		}
+		w.removeBlocks()
 		return fmt.Errorf("dfs: %s was deleted during write", w.path)
 	}
 	node.blocks = w.blocks

@@ -182,10 +182,12 @@ func (r *sliceRunReader) Close() error { return nil }
 type RecSource = Source[spill.Rec]
 
 // decodingRunReader is the stream-backed leaf: it deserializes each raw
-// record into fresh writables of the run's declared key/value classes.
+// record into fresh writables of the run's declared key/value classes. The
+// decoder is built at the first record, once per run.
 type decodingRunReader struct {
 	src                RecSource
 	keyClass, valClass string
+	dec                *spill.PairDecoder
 }
 
 // NewDecodingRunReader returns a RunReader that decodes src's records into
@@ -200,21 +202,16 @@ func (r *decodingRunReader) Next() (wio.Pair, bool, error) {
 	if err != nil || !ok {
 		return wio.Pair{}, false, err
 	}
-	k, err := wio.New(r.keyClass)
+	if r.dec == nil {
+		if r.dec, err = spill.NewPairDecoder(r.keyClass, r.valClass); err != nil {
+			return wio.Pair{}, false, err
+		}
+	}
+	p, err := r.dec.Decode(rec)
 	if err != nil {
-		return wio.Pair{}, false, err
+		return wio.Pair{}, false, fmt.Errorf("engine: spilled run: %w", err)
 	}
-	if err := wio.Unmarshal(rec.K, k); err != nil {
-		return wio.Pair{}, false, fmt.Errorf("engine: spilled run key: %w", err)
-	}
-	v, err := wio.New(r.valClass)
-	if err != nil {
-		return wio.Pair{}, false, err
-	}
-	if err := wio.Unmarshal(rec.V, v); err != nil {
-		return wio.Pair{}, false, fmt.Errorf("engine: spilled run value: %w", err)
-	}
-	return wio.Pair{Key: k, Value: v}, true, nil
+	return p, true, nil
 }
 
 func (r *decodingRunReader) Close() error { return r.src.Close() }

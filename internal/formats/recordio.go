@@ -64,6 +64,7 @@ type PairReader struct {
 	pos        int
 	keyFactory func() wio.Writable
 	valFactory func() wio.Writable
+	scratch    []byte // one field's serialized form, between marshal and unmarshal
 }
 
 // NewPairReader returns a PairReader over pairs. Key and value factories
@@ -84,16 +85,11 @@ func factoryFor(class string) (func() wio.Writable, error) {
 	if class == "" {
 		return nil, fmt.Errorf("formats: missing writable class name")
 	}
-	if !wio.Registered(class) {
+	f, err := wio.Factory(class)
+	if err != nil {
 		return nil, fmt.Errorf("formats: unregistered writable class %q", class)
 	}
-	return func() wio.Writable {
-		w, err := wio.New(class)
-		if err != nil {
-			panic(err)
-		}
-		return w
-	}, nil
+	return f, nil
 }
 
 // CreateKey implements RecordReader.
@@ -109,18 +105,17 @@ func (r *PairReader) Next(key, value wio.Writable) (bool, error) {
 	}
 	p := r.pairs[r.pos]
 	r.pos++
-	b, err := wio.Marshal(p.Key)
-	if err != nil {
+	var err error
+	if r.scratch, err = wio.AppendMarshal(r.scratch[:0], p.Key); err != nil {
 		return false, err
 	}
-	if err := wio.Unmarshal(b, key); err != nil {
+	if err := wio.Unmarshal(r.scratch, key); err != nil {
 		return false, err
 	}
-	b, err = wio.Marshal(p.Value)
-	if err != nil {
+	if r.scratch, err = wio.AppendMarshal(r.scratch[:0], p.Value); err != nil {
 		return false, err
 	}
-	if err := wio.Unmarshal(b, value); err != nil {
+	if err := wio.Unmarshal(r.scratch, value); err != nil {
 		return false, err
 	}
 	return true, nil

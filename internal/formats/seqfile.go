@@ -54,8 +54,7 @@ type SeqWriter struct {
 	c         io.Closer
 	sync      [syncSize]byte
 	sinceSync int
-	kbuf      bytes.Buffer
-	vbuf      bytes.Buffer
+	rec       []byte // the record being appended: key bytes then value bytes
 	scratch   [4]byte
 }
 
@@ -91,12 +90,12 @@ func (s *SeqWriter) writeInt32(v int32) error {
 
 // Append writes one record.
 func (s *SeqWriter) Append(key, value wio.Writable) error {
-	s.kbuf.Reset()
-	s.vbuf.Reset()
-	if err := key.WriteTo(wio.NewWriter(&s.kbuf)); err != nil {
+	var err error
+	if s.rec, err = wio.AppendMarshal(s.rec[:0], key); err != nil {
 		return err
 	}
-	if err := value.WriteTo(wio.NewWriter(&s.vbuf)); err != nil {
+	keyLen := len(s.rec)
+	if s.rec, err = wio.AppendMarshal(s.rec, value); err != nil {
 		return err
 	}
 	if s.sinceSync >= seqSyncEvery {
@@ -108,17 +107,14 @@ func (s *SeqWriter) Append(key, value wio.Writable) error {
 		}
 		s.sinceSync = 0
 	}
-	recLen := int32(s.kbuf.Len() + s.vbuf.Len())
+	recLen := int32(len(s.rec))
 	if err := s.writeInt32(recLen); err != nil {
 		return err
 	}
-	if err := s.writeInt32(int32(s.kbuf.Len())); err != nil {
+	if err := s.writeInt32(int32(keyLen)); err != nil {
 		return err
 	}
-	if _, err := s.w.Write(s.kbuf.Bytes()); err != nil {
-		return err
-	}
-	if _, err := s.w.Write(s.vbuf.Bytes()); err != nil {
+	if _, err := s.w.Write(s.rec); err != nil {
 		return err
 	}
 	s.sinceSync += int(recLen) + 8
@@ -165,6 +161,7 @@ type SeqReader struct {
 	end      int64
 	done     bool
 	scratch  []byte
+	rd       wio.Reader // slice-mode view of the current record's key, then value
 }
 
 // NewSeqReader opens the byte range [start, start+length) of the
@@ -335,10 +332,12 @@ func (r *SeqReader) Next(key, value wio.Writable) (bool, error) {
 		if err := r.cr.readFull(buf); err != nil {
 			return false, err
 		}
-		if err := key.ReadFields(wio.NewReader(bytes.NewReader(buf[:keyLen]))); err != nil {
+		r.rd.ResetBytes(buf[:keyLen])
+		if err := key.ReadFields(&r.rd); err != nil {
 			return false, err
 		}
-		if err := value.ReadFields(wio.NewReader(bytes.NewReader(buf[keyLen:]))); err != nil {
+		r.rd.ResetBytes(buf[keyLen:])
+		if err := value.ReadFields(&r.rd); err != nil {
 			return false, err
 		}
 		return true, nil

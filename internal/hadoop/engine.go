@@ -16,6 +16,7 @@
 package hadoop
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -502,15 +503,18 @@ func (r *jobRun) mergeTaskCounters(ctx *engine.TaskContext) {
 
 // serializePair writes key and value through the wio layer, returning
 // separate byte slices — the immediate serialization Hadoop performs when
-// map output enters the sort buffer.
-func serializePair(key, value wio.Writable) ([]byte, []byte, error) {
-	kb, err := wio.Marshal(key)
+// map output enters the sort buffer. Both are staged in *scratch (the
+// caller's, kept between records) and share one exactly sized allocation.
+func serializePair(scratch *[]byte, key, value wio.Writable) ([]byte, []byte, error) {
+	buf, err := wio.AppendMarshal((*scratch)[:0], key)
 	if err != nil {
 		return nil, nil, err
 	}
-	vb, err := wio.Marshal(value)
-	if err != nil {
+	kl := len(buf)
+	if buf, err = wio.AppendMarshal(buf, value); err != nil {
 		return nil, nil, err
 	}
-	return kb, vb, nil
+	*scratch = buf
+	out := bytes.Clone(buf)
+	return out[:kl:kl], out[kl:], nil
 }

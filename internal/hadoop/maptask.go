@@ -87,7 +87,7 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 			return fmt.Errorf("hadoop: partitioner returned %d of %d", p, r.rj.NumReducers)
 		}
 		// Hadoop serializes map output immediately into the sort buffer.
-		kb, vb, err := serializePair(key, value)
+		kb, vb, err := serializePair(&buf.scratch, key, value)
 		if err != nil {
 			return err
 		}
@@ -173,6 +173,7 @@ type sortBuffer struct {
 	limit   int64
 	cmp     wio.RawComparator
 	ctx     *engine.TaskContext
+	scratch []byte // serializePair's staging, reused record to record
 
 	spills []spillFile
 }
@@ -273,7 +274,7 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 	}
 	out := make([]spill.Rec, 0, len(combined))
 	for _, p := range combined {
-		kb, vb, err := serializePair(p.Key, p.Value)
+		kb, vb, err := serializePair(&b.scratch, p.Key, p.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -285,25 +286,17 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 // deserializeRecs rebuilds writables from serialized records using the
 // job's map output classes.
 func (r *jobRun) deserializeRecs(recs []spill.Rec) ([]wio.Pair, error) {
-	keyClass := r.job.MapOutputKeyClass()
-	valClass := r.job.MapOutputValueClass()
+	dec, err := spill.NewPairDecoder(r.job.MapOutputKeyClass(), r.job.MapOutputValueClass())
+	if err != nil {
+		return nil, err
+	}
 	out := make([]wio.Pair, 0, len(recs))
 	for _, rc := range recs {
-		k, err := wio.New(keyClass)
+		p, err := dec.Decode(rc)
 		if err != nil {
 			return nil, err
 		}
-		if err := wio.Unmarshal(rc.K, k); err != nil {
-			return nil, err
-		}
-		v, err := wio.New(valClass)
-		if err != nil {
-			return nil, err
-		}
-		if err := wio.Unmarshal(rc.V, v); err != nil {
-			return nil, err
-		}
-		out = append(out, wio.Pair{Key: k, Value: v})
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -568,7 +568,7 @@ func (w *Writer) Close() (BlockInfo, error) {
 		// A block whose pairs cannot round-trip through the record format
 		// (unregistered types) stays unaccounted and pinned on the heap,
 		// exactly like an unencodable shuffle run.
-		if _, _, _, sz, err := encodeBlock(w.pairs); err == nil {
+		if _, _, _, sz, err := spill.MarshalRun(w.pairs); err == nil {
 			size = sz
 		}
 	}
@@ -717,7 +717,7 @@ func (s *Store) SpillBlock(info BlockInfo, path string, codec spill.Codec) (int6
 	pairs := bd.pairs
 	size := bd.size
 	dt.mu.Unlock()
-	recs, keyClass, valClass, _, err := encodeBlock(pairs)
+	recs, keyClass, valClass, _, err := spill.MarshalRun(pairs)
 	if err != nil {
 		// Cannot happen for a block that encoded at commit (size > 0); fail
 		// loudly rather than silently skipping the victim.
@@ -743,36 +743,6 @@ func (s *Store) SpillBlock(info BlockInfo, path string, codec spill.Codec) (int6
 	return size, nil
 }
 
-// encodeBlock serializes a block's pairs into the shared spill record
-// format, returning the records, the key/value class names needed to decode
-// them, and the block's accounting size (the kvstore twin of the shuffle's
-// encodeRun).
-func encodeBlock(pairs []wio.Pair) ([]spill.Rec, string, string, int64, error) {
-	keyClass, err := wio.NameOf(pairs[0].Key)
-	if err != nil {
-		return nil, "", "", 0, err
-	}
-	valClass, err := wio.NameOf(pairs[0].Value)
-	if err != nil {
-		return nil, "", "", 0, err
-	}
-	recs := make([]spill.Rec, len(pairs))
-	var size int64
-	for i, p := range pairs {
-		kb, err := wio.Marshal(p.Key)
-		if err != nil {
-			return nil, "", "", 0, err
-		}
-		vb, err := wio.Marshal(p.Value)
-		if err != nil {
-			return nil, "", "", 0, err
-		}
-		recs[i] = spill.Rec{K: kb, V: vb}
-		size += recs[i].Size()
-	}
-	return recs, keyClass, valClass, size, nil
-}
-
 // decodeSpilledBlock reads a spilled block's records back into fresh
 // writables.
 func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
@@ -781,6 +751,10 @@ func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 		return nil, err
 	}
 	defer st.Close()
+	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass)
+	if err != nil {
+		return nil, err
+	}
 	var pairs []wio.Pair
 	for {
 		rec, ok, err := st.Next()
@@ -790,21 +764,11 @@ func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 		if !ok {
 			return pairs, nil
 		}
-		k, err := wio.New(sp.keyClass)
+		p, err := dec.Decode(rec)
 		if err != nil {
 			return nil, err
 		}
-		if err := wio.Unmarshal(rec.K, k); err != nil {
-			return nil, err
-		}
-		v, err := wio.New(sp.valClass)
-		if err != nil {
-			return nil, err
-		}
-		if err := wio.Unmarshal(rec.V, v); err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, wio.Pair{Key: k, Value: v})
+		pairs = append(pairs, p)
 	}
 }
 

@@ -1064,7 +1064,7 @@ func (pi *partitionInput) addRun(ctx *engine.TaskContext, src int, pairs []wio.P
 		pi.install(&sourceRun{src: src, pairs: pairs})
 		return nil
 	}
-	recs, keyClass, valClass, size, err := encodeRun(pairs)
+	recs, keyClass, valClass, size, err := spill.MarshalRun(pairs)
 	if err != nil {
 		// Keys or values this job shuffles cannot round-trip through the
 		// record format (unregistered or unserializable types); such a run
@@ -1139,8 +1139,10 @@ func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nre
 // one pool transaction when it fits, installing every run resident with a
 // single lock round instead of one admission (and one potential eviction
 // loop) per partition. When the batch does not fit in one piece — or the
-// job is unbudgeted — each run falls through to the per-run path.
-func (x *jobExec) installRuns(ctx *engine.TaskContext, place, src int, runs map[int][]wio.Pair) error {
+// job is unbudgeted — each run falls through to the per-run path. runs is
+// indexed by partition and walked in ascending order, so what a task admits,
+// evicts and spills is the same from one execution to the next.
+func (x *jobExec) installRuns(ctx *engine.TaskContext, place, src int, runs [][]wio.Pair) error {
 	if x.budgets == nil {
 		for q, pairs := range runs {
 			if len(pairs) == 0 {
@@ -1157,13 +1159,13 @@ func (x *jobExec) installRuns(ctx *engine.TaskContext, place, src int, runs map[
 		keyClass, valClass string
 		size               int64
 	}
-	encs := make([]encodedRun, 0, len(runs))
+	var encs []encodedRun
 	var total int64
 	for q, pairs := range runs {
 		if len(pairs) == 0 {
 			continue
 		}
-		recs, keyClass, valClass, size, err := encodeRun(pairs)
+		recs, keyClass, valClass, size, err := spill.MarshalRun(pairs)
 		if err != nil {
 			// Unencodable runs live on the heap, unaccounted (see addRun).
 			x.parts[q].install(&sourceRun{src: src, pairs: pairs})
@@ -1193,35 +1195,6 @@ func (pi *partitionInput) install(r *sourceRun) {
 	pi.mu.Lock()
 	pi.runs = append(pi.runs, r)
 	pi.mu.Unlock()
-}
-
-// encodeRun serializes a run into the shared spill record format, returning
-// the records, the key/value class names needed to decode them, and the
-// run's accounting size.
-func encodeRun(pairs []wio.Pair) ([]spill.Rec, string, string, int64, error) {
-	keyClass, err := wio.NameOf(pairs[0].Key)
-	if err != nil {
-		return nil, "", "", 0, err
-	}
-	valClass, err := wio.NameOf(pairs[0].Value)
-	if err != nil {
-		return nil, "", "", 0, err
-	}
-	recs := make([]spill.Rec, len(pairs))
-	var size int64
-	for i, p := range pairs {
-		kb, err := wio.Marshal(p.Key)
-		if err != nil {
-			return nil, "", "", 0, err
-		}
-		vb, err := wio.Marshal(p.Value)
-		if err != nil {
-			return nil, "", "", 0, err
-		}
-		recs[i] = spill.Rec{K: kb, V: vb}
-		size += recs[i].Size()
-	}
-	return recs, keyClass, valClass, size, nil
 }
 
 // takeReaders returns one merge leaf per accumulated run, ordered by source

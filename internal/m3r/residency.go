@@ -120,7 +120,7 @@ func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (i
 	}
 	// Re-encode the victim (its collect-time encoding was dropped once the
 	// size was known; re-paying it here keeps the uncontended path lean).
-	recs, keyClass, valClass, _, err := encodeRun(victim.pairs)
+	recs, keyClass, valClass, _, err := spill.MarshalRun(victim.pairs)
 	if err != nil {
 		// Cannot happen for a run that encoded at admission; fail loudly
 		// rather than silently dropping the eviction candidate.

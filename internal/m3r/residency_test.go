@@ -20,11 +20,11 @@ import (
 // drains to zero.
 func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	big, smallB, smallC := textRun("aaaaaa", 60), textRun("b", 10), textRun("c", 10)
-	_, _, _, bigSize, err := encodeRun(big)
+	_, _, _, bigSize, err := spill.MarshalRun(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, smallSize, err := encodeRun(smallB)
+	_, _, _, smallSize, err := spill.MarshalRun(smallB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 // smaller one would be the opposite of the policy.
 func TestEvictionNeverTradesForEqualOrLarger(t *testing.T) {
 	runA, runB := textRun("a", 20), textRun("b", 20) // identical sizes
-	_, _, _, size, err := encodeRun(runA)
+	_, _, _, size, err := spill.MarshalRun(runA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
 	swapSpillWrite(t, func(string, spill.EncodedRun) (int64, error) { return 0, injected })
 
 	big, small := textRun("aaaaaa", 60), textRun("b", 10)
-	_, _, _, bigSize, err := encodeRun(big)
+	_, _, _, bigSize, err := spill.MarshalRun(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +171,43 @@ func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
 	x.cleanup()
 	if held := x.budgets[0].Held(); held != 0 {
 		t.Fatalf("held=%d after cleanup of a failed job", held)
+	}
+}
+
+// TestInstallRunsAdmitsInPartitionOrder pins the flush order: a task's runs
+// are admitted partition by partition, ascending, so which of them the pool
+// keeps and which it spills is a function of the input alone. Eight equal
+// runs against a budget for two: partitions 0 and 1 stay resident and 2..7
+// spill, every time (equal sizes never evict one another).
+func TestInstallRunsAdmitsInPartitionOrder(t *testing.T) {
+	const parts = 8
+	_, _, _, size, err := spill.MarshalRun(textRun("k", 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		x := newSpillExec(2*size+size/2, 0, false, spill.CodecNone)
+		runs := make([][]wio.Pair, parts)
+		for q := range runs {
+			x.parts = append(x.parts, &partitionInput{x: x, place: 0})
+			runs[q] = textRun("k", 20)
+		}
+		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+		if err := x.installRuns(ctx, 0, 0, runs); err != nil {
+			t.Fatal(err)
+		}
+		for q, pi := range x.parts {
+			if len(pi.runs) != 1 {
+				t.Fatalf("round %d: partition %d holds %d runs, want 1", round, q, len(pi.runs))
+			}
+			if resident := pi.runs[0].spill == nil; resident != (q < 2) {
+				t.Fatalf("round %d: partition %d resident=%v; want partitions 0 and 1 resident, the rest spilled",
+					round, q, resident)
+			}
+		}
+		if got := ctx.Cells.SpilledRuns.Value(); got != parts-2 {
+			t.Fatalf("round %d: SpilledRuns=%d want %d", round, got, parts-2)
+		}
+		x.cleanup()
 	}
 }

@@ -46,9 +46,12 @@ type shuffleCollector struct {
 	// one place and the hot path pays an array index, not a division.
 	placeOf []int
 
-	// Non-combiner path.
-	localBufs map[int][]wio.Pair
-	encoders  map[int]*destEncoder
+	// Non-combiner path. localBufs is indexed by partition and encoders by
+	// destination place — not maps, so flush installs and ships in
+	// ascending order and a task's admission and eviction sequence is the
+	// same on every execution.
+	localBufs [][]wio.Pair
+	encoders  []*destEncoder
 
 	// Combiner path.
 	combineBufs [][]wio.Pair
@@ -99,9 +102,9 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		P:           x.e.rt.NumPlaces(),
 		partitioner: x.rj.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.rj, a.split),
-		localBufs:   make(map[int][]wio.Pair),
-		encoders:    make(map[int]*destEncoder),
 	}
+	sc.localBufs = make([][]wio.Pair, sc.R)
+	sc.encoders = make([]*destEncoder, sc.P)
 	sc.placeOf = make([]int, sc.R)
 	for q := range sc.placeOf {
 		sc.placeOf[q] = x.e.PlaceOfPartition(q)
@@ -234,6 +237,9 @@ func (sc *shuffleCollector) flush() error {
 	sc.localBufs = nil
 
 	for d, de := range sc.encoders {
+		if de == nil {
+			continue
+		}
 		if err := sc.shipRemote(d, de); err != nil {
 			return err
 		}
@@ -275,8 +281,8 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 	e.cost.ChargeNet(e.stats, n)
 
 	// "Arrive" at place d: decode into fresh objects.
-	dec := wio.NewDecoder(bytes.NewReader(payload))
-	byPartition := make(map[int][]wio.Pair)
+	dec := wio.NewDecoderBytes(payload)
+	byPartition := make([][]wio.Pair, sc.R)
 	for i := 0; i < de.n; i++ {
 		qv, err := dec.DecodeUvarint()
 		if err != nil {
@@ -286,8 +292,10 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 		if err != nil {
 			return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
 		}
-		q := int(qv)
-		byPartition[q] = append(byPartition[q], pair)
+		if qv >= uint64(sc.R) {
+			return fmt.Errorf("m3r: shuffle decode at place %d: partition %d of %d", d, qv, sc.R)
+		}
+		byPartition[qv] = append(byPartition[qv], pair)
 	}
 	sortCmp := sc.x.rj.SortCmp
 	for _, pairs := range byPartition {
@@ -302,7 +310,7 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 // any encode buffers flush never shipped go back to the pool.
 func (sc *shuffleCollector) abort() {
 	for _, de := range sc.encoders {
-		if de.buf != nil {
+		if de != nil && de.buf != nil {
 			putEncodeBuf(de.buf)
 			de.buf, de.enc = nil, nil
 		}

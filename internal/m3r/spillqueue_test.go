@@ -228,7 +228,7 @@ func drainMerge(t *testing.T, x *jobExec, readers []engine.RunReader) []string {
 // stream-backed one.
 func TestBudgetReleaseAndReadmission(t *testing.T) {
 	runA, runB, runC := textRun("a", 40), textRun("b", 40), textRun("c", 40)
-	_, _, _, size, err := encodeRun(runA)
+	_, _, _, size, err := spill.MarshalRun(runA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func FuzzSpillQueue(f *testing.F) {
 // compressed run reserves its full raw size, not its compressed one — and
 // the merge output stays byte-identical to the raw-codec lifecycle.
 func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
-	_, _, _, size, err := encodeRun(textRun("aaaa", 40))
+	_, _, _, size, err := spill.MarshalRun(textRun("aaaa", 40))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,236 @@
+package spill
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"m3r/internal/testenv"
+	"m3r/internal/types"
+	"m3r/internal/wio"
+)
+
+// wordPairs builds a WordCount-shaped run: n sorted Text keys, count 1 each.
+func wordPairs(n int) []wio.Pair {
+	pairs := make([]wio.Pair, n)
+	for i := range pairs {
+		pairs[i] = wio.Pair{Key: types.NewText(fmt.Sprintf("word_%06d", i)), Value: types.NewInt(1)}
+	}
+	return pairs
+}
+
+// TestMarshalRunMatchesMarshalPerField encodes one run through the shape
+// MarshalRun replaced — wio.Marshal of every key and every value — and
+// through the slab: same records, same class names, same accounting size,
+// and the same segment bytes under both codecs.
+func TestMarshalRunMatchesMarshalPerField(t *testing.T) {
+	pairs := wordPairs(3000)
+	pairs = append(pairs, wio.Pair{Key: types.NewText(""), Value: types.NewInt(-1)})
+	want := make([]Rec, len(pairs))
+	var wantSize int64
+	for i, p := range pairs {
+		kb, err := wio.Marshal(p.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vb, err := wio.Marshal(p.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = Rec{K: kb, V: vb}
+		wantSize += want[i].Size()
+	}
+	recs, keyClass, valClass, size, err := MarshalRun(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyClass != "org.apache.hadoop.io.Text" || valClass != "org.apache.hadoop.io.IntWritable" || size != wantSize {
+		t.Fatalf("MarshalRun = %s, %s, size %d; want Text, IntWritable, %d", keyClass, valClass, size, wantSize)
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("%d records, want %d", len(recs), len(want))
+	}
+	for i := range recs {
+		if !bytes.Equal(recs[i].K, want[i].K) || !bytes.Equal(recs[i].V, want[i].V) {
+			t.Fatalf("record %d = (%x, %x), want (%x, %x)", i, recs[i].K, recs[i].V, want[i].K, want[i].V)
+		}
+		// Sub-slices are capped: appending to one record cannot overwrite
+		// its neighbour in the slab.
+		if cap(recs[i].K) != len(recs[i].K) || cap(recs[i].V) != len(recs[i].V) {
+			t.Fatalf("record %d is not capped to its own bytes", i)
+		}
+	}
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		a, err := EncodeRun(recs, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeRun(want, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Data, b.Data) || a.Raw != b.Raw {
+			t.Fatalf("codec %v: slab and per-field records encode to different segments", codec)
+		}
+	}
+	// A run whose types the registry does not know cannot be encoded.
+	if _, _, _, _, err := MarshalRun([]wio.Pair{{Key: unregistered{}, Value: types.NewInt(1)}}); err == nil {
+		t.Fatal("MarshalRun of an unregistered key type should fail")
+	}
+}
+
+type unregistered struct{ wio.Writable }
+
+func TestMarshalRunAllocationsIndependentOfLength(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	short, long := wordPairs(10), wordPairs(5000)
+	MarshalRun(long) // grow the pooled scratch
+	for _, pairs := range [][]wio.Pair{short, long} {
+		a := testing.AllocsPerRun(20, func() {
+			if _, _, _, _, err := MarshalRun(pairs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a > 2 {
+			t.Errorf("MarshalRun of %d pairs allocates %v times, want 2 (records and slab)", len(pairs), a)
+		}
+	}
+}
+
+// TestEncodeRunFlateReusesCompressor: a flate.Writer is ~750 KB, so a warm
+// EncodeRun that allocates less than that per call has not built one.
+func TestEncodeRunFlateReusesCompressor(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	recs := compressibleRecs(2000)
+	first, err := EncodeRun(recs, CodecFlate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		er, err := EncodeRun(recs, CodecFlate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(er.Data, first.Data) {
+			t.Fatal("a reused compressor produced different bytes")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(len(first.Data)) + 64<<10; perRun > limit {
+		t.Fatalf("warm flate EncodeRun allocates %d bytes per run, want under %d (the %d-byte result plus slack)",
+			perRun, limit, len(first.Data))
+	}
+	if a := testing.AllocsPerRun(runs, func() { EncodeRun(recs, CodecFlate) }); a > 2 {
+		t.Fatalf("warm flate EncodeRun allocates %v times per run, want at most 2", a)
+	}
+}
+
+// TestPooledInflaterSurvivesCorruptBlocks: an inflater that has just choked
+// on a corrupt block goes back to the pool; the next block to draw it must
+// decode as if the inflater were new, and each corruption must keep its
+// error class.
+func TestPooledInflaterSurvivesCorruptBlocks(t *testing.T) {
+	payload := appendRec(nil, Rec{K: []byte("abc"), V: []byte("defgh")})
+	comp := deflate(t, payload)
+	garbage := append([]byte(nil), comp...)
+	for i := range garbage {
+		garbage[i] ^= 0xa5
+	}
+	corrupt := []struct {
+		name     string
+		data     []byte
+		mismatch bool
+	}{
+		{"inflates short", blockSegment(t, CodecFlate, uint64(len(payload))+1, comp), true},
+		{"inflates beyond", blockSegment(t, CodecFlate, uint64(len(payload))-1, comp), true},
+		{"cut body", blockSegment(t, CodecFlate, uint64(len(payload)), comp[:len(comp)/2]), true},
+		{"garbage body", blockSegment(t, CodecFlate, uint64(len(payload)), garbage), false},
+	}
+	good := compressibleRecs(4000) // several blocks
+	goodRun, err := EncodeRun(good, CodecFlate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	goodPath := filepath.Join(dir, "good")
+	if err := os.WriteFile(goodPath, goodRun.Data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := OpenStreamCount()
+	for round := 0; round < 3; round++ {
+		for _, c := range corrupt {
+			path := filepath.Join(dir, "bad")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ok, err := s.Next()
+			s.Close()
+			if ok || err == nil {
+				t.Fatalf("%s: ok=%v err=%v, want an error", c.name, ok, err)
+			}
+			if errors.Is(err, ErrBlockSizeMismatch) != c.mismatch {
+				t.Fatalf("%s: err=%v, ErrBlockSizeMismatch expected: %v", c.name, err, c.mismatch)
+			}
+			s, err = OpenFile(goodPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := readAll(t, s)
+			s.Close()
+			if len(got) != len(good) {
+				t.Fatalf("after %s: %d records, want %d", c.name, len(got), len(good))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i].K, good[i].K) || !bytes.Equal(got[i].V, good[i].V) {
+					t.Fatalf("after %s: record %d differs", c.name, i)
+				}
+			}
+		}
+	}
+	if n := OpenStreamCount(); n != base {
+		t.Fatalf("OpenStreamCount=%d baseline %d", n, base)
+	}
+}
+
+// The spill rungs of the layer ladder.
+
+func BenchmarkMarshalRun(b *testing.B) {
+	pairs := wordPairs(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, _, err := MarshalRun(pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeRunFlate(b *testing.B) {
+	recs, _, _, _, err := MarshalRun(wordPairs(4096))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(EncodedLen(recs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeRun(recs, CodecFlate); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

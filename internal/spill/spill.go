@@ -41,6 +41,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"m3r/internal/wio"
@@ -169,14 +170,34 @@ func appendRec(dst []byte, r Rec) []byte {
 type SegmentWriter struct {
 	w          *bufio.Writer
 	codec      Codec
-	buf        []byte // staged raw record bytes of the current block
-	written    int64  // stored (on-disk) bytes emitted so far
-	raw        int64  // raw record-format bytes accepted so far
+	written    int64 // stored (on-disk) bytes emitted so far
+	raw        int64 // raw record-format bytes accepted so far
 	headerDone bool
 
-	cbuf bytes.Buffer // compressed-body scratch, reused per block
-	fw   *flate.Writer
+	// enc is the block staging and compression scratch of a compressed
+	// segment, checked out of blockEncoders at the first record and
+	// returned by Finish.
+	enc *blockEncoder
 }
+
+// blockEncoder is what a compressed segment needs while it is being
+// written: the staged raw bytes of the current block, the compressed-body
+// scratch and the compressor. A flate.Writer is ~750 KB of tables, so it is
+// pooled and Reset per block instead of being built per spilled run.
+type blockEncoder struct {
+	buf  []byte
+	cbuf bytes.Buffer
+	fw   *flate.Writer
+	hdr  [1 + 2*binary.MaxVarintLen64]byte // block header scratch
+}
+
+var blockEncoders = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.DefaultCompression)
+	if err != nil {
+		panic(err) // only an invalid level, which DefaultCompression is not
+	}
+	return &blockEncoder{fw: fw}
+}}
 
 // NewSegmentWriter starts a segment with the given codec on w.
 func NewSegmentWriter(w *bufio.Writer, codec Codec) *SegmentWriter {
@@ -194,9 +215,12 @@ func (sw *SegmentWriter) Write(r Rec) error {
 		sw.raw += n
 		return nil
 	}
-	sw.buf = appendRec(sw.buf, r)
+	if sw.enc == nil {
+		sw.enc = blockEncoders.Get().(*blockEncoder)
+	}
+	sw.enc.buf = appendRec(sw.enc.buf, r)
 	sw.raw += r.EncodedLen()
-	if len(sw.buf) >= blockRawTarget {
+	if len(sw.enc.buf) >= blockRawTarget {
 		return sw.flushBlock()
 	}
 	return nil
@@ -207,7 +231,13 @@ func (sw *SegmentWriter) Write(r Rec) error {
 // the same records would have occupied uncompressed — the accounting
 // behind SPILLED_RAW_BYTES).
 func (sw *SegmentWriter) Finish() (written, raw int64, err error) {
-	if err := sw.flushBlock(); err != nil {
+	err = sw.flushBlock()
+	if sw.enc != nil {
+		sw.enc.buf = sw.enc.buf[:0]
+		blockEncoders.Put(sw.enc)
+		sw.enc = nil
+	}
+	if err != nil {
 		return 0, 0, err
 	}
 	return sw.written, sw.raw, nil
@@ -216,7 +246,8 @@ func (sw *SegmentWriter) Finish() (written, raw int64, err error) {
 // flushBlock emits the staged raw bytes as one block, compressing when the
 // codec shrinks them and falling back to a stored block otherwise.
 func (sw *SegmentWriter) flushBlock() error {
-	if len(sw.buf) == 0 {
+	enc := sw.enc
+	if enc == nil || len(enc.buf) == 0 {
 		return nil
 	}
 	if !sw.headerDone {
@@ -232,32 +263,24 @@ func (sw *SegmentWriter) flushBlock() error {
 		sw.written += int64(segHeaderLen)
 		sw.headerDone = true
 	}
-	body, bcodec := sw.buf, CodecNone
+	body, bcodec := enc.buf, CodecNone
 	if sw.codec == CodecFlate {
-		sw.cbuf.Reset()
-		if sw.fw == nil {
-			fw, err := flate.NewWriter(&sw.cbuf, flate.DefaultCompression)
-			if err != nil {
-				return err
-			}
-			sw.fw = fw
-		} else {
-			sw.fw.Reset(&sw.cbuf)
-		}
-		if _, err := sw.fw.Write(sw.buf); err != nil {
+		enc.cbuf.Reset()
+		enc.fw.Reset(&enc.cbuf)
+		if _, err := enc.fw.Write(enc.buf); err != nil {
 			return err
 		}
-		if err := sw.fw.Close(); err != nil {
+		if err := enc.fw.Close(); err != nil {
 			return err
 		}
-		if sw.cbuf.Len() < len(sw.buf) {
-			body, bcodec = sw.cbuf.Bytes(), CodecFlate
+		if enc.cbuf.Len() < len(enc.buf) {
+			body, bcodec = enc.cbuf.Bytes(), CodecFlate
 		}
 	}
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	hdr := &enc.hdr
 	hdr[0] = byte(bcodec)
 	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(sw.buf)))
+	n += binary.PutUvarint(hdr[n:], uint64(len(enc.buf)))
 	n += binary.PutUvarint(hdr[n:], uint64(len(body)))
 	if _, err := sw.w.Write(hdr[:n]); err != nil {
 		return err
@@ -266,7 +289,7 @@ func (sw *SegmentWriter) flushBlock() error {
 		return err
 	}
 	sw.written += int64(n) + int64(len(body))
-	sw.buf = sw.buf[:0]
+	enc.buf = enc.buf[:0]
 	return nil
 }
 
@@ -280,12 +303,29 @@ type EncodedRun struct {
 	Raw  int64  // raw record-format length (EncodedLen of the records)
 }
 
+// runEncoder is EncodeRun's pooled staging: the segment is assembled in out
+// through bw, then copied once into an exactly sized Data.
+type runEncoder struct {
+	out bytes.Buffer
+	bw  *bufio.Writer
+}
+
+var runEncoders = sync.Pool{New: func() any {
+	re := new(runEncoder)
+	re.bw = bufio.NewWriter(&re.out)
+	return re
+}}
+
 // EncodeRun encodes recs as one in-memory segment with the given codec.
 // For CodecNone, Data is byte-identical to the raw legacy layout.
 func EncodeRun(recs []Rec, codec Codec) (EncodedRun, error) {
-	var b bytes.Buffer
-	bw := bufio.NewWriter(&b)
-	sw := NewSegmentWriter(bw, codec)
+	re := runEncoders.Get().(*runEncoder)
+	defer func() {
+		re.out.Reset()
+		re.bw.Reset(&re.out)
+		runEncoders.Put(re)
+	}()
+	sw := NewSegmentWriter(re.bw, codec)
 	for _, r := range recs {
 		if err := sw.Write(r); err != nil {
 			return EncodedRun{}, err
@@ -295,10 +335,89 @@ func EncodeRun(recs []Rec, codec Codec) (EncodedRun, error) {
 	if err != nil {
 		return EncodedRun{}, err
 	}
-	if err := bw.Flush(); err != nil {
+	if err := re.bw.Flush(); err != nil {
 		return EncodedRun{}, err
 	}
-	return EncodedRun{Data: b.Bytes(), Raw: raw}, nil
+	return EncodedRun{Data: bytes.Clone(re.out.Bytes()), Raw: raw}, nil
+}
+
+// MarshalRun serializes a run of pairs into the spill record format: the
+// records, the key/value class names needed to decode them (taken from the
+// first pair), and the run's accounting size — what the M3R shuffle does to
+// a run at admission and eviction and the kvstore to a cache block at
+// commit and spill. The whole run is marshalled once into pooled scratch
+// and copied into one exactly sized slab that every Rec sub-slices, so the
+// cost is two allocations per run however long it is.
+func MarshalRun(pairs []wio.Pair) (recs []Rec, keyClass, valClass string, size int64, err error) {
+	if keyClass, err = wio.NameOf(pairs[0].Key); err != nil {
+		return nil, "", "", 0, err
+	}
+	if valClass, err = wio.NameOf(pairs[0].Value); err != nil {
+		return nil, "", "", 0, err
+	}
+	w := runMarshalers.Get().(*wio.Writer)
+	defer runMarshalers.Put(w)
+	w.ResetBytes(w.Bytes()[:0])
+	recs = make([]Rec, len(pairs))
+	for i, p := range pairs {
+		k0 := w.Count()
+		if err := p.Key.WriteTo(w); err != nil {
+			return nil, "", "", 0, err
+		}
+		k1 := w.Count()
+		if err := p.Value.WriteTo(w); err != nil {
+			return nil, "", "", 0, err
+		}
+		// Lengths only for now: the scratch may still move as it grows.
+		b := w.Bytes()
+		recs[i] = Rec{K: b[k0:k1], V: b[k1:]}
+	}
+	slab := bytes.Clone(w.Bytes())
+	for i := range recs {
+		kl, vl := len(recs[i].K), len(recs[i].V)
+		recs[i] = Rec{K: slab[:kl:kl], V: slab[kl : kl+vl : kl+vl]}
+		slab = slab[kl+vl:]
+		size += recs[i].Size()
+	}
+	return recs, keyClass, valClass, size, nil
+}
+
+var runMarshalers = sync.Pool{New: func() any { return new(wio.Writer) }}
+
+// PairDecoder is MarshalRun's inverse, one record at a time: it turns
+// records back into fresh writables of a run's key and value classes. The
+// class factories are resolved once, at construction, and every record
+// decodes through one slice-mode reader. Not for concurrent use.
+type PairDecoder struct {
+	newKey, newVal func() wio.Writable
+	rd             wio.Reader
+}
+
+// NewPairDecoder resolves the run's class names against the wio registry.
+func NewPairDecoder(keyClass, valClass string) (*PairDecoder, error) {
+	newKey, err := wio.Factory(keyClass)
+	if err != nil {
+		return nil, err
+	}
+	newVal, err := wio.Factory(valClass)
+	if err != nil {
+		return nil, err
+	}
+	return &PairDecoder{newKey: newKey, newVal: newVal}, nil
+}
+
+// Decode deserializes one record.
+func (d *PairDecoder) Decode(rec Rec) (wio.Pair, error) {
+	k, v := d.newKey(), d.newVal()
+	d.rd.ResetBytes(rec.K)
+	if err := k.ReadFields(&d.rd); err != nil {
+		return wio.Pair{}, fmt.Errorf("spill: decoding key: %w", err)
+	}
+	d.rd.ResetBytes(rec.V)
+	if err := v.ReadFields(&d.rd); err != nil {
+		return wio.Pair{}, fmt.Errorf("spill: decoding value: %w", err)
+	}
+	return wio.Pair{Key: k, Value: v}, nil
 }
 
 // runFileWriter wraps the handle every run-file write goes through — the
@@ -577,19 +696,35 @@ func (s *Stream) readBlock() error {
 		return fmt.Errorf("%w: flate block declares implausible rawLen %d for %d stored bytes",
 			ErrBlockSizeMismatch, rawLen, storedLen)
 	}
-	body := make([]byte, storedLen)
+	if c == CodecNone {
+		// Records alias the block, so a stored body is read into memory of
+		// its own.
+		body := make([]byte, storedLen)
+		if _, err := io.ReadFull(s.br, body); err != nil {
+			return unexpectedEOF(err)
+		}
+		s.rem -= int64(storedLen)
+		s.blk, s.pos = body, 0
+		return nil
+	}
+	bd := blockDecoders.Get().(*blockDecoder)
+	defer blockDecoders.Put(bd)
+	if uint64(cap(bd.body)) < storedLen {
+		bd.body = make([]byte, storedLen)
+	}
+	body := bd.body[:storedLen]
 	if _, err := io.ReadFull(s.br, body); err != nil {
 		return unexpectedEOF(err)
 	}
 	s.rem -= int64(storedLen)
-	if c == CodecNone {
-		s.blk, s.pos = body, 0
-		return nil
-	}
 	raw := make([]byte, rawLen)
-	fr := flate.NewReader(bytes.NewReader(body))
-	defer fr.Close()
-	got, err := io.ReadFull(fr, raw)
+	// Reset discards whatever state the previous block left behind, a
+	// corrupt one's error included.
+	bd.src.Reset(body)
+	if err := bd.fr.(flate.Resetter).Reset(&bd.src, nil); err != nil {
+		return err
+	}
+	got, err := io.ReadFull(bd.fr, raw)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: flate block inflated to %d of declared %d raw bytes",
@@ -598,13 +733,27 @@ func (s *Stream) readBlock() error {
 		return fmt.Errorf("spill: corrupt flate block: %w", err)
 	}
 	var one [1]byte
-	if m, _ := fr.Read(one[:]); m != 0 {
+	if m, _ := bd.fr.Read(one[:]); m != 0 {
 		return fmt.Errorf("%w: flate block inflates beyond declared %d raw bytes",
 			ErrBlockSizeMismatch, rawLen)
 	}
 	s.blk, s.pos = raw, 0
 	return nil
 }
+
+// blockDecoder is the pooled scratch of one flate block's decode: the
+// stored body, a reader over it and the inflater, Reset per block instead
+// of being built per block. The inflated bytes are not part of it — records
+// alias them.
+type blockDecoder struct {
+	body []byte
+	src  bytes.Reader
+	fr   io.ReadCloser
+}
+
+var blockDecoders = sync.Pool{New: func() any {
+	return &blockDecoder{fr: flate.NewReader(bytes.NewReader(nil))}
+}}
 
 // unexpectedEOF upgrades a mid-record io.EOF to io.ErrUnexpectedEOF.
 func unexpectedEOF(err error) error {

@@ -1,7 +1,6 @@
 package types
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -205,10 +204,10 @@ func compareRawComponent(name string, a, b []byte) int {
 		panic(fmt.Sprintf("types: Pair component class %q not registered", name))
 	}
 	wb, _ := wio.New(name)
-	if err := wa.ReadFields(wio.NewReader(bytes.NewReader(a))); err != nil {
+	if err := wio.Unmarshal(a, wa); err != nil {
 		panic(fmt.Sprintf("types: Pair component decode: %v", err))
 	}
-	if err := wb.ReadFields(wio.NewReader(bytes.NewReader(b))); err != nil {
+	if err := wio.Unmarshal(b, wb); err != nil {
 		panic(fmt.Sprintf("types: Pair component decode: %v", err))
 	}
 	ca, ok := wa.(wio.Comparable)

@@ -113,14 +113,25 @@ func (e *Encoder) Close() error {
 
 // Decoder reads a stream produced by Encoder.
 type Decoder struct {
-	r     *Reader
+	r     Reader
 	types []string
 	objs  []Writable
 }
 
 // NewDecoder returns a Decoder consuming from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: NewReader(r)}
+	d := new(Decoder)
+	d.r.Reset(r)
+	return d
+}
+
+// NewDecoderBytes returns a Decoder over an encoded frame already in
+// memory, decoding straight out of b (slice-mode Reader) instead of through
+// an io.Reader.
+func NewDecoderBytes(b []byte) *Decoder {
+	d := new(Decoder)
+	d.r.ResetBytes(b)
+	return d
 }
 
 // Count reports bytes consumed so far.
@@ -171,7 +182,7 @@ func (d *Decoder) Decode() (Writable, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := v.ReadFields(d.r); err != nil {
+		if err := v.ReadFields(&d.r); err != nil {
 			return nil, fmt.Errorf("wio: decoding %s: %w", name, err)
 		}
 		d.objs = append(d.objs, v)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // The registry maps stable type names to factories, playing the role of
@@ -11,47 +12,80 @@ import (
 // shuffle wire format, job configurations) name types as strings, and both
 // sides of a connection resolve those names independently.
 
-var registry = struct {
-	sync.RWMutex
+// Lookups (New, NameOf, Registered, Factory) sit on the record path — every
+// clone, every decoded shuffle object — so they are a single atomic load of
+// an immutable table; Register, which runs from init functions, copies the
+// table under a mutex and publishes the copy.
+
+type regTable struct {
 	byName map[string]func() Writable
 	byType map[reflect.Type]string
-}{
-	byName: make(map[string]func() Writable),
-	byType: make(map[reflect.Type]string),
+}
+
+var (
+	registry   = newRegistry()
+	registerMu sync.Mutex
+)
+
+// newRegistry publishes an empty table before any init function can
+// register into it.
+func newRegistry() *atomic.Pointer[regTable] {
+	p := new(atomic.Pointer[regTable])
+	p.Store(&regTable{})
+	return p
 }
 
 // Register associates name with a factory producing fresh zero values.
 // Writable types register themselves from init functions. Registering the
 // same name twice panics, mirroring a classpath conflict.
 func Register(name string, factory func() Writable) {
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[name]; dup {
+	registerMu.Lock()
+	defer registerMu.Unlock()
+	old := registry.Load()
+	if _, dup := old.byName[name]; dup {
 		panic(fmt.Sprintf("wio: duplicate registration of writable %q", name))
 	}
-	registry.byName[name] = factory
-	t := reflect.TypeOf(factory())
-	if _, dup := registry.byType[t]; !dup {
-		registry.byType[t] = name
+	next := &regTable{
+		byName: make(map[string]func() Writable, len(old.byName)+1),
+		byType: make(map[reflect.Type]string, len(old.byType)+1),
 	}
+	for k, v := range old.byName {
+		next.byName[k] = v
+	}
+	for k, v := range old.byType {
+		next.byType[k] = v
+	}
+	next.byName[name] = factory
+	t := reflect.TypeOf(factory())
+	if _, dup := next.byType[t]; !dup {
+		next.byType[t] = name
+	}
+	registry.Store(next)
+}
+
+// Factory returns the registered factory for name, for callers that
+// instantiate the same type once per record and want the lookup once per
+// stream.
+func Factory(name string) (func() Writable, error) {
+	factory, ok := registry.Load().byName[name]
+	if !ok {
+		return nil, fmt.Errorf("wio: unknown writable type %q", name)
+	}
+	return factory, nil
 }
 
 // New instantiates a fresh writable for a registered name.
 func New(name string) (Writable, error) {
-	registry.RLock()
-	factory, ok := registry.byName[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("wio: unknown writable type %q", name)
+	factory, err := Factory(name)
+	if err != nil {
+		return nil, err
 	}
 	return factory(), nil
 }
 
 // NameOf returns the registered name for v's dynamic type.
 func NameOf(v Writable) (string, error) {
-	registry.RLock()
-	name, ok := registry.byType[reflect.TypeOf(v)]
-	registry.RUnlock()
+	name, ok := registry.Load().byType[reflect.TypeOf(v)]
 	if !ok {
 		return "", fmt.Errorf("wio: type %T is not registered", v)
 	}
@@ -60,8 +94,6 @@ func NameOf(v Writable) (string, error) {
 
 // Registered reports whether a name is known to the registry.
 func Registered(name string) bool {
-	registry.RLock()
-	_, ok := registry.byName[name]
-	registry.RUnlock()
+	_, ok := registry.Load().byName[name]
 	return ok
 }

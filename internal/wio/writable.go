@@ -3,7 +3,7 @@ package wio
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
+	"sync"
 )
 
 // Writable is the interface every key and value type implements, mirroring
@@ -87,27 +87,76 @@ func (d *deserializingComparator) Compare(a, b Writable) int { return d.cmp.Comp
 
 func (d *deserializingComparator) CompareRaw(a, b []byte) int {
 	wa, wb := d.factory(), d.factory()
-	if err := wa.ReadFields(NewReader(bytes.NewReader(a))); err != nil {
+	if err := Unmarshal(a, wa); err != nil {
 		panic(fmt.Sprintf("wio: raw compare decode: %v", err))
 	}
-	if err := wb.ReadFields(NewReader(bytes.NewReader(b))); err != nil {
+	if err := Unmarshal(b, wb); err != nil {
 		panic(fmt.Sprintf("wio: raw compare decode: %v", err))
 	}
 	return d.cmp.Compare(wa, wb)
 }
 
-// Marshal serializes a single writable to a fresh byte slice.
-func Marshal(v Writable) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := v.WriteTo(NewWriter(&buf)); err != nil {
+// writerPool and readerPool hold the slice-mode state behind Marshal,
+// Unmarshal, Clone, Equal and HashCode. A pooled Writer keeps the scratch it
+// grew (cut to length 0) between uses; a pooled Reader keeps nothing.
+var (
+	writerPool = sync.Pool{New: func() any { return new(Writer) }}
+	readerPool = sync.Pool{New: func() any { return new(Reader) }}
+)
+
+// marshalScratch serializes v into a pooled Writer's own scratch. The caller
+// reads w.Bytes() and then hands the writer back with putWriter.
+func marshalScratch(v Writable) (*Writer, error) {
+	w := writerPool.Get().(*Writer)
+	w.ResetBytes(w.out[:0])
+	if err := v.WriteTo(w); err != nil {
+		putWriter(w)
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return w, nil
+}
+
+func putWriter(w *Writer) {
+	w.out = w.out[:0]
+	writerPool.Put(w)
+}
+
+// Marshal serializes a single writable to a fresh byte slice.
+func Marshal(v Writable) ([]byte, error) {
+	w, err := marshalScratch(v)
+	if err != nil {
+		return nil, err
+	}
+	b := append([]byte(nil), w.out...)
+	putWriter(w)
+	return b, nil
+}
+
+// AppendMarshal appends v's serialized form to dst and returns the extended
+// slice; with enough spare capacity in dst it allocates nothing. On error
+// dst is returned unchanged.
+func AppendMarshal(dst []byte, v Writable) ([]byte, error) {
+	w := writerPool.Get().(*Writer)
+	scratch := w.out
+	w.ResetBytes(dst)
+	err := v.WriteTo(w)
+	out := w.out
+	w.out = scratch
+	putWriter(w)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // Unmarshal deserializes b into v, which must have the matching type.
 func Unmarshal(b []byte, v Writable) error {
-	return v.ReadFields(NewReader(bytes.NewReader(b)))
+	r := readerPool.Get().(*Reader)
+	r.ResetBytes(b)
+	err := v.ReadFields(r)
+	r.ResetBytes(nil)
+	readerPool.Put(r)
+	return err
 }
 
 // HashCode returns a partitioning hash for v: the type's own HashCode when
@@ -116,47 +165,57 @@ func HashCode(v Writable) uint32 {
 	if h, ok := v.(Hashable); ok {
 		return h.HashCode()
 	}
-	b, err := Marshal(v)
+	w, err := marshalScratch(v)
 	if err != nil {
 		panic(fmt.Sprintf("wio: hashing %T: %v", v, err))
 	}
-	h := fnv.New32a()
-	h.Write(b)
-	return h.Sum32()
+	h := uint32(2166136261) // FNV-1a, 32 bit
+	for _, c := range w.out {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	putWriter(w)
+	return h
 }
 
 // Equal reports whether two writables have identical serialized forms. It is
 // the engine's substitute for Java equals() when grouping values.
 func Equal(a, b Writable) bool {
-	ba, err := Marshal(a)
+	wa, err := marshalScratch(a)
 	if err != nil {
 		return false
 	}
-	bb, err := Marshal(b)
+	wb, err := marshalScratch(b)
 	if err != nil {
+		putWriter(wa)
 		return false
 	}
-	return bytes.Equal(ba, bb)
+	eq := bytes.Equal(wa.out, wb.out)
+	putWriter(wa)
+	putWriter(wb)
+	return eq
 }
 
 // Clone deep-copies v through a serialization round trip. This is the cost
 // M3R pays for every output pair of a mapper or reducer that has not
 // declared ImmutableOutput (§4.1 of the paper); keeping it a full round trip
-// rather than a type-specific fast path preserves that cost structure.
+// rather than a type-specific fast path preserves that cost structure. Only
+// the intermediate buffer is recycled: every field is still written out and
+// read back into a fresh object.
 func Clone(v Writable) (Writable, error) {
 	name, err := NameOf(v)
 	if err != nil {
 		return nil, err
 	}
-	b, err := Marshal(v)
+	w, err := marshalScratch(v)
 	if err != nil {
 		return nil, err
 	}
+	defer putWriter(w)
 	out, err := New(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := Unmarshal(b, out); err != nil {
+	if err := Unmarshal(w.out, out); err != nil {
 		return nil, err
 	}
 	return out, nil

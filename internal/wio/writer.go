@@ -16,6 +16,7 @@ package wio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,8 +25,16 @@ import (
 // Writer wraps an io.Writer with primitive encoding methods in the style of
 // Hadoop's DataOutput. All multi-byte integers are big-endian; variable
 // length integers use zig-zag varint encoding.
+//
+// A Writer has two modes emitting the same bytes. Stream mode (NewWriter,
+// Reset) forwards to an io.Writer. Slice mode (ResetBytes) appends to a byte
+// slice the Writer owns until Bytes hands it back: every primitive is then
+// an append with no interface call and no allocation beyond the slice's own
+// growth, which is what Marshal, Clone and the run encoders sit on. The zero
+// Writer is a slice-mode writer over a nil slice.
 type Writer struct {
-	w     io.Writer
+	w     io.Writer // nil in slice mode
+	out   []byte    // slice-mode destination
 	buf   [binary.MaxVarintLen64]byte
 	count int64
 }
@@ -40,12 +49,28 @@ func (w *Writer) Count() int64 { return w.count }
 
 // Reset re-targets the writer at a new underlying stream and zeroes Count.
 func (w *Writer) Reset(out io.Writer) {
-	w.w = out
+	w.w, w.out = out, nil
 	w.count = 0
 }
 
+// ResetBytes switches the writer to slice mode, appending to dst (which may
+// be nil, or a recycled buffer cut to dst[:0]), and zeroes Count.
+func (w *Writer) ResetBytes(dst []byte) {
+	w.w, w.out = nil, dst
+	w.count = 0
+}
+
+// Bytes returns the slice-mode destination: the dst given to ResetBytes
+// followed by the Count bytes written since. It is nil in stream mode.
+func (w *Writer) Bytes() []byte { return w.out }
+
 // Write implements io.Writer.
 func (w *Writer) Write(p []byte) (int, error) {
+	if w.w == nil {
+		w.out = append(w.out, p...)
+		w.count += int64(len(p))
+		return len(p), nil
+	}
 	n, err := w.w.Write(p)
 	w.count += int64(n)
 	return n, err
@@ -53,6 +78,11 @@ func (w *Writer) Write(p []byte) (int, error) {
 
 // WriteByte writes a single byte.
 func (w *Writer) WriteByte(b byte) error {
+	if w.w == nil {
+		w.out = append(w.out, b)
+		w.count++
+		return nil
+	}
 	w.buf[0] = b
 	_, err := w.Write(w.buf[:1])
 	return err
@@ -68,6 +98,11 @@ func (w *Writer) WriteBool(v bool) error {
 
 // WriteUint32 writes a fixed-width big-endian uint32.
 func (w *Writer) WriteUint32(v uint32) error {
+	if w.w == nil {
+		w.out = binary.BigEndian.AppendUint32(w.out, v)
+		w.count += 4
+		return nil
+	}
 	binary.BigEndian.PutUint32(w.buf[:4], v)
 	_, err := w.Write(w.buf[:4])
 	return err
@@ -78,6 +113,11 @@ func (w *Writer) WriteInt32(v int32) error { return w.WriteUint32(uint32(v)) }
 
 // WriteUint64 writes a fixed-width big-endian uint64.
 func (w *Writer) WriteUint64(v uint64) error {
+	if w.w == nil {
+		w.out = binary.BigEndian.AppendUint64(w.out, v)
+		w.count += 8
+		return nil
+	}
 	binary.BigEndian.PutUint64(w.buf[:8], v)
 	_, err := w.Write(w.buf[:8])
 	return err
@@ -110,6 +150,11 @@ func (w *Writer) WriteString(s string) error {
 	if err := w.WriteUvarint(uint64(len(s))); err != nil {
 		return err
 	}
+	if w.w == nil {
+		w.out = append(w.out, s...)
+		w.count += int64(len(s))
+		return nil
+	}
 	_, err := io.WriteString(w, s)
 	return err
 }
@@ -132,8 +177,16 @@ func (w *Writer) Flush() error {
 }
 
 // Reader wraps an io.Reader with primitive decoding methods matching Writer.
+//
+// Like Writer it has a stream mode (NewReader, Reset) and a slice mode
+// (ResetBytes) that decodes straight out of a byte slice; values, Count and
+// errors — io.EOF before the first byte of a primitive, io.ErrUnexpectedEOF
+// inside one — are the same in both. The zero Reader is an empty slice-mode
+// reader, so a Reader can live by value inside a record reader and be
+// re-aimed at each record's bytes.
 type Reader struct {
-	r     io.Reader
+	r     io.Reader // nil in slice mode
+	data  []byte    // slice-mode source; data[count:] is unread
 	buf   [8]byte
 	count int64
 }
@@ -148,18 +201,44 @@ func (r *Reader) Count() int64 { return r.count }
 
 // Reset re-targets the reader at a new underlying stream and zeroes Count.
 func (r *Reader) Reset(in io.Reader) {
-	r.r = in
+	r.r, r.data = in, nil
+	r.count = 0
+}
+
+// ResetBytes switches the reader to slice mode over b and zeroes Count. The
+// reader never writes to b and copies everything it returns out of it.
+func (r *Reader) ResetBytes(b []byte) {
+	r.r, r.data = nil, b
 	r.count = 0
 }
 
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {
+	if r.r == nil {
+		if r.count >= int64(len(r.data)) {
+			return 0, io.EOF
+		}
+		n := copy(p, r.data[r.count:])
+		r.count += int64(n)
+		return n, nil
+	}
 	n, err := r.r.Read(p)
 	r.count += int64(n)
 	return n, err
 }
 
 func (r *Reader) readFull(p []byte) error {
+	if r.r == nil {
+		n := copy(p, r.data[r.count:])
+		r.count += int64(n)
+		switch {
+		case n == len(p):
+			return nil
+		case n == 0:
+			return io.EOF
+		}
+		return io.ErrUnexpectedEOF
+	}
 	n, err := io.ReadFull(r.r, p)
 	r.count += int64(n)
 	return err
@@ -167,6 +246,14 @@ func (r *Reader) readFull(p []byte) error {
 
 // ReadByte reads a single byte. It implements io.ByteReader.
 func (r *Reader) ReadByte() (byte, error) {
+	if r.r == nil {
+		if r.count >= int64(len(r.data)) {
+			return 0, io.EOF
+		}
+		b := r.data[r.count]
+		r.count++
+		return b, nil
+	}
 	if err := r.readFull(r.buf[:1]); err != nil {
 		return 0, err
 	}
@@ -181,6 +268,11 @@ func (r *Reader) ReadBool() (bool, error) {
 
 // ReadUint32 reads a fixed-width big-endian uint32.
 func (r *Reader) ReadUint32() (uint32, error) {
+	if r.r == nil && int64(len(r.data))-r.count >= 4 {
+		v := binary.BigEndian.Uint32(r.data[r.count:])
+		r.count += 4
+		return v, nil
+	}
 	if err := r.readFull(r.buf[:4]); err != nil {
 		return 0, err
 	}
@@ -195,6 +287,11 @@ func (r *Reader) ReadInt32() (int32, error) {
 
 // ReadUint64 reads a fixed-width big-endian uint64.
 func (r *Reader) ReadUint64() (uint64, error) {
+	if r.r == nil && int64(len(r.data))-r.count >= 8 {
+		v := binary.BigEndian.Uint64(r.data[r.count:])
+		r.count += 8
+		return v, nil
+	}
 	if err := r.readFull(r.buf[:8]); err != nil {
 		return 0, err
 	}
@@ -215,12 +312,39 @@ func (r *Reader) ReadFloat64() (float64, error) {
 
 // ReadVarint reads a zig-zag encoded signed varint.
 func (r *Reader) ReadVarint() (int64, error) {
-	return binary.ReadVarint(r)
+	ux, err := r.ReadUvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
 }
 
-// ReadUvarint reads an unsigned varint.
+var errVarintOverflow = errors.New("wio: varint overflows a 64-bit integer")
+
+// ReadUvarint reads an unsigned varint. It is binary.ReadUvarint over the
+// reader's own ReadByte, so slice mode pays no interface call per byte.
 func (r *Reader) ReadUvarint() (uint64, error) {
-	return binary.ReadUvarint(r)
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return x, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return x, errVarintOverflow
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return x, errVarintOverflow
 }
 
 // maxLen guards length prefixes against corrupt streams so a flipped bit
@@ -229,7 +353,16 @@ const maxLen = 1 << 30
 
 // ReadString reads a string written by WriteString.
 func (r *Reader) ReadString() (string, error) {
-	b, err := r.ReadBytesBuf(nil)
+	n, err := r.readLen()
+	if err != nil {
+		return "", err
+	}
+	if r.r == nil && n <= uint64(int64(len(r.data))-r.count) {
+		s := string(r.data[r.count : r.count+int64(n)])
+		r.count += int64(n)
+		return s, nil
+	}
+	b, err := r.readBody(nil, n)
 	return string(b), err
 }
 
@@ -241,12 +374,35 @@ func (r *Reader) ReadBytes() ([]byte, error) {
 // ReadBytesBuf reads a byte slice written by WriteBytes, reusing buf when it
 // has sufficient capacity.
 func (r *Reader) ReadBytesBuf(buf []byte) ([]byte, error) {
-	n, err := r.ReadUvarint()
+	n, err := r.readLen()
 	if err != nil {
 		return nil, err
 	}
+	return r.readBody(buf, n)
+}
+
+// readLen reads and bounds-checks a length prefix.
+func (r *Reader) readLen() (uint64, error) {
+	n, err := r.ReadUvarint()
+	if err != nil {
+		return 0, err
+	}
 	if n > maxLen {
-		return nil, fmt.Errorf("wio: length prefix %d exceeds limit", n)
+		return 0, fmt.Errorf("wio: length prefix %d exceeds limit", n)
+	}
+	return n, nil
+}
+
+// readBody reads the n bytes behind a length prefix into buf.
+func (r *Reader) readBody(buf []byte, n uint64) ([]byte, error) {
+	if rest := int64(len(r.data)) - r.count; r.r == nil && n > uint64(rest) {
+		// Slice mode knows the body is truncated before allocating for it:
+		// same outcome as the stream path, without trusting the prefix.
+		r.count += rest
+		if rest == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]byte, n)

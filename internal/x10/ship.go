@@ -60,7 +60,7 @@ func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipRe
 	rt.stats.Add(sim.DedupHits, int64(enc.DedupHits()))
 	rt.cost.ChargeNet(rt.stats, n)
 
-	dec := wio.NewDecoder(bytes.NewReader(payload))
+	dec := wio.NewDecoderBytes(payload)
 	out := make([]wio.Pair, 0, len(pairs))
 	for i := 0; i < len(pairs); i++ {
 		p, err := dec.DecodePair()

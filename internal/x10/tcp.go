@@ -371,10 +371,13 @@ func (s *FrameServer) handle(conn net.Conn) {
 			s.reply(conn, w, bw, fmt.Sprintf("x10: frame for place %d reached worker for place %d", to, s.place), nil)
 			continue
 		}
+		// Counted before the reply leaves, so a caller that has its answer
+		// already sees the frame in Served.
+		n := s.served.Add(1)
 		if err := s.reply(conn, w, bw, "", frame); err != nil {
 			return
 		}
-		if n := s.served.Add(1); s.fail > 0 && n >= s.fail {
+		if s.fail > 0 && n >= s.fail {
 			// Fault injection: the worker "dies" — every connection drops
 			// and the listener closes, so redials fail too.
 			s.Close()
