@@ -235,41 +235,8 @@ func BenchmarkParallelMergeWordCount(b *testing.B) {
 	}
 }
 
-// BenchmarkSpillQueueWordCount measures the async spill pipeline under a
-// tight shuffle budget: every leg spills most of its shuffle to disk, and
-// the legs differ only in who writes it — the flushing map task inline
-// (sync, the PR-2/PR-3 baseline path) or the per-place spill worker
-// through a bounded queue, overlapping disk with mapping. The readmit leg
-// additionally promotes spilled runs back to memory as released budget
-// makes room.
-func BenchmarkSpillQueueWordCount(b *testing.B) {
-	for _, variant := range []struct {
-		name    string
-		queue   int
-		readmit bool
-	}{{"sync", 0, false}, {"queued8", 8, false}, {"queued8-readmit", 8, true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			c := newBenchCluster(b)
-			if err := wordcount.Generate(c.FS, "/data/t", 1<<20, 42); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				job := wordcount.NewJob("/data/t", fmt.Sprintf("/out/%d", i), benchNodes, true)
-				job.SetInt64(conf.KeyM3RShuffleBudget, 16<<10)
-				job.SetInt(conf.KeyM3RSpillQueue, variant.queue)
-				job.SetBool(conf.KeyM3RReadmit, variant.readmit)
-				if _, err := c.M3R.Submit(job); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(c.Stats.Get(sim.SpillBytes))/float64(b.N)/1024, "spillKB/op")
-		})
-	}
-}
-
-// BenchmarkSpillCodecWordCount compares the spill block codecs on the same
-// tight-budget WordCount the queue bench uses: the flate leg trades mapper
+// BenchmarkSpillCodecWordCount compares the spill block codecs on a
+// tight-budget WordCount: the flate leg trades mapper
 // CPU for disk bytes, and the spillKB/rawKB metrics report the stored vs
 // record-format spill volume (SPILLED_BYTES vs SPILLED_RAW_BYTES) so the
 // compression ratio on repetitive text keys lands in the bench output.
@@ -284,7 +251,6 @@ func BenchmarkSpillCodecWordCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				job := wordcount.NewJob("/data/t", fmt.Sprintf("/out/%d", i), benchNodes, true)
 				job.SetInt64(conf.KeyM3RShuffleBudget, 16<<10)
-				job.SetInt(conf.KeyM3RSpillQueue, 8)
 				job.Set(conf.KeyM3RSpillCodec, codec)
 				if _, err := c.M3R.Submit(job); err != nil {
 					b.Fatal(err)
@@ -315,7 +281,6 @@ func BenchmarkSpillCodecRepartition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				job := cfg.RepartitionJob("/mb/foreign", fmt.Sprintf("/mb/aligned%d", i))
 				job.SetInt64(conf.KeyM3RShuffleBudget, 16<<10)
-				job.SetInt(conf.KeyM3RSpillQueue, 8)
 				job.Set(conf.KeyM3RSpillCodec, codec)
 				if _, err := c.M3R.Submit(job); err != nil {
 					b.Fatal(err)

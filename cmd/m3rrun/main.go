@@ -15,14 +15,11 @@
 // is that worker mode: register, serve frames, exit when the coordinator
 // goes away.
 //
-// Job lifecycle knobs:
+// Every knob is a conf key set with -D key=value (DESIGN.md lists them):
 //
-//	-deadline 30s       fail each job that outlives the deadline
-//	                    (m3r.job.deadline.ms)
-//	-max-attempts 3     bound per-task re-execution on the hadoop engine
-//	                    (mapred.map.max.attempts / mapred.reduce.max.attempts)
-//	-failover           on an m3r job failure, roll back and resubmit the
-//	                    job to the hadoop engine (m3r.job.failover)
+//	-D m3r.shuffle.budget.bytes=4096          per-job shuffle cap; overflow spills
+//	-D m3r.engine.shuffle.budget.bytes=65536  engine pool (configures the cluster)
+//	-D m3r.job.deadline.ms=30000              fail jobs that outlive the deadline
 package main
 
 import (
@@ -31,6 +28,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"time"
 
@@ -53,30 +51,7 @@ var (
 	useServer  = flag.Bool("server", false, "submit through the TCP jobtracker protocol (server mode)")
 	transport  = flag.String("transport", "inproc", "place transport: inproc (all places in this process) or tcp (one worker process per node)")
 	sizeMB     = flag.Int64("mb", 4, "input size in MB (wordcount)")
-	// Shuffle memory lifecycle knobs (shorthand for the corresponding -D
-	// keys; see internal/conf: m3r.shuffle.budget.bytes / .spill.queue /
-	// .readmit).
-	budget     = flag.Int64("shuffle-budget", 0, "per-job, per-place shuffle budget in bytes (0 = unlimited; with -engine-shuffle-budget, the job's cap within the pool)")
-	spillQueue = flag.Int("spill-queue", 0, "async spill queue depth per place (0 = synchronous spills)")
-	readmit    = flag.Bool("readmit", false, "readmit spilled runs to memory when released budget makes room")
-	spillCodec = flag.String("spill-codec", "", "spill block compression codec: none or flate (default M3R_SPILL_CODEC env, else none)")
-	// The engine pool is engine-lifetime state (m3r.engine.shuffle.budget.bytes),
-	// so it configures the cluster, not a job: all jobs of the sequence —
-	// including concurrent server-mode submissions — contend for this one
-	// per-place pool, with the largest-first policy arbitrating overflow.
-	engineBudget = flag.Int64("engine-shuffle-budget", 0,
-		"engine-scoped per-place shuffle memory pool in bytes, shared by all jobs of the sequence (0 = M3R_ENGINE_SHUFFLE_BUDGET_BYTES env default, negative = no pool)")
-	// The cache budget is likewise engine-lifetime (m3r.cache.budget.bytes):
-	// cache entries outlive the jobs that wrote them, so their ceiling
-	// belongs to the engine, not a job conf.
-	cacheBudget = flag.Int64("cache-budget", 0,
-		"engine-scoped per-place inter-job cache budget in bytes; cold entries spill to disk and readmit on access (0 = M3R_CACHE_BUDGET_BYTES env default, negative = unbounded)")
-	// Job lifecycle knobs (shorthand for m3r.job.deadline.ms,
-	// mapred.{map,reduce}.max.attempts, and m3r.job.failover).
-	deadline    = flag.Duration("deadline", 0, "per-job deadline; a job that outlives it fails with a deadline error (0 = none)")
-	maxAttempts = flag.Int("max-attempts", 0, "max task attempts on the hadoop engine, map and reduce (0 = engine default)")
-	failover    = flag.Bool("failover", false, "resubmit failed m3r jobs to the hadoop engine after rollback (m3r.job.failover)")
-	confProps   propFlags
+	confProps  propFlags
 )
 
 // propFlags collects repeatable -D key=value job configuration overrides,
@@ -91,6 +66,23 @@ func (p *propFlags) Set(v string) error {
 	}
 	*p = append(*p, v)
 	return nil
+}
+
+// engineBudget lifts an engine-scoped key out of the -D set: the pool and
+// the cache ceiling are engine-lifetime state, so they configure the cluster
+// (lab.Options), not a job. 0 when the key is not given.
+func (p propFlags) engineBudget(key string) int64 {
+	var n int64
+	for _, kv := range p {
+		if k, v, _ := strings.Cut(kv, "="); k == key {
+			var err error
+			if n, err = strconv.ParseInt(v, 10, 64); err != nil {
+				fmt.Fprintf(os.Stderr, "-D %s=%q is not an integer\n", k, v)
+				os.Exit(2)
+			}
+		}
+	}
+	return n
 }
 
 // apply copies the -D overrides into job.
@@ -174,30 +166,6 @@ func main() {
 	}
 	flag.Var(&confProps, "D", "job configuration override key=value (repeatable)")
 	flag.Parse()
-	// Forward a lifecycle flag whenever the operator set it — including an
-	// explicit 0/false: a key set on the job (even to its default) overrides
-	// the engine's env-injected defaults, so `-shuffle-budget 0` really does
-	// mean unlimited in a shell that exports M3R_SHUFFLE_BUDGET_BYTES.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shuffle-budget":
-			confProps = append(confProps, fmt.Sprintf("%s=%d", conf.KeyM3RShuffleBudget, *budget))
-		case "spill-queue":
-			confProps = append(confProps, fmt.Sprintf("%s=%d", conf.KeyM3RSpillQueue, *spillQueue))
-		case "readmit":
-			confProps = append(confProps, fmt.Sprintf("%s=%t", conf.KeyM3RReadmit, *readmit))
-		case "spill-codec":
-			confProps = append(confProps, fmt.Sprintf("%s=%s", conf.KeyM3RSpillCodec, *spillCodec))
-		case "deadline":
-			confProps = append(confProps, fmt.Sprintf("%s=%d", conf.KeyJobDeadlineMS, deadline.Milliseconds()))
-		case "max-attempts":
-			confProps = append(confProps,
-				fmt.Sprintf("%s=%d", conf.KeyMaxMapAttempts, *maxAttempts),
-				fmt.Sprintf("%s=%d", conf.KeyMaxReduceAttempts, *maxAttempts))
-		case "failover":
-			confProps = append(confProps, fmt.Sprintf("%s=%t", conf.KeyM3RFailover, *failover))
-		}
-	})
 	var tr x10.Transport
 	switch *transport {
 	case "inproc":
@@ -213,7 +181,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)
 		os.Exit(2)
 	}
-	cluster, err := lab.New(lab.Options{Nodes: *nodes, ShuffleBudgetBytes: *engineBudget, CacheBudgetBytes: *cacheBudget, Transport: tr})
+	cluster, err := lab.New(lab.Options{
+		Nodes:              *nodes,
+		ShuffleBudgetBytes: confProps.engineBudget(conf.KeyM3REngineShuffleBudget),
+		CacheBudgetBytes:   confProps.engineBudget(conf.KeyM3RCacheBudget),
+		Transport:          tr,
+	})
 	if err != nil {
 		log.Fatalf("building cluster: %v", err)
 	}

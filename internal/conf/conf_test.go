@@ -2,6 +2,7 @@ package conf_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -164,5 +165,56 @@ func TestIsTemporaryOutput(t *testing.T) {
 	j2.SetStrings(conf.KeyTempPaths, "/exact/path")
 	if !j2.IsTemporaryOutput("/exact/path") {
 		t.Error("explicit temp path list not honoured")
+	}
+}
+
+// TestDefaultsPrecedence pins the one rule every knob follows: an explicit
+// value — an explicit 0 included — beats the DefaultsEnv carrier, which
+// beats the built-in default; engine-scoped keys ride the same carrier for
+// m3r.New to read; and a malformed carrier is an error naming the field,
+// never a silently unconfigured run.
+func TestDefaultsPrecedence(t *testing.T) {
+	const builtin = 7
+	carrier := conf.KeyM3RShuffleBudget + "=4096"
+	for _, tc := range []struct {
+		name, env, explicit string
+		want                int64
+		wantErr             string
+	}{
+		{name: "built-in default", want: builtin},
+		{name: "carrier beats built-in", env: carrier, want: 4096},
+		{name: "explicit beats carrier", env: carrier, explicit: "128", want: 128},
+		{name: "explicit zero beats carrier", env: carrier, explicit: "0", want: 0},
+		{name: "fields split on any whitespace", want: 4096,
+			env: "  " + conf.KeyM3RSpillCodec + "=flate\n\t" + carrier + " " + conf.KeyM3REngineShuffleBudget + "=65536 "},
+		{name: "field without =", env: carrier + " " + conf.KeyM3RSpillCodec, wantErr: conf.KeyM3RSpillCodec},
+		{name: "empty key", env: "=4096", wantErr: `"=4096"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv(conf.DefaultsEnv, tc.env)
+			d, err := conf.EnvDefaults()
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("EnvDefaults(%q) error = %v, want one naming %s", tc.env, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := conf.NewJob()
+			if tc.explicit != "" {
+				job.Set(conf.KeyM3RShuffleBudget, tc.explicit)
+			}
+			job.SetDefaults(d)
+			if got := job.GetInt64(conf.KeyM3RShuffleBudget, builtin); got != tc.want {
+				t.Errorf("%s = %d, want %d", conf.KeyM3RShuffleBudget, got, tc.want)
+			}
+			if strings.Contains(tc.env, conf.KeyM3REngineShuffleBudget) {
+				if got := d.Get(conf.KeyM3REngineShuffleBudget); got != "65536" {
+					t.Errorf("engine-scoped %s = %q in the carrier, want 65536", conf.KeyM3REngineShuffleBudget, got)
+				}
+			}
+		})
 	}
 }

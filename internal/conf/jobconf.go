@@ -45,7 +45,6 @@ const (
 	// KeyDistributedCacheLocalFiles is set by the engine for tasks: the
 	// localized paths of KeyDistributedCacheFiles, as Hadoop exposes them.
 	KeyDistributedCacheLocalFiles = "mapred.cache.localFiles"
-	KeySpeculative                = "mapred.map.tasks.speculative.execution"
 
 	// M3R extensions (§4).
 	KeyTempPrefix  = "m3r.temp.output.prefix" // default "temp"
@@ -57,42 +56,21 @@ const (
 	// written with it skips the backing filesystem and lives only in the
 	// in-memory cache.
 	KeyM3RCacheOnly = "m3r.cacheonly"
-	// KeyM3RShuffleBudget bounds, per place, the bytes of shuffled runs one
-	// job keeps resident (in the Hadoop engine's record-size accounting);
-	// runs beyond it spill to disk in the shared spill record format and
-	// are merged back through stream-backed leaves. On an engine with a
-	// shuffle pool (KeyM3REngineShuffleBudget) this is the job's cap
-	// *within* the pool; unset means the pool limit alone governs, and an
-	// explicit zero or negative value opts the job out of shuffle
-	// accounting entirely — the paper's pure in-memory design point. On an
-	// unpooled engine, unset or non-positive means unlimited, as before.
+	// The tuning knobs below are tabulated — scope, default, what each
+	// selects — in DESIGN.md ("Knobs"); defaults for any of them can come
+	// from DefaultsEnv.
+	//
+	// KeyM3RShuffleBudget is the job's per-place cap on resident shuffle
+	// bytes; runs beyond it spill. On a pooled engine it caps the job within
+	// the pool, and an explicit value <= 0 opts the job out of accounting.
 	KeyM3RShuffleBudget = "m3r.shuffle.budget.bytes"
-	// KeyM3REngineShuffleBudget is the engine-scoped, per-place shuffle
-	// memory pool shared by every job of the engine's sequence (server
-	// mode's motivating workload: two concurrent jobs must contend for one
-	// operator-configured pool instead of each reserving a full per-place
-	// budget). It is engine-lifetime configuration, not per-job: the M3R
-	// engine reads it at construction from m3r.Options.ShuffleBudgetBytes
-	// or the M3R_ENGINE_SHUFFLE_BUDGET_BYTES environment default; setting
-	// the key on a submitted job has no effect. Zero or negative means no
-	// pool. When a reservation contends, the pool spills largest-first:
-	// the incoming run stays resident if re-spilling a larger cold
-	// resident run of the same job makes room (EVICTED_RESIDENT_RUNS),
-	// keeping more small runs in memory per byte.
+	// KeyM3REngineShuffleBudget is the engine-scoped per-place shuffle pool
+	// every job of the sequence shares (m3r.Options.ShuffleBudgetBytes).
+	// Engine-lifetime: setting it on a submitted job has no effect.
 	KeyM3REngineShuffleBudget = "m3r.engine.shuffle.budget.bytes"
-	// KeyM3RCacheBudget is the engine-scoped, per-place byte ceiling for the
-	// inter-job KV cache (§3.2) — the one large memory consumer that lives
-	// across jobs. Each committed cache block reserves its footprint against
-	// the place's budget pool under a cache-scoped tag (coexisting with the
-	// shuffle's job tags on a pooled engine); under contention, cold entries
-	// spill largest-first to disk in the shared spill record format and
-	// readmit transparently on next access. Like the engine shuffle pool it
-	// is engine-lifetime configuration: the M3R engine reads it at
-	// construction from m3r.Options.CacheBudgetBytes or the
-	// M3R_CACHE_BUDGET_BYTES environment default; setting the key on a
-	// submitted job has no effect. Zero or negative means unbounded — the
-	// paper's pure in-memory cache. Job output is byte-identical at every
-	// setting.
+	// KeyM3RCacheBudget is the engine-scoped per-place byte ceiling of the
+	// inter-job cache (m3r.Options.CacheBudgetBytes); cold entries spill
+	// largest-first and readmit on access. Engine-lifetime, like the pool.
 	KeyM3RCacheBudget = "m3r.cache.budget.bytes"
 	// KeyM3RTaskPlace carries the executing task's place number in the
 	// task-scoped job conf both engines hand to mappers/reducers, so
@@ -105,57 +83,25 @@ const (
 	// engines in the task-scoped conf. Library code uses it to build
 	// per-task file names (MultipleOutputs' "name-r-00002" suffixes).
 	KeyTaskPartition = "mapred.task.partition"
-	// KeyM3RSpillQueue bounds the per-place async spill queue: when
-	// positive, shuffle runs that overflow the budget are handed to a
-	// per-place spill worker goroutine through a channel of this capacity,
-	// overlapping disk encode/write with mapping instead of serializing the
-	// write into map flush. A full queue applies backpressure to the
-	// flushing map task. 0 (the default) keeps the PR-2 synchronous spill
-	// path: the map task writes the run to disk inline. Output is
-	// byte-identical at every depth; a spill-worker write error or panic
-	// fails the job and cancels the spills still queued.
+	// KeyM3RSpillQueue is inert: the async spill queue it sized is gone and
+	// no engine reads it. Declared only because benchmark/ still sets it.
 	KeyM3RSpillQueue = "m3r.shuffle.spill.queue"
-	// KeyM3RReadmit, when true, lets a reduce task promote a spilled run
-	// back to a resident (in-memory) run at merge-open time if the place's
-	// budget accountant has room — budget released as earlier partitions
-	// drained their resident runs is spent readmitting later partitions'
-	// runs, trading a second disk read for stream-decode during the merge.
-	// Default false. Output is byte-identical either way.
-	KeyM3RReadmit = "m3r.shuffle.readmit"
-	// KeyM3RSpillCodec selects the block compression codec for spilled
-	// runs and map-side sort spills in both engines: "none" (the default;
-	// the raw layout, byte-identical to prior releases) or "flate"
-	// (records grouped into ~64 KiB blocks, each DEFLATE-compressed
-	// behind a self-describing header; see internal/spill). The reader
-	// sniffs the layout per segment, so the knob only affects writers —
-	// reducer input and job output are byte-identical at every setting.
-	// The M3R engine honours the M3R_SPILL_CODEC environment default when
-	// the job leaves the key unset; so does the Hadoop engine.
+	// KeyM3RSpillCodec selects the block compression of spilled runs and
+	// map-side sort spills in both engines: "none" (default) or "flate".
+	// Readers sniff the layout per segment, so only writers consult it.
 	KeyM3RSpillCodec = "m3r.shuffle.compress.codec"
-	// KeyMergeParallelism enables the staged parallel reduce-side merge in
-	// both engines: when a partition has at least KeyMergeMinRuns runs, the
-	// run set splits into up to this many contiguous subsets, each merged
-	// on its own worker goroutine into a bounded intermediate stream, and a
-	// final tournament merges the streams. Unset or 0 (the default) keeps
-	// the merge serial; "auto" or a negative value resolves to GOMAXPROCS.
-	// Output is byte-identical to the serial merge in every configuration.
+	// KeyMergeParallelism enables the staged reduce-side merge in both
+	// engines: up to this many contiguous run subsets merge on their own
+	// goroutines. Unset or 0 is serial; "auto" or negative is GOMAXPROCS.
 	KeyMergeParallelism = "m3r.merge.parallelism"
 	// KeyMergeMinRuns is the run count below which the staged merge never
-	// engages (default engine.DefaultMergeMinRuns): merging a handful of
-	// runs is faster on one goroutine than through channel hand-offs.
+	// engages (default engine.DefaultMergeMinRuns).
 	KeyMergeMinRuns = "m3r.merge.min.runs"
-	// KeyJobDeadlineMS bounds a job's wall-clock time in milliseconds: a
-	// watchdog cancels the job at expiry and it fails with
-	// engine.ErrDeadlineExceeded. Unset or non-positive means no deadline.
-	// Both engines honour it (setup through commit), as does server mode.
+	// KeyJobDeadlineMS bounds a job's wall-clock time in milliseconds on
+	// either engine; expiry fails it with engine.ErrDeadlineExceeded.
 	KeyJobDeadlineMS = "m3r.job.deadline.ms"
-	// KeyM3RFailover, when true, makes the M3R engine resubmit a failed job
-	// to its configured fallback (stock Hadoop) engine after rolling back
-	// the job's cache entries and shuffle-pool reservations — the paper's
-	// integrated-mode resilience recipe (§5.3): M3R itself keeps its
-	// no-task-resilience design point, and resilience comes from rerunning
-	// on the resilient engine. Killed and deadline-expired jobs never fail
-	// over (cancellation is a verdict, not a fault). Default false.
+	// KeyM3RFailover, when true, makes the M3R engine roll back a failed
+	// (not killed) job and resubmit it to its fallback engine (§5.3).
 	KeyM3RFailover = "m3r.job.failover"
 )
 

@@ -60,16 +60,13 @@ const (
 	// observable compression ratio (equal when the codec is none).
 	SpilledBytes    = "SPILLED_BYTES"
 	SpilledRawBytes = "SPILLED_RAW_BYTES"
-	// SpillQueueDepth is the high-water mark of the async spill queue
-	// (m3r.shuffle.spill.queue) across the job's places: how far map flush
-	// ran ahead of the spill worker's disk writes.
+	// SpillQueueDepth is inert: the async spill queue whose backlog it
+	// gauged is gone and nothing increments it. Declared only because
+	// benchmark/ still reads it (as 0).
 	SpillQueueDepth = "SPILL_QUEUE_DEPTH"
 	// BudgetReleasedBytes counts shuffle-budget bytes handed back to the
 	// place accountants as reduce tasks drained resident runs.
 	BudgetReleasedBytes = "BUDGET_RELEASED_BYTES"
-	// ReadmittedRuns counts spilled runs promoted back to memory at merge
-	// open because released budget made room (m3r.shuffle.readmit).
-	ReadmittedRuns = "READMITTED_RUNS"
 	// PoolContendedBytes counts run bytes whose first reservation against
 	// the place's shuffle budget pool failed — shared-pool pressure on a
 	// pooled engine; on an unpooled engine, the job's own budget filling
@@ -88,26 +85,22 @@ const (
 	ParallelMergeStages = "PARALLEL_MERGE_STAGES"
 	// NET_FRAMES / NET_BYTES count shuffle frames (and their payload bytes)
 	// that left the process over a remote place transport; they stay absent
-	// on the default inproc backend. NET_REDIALS counts transport
-	// connections re-established after an I/O error.
-	NetFrames  = "NET_FRAMES"
-	NetBytes   = "NET_BYTES"
-	NetRedials = "NET_REDIALS"
+	// on the default inproc backend.
+	NetFrames = "NET_FRAMES"
+	NetBytes  = "NET_BYTES"
 
 	ClonedPairs       = "CLONED_PAIRS"
 	AliasedPairs      = "ALIASED_PAIRS"
 	DedupHits         = "DEDUP_HITS"
 	TempOutputsElided = "TEMP_OUTPUTS_ELIDED"
 
-	// Job-lifecycle counters. Killed and deadline-expired jobs produce no
-	// report, so JOBS_KILLED / JOBS_DEADLINE_EXCEEDED appear only in
-	// engine-level stats sinks; TASK_ATTEMPT_RETRIES (Hadoop engine task
+	// Job-lifecycle counters: TASK_ATTEMPT_RETRIES (Hadoop engine task
 	// re-execution) and FAILOVER_JOBS (M3R job-level failover, counted in
-	// the fallback engine's report) also reach job reports.
-	JobsKilled           = "JOBS_KILLED"
-	JobsDeadlineExceeded = "JOBS_DEADLINE_EXCEEDED"
-	TaskAttemptRetries   = "TASK_ATTEMPT_RETRIES"
-	FailoverJobs         = "FAILOVER_JOBS"
+	// the fallback engine's report). Killed and deadline-expired jobs
+	// produce no report; sim.JobsKilled / sim.JobsDeadlineExceeded count
+	// them in the engine's stats.
+	TaskAttemptRetries = "TASK_ATTEMPT_RETRIES"
+	FailoverJobs       = "FAILOVER_JOBS"
 )
 
 // Counter is a single named accumulator, safe for concurrent use.

@@ -108,7 +108,6 @@ type CounterCells struct {
 	SpilledBytes        *counters.Counter
 	SpilledRawBytes     *counters.Counter
 	BudgetReleasedBytes *counters.Counter
-	ReadmittedRuns      *counters.Counter
 	PoolContendedBytes  *counters.Counter
 	EvictedResidentRuns *counters.Counter
 	LocalShufflePairs   *counters.Counter
@@ -132,7 +131,6 @@ func resolveCells(cs *counters.Counters) CounterCells {
 		SpilledBytes:        cs.Find(counters.M3RGroup, counters.SpilledBytes),
 		SpilledRawBytes:     cs.Find(counters.M3RGroup, counters.SpilledRawBytes),
 		BudgetReleasedBytes: cs.Find(counters.M3RGroup, counters.BudgetReleasedBytes),
-		ReadmittedRuns:      cs.Find(counters.M3RGroup, counters.ReadmittedRuns),
 		PoolContendedBytes:  cs.Find(counters.M3RGroup, counters.PoolContendedBytes),
 		EvictedResidentRuns: cs.Find(counters.M3RGroup, counters.EvictedResidentRuns),
 		LocalShufflePairs:   cs.Find(counters.M3RGroup, counters.LocalShufflePairs),

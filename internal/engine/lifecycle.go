@@ -23,8 +23,8 @@ func CloseAllOnErr[C interface{ Close() error }](open []C) {
 // at exhaustion (the merge consumed every pair) or at Close (the merge was
 // torn down early), whichever comes first. The M3R engine uses it to hand a
 // resident run's bytes back to its place's BudgetPool as MergeIter /
-// StageSources drain the run — the incremental release that lets a long
-// reduce phase readmit later runs to memory instead of spilling them.
+// StageSources drain the run — the incremental release that frees budget
+// during a long reduce phase, for the other jobs sharing the pool.
 type releasingRunReader struct {
 	inner   RunReader
 	release func()

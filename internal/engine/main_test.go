@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the package when staged-merge workers or lifecycle
-// watchers outlive the tests (ROADMAP "Static analysis").
+// watchers outlive the tests (DESIGN.md "Static analysis").
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -158,6 +157,11 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	// The client's conf is copied at submission, as JobClient.submitJob
 	// writes job.xml (§3.1).
 	job := userJob.CloneJob()
+	defaults, err := conf.EnvDefaults()
+	if err != nil {
+		return nil, err
+	}
+	job.SetDefaults(defaults)
 	job.Set(conf.KeyFSInstance, e.fsID)
 	lc.ApplyDeadlineConf(job)
 
@@ -188,7 +192,7 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		}
 	}
 
-	spillCodec, err := resolveSpillCodec(job)
+	spillCodec, err := spill.ParseCodec(job.Get(conf.KeyM3RSpillCodec))
 	if err != nil {
 		return nil, err
 	}
@@ -279,36 +283,13 @@ type jobRun struct {
 	mapOutputs []*mapOutput // indexed by map task
 }
 
-// resolveSpillCodec resolves the spill compression codec: the job's key
-// wins, then the M3R_SPILL_CODEC environment default (how the CI
-// compressed-spill leg turns it on suite-wide), then none.
-func resolveSpillCodec(job *conf.JobConf) (spill.Codec, error) {
-	name := ""
-	if job.Has(conf.KeyM3RSpillCodec) {
-		name = job.GetDefault(conf.KeyM3RSpillCodec, "")
-	} else {
-		name = os.Getenv("M3R_SPILL_CODEC")
-	}
-	return spill.ParseCodec(name)
-}
-
-// maxAttempts resolves a task-attempt bound: the job's key wins, then the
-// M3R_MAX_TASK_ATTEMPTS environment default (how the chaos CI leg raises
-// the whole suite's retry budget without every test knowing about it),
-// then Hadoop's classic default of 2. Never below 1.
+// maxAttempts resolves a task-attempt bound from the job's key: Hadoop's
+// classic default of 2 when unset, never below 1.
 func (r *jobRun) maxAttempts(key string) int {
-	n := 0
-	if r.job.Has(key) {
-		n = r.job.GetInt(key, 0)
-	} else if v := os.Getenv("M3R_MAX_TASK_ATTEMPTS"); v != "" {
-		if env, err := strconv.Atoi(v); err == nil {
-			n = env
-		}
+	if n := r.job.GetInt(key, 0); n >= 1 {
+		return n
 	}
-	if n < 1 {
-		n = 2
-	}
-	return n
+	return 2
 }
 
 const (

@@ -85,6 +85,7 @@ func FailNthCreates(ops ...int) (func(path string) error, func() int) {
 // Each listed op fails exactly once, then heals — a retrying engine absorbs
 // it; an engine without retry surfaces ErrInjectedFault.
 func init() {
+	//lint:ignore keycheck arms a fault injector, not a knob: there is no conf key for conf.DefaultsEnv to carry
 	spec := os.Getenv("M3R_CHAOS_FS_FAIL_OPS")
 	if spec == "" {
 		return

@@ -67,7 +67,7 @@ type clusterConfig struct {
 	poolBytes int64
 	// cacheBudget puts the M3R engine's inter-job cache under a per-place
 	// byte ceiling (m3r.Options.CacheBudgetBytes); 0 inherits the
-	// M3R_CACHE_BUDGET_BYTES environment default, negative forces the
+	// conf.DefaultsEnv value of conf.KeyM3RCacheBudget, negative forces the
 	// unbounded cache.
 	cacheBudget int64
 	fallback    bool

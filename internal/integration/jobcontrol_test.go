@@ -33,7 +33,7 @@ type phaseGate struct {
 	release chan struct{}
 	once    sync.Once
 	first   atomic.Bool  // single-blocker points (close gates)
-	inst    atomic.Int32 // mapper instance numbering for the "task" point
+	inst    atomic.Int32 // numbers mapper instances at their first record, for the "task" point
 }
 
 func newPhaseGate() *phaseGate {
@@ -60,13 +60,14 @@ var phaseGates sync.Map // gate id -> *phaseGate
 
 // gateMapper tokenizes lines into (word, 1) pairs, optionally blocking on
 // its job's phase gate: at the first record of every task ("map"), at the
-// first record of the N-th task instance ("task" + test.gate.task), or in
-// the first task's Close ("map.close").
+// first record of the N-th task to see one ("task" + test.gate.task; tasks
+// are numbered at their first record, so a split with no records cannot
+// take the gated number and let the job finish ungated), or in the first
+// task's Close ("map.close").
 type gateMapper struct {
 	mapred.Base
 	g       *phaseGate
 	point   string
-	inst    int32
 	taskN   int
 	engaged bool
 }
@@ -74,7 +75,6 @@ type gateMapper struct {
 func (m *gateMapper) Configure(job *conf.JobConf) {
 	if v, ok := phaseGates.Load(job.Get("test.gate.id")); ok {
 		m.g = v.(*phaseGate)
-		m.inst = m.g.inst.Add(1)
 	}
 	m.point = job.Get("test.gate.map.point")
 	m.taskN = job.GetInt("test.gate.task", 0)
@@ -87,8 +87,8 @@ func (m *gateMapper) Map(_, value wio.Writable, out mapred.OutputCollector, _ ma
 			m.engaged = true
 			m.g.arrive()
 		case "task":
-			if int(m.inst) == m.taskN {
-				m.engaged = true
+			m.engaged = true
+			if int(m.g.inst.Add(1)) == m.taskN {
 				m.g.arrive()
 			}
 		}
@@ -212,14 +212,12 @@ type killLeg struct {
 var killLegs = []killLeg{
 	// Mid-map: every task blocks at its first record.
 	{name: "map", mapPoint: "map"},
-	// Mid-map with the async spill pipeline engaged: a starvation budget
-	// spills every run through a depth-2 queue (m3r) / a tiny sort buffer
-	// forces multi-spill map tasks (hadoop); the third task blocks mid-map
-	// while earlier tasks' spills move through the machinery.
+	// Mid-map with the spill path engaged: a starvation budget spills every
+	// run (m3r) / a tiny sort buffer forces multi-spill map tasks (hadoop);
+	// the third task blocks mid-map after earlier tasks have spilled.
 	{name: "spill", mapPoint: "task", conf: func(job *conf.JobConf) {
 		job.SetInt("test.gate.task", 3)
 		job.SetInt64(conf.KeyM3RShuffleBudget, 1)
-		job.SetInt(conf.KeyM3RSpillQueue, 2)
 		job.SetInt64("io.sort.bytes", 256)
 	}},
 	// Map tail / shuffle barrier: one task blocks in Close while every

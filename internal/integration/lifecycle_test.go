@@ -3,7 +3,6 @@ package integration_test
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
@@ -64,15 +63,13 @@ func assertSameParts(t *testing.T, leg string, got, want map[string][]byte) {
 
 // lifecycleGridLeg is one point of the shuffle-memory-lifecycle grid.
 type lifecycleGridLeg struct {
-	budget  int64 // 0 = unlimited, 4096 = tight, 1 = everything spills
-	queue   int   // async spill queue depth; 0 = synchronous
-	readmit bool
-	par     int    // staged parallel merge
-	codec   string // spill block codec; "" = raw legacy layout
+	budget int64  // 0 = unlimited, 4096 = tight, 1 = everything spills
+	par    int    // staged parallel merge
+	codec  string // spill block codec; "" = raw legacy layout
 }
 
 func (l lifecycleGridLeg) name() string {
-	n := fmt.Sprintf("b%d_q%d_r%v_p%d", l.budget, l.queue, l.readmit, l.par)
+	n := fmt.Sprintf("b%d_p%d", l.budget, l.par)
 	if l.codec != "" {
 		n += "_c" + l.codec
 	}
@@ -81,8 +78,6 @@ func (l lifecycleGridLeg) name() string {
 
 func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 	job.SetInt64(conf.KeyM3RShuffleBudget, l.budget)
-	job.SetInt(conf.KeyM3RSpillQueue, l.queue)
-	job.SetBool(conf.KeyM3RReadmit, l.readmit)
 	if l.par > 0 {
 		job.SetInt(conf.KeyMergeParallelism, l.par)
 		job.SetInt(conf.KeyMergeMinRuns, 2)
@@ -94,12 +89,11 @@ func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 }
 
 // TestShuffleLifecycleEquivalenceWordCount is the end-to-end lifecycle
-// harness: WordCount across the full budget × queue-depth × readmit ×
-// parallel-merge grid must produce byte-identical output on the M3R engine
-// at every point, agree with the Hadoop engine and the reference counts,
-// and honor the counter invariants of each regime (no spills without a
-// budget, all-spill at a starvation budget, accounting independent of the
-// queue setting).
+// harness: WordCount across the full budget × parallel-merge × codec grid
+// must produce byte-identical output on the M3R engine at every point,
+// agree with the Hadoop engine and the reference counts, and honor the
+// counter invariants of each regime (no spills without a budget, all-spill
+// at a starvation budget, accounting independent of the merge topology).
 func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 	c := newCluster(t, 2)
 	if err := wordcount.Generate(c.fs, "/data/L", 64<<10, 9); err != nil {
@@ -117,11 +111,15 @@ func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 
 	var refParts map[string][]byte // first m3r leg pins all the others
 	var zeroBudgetSpills int64     // budget=1 spills every run: deterministic
-	// Legs that leave the codec unset inherit the M3R_SPILL_CODEC env
-	// default (that inheritance is the point of the compressed-spill CI
-	// leg), so the raw-layout counter identity only holds when the
-	// environment's default really is the raw layout.
-	envCodec := os.Getenv("M3R_SPILL_CODEC")
+	// Legs that leave the codec unset inherit the conf.DefaultsEnv codec
+	// (that inheritance is the point of the compressed-spill CI leg), so
+	// the raw-layout counter identity only holds when the environment's
+	// default really is the raw layout.
+	defaults, err := conf.EnvDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	envCodec := defaults.Get(conf.KeyM3RSpillCodec)
 	rawDefault := envCodec == "" || envCodec == "none"
 	for _, budget := range []int64{0, 4 << 10, 1} {
 		// The codec only matters once runs hit disk: unbudgeted legs never
@@ -130,92 +128,74 @@ func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 		if budget == 0 {
 			codecs = []string{""}
 		}
-		for _, queue := range []int{0, 2, 8} {
-			for _, readmit := range []bool{false, true} {
-				for _, par := range []int{0, 4} {
-					for _, codec := range codecs {
-						leg := lifecycleGridLeg{budget: budget, queue: queue, readmit: readmit, par: par, codec: codec}
-						out := "/out/" + leg.name()
-						rep, err := c.m3r.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
-						if err != nil {
-							t.Fatalf("%s: %v", leg.name(), err)
-						}
+		for _, par := range []int{0, 4} {
+			for _, codec := range codecs {
+				leg := lifecycleGridLeg{budget: budget, par: par, codec: codec}
+				out := "/out/" + leg.name()
+				rep, err := c.m3r.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
+				if err != nil {
+					t.Fatalf("%s: %v", leg.name(), err)
+				}
 
-						parts := readRawParts(t, c.fs, out)
-						if refParts == nil {
-							refParts = parts
-							lines := readTextOutput(t, c.fs, out)
-							checkCounts(t, lines, want)
-							if len(lines) != len(hadoopLines) {
-								t.Fatalf("m3r %d lines vs hadoop %d", len(lines), len(hadoopLines))
-							}
-							for i := range lines {
-								if lines[i] != hadoopLines[i] {
-									t.Fatalf("line %d: m3r %q vs hadoop %q", i, lines[i], hadoopLines[i])
-								}
-							}
-						} else {
-							assertSameParts(t, leg.name(), parts, refParts)
+				parts := readRawParts(t, c.fs, out)
+				if refParts == nil {
+					refParts = parts
+					lines := readTextOutput(t, c.fs, out)
+					checkCounts(t, lines, want)
+					if len(lines) != len(hadoopLines) {
+						t.Fatalf("m3r %d lines vs hadoop %d", len(lines), len(hadoopLines))
+					}
+					for i := range lines {
+						if lines[i] != hadoopLines[i] {
+							t.Fatalf("line %d: m3r %q vs hadoop %q", i, lines[i], hadoopLines[i])
 						}
+					}
+				} else {
+					assertSameParts(t, leg.name(), parts, refParts)
+				}
 
-						spilledRuns := rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
-						spilledBytes := rep.Counters.Value(counters.M3RGroup, counters.SpilledBytes)
-						spilledRaw := rep.Counters.Value(counters.M3RGroup, counters.SpilledRawBytes)
-						released := rep.Counters.Value(counters.M3RGroup, counters.BudgetReleasedBytes)
-						readmitted := rep.Counters.Value(counters.M3RGroup, counters.ReadmittedRuns)
-						// SPILLED_BYTES counts stored (post-codec) bytes and
-						// SPILLED_RAW_BYTES the record-format bytes: identical on
-						// the raw layout, and both present or both absent always.
-						if codec == "" && rawDefault && spilledRaw != spilledBytes {
-							t.Errorf("%s: raw layout stored %d bytes but raw counter says %d", leg.name(), spilledBytes, spilledRaw)
-						}
-						if (spilledBytes == 0) != (spilledRaw == 0) {
-							t.Errorf("%s: stored=%d raw=%d — counters out of step", leg.name(), spilledBytes, spilledRaw)
-						}
-						switch budget {
-						case 0:
-							// Unlimited: the lifecycle machinery must stay cold.
-							if spilledRuns != 0 || spilledBytes != 0 || released != 0 || readmitted != 0 {
-								t.Errorf("%s: unbudgeted leg touched the spill path (runs=%d bytes=%d released=%d readmitted=%d)",
-									leg.name(), spilledRuns, spilledBytes, released, readmitted)
-							}
-						case 1:
-							// Starvation budget: every encodable run spills, and
-							// nothing can reserve, release, or readmit.
-							if spilledRuns == 0 || spilledBytes == 0 {
-								t.Errorf("%s: starvation budget spilled nothing", leg.name())
-							}
-							if released != 0 || readmitted != 0 {
-								t.Errorf("%s: released=%d readmitted=%d under a 1-byte budget", leg.name(), released, readmitted)
-							}
-							// Spill accounting must not depend on the queue,
-							// readmit, or merge topology: at this budget the
-							// spill set is deterministic, so the counters are too.
-							if zeroBudgetSpills == 0 {
-								zeroBudgetSpills = spilledRuns
-							} else if spilledRuns != zeroBudgetSpills {
-								t.Errorf("%s: SpilledRuns=%d, other starvation legs saw %d", leg.name(), spilledRuns, zeroBudgetSpills)
-							}
-						default:
-							// Tight budget: whatever stayed resident must release
-							// as the reduces drain — bytes held forever would be
-							// the leak this lifecycle exists to prevent. Resident
-							// + spilled covers all encodable shuffle bytes.
-							if spilledRuns > 0 && spilledBytes == 0 {
-								t.Errorf("%s: spilled runs but no spilled bytes", leg.name())
-							}
-							if readmitted > spilledRuns {
-								t.Errorf("%s: readmitted %d of %d spilled runs", leg.name(), readmitted, spilledRuns)
-							}
-							if !leg.readmit && readmitted != 0 {
-								t.Errorf("%s: readmit off but READMITTED_RUNS=%d", leg.name(), readmitted)
-							}
-						}
-						if leg.queue == 0 {
-							if d := rep.Counters.Value(counters.M3RGroup, counters.SpillQueueDepth); d != 0 {
-								t.Errorf("%s: SPILL_QUEUE_DEPTH=%d with no queue", leg.name(), d)
-							}
-						}
+				spilledRuns := rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
+				spilledBytes := rep.Counters.Value(counters.M3RGroup, counters.SpilledBytes)
+				spilledRaw := rep.Counters.Value(counters.M3RGroup, counters.SpilledRawBytes)
+				released := rep.Counters.Value(counters.M3RGroup, counters.BudgetReleasedBytes)
+				// SPILLED_BYTES counts stored (post-codec) bytes and
+				// SPILLED_RAW_BYTES the record-format bytes: identical on
+				// the raw layout, and both present or both absent always.
+				if codec == "" && rawDefault && spilledRaw != spilledBytes {
+					t.Errorf("%s: raw layout stored %d bytes but raw counter says %d", leg.name(), spilledBytes, spilledRaw)
+				}
+				if (spilledBytes == 0) != (spilledRaw == 0) {
+					t.Errorf("%s: stored=%d raw=%d — counters out of step", leg.name(), spilledBytes, spilledRaw)
+				}
+				switch budget {
+				case 0:
+					// Unlimited: the lifecycle machinery must stay cold.
+					if spilledRuns != 0 || spilledBytes != 0 || released != 0 {
+						t.Errorf("%s: unbudgeted leg touched the spill path (runs=%d bytes=%d released=%d)",
+							leg.name(), spilledRuns, spilledBytes, released)
+					}
+				case 1:
+					// Starvation budget: every encodable run spills, and
+					// nothing can reserve or release.
+					if spilledRuns == 0 || spilledBytes == 0 {
+						t.Errorf("%s: starvation budget spilled nothing", leg.name())
+					}
+					if released != 0 {
+						t.Errorf("%s: released=%d under a 1-byte budget", leg.name(), released)
+					}
+					// Spill accounting must not depend on the codec or the
+					// merge topology: at this budget the spill set is
+					// deterministic, so the counters are too.
+					if zeroBudgetSpills == 0 {
+						zeroBudgetSpills = spilledRuns
+					} else if spilledRuns != zeroBudgetSpills {
+						t.Errorf("%s: SpilledRuns=%d, other starvation legs saw %d", leg.name(), spilledRuns, zeroBudgetSpills)
+					}
+				default:
+					// Tight budget: resident + spilled covers all encodable
+					// shuffle bytes.
+					if spilledRuns > 0 && spilledBytes == 0 {
+						t.Errorf("%s: spilled runs but no spilled bytes", leg.name())
 					}
 				}
 			}
@@ -292,13 +272,12 @@ func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
 
 	var refParts map[string][]string
 	legs := []lifecycleGridLeg{
-		{budget: 0, queue: 0},
-		{budget: 1, queue: 0},
-		{budget: 1, queue: 2},
-		{budget: 4 << 10, queue: 2, readmit: true},
-		{budget: 1, queue: 8, par: 4},
-		{budget: 1, queue: 2, codec: "flate"},
-		{budget: 4 << 10, queue: 2, readmit: true, par: 4, codec: "flate"},
+		{budget: 0},
+		{budget: 1},
+		{budget: 4 << 10},
+		{budget: 1, par: 4},
+		{budget: 1, codec: "flate"},
+		{budget: 4 << 10, par: 4, codec: "flate"},
 	}
 	for _, leg := range legs {
 		out := "/mb/out_" + leg.name()
@@ -349,7 +328,6 @@ func TestReleasedBudgetObservedEndToEnd(t *testing.T) {
 	}
 	job := wordcount.NewJob("/data/R", "/out/released", 3, true)
 	job.SetInt64(conf.KeyM3RShuffleBudget, 1<<30) // roomy: everything resident
-	job.SetInt(conf.KeyM3RSpillQueue, 2)
 	rep, err := c.m3r.Submit(job)
 	if err != nil {
 		t.Fatal(err)

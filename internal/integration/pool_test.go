@@ -2,7 +2,6 @@ package integration_test
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -16,22 +15,18 @@ import (
 // poolGridLeg extends the shuffle lifecycle grid with the engine-pool axes:
 // the engine's per-place pool size and the job's cap within it.
 type poolGridLeg struct {
-	jobCap  int64 // per-job cap inside the pool; 0 = pool limit governs
-	queue   int
-	readmit bool
-	par     int
+	jobCap int64 // per-job cap inside the pool; 0 = pool limit governs
+	par    int
 }
 
 func (l poolGridLeg) name(pool int64) string {
-	return fmt.Sprintf("P%d_c%d_q%d_r%v_p%d", pool, l.jobCap, l.queue, l.readmit, l.par)
+	return fmt.Sprintf("P%d_c%d_p%d", pool, l.jobCap, l.par)
 }
 
 func (l poolGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 	if l.jobCap > 0 {
 		job.SetInt64(conf.KeyM3RShuffleBudget, l.jobCap)
 	}
-	job.SetInt(conf.KeyM3RSpillQueue, l.queue)
-	job.SetBool(conf.KeyM3RReadmit, l.readmit)
 	if l.par > 0 {
 		job.SetInt(conf.KeyMergeParallelism, l.par)
 		job.SetInt(conf.KeyMergeMinRuns, 2)
@@ -40,12 +35,12 @@ func (l poolGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 }
 
 // TestEnginePoolLifecycleEquivalenceWordCount extends the lifecycle
-// equivalence grid with the tentpole's axes: engine pool size × per-job cap
-// × queue × readmit × merge parallelism. Output must stay byte-identical to
-// the unpooled engine at every point, the pool must drain to zero after
-// every job (the end-of-job guarantee), and the regime counters must hold:
-// a starvation pool spills everything and never evicts, a roomy pool with
-// no cap stays uncontended.
+// equivalence grid with the engine-pool axes: engine pool size × per-job cap
+// × merge parallelism. Output must stay byte-identical to the unpooled
+// engine at every point, the pool must drain to zero after every job (the
+// end-of-job guarantee), and the regime counters must hold: a starvation
+// pool spills everything and never evicts, a roomy pool with no cap stays
+// uncontended.
 func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
 	c := newCluster(t, 2) // reference engine: explicit unlimited budget
 	if err := wordcount.Generate(c.fs, "/data/P", 64<<10, 9); err != nil {
@@ -65,14 +60,17 @@ func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
 
 	legs := []poolGridLeg{}
 	for _, jobCap := range []int64{0, 2 << 10} {
-		for _, queue := range []int{0, 2} {
-			for _, readmit := range []bool{false, true} {
-				for _, par := range []int{0, 4} {
-					legs = append(legs, poolGridLeg{jobCap: jobCap, queue: queue, readmit: readmit, par: par})
-				}
-			}
+		for _, par := range []int{0, 4} {
+			legs = append(legs, poolGridLeg{jobCap: jobCap, par: par})
 		}
 	}
+	// A conf.DefaultsEnv per-job cap (the tight-budget CI leg's 4 KiB)
+	// applies to the legs that set none, which then legitimately spill.
+	defaults, err := conf.EnvDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	envCap := defaults.Has(conf.KeyM3RShuffleBudget)
 	for _, pool := range []int64{1, 8 << 10, 1 << 26} {
 		pool := pool
 		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
@@ -105,11 +103,8 @@ func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
 					if evicted != 0 {
 						t.Errorf("%s: EVICTED_RESIDENT_RUNS=%d with nothing resident", leg.name(pool), evicted)
 					}
-				case pool == 1<<26 && leg.jobCap == 0 && os.Getenv("M3R_SHUFFLE_BUDGET_BYTES") == "":
-					// Roomy pool, no cap — and no env-injected per-job cap
-					// (the tight-budget CI leg caps cap-less jobs at 4 KiB,
-					// which legitimately spills): the lifecycle machinery
-					// stays cold.
+				case pool == 1<<26 && leg.jobCap == 0 && !envCap:
+					// Roomy pool, no cap: the lifecycle machinery stays cold.
 					if spilled != 0 || evicted != 0 || contended != 0 {
 						t.Errorf("%s: roomy pool touched the spill path (spilled=%d evicted=%d contended=%d)",
 							leg.name(pool), spilled, evicted, contended)
@@ -150,15 +145,9 @@ func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkJob := func(out string, queueDepth int) *conf.JobConf {
-		job := wordcount.NewJob("/data/two", out, 3, true)
-		job.SetInt(conf.KeyM3RSpillQueue, queueDepth)
-		return job
-	}
-
 	// Phase 1: serial through the same server.
 	for i, out := range []string{"/out/serial0", "/out/serial1"} {
-		if _, err := client.Submit(mkJob(out, i)); err != nil {
+		if _, err := client.Submit(wordcount.NewJob("/data/two", out, 3, true)); err != nil {
 			t.Fatalf("serial job %d: %v", i, err)
 		}
 		if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
@@ -171,11 +160,11 @@ func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
 
 	// Phase 2: the same two jobs concurrently via submit-async — the
 	// motivating server-mode workload, racing on one pool.
-	id0, err := client.SubmitAsync(mkJob("/out/conc0", 0))
+	id0, err := client.SubmitAsync(wordcount.NewJob("/data/two", "/out/conc0", 3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, err := client.SubmitAsync(mkJob("/out/conc1", 1))
+	id1, err := client.SubmitAsync(wordcount.NewJob("/data/two", "/out/conc1", 3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +209,7 @@ func TestConcurrentSubmitsSharedEngine(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			job := wordcount.NewJob("/data/cc", fmt.Sprintf("/out/cc_%d", i), 3, true)
-			job.SetInt(conf.KeyM3RSpillQueue, i%3) // mix of sync and queued spills
-			job.SetBool(conf.KeyM3RReadmit, i%2 == 1)
-			_, errs[i] = c.m3r.Submit(job)
+			_, errs[i] = c.m3r.Submit(wordcount.NewJob("/data/cc", fmt.Sprintf("/out/cc_%d", i), 3, true))
 		}()
 	}
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"m3r/internal/conf"
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
+	"m3r/internal/engine"
 	"m3r/internal/mapred"
 	"m3r/internal/sim"
 	"m3r/internal/types"
@@ -186,5 +187,43 @@ func TestM3RFailedJobLeavesNoScratch(t *testing.T) {
 	}
 	if fs.Exists("/out/failing/_SUCCESS") {
 		t.Error("failed job left a _SUCCESS marker")
+	}
+}
+
+// TestConfDefaultsReachBothEngines: a job-scoped knob set only in
+// conf.DefaultsEnv applies to jobs of either engine that leave it unset, an
+// explicit value on the job still wins, and a malformed carrier fails the
+// submission instead of running unconfigured.
+func TestConfDefaultsReachBothEngines(t *testing.T) {
+	c := newCluster(t, 2)
+	if err := wordcount.Generate(c.fs, "/data/d", 64<<10, 3); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(conf.DefaultsEnv, conf.KeyM3RSpillCodec+"=flate "+conf.KeyM3RShuffleBudget+"=4096 "+conf.KeySortBytes+"=16384")
+	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
+		before := c.stats.Snapshot()
+		if _, err := eng.Submit(wordcount.NewJob("/data/d", "/out/d_"+eng.Name(), 3, false)); err != nil {
+			t.Fatalf("%s: %v", eng.Name(), err)
+		}
+		d := sim.Delta(before, c.stats.Snapshot())
+		if stored, raw := d[sim.SpillBytes], d[sim.SpillRawBytes]; raw == 0 || stored >= raw {
+			t.Errorf("%s: stored %d vs raw %d spill bytes: the carrier's budget and flate codec did not apply", eng.Name(), stored, raw)
+		}
+		explicit := wordcount.NewJob("/data/d", "/out/d_none_"+eng.Name(), 3, false)
+		explicit.Set(conf.KeyM3RSpillCodec, "none")
+		before = c.stats.Snapshot()
+		if _, err := eng.Submit(explicit); err != nil {
+			t.Fatalf("%s explicit: %v", eng.Name(), err)
+		}
+		d = sim.Delta(before, c.stats.Snapshot())
+		if stored, raw := d[sim.SpillBytes], d[sim.SpillRawBytes]; raw == 0 || stored != raw {
+			t.Errorf("%s: explicit codec none stored %d vs raw %d", eng.Name(), stored, raw)
+		}
+	}
+	t.Setenv(conf.DefaultsEnv, "M3R_SPILL_CODEC")
+	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
+		if _, err := eng.Submit(wordcount.NewJob("/data/d", "/out/d_bad_"+eng.Name(), 3, false)); err == nil {
+			t.Errorf("%s accepted a job under a malformed %s", eng.Name(), conf.DefaultsEnv)
+		}
 	}
 }

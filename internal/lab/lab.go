@@ -26,17 +26,10 @@ type Options struct {
 	BlockSize int64
 	// Replication is the HDFS replication factor (default 2 when >1 node).
 	Replication int
-	// ShuffleBudgetBytes gives the M3R engine an engine-lifetime per-place
-	// shuffle memory pool (conf.KeyM3REngineShuffleBudget) shared by every
-	// job of its sequence; 0 inherits the M3R_ENGINE_SHUFFLE_BUDGET_BYTES
-	// environment default, negative forces no pool.
+	// ShuffleBudgetBytes and CacheBudgetBytes are m3r.Options' fields of
+	// the same names: the engine's per-place shuffle pool and cache ceiling.
 	ShuffleBudgetBytes int64
-	// CacheBudgetBytes puts the M3R engine's inter-job KV cache under a
-	// per-place byte ceiling (conf.KeyM3RCacheBudget): cold entries spill
-	// largest-first to disk and readmit transparently on next access; 0
-	// inherits the M3R_CACHE_BUDGET_BYTES environment default, negative
-	// forces the unbounded cache.
-	CacheBudgetBytes int64
+	CacheBudgetBytes   int64
 	// Transport moves the M3R engine's cross-place shuffle frames; nil
 	// means the in-process loopback backend. The engine takes ownership.
 	Transport x10.Transport

@@ -19,10 +19,13 @@ import (
 // calls under a canonical group get the same treatment; user counters in
 // custom groups pass untouched. Canonical declarations themselves —
 // const Key* anywhere, const *Name class names like types.PairName — are
-// the one place a literal is allowed.
+// the one place a literal is allowed. The same single-name rule covers the
+// environment: reading an M3R_-prefixed variable outside internal/conf is a
+// diagnostic, because knob defaults have one carrier (conf.DefaultsEnv)
+// and a per-knob variable is a second name for a conf key.
 var Keycheck = &Analyzer{
 	Name: "keycheck",
-	Doc:  "conf-key and counter-name literals must use the canonical constants",
+	Doc:  "conf-key and counter-name literals must use the canonical constants; M3R_* environment reads belong to internal/conf",
 	Run:  runKeycheck,
 }
 
@@ -51,6 +54,7 @@ func runKeycheck(pass *Pass) []Diag {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				diags = append(diags, counterDiags(p, canon, call, counterLits)...)
+				diags = append(diags, envDiags(p, call)...)
 				return true
 			}
 			lit, ok := n.(*ast.BasicLit)
@@ -72,6 +76,21 @@ func runKeycheck(pass *Pass) []Diag {
 		})
 	}
 	return diags
+}
+
+// envDiags flags an os.Getenv/os.LookupEnv of an M3R_-prefixed name.
+func envDiags(p *Package, call *ast.CallExpr) []Diag {
+	fn := staticCallee(p.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" ||
+		(fn.Name() != "Getenv" && fn.Name() != "LookupEnv") || len(call.Args) != 1 {
+		return nil
+	}
+	name, ok := constString(p.Info, call.Args[0])
+	if !ok || !strings.HasPrefix(name, "M3R_") {
+		return nil
+	}
+	return []Diag{{Pos: call.Pos(), Message: fmt.Sprintf(
+		"environment variable %q read outside internal/conf; a knob default is a field of conf.DefaultsEnv, read with conf.EnvDefaults", name)}}
 }
 
 // canonDeclLiterals collects the string literals that ARE canonical

@@ -2,6 +2,8 @@
 package keycheck
 
 import (
+	"os"
+
 	"m3r/internal/conf"
 	"m3r/internal/counters"
 )
@@ -50,6 +52,23 @@ func counterGroupLiteral(cs *counters.Counters) {
 // the name literal passes.
 func customGroup(cs *counters.Counters) {
 	cs.Incr("my-app-group", "records_seen", 1)
+}
+
+// fixtureCodecEnv hides the variable's name behind a constant; the rule
+// follows the value, not the spelling of the call.
+const fixtureCodecEnv = "M3R_FIXTURE_CODEC"
+
+// perKnobEnv gives a conf key a second name in the environment.
+func perKnobEnv() string {
+	if v, ok := os.LookupEnv("M3R_FIXTURE_BUDGET_BYTES"); ok { // want `environment variable "M3R_FIXTURE_BUDGET_BYTES" read outside internal/conf`
+		return v
+	}
+	return os.Getenv(fixtureCodecEnv) // want `environment variable "M3R_FIXTURE_CODEC" read outside internal/conf`
+}
+
+// otherEnv reads a variable that is not the module's: untouched.
+func otherEnv() string {
+	return os.Getenv("HOME")
 }
 
 // ignoredLiteral is a deliberate violation under the escape hatch.

@@ -37,23 +37,14 @@ type Options struct {
 	// engine via conf.KeyForceHadoop (§5.3 integrated mode).
 	Fallback engine.Engine
 	// ShuffleBudgetBytes, when positive, gives the engine a per-place
-	// shuffle memory pool (conf.KeyM3REngineShuffleBudget) shared by every
-	// job of the engine's sequence: concurrent server-mode jobs reserve
-	// from — and contend for — this one pool instead of each claiming a
-	// full per-place budget, with the largest-first spill policy arbitrating
-	// overflow. Zero falls back to the M3R_ENGINE_SHUFFLE_BUDGET_BYTES
-	// environment default; negative forces no pool even when the
-	// environment sets one.
+	// shuffle memory pool shared by every job of its sequence
+	// (conf.KeyM3REngineShuffleBudget). Zero takes that key's
+	// conf.DefaultsEnv value; negative forces no pool.
 	ShuffleBudgetBytes int64
-	// CacheBudgetBytes, when positive, puts the inter-job key/value cache
-	// under per-place pool accounting (conf.KeyM3RCacheBudget): committed
-	// cache blocks reserve their byte footprint under a cache-scoped tag —
-	// within the engine's shuffle pool when one is configured, else in
-	// private per-place cache pools — and under contention cold entries
-	// spill largest-first to disk, readmitting transparently on next
-	// access. Zero falls back to the M3R_CACHE_BUDGET_BYTES environment
-	// default; negative forces the unbounded cache even when the
-	// environment sets one. Job output is byte-identical at every setting.
+	// CacheBudgetBytes, when positive, puts the inter-job cache under a
+	// per-place byte ceiling (conf.KeyM3RCacheBudget) — within the shuffle
+	// pool when there is one, else in private per-place pools. Zero takes
+	// that key's conf.DefaultsEnv value; negative forces the unbounded cache.
 	CacheBudgetBytes int64
 	// Transport moves cross-place shuffle frames; nil means the in-process
 	// loopback backend. The engine's runtime takes ownership: Close closes
@@ -102,6 +93,18 @@ func New(opts Options) (*Engine, error) {
 	if opts.Backing == nil {
 		return nil, fmt.Errorf("m3r: Options.Backing is required")
 	}
+	defaults, err := conf.EnvDefaults()
+	if err != nil {
+		return nil, err
+	}
+	poolBytes, err := engineBudget(opts.ShuffleBudgetBytes, defaults, conf.KeyM3REngineShuffleBudget)
+	if err != nil {
+		return nil, err
+	}
+	cacheBytes, err := engineBudget(opts.CacheBudgetBytes, defaults, conf.KeyM3RCacheBudget)
+	if err != nil {
+		return nil, err
+	}
 	cost := opts.Cost
 	if cost == nil {
 		cost = sim.Zero()
@@ -116,18 +119,18 @@ func New(opts Options) (*Engine, error) {
 	cache := NewCache(rt)
 	cfs := NewCachingFileSystem(opts.Backing, cache, rt)
 	var pools []*engine.BudgetPool
-	if b := poolBudgetBytes(opts.ShuffleBudgetBytes); b > 0 {
+	if poolBytes > 0 {
 		pools = make([]*engine.BudgetPool, rt.NumPlaces())
 		for p := range pools {
-			pools[p] = engine.NewBudgetPool(b)
+			pools[p] = engine.NewBudgetPool(poolBytes)
 		}
 	}
 	var gov *cacheGovernor
-	if b := cacheBudgetBytes(opts.CacheBudgetBytes); b > 0 {
-		// Cache entries spill in the shared spill record format; the codec
-		// follows the engine-wide environment default (the per-job key
-		// cannot apply: entries outlive jobs).
-		codec, err := spill.ParseCodec(os.Getenv("M3R_SPILL_CODEC"))
+	if cacheBytes > 0 {
+		// Cache entries spill in the shared spill record format; they
+		// outlive jobs, so their codec is the engine-wide default, not a
+		// job's key.
+		codec, err := spill.ParseCodec(defaults.Get(conf.KeyM3RSpillCodec))
 		if err != nil {
 			rt.Close()
 			return nil, fmt.Errorf("m3r: cache budget: %w", err)
@@ -137,9 +140,9 @@ func New(opts Options) (*Engine, error) {
 			if pools != nil {
 				// Pooled engine: cache reservations share the place's pool
 				// with the jobs' shuffle tags, capped at the cache budget.
-				budgets[p] = pools[p].Job(cacheTag, b)
+				budgets[p] = pools[p].Job(cacheTag, cacheBytes)
 			} else {
-				budgets[p] = engine.NewBudgetPool(b).Job(cacheTag, 0)
+				budgets[p] = engine.NewBudgetPool(cacheBytes).Job(cacheTag, 0)
 			}
 		}
 		gov = newCacheGovernor(opts.Stats, cache.Store(), budgets, codec)
@@ -158,38 +161,20 @@ func New(opts Options) (*Engine, error) {
 	}, nil
 }
 
-// poolBudgetBytes resolves the engine pool size: an explicit option wins
-// (negative = no pool, even under the env default), otherwise the
-// M3R_ENGINE_SHUFFLE_BUDGET_BYTES environment default applies — how CI's
-// tight-budget leg gives every test engine a contended pool without every
-// test knowing about pooling.
-func poolBudgetBytes(opt int64) int64 {
-	if opt != 0 {
-		return opt
+// engineBudget resolves an engine-scoped byte budget: a non-zero Options
+// field wins (negative = none), otherwise key's conf.DefaultsEnv value —
+// how CI's budget legs put every test engine under a pool without every
+// test knowing about one. A default that is not an integer is an error.
+func engineBudget(opt int64, defaults *conf.Configuration, key string) (int64, error) {
+	if opt != 0 || !defaults.Has(key) {
+		return opt, nil
 	}
-	if v := os.Getenv("M3R_ENGINE_SHUFFLE_BUDGET_BYTES"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
+	v := defaults.Get(key)
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("m3r: %s: %s=%q is not an integer", conf.DefaultsEnv, key, v)
 	}
-	return 0
-}
-
-// cacheBudgetBytes resolves the per-place cache budget the same way: an
-// explicit option wins (negative = unbounded, even under the env default),
-// otherwise the M3R_CACHE_BUDGET_BYTES environment default applies — how
-// CI's tight-cache leg drives whole example suites through the cache
-// spill/readmit tier without every test knowing about the budget.
-func cacheBudgetBytes(opt int64) int64 {
-	if opt != 0 {
-		return opt
-	}
-	if v := os.Getenv("M3R_CACHE_BUDGET_BYTES"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
+	return n, nil
 }
 
 // Name implements engine.Engine.
@@ -210,15 +195,6 @@ func (e *Engine) Runtime() *x10.Runtime { return e.rt }
 
 // Stats returns the engine's statistics sink.
 func (e *Engine) Stats() *sim.Stats { return e.stats }
-
-// ShufflePoolLimitBytes returns the engine pool's per-place limit, 0 when
-// the engine is unpooled.
-func (e *Engine) ShufflePoolLimitBytes() int64 {
-	if e.pools == nil {
-		return 0
-	}
-	return e.pools[0].Limit()
-}
 
 // ShufflePoolHeldBytes sums the bytes currently reserved across the engine
 // pool's places (0 when unpooled) by jobs — the engine-lifetime cache tag's
@@ -328,6 +304,11 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	defer lc.Stop()
 
 	job := userJob.CloneJob()
+	defaults, err := conf.EnvDefaults()
+	if err != nil {
+		return nil, err
+	}
+	job.SetDefaults(defaults)
 	job.Set(conf.KeyFSInstance, e.fsID)
 	lc.ApplyDeadlineConf(job)
 	if files := job.Get(conf.KeyDistributedCacheFiles); files != "" {
@@ -352,8 +333,7 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		return nil, err
 	}
 
-	applyEnvDefaults(job)
-	spillCodec, err := spill.ParseCodec(job.GetDefault(conf.KeyM3RSpillCodec, ""))
+	spillCodec, err := spill.ParseCodec(job.Get(conf.KeyM3RSpillCodec))
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +347,6 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		cacheEnabled:  job.GetBool(conf.KeyM3RCache, true),
 		dedup:         job.GetBool(conf.KeyM3RDedup, true),
 		shuffleBudget: job.GetInt64(conf.KeyM3RShuffleBudget, 0),
-		readmit:       job.GetBool(conf.KeyM3RReadmit, false),
 		codec:         spillCodec,
 		mergeCfg:      engine.MergeConfigFromJob(job),
 	}
@@ -402,12 +381,6 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 				x.budgets[p] = engine.NewBudgetPool(x.shuffleBudget).Job(jobID, 0)
 			}
 			x.resident[p] = newResidentSet()
-		}
-		if depth := job.GetInt(conf.KeyM3RSpillQueue, 0); depth > 0 {
-			x.spillQ = make([]*spillQueue, e.rt.NumPlaces())
-			for p := range x.spillQ {
-				x.spillQ[p] = newSpillQueue(x, p, depth)
-			}
 		}
 	}
 	outPath := job.OutputPath()
@@ -474,11 +447,11 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		if job.GetBool(conf.KeyM3RFailover, false) && e.fallback != nil {
 			// §5.3 integrated-mode resilience: M3R itself does not recover
 			// from task failure, but the job can be rerun on the resilient
-			// engine. Roll this attempt fully back first — drain the spill
-			// pipeline and pool reservations now (cleanup is idempotent;
-			// the deferred call becomes a no-op) and drop whatever output
-			// this attempt committed into the cache, so the fallback run's
-			// real files are not shadowed by stale cache entries.
+			// engine. Roll this attempt fully back first — drain the pool
+			// reservations now (cleanup is idempotent; the deferred call
+			// becomes a no-op) and drop whatever output this attempt
+			// committed into the cache, so the fallback run's real files
+			// are not shadowed by stale cache entries.
 			x.cleanup()
 			if outPath != "" {
 				e.cache.Drop(outPath)
@@ -555,29 +528,23 @@ type jobExec struct {
 	dedup        bool
 	cmu          sync.Mutex
 
-	// Shuffle memory lifecycle (conf.KeyM3RShuffleBudget / KeyM3RSpillQueue
-	// / KeyM3RReadmit, over the engine pool of
-	// conf.KeyM3REngineShuffleBudget when one is configured): when the job
-	// is budgeted, each place accounts its resident shuffle runs against
-	// budgets[place] — the job's tagged view of the place's pool — and runs
-	// that cannot be admitted spill to disk in the shared spill record
-	// format (internal/spill), re-entering the merge through stream-backed
-	// leaves. Under contention the largest-first policy may instead
-	// re-spill a larger cold resident run (tracked per place in resident)
-	// to keep the smaller newcomer in memory. With a queue depth configured
-	// the spill writes run on per-place worker goroutines (spillQ),
-	// overlapping disk with mapping; the reservations release incrementally
-	// as reduce tasks drain resident runs, and — with readmit — freed
-	// budget promotes spilled runs back to memory at merge open. Unbudgeted
+	// Shuffle memory lifecycle (conf.KeyM3RShuffleBudget, over the engine
+	// pool of conf.KeyM3REngineShuffleBudget when one is configured): when
+	// the job is budgeted, each place accounts its resident shuffle runs
+	// against budgets[place] — the job's tagged view of the place's pool —
+	// and runs that cannot be admitted spill to disk in the shared spill
+	// record format (internal/spill), re-entering the merge through
+	// stream-backed leaves. Under contention the largest-first policy may
+	// instead re-spill a larger cold resident run (tracked per place in
+	// resident) to keep the smaller newcomer in memory. The reservations
+	// release incrementally as reduce tasks drain resident runs. Unbudgeted
 	// jobs (no pool and no positive per-job budget, or an explicit
 	// non-positive per-job budget) skip all accounting: the paper's pure
 	// in-memory design point.
 	shuffleBudget int64
-	readmit       bool
 	codec         spill.Codec // block compression for spilled runs (conf.KeyM3RSpillCodec)
 	budgets       []*engine.JobBudget
 	resident      []*residentSet
-	spillQ        []*spillQueue
 	spillMu       sync.Mutex
 	spillDir      string
 	spillSeq      atomic.Int64
@@ -586,26 +553,6 @@ type jobExec struct {
 	// conf.KeyMergeMinRuns): partitions with enough runs merge their run
 	// set through concurrent subset mergers instead of one goroutine.
 	mergeCfg engine.MergeConfig
-}
-
-// applyEnvDefaults fills the shuffle-lifecycle knobs from the environment
-// when the job leaves them unset. CI's tight-budget leg drives the whole
-// suite through the spill pipeline this way (M3R_SHUFFLE_BUDGET_BYTES=4096)
-// without every test knowing about budgets; a job that sets a key
-// explicitly — including an explicit 0 for "unlimited" — always wins.
-func applyEnvDefaults(job *conf.JobConf) {
-	for key, env := range map[string]string{
-		conf.KeyM3RShuffleBudget: "M3R_SHUFFLE_BUDGET_BYTES",
-		conf.KeyM3RSpillQueue:    "M3R_SHUFFLE_SPILL_QUEUE",
-		conf.KeyM3RReadmit:       "M3R_SHUFFLE_READMIT",
-		conf.KeyM3RSpillCodec:    "M3R_SPILL_CODEC",
-	} {
-		if !job.Has(key) {
-			if v := os.Getenv(env); v != "" {
-				job.Set(key, v)
-			}
-		}
-	}
 }
 
 // spillPath returns a fresh file path for one spilled run, creating the
@@ -623,46 +570,25 @@ func (x *jobExec) spillPath() (string, error) {
 	return filepath.Join(x.spillDir, fmt.Sprintf("run_%06d", x.spillSeq.Add(1))), nil
 }
 
-// cleanup tears the spill pipeline down at job end (success or failure):
-// every spill worker is drained first — no goroutine outlives the job, and
-// no queued write can race the directory removal — then the job's budget
+// cleanup runs at job end (success or failure): the job's budget
 // reservations return to the pool, then the spill directory goes. The
 // budget drain is the pool's end-of-job guarantee: a job that failed
 // mid-shuffle (installed runs whose reducers never ran) must still hand
 // every byte back, or a long-lived engine's shared pool would bleed
 // capacity on every failure. On the success path the releasing readers
-// already returned everything and both drains are no-ops. All task
-// goroutines are joined before Submit's deferred cleanup runs, so no
-// release can race the drain.
+// already returned everything and the drain is a no-op. All task goroutines
+// are joined before Submit's deferred cleanup runs, so no release can race
+// the drain.
 func (x *jobExec) cleanup() {
-	for _, q := range x.spillQ {
-		q.drain() // a worker error already surfaced through the job
-	}
 	for _, jb := range x.budgets {
 		jb.Drain()
 	}
-	x.cleanupSpill()
-}
-
-// cleanupSpill removes every spilled run at job end (success or failure).
-func (x *jobExec) cleanupSpill() {
 	x.spillMu.Lock()
 	defer x.spillMu.Unlock()
 	if x.spillDir != "" {
 		os.RemoveAll(x.spillDir)
 		x.spillDir = ""
 	}
-}
-
-// noteSpillQueueDepth records the deepest spill-queue backlog any place saw
-// (SPILL_QUEUE_DEPTH): how far map flush ran ahead of the disk.
-func (x *jobExec) noteSpillQueueDepth(hw int64) {
-	x.cmu.Lock()
-	c := x.jc.Find(counters.M3RGroup, counters.SpillQueueDepth)
-	if hw > c.Value() {
-		c.SetValue(hw)
-	}
-	x.cmu.Unlock()
 }
 
 func (x *jobExec) mergeCounters(ctx *engine.TaskContext) {
@@ -798,17 +724,6 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			}
 			if err := x.lc.Err(); err != nil {
 				return err
-			}
-			// The barrier extends over the async spill pipeline: after it,
-			// no map task anywhere can enqueue, so draining this place's
-			// worker guarantees every overflow run bound for this place's
-			// partitions is on disk and installed before a reducer opens
-			// its merge — and a spill-worker failure fails the job here.
-			if x.spillQ != nil {
-				if err := x.spillQ[p].drain(); err != nil {
-					return err
-				}
-				x.noteSpillQueueDepth(x.spillQ[p].highWater.Load())
 			}
 			// Past the barrier no map task can contend the budget, so the
 			// largest-first policy has no more victims to pick: drop the
@@ -1038,46 +953,18 @@ type sourceRun struct {
 // spilledRun locates one run spilled in the shared spill record format.
 // The key/value class names ride in memory (not on disk, keeping the file
 // format byte-identical to the Hadoop engine's) so the merge leaf can
-// deserialize records back into writables; size is the run's budget
-// accounting size, so readmission can reserve before promoting it back to
-// memory.
+// deserialize records back into writables.
 type spilledRun struct {
 	path               string
 	keyClass, valClass string
-	size               int64
 }
 
-// addRun installs one source task's sorted run. Each map task contributes
-// at most one run per partition (its pairs are either all local or all
-// remote with respect to the partition's place). With a budget configured,
-// the run is serialized to learn its size — the cost Hadoop always pays at
-// collect time — and the place's pool decides admission: under contention
-// the largest-first policy may re-spill a larger cold resident run of this
-// job to keep the newcomer in memory; a run the pool cannot admit spills to
+// admitEncodedRun runs the per-run admission path for an encoded run — the
+// serialization that sized it is the cost Hadoop always pays at collect
+// time. The place's pool decides admission: under contention the
+// largest-first policy may re-spill a larger cold resident run of this job
+// to keep the newcomer in memory; a run the pool cannot admit spills to
 // disk itself.
-func (pi *partitionInput) addRun(ctx *engine.TaskContext, src int, pairs []wio.Pair) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	x := pi.x
-	if x.budgets == nil {
-		pi.install(&sourceRun{src: src, pairs: pairs})
-		return nil
-	}
-	recs, keyClass, valClass, size, err := spill.MarshalRun(pairs)
-	if err != nil {
-		// Keys or values this job shuffles cannot round-trip through the
-		// record format (unregistered or unserializable types); such a run
-		// can only live on the heap, as in unbudgeted mode.
-		pi.install(&sourceRun{src: src, pairs: pairs})
-		return nil
-	}
-	return pi.admitEncodedRun(ctx, src, pairs, recs, keyClass, valClass, size)
-}
-
-// admitEncodedRun runs the per-run admission path for an already encoded
-// run: the place's pool decides admission (with the largest-first eviction
-// loop under contention), and a run the pool cannot admit spills to disk.
 func (pi *partitionInput) admitEncodedRun(ctx *engine.TaskContext, src int, pairs []wio.Pair,
 	recs []spill.Rec, keyClass, valClass string, size int64) error {
 	x := pi.x
@@ -1096,30 +983,23 @@ func (pi *partitionInput) admitEncodedRun(ctx *engine.TaskContext, src int, pair
 		x.resident[pi.place].add(r, pi)
 		return nil
 	}
-	// Overflow: the run goes to disk. It is encoded to its exact on-disk
-	// segment bytes here, at admission time, so counters, stats and cost
-	// charge the stored (compressed) length before the write — identically
-	// whether the write happens inline or later on the spill worker — and
-	// so the queue's backlog holds compressed bytes, not raw ones.
+	// Overflow: the run goes to disk, encoded to its exact on-disk segment
+	// bytes so counters, stats and cost charge the stored (compressed)
+	// length.
 	enc, err := spill.EncodeRun(recs, x.codec)
 	if err != nil {
 		return err
 	}
 	x.chargeSpill(ctx, enc, len(recs))
-	req := spillReq{pi: pi, src: src, enc: enc, keyClass: keyClass, valClass: valClass, size: size}
-	if x.spillQ != nil {
-		return x.spillQ[pi.place].enqueue(req)
-	}
-	return writeSpill(x, req)
+	return pi.writeSpill(src, enc, keyClass, valClass)
 }
 
-// chargeSpill charges one encoded run's spill to the task's counters and
-// the engine's stats/cost model — at admission time, not write time, so
-// the accounting is identical whether the write happens inline, on a spill
-// worker, or as a largest-first eviction. SPILLED_BYTES (and the disk
-// cost) is the stored length — compressed when a codec is configured —
-// while SPILLED_RAW_BYTES is the raw record-format length, so the ratio
-// between the two is the job's observable spill compression.
+// chargeSpill charges one encoded run's spill — an overflow or a
+// largest-first eviction — to the task's counters and the engine's
+// stats/cost model. SPILLED_BYTES (and the disk cost) is the stored length
+// — compressed when a codec is configured — while SPILLED_RAW_BYTES is the
+// raw record-format length, so the ratio between the two is the job's
+// observable spill compression.
 func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nrecs int) {
 	stored := int64(len(enc.Data))
 	ctx.Cells.SpilledRuns.Increment(1)
@@ -1167,7 +1047,9 @@ func (x *jobExec) installRuns(ctx *engine.TaskContext, place, src int, runs [][]
 		}
 		recs, keyClass, valClass, size, err := spill.MarshalRun(pairs)
 		if err != nil {
-			// Unencodable runs live on the heap, unaccounted (see addRun).
+			// Keys or values this job shuffles cannot round-trip through the
+			// record format (unregistered or unserializable types); such a
+			// run can only live on the heap, unaccounted.
 			x.parts[q].install(&sourceRun{src: src, pairs: pairs})
 			continue
 		}
@@ -1201,14 +1083,12 @@ func (pi *partitionInput) install(r *sourceRun) {
 // task, detaching them from the partition. Source order is the merge's
 // stability tie-break: equal keys surface in map-task order, exactly as the
 // old concatenate-then-stable-sort path produced them, whether a run stayed
-// resident, spilled, or was readmitted.
+// resident or spilled.
 //
 // Budgeted runs get the incremental-release wrapper: as the merge exhausts
 // (or abandons) a resident run, its reservation returns to the place's
 // accountant, so a long reduce phase frees memory while it is still
-// running. With readmission enabled, a spilled run whose size now fits the
-// freed budget is promoted back to a resident run here — decoded once,
-// merged from memory — instead of stream-decoding off disk.
+// running. Spilled runs stream-decode off disk.
 func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunReader, error) {
 	x := pi.x
 	pi.mu.Lock()
@@ -1226,17 +1106,6 @@ func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunRead
 				rd = releasingReader(rd, acct, r.size, ctx)
 			}
 			out = append(out, rd)
-			continue
-		}
-		if x.readmit && acct != nil && acct.Reserve(r.spill.size) {
-			pairs, err := readSpilledRun(r.spill)
-			if err != nil {
-				acct.Release(r.spill.size)
-				engine.CloseAllOnErr(out)
-				return nil, err
-			}
-			ctx.Cells.ReadmittedRuns.Increment(1)
-			out = append(out, releasingReader(engine.NewSliceRunReader(pairs), acct, r.spill.size, ctx))
 			continue
 		}
 		s, err := spill.OpenFile(r.spill.path)
@@ -1259,28 +1128,6 @@ func releasingReader(rd engine.RunReader, acct *engine.JobBudget, size int64, ct
 		acct.Release(size)
 		cell.Increment(size)
 	})
-}
-
-// readSpilledRun decodes a spilled run fully back into fresh writables —
-// the readmission read. The caller holds the run's budget reservation.
-func readSpilledRun(sr *spilledRun) ([]wio.Pair, error) {
-	s, err := spill.OpenFile(sr.path)
-	if err != nil {
-		return nil, err
-	}
-	rd := engine.NewDecodingRunReader(s, sr.keyClass, sr.valClass)
-	defer rd.Close()
-	var pairs []wio.Pair
-	for {
-		p, ok, err := rd.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return pairs, nil
-		}
-		pairs = append(pairs, p)
-	}
 }
 
 // runReduceTask executes one reduce partition at its stable place.

@@ -11,18 +11,18 @@ import (
 	"m3r/internal/spill"
 )
 
-// TestKillDuringSpillWrite blocks the spill worker mid-write, kills the job
-// while spills are queued behind the blocked write, and checks the kill
-// wins: the job returns ErrJobKilled, the in-flight write is allowed to
-// finish (no torn run files), queued spills are cancelled, and streams,
-// pooled buffers and scratch dirs all return to baseline.
+// TestKillDuringSpillWrite blocks a map task mid-spill-write, kills the job
+// while the write is blocked, and checks the kill wins: the job returns
+// ErrJobKilled, the in-flight write is allowed to finish (no torn run
+// files), and streams, pooled buffers and scratch dirs all return to
+// baseline.
 func TestKillDuringSpillWrite(t *testing.T) {
 	reached := make(chan struct{})
 	release := make(chan struct{})
 	var first atomic.Bool
 	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
-		// One spill worker runs per place: only the first write anywhere
-		// blocks, so the kill lands with other spills queued behind it.
+		// Only the first write anywhere blocks, so the kill lands with
+		// other map tasks still flushing.
 		if first.CompareAndSwap(false, true) {
 			close(reached)
 			<-release
@@ -45,7 +45,7 @@ func TestKillDuringSpillWrite(t *testing.T) {
 	case err := <-errCh:
 		t.Fatalf("job finished before any spill write: %v", err)
 	case <-time.After(30 * time.Second):
-		t.Fatal("spill worker never reached a write")
+		t.Fatal("no map task ever reached a spill write")
 	}
 	lc.Kill(engine.ErrJobKilled)
 	close(release)

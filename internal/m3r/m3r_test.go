@@ -1,8 +1,10 @@
 package m3r
 
 import (
+	"strings"
 	"testing"
 
+	"m3r/internal/conf"
 	"m3r/internal/dfs"
 	"m3r/internal/sim"
 	"m3r/internal/types"
@@ -211,5 +213,65 @@ func TestPlaceOfPartitionStability(t *testing.T) {
 func TestEngineValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("missing backing fs should fail")
+	}
+}
+
+// TestEngineBudgetDefaults: the engine-scoped keys reach New through
+// conf.DefaultsEnv when the Options field is 0; a non-zero field wins
+// (negative forces none); a default that is not an integer, or a malformed
+// carrier, fails New with an error naming the key and the value.
+func TestEngineBudgetDefaults(t *testing.T) {
+	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := conf.KeyM3REngineShuffleBudget + "=4096 " + conf.KeyM3RCacheBudget + "=8192"
+	for _, tc := range []struct {
+		name, env     string
+		opt           int64
+		wantPool      int64 // 0 = no pool
+		wantCacheGov  bool
+		wantErrNaming []string
+	}{
+		{name: "bare", wantPool: 0},
+		{name: "carrier", env: env, wantPool: 4096, wantCacheGov: true},
+		{name: "option beats carrier", env: env, opt: 1024, wantPool: 1024, wantCacheGov: true},
+		{name: "negative forces none", env: env, opt: -1},
+		{name: "non-integer budget", env: conf.KeyM3REngineShuffleBudget + "=64k",
+			wantErrNaming: []string{conf.KeyM3REngineShuffleBudget, `"64k"`}},
+		{name: "non-integer cache budget", env: conf.KeyM3RCacheBudget + "=",
+			wantErrNaming: []string{conf.KeyM3RCacheBudget, `""`}},
+		{name: "malformed carrier", env: "M3R_CACHE_BUDGET_BYTES", wantErrNaming: []string{`"M3R_CACHE_BUDGET_BYTES"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv(conf.DefaultsEnv, tc.env)
+			e, err := New(Options{Backing: backing, ShuffleBudgetBytes: tc.opt, CacheBudgetBytes: tc.opt})
+			if tc.wantErrNaming != nil {
+				if err == nil {
+					e.Close()
+					t.Fatalf("New succeeded under %s=%q", conf.DefaultsEnv, tc.env)
+				}
+				for _, want := range tc.wantErrNaming {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %s", err, want)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var pool int64
+			if e.pools != nil {
+				pool = e.pools[0].Limit()
+			}
+			if pool != tc.wantPool {
+				t.Errorf("pool limit %d, want %d", pool, tc.wantPool)
+			}
+			if got := e.cacheGov != nil; got != tc.wantCacheGov {
+				t.Errorf("cache governor present = %v, want %v", got, tc.wantCacheGov)
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"m3r/internal/lint/leakcheck"
 )
 
-// TestMain fails the package when place goroutines, spill-queue workers,
-// or merge workers outlive the tests — the static loopcancel/closecheck
-// invariants' runtime counterpart (ROADMAP "Static analysis").
+// TestMain fails the package when place goroutines or merge workers
+// outlive the tests — the static loopcancel/closecheck invariants' runtime
+// counterpart (DESIGN.md "Static analysis").
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -20,9 +20,9 @@ import (
 //
 // Scope and safety: runs enter the index when they are admitted resident
 // (map phase) and leave it when they are claimed for eviction; evictions
-// only ever happen from addRun, which only runs before the shuffle barrier,
-// and reducers only open merges after it — so an eviction can never race a
-// takeReaders on the same run. The index is per (job, place) and evicts
+// only ever happen from run admission, which only runs before the shuffle
+// barrier, and reducers only open merges after it — so an eviction can never
+// race a takeReaders on the same run. The index is per (job, place) and evicts
 // only its own job's runs: on a shared engine pool, one job's contention
 // never re-spills another job's resident data. The index is dropped at the
 // barrier so it does not pin detached runs' pairs through the reduce phase.
@@ -109,10 +109,7 @@ func (rs *residentSet) size() int {
 // resident to spilled in place — same src, same partition — so the merge's
 // source-order tie-break, and with it the byte-identical-output guarantee,
 // is untouched; the only observable differences are the freed budget and
-// the spill/eviction counters. The write is synchronous: eviction happens
-// inside an admission already stalled on memory, and routing it through the
-// spill queue would let the admission succeed before the victim's bytes are
-// actually on their way to disk.
+// the spill/eviction counters.
 func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (int64, error) {
 	victim, pi := x.resident[place].takeLargest(min)
 	if victim == nil {
@@ -141,7 +138,7 @@ func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (i
 	pi.mu.Lock()
 	victim.pairs = nil
 	victim.size = 0
-	victim.spill = &spilledRun{path: path, keyClass: keyClass, valClass: valClass, size: size}
+	victim.spill = &spilledRun{path: path, keyClass: keyClass, valClass: valClass}
 	pi.mu.Unlock()
 	x.chargeSpill(ctx, enc, len(recs))
 	ctx.Cells.EvictedResidentRuns.Increment(1)

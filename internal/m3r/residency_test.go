@@ -33,28 +33,18 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	}
 
 	// Unbudgeted reference for the byte-identity check.
-	ref := newSpillExec(0, 0, false, spill.CodecNone)
-	refPi := &partitionInput{x: ref, place: 0}
+	ref := newSpillExec(0, spill.CodecNone, 1)
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 	for src, pairs := range [][]wio.Pair{textRun("aaaaaa", 60), textRun("b", 10), textRun("c", 10)} {
-		if err := refPi.addRun(ctx, src, pairs); err != nil {
-			t.Fatal(err)
-		}
+		installRun(t, ref, ctx, 0, src, pairs)
 	}
-	refReaders, err := refPi.takeReaders(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainMerge(t, ref, refReaders)
+	want := drainMerge(t, ref, ctx, 0)
 
-	x := newSpillExec(bigSize, 0, false, spill.CodecNone) // budget = exactly the big run
+	x := newSpillExec(bigSize, spill.CodecNone, 1) // budget = exactly the big run
 	defer x.cleanup()
-	pi := &partitionInput{x: x, place: 0}
 	ctx = engine.NewTaskContext(conf.NewJob(), "task", nil)
 
-	if err := pi.addRun(ctx, 0, big); err != nil {
-		t.Fatal(err)
-	}
+	installRun(t, x, ctx, 0, 0, big)
 	if got := x.budgets[0].Held(); got != bigSize {
 		t.Fatalf("held=%d want %d after the big run", got, bigSize)
 	}
@@ -63,9 +53,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	}
 
 	// The small run contends; the big run is the victim, not the newcomer.
-	if err := pi.addRun(ctx, 1, smallB); err != nil {
-		t.Fatal(err)
-	}
+	installRun(t, x, ctx, 0, 1, smallB)
 	if got := ctx.Cells.EvictedResidentRuns.Value(); got != 1 {
 		t.Fatalf("EVICTED_RESIDENT_RUNS=%d want 1", got)
 	}
@@ -80,9 +68,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	}
 
 	// A second small run fits the freed budget outright: no new eviction.
-	if err := pi.addRun(ctx, 2, smallC); err != nil {
-		t.Fatal(err)
-	}
+	installRun(t, x, ctx, 0, 2, smallC)
 	if got := ctx.Cells.EvictedResidentRuns.Value(); got != 1 {
 		t.Fatalf("EVICTED_RESIDENT_RUNS=%d after an uncontended admit, want 1", got)
 	}
@@ -92,23 +78,10 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 
 	// The big run's slot flipped in place: still src 0, now spilled, so the
 	// merge's source-order tie-break — and the output bytes — are untouched.
-	streamBase := spill.OpenStreamCount()
-	readers, err := pi.takeReaders(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if run := x.parts[0].runs[0]; run.src != 0 || run.spill == nil {
+		t.Fatalf("slot 0 holds src %d, spilled=%v: want the evicted big run, in place", run.src, run.spill != nil)
 	}
-	if got := spill.OpenStreamCount(); got != streamBase+1 {
-		t.Fatalf("OpenStreamCount=%d want %d: exactly the evicted run streams from disk", got, streamBase+1)
-	}
-	got := drainMerge(t, x, readers)
-	if len(got) != len(want) {
-		t.Fatalf("merged %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d differs after eviction", i)
-		}
-	}
+	assertSameStream(t, "merge after eviction", drainMerge(t, x, ctx, 0), want)
 	if held := x.budgets[0].Held(); held != 0 {
 		t.Fatalf("held=%d want 0 after the merge drained", held)
 	}
@@ -124,16 +97,11 @@ func TestEvictionNeverTradesForEqualOrLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newSpillExec(size, 0, false, spill.CodecNone)
+	x := newSpillExec(size, spill.CodecNone, 1)
 	defer x.cleanup()
-	pi := &partitionInput{x: x, place: 0}
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
-	if err := pi.addRun(ctx, 0, runA); err != nil {
-		t.Fatal(err)
-	}
-	if err := pi.addRun(ctx, 1, runB); err != nil {
-		t.Fatal(err)
-	}
+	installRun(t, x, ctx, 0, 0, runA)
+	installRun(t, x, ctx, 0, 1, runB)
 	if got := ctx.Cells.EvictedResidentRuns.Value(); got != 0 {
 		t.Fatalf("EVICTED_RESIDENT_RUNS=%d: evicted an equal-sized run", got)
 	}
@@ -146,7 +114,7 @@ func TestEvictionNeverTradesForEqualOrLarger(t *testing.T) {
 }
 
 // TestEvictionWriteErrorFailsAdmission: a disk failure during the eviction
-// re-spill must surface through addRun — and with it fail the map task —
+// re-spill must surface through installRuns — and with it fail the map task —
 // with the victim's reservation state consistent (the victim was claimed but
 // its bytes never released, so the job's cleanup drain reclaims them).
 func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
@@ -158,13 +126,10 @@ func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newSpillExec(bigSize, 0, false, spill.CodecNone)
-	pi := &partitionInput{x: x, place: 0}
+	x := newSpillExec(bigSize, spill.CodecNone, 1)
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
-	if err := pi.addRun(ctx, 0, big); err != nil {
-		t.Fatal(err) // resident: no write involved
-	}
-	if err := pi.addRun(ctx, 1, small); !errors.Is(err, injected) {
+	installRun(t, x, ctx, 0, 0, big) // resident: no write involved
+	if err := tryInstallRun(x, ctx, 0, 1, small); !errors.Is(err, injected) {
 		t.Fatalf("eviction write error not surfaced: %v", err)
 	}
 	// The failed job's cleanup still returns every byte.
@@ -186,10 +151,9 @@ func TestInstallRunsAdmitsInPartitionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 20; round++ {
-		x := newSpillExec(2*size+size/2, 0, false, spill.CodecNone)
+		x := newSpillExec(2*size+size/2, spill.CodecNone, parts)
 		runs := make([][]wio.Pair, parts)
 		for q := range runs {
-			x.parts = append(x.parts, &partitionInput{x: x, place: 0})
 			runs[q] = textRun("k", 20)
 		}
 		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)

@@ -1,0 +1,414 @@
+package m3r
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"syscall"
+	"testing"
+
+	"m3r/internal/conf"
+	"m3r/internal/counters"
+	"m3r/internal/dfs"
+	"m3r/internal/engine"
+	"m3r/internal/sim"
+	"m3r/internal/spill"
+	"m3r/internal/types"
+	"m3r/internal/wio"
+	"m3r/internal/wordcount"
+)
+
+// swapSpillWrite installs a fault-injecting spill write for one test and
+// restores the real one afterwards.
+func swapSpillWrite(t *testing.T, fn func(string, spill.EncodedRun) (int64, error)) {
+	t.Helper()
+	orig := spillWriteRun
+	spillWriteRun = fn
+	t.Cleanup(func() { spillWriteRun = orig })
+}
+
+// newFaultEngine builds an M3R engine with a roomy per-place shuffle pool
+// over a scratch HDFS with wordcount data at /data/t, for driving whole
+// jobs through the spill path.
+func newFaultEngine(t *testing.T, places int) *Engine {
+	t.Helper()
+	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Options{Backing: backing, Places: places, ShuffleBudgetBytes: 1 << 20, Stats: sim.NewStats()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := wordcount.Generate(backing, "/data/t", 64<<10, 11); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// spillingJob returns a WordCount job capped at 4 KiB of the pool: most of
+// its shuffle runs overflow (or are evicted) and are written to disk by
+// their map task, and the few that stay resident hold pool bytes a failed
+// job must hand back.
+func spillingJob(out string) *conf.JobConf {
+	job := wordcount.NewJob("/data/t", out, 3, true)
+	job.SetInt64(conf.KeyM3RShuffleBudget, 4<<10)
+	return job
+}
+
+// leftoverSpillDirs counts m3r spill scratch directories still on disk.
+func leftoverSpillDirs(t *testing.T) int {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(os.TempDir(), "m3r-spill-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(m)
+}
+
+// assertSpillBaselines checks what every failed spilling job must leave
+// behind: no open spill stream, no checked-out encode buffer, nothing held
+// in the engine pool, no scratch directory.
+func assertSpillBaselines(t *testing.T, e *Engine, streamBase, bufBase int64) {
+	t.Helper()
+	if got := spill.OpenStreamCount(); got != streamBase {
+		t.Errorf("OpenStreamCount %d, baseline %d: leaked spill streams", got, streamBase)
+	}
+	if got := encodeBufsOut.Load(); got != bufBase {
+		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
+	}
+	if held := e.ShufflePoolHeldBytes(); held != 0 {
+		t.Errorf("pool holds %d bytes after the failed job", held)
+	}
+	if n := leftoverSpillDirs(t); n != 0 {
+		t.Errorf("%d spill scratch dirs left behind", n)
+	}
+}
+
+// TestSpillWorkerWriteErrorFailsJob injects a hard io failure into the
+// second inline spill write: the job must fail with that error, and
+// stream/buffer/pool accounting must sit at baseline afterwards.
+func TestSpillWorkerWriteErrorFailsJob(t *testing.T) {
+	injected := errors.New("injected spill device error")
+	var calls atomic.Int64
+	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
+		if calls.Add(1) == 2 {
+			return 0, injected
+		}
+		return spill.WriteEncodedFile(path, enc)
+	})
+
+	e := newFaultEngine(t, 1)
+	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
+	_, err := e.Submit(spillingJob("/out/wc"))
+	if err == nil {
+		t.Fatal("job with a failing spill write succeeded")
+	}
+	if !errors.Is(err, injected) {
+		t.Fatalf("job error does not carry the injected failure: %v", err)
+	}
+	if calls.Load() < 2 {
+		t.Fatalf("%d spill writes attempted, fault never hit", calls.Load())
+	}
+	assertSpillBaselines(t, e, streamBase, bufBase)
+}
+
+// TestSpillWorkerDiskFullFailsJob simulates the disk filling mid-run-file:
+// the write leaves a truncated file and reports ENOSPC. The job must fail
+// with ENOSPC, remote-shuffle encode buffers must return to the pool (the
+// failure crosses the map flush path of a multi-place shuffle), and the
+// partial spill file must be cleaned up with the job.
+func TestSpillWorkerDiskFullFailsJob(t *testing.T) {
+	var calls atomic.Int64
+	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
+		if calls.Add(1) == 1 {
+			os.WriteFile(path, []byte("partial run"), 0o644)
+			return 0, fmt.Errorf("write %s: %w", path, syscall.ENOSPC)
+		}
+		return spill.WriteEncodedFile(path, enc)
+	})
+
+	e := newFaultEngine(t, 2)
+	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
+	_, err := e.Submit(spillingJob("/out/wc"))
+	if err == nil {
+		t.Fatal("job with full disk succeeded")
+	}
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("job error does not carry ENOSPC: %v", err)
+	}
+	assertSpillBaselines(t, e, streamBase, bufBase)
+}
+
+// TestSpillWorkerPanicDoesNotHang: a panic under the spill write path must
+// convert to a job failure — the flushing map task recovers it — and
+// Submit returns with every baseline restored.
+func TestSpillWorkerPanicDoesNotHang(t *testing.T) {
+	swapSpillWrite(t, func(path string, enc spill.EncodedRun) (int64, error) {
+		panic("simulated corruption in the spill encoder")
+	})
+
+	e := newFaultEngine(t, 1)
+	streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
+	_, err := e.Submit(spillingJob("/out/wc"))
+	if err == nil {
+		t.Fatal("job with a panicking spill write succeeded")
+	}
+	if !strings.Contains(err.Error(), "panicked: simulated corruption") {
+		t.Fatalf("panic not surfaced as a task failure: %v", err)
+	}
+	assertSpillBaselines(t, e, streamBase, bufBase)
+}
+
+// --- white-box lifecycle: admission, spill, release ---
+
+// newSpillExec builds a minimal one-place jobExec with nparts partitions
+// for exercising the partitionInput lifecycle without a cluster.
+func newSpillExec(budget int64, codec spill.Codec, nparts int) *jobExec {
+	e := &Engine{stats: sim.NewStats(), cost: sim.Zero()}
+	x := &jobExec{e: e, jobID: "job_test_0001", jc: counters.New(), shuffleBudget: budget, codec: codec}
+	if budget > 0 {
+		x.budgets = []*engine.JobBudget{engine.NewBudgetPool(budget).Job(x.jobID, 0)}
+		x.resident = []*residentSet{newResidentSet()}
+	}
+	for q := 0; q < nparts; q++ {
+		x.parts = append(x.parts, &partitionInput{x: x, place: 0})
+	}
+	return x
+}
+
+// installRun installs source task src's sorted run for partition q through
+// the production flush path (a one-run flush takes the per-run admission
+// of admitEncodedRun).
+func installRun(t *testing.T, x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.Pair) {
+	t.Helper()
+	if err := tryInstallRun(x, ctx, q, src, pairs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func tryInstallRun(x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.Pair) error {
+	runs := make([][]wio.Pair, len(x.parts))
+	runs[q] = pairs
+	return x.installRuns(ctx, 0, src, runs)
+}
+
+// textRun builds a sorted run of (prefix###, i) pairs.
+func textRun(prefix string, n int) []wio.Pair {
+	out := make([]wio.Pair, n)
+	for i := range out {
+		out[i] = wio.Pair{Key: types.NewText(fmt.Sprintf("%s%04d", prefix, i)), Value: types.NewInt(int32(i))}
+	}
+	return out
+}
+
+// drainMerge merges partition q's runs and returns the marshaled
+// (key,value) stream.
+func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []string {
+	t.Helper()
+	readers, err := x.parts[q].takeReaders(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := engine.NewMergeIter(readers, wio.NaturalOrder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var out []string
+	for {
+		p, ok, err := m.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		kb, _ := wio.Marshal(p.Key)
+		vb, _ := wio.Marshal(p.Value)
+		out = append(out, string(kb)+"\x00"+string(vb))
+	}
+}
+
+// assertSameStream compares two marshaled pair streams.
+func assertSameStream(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs vs %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: pair %d differs", what, i)
+		}
+	}
+}
+
+// TestBudgetReleaseAndReadmission walks the lifecycle deterministically: a
+// resident run fills the budget, later runs spill, and draining the first
+// partition releases its bytes (BUDGET_RELEASED_BYTES) while it is still
+// the reduce phase. The second partition's spilled run stays on disk — it
+// stream-decodes into a merge byte-identical to the unbudgeted one — and
+// the freed budget stays free.
+func TestBudgetReleaseAndReadmission(t *testing.T) {
+	runA, runB, runC := textRun("a", 40), textRun("b", 40), textRun("c", 40)
+	_, _, _, size, err := spill.MarshalRun(runA)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reference: what partition 1's merge must yield, from an unbudgeted run.
+	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+	ref := newSpillExec(0, spill.CodecNone, 1)
+	installRun(t, ref, ctx, 0, 0, textRun("c", 40))
+	want := drainMerge(t, ref, ctx, 0)
+
+	x := newSpillExec(size, spill.CodecNone, 2) // budget = exactly one run
+	defer x.cleanup()
+	installRun(t, x, ctx, 0, 0, runA) // resident, fills budget
+	installRun(t, x, ctx, 0, 1, runB) // overflows: spills
+	installRun(t, x, ctx, 1, 0, runC) // overflows: spills
+	if got := ctx.Cells.SpilledRuns.Value(); got != 2 {
+		t.Fatalf("SpilledRuns=%d want 2", got)
+	}
+	if got := x.budgets[0].Held(); got != size {
+		t.Fatalf("held=%d want %d after collect", got, size)
+	}
+
+	// Partition 0 reduces: B stream-decodes; draining the merge releases
+	// A's reservation.
+	streamBase := spill.OpenStreamCount()
+	if got := len(drainMerge(t, x, ctx, 0)); got != 80 {
+		t.Fatalf("partition 0 merged %d pairs, want 80", got)
+	}
+	if got := x.budgets[0].Held(); got != 0 {
+		t.Fatalf("held=%d want 0 after partition 0 drained", got)
+	}
+	if got := ctx.Cells.BudgetReleasedBytes.Value(); got != size {
+		t.Fatalf("BudgetReleasedBytes=%d want %d", got, size)
+	}
+
+	// Partition 1 opens with the budget free: C still merges off disk,
+	// byte-identically, reserving nothing.
+	assertSameStream(t, "spilled partition", drainMerge(t, x, ctx, 1), want)
+	if held := x.budgets[0].Held(); held != 0 {
+		t.Fatalf("held=%d want 0: a spilled run must not reserve at merge open", held)
+	}
+	if rel := ctx.Cells.BudgetReleasedBytes.Value(); rel != size {
+		t.Fatalf("BudgetReleasedBytes=%d want %d", rel, size)
+	}
+	if got := spill.OpenStreamCount(); got != streamBase {
+		t.Fatalf("OpenStreamCount=%d want %d after both merges closed", got, streamBase)
+	}
+}
+
+// FuzzSpillQueue feeds fuzzer-shaped runs through the budgeted shuffle at a
+// fuzzer-chosen budget and spill codec, and pins the invariants admission,
+// eviction and spill promise at every setting: the merged stream is
+// byte-identical to the unbudgeted in-memory path, no spill stream stays
+// open, and the accountant returns to zero once the merge drains.
+func FuzzSpillQueue(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(64), false)
+	f.Add([]byte("aaaa bbbb aaaa cccc"), uint8(5), uint8(4), true)
+	f.Add([]byte(""), uint8(1), uint8(0), false)
+	f.Add([]byte("pad pad pad compress me compress me"), uint8(2), uint8(16), true)
+	f.Fuzz(func(t *testing.T, data []byte, nruns, budgetScale uint8, flate bool) {
+		runs := int(nruns%6) + 1
+		budget := int64(budgetScale) * 8
+		codec := spill.CodecNone
+		if flate {
+			codec = spill.CodecFlate
+		}
+
+		// Slice the fuzz bytes into `runs` sorted runs of Text/Int pairs.
+		words := strings.Fields(string(data))
+		mkRuns := func() [][]wio.Pair {
+			out := make([][]wio.Pair, runs)
+			for i, w := range words {
+				r := i % runs
+				out[r] = append(out[r], wio.Pair{Key: types.NewText(w), Value: types.NewInt(int32(i))})
+			}
+			for _, pairs := range out {
+				engine.SortPairs(pairs, wio.NaturalOrder{})
+			}
+			return out
+		}
+
+		drive := func(budget int64, codec spill.Codec) []string {
+			x := newSpillExec(budget, codec, 1)
+			defer x.cleanup()
+			ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+			for src, pairs := range mkRuns() {
+				installRun(t, x, ctx, 0, src, pairs)
+			}
+			out := drainMerge(t, x, ctx, 0)
+			if x.budgets != nil {
+				if held := x.budgets[0].Held(); held != 0 {
+					t.Fatalf("held=%d after full drain", held)
+				}
+			}
+			return out
+		}
+
+		streamBase := spill.OpenStreamCount()
+		want := drive(0, spill.CodecNone) // unbudgeted in-memory reference
+		got := drive(budget, codec)
+		assertSameStream(t, fmt.Sprintf("budget=%d codec=%s", budget, codec), got, want)
+		if n := spill.OpenStreamCount(); n != streamBase {
+			t.Fatalf("OpenStreamCount=%d baseline %d", n, streamBase)
+		}
+	})
+}
+
+// TestCompressedSpillChargesStoredBytesAndReadmitsRawSize pins the codec's
+// accounting contract end to end: with flate configured, SPILLED_BYTES
+// counts the stored (compressed) bytes and SPILLED_RAW_BYTES the raw
+// record-format bytes (so stored < raw on repetitive runs); the budget,
+// however, keeps accounting in raw in-memory sizes whatever the codec; and
+// the merge output stays byte-identical to the raw-codec lifecycle.
+func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
+	_, _, _, size, err := spill.MarshalRun(textRun("aaaa", 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	drive := func(codec spill.Codec) ([]string, *engine.TaskContext, *jobExec) {
+		x := newSpillExec(size, codec, 2) // budget = exactly one run
+		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+		installRun(t, x, ctx, 0, 0, textRun("aaaa", 40)) // resident
+		installRun(t, x, ctx, 1, 0, textRun("cccc", 40)) // spills
+		if held := x.budgets[0].Held(); held != size {
+			t.Fatalf("codec %s: resident run holds %d budget bytes, want raw size %d", codec, held, size)
+		}
+		out := drainMerge(t, x, ctx, 0) // releases A's reservation
+		out = append(out, drainMerge(t, x, ctx, 1)...)
+		return out, ctx, x
+	}
+
+	want, refCtx, refX := drive(spill.CodecNone)
+	defer refX.cleanup()
+	got, ctx, x := drive(spill.CodecFlate)
+	defer x.cleanup()
+
+	assertSameStream(t, "flate vs raw lifecycle", got, want)
+	stored, raw := ctx.Cells.SpilledBytes.Value(), ctx.Cells.SpilledRawBytes.Value()
+	if raw == 0 || stored == 0 {
+		t.Fatalf("spill accounting silent: stored=%d raw=%d", stored, raw)
+	}
+	if stored >= raw {
+		t.Fatalf("flate spill stored %d bytes >= raw %d on repetitive keys", stored, raw)
+	}
+	if refStored, refRaw := refCtx.Cells.SpilledBytes.Value(), refCtx.Cells.SpilledRawBytes.Value(); refStored != refRaw {
+		t.Fatalf("codec none: stored %d != raw %d — raw layout must charge identical numbers", refStored, refRaw)
+	}
+	// The engine's stats and disk cost follow the stored bytes.
+	if got := x.e.stats.Get(sim.SpillBytes); got != stored {
+		t.Fatalf("sim spill.bytes=%d, counters say %d", got, stored)
+	}
+	if got := x.e.stats.Get(sim.SpillRawBytes); got != raw {
+		t.Fatalf("sim spill.raw.bytes=%d, counters say %d", got, raw)
+	}
+}

@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the package when accept loops or session goroutines
-// outlive the tests (ROADMAP "Static analysis").
+// outlive the tests (DESIGN.md "Static analysis").
 func TestMain(m *testing.M) { leakcheck.Main(m) }

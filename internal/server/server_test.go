@@ -121,7 +121,7 @@ func TestServerBoundsCompletedJobRetention(t *testing.T) {
 // retention window must survive eviction while it runs.
 func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 	release := make(chan struct{})
-	eng := &blockingEngine{release: release}
+	eng := &blockingEngine{release: release, entered: make(chan struct{})}
 	srv, err := ServeWithRetention(eng, "127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +136,10 @@ func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// SubmitAsync only starts the job's goroutine: wait until it is the one
+	// blocked in Submit, or a churn job could take the blocking slot and
+	// its WaitFor below would never return.
+	<-eng.entered
 	for i := 0; i < 10; i++ { // churn far past the retention bound
 		id, err := client.SubmitAsync(conf.NewJob())
 		if err != nil {
@@ -156,10 +160,11 @@ func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 	}
 }
 
-// blockingEngine blocks the first Submit until released; later submits
-// return immediately.
+// blockingEngine blocks the first Submit until released, closing entered
+// once it is inside; later submits return immediately.
 type blockingEngine struct {
 	release <-chan struct{}
+	entered chan struct{}
 	once    sync.Once
 }
 
@@ -169,7 +174,7 @@ func (e *blockingEngine) Close() error       { return nil }
 
 func (e *blockingEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
 	blocked := false
-	e.once.Do(func() { blocked = true })
+	e.once.Do(func() { blocked = true; close(e.entered) })
 	if blocked {
 		<-e.release
 	}

@@ -48,7 +48,7 @@ import (
 )
 
 // Codec identifies a spill block compression codec on the wire and in
-// configuration (conf.KeyM3RSpillCodec / env M3R_SPILL_CODEC).
+// configuration (conf.KeyM3RSpillCodec).
 type Codec uint8
 
 const (
@@ -294,10 +294,8 @@ func (sw *SegmentWriter) flushBlock() error {
 }
 
 // EncodedRun is one run encoded to its exact on-disk segment bytes. The
-// M3R engine encodes at admission time so the async spill queue can charge
-// counters and budget with the stored (compressed) length before the write
-// happens on the spill worker — and so the queue's backlog holds the
-// compressed bytes, not the raw ones.
+// M3R engine encodes before it writes so counters and the disk cost charge
+// the stored (compressed) length.
 type EncodedRun struct {
 	Data []byte // the segment exactly as it will appear on disk
 	Raw  int64  // raw record-format length (EncodedLen of the records)

@@ -784,7 +784,7 @@ func TestWriteRunFileRemovesPartialOnError(t *testing.T) {
 }
 
 // TestWriteEncodedFileRemovesPartialOnError is the same pin for the
-// pre-encoded (async spill queue) write path.
+// pre-encoded write path.
 func TestWriteEncodedFileRemovesPartialOnError(t *testing.T) {
 	enc, err := EncodeRun(compressibleRecs(1000), CodecFlate)
 	if err != nil {
