@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"slices"
-
 	"m3r/internal/counters"
 	"m3r/internal/mapred"
 	"m3r/internal/wio"
@@ -10,10 +8,14 @@ import (
 
 // SortPairs stably sorts pairs by key with cmp. Stability matters: Hadoop
 // preserves the map-output order of equal keys within one task, and tests
-// rely on deterministic output. slices.SortStableFunc keeps the hot sort
-// free of sort.SliceStable's per-call reflect.Swapper allocation.
+// rely on deterministic output. A cmp that is a wio.SortPrefixer has most
+// of its comparisons done on cached integers (see wio.SortStable).
 func SortPairs(pairs []wio.Pair, cmp wio.Comparator) {
-	slices.SortStableFunc(pairs, func(a, b wio.Pair) int {
+	var prefix func(wio.Pair) (uint64, bool)
+	if p, ok := cmp.(wio.SortPrefixer); ok {
+		prefix = func(kv wio.Pair) (uint64, bool) { return p.SortPrefix(kv.Key) }
+	}
+	wio.SortStable(pairs, prefix, func(a, b wio.Pair) int {
 		return cmp.Compare(a.Key, b.Key)
 	})
 }
@@ -120,7 +122,9 @@ func Combine(rj *ResolvedJob, pairs []wio.Pair, ctx *TaskContext) ([]wio.Pair, e
 	}
 	run.Configure(rj.Job)
 	SortPairs(pairs, rj.SortCmp)
-	out := make([]wio.Pair, 0, len(pairs))
+	// out grows with what the combiner emits, typically a small fraction of
+	// len(pairs).
+	var out []wio.Pair
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		if !rj.CombineImmutable {
 			key, value = wio.MustClone(key), wio.MustClone(value)

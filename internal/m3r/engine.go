@@ -597,6 +597,26 @@ func (x *jobExec) mergeCounters(ctx *engine.TaskContext) {
 	x.cmu.Unlock()
 }
 
+// tallyPairs adds a finished task's pair counts to the engine's stats. The
+// collectors count each cloned, aliased and co-located pair in the task's
+// own cells, one uncontended add per record; the engine-wide totals take
+// the sums here, once per task — deferred, so a task that fails, panics or
+// is killed still reports the pairs it handled before it stopped.
+func (x *jobExec) tallyPairs(ctx *engine.TaskContext) {
+	for _, t := range [...]struct {
+		stat string
+		cell *counters.Counter
+	}{
+		{sim.ClonedPairs, ctx.Cells.ClonedPairs},
+		{sim.AliasedPairs, ctx.Cells.AliasedPairs},
+		{sim.LocalPairs, ctx.Cells.LocalShufflePairs},
+	} {
+		if n := t.cell.Value(); n != 0 {
+			x.e.stats.Add(t.stat, n)
+		}
+	}
+}
+
 // mapAssignment is one planned map task.
 type mapAssignment struct {
 	index  int
@@ -772,6 +792,7 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(a.index))
 	taskID := fmt.Sprintf("attempt_%s_m_%06d_0", x.jobID, a.index)
 	ctx := engine.NewTaskContext(taskJob, taskID, a.split)
+	defer x.tallyPairs(ctx)
 	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedMaps, 1)
 
 	mr := x.rj.NewMapRun()
@@ -1148,6 +1169,7 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(q))
 	taskID := fmt.Sprintf("attempt_%s_r_%06d_0", x.jobID, q)
 	ctx := engine.NewTaskContext(taskJob, taskID, nil)
+	defer x.tallyPairs(ctx)
 	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedReduces, 1)
 
 	// The HMR API promises reducers sorted input even in memory. Map tasks
@@ -1208,10 +1230,8 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 			ck, cv := k, v
 			if !x.rj.ReduceImmutable {
 				ck, cv = wio.MustClone(k), wio.MustClone(v)
-				e.stats.Add(sim.ClonedPairs, 1)
 				cells.ClonedPairs.Increment(1)
 			} else {
-				e.stats.Add(sim.AliasedPairs, 1)
 				cells.AliasedPairs.Increment(1)
 			}
 			cacheW.Append(wio.Pair{Key: ck, Value: cv})

@@ -45,6 +45,9 @@ type shuffleCollector struct {
 	// PlaceOfPartition so the §3.2.2.2 stability guarantee lives in exactly
 	// one place and the hot path pays an array index, not a division.
 	placeOf []int
+	// remoteCounts is the number of pairs encoded for each remote partition,
+	// so the receiving side allocates each decoded run once, at its length.
+	remoteCounts []int
 
 	// Non-combiner path. localBufs is indexed by partition and encoders by
 	// destination place — not maps, so flush installs and ships in
@@ -62,7 +65,6 @@ type shuffleCollector struct {
 type destEncoder struct {
 	buf *bytes.Buffer
 	enc *wio.Encoder
-	n   int
 }
 
 // encodeBufPool recycles the remote shuffle's encode buffers across map
@@ -105,7 +107,9 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 	}
 	sc.localBufs = make([][]wio.Pair, sc.R)
 	sc.encoders = make([]*destEncoder, sc.P)
-	sc.placeOf = make([]int, sc.R)
+	// One allocation serves both per-partition tables.
+	perPartition := make([]int, 2*sc.R)
+	sc.placeOf, sc.remoteCounts = perPartition[:sc.R:sc.R], perPartition[sc.R:]
 	for q := range sc.placeOf {
 		sc.placeOf[q] = x.e.PlaceOfPartition(q)
 	}
@@ -134,24 +138,14 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 		k, v := key, value
 		if !sc.immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			sc.countClone()
+			sc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			sc.countAlias()
+			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		sc.combineBufs[q] = append(sc.combineBufs[q], wio.Pair{Key: k, Value: v})
 		return nil
 	}
 	return sc.deliver(q, key, value, sc.immutable)
-}
-
-func (sc *shuffleCollector) countClone() {
-	sc.x.e.stats.Add(sim.ClonedPairs, 1)
-	sc.ctx.Cells.ClonedPairs.Increment(1)
-}
-
-func (sc *shuffleCollector) countAlias() {
-	sc.x.e.stats.Add(sim.AliasedPairs, 1)
-	sc.ctx.Cells.AliasedPairs.Increment(1)
 }
 
 // deliver routes one pair to its partition's place.
@@ -163,13 +157,12 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 		k, v := key, value
 		if !immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			sc.countClone()
+			sc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			sc.countAlias()
+			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		sc.localBufs[q] = append(sc.localBufs[q], wio.Pair{Key: k, Value: v})
 		sc.ctx.Cells.LocalShufflePairs.Increment(1)
-		sc.x.e.stats.Add(sim.LocalPairs, 1)
 		return nil
 	}
 	// Remote: serialize now (immediately, like Hadoop's collect — the
@@ -191,7 +184,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 	if err := de.enc.EncodePair(wio.Pair{Key: key, Value: value}); err != nil {
 		return err
 	}
-	de.n++
+	sc.remoteCounts[q]++
 	sc.ctx.Cells.RemoteShufflePairs.Increment(1)
 	return nil
 }
@@ -223,8 +216,8 @@ func (sc *shuffleCollector) flush() error {
 	}
 	// Local batches become sorted runs here, on the map task's worker —
 	// after a combiner pass they arrive already sorted (key-preserving
-	// combiners keep Combine's sort order) and the stable sort degenerates
-	// to a cheap verification pass.
+	// combiners keep Combine's sort order), which SortPairs recognises in
+	// one scan of the batch and leaves in place.
 	sortCmp := sc.x.rj.SortCmp
 	for _, pairs := range sc.localBufs {
 		engine.SortPairs(pairs, sortCmp)
@@ -283,7 +276,14 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 	// "Arrive" at place d: decode into fresh objects.
 	dec := wio.NewDecoderBytes(payload)
 	byPartition := make([][]wio.Pair, sc.R)
-	for i := 0; i < de.n; i++ {
+	total := 0
+	for q, n := range sc.remoteCounts {
+		if n > 0 && sc.placeOf[q] == d {
+			byPartition[q] = make([]wio.Pair, 0, n)
+			total += n
+		}
+	}
+	for i := 0; i < total; i++ {
 		qv, err := dec.DecodeUvarint()
 		if err != nil {
 			return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
@@ -306,8 +306,9 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 	return sc.x.installRuns(sc.ctx, d, sc.src, byPartition)
 }
 
-// abort releases the collector's pooled resources after a failed task:
-// any encode buffers flush never shipped go back to the pool.
+// abort releases the collector's resources after a failed task: any encode
+// buffers flush never shipped go back to the pool, and the buffered pairs
+// are dropped so they are collectable before the job's cleanup finishes.
 func (sc *shuffleCollector) abort() {
 	for _, de := range sc.encoders {
 		if de != nil && de.buf != nil {
@@ -317,6 +318,7 @@ func (sc *shuffleCollector) abort() {
 	}
 	sc.encoders = nil
 	sc.localBufs = nil
+	sc.combineBufs = nil
 }
 
 // mapOnlyCollector sends map output straight to the output format and the
@@ -380,10 +382,8 @@ func (moc *mapOnlyCollector) Collect(key, value wio.Writable) error {
 		k, v := key, value
 		if !moc.immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			moc.x.e.stats.Add(sim.ClonedPairs, 1)
 			moc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			moc.x.e.stats.Add(sim.AliasedPairs, 1)
 			moc.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		moc.cacheW.Append(wio.Pair{Key: k, Value: v})

@@ -35,6 +35,10 @@ func swapSpillWrite(t *testing.T, fn func(string, spill.EncodedRun) (int64, erro
 // jobs through the spill path.
 func newFaultEngine(t *testing.T, places int) *Engine {
 	t.Helper()
+	// The engine makes its spill scratch under os.TempDir and these tests
+	// count what is left there; a private one keeps packages tested in
+	// parallel with this one out of the count.
+	t.Setenv("TMPDIR", t.TempDir())
 	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +166,50 @@ func TestSpillWorkerPanicDoesNotHang(t *testing.T) {
 		t.Fatalf("panic not surfaced as a task failure: %v", err)
 	}
 	assertSpillBaselines(t, e, streamBase, bufBase)
+}
+
+// TestAbortDropsBufferedPairs pins what a failed map task leaves in its
+// collector: the kill surfaces in Collect with pairs buffered for the
+// combiner and a remote encode buffer checked out, and abort hands the
+// buffer back and drops every buffered pair — the combiner's batches too,
+// so they are collectable while the rest of the job is still winding down.
+func TestAbortDropsBufferedPairs(t *testing.T) {
+	e := newFaultEngine(t, 2)
+	bufBase := encodeBufsOut.Load()
+	job := wordcount.NewJob("/data/t", "/out/abort", 2, true)
+	rj, err := engine.Resolve(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := engine.NewJobLifecycle()
+	defer lc.Stop()
+	x := &jobExec{e: e, job: job, rj: rj, jobID: "job_test_0001", lc: lc, jc: counters.New(), dedup: true}
+	ctx := engine.NewTaskContext(job, "task", nil)
+	sc := x.newShuffleCollector(&mapAssignment{place: 0}, ctx)
+	for i := 0; i < 64; i++ {
+		if err := sc.Collect(types.NewText(fmt.Sprintf("word%04d", i)), types.NewInt(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// What flush does for a combined pair bound for the other place.
+	if err := sc.deliver(1, types.NewText("word"), types.NewInt(1), true); err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeBufsOut.Load(); got != bufBase+1 {
+		t.Fatalf("encode buffers out %d, want %d: the remote pair checked none out", got, bufBase+1)
+	}
+	lc.Kill(engine.ErrJobKilled)
+	if err := sc.Collect(types.NewText("late"), types.NewInt(1)); !errors.Is(err, engine.ErrJobKilled) {
+		t.Fatalf("Collect after the kill = %v, want ErrJobKilled", err)
+	}
+	sc.abort()
+	if got := encodeBufsOut.Load(); got != bufBase {
+		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
+	}
+	if sc.combineBufs != nil || sc.localBufs != nil || sc.encoders != nil {
+		t.Errorf("abort left buffers set: combineBufs %v, localBufs %v, encoders %v",
+			sc.combineBufs != nil, sc.localBufs != nil, sc.encoders != nil)
+	}
 }
 
 // --- white-box lifecycle: admission, spill, release ---

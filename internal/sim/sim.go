@@ -137,31 +137,44 @@ const (
 	DiskDelayNs            = "modeled.disk.ns"
 )
 
-// Stats is a concurrent named-counter sink.
+// Stats is a concurrent named-counter sink. Add and Get sit on per-call
+// paths (every HDFS read and write, every shipped frame), so finding a
+// counter is one atomic load of an immutable table and takes no lock;
+// only the first Add of a new name copies the table, under mu, and
+// publishes the copy. A counter, once in a table, is in every later one.
 type Stats struct {
-	mu sync.RWMutex
-	m  map[string]*atomic.Int64
+	mu    sync.Mutex // serializes table replacement
+	table atomic.Pointer[map[string]*atomic.Int64]
 }
 
 // NewStats returns an empty Stats.
-func NewStats() *Stats {
-	return &Stats{m: make(map[string]*atomic.Int64)}
+func NewStats() *Stats { return new(Stats) }
+
+// counters returns the current table, which is never modified.
+func (s *Stats) counters() map[string]*atomic.Int64 {
+	if t := s.table.Load(); t != nil {
+		return *t
+	}
+	return nil
 }
 
 func (s *Stats) counter(name string) *atomic.Int64 {
-	s.mu.RLock()
-	c, ok := s.m[name]
-	s.mu.RUnlock()
-	if ok {
+	if c, ok := s.counters()[name]; ok {
 		return c
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok = s.m[name]; ok {
+	old := s.counters()
+	if c, ok := old[name]; ok {
 		return c
 	}
-	c = new(atomic.Int64)
-	s.m[name] = c
+	next := make(map[string]*atomic.Int64, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	c := new(atomic.Int64)
+	next[name] = c
+	s.table.Store(&next)
 	return c
 }
 
@@ -178,9 +191,7 @@ func (s *Stats) Get(name string) int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.RLock()
-	c, ok := s.m[name]
-	s.mu.RUnlock()
+	c, ok := s.counters()[name]
 	if !ok {
 		return 0
 	}
@@ -189,9 +200,7 @@ func (s *Stats) Get(name string) int64 {
 
 // Reset zeroes every counter.
 func (s *Stats) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.m {
+	for _, c := range s.counters() {
 		c.Store(0)
 	}
 }
@@ -201,10 +210,9 @@ func (s *Stats) Snapshot() map[string]int64 {
 	if s == nil {
 		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]int64, len(s.m))
-	for k, c := range s.m {
+	m := s.counters()
+	out := make(map[string]int64, len(m))
+	for k, c := range m {
 		out[k] = c.Load()
 	}
 	return out
@@ -212,10 +220,9 @@ func (s *Stats) Snapshot() map[string]int64 {
 
 // Names returns the sorted counter names present.
 func (s *Stats) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
+	m := s.counters()
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,73 @@ func TestStatsConcurrent(t *testing.T) {
 	names := s.Names()
 	if len(names) != 2 || names[0] != "x" {
 		t.Errorf("names: %v", names)
+	}
+}
+
+// TestStatsNewNamesAgainstSnapshot hammers the copy-on-write table: writers
+// add to names that exist and names nobody has used yet while readers take
+// snapshots. Run under -race it checks the publication; the sums check that
+// a table swap never drops a counter or an increment.
+func TestStatsNewNamesAgainstSnapshot(t *testing.T) {
+	const writers, names, rounds = 4, 64, 50
+	s := sim.NewStats()
+	s.Add("shared", 0)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := s.Snapshot()
+				if _, ok := snap["shared"]; !ok {
+					t.Error("snapshot lost a counter that was already present")
+					return
+				}
+				if len(s.Names()) < len(snap) {
+					t.Error("a later table holds fewer names than an earlier one")
+					return
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for n := 0; n < names; n++ {
+					// Every writer is first to some names and late to others.
+					s.Add(fmt.Sprintf("n%d", (n+w*names/writers)%names), 1)
+					s.Add("shared", 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if got := s.Get("shared"); got != writers*names*rounds {
+		t.Errorf("shared = %d, want %d", got, writers*names*rounds)
+	}
+	snap := s.Snapshot()
+	if len(snap) != names+1 {
+		t.Errorf("%d names, want %d", len(snap), names+1)
+	}
+	for n := 0; n < names; n++ {
+		if got := snap[fmt.Sprintf("n%d", n)]; got != writers*rounds {
+			t.Errorf("n%d = %d, want %d", n, got, writers*rounds)
+		}
+	}
+	s.Reset()
+	if got := s.Get("shared"); got != 0 || len(s.Names()) != names+1 {
+		t.Errorf("after Reset: shared = %d, %d names; want 0 and the names kept", got, len(s.Names()))
 	}
 }
 

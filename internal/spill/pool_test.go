@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"m3r/internal/testenv"
@@ -232,5 +234,49 @@ func BenchmarkEncodeRunFlate(b *testing.B) {
 		if _, err := EncodeRun(recs, CodecFlate); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSortRecs sorts one WordCount-shaped batch of serialized records —
+// 8 k Text keys drawn Zipf-distributed from a thousand 8-byte words, what a
+// Hadoop map task's sort buffer holds — with the plain stable sort SortRecs
+// must match and with SortRecs, reporting time and allocations per record.
+func BenchmarkSortRecs(b *testing.B) {
+	const n = 8192
+	rng := rand.New(rand.NewSource(15))
+	zipf := rand.NewZipf(rng, 1.3, 1.0, 999)
+	pairs := make([]wio.Pair, n)
+	for i := range pairs {
+		pairs[i] = wio.Pair{Key: types.NewText(fmt.Sprintf("word%04d", zipf.Uint64())), Value: types.NewInt(1)}
+	}
+	src, _, _, _, err := MarshalRun(pairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	work := make([]Rec, n)
+	cmp := types.TextRawComparator{}
+	for _, leg := range []struct {
+		name string
+		sort func()
+	}{
+		{"stable-reference", func() {
+			slices.SortStableFunc(work, func(a, b Rec) int { return cmp.CompareRaw(a.K, b.K) })
+		}},
+		{"prefix", func() { SortRecs(work, cmp) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, src)
+				leg.sort()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			total := float64(b.N) * n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/rec")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/rec")
+		})
 	}
 }

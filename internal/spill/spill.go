@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -810,10 +809,15 @@ func (s *Stream) Close() error {
 
 // SortRecs orders serialized records by key with the raw comparator,
 // stably (Hadoop preserves input order among equal keys within a task).
-// Raw comparison plus the allocation-free slices sort keeps the spill sort
-// off both the deserializer and the garbage collector.
+// Raw comparison keeps the spill sort off the deserializer; a cmp that is a
+// wio.RawSortPrefixer has most comparisons done on cached integers (see
+// wio.SortStable).
 func SortRecs(recs []Rec, cmp wio.RawComparator) {
-	slices.SortStableFunc(recs, func(a, b Rec) int {
+	var prefix func(Rec) (uint64, bool)
+	if p, ok := cmp.(wio.RawSortPrefixer); ok {
+		prefix = func(r Rec) (uint64, bool) { return p.SortPrefixRaw(r.K) }
+	}
+	wio.SortStable(recs, prefix, func(a, b Rec) int {
 		return cmp.CompareRaw(a.K, b.K)
 	})
 }

@@ -32,6 +32,35 @@ func (TextRawComparator) CompareRaw(a, b []byte) int {
 	return bytes.Compare(a[na:na+int(la)], b[nb:nb+int(lb)])
 }
 
+// SortPrefix implements wio.SortPrefixer.
+func (TextRawComparator) SortPrefix(k wio.Writable) (uint64, bool) {
+	return bytesSortPrefix(k.(*Text).B)
+}
+
+// SortPrefixRaw implements wio.RawSortPrefixer.
+func (TextRawComparator) SortPrefixRaw(k []byte) (uint64, bool) {
+	l, n := binary.Uvarint(k)
+	if n <= 0 {
+		panic("types: corrupt serialized Text")
+	}
+	return bytesSortPrefix(k[n : n+int(l)])
+}
+
+// bytesSortPrefix is the sort prefix of a byte-lexicographic key: its first
+// eight bytes, big-endian, zero-padded. Padding makes "ab" and "ab\x00"
+// share a prefix, so a key is exact only when it fits and does not end in
+// NUL: two such keys with one prefix are the same bytes.
+func bytesSortPrefix(b []byte) (uint64, bool) {
+	if len(b) >= 8 {
+		return binary.BigEndian.Uint64(b), len(b) == 8 && b[7] != 0
+	}
+	var p uint64
+	for i, c := range b {
+		p |= uint64(c) << (56 - 8*i)
+	}
+	return p, len(b) == 0 || b[len(b)-1] != 0
+}
+
 // IntRawComparator orders serialized IntWritables numerically.
 type IntRawComparator struct{}
 
@@ -52,6 +81,17 @@ func (IntRawComparator) CompareRaw(a, b []byte) int {
 	return 0
 }
 
+// SortPrefix implements wio.SortPrefixer: the sign-flipped value in the high
+// half, so a Pair can shift it without losing order.
+func (IntRawComparator) SortPrefix(k wio.Writable) (uint64, bool) {
+	return uint64(uint32(k.(*IntWritable).V)^0x80000000) << 32, true
+}
+
+// SortPrefixRaw implements wio.RawSortPrefixer.
+func (IntRawComparator) SortPrefixRaw(k []byte) (uint64, bool) {
+	return uint64(binary.BigEndian.Uint32(k)^0x80000000) << 32, true
+}
+
 // LongRawComparator orders serialized LongWritables numerically.
 type LongRawComparator struct{}
 
@@ -69,6 +109,16 @@ func (LongRawComparator) CompareRaw(a, b []byte) int {
 		return 1
 	}
 	return 0
+}
+
+// SortPrefix implements wio.SortPrefixer.
+func (LongRawComparator) SortPrefix(k wio.Writable) (uint64, bool) {
+	return uint64(k.(*LongWritable).V) ^ 0x8000000000000000, true
+}
+
+// SortPrefixRaw implements wio.RawSortPrefixer.
+func (LongRawComparator) SortPrefixRaw(k []byte) (uint64, bool) {
+	return binary.BigEndian.Uint64(k) ^ 0x8000000000000000, true
 }
 
 // DoubleRawComparator orders serialized DoubleWritables by the IEEE-754
@@ -103,6 +153,16 @@ func (DoubleRawComparator) CompareRaw(a, b []byte) int {
 		totalOrderKey(binary.BigEndian.Uint64(a)),
 		totalOrderKey(binary.BigEndian.Uint64(b)),
 	)
+}
+
+// SortPrefix implements wio.SortPrefixer: the total-order key is the order.
+func (DoubleRawComparator) SortPrefix(k wio.Writable) (uint64, bool) {
+	return totalOrderKey(math.Float64bits(k.(*DoubleWritable).V)), true
+}
+
+// SortPrefixRaw implements wio.RawSortPrefixer.
+func (DoubleRawComparator) SortPrefixRaw(k []byte) (uint64, bool) {
+	return totalOrderKey(binary.BigEndian.Uint64(k)), true
 }
 
 // totalOrderKey maps IEEE-754 bits onto unsigned-comparable keys: negatives

@@ -174,6 +174,65 @@ func (PairRawComparator) CompareRaw(a, b []byte) int {
 	return 0
 }
 
+// SortPrefix implements wio.SortPrefixer with the first component's prefix.
+// It is never exact: the second component still has to be compared.
+func (PairRawComparator) SortPrefix(k wio.Writable) (uint64, bool) {
+	first := k.(*Pair).First
+	name, err := wio.NameOf(first)
+	if err != nil {
+		panic(fmt.Sprintf("types: Pair component %T is not registered", first))
+	}
+	slot, pc := pairPrefixSlot(name)
+	if pc == nil {
+		return slot << 60, false
+	}
+	p, _ := pc.SortPrefix(first)
+	return slot<<60 | p>>4, false
+}
+
+// SortPrefixRaw implements wio.RawSortPrefixer.
+func (PairRawComparator) SortPrefixRaw(k []byte) (uint64, bool) {
+	name, blob, _ := pairField(k)
+	slot, pc := pairPrefixSlot(name)
+	if pc == nil {
+		return slot << 60, false
+	}
+	p, _ := pc.SortPrefixRaw(blob)
+	return slot<<60 | p>>4, false
+}
+
+// scalarPrefixer is what the four scalar raw comparators offer a Pair.
+type scalarPrefixer interface {
+	wio.SortPrefixer
+	wio.RawSortPrefixer
+}
+
+// pairPrefixSlot ranks a first component's class in class-name order — the
+// order Pairs compare by before they look at the component — and returns
+// the class's prefixer, if it has one. The rank takes the prefix's top four
+// bits and the component's own prefix, shifted, the rest: classes with a
+// prefixer get the odd slots, and any other class falls in the even slot
+// between its neighbours with a component prefix of zero, so two Pairs
+// whose first components differ in class never order against the names.
+func pairPrefixSlot(name string) (slot uint64, pc scalarPrefixer) {
+	switch name {
+	case DoubleName:
+		return 1, DoubleRawComparator{}
+	case IntName:
+		return 3, IntRawComparator{}
+	case LongName:
+		return 5, LongRawComparator{}
+	case TextName:
+		return 7, TextRawComparator{}
+	}
+	for _, prefixed := range [...]string{DoubleName, IntName, LongName, TextName} {
+		if name > prefixed {
+			slot += 2
+		}
+	}
+	return slot, nil
+}
+
 // pairField parses one serialized component — class name, encoded blob —
 // returning the remainder. The layout is WriteString then WriteBytes: a
 // uvarint length before each. It panics on corrupt input, as the scalar raw
