@@ -142,6 +142,12 @@ func (c *countingReader) readFull(p []byte) error {
 	return err
 }
 
+// discard skips n bytes that are already buffered.
+func (c *countingReader) discard(n int) {
+	c.br.Discard(n)
+	c.pos += int64(n)
+}
+
 func (c *countingReader) readByte() (byte, error) {
 	b, err := c.br.ReadByte()
 	if err == nil {
@@ -241,33 +247,24 @@ func NewSeqReader(fs dfs.FileSystem, path string, start, length int64) (*SeqRead
 	return r, nil
 }
 
-// scanToSync advances past the next full sync marker.
+// scanToSync advances past the next full sync marker, or to the end of the
+// file with io.EOF when there is none. It searches the bufio window in place:
+// a window without the marker is dropped except for its last syncSize-1
+// bytes, which may begin a marker that the next refill completes.
 func (r *SeqReader) scanToSync() error {
-	var window [syncSize]byte
-	if err := r.cr.readFull(window[:]); err != nil {
-		return io.EOF
-	}
-	idx := 0 // window is a ring buffer; idx is its logical start
+	br := r.cr.br
 	for {
-		if syncMatches(window[:], idx, r.sync[:]) {
-			return nil
-		}
-		b, err := r.cr.readByte()
-		if err != nil {
+		if _, err := br.Peek(syncSize); err != nil {
+			r.cr.discard(br.Buffered())
 			return io.EOF
 		}
-		window[idx] = b
-		idx = (idx + 1) % syncSize
-	}
-}
-
-func syncMatches(window []byte, idx int, sync []byte) bool {
-	for i := 0; i < syncSize; i++ {
-		if window[(idx+i)%syncSize] != sync[i] {
-			return false
+		window, _ := br.Peek(br.Buffered())
+		if i := bytes.Index(window, r.sync[:]); i >= 0 {
+			r.cr.discard(i + syncSize)
+			return nil
 		}
+		r.cr.discard(len(window) - (syncSize - 1))
 	}
-	return true
 }
 
 // KeyClass returns the key class name from the header.

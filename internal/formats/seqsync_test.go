@@ -1,0 +1,153 @@
+package formats
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"testing"
+
+	"m3r/internal/dfs"
+	"m3r/internal/sim"
+	"m3r/internal/types"
+)
+
+// refScanToSync is the scanner scanToSync replaced, kept as its reference:
+// one ReadByte at a time through a syncSize ring, comparing at every byte.
+func refScanToSync(cr *countingReader, sync []byte) error {
+	var window [syncSize]byte
+	if err := cr.readFull(window[:]); err != nil {
+		return io.EOF
+	}
+	idx := 0 // window is a ring buffer; idx is its logical start
+	for {
+		match := true
+		for i := 0; i < syncSize && match; i++ {
+			match = window[(idx+i)%syncSize] == sync[i]
+		}
+		if match {
+			return nil
+		}
+		b, err := cr.readByte()
+		if err != nil {
+			return io.EOF
+		}
+		window[idx] = b
+		idx = (idx + 1) % syncSize
+	}
+}
+
+// TestScanToSyncMatchesByteScanner enters a multi-block SequenceFile at
+// every offset — inside a marker, one byte before one, past the last one,
+// past the end — and requires the position after the scan, the first record
+// and the position after it to equal the byte-at-a-time scanner's. The file
+// holds near-markers (15 of the 16 bytes, from either end) in its payloads
+// and one record several bufio windows long, so refills with and without a
+// carried partial match both occur at every alignment.
+func TestScanToSyncMatchesByteScanner(t *testing.T) {
+	// A read stops at a block boundary, so with blocks that are no multiple
+	// of the bufio window the window edges fall differently for every start.
+	const blockSize = 5000
+	fs, err := dfs.NewHDFS(dfs.HDFSOptions{
+		Root:      t.TempDir(),
+		Hosts:     []string{"node0", "node1"},
+		BlockSize: blockSize,
+		Stats:     sim.NewStats(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := fs.Create("/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewSeqWriter(wc, types.IntName, types.BytesName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := sw.sync[:]
+	payloads := [][]byte{
+		append(append([]byte(nil), marker[:syncSize-1]...), marker[syncSize-1]^0xff),            // all but the last byte
+		append([]byte{marker[0] ^ 0xff}, marker[1:]...),                                         // all but the first
+		append(append([]byte(nil), marker[:syncSize-1]...), marker[:syncSize-1]...),             // a false start, twice
+		bytes.Repeat([]byte{marker[0]}, 40),                                                     // a run of first bytes
+		append(bytes.Repeat([]byte{0x5a}, 2*4096+17), marker[:syncSize-1]...),                   // several windows, no marker
+		append(append(bytes.Repeat([]byte{1}, 4096-20), marker[:8]...), marker[:syncSize-1]...), // a prefix of a prefix
+	}
+	for i := 0; i < 14; i++ {
+		p := payloads[i%len(payloads)]
+		if i%7 == 3 {
+			p = bytes.Repeat([]byte{byte(i)}, 700+13*i) // long enough that the writer emits markers
+		}
+		if err := sw.Append(types.NewInt(int32(i)), types.NewBytes(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := fs.Stat("/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size < 3*blockSize {
+		t.Fatalf("file is %d bytes, want more than three blocks", st.Size)
+	}
+
+	hdr, err := NewSeqReader(fs, "/s", 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerEnd := hdr.cr.pos
+	hdr.Close()
+
+	type step struct {
+		pos   int64
+		ok    bool
+		key   int32
+		value []byte
+	}
+	next := func(r *SeqReader) step {
+		k, v := new(types.IntWritable), new(types.BytesWritable)
+		ok, err := r.Next(k, v)
+		if err != nil {
+			t.Fatalf("start %d: %v", r.start, err)
+		}
+		return step{pos: r.cr.pos, ok: ok, key: k.Get(), value: append([]byte(nil), v.B...)}
+	}
+	found := 0
+	// A reader scans only when it starts past the header.
+	for start := headerEnd + 1; start <= st.Size+2; start++ {
+		got, err := NewSeqReader(fs, "/s", start, -1)
+		if err != nil {
+			t.Fatalf("start %d: %v", start, err)
+		}
+		// The reference: the same reader state, positioned by refScanToSync.
+		f, err := fs.Open("/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Seek(start, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		want := &SeqReader{file: f, sync: got.sync, start: start, end: got.end,
+			cr: &countingReader{br: bufio.NewReader(f), pos: start}}
+		want.done = refScanToSync(want.cr, want.sync[:]) == io.EOF
+		if got.cr.pos != want.cr.pos || got.done != want.done {
+			t.Fatalf("start %d: scan ended at %d (done %v), byte scanner at %d (done %v)",
+				start, got.cr.pos, got.done, want.cr.pos, want.done)
+		}
+		if !want.done {
+			found++
+		}
+		g, w := next(got), next(want)
+		if g.pos != w.pos || g.ok != w.ok || g.key != w.key || !bytes.Equal(g.value, w.value) {
+			t.Fatalf("start %d: first record %d (%d bytes, ok %v) ending at %d, byte scanner's %d (%d bytes, ok %v) ending at %d",
+				start, g.key, len(g.value), g.ok, g.pos, w.key, len(w.value), w.ok, w.pos)
+		}
+		got.Close()
+		want.Close()
+	}
+	if found == 0 || found == int(st.Size+2-headerEnd) {
+		t.Fatalf("%d of %d start offsets found a marker: want some with and some without", found, st.Size+2-headerEnd)
+	}
+}

@@ -114,12 +114,7 @@ func (b *CSCBlock) WriteTo(w *wio.Writer) error {
 			return err
 		}
 	}
-	for _, v := range b.Vals {
-		if err := w.WriteFloat64(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.WriteFloat64s(b.Vals)
 }
 
 // ReadFields implements wio.Writable.
@@ -131,51 +126,45 @@ func (b *CSCBlock) ReadFields(r *wio.Reader) error {
 	if b.Cols, err = r.ReadInt32(); err != nil {
 		return err
 	}
-	n, err := r.ReadUvarint()
+	if b.ColPtr, err = readInt32s(r, b.ColPtr); err != nil {
+		return err
+	}
+	if b.RowIdx, err = readInt32s(r, b.RowIdx); err != nil {
+		return err
+	}
+	b.Vals, err = r.ReadFloat64s(b.Vals, uint64(len(b.RowIdx)))
+	return err
+}
+
+// readInt32s reads a uvarint count and that many varint-coded int32s into
+// dst, reusing its capacity. A varint has no fixed width, so the count
+// cannot be checked against the bytes that follow: it is held to wio's
+// length limit, and beyond int32Chunk elements dst grows as elements
+// actually arrive, so a corrupt count costs an error, not its allocation.
+func readInt32s(r *wio.Reader, dst []int32) ([]int32, error) {
+	c, err := r.ReadUvarint()
 	if err != nil {
-		return err
+		return dst[:0], err
 	}
-	b.ColPtr = resizeInt32(b.ColPtr, int(n))
-	for i := range b.ColPtr {
+	n, err := wio.CheckLen(c, 4)
+	if err != nil {
+		return dst[:0], err
+	}
+	if cap(dst) < n {
+		dst = make([]int32, 0, min(n, int32Chunk))
+	}
+	dst = dst[:0]
+	for len(dst) < n {
 		v, err := r.ReadVarint()
 		if err != nil {
-			return err
+			return dst, err
 		}
-		b.ColPtr[i] = int32(v)
+		dst = append(dst, int32(v))
 	}
-	if n, err = r.ReadUvarint(); err != nil {
-		return err
-	}
-	b.RowIdx = resizeInt32(b.RowIdx, int(n))
-	b.Vals = resizeF64(b.Vals, int(n))
-	for i := range b.RowIdx {
-		v, err := r.ReadVarint()
-		if err != nil {
-			return err
-		}
-		b.RowIdx[i] = int32(v)
-	}
-	for i := range b.Vals {
-		if b.Vals[i], err = r.ReadFloat64(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dst, nil
 }
 
-func resizeInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
+const int32Chunk = 1 << 16
 
 // MultiplyInto computes y += B * x for a dense vector block x of length
 // B.Cols; y must have length B.Rows.
@@ -209,12 +198,7 @@ func (d *DenseBlock) WriteTo(w *wio.Writer) error {
 	if err := w.WriteUvarint(uint64(len(d.Vals))); err != nil {
 		return err
 	}
-	for _, v := range d.Vals {
-		if err := w.WriteFloat64(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.WriteFloat64s(d.Vals)
 }
 
 // ReadFields implements wio.Writable.
@@ -223,13 +207,8 @@ func (d *DenseBlock) ReadFields(r *wio.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.Vals = resizeF64(d.Vals, int(n))
-	for i := range d.Vals {
-		if d.Vals[i], err = r.ReadFloat64(); err != nil {
-			return err
-		}
-	}
-	return nil
+	d.Vals, err = r.ReadFloat64s(d.Vals, n)
+	return err
 }
 
 // AddInto accumulates other into d (elementwise).

@@ -1,6 +1,7 @@
 package wio_test
 
 import (
+	"bytes"
 	"testing"
 
 	"m3r/internal/sysml"
@@ -71,4 +72,102 @@ func BenchmarkClone(b *testing.B) {
 			}
 		})
 	}
+}
+
+// refReadBlock is Block.ReadFields as one ReadFloat64 per element, the
+// decoding half of the reference BenchmarkBlockCodec measures against; on
+// error b.V holds the elements read before it.
+func refReadBlock(r *wio.Reader, b *sysml.Block) error {
+	var err error
+	if b.R, err = r.ReadInt32(); err != nil {
+		return err
+	}
+	if b.C, err = r.ReadInt32(); err != nil {
+		return err
+	}
+	n := int(b.R) * int(b.C)
+	if cap(b.V) < n {
+		b.V = make([]float64, n)
+	}
+	b.V = b.V[:n]
+	for i := range b.V {
+		if b.V[i], err = r.ReadFloat64(); err != nil {
+			b.V = b.V[:i]
+			return err
+		}
+	}
+	return nil
+}
+
+// BenchmarkBlockCodec is the rung under every sysml job: one 100x100 dense
+// block (80 KB, pagerank_iter's record) encoded and decoded through the bulk
+// float64 codec and through the per-element loops it replaced, in both
+// Writer/Reader modes and warm (destination already grown), plus the clone
+// M3R pays per unmarked output pair. ns/op is ns per record.
+func BenchmarkBlockCodec(b *testing.B) {
+	blk := sysml.RandomBlock(100, 100, 1, 0)
+	blob, err := wio.Marshal(blk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	codecs := []struct {
+		name  string
+		write func(*wio.Writer, *sysml.Block) error
+		read  func(*wio.Reader, *sysml.Block) error
+	}{
+		{"per-element-reference", func(w *wio.Writer, v *sysml.Block) error { refWrite(w, v); return nil }, refReadBlock},
+		{"bulk", func(w *wio.Writer, v *sysml.Block) error { return v.WriteTo(w) }, func(r *wio.Reader, v *sysml.Block) error { return v.ReadFields(r) }},
+	}
+	for _, c := range codecs {
+		for _, mode := range []string{"slice", "stream"} {
+			stream := mode == "stream"
+			b.Run(c.name+"/"+mode+"/encode", func(b *testing.B) {
+				var sink bytes.Buffer
+				sink.Grow(len(blob))
+				var w wio.Writer
+				b.SetBytes(int64(len(blob)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if stream {
+						sink.Reset()
+						w.Reset(&sink)
+					} else {
+						w.ResetBytes(w.Bytes()[:0])
+					}
+					if err := c.write(&w, blk); err != nil || w.Count() != int64(len(blob)) {
+						b.Fatal(err, w.Count())
+					}
+				}
+			})
+			b.Run(c.name+"/"+mode+"/decode", func(b *testing.B) {
+				into := sysml.NewBlock(100, 100)
+				src := bytes.NewReader(blob)
+				var r wio.Reader
+				b.SetBytes(int64(len(blob)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if stream {
+						src.Reset(blob)
+						r.Reset(src)
+					} else {
+						r.ResetBytes(blob)
+					}
+					if err := c.read(&r, into); err != nil || r.Count() != int64(len(blob)) {
+						b.Fatal(err, r.Count())
+					}
+				}
+			})
+		}
+	}
+	b.Run("clone", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := wio.Clone(blk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = out
+		}
+	})
 }

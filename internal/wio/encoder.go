@@ -26,7 +26,7 @@ const (
 type Encoder struct {
 	w      *Writer
 	types  map[string]uint64
-	objs   map[Writable]uint64
+	objs   map[Writable]uint64 // identity → id; made on the first insert, so only when dedup is on
 	dedup  bool
 	nextID uint64
 	hits   uint64
@@ -38,7 +38,6 @@ func NewEncoder(w io.Writer, dedup bool) *Encoder {
 	return &Encoder{
 		w:     NewWriter(w),
 		types: make(map[string]uint64),
-		objs:  make(map[Writable]uint64),
 		dedup: dedup,
 	}
 }
@@ -86,6 +85,9 @@ func (e *Encoder) Encode(v Writable) error {
 		}
 	}
 	if e.dedup {
+		if e.objs == nil {
+			e.objs = make(map[Writable]uint64)
+		}
 		e.objs[v] = e.nextID
 		e.nextID++
 	}

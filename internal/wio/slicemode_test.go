@@ -39,10 +39,11 @@ func sameErr(a, b error) bool {
 		errors.Is(a, io.ErrUnexpectedEOF) == errors.Is(b, io.ErrUnexpectedEOF)
 }
 
-const numOps = 13
+const numOps = 14
 
-// writeOp applies primitive op (mod numOps) with an argument drawn from rng.
-func writeOp(w *wio.Writer, op byte, rng *rand.Rand) error {
+// writeOp applies primitive op (mod numOps) with an argument drawn from rng;
+// arg is the step's argument as readOp gets it.
+func writeOp(w *wio.Writer, op, arg byte, rng *rand.Rand) error {
 	switch op % numOps {
 	case 0:
 		return w.WriteByte(byte(rng.Intn(256)))
@@ -66,9 +67,21 @@ func writeOp(w *wio.Writer, op byte, rng *rand.Rand) error {
 		return w.WriteString(randString(rng))
 	case 10, 11:
 		return w.WriteBytes([]byte(randString(rng)))
-	default:
-		_, err := w.Write([]byte(randString(rng)))
+	case 12:
+		// As many bytes — and below as many doubles — as readOp will ask for
+		// at this step, so that the ops after it stay aligned with what was
+		// written and no stray bytes pose as a length prefix, which stream
+		// mode would allocate for.
+		p := make([]byte, arg%48)
+		rng.Read(p)
+		_, err := w.Write(p)
 		return err
+	default:
+		vs := make([]float64, max(0, int(int8(arg))))
+		for i := range vs {
+			vs[i] = math.Float64frombits(rng.Uint64())
+		}
+		return w.WriteFloat64s(vs)
 	}
 }
 
@@ -78,10 +91,17 @@ func randString(rng *rand.Rand) string {
 	return string(b)
 }
 
+// opBufs are the buffers one reader's ops recycle.
+type opBufs struct {
+	b []byte
+	f []float64
+}
+
 // readOp applies the reading counterpart of op, returning the value read.
-// Op 11 reads into a recycled buffer and op 12 reads raw bytes through the
-// io.Reader face; arg sizes the raw read.
-func readOp(r *wio.Reader, op, arg byte, buf *[]byte) (any, error) {
+// Op 11 reads into a recycled buffer, op 12 reads raw bytes through the
+// io.Reader face and op 13 is the counted bulk read, into a recycled buffer
+// too; arg sizes the raw read and is the bulk read's count, -128..127.
+func readOp(r *wio.Reader, op, arg byte, bufs *opBufs) (any, error) {
 	switch op % numOps {
 	case 0:
 		return r.ReadByte()
@@ -107,17 +127,27 @@ func readOp(r *wio.Reader, op, arg byte, buf *[]byte) (any, error) {
 	case 10:
 		return r.ReadBytes()
 	case 11:
-		b, err := r.ReadBytesBuf(*buf)
+		b, err := r.ReadBytesBuf(bufs.b)
 		if b != nil {
-			*buf = b
+			bufs.b = b
 		}
 		return append([]byte(nil), b...), err
-	default:
+	case 12:
 		p := make([]byte, arg%48)
 		n, err := r.Read(p)
 		return p[:n], err
+	default:
+		// A negative count arrives as a Writable's unsigned one would: huge.
+		vs, err := r.ReadFloat64s(bufs.f, uint64(int8(arg)))
+		if vs != nil {
+			bufs.f = vs
+		}
+		return bitsOf(vs), err
 	}
 }
+
+// stepArg is the argument of a script's i-th step.
+func stepArg(i int) byte { return byte(i * 7) }
 
 // compareReaders runs script over data in both modes and fails on the first
 // step where value, error or Count differ.
@@ -126,9 +156,9 @@ func compareReaders(t *testing.T, data, script []byte) {
 	stream := wio.NewReader(bytes.NewReader(data))
 	var slice wio.Reader
 	slice.ResetBytes(data)
-	var sbuf, mbuf []byte
+	var sbuf, mbuf opBufs
 	for i, op := range script {
-		arg := byte(i * 7)
+		arg := stepArg(i)
 		sv, serr := readOp(stream, op, arg, &sbuf)
 		mv, merr := readOp(&slice, op, arg, &mbuf)
 		if !sameErr(serr, merr) {
@@ -155,10 +185,10 @@ func TestSliceModePrimitivesMatchStreamMode(t *testing.T) {
 		slice.ResetBytes(nil)
 		srng, mrng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for i, op := range script {
-			if err := writeOp(stream, op, srng); err != nil {
+			if err := writeOp(stream, op, stepArg(i), srng); err != nil {
 				t.Fatal(err)
 			}
-			if err := writeOp(&slice, op, mrng); err != nil {
+			if err := writeOp(&slice, op, stepArg(i), mrng); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(sink.Bytes(), slice.Bytes()) || stream.Count() != slice.Count() {
@@ -186,6 +216,10 @@ func FuzzSliceModeReader(f *testing.F) {
 	f.Add([]byte{5, 'a', 'b'}, []byte{10, 0})
 	f.Add([]byte{5, 'a', 'b'}, []byte{9, 12})
 	f.Add([]byte{3, 'a', 'b', 'c', 0, 0, 0, 7, 1}, []byte{11, 2, 1, 12, 12})
+	// Counted bulk reads (op 13) over 45 doubles. The count is 7x the step
+	// index as an int8: 0, 7, 14, 21 fit, 28 is more than is left, the ones
+	// after start at the end of input, and from step 19 on they are negative.
+	f.Add(bytes.Repeat([]byte{0x40, 9, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x7f}, 40), []byte{13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
