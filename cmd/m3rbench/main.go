@@ -37,6 +37,12 @@ var (
 
 func main() {
 	flag.Parse()
+	if flag.NArg() != 0 {
+		// flag stops at the first non-flag, so every flag after it would be
+		// silently ignored.
+		fmt.Fprintf(os.Stderr, "unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	runs := map[string]func(){
 		"6":      fig6,
 		"7":      fig7,
@@ -379,7 +385,9 @@ func ablate() {
 		if err := wordcount.Generate(c.FS, "/data/t", 2<<20, 42); err != nil {
 			log.Fatal(err)
 		}
-		c.M3R.Submit(wordcount.NewJob("/data/t", "/out/warm", *nodes, true))
+		if _, err := c.M3R.Submit(wordcount.NewJob("/data/t", "/out/warm", *nodes, true)); err != nil {
+			log.Fatal(err)
+		}
 		repOn, err := c.M3R.Submit(wordcount.NewJob("/data/t", "/out/on", *nodes, true))
 		if err != nil {
 			log.Fatal(err)

@@ -6,14 +6,9 @@
 //	go run ./cmd/m3rrun -job wordcount -engine m3r
 //	go run ./cmd/m3rrun -job matvec -engine hadoop -nodes 8
 //	go run ./cmd/m3rrun -job wordcount -engine m3r -server   # via TCP
-//	go run ./cmd/m3rrun -job wordcount -transport tcp        # worker processes
 //
-// With -transport tcp, m3rrun spawns one worker process per node (itself,
-// re-executed in `m3rrun worker` mode), registers them with an in-process
-// coordinator, and routes every cross-place shuffle frame through the
-// destination node's worker over TCP. `m3rrun worker -coordinator addr`
-// is that worker mode: register, serve frames, exit when the coordinator
-// goes away.
+// The whole simulated cluster — every place, the cache, the pool, every task
+// — is this one process, and places exchange frames through memory.
 //
 // Every knob is a conf key set with -D key=value (DESIGN.md lists them):
 //
@@ -27,10 +22,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"strconv"
 	"strings"
-	"time"
 
 	"m3r/internal/conf"
 	"m3r/internal/engine"
@@ -40,7 +33,6 @@ import (
 	"m3r/internal/server"
 	"m3r/internal/sysml"
 	"m3r/internal/wordcount"
-	"m3r/internal/x10"
 )
 
 var (
@@ -49,7 +41,6 @@ var (
 	nodes      = flag.Int("nodes", 4, "simulated cluster size")
 	iterations = flag.Int("iters", 3, "iterations for iterative workloads")
 	useServer  = flag.Bool("server", false, "submit through the TCP jobtracker protocol (server mode)")
-	transport  = flag.String("transport", "inproc", "place transport: inproc (all places in this process) or tcp (one worker process per node)")
 	sizeMB     = flag.Int64("mb", 4, "input size in MB (wordcount)")
 	confProps  propFlags
 )
@@ -107,85 +98,19 @@ func (e confOverrideEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
 	return e.Engine.Submit(e.props.apply(job))
 }
 
-// runWorker is the `m3rrun worker` entrypoint: a place's worker process.
-// It registers with the coordinator, serves shuffle frames for its assigned
-// place, and exits when the coordinator's registration connection drops.
-func runWorker(args []string) {
-	fs := flag.NewFlagSet("worker", flag.ExitOnError)
-	coord := fs.String("coordinator", "", "coordinator address to register with (required)")
-	fs.Parse(args)
-	if *coord == "" {
-		fmt.Fprintln(os.Stderr, "m3rrun worker: -coordinator is required")
-		os.Exit(2)
-	}
-	if err := server.RunWorker(*coord); err != nil {
-		log.Fatalf("m3rrun worker: %v", err)
-	}
-}
-
-// startTCPTransport spawns one `m3rrun worker` subprocess per node,
-// registers them with an in-process coordinator, and returns the transport
-// plus a teardown closing coordinator and workers.
-func startTCPTransport(nodes int) (*x10.TCPTransport, func(), error) {
-	coord, err := server.ServeCoordinator("127.0.0.1:0", nodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	self, err := os.Executable()
-	if err != nil {
-		coord.Close()
-		return nil, nil, err
-	}
-	procs := make([]*exec.Cmd, 0, nodes)
-	stop := func() {
-		coord.Close() // workers see the registration conn drop and exit
-		for _, p := range procs {
-			p.Wait()
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		cmd := exec.Command(self, "worker", "-coordinator", coord.Addr())
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			stop()
-			return nil, nil, err
-		}
-		procs = append(procs, cmd)
-	}
-	if _, err := coord.WaitReady(30 * time.Second); err != nil {
-		stop()
-		return nil, nil, err
-	}
-	return coord.Transport(x10.TCPOptions{}), stop, nil
-}
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		runWorker(os.Args[2:])
-		return
-	}
 	flag.Var(&confProps, "D", "job configuration override key=value (repeatable)")
 	flag.Parse()
-	var tr x10.Transport
-	switch *transport {
-	case "inproc":
-	case "tcp":
-		t, stop, err := startTCPTransport(*nodes)
-		if err != nil {
-			log.Fatalf("starting tcp transport workers: %v", err)
-		}
-		defer stop()
-		fmt.Printf("tcp transport: %d worker processes registered\n", *nodes)
-		tr = t
-	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)
+	if flag.NArg() != 0 {
+		// flag stops at the first non-flag, so every flag after it would be
+		// silently ignored.
+		fmt.Fprintf(os.Stderr, "unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
 	cluster, err := lab.New(lab.Options{
 		Nodes:              *nodes,
 		ShuffleBudgetBytes: confProps.engineBudget(conf.KeyM3REngineShuffleBudget),
 		CacheBudgetBytes:   confProps.engineBudget(conf.KeyM3RCacheBudget),
-		Transport:          tr,
 	})
 	if err != nil {
 		log.Fatalf("building cluster: %v", err)

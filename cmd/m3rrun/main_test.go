@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"m3r/internal/conf"
@@ -39,5 +41,28 @@ func TestSmokeBudgetedWordCount(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(string(m[1])); n <= 0 {
 		t.Fatalf("SPILLED_RUNS=%d under a 4 KiB budget, want > 0", n)
+	}
+}
+
+// TestBadCommandLinesExit2: a stray positional argument would silently
+// disable every flag after it (flag stops at the first non-flag) and run the
+// default WordCount; m3rrun has no subcommands and no transport flag, so
+// `worker` and `-transport` are errors like any other unknown word.
+func TestBadCommandLinesExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // on stderr
+	}{
+		{[]string{"bogus", "-job", "nosuch"}, `unexpected argument "bogus"`},
+		{[]string{"worker", "-coordinator", "127.0.0.1:1"}, `unexpected argument "worker"`},
+		{[]string{"-transport", "tcp"}, "flag provided but not defined: -transport"},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), beMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("m3rrun %v: want exit 2 with %q, got %v:\n%s", tc.args, tc.want, err, out)
+		}
 	}
 }

@@ -156,3 +156,13 @@ func (c *cancelPairIter) Next() (wio.Pair, bool, error) {
 type LifecycleSubmitter interface {
 	SubmitControlled(job *conf.JobConf, lc *JobLifecycle) (*Report, error)
 }
+
+// SubmitUnder runs job on eng under lc when the engine supports lifecycle
+// control; an engine without SubmitControlled runs uncontrolled (a kill or
+// shutdown then cannot interrupt it, only outlast it).
+func SubmitUnder(eng Engine, job *conf.JobConf, lc *JobLifecycle) (*Report, error) {
+	if ls, ok := eng.(LifecycleSubmitter); ok {
+		return ls.SubmitControlled(job, lc)
+	}
+	return eng.Submit(job)
+}

@@ -51,7 +51,7 @@ func newClusterFallback(t *testing.T, nodes int) *cluster {
 
 // newClusterTransport is newCluster with an explicit place transport on
 // the M3R engine (m3r.Options.Transport) — the TCP-loopback equivalence
-// tests route shuffle frames through worker processes with it.
+// tests route shuffle frames through in-process frame servers with it.
 func newClusterTransport(t *testing.T, nodes int, tr x10.Transport) *cluster {
 	t.Helper()
 	return newClusterCfg(t, nodes, clusterConfig{transport: tr})

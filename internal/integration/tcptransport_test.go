@@ -1,85 +1,45 @@
-// Cross-process place transport equivalence: the same jobs, the same knobs,
-// but every cross-place shuffle frame physically transits a worker process
-// over TCP — and the outputs must be byte-identical to the inproc backend.
-// Plus fault coverage: a worker that drops its connections mid-shuffle must
-// fail the job with the distinct transport error, promptly, leaving the
-// engine's shuffle pool fully drained.
+// TCP loopback place transport equivalence: the same jobs, the same knobs,
+// but every cross-place shuffle frame crosses a real socket to an in-process
+// frame server and back — and the outputs must be byte-identical to the
+// inproc backend. Plus fault coverage: frame servers that drop their
+// connections mid-shuffle must fail the job with the distinct transport
+// error, promptly, leaving the engine's shuffle pool fully drained.
 package integration_test
 
 import (
 	"errors"
-	"os"
-	"os/exec"
 	"testing"
 	"time"
 
 	"m3r/internal/counters"
 	"m3r/internal/microbench"
-	"m3r/internal/server"
 	"m3r/internal/sim"
 	"m3r/internal/wordcount"
 	"m3r/internal/x10"
 )
 
-// workerCoordEnv re-executes the test binary as a place worker process:
-// TestMain sees it and runs server.RunWorker instead of the test suite.
-const workerCoordEnv = "M3R_TEST_WORKER_COORD"
-
-func TestMain(m *testing.M) {
-	if coord := os.Getenv(workerCoordEnv); coord != "" {
-		if err := server.RunWorker(coord); err != nil {
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// startWorkerProcs spawns one worker subprocess per place (the test binary
-// re-executed under workerCoordEnv), registers them with a coordinator, and
-// returns the TCP transport over them. Teardown closes the coordinator —
-// workers see their registration connection drop and exit — and reaps the
-// subprocesses.
-func startWorkerProcs(t *testing.T, places int) *x10.TCPTransport {
+// startFrameServers starts one in-process frame server per place on
+// 127.0.0.1, closed with the test, and returns their addresses index-aligned
+// with place ids.
+func startFrameServers(t *testing.T, places int, opts x10.FrameServerOptions) []string {
 	t.Helper()
-	coord, err := server.ServeCoordinator("127.0.0.1:0", places)
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	self, err := os.Executable()
-	if err != nil {
-		coord.Close()
-		t.Fatalf("locating test binary: %v", err)
-	}
-	procs := make([]*exec.Cmd, 0, places)
-	t.Cleanup(func() {
-		coord.Close()
-		for _, p := range procs {
-			if err := p.Wait(); err != nil {
-				t.Errorf("worker process: %v", err)
-			}
+	addrs := make([]string, places)
+	for p := range addrs {
+		fs, err := x10.ServeFrames("127.0.0.1:0", p, opts)
+		if err != nil {
+			t.Fatalf("frame server for place %d: %v", p, err)
 		}
-	})
-	for i := 0; i < places; i++ {
-		cmd := exec.Command(self)
-		cmd.Env = append(os.Environ(), workerCoordEnv+"="+coord.Addr())
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("spawning worker %d: %v", i, err)
-		}
-		procs = append(procs, cmd)
+		t.Cleanup(func() { fs.Close() })
+		addrs[p] = fs.Addr()
 	}
-	if _, err := coord.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("workers did not register: %v", err)
-	}
-	return coord.Transport(x10.TCPOptions{})
+	return addrs
 }
 
-// TestTCPWorkerEquivalenceWordCount runs WordCount on two clusters built
-// from the same seed — one inproc, one with subprocess workers on
-// 127.0.0.1 — and requires byte-identical part files, while the TCP leg
-// proves the frames really left the process (NET_* counters).
-func TestTCPWorkerEquivalenceWordCount(t *testing.T) {
+// TestTCPLoopbackEquivalenceWordCount runs WordCount on two clusters built
+// from the same seed — one inproc, one over frame servers on 127.0.0.1 —
+// and requires byte-identical part files, while the TCP leg proves the
+// frames really crossed the wire (NET_* counters).
+func TestTCPLoopbackEquivalenceWordCount(t *testing.T) {
 	ref := newCluster(t, 2)
 	if err := wordcount.Generate(ref.fs, "/data/T", 128<<10, 11); err != nil {
 		t.Fatal(err)
@@ -89,7 +49,7 @@ func TestTCPWorkerEquivalenceWordCount(t *testing.T) {
 	}
 	refParts := readRawParts(t, ref.fs, "/out/wc")
 
-	tr := startWorkerProcs(t, 2)
+	tr := x10.NewTCPTransport(startFrameServers(t, 2, x10.FrameServerOptions{}), x10.TCPOptions{})
 	c := newClusterTransport(t, 2, tr)
 	if err := wordcount.Generate(c.fs, "/data/T", 128<<10, 11); err != nil {
 		t.Fatal(err)
@@ -115,10 +75,10 @@ func TestTCPWorkerEquivalenceWordCount(t *testing.T) {
 	}
 }
 
-// TestTCPWorkerEquivalenceRepartition is the same cross-process identity
+// TestTCPLoopbackEquivalenceRepartition is the same over-the-wire identity
 // check for the §6.1.1 repartition job — sequence-file records, large
 // opaque values — compared with the decoded-record oracle.
-func TestTCPWorkerEquivalenceRepartition(t *testing.T) {
+func TestTCPLoopbackEquivalenceRepartition(t *testing.T) {
 	cfg := microbench.Config{
 		Pairs: 200, ValueBytes: 512, Percent: 0,
 		Iterations: 1, Partitions: 3, Dir: "/mb", Seed: 5,
@@ -132,7 +92,7 @@ func TestTCPWorkerEquivalenceRepartition(t *testing.T) {
 	}
 	refParts := readSeqParts(t, ref.fs, "/mb/out")
 
-	tr := startWorkerProcs(t, 2)
+	tr := x10.NewTCPTransport(startFrameServers(t, 2, x10.FrameServerOptions{}), x10.TCPOptions{})
 	c := newClusterTransport(t, 2, tr)
 	if err := microbench.GenerateUnaligned(c.fs, cfg, "/mb/foreign"); err != nil {
 		t.Fatal(err)
@@ -147,27 +107,17 @@ func TestTCPWorkerEquivalenceRepartition(t *testing.T) {
 	}
 }
 
-// TestTCPWorkerDropMidShuffleFailsJob is the fault leg: every worker dies
-// after its first served frame (listener and connections drop, so redials
-// fail too). The job must fail with the distinct transport error — no hang
+// TestTCPWorkerDropMidShuffleFailsJob is the fault leg: every frame server
+// dies after its first served frame (listener and connections drop, so
+// redials fail too). The job must fail with the distinct transport error — no hang
 // — and the engine's shuffle pool must drain back to zero.
 func TestTCPWorkerDropMidShuffleFailsJob(t *testing.T) {
-	servers := make([]*x10.FrameServer, 2)
-	addrs := make([]string, 2)
-	for p := range servers {
-		fs, err := x10.ServeFrames("127.0.0.1:0", p, x10.FrameServerOptions{FailAfterFrames: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Close()
-		servers[p] = fs
-		addrs[p] = fs.Addr()
-	}
+	addrs := startFrameServers(t, 2, x10.FrameServerOptions{FailAfterFrames: 1})
 	tr := x10.NewTCPTransport(addrs, x10.TCPOptions{DialTimeout: 5 * time.Second})
 	c := newClusterCfg(t, 2, clusterConfig{poolBytes: 1 << 20, transport: tr})
 	// 256 KiB over 64 KiB blocks: four-plus map tasks across two places, so
-	// with both workers failing after one frame, some map's ship hits a
-	// dead worker deterministically.
+	// with both servers failing after one frame, some map's ship hits a
+	// dead one deterministically.
 	if err := wordcount.Generate(c.fs, "/data/F", 256<<10, 13); err != nil {
 		t.Fatal(err)
 	}

@@ -45,26 +45,17 @@ type cacheGovernor struct {
 	dir   string
 	seq   atomic.Int64
 
-	// mu guards the eviction index. idx holds one entry per resident
-	// accounted block; claimed holds blocks an in-flight eviction has
-	// taken out of idx (so concurrent contenders cannot evict a block
-	// twice, and a concurrent free can hand its release duty over).
+	// mu makes moving a block between idx and claimed one step. idx holds,
+	// per place, every resident accounted block; claimed holds the blocks an
+	// in-flight eviction has taken out of idx, mapped to whether the block
+	// was freed meanwhile — the free then leaves the release to the evictor.
 	mu      sync.Mutex
-	order   int64
-	idx     []map[kvstore.BlockInfo]*cacheResident
-	claimed map[kvstore.BlockInfo]*cacheResident
+	idx     []*engine.ResidentIndex[kvstore.BlockInfo]
+	claimed map[kvstore.BlockInfo]bool
 
 	resident   atomic.Int64 // bytes of resident accounted blocks
 	spilled    atomic.Int64 // entries moved to disk (evictions + overflow)
 	readmitted atomic.Int64 // entries promoted back to memory
-}
-
-// cacheResident is one resident accounted block in the eviction index.
-type cacheResident struct {
-	info  kvstore.BlockInfo
-	size  int64
-	order int64
-	freed bool // block freed while claimed; the evictor owns the release
 }
 
 func newCacheGovernor(stats *sim.Stats, store *kvstore.Store, budgets []*engine.JobBudget, codec spill.Codec) *cacheGovernor {
@@ -73,11 +64,11 @@ func newCacheGovernor(stats *sim.Stats, store *kvstore.Store, budgets []*engine.
 		store:   store,
 		budgets: budgets,
 		codec:   codec,
-		idx:     make([]map[kvstore.BlockInfo]*cacheResident, len(budgets)),
-		claimed: make(map[kvstore.BlockInfo]*cacheResident),
+		idx:     make([]*engine.ResidentIndex[kvstore.BlockInfo], len(budgets)),
+		claimed: make(map[kvstore.BlockInfo]bool),
 	}
 	for p := range g.idx {
-		g.idx[p] = make(map[kvstore.BlockInfo]*cacheResident)
+		g.idx[p] = engine.NewResidentIndex[kvstore.BlockInfo]()
 	}
 	return g
 }
@@ -121,23 +112,17 @@ func (g *cacheGovernor) BlockFreed(info kvstore.BlockInfo, size int64, wasReside
 		return // spilled entries hold no reservation
 	}
 	g.mu.Lock()
-	if g.idx == nil {
-		g.mu.Unlock()
-		return
+	held, indexed := g.idx[info.Place].Remove(info)
+	if _, ok := g.claimed[info]; ok {
+		g.claimed[info] = true
 	}
-	if e, ok := g.idx[info.Place][info]; ok {
-		delete(g.idx[info.Place], info)
-		g.mu.Unlock()
-		g.budgets[info.Place].Release(e.size)
-		g.noteResident(-e.size)
-		return
-	}
-	if e, ok := g.claimed[info]; ok {
-		e.freed = true
-	}
+	g.mu.Unlock()
 	// Neither indexed nor claimed: the eviction that claimed it already
 	// settled the reservation (or the block was never admitted).
-	g.mu.Unlock()
+	if indexed {
+		g.budgets[info.Place].Release(held)
+		g.noteResident(-held)
+	}
 }
 
 // RequestReadmit implements kvstore.Residency: a spilled block may re-enter
@@ -161,17 +146,12 @@ func (g *cacheGovernor) ReadmitAbort(info kvstore.BlockInfo, size int64) {
 }
 
 // register indexes a newly resident accounted block as an eviction
-// candidate.
+// candidate (a no-op once the governor closed underneath a straggling
+// commit).
 func (g *cacheGovernor) register(info kvstore.BlockInfo, size int64) {
-	g.mu.Lock()
-	if g.idx == nil { // closed underneath a straggling commit
-		g.mu.Unlock()
-		return
+	if g.idx[info.Place].Add(info, size, 0) {
+		g.noteResident(size)
 	}
-	g.order++
-	g.idx[info.Place][info] = &cacheResident{info: info, size: size, order: g.order}
-	g.mu.Unlock()
-	g.noteResident(size)
 }
 
 // evictOne is the eviction callback behind the pool's admission loop:
@@ -183,53 +163,36 @@ func (g *cacheGovernor) register(info kvstore.BlockInfo, size int64) {
 // deterministic function of arrival order, never of map iteration.
 func (g *cacheGovernor) evictOne(place int, min int64) (int64, error) {
 	g.mu.Lock()
-	if g.idx == nil {
+	info, size, ok := g.idx[place].TakeLargest(min)
+	if !ok {
 		g.mu.Unlock()
 		return 0, nil
 	}
-	var best *cacheResident
-	for _, e := range g.idx[place] {
-		if e.size <= min {
-			continue
-		}
-		if best == nil || e.size > best.size || (e.size == best.size && e.order < best.order) {
-			best = e
-		}
-	}
-	if best == nil {
-		g.mu.Unlock()
-		return 0, nil
-	}
-	delete(g.idx[place], best.info)
-	g.claimed[best.info] = best
+	g.claimed[info] = false
 	g.mu.Unlock()
 
 	path, err := g.spillPath()
 	var n int64
 	if err == nil {
-		n, err = g.store.SpillBlock(best.info, path, g.codec)
+		n, err = g.store.SpillBlock(info, path, g.codec)
 	}
 
 	g.mu.Lock()
-	if g.claimed != nil {
-		delete(g.claimed, best.info)
-	}
-	freed := best.freed
+	freed := g.claimed[info]
+	delete(g.claimed, info)
 	if err != nil && !freed {
 		// Spill write failed and the block is still resident: restore it as
 		// a candidate and surface the error.
-		if g.idx != nil {
-			g.idx[place][best.info] = best
-		}
+		g.idx[place].Add(info, size, 0)
 		g.mu.Unlock()
 		return 0, err
 	}
 	g.mu.Unlock()
-	g.noteResident(-best.size)
+	g.noteResident(-size)
 	if err != nil {
 		// The block was freed while the spill write failed: the free
 		// deferred the release to us, and there is nothing left to evict.
-		g.budgets[place].Release(best.size)
+		g.budgets[place].Release(size)
 		return 0, err
 	}
 	if n > 0 {
@@ -238,7 +201,7 @@ func (g *cacheGovernor) evictOne(place int, min int64) (int64, error) {
 	// n == 0 means the block was freed concurrently: its reservation is
 	// still held (the free deferred it here) and funds the retry the same
 	// way an eviction's would.
-	return best.size, nil
+	return size, nil
 }
 
 func (g *cacheGovernor) noteResident(delta int64) {
@@ -288,10 +251,9 @@ func (g *cacheGovernor) close() {
 	for _, jb := range g.budgets {
 		jb.Drain()
 	}
-	g.mu.Lock()
-	g.idx = nil
-	g.claimed = nil
-	g.mu.Unlock()
+	for _, ix := range g.idx {
+		ix.Close()
+	}
 	g.dirMu.Lock()
 	if g.dir != "" {
 		os.RemoveAll(g.dir)

@@ -28,7 +28,8 @@ type Options struct {
 	// Backing is the filesystem under the cache (normally the simulated
 	// HDFS, but M3R is filesystem-agnostic, §1). Required.
 	Backing dfs.FileSystem
-	// Places is the number of long-lived worker processes (default 1).
+	// Places is the number of long-lived places (default 1), each owning
+	// its share of the cache and its task slots.
 	Places int
 	// WorkersPerPlace bounds in-place task concurrency (default 2; the
 	// paper used 8 worker threads on 8-core nodes).
@@ -286,7 +287,7 @@ func (e *Engine) Submit(userJob *conf.JobConf) (*engine.Report, error) {
 // is exactly that — which still honours the job's deadline key.
 func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle) (*engine.Report, error) {
 	if userJob.GetBool(conf.KeyForceHadoop, false) && e.fallback != nil {
-		return submitTo(e.fallback, userJob, lc)
+		return engine.SubmitUnder(e.fallback, userJob, lc)
 	}
 	start := time.Now()
 	e.mu.Lock()
@@ -373,14 +374,14 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	capSet := job.Has(conf.KeyM3RShuffleBudget)
 	if (capSet && x.shuffleBudget > 0) || (!capSet && e.pools != nil) {
 		x.budgets = make([]*engine.JobBudget, e.rt.NumPlaces())
-		x.resident = make([]*residentSet, e.rt.NumPlaces())
+		x.resident = make([]*engine.ResidentIndex[residentRun], e.rt.NumPlaces())
 		for p := range x.budgets {
 			if e.pools != nil {
 				x.budgets[p] = e.pools[p].Job(jobID, x.shuffleBudget)
 			} else {
 				x.budgets[p] = engine.NewBudgetPool(x.shuffleBudget).Job(jobID, 0)
 			}
-			x.resident[p] = newResidentSet()
+			x.resident[p] = engine.NewResidentIndex[residentRun]()
 		}
 	}
 	outPath := job.OutputPath()
@@ -487,22 +488,13 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	}, nil
 }
 
-// submitTo forwards a job to another engine, preserving the caller's kill
-// handle when that engine supports one.
-func submitTo(eng engine.Engine, job *conf.JobConf, lc *engine.JobLifecycle) (*engine.Report, error) {
-	if ls, ok := eng.(engine.LifecycleSubmitter); ok {
-		return ls.SubmitControlled(job, lc)
-	}
-	return eng.Submit(job)
-}
-
 // failover reruns a failed job on the fallback engine (m3r.job.failover).
 // The caller has already rolled this attempt back. The fallback run stays
 // under the same lifecycle, so a kill still reaches it; its report gains
 // FAILOVER_JOBS so the rerun is visible to the submitter.
 func (e *Engine) failover(userJob *conf.JobConf, lc *engine.JobLifecycle, m3rErr error) (*engine.Report, error) {
 	e.stats.Add(sim.FailoverJobs, 1)
-	rep, err := submitTo(e.fallback, userJob, lc)
+	rep, err := engine.SubmitUnder(e.fallback, userJob, lc)
 	if err != nil {
 		// Both engines failed; the fallback's error wraps the original so
 		// neither verdict is lost.
@@ -544,7 +536,7 @@ type jobExec struct {
 	shuffleBudget int64
 	codec         spill.Codec // block compression for spilled runs (conf.KeyM3RSpillCodec)
 	budgets       []*engine.JobBudget
-	resident      []*residentSet
+	resident      []*engine.ResidentIndex[residentRun]
 	spillMu       sync.Mutex
 	spillDir      string
 	spillSeq      atomic.Int64
@@ -750,7 +742,7 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			// eviction index so it stops pinning detached runs' pairs for
 			// the rest of the reduce phase.
 			if x.resident != nil {
-				x.resident[p].clear()
+				x.resident[p].Close()
 			}
 			// Reduce phase: this place owns the partitions the stable
 			// mapping assigns to it (§3.2.2.2).
@@ -960,7 +952,7 @@ type partitionInput struct {
 // the budget accounting size a resident run holds reserved (0 when the job
 // is unbudgeted or the run could not be encoded), released back to the
 // place's budget pool when the reduce merge drains the run. Runs are
-// heap-allocated and shared with the place's residentSet so the
+// heap-allocated and shared with the place's resident index so the
 // largest-first policy can flip a cold resident run to spilled in place
 // (under pi.mu) without disturbing its slot — and with it the src-order
 // merge tie-break.
@@ -1001,7 +993,7 @@ func (pi *partitionInput) admitEncodedRun(ctx *engine.TaskContext, src int, pair
 	if admitted {
 		r := &sourceRun{src: src, pairs: pairs, size: size}
 		pi.install(r)
-		x.resident[pi.place].add(r, pi)
+		x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(src))
 		return nil
 	}
 	// Overflow: the run goes to disk, encoded to its exact on-disk segment
@@ -1082,7 +1074,7 @@ func (x *jobExec) installRuns(ctx *engine.TaskContext, place, src int, runs [][]
 			r := &sourceRun{src: src, pairs: er.pairs, size: er.size}
 			pi := x.parts[er.q]
 			pi.install(r)
-			x.resident[place].add(r, pi)
+			x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(src))
 		}
 		return nil
 	}

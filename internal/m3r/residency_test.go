@@ -48,7 +48,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	if got := x.budgets[0].Held(); got != bigSize {
 		t.Fatalf("held=%d want %d after the big run", got, bigSize)
 	}
-	if got := x.resident[0].size(); got != 1 {
+	if got := x.resident[0].Len(); got != 1 {
 		t.Fatalf("resident index holds %d runs, want 1", got)
 	}
 

@@ -221,7 +221,7 @@ func newSpillExec(budget int64, codec spill.Codec, nparts int) *jobExec {
 	x := &jobExec{e: e, jobID: "job_test_0001", jc: counters.New(), shuffleBudget: budget, codec: codec}
 	if budget > 0 {
 		x.budgets = []*engine.JobBudget{engine.NewBudgetPool(budget).Job(x.jobID, 0)}
-		x.resident = []*residentSet{newResidentSet()}
+		x.resident = []*engine.ResidentIndex[residentRun]{engine.NewResidentIndex[residentRun]()}
 	}
 	for q := 0; q < nparts; q++ {
 		x.parts = append(x.parts, &partitionInput{x: x, place: 0})

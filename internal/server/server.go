@@ -113,12 +113,6 @@ func Serve(eng engine.Engine, addr string) (*Server, error) {
 	return ServeWithOptions(eng, addr, Options{})
 }
 
-// ServeWithRetention starts a server keeping at most retainCompleted
-// terminal job states (non-positive falls back to the default).
-func ServeWithRetention(eng engine.Engine, addr string, retainCompleted int) (*Server, error) {
-	return ServeWithOptions(eng, addr, Options{RetainCompleted: retainCompleted})
-}
-
 // ServeWithOptions starts a server with explicit options.
 func ServeWithOptions(eng engine.Engine, addr string, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -358,16 +352,6 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// submitTo runs job on eng under lc when the engine supports lifecycle
-// control; an engine without SubmitControlled runs uncontrolled (kill and
-// shutdown then cannot interrupt it, only outlast it).
-func submitTo(eng engine.Engine, job *conf.JobConf, lc *engine.JobLifecycle) (*engine.Report, error) {
-	if ls, ok := eng.(engine.LifecycleSubmitter); ok {
-		return ls.SubmitControlled(job, lc)
-	}
-	return eng.Submit(job)
-}
-
 // runSync runs a synchronous submission under a tracked lifecycle so
 // Shutdown can cancel it; sync jobs have no public id, so the kill RPC
 // cannot target them.
@@ -382,7 +366,7 @@ func (s *Server) runSync(job *conf.JobConf) (*engine.Report, error) {
 		delete(s.syncLCs, lc)
 		s.mu.Unlock()
 	}()
-	return submitTo(s.eng, job, lc)
+	return engine.SubmitUnder(s.eng, job, lc)
 }
 
 func (s *Server) startAsync(job *conf.JobConf) string {
@@ -403,7 +387,7 @@ func (s *Server) startAsync(job *conf.JobConf) string {
 	go func() {
 		defer s.wg.Done()
 		defer lc.Stop()
-		rep, err := submitTo(s.eng, job, lc)
+		rep, err := engine.SubmitUnder(s.eng, job, lc)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		switch {

@@ -55,7 +55,7 @@ func trackedJobs(s *Server) int {
 // serving their reports.
 func TestServerBoundsCompletedJobRetention(t *testing.T) {
 	const retain, jobs = 8, 100
-	srv, err := ServeWithRetention(&stubEngine{fail: func(n int) bool { return n%5 == 0 }}, "127.0.0.1:0", retain)
+	srv, err := ServeWithOptions(&stubEngine{fail: func(n int) bool { return n%5 == 0 }}, "127.0.0.1:0", Options{RetainCompleted: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestServerBoundsCompletedJobRetention(t *testing.T) {
 func TestServerRetentionNeverEvictsRunning(t *testing.T) {
 	release := make(chan struct{})
 	eng := &blockingEngine{release: release, entered: make(chan struct{})}
-	srv, err := ServeWithRetention(eng, "127.0.0.1:0", 2)
+	srv, err := ServeWithOptions(eng, "127.0.0.1:0", Options{RetainCompleted: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,5 @@
-// TCP place transport: the x10 wire layer over real sockets.
+// TCP place transport: the x10 wire layer over real sockets, as an
+// in-process loopback fixture.
 //
 // The frame protocol is deliberately tiny — length-prefixed frames over a
 // persistent connection, wio-framed like internal/server's jobtracker
@@ -13,14 +14,14 @@
 // timeouts follow internal/server's conventions (10s dial, 30s per
 // exchange).
 //
-// The worker side is FrameServer: it owns one place, validates that every
-// frame is addressed to it, and delivers the frame back to the caller —
-// the destination place's task execution still runs in the coordinator
-// process, so "delivery" is the round trip through the worker's address
-// space. Every cross-place payload therefore physically leaves the
-// coordinator process and transits the destination's worker over the wire,
-// which is what makes the byte-identity grids cross-process equivalence
-// tests.
+// The other end is FrameServer: it stands for one place, validates that
+// every frame is addressed to it, and echoes the frame back. No state lives
+// behind a frame server — places, cache, pool and tasks stay in the one
+// process that runs the engine — so this backend exists for two things:
+// measuring what framing and a socket cost per record, and injecting
+// transport faults (FailAfterFrames, a dead address, a misrouted frame).
+// The echo is what lets a test or benchmark decode bytes that really passed
+// through the framing code and a socket, which is why it stays.
 package x10
 
 import (
@@ -47,7 +48,7 @@ const (
 
 // TCPOptions configures a TCPTransport.
 type TCPOptions struct {
-	// DialTimeout bounds connection establishment per worker dial; zero
+	// DialTimeout bounds connection establishment per dial; zero
 	// falls back to DefaultDialTimeout.
 	DialTimeout time.Duration
 	// IOTimeout bounds each ship exchange (request write + response read);
@@ -58,9 +59,9 @@ type TCPOptions struct {
 	Stats *sim.Stats
 }
 
-// TCPTransport ships frames to per-place worker processes over TCP.
+// TCPTransport ships frames to per-place frame servers over TCP.
 type TCPTransport struct {
-	addrs []string // worker frame-serve address per place id
+	addrs []string // frame server address per place id
 	dial  time.Duration
 	io    time.Duration
 	stats *sim.Stats
@@ -81,7 +82,7 @@ type pairConn struct {
 	r    *wio.Reader
 }
 
-// NewTCPTransport returns a transport shipping to the given worker
+// NewTCPTransport returns a transport shipping to the given frame server
 // addresses, index-aligned with place ids.
 func NewTCPTransport(addrs []string, opts TCPOptions) *TCPTransport {
 	dial := opts.DialTimeout
@@ -107,9 +108,6 @@ func NewTCPTransport(addrs []string, opts TCPOptions) *TCPTransport {
 // Name implements Transport.
 func (t *TCPTransport) Name() string { return "tcp" }
 
-// WorkerAddrs returns the worker address of every place.
-func (t *TCPTransport) WorkerAddrs() []string { return append([]string(nil), t.addrs...) }
-
 // pair returns (creating if needed) the connection slot for (from, to).
 func (t *TCPTransport) pair(from, to int) (*pairConn, error) {
 	t.mu.Lock()
@@ -126,8 +124,8 @@ func (t *TCPTransport) pair(from, to int) (*pairConn, error) {
 	return pc, nil
 }
 
-// Ship implements Transport: deliver frame to place to's worker and return
-// the bytes as they arrived there. The connection for the pair is reused;
+// Ship implements Transport: deliver frame to place to's frame server and
+// return the bytes as they arrived there. The connection for the pair is reused;
 // on an I/O failure the ship redials once (NET_REDIALS) before giving up
 // with ErrTransport.
 func (t *TCPTransport) Ship(from, to int, frame []byte) ([]byte, error) {
@@ -161,7 +159,7 @@ func (t *TCPTransport) Ship(from, to int, frame []byte) ([]byte, error) {
 		}
 		pc.reset()
 		if remote {
-			// The worker answered with a protocol error (wrong place,
+			// The server answered with a protocol error (wrong place,
 			// rejected frame): redialing cannot help.
 			return nil, fmt.Errorf("x10: %w: worker for place %d: %v", ErrTransport, to, err)
 		}
@@ -175,7 +173,7 @@ func (t *TCPTransport) Ship(from, to int, frame []byte) ([]byte, error) {
 }
 
 // exchange performs one ship request/response on the pair's connection.
-// remote=true marks a worker-reported protocol error (not retriable).
+// remote=true marks a server-reported protocol error (not retriable).
 func (t *TCPTransport) exchange(pc *pairConn, from, to int, frame []byte) (payload []byte, remote bool, err error) {
 	if t.io > 0 {
 		pc.conn.SetDeadline(time.Now().Add(t.io))
@@ -238,7 +236,7 @@ func (t *TCPTransport) Close() error {
 	return nil
 }
 
-// FrameServerOptions configures a worker-side frame server.
+// FrameServerOptions configures a frame server.
 type FrameServerOptions struct {
 	// IOTimeout bounds each response write (reads block indefinitely: an
 	// idle persistent connection is legitimate). Zero falls back to
@@ -246,14 +244,14 @@ type FrameServerOptions struct {
 	IOTimeout time.Duration
 	// FailAfterFrames, when positive, shuts the whole server down —
 	// listener and live connections — after serving that many frames. This
-	// is the fault-injection hook: a worker that dies mid-shuffle, for the
+	// is the fault-injection hook: a place that dies mid-shuffle, for the
 	// connection-drop tests.
 	FailAfterFrames int64
 }
 
-// FrameServer is the worker side of the TCP transport: it serves ship
-// requests for exactly one place, delivering each frame back to the
-// coordinator after it has transited this process.
+// FrameServer is the far end of the TCP transport: it serves ship requests
+// for exactly one place, echoing each frame back to the sender after it has
+// crossed the socket.
 type FrameServer struct {
 	ln    net.Listener
 	place int
@@ -273,14 +271,6 @@ func ServeFrames(addr string, place int, opts FrameServerOptions) (*FrameServer,
 	if err != nil {
 		return nil, err
 	}
-	return ServeFramesListener(ln, place, opts), nil
-}
-
-// ServeFramesListener starts a frame server on an already-listening socket.
-// Workers use it: they must listen (to know their advertised address) before
-// registering with the coordinator, and only learn their place id from the
-// registration response.
-func ServeFramesListener(ln net.Listener, place int, opts FrameServerOptions) *FrameServer {
 	ioT := opts.IOTimeout
 	switch {
 	case ioT == 0:
@@ -296,7 +286,7 @@ func ServeFramesListener(ln net.Listener, place int, opts FrameServerOptions) *F
 		conns: make(map[net.Conn]struct{}),
 	}
 	go s.acceptLoop()
-	return s
+	return s, nil
 }
 
 // Addr returns the server's listen address.
@@ -305,7 +295,7 @@ func (s *FrameServer) Addr() string { return s.ln.Addr().String() }
 // Place returns the place this server owns.
 func (s *FrameServer) Place() int { return s.place }
 
-// Served reports how many frames this worker has delivered.
+// Served reports how many frames this server has echoed.
 func (s *FrameServer) Served() int64 { return s.served.Load() }
 
 func (s *FrameServer) acceptLoop() {
@@ -378,7 +368,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 			return
 		}
 		if s.fail > 0 && n >= s.fail {
-			// Fault injection: the worker "dies" — every connection drops
+			// Fault injection: the place "dies" — every connection drops
 			// and the listener closes, so redials fail too.
 			s.Close()
 			return

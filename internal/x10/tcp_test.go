@@ -3,7 +3,6 @@ package x10_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -129,14 +128,14 @@ func mustEncode(t *testing.T, pairs []wio.Pair) []byte {
 	return []byte(sb.String())
 }
 
-// reListen re-binds an address a closed listener just freed, retrying
-// briefly in case the OS is slow to release it.
-func reListen(addr string) (net.Listener, error) {
+// reServe restarts a frame server on an address a closed one just freed,
+// retrying briefly in case the OS is slow to release it.
+func reServe(addr string, place int) (*x10.FrameServer, error) {
 	var err error
 	for i := 0; i < 50; i++ {
-		var ln net.Listener
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			return ln, nil
+		var fs *x10.FrameServer
+		if fs, err = x10.ServeFrames(addr, place, x10.FrameServerOptions{}); err == nil {
+			return fs, nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -158,11 +157,10 @@ func TestTCPRedialAfterWorkerRestart(t *testing.T) {
 	// Worker restarts on the same address: the pooled connection is dead,
 	// the next ship must redial once and succeed.
 	fs.Close()
-	ln, err := reListen(addr)
+	fs2, err := reServe(addr, 1)
 	if err != nil {
 		t.Skipf("could not re-listen on %s: %v", addr, err)
 	}
-	fs2 := x10.ServeFramesListener(ln, 1, x10.FrameServerOptions{})
 	defer fs2.Close()
 	if _, err := tr.Ship(0, 1, []byte("b")); err != nil {
 		t.Fatalf("ship after worker restart: %v", err)

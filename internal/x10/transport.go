@@ -3,7 +3,7 @@ package x10
 import "errors"
 
 // ErrTransport is the distinct cause wrapped by every transport delivery
-// failure (a worker connection dropped mid-shuffle, a dead worker address,
+// failure (a connection dropped mid-shuffle, a dead frame server address,
 // a half-written frame). Jobs whose cross-place sends fail surface it, so
 // callers can tell a wire-layer fault from a UDF or format error with
 // errors.Is.
@@ -16,9 +16,11 @@ var ErrTransport = errors.New("x10: transport failure")
 // frames; the transport only carries them, so every backend is
 // byte-identical at the payload level by construction.
 //
-// Two backends exist: Inproc (the default — frames loop back through
-// memory, all places share one OS process) and TCPTransport (frames
-// transit the destination place's worker process over a real socket).
+// All places share one OS process under either backend. Inproc (the
+// default) loops frames back through memory; TCPTransport sends each frame
+// over a real socket to the destination place's FrameServer, which echoes
+// it back — a loopback fixture for wire-cost measurement and transport-fault
+// injection (see tcp.go), not a deployment mode.
 type Transport interface {
 	// Ship delivers frame from place `from` to place `to`, returning the
 	// frame bytes as they arrived at the destination. The returned slice

@@ -11,17 +11,17 @@
 //     sends are free aliasing — the asymmetry every M3R optimization
 //     exploits.
 //
-// The transport decides where cross-place bytes physically go. The default
-// inproc backend keeps every place in one OS process (frames loop back
-// through memory; the data isolation that matters for the paper's
-// measurements — serialize/copy when remote, alias when local — is enforced
-// by the serialization boundary rather than by address spaces). The TCP
-// backend instead routes every cross-place frame through the destination
-// place's worker process over a real socket (length-prefixed frames,
-// connection reuse per place pair), so a place set can be backed by worker
-// processes registered with a coordinator — the paper's one-process-per-host
-// deployment. Both backends are byte-identical at the payload level: the
-// same encoder output goes in, the same bytes come out at the destination.
+// Every place lives in one OS process: the data isolation that matters for
+// the paper's measurements — serialize/copy when remote, alias when local —
+// is enforced by the serialization boundary rather than by address spaces.
+// The transport decides what cross-place bytes pass through on the way. The
+// default inproc backend loops frames back through memory. The TCP backend
+// is a loopback fixture: every cross-place frame crosses a real socket to an
+// in-process FrameServer and is echoed back (length-prefixed frames,
+// connection reuse per place pair), which prices the wire per record and
+// gives the transport-fault tests something to break. Both backends are
+// byte-identical at the payload level: the same encoder output goes in, the
+// same bytes come out at the destination.
 package x10
 
 import (
@@ -151,8 +151,8 @@ func (rt *Runtime) Cost() *sim.CostModel { return rt.cost }
 // Transport returns the runtime's transport backend.
 func (rt *Runtime) Transport() Transport { return rt.transport }
 
-// Close releases the runtime's transport (connections to worker processes,
-// for the TCP backend; a no-op for inproc). Idempotent.
+// Close releases the runtime's transport (connections to frame servers, for
+// the TCP backend; a no-op for inproc). Idempotent.
 func (rt *Runtime) Close() error { return rt.transport.Close() }
 
 // At runs f synchronously "at" place p, occupying one of p's worker slots.
