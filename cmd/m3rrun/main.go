@@ -6,6 +6,7 @@
 //	go run ./cmd/m3rrun -job wordcount -engine m3r
 //	go run ./cmd/m3rrun -job matvec -engine hadoop -nodes 8
 //	go run ./cmd/m3rrun -job wordcount -engine m3r -server   # via TCP
+//	go run ./cmd/m3rrun -job wordcount -cpuprofile cpu.prof -memprofile mem.prof
 //
 // The whole simulated cluster — every place, the cache, the pool, every task
 // — is this one process, and places exchange frames through memory.
@@ -22,6 +23,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -42,6 +45,8 @@ var (
 	iterations = flag.Int("iters", 3, "iterations for iterative workloads")
 	useServer  = flag.Bool("server", false, "submit through the TCP jobtracker protocol (server mode)")
 	sizeMB     = flag.Int64("mb", 4, "input size in MB (wordcount)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile, taken as the run ends, to this file")
 	confProps  propFlags
 )
 
@@ -98,6 +103,51 @@ func (e confOverrideEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
 	return e.Engine.Submit(e.props.apply(job))
 }
 
+// startProfiles creates the files -cpuprofile and -memprofile name — both
+// before the run, so a path that cannot be written is a usage error and not
+// a profile lost after the work — and starts the CPU profile. The function
+// it returns stops the CPU profile and writes the heap profile. Only a run
+// that reaches the end of main is profiled: the error exits leave the files
+// empty.
+func startProfiles() (stop func()) {
+	create := func(name, path string) *os.File {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-%s: %v\n", name, err)
+			flag.Usage()
+			os.Exit(2)
+		}
+		return f
+	}
+	cpu, mem := create("cpuprofile", *cpuProfile), create("memprofile", *memProfile)
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}
+		if mem != nil {
+			runtime.GC() // so the in-use figures are of live objects
+			err := pprof.WriteHeapProfile(mem)
+			if cerr := mem.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+		}
+	}
+}
+
 func main() {
 	flag.Var(&confProps, "D", "job configuration override key=value (repeatable)")
 	flag.Parse()
@@ -107,6 +157,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	defer startProfiles()()
 	cluster, err := lab.New(lab.Options{
 		Nodes:              *nodes,
 		ShuffleBudgetBytes: confProps.engineBudget(conf.KeyM3REngineShuffleBudget),

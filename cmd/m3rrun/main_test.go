@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -63,6 +64,37 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
 			t.Errorf("m3rrun %v: want exit 2 with %q, got %v:\n%s", tc.args, tc.want, err, out)
+		}
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty file
+// after a WordCount run, and a path that cannot be created is a usage error
+// before any work is done.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmd := exec.Command(os.Args[0], "-job", "wordcount", "-mb", "1", "-nodes", "2",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	cmd.Env = append(os.Environ(), beMainEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("m3rrun: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil {
+			t.Error(err)
+		} else if st.Size() == 0 {
+			t.Errorf("%s is empty after the run", filepath.Base(path))
+		}
+	}
+	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
+		cmd := exec.Command(os.Args[0], "-job", "wordcount", flagName, filepath.Join(dir, "no-such-dir", "p.prof"))
+		cmd.Env = append(os.Environ(), beMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "Usage of") ||
+			strings.Contains(string(out), "MAP_OUTPUT_RECORDS") {
+			t.Errorf("m3rrun %s <unwritable>: want exit 2 with the usage and no job run, got %v:\n%s", flagName, err, out)
 		}
 	}
 }

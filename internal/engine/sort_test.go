@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"m3r/internal/engine"
@@ -123,30 +124,29 @@ func makePairs(key func(*keyBytes) wio.Writable, n int, data []byte) []wio.Pair 
 	return pairs
 }
 
-// checkSort sorts copies of pairs both ways and requires the same elements
+// sortMismatch sorts copies of pairs both ways and requires the same elements
 // in the same positions, then does the same for the serialized records when
-// cmp has a raw form.
-func checkSort(t *testing.T, cmp wio.Comparator, pairs []wio.Pair) {
-	t.Helper()
+// cmp has a raw form. It reports the first difference.
+func sortMismatch(cmp wio.Comparator, pairs []wio.Pair) error {
 	want := slices.Clone(pairs)
 	slices.SortStableFunc(want, func(a, b wio.Pair) int { return cmp.Compare(a.Key, b.Key) })
 	got := slices.Clone(pairs)
 	engine.SortPairs(got, cmp)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("SortPairs: position %d of %d holds input %v (key %v), stable sort puts input %v (key %v) there",
+			return fmt.Errorf("SortPairs: position %d of %d holds input %v (key %v), stable sort puts input %v (key %v) there",
 				i, len(want), got[i].Value, got[i].Key, want[i].Value, want[i].Key)
 		}
 	}
 	raw, ok := cmp.(wio.RawComparator)
 	if !ok {
-		return
+		return nil
 	}
 	recs := make([]spill.Rec, len(pairs))
 	for i, p := range pairs {
 		kb, err := wio.Marshal(p.Key)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		recs[i] = spill.Rec{K: kb, V: binary.BigEndian.AppendUint32(nil, uint32(i))}
 	}
@@ -155,24 +155,33 @@ func checkSort(t *testing.T, cmp wio.Comparator, pairs []wio.Pair) {
 	spill.SortRecs(recs, raw)
 	for i := range wantR {
 		if &recs[i].V[0] != &wantR[i].V[0] {
-			t.Fatalf("SortRecs: position %d of %d holds input %d, stable sort puts input %d there",
+			return fmt.Errorf("SortRecs: position %d of %d holds input %d, stable sort puts input %d there",
 				i, len(wantR), binary.BigEndian.Uint32(recs[i].V), binary.BigEndian.Uint32(wantR[i].V))
 		}
 		// The serialized order must be the deserialized one.
 		if got[i].Value.(*types.IntWritable).V != int32(binary.BigEndian.Uint32(recs[i].V)) {
-			t.Fatalf("position %d: SortRecs holds input %d, SortPairs input %v",
+			return fmt.Errorf("position %d: SortRecs holds input %d, SortPairs input %v",
 				i, binary.BigEndian.Uint32(recs[i].V), got[i].Value)
 		}
+	}
+	return nil
+}
+
+func checkSort(t *testing.T, cmp wio.Comparator, pairs []wio.Pair) {
+	t.Helper()
+	if err := sortMismatch(cmp, pairs); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestSortMatchesStableSort is the differential property test: every
 // comparator, the sizes either side of each path boundary (the insertion
-// fallback ends at 12), and the input shapes a shuffle produces.
+// fallback ends at 12, the radix passes start at 128), batches the size of a
+// map task's, and the input shapes a shuffle produces.
 func TestSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, sc := range sortCases {
-		for _, n := range []int{0, 1, 2, 12, 13, 1000} {
+		for _, n := range []int{0, 1, 2, 12, 13, 127, 128, 129, 1000, 4096, 8192} {
 			t.Run(fmt.Sprintf("%s/%d", sc.name, n), func(t *testing.T) {
 				data := make([]byte, 16*n)
 				rng.Read(data)
@@ -204,6 +213,104 @@ func relabel(pairs []wio.Pair) {
 	for i := range pairs {
 		pairs[i].Value = types.NewInt(int32(i))
 	}
+}
+
+// labelled pairs keys with their input positions as values.
+func labelled(keys []wio.Writable) []wio.Pair {
+	pairs := make([]wio.Pair, len(keys))
+	for i, k := range keys {
+		pairs[i] = wio.Pair{Key: k, Value: types.NewInt(int32(i))}
+	}
+	return pairs
+}
+
+// TestSortRadixKeyShapes aims at what the digit logic can get wrong, each
+// in a batch large enough for the radix passes: which bytes it may skip,
+// and which equal-prefix runs still need the comparator.
+func TestSortRadixKeyShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const n = 600
+	keys := make([]wio.Writable, n)
+
+	// Prefixes that differ in exactly one byte — all of it, or only its
+	// lowest or highest bit: seven passes skipped, and the eighth is each
+	// byte in turn.
+	for b := 0; b < 8; b++ {
+		for _, mask := range []int{0xff, 0x01, 0x80} {
+			for i := range keys {
+				keys[i] = types.NewLong(0x1122334455667788 ^ int64(rng.Intn(256)&mask)<<(8*b))
+			}
+			t.Run(fmt.Sprintf("onebyte/%d/%#02x", b, mask), func(t *testing.T) {
+				checkSort(t, types.LongRawComparator{}, labelled(keys))
+			})
+		}
+	}
+
+	// One run of equal prefixes mixing an exact key with one that is not:
+	// "ab" sorts before "ab\x00" and the prefix cannot say so.
+	t.Run("mixedexact", func(t *testing.T) {
+		for i := range keys {
+			keys[i] = types.NewText([]string{"ab", "ab\x00", "aa", "b"}[min(rng.Intn(8), 3)])
+		}
+		checkSort(t, types.TextRawComparator{}, labelled(keys))
+	})
+
+	// Every key shares its first eight bytes: no byte varies, no pass runs,
+	// and the whole batch is one comparator run.
+	t.Run("sharedprefix", func(t *testing.T) {
+		for i := range keys {
+			keys[i] = types.NewText(fmt.Sprintf("/data/in/part-%03d", rng.Intn(200)))
+		}
+		checkSort(t, types.TextRawComparator{}, labelled(keys))
+	})
+
+	// The doubles whose order is not the float order.
+	t.Run("doubles", func(t *testing.T) {
+		special := []float64{
+			math.NaN(), math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63),
+			math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.SmallestNonzeroFloat64,
+		}
+		for i := range keys {
+			if keys[i] = types.NewDouble(special[rng.Intn(len(special))]); rng.Intn(4) == 0 {
+				keys[i] = types.NewDouble(rng.NormFloat64())
+			}
+		}
+		checkSort(t, types.DoubleRawComparator{}, labelled(keys))
+	})
+
+	// Pairs are never exact: every run of equal firsts goes to the
+	// comparator for the second component.
+	t.Run("pairs", func(t *testing.T) {
+		for i := range keys {
+			keys[i] = types.NewPair(types.NewInt(int32(rng.Intn(20)-10)), types.NewInt(int32(rng.Intn(5))))
+		}
+		checkSort(t, types.PairRawComparator{}, labelled(keys))
+	})
+}
+
+// TestSortConcurrent sorts from 8 goroutines at once, each its own batch
+// size: a sort borrows two scratch buffers from one pool, and a buffer
+// handed to two sorts, or returned while in use, would show as a wrong
+// order here or as a race under -race.
+func TestSortConcurrent(t *testing.T) {
+	sizes := []int{13, 127, 128, 300, 1000, 2500, 4096, 8192}
+	var wg sync.WaitGroup
+	for g, n := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			data := make([]byte, 16*n)
+			for round := 0; round < 4; round++ {
+				sc := sortCases[(g+round)%len(sortCases)]
+				rng.Read(data)
+				if err := sortMismatch(sc.cmp, makePairs(sc.key, n, data)); err != nil {
+					t.Errorf("goroutine %d, %s/%d: %v", g, sc.name, n, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSortLeavesSortedInputInPlace pins the flush path's case: a batch that
@@ -239,6 +346,13 @@ func FuzzSortPairs(f *testing.F) {
 	f.Add(append([]byte{3}, slices.Repeat([]byte{0, 1, 2, 3, 4, 5, 0xc0, 0xfe}, 4)...))
 	f.Add(append([]byte{4}, slices.Repeat([]byte{0, 5, 1, 3, 2, 1, 1, 7, 1, 1, 7, 0, 2}, 4)...))
 	f.Add(append([]byte{6}, slices.Repeat([]byte{3, 1, 2, 3, 0}, 8)...))
+	// The same shapes, long enough (two input bytes a key) to reach the
+	// radix passes.
+	f.Add(append([]byte{0}, slices.Repeat([]byte{2, 1, 2, 3, 1, 2, 0, 9, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3}, 20)...))
+	f.Add(append([]byte{2}, slices.Repeat([]byte{0x80, 0x7f, 0xff, 0, 1, 5, 0xfb}, 40)...))
+	f.Add(append([]byte{3}, slices.Repeat([]byte{0, 1, 2, 3, 4, 5, 0xc0, 0xfe, 0xc1, 3}, 30)...))
+	f.Add(append([]byte{4}, slices.Repeat([]byte{0, 5, 1, 3, 2, 1, 1, 7, 1, 1, 7, 0, 2, 6, 9, 4}, 30)...))
+	f.Add(append([]byte{5}, slices.Repeat([]byte{3, 1, 2, 3, 0, 2, 2, 1}, 40)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1<<13 {
 			return
@@ -293,22 +407,61 @@ func reportPerRec(b *testing.B, recs int, body func()) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/rec")
 }
 
-// BenchmarkSortPairs sorts one WordCount-shaped batch with the plain stable
-// sort SortPairs must match, and with SortPairs using Text's prefix.
+// sortBenchShapes are the key shapes of BenchmarkSortPairs' ladder: each
+// takes the kernel down a different path.
+var sortBenchShapes = []struct {
+	name  string
+	cmp   wio.Comparator
+	pairs func(n int) []wio.Pair
+}{
+	// WordCount's map output: few distinct keys, several constant bytes.
+	{"zipf", types.TextRawComparator{}, zipfWords},
+	// Every byte of the prefix varies: eight passes, no comparator.
+	{"allbytes", types.LongRawComparator{}, func(n int) []wio.Pair {
+		rng := rand.New(rand.NewSource(15))
+		pairs := make([]wio.Pair, n)
+		for i := range pairs {
+			pairs[i] = wio.Pair{Key: types.NewLong(int64(rng.Uint64())), Value: types.NewInt(1)}
+		}
+		return pairs
+	}},
+	// One 8-byte prefix under every key: no pass, one comparator run.
+	{"sharedprefix", types.TextRawComparator{}, func(n int) []wio.Pair {
+		rng := rand.New(rand.NewSource(15))
+		pairs := make([]wio.Pair, n)
+		for i := range pairs {
+			pairs[i] = wio.Pair{Key: types.NewText(fmt.Sprintf("/data/in/part-%05d", rng.Intn(n))), Value: types.NewInt(1)}
+		}
+		return pairs
+	}},
+	// A comparator that offers no prefix at all.
+	{"noprefix", wio.NaturalOrder{}, zipfWords},
+}
+
+// BenchmarkSortPairs is the sort's size ladder: each shape at each size
+// through the plain stable sort SortPairs must match and through SortPairs.
+// sortRadixMin in internal/wio is read off the prefix rows.
 func BenchmarkSortPairs(b *testing.B) {
-	src := zipfWords(8192)
-	work := make([]wio.Pair, len(src))
-	cmp := types.TextRawComparator{}
-	b.Run("stable-reference", func(b *testing.B) {
-		reportPerRec(b, len(src), func() {
-			copy(work, src)
-			slices.SortStableFunc(work, func(a, b wio.Pair) int { return cmp.Compare(a.Key, b.Key) })
-		})
-	})
-	b.Run("prefix", func(b *testing.B) {
-		reportPerRec(b, len(src), func() {
-			copy(work, src)
-			engine.SortPairs(work, cmp)
-		})
-	})
+	for _, kernel := range []struct {
+		name string
+		sort func([]wio.Pair, wio.Comparator)
+	}{
+		{"stable-reference", func(pairs []wio.Pair, cmp wio.Comparator) {
+			slices.SortStableFunc(pairs, func(a, b wio.Pair) int { return cmp.Compare(a.Key, b.Key) })
+		}},
+		{"prefix", engine.SortPairs},
+	} {
+		for _, shape := range sortBenchShapes {
+			for _, n := range []int{64, 256, 1 << 10, 8 << 10, 64 << 10} {
+				b.Run(fmt.Sprintf("%s/%s/%d", kernel.name, shape.name, n), func(b *testing.B) {
+					src := shape.pairs(n)
+					work := make([]wio.Pair, n)
+					reportPerRec(b, n, func() {
+						copy(work, src)
+						kernel.sort(work, shape.cmp)
+					})
+				})
+			}
+		}
+	}
 }

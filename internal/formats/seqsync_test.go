@@ -3,6 +3,7 @@ package formats
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -56,15 +57,33 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := fs.Create("/s")
-	if err != nil {
-		t.Fatal(err)
+	// The marker is random, and three payloads below end in its first 15
+	// bytes: if its last byte is what follows them — that prefix's own first
+	// byte, a record length's 0x00 or a sync escape's 0xff — the file holds
+	// a marker no writer put there and no reader could be right about it.
+	// One file in eighty; such a file is abandoned for another.
+	var (
+		sw     *SeqWriter
+		marker []byte
+		path   string
+	)
+	for attempt := 0; ; attempt++ {
+		path = fmt.Sprintf("/s%d", attempt)
+		wc, err := fs.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sw, err = NewSeqWriter(wc, types.IntName, types.BytesName); err != nil {
+			t.Fatal(err)
+		}
+		marker = sw.sync[:]
+		if last := marker[syncSize-1]; last != marker[0] && last != 0x00 && last != 0xff {
+			break
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sw, err := NewSeqWriter(wc, types.IntName, types.BytesName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	marker := sw.sync[:]
 	payloads := [][]byte{
 		append(append([]byte(nil), marker[:syncSize-1]...), marker[syncSize-1]^0xff),            // all but the last byte
 		append([]byte{marker[0] ^ 0xff}, marker[1:]...),                                         // all but the first
@@ -85,7 +104,7 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := fs.Stat("/s")
+	st, err := fs.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +112,7 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 		t.Fatalf("file is %d bytes, want more than three blocks", st.Size)
 	}
 
-	hdr, err := NewSeqReader(fs, "/s", 0, -1)
+	hdr, err := NewSeqReader(fs, path, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +136,12 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 	found := 0
 	// A reader scans only when it starts past the header.
 	for start := headerEnd + 1; start <= st.Size+2; start++ {
-		got, err := NewSeqReader(fs, "/s", start, -1)
+		got, err := NewSeqReader(fs, path, start, -1)
 		if err != nil {
 			t.Fatalf("start %d: %v", start, err)
 		}
 		// The reference: the same reader state, positioned by refScanToSync.
-		f, err := fs.Open("/s")
+		f, err := fs.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,6 +91,68 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 	}
 }
 
+// firstLetterPartitioner sends a Text key to the partition its first letter
+// names ('a' → 0, 'b' → 1, ...), so an input file's vocabulary decides
+// where a map task's whole output goes.
+type firstLetterPartitioner struct{}
+
+func (firstLetterPartitioner) Configure(*conf.JobConf) {}
+
+func (firstLetterPartitioner) GetPartition(key, _ wio.Writable, numPartitions int) int {
+	return int(key.(*types.Text).B[0]-'a') % numPartitions
+}
+
+func init() {
+	mapred.RegisterPartitioner("test.FirstLetterPartitioner", func() mapred.Partitioner { return firstLetterPartitioner{} })
+}
+
+// TestEngineEquivalenceSkewFlip runs a job whose partition skew flips from
+// one map task to the next — a task sends everything to partition 0, the
+// next everything to partition 3 — on one place, so later tasks start after
+// earlier ones finished and size their collect buffers from marks that
+// describe a differently shaped task. The mark is a capacity, never a
+// length: the output must stay byte-identical to the Hadoop engine's.
+func TestEngineEquivalenceSkewFlip(t *testing.T) {
+	c := newCluster(t, 1)
+	rng := rand.New(rand.NewSource(18))
+	for f, shape := range []struct {
+		letter byte
+		words  int
+	}{{'a', 3000}, {'d', 3000}, {'a', 50}, {'d', 5000}, {'b', 1}, {'a', 4000}} {
+		var text []byte
+		for w := 0; w < shape.words; w++ {
+			text = fmt.Appendf(text, "%c%03d", shape.letter, rng.Intn(300))
+			text = append(text, " \n"[min(w%12/11, 1)])
+		}
+		if err := dfs.WriteFile(c.fs, fmt.Sprintf("/in/skew/f%d", f), text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, combiner := range []bool{true, false} {
+		build := func(out string) *conf.JobConf {
+			job := wc.NewJob("/in/skew", out, 4, true)
+			job.SetPartitionerClass("test.FirstLetterPartitioner")
+			if !combiner {
+				job.Unset(conf.KeyCombinerClass)
+			}
+			return job
+		}
+		leg := fmt.Sprintf("combiner=%v", combiner)
+		if _, err := c.hadoop.Submit(build("/out/skew-h-" + leg)); err != nil {
+			t.Fatalf("%s: hadoop: %v", leg, err)
+		}
+		if _, err := c.m3r.Submit(build("/out/skew-m-" + leg)); err != nil {
+			t.Fatalf("%s: m3r: %v", leg, err)
+		}
+		want := readRawParts(t, c.fs, "/out/skew-h-"+leg)
+		if len(want["part-00000"]) == 0 || len(want["part-00003"]) == 0 || len(want["part-00002"]) != 0 {
+			t.Fatalf("%s: the partitioner did not skew the output: part sizes %d %d %d %d", leg,
+				len(want["part-00000"]), len(want["part-00001"]), len(want["part-00002"]), len(want["part-00003"]))
+		}
+		assertSameParts(t, leg, readRawParts(t, c.fs, "/out/skew-m-"+leg), want)
+	}
+}
+
 // readAllOutput collects output pairs into a map of serialized key →
 // aggregated serialized values (order-insensitive; counts multiplicity).
 func readAllOutput(t *testing.T, fs dfs.FileSystem, dir string, seq bool) map[string]string {

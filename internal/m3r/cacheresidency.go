@@ -126,8 +126,8 @@ func (g *cacheGovernor) BlockFreed(info kvstore.BlockInfo, size int64, wasReside
 }
 
 // RequestReadmit implements kvstore.Residency: a spilled block may re-enter
-// memory when its bytes fit the current budget — a plain reservation, like
-// the shuffle's readmit: a read never evicts other entries to make room.
+// memory when its bytes fit the current budget — a plain reservation: a read
+// never evicts other entries to make room.
 func (g *cacheGovernor) RequestReadmit(info kvstore.BlockInfo, size int64) bool {
 	return g.budgets[info.Place].Reserve(size)
 }

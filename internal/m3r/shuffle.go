@@ -60,6 +60,45 @@ type shuffleCollector struct {
 	combineBufs [][]wio.Pair
 }
 
+// collectChunk is how many pairs a task buffers for the combiner in a
+// partition before it takes that partition's buffer at the collect mark: a
+// task that turns out much smaller than the job's largest — a file's tail
+// split, a small file after a big one — never allocates more than this.
+const collectChunk = 64
+
+// bufferForCombine appends p to combineBufs[q], the pairs held for the
+// combiner. The buffer dies at flush (Combine's output is what is
+// delivered), so its size is free to follow the collect mark: the most
+// pairs a finished map task of this job buffered for q, and a sixteenth
+// over, so a task the size of the last one allocates the buffer once
+// instead of growing it from nil by doubling, with a write-barriered copy
+// of every pair each time. The first collectChunk pairs get a buffer of
+// their own first. With no mark yet, or past it, append grows the buffer
+// as it would any slice.
+func (sc *shuffleCollector) bufferForCombine(q int, p wio.Pair) {
+	buf := sc.combineBufs[q]
+	if len(buf) == cap(buf) {
+		mark := sc.x.parts[q].collectMark.Load()
+		if want := int(mark + mark/16); want > len(buf) {
+			if len(buf) == 0 {
+				want = min(want, collectChunk)
+			}
+			buf = append(make([]wio.Pair, 0, want), buf...)
+		}
+	}
+	sc.combineBufs[q] = append(buf, p)
+}
+
+// raiseCollectMark records that this task buffered n pairs for partition q.
+func (sc *shuffleCollector) raiseCollectMark(q, n int) {
+	mark := &sc.x.parts[q].collectMark
+	for old := mark.Load(); int64(n) > old; old = mark.Load() {
+		if mark.CompareAndSwap(old, int64(n)) {
+			return
+		}
+	}
+}
+
 // destEncoder accumulates the encoded stream for one destination place.
 // Its byte buffer comes from encodeBufPool and returns there at flush.
 type destEncoder struct {
@@ -142,7 +181,7 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 		} else {
 			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
-		sc.combineBufs[q] = append(sc.combineBufs[q], wio.Pair{Key: k, Value: v})
+		sc.bufferForCombine(q, wio.Pair{Key: k, Value: v})
 		return nil
 	}
 	return sc.deliver(q, key, value, sc.immutable)
@@ -199,9 +238,16 @@ func (sc *shuffleCollector) flush() error {
 			if len(buf) == 0 {
 				continue
 			}
+			sc.raiseCollectMark(q, len(buf))
 			combined, err := engine.Combine(sc.x.rj, buf, sc.ctx)
 			if err != nil {
 				return err
+			}
+			if sc.placeOf[q] == sc.place {
+				// What is delivered below is all this partition gets, and
+				// the run it becomes is retained until the reducer drains
+				// it: exactly its length, never the mark.
+				sc.localBufs[q] = make([]wio.Pair, 0, len(combined))
 			}
 			// Combine returns engine-owned pairs (cloned unless the
 			// combiner is marked), so they are safe to alias and to
@@ -255,8 +301,9 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 		return err
 	}
 	// The wire in between: the runtime's transport carries the frame to
-	// place d (a memory loopback on inproc; a round trip through d's worker
-	// process on tcp) and returns the bytes as delivered there.
+	// place d (a memory loopback on inproc; a round trip over a loopback
+	// socket to d's echoing frame server on tcp) and returns the bytes as
+	// delivered there.
 	payload, err := e.rt.ShipFrame(sc.place, d, de.buf.Bytes())
 	if err != nil {
 		return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)

@@ -184,6 +184,9 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 	lc := engine.NewJobLifecycle()
 	defer lc.Stop()
 	x := &jobExec{e: e, job: job, rj: rj, jobID: "job_test_0001", lc: lc, jc: counters.New(), dedup: true}
+	for q := 0; q < rj.NumReducers; q++ {
+		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
+	}
 	ctx := engine.NewTaskContext(job, "task", nil)
 	sc := x.newShuffleCollector(&mapAssignment{place: 0}, ctx)
 	for i := 0; i < 64; i++ {
