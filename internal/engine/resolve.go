@@ -171,6 +171,23 @@ func Resolve(job *conf.JobConf) (*ResolvedJob, error) {
 	return rj, nil
 }
 
+// RawKeyComparator returns the comparator that orders serialized map-output
+// keys of class keyClass — what the Hadoop engine sorts and merges its spill
+// records with, and the budgeted M3R shuffle its frames: the key type's
+// registered raw comparator when there is one, else a deserializing wrapper
+// around the job's sort comparator (Hadoop's WritableComparator fallback,
+// which is what a custom SortComparator with no raw form gets).
+func (rj *ResolvedJob) RawKeyComparator(keyClass string) (wio.RawComparator, error) {
+	if rj.RawSortCmp != nil {
+		return rj.RawSortCmp, nil
+	}
+	newKey, err := wio.Factory(keyClass)
+	if err != nil {
+		return nil, fmt.Errorf("engine: unregistered map output key class %q", keyClass)
+	}
+	return wio.NewDeserializingComparator(rj.SortCmp, newKey), nil
+}
+
 // rawComparatorFor is overridable glue to internal/types (set in init by
 // rawcmp.go) without creating an import the resolver itself doesn't need.
 var rawComparatorFor = func(string) wio.RawComparator { return nil }

@@ -67,7 +67,7 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 	if err := os.MkdirAll(buf.taskDir, 0o755); err != nil {
 		return err
 	}
-	rawCmp, err := r.rawKeyComparator()
+	rawCmp, err := r.rj.RawKeyComparator(r.job.MapOutputKeyClass())
 	if err != nil {
 		return err
 	}

@@ -50,7 +50,7 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	}
 
 	// Sort phase: external k-way merge of the fetched (sorted) segments.
-	rawCmp, err := r.rawKeyComparator()
+	rawCmp, err := r.rj.RawKeyComparator(r.job.MapOutputKeyClass())
 	if err != nil {
 		return err
 	}

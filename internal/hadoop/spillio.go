@@ -1,8 +1,6 @@
 package hadoop
 
 import (
-	"fmt"
-
 	"m3r/internal/counters"
 	"m3r/internal/engine"
 	"m3r/internal/spill"
@@ -40,25 +38,4 @@ func newStagedMerger(streams []*spill.Stream, cmp wio.RawComparator,
 // tournament and staging take.
 func recCompare(cmp wio.RawComparator) func(a, b spill.Rec) int {
 	return func(a, b spill.Rec) int { return cmp.CompareRaw(a.K, b.K) }
-}
-
-// rawKeyComparator returns the comparator used for all on-disk sorting: the
-// key type's registered raw comparator when available, else a deserializing
-// wrapper around the job's sort comparator (Hadoop's WritableComparator
-// fallback).
-func (r *jobRun) rawKeyComparator() (wio.RawComparator, error) {
-	if r.rj.RawSortCmp != nil {
-		return r.rj.RawSortCmp, nil
-	}
-	keyClass := r.job.MapOutputKeyClass()
-	if !wio.Registered(keyClass) {
-		return nil, fmt.Errorf("hadoop: unregistered map output key class %q", keyClass)
-	}
-	return wio.NewDeserializingComparator(r.rj.SortCmp, func() wio.Writable {
-		k, err := wio.New(keyClass)
-		if err != nil {
-			panic(err)
-		}
-		return k
-	}), nil
 }

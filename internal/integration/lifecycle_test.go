@@ -94,6 +94,9 @@ func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 // agree with the Hadoop engine and the reference counts, and honor the
 // counter invariants of each regime (no spills without a budget, all-spill
 // at a starvation budget, accounting independent of the merge topology).
+// Every budgeted leg also passes the engine's own check at the shuffle
+// barrier — per place, the resident segments are no more bytes than the job
+// holds in the pool — or its Submit fails here.
 func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 	c := newCluster(t, 2)
 	if err := wordcount.Generate(c.fs, "/data/L", 64<<10, 9); err != nil {

@@ -383,6 +383,9 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 			}
 			x.resident[p] = engine.NewResidentIndex[residentRun]()
 		}
+		if x.classes, err = declaredRunClasses(rj); err != nil {
+			return nil, err
+		}
 	}
 	outPath := job.OutputPath()
 	x.temp = outPath != "" && job.IsTemporaryOutput(outPath)
@@ -522,21 +525,23 @@ type jobExec struct {
 
 	// Shuffle memory lifecycle (conf.KeyM3RShuffleBudget, over the engine
 	// pool of conf.KeyM3REngineShuffleBudget when one is configured): when
-	// the job is budgeted, each place accounts its resident shuffle runs
-	// against budgets[place] — the job's tagged view of the place's pool —
-	// and runs that cannot be admitted spill to disk in the shared spill
-	// record format (internal/spill), re-entering the merge through
-	// stream-backed leaves. Under contention the largest-first policy may
-	// instead re-spill a larger cold resident run (tracked per place in
-	// resident) to keep the smaller newcomer in memory. The reservations
-	// release incrementally as reduce tasks drain resident runs. Unbudgeted
-	// jobs (no pool and no positive per-job budget, or an explicit
-	// non-positive per-job budget) skip all accounting: the paper's pure
-	// in-memory design point.
+	// the job is budgeted, its shuffle runs are bytes from collect to merge
+	// (frame.go) and each place accounts its resident runs — sorted segments
+	// in the shared spill record format (internal/spill) — against
+	// budgets[place], the job's tagged view of the place's pool. Runs that
+	// cannot be admitted go to disk through the spill codec and re-enter the
+	// merge through the same decoding leaf as the resident ones. Under
+	// contention the largest-first policy may instead re-spill a larger cold
+	// resident run (tracked per place in resident) to keep the smaller
+	// newcomer in memory. The reservations release incrementally as reduce
+	// tasks drain resident runs. Unbudgeted jobs (no pool and no positive
+	// per-job budget, or an explicit non-positive per-job budget) skip all of
+	// it and shuffle objects: the paper's pure in-memory design point.
 	shuffleBudget int64
 	codec         spill.Codec // block compression for spilled runs (conf.KeyM3RSpillCodec)
 	budgets       []*engine.JobBudget
 	resident      []*engine.ResidentIndex[residentRun]
+	classes       runClasses // the declared map-output classes of a budgeted job
 	spillMu       sync.Mutex
 	spillDir      string
 	spillSeq      atomic.Int64
@@ -743,6 +748,9 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			// the rest of the reduce phase.
 			if x.resident != nil {
 				x.resident[p].Close()
+				if err := x.checkResidentBytes(p); err != nil {
+					return err
+				}
 			}
 			// Reduce phase: this place owns the partitions the stable
 			// mapping assigns to it (§3.2.2.2).
@@ -937,9 +945,10 @@ func materialize(reader formats.RecordReader) ([]wio.Pair, error) {
 // (inside the already-parallel map phase, see shuffleCollector.flush), so
 // the reduce task only k-way merges them — the run-based shuffle-and-sort
 // pipeline that keeps the O(n log n) sort off the reduce critical path.
-// Under a shuffle memory budget, runs that do not fit their place's
-// accountant live on disk in the shared spill record format instead of on
-// the heap, and re-enter the same merge through stream-backed leaves.
+// Under a shuffle memory budget the runs are serialized: resident as
+// segments in the shared spill record format, or, when they do not fit their
+// place's accountant, on disk in the same format; both enter the same merge
+// through decoding leaves.
 type partitionInput struct {
 	x     *jobExec
 	place int
@@ -952,64 +961,125 @@ type partitionInput struct {
 	collectMark atomic.Int64
 }
 
-// sourceRun is one map task's sorted contribution to a partition: resident
-// pairs, or a spilled run on disk (exactly one of the two is set). size is
-// the budget accounting size a resident run holds reserved (0 when the job
-// is unbudgeted or the run could not be encoded), released back to the
-// place's budget pool when the reduce merge drains the run. Runs are
-// heap-allocated and shared with the place's resident index so the
-// largest-first policy can flip a cold resident run to spilled in place
+// sourceRun is one map task's sorted contribution to a partition: pairs,
+// objects on the heap, on an unbudgeted job; a serializedRun on a budgeted
+// one. Runs are heap-allocated and shared with the place's resident index so
+// the largest-first policy can flip a cold resident run to spilled in place
 // (under pi.mu) without disturbing its slot — and with it the src-order
 // merge tie-break.
 type sourceRun struct {
 	src   int
 	pairs []wio.Pair
-	size  int64
-	spill *spilledRun
+	*serializedRun
 }
 
-// spilledRun locates one run spilled in the shared spill record format.
-// The key/value class names ride in memory (not on disk, keeping the file
-// format byte-identical to the Hadoop engine's) so the merge leaf can
-// deserialize records back into writables.
-type spilledRun struct {
-	path               string
+// serializedRun is a budgeted job's run, bytes from collect to merge:
+// exactly one of seg, the run resident as a raw-format segment, and
+// spillPath, the run in a spill file, with the key/value class names the
+// merge leaf decodes them as beside it (in memory, not on disk, keeping the
+// file format byte-identical to the Hadoop engine's). size is what a resident
+// segment holds reserved, Σ spill.Rec.Size() over its nrecs records and never
+// less than len(seg); it goes back to the place's budget pool when the reduce
+// merge drains the run. It is a separate allocation so that an unbudgeted
+// job's runs stay the three words they were.
+type serializedRun struct {
+	seg                []byte
+	spillPath          string
 	keyClass, valClass string
+	nrecs              int
+	size               int64
 }
 
-// admitEncodedRun runs the per-run admission path for an encoded run — the
-// serialization that sized it is the cost Hadoop always pays at collect
-// time. The place's pool decides admission: under contention the
-// largest-first policy may re-spill a larger cold resident run of this job
-// to keep the newcomer in memory; a run the pool cannot admit spills to
-// disk itself.
-func (pi *partitionInput) admitEncodedRun(ctx *engine.TaskContext, src int, pairs []wio.Pair,
-	recs []spill.Rec, keyClass, valClass string, size int64) error {
+// arrivedRun is a budgeted run on its way into its partition.
+type arrivedRun struct {
+	pi *partitionInput
+	r  *sourceRun
+}
+
+// admitRuns installs what one map task's frame toward place became — a
+// sorted segment per partition, in ascending partition order — with batch
+// admission: the task's total is reserved in one pool transaction when it
+// fits, installing every run resident with a single lock round instead of
+// one admission (and one potential eviction loop) per partition. When the
+// batch does not fit in one piece each run takes the per-run path, in order,
+// so what a task admits, evicts and spills is the same from one execution to
+// the next.
+func (x *jobExec) admitRuns(ctx *engine.TaskContext, place int, runs []arrivedRun) error {
+	var total int64
+	for _, a := range runs {
+		total += a.r.size
+	}
+	if len(runs) > 1 && x.budgets[place].Reserve(total) {
+		for _, a := range runs {
+			a.pi.installResident(a.r)
+		}
+		return nil
+	}
+	for _, a := range runs {
+		if err := a.pi.admit(ctx, a.r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// admit is the per-run admission path. The place's pool decides: under
+// contention the largest-first policy may re-spill a larger cold resident
+// run of this job to keep the newcomer in memory; a run the pool cannot
+// admit goes to disk itself, inline on the flushing map task.
+func (pi *partitionInput) admit(ctx *engine.TaskContext, r *sourceRun) error {
 	x := pi.x
-	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(size, func(min int64) (int64, error) {
+	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(r.size, func(min int64) (int64, error) {
 		return x.evictLargest(ctx, pi.place, min)
 	})
 	if err != nil {
 		return err
 	}
 	if contended {
-		ctx.Cells.PoolContendedBytes.Increment(size)
+		ctx.Cells.PoolContendedBytes.Increment(r.size)
 	}
 	if admitted {
-		r := &sourceRun{src: src, pairs: pairs, size: size}
-		pi.install(r)
-		x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(src))
+		pi.installResident(r)
 		return nil
 	}
-	// Overflow: the run goes to disk, encoded to its exact on-disk segment
-	// bytes so counters, stats and cost charge the stored (compressed)
-	// length.
-	enc, err := spill.EncodeRun(recs, x.codec)
+	path, err := x.spillSegment(ctx, r.seg, r.nrecs)
 	if err != nil {
 		return err
 	}
-	x.chargeSpill(ctx, enc, len(recs))
-	return pi.writeSpill(src, enc, keyClass, valClass)
+	r.seg, r.size, r.spillPath = nil, 0, path
+	pi.install(r)
+	return nil
+}
+
+// installResident installs a run whose size is reserved and offers it to the
+// largest-first policy.
+func (pi *partitionInput) installResident(r *sourceRun) {
+	pi.install(r)
+	pi.x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(r.src))
+}
+
+// checkResidentBytes is the accounting's invariant, checked once per place
+// at the shuffle barrier, when every admission is over and no reducer has
+// released anything yet: the segments resident at place are no more bytes
+// than the job holds reserved there. A run is reserved at Σ Rec.Size(), its
+// segment is the same records with their real framing, so a violation is a
+// run resident without its reservation — the pool over-committing in silence.
+func (x *jobExec) checkResidentBytes(place int) error {
+	var resident int64
+	for _, pi := range x.parts {
+		if pi.place != place {
+			continue
+		}
+		pi.mu.Lock()
+		for _, r := range pi.runs {
+			resident += int64(len(r.seg))
+		}
+		pi.mu.Unlock()
+	}
+	if held := x.budgets[place].Held(); resident > held {
+		return fmt.Errorf("m3r: place %d holds %d bytes of resident segments against %d reserved", place, resident, held)
+	}
+	return nil
 }
 
 // chargeSpill charges one encoded run's spill — an overflow or a
@@ -1031,64 +1101,13 @@ func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nre
 	e.cost.ChargeDisk(e.stats, stored)
 }
 
-// installRuns installs one map task's whole flush toward place — its sorted
-// run per partition, every partition living at that place — with batch
-// admission: on a budgeted job the task's total encoded size is reserved in
-// one pool transaction when it fits, installing every run resident with a
-// single lock round instead of one admission (and one potential eviction
-// loop) per partition. When the batch does not fit in one piece — or the
-// job is unbudgeted — each run falls through to the per-run path. runs is
-// indexed by partition and walked in ascending order, so what a task admits,
-// evicts and spills is the same from one execution to the next.
-func (x *jobExec) installRuns(ctx *engine.TaskContext, place, src int, runs [][]wio.Pair) error {
-	if x.budgets == nil {
-		for q, pairs := range runs {
-			if len(pairs) == 0 {
-				continue
-			}
-			x.parts[q].install(&sourceRun{src: src, pairs: pairs})
-		}
-		return nil
-	}
-	type encodedRun struct {
-		q                  int
-		pairs              []wio.Pair
-		recs               []spill.Rec
-		keyClass, valClass string
-		size               int64
-	}
-	var encs []encodedRun
-	var total int64
+// installRuns installs an unbudgeted map task's sorted run per partition.
+func (x *jobExec) installRuns(src int, runs [][]wio.Pair) {
 	for q, pairs := range runs {
-		if len(pairs) == 0 {
-			continue
-		}
-		recs, keyClass, valClass, size, err := spill.MarshalRun(pairs)
-		if err != nil {
-			// Keys or values this job shuffles cannot round-trip through the
-			// record format (unregistered or unserializable types); such a
-			// run can only live on the heap, unaccounted.
+		if len(pairs) > 0 {
 			x.parts[q].install(&sourceRun{src: src, pairs: pairs})
-			continue
-		}
-		encs = append(encs, encodedRun{q, pairs, recs, keyClass, valClass, size})
-		total += size
-	}
-	if len(encs) > 1 && x.budgets[place].Reserve(total) {
-		for _, er := range encs {
-			r := &sourceRun{src: src, pairs: er.pairs, size: er.size}
-			pi := x.parts[er.q]
-			pi.install(r)
-			x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(src))
-		}
-		return nil
-	}
-	for _, er := range encs {
-		if err := x.parts[er.q].admitEncodedRun(ctx, src, er.pairs, er.recs, er.keyClass, er.valClass, er.size); err != nil {
-			return err
 		}
 	}
-	return nil
 }
 
 func (pi *partitionInput) install(r *sourceRun) {
@@ -1099,39 +1118,37 @@ func (pi *partitionInput) install(r *sourceRun) {
 
 // takeReaders returns one merge leaf per accumulated run, ordered by source
 // task, detaching them from the partition. Source order is the merge's
-// stability tie-break: equal keys surface in map-task order, exactly as the
-// old concatenate-then-stable-sort path produced them, whether a run stayed
-// resident or spilled.
+// stability tie-break: equal keys surface in map-task order, exactly as a
+// concatenate-then-stable-sort of the runs would produce them, whether a run
+// stayed resident or spilled.
 //
-// Budgeted runs get the incremental-release wrapper: as the merge exhausts
-// (or abandons) a resident run, its reservation returns to the place's
-// accountant, so a long reduce phase frees memory while it is still
-// running. Spilled runs stream-decode off disk.
+// An unbudgeted job's runs are read where they lie. A budgeted job has one
+// leaf kind, the decoding reader — over the segment in memory or the spill
+// file's stream — so its records become objects once, here. A resident
+// segment's leaf gets the incremental-release wrapper: as the merge exhausts
+// (or abandons) the run, its reservation returns to the place's accountant,
+// so a long reduce phase frees memory while it is still running.
 func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunReader, error) {
 	x := pi.x
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
 	slices.SortStableFunc(pi.runs, func(a, b *sourceRun) int { return a.src - b.src })
-	var acct *engine.JobBudget
-	if x.budgets != nil {
-		acct = x.budgets[pi.place]
-	}
 	out := make([]engine.RunReader, 0, len(pi.runs))
 	for _, r := range pi.runs {
-		if r.spill == nil {
-			rd := engine.NewSliceRunReader(r.pairs)
-			if acct != nil && r.size > 0 {
-				rd = releasingReader(rd, acct, r.size, ctx)
+		switch {
+		case x.budgets == nil:
+			out = append(out, engine.NewSliceRunReader(r.pairs))
+		case r.spillPath == "":
+			rd := engine.NewDecodingRunReader(&segmentSource{r.seg}, r.keyClass, r.valClass)
+			out = append(out, releasingReader(rd, x.budgets[pi.place], r.size, ctx))
+		default:
+			s, err := spill.OpenFile(r.spillPath)
+			if err != nil {
+				engine.CloseAllOnErr(out)
+				return nil, err
 			}
-			out = append(out, rd)
-			continue
+			out = append(out, engine.NewDecodingRunReader(s, r.keyClass, r.valClass))
 		}
-		s, err := spill.OpenFile(r.spill.path)
-		if err != nil {
-			engine.CloseAllOnErr(out)
-			return nil, err
-		}
-		out = append(out, engine.NewDecodingRunReader(s, r.spill.keyClass, r.spill.valClass))
 	}
 	pi.runs = nil
 	return out, nil

@@ -1,11 +1,8 @@
 package m3r
 
 import (
-	"fmt"
-
 	"m3r/internal/engine"
 	"m3r/internal/sim"
-	"m3r/internal/spill"
 )
 
 // This file is the shuffle's half of the largest-first spill policy. When a
@@ -22,7 +19,7 @@ import (
 // race a takeReaders on the same run. The index is per (job, place) and evicts
 // only its own job's runs: on a shared engine pool, one job's contention
 // never re-spills another job's resident data. The index is closed at the
-// barrier so it does not pin detached runs' pairs through the reduce phase.
+// barrier so it does not pin detached runs' segments through the reduce phase.
 
 // residentRun is the index key: a resident run and the partition whose lock
 // guards its slot.
@@ -48,31 +45,13 @@ func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (i
 		return 0, nil
 	}
 	victim, pi := k.r, k.pi
-	// Re-encode the victim (its collect-time encoding was dropped once the
-	// size was known; re-paying it here keeps the uncontended path lean).
-	recs, keyClass, valClass, _, err := spill.MarshalRun(victim.pairs)
+	path, err := x.spillSegment(ctx, victim.seg, victim.nrecs)
 	if err != nil {
-		// Cannot happen for a run that encoded at admission; fail loudly
-		// rather than silently dropping the eviction candidate.
-		return 0, fmt.Errorf("m3r: re-encoding resident run for eviction: %w", err)
-	}
-	enc, err := spill.EncodeRun(recs, x.codec)
-	if err != nil {
-		return 0, err
-	}
-	path, err := x.spillPath()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := spillWriteRun(path, enc); err != nil {
 		return 0, err
 	}
 	pi.mu.Lock()
-	victim.pairs = nil
-	victim.size = 0
-	victim.spill = &spilledRun{path: path, keyClass: keyClass, valClass: valClass}
+	victim.seg, victim.size, victim.spillPath = nil, 0, path
 	pi.mu.Unlock()
-	x.chargeSpill(ctx, enc, len(recs))
 	ctx.Cells.EvictedResidentRuns.Increment(1)
 	x.e.stats.Add(sim.EvictedRuns, 1)
 	return size, nil

@@ -78,8 +78,8 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 
 	// The big run's slot flipped in place: still src 0, now spilled, so the
 	// merge's source-order tie-break — and the output bytes — are untouched.
-	if run := x.parts[0].runs[0]; run.src != 0 || run.spill == nil {
-		t.Fatalf("slot 0 holds src %d, spilled=%v: want the evicted big run, in place", run.src, run.spill != nil)
+	if run := x.parts[0].runs[0]; run.src != 0 || run.spillPath == "" {
+		t.Fatalf("slot 0 holds src %d, spilled=%v: want the evicted big run, in place", run.src, run.spillPath != "")
 	}
 	assertSameStream(t, "merge after eviction", drainMerge(t, x, ctx, 0), want)
 	if held := x.budgets[0].Held(); held != 0 {
@@ -114,7 +114,7 @@ func TestEvictionNeverTradesForEqualOrLarger(t *testing.T) {
 }
 
 // TestEvictionWriteErrorFailsAdmission: a disk failure during the eviction
-// re-spill must surface through installRuns — and with it fail the map task —
+// re-spill must surface through the flush — and with it fail the map task —
 // with the victim's reservation state consistent (the victim was claimed but
 // its bytes never released, so the job's cleanup drain reclaims them).
 func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
@@ -157,14 +157,14 @@ func TestInstallRunsAdmitsInPartitionOrder(t *testing.T) {
 			runs[q] = textRun("k", 20)
 		}
 		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
-		if err := x.installRuns(ctx, 0, 0, runs); err != nil {
+		if err := flushRuns(x, ctx, 0, runs); err != nil {
 			t.Fatal(err)
 		}
 		for q, pi := range x.parts {
 			if len(pi.runs) != 1 {
 				t.Fatalf("round %d: partition %d holds %d runs, want 1", round, q, len(pi.runs))
 			}
-			if resident := pi.runs[0].spill == nil; resident != (q < 2) {
+			if resident := pi.runs[0].spillPath == ""; resident != (q < 2) {
 				t.Fatalf("round %d: partition %d resident=%v; want partitions 0 and 1 resident, the rest spilled",
 					round, q, resident)
 			}
@@ -173,5 +173,39 @@ func TestInstallRunsAdmitsInPartitionOrder(t *testing.T) {
 			t.Fatalf("round %d: SpilledRuns=%d want %d", round, got, parts-2)
 		}
 		x.cleanup()
+	}
+}
+
+// TestResidentBytesInvariant: at the shuffle barrier the segments resident at
+// a place are no more bytes than the job holds reserved there. It holds
+// through admission, eviction and overflow, and a run resident without its
+// reservation — the over-commit the check exists to catch — breaks it.
+func TestResidentBytesInvariant(t *testing.T) {
+	big, small := textRun("aaaaaa", 60), textRun("b", 10)
+	_, _, _, bigSize, err := spill.MarshalRun(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newSpillExec(bigSize, spill.CodecNone, 2)
+	defer x.cleanup()
+	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+	installRun(t, x, ctx, 0, 0, big)              // resident
+	installRun(t, x, ctx, 1, 1, small)            // evicts the big run
+	installRun(t, x, ctx, 0, 2, textRun("c", 60)) // overflows
+	if err := x.checkResidentBytes(0); err != nil {
+		t.Fatal(err)
+	}
+	var resident int64
+	for _, pi := range x.parts {
+		for _, r := range pi.runs {
+			resident += int64(len(r.seg))
+		}
+	}
+	if held := x.budgets[0].Held(); resident == 0 || resident >= held {
+		t.Fatalf("%d resident segment bytes against %d reserved: want some, and fewer (real framing is shorter than the estimate)", resident, held)
+	}
+	x.parts[0].install(&sourceRun{src: 3, serializedRun: &serializedRun{seg: make([]byte, bigSize)}})
+	if err := x.checkResidentBytes(0); err == nil {
+		t.Fatal("a segment resident without a reservation passed the barrier check")
 	}
 }

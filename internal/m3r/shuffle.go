@@ -28,6 +28,11 @@ import (
 //   - with a combiner configured, pairs are buffered per partition and
 //     combined before delivery.
 //
+// That is the unbudgeted job, the paper's design point. Under a shuffle
+// budget a run must be sized, may be evicted and is decoded at the merge
+// anyway, so every pair — co-located ones included — is serialized once, at
+// collect, and stays bytes until the reducer (frame.go).
+//
 // At flush, every per-partition batch is sorted map-side before it is
 // installed as a run in the partition's input: map tasks already run in
 // parallel, so the sort rides the map phase's parallelism and the reduce
@@ -49,12 +54,14 @@ type shuffleCollector struct {
 	// so the receiving side allocates each decoded run once, at its length.
 	remoteCounts []int
 
-	// Non-combiner path. localBufs is indexed by partition and encoders by
-	// destination place — not maps, so flush installs and ships in
-	// ascending order and a task's admission and eviction sequence is the
-	// same on every execution.
+	// Where delivered pairs collect until flush: on an unbudgeted job
+	// localBufs, indexed by partition, and encoders, by destination place;
+	// on a budgeted job frames, by destination place (frame.go). Not maps,
+	// so flush installs and ships in ascending order and a task's admission
+	// and eviction sequence is the same on every execution.
 	localBufs [][]wio.Pair
 	encoders  []*destEncoder
+	frames    *frameSet
 
 	// Combiner path.
 	combineBufs [][]wio.Pair
@@ -108,11 +115,11 @@ type destEncoder struct {
 
 // encodeBufPool recycles the remote shuffle's encode buffers across map
 // tasks and jobs; steady-state sequences reuse the grown buffers instead of
-// re-paying their allocation every task. encodeBufsOut counts buffers
-// checked out and not yet returned: every exit path of a task — commit,
-// error, abort, panic — must bring it back to baseline, which the
-// fault-injection tests pin (a leak here quietly bleeds grown buffers out
-// of the pool on every failed job).
+// re-paying their allocation every task. encodeBufsOut counts buffers — and
+// a budgeted job's frames (framePool) — checked out and not yet returned:
+// every exit path of a task — commit, error, abort, panic — must bring it
+// back to baseline, which the fault-injection tests pin (a leak here quietly
+// bleeds grown buffers out of the pool on every failed job).
 var (
 	encodeBufPool = sync.Pool{
 		New: func() any { return new(bytes.Buffer) },
@@ -144,8 +151,12 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		partitioner: x.rj.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.rj, a.split),
 	}
-	sc.localBufs = make([][]wio.Pair, sc.R)
-	sc.encoders = make([]*destEncoder, sc.P)
+	if x.budgets != nil {
+		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, sc.P), classes: x.classes}
+	} else {
+		sc.localBufs = make([][]wio.Pair, sc.R)
+		sc.encoders = make([]*destEncoder, sc.P)
+	}
 	// One allocation serves both per-partition tables.
 	perPartition := make([]int, 2*sc.R)
 	sc.placeOf, sc.remoteCounts = perPartition[:sc.R:sc.R], perPartition[sc.R:]
@@ -189,6 +200,9 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 
 // deliver routes one pair to its partition's place.
 func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bool) error {
+	if sc.frames != nil {
+		return sc.collectSerialized(q, key, value, immutable)
+	}
 	d := sc.placeOf[q]
 	if d == sc.place {
 		// Co-located: no serialization ever (§3.2.2.1); clone only to
@@ -243,7 +257,7 @@ func (sc *shuffleCollector) flush() error {
 			if err != nil {
 				return err
 			}
-			if sc.placeOf[q] == sc.place {
+			if sc.placeOf[q] == sc.place && sc.frames == nil {
 				// What is delivered below is all this partition gets, and
 				// the run it becomes is retained until the reducer drains
 				// it: exactly its length, never the mark.
@@ -260,6 +274,9 @@ func (sc *shuffleCollector) flush() error {
 			sc.combineBufs[q] = nil
 		}
 	}
+	if sc.frames != nil {
+		return sc.flushFrames()
+	}
 	// Local batches become sorted runs here, on the map task's worker —
 	// after a combiner pass they arrive already sorted (key-preserving
 	// combiners keep Combine's sort order), which SortPairs recognises in
@@ -268,11 +285,7 @@ func (sc *shuffleCollector) flush() error {
 	for _, pairs := range sc.localBufs {
 		engine.SortPairs(pairs, sortCmp)
 	}
-	// Batch admission: the whole flush reserves against the place's pool in
-	// one transaction when it fits, one run at a time otherwise.
-	if err := sc.x.installRuns(sc.ctx, sc.place, sc.src, sc.localBufs); err != nil {
-		return err
-	}
+	sc.x.installRuns(sc.src, sc.localBufs)
 	sc.localBufs = nil
 
 	for d, de := range sc.encoders {
@@ -348,14 +361,14 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 	for _, pairs := range byPartition {
 		engine.SortPairs(pairs, sortCmp)
 	}
-	// Every partition in this frame lives at place d; admit the decoded
-	// batch against d's pool in one transaction when it fits.
-	return sc.x.installRuns(sc.ctx, d, sc.src, byPartition)
+	sc.x.installRuns(sc.src, byPartition)
+	return nil
 }
 
 // abort releases the collector's resources after a failed task: any encode
-// buffers flush never shipped go back to the pool, and the buffered pairs
-// are dropped so they are collectable before the job's cleanup finishes.
+// buffers and frames flush never shipped go back to their pools, and the
+// buffered pairs are dropped so they are collectable before the job's
+// cleanup finishes.
 func (sc *shuffleCollector) abort() {
 	for _, de := range sc.encoders {
 		if de != nil && de.buf != nil {
@@ -363,7 +376,15 @@ func (sc *shuffleCollector) abort() {
 			de.buf, de.enc = nil, nil
 		}
 	}
+	if sc.frames != nil {
+		for _, f := range sc.frames.byPlace {
+			if f != nil {
+				putFrame(f)
+			}
+		}
+	}
 	sc.encoders = nil
+	sc.frames = nil
 	sc.localBufs = nil
 	sc.combineBufs = nil
 }

@@ -1,28 +1,36 @@
 package m3r
 
-import "m3r/internal/spill"
+import (
+	"m3r/internal/engine"
+	"m3r/internal/spill"
+)
 
 // spillWriteRun is the spill write entry point. Tests swap it to inject
 // disk faults: hard open errors, disk-full truncation mid-file, panics.
 var spillWriteRun = spill.WriteEncodedFile
 
-// writeSpill writes one overflow run — already encoded to its exact on-disk
-// segment bytes — and installs it in its partition, inline on the flushing
-// map task: a write error or panic fails that task and with it the job. The
-// key/value class names ride along so the merge leaf can decode the run.
-func (pi *partitionInput) writeSpill(src int, enc spill.EncodedRun, keyClass, valClass string) error {
-	x := pi.x
+// spillSegment moves one resident-format run of nrecs records to disk — an
+// overflow or a largest-first eviction — inline on the flushing map task: a
+// write error or panic fails that task and with it the job. The segment
+// passes through the job's codec to its exact on-disk bytes (for the raw
+// codec it is those bytes already), so counters, stats and cost charge the
+// stored (compressed) length. It returns the new file's path.
+func (x *jobExec) spillSegment(ctx *engine.TaskContext, seg []byte, nrecs int) (string, error) {
 	// Cancelled jobs stop paying for disk.
 	if err := x.lc.Err(); err != nil {
-		return err
+		return "", err
+	}
+	enc, err := spill.EncodeSegment(seg, x.codec)
+	if err != nil {
+		return "", err
 	}
 	path, err := x.spillPath()
 	if err != nil {
-		return err
+		return "", err
 	}
 	if _, err := spillWriteRun(path, enc); err != nil {
-		return err
+		return "", err
 	}
-	pi.install(&sourceRun{src: src, spill: &spilledRun{path: path, keyClass: keyClass, valClass: valClass}})
-	return nil
+	x.chargeSpill(ctx, enc, nrecs)
+	return path, nil
 }

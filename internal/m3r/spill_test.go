@@ -19,6 +19,7 @@ import (
 	"m3r/internal/types"
 	"m3r/internal/wio"
 	"m3r/internal/wordcount"
+	"m3r/internal/x10"
 )
 
 // swapSpillWrite installs a fault-injecting spill write for one test and
@@ -35,6 +36,13 @@ func swapSpillWrite(t *testing.T, fn func(string, spill.EncodedRun) (int64, erro
 // jobs through the spill path.
 func newFaultEngine(t *testing.T, places int) *Engine {
 	t.Helper()
+	return newFaultEngineOver(t, places, nil)
+}
+
+// newFaultEngineOver is newFaultEngine with its cross-place frames carried
+// by tr (nil: the in-process loopback).
+func newFaultEngineOver(t *testing.T, places int, tr x10.Transport) *Engine {
+	t.Helper()
 	// The engine makes its spill scratch under os.TempDir and these tests
 	// count what is left there; a private one keeps packages tested in
 	// parallel with this one out of the count.
@@ -43,7 +51,7 @@ func newFaultEngine(t *testing.T, places int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Options{Backing: backing, Places: places, ShuffleBudgetBytes: 1 << 20, Stats: sim.NewStats()})
+	e, err := New(Options{Backing: backing, Places: places, ShuffleBudgetBytes: 1 << 20, Transport: tr, Stats: sim.NewStats()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +241,7 @@ func newSpillExec(budget int64, codec spill.Codec, nparts int) *jobExec {
 }
 
 // installRun installs source task src's sorted run for partition q through
-// the production flush path (a one-run flush takes the per-run admission
-// of admitEncodedRun).
+// the production flush path (a one-run flush takes the per-run admission).
 func installRun(t *testing.T, x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.Pair) {
 	t.Helper()
 	if err := tryInstallRun(x, ctx, q, src, pairs); err != nil {
@@ -245,7 +252,33 @@ func installRun(t *testing.T, x *jobExec, ctx *engine.TaskContext, q, src int, p
 func tryInstallRun(x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.Pair) error {
 	runs := make([][]wio.Pair, len(x.parts))
 	runs[q] = pairs
-	return x.installRuns(ctx, 0, src, runs)
+	return flushRuns(x, ctx, src, runs)
+}
+
+// flushRuns delivers source task src's sorted runs, indexed by partition, as
+// a flush toward place 0 does: on an unbudgeted exec the pairs are installed
+// as they are; on a budgeted one they are collected into a frame, which
+// arrives — sliced, sorted, cut into segments, admitted.
+func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) error {
+	if x.budgets == nil {
+		x.installRuns(src, runs)
+		return nil
+	}
+	f := getFrame()
+	defer putFrame(f)
+	var c runClasses
+	rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}}
+	for q, pairs := range runs {
+		for _, p := range pairs {
+			if err := c.check(rj, p.Key, p.Value); err != nil {
+				return err
+			}
+			if err := f.add(q, p.Key, p.Value, false); err != nil {
+				return err
+			}
+		}
+	}
+	return x.arriveFrame(ctx, 0, src, f.seal(), c)
 }
 
 // textRun builds a sorted run of (prefix###, i) pairs.
@@ -359,8 +392,9 @@ func TestBudgetReleaseAndReadmission(t *testing.T) {
 // FuzzSpillQueue feeds fuzzer-shaped runs through the budgeted shuffle at a
 // fuzzer-chosen budget and spill codec, and pins the invariants admission,
 // eviction and spill promise at every setting: the merged stream is
-// byte-identical to the unbudgeted in-memory path, no spill stream stays
-// open, and the accountant returns to zero once the merge drains.
+// byte-identical to the unbudgeted in-memory path, the resident segments are
+// never more bytes than the pool holds for them, no spill stream stays open,
+// and the accountant returns to zero once the merge drains.
 func FuzzSpillQueue(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(64), false)
 	f.Add([]byte("aaaa bbbb aaaa cccc"), uint8(5), uint8(4), true)
@@ -394,6 +428,12 @@ func FuzzSpillQueue(f *testing.F) {
 			ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 			for src, pairs := range mkRuns() {
 				installRun(t, x, ctx, 0, src, pairs)
+			}
+			if x.budgets != nil {
+				// The shuffle barrier's check: what is resident is reserved.
+				if err := x.checkResidentBytes(0); err != nil {
+					t.Fatal(err)
+				}
 			}
 			out := drainMerge(t, x, ctx, 0)
 			if x.budgets != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -144,7 +145,7 @@ func TestEncodeRunFlateReusesCompressor(t *testing.T) {
 // decode as if the inflater were new, and each corruption must keep its
 // error class.
 func TestPooledInflaterSurvivesCorruptBlocks(t *testing.T) {
-	payload := appendRec(nil, Rec{K: []byte("abc"), V: []byte("defgh")})
+	payload := AppendRec(nil, Rec{K: []byte("abc"), V: []byte("defgh")})
 	comp := deflate(t, payload)
 	garbage := append([]byte(nil), comp...)
 	for i := range garbage {
@@ -278,5 +279,44 @@ func BenchmarkSortRecs(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/rec")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/rec")
 		})
+	}
+}
+
+// TestEncodeSegmentMatchesEncodeRun: a run already laid out in the raw
+// record format encodes to the bytes EncodeRun gives its records — the raw
+// codec hands the segment back as it is, flate cuts the same blocks (several
+// of them here, one oversized record among them) — and a segment that is not
+// whole records is refused.
+func TestEncodeSegmentMatchesEncodeRun(t *testing.T) {
+	recs := compressibleRecs(5000)
+	recs[100].V = bytes.Repeat([]byte("big value "), 10<<10) // a block of its own, past the target
+	var seg []byte
+	for _, r := range recs {
+		seg = AppendRec(seg, r)
+	}
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		want, err := EncodeRun(recs, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeSegment(seg, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, want.Data) || got.Raw != want.Raw {
+			t.Errorf("%s: EncodeSegment gives %d bytes (raw %d), EncodeRun %d (raw %d), or different ones",
+				codec, len(got.Data), got.Raw, len(want.Data), want.Raw)
+		}
+		if codec == CodecNone && &got.Data[0] != &seg[0] {
+			t.Error("the raw codec copied the segment")
+		}
+	}
+	if er, err := EncodeSegment(nil, CodecFlate); err != nil || len(er.Data) != 0 {
+		t.Errorf("an empty segment encodes to %d bytes, err %v", len(er.Data), err)
+	}
+	for _, cut := range []int{1, len(seg) - 1} {
+		if _, err := EncodeSegment(seg[:cut], CodecFlate); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("segment cut at %d: err %v, want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
 }

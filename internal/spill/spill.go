@@ -153,13 +153,29 @@ func WriteRec(w *bufio.Writer, r Rec) (int64, error) {
 	return r.EncodedLen(), nil
 }
 
-// appendRec appends r's raw framing and payload to dst.
-func appendRec(dst []byte, r Rec) []byte {
+// AppendRec appends r in the raw record format — the bytes WriteRec emits —
+// to dst.
+func AppendRec(dst []byte, r Rec) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r.K)))
 	dst = append(dst, r.K...)
 	dst = binary.AppendUvarint(dst, uint64(len(r.V)))
 	dst = append(dst, r.V...)
 	return dst
+}
+
+// CutRec is AppendRec's inverse: it returns the raw-format record seg starts
+// with, as views of seg, and what follows it. A seg that ends inside the
+// record is io.ErrUnexpectedEOF.
+func CutRec(seg []byte) (Rec, []byte, error) {
+	var f [2][]byte
+	for i := range f {
+		n, w := binary.Uvarint(seg)
+		if w <= 0 || n > uint64(len(seg)-w) {
+			return Rec{}, nil, io.ErrUnexpectedEOF
+		}
+		f[i], seg = seg[w:w+int(n):w+int(n)], seg[w+int(n):]
+	}
+	return Rec{K: f[0], V: f[1]}, seg, nil
 }
 
 // SegmentWriter writes one segment — raw for CodecNone, block-compressed
@@ -217,7 +233,7 @@ func (sw *SegmentWriter) Write(r Rec) error {
 	if sw.enc == nil {
 		sw.enc = blockEncoders.Get().(*blockEncoder)
 	}
-	sw.enc.buf = appendRec(sw.enc.buf, r)
+	sw.enc.buf = AppendRec(sw.enc.buf, r)
 	sw.raw += r.EncodedLen()
 	if len(sw.enc.buf) >= blockRawTarget {
 		return sw.flushBlock()
@@ -242,13 +258,21 @@ func (sw *SegmentWriter) Finish() (written, raw int64, err error) {
 	return sw.written, sw.raw, nil
 }
 
-// flushBlock emits the staged raw bytes as one block, compressing when the
-// codec shrinks them and falling back to a stored block otherwise.
+// flushBlock emits the staged raw bytes as one block.
 func (sw *SegmentWriter) flushBlock() error {
-	enc := sw.enc
-	if enc == nil || len(enc.buf) == 0 {
+	if sw.enc == nil || len(sw.enc.buf) == 0 {
 		return nil
 	}
+	err := sw.writeBlock(sw.enc.buf)
+	sw.enc.buf = sw.enc.buf[:0]
+	return err
+}
+
+// writeBlock emits raw — whole records, a compressed segment's next block —
+// compressing when the codec shrinks them and falling back to a stored
+// block otherwise. The segment header goes out ahead of the first block.
+func (sw *SegmentWriter) writeBlock(raw []byte) error {
+	enc := sw.enc
 	if !sw.headerDone {
 		if _, err := sw.w.Write(segMagic[:]); err != nil {
 			return err
@@ -262,24 +286,24 @@ func (sw *SegmentWriter) flushBlock() error {
 		sw.written += int64(segHeaderLen)
 		sw.headerDone = true
 	}
-	body, bcodec := enc.buf, CodecNone
+	body, bcodec := raw, CodecNone
 	if sw.codec == CodecFlate {
 		enc.cbuf.Reset()
 		enc.fw.Reset(&enc.cbuf)
-		if _, err := enc.fw.Write(enc.buf); err != nil {
+		if _, err := enc.fw.Write(raw); err != nil {
 			return err
 		}
 		if err := enc.fw.Close(); err != nil {
 			return err
 		}
-		if enc.cbuf.Len() < len(enc.buf) {
+		if enc.cbuf.Len() < len(raw) {
 			body, bcodec = enc.cbuf.Bytes(), CodecFlate
 		}
 	}
 	hdr := &enc.hdr
 	hdr[0] = byte(bcodec)
 	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(enc.buf)))
+	n += binary.PutUvarint(hdr[n:], uint64(len(raw)))
 	n += binary.PutUvarint(hdr[n:], uint64(len(body)))
 	if _, err := sw.w.Write(hdr[:n]); err != nil {
 		return err
@@ -288,7 +312,6 @@ func (sw *SegmentWriter) flushBlock() error {
 		return err
 	}
 	sw.written += int64(n) + int64(len(body))
-	enc.buf = enc.buf[:0]
 	return nil
 }
 
@@ -336,6 +359,43 @@ func EncodeRun(recs []Rec, codec Codec) (EncodedRun, error) {
 		return EncodedRun{}, err
 	}
 	return EncodedRun{Data: bytes.Clone(re.out.Bytes()), Raw: raw}, nil
+}
+
+// EncodeSegment is EncodeRun for records already laid out in the raw record
+// format: seg is the bytes EncodeRun(recs, CodecNone) yields, and the result
+// is byte for byte what EncodeRun(recs, codec) yields. For CodecNone that is
+// seg itself, not a copy; otherwise blocks are cut at the record boundaries
+// SegmentWriter.Write cuts them at and compressed straight out of seg. A seg
+// that does not parse as whole records is io.ErrUnexpectedEOF.
+func EncodeSegment(seg []byte, codec Codec) (EncodedRun, error) {
+	if codec == CodecNone {
+		return EncodedRun{Data: seg, Raw: int64(len(seg))}, nil
+	}
+	re := runEncoders.Get().(*runEncoder)
+	defer func() {
+		re.out.Reset()
+		re.bw.Reset(&re.out)
+		runEncoders.Put(re)
+	}()
+	sw := NewSegmentWriter(re.bw, codec)
+	sw.enc = blockEncoders.Get().(*blockEncoder)
+	defer sw.Finish() // nothing is staged in enc; this only returns it to its pool
+	for block, rest := seg, seg; len(rest) > 0; {
+		var err error
+		if _, rest, err = CutRec(rest); err != nil {
+			return EncodedRun{}, err
+		}
+		if n := len(block) - len(rest); n >= blockRawTarget || len(rest) == 0 {
+			if err := sw.writeBlock(block[:n]); err != nil {
+				return EncodedRun{}, err
+			}
+			block = rest
+		}
+	}
+	if err := re.bw.Flush(); err != nil {
+		return EncodedRun{}, err
+	}
+	return EncodedRun{Data: bytes.Clone(re.out.Bytes()), Raw: int64(len(seg))}, nil
 }
 
 // MarshalRun serializes a run of pairs into the spill record format: the

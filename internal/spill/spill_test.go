@@ -644,7 +644,7 @@ func deflate(t *testing.T, b []byte) []byte {
 // lengths disagree, and a flate block declaring an impossible expansion —
 // all surface ErrBlockSizeMismatch.
 func TestBlockSizeMismatchIsAnError(t *testing.T) {
-	payload := appendRec(nil, Rec{K: []byte("abc"), V: []byte("defgh")})
+	payload := AppendRec(nil, Rec{K: []byte("abc"), V: []byte("defgh")})
 	comp := deflate(t, payload)
 	cases := map[string][]byte{
 		// Declares one byte more than the body inflates to.
@@ -686,7 +686,7 @@ func TestBlockSizeMismatchIsAnError(t *testing.T) {
 // unknown name.
 func TestUnknownCodecIsAnError(t *testing.T) {
 	base := OpenStreamCount()
-	payload := appendRec(nil, Rec{K: []byte("k"), V: []byte("v")})
+	payload := AppendRec(nil, Rec{K: []byte("k"), V: []byte("v")})
 
 	seg := blockSegment(t, CodecNone, uint64(len(payload)), payload)
 	seg[5] = 99 // segment codec byte
@@ -724,7 +724,7 @@ func TestUnknownCodecIsAnError(t *testing.T) {
 // TestUnsupportedVersionIsAnError: a segment header from a future format
 // version fails at open instead of being misparsed.
 func TestUnsupportedVersionIsAnError(t *testing.T) {
-	payload := appendRec(nil, Rec{K: []byte("k"), V: []byte("v")})
+	payload := AppendRec(nil, Rec{K: []byte("k"), V: []byte("v")})
 	seg := blockSegment(t, CodecNone, uint64(len(payload)), payload)
 	seg[4] = formatVersion + 1
 	path := filepath.Join(t.TempDir(), "future")
