@@ -242,6 +242,12 @@ func NewSeqReader(fs dfs.FileSystem, path string, start, length int64) (*SeqRead
 				f.Close()
 				return nil, err
 			}
+		} else if r.cr.pos-syncSize >= r.end {
+			// The first marker after start lies past the split's end — the
+			// split sits inside one large record — so the records behind
+			// that marker are another split's, as Next decides for every
+			// later marker.
+			r.done = true
 		}
 	}
 	return r, nil

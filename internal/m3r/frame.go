@@ -66,9 +66,9 @@ type shuffleFrame struct {
 	hits int64
 }
 
-// framePool recycles frames across map tasks and jobs like encodeBufPool,
-// and shares its ledger: a frame checked out counts in encodeBufsOut until
-// putFrame.
+// framePool recycles frames across map tasks and jobs as x10's pools recycle
+// the unbudgeted path's streams, and shares their ledger: a frame checked out
+// counts in encodeBufsOut until putFrame.
 var framePool = sync.Pool{New: func() any { return new(shuffleFrame) }}
 
 func getFrame() *shuffleFrame {

@@ -1,9 +1,7 @@
 package m3r
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"m3r/internal/conf"
@@ -14,6 +12,7 @@ import (
 	"m3r/internal/mapred"
 	"m3r/internal/sim"
 	"m3r/internal/wio"
+	"m3r/internal/x10"
 )
 
 // shuffleCollector receives one map task's output and routes it to reduce
@@ -23,7 +22,7 @@ import (
 //     serialization — aliased when the map side declared ImmutableOutput,
 //     deep-cloned otherwise (§3.2.2.1, §4.1);
 //   - pairs for remote places are serialized immediately into a
-//     per-destination buffer through the de-duplicating encoder, so a
+//     per-destination stream through the de-duplicating encoder, so a
 //     broadcast value crosses the wire once per place (§3.2.2.3);
 //   - with a combiner configured, pairs are buffered per partition and
 //     combined before delivery.
@@ -55,12 +54,12 @@ type shuffleCollector struct {
 	remoteCounts []int
 
 	// Where delivered pairs collect until flush: on an unbudgeted job
-	// localBufs, indexed by partition, and encoders, by destination place;
+	// localBufs, indexed by partition, and streams, by destination place;
 	// on a budgeted job frames, by destination place (frame.go). Not maps,
 	// so flush installs and ships in ascending order and a task's admission
 	// and eviction sequence is the same on every execution.
 	localBufs [][]wio.Pair
-	encoders  []*destEncoder
+	streams   []*x10.OutStream
 	frames    *frameSet
 
 	// Combiner path.
@@ -106,37 +105,24 @@ func (sc *shuffleCollector) raiseCollectMark(q, n int) {
 	}
 }
 
-// destEncoder accumulates the encoded stream for one destination place.
-// Its byte buffer comes from encodeBufPool and returns there at flush.
-type destEncoder struct {
-	buf *bytes.Buffer
-	enc *wio.Encoder
-}
+// encodeBufsOut counts what a task has checked out of the outbound pools and
+// not yet returned: the unbudgeted shuffle's per-destination streams
+// (x10.OutStream) and a budgeted job's frames (framePool). Every exit path of
+// a task — commit, error, abort, panic — must bring it back to baseline,
+// which the fault-injection tests pin (a leak here quietly bleeds grown
+// buffers out of the pools on every failed job).
+var encodeBufsOut atomic.Int64
 
-// encodeBufPool recycles the remote shuffle's encode buffers across map
-// tasks and jobs; steady-state sequences reuse the grown buffers instead of
-// re-paying their allocation every task. encodeBufsOut counts buffers — and
-// a budgeted job's frames (framePool) — checked out and not yet returned:
-// every exit path of a task — commit, error, abort, panic — must bring it
-// back to baseline, which the fault-injection tests pin (a leak here quietly
-// bleeds grown buffers out of the pool on every failed job).
-var (
-	encodeBufPool = sync.Pool{
-		New: func() any { return new(bytes.Buffer) },
-	}
-	encodeBufsOut atomic.Int64
-)
-
-// getEncodeBuf checks an encode buffer out of the pool.
-func getEncodeBuf() *bytes.Buffer {
+// getOutStream checks a stream for one destination place out of the pool.
+func getOutStream(dedup bool) *x10.OutStream {
 	encodeBufsOut.Add(1)
-	return encodeBufPool.Get().(*bytes.Buffer)
+	return x10.GetOutStream(dedup)
 }
 
-// putEncodeBuf resets and returns a buffer to the pool.
-func putEncodeBuf(b *bytes.Buffer) {
-	b.Reset()
-	encodeBufPool.Put(b)
+// putOutStream returns a stream, and the chunks of it that nothing decoded
+// points into, to their pools.
+func putOutStream(s *x10.OutStream) {
+	s.Release()
 	encodeBufsOut.Add(-1)
 }
 
@@ -155,7 +141,7 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, sc.P), classes: x.classes}
 	} else {
 		sc.localBufs = make([][]wio.Pair, sc.R)
-		sc.encoders = make([]*destEncoder, sc.P)
+		sc.streams = make([]*x10.OutStream, sc.P)
 	}
 	// One allocation serves both per-partition tables.
 	perPartition := make([]int, 2*sc.R)
@@ -225,18 +211,19 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 	// map sides it is disabled (a reused-and-mutated object must not
 	// back-reference its stale bytes). This mirrors real M3R, where
 	// unmarked output is copied before the serializer ever sees it.
-	de := sc.encoders[d]
-	if de == nil {
-		de = &destEncoder{buf: getEncodeBuf()}
-		de.enc = wio.NewEncoder(de.buf, sc.x.dedup && immutable)
-		sc.encoders[d] = de
+	out := sc.streams[d]
+	if out == nil {
+		out = getOutStream(sc.x.dedup && immutable)
+		sc.streams[d] = out
 	}
-	if err := de.enc.EncodeUvarint(uint64(q)); err != nil {
+	enc := out.Encoder()
+	if err := enc.EncodeUvarint(uint64(q)); err != nil {
 		return err
 	}
-	if err := de.enc.EncodePair(wio.Pair{Key: key, Value: value}); err != nil {
+	if err := enc.EncodePair(wio.Pair{Key: key, Value: value}); err != nil {
 		return err
 	}
+	out.EndRecord()
 	sc.remoteCounts[q]++
 	sc.ctx.Cells.RemoteShufflePairs.Increment(1)
 	return nil
@@ -244,7 +231,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 
 // flush completes the task's shuffle: run the combiner if configured, sort
 // each per-partition batch map-side, install the sorted runs into their
-// partitions, and ship each remote buffer (decode on the destination side
+// partitions, and ship each remote stream (decode on the destination side
 // yields fresh objects, with dedup aliases for repeated values).
 func (sc *shuffleCollector) flush() error {
 	if sc.combineBufs != nil {
@@ -288,53 +275,53 @@ func (sc *shuffleCollector) flush() error {
 	sc.x.installRuns(sc.src, sc.localBufs)
 	sc.localBufs = nil
 
-	for d, de := range sc.encoders {
-		if de == nil {
+	for d, out := range sc.streams {
+		if out == nil {
 			continue
 		}
-		if err := sc.shipRemote(d, de); err != nil {
+		if err := sc.shipRemote(d, out); err != nil {
 			return err
 		}
 	}
-	sc.encoders = nil
+	sc.streams = nil
 	return nil
 }
 
 // shipRemote closes one destination's encoded stream, "ships" it, and
 // decodes it at the destination into sorted runs.
-func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
-	// The pooled buffer returns to encodeBufPool on every exit path —
-	// error returns must not bleed grown buffers out of the pool.
+func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
+	// The stream returns to its pool on every exit path — error returns
+	// must not bleed grown buffers out of the pool. The chunks the decoded
+	// values point into do not return with it: they are the destination's
+	// from here on, alive as long as any of those values is.
 	defer func() {
-		putEncodeBuf(de.buf)
-		de.buf, de.enc = nil, nil
+		sc.streams[d] = nil
+		putOutStream(out)
 	}()
 	e := sc.x.e
-	if err := de.enc.Close(); err != nil {
-		return err
-	}
-	// The wire in between: the runtime's transport carries the frame to
-	// place d (a memory loopback on inproc; a round trip over a loopback
-	// socket to d's echoing frame server on tcp) and returns the bytes as
-	// delivered there.
-	payload, err := e.rt.ShipFrame(sc.place, d, de.buf.Bytes())
+	// The wire in between: the runtime's transport carries the stream's
+	// chunks to place d (a memory loopback on inproc; a round trip each
+	// over a loopback socket to d's echoing frame server on tcp) and the
+	// stream holds the bytes as delivered there.
+	n, frames, err := e.rt.ShipStream(sc.place, d, out)
 	if err != nil {
 		return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
 	}
-	n := int64(len(payload))
+	hits := int64(out.Encoder().DedupHits())
 	e.stats.Add(sim.RemoteBytes, n)
 	e.stats.Add(sim.RemoteTransfers, 1)
-	e.stats.Add(sim.DedupHits, int64(de.enc.DedupHits()))
+	e.stats.Add(sim.DedupHits, hits)
 	sc.ctx.IncrCounter(counters.TaskGroup, counters.RemoteShuffleBytes, n)
-	sc.ctx.IncrCounter(counters.M3RGroup, counters.DedupHits, int64(de.enc.DedupHits()))
+	sc.ctx.IncrCounter(counters.M3RGroup, counters.DedupHits, hits)
 	if e.rt.RemoteTransport() {
-		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetFrames, 1)
+		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetFrames, int64(frames))
 		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetBytes, n)
 	}
 	e.cost.ChargeNet(e.stats, n)
 
-	// "Arrive" at place d: decode into fresh objects.
-	dec := wio.NewDecoderBytes(payload)
+	// "Arrive" at place d: decode into fresh objects, exactly the pairs the
+	// task counted and then the end of the stream — a frame that stops
+	// short, runs on, or has lost its marker is corrupt, not merely odd.
 	byPartition := make([][]wio.Pair, sc.R)
 	total := 0
 	for q, n := range sc.remoteCounts {
@@ -344,18 +331,17 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 		}
 	}
 	for i := 0; i < total; i++ {
-		qv, err := dec.DecodeUvarint()
+		qv, pair, err := nextRemotePair(out)
 		if err != nil {
-			return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
-		}
-		pair, err := dec.DecodePair()
-		if err != nil {
-			return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
+			return fmt.Errorf("m3r: shuffle decode at place %d: pair %d of %d: %w", d, i, total, err)
 		}
 		if qv >= uint64(sc.R) {
 			return fmt.Errorf("m3r: shuffle decode at place %d: partition %d of %d", d, qv, sc.R)
 		}
 		byPartition[qv] = append(byPartition[qv], pair)
+	}
+	if err := out.End(); err != nil {
+		return fmt.Errorf("m3r: shuffle decode at place %d: after %d pairs: %w", d, total, err)
 	}
 	sortCmp := sc.x.rj.SortCmp
 	for _, pairs := range byPartition {
@@ -365,15 +351,29 @@ func (sc *shuffleCollector) shipRemote(d int, de *destEncoder) error {
 	return nil
 }
 
-// abort releases the collector's resources after a failed task: any encode
-// buffers and frames flush never shipped go back to their pools, and the
+// nextRemotePair decodes one record of a shuffle stream: the partition and
+// the pair deliver encoded for it.
+func nextRemotePair(in *x10.OutStream) (uint64, wio.Pair, error) {
+	dec, err := in.NextRecord()
+	if err != nil {
+		return 0, wio.Pair{}, err
+	}
+	q, err := dec.DecodeUvarint()
+	if err != nil {
+		return 0, wio.Pair{}, err
+	}
+	pair, err := dec.DecodePair()
+	return q, pair, err
+}
+
+// abort releases the collector's resources after a failed task: any streams
+// and frames flush never shipped go back to their pools, and the
 // buffered pairs are dropped so they are collectable before the job's
 // cleanup finishes.
 func (sc *shuffleCollector) abort() {
-	for _, de := range sc.encoders {
-		if de != nil && de.buf != nil {
-			putEncodeBuf(de.buf)
-			de.buf, de.enc = nil, nil
+	for _, out := range sc.streams {
+		if out != nil {
+			putOutStream(out)
 		}
 	}
 	if sc.frames != nil {
@@ -383,7 +383,7 @@ func (sc *shuffleCollector) abort() {
 			}
 		}
 	}
-	sc.encoders = nil
+	sc.streams = nil
 	sc.frames = nil
 	sc.localBufs = nil
 	sc.combineBufs = nil

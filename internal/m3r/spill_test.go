@@ -217,9 +217,9 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
 	}
-	if sc.combineBufs != nil || sc.localBufs != nil || sc.encoders != nil {
-		t.Errorf("abort left buffers set: combineBufs %v, localBufs %v, encoders %v",
-			sc.combineBufs != nil, sc.localBufs != nil, sc.encoders != nil)
+	if sc.combineBufs != nil || sc.localBufs != nil || sc.streams != nil {
+		t.Errorf("abort left buffers set: combineBufs %v, localBufs %v, streams %v",
+			sc.combineBufs != nil, sc.localBufs != nil, sc.streams != nil)
 	}
 }
 

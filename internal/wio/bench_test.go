@@ -2,6 +2,7 @@ package wio_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"m3r/internal/sysml"
@@ -170,4 +171,85 @@ func BenchmarkBlockCodec(b *testing.B) {
 			benchSink = out
 		}
 	})
+}
+
+// remotePairs is one map task's remote output on the shuffle microbenchmark:
+// n integer keys with distinct valBytes-byte values.
+func remotePairs(n, valBytes int) []wio.Pair {
+	pairs := make([]wio.Pair, n)
+	for i := range pairs {
+		v := make([]byte, valBytes)
+		for j := range v {
+			v[j] = byte(i + j)
+		}
+		pairs[i] = wio.Pair{Key: types.NewInt(int32(i)), Value: types.NewBytes(v)}
+	}
+	return pairs
+}
+
+// BenchmarkEncodePair is the encode half of a remote shuffle record: 2 000
+// pairs with 2 KiB values through one de-duplicating Encoder per stream, the
+// Encoder reused from stream to stream as a pooled x10.OutStream reuses it.
+// What it prices beside the copy of the value is the bookkeeping per object:
+// the type id (a scan over the stream's reflect.Types) and the identity
+// table insert (into a table cleared, not rebuilt, per stream). ns/op is ns
+// per pair.
+func BenchmarkEncodePair(b *testing.B) {
+	pairs := remotePairs(2000, 2048)
+	var sink bytes.Buffer
+	enc := wio.NewEncoder(&sink, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(pairs) {
+		sink.Reset()
+		enc.Reset(&sink, true)
+		for _, p := range pairs[:min(len(pairs), b.N-i)] {
+			if err := enc.EncodePair(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := enc.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(sink.Len() / len(pairs)))
+}
+
+// BenchmarkDecodePair is the decode half, per value size and Reader mode:
+// copying (every body allocated and copied out of the frame) against owned
+// (bodies of OwnedFloor bytes or more point into it). The sizes straddle the
+// floor; ns/op is ns per pair.
+func BenchmarkDecodePair(b *testing.B) {
+	for _, valBytes := range []int{64, 255, 256, 2048} {
+		pairs := remotePairs(2000, valBytes)
+		var sink bytes.Buffer
+		enc := wio.NewEncoder(&sink, true)
+		for _, p := range pairs {
+			if err := enc.EncodePair(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		frame := sink.Bytes()
+		for _, owned := range []bool{false, true} {
+			mode := "copying"
+			if owned {
+				mode = "owned"
+			}
+			b.Run(fmt.Sprintf("value=%d/%s", valBytes, mode), func(b *testing.B) {
+				var dec wio.Decoder
+				b.SetBytes(int64(len(frame) / len(pairs)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i += len(pairs) {
+					dec.ResetBytes(frame, owned)
+					for range min(len(pairs), b.N-i) {
+						p, err := dec.DecodePair()
+						if err != nil {
+							b.Fatal(err)
+						}
+						benchSink = p.Value
+					}
+				}
+			})
+		}
+	}
 }

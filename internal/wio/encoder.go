@@ -3,6 +3,8 @@ package wio
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 )
 
 // Stream tags for Encoder/Decoder messages.
@@ -24,8 +26,12 @@ const (
 // that emits one vector block to k co-located reducers costs one copy on
 // the wire, not k.
 type Encoder struct {
-	w      *Writer
-	types  map[string]uint64
+	w *Writer
+	// types holds the dynamic types written so far; a type's stream id is its
+	// index. A stream carries two or three types, key and value alternating,
+	// so a scan over the reflect.Types finds an id without the registry's
+	// type → name lookup and a second one by name.
+	types  []reflect.Type
 	objs   map[Writable]uint64 // identity → id; made on the first insert, so only when dedup is on
 	dedup  bool
 	nextID uint64
@@ -35,11 +41,29 @@ type Encoder struct {
 // NewEncoder returns an Encoder targeting w. When dedup is true, repeated
 // objects are transmitted once.
 func NewEncoder(w io.Writer, dedup bool) *Encoder {
-	return &Encoder{
-		w:     NewWriter(w),
-		types: make(map[string]uint64),
-		dedup: dedup,
+	return &Encoder{w: NewWriter(w), dedup: dedup}
+}
+
+// maxKeptObjs bounds the identity table an Encoder carries from one stream
+// to the next: clearing a map costs time in its capacity, not its length, so
+// one huge stream must not tax every small one that follows it.
+const maxKeptObjs = 1 << 16
+
+// Reset re-targets the encoder at w as a new stream: no type has been named
+// and no object seen. The tables keep their memory, which is what pooling an
+// Encoder with its frame buys — a map task's encoder remembers thousands of
+// objects, and growing that table from empty each task was a twentieth of a
+// remote pair's allocated bytes.
+func (e *Encoder) Reset(w io.Writer, dedup bool) {
+	e.w.Reset(w)
+	e.types = e.types[:0]
+	if len(e.objs) > maxKeptObjs {
+		e.objs = nil
+	} else {
+		clear(e.objs)
 	}
+	e.dedup = dedup
+	e.nextID, e.hits = 0, 0
 }
 
 // Count reports bytes emitted so far.
@@ -62,25 +86,26 @@ func (e *Encoder) Encode(v Writable) error {
 			return e.w.WriteUvarint(id)
 		}
 	}
-	name, err := NameOf(v)
-	if err != nil {
-		return err
+	rt := reflect.TypeOf(v)
+	tid := slices.Index(e.types, rt)
+	first := tid < 0
+	var name string
+	if first {
+		var err error
+		if name, err = NameOf(v); err != nil {
+			return err
+		}
+		tid = len(e.types)
+		e.types = append(e.types, rt)
 	}
 	if err := e.w.WriteByte(tagNew); err != nil {
 		return err
 	}
-	tid, known := e.types[name]
-	if !known {
-		tid = uint64(len(e.types))
-		e.types[name] = tid
-		if err := e.w.WriteUvarint(tid); err != nil {
-			return err
-		}
+	if err := e.w.WriteUvarint(uint64(tid)); err != nil {
+		return err
+	}
+	if first {
 		if err := e.w.WriteString(name); err != nil {
-			return err
-		}
-	} else {
-		if err := e.w.WriteUvarint(tid); err != nil {
 			return err
 		}
 	}
@@ -116,8 +141,15 @@ func (e *Encoder) Close() error {
 // Decoder reads a stream produced by Encoder.
 type Decoder struct {
 	r     Reader
-	types []string
+	types []decType
 	objs  []Writable
+}
+
+// decType is a type the stream has named: the registry is asked for its
+// factory once, when the name arrives, not once per object.
+type decType struct {
+	name string
+	new  func() Writable
 }
 
 // NewDecoder returns a Decoder consuming from r.
@@ -127,13 +159,57 @@ func NewDecoder(r io.Reader) *Decoder {
 	return d
 }
 
-// NewDecoderBytes returns a Decoder over an encoded frame already in
-// memory, decoding straight out of b (slice-mode Reader) instead of through
-// an io.Reader.
-func NewDecoderBytes(b []byte) *Decoder {
-	d := new(Decoder)
-	d.r.ResetBytes(b)
-	return d
+// ResetBytes aims the decoder — the zero Decoder will do — at b, an encoded
+// stream already in memory, decoding straight out of it (slice-mode Reader)
+// instead of through an io.Reader. It starts a new stream: the type and
+// object tables are emptied but keep their memory, for a decoder that is
+// pooled. With owned, the caller gives b up (Reader.ResetBytesOwned): byte
+// bodies of OwnedFloor bytes or more come back pointing into b, and Aliased
+// then says so. Count restarts at zero.
+func (d *Decoder) ResetBytes(b []byte, owned bool) {
+	d.types = d.types[:0]
+	clear(d.objs) // the objects belong to whoever decoded them, not to a pooled table
+	d.objs = d.objs[:0]
+	d.ContinueBytes(b, owned)
+}
+
+// ContinueBytes aims the decoder at b as the next piece of the stream it is
+// on — an Encoder's output cut between two values: the type and object
+// tables carry over, so a back-reference may name an object an earlier piece
+// delivered. owned is as for ResetBytes and holds for this piece alone; Count
+// and Aliased restart.
+func (d *Decoder) ContinueBytes(b []byte, owned bool) {
+	if owned {
+		d.r.ResetBytesOwned(b)
+	} else {
+		d.r.ResetBytes(b)
+	}
+}
+
+// Aliased reports whether a value decoded from the current piece points into
+// it, which only an owned piece allows.
+func (d *Decoder) Aliased() bool { return d.r.Aliased() }
+
+// Remaining reports the undecoded bytes of a decoder over bytes in memory.
+func (d *Decoder) Remaining() int { return d.r.Remaining() }
+
+// DecodeEnd consumes the end-of-stream marker Encoder.Close wrote. Unlike
+// Decode, which reports a marker and an input that simply stops both as
+// io.EOF, it tells them apart: a receiver that knows how many values to
+// expect calls it after the last one, and a stream cut short of its marker,
+// or carrying on past the count, is an error.
+func (d *Decoder) DecodeEnd() error {
+	tag, err := d.r.ReadByte()
+	if err == io.EOF {
+		return fmt.Errorf("wio: stream ends without its end-of-stream marker: %w", io.ErrUnexpectedEOF)
+	}
+	if err != nil {
+		return err
+	}
+	if tag != tagDone {
+		return fmt.Errorf("wio: tag %d where the end-of-stream marker belongs", tag)
+	}
+	return nil
 }
 
 // Count reports bytes consumed so far.
@@ -168,24 +244,23 @@ func (d *Decoder) Decode() (Writable, error) {
 		if err != nil {
 			return nil, err
 		}
-		var name string
 		if tid == uint64(len(d.types)) {
-			name, err = d.r.ReadString()
+			name, err := d.r.ReadString()
 			if err != nil {
 				return nil, err
 			}
-			d.types = append(d.types, name)
-		} else if tid < uint64(len(d.types)) {
-			name = d.types[tid]
-		} else {
+			factory, err := Factory(name)
+			if err != nil {
+				return nil, err
+			}
+			d.types = append(d.types, decType{name, factory})
+		} else if tid > uint64(len(d.types)) {
 			return nil, fmt.Errorf("wio: type id %d out of range (have %d types)", tid, len(d.types))
 		}
-		v, err := New(name)
-		if err != nil {
-			return nil, err
-		}
+		t := &d.types[tid]
+		v := t.new()
 		if err := v.ReadFields(&d.r); err != nil {
-			return nil, fmt.Errorf("wio: decoding %s: %w", name, err)
+			return nil, fmt.Errorf("wio: decoding %s: %w", t.name, err)
 		}
 		d.objs = append(d.objs, v)
 		return v, nil

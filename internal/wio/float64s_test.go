@@ -436,7 +436,9 @@ func TestCorruptArrayLengthsAreErrors(t *testing.T) {
 			},
 			"Decoder.Decode": func() error {
 				frame := append([]byte{1, 0, byte(len(c.class))}, c.class...) // tagNew, type id 0, its name
-				_, err := wio.NewDecoderBytes(append(frame, data...)).Decode()
+				var dec wio.Decoder
+				dec.ResetBytes(append(frame, data...), false)
+				_, err := dec.Decode()
 				return err
 			},
 			"spill run": func() error {

@@ -149,27 +149,39 @@ func readOp(r *wio.Reader, op, arg byte, bufs *opBufs) (any, error) {
 // stepArg is the argument of a script's i-th step.
 func stepArg(i int) byte { return byte(i * 7) }
 
-// compareReaders runs script over data in both modes and fails on the first
-// step where value, error or Count differ.
+// compareReaders runs script over data in the stream mode, the slice mode and
+// the owned slice mode and fails on the first step where value, error or
+// Count differ. The owned reader gets a copy of data: a recycled buffer that
+// is a view of the input (op 11 after a large body) is written through.
 func compareReaders(t *testing.T, data, script []byte) {
 	t.Helper()
 	stream := wio.NewReader(bytes.NewReader(data))
-	var slice wio.Reader
+	var slice, owned wio.Reader
 	slice.ResetBytes(data)
-	var sbuf, mbuf opBufs
+	owned.ResetBytesOwned(bytes.Clone(data))
+	var sbuf, mbuf, obuf opBufs
 	for i, op := range script {
 		arg := stepArg(i)
 		sv, serr := readOp(stream, op, arg, &sbuf)
-		mv, merr := readOp(&slice, op, arg, &mbuf)
-		if !sameErr(serr, merr) {
-			t.Fatalf("step %d op %d over %d bytes: stream err %v, slice err %v", i, op%numOps, len(data), serr, merr)
+		for _, m := range []struct {
+			name string
+			r    *wio.Reader
+			bufs *opBufs
+		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}} {
+			mv, merr := readOp(m.r, op, arg, m.bufs)
+			if !sameErr(serr, merr) {
+				t.Fatalf("step %d op %d over %d bytes: stream err %v, %s err %v", i, op%numOps, len(data), serr, m.name, merr)
+			}
+			if !reflect.DeepEqual(sv, mv) {
+				t.Fatalf("step %d op %d over %d bytes: stream value %v, %s value %v", i, op%numOps, len(data), sv, m.name, mv)
+			}
+			if stream.Count() != m.r.Count() {
+				t.Fatalf("step %d op %d over %d bytes: stream Count %d, %s Count %d", i, op%numOps, len(data), stream.Count(), m.name, m.r.Count())
+			}
 		}
-		if !reflect.DeepEqual(sv, mv) {
-			t.Fatalf("step %d op %d over %d bytes: stream value %v, slice value %v", i, op%numOps, len(data), sv, mv)
-		}
-		if stream.Count() != slice.Count() {
-			t.Fatalf("step %d op %d over %d bytes: stream Count %d, slice Count %d", i, op%numOps, len(data), stream.Count(), slice.Count())
-		}
+	}
+	if slice.Aliased() {
+		t.Fatal("the copying slice mode reports a value pointing into its input")
 	}
 }
 
@@ -220,6 +232,15 @@ func FuzzSliceModeReader(f *testing.F) {
 	// index as an int8: 0, 7, 14, 21 fit, 28 is more than is left, the ones
 	// after start at the end of input, and from step 19 on they are negative.
 	f.Add(bytes.Repeat([]byte{0x40, 9, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x7f}, 40), []byte{13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13})
+	// Bodies at and around wio.OwnedFloor, which the owned mode returns as
+	// views: read fresh (10), into a recycled buffer (11), as a string (9),
+	// and cut short.
+	big := append([]byte{0x80, 0x02}, bytes.Repeat([]byte{'v'}, 256)...) // uvarint 256 + body
+	f.Add(append(append([]byte(nil), big...), big...), []byte{10, 11})
+	f.Add(append(append([]byte(nil), big...), big...), []byte{11, 11, 0})
+	f.Add(big, []byte{9, 10})
+	f.Add(big[:200], []byte{10})
+	f.Add(append([]byte{0xff, 0x01}, bytes.Repeat([]byte{'w'}, 255)...), []byte{10, 10})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
@@ -346,7 +367,8 @@ func TestDecoderBytesMatchesDecoder(t *testing.T) {
 	}
 	for cut := 0; cut <= frame.Len(); cut++ {
 		b := frame.Bytes()[:cut]
-		sd, md := wio.NewDecoder(bytes.NewReader(b)), wio.NewDecoderBytes(b)
+		sd, md := wio.NewDecoder(bytes.NewReader(b)), new(wio.Decoder)
+		md.ResetBytes(b, false)
 		for i := 0; ; i++ {
 			sv, serr := sd.Decode()
 			mv, merr := md.Decode()

@@ -142,7 +142,8 @@ func (w *Writer) WriteFloat64(v float64) error {
 // WriteFloat64s writes vs as len(vs) IEEE-754 doubles: exactly the bytes of
 // one WriteFloat64 per element, with no length prefix, in one pass. Slice
 // mode grows the destination once; stream mode issues one Write per 64
-// elements instead of one per element.
+// elements instead of one per element, after telling a sink that has a Grow
+// method how much is coming.
 func (w *Writer) WriteFloat64s(vs []float64) error {
 	if w.w == nil {
 		n := len(w.out)
@@ -150,6 +151,14 @@ func (w *Writer) WriteFloat64s(vs []float64) error {
 		putFloat64s(w.out[n:], vs)
 		w.count += int64(8 * len(vs))
 		return nil
+	}
+	if len(vs) > chunkBytes/8 {
+		// The array leaves in pieces; a sink that can make room (an
+		// x10.OutStream, a bytes.Buffer) is told the whole size first, so it
+		// grows once instead of under every piece.
+		if g, ok := w.w.(interface{ Grow(n int) }); ok {
+			g.Grow(8 * len(vs))
+		}
 	}
 	for len(vs) > 0 {
 		k := min(len(vs), chunkBytes/8)
@@ -220,6 +229,13 @@ func (w *Writer) WriteString(s string) error {
 		w.count += int64(len(s))
 		return nil
 	}
+	if len(s) <= len(w.buf) {
+		// Through the staging array: io.WriteString would allocate a copy
+		// of s for a sink without a WriteString of its own, once per type
+		// name on every encoded stream.
+		_, err := w.Write(w.buf[:copy(w.buf[:], s)])
+		return err
+	}
 	_, err := io.WriteString(w, s)
 	return err
 }
@@ -249,12 +265,29 @@ func (w *Writer) Flush() error {
 // inside one — are the same in both. The zero Reader is an empty slice-mode
 // reader, so a Reader can live by value inside a record reader and be
 // re-aimed at each record's bytes.
+//
+// Slice mode copies everything it returns out of the slice, unless the slice
+// was given up to the reader (ResetBytesOwned): then a byte body of OwnedFloor
+// bytes or more, read for a holder that has no capacity of its own, is a
+// sub-slice of the input instead of an allocation and a copy. Values, Count
+// and errors are those of the copying mode.
 type Reader struct {
-	r     io.Reader // nil in slice mode
-	data  []byte    // slice-mode source; data[count:] is unread
-	buf   [chunkBytes]byte
-	count int64
+	r       io.Reader // nil in slice mode
+	data    []byte    // slice-mode source; data[count:] is unread
+	buf     [chunkBytes]byte
+	count   int64
+	owned   bool // data was given up by the caller: large bodies may point into it
+	aliased bool // a body returned since the last reset points into data
 }
+
+// OwnedFloor is the shortest byte body an owned-mode Reader hands out as a
+// sub-slice of its input. A shorter one is copied as in the copying mode: a
+// value that points into a frame keeps the whole frame alive and out of its
+// pool, which a key of a few bytes must not do to a frame of many kilobytes —
+// a stream of short words gives every frame back — and the saving shrinks
+// with the body (BenchmarkDecodePair: 2 KiB values decode in an eighth of the
+// copying mode's time, 256-byte ones in under half of it).
+const OwnedFloor = 256
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
@@ -268,6 +301,7 @@ func (r *Reader) Count() int64 { return r.count }
 func (r *Reader) Reset(in io.Reader) {
 	r.r, r.data = in, nil
 	r.count = 0
+	r.owned, r.aliased = false, false
 }
 
 // ResetBytes switches the reader to slice mode over b and zeroes Count. The
@@ -275,6 +309,32 @@ func (r *Reader) Reset(in io.Reader) {
 func (r *Reader) ResetBytes(b []byte) {
 	r.r, r.data = nil, b
 	r.count = 0
+	r.owned, r.aliased = false, false
+}
+
+// ResetBytesOwned is ResetBytes over a slice the caller gives up: the reader
+// still never writes to b, but a byte body of at least OwnedFloor bytes read
+// for a holder without capacity (ReadBytes, ReadBytesBuf of an empty buffer)
+// is returned as b[i:j:j] — capacity clipped to the body, so an append to it
+// reallocates instead of running into the bytes behind it. Once Aliased
+// reports true, b belongs to the values decoded from it: the caller may
+// neither write to it nor reuse it.
+func (r *Reader) ResetBytesOwned(b []byte) {
+	r.ResetBytes(b)
+	r.owned = true
+}
+
+// Aliased reports whether a value returned since the last reset points into
+// the slice given to ResetBytesOwned.
+func (r *Reader) Aliased() bool { return r.aliased }
+
+// Remaining reports the unread bytes of a slice-mode reader (0 in stream
+// mode, where the end is only known by reading it).
+func (r *Reader) Remaining() int {
+	if r.r != nil {
+		return 0
+	}
+	return len(r.data) - int(r.count)
 }
 
 // Read implements io.Reader.
@@ -537,6 +597,14 @@ func (r *Reader) readBody(buf []byte, n uint64) ([]byte, error) {
 			return nil, io.EOF
 		}
 		return nil, io.ErrUnexpectedEOF
+	}
+	if r.owned && cap(buf) == 0 && n >= OwnedFloor {
+		// The body is whole (checked above) and the input is the reader's
+		// to give away: the value is the bytes where they already are.
+		i := r.count
+		r.count += int64(n)
+		r.aliased = true
+		return r.data[i:r.count:r.count], nil
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]byte, n)

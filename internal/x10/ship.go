@@ -1,7 +1,6 @@
 package x10
 
 import (
-	"bytes"
 	"fmt"
 
 	"m3r/internal/sim"
@@ -30,44 +29,47 @@ type ShipResult struct {
 // (when dedup is true), route the encoded frame through the runtime's
 // transport, charge the modelled network, and decode into fresh objects on
 // the far side. Repeated objects — the broadcast vector blocks of
-// §3.2.2.3 — are transmitted once and arrive as aliases.
+// §3.2.2.3 — are transmitted once and arrive as aliases. Large byte bodies
+// of the delivered pairs may be the arrived frames' own memory (OutStream):
+// they are the receiver's, like everything else it is handed.
 func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipResult, error) {
 	if from == to {
 		rt.stats.Add(sim.LocalPairs, int64(len(pairs)))
 		return ShipResult{Pairs: pairs}, nil
 	}
-	buf := rt.shipBufs.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		rt.shipBufs.Put(buf)
-	}()
-	enc := wio.NewEncoder(buf, dedup)
+	s := GetOutStream(dedup)
+	defer s.Release()
+	enc := s.Encoder()
 	for _, p := range pairs {
 		if err := enc.EncodePair(p); err != nil {
 			return ShipResult{}, fmt.Errorf("x10: serializing for place %d: %w", to, err)
 		}
+		s.EndRecord()
 	}
-	if err := enc.Close(); err != nil {
-		return ShipResult{}, err
-	}
-	payload, err := rt.transport.Ship(from, to, buf.Bytes())
+	n, _, err := rt.ShipStream(from, to, s)
 	if err != nil {
 		return ShipResult{}, fmt.Errorf("x10: shipping to place %d: %w", to, err)
 	}
-	n := int64(len(payload))
 	rt.stats.Add(sim.RemoteBytes, n)
 	rt.stats.Add(sim.RemoteTransfers, 1)
 	rt.stats.Add(sim.DedupHits, int64(enc.DedupHits()))
 	rt.cost.ChargeNet(rt.stats, n)
 
-	dec := wio.NewDecoderBytes(payload)
 	out := make([]wio.Pair, 0, len(pairs))
-	for i := 0; i < len(pairs); i++ {
-		p, err := dec.DecodePair()
+	for range pairs {
+		var p wio.Pair
+		dec, err := s.NextRecord()
+		if err == nil {
+			p, err = dec.DecodePair()
+		}
 		if err != nil {
 			return ShipResult{}, fmt.Errorf("x10: deserializing at place %d: %w", to, err)
 		}
 		out = append(out, p)
+	}
+	// Exactly the pairs sent, then the end of the stream and nothing more.
+	if err := s.End(); err != nil {
+		return ShipResult{}, fmt.Errorf("x10: deserializing at place %d: %w", to, err)
 	}
 	return ShipResult{Pairs: out, Bytes: n, DedupHits: enc.DedupHits(), Remote: true}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"m3r/internal/sim"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
@@ -24,31 +25,47 @@ func shipBenchPairs(n, valBytes int) []wio.Pair {
 	return pairs
 }
 
-// TestShipPairsEncodeBufferPooled pins the per-runtime sync.Pool on the
-// ShipPairs encode path: after warmup the steady-state allocations of a
-// remote ship are the decode side's fresh objects (a handful per pair),
-// never a regrowth of the encode buffer. Losing the pool re-pays the
-// buffer growth (multiple multi-KiB allocations) on every send, which
-// this bound catches.
+// TestShipPairsEncodeBufferPooled pins the ownership rule of a shipped
+// stream from the allocator's side. A payload nothing decoded points into —
+// values under wio.OwnedFloor — costs the stream nothing in steady state:
+// the stream, its encoder and decoder and every chunk come from their pools
+// and go back, and what is allocated is the decode side's fresh objects. A
+// payload whose values point into the arrived chunks keeps those chunks: no
+// value is copied out, and what the next send overwrites — with the poison
+// hook, everything handed back — is never a delivered value.
 func TestShipPairsEncodeBufferPooled(t *testing.T) {
 	rt, _ := newRT(2, 2)
-	pairs := shipBenchPairs(64, 256) // ~16 KiB encoded
-	// Warm the pool so the buffer has grown to frame size.
-	for i := 0; i < 3; i++ {
-		if _, err := rt.ShipPairs(0, 1, pairs, false); err != nil {
+	small := shipBenchPairs(256, wio.OwnedFloor-1) // ~68 KiB encoded, several chunks
+	ship := func(pairs []wio.Pair) []wio.Pair {
+		res, err := rt.ShipPairs(0, 1, pairs, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res.Pairs
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := rt.ShipPairs(0, 1, pairs, false); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		ship(small) // warm the pools
+	}
+	// Per pair the key, the value and the value's bytes; per send the result
+	// slice and the decoder's two type names.
+	if allocs, max := testing.AllocsPerRun(20, func() { ship(small) }), float64(3*len(small)+3); allocs > max && !testenv.Race {
+		t.Errorf("non-aliasing ShipPairs allocs/op = %.0f, want <= %.0f: the stream or its chunks are not pooled", allocs, max)
+	}
+
+	x10.PoisonReleasedChunks.Store(true)
+	defer x10.PoisonReleasedChunks.Store(false)
+	large := shipBenchPairs(256, 4*wio.OwnedFloor) // ~260 KiB: the ladder and then ceiling-sized chunks
+	first := ship(large)
+	// Per pair the key and the value, not its bytes; per send a dozen fresh
+	// chunks and the few values of an underfilled last one.
+	if allocs, max := testing.AllocsPerRun(5, func() { ship(large) }), float64(2*len(large)+48); allocs > max {
+		t.Errorf("aliasing ShipPairs allocs/op = %.0f, want <= %.0f: values are copied out of the chunks", allocs, max)
+	}
+	ship(small) // reuses whatever the sends above gave back
+	for i, p := range first {
+		if !wio.Equal(p.Key, large[i].Key) || !wio.Equal(p.Value, large[i].Value) {
+			t.Fatalf("pair %d of an earlier delivery changed under later sends: its chunk went back to the pool", i)
 		}
-	})
-	// Decode allocates ~4 objects per pair (key, value, value's backing
-	// bytes, slice growth amortized); the bound leaves ~2x headroom but is
-	// far below the cost of re-growing a 16 KiB encode buffer every send.
-	if max := float64(len(pairs) * 8); allocs > max {
-		t.Fatalf("ShipPairs allocs/op = %.0f, want <= %.0f (encode buffer pool lost?)", allocs, max)
 	}
 }
 

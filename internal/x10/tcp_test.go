@@ -237,6 +237,72 @@ func TestTCPFailAfterFramesDropsEverything(t *testing.T) {
 	}
 }
 
+// TestTCPShipPairsAcrossChunks sends one destination a stream of many
+// chunks — small values, values that point into what arrives, one value
+// larger than two ceiling-sized chunks, and an object repeated from the
+// first chunk to the last — over a socket, one frame per chunk. What arrives
+// is what the in-process transport delivers, back-references included; and a
+// frame server that dies between two chunks of the stream fails the send
+// with ErrTransport, not with half a stream decoded.
+func TestTCPShipPairsAcrossChunks(t *testing.T) {
+	repeated := types.NewText(strings.Repeat("repeated", 100))
+	var pairs []wio.Pair
+	for i := 0; i < 600; i++ {
+		var v wio.Writable
+		switch {
+		case i%50 == 0:
+			v = repeated
+		case i == 301:
+			v = types.NewBytes([]byte(strings.Repeat("huge", 80<<10)))
+		case i%2 == 0:
+			v = types.NewText(strings.Repeat(string(rune('a'+i%26)), 20))
+		default:
+			v = types.NewBytes([]byte(strings.Repeat(string(rune('A'+i%26)), 1500)))
+		}
+		pairs = append(pairs, wio.Pair{Key: types.NewInt(int32(i)), Value: v})
+	}
+	inRT, _ := newRT(2, 2)
+	want, err := inRT.ShipPairs(0, 1, pairs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr, servers := newTCPCluster(t, 2, x10.FrameServerOptions{})
+	rt := x10.NewRuntime(x10.Options{Places: 2, Transport: tr, Stats: sim.NewStats()})
+	defer rt.Close()
+	got, err := rt.ShipPairs(0, 1, pairs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := servers[1].Served()
+	if frames < 6 {
+		t.Fatalf("stream of %d bytes crossed in %d frames; it should span many chunks", got.Bytes, frames)
+	}
+	if got.Bytes != want.Bytes || got.DedupHits != want.DedupHits || got.DedupHits != 11 {
+		t.Fatalf("tcp: %d bytes, %d back-references; inproc: %d and %d", got.Bytes, got.DedupHits, want.Bytes, want.DedupHits)
+	}
+	for i, p := range pairs {
+		for _, res := range []x10.ShipResult{got, want} {
+			if !wio.Equal(res.Pairs[i].Key, p.Key) || !wio.Equal(res.Pairs[i].Value, p.Value) {
+				t.Fatalf("pair %d arrived changed", i)
+			}
+		}
+	}
+	if got.Pairs[0].Value != got.Pairs[550].Value {
+		t.Error("a back-reference from the last chunk to the first did not arrive as an alias")
+	}
+
+	tr, servers = newTCPCluster(t, 2, x10.FrameServerOptions{FailAfterFrames: frames / 2})
+	dying := x10.NewRuntime(x10.Options{Places: 2, Transport: tr, Stats: sim.NewStats()})
+	defer dying.Close()
+	if _, err := dying.ShipPairs(0, 1, pairs, true); !errors.Is(err, x10.ErrTransport) {
+		t.Fatalf("stream cut between two chunks: %v, want ErrTransport", err)
+	}
+	if n := servers[1].Served(); n != frames/2 {
+		t.Errorf("dying server took %d frames, want %d", n, frames/2)
+	}
+}
+
 func TestTCPTransportCloseIdempotent(t *testing.T) {
 	tr, _ := newTCPCluster(t, 1, x10.FrameServerOptions{})
 	if err := tr.Close(); err != nil {

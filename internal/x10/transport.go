@@ -12,7 +12,7 @@ var ErrTransport = errors.New("x10: transport failure")
 // Transport is the wire layer between places: it moves already-encoded
 // frames from one place to another and reports the bytes as they exist at
 // the destination. The runtime's serialization boundary (ShipPairs, the
-// M3R shuffle's per-destination encoders) produces and consumes the
+// M3R shuffle's per-destination streams) produces and consumes the
 // frames; the transport only carries them, so every backend is
 // byte-identical at the payload level by construction.
 //
@@ -23,9 +23,13 @@ var ErrTransport = errors.New("x10: transport failure")
 // injection (see tcp.go), not a deployment mode.
 type Transport interface {
 	// Ship delivers frame from place `from` to place `to`, returning the
-	// frame bytes as they arrived at the destination. The returned slice
-	// is only valid until the caller's next use of the buffer that backs
-	// frame (inproc aliases it); decode before reusing the buffer.
+	// frame bytes as they arrived at the destination. A backend never
+	// keeps or writes either slice. Who owns what arrived is the caller's
+	// rule (OutStream): inproc returns frame itself, so a receiver whose
+	// decoded values point into the result has taken the sender's buffer
+	// and the sender must not reuse it; tcp returns a buffer read off the
+	// socket, the receiver's from the start, and the sent frame is the
+	// sender's to reuse as soon as Ship returns.
 	Ship(from, to int, frame []byte) ([]byte, error)
 	// Name identifies the backend ("inproc", "tcp").
 	Name() string
@@ -54,9 +58,10 @@ func (rt *Runtime) RemoteTransport() bool { return rt.transport.Name() != "inpro
 
 // ShipFrame routes one already-encoded frame from place `from` to place
 // `to` through the runtime's transport, returning the frame as delivered.
-// The M3R shuffle uses it directly: its per-destination encoders produce
-// the frame, the destination place decodes it, and this is the wire in
-// between.
+// The M3R engine's budgeted shuffle uses it directly: the map task builds
+// the frame (internal/m3r/frame.go), the destination place slices it into
+// segments, and this is the wire in between. Objects cross through an
+// OutStream and ShipStream.
 func (rt *Runtime) ShipFrame(from, to int, frame []byte) ([]byte, error) {
 	return rt.transport.Ship(from, to, frame)
 }

@@ -25,9 +25,7 @@
 package x10
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 
 	"m3r/internal/sim"
 )
@@ -39,12 +37,6 @@ type Runtime struct {
 	transport Transport
 	stats     *sim.Stats
 	cost      *sim.CostModel
-
-	// shipBufs recycles ShipPairs' encode buffers across sends: block
-	// locality, kvstore remote reads and shuffle ships all serialize through
-	// here, and a fresh bytes.Buffer per send re-pays the growth allocation
-	// every time.
-	shipBufs sync.Pool
 }
 
 // Place is one simulated cluster node.
@@ -104,7 +96,6 @@ func NewRuntime(opts Options) *Runtime {
 		stats:     opts.Stats,
 		cost:      cost,
 	}
-	rt.shipBufs.New = func() any { return new(bytes.Buffer) }
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("node%d", i)
 		rt.places = append(rt.places, &Place{
