@@ -54,6 +54,12 @@ type ResolvedJob struct {
 	CombineImmutable bool
 	// HasCombiner reports whether a combiner is configured.
 	HasCombiner bool
+	// CombineByHash reports that the combiner's input may be grouped by
+	// hash instead of by sorting (CombineTable): the job names no sort or
+	// grouping comparator, so keys group by their type's own order, and the
+	// map-output key type is wio.Hashable — equal keys hash equal, which
+	// the stock HashPartitioner assumes of every job already.
+	CombineByHash bool
 	// MapOnly reports a zero-reducer job: map output goes straight to the
 	// output format (§5.3).
 	MapOnly bool
@@ -159,6 +165,12 @@ func Resolve(job *conf.JobConf) (*ResolvedJob, error) {
 			return nil, err
 		}
 		rj.GroupCmp = c.(wio.Comparator)
+	}
+
+	if rj.HasCombiner && job.Get(conf.KeySortComparatorClass) == "" && job.Get(conf.KeyGroupingComparatorClass) == "" {
+		if newKey, err := wio.Factory(job.MapOutputKeyClass()); err == nil {
+			_, rj.CombineByHash = newKey().(wio.Hashable)
+		}
 	}
 
 	// Validate declared key/value classes exist.
@@ -506,33 +518,45 @@ func (r *oldReduceRun) Reduce(key wio.Writable, values mapred.ValueIterator, out
 
 func (r *oldReduceRun) Close() error { return r.reducer.Close() }
 
-// newReduceRun adapts a mapreduce.Reducer.
+// newReduceRun adapts a mapreduce.Reducer. The reducer writes through the
+// task context, so each call points the context's Write at the call's
+// collector and puts back what was there before: a combiner may run in the
+// middle of a map task whose mapper writes through the same context (the
+// Hadoop engine's per-spill Combine, the M3R engine's CombineTable).
 type newReduceRun struct {
 	reducer mapreduce.Reducer
 	job     *conf.JobConf
 	started bool
 	lastCtx *TaskContext
+	lastOut mapred.OutputCollector
 }
 
 func (r *newReduceRun) Configure(job *conf.JobConf) { r.job = job }
 
 func (r *newReduceRun) Reduce(key wio.Writable, values mapred.ValueIterator, out mapred.OutputCollector, ctx *TaskContext) error {
-	ctx.SetEmit(out.Collect)
+	prev := ctx.emit
+	ctx.emit = out.Collect
+	defer func() { ctx.emit = prev }()
 	if !r.started {
 		if err := r.reducer.Setup(ctx); err != nil {
 			return err
 		}
 		r.started = true
 	}
-	r.lastCtx = ctx
+	r.lastCtx, r.lastOut = ctx, out
 	return r.reducer.Reduce(key, valuesAdapter{values}, ctx)
 }
 
+// Close runs Cleanup, which writes to the last call's collector.
 func (r *newReduceRun) Close() error {
-	if r.started && r.lastCtx != nil {
-		return r.reducer.Cleanup(r.lastCtx)
+	if !r.started {
+		return nil
 	}
-	return nil
+	ctx := r.lastCtx
+	prev := ctx.emit
+	ctx.emit = r.lastOut.Collect
+	defer func() { ctx.emit = prev }()
+	return r.reducer.Cleanup(ctx)
 }
 
 // valuesAdapter bridges the two APIs' identical-but-distinct iterators.

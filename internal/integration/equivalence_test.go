@@ -108,10 +108,11 @@ func init() {
 
 // TestEngineEquivalenceSkewFlip runs a job whose partition skew flips from
 // one map task to the next — a task sends everything to partition 0, the
-// next everything to partition 3 — on one place, so later tasks start after
-// earlier ones finished and size their collect buffers from marks that
-// describe a differently shaped task. The mark is a capacity, never a
-// length: the output must stay byte-identical to the Hadoop engine's.
+// next everything to partition 3 — on one place, under a partitioner that is
+// not the stock one (so a combine table hashes a key once for itself and asks
+// the partitioner besides), with and without the combiner. Whatever a task
+// allocates is its own: the output must stay byte-identical to the Hadoop
+// engine's.
 func TestEngineEquivalenceSkewFlip(t *testing.T) {
 	c := newCluster(t, 1)
 	rng := rand.New(rand.NewSource(18))

@@ -69,71 +69,70 @@ func collectTask(t *testing.T, x *jobExec, task int, keys []wio.Writable) uint64
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSecondMapTaskCollectsWithoutRegrowing pins what the collect mark is
-// for: the first map task of a combiner job grows its collect buffers from
-// nil by doubling, which allocates two to four times the 32 bytes a pair
-// occupies; the next task of the same shape takes them at the size the
-// first one filled.
-func TestSecondMapTaskCollectsWithoutRegrowing(t *testing.T) {
-	if testenv.Race {
-		t.Skip("the race detector's allocations are not the program's")
-	}
-	x := markTestExec(t, true)
-	const n = 20000
-	keys := markTestKeys(n, 1000)
-	first := float64(collectTask(t, x, 0, keys)) / n
-	second := float64(collectTask(t, x, 1, keys)) / n
-	if first < 64 {
-		t.Errorf("first task allocated %.1f bytes per collected pair: expected the cost of growing from nil (64 or more)", first)
-	}
-	if second > 40 {
-		t.Errorf("second task allocated %.1f bytes per collected pair, want at most 40: one buffer per partition at the mark", second)
-	}
-	for q, pi := range x.parts {
-		if mark := pi.collectMark.Load(); mark == 0 || mark > n {
-			t.Errorf("partition %d: collect mark %d after two tasks of %d pairs", q, mark, n)
-		}
-	}
-}
-
-// TestSmallTaskAfterLargeHoldsNoSlack is the mark's other side: it follows
-// the job's largest task and never decays, so nothing sized from it may
-// outlive a task, and a task far smaller than the largest must not pay for
-// the largest's buffers. After one task of 20 000 pairs, tasks of 10 pairs
-// install runs no roomier than a slice grown from nil (the retained run is
-// what the shuffle budget cannot see the capacity of), and with a combiner
-// allocate no more at collect than the first chunk of each partition.
+// TestSmallTaskAfterLargeHoldsNoSlack: nothing a task allocates is sized
+// from an earlier, larger task of the job. After one task of 20 000 pairs,
+// tasks of 10 pairs install runs no roomier than a slice grown from nil (the
+// retained run is what the shuffle budget cannot see the capacity of).
 func TestSmallTaskAfterLargeHoldsNoSlack(t *testing.T) {
-	for _, combiner := range []bool{true, false} {
+	for _, combiner := range []bool{false} {
 		t.Run(fmt.Sprintf("combiner=%v", combiner), func(t *testing.T) {
 			x := markTestExec(t, combiner)
 			collectTask(t, x, 0, markTestKeys(20000, 1000))
 			small := markTestKeys(10, 10)
 			for task := 1; task <= 3; task++ {
 				allocated := collectTask(t, x, task, small)
-				// A pair is 32 bytes; the quarter over is the allocator's
-				// size-class rounding.
-				if limit := uint64(len(x.parts) * collectChunk * 32 * 5 / 4); !testenv.Race && allocated > limit {
+				// A pair is 32 bytes; 64 of them a partition, and a quarter
+				// over, leaves room for what the runtime itself allocates
+				// meanwhile (TotalAlloc is the whole process's).
+				if limit := uint64(len(x.parts) * 64 * 32 * 5 / 4); !testenv.Race && allocated > limit {
 					t.Errorf("task %d collected %d pairs and allocated %d bytes doing it, want at most %d",
 						task, len(small), allocated, limit)
 				}
 			}
-			installed := 0
-			for q, pi := range x.parts {
-				for _, r := range pi.runs {
-					if r.src == 0 || r.pairs == nil {
-						continue
-					}
-					installed += len(r.pairs)
-					if cap(r.pairs) > 2*len(r.pairs) {
-						t.Errorf("partition %d, task %d: run of %d pairs retained at capacity %d",
-							q, r.src, len(r.pairs), cap(r.pairs))
-					}
-				}
-			}
-			if installed != 3*len(small) {
-				t.Errorf("small tasks installed %d resident pairs, want %d", installed, 3*len(small))
-			}
+			checkSmallRuns(t, x, 3*len(small))
 		})
+	}
+}
+
+// TestSmallTaskAfterLargeGetsSmallTables is the same for a combiner job,
+// whose collected pairs go into one engine.CombineTable per partition: a
+// table starts at a handful of slots and grows with the keys it sees, so a
+// 10-pair task allocates at most 1 KiB per partition for its tables — the
+// table, its combiner and a few slots, entries and value nodes — whatever
+// the task before it held. TotalAlloc is the whole process's, so the
+// smallest of three tasks is what is held to the bound.
+func TestSmallTaskAfterLargeGetsSmallTables(t *testing.T) {
+	x := markTestExec(t, true)
+	collectTask(t, x, 0, markTestKeys(20000, 1000))
+	small := markTestKeys(10, 10)
+	least := ^uint64(0)
+	for task := 1; task <= 3; task++ {
+		least = min(least, collectTask(t, x, task, small))
+	}
+	if limit := uint64(len(x.parts) * 1024); !testenv.Race && least > limit {
+		t.Errorf("a task collecting %d pairs allocated %d bytes doing it, want at most %d", len(small), least, limit)
+	}
+	checkSmallRuns(t, x, 3*len(small))
+}
+
+// checkSmallRuns holds every resident run but task 0's to at most twice its
+// length in capacity, and their pairs to want in total.
+func checkSmallRuns(t *testing.T, x *jobExec, want int) {
+	t.Helper()
+	installed := 0
+	for q, pi := range x.parts {
+		for _, r := range pi.runs {
+			if r.src == 0 || r.pairs == nil {
+				continue
+			}
+			installed += len(r.pairs)
+			if cap(r.pairs) > 2*len(r.pairs) {
+				t.Errorf("partition %d, task %d: run of %d pairs retained at capacity %d",
+					q, r.src, len(r.pairs), cap(r.pairs))
+			}
+		}
+	}
+	if installed != want {
+		t.Errorf("small tasks installed %d resident pairs, want %d", installed, want)
 	}
 }

@@ -954,11 +954,6 @@ type partitionInput struct {
 	place int
 	mu    sync.Mutex
 	runs  []*sourceRun
-	// collectMark is the most pairs any finished map task of the job has
-	// buffered for this partition's combiner; later tasks size that buffer
-	// from it (shuffleCollector.bufferForCombine). It stays zero on a job
-	// without a combiner, whose collect buffers become the retained runs.
-	collectMark atomic.Int64
 }
 
 // sourceRun is one map task's sorted contribution to a partition: pairs,

@@ -24,8 +24,10 @@ import (
 //   - pairs for remote places are serialized immediately into a
 //     per-destination stream through the de-duplicating encoder, so a
 //     broadcast value crosses the wire once per place (§3.2.2.3);
-//   - with a combiner configured, pairs are buffered per partition and
-//     combined before delivery.
+//   - with a combiner configured, pairs are held per partition and combined
+//     before delivery: grouped by key as they arrive and folded through the
+//     combiner as a key fills up (engine.CombineTable) when the job's keys
+//     may be grouped by hash, buffered until flush and sorted otherwise.
 //
 // That is the unbudgeted job, the paper's design point. Under a shuffle
 // budget a run must be sized, may be evicted and is decoded at the merge
@@ -62,47 +64,13 @@ type shuffleCollector struct {
 	streams   []*x10.OutStream
 	frames    *frameSet
 
-	// Combiner path.
-	combineBufs [][]wio.Pair
-}
-
-// collectChunk is how many pairs a task buffers for the combiner in a
-// partition before it takes that partition's buffer at the collect mark: a
-// task that turns out much smaller than the job's largest — a file's tail
-// split, a small file after a big one — never allocates more than this.
-const collectChunk = 64
-
-// bufferForCombine appends p to combineBufs[q], the pairs held for the
-// combiner. The buffer dies at flush (Combine's output is what is
-// delivered), so its size is free to follow the collect mark: the most
-// pairs a finished map task of this job buffered for q, and a sixteenth
-// over, so a task the size of the last one allocates the buffer once
-// instead of growing it from nil by doubling, with a write-barriered copy
-// of every pair each time. The first collectChunk pairs get a buffer of
-// their own first. With no mark yet, or past it, append grows the buffer
-// as it would any slice.
-func (sc *shuffleCollector) bufferForCombine(q int, p wio.Pair) {
-	buf := sc.combineBufs[q]
-	if len(buf) == cap(buf) {
-		mark := sc.x.parts[q].collectMark.Load()
-		if want := int(mark + mark/16); want > len(buf) {
-			if len(buf) == 0 {
-				want = min(want, collectChunk)
-			}
-			buf = append(make([]wio.Pair, 0, want), buf...)
-		}
-	}
-	sc.combineBufs[q] = append(buf, p)
-}
-
-// raiseCollectMark records that this task buffered n pairs for partition q.
-func (sc *shuffleCollector) raiseCollectMark(q, n int) {
-	mark := &sc.x.parts[q].collectMark
-	for old := mark.Load(); int64(n) > old; old = mark.Load() {
-		if mark.CompareAndSwap(old, int64(n)) {
-			return
-		}
-	}
+	// Combiner path: one of the two, indexed by partition. tables, with
+	// hashPartition set when the partitioner is the stock one and the hash a
+	// table needs is also the partition; combineBufs for a job whose keys
+	// cannot be grouped by hash (ResolvedJob.CombineByHash).
+	tables        []*engine.CombineTable
+	hashPartition bool
+	combineBufs   [][]wio.Pair
 }
 
 // encodeBufsOut counts what a task has checked out of the outbound pools and
@@ -149,7 +117,11 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 	for q := range sc.placeOf {
 		sc.placeOf[q] = x.e.PlaceOfPartition(q)
 	}
-	if x.rj.HasCombiner {
+	switch {
+	case x.rj.CombineByHash:
+		sc.tables = make([]*engine.CombineTable, sc.R)
+		_, sc.hashPartition = sc.partitioner.(*mapred.HashPartitioner)
+	case x.rj.HasCombiner:
 		sc.combineBufs = make([][]wio.Pair, sc.R)
 	}
 	return sc
@@ -162,6 +134,9 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 	// collector's pooled buffers return on kill exactly as on any failure.
 	if err := sc.x.lc.Err(); err != nil {
 		return err
+	}
+	if sc.tables != nil {
+		return sc.collectGrouped(key, value)
 	}
 	q := sc.partitioner.GetPartition(key, value, sc.R)
 	if q < 0 || q >= sc.R {
@@ -178,10 +153,37 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 		} else {
 			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
-		sc.bufferForCombine(q, wio.Pair{Key: k, Value: v})
+		sc.combineBufs[q] = append(sc.combineBufs[q], wio.Pair{Key: k, Value: v})
 		return nil
 	}
 	return sc.deliver(q, key, value, sc.immutable)
+}
+
+// collectGrouped puts one pair into its partition's combine table. The key
+// is hashed once, for the table and — under the stock partitioner, which is
+// that hash modulo R — for the partition. The mapper may reuse its objects,
+// so an unmarked map side pays a clone of the value here, and of the key
+// when the table has not seen it before.
+func (sc *shuffleCollector) collectGrouped(key, value wio.Writable) error {
+	h := wio.HashCode(key)
+	q := int(h % uint32(sc.R))
+	if !sc.hashPartition {
+		if q = sc.partitioner.GetPartition(key, value, sc.R); q < 0 || q >= sc.R {
+			return fmt.Errorf("m3r: partitioner returned %d of %d", q, sc.R)
+		}
+	}
+	sc.ctx.Cells.MapOutputRecords.Increment(1)
+	if sc.immutable {
+		sc.ctx.Cells.AliasedPairs.Increment(1)
+	} else {
+		sc.ctx.Cells.ClonedPairs.Increment(1)
+	}
+	t := sc.tables[q]
+	if t == nil {
+		t = engine.NewCombineTable(sc.x.rj, sc.ctx, sc.x.lc)
+		sc.tables[q] = t
+	}
+	return t.Add(h, key, value, !sc.immutable)
 }
 
 // deliver routes one pair to its partition's place.
@@ -234,32 +236,8 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 // partitions, and ship each remote stream (decode on the destination side
 // yields fresh objects, with dedup aliases for repeated values).
 func (sc *shuffleCollector) flush() error {
-	if sc.combineBufs != nil {
-		for q, buf := range sc.combineBufs {
-			if len(buf) == 0 {
-				continue
-			}
-			sc.raiseCollectMark(q, len(buf))
-			combined, err := engine.Combine(sc.x.rj, buf, sc.ctx)
-			if err != nil {
-				return err
-			}
-			if sc.placeOf[q] == sc.place && sc.frames == nil {
-				// What is delivered below is all this partition gets, and
-				// the run it becomes is retained until the reducer drains
-				// it: exactly its length, never the mark.
-				sc.localBufs[q] = make([]wio.Pair, 0, len(combined))
-			}
-			// Combine returns engine-owned pairs (cloned unless the
-			// combiner is marked), so they are safe to alias and to
-			// de-duplicate.
-			for _, p := range combined {
-				if err := sc.deliver(q, p.Key, p.Value, true); err != nil {
-					return err
-				}
-			}
-			sc.combineBufs[q] = nil
-		}
+	if err := sc.flushCombined(); err != nil {
+		return err
 	}
 	if sc.frames != nil {
 		return sc.flushFrames()
@@ -284,6 +262,42 @@ func (sc *shuffleCollector) flush() error {
 		}
 	}
 	sc.streams = nil
+	return nil
+}
+
+// flushCombined delivers what the combiner leaves of each partition's held
+// pairs: a table's drained, a buffer's sorted and combined.
+func (sc *shuffleCollector) flushCombined() error {
+	for q := 0; q < sc.R; q++ {
+		var combined []wio.Pair
+		var err error
+		switch {
+		case sc.tables != nil && sc.tables[q] != nil:
+			combined, err = sc.tables[q].Drain()
+			sc.tables[q] = nil
+		case sc.combineBufs != nil && len(sc.combineBufs[q]) > 0:
+			combined, err = engine.Combine(sc.x.rj, sc.combineBufs[q], sc.ctx)
+			sc.combineBufs[q] = nil
+		default:
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if sc.placeOf[q] == sc.place && sc.frames == nil {
+			// What is delivered below is all this partition gets, and the
+			// run it becomes is retained until the reducer drains it:
+			// exactly its length.
+			sc.localBufs[q] = make([]wio.Pair, 0, len(combined))
+		}
+		// The combined pairs are engine-owned (cloned unless the combiner
+		// is marked), so they are safe to alias and to de-duplicate.
+		for _, p := range combined {
+			if err := sc.deliver(q, p.Key, p.Value, true); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -386,6 +400,7 @@ func (sc *shuffleCollector) abort() {
 	sc.streams = nil
 	sc.frames = nil
 	sc.localBufs = nil
+	sc.tables = nil
 	sc.combineBufs = nil
 }
 

@@ -179,8 +179,8 @@ func TestSpillWorkerPanicDoesNotHang(t *testing.T) {
 // TestAbortDropsBufferedPairs pins what a failed map task leaves in its
 // collector: the kill surfaces in Collect with pairs buffered for the
 // combiner and a remote encode buffer checked out, and abort hands the
-// buffer back and drops every buffered pair — the combiner's batches too,
-// so they are collectable while the rest of the job is still winding down.
+// buffer back and drops every buffered pair — the combine tables too, so
+// they are collectable while the rest of the job is still winding down.
 func TestAbortDropsBufferedPairs(t *testing.T) {
 	e := newFaultEngine(t, 2)
 	bufBase := encodeBufsOut.Load()
@@ -213,13 +213,17 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 	if err := sc.Collect(types.NewText("late"), types.NewInt(1)); !errors.Is(err, engine.ErrJobKilled) {
 		t.Fatalf("Collect after the kill = %v, want ErrJobKilled", err)
 	}
+	// Nor does a flush get past the drain of the first combine table.
+	if err := sc.flush(); !errors.Is(err, engine.ErrJobKilled) || len(x.parts[0].runs)+len(x.parts[1].runs) != 0 {
+		t.Fatalf("flush after the kill = %v with %d runs installed, want ErrJobKilled and none", err, len(x.parts[0].runs)+len(x.parts[1].runs))
+	}
 	sc.abort()
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
 	}
-	if sc.combineBufs != nil || sc.localBufs != nil || sc.streams != nil {
-		t.Errorf("abort left buffers set: combineBufs %v, localBufs %v, streams %v",
-			sc.combineBufs != nil, sc.localBufs != nil, sc.streams != nil)
+	if sc.tables != nil || sc.combineBufs != nil || sc.localBufs != nil || sc.streams != nil {
+		t.Errorf("abort left buffers set: tables %v, combineBufs %v, localBufs %v, streams %v",
+			sc.tables != nil, sc.combineBufs != nil, sc.localBufs != nil, sc.streams != nil)
 	}
 }
 

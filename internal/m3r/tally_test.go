@@ -3,6 +3,7 @@ package m3r
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,34 @@ func TestPairStatsEqualCollectCalls(t *testing.T) {
 		cloned, aliased, local := pairStats(e)
 		if collected := p.collected.Load(); cloned != collected || local != collected || aliased != 0 || collected < 499 {
 			t.Errorf("cloned.pairs %d, aliased.pairs %d, local.pairs %d; mapper collected %d", cloned, aliased, local, collected)
+		}
+	})
+
+	// A combiner job's pairs go into combine tables, which clone an unmarked
+	// mapper's key only when it opens an entry: cloned.pairs (aliased.pairs
+	// under a marked mapper) still counts one per pair collected.
+	t.Run("through combine tables", func(t *testing.T) {
+		for _, marked := range []bool{false, true} {
+			e := newFaultEngine(t, 1)
+			report, err := e.Submit(wordcount.NewJob("/data/t", fmt.Sprintf("/out/tablestats%v", marked), 2, marked))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jc := report.Counters
+			collected := jc.Value(counters.TaskGroup, counters.MapOutputRecords)
+			combined := jc.Value(counters.M3RGroup, counters.LocalShufflePairs)
+			reduced := jc.Value(counters.TaskGroup, counters.ReduceOutputRecords)
+			cloned, aliased, _ := pairStats(e)
+			// Aliased besides: every combined pair on its way into its run,
+			// and the marked reducer's output into the cache.
+			wantCloned, wantAliased := collected, combined+reduced
+			if marked {
+				wantCloned, wantAliased = 0, collected+combined+reduced
+			}
+			if collected == 0 || combined == 0 || combined >= collected || cloned != wantCloned || aliased != wantAliased {
+				t.Errorf("marked=%v: %d collected, %d combined, %d reduced: cloned.pairs %d (want %d), aliased.pairs %d (want %d)",
+					marked, collected, combined, reduced, cloned, wantCloned, aliased, wantAliased)
+			}
 		}
 	})
 }

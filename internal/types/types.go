@@ -7,7 +7,6 @@ package types
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 
 	"m3r/internal/wio"
 )
@@ -261,12 +260,10 @@ func (t *Text) CompareTo(other wio.Writable) int {
 	return bytes.Compare(t.B, other.(*Text).B)
 }
 
-// HashCode implements wio.Hashable.
-func (t *Text) HashCode() uint32 {
-	h := fnv.New32a()
-	h.Write(t.B)
-	return h.Sum32()
-}
+// HashCode implements wio.Hashable: FNV-1a over the bytes. Partition
+// placement follows from it (§3.2.2.2), so TestTextHashCodeGolden pins the
+// values.
+func (t *Text) HashCode() uint32 { return wio.HashBytes(t.B) }
 
 // BytesWritable is an opaque byte payload value.
 type BytesWritable struct{ B []byte }

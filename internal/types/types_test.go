@@ -2,6 +2,7 @@ package types_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -205,5 +206,28 @@ func TestHashCodes(t *testing.T) {
 	}
 	if types.NewText("x").HashCode() == types.NewText("y").HashCode() {
 		t.Error("different texts should (here) hash differently")
+	}
+}
+
+// TestTextHashCodeGolden: Text.HashCode is 32-bit FNV-1a, to the bit. The
+// stock partitioner places a key by it, so a value that moved would move
+// keys between reducers — and between the places a job sequence's cached
+// partitions live at (§3.2.2.2).
+func TestTextHashCodeGolden(t *testing.T) {
+	for s, want := range map[string]uint32{
+		"": 0x811c9dc5, "a": 0xe40c292c, "b": 0xe70c2de5, "foobar": 0xbf9cf968,
+		"word0000": 0x3a22360d, "ab\x00": 0x3b481cfe,
+	} {
+		if got := types.NewText(s).HashCode(); got != want {
+			t.Errorf("Text(%q).HashCode() = %#x, want %#x", s, got, want)
+		}
+	}
+	err := quick.Check(func(b []byte) bool {
+		h := fnv.New32a()
+		h.Write(b)
+		return (&types.Text{B: b}).HashCode() == h.Sum32()
+	}, nil)
+	if err != nil {
+		t.Error(err)
 	}
 }

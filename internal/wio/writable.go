@@ -160,7 +160,7 @@ func Unmarshal(b []byte, v Writable) error {
 }
 
 // HashCode returns a partitioning hash for v: the type's own HashCode when
-// available, else an FNV-1a hash of the serialized form.
+// available, else the hash of the serialized form.
 func HashCode(v Writable) uint32 {
 	if h, ok := v.(Hashable); ok {
 		return h.HashCode()
@@ -169,11 +169,17 @@ func HashCode(v Writable) uint32 {
 	if err != nil {
 		panic(fmt.Sprintf("wio: hashing %T: %v", v, err))
 	}
-	h := uint32(2166136261) // FNV-1a, 32 bit
-	for _, c := range w.out {
+	h := HashBytes(w.out)
+	putWriter(w)
+	return h
+}
+
+// HashBytes is 32-bit FNV-1a, the values hash/fnv gives.
+func HashBytes(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
 		h = (h ^ uint32(c)) * 16777619
 	}
-	putWriter(w)
 	return h
 }
 
