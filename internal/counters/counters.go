@@ -97,8 +97,8 @@ const (
 	// Job-lifecycle counters: TASK_ATTEMPT_RETRIES (Hadoop engine task
 	// re-execution) and FAILOVER_JOBS (M3R job-level failover, counted in
 	// the fallback engine's report). Killed and deadline-expired jobs
-	// produce no report; sim.JobsKilled / sim.JobsDeadlineExceeded count
-	// them in the engine's stats.
+	// produce no report; the job envelope counts them in the engine's stats
+	// (jobs.killed, jobs.deadline.exceeded).
 	TaskAttemptRetries = "TASK_ATTEMPT_RETRIES"
 	FailoverJobs       = "FAILOVER_JOBS"
 )

@@ -1,0 +1,242 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"m3r/internal/conf"
+	"m3r/internal/counters"
+	"m3r/internal/dfs"
+	"m3r/internal/formats"
+	"m3r/internal/sim"
+	"m3r/internal/spill"
+	"m3r/internal/wio"
+)
+
+// The job envelope is what a submission means on either engine: what its
+// conf becomes, when its output is set up, what verdict it ends with and what
+// a failure leaves behind. An engine opens a Job on its Host, plans, and runs
+// its phases as the body of Job.Run (DESIGN.md "Job lifecycle" has the order).
+
+// Host is what an engine is to the envelope, built once in the engine's New.
+type Host struct {
+	Name      string         // Engine.Name, and the infix of the job ids
+	FSID      string         // the dfs instance id installed into every job
+	FS        dfs.FileSystem // job output is committed through it
+	Stats     *sim.Stats
+	ElideTemp bool // a temporary output (§4.2.3) is never written to FS
+
+	mu     sync.Mutex
+	seq    int
+	closed bool
+}
+
+// Shut refuses further submissions and reports whether this call was the
+// first to.
+func (h *Host) Shut() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	first := !h.closed
+	h.closed = true
+	return first
+}
+
+// Job is one submission inside the envelope.
+type Job struct {
+	ID        string
+	Conf      *conf.JobConf // the submission's private copy of the client's
+	Resolved  *ResolvedJob
+	Codec     spill.Codec // conf.KeyM3RSpillCodec
+	Lifecycle *JobLifecycle
+	Counters  *counters.Counters
+
+	host      *Host
+	start     time.Time
+	committer *formats.FileOutputCommitter // nil when the job writes no output
+}
+
+// Open admits a submission: a job id unless the host is shut, the private
+// conf, the deadline armed, the job resolved, its output spec and spill codec
+// checked. Nothing is on the filesystem yet, so a failure here, or in the
+// engine's planning before Run, has nothing to undo.
+func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
+	start := time.Now()
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return nil, fmt.Errorf("%s: engine is closed", h.Name)
+	}
+	h.seq++
+	id := fmt.Sprintf("job_%s_%04d", h.Name, h.seq)
+	h.mu.Unlock()
+
+	// The client's conf is copied at submission, as JobClient.submitJob
+	// writes job.xml (§3.1).
+	job := userJob.CloneJob()
+	defaults, err := conf.EnvDefaults()
+	if err != nil {
+		return nil, err
+	}
+	job.SetDefaults(defaults)
+	job.Set(conf.KeyFSInstance, h.FSID)
+	if lc == nil {
+		lc = NewJobLifecycle()
+	}
+	lc.ApplyDeadlineConf(job)
+	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.New(), host: h, start: start}
+	if j.Resolved, err = Resolve(job); err == nil {
+		var outputFormat formats.OutputFormat
+		if outputFormat, err = j.Resolved.NewOutputFormat(); err == nil {
+			err = outputFormat.CheckOutputSpecs(job)
+		}
+	}
+	if err == nil {
+		j.Codec, err = spill.ParseCodec(job.Get(conf.KeyM3RSpillCodec))
+	}
+	if err != nil {
+		lc.Stop()
+		return nil, err
+	}
+	if out := job.OutputPath(); out != "" && !(h.ElideTemp && job.IsTemporaryOutput(out)) {
+		j.committer = formats.NewFileOutputCommitter(h.FS)
+	}
+	return j, nil
+}
+
+// WritesOutput reports whether the job's output goes through the committer.
+func (j *Job) WritesOutput() bool { return j.committer != nil }
+
+// Close disarms the job's deadline; an engine defers it right after Open.
+func (j *Job) Close() { j.Lifecycle.Stop() }
+
+// Run sets the output up, runs body — the engine's phases — and decides the
+// job: committed, notified and reported, or aborted with nothing of it left
+// on the filesystem. Nothing fallible stands between the set-up and the body,
+// and every way out after the set-up that is not a commit is an abort: body
+// error, commit error, a panic passing through. The error is the body's or
+// the commit's, or in their place the cancellation cause when the job was
+// killed or timed out, whatever secondary error the unwinding tasks surfaced
+// (errors.Is against ErrJobKilled / ErrDeadlineExceeded must hold); the
+// engine adds its own prefix.
+func (j *Job) Run(body func() error) (*Report, error) {
+	committed := false
+	if j.committer != nil {
+		// An output directory the job made goes with a failed job, so that
+		// the corrected resubmission passes the output check.
+		out := dfs.CleanPath(j.Conf.OutputPath())
+		made := !j.host.FS.Exists(out)
+		defer func() {
+			if committed {
+				return
+			}
+			j.committer.AbortJob(j.Conf)
+			if made {
+				j.host.FS.Delete(out, true)
+			}
+		}()
+		if err := j.committer.SetupJob(j.Conf); err != nil {
+			return nil, err
+		}
+	}
+	err := body()
+	if err == nil {
+		// The commit is the one irrevocable step: a kill that lands after the
+		// last task still prevents it.
+		err = j.Lifecycle.Err()
+	}
+	if err == nil && j.committer != nil {
+		err = j.committer.CommitJob(j.Conf)
+	}
+	if err != nil {
+		if cause := j.Lifecycle.Err(); cause != nil {
+			err = cause
+			if errors.Is(cause, ErrDeadlineExceeded) {
+				j.host.Stats.Add(sim.JobsDeadlineExceeded, 1)
+			} else {
+				j.host.Stats.Add(sim.JobsKilled, 1)
+			}
+		}
+		return nil, err
+	}
+	committed = true
+	NotifyJobEnd(j.Conf, j.ID)
+	return &Report{
+		JobID:    j.ID,
+		JobName:  j.Conf.JobName(),
+		Engine:   j.host.Name,
+		Queue:    j.Conf.GetDefault(conf.KeyJobQueueName, "default"),
+		Counters: j.Counters,
+		Wall:     time.Since(j.start),
+	}, nil
+}
+
+// TaskOutput is one task attempt's output under the job's committer: written
+// into the attempt's own work directory, promoted by Commit. Every method is
+// a no-op for a job that writes no output.
+type TaskOutput struct {
+	j       *Job
+	taskJob *conf.JobConf
+	attempt string
+	w       formats.RecordWriter // nil once committed or aborted
+}
+
+// OpenTaskOutput binds the attempt's work directory into taskJob and opens
+// the output format's record writer for fileName in it.
+func (j *Job) OpenTaskOutput(taskJob *conf.JobConf, attempt, fileName string) (*TaskOutput, error) {
+	o := &TaskOutput{j: j, taskJob: taskJob, attempt: attempt}
+	if j.committer == nil {
+		return o, nil
+	}
+	j.committer.SetupTask(taskJob, attempt)
+	outputFormat, err := j.Resolved.NewOutputFormat()
+	if err == nil {
+		o.w, err = outputFormat.GetRecordWriter(taskJob, fileName)
+	}
+	if err != nil {
+		j.committer.AbortTask(taskJob, attempt)
+		return nil, err
+	}
+	return o, nil
+}
+
+// Write appends one record.
+func (o *TaskOutput) Write(k, v wio.Writable) error {
+	if o.w == nil {
+		return nil
+	}
+	return o.w.Write(k, v)
+}
+
+// Commit closes the writer and promotes the attempt's files — unless the job
+// was cancelled meanwhile: a kill racing a task's tail aborts the attempt, so
+// it never half-publishes. A failed Commit has aborted.
+func (o *TaskOutput) Commit() error {
+	if o.w == nil {
+		return nil
+	}
+	err := o.w.Close()
+	o.w = nil
+	if err == nil {
+		err = o.j.Lifecycle.Err()
+	}
+	if err == nil {
+		err = o.j.committer.CommitTask(o.taskJob, o.attempt)
+	}
+	if err != nil {
+		o.j.committer.AbortTask(o.taskJob, o.attempt)
+	}
+	return err
+}
+
+// Abort closes the writer and discards the attempt's work directory. It does
+// nothing after a Commit or a first Abort, so a task may defer it.
+func (o *TaskOutput) Abort() {
+	if o.w == nil {
+		return
+	}
+	o.w.Close()
+	o.w = nil
+	o.j.committer.AbortTask(o.taskJob, o.attempt)
+}

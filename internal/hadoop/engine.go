@@ -17,7 +17,6 @@ package hadoop
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,18 +53,13 @@ type Options struct {
 
 // Engine is the Hadoop-style MapReduce engine.
 type Engine struct {
-	fs         dfs.FileSystem
-	fsID       string
+	host       *engine.Host
 	nodes      []string
 	mapSlots   int
 	reduceSlot int
 	localRoot  string
 	stats      *sim.Stats
 	cost       *sim.CostModel
-
-	mu     sync.Mutex
-	jobSeq int
-	closed bool
 }
 
 // New creates a Hadoop engine.
@@ -96,8 +90,7 @@ func New(opts Options) (*Engine, error) {
 		cost = sim.Zero()
 	}
 	e := &Engine{
-		fs:         opts.FS,
-		fsID:       dfs.RegisterInstance(opts.FS),
+		host:       &engine.Host{Name: "hadoop", FSID: dfs.RegisterInstance(opts.FS), FS: opts.FS, Stats: opts.Stats},
 		nodes:      nodes,
 		mapSlots:   ms,
 		reduceSlot: rs,
@@ -109,21 +102,18 @@ func New(opts Options) (*Engine, error) {
 }
 
 // Name implements engine.Engine.
-func (e *Engine) Name() string { return "hadoop" }
+func (e *Engine) Name() string { return e.host.Name }
 
 // FileSystem implements engine.Engine, returning the dfs instance id.
-func (e *Engine) FileSystem() string { return e.fsID }
+func (e *Engine) FileSystem() string { return e.host.FSID }
 
 // Stats returns the engine's statistics sink.
 func (e *Engine) Stats() *sim.Stats { return e.stats }
 
 // Close implements engine.Engine.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
-		dfs.DropInstance(e.fsID)
+	if e.host.Shut() {
+		dfs.DropInstance(e.host.FSID)
 	}
 	return nil
 }
@@ -137,147 +127,56 @@ func (e *Engine) Submit(userJob *conf.JobConf) (*engine.Report, error) {
 // SubmitControlled implements engine.LifecycleSubmitter: the job runs
 // under lc so a server (or the M3R engine's failover) can kill it or bound
 // it with a deadline while it runs. A nil lc gets a private lifecycle,
-// which still honours the job's m3r.job.deadline.ms key.
+// which still honours the job's m3r.job.deadline.ms key. The submission's
+// envelope — conf, output set-up, verdict, commit — is engine.Job's; what is
+// this engine's own is the shuffle's class check, the splits, the job's
+// local directory and the two phases.
 func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle) (*engine.Report, error) {
-	start := time.Now()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("hadoop: engine is closed")
-	}
-	e.jobSeq++
-	jobID := fmt.Sprintf("job_hadoop_%04d", e.jobSeq)
-	e.mu.Unlock()
-
-	if lc == nil {
-		lc = engine.NewJobLifecycle()
-	}
-	defer lc.Stop()
-
-	// The client's conf is copied at submission, as JobClient.submitJob
-	// writes job.xml (§3.1).
-	job := userJob.CloneJob()
-	defaults, err := conf.EnvDefaults()
+	j, err := e.host.Open(userJob, lc)
 	if err != nil {
 		return nil, err
 	}
-	job.SetDefaults(defaults)
-	job.Set(conf.KeyFSInstance, e.fsID)
-	lc.ApplyDeadlineConf(job)
-
-	rj, err := engine.Resolve(job)
-	if err != nil {
-		return nil, err
-	}
+	defer j.Close()
+	job, rj := j.Conf, j.Resolved
 	if !rj.MapOnly && (job.MapOutputKeyClass() == "" || job.MapOutputValueClass() == "") {
 		return nil, fmt.Errorf("hadoop: job %q needs map output key/value classes for the shuffle", job.JobName())
 	}
-	outputFormat, err := rj.NewOutputFormat()
-	if err != nil {
-		return nil, err
-	}
-	if err := outputFormat.CheckOutputSpecs(job); err != nil {
-		return nil, err
-	}
-
 	splits, err := rj.InputFormat.GetSplits(job, job.GetInt(conf.KeyNumMapTasks, len(e.nodes)*e.mapSlots))
 	if err != nil {
 		return nil, err
 	}
-
-	committer := formats.NewFileOutputCommitter(e.fs)
-	if job.OutputPath() != "" {
-		if err := committer.SetupJob(job); err != nil {
-			return nil, err
-		}
-	}
-
-	spillCodec, err := spill.ParseCodec(job.Get(conf.KeyM3RSpillCodec))
-	if err != nil {
+	run := &jobRun{engine: e, Job: j, jobDir: filepath.Join(e.localRoot, j.ID)}
+	if err := os.MkdirAll(run.jobDir, 0o755); err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(run.jobDir)
 
-	jobDir := filepath.Join(e.localRoot, jobID)
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(jobDir)
-
-	jc := counters.New()
-	run := &jobRun{
-		engine:     e,
-		jobID:      jobID,
-		job:        job,
-		rj:         rj,
-		lc:         lc,
-		committer:  committer,
-		jobDir:     jobDir,
-		counters:   jc,
-		spillCodec: spillCodec,
-	}
-
-	err = run.runMapPhase(splits)
 	phase := "map"
-	if err == nil && !rj.MapOnly {
-		err = run.runReducePhase()
-		phase = "reduce"
-	}
-	if err == nil {
-		// The job commit is the one irrevocable step; a kill landing after
-		// the last task still prevents it.
-		err = lc.Err()
-		phase = "commit"
-	}
+	report, err := j.Run(func() error {
+		err := run.runMapPhase(splits)
+		if err == nil && !rj.MapOnly {
+			phase = "reduce"
+			err = run.runReducePhase()
+		}
+		if err == nil {
+			phase = "commit"
+		}
+		return err
+	})
 	if err != nil {
-		// A failed job must not leave the committer's _temporary scratch
-		// space behind in the filesystem.
-		if job.OutputPath() != "" {
-			committer.AbortJob(job)
-		}
-		if cause := lc.Err(); cause != nil {
-			// Cancelled: whatever secondary error the unwinding tasks
-			// surfaced, the verdict is the cancellation cause, so callers
-			// can errors.Is against ErrJobKilled / ErrDeadlineExceeded.
-			if errors.Is(cause, engine.ErrDeadlineExceeded) {
-				e.stats.Add(sim.JobsDeadlineExceeded, 1)
-			} else {
-				e.stats.Add(sim.JobsKilled, 1)
-			}
-			err = cause
-		}
-		return nil, fmt.Errorf("hadoop: %s %s phase: %w", jobID, phase, err)
+		return nil, fmt.Errorf("hadoop: %s %s phase: %w", j.ID, phase, err)
 	}
-	if job.OutputPath() != "" {
-		if err := committer.CommitJob(job); err != nil {
-			committer.AbortJob(job)
-			return nil, err
-		}
-	}
-	engine.NotifyJobEnd(job, jobID)
-	return &engine.Report{
-		JobID:    jobID,
-		JobName:  job.JobName(),
-		Engine:   e.Name(),
-		Queue:    job.GetDefault(conf.KeyJobQueueName, "default"),
-		Counters: jc,
-		Wall:     time.Since(start),
-	}, nil
+	return report, nil
 }
 
-// jobRun carries the state of one executing job.
+// jobRun carries the state of one executing job: its envelope (Codec there
+// is the block compression of map-side sort spills and the merged map output
+// file; reducers sniff the format per fetched segment, so only writers
+// consult it) and what is the Hadoop engine's own.
 type jobRun struct {
-	engine    *Engine
-	jobID     string
-	job       *conf.JobConf
-	rj        *engine.ResolvedJob
-	lc        *engine.JobLifecycle
-	committer *formats.FileOutputCommitter
-	jobDir    string
-	counters  *counters.Counters
-	// spillCodec is the block compression for map-side sort spills and the
-	// merged map output file (conf.KeyM3RSpillCodec; reducers sniff the
-	// format per fetched segment, so only writers consult it).
-	spillCodec spill.Codec
+	engine *Engine
+	*engine.Job
+	jobDir string
 
 	mu         sync.Mutex
 	mapOutputs []*mapOutput // indexed by map task
@@ -286,7 +185,7 @@ type jobRun struct {
 // maxAttempts resolves a task-attempt bound from the job's key: Hadoop's
 // classic default of 2 when unset, never below 1.
 func (r *jobRun) maxAttempts(key string) int {
-	if n := r.job.GetInt(key, 0); n >= 1 {
+	if n := r.Conf.GetInt(key, 0); n >= 1 {
 		return n
 	}
 	return 2
@@ -310,7 +209,7 @@ func (r *jobRun) runAttempts(maxAttempts int, f func(attempt int) error) error {
 	var err error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			r.counters.Incr(counters.JobGroup, counters.TaskAttemptRetries, 1)
+			r.Counters.Incr(counters.JobGroup, counters.TaskAttemptRetries, 1)
 			r.engine.stats.Add(sim.TaskRetries, 1)
 			d := retryBackoffBase << (attempt - 1)
 			if d > retryBackoffCap {
@@ -318,15 +217,15 @@ func (r *jobRun) runAttempts(maxAttempts int, f func(attempt int) error) error {
 			}
 			select {
 			case <-time.After(d):
-			case <-r.lc.Done():
-				return r.lc.Err()
+			case <-r.Lifecycle.Done():
+				return r.Lifecycle.Err()
 			}
 		}
 		err = f(attempt)
 		if err == nil {
 			return nil
 		}
-		if lcErr := r.lc.Err(); lcErr != nil {
+		if lcErr := r.Lifecycle.Err(); lcErr != nil {
 			return lcErr
 		}
 	}
@@ -395,7 +294,7 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 				for {
 					// A killed job stops scheduling: in-flight tasks unwind
 					// through their own checks, queued ones never start.
-					if err := r.lc.Err(); err != nil {
+					if err := r.Lifecycle.Err(); err != nil {
 						errCh <- err
 						return
 					}
@@ -406,7 +305,7 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 						return
 					}
 					if local {
-						r.counters.Incr(counters.JobGroup, counters.DataLocalMaps, 1)
+						r.Counters.Incr(counters.JobGroup, counters.DataLocalMaps, 1)
 					}
 					err := r.runAttempts(maxAttempts, func(attempt int) error {
 						return r.runMapTask(t, node, attempt)
@@ -432,7 +331,7 @@ func (r *jobRun) runReducePhase() error {
 		node      string
 	}
 	queues := make(map[string][]reduceTask)
-	for p := 0; p < r.rj.NumReducers; p++ {
+	for p := 0; p < r.Resolved.NumReducers; p++ {
 		node := r.engine.nodes[p%len(r.engine.nodes)]
 		queues[node] = append(queues[node], reduceTask{partition: p, node: node})
 	}
@@ -440,7 +339,7 @@ func (r *jobRun) runReducePhase() error {
 	// key here, so mapred.reduce.max.attempts was silently ignored.
 	maxAttempts := r.maxAttempts(conf.KeyMaxReduceAttempts)
 	var wg sync.WaitGroup
-	errCh := make(chan error, r.rj.NumReducers)
+	errCh := make(chan error, r.Resolved.NumReducers)
 	for node, tasks := range queues {
 		slots := make(chan struct{}, r.engine.reduceSlot)
 		for _, t := range tasks {
@@ -449,7 +348,7 @@ func (r *jobRun) runReducePhase() error {
 				defer wg.Done()
 				slots <- struct{}{}
 				defer func() { <-slots }()
-				if err := r.lc.Err(); err != nil {
+				if err := r.Lifecycle.Err(); err != nil {
 					errCh <- err
 					return
 				}
@@ -479,7 +378,7 @@ func firstError(ch chan error) error {
 
 // mergeTaskCounters folds a finished task's counters into the job's.
 func (r *jobRun) mergeTaskCounters(ctx *engine.TaskContext) {
-	r.counters.MergeFrom(ctx.Counters)
+	r.Counters.MergeFrom(ctx.Counters)
 }
 
 // serializePair writes key and value through the wio layer, returning

@@ -24,7 +24,7 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 	e := r.engine
 	e.cost.ChargeJVMStart(e.stats)
 	e.stats.Add(sim.TasksLaunched, 1)
-	r.counters.Incr(counters.JobGroup, counters.TotalLaunchedMaps, 1)
+	r.Counters.Incr(counters.JobGroup, counters.TotalLaunchedMaps, 1)
 
 	defer func() {
 		if p := recover(); p != nil {
@@ -32,20 +32,20 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 		}
 	}()
 
-	taskID := fmt.Sprintf("attempt_%s_m_%06d_%d", r.jobID, t.index, attempt)
-	taskJob := r.job.CloneJob()
+	taskID := fmt.Sprintf("attempt_%s_m_%06d_%d", r.ID, t.index, attempt)
+	taskJob := r.Conf.CloneJob()
 	taskJob.SetInt(conf.KeyTaskPartition, t.index)
 	ctx := engine.NewTaskContext(taskJob, taskID, t.split)
-	runner := r.rj.NewMapRun()
+	runner := r.Resolved.NewMapRun()
 	runner.Configure(taskJob)
 
-	reader, err := r.rj.InputFormat.GetRecordReader(t.split, taskJob)
+	reader, err := r.Resolved.InputFormat.GetRecordReader(t.split, taskJob)
 	if err != nil {
 		return err
 	}
 	defer reader.Close()
 
-	if r.rj.MapOnly {
+	if r.Resolved.MapOnly {
 		return r.runMapOnlyTask(t, taskID, ctx, runner, reader)
 	}
 
@@ -60,31 +60,31 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 		// Attempt-scoped, so a retried attempt never aliases the files of a
 		// failed predecessor mid-teardown.
 		taskDir: filepath.Join(r.jobDir, fmt.Sprintf("map_%06d_%d", t.index, attempt)),
-		parts:   make([][]spill.Rec, r.rj.NumReducers),
+		parts:   make([][]spill.Rec, r.Resolved.NumReducers),
 		limit:   limit,
 		ctx:     ctx,
 	}
 	if err := os.MkdirAll(buf.taskDir, 0o755); err != nil {
 		return err
 	}
-	rawCmp, err := r.rj.RawKeyComparator(r.job.MapOutputKeyClass())
+	rawCmp, err := r.Resolved.RawKeyComparator(r.Conf.MapOutputKeyClass())
 	if err != nil {
 		return err
 	}
 	buf.cmp = rawCmp
-	partitioner := r.rj.NewPartitioner()
+	partitioner := r.Resolved.NewPartitioner()
 
 	outputCell, bytesCell := ctx.Cells.MapOutputRecords, ctx.Cells.MapOutputBytes
-	lc := r.lc
+	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		// Per-record cancel check: one atomic load; the kill unwinds
 		// through the mapper as an ordinary collect error.
 		if err := lc.Err(); err != nil {
 			return err
 		}
-		p := partitioner.GetPartition(key, value, r.rj.NumReducers)
-		if p < 0 || p >= r.rj.NumReducers {
-			return fmt.Errorf("hadoop: partitioner returned %d of %d", p, r.rj.NumReducers)
+		p := partitioner.GetPartition(key, value, r.Resolved.NumReducers)
+		if p < 0 || p >= r.Resolved.NumReducers {
+			return fmt.Errorf("hadoop: partitioner returned %d of %d", p, r.Resolved.NumReducers)
 		}
 		// Hadoop serializes map output immediately into the sort buffer.
 		kb, vb, err := serializePair(&buf.scratch, key, value)
@@ -115,49 +115,26 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 // "map-only jobs ... output from the mapper is sent directly to output").
 func (r *jobRun) runMapOnlyTask(t *pendingTask, taskID string,
 	ctx *engine.TaskContext, runner engine.MapRun, reader formats.RecordReader) error {
-	job := ctx.Job
-	outputFormat, err := r.rj.NewOutputFormat()
+	out, err := r.OpenTaskOutput(ctx.Job, taskID, fmt.Sprintf("part-%05d", t.index))
 	if err != nil {
 		return err
 	}
-	writeOutput := job.OutputPath() != ""
-	var writer formats.RecordWriter = formats.CollectorFunc(func(_, _ wio.Writable) error { return nil })
-	if writeOutput {
-		r.committer.SetupTask(job, taskID)
-		w, err := outputFormat.GetRecordWriter(job, fmt.Sprintf("part-%05d", t.index))
-		if err != nil {
-			return err
-		}
-		writer = w
-	}
+	// Deferred, so a panicking mapper aborts its attempt too.
+	defer out.Abort()
 	outputCell := ctx.Cells.MapOutputRecords
-	lc := r.lc
+	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		if err := lc.Err(); err != nil {
 			return err
 		}
 		outputCell.Increment(1)
-		return writer.Write(key, value)
+		return out.Write(key, value)
 	})
 	if err := runner.Run(reader, collector, ctx); err != nil {
-		writer.Close()
-		if writeOutput {
-			r.committer.AbortTask(job, taskID)
-		}
 		return err
 	}
-	if err := writer.Close(); err != nil {
+	if err := out.Commit(); err != nil {
 		return err
-	}
-	if writeOutput {
-		// A kill racing the task's tail aborts instead of committing.
-		if err := lc.Err(); err != nil {
-			r.committer.AbortTask(job, taskID)
-			return err
-		}
-		if err := r.committer.CommitTask(job, taskID); err != nil {
-			return err
-		}
 	}
 	r.mergeTaskCounters(ctx)
 	return nil
@@ -215,7 +192,7 @@ func (b *sortBuffer) spill() error {
 		}
 		// One SegmentWriter per partition: each segment carries its own
 		// header, so a reducer's byte-range fetch stays self-describing.
-		sw := spill.NewSegmentWriter(w, b.run.spillCodec)
+		sw := spill.NewSegmentWriter(w, b.run.Codec)
 		for _, r := range recs {
 			if err := sw.Write(r); err != nil {
 				f.Close()
@@ -257,7 +234,7 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 	if len(recs) == 0 {
 		return recs, nil
 	}
-	if !b.run.rj.HasCombiner {
+	if !b.run.Resolved.HasCombiner {
 		spill.SortRecs(recs, b.cmp)
 		return recs, nil
 	}
@@ -268,7 +245,7 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 	if err != nil {
 		return nil, err
 	}
-	combined, err := engine.Combine(b.run.rj, pairs, b.ctx)
+	combined, err := engine.Combine(b.run.Resolved, pairs, b.ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +263,7 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 // deserializeRecs rebuilds writables from serialized records using the
 // job's map output classes.
 func (r *jobRun) deserializeRecs(recs []spill.Rec) ([]wio.Pair, error) {
-	dec, err := spill.NewPairDecoder(r.job.MapOutputKeyClass(), r.job.MapOutputValueClass())
+	dec, err := spill.NewPairDecoder(r.Conf.MapOutputKeyClass(), r.Conf.MapOutputValueClass())
 	if err != nil {
 		return nil, err
 	}
@@ -338,11 +315,11 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 			f.Close()
 			return nil, err
 		}
-		sw := spill.NewSegmentWriter(w, b.run.spillCodec)
+		sw := spill.NewSegmentWriter(w, b.run.Codec)
 		for {
 			// Per-record cancel check: the on-disk merge re-reads every spilled
 			// byte, so a killed job must not keep paying for it.
-			if err := b.run.lc.Err(); err != nil {
+			if err := b.run.Lifecycle.Err(); err != nil {
 				m.Close()
 				f.Close()
 				return nil, err

@@ -24,7 +24,7 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	e := r.engine
 	e.cost.ChargeJVMStart(e.stats)
 	e.stats.Add(sim.TasksLaunched, 1)
-	r.counters.Incr(counters.JobGroup, counters.TotalLaunchedReduces, 1)
+	r.Counters.Incr(counters.JobGroup, counters.TotalLaunchedReduces, 1)
 
 	defer func() {
 		if p := recover(); p != nil {
@@ -32,8 +32,8 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 		}
 	}()
 
-	taskID := fmt.Sprintf("attempt_%s_r_%06d_%d", r.jobID, partition, attempt)
-	taskJob := r.job.CloneJob()
+	taskID := fmt.Sprintf("attempt_%s_r_%06d_%d", r.ID, partition, attempt)
+	taskJob := r.Conf.CloneJob()
 	taskJob.SetInt(conf.KeyTaskPartition, partition)
 	ctx := engine.NewTaskContext(taskJob, taskID, nil)
 
@@ -50,7 +50,7 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	}
 
 	// Sort phase: external k-way merge of the fetched (sorted) segments.
-	rawCmp, err := r.rj.RawKeyComparator(r.job.MapOutputKeyClass())
+	rawCmp, err := r.Resolved.RawKeyComparator(r.Conf.MapOutputKeyClass())
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	// — byte-identical output either way. The lifecycle lets a kill abort
 	// an engaged staged merge's workers directly.
 	mergeCfg := engine.MergeConfigFromJob(taskJob)
-	mergeCfg.Lifecycle = r.lc
+	mergeCfg.Lifecycle = r.Lifecycle
 	m, err := newStagedMerger(streams, rawCmp, mergeCfg, ctx.Cells.ParallelMergeStages)
 	if err != nil {
 		return err
@@ -76,65 +76,35 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	defer m.Close()
 
 	// Reduce phase.
-	reducer := r.rj.NewReduceRun()
+	reducer := r.Resolved.NewReduceRun()
 	reducer.Configure(taskJob)
-	outputFormat, err := r.rj.NewOutputFormat()
+	out, err := r.OpenTaskOutput(taskJob, taskID, fmt.Sprintf("part-%05d", partition))
 	if err != nil {
 		return err
 	}
-	writeOutput := taskJob.OutputPath() != ""
-	var writer interface {
-		Write(k, v wio.Writable) error
-		Close() error
-	} = noopWriter{}
-	if writeOutput {
-		r.committer.SetupTask(taskJob, taskID)
-		w, err := outputFormat.GetRecordWriter(taskJob, fmt.Sprintf("part-%05d", partition))
-		if err != nil {
-			return err
-		}
-		writer = w
-	}
+	// Deferred, so a panicking reducer aborts its attempt too: the
+	// attempt-scoped scratch is discarded, never renamed into place.
+	defer out.Abort()
 	outputCell := ctx.Cells.ReduceOutputRecords
-	lc := r.lc
+	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		// Per-record cancel check on the reduce output path.
 		if err := lc.Err(); err != nil {
 			return err
 		}
 		outputCell.Increment(1)
-		return writer.Write(key, value)
+		return out.Write(key, value)
 	})
 
 	if err := r.driveGroupedReduce(m, reducer, collector, ctx); err != nil {
-		writer.Close()
-		if writeOutput {
-			r.committer.AbortTask(taskJob, taskID)
-		}
 		return err
 	}
-	if err := writer.Close(); err != nil {
+	if err := out.Commit(); err != nil {
 		return err
-	}
-	if writeOutput {
-		// A kill racing the task's tail aborts instead of committing: the
-		// attempt-scoped scratch is discarded, never renamed into place.
-		if err := lc.Err(); err != nil {
-			r.committer.AbortTask(taskJob, taskID)
-			return err
-		}
-		if err := r.committer.CommitTask(taskJob, taskID); err != nil {
-			return err
-		}
 	}
 	r.mergeTaskCounters(ctx)
 	return nil
 }
-
-type noopWriter struct{}
-
-func (noopWriter) Write(_, _ wio.Writable) error { return nil }
-func (noopWriter) Close() error                  { return nil }
 
 // fetchSegments copies this partition's byte range out of every map output
 // file into the reducer's local directory, charging network cost for
@@ -145,7 +115,7 @@ func (r *jobRun) fetchSegments(partition int, node, reduceDir string, ctx *engin
 	for i, mo := range r.mapOutputs {
 		// Per-segment cancel check: a killed job stops fetching (and paying
 		// network cost) at the next segment boundary.
-		if err := r.lc.Err(); err != nil {
+		if err := r.Lifecycle.Err(); err != nil {
 			return nil, err
 		}
 		if mo == nil {
@@ -195,11 +165,11 @@ func (r *jobRun) fetchSegments(partition int, node, reduceDir string, ctx *engin
 // grouping comparator overrides the sort order. Returns nil when only the
 // deserializing path is correct.
 func (r *jobRun) groupingRawComparator() wio.RawComparator {
-	if raw, ok := r.rj.GroupCmp.(wio.RawComparator); ok {
+	if raw, ok := r.Resolved.GroupCmp.(wio.RawComparator); ok {
 		return raw
 	}
-	if r.job.Get(conf.KeyGroupingComparatorClass) == "" {
-		return r.rj.RawSortCmp
+	if r.Conf.Get(conf.KeyGroupingComparatorClass) == "" {
+		return r.Resolved.RawSortCmp
 	}
 	return nil
 }
@@ -210,8 +180,8 @@ func (r *jobRun) groupingRawComparator() wio.RawComparator {
 // available (Hadoop's fast path), else by deserializing.
 func (r *jobRun) driveGroupedReduce(m *merger, reducer engine.ReduceRun,
 	out mapred.OutputCollector, ctx *engine.TaskContext) error {
-	keyClass := r.job.MapOutputKeyClass()
-	valClass := r.job.MapOutputValueClass()
+	keyClass := r.Conf.MapOutputKeyClass()
+	valClass := r.Conf.MapOutputValueClass()
 	rawGroup := r.groupingRawComparator()
 	newKey := func(b []byte) (wio.Writable, error) {
 		k, err := wio.New(keyClass)
@@ -236,7 +206,7 @@ func (r *jobRun) driveGroupedReduce(m *merger, reducer engine.ReduceRun,
 		// Per-group cancel check; values consumed by the reducer poll again
 		// through the output collector, and the drain loop below covers
 		// groups the reducer abandons early.
-		if err := r.lc.Err(); err != nil {
+		if err := r.Lifecycle.Err(); err != nil {
 			return err
 		}
 		groupKey, err := newKey(cur.K)
@@ -257,7 +227,7 @@ func (r *jobRun) driveGroupedReduce(m *merger, reducer engine.ReduceRun,
 		// starts at a group boundary. A kill lands at the next drained value:
 		// an unbounded group cannot pin a killed task.
 		for {
-			if err := r.lc.Err(); err != nil {
+			if err := r.Lifecycle.Err(); err != nil {
 				return err
 			}
 			if _, more := it.Next(); !more {
@@ -300,7 +270,7 @@ func (it *mergeValues) Next() (wio.Writable, bool) {
 			return nil, false
 		}
 	} else {
-		curKey, err := wio.New(it.run.job.MapOutputKeyClass())
+		curKey, err := wio.New(it.run.Conf.MapOutputKeyClass())
 		if err != nil {
 			it.err = err
 			return nil, false
@@ -309,7 +279,7 @@ func (it *mergeValues) Next() (wio.Writable, bool) {
 			it.err = err
 			return nil, false
 		}
-		if it.run.rj.GroupCmp.Compare(it.groupKey, curKey) != 0 {
+		if it.run.Resolved.GroupCmp.Compare(it.groupKey, curKey) != 0 {
 			it.done = true
 			return nil, false
 		}

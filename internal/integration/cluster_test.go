@@ -72,6 +72,9 @@ type clusterConfig struct {
 	cacheBudget int64
 	fallback    bool
 	transport   x10.Transport
+	// wrap, when set, stands between both engines and the HDFS (the cluster's
+	// own fs field stays the bare one): a fault-injecting filesystem.
+	wrap func(dfs.FileSystem) dfs.FileSystem
 }
 
 func newClusterCfg(t *testing.T, nodes int, cc clusterConfig) *cluster {
@@ -94,8 +97,12 @@ func newClusterCfg(t *testing.T, nodes int, cc clusterConfig) *cluster {
 	if err != nil {
 		t.Fatalf("hdfs: %v", err)
 	}
+	var engineFS dfs.FileSystem = fs
+	if cc.wrap != nil {
+		engineFS = cc.wrap(fs)
+	}
 	he, err := hadoop.New(hadoop.Options{
-		FS:       fs,
+		FS:       engineFS,
 		Nodes:    hosts,
 		LocalDir: t.TempDir(),
 		Stats:    stats,
@@ -105,7 +112,7 @@ func newClusterCfg(t *testing.T, nodes int, cc clusterConfig) *cluster {
 		t.Fatalf("hadoop engine: %v", err)
 	}
 	mopts := m3r.Options{
-		Backing:            fs,
+		Backing:            engineFS,
 		Places:             nodes,
 		WorkersPerPlace:    2,
 		ShuffleBudgetBytes: cc.poolBytes,

@@ -32,7 +32,7 @@ func markTestExec(t *testing.T, combiner bool) *jobExec {
 	rj.SubstituteImmutableRunner()
 	lc := engine.NewJobLifecycle()
 	t.Cleanup(lc.Stop)
-	x := &jobExec{e: e, job: job, rj: rj, jobID: "job_test_0001", lc: lc, jc: counters.New()}
+	x := &jobExec{e: e, Job: &engine.Job{ID: "job_test_0001", Conf: job, Resolved: rj, Lifecycle: lc, Counters: counters.New()}}
 	for q := 0; q < rj.NumReducers; q++ {
 		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
 	}
@@ -53,7 +53,7 @@ func markTestKeys(n, distinct int) []wio.Writable {
 func collectTask(t *testing.T, x *jobExec, task int, keys []wio.Writable) uint64 {
 	t.Helper()
 	one := types.NewInt(1)
-	ctx := engine.NewTaskContext(x.job, fmt.Sprintf("task%d", task), nil)
+	ctx := engine.NewTaskContext(x.Conf, fmt.Sprintf("task%d", task), nil)
 	sc := x.newShuffleCollector(&mapAssignment{index: task}, ctx)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

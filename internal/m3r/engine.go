@@ -1,7 +1,6 @@
 package m3r
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,13 +9,13 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"m3r/internal/conf"
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
+	"m3r/internal/mapred"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
@@ -62,10 +61,10 @@ type Options struct {
 // failure — a failed task fails the job, the paper's "no resilience"
 // design point.
 type Engine struct {
+	host     *engine.Host
 	rt       *x10.Runtime
 	cache    *Cache
 	cfs      *CachingFileSystem
-	fsID     string
 	stats    *sim.Stats
 	cost     *sim.CostModel
 	fallback engine.Engine
@@ -83,10 +82,6 @@ type Engine struct {
 	// installed as the kvstore's residency hook. Nil means the unbounded
 	// in-memory cache, the paper's design point.
 	cacheGov *cacheGovernor
-
-	mu     sync.Mutex
-	jobSeq int
-	closed bool
 }
 
 // New creates an M3R engine over opts.Places simulated places.
@@ -150,10 +145,12 @@ func New(opts Options) (*Engine, error) {
 		cache.Store().SetResidency(gov)
 	}
 	return &Engine{
+		// Jobs see — and commit through — the caching filesystem; a temporary
+		// output stays in the cache and is never written through it.
+		host:     &engine.Host{Name: "m3r", FSID: dfs.RegisterInstance(cfs), FS: cfs, Stats: opts.Stats, ElideTemp: true},
 		rt:       rt,
 		cache:    cache,
 		cfs:      cfs,
-		fsID:     dfs.RegisterInstance(cfs),
 		stats:    opts.Stats,
 		cost:     cost,
 		fallback: opts.Fallback,
@@ -179,10 +176,10 @@ func engineBudget(opt int64, defaults *conf.Configuration, key string) (int64, e
 }
 
 // Name implements engine.Engine.
-func (e *Engine) Name() string { return "m3r" }
+func (e *Engine) Name() string { return e.host.Name }
 
 // FileSystem implements engine.Engine: jobs see the caching filesystem.
-func (e *Engine) FileSystem() string { return e.fsID }
+func (e *Engine) FileSystem() string { return e.host.FSID }
 
 // CachingFS returns the engine's caching filesystem (clients use it for
 // CacheFS interactions, §4.2).
@@ -252,21 +249,18 @@ func (e *Engine) CacheReadmittedEntries() int64 {
 
 // Close implements engine.Engine.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
-		if e.cacheGov != nil {
-			// Detach the hook first so nothing spills or readmits during
-			// teardown, then drain every cache reservation and remove the
-			// cache spill directory.
-			e.cache.Store().SetResidency(nil)
-			e.cacheGov.close()
-		}
-		dfs.DropInstance(e.fsID)
-		return e.rt.Close()
+	if !e.host.Shut() {
+		return nil
 	}
-	return nil
+	if e.cacheGov != nil {
+		// Detach the hook first so nothing spills or readmits during
+		// teardown, then drain every cache reservation and remove the
+		// cache spill directory.
+		e.cache.Store().SetResidency(nil)
+		e.cacheGov.close()
+	}
+	dfs.DropInstance(e.host.FSID)
+	return e.rt.Close()
 }
 
 // PlaceOfPartition is the partition stability guarantee (§3.2.2.2): for a
@@ -284,84 +278,65 @@ func (e *Engine) Submit(userJob *conf.JobConf) (*engine.Report, error) {
 // SubmitControlled implements engine.LifecycleSubmitter: it runs the job
 // under lc, so the caller (server mode's kill RPC, Shutdown's grace drain)
 // can cancel it while it runs. A nil lc gets a private lifecycle — Submit
-// is exactly that — which still honours the job's deadline key.
+// is exactly that — which still honours the job's deadline key. The
+// submission's envelope — conf, output set-up, verdict, commit — is
+// engine.Job's; the steps here are what is M3R's own.
 func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle) (*engine.Report, error) {
 	if userJob.GetBool(conf.KeyForceHadoop, false) && e.fallback != nil {
 		return engine.SubmitUnder(e.fallback, userJob, lc)
 	}
-	start := time.Now()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("m3r: engine is closed")
-	}
-	e.jobSeq++
-	jobID := fmt.Sprintf("job_m3r_%04d", e.jobSeq)
-	e.mu.Unlock()
-
-	if lc == nil {
-		lc = engine.NewJobLifecycle()
-	}
-	defer lc.Stop()
-
-	job := userJob.CloneJob()
-	defaults, err := conf.EnvDefaults()
+	j, err := e.host.Open(userJob, lc)
 	if err != nil {
 		return nil, err
 	}
-	job.SetDefaults(defaults)
-	job.Set(conf.KeyFSInstance, e.fsID)
-	lc.ApplyDeadlineConf(job)
+	defer j.Close()
+	x, err := e.newJobExec(j)
+	if err != nil {
+		return nil, err
+	}
+	defer x.cleanup()
+	assignments, err := x.plan()
+	if err != nil {
+		return nil, err
+	}
+	report, err := j.Run(func() error { return x.run(assignments) })
+	if err != nil {
+		return x.rollback(userJob, fmt.Errorf("m3r: %s: %w", j.ID, err))
+	}
+	x.countCacheTiering()
+	return report, nil
+}
+
+// newJobExec is the job's admission: M3R's adjustments to the resolved job
+// and, when the job is budgeted, its tagged view of every place's pool.
+func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
+	job := j.Conf
 	if files := job.Get(conf.KeyDistributedCacheFiles); files != "" {
 		// In-memory places read the distributed cache straight from the
 		// filesystem; expose the standard task-side key.
 		job.Set(conf.KeyDistributedCacheLocalFiles, files)
 	}
-
-	rj, err := engine.Resolve(job)
-	if err != nil {
-		return nil, err
-	}
 	// §4.1: swap Hadoop's reusing default runner for the fresh-allocating,
 	// ImmutableOutput-marked one.
-	rj.SubstituteImmutableRunner()
-
-	outputFormat, err := rj.NewOutputFormat()
-	if err != nil {
-		return nil, err
-	}
-	if err := outputFormat.CheckOutputSpecs(job); err != nil {
-		return nil, err
-	}
-
-	spillCodec, err := spill.ParseCodec(job.Get(conf.KeyM3RSpillCodec))
-	if err != nil {
-		return nil, err
-	}
+	j.Resolved.SubstituteImmutableRunner()
 	x := &jobExec{
 		e:             e,
-		job:           job,
-		rj:            rj,
-		jobID:         jobID,
-		lc:            lc,
-		jc:            counters.New(),
+		Job:           j,
+		temp:          job.OutputPath() != "" && !j.WritesOutput(),
 		cacheEnabled:  job.GetBool(conf.KeyM3RCache, true),
 		dedup:         job.GetBool(conf.KeyM3RDedup, true),
 		shuffleBudget: job.GetInt64(conf.KeyM3RShuffleBudget, 0),
-		codec:         spillCodec,
 		mergeCfg:      engine.MergeConfigFromJob(job),
 	}
 	// A kill aborts an engaged staged merge's workers directly, not only
 	// through its consumer.
-	x.mergeCfg.Lifecycle = lc
-	defer x.cleanup()
+	x.mergeCfg.Lifecycle = j.Lifecycle
 	// Budgeted-cache tiering counters are per-job deltas of the governor's
 	// engine-lifetime totals; snapshot before planning (a cache lookup can
 	// already readmit a spilled entry).
-	var cacheSpilled0, cacheReadmitted0 int64
 	if e.cacheGov != nil {
-		cacheSpilled0 = e.cacheGov.spilledCount()
-		cacheReadmitted0 = e.cacheGov.readmittedCount()
+		x.cacheSpilled0 = e.cacheGov.spilledCount()
+		x.cacheReadmitted0 = e.cacheGov.readmittedCount()
 	}
 	// Budget admission: on a pooled engine every job is budgeted (the
 	// per-job key, when set, caps the job within the pool; an explicit
@@ -373,122 +348,56 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	// always spilling the newcomer.
 	capSet := job.Has(conf.KeyM3RShuffleBudget)
 	if (capSet && x.shuffleBudget > 0) || (!capSet && e.pools != nil) {
+		var err error
+		if x.classes, err = declaredRunClasses(j.Resolved); err != nil {
+			return nil, err
+		}
 		x.budgets = make([]*engine.JobBudget, e.rt.NumPlaces())
 		x.resident = make([]*engine.ResidentIndex[residentRun], e.rt.NumPlaces())
 		for p := range x.budgets {
 			if e.pools != nil {
-				x.budgets[p] = e.pools[p].Job(jobID, x.shuffleBudget)
+				x.budgets[p] = e.pools[p].Job(j.ID, x.shuffleBudget)
 			} else {
-				x.budgets[p] = engine.NewBudgetPool(x.shuffleBudget).Job(jobID, 0)
+				x.budgets[p] = engine.NewBudgetPool(x.shuffleBudget).Job(j.ID, 0)
 			}
 			x.resident[p] = engine.NewResidentIndex[residentRun]()
 		}
-		if x.classes, err = declaredRunClasses(rj); err != nil {
-			return nil, err
-		}
 	}
-	outPath := job.OutputPath()
-	x.temp = outPath != "" && job.IsTemporaryOutput(outPath)
-	x.writeOutput = outPath != "" && !x.temp
-	if x.writeOutput {
-		x.committer = formats.NewFileOutputCommitter(e.cfs)
-		if err := x.committer.SetupJob(job); err != nil {
-			return nil, err
-		}
-	}
+	return x, nil
+}
 
-	splits, err := rj.InputFormat.GetSplits(job, e.rt.NumPlaces()*2)
-	if err != nil {
-		return nil, err
+// countCacheTiering reports a committed job's share of the budgeted cache's
+// tiering in its counters.
+func (x *jobExec) countCacheTiering() {
+	gov := x.e.cacheGov
+	if gov == nil {
+		return
 	}
-	assignments, err := x.plan(splits)
-	if err != nil {
-		return nil, err
-	}
+	x.Counters.Find(counters.M3RGroup, counters.CacheResidentBytes).SetValue(gov.residentBytes())
+	x.Counters.Find(counters.M3RGroup, counters.CacheSpilledEntries).SetValue(gov.spilledCount() - x.cacheSpilled0)
+	x.Counters.Find(counters.M3RGroup, counters.CacheReadmittedEntries).SetValue(gov.readmittedCount() - x.cacheReadmitted0)
+}
 
-	for i := 0; i < rj.NumReducers; i++ {
-		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(i)})
+// rollback undoes a job that failed, in any phase or at its commit. The
+// envelope has aborted the committer; what is left is M3R's own: the pool
+// reservations drain now (cleanup is idempotent; the deferred call becomes a
+// no-op), and the output leaves the cache — reduce tasks that finished before
+// the failure already closed their entries there, the job's output never
+// becomes visible, so those must not either, or a later job would read as a
+// cache hit output that was never committed (§3.2.1); dropping them also
+// returns their cache-pool reservations. Then, when the job asks for it
+// (m3r.job.failover) and was not cancelled, it reruns on the resilient engine
+// (§5.3 integrated mode), whose real files no stale entry now shadows.
+func (x *jobExec) rollback(userJob *conf.JobConf, err error) (*engine.Report, error) {
+	e := x.e
+	x.cleanup()
+	if out := x.Conf.OutputPath(); out != "" {
+		e.cache.Drop(out)
 	}
-
-	err = x.run(assignments)
-	if err == nil {
-		// A kill that lands between the last task and the job commit is
-		// still a kill: commit is the one irrevocable step, so it gets the
-		// final check.
-		err = lc.Err()
+	if x.Lifecycle.Err() == nil && x.Conf.GetBool(conf.KeyM3RFailover, false) && e.fallback != nil {
+		return e.failover(userJob, x.Lifecycle, err)
 	}
-	if err != nil {
-		// A failed job must not leave the committer's _temporary scratch
-		// space behind on the (caching) filesystem.
-		if x.writeOutput {
-			x.committer.AbortJob(job)
-		}
-		// Reduce tasks that finished before the failure already committed
-		// their output files into the cache; the job's output never becomes
-		// visible, so those entries must not either. Dropping them also
-		// drains their cache-pool reservations — a failed job must not
-		// bleed cache budget any more than shuffle budget. (The failover
-		// path below drops again before deleting the on-disk droppings;
-		// Drop is idempotent.)
-		if outPath != "" && x.cacheEnabled {
-			e.cache.Drop(outPath)
-		}
-		if cause := lc.Err(); cause != nil {
-			// Cancelled: tasks unwinding concurrently may surface secondary
-			// errors (merge cancelled, collector aborts); the verdict is the
-			// cancellation cause, and errors.Is against ErrJobKilled /
-			// ErrDeadlineExceeded must hold for the caller.
-			err = cause
-			switch {
-			case errors.Is(cause, engine.ErrDeadlineExceeded):
-				e.stats.Add(sim.JobsDeadlineExceeded, 1)
-			default:
-				e.stats.Add(sim.JobsKilled, 1)
-			}
-			return nil, fmt.Errorf("m3r: %s: %w", jobID, err)
-		}
-		err = fmt.Errorf("m3r: %s: %w", jobID, err)
-		if job.GetBool(conf.KeyM3RFailover, false) && e.fallback != nil {
-			// §5.3 integrated-mode resilience: M3R itself does not recover
-			// from task failure, but the job can be rerun on the resilient
-			// engine. Roll this attempt fully back first — drain the pool
-			// reservations now (cleanup is idempotent; the deferred call
-			// becomes a no-op) and drop whatever output this attempt
-			// committed into the cache, so the fallback run's real files
-			// are not shadowed by stale cache entries.
-			x.cleanup()
-			if outPath != "" {
-				e.cache.Drop(outPath)
-				// CheckOutputSpecs proved the output path did not exist when
-				// this job started, so whatever is there now is this failed
-				// attempt's droppings — remove it or the fallback engine's
-				// own output check rejects the rerun.
-				e.cfs.Delete(dfs.CleanPath(outPath), true)
-			}
-			return e.failover(userJob, lc, err)
-		}
-		return nil, err
-	}
-	if x.writeOutput {
-		if err := x.committer.CommitJob(job); err != nil {
-			x.committer.AbortJob(job)
-			return nil, err
-		}
-	}
-	if e.cacheGov != nil {
-		x.jc.Find(counters.M3RGroup, counters.CacheResidentBytes).SetValue(e.cacheGov.residentBytes())
-		x.jc.Find(counters.M3RGroup, counters.CacheSpilledEntries).SetValue(e.cacheGov.spilledCount() - cacheSpilled0)
-		x.jc.Find(counters.M3RGroup, counters.CacheReadmittedEntries).SetValue(e.cacheGov.readmittedCount() - cacheReadmitted0)
-	}
-	engine.NotifyJobEnd(job, jobID)
-	return &engine.Report{
-		JobID:    jobID,
-		JobName:  job.JobName(),
-		Engine:   e.Name(),
-		Queue:    job.GetDefault(conf.KeyJobQueueName, "default"),
-		Counters: x.jc,
-		Wall:     time.Since(start),
-	}, nil
+	return nil, err
 }
 
 // failover reruns a failed job on the fallback engine (m3r.job.failover).
@@ -507,21 +416,19 @@ func (e *Engine) failover(userJob *conf.JobConf, lc *engine.JobLifecycle, m3rErr
 	return rep, nil
 }
 
-// jobExec is the state of one executing job.
+// jobExec is the state of one executing job: its envelope and what is M3R's
+// own.
 type jobExec struct {
-	e            *Engine
-	job          *conf.JobConf
-	rj           *engine.ResolvedJob
-	jobID        string
-	lc           *engine.JobLifecycle
-	committer    *formats.FileOutputCommitter
-	jc           *counters.Counters
+	e *Engine
+	*engine.Job
 	parts        []*partitionInput
-	temp         bool
-	writeOutput  bool
+	temp         bool // the output is cache-only (§4.2.3): Job.WritesOutput is false
 	cacheEnabled bool
 	dedup        bool
 	cmu          sync.Mutex
+
+	// The cache governor's totals when the job was admitted.
+	cacheSpilled0, cacheReadmitted0 int64
 
 	// Shuffle memory lifecycle (conf.KeyM3RShuffleBudget, over the engine
 	// pool of conf.KeyM3REngineShuffleBudget when one is configured): when
@@ -538,7 +445,6 @@ type jobExec struct {
 	// per-job budget, or an explicit non-positive per-job budget) skip all of
 	// it and shuffle objects: the paper's pure in-memory design point.
 	shuffleBudget int64
-	codec         spill.Codec // block compression for spilled runs (conf.KeyM3RSpillCodec)
 	budgets       []*engine.JobBudget
 	resident      []*engine.ResidentIndex[residentRun]
 	classes       runClasses // the declared map-output classes of a budgeted job
@@ -558,7 +464,7 @@ func (x *jobExec) spillPath() (string, error) {
 	x.spillMu.Lock()
 	defer x.spillMu.Unlock()
 	if x.spillDir == "" {
-		d, err := os.MkdirTemp("", "m3r-spill-"+x.jobID+"-")
+		d, err := os.MkdirTemp("", "m3r-spill-"+x.ID+"-")
 		if err != nil {
 			return "", err
 		}
@@ -590,7 +496,7 @@ func (x *jobExec) cleanup() {
 
 func (x *jobExec) mergeCounters(ctx *engine.TaskContext) {
 	x.cmu.Lock()
-	x.jc.MergeFrom(ctx.Counters)
+	x.Counters.MergeFrom(ctx.Counters)
 	x.cmu.Unlock()
 }
 
@@ -623,14 +529,22 @@ type mapAssignment struct {
 	hit    bool
 }
 
-// plan assigns every split to a place: cache blocks pin cached splits
-// (§3.2.1), PlacedSplits pin to their partition's stable place (§4.3),
-// HDFS locality pins file splits, and everything else round-robins. A
-// corrupt cache entry (blockPairs) fails the plan loudly instead of
-// quietly dropping pairs from a cached split.
-func (x *jobExec) plan(splits []formats.InputSplit) ([]*mapAssignment, error) {
+// plan computes the job's splits and assigns each to a place: cache blocks
+// pin cached splits (§3.2.1), PlacedSplits pin to their partition's stable
+// place (§4.3), HDFS locality pins file splits, and everything else
+// round-robins. A corrupt cache entry (blockPairs) fails the plan loudly
+// instead of quietly dropping pairs from a cached split. Reduce partitions
+// get their inputs here too, each at the place the stable mapping gives it.
+func (x *jobExec) plan() ([]*mapAssignment, error) {
 	e := x.e
 	P := e.rt.NumPlaces()
+	splits, err := x.Resolved.InputFormat.GetSplits(x.Conf, P*2)
+	if err != nil {
+		return nil, err
+	}
+	for q := 0; q < x.Resolved.NumReducers; q++ {
+		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
+	}
 	rr := 0
 	out := make([]*mapAssignment, 0, len(splits))
 	for i, s := range splits {
@@ -719,7 +633,7 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			if mapErr != nil {
 				mapFailed.Store(true)
 			}
-			if x.rj.MapOnly {
+			if x.Resolved.MapOnly {
 				return mapErr
 			}
 			// §5.1: "No reducer is allowed to run until globally all
@@ -730,7 +644,7 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			// cancellation cause instead of waiting for places that may be
 			// stuck in long map tails. (The generation is then abandoned,
 			// never reused — the job is tearing down.)
-			if err := team.BarrierCancel(x.lc.Done(), x.lc.Err); err != nil {
+			if err := team.BarrierCancel(x.Lifecycle.Done(), x.Lifecycle.Err); err != nil {
 				return err
 			}
 			if mapErr != nil {
@@ -739,7 +653,7 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			if mapFailed.Load() {
 				return nil // another place failed; the job is already lost
 			}
-			if err := x.lc.Err(); err != nil {
+			if err := x.Lifecycle.Err(); err != nil {
 				return err
 			}
 			// Past the barrier no map task can contend the budget, so the
@@ -755,7 +669,7 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			// Reduce phase: this place owns the partitions the stable
 			// mapping assigns to it (§3.2.2.2).
 			rinner := x10.NewFinish()
-			for q := 0; q < x.rj.NumReducers; q++ {
+			for q := 0; q < x.Resolved.NumReducers; q++ {
 				if e.PlaceOfPartition(q) != p {
 					continue
 				}
@@ -775,7 +689,7 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 // runMapTask executes one map task at its assigned place.
 func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 	e := x.e
-	if err := x.lc.Err(); err != nil {
+	if err := x.Lifecycle.Err(); err != nil {
 		// The job is already cancelled: don't launch the task at all.
 		return err
 	}
@@ -785,22 +699,20 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 			err = fmt.Errorf("map task %d panicked: %v\n%s", a.index, p, debug.Stack())
 		}
 	}()
-	taskJob := x.job.CloneJob()
+	taskJob := x.Conf.CloneJob()
 	// Place-aware output plumbing (MultipleOutputs side files through the
 	// cache) homes blocks at the writing task's place.
 	taskJob.Set(conf.KeyM3RTaskPlace, strconv.Itoa(a.place))
 	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(a.index))
-	taskID := fmt.Sprintf("attempt_%s_m_%06d_0", x.jobID, a.index)
+	taskID := fmt.Sprintf("attempt_%s_m_%06d_0", x.ID, a.index)
 	ctx := engine.NewTaskContext(taskJob, taskID, a.split)
 	defer x.tallyPairs(ctx)
 	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedMaps, 1)
 
-	mr := x.rj.NewMapRun()
+	mr := x.Resolved.NewMapRun()
 	mr.Configure(taskJob)
 
-	var collector interface {
-		Collect(k, v wio.Writable) error
-	}
+	var collector mapred.OutputCollector
 	var finish func() error
 	var abort func()
 	// The abort runs on every failure exit — error return or panic (the
@@ -812,19 +724,27 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 			abort()
 		}
 	}()
-	if x.rj.MapOnly {
-		moc, err := x.newMapOnlyCollector(a, taskJob, ctx)
+	if x.Resolved.MapOnly {
+		// §5.3: a zero-reducer job's map output is the job's output.
+		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split))
 		if err != nil {
 			return err
 		}
-		collector, finish, abort = moc, moc.close, moc.abort
+		cells := &ctx.Cells
+		collector = mapred.CollectorFunc(func(k, v wio.Writable) error {
+			if err := x.Lifecycle.Err(); err != nil {
+				return err
+			}
+			cells.MapOutputRecords.Increment(1)
+			return sink.write(k, v)
+		})
+		finish, abort = sink.commit, sink.abort
 	} else {
 		sc := x.newShuffleCollector(a, ctx)
 		collector, finish, abort = sc, sc.flush, sc.abort
 	}
-	out := mapredCollector{collector}
 
-	if err := x.feedMapTask(a, mr, out, ctx, taskJob); err != nil {
+	if err := x.feedMapTask(a, mr, collector, ctx, taskJob); err != nil {
 		return fmt.Errorf("map task %d: %w", a.index, err)
 	}
 	if err := finish(); err != nil {
@@ -835,20 +755,11 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 	return nil
 }
 
-// mapredCollector adapts the minimal collector shape to mapred's interface.
-type mapredCollector struct {
-	c interface {
-		Collect(k, v wio.Writable) error
-	}
-}
-
-func (m mapredCollector) Collect(k, v wio.Writable) error { return m.c.Collect(k, v) }
-
 // feedMapTask routes input into the mapper: cached pairs (aliased from the
 // heap), a fresh read that populates the cache, or a plain streamed read
 // for unnameable splits (§3.2.1, §4.2.1).
 func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
-	out mapredCollector, ctx *engine.TaskContext, taskJob *conf.JobConf) error {
+	out mapred.OutputCollector, ctx *engine.TaskContext, taskJob *conf.JobConf) error {
 	e := x.e
 	if a.hit {
 		pairs, _, err := e.cache.ReadRanges(a.place, a.cached)
@@ -861,7 +772,7 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 	}
 	name, nameOK := formats.SplitName(a.split)
 	if nameOK && x.cacheEnabled {
-		reader, err := x.rj.InputFormat.GetRecordReader(a.split, taskJob)
+		reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, taskJob)
 		if err != nil {
 			return err
 		}
@@ -881,7 +792,7 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 		return runPairs(mr, pairs, out, ctx)
 	}
 	// Unnameable split: stream it, bypassing the cache (§4.2.1).
-	reader, err := x.rj.InputFormat.GetRecordReader(a.split, taskJob)
+	reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, taskJob)
 	if err != nil {
 		return err
 	}
@@ -892,7 +803,7 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 
 // runPairs feeds in-memory pairs to the map task, preferring the direct
 // fast path.
-func runPairs(mr engine.MapRun, pairs []wio.Pair, out mapredCollector, ctx *engine.TaskContext) error {
+func runPairs(mr engine.MapRun, pairs []wio.Pair, out mapred.OutputCollector, ctx *engine.TaskContext) error {
 	if pr, ok := mr.(engine.PairsRunner); ok {
 		return pr.RunPairs(pairs, out, ctx)
 	}
@@ -1163,7 +1074,7 @@ func releasingReader(rd engine.RunReader, acct *engine.JobBudget, size int64, ct
 // runReduceTask executes one reduce partition at its stable place.
 func (x *jobExec) runReduceTask(q int) (err error) {
 	e := x.e
-	if err := x.lc.Err(); err != nil {
+	if err := x.Lifecycle.Err(); err != nil {
 		return err
 	}
 	e.stats.Add(sim.TasksLaunched, 1)
@@ -1173,10 +1084,10 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 		}
 	}()
 	place := e.PlaceOfPartition(q)
-	taskJob := x.job.CloneJob()
+	taskJob := x.Conf.CloneJob()
 	taskJob.Set(conf.KeyM3RTaskPlace, strconv.Itoa(place))
 	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(q))
-	taskID := fmt.Sprintf("attempt_%s_r_%06d_0", x.jobID, q)
+	taskID := fmt.Sprintf("attempt_%s_r_%06d_0", x.ID, q)
 	ctx := engine.NewTaskContext(taskJob, taskID, nil)
 	defer x.tallyPairs(ctx)
 	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedReduces, 1)
@@ -1193,110 +1104,36 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 	if err != nil {
 		return err
 	}
-	merged, err := engine.NewStagedMergeIter(readers, x.rj.SortCmp, x.mergeCfg, ctx.Cells.ParallelMergeStages)
+	merged, err := engine.NewStagedMergeIter(readers, x.Resolved.SortCmp, x.mergeCfg, ctx.Cells.ParallelMergeStages)
 	if err != nil {
 		return err
 	}
 	defer merged.Close()
 
-	reducer := x.rj.NewReduceRun()
+	reducer := x.Resolved.NewReduceRun()
 	reducer.Configure(taskJob)
 
-	fileName := fmt.Sprintf("part-%05d", q)
-	outPath := x.job.OutputPath()
-	var cacheW *OutputWriter
-	var rw formats.RecordWriter
-	if outPath != "" {
-		finalPath := dfs.Join(outPath, fileName)
-		if x.cacheEnabled {
-			w, err := e.cache.NewOutputWriter(place, finalPath, x.temp)
-			if err != nil {
-				return err
-			}
-			cacheW = w
-		}
-		if x.writeOutput {
-			x.committer.SetupTask(taskJob, taskID)
-			outputFormat, err := x.rj.NewOutputFormat()
-			if err != nil {
-				return err
-			}
-			w, err := outputFormat.GetRecordWriter(taskJob, fileName)
-			if err != nil {
-				return err
-			}
-			rw = w
-		} else {
-			// Temporary output: bytes never reach the filesystem (§4.2.3).
-			ctx.IncrCounter(counters.M3RGroup, counters.TempOutputsElided, 1)
-		}
+	sink, err := x.openTaskSink(ctx, place, q, x.Resolved.ReduceImmutable)
+	if err != nil {
+		return err
 	}
-
+	defer sink.abort()
 	cells := &ctx.Cells
-	collector := mapredCollector{collectFunc(func(k, v wio.Writable) error {
+	collector := mapred.CollectorFunc(func(k, v wio.Writable) error {
 		cells.ReduceOutputRecords.Increment(1)
-		if cacheW != nil {
-			ck, cv := k, v
-			if !x.rj.ReduceImmutable {
-				ck, cv = wio.MustClone(k), wio.MustClone(v)
-				cells.ClonedPairs.Increment(1)
-			} else {
-				cells.AliasedPairs.Increment(1)
-			}
-			cacheW.Append(wio.Pair{Key: ck, Value: cv})
-		}
-		if rw != nil {
-			return rw.Write(k, v)
-		}
-		return nil
-	})}
-
-	// A failing task must not leave its partial output visible in the
-	// cache: later jobs would read the truncated file as a cache hit.
-	cacheDone := false
-	defer func() {
-		if cacheW != nil && !cacheDone {
-			cacheW.Abort()
-		}
-	}()
+		return sink.write(k, v)
+	})
 
 	// The cancel wrapper is the reduce phase's per-record check: one atomic
 	// load per pair, surfacing the kill as the stream error so the merge
-	// closes and the committer aborts through the normal failure path.
-	in := engine.CancelPairIter(merged, x.lc)
-	if err := engine.DriveReduce(reducer, x.rj.GroupCmp, in, collector, ctx, false); err != nil {
-		if rw != nil {
-			rw.Close()
-			x.committer.AbortTask(taskJob, taskID)
-		}
+	// closes and the sink aborts through the normal failure path.
+	in := engine.CancelPairIter(merged, x.Lifecycle)
+	if err := engine.DriveReduce(reducer, x.Resolved.GroupCmp, in, collector, ctx, false); err != nil {
 		return fmt.Errorf("reduce task %d: %w", q, err)
 	}
-	if rw != nil {
-		if err := rw.Close(); err != nil {
-			return err
-		}
-		// Task commit is a rename into the job's scratch space; a cancelled
-		// task aborts instead, so a kill racing the job's tail never
-		// half-publishes.
-		if err := x.lc.Err(); err != nil {
-			x.committer.AbortTask(taskJob, taskID)
-			return err
-		}
-		if err := x.committer.CommitTask(taskJob, taskID); err != nil {
-			return err
-		}
+	if err := sink.commit(); err != nil {
+		return err
 	}
-	if cacheW != nil {
-		if err := cacheW.Close(); err != nil {
-			return err
-		}
-	}
-	cacheDone = true
 	x.mergeCounters(ctx)
 	return nil
 }
-
-// collectFunc adapts a function to the collector shape.
-type collectFunc func(k, v wio.Writable) error
-
-func (f collectFunc) Collect(k, v wio.Writable) error { return f(k, v) }

@@ -7,9 +7,7 @@ import (
 	"reflect"
 	"sync"
 
-	"m3r/internal/counters"
 	"m3r/internal/engine"
-	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
 )
@@ -346,7 +344,7 @@ type frameSet struct {
 // a marked one's pair still counts as aliased — the counters say what the
 // map side declared, as on the unbudgeted path.
 func (sc *shuffleCollector) collectSerialized(q int, key, value wio.Writable, immutable bool) error {
-	if err := sc.frames.classes.check(sc.x.rj, key, value); err != nil {
+	if err := sc.frames.classes.check(sc.x.Resolved, key, value); err != nil {
 		return err
 	}
 	d := sc.placeOf[q]
@@ -418,17 +416,7 @@ func (sc *shuffleCollector) ship(d int, frame []byte, dedupHits int64) ([]byte, 
 	if err != nil {
 		return nil, fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
 	}
-	n := int64(len(frame))
-	e.stats.Add(sim.RemoteBytes, n)
-	e.stats.Add(sim.RemoteTransfers, 1)
-	e.stats.Add(sim.DedupHits, dedupHits)
-	sc.ctx.IncrCounter(counters.TaskGroup, counters.RemoteShuffleBytes, n)
-	sc.ctx.IncrCounter(counters.M3RGroup, counters.DedupHits, dedupHits)
-	if e.rt.RemoteTransport() {
-		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetFrames, 1)
-		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetBytes, n)
-	}
-	e.cost.ChargeNet(e.stats, n)
+	e.rt.ChargeShip(sc.ctx.Counters, int64(len(frame)), 1, dedupHits)
 	return frame, nil
 }
 

@@ -39,9 +39,9 @@ func budgetedTestExec(tb testing.TB, e *Engine, job *conf.JobConf, budget int64)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	x := &jobExec{e: e, job: job, rj: rj, jobID: "job_test_0001", jc: counters.New(), dedup: true, codec: codec}
+	x := &jobExec{e: e, Job: &engine.Job{ID: "job_test_0001", Conf: job, Resolved: rj, Counters: counters.New(), Codec: codec}, dedup: true}
 	for p := 0; p < e.rt.NumPlaces(); p++ {
-		x.budgets = append(x.budgets, engine.NewBudgetPool(budget).Job(x.jobID, 0))
+		x.budgets = append(x.budgets, engine.NewBudgetPool(budget).Job(x.ID, 0))
 		x.resident = append(x.resident, engine.NewResidentIndex[residentRun]())
 	}
 	if x.classes, err = declaredRunClasses(rj); err != nil {

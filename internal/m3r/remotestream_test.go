@@ -43,7 +43,7 @@ func newRemoteExec(t *testing.T, tr x10.Transport) *jobExec {
 	}
 	lc := engine.NewJobLifecycle()
 	t.Cleanup(lc.Stop)
-	x := &jobExec{e: e, job: job, rj: rj, jobID: "job_test_0001", lc: lc, jc: counters.New(), dedup: true}
+	x := &jobExec{e: e, Job: &engine.Job{ID: "job_test_0001", Conf: job, Resolved: rj, Lifecycle: lc, Counters: counters.New()}, dedup: true}
 	for q := 0; q < rj.NumReducers; q++ {
 		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
 	}
@@ -56,7 +56,7 @@ func newRemoteExec(t *testing.T, tr x10.Transport) *jobExec {
 func remoteCollector(t *testing.T, tr x10.Transport, n int) (*shuffleCollector, *jobExec) {
 	t.Helper()
 	x := newRemoteExec(t, tr)
-	sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(x.job, "task", nil))
+	sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(x.Conf, "task", nil))
 	for i := 0; i < n; i++ {
 		if err := sc.deliver(1, types.NewText(fmt.Sprintf("word%04d-%s", i, strings.Repeat("x", 80))), types.NewInt(int32(i)), true); err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestShuffleValuesOwnTheirChunks(t *testing.T) {
 
 	x := newRemoteExec(t, nil)
 	for task := 0; task < 3; task++ {
-		sc := x.newShuffleCollector(&mapAssignment{place: 0, index: task}, engine.NewTaskContext(x.job, "task", nil))
+		sc := x.newShuffleCollector(&mapAssignment{place: 0, index: task}, engine.NewTaskContext(x.Conf, "task", nil))
 		for i := 0; i < 60; i++ {
 			v := types.NewBytes(body(task+i, sizes[i%len(sizes)]))
 			if err := sc.deliver(1, types.NewText(fmt.Sprintf("%04d", i)), v, true); err != nil {

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"m3r/internal/conf"
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
-	"m3r/internal/formats"
 	"m3r/internal/mapred"
-	"m3r/internal/sim"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
 )
@@ -100,10 +97,10 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		ctx:         ctx,
 		place:       a.place,
 		src:         a.index,
-		R:           x.rj.NumReducers,
+		R:           x.Resolved.NumReducers,
 		P:           x.e.rt.NumPlaces(),
-		partitioner: x.rj.NewPartitioner(),
-		immutable:   engine.MapTaskImmutable(x.rj, a.split),
+		partitioner: x.Resolved.NewPartitioner(),
+		immutable:   engine.MapTaskImmutable(x.Resolved, a.split),
 	}
 	if x.budgets != nil {
 		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, sc.P), classes: x.classes}
@@ -118,10 +115,10 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		sc.placeOf[q] = x.e.PlaceOfPartition(q)
 	}
 	switch {
-	case x.rj.CombineByHash:
+	case x.Resolved.CombineByHash:
 		sc.tables = make([]*engine.CombineTable, sc.R)
 		_, sc.hashPartition = sc.partitioner.(*mapred.HashPartitioner)
-	case x.rj.HasCombiner:
+	case x.Resolved.HasCombiner:
 		sc.combineBufs = make([][]wio.Pair, sc.R)
 	}
 	return sc
@@ -132,7 +129,7 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 	// The map phase's per-record cancel check: one atomic load. The error
 	// unwinds through the mapper into runMapTask's abort path, so the
 	// collector's pooled buffers return on kill exactly as on any failure.
-	if err := sc.x.lc.Err(); err != nil {
+	if err := sc.x.Lifecycle.Err(); err != nil {
 		return err
 	}
 	if sc.tables != nil {
@@ -180,7 +177,7 @@ func (sc *shuffleCollector) collectGrouped(key, value wio.Writable) error {
 	}
 	t := sc.tables[q]
 	if t == nil {
-		t = engine.NewCombineTable(sc.x.rj, sc.ctx, sc.x.lc)
+		t = engine.NewCombineTable(sc.x.Resolved, sc.ctx, sc.x.Lifecycle)
 		sc.tables[q] = t
 	}
 	return t.Add(h, key, value, !sc.immutable)
@@ -246,7 +243,7 @@ func (sc *shuffleCollector) flush() error {
 	// after a combiner pass they arrive already sorted (key-preserving
 	// combiners keep Combine's sort order), which SortPairs recognises in
 	// one scan of the batch and leaves in place.
-	sortCmp := sc.x.rj.SortCmp
+	sortCmp := sc.x.Resolved.SortCmp
 	for _, pairs := range sc.localBufs {
 		engine.SortPairs(pairs, sortCmp)
 	}
@@ -276,7 +273,7 @@ func (sc *shuffleCollector) flushCombined() error {
 			combined, err = sc.tables[q].Drain()
 			sc.tables[q] = nil
 		case sc.combineBufs != nil && len(sc.combineBufs[q]) > 0:
-			combined, err = engine.Combine(sc.x.rj, sc.combineBufs[q], sc.ctx)
+			combined, err = engine.Combine(sc.x.Resolved, sc.combineBufs[q], sc.ctx)
 			sc.combineBufs[q] = nil
 		default:
 			continue
@@ -321,17 +318,7 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 	if err != nil {
 		return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
 	}
-	hits := int64(out.Encoder().DedupHits())
-	e.stats.Add(sim.RemoteBytes, n)
-	e.stats.Add(sim.RemoteTransfers, 1)
-	e.stats.Add(sim.DedupHits, hits)
-	sc.ctx.IncrCounter(counters.TaskGroup, counters.RemoteShuffleBytes, n)
-	sc.ctx.IncrCounter(counters.M3RGroup, counters.DedupHits, hits)
-	if e.rt.RemoteTransport() {
-		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetFrames, int64(frames))
-		sc.ctx.IncrCounter(counters.M3RGroup, counters.NetBytes, n)
-	}
-	e.cost.ChargeNet(e.stats, n)
+	e.rt.ChargeShip(sc.ctx.Counters, n, frames, int64(out.Encoder().DedupHits()))
 
 	// "Arrive" at place d: decode into fresh objects, exactly the pairs the
 	// task counted and then the end of the stream — a frame that stops
@@ -357,7 +344,7 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 	if err := out.End(); err != nil {
 		return fmt.Errorf("m3r: shuffle decode at place %d: after %d pairs: %w", d, total, err)
 	}
-	sortCmp := sc.x.rj.SortCmp
+	sortCmp := sc.x.Resolved.SortCmp
 	for _, pairs := range byPartition {
 		engine.SortPairs(pairs, sortCmp)
 	}
@@ -404,111 +391,78 @@ func (sc *shuffleCollector) abort() {
 	sc.combineBufs = nil
 }
 
-// mapOnlyCollector sends map output straight to the output format and the
-// cache, for zero-reducer jobs (§5.3).
-type mapOnlyCollector struct {
-	x         *jobExec
-	ctx       *engine.TaskContext
-	taskID    string
-	taskJob   *conf.JobConf
+// taskSink is where a task that produces the job's output — a reducer, or
+// the mapper of a zero-reducer job (§5.3) — sends it: the attempt's file
+// under the job's committer and, beside it, the output's cache entry at the
+// task's place (§3.2.1). Either may be absent: a temporary output has no
+// file (§4.2.3), a job with the cache off no entry.
+type taskSink struct {
+	out    *engine.TaskOutput
+	cacheW *OutputWriter
+	// immutable: the producer keeps its hands off what it emitted (§4.1), so
+	// the cache aliases the pair; otherwise it keeps a clone.
 	immutable bool
-	cacheW    *OutputWriter
-	rw        formats.RecordWriter
+	cells     *engine.CounterCells
 }
 
-func (x *jobExec) newMapOnlyCollector(a *mapAssignment, taskJob *conf.JobConf, ctx *engine.TaskContext) (*mapOnlyCollector, error) {
-	moc := &mapOnlyCollector{
-		x:         x,
-		ctx:       ctx,
-		taskID:    ctx.TaskID,
-		taskJob:   taskJob,
-		immutable: engine.MapTaskImmutable(x.rj, a.split),
+// openTaskSink opens the output of the task ctx describes: file part-<index>
+// of the job's output, cached at place.
+func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable bool) (*taskSink, error) {
+	fileName := fmt.Sprintf("part-%05d", index)
+	out, err := x.OpenTaskOutput(ctx.Job, ctx.TaskID, fileName)
+	if err != nil {
+		return nil, err
 	}
-	outPath := x.job.OutputPath()
-	if outPath == "" {
-		return moc, nil
-	}
-	fileName := fmt.Sprintf("part-%05d", a.index)
-	if x.cacheEnabled {
-		w, err := x.e.cache.NewOutputWriter(a.place, dfs.Join(outPath, fileName), x.temp)
-		if err != nil {
+	s := &taskSink{out: out, immutable: immutable, cells: &ctx.Cells}
+	if outPath := x.Conf.OutputPath(); outPath != "" && x.cacheEnabled {
+		if s.cacheW, err = x.e.cache.NewOutputWriter(place, dfs.Join(outPath, fileName), x.temp); err != nil {
+			out.Abort()
 			return nil, err
 		}
-		moc.cacheW = w
 	}
-	if x.writeOutput {
-		x.committer.SetupTask(taskJob, moc.taskID)
-		outputFormat, err := x.rj.NewOutputFormat()
-		if err != nil {
-			moc.abort()
-			return nil, err
-		}
-		rw, err := outputFormat.GetRecordWriter(taskJob, fileName)
-		if err != nil {
-			moc.abort()
-			return nil, err
-		}
-		moc.rw = rw
-	} else {
+	if x.temp {
+		// Temporary output: bytes never reach the filesystem (§4.2.3).
 		ctx.IncrCounter(counters.M3RGroup, counters.TempOutputsElided, 1)
 	}
-	return moc, nil
+	return s, nil
 }
 
-// Collect implements the collector contract.
-func (moc *mapOnlyCollector) Collect(key, value wio.Writable) error {
-	if err := moc.x.lc.Err(); err != nil {
+func (s *taskSink) write(key, value wio.Writable) error {
+	if s.cacheW != nil {
+		k, v := key, value
+		if !s.immutable {
+			k, v = wio.MustClone(key), wio.MustClone(value)
+			s.cells.ClonedPairs.Increment(1)
+		} else {
+			s.cells.AliasedPairs.Increment(1)
+		}
+		s.cacheW.Append(wio.Pair{Key: k, Value: v})
+	}
+	return s.out.Write(key, value)
+}
+
+// commit publishes the task's output: the file, then the cache entry.
+func (s *taskSink) commit() error {
+	if err := s.out.Commit(); err != nil {
 		return err
 	}
-	moc.ctx.Cells.MapOutputRecords.Increment(1)
-	if moc.cacheW != nil {
-		k, v := key, value
-		if !moc.immutable {
-			k, v = wio.MustClone(key), wio.MustClone(value)
-			moc.ctx.Cells.ClonedPairs.Increment(1)
-		} else {
-			moc.ctx.Cells.AliasedPairs.Increment(1)
+	if s.cacheW != nil {
+		if err := s.cacheW.Close(); err != nil {
+			return err
 		}
-		moc.cacheW.Append(wio.Pair{Key: k, Value: v})
-	}
-	if moc.rw != nil {
-		return moc.rw.Write(key, value)
+		s.cacheW = nil
 	}
 	return nil
 }
 
-// close commits the task's output.
-func (moc *mapOnlyCollector) close() error {
-	if moc.rw != nil {
-		if err := moc.rw.Close(); err != nil {
-			return err
-		}
-		// A kill that lands before the task commit aborts instead (the
-		// caller's deferred abort cleans up).
-		if err := moc.x.lc.Err(); err != nil {
-			return err
-		}
-		if err := moc.x.committer.CommitTask(moc.taskJob, moc.taskID); err != nil {
-			return err
-		}
-	}
-	if moc.cacheW != nil {
-		return moc.cacheW.Close()
-	}
-	return nil
-}
-
-// abort discards the failed task's partial output: the record writer's
-// uncommitted work directory and the partial cache entry, neither of which
-// may stay visible to later jobs.
-func (moc *mapOnlyCollector) abort() {
-	if moc.rw != nil {
-		moc.rw.Close()
-		moc.x.committer.AbortTask(moc.taskJob, moc.taskID)
-		moc.rw = nil
-	}
-	if moc.cacheW != nil {
-		moc.cacheW.Abort()
-		moc.cacheW = nil
+// abort discards a failed task's partial output: the attempt's uncommitted
+// work directory and the partial cache entry, which later jobs would read as
+// a cache hit on a truncated file. After commit it does nothing, so tasks
+// defer it.
+func (s *taskSink) abort() {
+	s.out.Abort()
+	if s.cacheW != nil {
+		s.cacheW.Abort()
+		s.cacheW = nil
 	}
 }

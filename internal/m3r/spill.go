@@ -17,10 +17,10 @@ var spillWriteRun = spill.WriteEncodedFile
 // stored (compressed) length. It returns the new file's path.
 func (x *jobExec) spillSegment(ctx *engine.TaskContext, seg []byte, nrecs int) (string, error) {
 	// Cancelled jobs stop paying for disk.
-	if err := x.lc.Err(); err != nil {
+	if err := x.Lifecycle.Err(); err != nil {
 		return "", err
 	}
-	enc, err := spill.EncodeSegment(seg, x.codec)
+	enc, err := spill.EncodeSegment(seg, x.Codec)
 	if err != nil {
 		return "", err
 	}

@@ -191,7 +191,7 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 	}
 	lc := engine.NewJobLifecycle()
 	defer lc.Stop()
-	x := &jobExec{e: e, job: job, rj: rj, jobID: "job_test_0001", lc: lc, jc: counters.New(), dedup: true}
+	x := &jobExec{e: e, Job: &engine.Job{ID: "job_test_0001", Conf: job, Resolved: rj, Lifecycle: lc, Counters: counters.New()}, dedup: true}
 	for q := 0; q < rj.NumReducers; q++ {
 		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
 	}
@@ -233,9 +233,9 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 // for exercising the partitionInput lifecycle without a cluster.
 func newSpillExec(budget int64, codec spill.Codec, nparts int) *jobExec {
 	e := &Engine{stats: sim.NewStats(), cost: sim.Zero()}
-	x := &jobExec{e: e, jobID: "job_test_0001", jc: counters.New(), shuffleBudget: budget, codec: codec}
+	x := &jobExec{e: e, Job: &engine.Job{ID: "job_test_0001", Counters: counters.New(), Codec: codec}, shuffleBudget: budget}
 	if budget > 0 {
-		x.budgets = []*engine.JobBudget{engine.NewBudgetPool(budget).Job(x.jobID, 0)}
+		x.budgets = []*engine.JobBudget{engine.NewBudgetPool(budget).Job(x.ID, 0)}
 		x.resident = []*engine.ResidentIndex[residentRun]{engine.NewResidentIndex[residentRun]()}
 	}
 	for q := 0; q < nparts; q++ {
@@ -393,13 +393,13 @@ func TestBudgetReleaseAndReadmission(t *testing.T) {
 	}
 }
 
-// FuzzSpillQueue feeds fuzzer-shaped runs through the budgeted shuffle at a
+// FuzzBudgetedShuffle feeds fuzzer-shaped runs through the budgeted shuffle at a
 // fuzzer-chosen budget and spill codec, and pins the invariants admission,
 // eviction and spill promise at every setting: the merged stream is
 // byte-identical to the unbudgeted in-memory path, the resident segments are
 // never more bytes than the pool holds for them, no spill stream stays open,
 // and the accountant returns to zero once the merge drains.
-func FuzzSpillQueue(f *testing.F) {
+func FuzzBudgetedShuffle(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint8(64), false)
 	f.Add([]byte("aaaa bbbb aaaa cccc"), uint8(5), uint8(4), true)
 	f.Add([]byte(""), uint8(1), uint8(0), false)

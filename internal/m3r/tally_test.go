@@ -25,8 +25,13 @@ import (
 // per-record count would have reported: one per Collect the mapper saw
 // succeed, on every way a task can end.
 
-// tallyProbe is what a test shares with the mappers of its job.
+// tallyProbe is what a test shares with the mappers of its job. An attempt,
+// its Collect and its count are one critical section: with two workers, the
+// attempt that kills the job would otherwise pass a second task that has
+// taken the number before it and not yet collected, and the pairs handled
+// before the kill would be one short of the attempts.
 type tallyProbe struct {
+	mu        sync.Mutex
 	calls     atomic.Int64 // Collect calls attempted, over every task
 	collected atomic.Int64 // those that returned nil
 	failAt    int64        // the attempt that fails in its place (0: none)
@@ -53,17 +58,26 @@ func (m *tallyMapper) Configure(job *conf.JobConf) {
 
 func (m *tallyMapper) Map(_, value wio.Writable, out mapred.OutputCollector, _ mapred.Reporter) error {
 	for _, tok := range bytes.Fields(value.(*types.Text).B) {
-		switch m.p.calls.Add(1) {
-		case m.p.failAt:
-			return errTallyMapFail
-		case m.p.killAt:
-			m.p.kill()
-		}
-		if err := out.Collect(&types.Text{B: tok}, types.NewInt(1)); err != nil {
+		if err := m.p.collect(out, tok); err != nil {
 			return err
 		}
-		m.p.collected.Add(1)
 	}
+	return nil
+}
+
+func (p *tallyProbe) collect(out mapred.OutputCollector, tok []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch p.calls.Add(1) {
+	case p.failAt:
+		return errTallyMapFail
+	case p.killAt:
+		p.kill()
+	}
+	if err := out.Collect(&types.Text{B: tok}, types.NewInt(1)); err != nil {
+		return err
+	}
+	p.collected.Add(1)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package x10
 import (
 	"fmt"
 
+	"m3r/internal/counters"
 	"m3r/internal/sim"
 	"m3r/internal/wio"
 )
@@ -17,6 +18,25 @@ type ShipResult struct {
 	DedupHits uint64
 	// Remote reports whether serialization happened.
 	Remote bool
+}
+
+// ChargeShip accounts one cross-place delivery — bytes that crossed in
+// frames transport frames, with dedupHits objects elided on the way — in the
+// runtime's stats, in the shipping task's counters when there is a task
+// (ShipPairs has none), and last against the modelled network.
+func (rt *Runtime) ChargeShip(task *counters.Counters, bytes int64, frames int, dedupHits int64) {
+	rt.stats.Add(sim.RemoteBytes, bytes)
+	rt.stats.Add(sim.RemoteTransfers, 1)
+	rt.stats.Add(sim.DedupHits, dedupHits)
+	if task != nil {
+		task.Incr(counters.TaskGroup, counters.RemoteShuffleBytes, bytes)
+		task.Incr(counters.M3RGroup, counters.DedupHits, dedupHits)
+		if rt.RemoteTransport() {
+			task.Incr(counters.M3RGroup, counters.NetFrames, int64(frames))
+			task.Incr(counters.M3RGroup, counters.NetBytes, bytes)
+		}
+	}
+	rt.cost.ChargeNet(rt.stats, bytes)
 }
 
 // ShipPairs moves pairs from place `from` to place `to`.
@@ -50,10 +70,7 @@ func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipRe
 	if err != nil {
 		return ShipResult{}, fmt.Errorf("x10: shipping to place %d: %w", to, err)
 	}
-	rt.stats.Add(sim.RemoteBytes, n)
-	rt.stats.Add(sim.RemoteTransfers, 1)
-	rt.stats.Add(sim.DedupHits, int64(enc.DedupHits()))
-	rt.cost.ChargeNet(rt.stats, n)
+	rt.ChargeShip(nil, n, 0, int64(enc.DedupHits()))
 
 	out := make([]wio.Pair, 0, len(pairs))
 	for range pairs {
