@@ -1,0 +1,181 @@
+package m3r
+
+import (
+	"fmt"
+	"runtime/debug"
+	"strconv"
+	"sync"
+
+	"m3r/internal/conf"
+	"m3r/internal/counters"
+	"m3r/internal/engine"
+	"m3r/internal/formats"
+	"m3r/internal/mapred"
+	"m3r/internal/sim"
+	"m3r/internal/wio"
+)
+
+// runMapTask executes one map task at its assigned place.
+func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
+	e := x.e
+	if err := x.Lifecycle.Err(); err != nil {
+		// The job is already cancelled: don't launch the task at all.
+		return err
+	}
+	e.stats.Add(sim.TasksLaunched, 1)
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("map task %d panicked: %v\n%s", a.index, p, debug.Stack())
+		}
+	}()
+	taskJob := x.Conf.CloneJob()
+	// Place-aware output plumbing (MultipleOutputs side files through the
+	// cache) homes blocks at the writing task's place.
+	taskJob.Set(conf.KeyM3RTaskPlace, strconv.Itoa(a.place))
+	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(a.index))
+	taskID := fmt.Sprintf("attempt_%s_m_%06d_0", x.ID, a.index)
+	ctx := engine.NewTaskContext(taskJob, taskID, a.split)
+	defer x.tallyPairs(ctx)
+	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedMaps, 1)
+
+	mr := x.Resolved.NewMapRun()
+	mr.Configure(taskJob)
+
+	var collector mapred.OutputCollector
+	var finish func() error
+	var abort func()
+	// The abort runs on every failure exit — error return or panic (the
+	// recover above sees it after this defer) — so a failed task never
+	// leaves partial output in the cache or pooled buffers adrift.
+	done := false
+	defer func() {
+		if !done && abort != nil {
+			abort()
+		}
+	}()
+	if x.Resolved.MapOnly {
+		// §5.3: a zero-reducer job's map output is the job's output.
+		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split))
+		if err != nil {
+			return err
+		}
+		cells := &ctx.Cells
+		collector = mapred.CollectorFunc(func(k, v wio.Writable) error {
+			if err := x.Lifecycle.Err(); err != nil {
+				return err
+			}
+			cells.MapOutputRecords.Increment(1)
+			return sink.write(k, v)
+		})
+		finish, abort = sink.commit, sink.abort
+	} else {
+		sc := x.newShuffleCollector(a, ctx)
+		collector, finish, abort = sc, sc.flush, sc.abort
+	}
+
+	if err := x.feedMapTask(a, mr, collector, ctx, taskJob); err != nil {
+		return fmt.Errorf("map task %d: %w", a.index, err)
+	}
+	if err := finish(); err != nil {
+		return fmt.Errorf("map task %d output: %w", a.index, err)
+	}
+	done = true
+	x.mergeCounters(ctx)
+	return nil
+}
+
+// feedMapTask routes input into the mapper: cached pairs (aliased from the
+// heap), a fresh read that populates the cache, or a plain streamed read
+// for unnameable splits (§3.2.1, §4.2.1).
+func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
+	out mapred.OutputCollector, ctx *engine.TaskContext, taskJob *conf.JobConf) error {
+	e := x.e
+	if a.hit {
+		pairs, _, err := e.cache.ReadRanges(a.place, a.cached)
+		if err != nil {
+			return err
+		}
+		ctx.IncrCounter(counters.M3RGroup, counters.CacheHitSplits, 1)
+		e.stats.Add(sim.CacheHits, 1)
+		return runPairs(mr, pairs, out, ctx)
+	}
+	name, nameOK := formats.SplitName(a.split)
+	if nameOK && x.cacheEnabled {
+		reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, taskJob)
+		if err != nil {
+			return err
+		}
+		pairs, err := materialize(reader)
+		if cerr := reader.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		if err := e.cache.PutSplit(a.place, name, pairs); err != nil {
+			return err
+		}
+		ctx.IncrCounter(counters.M3RGroup, counters.CacheMissSplits, 1)
+		e.stats.Add(sim.CacheMisses, 1)
+		e.stats.Add(sim.CacheWrites, 1)
+		return runPairs(mr, pairs, out, ctx)
+	}
+	// Unnameable split: stream it, bypassing the cache (§4.2.1).
+	reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, taskJob)
+	if err != nil {
+		return err
+	}
+	defer reader.Close()
+	e.stats.Add(sim.CacheMisses, 1)
+	return mr.Run(reader, out, ctx)
+}
+
+// runPairs feeds in-memory pairs to the map task, preferring the direct
+// fast path.
+func runPairs(mr engine.MapRun, pairs []wio.Pair, out mapred.OutputCollector, ctx *engine.TaskContext) error {
+	if pr, ok := mr.(engine.PairsRunner); ok {
+		return pr.RunPairs(pairs, out, ctx)
+	}
+	return fmt.Errorf("m3r: map runner %T cannot consume cached pairs", mr)
+}
+
+// pairScratchPool recycles the growth buffers materialize appends into, so
+// steady-state job sequences stop paying the doubling-garbage of reading
+// splits of similar size over and over.
+var pairScratchPool = sync.Pool{
+	New: func() any {
+		s := make([]wio.Pair, 0, 1024)
+		return &s
+	},
+}
+
+// materialize reads a whole split with fresh holders per record, producing
+// the key/value sequence the cache retains. It appends into a pooled
+// scratch buffer and copies into an exactly-sized slice at the end — the
+// cache retains the result indefinitely, so the returned slice must not
+// alias pooled storage.
+func materialize(reader formats.RecordReader) ([]wio.Pair, error) {
+	sp := pairScratchPool.Get().(*[]wio.Pair)
+	scratch := (*sp)[:0]
+	release := func() {
+		clear(scratch) // drop object references so the pool pins nothing
+		*sp = scratch[:0]
+		pairScratchPool.Put(sp)
+	}
+	for {
+		k := reader.CreateKey()
+		v := reader.CreateValue()
+		ok, err := reader.Next(k, v)
+		if err != nil {
+			release()
+			return nil, err
+		}
+		if !ok {
+			out := make([]wio.Pair, len(scratch))
+			copy(out, scratch)
+			release()
+			return out, nil
+		}
+		scratch = append(scratch, wio.Pair{Key: k, Value: v})
+	}
+}

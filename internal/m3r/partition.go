@@ -1,0 +1,232 @@
+package m3r
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+
+	"m3r/internal/engine"
+	"m3r/internal/sim"
+	"m3r/internal/spill"
+	"m3r/internal/wio"
+)
+
+// partitionInput accumulates one reduce partition's shuffled input as
+// sorted runs, one per source map task. Map tasks sort their runs map-side
+// (inside the already-parallel map phase, see shuffleCollector.flush), so
+// the reduce task only k-way merges them — the run-based shuffle-and-sort
+// pipeline that keeps the O(n log n) sort off the reduce critical path.
+// Under a shuffle memory budget the runs are serialized: resident as
+// segments in the shared spill record format, or, when they do not fit their
+// place's accountant, on disk in the same format; both enter the same merge
+// through decoding leaves.
+type partitionInput struct {
+	x     *jobExec
+	place int
+	mu    sync.Mutex
+	runs  []*sourceRun
+}
+
+// sourceRun is one map task's sorted contribution to a partition: pairs,
+// objects on the heap, on an unbudgeted job; a serializedRun on a budgeted
+// one. Runs are heap-allocated and shared with the place's resident index so
+// the largest-first policy can flip a cold resident run to spilled in place
+// (under pi.mu) without disturbing its slot — and with it the src-order
+// merge tie-break.
+type sourceRun struct {
+	src   int
+	pairs []wio.Pair
+	*serializedRun
+}
+
+// serializedRun is a budgeted job's run, bytes from collect to merge:
+// exactly one of seg, the run resident as a raw-format segment, and
+// spillPath, the run in a spill file, with the key/value class names the
+// merge leaf decodes them as beside it (in memory, not on disk, keeping the
+// file format byte-identical to the Hadoop engine's). size is what a resident
+// segment holds reserved, Σ spill.Rec.Size() over its nrecs records and never
+// less than len(seg); it goes back to the place's budget pool when the reduce
+// merge drains the run. It is a separate allocation so that an unbudgeted
+// job's runs stay the three words they were.
+type serializedRun struct {
+	seg                []byte
+	spillPath          string
+	keyClass, valClass string
+	nrecs              int
+	size               int64
+}
+
+// arrivedRun is a budgeted run on its way into its partition.
+type arrivedRun struct {
+	pi *partitionInput
+	r  *sourceRun
+}
+
+// admitRuns installs what one map task's frame toward place became — a
+// sorted segment per partition, in ascending partition order — with batch
+// admission: the task's total is reserved in one pool transaction when it
+// fits, installing every run resident with a single lock round instead of
+// one admission (and one potential eviction loop) per partition. When the
+// batch does not fit in one piece each run takes the per-run path, in order,
+// so what a task admits, evicts and spills is the same from one execution to
+// the next.
+func (x *jobExec) admitRuns(ctx *engine.TaskContext, place int, runs []arrivedRun) error {
+	var total int64
+	for _, a := range runs {
+		total += a.r.size
+	}
+	if len(runs) > 1 && x.budgets[place].Reserve(total) {
+		for _, a := range runs {
+			a.pi.installResident(a.r)
+		}
+		return nil
+	}
+	for _, a := range runs {
+		if err := a.pi.admit(ctx, a.r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// admit is the per-run admission path. The place's pool decides: under
+// contention the largest-first policy may re-spill a larger cold resident
+// run of this job to keep the newcomer in memory; a run the pool cannot
+// admit goes to disk itself, inline on the flushing map task.
+func (pi *partitionInput) admit(ctx *engine.TaskContext, r *sourceRun) error {
+	x := pi.x
+	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(r.size, func(min int64) (int64, error) {
+		return x.evictLargest(ctx, pi.place, min)
+	})
+	if err != nil {
+		return err
+	}
+	if contended {
+		ctx.Cells.PoolContendedBytes.Increment(r.size)
+	}
+	if admitted {
+		pi.installResident(r)
+		return nil
+	}
+	path, err := x.spillSegment(ctx, r.seg, r.nrecs)
+	if err != nil {
+		return err
+	}
+	r.seg, r.size, r.spillPath = nil, 0, path
+	pi.install(r)
+	return nil
+}
+
+// installResident installs a run whose size is reserved and offers it to the
+// largest-first policy.
+func (pi *partitionInput) installResident(r *sourceRun) {
+	pi.install(r)
+	pi.x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(r.src))
+}
+
+// checkResidentBytes is the accounting's invariant, checked once per place
+// at the shuffle barrier, when every admission is over and no reducer has
+// released anything yet: the segments resident at place are no more bytes
+// than the job holds reserved there. A run is reserved at Σ Rec.Size(), its
+// segment is the same records with their real framing, so a violation is a
+// run resident without its reservation — the pool over-committing in silence.
+func (x *jobExec) checkResidentBytes(place int) error {
+	var resident int64
+	for _, pi := range x.parts {
+		if pi.place != place {
+			continue
+		}
+		pi.mu.Lock()
+		for _, r := range pi.runs {
+			resident += int64(len(r.seg))
+		}
+		pi.mu.Unlock()
+	}
+	if held := x.budgets[place].Held(); resident > held {
+		return fmt.Errorf("m3r: place %d holds %d bytes of resident segments against %d reserved", place, resident, held)
+	}
+	return nil
+}
+
+// chargeSpill charges one encoded run's spill — an overflow or a
+// largest-first eviction — to the task's counters and the engine's
+// stats/cost model. SPILLED_BYTES (and the disk cost) is the stored length
+// — compressed when a codec is configured — while SPILLED_RAW_BYTES is the
+// raw record-format length, so the ratio between the two is the job's
+// observable spill compression.
+func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nrecs int) {
+	stored := int64(len(enc.Data))
+	ctx.Cells.SpilledRuns.Increment(1)
+	ctx.Cells.SpilledBytes.Increment(stored)
+	ctx.Cells.SpilledRawBytes.Increment(enc.Raw)
+	ctx.Cells.SpilledRecords.Increment(int64(nrecs))
+	e := x.e
+	e.stats.Add(sim.SpillBytes, stored)
+	e.stats.Add(sim.SpillRawBytes, enc.Raw)
+	e.stats.Add(sim.SpillFiles, 1)
+	e.cost.ChargeDisk(e.stats, stored)
+}
+
+// installRuns installs an unbudgeted map task's sorted run per partition.
+func (x *jobExec) installRuns(src int, runs [][]wio.Pair) {
+	for q, pairs := range runs {
+		if len(pairs) > 0 {
+			x.parts[q].install(&sourceRun{src: src, pairs: pairs})
+		}
+	}
+}
+
+func (pi *partitionInput) install(r *sourceRun) {
+	pi.mu.Lock()
+	pi.runs = append(pi.runs, r)
+	pi.mu.Unlock()
+}
+
+// takeReaders returns one merge leaf per accumulated run, ordered by source
+// task, detaching them from the partition. Source order is the merge's
+// stability tie-break: equal keys surface in map-task order, exactly as a
+// concatenate-then-stable-sort of the runs would produce them, whether a run
+// stayed resident or spilled.
+//
+// An unbudgeted job's runs are read where they lie. A budgeted job has one
+// leaf kind, the decoding reader — over the segment in memory or the spill
+// file's stream — so its records become objects once, here. A resident
+// segment's leaf gets the incremental-release wrapper: as the merge exhausts
+// (or abandons) the run, its reservation returns to the place's accountant,
+// so a long reduce phase frees memory while it is still running.
+func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunReader, error) {
+	x := pi.x
+	pi.mu.Lock()
+	defer pi.mu.Unlock()
+	slices.SortStableFunc(pi.runs, func(a, b *sourceRun) int { return a.src - b.src })
+	out := make([]engine.RunReader, 0, len(pi.runs))
+	for _, r := range pi.runs {
+		switch {
+		case x.budgets == nil:
+			out = append(out, engine.NewSliceRunReader(r.pairs))
+		case r.spillPath == "":
+			rd := engine.NewDecodingRunReader(&segmentSource{r.seg}, r.keyClass, r.valClass)
+			out = append(out, releasingReader(rd, x.budgets[pi.place], r.size, ctx))
+		default:
+			s, err := spill.OpenFile(r.spillPath)
+			if err != nil {
+				engine.CloseAllOnErr(out)
+				return nil, err
+			}
+			out = append(out, engine.NewDecodingRunReader(s, r.keyClass, r.valClass))
+		}
+	}
+	pi.runs = nil
+	return out, nil
+}
+
+// releasingReader wraps a resident run's reader to hand size bytes back to
+// acct exactly once — when the merge exhausts or closes the run — counting
+// them in BUDGET_RELEASED_BYTES.
+func releasingReader(rd engine.RunReader, acct *engine.JobBudget, size int64, ctx *engine.TaskContext) engine.RunReader {
+	cell := ctx.Cells.BudgetReleasedBytes
+	return engine.NewReleasingRunReader(rd, func() {
+		acct.Release(size)
+		cell.Increment(size)
+	})
+}
