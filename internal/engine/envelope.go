@@ -52,15 +52,17 @@ type Job struct {
 	Lifecycle *JobLifecycle
 	Counters  *counters.Counters
 
-	host      *Host
-	start     time.Time
-	committer *formats.FileOutputCommitter // nil when the job writes no output
+	host       *Host
+	start      time.Time
+	outputSpec formats.OutputFormat         // the instance whose CheckOutputSpecs admitted the job
+	committer  *formats.FileOutputCommitter // nil when the job writes no output
 }
 
 // Open admits a submission: a job id unless the host is shut, the private
 // conf, the deadline armed, the job resolved, its output spec and spill codec
 // checked. Nothing is on the filesystem yet, so a failure here, or in the
-// engine's planning before Run, has nothing to undo.
+// engine's planning before Run, has nothing to undo; the engine defers
+// Lifecycle.Stop.
 func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 	start := time.Now()
 	h.mu.Lock()
@@ -87,9 +89,8 @@ func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 	lc.ApplyDeadlineConf(job)
 	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.New(), host: h, start: start}
 	if j.Resolved, err = Resolve(job); err == nil {
-		var outputFormat formats.OutputFormat
-		if outputFormat, err = j.Resolved.NewOutputFormat(); err == nil {
-			err = outputFormat.CheckOutputSpecs(job)
+		if j.outputSpec, err = j.Resolved.NewOutputFormat(); err == nil {
+			err = j.outputSpec.CheckOutputSpecs(job)
 		}
 	}
 	if err == nil {
@@ -108,9 +109,6 @@ func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 // WritesOutput reports whether the job's output goes through the committer.
 func (j *Job) WritesOutput() bool { return j.committer != nil }
 
-// Close disarms the job's deadline; an engine defers it right after Open.
-func (j *Job) Close() { j.Lifecycle.Stop() }
-
 // Run sets the output up, runs body — the engine's phases — and decides the
 // job: committed, notified and reported, or aborted with nothing of it left
 // on the filesystem. Nothing fallible stands between the set-up and the body,
@@ -123,17 +121,17 @@ func (j *Job) Close() { j.Lifecycle.Stop() }
 func (j *Job) Run(body func() error) (*Report, error) {
 	committed := false
 	if j.committer != nil {
-		// An output directory the job made goes with a failed job, so that
-		// the corrected resubmission passes the output check.
-		out := dfs.CleanPath(j.Conf.OutputPath())
-		made := !j.host.FS.Exists(out)
 		defer func() {
 			if committed {
 				return
 			}
 			j.committer.AbortJob(j.Conf)
-			if made {
-				j.host.FS.Delete(out, true)
+			// The output check passed at Open. If it now finds the output
+			// path taken, what is there is this job's — the directory and
+			// whatever its tasks committed — and goes, so that the corrected
+			// job can be submitted to the same path.
+			if errors.Is(j.outputSpec.CheckOutputSpecs(j.Conf), dfs.ErrExists) {
+				j.host.FS.Delete(dfs.CleanPath(j.Conf.OutputPath()), true)
 			}
 		}()
 		if err := j.committer.SetupJob(j.Conf); err != nil {

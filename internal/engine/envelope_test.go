@@ -156,7 +156,7 @@ func TestEnvelopeVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer j.Close()
+			defer j.Lifecycle.Stop()
 			if len(fs.ops) != 0 {
 				t.Fatalf("Open touched the filesystem: %v", fs.ops)
 			}
@@ -186,8 +186,8 @@ func TestEnvelopeVerdicts(t *testing.T) {
 	}
 }
 
-// A panic passing through Run still aborts, and an output directory that was
-// there before the job is not the job's to remove.
+// A panic passing through Run still aborts, and an output directory that the
+// job's output check tolerates is not the job's to remove.
 func TestEnvelopePanicAndForeignOutput(t *testing.T) {
 	h, fs := newEnvelopeHost(t)
 	if err := fs.FileSystem.Mkdirs("/out"); err != nil {
@@ -199,7 +199,7 @@ func TestEnvelopePanicAndForeignOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
+	defer j.Lifecycle.Stop()
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -245,7 +245,7 @@ func TestEnvelopeOpen(t *testing.T) {
 	if _, err := j.Run(func() error { return writeTask(j) }); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
+	j.Lifecycle.Stop()
 	if len(fs.ops) != 0 {
 		t.Errorf("filesystem calls %v, want none", fs.ops)
 	}

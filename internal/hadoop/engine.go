@@ -136,7 +136,7 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	if err != nil {
 		return nil, err
 	}
-	defer j.Close()
+	defer j.Lifecycle.Stop()
 	job, rj := j.Conf, j.Resolved
 	if !rj.MapOnly && (job.MapOutputKeyClass() == "" || job.MapOutputValueClass() == "") {
 		return nil, fmt.Errorf("hadoop: job %q needs map output key/value classes for the shuffle", job.JobName())

@@ -35,7 +35,7 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	if err != nil {
 		return nil, err
 	}
-	defer j.Close()
+	defer j.Lifecycle.Stop()
 	x, err := e.newJobExec(j)
 	if err != nil {
 		return nil, err
