@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"m3r/internal/sim"
 	"m3r/internal/wio"
 )
 
@@ -102,6 +103,27 @@ const (
 	TaskAttemptRetries = "TASK_ATTEMPT_RETRIES"
 	FailoverJobs       = "FAILOVER_JOBS"
 )
+
+// TaskStats lists the task counters that are also engine statistics. The
+// task envelope (engine.Job.RunTask) adds each one's value in a finished
+// attempt to the engine's sim.Stats under Stat, so an event inside a task is
+// counted in the task's cell and nowhere else; m3rlint's keycheck rejects a
+// Stats.Add of a listed name outside the few functions it names. A row earns
+// its place by the Stats.Add site it makes unnecessary.
+var TaskStats = []struct{ Group, Name, Stat string }{
+	{M3RGroup, ClonedPairs, sim.ClonedPairs},
+	{M3RGroup, AliasedPairs, sim.AliasedPairs},
+	{M3RGroup, LocalShufflePairs, sim.LocalPairs},
+	{M3RGroup, SpilledBytes, sim.SpillBytes},
+	{M3RGroup, SpilledRawBytes, sim.SpillRawBytes},
+	{M3RGroup, SpilledRuns, sim.SpillFiles},
+	{M3RGroup, EvictedResidentRuns, sim.EvictedRuns},
+	{M3RGroup, CacheHitSplits, sim.CacheHits},
+	{M3RGroup, CacheMissSplits, sim.CacheMisses},
+	{M3RGroup, DedupHits, sim.DedupHits},
+	{TaskGroup, RemoteShuffleBytes, sim.RemoteBytes},
+	{TaskGroup, ReduceShuffleBytes, sim.ShuffleFetchBytes},
+}
 
 // Counter is a single named accumulator, safe for concurrent use.
 type Counter struct {

@@ -7,7 +7,7 @@
 // The shuffle-and-sort path is run-based: map tasks sort their
 // per-partition output map-side and ship sorted runs, and the reduce side
 // k-way merges the runs with a stable tournament tree of losers
-// (MergeRuns) instead of re-sorting the whole partition. Standard key
+// (MergeIter) instead of re-sorting the whole partition. Standard key
 // types resolve to raw comparators (ResolvedJob.SortCmp/RawSortCmp) so
 // comparisons skip both deserialization (Hadoop engine spills) and the
 // Comparable-interface hop (in-memory merges). Per-record accounting goes

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -168,6 +169,52 @@ func (j *Job) Run(body func() error) (*Report, error) {
 		Counters: j.Counters,
 		Wall:     time.Since(j.start),
 	}, nil
+}
+
+// TaskKind names a task's kind; its first letter stands for it in attempt ids.
+type TaskKind string
+
+const (
+	MapTask    TaskKind = "map"
+	ReduceTask TaskKind = "reduce"
+)
+
+// RunTask is what one task attempt means on either engine. A cancelled job
+// launches nothing. Otherwise the attempt is counted as launched — every
+// attempt, Hadoop's semantics — and gets its id, its private conf (an engine
+// adds its own keys through ctx.Job) and its context; body runs under the one
+// guard that turns a UDF's panic into an error naming the attempt; and on
+// every way out the attempt's counters are absorbed: the rows of
+// counters.TaskStats into the engine's stats always — a failed or killed
+// attempt still reports what it handled — and all of them into the job's
+// counters on success only.
+func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSplit, body func(*TaskContext) error) (err error) {
+	if err := j.Lifecycle.Err(); err != nil {
+		return err
+	}
+	launched := counters.TotalLaunchedMaps
+	if kind == ReduceTask {
+		launched = counters.TotalLaunchedReduces
+	}
+	j.Counters.Incr(counters.JobGroup, launched, 1)
+	j.host.Stats.Add(sim.TasksLaunched, 1)
+	taskJob := j.Conf.CloneJob()
+	taskJob.SetInt(conf.KeyTaskPartition, index)
+	ctx := NewTaskContext(taskJob, fmt.Sprintf("attempt_%s_%c_%06d_%d", j.ID, kind[0], index, attempt), split)
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%s task %d (%s) panicked: %v\n%s", kind, index, ctx.TaskID, p, debug.Stack())
+		}
+		for _, row := range counters.TaskStats {
+			if n := ctx.Counters.Value(row.Group, row.Name); n != 0 {
+				j.host.Stats.Add(row.Stat, n)
+			}
+		}
+		if err == nil {
+			j.Counters.MergeFrom(ctx.Counters)
+		}
+	}()
+	return body(ctx)
 }
 
 // TaskOutput is one task attempt's output under the job's committer: written

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"m3r/internal/conf"
+	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
@@ -255,5 +256,86 @@ func TestEnvelopeOpen(t *testing.T) {
 	}
 	if _, err := h.Open(envelopeJob("/late"), nil); err == nil || !strings.Contains(err.Error(), "test: engine is closed") {
 		t.Errorf("Open on a shut host: %v", err)
+	}
+}
+
+// TestTaskEnvelope holds RunTask to its order on every way an attempt can
+// end: launched once unless the job was already cancelled, the attempt's
+// counters absorbed into the host's stats whenever the body ran, and into the
+// job's counters only when it succeeded.
+func TestTaskEnvelope(t *testing.T) {
+	errBody := errors.New("body failed")
+	// Every body clones three pairs and bumps a user counter before it ends.
+	handle := func(ctx *engine.TaskContext) {
+		ctx.Cells.ClonedPairs.Increment(3)
+		ctx.IncrCounter("user", "seen", 1)
+	}
+	for _, tc := range []struct {
+		name   string
+		kill   bool // before the launch
+		body   func(*engine.TaskContext) error
+		want   func(error) bool
+		ran    bool
+		merged bool
+	}{
+		{name: "success", ran: true, merged: true,
+			body: func(ctx *engine.TaskContext) error { handle(ctx); return nil },
+			want: func(err error) bool { return err == nil }},
+		{name: "body error", ran: true,
+			body: func(ctx *engine.TaskContext) error { handle(ctx); return errBody },
+			want: func(err error) bool { return errors.Is(err, errBody) }},
+		{name: "panic", ran: true,
+			body: func(ctx *engine.TaskContext) error { handle(ctx); panic("udf blew up") },
+			want: func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "reduce task 7 (attempt_job_test_0001_r_000007_2) panicked: udf blew up") &&
+					strings.Contains(err.Error(), "envelope_test.go") // the stack
+			}},
+		{name: "killed before launch", kill: true,
+			body: func(ctx *engine.TaskContext) error { handle(ctx); return nil },
+			want: func(err error) bool { return errors.Is(err, engine.ErrJobKilled) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, _ := newEnvelopeHost(t)
+			j, err := h.Open(envelopeJob("/out"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Lifecycle.Stop()
+			if tc.kill {
+				j.Lifecycle.Kill(nil)
+			}
+			ran := false
+			err = j.RunTask(engine.ReduceTask, 7, 2, nil, func(ctx *engine.TaskContext) error {
+				ran = true
+				if ctx.TaskID != "attempt_job_test_0001_r_000007_2" || ctx.Job == j.Conf || ctx.Job.GetInt(conf.KeyTaskPartition, -1) != 7 {
+					t.Errorf("task %s, conf shared %v, partition %s", ctx.TaskID, ctx.Job == j.Conf, ctx.Job.Get(conf.KeyTaskPartition))
+				}
+				return tc.body(ctx)
+			})
+			if !tc.want(err) || ran != tc.ran {
+				t.Errorf("body ran %v (want %v), error %v", ran, tc.ran, err)
+			}
+			n := func(b bool, v int64) int64 {
+				if b {
+					return v
+				}
+				return 0
+			}
+			if got, want := h.Stats.Get(sim.TasksLaunched), n(tc.ran, 1); got != want {
+				t.Errorf("tasks.launched = %d, want %d", got, want)
+			}
+			if got, want := j.Counters.Value(counters.JobGroup, counters.TotalLaunchedReduces), n(tc.ran, 1); got != want {
+				t.Errorf("TOTAL_LAUNCHED_REDUCES = %d, want %d", got, want)
+			}
+			if got, want := h.Stats.Get(sim.ClonedPairs), n(tc.ran, 3); got != want {
+				t.Errorf("cloned.pairs = %d, want %d", got, want)
+			}
+			if got, want := j.Counters.Value(counters.M3RGroup, counters.ClonedPairs), n(tc.merged, 3); got != want {
+				t.Errorf("CLONED_PAIRS = %d, want %d", got, want)
+			}
+			if got, want := j.Counters.Value("user", "seen"), n(tc.merged, 1); got != want {
+				t.Errorf("user counter = %d, want %d", got, want)
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@ import (
 // (ceil(log2 k) comparisons), with no heap sift-down bookkeeping.
 //
 // Tournament is the single loser-tree implementation in the tree: the M3R
-// engine merges in-memory and spilled shuffle runs through it (MergeRuns,
-// MergeIter), and the Hadoop engine merges spill-file segments through it
+// engine merges in-memory and spilled shuffle runs through it (MergeIter),
+// and the Hadoop engine merges spill-file segments through it
 // (internal/hadoop's merger), each instantiating it at their own element
 // type — deserialized pairs there, raw records here — so the tournament
 // logic exists exactly once.
@@ -288,77 +288,4 @@ func NewMergeIter(readers []RunReader, cmp wio.Comparator) (*MergeIter, error) {
 	return NewSourceMerge(WidenSources[wio.Pair](readers), func(a, b wio.Pair) int {
 		return cmp.Compare(a.Key, b.Key)
 	})
-}
-
-// MergeRuns merges sorted in-memory runs into a single sorted slice. It has
-// MergeIter's stability contract, specialized to slice runs: the output is
-// identical to concatenating the runs in order and stable-sorting the
-// result (the engine's former reduce-side sort), so reducers observe
-// byte-identical input order.
-//
-// MergeRuns may compact the runs slice in place (dropping empty runs) and
-// may return one of the run slices directly when only one run is non-empty.
-func MergeRuns(runs [][]wio.Pair, cmp wio.Comparator) []wio.Pair {
-	// Drop empty runs, preserving relative order.
-	k, total := 0, 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			runs[k] = r
-			k++
-			total += len(r)
-		}
-	}
-	runs = runs[:k]
-	switch k {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	case 2:
-		return merge2(runs[0], runs[1], cmp)
-	}
-	out := make([]wio.Pair, 0, total)
-	pos := make([]int, k)
-	heads := make([]wio.Pair, k)
-	live := make([]bool, k)
-	for i, r := range runs {
-		heads[i], live[i] = r[0], true // all runs non-empty after compaction
-	}
-	t := NewTournament(heads, live, func(a, b wio.Pair) int {
-		return cmp.Compare(a.Key, b.Key)
-	})
-	for {
-		w, ok := t.Winner()
-		if !ok {
-			return out
-		}
-		p := pos[w]
-		out = append(out, runs[w][p])
-		p++
-		pos[w] = p
-		if p < len(runs[w]) {
-			t.Replace(w, runs[w][p])
-		} else {
-			t.Exhaust(w)
-		}
-	}
-}
-
-// merge2 is the two-run special case: a plain two-finger merge beats the
-// tournament tree when there is no tournament to run. Ties go to a, the
-// lower-indexed run.
-func merge2(a, b []wio.Pair, cmp wio.Comparator) []wio.Pair {
-	out := make([]wio.Pair, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if cmp.Compare(b[j].Key, a[i].Key) < 0 {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

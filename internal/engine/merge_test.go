@@ -63,7 +63,7 @@ func pairBytes(t *testing.T, p wio.Pair) ([]byte, []byte) {
 }
 
 // requireIdentical asserts got is byte-identical to want, the acceptance
-// bar for swapping MergeRuns in for the old sort: reducers must observe
+// bar for swapping the merge in for the old sort: reducers must observe
 // exactly the same input sequence.
 func requireIdentical(t *testing.T, want, got []wio.Pair) {
 	t.Helper()
@@ -79,6 +79,29 @@ func requireIdentical(t *testing.T, want, got []wio.Pair) {
 	}
 }
 
+// openMerge opens the merge every reduce task runs over in-memory runs: a
+// MergeIter over one slice reader per run.
+func openMerge(t testing.TB, runs [][]wio.Pair, cmp wio.Comparator) *engine.MergeIter {
+	t.Helper()
+	readers := make([]engine.RunReader, len(runs))
+	for i, run := range runs {
+		readers[i] = engine.NewSliceRunReader(run)
+	}
+	it, err := engine.NewMergeIter(readers, cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
+// mergeRuns drains openMerge into a slice.
+func mergeRuns(t *testing.T, runs [][]wio.Pair, cmp wio.Comparator) []wio.Pair {
+	t.Helper()
+	it := openMerge(t, runs, cmp)
+	defer it.Close()
+	return drainIter(t, it)
+}
+
 // TestMergeRunsMatchesSort is the property test for the loser-tree merge:
 // over many random shapes (run counts, lengths, duplicate densities), the
 // merged output must be byte-identical to the old concatenate-and-stable-
@@ -92,8 +115,7 @@ func TestMergeRunsMatchesSort(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_k%d_keys%d", seed, k, keySpace), func(t *testing.T) {
 			runs := makeRuns(rng, k, 64, keySpace)
 			want := sortedReference(runs, cmp)
-			got := engine.MergeRuns(runs, cmp)
-			requireIdentical(t, want, got)
+			requireIdentical(t, want, mergeRuns(t, runs, cmp))
 		})
 	}
 }
@@ -114,7 +136,7 @@ func TestMergeRunsAllEqualKeys(t *testing.T) {
 		}
 		runs = append(runs, run)
 	}
-	got := engine.MergeRuns(runs, types.IntRawComparator{})
+	got := mergeRuns(t, runs, types.IntRawComparator{})
 	if len(got) != seq {
 		t.Fatalf("want %d pairs, got %d", seq, len(got))
 	}
@@ -129,25 +151,22 @@ func TestMergeRunsAllEqualKeys(t *testing.T) {
 // runs, a single run, and interleaved empty runs.
 func TestMergeRunsEdges(t *testing.T) {
 	cmp := types.IntRawComparator{}
-	if got := engine.MergeRuns(nil, cmp); len(got) != 0 {
+	if got := mergeRuns(t, nil, cmp); len(got) != 0 {
 		t.Errorf("nil runs: want empty, got %d pairs", len(got))
 	}
-	if got := engine.MergeRuns([][]wio.Pair{nil, {}, nil}, cmp); len(got) != 0 {
+	if got := mergeRuns(t, [][]wio.Pair{nil, {}, nil}, cmp); len(got) != 0 {
 		t.Errorf("empty runs: want empty, got %d pairs", len(got))
 	}
 	single := []wio.Pair{
 		{Key: types.NewInt(1), Value: types.NewLong(10)},
 		{Key: types.NewInt(2), Value: types.NewLong(11)},
 	}
-	got := engine.MergeRuns([][]wio.Pair{nil, single, nil}, cmp)
-	requireIdentical(t, single, got)
+	requireIdentical(t, single, mergeRuns(t, [][]wio.Pair{nil, single, nil}, cmp))
 
 	rng := rand.New(rand.NewSource(99))
 	runs := makeRuns(rng, 6, 16, 4)
-	runs[0], runs[3] = nil, nil // force empty-run compaction mid-slice
-	want := sortedReference(runs, cmp)
-	got = engine.MergeRuns(runs, cmp)
-	requireIdentical(t, want, got)
+	runs[0], runs[3] = nil, nil // empty runs between live ones
+	requireIdentical(t, sortedReference(runs, cmp), mergeRuns(t, runs, cmp))
 }
 
 // TestMergeRunsSkewedLengths exercises exhaustion handling: one long run
@@ -174,11 +193,7 @@ func TestMergeRunsSkewedLengths(t *testing.T) {
 		}})
 		seq++
 	}
-	want := sortedReference(runs, cmp)
-	// sortedReference mutated nothing run-internal, but MergeRuns compacts
-	// the outer slice; hand it a copy to keep `runs` reusable above.
-	got := engine.MergeRuns(append([][]wio.Pair(nil), runs...), cmp)
-	requireIdentical(t, want, got)
+	requireIdentical(t, sortedReference(runs, cmp), mergeRuns(t, runs, cmp))
 }
 
 // BenchmarkSortVsMerge compares the old reduce-side path (concatenate all
@@ -214,7 +229,23 @@ func BenchmarkSortVsMerge(b *testing.B) {
 	b.Run("merge", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			engine.MergeRuns(append([][]wio.Pair(nil), runs...), cmp)
+			// Streamed, as into a reducer: no merged copy is built.
+			it := openMerge(b, runs, cmp)
+			n := 0
+			for {
+				_, ok, err := it.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
+			}
+			it.Close()
+			if n != runCount*runLen {
+				b.Fatalf("merged %d pairs, want %d", n, runCount*runLen)
+			}
 		}
 	})
 }
@@ -260,7 +291,7 @@ func drainIter(t *testing.T, it *engine.MergeIter) []wio.Pair {
 // random shapes, with a random subset of runs living on disk in the spill
 // record format and the rest in memory, the merged stream must be
 // byte-identical to concatenating all runs in order and stable-sorting —
-// the same contract MergeRuns pins for the all-resident case.
+// the same contract TestMergeRunsMatchesSort pins for the all-resident case.
 func TestMergeIterMixedRuns(t *testing.T) {
 	cmp := types.IntRawComparator{}
 	for seed := int64(0); seed < 20; seed++ {

@@ -46,7 +46,8 @@ type Options struct {
 	ReduceSlotsPerNode int
 	// LocalDir hosts spill and shuffle files. Required.
 	LocalDir string
-	// Stats and Cost may be nil.
+	// Stats and Cost may be nil: the engine then counts into a sink of its
+	// own (Engine.Stats) and models no delays.
 	Stats *sim.Stats
 	Cost  *sim.CostModel
 }
@@ -58,7 +59,6 @@ type Engine struct {
 	mapSlots   int
 	reduceSlot int
 	localRoot  string
-	stats      *sim.Stats
 	cost       *sim.CostModel
 }
 
@@ -89,13 +89,16 @@ func New(opts Options) (*Engine, error) {
 	if cost == nil {
 		cost = sim.Zero()
 	}
+	stats := opts.Stats
+	if stats == nil {
+		stats = sim.NewStats()
+	}
 	e := &Engine{
-		host:       &engine.Host{Name: "hadoop", FSID: dfs.RegisterInstance(opts.FS), FS: opts.FS, Stats: opts.Stats},
+		host:       &engine.Host{Name: "hadoop", FSID: dfs.RegisterInstance(opts.FS), FS: opts.FS, Stats: stats},
 		nodes:      nodes,
 		mapSlots:   ms,
 		reduceSlot: rs,
 		localRoot:  opts.LocalDir,
-		stats:      opts.Stats,
 		cost:       cost,
 	}
 	return e, nil
@@ -107,8 +110,8 @@ func (e *Engine) Name() string { return e.host.Name }
 // FileSystem implements engine.Engine, returning the dfs instance id.
 func (e *Engine) FileSystem() string { return e.host.FSID }
 
-// Stats returns the engine's statistics sink.
-func (e *Engine) Stats() *sim.Stats { return e.stats }
+// Stats returns the engine's statistics sink, never nil.
+func (e *Engine) Stats() *sim.Stats { return e.host.Stats }
 
 // Close implements engine.Engine.
 func (e *Engine) Close() error {
@@ -210,7 +213,7 @@ func (r *jobRun) runAttempts(maxAttempts int, f func(attempt int) error) error {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.Counters.Incr(counters.JobGroup, counters.TaskAttemptRetries, 1)
-			r.engine.stats.Add(sim.TaskRetries, 1)
+			r.engine.Stats().Add(sim.TaskRetries, 1)
 			d := retryBackoffBase << (attempt - 1)
 			if d > retryBackoffCap {
 				d = retryBackoffCap
@@ -299,7 +302,7 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 						return
 					}
 					// Each poll round models one tasktracker heartbeat.
-					r.engine.cost.ChargeHeartbeat(r.engine.stats)
+					r.engine.cost.ChargeHeartbeat(r.engine.Stats())
 					t, local := q.next(node)
 					if t == nil {
 						return
@@ -308,7 +311,9 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 						r.Counters.Incr(counters.JobGroup, counters.DataLocalMaps, 1)
 					}
 					err := r.runAttempts(maxAttempts, func(attempt int) error {
-						return r.runMapTask(t, node, attempt)
+						return r.RunTask(engine.MapTask, t.index, attempt, t.split, func(ctx *engine.TaskContext) error {
+							return r.runMapTask(ctx, t, node, attempt)
+						})
 					})
 					if err != nil {
 						errCh <- fmt.Errorf("map task %d on %s: %w", t.index, node, err)
@@ -352,9 +357,11 @@ func (r *jobRun) runReducePhase() error {
 					errCh <- err
 					return
 				}
-				r.engine.cost.ChargeHeartbeat(r.engine.stats)
+				r.engine.cost.ChargeHeartbeat(r.engine.Stats())
 				err := r.runAttempts(maxAttempts, func(attempt int) error {
-					return r.runReduceTask(t.partition, node, attempt)
+					return r.RunTask(engine.ReduceTask, t.partition, attempt, nil, func(ctx *engine.TaskContext) error {
+						return r.runReduceTask(ctx, t.partition, node, attempt)
+					})
 				})
 				if err != nil {
 					errCh <- fmt.Errorf("reduce task %d on %s: %w", t.partition, node, err)
@@ -374,11 +381,6 @@ func firstError(ch chan error) error {
 		}
 	}
 	return nil
-}
-
-// mergeTaskCounters folds a finished task's counters into the job's.
-func (r *jobRun) mergeTaskCounters(ctx *engine.TaskContext) {
-	r.Counters.MergeFrom(ctx.Counters)
 }
 
 // serializePair writes key and value through the wio layer, returning

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 
 	"m3r/internal/conf"
-	"m3r/internal/counters"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
 	"m3r/internal/mapred"
@@ -17,25 +15,12 @@ import (
 	"m3r/internal/wio"
 )
 
-// runMapTask executes one map task attempt on node: new "JVM", read the
-// split, sort/spill the output, merge spills into the final map output
-// file served to reducers (§3.1).
-func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error) {
-	e := r.engine
-	e.cost.ChargeJVMStart(e.stats)
-	e.stats.Add(sim.TasksLaunched, 1)
-	r.Counters.Incr(counters.JobGroup, counters.TotalLaunchedMaps, 1)
-
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("hadoop: map task panicked: %v\n%s", p, debug.Stack())
-		}
-	}()
-
-	taskID := fmt.Sprintf("attempt_%s_m_%06d_%d", r.ID, t.index, attempt)
-	taskJob := r.Conf.CloneJob()
-	taskJob.SetInt(conf.KeyTaskPartition, t.index)
-	ctx := engine.NewTaskContext(taskJob, taskID, t.split)
+// runMapTask is the body of one map task attempt on node (engine.Job.RunTask
+// is its envelope): new "JVM", read the split, sort/spill the output, merge
+// spills into the final map output file served to reducers (§3.1).
+func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string, attempt int) error {
+	r.engine.cost.ChargeJVMStart(r.engine.Stats())
+	taskJob := ctx.Job
 	runner := r.Resolved.NewMapRun()
 	runner.Configure(taskJob)
 
@@ -46,7 +31,7 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 	defer reader.Close()
 
 	if r.Resolved.MapOnly {
-		return r.runMapOnlyTask(t, taskID, ctx, runner, reader)
+		return r.runMapOnlyTask(t, ctx, runner, reader)
 	}
 
 	// The sort buffer bound follows Hadoop's io.sort.mb; io.sort.bytes
@@ -107,15 +92,14 @@ func (r *jobRun) runMapTask(t *pendingTask, node string, attempt int) (err error
 	r.mu.Lock()
 	r.mapOutputs[t.index] = out
 	r.mu.Unlock()
-	r.mergeTaskCounters(ctx)
 	return nil
 }
 
 // runMapOnlyTask sends map output straight to the output format (§5.3:
 // "map-only jobs ... output from the mapper is sent directly to output").
-func (r *jobRun) runMapOnlyTask(t *pendingTask, taskID string,
-	ctx *engine.TaskContext, runner engine.MapRun, reader formats.RecordReader) error {
-	out, err := r.OpenTaskOutput(ctx.Job, taskID, fmt.Sprintf("part-%05d", t.index))
+func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
+	runner engine.MapRun, reader formats.RecordReader) error {
+	out, err := r.OpenTaskOutput(ctx.Job, ctx.TaskID, fmt.Sprintf("part-%05d", t.index))
 	if err != nil {
 		return err
 	}
@@ -133,11 +117,7 @@ func (r *jobRun) runMapOnlyTask(t *pendingTask, taskID string,
 	if err := runner.Run(reader, collector, ctx); err != nil {
 		return err
 	}
-	if err := out.Commit(); err != nil {
-		return err
-	}
-	r.mergeTaskCounters(ctx)
-	return nil
+	return out.Commit()
 }
 
 // sortBuffer is the map side's in-memory output buffer with spill-to-disk,
@@ -220,12 +200,20 @@ func (b *sortBuffer) spill() error {
 	b.bytes = 0
 	b.spills = append(b.spills, spillFile{path: path, segments: segments})
 	b.ctx.Cells.SpilledRecords.Increment(spilled)
-	stats := b.run.engine.stats
-	stats.Add(sim.SpillBytes, off)
-	stats.Add(sim.SpillRawBytes, rawTotal)
-	stats.Add(sim.SpillFiles, 1)
-	b.run.engine.cost.ChargeDisk(stats, off)
+	b.chargeSpill(off, rawTotal, 1, off)
 	return nil
+}
+
+// chargeSpill accounts one file of sorted map output: its stored and raw
+// bytes, whether it counts as a spill file, and the bytes the modelled disk
+// moved for it. These go to the engine's stats directly — the Hadoop engine
+// reports no SPILLED_BYTES counters, so the task has no cell for them.
+func (b *sortBuffer) chargeSpill(stored, raw, files, diskBytes int64) {
+	stats := b.run.engine.Stats()
+	stats.Add(sim.SpillBytes, stored)
+	stats.Add(sim.SpillRawBytes, raw)
+	stats.Add(sim.SpillFiles, files)
+	b.run.engine.cost.ChargeDisk(stats, diskBytes)
 }
 
 // prepare sorts one partition's records, applying the combiner when the
@@ -356,10 +344,7 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-	stats := b.run.engine.stats
-	stats.Add(sim.SpillBytes, off)
-	stats.Add(sim.SpillRawBytes, rawTotal)
-	b.run.engine.cost.ChargeDisk(stats, 2*off) // read spills + write merged
+	b.chargeSpill(off, rawTotal, 0, 2*off) // read spills + write merged
 	for _, sp := range b.spills {
 		os.Remove(sp.path)
 	}

@@ -5,37 +5,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 
 	"m3r/internal/conf"
 	"m3r/internal/counters"
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
-	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
 )
 
-// runReduceTask executes one reduce task attempt on node: fetch every map
-// task's segment for this partition (network when the map ran elsewhere),
+// runReduceTask is the body of one reduce task attempt on node: fetch every
+// map task's segment for this partition (network when the map ran elsewhere),
 // externally merge the sorted segments, group, reduce, and write committed
 // output (§3.1).
-func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err error) {
-	e := r.engine
-	e.cost.ChargeJVMStart(e.stats)
-	e.stats.Add(sim.TasksLaunched, 1)
-	r.Counters.Incr(counters.JobGroup, counters.TotalLaunchedReduces, 1)
-
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("hadoop: reduce task panicked: %v\n%s", p, debug.Stack())
-		}
-	}()
-
-	taskID := fmt.Sprintf("attempt_%s_r_%06d_%d", r.ID, partition, attempt)
-	taskJob := r.Conf.CloneJob()
-	taskJob.SetInt(conf.KeyTaskPartition, partition)
-	ctx := engine.NewTaskContext(taskJob, taskID, nil)
+func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node string, attempt int) error {
+	r.engine.cost.ChargeJVMStart(r.engine.Stats())
+	taskJob := ctx.Job
 
 	reduceDir := filepath.Join(r.jobDir, fmt.Sprintf("reduce_%06d_%d", partition, attempt))
 	if err := os.MkdirAll(reduceDir, 0o755); err != nil {
@@ -78,7 +63,7 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	// Reduce phase.
 	reducer := r.Resolved.NewReduceRun()
 	reducer.Configure(taskJob)
-	out, err := r.OpenTaskOutput(taskJob, taskID, fmt.Sprintf("part-%05d", partition))
+	out, err := r.OpenTaskOutput(taskJob, ctx.TaskID, fmt.Sprintf("part-%05d", partition))
 	if err != nil {
 		return err
 	}
@@ -99,18 +84,14 @@ func (r *jobRun) runReduceTask(partition int, node string, attempt int) (err err
 	if err := r.driveGroupedReduce(m, reducer, collector, ctx); err != nil {
 		return err
 	}
-	if err := out.Commit(); err != nil {
-		return err
-	}
-	r.mergeTaskCounters(ctx)
-	return nil
+	return out.Commit()
 }
 
 // fetchSegments copies this partition's byte range out of every map output
 // file into the reducer's local directory, charging network cost for
 // cross-node fetches — the copy phase of the Hadoop shuffle.
 func (r *jobRun) fetchSegments(partition int, node, reduceDir string, ctx *engine.TaskContext) ([]string, error) {
-	e := r.engine
+	e, stats := r.engine, r.engine.Stats()
 	var out []string
 	for i, mo := range r.mapOutputs {
 		// Per-segment cancel check: a killed job stops fetching (and paying
@@ -148,11 +129,10 @@ func (r *jobRun) fetchSegments(partition int, node, reduceDir string, ctx *engin
 			return nil, err
 		}
 		ctx.IncrCounter(counters.TaskGroup, counters.ReduceShuffleBytes, n)
-		e.stats.Add(sim.ShuffleFetchBytes, n)
-		e.cost.ChargeDisk(e.stats, 2*n) // read map side + write reduce side
+		e.cost.ChargeDisk(stats, 2*n) // read map side + write reduce side
 		if mo.node != node {
 			// Remote fetch crosses the cluster network.
-			e.cost.ChargeNet(e.stats, n)
+			e.cost.ChargeNet(stats, n)
 		}
 		out = append(out, dstPath)
 	}

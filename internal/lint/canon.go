@@ -10,6 +10,7 @@ import (
 const (
 	confPath     = "m3r/internal/conf"
 	countersPath = "m3r/internal/counters"
+	simPath      = "m3r/internal/sim"
 )
 
 // Canon is the module's canonical name facts: every configuration-key

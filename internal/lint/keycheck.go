@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"m3r/internal/counters"
 )
 
 // Keycheck pins every configuration key and counter name to its canonical
@@ -22,10 +24,13 @@ import (
 // the one place a literal is allowed. The same single-name rule covers the
 // environment: reading an M3R_-prefixed variable outside internal/conf is a
 // diagnostic, because knob defaults have one carrier (conf.DefaultsEnv)
-// and a per-knob variable is a second name for a conf key.
+// and a per-knob variable is a second name for a conf key. And it covers the
+// engine statistics: a sim name that counters.TaskStats maps is fed from the
+// task's counter by the task envelope, so a Stats.Add of it is a second count
+// of the same event — allowed only in the functions of taskless.
 var Keycheck = &Analyzer{
 	Name: "keycheck",
-	Doc:  "conf-key and counter-name literals must use the canonical constants; M3R_* environment reads belong to internal/conf",
+	Doc:  "conf-key and counter-name literals must use the canonical constants; M3R_* environment reads belong to internal/conf; a statistic counters.TaskStats maps is counted in the task's counter only",
 	Run:  runKeycheck,
 }
 
@@ -71,6 +76,53 @@ func runKeycheck(pass *Pass) []Diag {
 			} else if keyShape.MatchString(val) {
 				diags = append(diags, Diag{Pos: lit.Pos(), Message: fmt.Sprintf(
 					"%q looks like a conf key but no canonical Key constant defines it; add one (internal/conf or the owning package) or fix the typo", val)})
+			}
+			return true
+		})
+	}
+	return append(diags, taskStatDiags(p)...)
+}
+
+// taskless names the functions that may Add a statistic counters.TaskStats
+// maps, because what they count happens outside any task and has no counter
+// to be counted in.
+var taskless = map[string]bool{
+	// Block moves between places (kvstore) ship without a task: ChargeShip's
+	// nil-task branch, and ShipPairs' count of a same-place send.
+	"m3r/internal/x10.ChargeShip": true,
+	"m3r/internal/x10.ShipPairs":  true,
+	// The Hadoop engine's map-side sort spills: its reports carry no
+	// SPILLED_* counters.
+	"m3r/internal/hadoop.chargeSpill": true,
+}
+
+// taskStatDiags flags a (*sim.Stats).Add of a name counters.TaskStats maps
+// in any function taskless does not name.
+func taskStatDiags(p *Package) []Diag {
+	counter := make(map[string]string)
+	for _, row := range counters.TaskStats {
+		counter[row.Stat] = row.Name
+	}
+	var diags []Diag
+	for _, fd := range funcDecls(p) {
+		if taskless[p.ImportPath+"."+fd.Name.Name] {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 2 {
+				return true
+			}
+			fn := staticCallee(p.Info, call)
+			if fn == nil || fn.Name() != "Add" {
+				return true
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !typeIs(recv.Type(), simPath, "Stats") {
+				return true
+			}
+			if name, ok := constString(p.Info, call.Args[0]); ok && counter[name] != "" {
+				diags = append(diags, Diag{Pos: call.Pos(), Message: fmt.Sprintf(
+					"statistic %q is fed from the task counter %s by the task envelope (counters.TaskStats); count the event in the task's counter, not with Stats.Add", name, counter[name])})
 			}
 			return true
 		})

@@ -15,7 +15,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -152,14 +151,4 @@ func ignoreIndex(p *Package, known map[string]bool) (ignores, []Diagnostic) {
 		}
 	}
 	return idx, bad
-}
-
-// fileFor returns the *ast.File of p containing pos.
-func (p *Package) fileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"m3r/internal/conf"
 	"m3r/internal/counters"
+	"m3r/internal/sim"
 )
 
 // KeyFixtureLocal is a canonical declaration: a Key*-named constant may
@@ -69,6 +70,14 @@ func perKnobEnv() string {
 // otherEnv reads a variable that is not the module's: untouched.
 func otherEnv() string {
 	return os.Getenv("HOME")
+}
+
+// mirroredStat counts an event a second time: the task envelope already
+// feeds cloned.pairs from the task's CLONED_PAIRS. A statistic with no task
+// counter behind it is anyone's to add.
+func mirroredStat(stats *sim.Stats, n int64) {
+	stats.Add(sim.ClonedPairs, n) // want `statistic "cloned.pairs" is fed from the task counter CLONED_PAIRS by the task envelope`
+	stats.Add(sim.RemoteTransfers, 1)
 }
 
 // ignoredLiteral is a deliberate violation under the escape hatch.

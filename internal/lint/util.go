@@ -90,14 +90,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// callReceiver returns the receiver expression of a method call, or nil.
-func callReceiver(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
 // parentMap maps every node under root to its parent.
 func parentMap(root ast.Node) map[ast.Node]ast.Node {
 	parents := make(map[ast.Node]ast.Node)

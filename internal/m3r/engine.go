@@ -40,7 +40,8 @@ type Options struct {
 	// loopback backend. The engine's runtime takes ownership: Close closes
 	// it.
 	Transport x10.Transport
-	// Stats and Cost may be nil.
+	// Stats and Cost may be nil: the engine then counts into a sink of its
+	// own (Engine.Stats) and models no delays.
 	Stats *sim.Stats
 	Cost  *sim.CostModel
 }
@@ -55,7 +56,6 @@ type Engine struct {
 	rt       *x10.Runtime
 	cache    *Cache
 	cfs      *CachingFileSystem
-	stats    *sim.Stats
 	cost     *sim.CostModel
 	fallback engine.Engine
 
@@ -95,11 +95,15 @@ func New(opts Options) (*Engine, error) {
 	if cost == nil {
 		cost = sim.Zero()
 	}
+	stats := opts.Stats
+	if stats == nil {
+		stats = sim.NewStats()
+	}
 	rt := x10.NewRuntime(x10.Options{
 		Places:          opts.Places,
 		WorkersPerPlace: opts.WorkersPerPlace,
 		Transport:       opts.Transport,
-		Stats:           opts.Stats,
+		Stats:           stats,
 		Cost:            cost,
 	})
 	cache := NewCache(rt)
@@ -131,17 +135,16 @@ func New(opts Options) (*Engine, error) {
 				budgets[p] = engine.NewBudgetPool(cacheBytes).Job(cacheTag, 0)
 			}
 		}
-		gov = newCacheGovernor(opts.Stats, cache.Store(), budgets, codec)
+		gov = newCacheGovernor(stats, cache.Store(), budgets, codec)
 		cache.Store().SetResidency(gov)
 	}
 	return &Engine{
 		// Jobs see — and commit through — the caching filesystem; a temporary
 		// output stays in the cache and is never written through it.
-		host:     &engine.Host{Name: "m3r", FSID: dfs.RegisterInstance(cfs), FS: cfs, Stats: opts.Stats, ElideTemp: true},
+		host:     &engine.Host{Name: "m3r", FSID: dfs.RegisterInstance(cfs), FS: cfs, Stats: stats, ElideTemp: true},
 		rt:       rt,
 		cache:    cache,
 		cfs:      cfs,
-		stats:    opts.Stats,
 		cost:     cost,
 		fallback: opts.Fallback,
 		pools:    pools,
@@ -181,8 +184,8 @@ func (e *Engine) Cache() *Cache { return e.cache }
 // Runtime returns the engine's place runtime.
 func (e *Engine) Runtime() *x10.Runtime { return e.rt }
 
-// Stats returns the engine's statistics sink.
-func (e *Engine) Stats() *sim.Stats { return e.stats }
+// Stats returns the engine's statistics sink, never nil.
+func (e *Engine) Stats() *sim.Stats { return e.host.Stats }
 
 // ShufflePoolHeldBytes sums the bytes currently reserved across the engine
 // pool's places (0 when unpooled) by jobs — the engine-lifetime cache tag's

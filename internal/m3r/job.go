@@ -151,7 +151,7 @@ func (x *jobExec) rollback(userJob *conf.JobConf, err error) (*engine.Report, er
 // under the same lifecycle, so a kill still reaches it; its report gains
 // FAILOVER_JOBS so the rerun is visible to the submitter.
 func (e *Engine) failover(userJob *conf.JobConf, lc *engine.JobLifecycle, m3rErr error) (*engine.Report, error) {
-	e.stats.Add(sim.FailoverJobs, 1)
+	e.Stats().Add(sim.FailoverJobs, 1)
 	rep, err := engine.SubmitUnder(e.fallback, userJob, lc)
 	if err != nil {
 		// Both engines failed; the fallback's error wraps the original so
@@ -168,10 +168,8 @@ type jobExec struct {
 	e *Engine
 	*engine.Job
 
-	// Admission (newJobExec) and the report. cmu guards Counters as tasks
-	// merge theirs in; the cache governor's totals at admission make the
-	// job's tiering counters deltas.
-	cmu                             sync.Mutex
+	// Admission (newJobExec) and the report: the cache governor's totals at
+	// admission make the job's tiering counters deltas.
 	cacheSpilled0, cacheReadmitted0 int64
 
 	// Plan: one input per reduce partition, at its stable place.
@@ -248,32 +246,6 @@ func (x *jobExec) cleanup() {
 	if x.spillDir != "" {
 		os.RemoveAll(x.spillDir)
 		x.spillDir = ""
-	}
-}
-
-func (x *jobExec) mergeCounters(ctx *engine.TaskContext) {
-	x.cmu.Lock()
-	x.Counters.MergeFrom(ctx.Counters)
-	x.cmu.Unlock()
-}
-
-// tallyPairs adds a finished task's pair counts to the engine's stats. The
-// collectors count each cloned, aliased and co-located pair in the task's
-// own cells, one uncontended add per record; the engine-wide totals take
-// the sums here, once per task — deferred, so a task that fails, panics or
-// is killed still reports the pairs it handled before it stopped.
-func (x *jobExec) tallyPairs(ctx *engine.TaskContext) {
-	for _, t := range [...]struct {
-		stat string
-		cell *counters.Counter
-	}{
-		{sim.ClonedPairs, ctx.Cells.ClonedPairs},
-		{sim.AliasedPairs, ctx.Cells.AliasedPairs},
-		{sim.LocalPairs, ctx.Cells.LocalShufflePairs},
-	} {
-		if n := t.cell.Value(); n != 0 {
-			x.e.stats.Add(t.stat, n)
-		}
 	}
 }
 
@@ -382,7 +354,11 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 				a := a
 				inner.Async(func() error {
 					var err error
-					e.rt.At(p, func() { err = x.runMapTask(a) })
+					e.rt.At(p, func() {
+						err = x.RunTask(engine.MapTask, a.index, 0, a.split, func(ctx *engine.TaskContext) error {
+							return x.runMapTask(ctx, a)
+						})
+					})
 					return err
 				})
 			}
@@ -433,7 +409,11 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 				q := q
 				rinner.Async(func() error {
 					var err error
-					e.rt.At(p, func() { err = x.runReduceTask(q) })
+					e.rt.At(p, func() {
+						err = x.RunTask(engine.ReduceTask, q, 0, nil, func(ctx *engine.TaskContext) error {
+							return x.runReduceTask(ctx, q)
+						})
+					})
 					return err
 				})
 			}

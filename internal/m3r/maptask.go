@@ -2,8 +2,6 @@ package m3r
 
 import (
 	"fmt"
-	"runtime/debug"
-	"strconv"
 	"sync"
 
 	"m3r/internal/conf"
@@ -15,37 +13,21 @@ import (
 	"m3r/internal/wio"
 )
 
-// runMapTask executes one map task at its assigned place.
-func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
-	e := x.e
-	if err := x.Lifecycle.Err(); err != nil {
-		// The job is already cancelled: don't launch the task at all.
-		return err
-	}
-	e.stats.Add(sim.TasksLaunched, 1)
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("map task %d panicked: %v\n%s", a.index, p, debug.Stack())
-		}
-	}()
-	taskJob := x.Conf.CloneJob()
+// runMapTask is the body of one map task at its assigned place
+// (engine.Job.RunTask is its envelope).
+func (x *jobExec) runMapTask(ctx *engine.TaskContext, a *mapAssignment) error {
 	// Place-aware output plumbing (MultipleOutputs side files through the
 	// cache) homes blocks at the writing task's place.
-	taskJob.Set(conf.KeyM3RTaskPlace, strconv.Itoa(a.place))
-	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(a.index))
-	taskID := fmt.Sprintf("attempt_%s_m_%06d_0", x.ID, a.index)
-	ctx := engine.NewTaskContext(taskJob, taskID, a.split)
-	defer x.tallyPairs(ctx)
-	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedMaps, 1)
+	ctx.Job.SetInt(conf.KeyM3RTaskPlace, a.place)
 
 	mr := x.Resolved.NewMapRun()
-	mr.Configure(taskJob)
+	mr.Configure(ctx.Job)
 
 	var collector mapred.OutputCollector
 	var finish func() error
 	var abort func()
 	// The abort runs on every failure exit — error return or panic (the
-	// recover above sees it after this defer) — so a failed task never
+	// envelope's recover sees it after this defer) — so a failed task never
 	// leaves partial output in the cache or pooled buffers adrift.
 	done := false
 	defer func() {
@@ -73,14 +55,13 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 		collector, finish, abort = sc, sc.flush, sc.abort
 	}
 
-	if err := x.feedMapTask(a, mr, collector, ctx, taskJob); err != nil {
+	if err := x.feedMapTask(a, mr, collector, ctx); err != nil {
 		return fmt.Errorf("map task %d: %w", a.index, err)
 	}
 	if err := finish(); err != nil {
 		return fmt.Errorf("map task %d output: %w", a.index, err)
 	}
 	done = true
-	x.mergeCounters(ctx)
 	return nil
 }
 
@@ -88,7 +69,7 @@ func (x *jobExec) runMapTask(a *mapAssignment) (err error) {
 // heap), a fresh read that populates the cache, or a plain streamed read
 // for unnameable splits (§3.2.1, §4.2.1).
 func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
-	out mapred.OutputCollector, ctx *engine.TaskContext, taskJob *conf.JobConf) error {
+	out mapred.OutputCollector, ctx *engine.TaskContext) error {
 	e := x.e
 	if a.hit {
 		pairs, _, err := e.cache.ReadRanges(a.place, a.cached)
@@ -96,12 +77,11 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 			return err
 		}
 		ctx.IncrCounter(counters.M3RGroup, counters.CacheHitSplits, 1)
-		e.stats.Add(sim.CacheHits, 1)
 		return runPairs(mr, pairs, out, ctx)
 	}
 	name, nameOK := formats.SplitName(a.split)
 	if nameOK && x.cacheEnabled {
-		reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, taskJob)
+		reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, ctx.Job)
 		if err != nil {
 			return err
 		}
@@ -116,17 +96,16 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 			return err
 		}
 		ctx.IncrCounter(counters.M3RGroup, counters.CacheMissSplits, 1)
-		e.stats.Add(sim.CacheMisses, 1)
-		e.stats.Add(sim.CacheWrites, 1)
+		e.Stats().Add(sim.CacheWrites, 1)
 		return runPairs(mr, pairs, out, ctx)
 	}
 	// Unnameable split: stream it, bypassing the cache (§4.2.1).
-	reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, taskJob)
+	reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, ctx.Job)
 	if err != nil {
 		return err
 	}
 	defer reader.Close()
-	e.stats.Add(sim.CacheMisses, 1)
+	ctx.IncrCounter(counters.M3RGroup, counters.CacheMissSplits, 1)
 	return mr.Run(reader, out, ctx)
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"m3r/internal/engine"
-	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
 )
@@ -149,22 +148,18 @@ func (x *jobExec) checkResidentBytes(place int) error {
 }
 
 // chargeSpill charges one encoded run's spill — an overflow or a
-// largest-first eviction — to the task's counters and the engine's
-// stats/cost model. SPILLED_BYTES (and the disk cost) is the stored length
-// — compressed when a codec is configured — while SPILLED_RAW_BYTES is the
-// raw record-format length, so the ratio between the two is the job's
-// observable spill compression.
+// largest-first eviction — to the task's counters and the cost model.
+// SPILLED_BYTES (and the disk cost) is the stored length — compressed when a
+// codec is configured — while SPILLED_RAW_BYTES is the raw record-format
+// length, so the ratio between the two is the job's observable spill
+// compression.
 func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nrecs int) {
 	stored := int64(len(enc.Data))
 	ctx.Cells.SpilledRuns.Increment(1)
 	ctx.Cells.SpilledBytes.Increment(stored)
 	ctx.Cells.SpilledRawBytes.Increment(enc.Raw)
 	ctx.Cells.SpilledRecords.Increment(int64(nrecs))
-	e := x.e
-	e.stats.Add(sim.SpillBytes, stored)
-	e.stats.Add(sim.SpillRawBytes, enc.Raw)
-	e.stats.Add(sim.SpillFiles, 1)
-	e.cost.ChargeDisk(e.stats, stored)
+	x.e.cost.ChargeDisk(x.e.Stats(), stored)
 }
 
 // installRuns installs an unbudgeted map task's sorted run per partition.

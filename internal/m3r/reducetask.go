@@ -2,37 +2,17 @@ package m3r
 
 import (
 	"fmt"
-	"runtime/debug"
-	"strconv"
 
 	"m3r/internal/conf"
-	"m3r/internal/counters"
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
-	"m3r/internal/sim"
 	"m3r/internal/wio"
 )
 
-// runReduceTask executes one reduce partition at its stable place.
-func (x *jobExec) runReduceTask(q int) (err error) {
-	e := x.e
-	if err := x.Lifecycle.Err(); err != nil {
-		return err
-	}
-	e.stats.Add(sim.TasksLaunched, 1)
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("reduce task %d panicked: %v\n%s", q, p, debug.Stack())
-		}
-	}()
-	place := e.PlaceOfPartition(q)
-	taskJob := x.Conf.CloneJob()
-	taskJob.Set(conf.KeyM3RTaskPlace, strconv.Itoa(place))
-	taskJob.Set(conf.KeyTaskPartition, strconv.Itoa(q))
-	taskID := fmt.Sprintf("attempt_%s_r_%06d_0", x.ID, q)
-	ctx := engine.NewTaskContext(taskJob, taskID, nil)
-	defer x.tallyPairs(ctx)
-	ctx.IncrCounter(counters.JobGroup, counters.TotalLaunchedReduces, 1)
+// runReduceTask is the body of one reduce partition at its stable place.
+func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
+	place := x.e.PlaceOfPartition(q)
+	ctx.Job.SetInt(conf.KeyM3RTaskPlace, place)
 
 	// The HMR API promises reducers sorted input even in memory. Map tasks
 	// shipped sorted runs (resident or spilled); merge them stably through
@@ -53,7 +33,7 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 	defer merged.Close()
 
 	reducer := x.Resolved.NewReduceRun()
-	reducer.Configure(taskJob)
+	reducer.Configure(ctx.Job)
 
 	sink, err := x.openTaskSink(ctx, place, q, x.Resolved.ReduceImmutable)
 	if err != nil {
@@ -73,9 +53,5 @@ func (x *jobExec) runReduceTask(q int) (err error) {
 	if err := engine.DriveReduce(reducer, x.Resolved.GroupCmp, in, collector, ctx, false); err != nil {
 		return fmt.Errorf("reduce task %d: %w", q, err)
 	}
-	if err := sink.commit(); err != nil {
-		return err
-	}
-	x.mergeCounters(ctx)
-	return nil
+	return sink.commit()
 }

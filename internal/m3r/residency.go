@@ -1,9 +1,6 @@
 package m3r
 
-import (
-	"m3r/internal/engine"
-	"m3r/internal/sim"
-)
+import "m3r/internal/engine"
 
 // This file is the shuffle's half of the largest-first spill policy. When a
 // budgeted run cannot reserve its bytes, the pool's admission loop
@@ -53,6 +50,5 @@ func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (i
 	victim.seg, victim.size, victim.spillPath = nil, 0, path
 	pi.mu.Unlock()
 	ctx.Cells.EvictedResidentRuns.Increment(1)
-	x.e.stats.Add(sim.EvictedRuns, 1)
 	return size, nil
 }

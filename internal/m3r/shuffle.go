@@ -34,7 +34,7 @@ import (
 // At flush, every per-partition batch is sorted map-side before it is
 // installed as a run in the partition's input: map tasks already run in
 // parallel, so the sort rides the map phase's parallelism and the reduce
-// task only has to k-way merge the runs (see engine.MergeRuns).
+// task only has to k-way merge the runs (see engine.MergeIter).
 type shuffleCollector struct {
 	x     *jobExec
 	ctx   *engine.TaskContext

@@ -232,7 +232,7 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 // newSpillExec builds a minimal one-place jobExec with nparts partitions
 // for exercising the partitionInput lifecycle without a cluster.
 func newSpillExec(budget int64, codec spill.Codec, nparts int) *jobExec {
-	e := &Engine{stats: sim.NewStats(), cost: sim.Zero()}
+	e := &Engine{host: &engine.Host{Stats: sim.NewStats()}, cost: sim.Zero()}
 	x := &jobExec{e: e, Job: &engine.Job{ID: "job_test_0001", Counters: counters.New(), Codec: codec}, shuffleBudget: budget}
 	if budget > 0 {
 		x.budgets = []*engine.JobBudget{engine.NewBudgetPool(budget).Job(x.ID, 0)}
@@ -499,11 +499,6 @@ func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
 	if refStored, refRaw := refCtx.Cells.SpilledBytes.Value(), refCtx.Cells.SpilledRawBytes.Value(); refStored != refRaw {
 		t.Fatalf("codec none: stored %d != raw %d — raw layout must charge identical numbers", refStored, refRaw)
 	}
-	// The engine's stats and disk cost follow the stored bytes.
-	if got := x.e.stats.Get(sim.SpillBytes); got != stored {
-		t.Fatalf("sim spill.bytes=%d, counters say %d", got, stored)
-	}
-	if got := x.e.stats.Get(sim.SpillRawBytes); got != raw {
-		t.Fatalf("sim spill.raw.bytes=%d, counters say %d", got, raw)
-	}
+	// The engine's stats follow these cells through the task envelope
+	// (integration's TestCountedOnce holds spill.bytes to SPILLED_BYTES).
 }

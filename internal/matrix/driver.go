@@ -148,18 +148,6 @@ func ReadVector(fs dfs.FileSystem, c Config, dir string) ([]float64, error) {
 	return out, nil
 }
 
-// ReadVectorCached reads a blocked vector straight from an M3R cache
-// iterator (for temp outputs that never reached the filesystem).
-func ReadVectorCached(pairs []wio.Pair, c Config) []float64 {
-	out := make([]float64, c.Rows())
-	for _, p := range pairs {
-		k := p.Key.(*BlockKey)
-		d := p.Value.(*DenseBlock)
-		copy(out[int(k.Row)*c.BlockSize:], d.Vals)
-	}
-	return out
-}
-
 // ReferenceDense materializes G as a dense matrix, for verification at
 // test sizes.
 func ReferenceDense(c Config) [][]float64 {

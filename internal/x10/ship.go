@@ -22,13 +22,15 @@ type ShipResult struct {
 
 // ChargeShip accounts one cross-place delivery — bytes that crossed in
 // frames transport frames, with dedupHits objects elided on the way — in the
-// runtime's stats, in the shipping task's counters when there is a task
-// (ShipPairs has none), and last against the modelled network.
+// shipping task's counters, from which the task envelope feeds the engine's
+// stats (counters.TaskStats), and last against the modelled network.
+// ShipPairs has no task: its bytes and hits go to the stats directly.
 func (rt *Runtime) ChargeShip(task *counters.Counters, bytes int64, frames int, dedupHits int64) {
-	rt.stats.Add(sim.RemoteBytes, bytes)
 	rt.stats.Add(sim.RemoteTransfers, 1)
-	rt.stats.Add(sim.DedupHits, dedupHits)
-	if task != nil {
+	if task == nil {
+		rt.stats.Add(sim.RemoteBytes, bytes)
+		rt.stats.Add(sim.DedupHits, dedupHits)
+	} else {
 		task.Incr(counters.TaskGroup, counters.RemoteShuffleBytes, bytes)
 		task.Incr(counters.M3RGroup, counters.DedupHits, dedupHits)
 		if rt.RemoteTransport() {
