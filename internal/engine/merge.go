@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"m3r/internal/spill"
-	"m3r/internal/wio"
-)
+import "m3r/internal/wio"
 
 // This file implements the reduce-side k-way merge of the run-based
 // shuffle-and-sort pipeline. Map tasks sort their per-partition output
@@ -19,12 +14,11 @@ import (
 // root. Advancing the winner replays exactly one leaf-to-root path
 // (ceil(log2 k) comparisons), with no heap sift-down bookkeeping.
 //
-// Tournament is the single loser-tree implementation in the tree: the M3R
-// engine merges in-memory and spilled shuffle runs through it (MergeIter),
-// and the Hadoop engine merges spill-file segments through it
-// (internal/hadoop's merger), each instantiating it at their own element
-// type — deserialized pairs there, raw records here — so the tournament
-// logic exists exactly once.
+// Tournament is the single loser-tree implementation in the tree,
+// instantiated at two element types: pairs, for an unbudgeted M3R job's
+// in-memory runs (MergeIter), and keyed raw records, for every serialized
+// run of either engine (RawMerge) — so the tournament logic exists exactly
+// once.
 
 // Tournament is a loser tree over k ordered sources of T. The caller owns
 // the sources and pushes their head elements in: NewTournament takes every
@@ -40,7 +34,7 @@ import (
 // surface exactly as a stable sort of the concatenation would produce
 // them.
 type Tournament[T any] struct {
-	cmp   func(a, b T) int
+	cmp   func(a, b *T) int
 	heads []T
 	live  []bool
 	tree  []int
@@ -52,11 +46,12 @@ type Tournament[T any] struct {
 // node k+i; every internal node 1..k-1 plays its children's winners, keeps
 // the loser, and sends the winner up; tree[0] holds the champion. It takes
 // ownership of heads and live.
-func NewTournament[T any](heads []T, live []bool, cmp func(a, b T) int) *Tournament[T] {
+func NewTournament[T any](heads []T, live []bool, cmp func(a, b *T) int) *Tournament[T] {
 	k := len(heads)
+	var spare T // Replace's scratch, heads[k]
 	t := &Tournament[T]{
 		cmp:   cmp,
-		heads: heads,
+		heads: append(heads, spare),
 		live:  live,
 		tree:  make([]int, max(k, 1)),
 		k:     k,
@@ -91,7 +86,7 @@ func (t *Tournament[T]) wins(i, j int) bool {
 	if !t.live[j] {
 		return true
 	}
-	if c := t.cmp(t.heads[i], t.heads[j]); c != 0 {
+	if c := t.cmp(&t.heads[i], &t.heads[j]); c != 0 {
 		return c < 0
 	}
 	return i < j
@@ -107,21 +102,28 @@ func (t *Tournament[T]) Winner() (int, bool) {
 	return w, t.live[w]
 }
 
-// Head returns source i's current head element.
-func (t *Tournament[T]) Head(i int) T { return t.heads[i] }
-
 // Replace installs source w's next head after its previous one was
-// consumed, replaying the matches on leaf w's path to the root.
+// consumed, replaying the matches on leaf w's path to the root — unless the
+// new head compares equal to the one it replaces. Every match w played is
+// decided by the two keys and, on a tie, the two source indices; an equal
+// head changes neither, so the tree already stands as the replay would
+// leave it, and duplicate-heavy runs pay one comparison a record, not a path.
 func (t *Tournament[T]) Replace(w int, head T) {
-	t.heads[w] = head
-	t.replay(w)
+	// Compared from the spare slot: a pointer to the parameter would move it
+	// to the heap. (cmp takes pointers so that a wide element is not copied.)
+	t.heads[t.k] = head
+	equal := t.cmp(&t.heads[w], &t.heads[t.k]) == 0
+	t.heads[w] = t.heads[t.k]
+	if !equal {
+		t.replay(w)
+	}
 }
 
 // Exhaust marks source w empty and replays its path. The head slot is
 // zeroed so the tree does not retain the last element.
 func (t *Tournament[T]) Exhaust(w int) {
 	var zero T
-	t.heads[w] = zero
+	t.heads[w], t.heads[t.k] = zero, zero
 	t.live[w] = false
 	t.replay(w)
 }
@@ -136,16 +138,10 @@ func (t *Tournament[T]) replay(w int) {
 	t.tree[0] = cur
 }
 
-// RunReader is one sorted run of a reduce partition's input: the in-memory
-// leaf aliases the pairs a map task shipped on-heap, the stream-backed leaf
-// decodes a run the shuffle spilled to disk in the shared spill record
-// format. Both feed the same tournament.
-type RunReader interface {
-	// Next returns the run's next pair, ok=false at the end.
-	Next() (wio.Pair, bool, error)
-	// Close releases any resources backing the run.
-	Close() error
-}
+// RunReader is one sorted run of pairs in a reduce partition's input: the
+// in-memory leaf aliases the pairs a map task shipped on-heap. (A serialized
+// run is a RecSource and merges through RawMerge.)
+type RunReader = Source[wio.Pair]
 
 // sliceRunReader is the in-memory leaf.
 type sliceRunReader struct {
@@ -162,9 +158,7 @@ func NewSliceRunReader(pairs []wio.Pair) RunReader {
 func (r *sliceRunReader) Next() (wio.Pair, bool, error) {
 	if r.pos >= len(r.pairs) {
 		// Drop the backing slice at exhaustion so the run's memory is
-		// collectable as soon as the consumer lets go of its pairs — the
-		// physical counterpart of the budget release a ReleasingRunReader
-		// wrapper performs at this moment.
+		// collectable as soon as the consumer lets go of its pairs.
 		r.pairs = nil
 		r.pos = 0
 		return wio.Pair{}, false, nil
@@ -176,50 +170,10 @@ func (r *sliceRunReader) Next() (wio.Pair, bool, error) {
 
 func (r *sliceRunReader) Close() error { return nil }
 
-// RecSource is a stream of serialized spill records (spill.Stream or any
-// equivalent segment reader) — the merge Source at the raw-record element
-// type.
-type RecSource = Source[spill.Rec]
-
-// decodingRunReader is the stream-backed leaf: it deserializes each raw
-// record into fresh writables of the run's declared key/value classes. The
-// decoder is built at the first record, once per run.
-type decodingRunReader struct {
-	src                RecSource
-	keyClass, valClass string
-	dec                *spill.PairDecoder
-}
-
-// NewDecodingRunReader returns a RunReader that decodes src's records into
-// fresh keyClass/valClass writables — the stream-backed merge leaf for runs
-// spilled in the shared spill record format.
-func NewDecodingRunReader(src RecSource, keyClass, valClass string) RunReader {
-	return &decodingRunReader{src: src, keyClass: keyClass, valClass: valClass}
-}
-
-func (r *decodingRunReader) Next() (wio.Pair, bool, error) {
-	rec, ok, err := r.src.Next()
-	if err != nil || !ok {
-		return wio.Pair{}, false, err
-	}
-	if r.dec == nil {
-		if r.dec, err = spill.NewPairDecoder(r.keyClass, r.valClass); err != nil {
-			return wio.Pair{}, false, err
-		}
-	}
-	p, err := r.dec.Decode(rec)
-	if err != nil {
-		return wio.Pair{}, false, fmt.Errorf("engine: spilled run: %w", err)
-	}
-	return p, true, nil
-}
-
-func (r *decodingRunReader) Close() error { return r.src.Close() }
-
 // SourceMerge streams the merge of k ordered sources — the single merge
-// iterator in the tree, instantiated at wio.Pair for the in-memory engines
-// (MergeIter) and at spill.Rec for the Hadoop engine's raw-record segment
-// merger. Stability contract: sources must be given in source-task order,
+// iterator in the tree, instantiated at wio.Pair for in-memory runs
+// (MergeIter) and at keyed raw records for serialized ones (RawMerge).
+// Stability contract: sources must be given in source-task order,
 // each internally ordered by cmp with equal elements in original emission
 // order; ties across sources resolve to the lower source index. Under that
 // contract the stream is identical to concatenating the sources in order
@@ -230,9 +184,9 @@ type SourceMerge[T any] struct {
 }
 
 // NewSourceMerge opens a merge over sources, closing them all on error.
-func NewSourceMerge[T any](srcs []Source[T], cmp func(a, b T) int) (*SourceMerge[T], error) {
+func NewSourceMerge[T any](srcs []Source[T], cmp func(a, b *T) int) (*SourceMerge[T], error) {
 	k := len(srcs)
-	heads := make([]T, k)
+	heads := make([]T, k, k+1) // room for the tournament's spare slot
 	live := make([]bool, k)
 	for i, s := range srcs {
 		h, ok, err := s.Next()
@@ -247,22 +201,43 @@ func NewSourceMerge[T any](srcs []Source[T], cmp func(a, b T) int) (*SourceMerge
 	return &SourceMerge[T]{srcs: srcs, t: NewTournament(heads, live, cmp)}, nil
 }
 
-// Next returns the globally next element in merge order.
-func (m *SourceMerge[T]) Next() (T, bool, error) {
-	var zero T
+// Peek returns the globally next element without consuming it, ok=false
+// when every source is exhausted. The pointer is good until Advance: a
+// consumer of wide elements reads them where they stand.
+func (m *SourceMerge[T]) Peek() (*T, bool) {
 	w, ok := m.t.Winner()
 	if !ok {
-		return zero, false, nil
+		return nil, false
 	}
-	out := m.t.Head(w)
+	return &m.t.heads[w], true
+}
+
+// Advance consumes the element Peek returned: its source's next element
+// takes its place in the tournament.
+func (m *SourceMerge[T]) Advance() error {
+	w, _ := m.t.Winner()
 	h, ok, err := m.srcs[w].Next()
 	if err != nil {
-		return zero, false, err
+		return err
 	}
 	if ok {
 		m.t.Replace(w, h)
 	} else {
 		m.t.Exhaust(w)
+	}
+	return nil
+}
+
+// Next returns the globally next element in merge order.
+func (m *SourceMerge[T]) Next() (T, bool, error) {
+	var zero T
+	p, ok := m.Peek()
+	if !ok {
+		return zero, false, nil
+	}
+	out := *p
+	if err := m.Advance(); err != nil {
+		return zero, false, err
 	}
 	return out, true, nil
 }
@@ -285,7 +260,5 @@ type MergeIter = SourceMerge[wio.Pair]
 
 // NewMergeIter opens a merge over readers. On error the readers are closed.
 func NewMergeIter(readers []RunReader, cmp wio.Comparator) (*MergeIter, error) {
-	return NewSourceMerge(WidenSources[wio.Pair](readers), func(a, b wio.Pair) int {
-		return cmp.Compare(a.Key, b.Key)
-	})
+	return NewSourceMerge(readers, pairCompare(cmp))
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"m3r/internal/engine"
@@ -49,7 +50,7 @@ func sortedReference(runs [][]wio.Pair, cmp wio.Comparator) []wio.Pair {
 	return all
 }
 
-func pairBytes(t *testing.T, p wio.Pair) ([]byte, []byte) {
+func pairBytes(t testing.TB, p wio.Pair) ([]byte, []byte) {
 	t.Helper()
 	kb, err := wio.Marshal(p.Key)
 	if err != nil {
@@ -250,6 +251,35 @@ func BenchmarkSortVsMerge(b *testing.B) {
 	})
 }
 
+// decodedRun is the reference leaf the raw merge is held against: a
+// serialized run read as pairs, every record decoded into a fresh
+// IntWritable key and LongWritable value as it is pulled. (It is what the
+// engines ran before RawMerge; the benchmark keeps it as its baseline row.)
+type decodedRun struct {
+	src engine.RecSource
+	dec *spill.PairDecoder
+}
+
+func newDecodedRun(t testing.TB, src engine.RecSource, keyClass, valClass string) engine.RunReader {
+	t.Helper()
+	dec, err := spill.NewPairDecoder(keyClass, valClass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &decodedRun{src: src, dec: dec}
+}
+
+func (r *decodedRun) Next() (wio.Pair, bool, error) {
+	rec, ok, err := r.src.Next()
+	if err != nil || !ok {
+		return wio.Pair{}, false, err
+	}
+	p, err := r.dec.Decode(rec)
+	return p, err == nil, err
+}
+
+func (r *decodedRun) Close() error { return r.src.Close() }
+
 // spillRun serializes one run into the shared spill record format on disk
 // and returns a stream-backed merge leaf for it.
 func spillRun(t *testing.T, dir string, i int, run []wio.Pair) engine.RunReader {
@@ -268,7 +298,7 @@ func spillRun(t *testing.T, dir string, i int, run []wio.Pair) engine.RunReader 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewDecodingRunReader(s, types.IntName, types.LongName)
+	return newDecodedRun(t, s, types.IntName, types.LongName)
 }
 
 // drainIter collects a MergeIter into a slice.
@@ -392,7 +422,7 @@ func TestMergeIterTruncatedSpillSurfaces(t *testing.T) {
 	}
 	readers := []engine.RunReader{
 		engine.NewSliceRunReader(runs[0]),
-		engine.NewDecodingRunReader(s, types.IntName, types.LongName),
+		newDecodedRun(t, s, types.IntName, types.LongName),
 		engine.NewSliceRunReader(runs[2]),
 	}
 	it, err := engine.NewMergeIter(readers, types.IntRawComparator{})
@@ -411,5 +441,76 @@ func TestMergeIterTruncatedSpillSurfaces(t *testing.T) {
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// keyed is a merge element whose key says nothing about where it came from:
+// seq does, and makes a stability violation visible.
+type keyed struct{ key, seq int }
+
+type keyedRun struct{ items []keyed }
+
+func (r *keyedRun) Next() (keyed, bool, error) {
+	if len(r.items) == 0 {
+		return keyed{}, false, nil
+	}
+	v := r.items[0]
+	r.items = r.items[1:]
+	return v, true, nil
+}
+
+func (r *keyedRun) Close() error { return nil }
+
+// TestTournamentEqualHeads holds the equal-head rule (Replace keeps the
+// champion when a source's new head compares equal to the one it replaces)
+// to the merge's contract — the stream is the runs concatenated and
+// stable-sorted — on the run shapes where the rule decides nearly every
+// record: runs that are all one key, runs that alternate two keys between
+// them, and keys that tie across every source. On the first shape it also
+// counts comparisons: one a record, where replaying the path costs log2 k.
+func TestTournamentEqualHeads(t *testing.T) {
+	const k, perRun = 8, 50
+	shapes := map[string]func(run, i int) int{
+		"all-one-key":      func(_, _ int) int { return 7 },
+		"two-keys-by-run":  func(run, _ int) int { return run % 2 },
+		"two-keys-per-run": func(_, i int) int { return i * 2 / perRun },
+		"ties-across-runs": func(_, i int) int { return i / 5 },
+		"ties-and-gaps":    func(run, i int) int { return i / 3 * (1 + run%3) },
+	}
+	for name, keyOf := range shapes {
+		t.Run(name, func(t *testing.T) {
+			var want []keyed
+			srcs := make([]engine.Source[keyed], k)
+			for run := range srcs {
+				items := make([]keyed, perRun)
+				for i := range items {
+					items[i] = keyed{key: keyOf(run, i), seq: run*perRun + i}
+				}
+				want = append(want, items...)
+				srcs[run] = &keyedRun{items}
+			}
+			slices.SortStableFunc(want, func(a, b keyed) int { return a.key - b.key })
+			calls := 0
+			m, err := engine.NewSourceMerge(srcs, func(a, b *keyed) int { calls++; return a.key - b.key })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			for i, w := range want {
+				got, ok, err := m.Next()
+				if err != nil || !ok || got != w {
+					t.Fatalf("element %d is %v (ok %v, err %v), the stable sort has %v", i, got, ok, err, w)
+				}
+			}
+			if _, ok, _ := m.Next(); ok {
+				t.Fatal("the merge yields more than it was given")
+			}
+			// Building the tree and retiring each run replay a path; every
+			// other record of a one-key merge is settled by the one
+			// comparison with the head it replaces.
+			if limit := k*perRun + 8*k; name == "all-one-key" && calls > limit {
+				t.Errorf("%d comparisons for %d equal records over %d runs, want at most %d", calls, k*perRun, k, limit)
+			}
+		})
 	}
 }

@@ -30,10 +30,10 @@ import (
 // so disk decode overlaps final-merge consumption instead of serializing
 // into it.
 
-// Source is a stream of ordered elements feeding a merge. RunReader has
-// exactly this shape at wio.Pair (the in-memory engine's element type) and
-// spill.Stream at spill.Rec (the Hadoop engine's raw records), so one
-// staging implementation serves both engines.
+// Source is a stream of ordered elements feeding a merge. RunReader is this
+// at wio.Pair (an unbudgeted M3R job's element type) and spill.Stream has
+// the shape at spill.Rec (every serialized run's), so one staging
+// implementation serves both.
 type Source[T any] interface {
 	Next() (T, bool, error)
 	Close() error
@@ -235,7 +235,7 @@ func (s *stagedStream[T]) Close() error {
 // closed when the worker exits, on any path. On a read error the worker
 // aborts the group — cancelling its siblings — and exits; the consumer
 // observes the error through stagedStream.Next.
-func stagedWorker[T any](g *stagedGroup[T], srcs []Source[T], cmp func(a, b T) int,
+func stagedWorker[T any](g *stagedGroup[T], srcs []Source[T], cmp func(a, b *T) int,
 	ch chan<- stagedBatch[T], done chan<- struct{}, closeErr *error) {
 	defer close(done)
 	m, err := NewSourceMerge(srcs, cmp)
@@ -286,17 +286,14 @@ func stagedWorker[T any](g *stagedGroup[T], srcs []Source[T], cmp func(a, b T) i
 	}
 }
 
-// StageSources splits sources into `stages` contiguous subsets, starts one
+// stageSources splits sources into `stages` contiguous subsets, starts one
 // merge worker per subset, and returns the intermediate streams in subset
 // order — ready to be leaves of a final merge. It takes ownership of the
 // sources (workers close them); the caller must Close every returned stream
 // (closing any one cancels the group, but Close waits per-stream for its
-// worker's resources to be released).
-func StageSources[T any](sources []Source[T], cmp func(a, b T) int, stages int) []Source[T] {
-	return stageSources(sources, cmp, stages, nil)
-}
-
-func stageSources[T any](sources []Source[T], cmp func(a, b T) int, stages int, lc *JobLifecycle) []Source[T] {
+// worker's resources to be released). lc, when non-nil, cancels the group
+// when the job is killed.
+func stageSources[T any](sources []Source[T], cmp func(a, b *T) int, stages int, lc *JobLifecycle) []Source[T] {
 	if stages < 1 {
 		// A non-positive stage count would spawn no workers and silently
 		// drop (and leak) every source; one worker is the degenerate merge.
@@ -336,7 +333,7 @@ func stageSources[T any](sources []Source[T], cmp func(a, b T) int, stages int, 
 // engages for the source count it wraps the sources in staged intermediate
 // streams (recording the stage count in stagesCell, when non-nil);
 // otherwise it returns the sources unchanged for a serial merge.
-func StageIfConfigured[T any](srcs []Source[T], cmp func(a, b T) int,
+func StageIfConfigured[T any](srcs []Source[T], cmp func(a, b *T) int,
 	cfg MergeConfig, stagesCell *counters.Counter) []Source[T] {
 	s := cfg.Stages(len(srcs))
 	if s < 2 {
@@ -348,22 +345,10 @@ func StageIfConfigured[T any](srcs []Source[T], cmp func(a, b T) int,
 	return stageSources(srcs, cmp, s, cfg.Lifecycle)
 }
 
-// WidenSources converts a slice of concrete merge sources to []Source[T]
-// (Go has no implicit slice-of-interface covariance). Both engines use it
-// to hand their leaf types — RunReader, *spill.Stream — to the staging and
-// merge machinery.
-func WidenSources[T any, S Source[T]](srcs []S) []Source[T] {
-	out := make([]Source[T], len(srcs))
-	for i, s := range srcs {
-		out[i] = s
-	}
-	return out
-}
-
 // pairCompare adapts a key comparator to the pair-element shape the
 // tournament and staging take.
-func pairCompare(cmp wio.Comparator) func(a, b wio.Pair) int {
-	return func(a, b wio.Pair) int { return cmp.Compare(a.Key, b.Key) }
+func pairCompare(cmp wio.Comparator) func(a, b *wio.Pair) int {
+	return func(a, b *wio.Pair) int { return cmp.Compare(a.Key, b.Key) }
 }
 
 // NewParallelMergeIter opens a staged merge over readers: `stages`
@@ -373,7 +358,7 @@ func pairCompare(cmp wio.Comparator) func(a, b wio.Pair) int {
 // order among equal keys), for any stages ≥ 1 and any schedule.
 func NewParallelMergeIter(readers []RunReader, cmp wio.Comparator, stages int) (*MergeIter, error) {
 	pc := pairCompare(cmp)
-	return NewSourceMerge(StageSources(WidenSources[wio.Pair](readers), pc, stages), pc)
+	return NewSourceMerge(stageSources(readers, pc, stages, nil), pc)
 }
 
 // NewStagedMergeIter opens a merge over readers, staging it across
@@ -383,5 +368,5 @@ func NewParallelMergeIter(readers []RunReader, cmp wio.Comparator, stages int) (
 func NewStagedMergeIter(readers []RunReader, cmp wio.Comparator,
 	cfg MergeConfig, stagesCell *counters.Counter) (*MergeIter, error) {
 	pc := pairCompare(cmp)
-	return NewSourceMerge(StageIfConfigured(WidenSources[wio.Pair](readers), pc, cfg, stagesCell), pc)
+	return NewSourceMerge(StageIfConfigured(readers, pc, cfg, stagesCell), pc)
 }

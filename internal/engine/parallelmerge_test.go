@@ -170,7 +170,7 @@ func truncatedSpillReader(t *testing.T, dir string, run []wio.Pair) engine.RunRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewDecodingRunReader(s, types.IntName, types.LongName)
+	return newDecodedRun(t, s, types.IntName, types.LongName)
 }
 
 // TestParallelMergeTruncatedSpillSurfaces pins the error-cancellation path:
@@ -358,7 +358,7 @@ func FuzzParallelMergeSpill(f *testing.F) {
 			}
 			return []engine.RunReader{
 				engine.NewSliceRunReader(healthy(0, 20, 1000)),
-				engine.NewDecodingRunReader(s, types.IntName, types.LongName),
+				newDecodedRun(t, s, types.IntName, types.LongName),
 				engine.NewSliceRunReader(healthy(5, 25, 2000)),
 			}, nil
 		}

@@ -13,7 +13,7 @@ import (
 // as one pool across the job sequence). A job reserves through its JobBudget
 // view, which also enforces the job's own cap within the pool; reservations
 // are released incrementally as the reduce phase drains resident runs (see
-// NewReleasingRunReader), and whatever a failed or finished job still holds
+// NewReleasingSource), and whatever a failed or finished job still holds
 // is returned wholesale by Drain, so the pool provably drains to zero
 // between jobs.
 //

@@ -1,0 +1,244 @@
+package engine
+
+import (
+	"cmp"
+	"fmt"
+
+	"m3r/internal/counters"
+	"m3r/internal/mapred"
+	"m3r/internal/spill"
+	"m3r/internal/wio"
+)
+
+// This file is the reduce side of every serialized run: the Hadoop engine's
+// fetched segments and map-side spills, and a budgeted M3R job's resident
+// segments and spill files. Records stay bytes until the reducer asks (§3.1:
+// Hadoop merges map output with raw comparators and builds an object only
+// for what the reducer is handed). DESIGN.md "Merge architecture" has the
+// reasoning; rawreduce_test.go holds the driver to DriveReduce.
+
+// RecSource is a stream of serialized spill records (spill.Stream or any
+// equivalent segment reader) — the merge Source at the raw-record element
+// type. A record must outlive the Next that returned it.
+type RecSource = Source[spill.Rec]
+
+// keyedRec is the raw merge's element.
+type keyedRec struct {
+	spill.Rec
+	// prefix and exact are the key's wio.RawSortPrefixer summary, computed
+	// once at the leaf, so that the tournament decides most matches on an
+	// integer; 0 and false when the sort order has none.
+	prefix uint64
+	exact  bool
+	// key is the decoded key of a job that orders or groups on objects.
+	key wio.Writable
+}
+
+// RawMerge streams serialized runs merged in the job's sort order, under
+// SourceMerge's stability contract, and reduces them.
+type RawMerge struct {
+	rj       *ResolvedJob
+	prefixer wio.RawSortPrefixer // rj.RawSortCmp's, when it has one
+	// groupByPrefix reports that equal exact prefixes mean one group: the
+	// grouping order is the sort order the prefix summarizes.
+	groupByPrefix bool
+	// eager reports that the sort or the grouping order has no raw form: the
+	// leaves decode every key, once per record, and objects are compared.
+	eager  bool
+	newKey func() wio.Writable
+	m      *SourceMerge[keyedRec]
+	lc     *JobLifecycle
+
+	// Reduce's state: what survives the per-group iterators. head is the
+	// current group's first record; a group's iterator is drained before
+	// the next group's is made, so one head serves them all.
+	newVal  func() wio.Writable
+	rd      wio.Reader
+	records *counters.Counter
+	head    keyedRec
+}
+
+func (m *RawMerge) compare(a, b *keyedRec) int {
+	if m.rj.RawSortCmp == nil {
+		return m.rj.SortCmp.Compare(a.key, b.key)
+	}
+	if c := cmp.Compare(a.prefix, b.prefix); c != 0 || a.exact && b.exact {
+		return c
+	}
+	return m.rj.RawSortCmp.CompareRaw(a.K, b.K)
+}
+
+// sameGroup reports whether b belongs to the group a opened.
+func (m *RawMerge) sameGroup(a, b *keyedRec) bool {
+	if m.rj.RawGroupCmp == nil {
+		return m.rj.GroupCmp.Compare(a.key, b.key) == 0
+	}
+	if m.groupByPrefix && (a.prefix != b.prefix || a.exact && b.exact) {
+		return a.prefix == b.prefix
+	}
+	return m.rj.RawGroupCmp.CompareRaw(a.K, b.K) == 0
+}
+
+// decode reads b into a fresh object from factory: an M3R reducer may keep
+// what it is handed.
+func decode(rd *wio.Reader, factory func() wio.Writable, b []byte, what string) (wio.Writable, error) {
+	w := factory()
+	rd.ResetBytes(b)
+	if err := w.ReadFields(rd); err != nil {
+		return nil, fmt.Errorf("engine: serialized run: decoding %s: %w", what, err)
+	}
+	return w, nil
+}
+
+// keyedSource is the raw merge's leaf: it keys each record of a serialized
+// run as it is pulled — on a staged merge, on the worker's goroutine.
+type keyedSource struct {
+	src RecSource
+	m   *RawMerge
+	rd  wio.Reader
+}
+
+func (s *keyedSource) Next() (keyedRec, bool, error) {
+	rec, ok, err := s.src.Next()
+	if err != nil || !ok {
+		return keyedRec{}, false, err
+	}
+	e := keyedRec{Rec: rec}
+	if s.m.prefixer != nil {
+		e.prefix, e.exact = s.m.prefixer.SortPrefixRaw(rec.K)
+	}
+	if s.m.eager {
+		if e.key, err = decode(&s.rd, s.m.newKey, rec.K, "key"); err != nil {
+			return keyedRec{}, false, err
+		}
+	}
+	return e, true, nil
+}
+
+func (s *keyedSource) Close() error { return s.src.Close() }
+
+// OpenRawMerge opens the merge of srcs — sorted runs of one reduce
+// partition, keys of class keyClass, in source-task order — staging it
+// across worker goroutines when cfg and the run count warrant (stagesCell,
+// when non-nil, observes the stage count). It takes ownership of srcs: they
+// are closed on error and by Close.
+func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, cfg MergeConfig,
+	stagesCell *counters.Counter) (*RawMerge, error) {
+	newKey, err := wio.Factory(keyClass)
+	if err != nil {
+		CloseAllOnErr(srcs)
+		return nil, fmt.Errorf("engine: map output key class: %w", err)
+	}
+	m := &RawMerge{rj: rj, newKey: newKey, lc: cfg.Lifecycle, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
+	if m.prefixer, _ = rj.RawSortCmp.(wio.RawSortPrefixer); m.prefixer != nil {
+		m.groupByPrefix = rj.GroupsBySort
+	}
+	leaves := make([]Source[keyedRec], len(srcs))
+	for i, s := range srcs {
+		leaves[i] = &keyedSource{src: s, m: m}
+	}
+	if m.m, err = NewSourceMerge(StageIfConfigured(leaves, m.compare, cfg, stagesCell), m.compare); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Next returns the next record in merge order.
+func (m *RawMerge) Next() (spill.Rec, bool, error) {
+	e, ok := m.m.Peek()
+	if !ok {
+		return spill.Rec{}, false, nil
+	}
+	rec := e.Rec
+	return rec, true, m.m.Advance()
+}
+
+// Close closes every source, returning the first error.
+func (m *RawMerge) Close() error { return m.m.Close() }
+
+// Reduce feeds the merged records group by group into run, emitting through
+// out — DriveReduce for serialized input, and both engines' reduce tasks'
+// record loop. Values are of class valClass. A group boundary is found on
+// the serialized key; the key becomes an object once per group and a value
+// once per Next. The merge's lifecycle (MergeConfig.Lifecycle) is polled per
+// record, consumed or drained, so a kill lands inside a group however long.
+func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputCollector, ctx *TaskContext) error {
+	var err error
+	if m.newVal, err = wio.Factory(valClass); err != nil {
+		return fmt.Errorf("engine: map output value class: %w", err)
+	}
+	m.records = ctx.Cells.ReduceInputRecords
+	for {
+		cur, ok := m.m.Peek()
+		if !ok {
+			return run.Close()
+		}
+		if err := m.lc.Err(); err != nil {
+			return err
+		}
+		// A Rec outlives its Next, so the group's first record is kept as
+		// it is: the key's bytes need no copy.
+		m.head = *cur
+		key := m.head.key
+		if key == nil {
+			if key, err = decode(&m.rd, m.newKey, m.head.K, "key"); err != nil {
+				return err
+			}
+		}
+		ctx.Cells.ReduceInputGroups.Increment(1)
+		values := &rawValues{m: m, first: true}
+		if err := run.Reduce(key, values, out, ctx); err != nil {
+			return err
+		}
+		// Drain any values the reducer did not consume so the next group
+		// starts at a group boundary.
+		for {
+			if _, more := values.Next(); !more {
+				break
+			}
+		}
+		if values.err != nil {
+			return values.err
+		}
+	}
+}
+
+// rawValues iterates one group's values straight off the merge, decoding
+// each where it stands in the tournament as it is asked for.
+type rawValues struct {
+	m     *RawMerge
+	err   error
+	first bool
+	done  bool
+}
+
+// Next implements mapred.ValueIterator.
+func (g *rawValues) Next() (wio.Writable, bool) {
+	if g.done || g.err != nil {
+		return nil, false
+	}
+	m := g.m
+	cur, ok := m.m.Peek()
+	if !ok {
+		return nil, false
+	}
+	if g.first {
+		g.first = false
+	} else if !m.sameGroup(&m.head, cur) {
+		g.done = true
+		return nil, false
+	}
+	if g.err = m.lc.Err(); g.err != nil {
+		return nil, false
+	}
+	v, err := decode(&m.rd, m.newVal, cur.V, "value")
+	if err == nil {
+		err = m.m.Advance()
+	}
+	if err != nil {
+		g.err = err
+		return nil, false
+	}
+	m.records.Increment(1)
+	return v, true
+}

@@ -1,0 +1,714 @@
+package engine_test
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"m3r/internal/conf"
+	"m3r/internal/engine"
+	"m3r/internal/mapred"
+	"m3r/internal/matrix"
+	"m3r/internal/spill"
+	"m3r/internal/types"
+	"m3r/internal/wio"
+)
+
+// The raw driver (ResolvedJob.OpenRawMerge + RawMerge.Reduce) is held to one
+// statement: a reducer sees what it would see had the same records been
+// decoded, concatenated in run order, SortPairs-sorted and fed through
+// DriveReduce — the same groups, each under the same key, the same values in
+// the same order — whatever the key type, the job's comparators, the kind of
+// leaf and the merge parallelism.
+
+// descText orders Text keys descending and has no raw form and no prefix.
+type descText struct{}
+
+func (descText) Compare(a, b wio.Writable) int { return b.(*types.Text).CompareTo(a) }
+
+// pairFirst groups Pair keys by their first component (a Text).
+type pairFirst struct{}
+
+func (pairFirst) Compare(a, b wio.Writable) int {
+	return a.(*types.Pair).First.(*types.Text).CompareTo(b.(*types.Pair).First)
+}
+
+// pairFirstRaw is pairFirst with a raw form: a serialized Pair is, per
+// component, the class name and the length-prefixed encoding.
+type pairFirstRaw struct{ pairFirst }
+
+func (pairFirstRaw) CompareRaw(a, b []byte) int {
+	first := func(b []byte) []byte {
+		var rd wio.Reader
+		rd.ResetBytes(b)
+		if _, err := rd.ReadString(); err != nil {
+			panic(err)
+		}
+		blob, err := rd.ReadBytes()
+		if err != nil {
+			panic(err)
+		}
+		return blob
+	}
+	return types.TextRawComparator{}.CompareRaw(first(a), first(b))
+}
+
+// firstLetter groups Text keys by their first byte — coarser than the sort
+// prefix, so keys of one group differ in it.
+type firstLetter struct{}
+
+func letter(b []byte) int {
+	if len(b) == 0 {
+		return -1
+	}
+	return int(b[0])
+}
+
+func (firstLetter) Compare(a, b wio.Writable) int {
+	return letter(a.(*types.Text).B) - letter(b.(*types.Text).B)
+}
+
+// firstLetterRaw is firstLetter with a raw form: a serialized Text of under
+// 128 bytes is one length byte and the bytes.
+type firstLetterRaw struct{ firstLetter }
+
+func (firstLetterRaw) CompareRaw(a, b []byte) int { return letter(a[1:]) - letter(b[1:]) }
+
+func init() {
+	mapred.RegisterComparator("test.raw.FirstLetter", func() wio.Comparator { return firstLetter{} })
+	mapred.RegisterComparator("test.raw.FirstLetterRaw", func() wio.Comparator { return firstLetterRaw{} })
+	mapred.RegisterComparator("test.raw.DescText", func() wio.Comparator { return descText{} })
+	mapred.RegisterComparator("test.raw.PairFirst", func() wio.Comparator { return pairFirst{} })
+	mapred.RegisterComparator("test.raw.PairFirstRaw", func() wio.Comparator { return pairFirstRaw{} })
+}
+
+func blockKey(r *keyBytes) wio.Writable {
+	return matrix.NewBlockKey(int32(int8(r.next()))/16, int32(int8(r.next()))/16)
+}
+
+// groupOrderKey draws a secondary-sort key: a Text group over three letters
+// and an Int order.
+func groupOrderKey(r *keyBytes) wio.Writable {
+	return types.NewPair(types.NewText(string("abc"[r.next()%3])), intKey(r))
+}
+
+// rawCases is every way a job resolves its order: each key type with a
+// registered raw comparator (prefixed), a key type with none, a named sort
+// comparator with no raw form, and secondary sorts — over a Pair's first
+// half, and over a Text's first letter, which cuts across sort prefixes —
+// whose grouping comparator has a raw form and whose has none.
+var rawCases = []struct {
+	name, keyClass string
+	key            func(*keyBytes) wio.Writable
+	sort, grouping string // registered comparator names, "" for the default
+	eager          bool   // the leaves decode every key
+}{
+	{name: "text", keyClass: types.TextName, key: textKey},
+	{name: "int", keyClass: types.IntName, key: intKey},
+	{name: "long", keyClass: types.LongName, key: longKey},
+	{name: "double", keyClass: types.DoubleName, key: doubleKey},
+	{name: "pair", keyClass: types.PairName, key: pairKey},
+	{name: "blockkey", keyClass: matrix.BlockKeyName, key: blockKey, eager: true},
+	{name: "sort-without-raw-form", keyClass: types.TextName, key: textKey, sort: "test.raw.DescText", eager: true},
+	{name: "secondary-sort/raw-grouping", keyClass: types.PairName, key: groupOrderKey, grouping: "test.raw.PairFirstRaw"},
+	{name: "secondary-sort/plain-grouping", keyClass: types.PairName, key: groupOrderKey, grouping: "test.raw.PairFirst", eager: true},
+	{name: "text/raw-grouping-coarser-than-the-prefix", keyClass: types.TextName, key: textKey, grouping: "test.raw.FirstLetterRaw"},
+	{name: "text/plain-grouping-coarser-than-the-prefix", keyClass: types.TextName, key: textKey, grouping: "test.raw.FirstLetter", eager: true},
+}
+
+func resolveRawCase(t testing.TB, i int) *engine.ResolvedJob {
+	t.Helper()
+	c := rawCases[i]
+	job := conf.NewJob()
+	job.SetMapOutputKeyClass(c.keyClass)
+	job.SetMapOutputValueClass(types.LongName)
+	if c.sort != "" {
+		job.Set(conf.KeySortComparatorClass, c.sort)
+	}
+	if c.grouping != "" {
+		job.Set(conf.KeyGroupingComparatorClass, c.grouping)
+	}
+	rj, err := engine.Resolve(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eager := rj.RawSortCmp == nil || rj.RawGroupCmp == nil; eager != c.eager {
+		t.Fatalf("%s resolves to RawSortCmp %v, RawGroupCmp %v: decoding at the leaf = %v, want %v",
+			c.name, rj.RawSortCmp, rj.RawGroupCmp, eager, c.eager)
+	}
+	return rj
+}
+
+// rawRuns draws 1–12 sorted runs of 0–23 records from data. Keys come from a
+// small pool drawn with key and are picked with a square-law skew, so a few
+// keys are hot — in one run and across runs — and the rest occur once or
+// never; every value is the record's position in the concatenation.
+func rawRuns(rj *engine.ResolvedJob, key func(*keyBytes) wio.Writable, data []byte) [][]wio.Pair {
+	r := &keyBytes{b: data}
+	pool := make([]wio.Writable, 1+r.next()%24)
+	for i := range pool {
+		pool[i] = key(r)
+	}
+	runs := make([][]wio.Pair, 1+r.next()%12)
+	seq := int64(0)
+	for i := range runs {
+		run := make([]wio.Pair, r.next()%24)
+		for j := range run {
+			c := int(r.next())
+			run[j] = wio.Pair{Key: pool[c*c*len(pool)>>16], Value: types.NewLong(seq)}
+			seq++
+		}
+		engine.SortPairs(run, rj.SortCmp)
+		runs[i] = run
+	}
+	return runs
+}
+
+// memSegment reads a resident raw-format segment as the M3R engine's
+// segmentSource does: views of the segment, cut one record at a time.
+type memSegment struct{ seg []byte }
+
+func (s *memSegment) Next() (spill.Rec, bool, error) {
+	if len(s.seg) == 0 {
+		return spill.Rec{}, false, nil
+	}
+	rec, rest, err := spill.CutRec(s.seg)
+	s.seg = rest
+	return rec, err == nil, err
+}
+
+func (s *memSegment) Close() error { return nil }
+
+// The kinds of leaf a serialized run is read through.
+const (
+	leafSegment = iota
+	leafRawStream
+	leafFlateStream
+	leafMixed // run i through kind i%3
+	leafKinds
+)
+
+func runRecs(t testing.TB, run []wio.Pair) []spill.Rec {
+	t.Helper()
+	recs := make([]spill.Rec, len(run))
+	for j, p := range run {
+		kb, vb := pairBytes(t, p)
+		recs[j] = spill.Rec{K: kb, V: vb}
+	}
+	return recs
+}
+
+// rawLeaves serializes runs into one leaf each.
+func rawLeaves(t testing.TB, dir string, runs [][]wio.Pair, kind int) []engine.RecSource {
+	t.Helper()
+	srcs := make([]engine.RecSource, len(runs))
+	for i, run := range runs {
+		recs := runRecs(t, run)
+		k := kind
+		if kind == leafMixed {
+			k = i % 3
+		}
+		if k == leafSegment {
+			var seg []byte
+			for _, r := range recs {
+				seg = spill.AppendRec(seg, r)
+			}
+			srcs[i] = &memSegment{seg}
+			continue
+		}
+		codec := spill.CodecNone
+		if k == leafFlateStream {
+			codec = spill.CodecFlate
+		}
+		enc, err := spill.EncodeRun(recs, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("run_%d", i))
+		if _, err := spill.WriteEncodedFile(path, enc); err != nil {
+			t.Fatal(err)
+		}
+		s, err := spill.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = s
+	}
+	return srcs
+}
+
+// seenGroup is one Reduce call as the reducer saw it, serialized on the
+// spot.
+type seenGroup struct {
+	key    string
+	values []string
+}
+
+// recordingReducer notes every group it is handed. take bounds the values it
+// asks for per group (negative: all of them), keep makes it hold on to every
+// object it was handed, and fail, when set, is returned from — or, with
+// panics, thrown out of — the middle of the failAt-th group, after one value.
+type recordingReducer struct {
+	take   int
+	keep   bool
+	groups []seenGroup
+	kept   []wio.Writable
+	keptAs []string
+
+	fail   error
+	panics bool
+	failAt int
+	closed int
+}
+
+func (r *recordingReducer) Configure(*conf.JobConf) {}
+
+func (r *recordingReducer) Close() error { r.closed++; return nil }
+
+func (r *recordingReducer) hold(w wio.Writable) string {
+	b, err := wio.Marshal(w)
+	if err != nil {
+		panic(err)
+	}
+	if r.keep {
+		r.kept, r.keptAs = append(r.kept, w), append(r.keptAs, string(b))
+	}
+	return string(b)
+}
+
+func (r *recordingReducer) Reduce(key wio.Writable, values mapred.ValueIterator, _ mapred.OutputCollector, _ *engine.TaskContext) error {
+	g := seenGroup{key: r.hold(key)}
+	for n := 0; r.take < 0 || n < r.take; n++ {
+		v, ok := values.Next()
+		if !ok {
+			break
+		}
+		g.values = append(g.values, r.hold(v))
+		if r.fail != nil && len(r.groups) == r.failAt {
+			if r.panics {
+				panic(r.fail)
+			}
+			return r.fail
+		}
+	}
+	r.groups = append(r.groups, g)
+	return nil
+}
+
+var discard = mapred.CollectorFunc(func(_, _ wio.Writable) error { return nil })
+
+// referenceReduce is the statement's right-hand side.
+func referenceReduce(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, take int) (*recordingReducer, *engine.TaskContext) {
+	t.Helper()
+	var all []wio.Pair
+	for _, run := range runs {
+		all = append(all, run...)
+	}
+	engine.SortPairs(all, rj.SortCmp)
+	red, ctx := &recordingReducer{take: take}, engine.NewTaskContext(rj.Job, "reference", nil)
+	if err := engine.DriveReduce(red, rj.GroupCmp, engine.SlicePairs(all), discard, ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	return red, ctx
+}
+
+// rawReduce runs red over srcs through the raw driver at the given merge
+// parallelism (1: serial; staging engages from four runs up).
+func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, par int, lc *engine.JobLifecycle,
+	red engine.ReduceRun) (*engine.TaskContext, error) {
+	ctx := engine.NewTaskContext(rj.Job, "raw", nil)
+	cfg := engine.MergeConfig{Parallelism: par, MinRuns: 1, Lifecycle: lc}
+	m, err := rj.OpenRawMerge(srcs, rj.Job.MapOutputKeyClass(), cfg, ctx.Cells.ParallelMergeStages)
+	if err != nil {
+		return ctx, err
+	}
+	err = m.Reduce(rj.Job.MapOutputValueClass(), red, discard, ctx)
+	if cerr := m.Close(); err == nil {
+		err = cerr
+	}
+	return ctx, err
+}
+
+// rawMismatch holds the raw driver to the reference for one run set, leaf
+// kind and parallelism, under a reducer that reads everything and one that
+// abandons every group after its first value, and checks what a retaining
+// reducer was handed.
+func rawMismatch(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, kind, par int) error {
+	dir := t.TempDir()
+	for _, take := range []int{-1, 1} {
+		want, wantCtx := referenceReduce(t, rj, runs, take)
+		got := &recordingReducer{take: take, keep: true}
+		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), par, nil, got)
+		if err != nil {
+			return err
+		}
+		if len(got.groups) != len(want.groups) {
+			return fmt.Errorf("take %d: %d groups, the reference has %d", take, len(got.groups), len(want.groups))
+		}
+		for i, g := range got.groups {
+			if w := want.groups[i]; g.key != w.key || !slices.Equal(g.values, w.values) {
+				return fmt.Errorf("take %d: group %d is %x with values %x, the reference has %x with %x",
+					take, i, g.key, g.values, w.key, w.values)
+			}
+		}
+		if got.closed != 1 {
+			return fmt.Errorf("take %d: the reducer was closed %d times", take, got.closed)
+		}
+		for _, cell := range []func(*engine.TaskContext) int64{
+			func(c *engine.TaskContext) int64 { return c.Cells.ReduceInputGroups.Value() },
+			func(c *engine.TaskContext) int64 { return c.Cells.ReduceInputRecords.Value() },
+		} {
+			if cell(ctx) != cell(wantCtx) {
+				return fmt.Errorf("take %d: the driver counted %d, the reference %d", take, cell(ctx), cell(wantCtx))
+			}
+		}
+		// An M3R reducer may keep what it is handed: every key and value
+		// is an object of its own and still reads as it did then.
+		distinct := make(map[wio.Writable]bool, len(got.kept))
+		for i, w := range got.kept {
+			if distinct[w] {
+				return fmt.Errorf("take %d: object %d was handed out twice", take, i)
+			}
+			distinct[w] = true
+			if b, _ := wio.Marshal(w); string(b) != got.keptAs[i] {
+				return fmt.Errorf("take %d: object %d was %x when handed out and is %x after the reduce", take, i, got.keptAs[i], b)
+			}
+		}
+	}
+	return nil
+}
+
+func TestRawReduceMatchesDriveReduce(t *testing.T) {
+	base := spill.OpenStreamCount()
+	rng := rand.New(rand.NewSource(24))
+	for i, c := range rawCases {
+		rj := resolveRawCase(t, i)
+		for round := 0; round < 8; round++ {
+			data := make([]byte, 1024)
+			rng.Read(data)
+			runs := rawRuns(rj, c.key, data)
+			for kind := 0; kind < leafKinds; kind++ {
+				for _, par := range []int{1, 3} {
+					if err := rawMismatch(t, rj, runs, kind, par); err != nil {
+						t.Fatalf("%s, round %d (%d runs), leaf kind %d, parallelism %d: %v", c.name, round, len(runs), kind, par, err)
+					}
+				}
+			}
+		}
+	}
+	if n := spill.OpenStreamCount(); n != base {
+		t.Errorf("%d spill streams left open", n-base)
+	}
+}
+
+// TestRawReduceShapes pins the run-set shapes a random draw seldom makes:
+// every run empty, one record in all, one record a run under one key, and
+// twelve runs that are each the same hot key.
+func TestRawReduceShapes(t *testing.T) {
+	rj := resolveRawCase(t, 0)
+	one := func(s string, v int64) wio.Pair { return wio.Pair{Key: types.NewText(s), Value: types.NewLong(v)} }
+	var oneEach, hot [][]wio.Pair
+	for i := 0; i < 12; i++ {
+		oneEach = append(oneEach, []wio.Pair{one("abcdefgh\x00", int64(i))})
+		var run []wio.Pair
+		for j := 0; j < 20; j++ {
+			run = append(run, one("abcdefghi", int64(20*i+j)))
+		}
+		hot = append(hot, run)
+	}
+	for name, runs := range map[string][][]wio.Pair{
+		"all-empty":  {nil, nil, nil, nil, nil},
+		"one-record": {nil, {one("", 0)}, nil},
+		"one-each":   oneEach,
+		"one-hot":    hot,
+	} {
+		for kind := 0; kind < leafKinds; kind++ {
+			for _, par := range []int{1, 3} {
+				if err := rawMismatch(t, rj, runs, kind, par); err != nil {
+					t.Errorf("%s, leaf kind %d, parallelism %d: %v", name, kind, par, err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRawReduce draws the job shape, the leaf kind, the parallelism and the
+// run set from the input.
+func FuzzRawReduce(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 2, 1, 2, 3, 1, 2, 0, 5, 4, 9, 9, 9, 200, 3, 1, 1, 1})
+	f.Add(append([]byte{7, 7}, slices.Repeat([]byte{11, 0, 1, 2, 0x7f, 0x80, 250, 3}, 24)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 1<<11 {
+			return
+		}
+		i := int(data[0]) % len(rawCases)
+		rj := resolveRawCase(t, i)
+		kind, par := int(data[1])%leafKinds, 1+int(data[1])/leafKinds%2*2
+		if err := rawMismatch(t, rj, rawRuns(rj, rawCases[i].key, data[2:]), kind, par); err != nil {
+			t.Fatalf("%s, leaf kind %d, parallelism %d: %v", rawCases[i].name, kind, par, err)
+		}
+	})
+}
+
+// errLeaf fails after n good records.
+type errLeaf struct {
+	inner  engine.RecSource
+	n      int
+	closed bool
+}
+
+var errLeafRead = errors.New("injected leaf read error")
+
+func (l *errLeaf) Next() (spill.Rec, bool, error) {
+	if l.n == 0 {
+		return spill.Rec{}, false, errLeafRead
+	}
+	l.n--
+	return l.inner.Next()
+}
+
+func (l *errLeaf) Close() error { l.closed = true; return l.inner.Close() }
+
+// TestRawReduceFailurePaths: whatever ends a reduce early — a leaf that
+// fails mid-run or is truncated on disk, a value that does not decode, a
+// reducer that returns an error or panics inside a group, a kill inside a
+// group — surfaces as that error, stops the driver within a record of it and
+// leaves no stream open, serial or staged.
+func TestRawReduceFailurePaths(t *testing.T) {
+	rj := resolveRawCase(t, 0)
+	var runs [][]wio.Pair
+	for i := 0; i < 8; i++ {
+		var run []wio.Pair
+		for j := 0; j < 300; j++ {
+			run = append(run, wio.Pair{Key: types.NewText(fmt.Sprintf("k%d", j/100)), Value: types.NewLong(int64(300*i + j))})
+		}
+		runs = append(runs, run)
+	}
+	errReduce := errors.New("injected reducer error")
+	for _, par := range []int{1, 3} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			base := spill.OpenStreamCount()
+			leaves := func() []engine.RecSource { return rawLeaves(t, t.TempDir(), runs, leafMixed) }
+
+			srcs := leaves()
+			bad := &errLeaf{inner: srcs[5], n: 150}
+			srcs[5] = bad
+			if _, err := rawReduce(rj, srcs, par, nil, &recordingReducer{take: -1}); !errors.Is(err, errLeafRead) || !bad.closed {
+				t.Errorf("failing leaf: error %v, leaf closed %v; want the leaf's error and the leaf closed", err, bad.closed)
+			}
+
+			dir := t.TempDir()
+			srcs = rawLeaves(t, dir, runs, leafFlateStream)
+			srcs[2].Close()
+			path := filepath.Join(dir, "run_2")
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, full[:len(full)-7], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if srcs[2], err = spill.OpenSegment(path, spill.Segment{Len: int64(len(full))}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rawReduce(rj, srcs, par, nil, &recordingReducer{take: -1}); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("truncated block: error %v, want io.ErrUnexpectedEOF", err)
+			}
+
+			srcs = leaves()
+			srcs[0] = &memSegment{spill.AppendRec(nil, spill.Rec{K: []byte{1, 'a'}, V: []byte{1, 2, 3}})}
+			if _, err := rawReduce(rj, srcs, par, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
+				t.Errorf("three-byte LongWritable: error %v, want one that names the value's decoding", err)
+			}
+
+			red := &recordingReducer{take: -1, fail: errReduce, failAt: 1}
+			ctx, err := rawReduce(rj, leaves(), par, nil, red)
+			if !errors.Is(err, errReduce) || red.closed != 0 {
+				t.Errorf("reducer error: error %v, reducer closed %d times; want the reducer's error and no Close", err, red.closed)
+			}
+			if n := ctx.Cells.ReduceInputRecords.Value(); n != 800+1 {
+				t.Errorf("reducer error after one value of the second group: %d records consumed, want 801", n)
+			}
+
+			red = &recordingReducer{take: -1, fail: errReduce, failAt: 1, panics: true}
+			func() {
+				defer func() {
+					if p := recover(); p != errReduce {
+						t.Errorf("reducer panic: recovered %v", p)
+					}
+				}()
+				m, err := rj.OpenRawMerge(leaves(), types.TextName, engine.MergeConfig{Parallelism: par, MinRuns: 1}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// As a reduce task holds it: closed on the way out of a panic.
+				defer m.Close()
+				m.Reduce(types.LongName, red, discard, engine.NewTaskContext(rj.Job, "panic", nil))
+			}()
+
+			// A kill inside a group: the reducer kills its own job after the
+			// group's 10th value and keeps asking.
+			lc := engine.NewJobLifecycle()
+			killer := &killingReducer{lc: lc, after: 10}
+			ctx, err = rawReduce(rj, leaves(), par, lc, killer)
+			if !errors.Is(err, engine.ErrJobKilled) {
+				t.Errorf("kill inside a group: error %v, want ErrJobKilled", err)
+			}
+			if n := ctx.Cells.ReduceInputRecords.Value(); n != 10 || killer.asked != 11 {
+				t.Errorf("kill inside a group: %d records consumed over %d asks, want 10 over 11: the value after the kill must not be handed out", n, killer.asked)
+			}
+
+			// And one in a group the reducer abandons: the drain stops too.
+			lc = engine.NewJobLifecycle()
+			killer = &killingReducer{lc: lc, after: 10, abandon: true}
+			ctx, err = rawReduce(rj, leaves(), par, lc, killer)
+			if !errors.Is(err, engine.ErrJobKilled) {
+				t.Errorf("kill before a drain: error %v, want ErrJobKilled", err)
+			}
+			if n := ctx.Cells.ReduceInputRecords.Value(); n != 10 {
+				t.Errorf("kill before a drain: %d records consumed, want 10", n)
+			}
+
+			if n := spill.OpenStreamCount(); n != base {
+				t.Errorf("%d spill streams left open", n-base)
+			}
+		})
+	}
+}
+
+// killingReducer kills its job after `after` values of its first group, then
+// either keeps asking for values or returns and leaves the rest to the
+// driver's drain.
+type killingReducer struct {
+	lc      *engine.JobLifecycle
+	after   int
+	abandon bool
+	asked   int
+}
+
+func (r *killingReducer) Configure(*conf.JobConf) {}
+func (r *killingReducer) Close() error            { return nil }
+
+func (r *killingReducer) Reduce(_ wio.Writable, values mapred.ValueIterator, _ mapred.OutputCollector, _ *engine.TaskContext) error {
+	for n := 0; ; n++ {
+		if n == r.after {
+			r.lc.Kill(nil)
+			if r.abandon {
+				return nil
+			}
+		}
+		r.asked++
+		if _, ok := values.Next(); !ok {
+			return nil
+		}
+	}
+}
+
+// sumReducer is WordCount's reducer.
+type sumReducer struct{}
+
+func (sumReducer) Configure(*conf.JobConf) {}
+func (sumReducer) Close() error            { return nil }
+
+func (sumReducer) Reduce(key wio.Writable, values mapred.ValueIterator, out mapred.OutputCollector, _ *engine.TaskContext) error {
+	var sum int32
+	for v, ok := values.Next(); ok; v, ok = values.Next() {
+		sum += v.(*types.IntWritable).V
+	}
+	return out.Collect(key, types.NewInt(sum))
+}
+
+// BenchmarkRawReduce is the reduce side of a combiner-less WordCount
+// partition under a budget: nine resident runs of 3 000 (Text, Int) records
+// merged, grouped and summed. decode-at-leaf is what the engines ran before
+// the raw driver — every record decoded where it enters the merge, objects
+// compared through the tournament, DriveReduce — and stays here as the
+// baseline; raw is RawMerge.Reduce. zipf draws WordCount's keys (Zipf 1.3
+// over a thousand words: long groups, equal heads); distinct gives every
+// record its own key, the shape on which the equal-head rule only costs.
+func BenchmarkRawReduce(b *testing.B) {
+	const runCount, runLen = 9, 3000
+	job := conf.NewJob()
+	job.SetMapOutputKeyClass(types.TextName)
+	job.SetMapOutputValueClass(types.IntName)
+	rj, err := engine.Resolve(job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	zipf := rand.NewZipf(rng, 1.3, 1.0, 999)
+	keys := map[string]func(i int) string{
+		"zipf":     func(int) string { return fmt.Sprintf("word%04d", zipf.Uint64()) },
+		"distinct": func(i int) string { return fmt.Sprintf("w%07d", i*7919%(runCount*runLen)) },
+	}
+	for _, shape := range []string{"zipf", "distinct"} {
+		segs := make([][]byte, runCount)
+		for i := range segs {
+			run := make([]wio.Pair, runLen)
+			for j := range run {
+				run[j] = wio.Pair{Key: types.NewText(keys[shape](i*runLen + j)), Value: types.NewInt(1)}
+			}
+			engine.SortPairs(run, rj.SortCmp)
+			for _, r := range runRecs(b, run) {
+				segs[i] = spill.AppendRec(segs[i], r)
+			}
+		}
+		leaves := func() []engine.RecSource {
+			srcs := make([]engine.RecSource, runCount)
+			for i, seg := range segs {
+				srcs[i] = &memSegment{seg}
+			}
+			return srcs
+		}
+		rows := map[string]func(ctx *engine.TaskContext) error{
+			"decode-at-leaf": func(ctx *engine.TaskContext) error {
+				readers := make([]engine.RunReader, runCount)
+				for i, src := range leaves() {
+					readers[i] = newDecodedRun(b, src, types.TextName, types.IntName)
+				}
+				m, err := engine.NewMergeIter(readers, rj.SortCmp)
+				if err != nil {
+					return err
+				}
+				defer m.Close()
+				return engine.DriveReduce(sumReducer{}, rj.GroupCmp, m, discard, ctx, false)
+			},
+			"raw": func(ctx *engine.TaskContext) error {
+				m, err := rj.OpenRawMerge(leaves(), types.TextName, engine.MergeConfig{}, nil)
+				if err != nil {
+					return err
+				}
+				defer m.Close()
+				return m.Reduce(types.IntName, sumReducer{}, discard, ctx)
+			},
+		}
+		for _, row := range []string{"decode-at-leaf", "raw"} {
+			b.Run(shape+"/"+row, func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctx := engine.NewTaskContext(job, "bench", nil)
+					if err := rows[row](ctx); err != nil {
+						b.Fatal(err)
+					}
+					if n := ctx.Cells.ReduceInputRecords.Value(); n != runCount*runLen {
+						b.Fatalf("reduced %d records, want %d", n, runCount*runLen)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				recs := float64(b.N) * runCount * runLen
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
+			})
+		}
+	}
+}

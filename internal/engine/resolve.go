@@ -44,6 +44,12 @@ type ResolvedJob struct {
 	// RawSortCmp orders serialized keys without deserializing when the key
 	// type provides it; nil otherwise.
 	RawSortCmp wio.RawComparator
+	// RawGroupCmp finds group boundaries on serialized keys: GroupCmp when it
+	// compares raw bytes; nil when only GroupCmp on decoded keys is right.
+	RawGroupCmp wio.RawComparator
+	// GroupsBySort reports that the job names no grouping comparator: a
+	// group is a run of keys equal under the sort order.
+	GroupsBySort bool
 
 	// MapImmutable reports that both the mapper and the map runner carry
 	// the ImmutableOutput marker, so map output may be aliased (§4.1).
@@ -158,14 +164,15 @@ func Resolve(job *conf.JobConf) (*ResolvedJob, error) {
 			rj.SortCmp = raw
 		}
 	}
-	rj.GroupCmp = rj.SortCmp
+	rj.GroupCmp, rj.GroupsBySort = rj.SortCmp, true
 	if name := job.Get(conf.KeyGroupingComparatorClass); name != "" {
 		c, err := registry.New(registry.KindComparator, name)
 		if err != nil {
 			return nil, err
 		}
-		rj.GroupCmp = c.(wio.Comparator)
+		rj.GroupCmp, rj.GroupsBySort = c.(wio.Comparator), false
 	}
+	rj.RawGroupCmp, _ = rj.GroupCmp.(wio.RawComparator)
 
 	if rj.HasCombiner && job.Get(conf.KeySortComparatorClass) == "" && job.Get(conf.KeyGroupingComparatorClass) == "" {
 		if newKey, err := wio.Factory(job.MapOutputKeyClass()); err == nil {

@@ -288,7 +288,7 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 	segments := make([]spill.Segment, numParts)
 	var off, rawTotal int64
 	for p := 0; p < numParts; p++ {
-		var streams []*spill.Stream
+		var streams []engine.RecSource
 		for _, sp := range b.spills {
 			s, err := spill.OpenSegment(sp.path, sp.segments[p])
 			if err != nil {
@@ -298,7 +298,7 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 			}
 			streams = append(streams, s)
 		}
-		m, err := newMerger(streams, b.cmp)
+		m, err := b.run.Resolved.OpenRawMerge(streams, b.run.Conf.MapOutputKeyClass(), engine.MergeConfig{}, nil)
 		if err != nil {
 			f.Close()
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"m3r/internal/engine"
 	"m3r/internal/spill"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -24,7 +25,7 @@ func marshalInt(t *testing.T, v int32) []byte {
 // global sorted order with stable tie-breaks.
 func TestMergerProducesGlobalOrder(t *testing.T) {
 	dir := t.TempDir()
-	var streams []*spill.Stream
+	var streams []engine.RecSource
 	// Three sorted runs with interleaved and duplicate keys.
 	runs := [][]int32{
 		{1, 4, 7, 7, 100},
@@ -52,7 +53,10 @@ func TestMergerProducesGlobalOrder(t *testing.T) {
 		}
 		streams = append(streams, s)
 	}
-	m, err := newMerger(streams, types.IntRawComparator{})
+	// The map-side merge of a job with IntWritable keys.
+	cmp := types.IntRawComparator{}
+	rj := &engine.ResolvedJob{SortCmp: cmp, GroupCmp: cmp, RawSortCmp: cmp, RawGroupCmp: cmp, GroupsBySort: true}
+	m, err := rj.OpenRawMerge(streams, types.IntName, engine.MergeConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

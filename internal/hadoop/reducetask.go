@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"m3r/internal/conf"
 	"m3r/internal/counters"
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
@@ -34,12 +33,9 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 		return err
 	}
 
-	// Sort phase: external k-way merge of the fetched (sorted) segments.
-	rawCmp, err := r.Resolved.RawKeyComparator(r.Conf.MapOutputKeyClass())
-	if err != nil {
-		return err
-	}
-	var streams []*spill.Stream
+	// Sort phase: external k-way merge of the fetched (sorted) segments, raw:
+	// a record stays bytes until the reducer is handed it.
+	var streams []engine.RecSource
 	for _, p := range segPaths {
 		s, err := spill.OpenFile(p)
 		if err != nil {
@@ -51,10 +47,11 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 	// The segment merge stages across worker goroutines when the task has
 	// enough map segments and the job asks for it (conf.KeyMergeParallelism)
 	// — byte-identical output either way. The lifecycle lets a kill abort
-	// an engaged staged merge's workers directly.
+	// an engaged staged merge's workers directly, and is the reduce loop's
+	// per-record cancel check.
 	mergeCfg := engine.MergeConfigFromJob(taskJob)
 	mergeCfg.Lifecycle = r.Lifecycle
-	m, err := newStagedMerger(streams, rawCmp, mergeCfg, ctx.Cells.ParallelMergeStages)
+	m, err := r.Resolved.OpenRawMerge(streams, r.Conf.MapOutputKeyClass(), mergeCfg, ctx.Cells.ParallelMergeStages)
 	if err != nil {
 		return err
 	}
@@ -81,7 +78,7 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 		return out.Write(key, value)
 	})
 
-	if err := r.driveGroupedReduce(m, reducer, collector, ctx); err != nil {
+	if err := m.Reduce(r.Conf.MapOutputValueClass(), reducer, collector, ctx); err != nil {
 		return err
 	}
 	return out.Commit()
@@ -137,145 +134,4 @@ func (r *jobRun) fetchSegments(partition int, node, reduceDir string, ctx *engin
 		out = append(out, dstPath)
 	}
 	return out, nil
-}
-
-// groupingRawComparator returns a raw comparator for group-boundary
-// detection when one is sound: the grouping comparator itself when it
-// compares raw bytes, else the key type's raw comparator when no explicit
-// grouping comparator overrides the sort order. Returns nil when only the
-// deserializing path is correct.
-func (r *jobRun) groupingRawComparator() wio.RawComparator {
-	if raw, ok := r.Resolved.GroupCmp.(wio.RawComparator); ok {
-		return raw
-	}
-	if r.Conf.Get(conf.KeyGroupingComparatorClass) == "" {
-		return r.Resolved.RawSortCmp
-	}
-	return nil
-}
-
-// driveGroupedReduce streams the merged record sequence into the reducer
-// group by group, deserializing records into fresh writables. Group
-// boundaries are detected on the serialized keys when a raw comparator is
-// available (Hadoop's fast path), else by deserializing.
-func (r *jobRun) driveGroupedReduce(m *merger, reducer engine.ReduceRun,
-	out mapred.OutputCollector, ctx *engine.TaskContext) error {
-	keyClass := r.Conf.MapOutputKeyClass()
-	valClass := r.Conf.MapOutputValueClass()
-	rawGroup := r.groupingRawComparator()
-	newKey := func(b []byte) (wio.Writable, error) {
-		k, err := wio.New(keyClass)
-		if err != nil {
-			return nil, err
-		}
-		return k, wio.Unmarshal(b, k)
-	}
-	newVal := func(b []byte) (wio.Writable, error) {
-		v, err := wio.New(valClass)
-		if err != nil {
-			return nil, err
-		}
-		return v, wio.Unmarshal(b, v)
-	}
-
-	cur, ok, err := m.Next()
-	if err != nil {
-		return err
-	}
-	for ok {
-		// Per-group cancel check; values consumed by the reducer poll again
-		// through the output collector, and the drain loop below covers
-		// groups the reducer abandons early.
-		if err := r.Lifecycle.Err(); err != nil {
-			return err
-		}
-		groupKey, err := newKey(cur.K)
-		if err != nil {
-			return err
-		}
-		groupKeyBytes := append([]byte(nil), cur.K...)
-		ctx.Cells.ReduceInputGroups.Increment(1)
-		it := &mergeValues{
-			run: r, m: m, cur: &cur, ok: &ok,
-			groupKey: groupKey, groupKeyBytes: groupKeyBytes,
-			rawGroup: rawGroup, newVal: newVal, ctx: ctx,
-		}
-		if err := reducer.Reduce(groupKey, it, out, ctx); err != nil {
-			return err
-		}
-		// Drain any values the reducer did not consume so the next group
-		// starts at a group boundary. A kill lands at the next drained value:
-		// an unbounded group cannot pin a killed task.
-		for {
-			if err := r.Lifecycle.Err(); err != nil {
-				return err
-			}
-			if _, more := it.Next(); !more {
-				break
-			}
-		}
-		if it.err != nil {
-			return it.err
-		}
-	}
-	return reducer.Close()
-}
-
-// mergeValues iterates the values of the current group directly off the
-// merger, advancing it until the grouping comparator reports a new key.
-type mergeValues struct {
-	run           *jobRun
-	m             *merger
-	cur           *spill.Rec
-	ok            *bool
-	groupKey      wio.Writable
-	groupKeyBytes []byte
-	rawGroup      wio.RawComparator
-	newVal        func([]byte) (wio.Writable, error)
-	ctx           *engine.TaskContext
-	err           error
-	done          bool
-}
-
-// Next implements mapred.ValueIterator.
-func (it *mergeValues) Next() (wio.Writable, bool) {
-	if it.done || it.err != nil || !*it.ok {
-		return nil, false
-	}
-	// Does the current record still belong to this group? Compare the
-	// serialized keys when possible; deserialize otherwise.
-	if it.rawGroup != nil {
-		if it.rawGroup.CompareRaw(it.groupKeyBytes, it.cur.K) != 0 {
-			it.done = true
-			return nil, false
-		}
-	} else {
-		curKey, err := wio.New(it.run.Conf.MapOutputKeyClass())
-		if err != nil {
-			it.err = err
-			return nil, false
-		}
-		if err := wio.Unmarshal(it.cur.K, curKey); err != nil {
-			it.err = err
-			return nil, false
-		}
-		if it.run.Resolved.GroupCmp.Compare(it.groupKey, curKey) != 0 {
-			it.done = true
-			return nil, false
-		}
-	}
-	v, err := it.newVal(it.cur.V)
-	if err != nil {
-		it.err = err
-		return nil, false
-	}
-	it.ctx.Cells.ReduceInputRecords.Increment(1)
-	next, ok, err := it.m.Next()
-	if err != nil {
-		it.err = err
-		return nil, false
-	}
-	*it.cur = next
-	*it.ok = ok
-	return v, true
 }

@@ -173,6 +173,15 @@ func orderInput(t *testing.T, fs dfs.FileSystem, dir string) {
 // partitioner (FNV-1a of the key bytes, here from hash/fnv).
 func orderReference(t *testing.T, fs dfs.FileSystem, dir string, combine, reduce func([][]byte) [][]byte, R int) map[string][]byte {
 	t.Helper()
+	return orderReferenceBy(t, fs, dir, func(k []byte) []byte { return k }, combine, reduce, R)
+}
+
+// orderReferenceBy is orderReference for a secondary sort: records sort on
+// the whole key, and group — and partition — on what groupOf cuts from it; a
+// group is emitted under its first key.
+func orderReferenceBy(t *testing.T, fs dfs.FileSystem, dir string, groupOf func(k []byte) []byte,
+	combine, reduce func([][]byte) [][]byte, R int) map[string][]byte {
+	t.Helper()
 	files, err := dfs.ListRecursive(fs, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +213,12 @@ func orderReference(t *testing.T, fs dfs.FileSystem, dir string, combine, reduce
 	for i := 0; i < len(mapped); {
 		var group [][]byte
 		j := i
-		for ; j < len(mapped) && bytes.Equal(mapped[j].k, mapped[i].k); j++ {
+		for ; j < len(mapped) && bytes.Equal(groupOf(mapped[j].k), groupOf(mapped[i].k)); j++ {
 			group = append(group, mapped[j].v)
 		}
 		if combined := combine(group); len(combined) > 0 {
 			h := fnv.New32a()
-			h.Write(mapped[i].k)
+			h.Write(groupOf(mapped[i].k))
 			part := fmt.Sprintf("part-%05d", h.Sum32()%uint32(R))
 			for _, v := range reduce(combined) {
 				parts[part] = fmt.Appendf(parts[part], "%s\t%s\n", mapped[i].k, v)

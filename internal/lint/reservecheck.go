@@ -9,7 +9,7 @@ import (
 // Reservecheck enforces budget-reservation pairing on the engine pool:
 // every JobBudget/BudgetPool Reserve or ReserveEvicting must (a) have its
 // admission result checked, and (b) sit in a function from which a
-// matching Release, Drain, or NewReleasingRunReader handoff is reachable
+// matching Release, Drain, or NewReleasingSource handoff is reachable
 // through same-package calls — or, failing that, in a package that drains
 // its budgets at end of job (the cleanup backstop the pool's
 // drain-to-zero harnesses assert). The pool's own package is exempt: it
@@ -46,7 +46,7 @@ func runReservecheck(pass *Pass) []Diag {
 				return true
 			}
 			if isBudgetMethod(fn, "Release") || isBudgetMethod(fn, "Drain") ||
-				(fn.Pkg() != nil && fn.Pkg().Path() == enginePath && fn.Name() == "NewReleasingRunReader") {
+				(fn.Pkg() != nil && fn.Pkg().Path() == enginePath && fn.Name() == "NewReleasingSource") {
 				if obj != nil {
 					seed[obj] = true
 				}

@@ -25,8 +25,9 @@ import (
 //	         order into one exactly sized raw-format segment per partition
 //	admit    the segment is what the reservation holds; overflow and
 //	         eviction pass it through the spill codec (spill.EncodeSegment)
-//	merge    a resident segment and a spilled run enter the tournament
-//	         through the same decoding leaf
+//	merge    a resident segment and a spilled run enter the tournament as
+//	         raw records under one keyed leaf (engine.RawMerge); the key is
+//	         decoded once per group, a value when the reducer asks for it
 //
 // A frame is the second wire layout beside wio.Encoder's stream:
 //
@@ -465,7 +466,7 @@ type segmentSource struct{ seg []byte }
 func (s *segmentSource) Next() (spill.Rec, bool, error) {
 	if len(s.seg) == 0 {
 		// Drop the segment at exhaustion: the physical counterpart of the
-		// budget release the wrapping ReleasingRunReader performs now.
+		// budget release the wrapping engine.NewReleasingSource performs now.
 		s.seg = nil
 		return spill.Rec{}, false, nil
 	}

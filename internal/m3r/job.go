@@ -192,7 +192,7 @@ type jobExec struct {
 	// in the shared spill record format (internal/spill) — against
 	// budgets[place], the job's tagged view of the place's pool. Runs that
 	// cannot be admitted go to disk through the spill codec and re-enter the
-	// merge through the same decoding leaf as the resident ones. Under
+	// merge as the resident ones do, as raw records (engine.RawMerge). Under
 	// contention the largest-first policy may instead re-spill a larger cold
 	// resident run (tracked per place in resident) to keep the smaller
 	// newcomer in memory. The reservations release incrementally as reduce

@@ -18,7 +18,7 @@ import (
 // Under a shuffle memory budget the runs are serialized: resident as
 // segments in the shared spill record format, or, when they do not fit their
 // place's accountant, on disk in the same format; both enter the same merge
-// through decoding leaves.
+// as raw records (takeSources).
 type partitionInput struct {
 	x     *jobExec
 	place int
@@ -38,10 +38,10 @@ type sourceRun struct {
 	*serializedRun
 }
 
-// serializedRun is a budgeted job's run, bytes from collect to merge:
+// serializedRun is a budgeted job's run, bytes from collect to reducer:
 // exactly one of seg, the run resident as a raw-format segment, and
 // spillPath, the run in a spill file, with the key/value class names the
-// merge leaf decodes them as beside it (in memory, not on disk, keeping the
+// reduce decodes them as beside it (in memory, not on disk, keeping the
 // file format byte-identical to the Hadoop engine's). size is what a resident
 // segment holds reserved, Σ spill.Rec.Size() over its nrecs records and never
 // less than len(seg); it goes back to the place's budget pool when the reduce
@@ -177,51 +177,61 @@ func (pi *partitionInput) install(r *sourceRun) {
 	pi.mu.Unlock()
 }
 
-// takeReaders returns one merge leaf per accumulated run, ordered by source
-// task, detaching them from the partition. Source order is the merge's
-// stability tie-break: equal keys surface in map-task order, exactly as a
-// concatenate-then-stable-sort of the runs would produce them, whether a run
-// stayed resident or spilled.
-//
-// An unbudgeted job's runs are read where they lie. A budgeted job has one
-// leaf kind, the decoding reader — over the segment in memory or the spill
-// file's stream — so its records become objects once, here. A resident
-// segment's leaf gets the incremental-release wrapper: as the merge exhausts
-// (or abandons) the run, its reservation returns to the place's accountant,
-// so a long reduce phase frees memory while it is still running.
-func (pi *partitionInput) takeReaders(ctx *engine.TaskContext) ([]engine.RunReader, error) {
-	x := pi.x
+// takeRuns detaches the partition's runs, ordered by source task. Source
+// order is the merge's stability tie-break: equal keys surface in map-task
+// order, exactly as a concatenate-then-stable-sort of the runs would produce
+// them, whether a run stayed resident or spilled.
+func (pi *partitionInput) takeRuns() []*sourceRun {
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	slices.SortStableFunc(pi.runs, func(a, b *sourceRun) int { return a.src - b.src })
-	out := make([]engine.RunReader, 0, len(pi.runs))
-	for _, r := range pi.runs {
-		switch {
-		case x.budgets == nil:
-			out = append(out, engine.NewSliceRunReader(r.pairs))
-		case r.spillPath == "":
-			rd := engine.NewDecodingRunReader(&segmentSource{r.seg}, r.keyClass, r.valClass)
-			out = append(out, releasingReader(rd, x.budgets[pi.place], r.size, ctx))
-		default:
-			s, err := spill.OpenFile(r.spillPath)
-			if err != nil {
-				engine.CloseAllOnErr(out)
-				return nil, err
-			}
-			out = append(out, engine.NewDecodingRunReader(s, r.keyClass, r.valClass))
-		}
-	}
+	runs := pi.runs
 	pi.runs = nil
-	return out, nil
+	slices.SortStableFunc(runs, func(a, b *sourceRun) int { return a.src - b.src })
+	return runs
 }
 
-// releasingReader wraps a resident run's reader to hand size bytes back to
-// acct exactly once — when the merge exhausts or closes the run — counting
-// them in BUDGET_RELEASED_BYTES.
-func releasingReader(rd engine.RunReader, acct *engine.JobBudget, size int64, ctx *engine.TaskContext) engine.RunReader {
-	cell := ctx.Cells.BudgetReleasedBytes
-	return engine.NewReleasingRunReader(rd, func() {
-		acct.Release(size)
-		cell.Increment(size)
-	})
+// takeReaders returns an unbudgeted job's merge leaves: the runs are read
+// where they lie.
+func (pi *partitionInput) takeReaders() []engine.RunReader {
+	runs := pi.takeRuns()
+	out := make([]engine.RunReader, len(runs))
+	for i, r := range runs {
+		out[i] = engine.NewSliceRunReader(r.pairs)
+	}
+	return out
+}
+
+// takeSources returns a budgeted job's merge leaves — a resident segment's
+// records or a spill file's stream, bytes either way — with the key and
+// value class they decode as. A resident segment's leaf gets the
+// incremental-release wrapper: as the merge exhausts (or abandons) the run,
+// its reservation returns to the place's accountant, so a long reduce phase
+// frees memory while it is still running.
+func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.RecSource, keyClass, valClass string, err error) {
+	acct, released := pi.x.budgets[pi.place], ctx.Cells.BudgetReleasedBytes
+	for _, r := range pi.takeRuns() {
+		if keyClass == "" {
+			keyClass, valClass = r.keyClass, r.valClass
+		}
+		var src engine.RecSource
+		switch {
+		case r.keyClass != keyClass || r.valClass != valClass:
+			err = fmt.Errorf("m3r: map tasks shipped runs of classes %s/%s and %s/%s to one partition",
+				keyClass, valClass, r.keyClass, r.valClass)
+		case r.spillPath != "":
+			src, err = spill.OpenFile(r.spillPath)
+		default:
+			size := r.size
+			src = engine.NewReleasingSource(&segmentSource{r.seg}, func() {
+				acct.Release(size)
+				released.Increment(size)
+			})
+		}
+		if err != nil {
+			engine.CloseAllOnErr(srcs)
+			return nil, "", "", err
+		}
+		srcs = append(srcs, src)
+	}
+	return srcs, keyClass, valClass, nil
 }

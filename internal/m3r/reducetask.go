@@ -14,24 +14,6 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 	place := x.e.PlaceOfPartition(q)
 	ctx.Job.SetInt(conf.KeyM3RTaskPlace, place)
 
-	// The HMR API promises reducers sorted input even in memory. Map tasks
-	// shipped sorted runs (resident or spilled); merge them stably through
-	// the tournament tree, streaming straight into the reducer instead of
-	// materializing a merged copy of the partition. With staging configured
-	// and enough runs, contiguous subsets of the run set merge on worker
-	// goroutines — spilled runs decode on those workers, overlapping disk
-	// decode with final-merge consumption — and the final tournament still
-	// streams into DriveReduce.
-	readers, err := x.parts[q].takeReaders(ctx)
-	if err != nil {
-		return err
-	}
-	merged, err := engine.NewStagedMergeIter(readers, x.Resolved.SortCmp, x.mergeCfg, ctx.Cells.ParallelMergeStages)
-	if err != nil {
-		return err
-	}
-	defer merged.Close()
-
 	reducer := x.Resolved.NewReduceRun()
 	reducer.Configure(ctx.Job)
 
@@ -46,12 +28,53 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 		return sink.write(k, v)
 	})
 
+	// The HMR API promises reducers sorted input even in memory. Map tasks
+	// shipped sorted runs; merge them stably through the tournament tree,
+	// streaming straight into the reducer instead of materializing a merged
+	// copy of the partition. With staging configured and enough runs,
+	// contiguous subsets of the run set merge (and spilled runs inflate) on
+	// worker goroutines, and the final tournament still streams.
+	if x.budgets != nil {
+		err = x.reduceSerialized(ctx, q, reducer, collector)
+	} else {
+		err = x.reducePairs(ctx, q, reducer, collector)
+	}
+	if err != nil {
+		return fmt.Errorf("reduce task %d: %w", q, err)
+	}
+	return sink.commit()
+}
+
+// reducePairs is an unbudgeted job's reduce: its runs are objects on the
+// heap, merged and grouped as objects.
+func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
+	merged, err := engine.NewStagedMergeIter(x.parts[q].takeReaders(), x.Resolved.SortCmp, x.mergeCfg, ctx.Cells.ParallelMergeStages)
+	if err != nil {
+		return err
+	}
+	defer merged.Close()
 	// The cancel wrapper is the reduce phase's per-record check: one atomic
 	// load per pair, surfacing the kill as the stream error so the merge
 	// closes and the sink aborts through the normal failure path.
 	in := engine.CancelPairIter(merged, x.Lifecycle)
-	if err := engine.DriveReduce(reducer, x.Resolved.GroupCmp, in, collector, ctx, false); err != nil {
-		return fmt.Errorf("reduce task %d: %w", q, err)
+	return engine.DriveReduce(reducer, x.Resolved.GroupCmp, in, out, ctx, false)
+}
+
+// reduceSerialized is a budgeted job's reduce: its runs are bytes, resident
+// or spilled, and take the raw driver the Hadoop engine's segments take.
+func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
+	srcs, keyClass, valClass, err := x.parts[q].takeSources(ctx)
+	if err != nil {
+		return err
 	}
-	return sink.commit()
+	if len(srcs) == 0 {
+		// No run, so no class to decode as, and nothing to decode.
+		return reducer.Close()
+	}
+	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, x.mergeCfg, ctx.Cells.ParallelMergeStages)
+	if err != nil {
+		return err
+	}
+	defer merged.Close()
+	return merged.Reduce(valClass, reducer, out, ctx)
 }

@@ -13,7 +13,7 @@ import "m3r/internal/engine"
 // (map phase) and leave it when they are claimed for eviction; evictions
 // only ever happen from run admission, which only runs before the shuffle
 // barrier, and reducers only open merges after it — so an eviction can never
-// race a takeReaders on the same run. The index is per (job, place) and evicts
+// race a takeSources on the same run. The index is per (job, place) and evicts
 // only its own job's runs: on a shared engine pool, one job's contention
 // never re-spills another job's resident data. The index is closed at the
 // barrier so it does not pin detached runs' segments through the reduce phase.

@@ -298,16 +298,37 @@ func textRun(prefix string, n int) []wio.Pair {
 // (key,value) stream.
 func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []string {
 	t.Helper()
-	readers, err := x.parts[q].takeReaders(ctx)
-	if err != nil {
-		t.Fatal(err)
+	var out []string
+	if x.budgets != nil {
+		srcs, keyClass, _, err := x.parts[q].takeSources(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(srcs) == 0 {
+			return nil
+		}
+		rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}, GroupCmp: wio.NaturalOrder{}}
+		m, err := rj.OpenRawMerge(srcs, keyClass, engine.MergeConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for {
+			r, ok, err := m.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return out
+			}
+			out = append(out, string(r.K)+"\x00"+string(r.V))
+		}
 	}
-	m, err := engine.NewMergeIter(readers, wio.NaturalOrder{})
+	m, err := engine.NewMergeIter(x.parts[q].takeReaders(), wio.NaturalOrder{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	var out []string
 	for {
 		p, ok, err := m.Next()
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -113,6 +114,16 @@ func TestEncodeRunFlateReusesCompressor(t *testing.T) {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
 	recs := compressibleRecs(2000)
+	// Two things empty a sync.Pool under a measuring window, and the run
+	// that follows either rebuilds a compressor — the pool's contract, not a
+	// leak: a collection, and the goroutine moving to another P, whose
+	// private slot the pool cannot reach into. One rebuild in twenty runs
+	// stayed just under the bound at the default level; a speed-level
+	// flate.Writer is dearer to build and does not (13 of 80 package runs
+	// read 81 KB a run). So the collector stays off and the test has one P
+	// from the warming run to the last measured one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	first, err := EncodeRun(recs, CodecFlate)
 	if err != nil {
 		t.Fatal(err)

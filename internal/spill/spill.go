@@ -199,6 +199,10 @@ type SegmentWriter struct {
 // written: the staged raw bytes of the current block, the compressed-body
 // scratch and the compressor. A flate.Writer is ~750 KB of tables, so it is
 // pooled and Reset per block instead of being built per spilled run.
+// It runs at flate's speed level: a spill block is written once and read
+// back once, moments later, so compression buys disk bytes at the price of
+// the map task's time, and sorted runs' repeated keys keep most of the ratio
+// at level 1 (DESIGN.md "Spill format").
 type blockEncoder struct {
 	buf  []byte
 	cbuf bytes.Buffer
@@ -207,9 +211,9 @@ type blockEncoder struct {
 }
 
 var blockEncoders = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(nil, flate.DefaultCompression)
+	fw, err := flate.NewWriter(nil, flate.BestSpeed)
 	if err != nil {
-		panic(err) // only an invalid level, which DefaultCompression is not
+		panic(err) // only an invalid level, which BestSpeed is not
 	}
 	return &blockEncoder{fw: fw}
 }}
@@ -554,6 +558,10 @@ type Segment struct {
 
 // Stream reads records back from one byte range of a file, transparently
 // inflating block-compressed segments.
+// A Rec outlives the Next that returned it, every later Next and the Close —
+// a raw segment's fields are allocated per record, a block segment's are
+// views of block memory allocated per block and never reused — and the raw
+// merge leans on it: it holds a group's first record while it pulls the rest.
 type Stream struct {
 	f      *os.File
 	br     *bufio.Reader
