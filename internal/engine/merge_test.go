@@ -280,20 +280,27 @@ func (r *decodedRun) Next() (wio.Pair, bool, error) {
 
 func (r *decodedRun) Close() error { return r.src.Close() }
 
-// spillRun serializes one run into the shared spill record format on disk
-// and returns a stream-backed merge leaf for it.
-func spillRun(t *testing.T, dir string, i int, run []wio.Pair) engine.RunReader {
+// writeSpill writes recs to path as a codec-none spill file and returns its
+// length.
+func writeSpill(t testing.TB, path string, recs []spill.Rec) int64 {
 	t.Helper()
-	recs := make([]spill.Rec, len(run))
-	for j, p := range run {
-		kb, vb := pairBytes(t, p)
-		recs[j] = spill.Rec{K: kb, V: vb}
-	}
-	path := filepath.Join(dir, fmt.Sprintf("run_%d", i))
-	n, err := spill.WriteRunFile(path, recs)
+	enc, err := spill.EncodeRun(recs, spill.CodecNone)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n, err := spill.WriteEncodedFile(path, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// spillRun serializes one run into the shared spill format on disk and
+// returns a stream-backed merge leaf for it.
+func spillRun(t *testing.T, dir string, i int, run []wio.Pair) engine.RunReader {
+	t.Helper()
+	path := filepath.Join(dir, fmt.Sprintf("run_%d", i))
+	n := writeSpill(t, path, runRecs(t, run))
 	s, err := spill.OpenSegment(path, spill.Segment{Off: 0, Len: n})
 	if err != nil {
 		t.Fatal(err)
@@ -398,17 +405,8 @@ func TestMergeIterTruncatedSpillSurfaces(t *testing.T) {
 	for len(runs[1]) == 0 {
 		runs = makeRuns(rng, 3, 32, 4)
 	}
-	dir := t.TempDir()
-	recs := make([]spill.Rec, len(runs[1]))
-	for j, p := range runs[1] {
-		kb, vb := pairBytes(t, p)
-		recs[j] = spill.Rec{K: kb, V: vb}
-	}
-	path := filepath.Join(dir, "trunc")
-	n, err := spill.WriteRunFile(path, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "trunc")
+	n := writeSpill(t, path, runRecs(t, runs[1]))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

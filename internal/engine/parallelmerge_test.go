@@ -149,16 +149,8 @@ func TestParallelMergeAllEqualKeys(t *testing.T) {
 // io.ErrUnexpectedEOF.
 func truncatedSpillReader(t *testing.T, dir string, run []wio.Pair) engine.RunReader {
 	t.Helper()
-	recs := make([]spill.Rec, len(run))
-	for j, p := range run {
-		kb, vb := pairBytes(t, p)
-		recs[j] = spill.Rec{K: kb, V: vb}
-	}
 	path := filepath.Join(dir, "trunc")
-	n, err := spill.WriteRunFile(path, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := writeSpill(t, path, runRecs(t, run))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -284,9 +276,10 @@ func TestMergeConfig(t *testing.T) {
 // streams, reusing the internal/spill fuzz corpus seeds: the fuzz bytes
 // derive a sorted run of valid records plus a truncation point. A clean
 // segment must merge byte-identically to the serial merge; a truncated
-// segment decoding inside a worker goroutine must surface
-// io.ErrUnexpectedEOF from MergeIter — no hang, no silent partial reducer
-// input — with every leaf released afterwards.
+// segment must surface io.ErrUnexpectedEOF — at open when the cut is inside
+// its header, else from MergeIter while it decodes inside a worker
+// goroutine: no hang, no silent partial reducer input — with every leaf
+// released afterwards.
 func FuzzParallelMergeSpill(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
@@ -312,23 +305,8 @@ func FuzzParallelMergeSpill(f *testing.F) {
 			run = append(run, wio.Pair{Key: types.NewInt(k), Value: types.NewLong(int64(j))})
 		}
 		engine.SortPairs(run, cmp)
-		recs := make([]spill.Rec, len(run))
-		for j, p := range run {
-			kb, err := wio.Marshal(p.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vb, err := wio.Marshal(p.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs[j] = spill.Rec{K: kb, V: vb}
-		}
 		path := filepath.Join(t.TempDir(), "seg")
-		total, err := spill.WriteRunFile(path, recs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		total := writeSpill(t, path, runRecs(t, run))
 		full, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -382,14 +360,13 @@ func FuzzParallelMergeSpill(f *testing.F) {
 		}
 		for _, stages := range []int{2, 3} {
 			readers, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			it, err := engine.NewParallelMergeIter(readers, cmp, stages)
 			var got []wio.Pair
 			if err == nil {
-				got, err = drainErr(it)
-				it.Close()
+				var it *engine.MergeIter
+				if it, err = engine.NewParallelMergeIter(readers, cmp, stages); err == nil {
+					got, err = drainErr(it)
+					it.Close()
+				}
 			}
 			if cut == total {
 				if err != nil {

@@ -37,13 +37,15 @@ func TestMergerProducesGlobalOrder(t *testing.T) {
 		os.MkdirAll(filepath.Dir(path), 0o755)
 		f, _ := os.Create(path)
 		w := bufio.NewWriter(f)
-		var total int64
+		sw := spill.NewSegmentWriter(w, spill.CodecNone)
 		for _, v := range run {
-			n, err := spill.WriteRec(w, spill.Rec{K: marshalInt(t, v), V: []byte{byte(i)}})
-			if err != nil {
+			if err := sw.Write(spill.Rec{K: marshalInt(t, v), V: []byte{byte(i)}}); err != nil {
 				t.Fatal(err)
 			}
-			total += n
+		}
+		total, _, err := sw.Finish()
+		if err != nil {
+			t.Fatal(err)
 		}
 		w.Flush()
 		f.Close()

@@ -216,7 +216,9 @@ func TestConfDefaultsReachBothEngines(t *testing.T) {
 			t.Fatalf("%s explicit: %v", eng.Name(), err)
 		}
 		d = sim.Delta(before, c.stats.Snapshot())
-		if stored, raw := d[sim.SpillBytes], d[sim.SpillRawBytes]; raw == 0 || stored != raw {
+		// Stored blocks are the raw bytes plus framing: never fewer, where
+		// flate on this repetitive input always stores fewer.
+		if stored, raw := d[sim.SpillBytes], d[sim.SpillRawBytes]; raw == 0 || stored < raw {
 			t.Errorf("%s: explicit codec none stored %d vs raw %d", eng.Name(), stored, raw)
 		}
 	}

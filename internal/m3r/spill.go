@@ -12,9 +12,9 @@ var spillWriteRun = spill.WriteEncodedFile
 // spillSegment moves one resident-format run of nrecs records to disk — an
 // overflow or a largest-first eviction — inline on the flushing map task: a
 // write error or panic fails that task and with it the job. The segment
-// passes through the job's codec to its exact on-disk bytes (for the raw
-// codec it is those bytes already), so counters, stats and cost charge the
-// stored (compressed) length. It returns the new file's path.
+// passes through the job's codec to its exact on-disk bytes — stored or
+// flate blocks behind a segment header — so counters, stats and cost charge
+// the stored length. It returns the new file's path.
 func (x *jobExec) spillSegment(ctx *engine.TaskContext, seg []byte, nrecs int) (string, error) {
 	// Cancelled jobs stop paying for disk.
 	if err := x.Lifecycle.Err(); err != nil {

@@ -1,6 +1,7 @@
 package m3r
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -482,7 +483,8 @@ func FuzzBudgetedShuffle(f *testing.F) {
 // TestCompressedSpillChargesStoredBytesAndReadmitsRawSize pins the codec's
 // accounting contract end to end: with flate configured, SPILLED_BYTES
 // counts the stored (compressed) bytes and SPILLED_RAW_BYTES the raw
-// record-format bytes (so stored < raw on repetitive runs); the budget,
+// record-format bytes (so stored < raw on repetitive runs, where codec none
+// stores raw plus its framing); the budget,
 // however, keeps accounting in raw in-memory sizes whatever the codec; and
 // the merge output stays byte-identical to the raw-codec lifecycle.
 func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
@@ -517,8 +519,12 @@ func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
 	if stored >= raw {
 		t.Fatalf("flate spill stored %d bytes >= raw %d on repetitive keys", stored, raw)
 	}
-	if refStored, refRaw := refCtx.Cells.SpilledBytes.Value(), refCtx.Cells.SpilledRawBytes.Value(); refStored != refRaw {
-		t.Fatalf("codec none: stored %d != raw %d — raw layout must charge identical numbers", refStored, refRaw)
+	// Codec none charges the record bytes plus exactly the framing of its
+	// one run's one block: the segment header, the block's codec byte and
+	// its raw and stored lengths.
+	refStored, refRaw := refCtx.Cells.SpilledBytes.Value(), refCtx.Cells.SpilledRawBytes.Value()
+	if want := refRaw + 6 + 1 + 2*int64(len(binary.AppendUvarint(nil, uint64(refRaw)))); refCtx.Cells.SpilledRuns.Value() != 1 || refStored != want {
+		t.Fatalf("codec none: %d runs stored %d bytes for %d raw, want one run of %d", refCtx.Cells.SpilledRuns.Value(), refStored, refRaw, want)
 	}
 	// The engine's stats follow these cells through the task envelope
 	// (integration's TestCountedOnce holds spill.bytes to SPILLED_BYTES).

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -151,6 +152,48 @@ func TestEncodeRunFlateReusesCompressor(t *testing.T) {
 	}
 }
 
+// TestEncodeRunNoneBuildsNoCompressor: a stored-block segment never builds
+// the ~750 KB flate.Writer, so on emptied pools neither EncodeRun nor a
+// SegmentWriter of codec none allocates as much as twice the segment it
+// writes.
+func TestEncodeRunNoneBuildsNoCompressor(t *testing.T) {
+	recs := compressibleRecs(4000) // ~190 KB: three blocks
+	for name, write := range map[string]func() int64{
+		"EncodeRun": func() int64 {
+			er, err := EncodeRun(recs, CodecNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(len(er.Data))
+		},
+		"SegmentWriter": func() int64 {
+			sw := NewSegmentWriter(bufio.NewWriter(io.Discard), CodecNone)
+			for _, r := range recs {
+				if err := sw.Write(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, _, err := sw.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		},
+	} {
+		// Two collections empty a sync.Pool: the first moves its entries to
+		// the victim cache, the second drops them.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := write()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(n) {
+			t.Errorf("%s: codec none on cold pools allocated %d bytes for a %d-byte segment, want under twice that", name, got, n)
+		}
+	}
+}
+
 // TestPooledInflaterSurvivesCorruptBlocks: an inflater that has just choked
 // on a corrupt block goes back to the pool; the next block to draw it must
 // decode as if the inflater were new, and each corruption must keep its
@@ -234,18 +277,83 @@ func BenchmarkMarshalRun(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeRunFlate(b *testing.B) {
+// benchRun is the spill rungs' input: a 4 k-record sorted WordCount run.
+func benchRun(b *testing.B) []Rec {
 	recs, _, _, _, err := MarshalRun(wordPairs(4096))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(EncodedLen(recs))
-	b.ReportAllocs()
+	return recs
+}
+
+// perRec reports ns/rec and allocs/rec over the timed loop of b, n records
+// an iteration; before is read just ahead of it.
+func perRec(b *testing.B, before *runtime.MemStats, n int) {
+	b.StopTimer()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/rec")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/rec")
+}
+
+func benchmarkEncodeRun(b *testing.B, codec Codec) {
+	recs := benchRun(b)
+	b.SetBytes(rawLen(recs))
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeRun(recs, CodecFlate); err != nil {
+		if _, err := EncodeRun(recs, codec); err != nil {
 			b.Fatal(err)
 		}
+	}
+	perRec(b, &before, len(recs))
+}
+
+func BenchmarkEncodeRunFlate(b *testing.B) { benchmarkEncodeRun(b, CodecFlate) }
+func BenchmarkEncodeRunNone(b *testing.B)  { benchmarkEncodeRun(b, CodecNone) }
+
+// BenchmarkStreamNext reads the run back from a temp file per codec: open,
+// Next to the end, close.
+func BenchmarkStreamNext(b *testing.B) {
+	recs := benchRun(b)
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		b.Run(codec.String(), func(b *testing.B) {
+			enc, err := EncodeRun(recs, codec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "run")
+			if _, err := WriteEncodedFile(path, enc); err != nil {
+				b.Fatal(err)
+			}
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := OpenFile(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					_, ok, err := s.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					n++
+				}
+				s.Close()
+				if n != len(recs) {
+					b.Fatalf("read %d records, want %d", n, len(recs))
+				}
+			}
+			perRec(b, &before, len(recs))
+		})
 	}
 }
 
@@ -293,11 +401,10 @@ func BenchmarkSortRecs(b *testing.B) {
 	}
 }
 
-// TestEncodeSegmentMatchesEncodeRun: a run already laid out in the raw
-// record format encodes to the bytes EncodeRun gives its records — the raw
-// codec hands the segment back as it is, flate cuts the same blocks (several
-// of them here, one oversized record among them) — and a segment that is not
-// whole records is refused.
+// TestEncodeSegmentMatchesEncodeRun: records already laid out in the record
+// format encode to the bytes EncodeRun gives them under either codec — the
+// same blocks, several of them here with one oversized record among them —
+// and a segment that is not whole records is refused.
 func TestEncodeSegmentMatchesEncodeRun(t *testing.T) {
 	recs := compressibleRecs(5000)
 	recs[100].V = bytes.Repeat([]byte("big value "), 10<<10) // a block of its own, past the target
@@ -318,16 +425,13 @@ func TestEncodeSegmentMatchesEncodeRun(t *testing.T) {
 			t.Errorf("%s: EncodeSegment gives %d bytes (raw %d), EncodeRun %d (raw %d), or different ones",
 				codec, len(got.Data), got.Raw, len(want.Data), want.Raw)
 		}
-		if codec == CodecNone && &got.Data[0] != &seg[0] {
-			t.Error("the raw codec copied the segment")
+		if er, err := EncodeSegment(nil, codec); err != nil || len(er.Data) != 0 {
+			t.Errorf("%s: an empty segment encodes to %d bytes, err %v", codec, len(er.Data), err)
 		}
-	}
-	if er, err := EncodeSegment(nil, CodecFlate); err != nil || len(er.Data) != 0 {
-		t.Errorf("an empty segment encodes to %d bytes, err %v", len(er.Data), err)
-	}
-	for _, cut := range []int{1, len(seg) - 1} {
-		if _, err := EncodeSegment(seg[:cut], CodecFlate); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("segment cut at %d: err %v, want io.ErrUnexpectedEOF", cut, err)
+		for _, cut := range []int{1, len(seg) - 1} {
+			if _, err := EncodeSegment(seg[:cut], codec); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s: segment cut at %d: err %v, want io.ErrUnexpectedEOF", codec, cut, err)
+			}
 		}
 	}
 }

@@ -3,32 +3,27 @@
 // file is the partitions in order, an index (kept in memory, like Hadoop's
 // file.out.index) records each partition's byte range as a Segment.
 //
-// A segment comes in two layouts, distinguished by its leading bytes:
+// A segment has one layout. An empty one is zero bytes; any other is a
+// 6-byte header (magic "\xF5M3S", format version, segment codec id) followed
+// by blocks. Records are grouped into blocks of about blockRawTarget raw
+// bytes — a record never straddles a block, an oversized record simply gets
+// an oversized block — and each block is (codec id byte, uvarint rawLen,
+// uvarint storedLen, storedLen body bytes). Codec none stores every block as
+// it is; flate compresses each one and falls back to a stored block when
+// compression does not shrink the body, so storedLen never exceeds rawLen.
+// Sorted runs are highly repetitive in the key column, which is where the
+// cheap ratio lives.
 //
-//   - Raw (codec "none", the default): the records concatenated with no
-//     framing beyond their own — byte-identical to the format every prior
-//     release wrote, so existing segments stay readable and unconfigured
-//     jobs keep producing the exact same bytes.
-//
-//   - Block-compressed: a 6-byte segment header (magic "\xF5M3S", format
-//     version, segment codec id) followed by blocks. Records are grouped
-//     into blocks of about blockRawTarget raw bytes — a record never
-//     straddles a block, an oversized record simply gets an oversized
-//     block — and each block is (codec id byte, uvarint rawLen, uvarint
-//     storedLen, storedLen body bytes). Per block the writer falls back to
-//     codec none when compression does not shrink the body, so storedLen
-//     never exceeds rawLen by more than framing. Sorted runs are highly
-//     repetitive in the key column, which is where the cheap ratio lives.
-//
-// The reader sniffs the magic per segment, so raw and compressed segments
-// mix freely in one file and a fetched shuffle segment stays
-// self-describing after a byte-range copy. Decompression happens inside
-// Stream.Next — transparently under merge leaves, including the staged
-// parallel merge's workers, where it overlaps final-merge consumption.
+// Every segment carries its own header, so segments of either codec mix
+// freely in one file and a fetched shuffle segment stays self-describing
+// after a byte-range copy. Decoding happens inside Stream.Next —
+// transparently under merge leaves, including the staged parallel merge's
+// workers, where it overlaps final-merge consumption.
 //
 // The Hadoop engine writes map-side sort spills and shuffle segments in
 // this format; the M3R engine writes shuffle runs that exceed its memory
-// budget the same way, so one reader and one merge serve both engines.
+// budget and cold cache blocks the same way, so one reader and one merge
+// serve both engines.
 package spill
 
 import (
@@ -51,8 +46,8 @@ import (
 type Codec uint8
 
 const (
-	// CodecNone stores bytes as-is. As a segment codec it selects the raw
-	// headerless layout; as a per-block codec it marks a stored block.
+	// CodecNone stores bytes as they are: as a segment codec every block is
+	// stored, as a per-block codec it marks a stored block.
 	CodecNone Codec = 0
 	// CodecFlate compresses block bodies with DEFLATE (compress/flate).
 	CodecFlate Codec = 1
@@ -67,6 +62,10 @@ var ErrUnknownCodec = errors.New("spill: unknown codec")
 // declaration. Always corruption, never a silent short stream.
 var ErrBlockSizeMismatch = errors.New("spill: block size mismatch")
 
+// ErrNotSegment reports a non-empty byte range that does not start with the
+// segment magic: not a spill segment at all, or one read at the wrong offset.
+var ErrNotSegment = errors.New("spill: not a spill segment")
+
 func (c Codec) valid() bool { return c == CodecNone || c == CodecFlate }
 
 func (c Codec) String() string {
@@ -80,7 +79,7 @@ func (c Codec) String() string {
 }
 
 // ParseCodec maps a configured codec name to its Codec. The empty string
-// is CodecNone: an unset knob means the byte-compatible raw layout.
+// is CodecNone: an unset knob means stored blocks.
 func ParseCodec(name string) (Codec, error) {
 	switch name {
 	case "", "none":
@@ -91,10 +90,7 @@ func ParseCodec(name string) (Codec, error) {
 	return 0, fmt.Errorf("%w %q (want none or flate)", ErrUnknownCodec, name)
 }
 
-// Block-compressed segment layout constants. The magic's first byte is a
-// varint continuation byte: interpreted as a raw record it declares a key
-// of at least 2^28 bytes, so a legacy reader misdirected at a compressed
-// segment fails its bounds check instead of silently decoding garbage.
+// segMagic opens every non-empty segment.
 var segMagic = [4]byte{0xF5, 'M', '3', 'S'}
 
 const (
@@ -123,38 +119,14 @@ type Rec struct {
 func (r Rec) Size() int64 { return int64(len(r.K) + len(r.V) + 2*binary.MaxVarintLen32) }
 
 // EncodedLen is the record's exact raw (pre-compression) length in the
-// spill record format: actual varint framing plus payload — the single
-// length formula shared by WriteRec's byte count and the aggregate
-// EncodedLen (a unit test pins it to the bytes WriteRunFile really
-// produces).
+// spill record format: actual varint framing plus payload — the bytes
+// AppendRec adds, and what SPILLED_RAW_BYTES counts per record.
 func (r Rec) EncodedLen() int64 {
 	return int64(uvarintLen(uint64(len(r.K)))) + int64(len(r.K)) +
 		int64(uvarintLen(uint64(len(r.V)))) + int64(len(r.V))
 }
 
-// WriteRec appends one raw-format record to w, returning the bytes written
-// (r.EncodedLen() by construction).
-func WriteRec(w *bufio.Writer, r Rec) (int64, error) {
-	var scratch [binary.MaxVarintLen64]byte
-	m := binary.PutUvarint(scratch[:], uint64(len(r.K)))
-	if _, err := w.Write(scratch[:m]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(r.K); err != nil {
-		return 0, err
-	}
-	m = binary.PutUvarint(scratch[:], uint64(len(r.V)))
-	if _, err := w.Write(scratch[:m]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(r.V); err != nil {
-		return 0, err
-	}
-	return r.EncodedLen(), nil
-}
-
-// AppendRec appends r in the raw record format — the bytes WriteRec emits —
-// to dst.
+// AppendRec appends r in the record format to dst.
 func AppendRec(dst []byte, r Rec) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r.K)))
 	dst = append(dst, r.K...)
@@ -163,9 +135,9 @@ func AppendRec(dst []byte, r Rec) []byte {
 	return dst
 }
 
-// CutRec is AppendRec's inverse: it returns the raw-format record seg starts
-// with, as views of seg, and what follows it. A seg that ends inside the
-// record is io.ErrUnexpectedEOF.
+// CutRec is AppendRec's inverse: it returns the record seg starts with, as
+// views of seg, and what follows it. A seg that ends inside the record is
+// io.ErrUnexpectedEOF.
 func CutRec(seg []byte) (Rec, []byte, error) {
 	var f [2][]byte
 	for i := range f {
@@ -178,45 +150,38 @@ func CutRec(seg []byte) (Rec, []byte, error) {
 	return Rec{K: f[0], V: f[1]}, seg, nil
 }
 
-// SegmentWriter writes one segment — raw for CodecNone, block-compressed
-// otherwise — to an underlying buffered writer. The caller owns w: Finish
-// completes the segment but does not flush or close the writer, so several
-// segments (one per partition, Hadoop-style) can share one file.
+// SegmentWriter writes one segment to an underlying buffered writer. The
+// caller owns w: Finish completes the segment but does not flush or close
+// the writer, so several segments (one per partition, Hadoop-style) can
+// share one file.
 type SegmentWriter struct {
-	w          *bufio.Writer
-	codec      Codec
-	written    int64 // stored (on-disk) bytes emitted so far
-	raw        int64 // raw record-format bytes accepted so far
-	headerDone bool
+	w       *bufio.Writer
+	codec   Codec
+	written int64 // stored (on-disk) bytes emitted so far, header included
+	raw     int64 // raw record-format bytes accepted so far
 
-	// enc is the block staging and compression scratch of a compressed
-	// segment, checked out of blockEncoders at the first record and
-	// returned by Finish.
+	// enc is the block staging and compression scratch, checked out of
+	// blockEncoders at the first record and returned by Finish.
 	enc *blockEncoder
 }
 
-// blockEncoder is what a compressed segment needs while it is being
-// written: the staged raw bytes of the current block, the compressed-body
-// scratch and the compressor. A flate.Writer is ~750 KB of tables, so it is
-// pooled and Reset per block instead of being built per spilled run.
-// It runs at flate's speed level: a spill block is written once and read
-// back once, moments later, so compression buys disk bytes at the price of
-// the map task's time, and sorted runs' repeated keys keep most of the ratio
-// at level 1 (DESIGN.md "Spill format").
+// blockEncoder is what a segment needs while it is being written: the
+// staged raw bytes of the current block, the framing scratch and, for
+// flate, the compressed-body scratch and the compressor. A flate.Writer is
+// ~750 KB of tables, so it is built at the first flate block an encoder
+// sees, kept with the pooled encoder and Reset per block — a stored-block
+// segment never builds one. It runs at flate's speed level: a spill block
+// is written once and read back once, moments later, so compression buys
+// disk bytes at the price of the map task's time, and sorted runs' repeated
+// keys keep most of the ratio at level 1 (DESIGN.md "Spill format").
 type blockEncoder struct {
 	buf  []byte
 	cbuf bytes.Buffer
 	fw   *flate.Writer
-	hdr  [1 + 2*binary.MaxVarintLen64]byte // block header scratch
+	hdr  [segHeaderLen + 1 + 2*binary.MaxVarintLen64]byte // framing scratch
 }
 
-var blockEncoders = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(nil, flate.BestSpeed)
-	if err != nil {
-		panic(err) // only an invalid level, which BestSpeed is not
-	}
-	return &blockEncoder{fw: fw}
-}}
+var blockEncoders = sync.Pool{New: func() any { return new(blockEncoder) }}
 
 // NewSegmentWriter starts a segment with the given codec on w.
 func NewSegmentWriter(w *bufio.Writer, codec Codec) *SegmentWriter {
@@ -225,15 +190,6 @@ func NewSegmentWriter(w *bufio.Writer, codec Codec) *SegmentWriter {
 
 // Write appends one record to the segment.
 func (sw *SegmentWriter) Write(r Rec) error {
-	if sw.codec == CodecNone {
-		n, err := WriteRec(sw.w, r)
-		if err != nil {
-			return err
-		}
-		sw.written += n
-		sw.raw += n
-		return nil
-	}
 	if sw.enc == nil {
 		sw.enc = blockEncoders.Get().(*blockEncoder)
 	}
@@ -247,8 +203,8 @@ func (sw *SegmentWriter) Write(r Rec) error {
 
 // Finish completes the segment, returning the stored byte count (the
 // Segment.Len a reader needs) and the raw record-format byte count (what
-// the same records would have occupied uncompressed — the accounting
-// behind SPILLED_RAW_BYTES).
+// the same records occupy without framing or compression — the accounting
+// behind SPILLED_RAW_BYTES). A segment given no records is zero bytes.
 func (sw *SegmentWriter) Finish() (written, raw int64, err error) {
 	err = sw.flushBlock()
 	if sw.enc != nil {
@@ -272,26 +228,20 @@ func (sw *SegmentWriter) flushBlock() error {
 	return err
 }
 
-// writeBlock emits raw — whole records, a compressed segment's next block —
-// compressing when the codec shrinks them and falling back to a stored
-// block otherwise. The segment header goes out ahead of the first block.
+// writeBlock emits raw — whole records, the segment's next block —
+// compressed when the codec is flate and that shrinks them, stored
+// otherwise. The segment header goes out ahead of the first block.
 func (sw *SegmentWriter) writeBlock(raw []byte) error {
 	enc := sw.enc
-	if !sw.headerDone {
-		if _, err := sw.w.Write(segMagic[:]); err != nil {
-			return err
-		}
-		if err := sw.w.WriteByte(formatVersion); err != nil {
-			return err
-		}
-		if err := sw.w.WriteByte(byte(sw.codec)); err != nil {
-			return err
-		}
-		sw.written += int64(segHeaderLen)
-		sw.headerDone = true
+	hdr := enc.hdr[:0]
+	if sw.written == 0 {
+		hdr = appendSegHeader(hdr, sw.codec)
 	}
 	body, bcodec := raw, CodecNone
 	if sw.codec == CodecFlate {
+		if enc.fw == nil {
+			enc.fw, _ = flate.NewWriter(nil, flate.BestSpeed) // errs only on an invalid level
+		}
 		enc.cbuf.Reset()
 		enc.fw.Reset(&enc.cbuf)
 		if _, err := enc.fw.Write(raw); err != nil {
@@ -304,34 +254,43 @@ func (sw *SegmentWriter) writeBlock(raw []byte) error {
 			body, bcodec = enc.cbuf.Bytes(), CodecFlate
 		}
 	}
-	hdr := &enc.hdr
-	hdr[0] = byte(bcodec)
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(len(raw)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(body)))
-	if _, err := sw.w.Write(hdr[:n]); err != nil {
+	hdr = appendBlockHeader(hdr, bcodec, len(raw), len(body))
+	if _, err := sw.w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := sw.w.Write(body); err != nil {
 		return err
 	}
-	sw.written += int64(n) + int64(len(body))
+	sw.written += int64(len(hdr) + len(body))
 	return nil
+}
+
+// appendSegHeader appends the header that opens a segment of codec c.
+func appendSegHeader(dst []byte, c Codec) []byte {
+	return append(append(dst, segMagic[:]...), formatVersion, byte(c))
+}
+
+// appendBlockHeader appends a block's framing: its codec and its raw and
+// stored lengths.
+func appendBlockHeader(dst []byte, c Codec, rawLen, storedLen int) []byte {
+	dst = binary.AppendUvarint(append(dst, byte(c)), uint64(rawLen))
+	return binary.AppendUvarint(dst, uint64(storedLen))
 }
 
 // EncodedRun is one run encoded to its exact on-disk segment bytes. The
 // M3R engine encodes before it writes so counters and the disk cost charge
-// the stored (compressed) length.
+// the stored length.
 type EncodedRun struct {
 	Data []byte // the segment exactly as it will appear on disk
 	Raw  int64  // raw record-format length (EncodedLen of the records)
 }
 
-// runEncoder is EncodeRun's pooled staging: the segment is assembled in out
-// through bw, then copied once into an exactly sized Data.
+// runEncoder is encode's pooled staging: sw writes the segment through bw
+// into out, which is then copied once into an exactly sized Data.
 type runEncoder struct {
 	out bytes.Buffer
 	bw  *bufio.Writer
+	sw  SegmentWriter
 }
 
 var runEncoders = sync.Pool{New: func() any {
@@ -340,66 +299,105 @@ var runEncoders = sync.Pool{New: func() any {
 	return re
 }}
 
-// EncodeRun encodes recs as one in-memory segment with the given codec.
-// For CodecNone, Data is byte-identical to the raw legacy layout.
-func EncodeRun(recs []Rec, codec Codec) (EncodedRun, error) {
+// encode runs fill against a pooled SegmentWriter and returns the segment
+// it wrote.
+func encode(codec Codec, fill func(sw *SegmentWriter) error) (EncodedRun, error) {
 	re := runEncoders.Get().(*runEncoder)
 	defer func() {
 		re.out.Reset()
 		re.bw.Reset(&re.out)
 		runEncoders.Put(re)
 	}()
-	sw := NewSegmentWriter(re.bw, codec)
-	for _, r := range recs {
-		if err := sw.Write(r); err != nil {
-			return EncodedRun{}, err
-		}
+	re.sw = SegmentWriter{w: re.bw, codec: codec}
+	err := fill(&re.sw)
+	_, raw, ferr := re.sw.Finish()
+	if err == nil {
+		err = ferr
 	}
-	_, raw, err := sw.Finish()
+	if err == nil {
+		err = re.bw.Flush()
+	}
 	if err != nil {
-		return EncodedRun{}, err
-	}
-	if err := re.bw.Flush(); err != nil {
 		return EncodedRun{}, err
 	}
 	return EncodedRun{Data: bytes.Clone(re.out.Bytes()), Raw: raw}, nil
 }
 
-// EncodeSegment is EncodeRun for records already laid out in the raw record
-// format: seg is the bytes EncodeRun(recs, CodecNone) yields, and the result
-// is byte for byte what EncodeRun(recs, codec) yields. For CodecNone that is
-// seg itself, not a copy; otherwise blocks are cut at the record boundaries
-// SegmentWriter.Write cuts them at and compressed straight out of seg. A seg
-// that does not parse as whole records is io.ErrUnexpectedEOF.
-func EncodeSegment(seg []byte, codec Codec) (EncodedRun, error) {
+// EncodeRun encodes recs as one in-memory segment with the given codec:
+// the bytes a SegmentWriter writes for them. Stored blocks need no staging,
+// so codec none lays them out straight into one exactly sized Data.
+func EncodeRun(recs []Rec, codec Codec) (EncodedRun, error) {
 	if codec == CodecNone {
-		return EncodedRun{Data: seg, Raw: int64(len(seg))}, nil
+		return storeRecs(recs), nil
 	}
-	re := runEncoders.Get().(*runEncoder)
-	defer func() {
-		re.out.Reset()
-		re.bw.Reset(&re.out)
-		runEncoders.Put(re)
-	}()
-	sw := NewSegmentWriter(re.bw, codec)
-	sw.enc = blockEncoders.Get().(*blockEncoder)
-	defer sw.Finish() // nothing is staged in enc; this only returns it to its pool
-	for block, rest := seg, seg; len(rest) > 0; {
-		var err error
-		if _, rest, err = CutRec(rest); err != nil {
-			return EncodedRun{}, err
-		}
-		if n := len(block) - len(rest); n >= blockRawTarget || len(rest) == 0 {
-			if err := sw.writeBlock(block[:n]); err != nil {
-				return EncodedRun{}, err
+	return encode(codec, func(sw *SegmentWriter) error {
+		for _, r := range recs {
+			if err := sw.Write(r); err != nil {
+				return err
 			}
-			block = rest
 		}
+		return nil
+	})
+}
+
+// EncodeSegment is EncodeRun for records already laid out in the record
+// format: seg is the records AppendRec'd one after another, and the result
+// is byte for byte what EncodeRun(recs, codec) yields — blocks cut at the
+// record boundaries SegmentWriter.Write cuts them at, framed (and
+// compressed) straight out of seg. A seg that does not parse as whole
+// records is io.ErrUnexpectedEOF.
+func EncodeSegment(seg []byte, codec Codec) (EncodedRun, error) {
+	return encode(codec, func(sw *SegmentWriter) error {
+		sw.enc = blockEncoders.Get().(*blockEncoder) // Finish returns it
+		for block, rest := seg, seg; len(rest) > 0; {
+			var err error
+			if _, rest, err = CutRec(rest); err != nil {
+				return err
+			}
+			if n := len(block) - len(rest); n >= blockRawTarget || len(rest) == 0 {
+				if err := sw.writeBlock(block[:n]); err != nil {
+					return err
+				}
+				sw.raw += int64(n)
+				block = rest
+			}
+		}
+		return nil
+	})
+}
+
+// storeRecs is EncodeRun for CodecNone: a sizing pass over the record
+// lengths, then the header, and per block its framing and its records.
+func storeRecs(recs []Rec) EncodedRun {
+	if len(recs) == 0 {
+		return EncodedRun{}
 	}
-	if err := re.bw.Flush(); err != nil {
-		return EncodedRun{}, err
+	size, raw := segHeaderLen, 0
+	for lo := 0; lo < len(recs); {
+		hi, n := blockEnd(recs, lo)
+		size += 1 + 2*uvarintLen(uint64(n)) + n
+		raw += n
+		lo = hi
 	}
-	return EncodedRun{Data: bytes.Clone(re.out.Bytes()), Raw: int64(len(seg))}, nil
+	data := appendSegHeader(make([]byte, 0, size), CodecNone)
+	for lo := 0; lo < len(recs); {
+		hi, n := blockEnd(recs, lo)
+		data = appendBlockHeader(data, CodecNone, n, n)
+		for _, r := range recs[lo:hi] {
+			data = AppendRec(data, r)
+		}
+		lo = hi
+	}
+	return EncodedRun{Data: data, Raw: int64(raw)}
+}
+
+// blockEnd returns where the block that starts at recs[lo] ends — where
+// SegmentWriter.Write cuts it — and its raw length.
+func blockEnd(recs []Rec, lo int) (hi, n int) {
+	for hi = lo; hi < len(recs) && n < blockRawTarget; hi++ {
+		n += int(recs[hi].EncodedLen())
+	}
+	return hi, n
 }
 
 // MarshalRun serializes a run of pairs into the spill record format: the
@@ -507,75 +505,27 @@ func WriteEncodedFile(path string, er EncodedRun) (int64, error) {
 	return int64(len(er.Data)), nil
 }
 
-// WriteRunFile writes recs as a single-segment raw-layout file at path,
-// returning the bytes written. On any write or flush error the partial
-// file is removed — an ENOSPC mid-spill must not strand garbage in
-// scratch for the job's lifetime.
-func WriteRunFile(path string, recs []Rec) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriter(runFileWriter(f))
-	var total int64
-	for _, r := range recs {
-		n, err := WriteRec(w, r)
-		if err != nil {
-			f.Close()
-			os.Remove(path)
-			return 0, err
-		}
-		total += n
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return 0, err
-	}
-	return total, nil
-}
-
-// EncodedLen returns the exact raw-layout length of recs in the spill
-// record format — the value WriteRunFile returns for them, and the
-// pre-compression size block-compressed accounting reports as
-// SPILLED_RAW_BYTES.
-func EncodedLen(recs []Rec) int64 {
-	var n int64
-	for _, r := range recs {
-		n += r.EncodedLen()
-	}
-	return n
-}
-
 // Segment is one partition's byte range inside a spill file.
 type Segment struct {
 	Off, Len int64
 }
 
-// Stream reads records back from one byte range of a file, transparently
-// inflating block-compressed segments.
-// A Rec outlives the Next that returned it, every later Next and the Close —
-// a raw segment's fields are allocated per record, a block segment's are
-// views of block memory allocated per block and never reused — and the raw
-// merge leans on it: it holds a group's first record while it pulls the rest.
+// Stream reads records back from one byte range of a file, block by block.
+// Returned records alias blk, the current block's decoded bytes, which are
+// freshly allocated per block and never reused: a Rec outlives the Next
+// that returned it, every later Next and the Close, and the raw merge leans
+// on it — it holds a group's first record while it pulls the rest.
 type Stream struct {
 	f      *os.File
+	lr     io.LimitedReader // the segment's bytes not yet buffered
 	br     *bufio.Reader
-	rem    int64 // stored (on-disk) bytes of the segment not yet consumed
 	closed bool
-
-	// Block mode, entered when the segment leads with the format magic:
-	// records are parsed out of decoded block buffers. Returned records
-	// alias blk, which is freshly allocated per block — records of one
-	// block share a backing array that lives while any of them does.
-	blocked bool
-	blk     []byte
-	pos     int
+	blk    []byte
+	pos    int // parse position in blk
 }
+
+// rem is how many of the segment's declared bytes are not yet consumed.
+func (s *Stream) rem() int64 { return s.lr.N + int64(s.br.Buffered()) }
 
 // openStreams counts Streams opened but not yet closed. Every open segment
 // holds a file handle, so a merge that terminates early (reducer error, job
@@ -586,9 +536,11 @@ var openStreams atomic.Int64
 // OpenStreamCount reports how many Streams are currently open.
 func OpenStreamCount() int64 { return openStreams.Load() }
 
-// OpenSegment opens the byte range seg of the file at path, sniffing the
-// segment header to pick raw or block mode. An unknown format version or
-// codec id fails here, before any record is surfaced.
+// OpenSegment opens the byte range seg of the file at path and reads its
+// header. A zero-length range is the empty segment; any other must lead
+// with the segment magic (ErrNotSegment otherwise), and a header cut short,
+// an unknown format version or an unknown codec id fails here, before any
+// record is surfaced.
 func OpenSegment(path string, seg Segment) (*Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -598,28 +550,39 @@ func OpenSegment(path string, seg Segment) (*Stream, error) {
 		f.Close()
 		return nil, err
 	}
-	s := &Stream{f: f, br: bufio.NewReader(io.LimitReader(f, seg.Len)), rem: seg.Len}
-	if seg.Len >= int64(segHeaderLen) {
-		if p, err := s.br.Peek(len(segMagic)); err == nil && bytes.Equal(p, segMagic[:]) {
-			var hdr [segHeaderLen]byte
-			if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
-				f.Close()
-				return nil, unexpectedEOF(err)
-			}
-			if v := hdr[4]; v != formatVersion {
-				f.Close()
-				return nil, fmt.Errorf("spill: unsupported segment format version %d", v)
-			}
-			if c := Codec(hdr[5]); !c.valid() {
-				f.Close()
-				return nil, fmt.Errorf("%w id %d in segment header", ErrUnknownCodec, uint8(c))
-			}
-			s.blocked = true
-			s.rem -= int64(segHeaderLen)
+	s := &Stream{f: f, lr: io.LimitedReader{R: f, N: seg.Len}}
+	s.br = bufio.NewReader(&s.lr)
+	if seg.Len > 0 {
+		if err := s.readHeader(); err != nil {
+			f.Close()
+			return nil, err
 		}
 	}
 	openStreams.Add(1)
 	return s, nil
+}
+
+// readHeader consumes and checks the segment header.
+func (s *Stream) readHeader() error {
+	var hdr [segHeaderLen]byte
+	n, err := io.ReadFull(s.br, hdr[:])
+	if m := min(n, len(segMagic)); !bytes.Equal(hdr[:m], segMagic[:m]) {
+		return fmt.Errorf("%w: leading bytes % x", ErrNotSegment, hdr[:m])
+	}
+	if err != nil {
+		return unexpectedEOF(err)
+	}
+	if v := hdr[4]; v != formatVersion {
+		return fmt.Errorf("spill: unsupported segment format version %d", v)
+	}
+	if c := Codec(hdr[5]); !c.valid() {
+		return fmt.Errorf("%w id %d in segment header", ErrUnknownCodec, uint8(c))
+	}
+	if s.rem() <= 0 {
+		// A writer never ends a segment at its header: blocks are owed.
+		return io.ErrUnexpectedEOF
+	}
+	return nil
 }
 
 // OpenFile opens the whole file at path as one segment.
@@ -631,57 +594,16 @@ func OpenFile(path string) (*Stream, error) {
 	return OpenSegment(path, Segment{Off: 0, Len: st.Size()})
 }
 
-// Next returns the next record, or ok=false at the end of the segment. A
+// Next returns the next record, or ok=false at the end of the segment,
+// pulling and decoding the next block when the current one is exhausted. A
 // segment that ends before its declared length is consumed — the file was
-// truncated, or a record straddles the segment boundary — is an error
-// (io.ErrUnexpectedEOF), never a silent end-of-stream: rem > 0 here means
-// bytes are owed, so EOF can only be corruption. Corrupt block-compressed
-// segments additionally surface ErrUnknownCodec and ErrBlockSizeMismatch.
+// truncated, or a block straddles the segment boundary — is an error
+// (io.ErrUnexpectedEOF), never a silent end-of-stream: rem() > 0 here means
+// bytes are owed, so EOF can only be corruption. Corrupt blocks
+// additionally surface ErrUnknownCodec and ErrBlockSizeMismatch.
 func (s *Stream) Next() (Rec, bool, error) {
-	if s.blocked {
-		return s.nextBlocked()
-	}
-	if s.rem <= 0 {
-		return Rec{}, false, nil
-	}
-	// The remainder is deducted field by field as each is consumed, so
-	// every length is bounds-checked against the bytes actually still owed
-	// — a corrupt varint cannot over-allocate more than the true residue.
-	kl, n, err := readUvarint(s.br)
-	s.rem -= int64(n)
-	if err != nil {
-		return Rec{}, false, unexpectedEOF(err)
-	}
-	if kl > uint64(s.rem) {
-		// A record cannot outsize its segment; reject before allocating.
-		return Rec{}, false, io.ErrUnexpectedEOF
-	}
-	k := make([]byte, kl)
-	if _, err := io.ReadFull(s.br, k); err != nil {
-		return Rec{}, false, unexpectedEOF(err)
-	}
-	s.rem -= int64(kl)
-	vl, n, err := readUvarint(s.br)
-	s.rem -= int64(n)
-	if err != nil {
-		return Rec{}, false, unexpectedEOF(err)
-	}
-	if vl > uint64(s.rem) {
-		return Rec{}, false, io.ErrUnexpectedEOF
-	}
-	v := make([]byte, vl)
-	if _, err := io.ReadFull(s.br, v); err != nil {
-		return Rec{}, false, unexpectedEOF(err)
-	}
-	s.rem -= int64(vl)
-	return Rec{K: k, V: v}, true, nil
-}
-
-// nextBlocked parses one record out of the current decoded block, pulling
-// and inflating the next block when the current one is exhausted.
-func (s *Stream) nextBlocked() (Rec, bool, error) {
 	for s.pos >= len(s.blk) {
-		if s.rem <= 0 {
+		if s.rem() <= 0 {
 			return Rec{}, false, nil
 		}
 		if err := s.readBlock(); err != nil {
@@ -731,22 +653,19 @@ func (s *Stream) readBlock() error {
 	if err != nil {
 		return unexpectedEOF(err)
 	}
-	s.rem--
 	c := Codec(cb)
 	if !c.valid() {
 		return fmt.Errorf("%w id %d in block header", ErrUnknownCodec, cb)
 	}
-	rawLen, n, err := readUvarint(s.br)
-	s.rem -= int64(n)
+	rawLen, err := binary.ReadUvarint(s.br)
 	if err != nil {
 		return unexpectedEOF(err)
 	}
-	storedLen, n, err := readUvarint(s.br)
-	s.rem -= int64(n)
+	storedLen, err := binary.ReadUvarint(s.br)
 	if err != nil {
 		return unexpectedEOF(err)
 	}
-	if storedLen > uint64(s.rem) {
+	if storedLen > uint64(s.rem()) {
 		// The body would run past the segment: truncated file or corrupt
 		// length. Reject before allocating.
 		return io.ErrUnexpectedEOF
@@ -768,7 +687,6 @@ func (s *Stream) readBlock() error {
 		if _, err := io.ReadFull(s.br, body); err != nil {
 			return unexpectedEOF(err)
 		}
-		s.rem -= int64(storedLen)
 		s.blk, s.pos = body, 0
 		return nil
 	}
@@ -781,7 +699,6 @@ func (s *Stream) readBlock() error {
 	if _, err := io.ReadFull(s.br, body); err != nil {
 		return unexpectedEOF(err)
 	}
-	s.rem -= int64(storedLen)
 	raw := make([]byte, rawLen)
 	// Reset discards whatever state the previous block left behind, a
 	// corrupt one's error included.
@@ -829,30 +746,6 @@ func unexpectedEOF(err error) error {
 }
 
 var errVarintOverflow = errors.New("spill: varint overflows a 64-bit integer")
-
-// readUvarint decodes one varint from br, additionally reporting how many
-// bytes it consumed — binary.ReadUvarint's count is recomputable only for
-// minimally-encoded values, and precise remainder tracking must charge the
-// bytes actually read, not the shortest re-encoding.
-func readUvarint(br *bufio.Reader) (uint64, int, error) {
-	var x uint64
-	var shift uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, i, err
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, i + 1, errVarintOverflow
-			}
-			return x | uint64(b)<<shift, i + 1, nil
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	return 0, binary.MaxVarintLen64, errVarintOverflow
-}
 
 func uvarintLen(v uint64) int {
 	n := 1

@@ -22,15 +22,48 @@ import (
 	"m3r/internal/wio"
 )
 
-// writeRecs writes recs to a fresh file and returns its path and length.
-func writeRecs(t *testing.T, recs []Rec) (string, int64) {
+// writeRecs writes recs as a codec-none segment to a fresh file and returns
+// its path and length.
+func writeRecs(t testing.TB, recs []Rec) (string, int64) {
 	t.Helper()
+	enc, err := EncodeRun(recs, CodecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "seg")
-	n, err := WriteRunFile(path, recs)
+	n, err := WriteEncodedFile(path, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return path, n
+}
+
+// storedLen is the length of recs' codec-none segment worked out from the
+// layout's definition: nothing for no records, else the 6-byte header plus,
+// per block cut where its raw bytes reach blockRawTarget, a codec byte, the
+// raw and stored lengths as uvarints, and the records themselves.
+func storedLen(recs []Rec) int64 {
+	if len(recs) == 0 {
+		return 0
+	}
+	n, block := int64(segHeaderLen), int64(0)
+	for i, r := range recs {
+		block += r.EncodedLen()
+		if block >= blockRawTarget || i == len(recs)-1 {
+			n += 1 + 2*int64(uvarintLen(uint64(block))) + block
+			block = 0
+		}
+	}
+	return n
+}
+
+// rawLen is recs' length in the record format.
+func rawLen(recs []Rec) int64 {
+	var n int64
+	for _, r := range recs {
+		n += r.EncodedLen()
+	}
+	return n
 }
 
 // readAll drains a stream, failing the test on error.
@@ -85,11 +118,7 @@ func TestRecRoundTripProperty(t *testing.T) {
 			rng.Read(v)
 			recs[i] = Rec{K: k, V: v}
 		}
-		path := filepath.Join(t.TempDir(), "prop")
-		n, err := WriteRunFile(path, recs)
-		if err != nil {
-			return false
-		}
+		path, n := writeRecs(t, recs)
 		s, err := OpenSegment(path, Segment{Off: 0, Len: n})
 		if err != nil {
 			return false
@@ -112,71 +141,110 @@ func TestRecRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestTruncatedSegmentIsAnError pins the truncation bugfix: a segment whose
-// file ends before the declared length must surface io.ErrUnexpectedEOF —
-// never a silent ok=false that drops the remaining records. Every possible
-// truncation point is tried, including record boundaries (where the old
-// code's ReadUvarint hit a clean EOF and silently ended the stream).
-func TestTruncatedSegmentIsAnError(t *testing.T) {
-	recs := []Rec{
-		{K: []byte("aa"), V: []byte("11")},
-		{K: []byte("bb"), V: []byte("2222")},
-		{K: []byte("cc"), V: []byte("3")},
-	}
-	path, total := writeRecs(t, recs)
-	full, err := os.ReadFile(path)
+// drainErr opens seg of path and reads it to its end, returning the first
+// error at open or at Next — nil only for a stream that ends cleanly.
+func drainErr(path string, seg Segment) error {
+	s, err := OpenSegment(path, seg)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if int64(len(full)) != total {
-		t.Fatalf("file is %d bytes, writer reported %d", len(full), total)
-	}
-	for cut := int64(0); cut < total; cut++ {
-		trunc := filepath.Join(t.TempDir(), "trunc")
-		if err := os.WriteFile(trunc, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The segment still claims the full length; the bytes are missing.
-		s, err := OpenSegment(trunc, Segment{Off: 0, Len: total})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sawErr := false
-		for {
-			_, ok, err := s.Next()
-			if err != nil {
-				if !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("cut %d: got %v, want io.ErrUnexpectedEOF", cut, err)
-				}
-				sawErr = true
-				break
-			}
-			if !ok {
-				break
-			}
-		}
-		s.Close()
-		if !sawErr {
-			t.Fatalf("cut %d: truncated segment read to a silent end-of-stream", cut)
+	defer s.Close()
+	for {
+		_, ok, err := s.Next()
+		if err != nil || !ok {
+			return err
 		}
 	}
 }
 
+// TestTruncatedSegmentIsAnError pins the truncation bugfix: a segment whose
+// file ends before the declared length must surface io.ErrUnexpectedEOF —
+// at open when the cut is inside the header, at Next after it — never a
+// silent ok=false that drops the remaining records. Every truncation point
+// of a one-block segment is tried, block boundaries included, and a
+// stride of them through a segment of several stored blocks.
+func TestTruncatedSegmentIsAnError(t *testing.T) {
+	small := []Rec{
+		{K: []byte("aa"), V: []byte("11")},
+		{K: []byte("bb"), V: []byte("2222")},
+		{K: []byte("cc"), V: []byte("3")},
+	}
+	base := OpenStreamCount()
+	for _, c := range []struct {
+		recs   []Rec
+		stride int64
+	}{{small, 1}, {compressibleRecs(4000), 997}} {
+		path, total := writeRecs(t, c.recs)
+		full, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(full)) != total {
+			t.Fatalf("file is %d bytes, writer reported %d", len(full), total)
+		}
+		for cut := int64(0); cut < total; cut += c.stride {
+			trunc := filepath.Join(t.TempDir(), "trunc")
+			if err := os.WriteFile(trunc, full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The segment still claims the full length; the bytes are missing.
+			if err := drainErr(trunc, Segment{Off: 0, Len: total}); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("cut %d of %d: got %v, want io.ErrUnexpectedEOF", cut, total, err)
+			}
+		}
+	}
+	if n := OpenStreamCount(); n != base {
+		t.Fatalf("OpenStreamCount=%d baseline %d: leaked streams", n, base)
+	}
+}
+
 // TestShortSegmentLengthIsAnError covers the other truncation shape: the
-// file is intact but the segment's declared length cuts a record in half.
+// file is intact but the segment's declared length cuts the header or the
+// block in half.
 func TestShortSegmentLengthIsAnError(t *testing.T) {
 	recs := []Rec{{K: []byte("key"), V: []byte("value")}}
 	path, total := writeRecs(t, recs)
 	for cut := int64(1); cut < total; cut++ {
-		s, err := OpenSegment(path, Segment{Off: 0, Len: cut})
-		if err != nil {
-			t.Fatal(err)
+		if err := drainErr(path, Segment{Off: 0, Len: cut}); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("len %d of %d: err=%v, want io.ErrUnexpectedEOF", cut, total, err)
 		}
-		_, ok, err := s.Next()
-		s.Close()
-		if ok || !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("len %d of %d: ok=%v err=%v, want io.ErrUnexpectedEOF", cut, total, ok, err)
+	}
+}
+
+// TestSegmentWithoutMagicIsNotASegment: a non-empty byte range that does not
+// lead with the segment magic — the raw record stream earlier builds wrote,
+// or a range read at the wrong offset — fails at open with ErrNotSegment,
+// distinct from truncation, and leaves no stream slot behind; a zero-length
+// range is the empty segment.
+func TestSegmentWithoutMagicIsNotASegment(t *testing.T) {
+	base := OpenStreamCount()
+	recs := []Rec{{K: []byte("key"), V: []byte("value")}, {K: nil, V: nil}}
+	var rawStream []byte
+	for _, r := range recs {
+		rawStream = AppendRec(rawStream, r)
+	}
+	path, total := writeRecs(t, recs)
+	bad := filepath.Join(t.TempDir(), "raw")
+	if err := os.WriteFile(bad, rawStream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		path string
+		seg  Segment
+	}{
+		"raw record stream":  {bad, Segment{Len: int64(len(rawStream))}},
+		"one raw byte":       {bad, Segment{Len: 1}},
+		"offset into blocks": {path, Segment{Off: 1, Len: total - 1}},
+	} {
+		if _, err := OpenSegment(c.path, c.seg); !errors.Is(err, ErrNotSegment) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err=%v, want ErrNotSegment alone", name, err)
 		}
+	}
+	if err := drainErr(bad, Segment{Off: 3, Len: 0}); err != nil {
+		t.Errorf("zero-length range: %v, want the empty segment", err)
+	}
+	if n := OpenStreamCount(); n != base {
+		t.Fatalf("OpenStreamCount=%d baseline %d", n, base)
 	}
 }
 
@@ -250,22 +318,25 @@ func TestUvarintLen(t *testing.T) {
 }
 
 // FuzzStreamNext feeds arbitrary bytes through a Stream: it must never
-// panic, and whatever prefix parses as records must re-serialize to the
-// byte length the stream consumed.
+// panic, a non-empty input without the segment magic must be refused at
+// open, and whatever prefix parses as records must survive a rewrite.
 func FuzzStreamNext(f *testing.F) {
 	f.Add([]byte{})
+	// Raw record streams, the layout earlier builds wrote: none of them is a
+	// segment any more, and each must be refused at open.
 	f.Add([]byte{0, 0})                         // one empty record
 	f.Add([]byte{2, 'a', 'b', 1, 'x'})          // one normal record
 	f.Add([]byte{2, 'a'})                       // truncated key
 	f.Add([]byte{0x80})                         // truncated varint
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}) // huge length, no bytes
-	// Straddling value: the key consumes most of the segment, then the
-	// value claims more bytes than remain — the exact-bounds check must
-	// reject it against the precise remainder, not the segment total.
 	f.Add([]byte{3, 'a', 'b', 'c', 8, 'x', 'y', 'z'})
-	// Block-compressed seeds: a valid flate segment and corrupted variants,
+	// Segment seeds: a valid segment of each codec and corrupted variants,
 	// so the fuzzer starts with the magic and explores block framing.
-	if enc, err := EncodeRun([]Rec{{K: []byte("fuzz"), V: []byte("seed seed seed")}}, CodecFlate); err == nil {
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		enc, err := EncodeRun([]Rec{{K: []byte("fuzz"), V: []byte("seed seed seed")}}, codec)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(enc.Data)
 		tampered := append([]byte(nil), enc.Data...)
 		tampered[len(tampered)-1] ^= 0xff
@@ -287,14 +358,20 @@ func FuzzStreamNext(f *testing.F) {
 		}
 		streamBase := OpenStreamCount()
 		s, err := OpenSegment(path, Segment{Off: 0, Len: int64(len(data))})
+		if m := min(len(data), len(segMagic)); !bytes.Equal(data[:m], segMagic[:m]) && !errors.Is(err, ErrNotSegment) {
+			t.Fatalf("input without the segment magic opened with err=%v, want ErrNotSegment", err)
+		}
 		if err != nil {
-			// Inputs starting with the block magic but carrying a bad
-			// version or codec are rejected at open — loudly, which is the
-			// contract; rejection must not leak the stream slot.
+			// A cut header, bad version or codec, or no magic at all is
+			// rejected at open — loudly, which is the contract; rejection
+			// must not leak the stream slot.
 			if got := OpenStreamCount(); got != streamBase {
 				t.Fatalf("OpenSegment errored but OpenStreamCount=%d (baseline %d)", got, streamBase)
 			}
 			return
+		}
+		if len(data) > 0 && !bytes.HasPrefix(data, segMagic[:]) {
+			t.Fatal("a non-empty input without the full segment magic opened")
 		}
 		defer s.Close()
 		var parsed []Rec
@@ -314,11 +391,7 @@ func FuzzStreamNext(f *testing.F) {
 		// Whatever parsed must survive a canonical re-serialization cycle
 		// unchanged (varint length prefixes in arbitrary input may be
 		// non-minimal, so byte-identity with the input is not required).
-		out := filepath.Join(t.TempDir(), "rewrite")
-		n, err := WriteRunFile(out, parsed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out, n := writeRecs(t, parsed)
 		s2, err := OpenSegment(out, Segment{Off: 0, Len: n})
 		if err != nil {
 			t.Fatal(err)
@@ -336,12 +409,15 @@ func FuzzStreamNext(f *testing.F) {
 	})
 }
 
-// TestEncodedLenMatchesBytesOnDisk pins the enqueue-time accounting formula
-// to ground truth: EncodedLen, WriteRunFile's return, and the size of the
-// file actually produced must agree for every record shape — empty keys and
-// values, multi-byte varint lengths, and fuzzer-shaped mixes. If the record
-// framing ever changes, this is the test that catches the formula drifting
-// from the bytes.
+// TestEncodedLenMatchesBytesOnDisk pins the spill accounting to ground
+// truth: for every record shape — none at all, empty keys and values,
+// multi-byte varint lengths, fuzzer-shaped mixes, several blocks and a
+// record bigger than a block — a codec-none run's Raw is the records'
+// EncodedLen sum (SPILLED_RAW_BYTES), and the bytes it stores
+// (SPILLED_BYTES), WriteEncodedFile's return and the file on disk are that
+// plus exactly the framing the layout defines. If the record or block
+// framing ever changes, this is the test that catches the formulas
+// drifting from the bytes.
 func TestEncodedLenMatchesBytesOnDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	blob := func(n int) []byte {
@@ -356,15 +432,28 @@ func TestEncodedLenMatchesBytesOnDisk(t *testing.T) {
 		{{K: blob(127), V: blob(128)}}, // 1- vs 2-byte varint boundary
 		{{K: blob(300), V: blob(20000)}},
 		{{K: blob(1), V: blob(1)}, {K: blob(5000), V: blob(3)}, {K: nil, V: blob(129)}},
+		compressibleRecs(4000),                                        // three blocks
+		{{K: blob(3), V: blob(blockRawTarget + 5)}, {K: nil, V: nil}}, // one oversized block, then a tiny one
 	}
 	for i, recs := range cases {
-		path := filepath.Join(t.TempDir(), "run")
-		n, err := WriteRunFile(path, recs)
+		enc, err := EncodeRun(recs, CodecNone)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if el := EncodedLen(recs); el != n {
-			t.Errorf("case %d: EncodedLen=%d but WriteRunFile returned %d", i, el, n)
+		var raw int64
+		for _, r := range recs {
+			raw += int64(len(AppendRec(nil, r)))
+		}
+		if enc.Raw != raw {
+			t.Errorf("case %d: Raw=%d, the records are %d bytes", i, enc.Raw, raw)
+		}
+		if want := storedLen(recs); int64(len(enc.Data)) != want {
+			t.Errorf("case %d: %d stored bytes for %d raw, the framing formula says %d", i, len(enc.Data), raw, want)
+		}
+		path := filepath.Join(t.TempDir(), "run")
+		n, err := WriteEncodedFile(path, enc)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
 		}
 		st, err := os.Stat(path)
 		if err != nil {
@@ -391,12 +480,12 @@ func compressibleRecs(n int) []Rec {
 	return recs
 }
 
-// TestCodecRoundTrip pins the tentpole's core contract: for every codec the
-// records read back byte-identical, CodecNone produces the legacy raw bytes
-// exactly, and flate actually shrinks repetitive multi-block runs.
+// TestCodecRoundTrip pins the codecs' core contract: for every codec the
+// records read back byte-identical, CodecNone costs exactly its framing,
+// and flate actually shrinks repetitive multi-block runs.
 func TestCodecRoundTrip(t *testing.T) {
 	recs := compressibleRecs(5000) // ~230 KiB raw: several 64 KiB blocks
-	raw := EncodedLen(recs)
+	raw := rawLen(recs)
 	for _, codec := range []Codec{CodecNone, CodecFlate} {
 		t.Run(codec.String(), func(t *testing.T) {
 			enc, err := EncodeRun(recs, codec)
@@ -404,7 +493,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if enc.Raw != raw {
-				t.Fatalf("EncodedRun.Raw=%d, want EncodedLen %d", enc.Raw, raw)
+				t.Fatalf("EncodedRun.Raw=%d, want %d", enc.Raw, raw)
 			}
 			path := filepath.Join(t.TempDir(), "run")
 			n, err := WriteEncodedFile(path, enc)
@@ -416,18 +505,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 			switch codec {
 			case CodecNone:
-				if n != raw {
-					t.Fatalf("codec none wrote %d bytes, raw layout is %d", n, raw)
-				}
-				// Byte-compatibility: identical to the legacy writer's output.
-				legacy := filepath.Join(t.TempDir(), "legacy")
-				if _, err := WriteRunFile(legacy, recs); err != nil {
-					t.Fatal(err)
-				}
-				a, _ := os.ReadFile(path)
-				b, _ := os.ReadFile(legacy)
-				if !bytes.Equal(a, b) {
-					t.Fatal("codec none is not byte-identical to the legacy raw layout")
+				if want := storedLen(recs); n != want {
+					t.Fatalf("codec none wrote %d bytes, stored blocks are %d", n, want)
 				}
 			case CodecFlate:
 				if n >= raw {
@@ -494,12 +573,19 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestSegmentWriterMultiSegmentFile drives the Hadoop shape: several
-// compressed segments (one per partition) share one file, each with its
-// own header, and a byte-range copy of one segment — the reducer's shuffle
-// fetch — stays self-describing at offset zero of the copy.
+// TestSegmentWriterMultiSegmentFile drives the Hadoop shape under both
+// codecs: several segments (one per partition) share one file, each with
+// its own header unless it is empty and each byte for byte what EncodeRun
+// gives its records, and a byte-range copy of one segment — the reducer's
+// shuffle fetch — stays self-describing at offset zero of the copy.
 func TestSegmentWriterMultiSegmentFile(t *testing.T) {
-	parts := [][]Rec{compressibleRecs(700), compressibleRecs(40), nil, {{K: []byte("k"), V: []byte("v")}}}
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		t.Run(codec.String(), func(t *testing.T) { testMultiSegmentFile(t, codec) })
+	}
+}
+
+func testMultiSegmentFile(t *testing.T, codec Codec) {
+	parts := [][]Rec{compressibleRecs(3000), compressibleRecs(40), nil, {{K: []byte("k"), V: []byte("v")}}}
 	path := filepath.Join(t.TempDir(), "file.out")
 	f, err := os.Create(path)
 	if err != nil {
@@ -509,7 +595,7 @@ func TestSegmentWriterMultiSegmentFile(t *testing.T) {
 	var segs []Segment
 	var off int64
 	for _, recs := range parts {
-		sw := NewSegmentWriter(w, CodecFlate)
+		sw := NewSegmentWriter(w, codec)
 		for _, r := range recs {
 			if err := sw.Write(r); err != nil {
 				t.Fatal(err)
@@ -519,8 +605,8 @@ func TestSegmentWriterMultiSegmentFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if raw != EncodedLen(recs) {
-			t.Fatalf("segment raw=%d want %d", raw, EncodedLen(recs))
+		if raw != rawLen(recs) {
+			t.Fatalf("segment raw=%d want %d", raw, rawLen(recs))
 		}
 		segs = append(segs, Segment{Off: off, Len: n})
 		off += n
@@ -548,14 +634,24 @@ func TestSegmentWriterMultiSegmentFile(t *testing.T) {
 			}
 		}
 	}
-	for p, recs := range parts {
-		check(path, segs[p], recs)
-	}
-	// Fetch simulation: copy partition 1's byte range into its own file.
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for p, recs := range parts {
+		check(path, segs[p], recs)
+		enc, err := EncodeRun(recs, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := full[segs[p].Off : segs[p].Off+segs[p].Len]; !bytes.Equal(got, enc.Data) {
+			t.Fatalf("partition %d: SegmentWriter wrote %d bytes, EncodeRun gives %d, or different ones", p, len(got), len(enc.Data))
+		}
+		if (len(recs) == 0) != (segs[p].Len == 0) || len(recs) > 0 && !bytes.HasPrefix(enc.Data, segMagic[:]) {
+			t.Fatalf("partition %d: %d records in %d bytes; want a header-led segment, or none for no records", p, len(recs), segs[p].Len)
+		}
+	}
+	// Fetch simulation: copy partition 1's byte range into its own file.
 	seg := segs[1]
 	fetched := filepath.Join(t.TempDir(), "seg_000001")
 	if err := os.WriteFile(fetched, full[seg.Off:seg.Off+seg.Len], 0o644); err != nil {
@@ -766,75 +862,71 @@ func swapRunFileWriter(t *testing.T, fn func(f *os.File) io.Writer) {
 	t.Cleanup(func() { runFileWriter = orig })
 }
 
-// TestWriteRunFileRemovesPartialOnError pins the write-error cleanup fix:
-// an ENOSPC mid-write (or at flush) must surface the error AND remove the
-// partial file — a failed spill must not strand garbage in scratch.
-func TestWriteRunFileRemovesPartialOnError(t *testing.T) {
-	recs := compressibleRecs(1000) // > bufio's buffer, so flush really writes
-	for _, budget := range []int{0, 10, 5000} {
-		swapRunFileWriter(t, func(f *os.File) io.Writer { return &failAfterWriter{w: f, n: budget} })
-		path := filepath.Join(t.TempDir(), "run")
-		if _, err := WriteRunFile(path, recs); !errors.Is(err, syscall.ENOSPC) {
-			t.Fatalf("budget %d: err=%v, want ENOSPC", budget, err)
-		}
-		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("budget %d: partial run file left on disk (stat err=%v)", budget, err)
-		}
-	}
-}
-
-// TestWriteEncodedFileRemovesPartialOnError is the same pin for the
-// pre-encoded write path.
+// TestWriteEncodedFileRemovesPartialOnError pins the write-error cleanup
+// fix: an ENOSPC mid-write must surface the error AND remove the partial
+// file — a failed spill must not strand garbage in scratch — wherever the
+// disk fills: before the first byte, inside the header, mid-block.
 func TestWriteEncodedFileRemovesPartialOnError(t *testing.T) {
-	enc, err := EncodeRun(compressibleRecs(1000), CodecFlate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapRunFileWriter(t, func(f *os.File) io.Writer { return &failAfterWriter{w: f, n: 7} })
-	path := filepath.Join(t.TempDir(), "run")
-	if _, err := WriteEncodedFile(path, enc); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("err=%v, want ENOSPC", err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("partial run file left on disk (stat err=%v)", err)
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		enc, err := EncodeRun(compressibleRecs(1000), codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{0, 5, len(enc.Data) / 2} {
+			swapRunFileWriter(t, func(f *os.File) io.Writer { return &failAfterWriter{w: f, n: budget} })
+			path := filepath.Join(t.TempDir(), "run")
+			if _, err := WriteEncodedFile(path, enc); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("%s, budget %d: err=%v, want ENOSPC", codec, budget, err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s, budget %d: partial run file left on disk (stat err=%v)", codec, budget, err)
+			}
+		}
 	}
 }
 
 // TestStraddlingValueRejectedBeforeAllocation pins the exact-bounds decode
-// fix: a value length that exceeds the bytes actually remaining — after
-// the key's framing and payload were consumed — must be rejected before
-// the value buffer is allocated. The old check compared against the
-// segment's full remainder, so this record's 1 MiB value claim passed the
-// bound and allocated a second megabyte before ReadFull failed; the test
-// pins both the error and the allocation ceiling.
+// fix on stored blocks: a length that exceeds the bytes actually there must
+// be rejected before a buffer of that length is allocated. In the block,
+// the value claims another MiB after a 1 MiB key, where only its own varint
+// remains; at the block level, a stored block claims a MiB more than its
+// segment holds. Both are io.ErrUnexpectedEOF, and neither allocates the
+// claimed megabyte.
 func TestStraddlingValueRejectedBeforeAllocation(t *testing.T) {
 	const keyLen = 1 << 20
-	var b bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	b.Write(tmp[:binary.PutUvarint(tmp[:], uint64(keyLen))])
-	b.Write(make([]byte, keyLen))
-	// The value claims another MiB; only these varint bytes remain.
-	b.Write(tmp[:binary.PutUvarint(tmp[:], uint64(keyLen))])
-	path := filepath.Join(t.TempDir(), "straddle")
-	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, ok, err := s.Next()
-	runtime.ReadMemStats(&after)
-	if ok || !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("ok=%v err=%v, want io.ErrUnexpectedEOF", ok, err)
-	}
-	// The key allocation (1 MiB) is legitimate; the rejected value must
-	// not add its own megabyte on top.
-	if delta := after.TotalAlloc - before.TotalAlloc; delta > keyLen+keyLen/2 {
-		t.Fatalf("Next allocated %d bytes; the straddling value was not rejected before allocation", delta)
+	body := append(binary.AppendUvarint(nil, keyLen), make([]byte, keyLen)...)
+	body = binary.AppendUvarint(body, keyLen)
+	straddling := blockSegment(t, CodecNone, uint64(len(body)), body)
+	// The same block, declaring a MiB more than follows it.
+	claim := uint64(len(body)) + keyLen
+	overlong := append(straddling[:segHeaderLen+1:segHeaderLen+1], binary.AppendUvarint(binary.AppendUvarint(nil, claim), claim)...)
+	overlong = append(overlong, body...)
+	for name, c := range map[string]struct {
+		data  []byte
+		limit uint64 // what Next may allocate: the block it really holds
+	}{
+		"value past its block":   {straddling, keyLen + keyLen/2},
+		"block past its segment": {overlong, keyLen / 2},
+	} {
+		path := filepath.Join(t.TempDir(), "straddle")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, ok, err := s.Next()
+		runtime.ReadMemStats(&after)
+		s.Close()
+		if ok || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: ok=%v err=%v, want io.ErrUnexpectedEOF", name, ok, err)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > c.limit {
+			t.Fatalf("%s: Next allocated %d bytes; the claimed length was not rejected before allocation", name, delta)
+		}
 	}
 }
