@@ -10,6 +10,7 @@ package conf
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,15 +30,12 @@ func New() *Configuration {
 	return &Configuration{m: make(map[string]string)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its map sized for the copy up front: every
+// job, task attempt and delegated input takes one.
 func (c *Configuration) Clone() *Configuration {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := New()
-	for k, v := range c.m {
-		out.m[k] = v
-	}
-	return out
+	return &Configuration{m: maps.Clone(c.m)}
 }
 
 // Set stores a property.
@@ -195,7 +193,8 @@ func (c *Configuration) WriteTo(w *wio.Writer) error {
 	return nil
 }
 
-// ReadFields implements wio.Writable.
+// ReadFields implements wio.Writable. The count off the wire presizes the
+// map only for the entries (≥ 2 bytes each) the bytes left could hold.
 func (c *Configuration) ReadFields(r *wio.Reader) error {
 	n, err := r.ReadUvarint()
 	if err != nil {
@@ -203,7 +202,7 @@ func (c *Configuration) ReadFields(r *wio.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[string]string, n)
+	c.m = make(map[string]string, min(n, uint64(r.Remaining()/2)))
 	for i := uint64(0); i < n; i++ {
 		k, err := r.ReadString()
 		if err != nil {

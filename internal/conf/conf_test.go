@@ -2,6 +2,9 @@ package conf_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -216,5 +219,55 @@ func TestDefaultsPrecedence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadFieldsBoundsTheEntryCount: an input of at most 12 bytes that
+// claims 2²⁰ or 2⁴⁰ entries is an error in both reader modes, and the claim
+// is not what sizes the map. (2⁴⁰ is past what the runtime would presize a
+// map for at all; 2²⁰ is a claim it would have honoured.)
+func TestReadFieldsBoundsTheEntryCount(t *testing.T) {
+	for _, claim := range []uint64{1 << 20, 1 << 40} {
+		var w wio.Writer
+		w.WriteUvarint(claim)
+		w.WriteString("k")
+		w.WriteString("v")
+		in := w.Bytes()
+		for _, mode := range []string{"slice", "stream"} {
+			r := wio.NewReader(bytes.NewReader(in))
+			if mode == "slice" {
+				r.ResetBytes(in)
+			}
+			var err error
+			allocated := allocatedBy(func() { err = conf.New().ReadFields(r) })
+			if err == nil {
+				t.Errorf("%s mode: a %d-byte input claiming %d entries was accepted", mode, len(in), claim)
+			}
+			if allocated > 1<<20 {
+				t.Errorf("%s mode: ReadFields allocated %d bytes for a %d-byte input claiming %d entries", mode, allocated, len(in), claim)
+			}
+		}
+	}
+}
+
+// allocatedBy reports the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// BenchmarkConfClone copies a job configuration of 100 properties, about
+// what a submitted job carries once the engine has filled in its keys.
+func BenchmarkConfClone(b *testing.B) {
+	c := conf.New()
+	for i := range 100 {
+		c.Set(fmt.Sprintf("mapred.property.%03d", i), strconv.Itoa(i))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Clone()
 	}
 }

@@ -150,6 +150,8 @@ func (c *Counter) SetValue(v int64) { c.value.Store(v) }
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]map[string]*Counter
+	// spare backs the next counters Find creates (NewSized).
+	spare []Counter
 }
 
 // New returns an empty counter set.
@@ -157,10 +159,20 @@ func New() *Counters {
 	return &Counters{m: make(map[string]map[string]*Counter)}
 }
 
+// NewSized returns an empty counter set whose first n counters share one
+// allocation: a task resolves its hot-path cells into one of these.
+func NewSized(n int) *Counters {
+	return &Counters{m: make(map[string]map[string]*Counter), spare: make([]Counter, n)}
+}
+
 // Find returns (creating if necessary) the counter group/name.
 func (cs *Counters) Find(group, name string) *Counter {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	return cs.findLocked(group, name)
+}
+
+func (cs *Counters) findLocked(group, name string) *Counter {
 	g, ok := cs.m[group]
 	if !ok {
 		g = make(map[string]*Counter)
@@ -168,7 +180,12 @@ func (cs *Counters) Find(group, name string) *Counter {
 	}
 	c, ok := g[name]
 	if !ok {
-		c = &Counter{group: group, name: name}
+		if len(cs.spare) > 0 {
+			c, cs.spare = &cs.spare[0], cs.spare[1:]
+		} else {
+			c = new(Counter)
+		}
+		c.group, c.name = group, name
 		g[name] = c
 	}
 	return c
@@ -196,14 +213,25 @@ func (cs *Counters) Value(group, name string) int64 {
 // Zero-valued counters are skipped: tasks pre-resolve hot-path cells
 // (engine.TaskContext.Cells) that often stay untouched — e.g. the M3R
 // shuffle cells in a Hadoop-engine task — and merging them would pad
-// every job report with irrelevant zero entries.
+// every job report with irrelevant zero entries. Nothing is sorted: the
+// non-zero counters are gathered under other's lock and added under the
+// receiver's, never both at once, so a set may merge into itself.
 func (cs *Counters) MergeFrom(other *Counters) {
-	for _, gname := range other.Groups() {
-		for _, c := range other.GroupCounters(gname) {
-			if v := c.Value(); v != 0 {
-				cs.Incr(gname, c.Name(), v)
+	var buf [32]*Counter
+	live := buf[:0]
+	other.mu.Lock()
+	for _, g := range other.m {
+		for _, c := range g {
+			if c.Value() != 0 {
+				live = append(live, c)
 			}
 		}
+	}
+	other.mu.Unlock()
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for _, c := range live {
+		cs.findLocked(c.group, c.name).Increment(c.Value())
 	}
 }
 

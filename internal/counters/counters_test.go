@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"m3r/internal/counters"
 	"m3r/internal/wio"
@@ -91,5 +92,61 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if out.Value(counters.TaskGroup, counters.MapInputRecords) != 12 ||
 		out.Value("user", "things") != -4 {
 		t.Errorf("round trip: %s", out)
+	}
+}
+
+// TestMergeFromSelfAndCrosswise: merging a set into itself doubles its
+// non-zero counters and leaves zero ones out, and two sets merging into
+// each other at once finish — neither holds its own lock while it waits for
+// the other's.
+func TestMergeFromSelfAndCrosswise(t *testing.T) {
+	a, b := counters.New(), counters.New()
+	a.Incr("g", "x", 3)
+	a.Find("g", "zero")
+	b.Incr("h", "y", 2)
+	a.MergeFrom(a)
+	b.MergeFrom(a)
+	if a.Value("g", "x") != 6 || b.Value("g", "x") != 6 || b.Value("h", "y") != 2 {
+		t.Errorf("merge: a=%s b=%s", a, b)
+	}
+	if len(b.GroupCounters("g")) != 1 {
+		t.Errorf("a zero counter was merged: %s", b)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for range 100 {
+			wg.Add(2)
+			go func() { defer wg.Done(); a.MergeFrom(b) }()
+			go func() { defer wg.Done(); b.MergeFrom(a) }()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("crosswise MergeFrom deadlocked")
+	}
+}
+
+// TestNewSizedSharesOneAllocation: the counters a NewSized set creates
+// first come out of one allocation; past n, Find allocates as New's does.
+func TestNewSizedSharesOneAllocation(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	find := func(cs *counters.Counters) {
+		for _, n := range names {
+			cs.Find("g", n)
+		}
+	}
+	sized := testing.AllocsPerRun(100, func() { find(counters.NewSized(len(names))) })
+	plain := testing.AllocsPerRun(100, func() { find(counters.New()) })
+	if sized != plain-float64(len(names))+1 {
+		t.Errorf("NewSized: %.0f allocations, New: %.0f; want %d fewer", sized, plain, len(names)-1)
+	}
+	cs := counters.NewSized(1)
+	find(cs)
+	if cs.Find("g", "a") == cs.Find("g", "b") || cs.Find("g", "d").Name() != "d" {
+		t.Error("spare counters are handed out once each")
 	}
 }

@@ -79,8 +79,13 @@ type FileSystem interface {
 }
 
 // CleanPath canonicalizes p to an absolute slash path with no trailing
-// slash (except the root itself) and no empty or dot segments.
+// slash (except the root itself) and no empty or dot segments. A path that
+// is already canonical — nearly every call — comes back as it is, after one
+// scan and no allocation.
 func CleanPath(p string) string {
+	if isCanonical(p) {
+		return p
+	}
 	segs := strings.Split(p, "/")
 	out := make([]string, 0, len(segs))
 	for _, s := range segs {
@@ -95,6 +100,27 @@ func CleanPath(p string) string {
 		}
 	}
 	return "/" + strings.Join(out, "/")
+}
+
+// isCanonical reports whether CleanPath(p) == p: p is "/" or a slash
+// followed by segments none of which is empty, "." or "..".
+func isCanonical(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	for rest := p[1:]; ; {
+		seg, tail, more := strings.Cut(rest, "/")
+		if seg == "" || seg == "." || seg == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = tail
+	}
 }
 
 // Parent returns the parent directory of p ("/" for top-level entries).

@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -141,9 +142,10 @@ func resolveCells(cs *counters.Counters) CounterCells {
 	}
 }
 
-// NewTaskContext builds a context for one task attempt.
+// NewTaskContext builds a context for one task attempt. Its cells are
+// allocated in one piece.
 func NewTaskContext(job *conf.JobConf, taskID string, split formats.InputSplit) *TaskContext {
-	cs := counters.New()
+	cs := counters.NewSized(reflect.TypeFor[CounterCells]().NumField())
 	return &TaskContext{
 		Job:      job,
 		Counters: cs,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -149,9 +150,10 @@ func pairRanges(path string, info kvstore.PathInfo, from, to int64) ([]CachedRan
 // caller is about to map pair indexes onto blocks, and treating the block
 // as empty would silently drop its pairs from cached splits.
 func blockPairs(info kvstore.PathInfo, b kvstore.BlockInfo) (int64, error) {
-	var n int64
-	if _, err := fmt.Sscanf(b.Tag, "n=%d", &n); err == nil {
-		return n, nil
+	if s, ok := strings.CutPrefix(b.Tag, "n="); ok {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil && n >= 0 {
+			return n, nil
+		}
 	}
 	// Single-block fallback.
 	if len(info.Blocks) == 1 {
@@ -214,7 +216,7 @@ func (c *Cache) PutSplit(place int, name string, pairs []wio.Pair) error {
 	if err := c.store.Mkdirs(dfs.Parent(sp)); err != nil {
 		return err
 	}
-	w, err := c.store.CreateWriter(place, sp, fmt.Sprintf("n=%d", len(pairs)))
+	w, err := c.store.CreateWriter(place, sp, "n="+strconv.Itoa(len(pairs)))
 	if err != nil {
 		return err
 	}
@@ -259,7 +261,7 @@ func (o *OutputWriter) Append(p wio.Pair) {
 // Close commits the cache entry.
 func (o *OutputWriter) Close() error {
 	// The block tag records the pair count for pair-space split mapping.
-	o.w.SetTag(fmt.Sprintf("n=%d", o.count))
+	o.w.SetTag("n=" + strconv.FormatInt(o.count, 10))
 	if _, err := o.w.Close(); err != nil {
 		return err
 	}
@@ -428,17 +430,22 @@ func (f *CachingFileSystem) Mkdirs(path string) error {
 
 // Stat implements dfs.FileSystem over the union. Cache-only files report
 // their pair count as size (a synthetic byte space; split ranges over it
-// are resolved back to pair ranges by the cache).
+// are resolved back to pair ranges by the cache). The cache is asked first:
+// a cache-only file has no bytes on the backing store, so it costs the
+// backing store no call and no not-found error.
 func (f *CachingFileSystem) Stat(path string) (dfs.FileStatus, error) {
-	if st, err := f.backing.Stat(path); err == nil {
-		return st, nil
-	}
-	info, ok := f.cache.store.GetInfo(dfs.CleanPath(path))
-	if !ok {
-		return dfs.FileStatus{}, fmt.Errorf("m3r: stat %s: %w", path, dfs.ErrNotFound)
+	path = dfs.CleanPath(path)
+	info, cached := f.cache.store.GetInfo(path)
+	if !cached || info.Attrs[attrCacheOnly] == "" {
+		if st, err := f.backing.Stat(path); err == nil {
+			return st, nil
+		}
+		if !cached {
+			return dfs.FileStatus{}, fmt.Errorf("m3r: stat %s: %w", path, dfs.ErrNotFound)
+		}
 	}
 	return dfs.FileStatus{
-		Path:        dfs.CleanPath(path),
+		Path:        path,
 		Size:        info.Pairs,
 		IsDir:       info.Dir,
 		ModTime:     time.Time{},

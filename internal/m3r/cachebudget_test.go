@@ -267,27 +267,31 @@ func TestGetCacheRecordReaderPropagatesReadError(t *testing.T) {
 func TestBlockPairsMalformedTagFailsLoudly(t *testing.T) {
 	c, _ := newTestCache(1)
 	// Two blocks on one cache-only path: the first with a well-formed
-	// pair-count tag, the second with a malformed one.
-	for i, tag := range []string{"n=3", "bogus"} {
-		w, err := c.Store().CreateWriter(0, "/multi", tag)
-		if err != nil {
+	// pair-count tag, the second with a malformed one — not "n=" followed
+	// by a decimal count and nothing else.
+	for b, bad := range []string{"bogus", "", "n=", "n=x", "n=-1", "n=3x", "n= 3", "n=+", "N=3", "n=99999999999999999999"} {
+		path := fmt.Sprintf("/multi%d", b)
+		for i, tag := range []string{"n=3", bad} {
+			w, err := c.Store().CreateWriter(0, path, tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.AppendAll(somePairs(3))
+			if _, err := w.Close(); err != nil {
+				t.Fatalf("tag %q block %d: %v", bad, i, err)
+			}
+		}
+		if err := c.Store().SetAttr(path, attrCacheOnly, "1"); err != nil {
 			t.Fatal(err)
 		}
-		w.AppendAll(somePairs(3))
-		if _, err := w.Close(); err != nil {
-			t.Fatalf("block %d: %v", i, err)
+		view := &fileSplitView{path: path, start: 0, length: 6}
+		_, _, err := c.LookupSplit(path+":0+6", view)
+		if err == nil {
+			t.Fatalf("tag %q: malformed multi-block tag must fail the lookup", bad)
 		}
-	}
-	if err := c.Store().SetAttr("/multi", attrCacheOnly, "1"); err != nil {
-		t.Fatal(err)
-	}
-	view := &fileSplitView{path: "/multi", start: 0, length: 6}
-	_, _, err := c.LookupSplit("/multi:0+6", view)
-	if err == nil {
-		t.Fatal("malformed multi-block tag must fail the lookup")
-	}
-	if !strings.Contains(err.Error(), "pair-count tag") {
-		t.Fatalf("unexpected error: %v", err)
+		if !strings.Contains(err.Error(), "pair-count tag") {
+			t.Fatalf("tag %q: unexpected error: %v", bad, err)
+		}
 	}
 	// A single-block entry without a tag still falls back to the path
 	// total — the benign legacy layout stays readable.

@@ -1,6 +1,7 @@
 package m3r
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -193,6 +194,60 @@ func TestCachingFileSystemUnion(t *testing.T) {
 	}
 	if !cfs.Exists("/mem/b") || cfs.Exists("/mem/a") {
 		t.Error("cache-only rename result")
+	}
+}
+
+// statCountingFS counts the Stat calls that reach the filesystem it wraps.
+type statCountingFS struct {
+	dfs.FileSystem
+	stats int
+}
+
+func (f *statCountingFS) Stat(path string) (dfs.FileStatus, error) {
+	f.stats++
+	return f.FileSystem.Stat(path)
+}
+
+// TestCachingFileSystemStatAsksTheCacheFirst: a cache-only file is stat'ed
+// from the cache without a call to the backing store; a file the backing
+// store has reports its own status there even when the cache holds its
+// pairs too; an unknown path is ErrNotFound. Every answer carries the
+// canonical path.
+func TestCachingFileSystemStatAsksTheCacheFirst(t *testing.T) {
+	rt := x10.NewRuntime(x10.Options{Places: 2, Stats: sim.NewStats(), Cost: sim.Zero()})
+	hdfs, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir(), Hosts: []string{"node0", "node1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := &statCountingFS{FileSystem: hdfs}
+	cache := NewCache(rt)
+	cfs := NewCachingFileSystem(backing, cache, rt)
+	for path, temp := range map[string]bool{"/mem/part-00000": true, "/disk/part-00000": false} {
+		w, err := cache.NewOutputWriter(1, path, temp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range somePairs(6) {
+			w.Append(p)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dfs.WriteFile(hdfs, "/disk/part-00000", []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := cfs.Stat("/mem//./part-00000/")
+	if err != nil || st.Size != 6 || st.Path != "/mem/part-00000" || backing.stats != 0 {
+		t.Errorf("cache-only stat: %+v err=%v, %d backing Stat calls", st, err, backing.stats)
+	}
+	st, err = cfs.Stat("disk/part-00000")
+	if err != nil || st.Size != 3 || st.Path != "/disk/part-00000" {
+		t.Errorf("backed stat: %+v err=%v, want the backing store's 3 bytes", st, err)
+	}
+	if _, err := cfs.Stat("/nowhere"); !errors.Is(err, dfs.ErrNotFound) {
+		t.Errorf("missing stat: err=%v, want ErrNotFound", err)
 	}
 }
 

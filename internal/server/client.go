@@ -168,11 +168,17 @@ func (c *Client) ListJobs() ([]JobSummary, error) {
 		return nil, err
 	}
 	defer conn.Close()
+	return readJobSummaries(r)
+}
+
+// readJobSummaries decodes a job listing. Its count comes off the wire, so
+// nothing is allocated on its word: the slice grows as rows arrive.
+func readJobSummaries(r *wio.Reader) ([]JobSummary, error) {
 	n, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]JobSummary, 0, n)
+	var out []JobSummary
 	for i := uint64(0); i < n; i++ {
 		var js JobSummary
 		if js.ID, err = r.ReadString(); err != nil {

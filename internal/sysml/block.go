@@ -89,20 +89,28 @@ func (b *Block) Clone() *Block {
 	return out
 }
 
+// row returns row i of the block as a sub-slice of V.
+func (b *Block) row(i int) []float64 { return b.V[i*int(b.C) : (i+1)*int(b.C)] }
+
+// The three products below walk row sub-slices. Each must add its terms in
+// the order of the At-indexed reference loop in TestBlockKernelsBitIdentical,
+// so that its results stay bit-identical to it on both engines.
+
 // Mul returns a × o (R×C · o.R×o.C with C == o.R).
 func (b *Block) Mul(o *Block) *Block {
 	if b.C != o.R {
 		panic(fmt.Sprintf("sysml: dimension mismatch %v × %v", b, o))
 	}
 	out := NewBlock(b.R, o.C)
-	for i := int32(0); i < b.R; i++ {
-		for k := int32(0); k < b.C; k++ {
-			a := b.At(i, k)
+	for i := range int(b.R) {
+		dst := out.row(i)
+		for k, a := range b.row(i) {
 			if a == 0 {
 				continue
 			}
-			for j := int32(0); j < o.C; j++ {
-				out.V[int(i)*int(o.C)+int(j)] += a * o.At(k, j)
+			src := o.row(k)[:len(dst)]
+			for j, v := range src {
+				dst[j] += a * v
 			}
 		}
 	}
@@ -115,14 +123,15 @@ func (b *Block) TMul(o *Block) *Block {
 		panic(fmt.Sprintf("sysml: dimension mismatch %vᵀ × %v", b, o))
 	}
 	out := NewBlock(b.C, o.C)
-	for k := int32(0); k < b.R; k++ {
-		for i := int32(0); i < b.C; i++ {
-			a := b.At(k, i)
+	for k := range int(b.R) {
+		src := o.row(k)
+		for i, a := range b.row(k) {
 			if a == 0 {
 				continue
 			}
-			for j := int32(0); j < o.C; j++ {
-				out.V[int(i)*int(o.C)+int(j)] += a * o.At(k, j)
+			dst := out.row(i)[:len(src)]
+			for j, v := range src {
+				dst[j] += a * v
 			}
 		}
 	}
@@ -135,13 +144,15 @@ func (b *Block) MulT(o *Block) *Block {
 		panic(fmt.Sprintf("sysml: dimension mismatch %v × %vᵀ", b, o))
 	}
 	out := NewBlock(b.R, o.R)
-	for i := int32(0); i < b.R; i++ {
-		for j := int32(0); j < o.R; j++ {
+	for i := range int(b.R) {
+		bi, dst := b.row(i), out.row(i)
+		for j := range dst {
+			oj := o.row(j)[:len(bi)]
 			var sum float64
-			for k := int32(0); k < b.C; k++ {
-				sum += b.At(i, k) * o.At(j, k)
+			for k, v := range bi {
+				sum += v * oj[k]
 			}
-			out.Set(i, j, sum)
+			dst[j] = sum
 		}
 	}
 	return out
