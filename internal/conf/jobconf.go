@@ -90,13 +90,6 @@ const (
 	// map-side sort spills in both engines: "none" (default) or "flate".
 	// Readers sniff the layout per segment, so only writers consult it.
 	KeyM3RSpillCodec = "m3r.shuffle.compress.codec"
-	// KeyMergeParallelism enables the staged reduce-side merge in both
-	// engines: up to this many contiguous run subsets merge on their own
-	// goroutines. Unset or 0 is serial; "auto" or negative is GOMAXPROCS.
-	KeyMergeParallelism = "m3r.merge.parallelism"
-	// KeyMergeMinRuns is the run count below which the staged merge never
-	// engages (default engine.DefaultMergeMinRuns).
-	KeyMergeMinRuns = "m3r.merge.min.runs"
 	// KeyJobDeadlineMS bounds a job's wall-clock time in milliseconds on
 	// either engine; expiry fails it with engine.ErrDeadlineExceeded.
 	KeyJobDeadlineMS = "m3r.job.deadline.ms"

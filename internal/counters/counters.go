@@ -40,9 +40,7 @@ const (
 	TotalLaunchedReduces = "TOTAL_LAUNCHED_REDUCES"
 	DataLocalMaps        = "DATA_LOCAL_MAPS"
 
-	// M3R-extension counters. Most are maintained only by the M3R engine;
-	// PARALLEL_MERGE_STAGES is also maintained by the Hadoop engine, which
-	// honors the same m3r.merge.* staging keys for its segment merge.
+	// M3R-extension counters, maintained only by the M3R engine.
 	CacheHitSplits  = "CACHE_HIT_SPLITS"
 	CacheMissSplits = "CACHE_MISS_SPLITS"
 	// Budgeted-cache tiering (m3r.cache.budget.bytes): CACHE_RESIDENT_BYTES
@@ -83,7 +81,6 @@ const (
 	LocalShufflePairs   = "LOCAL_SHUFFLE_PAIRS"
 	RemoteShufflePairs  = "REMOTE_SHUFFLE_PAIRS"
 	RemoteShuffleBytes  = "REMOTE_SHUFFLE_BYTES"
-	ParallelMergeStages = "PARALLEL_MERGE_STAGES"
 	// NET_FRAMES / NET_BYTES count shuffle frames (and their payload bytes)
 	// that left the process over a remote place transport; they stay absent
 	// on the default inproc backend.

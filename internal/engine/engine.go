@@ -113,7 +113,6 @@ type CounterCells struct {
 	EvictedResidentRuns *counters.Counter
 	LocalShufflePairs   *counters.Counter
 	RemoteShufflePairs  *counters.Counter
-	ParallelMergeStages *counters.Counter
 	ClonedPairs         *counters.Counter
 	AliasedPairs        *counters.Counter
 }
@@ -136,7 +135,6 @@ func resolveCells(cs *counters.Counters) CounterCells {
 		EvictedResidentRuns: cs.Find(counters.M3RGroup, counters.EvictedResidentRuns),
 		LocalShufflePairs:   cs.Find(counters.M3RGroup, counters.LocalShufflePairs),
 		RemoteShufflePairs:  cs.Find(counters.M3RGroup, counters.RemoteShufflePairs),
-		ParallelMergeStages: cs.Find(counters.M3RGroup, counters.ParallelMergeStages),
 		ClonedPairs:         cs.Find(counters.M3RGroup, counters.ClonedPairs),
 		AliasedPairs:        cs.Find(counters.M3RGroup, counters.AliasedPairs),
 	}

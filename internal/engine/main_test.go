@@ -6,6 +6,6 @@ import (
 	"m3r/internal/lint/leakcheck"
 )
 
-// TestMain fails the package when staged-merge workers or lifecycle
-// watchers outlive the tests (DESIGN.md "Static analysis").
+// TestMain fails the package when a staged merge kernel's worker or a
+// deadline's kill outlives the tests (DESIGN.md "Static analysis").
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -20,6 +20,14 @@ import "m3r/internal/wio"
 // run of either engine (RawMerge) — so the tournament logic exists exactly
 // once.
 
+// Source is a stream of ordered elements feeding a merge. RunReader is this
+// at wio.Pair (an unbudgeted M3R job's element type) and RecSource at
+// spill.Rec (every serialized run's).
+type Source[T any] interface {
+	Next() (T, bool, error)
+	Close() error
+}
+
 // Tournament is a loser tree over k ordered sources of T. The caller owns
 // the sources and pushes their head elements in: NewTournament takes every
 // source's primed head, Winner names the source whose head is globally
@@ -261,4 +269,10 @@ type MergeIter = SourceMerge[wio.Pair]
 // NewMergeIter opens a merge over readers. On error the readers are closed.
 func NewMergeIter(readers []RunReader, cmp wio.Comparator) (*MergeIter, error) {
 	return NewSourceMerge(readers, pairCompare(cmp))
+}
+
+// pairCompare adapts a key comparator to the pair-element shape the
+// tournament takes.
+func pairCompare(cmp wio.Comparator) func(a, b *wio.Pair) int {
+	return func(a, b *wio.Pair) int { return cmp.Compare(a.Key, b.Key) }
 }

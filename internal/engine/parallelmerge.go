@@ -2,17 +2,18 @@ package engine
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 
-	"m3r/internal/conf"
-	"m3r/internal/counters"
 	"m3r/internal/wio"
 )
 
-// This file implements the staged parallel merge: the reduce-side k-way
-// merge, single-threaded per partition in the base pipeline, split across
-// worker goroutines when a partition has enough runs to justify it.
+// This file implements the staged parallel merge: a k-way merge split across
+// worker goroutines. No engine calls it — every reduce-side and map-side
+// merge of both engines is one serial Tournament (DESIGN.md "Merge
+// architecture" has the numbers that decided it). It is kept only because
+// the benchmark's layer ladder measures NewParallelMergeIter as its
+// merge_staged rung; ROADMAP item 1(i) drops that rung and deletes this file
+// with it.
 //
 // Loser trees compose — merging merged subsets is itself a tournament merge
 // — so the staged topology is: partition the run set into S *contiguous*
@@ -26,22 +27,7 @@ import (
 // merge's global lower-source-index rule.
 //
 // Only the bounded channel batches are ever materialized between the
-// stages; stream-backed (spilled) leaves decode on their worker goroutine,
-// so disk decode overlaps final-merge consumption instead of serializing
-// into it.
-
-// Source is a stream of ordered elements feeding a merge. RunReader is this
-// at wio.Pair (an unbudgeted M3R job's element type) and spill.Stream has
-// the shape at spill.Rec (every serialized run's), so one staging
-// implementation serves both.
-type Source[T any] interface {
-	Next() (T, bool, error)
-	Close() error
-}
-
-// DefaultMergeMinRuns is the run count below which staging never engages: a
-// handful of runs merges faster on one goroutine than through channels.
-const DefaultMergeMinRuns = 8
+// stages; stream-backed (spilled) leaves decode on their worker goroutine.
 
 const (
 	// stagedBatchLen amortizes channel synchronization over many elements;
@@ -54,59 +40,6 @@ const (
 
 // ErrMergeCancelled reports a staged stream read after the merge was closed.
 var ErrMergeCancelled = errors.New("engine: staged merge cancelled")
-
-// MergeConfig is the reduce-side merge tuning both engines read from the
-// job configuration.
-type MergeConfig struct {
-	// Parallelism is the requested number of concurrent subset mergers.
-	// Values below 2 disable staging.
-	Parallelism int
-	// MinRuns is the minimum run count for staging to engage.
-	MinRuns int
-	// Lifecycle, when non-nil, cancels an engaged staged merge when the job
-	// is killed: a watcher ties the lifecycle to the merge group's abort, so
-	// worker goroutines stop even while the consumer is blocked inside a
-	// UDF. Nil means the merge is governed only by its consumer.
-	Lifecycle *JobLifecycle
-}
-
-// MergeConfigFromJob reads conf.KeyMergeParallelism ("auto" or a negative
-// value resolve to GOMAXPROCS; unset or 0 means off, the default) and
-// conf.KeyMergeMinRuns.
-func MergeConfigFromJob(job *conf.JobConf) MergeConfig {
-	p := 0
-	switch v := job.Get(conf.KeyMergeParallelism); v {
-	case "":
-		// Default: staging off, the serial merge path untouched.
-	case "auto":
-		p = runtime.GOMAXPROCS(0)
-	default:
-		if p = job.GetInt(conf.KeyMergeParallelism, 0); p < 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
-	}
-	return MergeConfig{
-		Parallelism: p,
-		MinRuns:     job.GetInt(conf.KeyMergeMinRuns, DefaultMergeMinRuns),
-	}
-}
-
-// Stages returns how many concurrent subset mergers to run over k sources,
-// or 0 when the merge should stay serial. Each engaged worker merges at
-// least two sources — staging a single source would only add a channel hop.
-func (c MergeConfig) Stages(k int) int {
-	if c.Parallelism < 2 || k < c.MinRuns {
-		return 0
-	}
-	s := c.Parallelism
-	if s > k/2 {
-		s = k / 2
-	}
-	if s < 2 {
-		return 0
-	}
-	return s
-}
 
 // stagedGroup is the shared state of one staged merge: the first abort — a
 // worker's decode/read error, or the consumer closing early — wins, closes
@@ -291,9 +224,8 @@ func stagedWorker[T any](g *stagedGroup[T], srcs []Source[T], cmp func(a, b *T) 
 // order — ready to be leaves of a final merge. It takes ownership of the
 // sources (workers close them); the caller must Close every returned stream
 // (closing any one cancels the group, but Close waits per-stream for its
-// worker's resources to be released). lc, when non-nil, cancels the group
-// when the job is killed.
-func stageSources[T any](sources []Source[T], cmp func(a, b *T) int, stages int, lc *JobLifecycle) []Source[T] {
+// worker's resources to be released).
+func stageSources[T any](sources []Source[T], cmp func(a, b *T) int, stages int) []Source[T] {
 	if stages < 1 {
 		// A non-positive stage count would spawn no workers and silently
 		// drop (and leak) every source; one worker is the degenerate merge.
@@ -303,19 +235,6 @@ func stageSources[T any](sources []Source[T], cmp func(a, b *T) int, stages int,
 	g := &stagedGroup[T]{
 		cancel: make(chan struct{}),
 		free:   make(chan []T, stages*(stagedChanDepth+1)),
-	}
-	if lc != nil {
-		// Tie the job's cancel source to the group: a kill aborts the merge
-		// (workers drop their sources and exit) without waiting for the
-		// consumer to come back for another pair. The watcher exits when
-		// either side fires.
-		go func() {
-			select {
-			case <-lc.Done():
-				g.abort(lc.Err())
-			case <-g.cancel:
-			}
-		}()
 	}
 	out := make([]Source[T], 0, stages)
 	for i := 0; i < stages; i++ {
@@ -329,44 +248,11 @@ func stageSources[T any](sources []Source[T], cmp func(a, b *T) int, stages int,
 	return out
 }
 
-// StageIfConfigured is the staging gate both engines share: when cfg
-// engages for the source count it wraps the sources in staged intermediate
-// streams (recording the stage count in stagesCell, when non-nil);
-// otherwise it returns the sources unchanged for a serial merge.
-func StageIfConfigured[T any](srcs []Source[T], cmp func(a, b *T) int,
-	cfg MergeConfig, stagesCell *counters.Counter) []Source[T] {
-	s := cfg.Stages(len(srcs))
-	if s < 2 {
-		return srcs
-	}
-	if stagesCell != nil {
-		stagesCell.Increment(int64(s))
-	}
-	return stageSources(srcs, cmp, s, cfg.Lifecycle)
-}
-
-// pairCompare adapts a key comparator to the pair-element shape the
-// tournament and staging take.
-func pairCompare(cmp wio.Comparator) func(a, b *wio.Pair) int {
-	return func(a, b *wio.Pair) int { return cmp.Compare(a.Key, b.Key) }
-}
-
 // NewParallelMergeIter opens a staged merge over readers: `stages`
-// concurrent subset mergers feed a final Tournament whose MergeIter streams
-// straight into DriveReduce, exactly like the serial merge. The output is
+// concurrent subset mergers feed a final Tournament. The output is
 // byte-identical to NewMergeIter over the same readers (keys, values, and
 // order among equal keys), for any stages ≥ 1 and any schedule.
 func NewParallelMergeIter(readers []RunReader, cmp wio.Comparator, stages int) (*MergeIter, error) {
 	pc := pairCompare(cmp)
-	return NewSourceMerge(stageSources(readers, pc, stages, nil), pc)
-}
-
-// NewStagedMergeIter opens a merge over readers, staging it across
-// concurrent subset mergers when cfg and the run count warrant; otherwise
-// it is exactly NewMergeIter. stagesCell, when non-nil, observes the number
-// of worker stages each engaged staged merge runs (PARALLEL_MERGE_STAGES).
-func NewStagedMergeIter(readers []RunReader, cmp wio.Comparator,
-	cfg MergeConfig, stagesCell *counters.Counter) (*MergeIter, error) {
-	pc := pairCompare(cmp)
-	return NewSourceMerge(StageIfConfigured(readers, pc, cfg, stagesCell), pc)
+	return NewSourceMerge(stageSources(readers, pc, stages), pc)
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"m3r/internal/conf"
 	"m3r/internal/engine"
 	"m3r/internal/spill"
 	"m3r/internal/types"
@@ -236,39 +235,6 @@ func TestParallelMergeCloseEarly(t *testing.T) {
 	}
 	if n := spill.OpenStreamCount(); n != base {
 		t.Fatalf("%d spill streams left open after early close", n-base)
-	}
-}
-
-// TestMergeConfig pins the conf-key semantics: off by default, "auto" and
-// negative values resolve to GOMAXPROCS, and Stages gates on run count and
-// keeps at least two sources per worker.
-func TestMergeConfig(t *testing.T) {
-	job := conf.NewJob()
-	if c := engine.MergeConfigFromJob(job); c.Parallelism != 0 || c.MinRuns != engine.DefaultMergeMinRuns {
-		t.Fatalf("default config = %+v", c)
-	}
-	job.Set(conf.KeyMergeParallelism, "auto")
-	if c := engine.MergeConfigFromJob(job); c.Parallelism < 1 {
-		t.Fatalf("auto parallelism = %d", c.Parallelism)
-	}
-	job.SetInt(conf.KeyMergeParallelism, -1)
-	if c := engine.MergeConfigFromJob(job); c.Parallelism < 1 {
-		t.Fatalf("negative parallelism = %d", c.Parallelism)
-	}
-	job.SetInt(conf.KeyMergeParallelism, 4)
-	job.SetInt(conf.KeyMergeMinRuns, 6)
-	c := engine.MergeConfigFromJob(job)
-	if got := c.Stages(5); got != 0 {
-		t.Fatalf("below min runs: Stages(5) = %d, want 0", got)
-	}
-	if got := c.Stages(6); got != 3 {
-		t.Fatalf("Stages(6) = %d, want 3 (two sources per worker)", got)
-	}
-	if got := c.Stages(100); got != 4 {
-		t.Fatalf("Stages(100) = %d, want parallelism 4", got)
-	}
-	if got := (engine.MergeConfig{Parallelism: 1, MinRuns: 1}).Stages(100); got != 0 {
-		t.Fatalf("parallelism 1: Stages = %d, want 0 (serial)", got)
 	}
 }
 

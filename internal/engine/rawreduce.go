@@ -91,7 +91,7 @@ func decode(rd *wio.Reader, factory func() wio.Writable, b []byte, what string) 
 }
 
 // keyedSource is the raw merge's leaf: it keys each record of a serialized
-// run as it is pulled — on a staged merge, on the worker's goroutine.
+// run as it is pulled.
 type keyedSource struct {
 	src RecSource
 	m   *RawMerge
@@ -118,18 +118,16 @@ func (s *keyedSource) Next() (keyedRec, bool, error) {
 func (s *keyedSource) Close() error { return s.src.Close() }
 
 // OpenRawMerge opens the merge of srcs — sorted runs of one reduce
-// partition, keys of class keyClass, in source-task order — staging it
-// across worker goroutines when cfg and the run count warrant (stagesCell,
-// when non-nil, observes the stage count). It takes ownership of srcs: they
-// are closed on error and by Close.
-func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, cfg MergeConfig,
-	stagesCell *counters.Counter) (*RawMerge, error) {
+// partition, keys of class keyClass, in source-task order — as one serial
+// Tournament. Reduce polls lc, when non-nil, once per record. It takes
+// ownership of srcs: they are closed on error and by Close.
+func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, lc *JobLifecycle) (*RawMerge, error) {
 	newKey, err := wio.Factory(keyClass)
 	if err != nil {
 		CloseAllOnErr(srcs)
 		return nil, fmt.Errorf("engine: map output key class: %w", err)
 	}
-	m := &RawMerge{rj: rj, newKey: newKey, lc: cfg.Lifecycle, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
+	m := &RawMerge{rj: rj, newKey: newKey, lc: lc, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
 	if m.prefixer, _ = rj.RawSortCmp.(wio.RawSortPrefixer); m.prefixer != nil {
 		m.groupByPrefix = rj.GroupsBySort
 	}
@@ -137,7 +135,7 @@ func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, cfg Merge
 	for i, s := range srcs {
 		leaves[i] = &keyedSource{src: s, m: m}
 	}
-	if m.m, err = NewSourceMerge(StageIfConfigured(leaves, m.compare, cfg, stagesCell), m.compare); err != nil {
+	if m.m, err = NewSourceMerge(leaves, m.compare); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -160,7 +158,7 @@ func (m *RawMerge) Close() error { return m.m.Close() }
 // out — DriveReduce for serialized input, and both engines' reduce tasks'
 // record loop. Values are of class valClass. A group boundary is found on
 // the serialized key; the key becomes an object once per group and a value
-// once per Next. The merge's lifecycle (MergeConfig.Lifecycle) is polled per
+// once per Next. The merge's lifecycle (OpenRawMerge's lc) is polled per
 // record, consumed or drained, so a kill lands inside a group however long.
 func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputCollector, ctx *TaskContext) error {
 	var err error

@@ -25,8 +25,8 @@ import (
 // statement: a reducer sees what it would see had the same records been
 // decoded, concatenated in run order, SortPairs-sorted and fed through
 // DriveReduce — the same groups, each under the same key, the same values in
-// the same order — whatever the key type, the job's comparators, the kind of
-// leaf and the merge parallelism.
+// the same order — whatever the key type, the job's comparators and the kind
+// of leaf.
 
 // descText orders Text keys descending and has no raw form and no prefix.
 type descText struct{}
@@ -319,13 +319,11 @@ func referenceReduce(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, ta
 	return red, ctx
 }
 
-// rawReduce runs red over srcs through the raw driver at the given merge
-// parallelism (1: serial; staging engages from four runs up).
-func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, par int, lc *engine.JobLifecycle,
+// rawReduce runs red over srcs through the raw driver.
+func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, lc *engine.JobLifecycle,
 	red engine.ReduceRun) (*engine.TaskContext, error) {
 	ctx := engine.NewTaskContext(rj.Job, "raw", nil)
-	cfg := engine.MergeConfig{Parallelism: par, MinRuns: 1, Lifecycle: lc}
-	m, err := rj.OpenRawMerge(srcs, rj.Job.MapOutputKeyClass(), cfg, ctx.Cells.ParallelMergeStages)
+	m, err := rj.OpenRawMerge(srcs, rj.Job.MapOutputKeyClass(), lc)
 	if err != nil {
 		return ctx, err
 	}
@@ -336,16 +334,16 @@ func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, par int, lc *eng
 	return ctx, err
 }
 
-// rawMismatch holds the raw driver to the reference for one run set, leaf
-// kind and parallelism, under a reducer that reads everything and one that
-// abandons every group after its first value, and checks what a retaining
-// reducer was handed.
-func rawMismatch(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, kind, par int) error {
+// rawMismatch holds the raw driver to the reference for one run set and leaf
+// kind, under a reducer that reads everything and one that abandons every
+// group after its first value, and checks what a retaining reducer was
+// handed.
+func rawMismatch(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, kind int) error {
 	dir := t.TempDir()
 	for _, take := range []int{-1, 1} {
 		want, wantCtx := referenceReduce(t, rj, runs, take)
 		got := &recordingReducer{take: take, keep: true}
-		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), par, nil, got)
+		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), nil, got)
 		if err != nil {
 			return err
 		}
@@ -395,10 +393,8 @@ func TestRawReduceMatchesDriveReduce(t *testing.T) {
 			rng.Read(data)
 			runs := rawRuns(rj, c.key, data)
 			for kind := 0; kind < leafKinds; kind++ {
-				for _, par := range []int{1, 3} {
-					if err := rawMismatch(t, rj, runs, kind, par); err != nil {
-						t.Fatalf("%s, round %d (%d runs), leaf kind %d, parallelism %d: %v", c.name, round, len(runs), kind, par, err)
-					}
+				if err := rawMismatch(t, rj, runs, kind); err != nil {
+					t.Fatalf("%s, round %d (%d runs), leaf kind %d: %v", c.name, round, len(runs), kind, err)
 				}
 			}
 		}
@@ -430,17 +426,15 @@ func TestRawReduceShapes(t *testing.T) {
 		"one-hot":    hot,
 	} {
 		for kind := 0; kind < leafKinds; kind++ {
-			for _, par := range []int{1, 3} {
-				if err := rawMismatch(t, rj, runs, kind, par); err != nil {
-					t.Errorf("%s, leaf kind %d, parallelism %d: %v", name, kind, par, err)
-				}
+			if err := rawMismatch(t, rj, runs, kind); err != nil {
+				t.Errorf("%s, leaf kind %d: %v", name, kind, err)
 			}
 		}
 	}
 }
 
-// FuzzRawReduce draws the job shape, the leaf kind, the parallelism and the
-// run set from the input.
+// FuzzRawReduce draws the job shape, the leaf kind and the run set from the
+// input.
 func FuzzRawReduce(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 2, 1, 2, 3, 1, 2, 0, 5, 4, 9, 9, 9, 200, 3, 1, 1, 1})
 	f.Add(append([]byte{7, 7}, slices.Repeat([]byte{11, 0, 1, 2, 0x7f, 0x80, 250, 3}, 24)...))
@@ -450,9 +444,9 @@ func FuzzRawReduce(f *testing.F) {
 		}
 		i := int(data[0]) % len(rawCases)
 		rj := resolveRawCase(t, i)
-		kind, par := int(data[1])%leafKinds, 1+int(data[1])/leafKinds%2*2
-		if err := rawMismatch(t, rj, rawRuns(rj, rawCases[i].key, data[2:]), kind, par); err != nil {
-			t.Fatalf("%s, leaf kind %d, parallelism %d: %v", rawCases[i].name, kind, par, err)
+		kind := int(data[1]) % leafKinds
+		if err := rawMismatch(t, rj, rawRuns(rj, rawCases[i].key, data[2:]), kind); err != nil {
+			t.Fatalf("%s, leaf kind %d: %v", rawCases[i].name, kind, err)
 		}
 	})
 }
@@ -480,7 +474,7 @@ func (l *errLeaf) Close() error { l.closed = true; return l.inner.Close() }
 // fails mid-run or is truncated on disk, a value that does not decode, a
 // reducer that returns an error or panics inside a group, a kill inside a
 // group — surfaces as that error, stops the driver within a record of it and
-// leaves no stream open, serial or staged.
+// leaves no stream open.
 func TestRawReduceFailurePaths(t *testing.T) {
 	rj := resolveRawCase(t, 0)
 	var runs [][]wio.Pair
@@ -492,95 +486,94 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		runs = append(runs, run)
 	}
 	errReduce := errors.New("injected reducer error")
-	for _, par := range []int{1, 3} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			base := spill.OpenStreamCount()
-			leaves := func() []engine.RecSource { return rawLeaves(t, t.TempDir(), runs, leafMixed) }
+	// The merge is serial: one Tournament over every leaf.
+	t.Run("parallelism=1", func(t *testing.T) {
+		base := spill.OpenStreamCount()
+		leaves := func() []engine.RecSource { return rawLeaves(t, t.TempDir(), runs, leafMixed) }
 
-			srcs := leaves()
-			bad := &errLeaf{inner: srcs[5], n: 150}
-			srcs[5] = bad
-			if _, err := rawReduce(rj, srcs, par, nil, &recordingReducer{take: -1}); !errors.Is(err, errLeafRead) || !bad.closed {
-				t.Errorf("failing leaf: error %v, leaf closed %v; want the leaf's error and the leaf closed", err, bad.closed)
-			}
+		srcs := leaves()
+		bad := &errLeaf{inner: srcs[5], n: 150}
+		srcs[5] = bad
+		if _, err := rawReduce(rj, srcs, nil, &recordingReducer{take: -1}); !errors.Is(err, errLeafRead) || !bad.closed {
+			t.Errorf("failing leaf: error %v, leaf closed %v; want the leaf's error and the leaf closed", err, bad.closed)
+		}
 
-			dir := t.TempDir()
-			srcs = rawLeaves(t, dir, runs, leafFlateStream)
-			srcs[2].Close()
-			path := filepath.Join(dir, "run_2")
-			full, err := os.ReadFile(path)
+		dir := t.TempDir()
+		srcs = rawLeaves(t, dir, runs, leafFlateStream)
+		srcs[2].Close()
+		path := filepath.Join(dir, "run_2")
+		full, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, full[:len(full)-7], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if srcs[2], err = spill.OpenSegment(path, spill.Segment{Len: int64(len(full))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rawReduce(rj, srcs, nil, &recordingReducer{take: -1}); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("truncated block: error %v, want io.ErrUnexpectedEOF", err)
+		}
+
+		srcs = leaves()
+		srcs[0] = &memSegment{spill.AppendRec(nil, spill.Rec{K: []byte{1, 'a'}, V: []byte{1, 2, 3}})}
+		if _, err := rawReduce(rj, srcs, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
+			t.Errorf("three-byte LongWritable: error %v, want one that names the value's decoding", err)
+		}
+
+		red := &recordingReducer{take: -1, fail: errReduce, failAt: 1}
+		ctx, err := rawReduce(rj, leaves(), nil, red)
+		if !errors.Is(err, errReduce) || red.closed != 0 {
+			t.Errorf("reducer error: error %v, reducer closed %d times; want the reducer's error and no Close", err, red.closed)
+		}
+		if n := ctx.Cells.ReduceInputRecords.Value(); n != 800+1 {
+			t.Errorf("reducer error after one value of the second group: %d records consumed, want 801", n)
+		}
+
+		red = &recordingReducer{take: -1, fail: errReduce, failAt: 1, panics: true}
+		func() {
+			defer func() {
+				if p := recover(); p != errReduce {
+					t.Errorf("reducer panic: recovered %v", p)
+				}
+			}()
+			m, err := rj.OpenRawMerge(leaves(), types.TextName, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, full[:len(full)-7], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if srcs[2], err = spill.OpenSegment(path, spill.Segment{Len: int64(len(full))}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rawReduce(rj, srcs, par, nil, &recordingReducer{take: -1}); !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("truncated block: error %v, want io.ErrUnexpectedEOF", err)
-			}
+			// As a reduce task holds it: closed on the way out of a panic.
+			defer m.Close()
+			m.Reduce(types.LongName, red, discard, engine.NewTaskContext(rj.Job, "panic", nil))
+		}()
 
-			srcs = leaves()
-			srcs[0] = &memSegment{spill.AppendRec(nil, spill.Rec{K: []byte{1, 'a'}, V: []byte{1, 2, 3}})}
-			if _, err := rawReduce(rj, srcs, par, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
-				t.Errorf("three-byte LongWritable: error %v, want one that names the value's decoding", err)
-			}
+		// A kill inside a group: the reducer kills its own job after the
+		// group's 10th value and keeps asking.
+		lc := engine.NewJobLifecycle()
+		killer := &killingReducer{lc: lc, after: 10}
+		ctx, err = rawReduce(rj, leaves(), lc, killer)
+		if !errors.Is(err, engine.ErrJobKilled) {
+			t.Errorf("kill inside a group: error %v, want ErrJobKilled", err)
+		}
+		if n := ctx.Cells.ReduceInputRecords.Value(); n != 10 || killer.asked != 11 {
+			t.Errorf("kill inside a group: %d records consumed over %d asks, want 10 over 11: the value after the kill must not be handed out", n, killer.asked)
+		}
 
-			red := &recordingReducer{take: -1, fail: errReduce, failAt: 1}
-			ctx, err := rawReduce(rj, leaves(), par, nil, red)
-			if !errors.Is(err, errReduce) || red.closed != 0 {
-				t.Errorf("reducer error: error %v, reducer closed %d times; want the reducer's error and no Close", err, red.closed)
-			}
-			if n := ctx.Cells.ReduceInputRecords.Value(); n != 800+1 {
-				t.Errorf("reducer error after one value of the second group: %d records consumed, want 801", n)
-			}
+		// And one in a group the reducer abandons: the drain stops too.
+		lc = engine.NewJobLifecycle()
+		killer = &killingReducer{lc: lc, after: 10, abandon: true}
+		ctx, err = rawReduce(rj, leaves(), lc, killer)
+		if !errors.Is(err, engine.ErrJobKilled) {
+			t.Errorf("kill before a drain: error %v, want ErrJobKilled", err)
+		}
+		if n := ctx.Cells.ReduceInputRecords.Value(); n != 10 {
+			t.Errorf("kill before a drain: %d records consumed, want 10", n)
+		}
 
-			red = &recordingReducer{take: -1, fail: errReduce, failAt: 1, panics: true}
-			func() {
-				defer func() {
-					if p := recover(); p != errReduce {
-						t.Errorf("reducer panic: recovered %v", p)
-					}
-				}()
-				m, err := rj.OpenRawMerge(leaves(), types.TextName, engine.MergeConfig{Parallelism: par, MinRuns: 1}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// As a reduce task holds it: closed on the way out of a panic.
-				defer m.Close()
-				m.Reduce(types.LongName, red, discard, engine.NewTaskContext(rj.Job, "panic", nil))
-			}()
-
-			// A kill inside a group: the reducer kills its own job after the
-			// group's 10th value and keeps asking.
-			lc := engine.NewJobLifecycle()
-			killer := &killingReducer{lc: lc, after: 10}
-			ctx, err = rawReduce(rj, leaves(), par, lc, killer)
-			if !errors.Is(err, engine.ErrJobKilled) {
-				t.Errorf("kill inside a group: error %v, want ErrJobKilled", err)
-			}
-			if n := ctx.Cells.ReduceInputRecords.Value(); n != 10 || killer.asked != 11 {
-				t.Errorf("kill inside a group: %d records consumed over %d asks, want 10 over 11: the value after the kill must not be handed out", n, killer.asked)
-			}
-
-			// And one in a group the reducer abandons: the drain stops too.
-			lc = engine.NewJobLifecycle()
-			killer = &killingReducer{lc: lc, after: 10, abandon: true}
-			ctx, err = rawReduce(rj, leaves(), par, lc, killer)
-			if !errors.Is(err, engine.ErrJobKilled) {
-				t.Errorf("kill before a drain: error %v, want ErrJobKilled", err)
-			}
-			if n := ctx.Cells.ReduceInputRecords.Value(); n != 10 {
-				t.Errorf("kill before a drain: %d records consumed, want 10", n)
-			}
-
-			if n := spill.OpenStreamCount(); n != base {
-				t.Errorf("%d spill streams left open", n-base)
-			}
-		})
-	}
+		if n := spill.OpenStreamCount(); n != base {
+			t.Errorf("%d spill streams left open", n-base)
+		}
+	})
 }
 
 // killingReducer kills its job after `after` values of its first group, then
@@ -681,7 +674,7 @@ func BenchmarkRawReduce(b *testing.B) {
 				return engine.DriveReduce(sumReducer{}, rj.GroupCmp, m, discard, ctx, false)
 			},
 			"raw": func(ctx *engine.TaskContext) error {
-				m, err := rj.OpenRawMerge(leaves(), types.TextName, engine.MergeConfig{}, nil)
+				m, err := rj.OpenRawMerge(leaves(), types.TextName, nil)
 				if err != nil {
 					return err
 				}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"m3r/internal/conf"
 	"m3r/internal/formats"
@@ -69,6 +70,9 @@ type ResolvedJob struct {
 	// MapOnly reports a zero-reducer job: map output goes straight to the
 	// output format (§5.3).
 	MapOnly bool
+	// MapOutput is the job's declared map-output classes, which both
+	// engines' collectors hold each pair to.
+	MapOutput MapOutputClasses
 
 	newMapRun     func() MapRun
 	newReduceRun  func() ReduceRun
@@ -187,7 +191,59 @@ func Resolve(job *conf.JobConf) (*ResolvedJob, error) {
 			return nil, fmt.Errorf("engine: job %q: unregistered writable %q for %s", job.JobName(), name, key)
 		}
 	}
+	mo := &rj.MapOutput
+	mo.KeyClass, mo.ValClass = job.MapOutputKeyClass(), job.MapOutputValueClass()
+	if mo.KeyType, err = classType(mo.KeyClass); err != nil {
+		return nil, err
+	}
+	if mo.ValType, err = classType(mo.ValClass); err != nil {
+		return nil, err
+	}
 	return rj, nil
+}
+
+// classType is the type word of the named writable class; nil for "".
+func classType(name string) (TypeWord, error) {
+	if name == "" {
+		return nil, nil
+	}
+	w, err := wio.New(name)
+	return TypeOf(w), err
+}
+
+// MapOutputClasses names a job's map-output key and value classes and the
+// dynamic types a collected pair must have to be of them. A class left
+// undeclared has an empty name and a nil type, and Check lets any object
+// through on that side.
+type MapOutputClasses struct {
+	KeyClass, ValClass string
+	KeyType, ValType   TypeWord
+}
+
+// TypeWord identifies a dynamic type: the runtime's descriptor of it, one per
+// type in the binary. Comparing two is what comparing reflect.TypeOf results
+// decides, at half the cost on the per-pair path.
+type TypeWord unsafe.Pointer
+
+// TypeOf is v's type word: the first word of the empty interface holding v.
+func TypeOf(v any) TypeWord { return TypeWord((*[2]unsafe.Pointer)(unsafe.Pointer(&v))[0]) }
+
+// Check fails a map-output pair that is not of the declared classes, with the
+// error Hadoop's MapOutputBuffer.collect raises: two pointer compares.
+func (c *MapOutputClasses) Check(key, value wio.Writable) error {
+	keyOK := c.KeyType == nil || TypeOf(key) == c.KeyType
+	if keyOK && (c.ValType == nil || TypeOf(value) == c.ValType) {
+		return nil
+	}
+	what, want, got := "key", c.KeyClass, key
+	if keyOK {
+		what, want, got = "value", c.ValClass, value
+	}
+	name, err := wio.NameOf(got)
+	if err != nil {
+		name = fmt.Sprintf("%T", got)
+	}
+	return fmt.Errorf("Type mismatch in %s from map: expected %s, received %s", what, want, name)
 }
 
 // RawKeyComparator returns the comparator that orders serialized map-output

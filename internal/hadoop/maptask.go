@@ -67,6 +67,9 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 		if err := lc.Err(); err != nil {
 			return err
 		}
+		if err := r.Resolved.MapOutput.Check(key, value); err != nil {
+			return err
+		}
 		p := partitioner.GetPartition(key, value, r.Resolved.NumReducers)
 		if p < 0 || p >= r.Resolved.NumReducers {
 			return fmt.Errorf("hadoop: partitioner returned %d of %d", p, r.Resolved.NumReducers)
@@ -298,7 +301,7 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 			}
 			streams = append(streams, s)
 		}
-		m, err := b.run.Resolved.OpenRawMerge(streams, b.run.Conf.MapOutputKeyClass(), engine.MergeConfig{}, nil)
+		m, err := b.run.Resolved.OpenRawMerge(streams, b.run.Conf.MapOutputKeyClass(), nil)
 		if err != nil {
 			f.Close()
 			return nil, err

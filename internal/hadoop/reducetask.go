@@ -44,14 +44,8 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 		}
 		streams = append(streams, s)
 	}
-	// The segment merge stages across worker goroutines when the task has
-	// enough map segments and the job asks for it (conf.KeyMergeParallelism)
-	// — byte-identical output either way. The lifecycle lets a kill abort
-	// an engaged staged merge's workers directly, and is the reduce loop's
-	// per-record cancel check.
-	mergeCfg := engine.MergeConfigFromJob(taskJob)
-	mergeCfg.Lifecycle = r.Lifecycle
-	m, err := r.Resolved.OpenRawMerge(streams, r.Conf.MapOutputKeyClass(), mergeCfg, ctx.Cells.ParallelMergeStages)
+	// The lifecycle is the reduce loop's per-record cancel check.
+	m, err := r.Resolved.OpenRawMerge(streams, r.Conf.MapOutputKeyClass(), r.Lifecycle)
 	if err != nil {
 		return err
 	}

@@ -200,8 +200,8 @@ func init() {
 // ---- the kill grid ----
 
 // killLeg is one point of the kill grid: where the gate sits and the job
-// configuration that makes that phase real (spills queued, staged merge
-// engaged, ...).
+// configuration that makes that phase real (runs spilled, map tasks
+// merging their spills, ...).
 type killLeg struct {
 	name        string
 	mapPoint    string
@@ -224,13 +224,11 @@ var killLegs = []killLeg{
 	// other task finishes — on m3r the remaining places wait at the shuffle
 	// barrier, which must wake on the kill.
 	{name: "barrier", mapPoint: "map.close"},
-	// Mid reduce-side merge: spilled runs feed a staged parallel merge and
-	// every reducer blocks at its first group, so merge workers are
-	// in-flight when the kill lands.
+	// Mid reduce-side merge: spilled runs feed the merge and every reducer
+	// blocks at its first group, so spilled-run streams are open when the
+	// kill lands.
 	{name: "merge", reducePoint: "reduce", conf: func(job *conf.JobConf) {
 		job.SetInt64(conf.KeyM3RShuffleBudget, 1)
-		job.SetInt(conf.KeyMergeParallelism, 4)
-		job.SetInt(conf.KeyMergeMinRuns, 2)
 		job.SetInt64("io.sort.bytes", 256)
 	}},
 	// Mid-reduce, plain merge.

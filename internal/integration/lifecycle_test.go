@@ -64,12 +64,11 @@ func assertSameParts(t *testing.T, leg string, got, want map[string][]byte) {
 // lifecycleGridLeg is one point of the shuffle-memory-lifecycle grid.
 type lifecycleGridLeg struct {
 	budget int64  // 0 = unlimited, 4096 = tight, 1 = everything spills
-	par    int    // staged parallel merge
 	codec  string // spill block codec; "" = the default, stored blocks
 }
 
 func (l lifecycleGridLeg) name() string {
-	n := fmt.Sprintf("b%d_p%d", l.budget, l.par)
+	n := fmt.Sprintf("b%d", l.budget)
 	if l.codec != "" {
 		n += "_c" + l.codec
 	}
@@ -78,10 +77,6 @@ func (l lifecycleGridLeg) name() string {
 
 func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 	job.SetInt64(conf.KeyM3RShuffleBudget, l.budget)
-	if l.par > 0 {
-		job.SetInt(conf.KeyMergeParallelism, l.par)
-		job.SetInt(conf.KeyMergeMinRuns, 2)
-	}
 	if l.codec != "" {
 		job.Set(conf.KeyM3RSpillCodec, l.codec)
 	}
@@ -89,11 +84,11 @@ func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 }
 
 // TestShuffleLifecycleEquivalenceWordCount is the end-to-end lifecycle
-// harness: WordCount across the full budget × parallel-merge × codec grid
-// must produce byte-identical output on the M3R engine at every point,
-// agree with the Hadoop engine and the reference counts, and honor the
-// counter invariants of each regime (no spills without a budget, all-spill
-// at a starvation budget, accounting independent of the merge topology).
+// harness: WordCount across the full budget × codec grid must produce
+// byte-identical output on the M3R engine at every point, agree with the
+// Hadoop engine and the reference counts, and honor the counter invariants
+// of each regime (no spills without a budget, all-spill at a starvation
+// budget, accounting independent of the codec).
 // Every budgeted leg also passes the engine's own check at the shuffle
 // barrier — per place, the resident segments are no more bytes than the job
 // holds in the pool — or its Submit fails here.
@@ -131,81 +126,71 @@ func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 		if budget == 0 {
 			codecs = []string{""}
 		}
-		for _, par := range []int{0, 4} {
-			for _, codec := range codecs {
-				leg := lifecycleGridLeg{budget: budget, par: par, codec: codec}
-				out := "/out/" + leg.name()
-				rep, err := c.m3r.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
-				if err != nil {
-					t.Fatalf("%s: %v", leg.name(), err)
-				}
+		for _, codec := range codecs {
+			leg := lifecycleGridLeg{budget: budget, codec: codec}
+			out := "/out/" + leg.name()
+			rep, err := c.m3r.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
+			if err != nil {
+				t.Fatalf("%s: %v", leg.name(), err)
+			}
 
-				parts := readRawParts(t, c.fs, out)
-				if refParts == nil {
-					refParts = parts
-					lines := readTextOutput(t, c.fs, out)
-					checkCounts(t, lines, want)
-					if len(lines) != len(hadoopLines) {
-						t.Fatalf("m3r %d lines vs hadoop %d", len(lines), len(hadoopLines))
-					}
-					for i := range lines {
-						if lines[i] != hadoopLines[i] {
-							t.Fatalf("line %d: m3r %q vs hadoop %q", i, lines[i], hadoopLines[i])
-						}
-					}
-				} else {
-					assertSameParts(t, leg.name(), parts, refParts)
-				}
+			parts := readRawParts(t, c.fs, out)
+			if refParts == nil {
+				refParts = parts
+				lines := readTextOutput(t, c.fs, out)
+				checkCounts(t, lines, want)
+				requireSameLines(t, "m3r vs hadoop", hadoopLines, lines)
+			} else {
+				assertSameParts(t, leg.name(), parts, refParts)
+			}
 
-				spilledRuns := rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
-				spilledBytes := rep.Counters.Value(counters.M3RGroup, counters.SpilledBytes)
-				spilledRaw := rep.Counters.Value(counters.M3RGroup, counters.SpilledRawBytes)
-				released := rep.Counters.Value(counters.M3RGroup, counters.BudgetReleasedBytes)
-				// SPILLED_BYTES counts stored (post-codec) bytes and
-				// SPILLED_RAW_BYTES the record-format bytes: on codec none
-				// they differ by the framing alone — per run a 6-byte header
-				// and per block a codec byte and two uvarint lengths, 3 to 7
-				// bytes while blocks are under 2 MiB, and a run holds one
-				// block plus one per 64 KiB it fills — and both are present
-				// or both absent always.
-				framing := spilledBytes - spilledRaw
-				if codec == "" && noneDefault && (framing < 9*spilledRuns || framing > 13*spilledRuns+7*(spilledRaw>>16)) {
-					t.Errorf("%s: codec none stored %d bytes for %d raw in %d runs: %d bytes of framing is not the layout's",
-						leg.name(), spilledBytes, spilledRaw, spilledRuns, framing)
+			spilledRuns := rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
+			spilledBytes := rep.Counters.Value(counters.M3RGroup, counters.SpilledBytes)
+			spilledRaw := rep.Counters.Value(counters.M3RGroup, counters.SpilledRawBytes)
+			released := rep.Counters.Value(counters.M3RGroup, counters.BudgetReleasedBytes)
+			// SPILLED_BYTES counts stored (post-codec) bytes and
+			// SPILLED_RAW_BYTES the record-format bytes: on codec none they
+			// differ by the framing alone — per run a 6-byte header and per
+			// block a codec byte and two uvarint lengths, 3 to 7 bytes while
+			// blocks are under 2 MiB, and a run holds one block plus one per
+			// 64 KiB it fills — and both are present or both absent always.
+			framing := spilledBytes - spilledRaw
+			if codec == "" && noneDefault && (framing < 9*spilledRuns || framing > 13*spilledRuns+7*(spilledRaw>>16)) {
+				t.Errorf("%s: codec none stored %d bytes for %d raw in %d runs: %d bytes of framing is not the layout's",
+					leg.name(), spilledBytes, spilledRaw, spilledRuns, framing)
+			}
+			if (spilledBytes == 0) != (spilledRaw == 0) {
+				t.Errorf("%s: stored=%d raw=%d — counters out of step", leg.name(), spilledBytes, spilledRaw)
+			}
+			switch budget {
+			case 0:
+				// Unlimited: the lifecycle machinery must stay cold.
+				if spilledRuns != 0 || spilledBytes != 0 || released != 0 {
+					t.Errorf("%s: unbudgeted leg touched the spill path (runs=%d bytes=%d released=%d)",
+						leg.name(), spilledRuns, spilledBytes, released)
 				}
-				if (spilledBytes == 0) != (spilledRaw == 0) {
-					t.Errorf("%s: stored=%d raw=%d — counters out of step", leg.name(), spilledBytes, spilledRaw)
+			case 1:
+				// Starvation budget: every encodable run spills, and nothing
+				// can reserve or release.
+				if spilledRuns == 0 || spilledBytes == 0 {
+					t.Errorf("%s: starvation budget spilled nothing", leg.name())
 				}
-				switch budget {
-				case 0:
-					// Unlimited: the lifecycle machinery must stay cold.
-					if spilledRuns != 0 || spilledBytes != 0 || released != 0 {
-						t.Errorf("%s: unbudgeted leg touched the spill path (runs=%d bytes=%d released=%d)",
-							leg.name(), spilledRuns, spilledBytes, released)
-					}
-				case 1:
-					// Starvation budget: every encodable run spills, and
-					// nothing can reserve or release.
-					if spilledRuns == 0 || spilledBytes == 0 {
-						t.Errorf("%s: starvation budget spilled nothing", leg.name())
-					}
-					if released != 0 {
-						t.Errorf("%s: released=%d under a 1-byte budget", leg.name(), released)
-					}
-					// Spill accounting must not depend on the codec or the
-					// merge topology: at this budget the spill set is
-					// deterministic, so the counters are too.
-					if zeroBudgetSpills == 0 {
-						zeroBudgetSpills = spilledRuns
-					} else if spilledRuns != zeroBudgetSpills {
-						t.Errorf("%s: SpilledRuns=%d, other starvation legs saw %d", leg.name(), spilledRuns, zeroBudgetSpills)
-					}
-				default:
-					// Tight budget: resident + spilled covers all encodable
-					// shuffle bytes.
-					if spilledRuns > 0 && spilledBytes == 0 {
-						t.Errorf("%s: spilled runs but no spilled bytes", leg.name())
-					}
+				if released != 0 {
+					t.Errorf("%s: released=%d under a 1-byte budget", leg.name(), released)
+				}
+				// Spill accounting must not depend on the codec: at this
+				// budget the spill set is deterministic, so the counters are
+				// too.
+				if zeroBudgetSpills == 0 {
+					zeroBudgetSpills = spilledRuns
+				} else if spilledRuns != zeroBudgetSpills {
+					t.Errorf("%s: SpilledRuns=%d, other starvation legs saw %d", leg.name(), spilledRuns, zeroBudgetSpills)
+				}
+			default:
+				// Tight budget: resident + spilled covers all encodable
+				// shuffle bytes.
+				if spilledRuns > 0 && spilledBytes == 0 {
+					t.Errorf("%s: spilled runs but no spilled bytes", leg.name())
 				}
 			}
 		}
@@ -284,9 +269,8 @@ func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
 		{budget: 0},
 		{budget: 1},
 		{budget: 4 << 10},
-		{budget: 1, par: 4},
 		{budget: 1, codec: "flate"},
-		{budget: 4 << 10, par: 4, codec: "flate"},
+		{budget: 4 << 10, codec: "flate"},
 	}
 	for _, leg := range legs {
 		out := "/mb/out_" + leg.name()

@@ -16,29 +16,24 @@ import (
 // the engine's per-place pool size and the job's cap within it.
 type poolGridLeg struct {
 	jobCap int64 // per-job cap inside the pool; 0 = pool limit governs
-	par    int
 }
 
 func (l poolGridLeg) name(pool int64) string {
-	return fmt.Sprintf("P%d_c%d_p%d", pool, l.jobCap, l.par)
+	return fmt.Sprintf("P%d_c%d", pool, l.jobCap)
 }
 
 func (l poolGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 	if l.jobCap > 0 {
 		job.SetInt64(conf.KeyM3RShuffleBudget, l.jobCap)
 	}
-	if l.par > 0 {
-		job.SetInt(conf.KeyMergeParallelism, l.par)
-		job.SetInt(conf.KeyMergeMinRuns, 2)
-	}
 	return job
 }
 
 // TestEnginePoolLifecycleEquivalenceWordCount extends the lifecycle
-// equivalence grid with the engine-pool axes: engine pool size × per-job cap
-// × merge parallelism. Output must stay byte-identical to the unpooled
-// engine at every point, the pool must drain to zero after every job (the
-// end-of-job guarantee), and the regime counters must hold: a starvation
+// equivalence grid with the engine-pool axes: engine pool size × per-job cap.
+// Output must stay byte-identical to the unpooled engine at every point, the
+// pool must drain to zero after every job (the end-of-job guarantee), and
+// the regime counters must hold: a starvation
 // pool spills everything and never evicts, a roomy pool with no cap stays
 // uncontended.
 func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
@@ -58,12 +53,7 @@ func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
 	}
 	checkCounts(t, readTextOutput(t, c.fs, "/out/ref"), want)
 
-	legs := []poolGridLeg{}
-	for _, jobCap := range []int64{0, 2 << 10} {
-		for _, par := range []int{0, 4} {
-			legs = append(legs, poolGridLeg{jobCap: jobCap, par: par})
-		}
-	}
+	legs := []poolGridLeg{{jobCap: 0}, {jobCap: 2 << 10}}
 	// A conf.DefaultsEnv per-job cap (the tight-budget CI leg's 4 KiB)
 	// applies to the legs that set none, which then legitimately spill.
 	defaults, err := conf.EnvDefaults()

@@ -1,6 +1,7 @@
 package integration_test
 
 import (
+	"errors"
 	"testing"
 
 	"m3r/internal/conf"
@@ -9,7 +10,9 @@ import (
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
 	"m3r/internal/sim"
+	"m3r/internal/spill"
 	"m3r/internal/types"
+	"m3r/internal/wio"
 	"m3r/internal/wordcount"
 )
 
@@ -227,5 +230,52 @@ func TestConfDefaultsReachBothEngines(t *testing.T) {
 		if _, err := eng.Submit(wordcount.NewJob("/data/d", "/out/d_bad_"+eng.Name(), 3, false)); err == nil {
 			t.Errorf("%s accepted a job under a malformed %s", eng.Name(), conf.DefaultsEnv)
 		}
+	}
+}
+
+// requireSameLines asserts two sorted output line sets are identical.
+func requireSameLines(t *testing.T, label string, want, got []string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d lines vs %d", label, len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: line %d differs: %q vs %q", label, i, want[i], got[i])
+		}
+	}
+}
+
+// failingReducer fails every reduce call; it drives the abort-mid-merge
+// teardown test.
+type failingReducer struct{ mapred.Base }
+
+func (*failingReducer) Reduce(_ wio.Writable, _ mapred.ValueIterator,
+	_ mapred.OutputCollector, _ mapred.Reporter) error {
+	return errors.New("injected reduce failure")
+}
+
+func init() {
+	mapred.RegisterReducer("test.FailingReducer", func() mapred.Reducer { return &failingReducer{} })
+}
+
+// TestM3RAbortedMergeClosesSpillStreams pins the early-termination close
+// path: a reducer failing mid-merge over spilled runs must not strand a
+// single spilled-run file handle — every open segment is closed by the time
+// the failed Submit returns.
+func TestM3RAbortedMergeClosesSpillStreams(t *testing.T) {
+	c := newCluster(t, 2)
+	if err := wordcount.Generate(c.fs, "/data/abort", 128<<10, 17); err != nil {
+		t.Fatal(err)
+	}
+	base := spill.OpenStreamCount()
+	job := wordcount.NewJob("/data/abort", "/out/abort", 3, false)
+	job.SetInt64(conf.KeyM3RShuffleBudget, 2<<10)
+	job.SetReducerClass("test.FailingReducer")
+	if _, err := c.m3r.Submit(job); err == nil {
+		t.Fatal("job with failing reducer should fail")
+	}
+	if n := spill.OpenStreamCount(); n != base {
+		t.Fatalf("%d spill streams left open after aborted reduce", n-base)
 	}
 }

@@ -1,9 +1,9 @@
 // Package leakcheck is m3rlint's runtime sibling: a hand-rolled
 // goroutine-leak gate wired into TestMain of the packages that spawn
-// workers — place goroutines and staged-merge workers (internal/m3r,
-// internal/engine) and server accept loops (internal/server). After a
-// package's tests pass, any goroutine still running module code is a
-// worker that outlived its job, and the package fails with the offending
+// workers — place goroutines (internal/m3r), the staged merge kernel's
+// workers (internal/engine) and server accept loops (internal/server).
+// After a package's tests pass, any goroutine still running module code is
+// a worker that outlived its job, and the package fails with the offending
 // stacks.
 //
 // Detection is by stack inspection rather than bare NumGoroutine deltas:

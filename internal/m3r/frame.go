@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 
 	"m3r/internal/engine"
@@ -265,42 +264,27 @@ var recScratch = sync.Pool{New: func() any { return new([]spill.Rec) }}
 // comparator that orders the serialized keys. The job's declared map-output
 // classes fix them when set (Submit); else a task's first pair does.
 type runClasses struct {
-	keyClass, valClass string
-	keyType, valType   reflect.Type
-	rawCmp             wio.RawComparator
+	engine.MapOutputClasses
+	rawCmp wio.RawComparator
 }
 
 // declaredRunClasses resolves the job's declared map-output classes.
 func declaredRunClasses(rj *engine.ResolvedJob) (runClasses, error) {
-	var c runClasses
-	if name := rj.Job.MapOutputKeyClass(); name != "" {
-		k, err := wio.New(name)
-		if err != nil {
+	c := runClasses{MapOutputClasses: rj.MapOutput}
+	if c.KeyClass != "" {
+		var err error
+		if c.rawCmp, err = rj.RawKeyComparator(c.KeyClass); err != nil {
 			return c, err
 		}
-		c.keyClass, c.keyType = name, reflect.TypeOf(k)
-		if c.rawCmp, err = rj.RawKeyComparator(name); err != nil {
-			return c, err
-		}
-	}
-	if name := rj.Job.MapOutputValueClass(); name != "" {
-		v, err := wio.New(name)
-		if err != nil {
-			return c, err
-		}
-		c.valClass, c.valType = name, reflect.TypeOf(v)
 	}
 	return c, nil
 }
 
-// check fails a pair that is not of the run's classes, in Hadoop's words for
-// it; a class the job left undeclared is fixed by the first pair checked.
-// The common case is two pointer compares.
+// check fixes a class the job left undeclared by the first pair checked,
+// then fails a pair that is not of the run's classes. The common case is two
+// pointer compares.
 func (c *runClasses) check(rj *engine.ResolvedJob, key, value wio.Writable) error {
-	if t := reflect.TypeOf(key); t != c.keyType {
-		if c.keyType != nil {
-			return typeMismatch("key", c.keyClass, key)
-		}
+	if c.KeyType == nil {
 		name, err := wio.NameOf(key)
 		if err != nil {
 			return fmt.Errorf("m3r: map output key: %w", err)
@@ -308,27 +292,16 @@ func (c *runClasses) check(rj *engine.ResolvedJob, key, value wio.Writable) erro
 		if c.rawCmp, err = rj.RawKeyComparator(name); err != nil {
 			return err
 		}
-		c.keyClass, c.keyType = name, t
+		c.KeyClass, c.KeyType = name, engine.TypeOf(key)
 	}
-	if t := reflect.TypeOf(value); t != c.valType {
-		if c.valType != nil {
-			return typeMismatch("value", c.valClass, value)
-		}
+	if c.ValType == nil {
 		name, err := wio.NameOf(value)
 		if err != nil {
 			return fmt.Errorf("m3r: map output value: %w", err)
 		}
-		c.valClass, c.valType = name, t
+		c.ValClass, c.ValType = name, engine.TypeOf(value)
 	}
-	return nil
-}
-
-func typeMismatch(what, want string, got wio.Writable) error {
-	name, err := wio.NameOf(got)
-	if err != nil {
-		name = fmt.Sprintf("%T", got)
-	}
-	return fmt.Errorf("Type mismatch in %s from map: expected %s, received %s", what, want, name)
+	return c.Check(key, value)
 }
 
 // frameSet is a budgeted task's collect state: its frame toward each place,
@@ -453,7 +426,7 @@ func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []b
 		}
 		runs = append(runs, arrivedRun{x.parts[q], &sourceRun{src: src, serializedRun: &serializedRun{
 			seg: seg, nrecs: len(part), size: size,
-			keyClass: c.keyClass, valClass: c.valClass,
+			keyClass: c.KeyClass, valClass: c.ValClass,
 		}}})
 	}
 	return x.admitRuns(ctx, place, runs)

@@ -350,7 +350,7 @@ func FuzzShuffleFrame(f *testing.F) {
 		x := newSpillExec(1<<20, spill.CodecNone, R)
 		defer x.cleanup()
 		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
-		c := runClasses{keyClass: types.BytesName, valClass: types.BytesName, rawCmp: rawBytesOrder{}}
+		c := runClasses{MapOutputClasses: engine.MapOutputClasses{KeyClass: types.BytesName, ValClass: types.BytesName}, rawCmp: rawBytesOrder{}}
 		if err := x.arriveFrame(ctx, 0, 0, frame, c); err != nil {
 			t.Fatal(err)
 		}

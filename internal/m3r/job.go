@@ -72,11 +72,7 @@ func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
 		cacheEnabled:  job.GetBool(conf.KeyM3RCache, true),
 		dedup:         job.GetBool(conf.KeyM3RDedup, true),
 		shuffleBudget: job.GetInt64(conf.KeyM3RShuffleBudget, 0),
-		mergeCfg:      engine.MergeConfigFromJob(job),
 	}
-	// A kill aborts an engaged staged merge's workers directly, not only
-	// through its consumer.
-	x.mergeCfg.Lifecycle = j.Lifecycle
 	// Budgeted-cache tiering counters are per-job deltas of the governor's
 	// engine-lifetime totals; snapshot before planning (a cache lookup can
 	// already readmit a spilled entry).
@@ -206,11 +202,6 @@ type jobExec struct {
 	spillMu       sync.Mutex
 	spillDir      string
 	spillSeq      atomic.Int64
-
-	// Reduce: staged parallel merge (conf.KeyMergeParallelism /
-	// conf.KeyMergeMinRuns): partitions with enough runs merge their run
-	// set through concurrent subset mergers instead of one goroutine.
-	mergeCfg engine.MergeConfig
 }
 
 // spillPath returns a fresh file path for one spilled run, creating the

@@ -31,9 +31,7 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 	// The HMR API promises reducers sorted input even in memory. Map tasks
 	// shipped sorted runs; merge them stably through the tournament tree,
 	// streaming straight into the reducer instead of materializing a merged
-	// copy of the partition. With staging configured and enough runs,
-	// contiguous subsets of the run set merge (and spilled runs inflate) on
-	// worker goroutines, and the final tournament still streams.
+	// copy of the partition.
 	if x.budgets != nil {
 		err = x.reduceSerialized(ctx, q, reducer, collector)
 	} else {
@@ -48,7 +46,7 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 // reducePairs is an unbudgeted job's reduce: its runs are objects on the
 // heap, merged and grouped as objects.
 func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
-	merged, err := engine.NewStagedMergeIter(x.parts[q].takeReaders(), x.Resolved.SortCmp, x.mergeCfg, ctx.Cells.ParallelMergeStages)
+	merged, err := engine.NewMergeIter(x.parts[q].takeReaders(), x.Resolved.SortCmp)
 	if err != nil {
 		return err
 	}
@@ -71,7 +69,7 @@ func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engin
 		// No run, so no class to decode as, and nothing to decode.
 		return reducer.Close()
 	}
-	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, x.mergeCfg, ctx.Cells.ParallelMergeStages)
+	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, x.Lifecycle)
 	if err != nil {
 		return err
 	}

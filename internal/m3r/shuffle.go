@@ -132,6 +132,12 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 	if err := sc.x.Lifecycle.Err(); err != nil {
 		return err
 	}
+	// A pair not of the declared classes fails here on either budget, as it
+	// does in the Hadoop engine's collect, before anything sorts or reduces
+	// it as one of them.
+	if err := sc.x.Resolved.MapOutput.Check(key, value); err != nil {
+		return err
+	}
 	if sc.tables != nil {
 		return sc.collectGrouped(key, value)
 	}

@@ -309,7 +309,7 @@ func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []stri
 			return nil
 		}
 		rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}, GroupCmp: wio.NaturalOrder{}}
-		m, err := rj.OpenRawMerge(srcs, keyClass, engine.MergeConfig{}, nil)
+		m, err := rj.OpenRawMerge(srcs, keyClass, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

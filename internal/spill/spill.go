@@ -16,9 +16,8 @@
 //
 // Every segment carries its own header, so segments of either codec mix
 // freely in one file and a fetched shuffle segment stays self-describing
-// after a byte-range copy. Decoding happens inside Stream.Next —
-// transparently under merge leaves, including the staged parallel merge's
-// workers, where it overlaps final-merge consumption.
+// after a byte-range copy. Decoding happens inside Stream.Next,
+// transparently under merge leaves.
 //
 // The Hadoop engine writes map-side sort spills and shuffle segments in
 // this format; the M3R engine writes shuffle runs that exceed its memory
