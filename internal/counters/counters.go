@@ -11,6 +11,7 @@ package counters
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,23 +144,46 @@ func (c *Counter) Increment(amount int64) { c.value.Add(amount) }
 // SetValue overwrites the value.
 func (c *Counter) SetValue(v int64) { c.value.Store(v) }
 
-// Counters is a concurrent group->name->Counter registry.
+// Counters is a concurrent registry of counters keyed by group and name.
 type Counters struct {
 	mu sync.Mutex
-	m  map[string]map[string]*Counter
-	// spare backs the next counters Find creates (NewSized).
-	spare []Counter
+	m  map[key]*Counter
 }
+
+// key names one counter. One flat map costs a counter set one table
+// however many groups it spans.
+type key struct{ group, name string }
 
 // New returns an empty counter set.
 func New() *Counters {
-	return &Counters{m: make(map[string]map[string]*Counter)}
+	return &Counters{m: make(map[key]*Counter)}
 }
 
-// NewSized returns an empty counter set whose first n counters share one
-// allocation: a task resolves its hot-path cells into one of these.
-func NewSized(n int) *Counters {
-	return &Counters{m: make(map[string]map[string]*Counter), spare: make([]Counter, n)}
+// Cell names one counter of a NewCells set and where to store its pointer.
+type Cell struct {
+	Group, Name string
+	Ptr         **Counter
+}
+
+// NewCells returns a counter set holding the cells' counters and stores
+// each one's pointer through its cell's Ptr: a task resolves its hot-path
+// cells this way. It is one pass over a set no other goroutine can see yet,
+// so it takes no lock; the counters share one allocation and the map is
+// made at its final size. Later Finds add counters as New's do.
+func NewCells(cells []Cell) *Counters {
+	cs := &Counters{m: make(map[key]*Counter, len(cells))}
+	slab := make([]Counter, len(cells))
+	for i, cell := range cells {
+		k := key{cell.Group, cell.Name}
+		c, ok := cs.m[k]
+		if !ok {
+			c = &slab[i]
+			c.group, c.name = cell.Group, cell.Name
+			cs.m[k] = c
+		}
+		*cell.Ptr = c
+	}
+	return cs
 }
 
 // Find returns (creating if necessary) the counter group/name.
@@ -170,20 +194,11 @@ func (cs *Counters) Find(group, name string) *Counter {
 }
 
 func (cs *Counters) findLocked(group, name string) *Counter {
-	g, ok := cs.m[group]
+	k := key{group, name}
+	c, ok := cs.m[k]
 	if !ok {
-		g = make(map[string]*Counter)
-		cs.m[group] = g
-	}
-	c, ok := g[name]
-	if !ok {
-		if len(cs.spare) > 0 {
-			c, cs.spare = &cs.spare[0], cs.spare[1:]
-		} else {
-			c = new(Counter)
-		}
-		c.group, c.name = group, name
-		g[name] = c
+		c = &Counter{group: group, name: name}
+		cs.m[k] = c
 	}
 	return c
 }
@@ -197,10 +212,8 @@ func (cs *Counters) Incr(group, name string, amount int64) {
 func (cs *Counters) Value(group, name string) int64 {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if g, ok := cs.m[group]; ok {
-		if c, ok := g[name]; ok {
-			return c.Value()
-		}
+	if c, ok := cs.m[key{group, name}]; ok {
+		return c.Value()
 	}
 	return 0
 }
@@ -217,11 +230,9 @@ func (cs *Counters) MergeFrom(other *Counters) {
 	var buf [32]*Counter
 	live := buf[:0]
 	other.mu.Lock()
-	for _, g := range other.m {
-		for _, c := range g {
-			if c.Value() != 0 {
-				live = append(live, c)
-			}
+	for _, c := range other.m {
+		if c.Value() != 0 {
+			live = append(live, c)
 		}
 	}
 	other.mu.Unlock()
@@ -236,9 +247,11 @@ func (cs *Counters) MergeFrom(other *Counters) {
 func (cs *Counters) Groups() []string {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	out := make([]string, 0, len(cs.m))
-	for g := range cs.m {
-		out = append(out, g)
+	var out []string
+	for k := range cs.m {
+		if !slices.Contains(out, k.group) {
+			out = append(out, k.group)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -248,10 +261,11 @@ func (cs *Counters) Groups() []string {
 func (cs *Counters) GroupCounters(group string) []*Counter {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	g := cs.m[group]
-	out := make([]*Counter, 0, len(g))
-	for _, c := range g {
-		out = append(out, c)
+	var out []*Counter
+	for k, c := range cs.m {
+		if k.group == group {
+			out = append(out, c)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
@@ -286,7 +300,7 @@ func (cs *Counters) WriteTo(w *wio.Writer) error {
 // ReadFields implements wio.Writable.
 func (cs *Counters) ReadFields(r *wio.Reader) error {
 	cs.mu.Lock()
-	cs.m = make(map[string]map[string]*Counter)
+	cs.m = make(map[key]*Counter)
 	cs.mu.Unlock()
 	ng, err := r.ReadUvarint()
 	if err != nil {

@@ -130,23 +130,45 @@ func TestMergeFromSelfAndCrosswise(t *testing.T) {
 	}
 }
 
-// TestNewSizedSharesOneAllocation: the counters a NewSized set creates
-// first come out of one allocation; past n, Find allocates as New's does.
-func TestNewSizedSharesOneAllocation(t *testing.T) {
-	names := []string{"a", "b", "c", "d"}
-	find := func(cs *counters.Counters) {
-		for _, n := range names {
-			cs.Find("g", n)
+// TestNewCellsSharesOneAllocation: a NewCells set's counters share one
+// allocation and its map is made at its final size, so the set costs the
+// same for 4 cells as for 8; every Ptr is filled, a name listed twice is
+// one counter, and Find returns the cells' counters.
+func TestNewCellsSharesOneAllocation(t *testing.T) {
+	ptrs := make([]*counters.Counter, 8)
+	cells := func(names ...string) []counters.Cell {
+		out := make([]counters.Cell, len(names))
+		for i, n := range names {
+			out[i] = counters.Cell{Group: "g", Name: n, Ptr: &ptrs[i]}
+		}
+		return out
+	}
+	four, eight := cells("a", "b", "c", "d"), cells("a", "b", "c", "d", "e", "f", "g", "h")
+	small := testing.AllocsPerRun(100, func() { counters.NewCells(four) })
+	large := testing.AllocsPerRun(100, func() { counters.NewCells(eight) })
+	if small != large {
+		t.Errorf("NewCells: %.0f allocations for 4 cells, %.0f for 8; want equal", small, large)
+	}
+	plain := testing.AllocsPerRun(100, func() {
+		cs := counters.New()
+		for _, c := range eight {
+			cs.Find(c.Group, c.Name)
+		}
+	})
+	if large >= plain {
+		t.Errorf("NewCells: %.0f allocations, New and Find: %.0f; want fewer", large, plain)
+	}
+
+	cs := counters.NewCells(append(cells("a", "b", "a"), counters.Cell{Group: "h", Name: "a", Ptr: &ptrs[3]}))
+	if ptrs[0] != ptrs[2] || ptrs[0] == ptrs[1] || ptrs[0] == ptrs[3] {
+		t.Error("one counter per group and name")
+	}
+	for i, want := range []struct{ group, name string }{{"g", "a"}, {"g", "b"}, {"g", "a"}, {"h", "a"}} {
+		if c := ptrs[i]; c.Group() != want.group || c.Name() != want.name || cs.Find(want.group, want.name) != c {
+			t.Errorf("cell %d: %s/%s, want %s/%s held by the set", i, c.Group(), c.Name(), want.group, want.name)
 		}
 	}
-	sized := testing.AllocsPerRun(100, func() { find(counters.NewSized(len(names))) })
-	plain := testing.AllocsPerRun(100, func() { find(counters.New()) })
-	if sized != plain-float64(len(names))+1 {
-		t.Errorf("NewSized: %.0f allocations, New: %.0f; want %d fewer", sized, plain, len(names)-1)
-	}
-	cs := counters.NewSized(1)
-	find(cs)
-	if cs.Find("g", "a") == cs.Find("g", "b") || cs.Find("g", "d").Name() != "d" {
-		t.Error("spare counters are handed out once each")
+	if cs.Find("g", "z") == ptrs[1] || len(cs.GroupCounters("g")) != 3 {
+		t.Error("a Find past the cells makes a new counter")
 	}
 }

@@ -17,7 +17,6 @@ package engine
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"time"
 
@@ -117,40 +116,36 @@ type CounterCells struct {
 	AliasedPairs        *counters.Counter
 }
 
-func resolveCells(cs *counters.Counters) CounterCells {
-	return CounterCells{
-		MapInputRecords:     cs.Find(counters.TaskGroup, counters.MapInputRecords),
-		MapOutputRecords:    cs.Find(counters.TaskGroup, counters.MapOutputRecords),
-		MapOutputBytes:      cs.Find(counters.TaskGroup, counters.MapOutputBytes),
-		CombineInputRecords: cs.Find(counters.TaskGroup, counters.CombineInputRecords),
-		ReduceInputGroups:   cs.Find(counters.TaskGroup, counters.ReduceInputGroups),
-		ReduceInputRecords:  cs.Find(counters.TaskGroup, counters.ReduceInputRecords),
-		ReduceOutputRecords: cs.Find(counters.TaskGroup, counters.ReduceOutputRecords),
-		SpilledRecords:      cs.Find(counters.TaskGroup, counters.SpilledRecords),
-		SpilledRuns:         cs.Find(counters.M3RGroup, counters.SpilledRuns),
-		SpilledBytes:        cs.Find(counters.M3RGroup, counters.SpilledBytes),
-		SpilledRawBytes:     cs.Find(counters.M3RGroup, counters.SpilledRawBytes),
-		BudgetReleasedBytes: cs.Find(counters.M3RGroup, counters.BudgetReleasedBytes),
-		PoolContendedBytes:  cs.Find(counters.M3RGroup, counters.PoolContendedBytes),
-		EvictedResidentRuns: cs.Find(counters.M3RGroup, counters.EvictedResidentRuns),
-		LocalShufflePairs:   cs.Find(counters.M3RGroup, counters.LocalShufflePairs),
-		RemoteShufflePairs:  cs.Find(counters.M3RGroup, counters.RemoteShufflePairs),
-		ClonedPairs:         cs.Find(counters.M3RGroup, counters.ClonedPairs),
-		AliasedPairs:        cs.Find(counters.M3RGroup, counters.AliasedPairs),
-	}
+// resolve points every cell at a counter of a new set and returns the set.
+func (c *CounterCells) resolve() *counters.Counters {
+	return counters.NewCells([]counters.Cell{
+		{Group: counters.TaskGroup, Name: counters.MapInputRecords, Ptr: &c.MapInputRecords},
+		{Group: counters.TaskGroup, Name: counters.MapOutputRecords, Ptr: &c.MapOutputRecords},
+		{Group: counters.TaskGroup, Name: counters.MapOutputBytes, Ptr: &c.MapOutputBytes},
+		{Group: counters.TaskGroup, Name: counters.CombineInputRecords, Ptr: &c.CombineInputRecords},
+		{Group: counters.TaskGroup, Name: counters.ReduceInputGroups, Ptr: &c.ReduceInputGroups},
+		{Group: counters.TaskGroup, Name: counters.ReduceInputRecords, Ptr: &c.ReduceInputRecords},
+		{Group: counters.TaskGroup, Name: counters.ReduceOutputRecords, Ptr: &c.ReduceOutputRecords},
+		{Group: counters.TaskGroup, Name: counters.SpilledRecords, Ptr: &c.SpilledRecords},
+		{Group: counters.M3RGroup, Name: counters.SpilledRuns, Ptr: &c.SpilledRuns},
+		{Group: counters.M3RGroup, Name: counters.SpilledBytes, Ptr: &c.SpilledBytes},
+		{Group: counters.M3RGroup, Name: counters.SpilledRawBytes, Ptr: &c.SpilledRawBytes},
+		{Group: counters.M3RGroup, Name: counters.BudgetReleasedBytes, Ptr: &c.BudgetReleasedBytes},
+		{Group: counters.M3RGroup, Name: counters.PoolContendedBytes, Ptr: &c.PoolContendedBytes},
+		{Group: counters.M3RGroup, Name: counters.EvictedResidentRuns, Ptr: &c.EvictedResidentRuns},
+		{Group: counters.M3RGroup, Name: counters.LocalShufflePairs, Ptr: &c.LocalShufflePairs},
+		{Group: counters.M3RGroup, Name: counters.RemoteShufflePairs, Ptr: &c.RemoteShufflePairs},
+		{Group: counters.M3RGroup, Name: counters.ClonedPairs, Ptr: &c.ClonedPairs},
+		{Group: counters.M3RGroup, Name: counters.AliasedPairs, Ptr: &c.AliasedPairs},
+	})
 }
 
 // NewTaskContext builds a context for one task attempt. Its cells are
-// allocated in one piece.
+// resolved in one pass into one allocation (counters.NewCells).
 func NewTaskContext(job *conf.JobConf, taskID string, split formats.InputSplit) *TaskContext {
-	cs := counters.NewSized(reflect.TypeFor[CounterCells]().NumField())
-	return &TaskContext{
-		Job:      job,
-		Counters: cs,
-		Split:    split,
-		TaskID:   taskID,
-		Cells:    resolveCells(cs),
-	}
+	c := &TaskContext{Job: job, Split: split, TaskID: taskID}
+	c.Counters = c.Cells.resolve()
+	return c
 }
 
 // SetEmit installs the sink Write forwards to.

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"reflect"
 	"testing"
 
 	"m3r/internal/conf"
@@ -198,6 +199,38 @@ func TestCombineSumsGroups(t *testing.T) {
 	if combined[0].Key.(*types.Text).String() != "x" ||
 		combined[0].Value.(*types.IntWritable).Get() != 2 {
 		t.Errorf("combined: %v=%v", combined[0].Key, combined[0].Value)
+	}
+}
+
+// TestNewTaskContextOnePiece: every hot-path cell points at its own
+// counter of the task's set, and building the context costs a fixed handful
+// of allocations — the context, the set, one slab for all the cells and the
+// set's map made at its final size (four, for 18 entries) — instead of one
+// per cell.
+func TestNewTaskContextOnePiece(t *testing.T) {
+	job := baseJob()
+	ctx := engine.NewTaskContext(job, "t", nil)
+	cells := reflect.ValueOf(ctx.Cells)
+	seen := map[*counters.Counter]bool{}
+	for i := range cells.NumField() {
+		c := cells.Field(i).Interface().(*counters.Counter)
+		if c == nil || seen[c] || ctx.Counters.Find(c.Group(), c.Name()) != c {
+			t.Errorf("cell %s is not its own counter of the task's set", cells.Type().Field(i).Name)
+			continue
+		}
+		seen[c] = true
+	}
+	if a := testing.AllocsPerRun(100, func() { engine.NewTaskContext(job, "t", nil) }); a > 7 {
+		t.Errorf("NewTaskContext allocates %v times, want at most 7", a)
+	}
+}
+
+// BenchmarkNewTaskContext: one task attempt's context, 18 counter cells.
+func BenchmarkNewTaskContext(b *testing.B) {
+	job := baseJob()
+	b.ReportAllocs()
+	for b.Loop() {
+		engine.NewTaskContext(job, "t", nil)
 	}
 }
 

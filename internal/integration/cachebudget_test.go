@@ -51,7 +51,9 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 		return denseBits(t, d, out), d
 	}
 
-	base := newCluster(t, 3) // unbounded cache
+	// Both runs without an engine pool, whatever the carrier says: a shuffle
+	// pool would share the places' bytes with the cache budget under test.
+	base := newClusterPool(t, 3, -1) // unbounded cache
 	baseBits, _ := run(t, base)
 	if n := base.m3r.CacheSpilledEntries(); n != 0 {
 		t.Fatalf("unbounded cache must not spill, spilled %d entries", n)
@@ -60,7 +62,7 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 	// 16 KiB per place: two 30×30 double blocks (~7.3 KiB each) fit, the
 	// rest of G's splits contend — so the tiering must both spill under
 	// pressure and readmit into the space the post-job temp drops free.
-	tight := newClusterCfg(t, 3, clusterConfig{cacheBudget: 16 << 10})
+	tight := newClusterCfg(t, 3, clusterConfig{poolBytes: -1, cacheBudget: 16 << 10})
 	tightBits, td := run(t, tight)
 
 	if len(tightBits) != len(baseBits) {
@@ -113,7 +115,9 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 // return exactly to their pre-job level, and a rerun without the fault is
 // byte-identical to a run on a cluster that never saw the failure.
 func TestFailedJobDrainsCacheReservations(t *testing.T) {
-	c := newClusterCfg(t, 2, clusterConfig{cacheBudget: 1 << 20})
+	// No engine pool, whatever the carrier says: the cache's own 1 MiB
+	// budget is the ledger under test.
+	c := newClusterCfg(t, 2, clusterConfig{poolBytes: -1, cacheBudget: 1 << 20})
 	if err := wordcount.Generate(c.fs, "/data/cachefail", 32<<10, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,7 @@ func TestFailedJobDrainsCacheReservations(t *testing.T) {
 		t.Fatalf("rerun: %v", err)
 	}
 
-	clean := newClusterCfg(t, 2, clusterConfig{cacheBudget: 1 << 20})
+	clean := newClusterCfg(t, 2, clusterConfig{poolBytes: -1, cacheBudget: 1 << 20})
 	if err := wordcount.Generate(clean.fs, "/data/cachefail", 32<<10, 9); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,10 @@ func TestCountedOnce(t *testing.T) {
 	} {
 		for _, engineName := range []string{"m3r", "hadoop"} {
 			t.Run(tc.name+"/"+engineName, func(t *testing.T) {
-				c := newCluster(t, 3)
+				// No engine pool, whatever the carrier says: the cases pick
+				// their own budgets, and a shared pool would move the
+				// eviction and spill statistics they assert on.
+				c := newClusterPool(t, 3, -1)
 				var eng engine.Engine = c.m3r
 				if engineName == "hadoop" {
 					eng = c.hadoop

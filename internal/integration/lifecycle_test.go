@@ -315,7 +315,7 @@ func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
 // every reserved byte released (BUDGET_RELEASED_BYTES > 0 and no spills) —
 // the "SpilledBytes == 0 when budget released fast enough" invariant.
 func TestReleasedBudgetObservedEndToEnd(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newClusterPool(t, 2, -1) // the job's own budget, no carrier pool below it
 	if err := wordcount.Generate(c.fs, "/data/R", 32<<10, 3); err != nil {
 		t.Fatal(err)
 	}

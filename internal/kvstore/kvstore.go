@@ -12,16 +12,20 @@
 // round trip through the x10 transport.
 //
 // Locking follows the paper's protocol: each table entry is swapped for a
-// lock entry on acquisition, upgraded to a heavier-weight monitor (here: a
-// wait channel) under contention; multi-path operations use two-phase
-// locking and acquire the least common ancestor of the involved paths
-// first, which (with a total order on siblings) makes deadlock impossible.
+// lock entry on acquisition — one shared sentinel, so an uncontended lock
+// allocates nothing — upgraded to a heavier-weight monitor (here: a queue
+// of wait channels) only when a second acquirer arrives. Single-path
+// operations take their one entry lock; multi-path operations (Rename, and
+// Mkdirs down its ancestors) use two-phase locking and acquire the least
+// common ancestor of the involved paths first, which (with a total order on
+// siblings) makes deadlock impossible.
 package kvstore
 
 import (
 	"fmt"
-	"hash/fnv"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -61,15 +65,20 @@ type pathMeta struct {
 	attrs  map[string]string
 }
 
-// lockEntry is the paper's lock/monitor entry: held marks the lightweight
-// lock; waiters are the monitor upgrade that blocked tasks park on.
+// lockEntry is the monitor an entry lock is upgraded to under contention:
+// the queue that blocked acquirers park on. An uncontended lock is the
+// shared uncontended sentinel instead, so taking one allocates nothing.
 type lockEntry struct {
-	held    bool
 	waiters []chan struct{}
 }
 
+// uncontended is the paper's lightweight lock: the entry a path's lock is
+// swapped for while one holder has it and nobody waits. It never queues
+// waiters; the second acquirer replaces it with a fresh lockEntry.
+var uncontended = new(lockEntry)
+
 // table is one place's concurrent hash table of metadata plus its lock
-// entries.
+// entries. A path is locked exactly while it has an entry in locks.
 type table struct {
 	mu    sync.Mutex
 	meta  map[string]*pathMeta
@@ -85,13 +94,13 @@ func (t *table) acquire(key string) {
 	t.mu.Lock()
 	e, ok := t.locks[key]
 	if !ok {
-		e = &lockEntry{}
-		t.locks[key] = e
-	}
-	if !e.held {
-		e.held = true
+		t.locks[key] = uncontended
 		t.mu.Unlock()
 		return
+	}
+	if e == uncontended {
+		e = &lockEntry{}
+		t.locks[key] = e
 	}
 	ch := make(chan struct{})
 	e.waiters = append(e.waiters, ch)
@@ -102,8 +111,8 @@ func (t *table) acquire(key string) {
 // release hands the entry lock to the next waiter, or frees it.
 func (t *table) release(key string) {
 	t.mu.Lock()
-	e := t.locks[key]
-	if e == nil || !e.held {
+	e, ok := t.locks[key]
+	if !ok {
 		t.mu.Unlock()
 		panic(fmt.Sprintf("kvstore: release of unheld lock %q", key))
 	}
@@ -114,8 +123,27 @@ func (t *table) release(key string) {
 		close(ch)
 		return
 	}
-	e.held = false
 	delete(t.locks, key)
+	t.mu.Unlock()
+}
+
+// get reads a path's metadata; callers hold the path's entry lock.
+func (t *table) get(path string) (*pathMeta, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m, ok := t.meta[path]
+	return m, ok
+}
+
+func (t *table) put(path string, m *pathMeta) {
+	t.mu.Lock()
+	t.meta[path] = m
+	t.mu.Unlock()
+}
+
+func (t *table) del(path string) {
+	t.mu.Lock()
+	delete(t.meta, path)
 	t.mu.Unlock()
 }
 
@@ -210,47 +238,33 @@ func (s *Store) residencyHook() Residency {
 }
 
 // metaPlace returns the place whose table holds path's metadata (static
-// hash partitioning, §5.2).
+// hash partitioning, §5.2): FNV-1a over the path's bytes, reduced in
+// uint32 so the index is never negative where int is 32 bits.
 func (s *Store) metaPlace(path string) int {
-	h := fnv.New32a()
-	h.Write([]byte(path))
-	return int(h.Sum32()) % len(s.meta)
+	h := uint32(2166136261)
+	for i := 0; i < len(path); i++ {
+		h ^= uint32(path[i])
+		h *= 16777619
+	}
+	return int(h % uint32(len(s.meta)))
 }
 
 func (s *Store) tableOf(path string) *table { return s.meta[s.metaPlace(path)] }
 
-// lockPaths acquires entry locks for the given paths following the 2PL/LCA
-// protocol: the least common ancestor directory is locked first, then the
-// paths in lexicographic order. It returns an unlock function releasing
-// everything (two-phase: nothing is released until the operation commits).
-func (s *Store) lockPaths(paths ...string) func() {
-	uniq := make(map[string]bool, len(paths))
-	var order []string
-	for _, p := range paths {
-		p = dfs.CleanPath(p)
-		if !uniq[p] {
-			uniq[p] = true
-			order = append(order, p)
-		}
+// lockPair acquires the entry locks of a multi-path operation's two
+// distinct paths following the 2PL/LCA protocol: their least common
+// ancestor directory first, then the paths in lexicographic order (an
+// ancestor is a prefix of its descendants, so it sorts first). It returns
+// an unlock function releasing everything (two-phase: nothing is released
+// until the operation commits). Single-path operations take their one
+// entry lock directly.
+func (s *Store) lockPair(a, b string) func() {
+	if b < a {
+		a, b = b, a
 	}
-	sort.Strings(order)
-	if len(order) > 1 {
-		lca := commonAncestor(order)
-		if !uniq[lca] {
-			order = append([]string{lca}, order...)
-		} else {
-			// The LCA is one of the paths; being lexicographically
-			// smallest among its descendants it is already first.
-			sort.Slice(order, func(i, j int) bool {
-				if dfs.IsAncestor(order[i], order[j]) {
-					return true
-				}
-				if dfs.IsAncestor(order[j], order[i]) {
-					return false
-				}
-				return order[i] < order[j]
-			})
-		}
+	order := []string{commonAncestor(a, b), a, b}
+	if order[0] == a {
+		order = order[1:]
 	}
 	for _, p := range order {
 		s.tableOf(p).acquire(p)
@@ -263,98 +277,108 @@ func (s *Store) lockPaths(paths ...string) func() {
 	}
 }
 
-// commonAncestor returns the deepest directory that is an ancestor of every
-// path in the sorted slice.
-func commonAncestor(paths []string) string {
-	lca := dfs.Parent(paths[0])
-	if dfs.IsAncestor(paths[0], paths[len(paths)-1]) {
-		lca = paths[0]
-	}
-	for _, p := range paths[1:] {
-		for !dfs.IsAncestor(lca, p) {
-			lca = dfs.Parent(lca)
-		}
+// commonAncestor returns the deepest directory that is an ancestor of both
+// paths (a itself when it is b's ancestor).
+func commonAncestor(a, b string) string {
+	lca := a
+	for !dfs.IsAncestor(lca, b) {
+		lca = dfs.Parent(lca)
 	}
 	return lca
 }
 
-// getMeta reads a path's metadata without locking; callers hold the lock.
-func (s *Store) getMeta(path string) (*pathMeta, bool) {
-	t := s.tableOf(path)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.meta[path]
-	return m, ok
-}
+// getMeta reads a path's metadata; callers hold the path's entry lock.
+func (s *Store) getMeta(path string) (*pathMeta, bool) { return s.tableOf(path).get(path) }
 
-func (s *Store) putMeta(path string, m *pathMeta) {
-	t := s.tableOf(path)
-	t.mu.Lock()
-	t.meta[path] = m
-	t.mu.Unlock()
-}
+func (s *Store) putMeta(path string, m *pathMeta) { s.tableOf(path).put(path, m) }
 
-func (s *Store) delMeta(path string) {
-	t := s.tableOf(path)
-	t.mu.Lock()
-	delete(t.meta, path)
-	t.mu.Unlock()
-}
+func (s *Store) delMeta(path string) { s.tableOf(path).del(path) }
 
 // Mkdirs creates path and missing ancestors. Locks are taken top-down along
 // the tree (each new lock's LCA with the held set is its parent, which is
-// held), satisfying the protocol.
+// held), satisfying the protocol. Every ancestor is a prefix of path, so
+// the walk allocates only the entries it creates.
 func (s *Store) Mkdirs(path string) error {
 	path = dfs.CleanPath(path)
-	ancestors := dfs.Ancestors(path)
-	for _, a := range ancestors {
-		s.tableOf(a).acquire(a)
-	}
+	deepest := ""
 	defer func() {
-		for i := len(ancestors) - 1; i >= 0; i-- {
-			s.tableOf(ancestors[i]).release(ancestors[i])
+		for a := deepest; a != ""; a = parentOf(a) {
+			s.tableOf(a).release(a)
 		}
 	}()
-	for _, a := range ancestors {
-		m, ok := s.getMeta(a)
-		if !ok {
-			s.putMeta(a, &pathMeta{dir: true})
-			continue
-		}
-		if !m.dir {
+	for end := 1; ; end = nextAncestorEnd(path, end) {
+		a := path[:end]
+		t := s.tableOf(a)
+		t.acquire(a)
+		deepest = a
+		if m, ok := t.get(a); !ok {
+			t.put(a, &pathMeta{dir: true})
+		} else if !m.dir {
 			return fmt.Errorf("kvstore: mkdirs %s: %s is a file", path, a)
 		}
-	}
-	return nil
-}
-
-// GetInfo returns a path's metadata (Fig. 5 getInfo).
-func (s *Store) GetInfo(path string) (PathInfo, bool) {
-	path = dfs.CleanPath(path)
-	unlock := s.lockPaths(path)
-	defer unlock()
-	m, ok := s.getMeta(path)
-	if !ok {
-		return PathInfo{}, false
-	}
-	blocks := make([]BlockInfo, len(m.blocks))
-	copy(blocks, m.blocks)
-	var attrs map[string]string
-	if len(m.attrs) > 0 {
-		attrs = make(map[string]string, len(m.attrs))
-		for k, v := range m.attrs {
-			attrs[k] = v
+		if end == len(path) {
+			return nil
 		}
 	}
-	return PathInfo{Path: path, Dir: m.dir, Blocks: blocks, Pairs: m.pairs, Attrs: attrs}, true
+}
+
+// nextAncestorEnd returns where the ancestor of the canonical path p one
+// level below p[:end] ends; p[:1] is "/" and p[:len(p)] is p.
+func nextAncestorEnd(p string, end int) int {
+	if i := strings.IndexByte(p[end+1:], '/'); i >= 0 {
+		return end + 1 + i
+	}
+	return len(p)
+}
+
+// parentOf returns the parent of a canonical path, or "" for the root.
+func parentOf(p string) string {
+	if p == "/" {
+		return ""
+	}
+	return p[:max(strings.LastIndexByte(p, '/'), 1)]
+}
+
+// GetInfo returns a private copy of a path's metadata (Fig. 5 getInfo):
+// the caller may keep and modify it.
+func (s *Store) GetInfo(path string) (PathInfo, bool) {
+	var info PathInfo
+	ok := s.ViewInfo(path, func(v PathInfo) {
+		info = v
+		info.Blocks = make([]BlockInfo, len(v.Blocks))
+		copy(info.Blocks, v.Blocks)
+		info.Attrs = nil
+		if len(v.Attrs) > 0 {
+			info.Attrs = maps.Clone(v.Attrs)
+		}
+	})
+	return info, ok
+}
+
+// ViewInfo calls fn with a path's metadata under the path's entry lock and
+// reports whether the path is present (fn is not called when it is not).
+// It copies nothing: Blocks and Attrs are the store's own, so fn may read
+// them but must neither modify nor retain them, and must not call back into
+// the store for path.
+func (s *Store) ViewInfo(path string, fn func(PathInfo)) bool {
+	path = dfs.CleanPath(path)
+	t := s.tableOf(path)
+	t.acquire(path)
+	defer t.release(path)
+	m, ok := t.get(path)
+	if ok {
+		fn(PathInfo{Path: path, Dir: m.dir, Blocks: m.blocks, Pairs: m.pairs, Attrs: m.attrs})
+	}
+	return ok
 }
 
 // SetAttr sets a path attribute. The path must exist.
 func (s *Store) SetAttr(path, key, value string) error {
 	path = dfs.CleanPath(path)
-	unlock := s.lockPaths(path)
-	defer unlock()
-	m, ok := s.getMeta(path)
+	t := s.tableOf(path)
+	t.acquire(path)
+	defer t.release(path)
+	m, ok := t.get(path)
 	if !ok {
 		return fmt.Errorf("kvstore: setattr %s: %w", path, dfs.ErrNotFound)
 	}
@@ -367,7 +391,11 @@ func (s *Store) SetAttr(path, key, value string) error {
 
 // Exists reports whether path is present.
 func (s *Store) Exists(path string) bool {
-	_, ok := s.GetInfo(path)
+	path = dfs.CleanPath(path)
+	t := s.tableOf(path)
+	t.acquire(path)
+	defer t.release(path)
+	_, ok := t.get(path)
 	return ok
 }
 
@@ -425,9 +453,10 @@ func (s *Store) Delete(path string) error {
 	if path == "/" {
 		return fmt.Errorf("kvstore: cannot delete the root")
 	}
-	unlock := s.lockPaths(path)
-	defer unlock()
-	m, ok := s.getMeta(path)
+	t := s.tableOf(path)
+	t.acquire(path)
+	defer t.release(path)
+	m, ok := t.get(path)
 	if !ok {
 		return nil
 	}
@@ -442,7 +471,7 @@ func (s *Store) Delete(path string) error {
 		}
 	}
 	s.freeBlocks(m.blocks)
-	s.delMeta(path)
+	t.del(path)
 	return nil
 }
 
@@ -481,7 +510,7 @@ func (s *Store) Rename(src, dst string) error {
 	if dfs.IsAncestor(src, dst) {
 		return fmt.Errorf("kvstore: rename %s into its own subtree %s", src, dst)
 	}
-	unlock := s.lockPaths(src, dst)
+	unlock := s.lockPair(src, dst)
 	defer unlock()
 	m, ok := s.getMeta(src)
 	if !ok {
@@ -524,14 +553,15 @@ func (s *Store) CreateWriter(place int, path, tag string) (*Writer, error) {
 	if place < 0 || place >= len(s.data) {
 		return nil, fmt.Errorf("kvstore: no such place %d", place)
 	}
-	unlock := s.lockPaths(path)
-	defer unlock()
-	m, ok := s.getMeta(path)
+	t := s.tableOf(path)
+	t.acquire(path)
+	defer t.release(path)
+	m, ok := t.get(path)
 	if ok && m.dir {
 		return nil, fmt.Errorf("kvstore: createWriter %s: is a directory", path)
 	}
 	if !ok {
-		s.putMeta(path, &pathMeta{})
+		t.put(path, &pathMeta{})
 	}
 	return &Writer{store: s, path: path, place: place, tag: tag}, nil
 }
@@ -573,14 +603,15 @@ func (w *Writer) Close() (BlockInfo, error) {
 		}
 	}
 
-	unlock := w.store.lockPaths(w.path)
-	defer unlock()
-	m, ok := w.store.getMeta(w.path)
+	t := w.store.tableOf(w.path)
+	t.acquire(w.path)
+	defer t.release(w.path)
+	m, ok := t.get(w.path)
 	if !ok {
 		// Deleted between CreateWriter and Close; recreate, matching the
 		// last-writer-wins semantics of a cache.
 		m = &pathMeta{}
-		w.store.putMeta(w.path, m)
+		t.put(w.path, m)
 	}
 	bd := &blockData{pairs: w.pairs, size: size}
 	dt := w.store.data[w.place]
@@ -621,30 +652,9 @@ type Reader struct {
 // budget decides only where the block lives afterwards.
 func (s *Store) CreateReader(place int, path string, info BlockInfo) (*Reader, error) {
 	path = dfs.CleanPath(path)
-	unlock := s.lockPaths(path)
-	m, ok := s.getMeta(path)
-	if !ok {
-		unlock()
-		return nil, fmt.Errorf("kvstore: read %s: %w", path, dfs.ErrNotFound)
-	}
-	found := false
-	for _, b := range m.blocks {
-		if b == info {
-			found = true
-			break
-		}
-	}
-	if !found {
-		unlock()
-		return nil, fmt.Errorf("kvstore: read %s: block %+v not present", path, info)
-	}
-	// The block fetch (and a possible readmit) happens under the path's
-	// entry lock: frees hold it too, so the spilled/resident state cannot
-	// change underneath the decode.
-	pairs, err := s.blockPairs(info)
-	unlock()
+	pairs, err := s.readBlock(path, info)
 	if err != nil {
-		return nil, fmt.Errorf("kvstore: read %s: %w", path, err)
+		return nil, err
 	}
 	if info.Place == place {
 		return &Reader{pairs: pairs}, nil
@@ -654,6 +664,28 @@ func (s *Store) CreateReader(place int, path string, info BlockInfo) (*Reader, e
 		return nil, err
 	}
 	return &Reader{pairs: res.Pairs, Remote: true}, nil
+}
+
+// readBlock returns the pairs of block info of path. The lookup and the
+// block fetch (and a possible readmit) happen under the path's entry lock:
+// frees hold it too, so the spilled/resident state cannot change underneath
+// the decode.
+func (s *Store) readBlock(path string, info BlockInfo) ([]wio.Pair, error) {
+	t := s.tableOf(path)
+	t.acquire(path)
+	defer t.release(path)
+	m, ok := t.get(path)
+	if !ok {
+		return nil, fmt.Errorf("kvstore: read %s: %w", path, dfs.ErrNotFound)
+	}
+	if !slices.Contains(m.blocks, info) {
+		return nil, fmt.Errorf("kvstore: read %s: block %+v not present", path, info)
+	}
+	pairs, err := s.blockPairs(info)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: read %s: %w", path, err)
+	}
+	return pairs, nil
 }
 
 // blockPairs returns one block's pairs, decoding a spilled block back from

@@ -81,41 +81,44 @@ type CachedRange struct {
 // An error means the entry exists but cannot be mapped (a multi-block entry
 // with a missing or malformed pair-count tag): the hit must fail loudly
 // rather than silently serve a truncated split.
-func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) ([]CachedRange, bool, error) {
+func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool, err error) {
 	// Exact input-split entry.
 	sp := splitPath(name)
-	if info, ok := c.store.GetInfo(sp); ok && !info.Dir && len(info.Blocks) > 0 {
-		b := info.Blocks[0]
-		return []CachedRange{{Path: sp, Block: b, From: 0, To: -1}}, true, nil
-	}
-	if fileSplit == nil {
-		return nil, false, nil
+	c.store.ViewInfo(sp, func(info kvstore.PathInfo) {
+		if !info.Dir && len(info.Blocks) > 0 {
+			ranges, ok = []CachedRange{{Path: sp, Block: info.Blocks[0], From: 0, To: -1}}, true
+		}
+	})
+	if ok || fileSplit == nil {
+		return ranges, ok, nil
 	}
 	// Output cache: the file was produced (and cached) by an earlier job.
-	info, ok := c.store.GetInfo(fileSplit.path)
-	if !ok || info.Dir || len(info.Blocks) == 0 {
-		return nil, false, nil
-	}
-	if info.Attrs[attrCacheOnly] != "" {
-		// Cache-only files live in a synthetic "pair index" byte space
-		// (their FileStatus.Size is the pair count), so any split range
-		// maps exactly onto pair ranges across the blocks.
-		ranges, err := pairRanges(fileSplit.path, info, fileSplit.start, fileSplit.start+fileSplit.length)
-		if err != nil {
-			return nil, false, err
+	c.store.ViewInfo(fileSplit.path, func(info kvstore.PathInfo) {
+		if info.Dir || len(info.Blocks) == 0 {
+			return
 		}
-		return ranges, true, nil
-	}
-	// Disk-backed file: byte offsets do not map to pair indexes, so only a
-	// whole-file split can be served from the cache.
-	if fileSplit.start == 0 && fileSplit.wholeFile {
-		ranges := make([]CachedRange, 0, len(info.Blocks))
-		for _, b := range info.Blocks {
-			ranges = append(ranges, CachedRange{Path: fileSplit.path, Block: b, From: 0, To: -1})
+		if info.Attrs[attrCacheOnly] != "" {
+			// Cache-only files live in a synthetic "pair index" byte space
+			// (their FileStatus.Size is the pair count), so any split range
+			// maps exactly onto pair ranges across the blocks.
+			ranges, err = pairRanges(fileSplit.path, info, fileSplit.start, fileSplit.start+fileSplit.length)
+			ok = err == nil
+			return
 		}
-		return ranges, true, nil
+		// Disk-backed file: byte offsets do not map to pair indexes, so only a
+		// whole-file split can be served from the cache.
+		if fileSplit.start == 0 && fileSplit.wholeFile {
+			ranges = make([]CachedRange, 0, len(info.Blocks))
+			for _, b := range info.Blocks {
+				ranges = append(ranges, CachedRange{Path: fileSplit.path, Block: b, From: 0, To: -1})
+			}
+			ok = true
+		}
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	return nil, false, nil
+	return ranges, ok, nil
 }
 
 // fileSplitView is the cache's view of a FileSplit.
@@ -297,7 +300,7 @@ func (c *Cache) Move(src, dst string) error {
 		return err
 	}
 	sp, dp := dfs.CleanPath(splitsRoot+src), dfs.CleanPath(splitsRoot+dst)
-	if _, ok := c.store.GetInfo(sp); ok {
+	if c.store.Exists(sp) {
 		if err := c.store.Mkdirs(dfs.Parent(dp)); err != nil {
 			return err
 		}
@@ -435,8 +438,12 @@ func (f *CachingFileSystem) Mkdirs(path string) error {
 // backing store no call and no not-found error.
 func (f *CachingFileSystem) Stat(path string) (dfs.FileStatus, error) {
 	path = dfs.CleanPath(path)
-	info, cached := f.cache.store.GetInfo(path)
-	if !cached || info.Attrs[attrCacheOnly] == "" {
+	var pairs int64
+	var dir, cacheOnly bool
+	cached := f.cache.store.ViewInfo(path, func(info kvstore.PathInfo) {
+		pairs, dir, cacheOnly = info.Pairs, info.Dir, info.Attrs[attrCacheOnly] != ""
+	})
+	if !cacheOnly {
 		if st, err := f.backing.Stat(path); err == nil {
 			return st, nil
 		}
@@ -446,10 +453,10 @@ func (f *CachingFileSystem) Stat(path string) (dfs.FileStatus, error) {
 	}
 	return dfs.FileStatus{
 		Path:        path,
-		Size:        info.Pairs,
-		IsDir:       info.Dir,
+		Size:        pairs,
+		IsDir:       dir,
 		ModTime:     time.Time{},
-		BlockSize:   info.Pairs,
+		BlockSize:   pairs,
 		Replication: 1,
 	}, nil
 }
@@ -491,33 +498,46 @@ func (f *CachingFileSystem) BlockLocations(path string, start, length int64) ([]
 	if f.backing.Exists(dfs.CleanPath(path)) {
 		return f.backing.BlockLocations(path, start, length)
 	}
-	info, ok := f.cache.store.GetInfo(dfs.CleanPath(path))
-	if !ok || info.Dir {
-		return nil, fmt.Errorf("m3r: locations %s: %w", path, dfs.ErrNotFound)
-	}
-	var out []dfs.BlockLocation
-	var off int64
-	for _, b := range info.Blocks {
-		n, err := blockPairs(info, b)
-		if err != nil {
-			return nil, err
+	return f.cache.blockLocations(path, start, length)
+}
+
+// blockLocations returns the locations of a cached file's blocks that
+// overlap [start, start+length) of its pair-index space, each hosted at its
+// home place's node. A missing path or a directory is dfs.ErrNotFound.
+func (c *Cache) blockLocations(path string, start, length int64) (out []dfs.BlockLocation, err error) {
+	file := false
+	c.store.ViewInfo(path, func(info kvstore.PathInfo) {
+		if info.Dir {
+			return
 		}
-		if off+n > start && off < start+length {
-			out = append(out, dfs.BlockLocation{
-				Offset: off,
-				Length: n,
-				Hosts:  []string{f.rt.Place(b.Place).Host()},
-			})
+		file = true
+		var off int64
+		for _, b := range info.Blocks {
+			n, berr := blockPairs(info, b)
+			if berr != nil {
+				out, err = nil, berr
+				return
+			}
+			if off+n > start && off < start+length {
+				out = append(out, dfs.BlockLocation{
+					Offset: off,
+					Length: n,
+					Hosts:  []string{c.rt.Place(b.Place).Host()},
+				})
+			}
+			off += n
 		}
-		off += n
+	})
+	if !file {
+		return nil, fmt.Errorf("m3r: cache locations %s: %w", path, dfs.ErrNotFound)
 	}
-	return out, nil
+	return out, err
 }
 
 // GetRawCache implements hmrext.CacheFS (§4.2.3): the returned filesystem's
 // operations touch only the cache.
 func (f *CachingFileSystem) GetRawCache() dfs.FileSystem {
-	return &rawCacheFS{cache: f.cache, rt: f.rt}
+	return &rawCacheFS{cache: f.cache}
 }
 
 // GetCacheRecordReader implements hmrext.CacheFS (§4.2.4). ok=false is a
@@ -554,7 +574,6 @@ func (f *CachingFileSystem) CacheOutput(place int, path string, pairs []wio.Pair
 // rawCacheFS is the synthetic cache-only filesystem of §4.2.3.
 type rawCacheFS struct {
 	cache *Cache
-	rt    *x10.Runtime
 }
 
 func (r *rawCacheFS) Create(string) (io.WriteCloser, error) {
@@ -578,11 +597,11 @@ func (r *rawCacheFS) Mkdirs(path string) error {
 }
 
 func (r *rawCacheFS) Stat(path string) (dfs.FileStatus, error) {
-	info, ok := r.cache.store.GetInfo(dfs.CleanPath(path))
-	if !ok {
+	st := dfs.FileStatus{Path: dfs.CleanPath(path)}
+	if !r.cache.store.ViewInfo(st.Path, func(info kvstore.PathInfo) { st.Size, st.IsDir = info.Pairs, info.Dir }) {
 		return dfs.FileStatus{}, fmt.Errorf("m3r: cache stat %s: %w", path, dfs.ErrNotFound)
 	}
-	return dfs.FileStatus{Path: dfs.CleanPath(path), Size: info.Pairs, IsDir: info.Dir}, nil
+	return st, nil
 }
 
 func (r *rawCacheFS) Exists(path string) bool {
@@ -604,22 +623,5 @@ func (r *rawCacheFS) List(path string) ([]dfs.FileStatus, error) {
 }
 
 func (r *rawCacheFS) BlockLocations(path string, start, length int64) ([]dfs.BlockLocation, error) {
-	info, ok := r.cache.store.GetInfo(dfs.CleanPath(path))
-	if !ok || info.Dir {
-		return nil, fmt.Errorf("m3r: cache locations %s: %w", path, dfs.ErrNotFound)
-	}
-	var out []dfs.BlockLocation
-	var off int64
-	for _, b := range info.Blocks {
-		n, err := blockPairs(info, b)
-		if err != nil {
-			return nil, err
-		}
-		if off+n > start && off < start+length {
-			out = append(out, dfs.BlockLocation{Offset: off, Length: n,
-				Hosts: []string{r.rt.Place(b.Place).Host()}})
-		}
-		off += n
-	}
-	return out, nil
+	return r.cache.blockLocations(path, start, length)
 }
