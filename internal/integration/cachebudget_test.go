@@ -59,10 +59,13 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 		t.Fatalf("unbounded cache must not spill, spilled %d entries", n)
 	}
 
-	// 16 KiB per place: two 30×30 double blocks (~7.3 KiB each) fit, the
-	// rest of G's splits contend — so the tiering must both spill under
-	// pressure and readmit into the space the post-job temp drops free.
-	tight := newClusterCfg(t, 3, clusterConfig{poolBytes: -1, cacheBudget: 16 << 10})
+	// 6 KiB per place. G is 10 % dense, so WriteMat stores it sparse: 16
+	// blocks of ~0.85 KiB in three splits of 5–6 blocks (~4.3–5.1 KiB). A
+	// place's G split fits, but not beside the vector blocks (~0.25 KiB
+	// each) and the partial products of the same iteration — so the tiering
+	// must both spill under pressure and readmit into the space the post-job
+	// temp drops free.
+	tight := newClusterCfg(t, 3, clusterConfig{poolBytes: -1, cacheBudget: 6 << 10})
 	tightBits, td := run(t, tight)
 
 	if len(tightBits) != len(baseBits) {
@@ -75,7 +78,7 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 		}
 	}
 	if n := tight.m3r.CacheSpilledEntries(); n == 0 {
-		t.Error("16 KiB budget below the working set, but no entries spilled")
+		t.Error("6 KiB budget below the working set, but no entries spilled")
 	}
 	if n := tight.m3r.CacheReadmittedEntries(); n == 0 {
 		t.Error("temp drops free budget between iterations, but no entries readmitted")

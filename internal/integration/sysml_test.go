@@ -2,10 +2,16 @@ package integration_test
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"m3r/internal/dfs"
 	"m3r/internal/engine"
+	"m3r/internal/formats"
+	"m3r/internal/matrix"
 	"m3r/internal/sysml"
+	"m3r/internal/wio"
 )
 
 func newDriver(t *testing.T, eng engine.Engine, dir string, partitions int) *sysml.Driver {
@@ -27,6 +33,44 @@ func matClose(t *testing.T, got [][]float64, want [][]float64, label string, tol
 			if math.Abs(got[i][j]-want[i][j]) > tol*(1+math.Abs(want[i][j])) {
 				t.Fatalf("%s: (%d,%d): got %g want %g", label, i, j, got[i][j], want[i][j])
 			}
+		}
+	}
+}
+
+// valueClass returns the value class the SequenceFile headers under path
+// name, failing the test unless every part file names the same one.
+func valueClass(t *testing.T, d *sysml.Driver, path string) string {
+	t.Helper()
+	files, err := dfs.ListRecursive(d.FS, path)
+	if err != nil {
+		t.Fatalf("list %s: %v", path, err)
+	}
+	class := ""
+	for _, f := range files {
+		if f.IsDir || !strings.HasPrefix(dfs.Base(f.Path), "part-") {
+			continue
+		}
+		r, err := formats.NewSeqReader(d.FS, f.Path, 0, -1)
+		if err != nil {
+			t.Fatalf("open %s: %v", f.Path, err)
+		}
+		c := r.ValClass()
+		r.Close()
+		if class != "" && c != class {
+			t.Fatalf("%s: part files of value classes %s and %s", path, class, c)
+		}
+		class = c
+	}
+	return class
+}
+
+// wantValueClass fails the test unless the matrices at paths are stored as
+// class.
+func wantValueClass(t *testing.T, d *sysml.Driver, class string, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		if got := valueClass(t, d, p); got != class {
+			t.Errorf("%s is stored as %s, want %s", p, got, class)
 		}
 	}
 }
@@ -72,6 +116,10 @@ func TestSysmlPageRankBothEngines(t *testing.T) {
 			if d.JobCount() != 3*cfg.Iterations {
 				t.Errorf("job count: %d, want %d", d.JobCount(), 3*cfg.Iterations)
 			}
+			// G is 10 % dense, below the 0.4 turn point; the vector and the
+			// result are dense.
+			wantValueClass(t, d, sysml.SparseBlockName, "/pr/G")
+			wantValueClass(t, d, sysml.BlockName, "/pr/p0", out.Path)
 		})
 	}
 }
@@ -104,6 +152,10 @@ func TestSysmlLinRegBothEngines(t *testing.T) {
 					t.Fatalf("w[%d]: got %g want %g", i, got[i], want[i])
 				}
 			}
+			// X is half zeros, above the turn point. (The all-zero start
+			// vector w0 is below it, and its first axpy, which takes it
+			// dense, drops it.)
+			wantValueClass(t, d, sysml.BlockName, "/lr/X", "/lr/y", w.Path)
 		})
 	}
 }
@@ -137,12 +189,77 @@ func TestSysmlGNMFBothEngines(t *testing.T) {
 			}
 			matClose(t, gotW, wantW, "W", 1e-7)
 			matClose(t, gotH, wantH, "H", 1e-7)
+			// V is 30 % dense: sparse on the right of WᵀV and on the left of
+			// VHᵀ, whose kernels take it dense.
+			wantValueClass(t, d, sysml.SparseBlockName, "/gnmf/V")
+			wantValueClass(t, d, sysml.BlockName, "/gnmf/W0", "/gnmf/H0", W.Path, H.Path)
 			// 10 jobs per iteration, plus the 2 generator-free setup jobs
 			// embedded in the loop structure (none here).
 			if d.JobCount() != 10*cfg.Iterations {
 				t.Errorf("job count: %d, want %d", d.JobCount(), 10*cfg.Iterations)
 			}
 		})
+	}
+}
+
+// TestSysmlSparseMatVecMatchesDense multiplies one G stored both ways — as
+// the SparseBlocks WriteMat picks for it and as dense Blocks written by hand
+// — by the same vector on both engines: the two products, and the engines'
+// products, must be equal bit for bit.
+func TestSysmlSparseMatVecMatchesDense(t *testing.T) {
+	const n, bs = 120, 30
+	bits := map[string][]uint64{}
+	for _, which := range []string{"hadoop", "m3r"} {
+		t.Run(which, func(t *testing.T) {
+			c := newCluster(t, 3)
+			eng := engine.Engine(c.hadoop)
+			if which == "m3r" {
+				eng = c.m3r
+			}
+			d := newDriver(t, eng, "/mv", 3)
+			sparse, err := d.WriteMat("G", n, n, bs, bs, 5, 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := d.WriteMat("x", n, 1, bs, 1, 6, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantValueClass(t, d, sysml.SparseBlockName, sparse.Path)
+
+			blocks, err := sysml.ReadBlocks(d.FS, sparse.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pairs []wio.Pair
+			for k, b := range blocks {
+				pairs = append(pairs, wio.Pair{Key: matrix.NewBlockKey(k.Row, k.Col), Value: b})
+			}
+			slices.SortFunc(pairs, func(a, b wio.Pair) int { return a.Key.(*matrix.BlockKey).CompareTo(b.Key) })
+			dense := sparse
+			dense.Path = "/mv/Gdense"
+			if err := formats.WriteSeqFile(d.FS, dense.Path+"/part-00000", matrix.BlockKeyName, sysml.BlockName, pairs); err != nil {
+				t.Fatal(err)
+			}
+
+			ys, err := d.MatVec(sparse, x, "/mv/ys")
+			if err != nil {
+				t.Fatalf("sparse matvec: %v", err)
+			}
+			yd, err := d.MatVec(dense, x, "/mv/yd")
+			if err != nil {
+				t.Fatalf("dense matvec: %v", err)
+			}
+			wantValueClass(t, d, sysml.BlockName, ys.Path, yd.Path)
+			got, want := denseBits(t, d, ys), denseBits(t, d, yd)
+			if !slices.Equal(got, want) {
+				t.Fatalf("G·x over sparse blocks differs from G·x over dense blocks:\n%x\n%x", got, want)
+			}
+			bits[which] = got
+		})
+	}
+	if !slices.Equal(bits["hadoop"], bits["m3r"]) {
+		t.Fatalf("G·x differs between the engines:\n%x\n%x", bits["hadoop"], bits["m3r"])
 	}
 }
 

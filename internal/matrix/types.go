@@ -117,7 +117,10 @@ func (b *CSCBlock) WriteTo(w *wio.Writer) error {
 	return w.WriteFloat64s(b.Vals)
 }
 
-// ReadFields implements wio.Writable.
+// ReadFields implements wio.Writable. A block that MultiplyInto could not
+// walk — negative dimensions, a ColPtr that is not Cols+1 non-decreasing
+// offsets from 0 to len(RowIdx), a row index outside [0, Rows) — is an
+// error, never a panic.
 func (b *CSCBlock) ReadFields(r *wio.Reader) error {
 	var err error
 	if b.Rows, err = r.ReadInt32(); err != nil {
@@ -126,11 +129,33 @@ func (b *CSCBlock) ReadFields(r *wio.Reader) error {
 	if b.Cols, err = r.ReadInt32(); err != nil {
 		return err
 	}
+	if b.Rows < 0 || b.Cols < 0 {
+		return fmt.Errorf("matrix: corrupt CSC block dimensions %dx%d", b.Rows, b.Cols)
+	}
 	if b.ColPtr, err = readInt32s(r, b.ColPtr); err != nil {
 		return err
 	}
+	if len(b.ColPtr) != int(b.Cols)+1 {
+		return fmt.Errorf("matrix: corrupt CSC block: %d column pointers for %d columns", len(b.ColPtr), b.Cols)
+	}
+	if b.ColPtr[0] != 0 {
+		return fmt.Errorf("matrix: corrupt CSC block: column pointers start at %d", b.ColPtr[0])
+	}
+	for j := range b.Cols {
+		if b.ColPtr[j+1] < b.ColPtr[j] {
+			return fmt.Errorf("matrix: corrupt CSC block: column %d ends before it starts", j)
+		}
+	}
 	if b.RowIdx, err = readInt32s(r, b.RowIdx); err != nil {
 		return err
+	}
+	if int(b.ColPtr[b.Cols]) != len(b.RowIdx) {
+		return fmt.Errorf("matrix: corrupt CSC block: column pointers end at %d of %d entries", b.ColPtr[b.Cols], len(b.RowIdx))
+	}
+	for _, i := range b.RowIdx {
+		if i < 0 || i >= b.Rows {
+			return fmt.Errorf("matrix: corrupt CSC block: row %d outside %dx%d", i, b.Rows, b.Cols)
+		}
 	}
 	b.Vals, err = r.ReadFloat64s(b.Vals, uint64(len(b.RowIdx)))
 	return err

@@ -2,19 +2,18 @@
 // §6.4: a blocked matrix algebra whose operations "compile" to Hadoop
 // MapReduce job sequences. Like the code the real SystemML compiler
 // emitted, these jobs are deliberately NOT tuned for M3R: no
-// ImmutableOutput markers (so M3R clones defensively), the default hash
-// partitioner (no partition stability), and a uniformly dense block
-// representation (the paper notes SystemML's blocks were ~10x less
-// space-efficient than the hand-written CSC code). What the GNMF / linear
-// regression / PageRank experiments measure is exactly this
-// compiler-generated style of MR code on both engines.
+// ImmutableOutput markers (so M3R clones defensively) and the default hash
+// partitioner (no partition stability). What the GNMF / linear regression /
+// PageRank experiments measure is exactly this compiler-generated style of
+// MR code on both engines.
 //
 // "Not tuned" is about what the jobs ask of the engine, not about how a
-// block turns into bytes: Block serializes its values through wio's bulk
-// float64 codec, which writes the same bytes as one WriteFloat64 per element
-// and is as much faster on the Hadoop engine's spill and SequenceFile passes
-// as on M3R's shuffle and clone. Every pair is still cloned, every block
-// still dense, every key still hash-partitioned.
+// block turns into bytes. Like SystemML's MatrixBlock, a generated input
+// matrix whose share of non-zeros is below 0.4 (sparseTurnPoint) is stored
+// as compressed sparse rows (SparseBlock), and every other matrix and every
+// job result as a dense Block. Both serialize their values through wio's
+// bulk float64 codec. Every pair is still cloned and every key still
+// hash-partitioned.
 package sysml
 
 import (
@@ -27,11 +26,13 @@ import (
 // Registered writable names.
 const (
 	BlockName       = "sysml.runtime.matrix.MatrixBlock"
+	SparseBlockName = "sysml.runtime.matrix.SparseMatrixBlock"
 	TaggedBlockName = "sysml.runtime.matrix.TaggedMatrixBlock"
 )
 
 func init() {
 	wio.Register(BlockName, func() wio.Writable { return new(Block) })
+	wio.Register(SparseBlockName, func() wio.Writable { return new(SparseBlock) })
 	wio.Register(TaggedBlockName, func() wio.Writable { return new(TaggedBlock) })
 }
 
@@ -212,17 +213,47 @@ func (b *Block) Dot(o *Block) float64 {
 }
 
 // TaggedBlock routes blocks from different inputs of one shuffle to the
-// right operand slot in the reducer, SystemML's tagged-value pattern.
+// right operand slot in the reducer, SystemML's tagged-value pattern. It
+// carries one block of either kind: B when dense, S when sparse. On the wire
+// the sparse kind sets the tag byte's high bit (sparseTag), so a dense
+// TaggedBlock's bytes are those of a tag and a Block.
 type TaggedBlock struct {
 	Tag byte
 	B   *Block
+	S   *SparseBlock
 }
+
+// sparseTag marks a tag byte followed by a SparseBlock. Tags are operand
+// slots (0–2) and never reach it.
+const sparseTag = 0x80
 
 // NewTagged wraps b under tag.
 func NewTagged(tag byte, b *Block) *TaggedBlock { return &TaggedBlock{Tag: tag, B: b} }
 
+// tagValue wraps a map input value, dense or sparse, under tag.
+func tagValue(tag byte, v wio.Writable) *TaggedBlock {
+	if s, ok := v.(*SparseBlock); ok {
+		return &TaggedBlock{Tag: tag, S: s}
+	}
+	return NewTagged(tag, v.(*Block))
+}
+
+// value returns the carried block, of whichever kind.
+func (t *TaggedBlock) value() wio.Writable {
+	if t.S != nil {
+		return t.S
+	}
+	return t.B
+}
+
 // WriteTo implements wio.Writable.
 func (t *TaggedBlock) WriteTo(w *wio.Writer) error {
+	if t.S != nil {
+		if err := w.WriteByte(t.Tag | sparseTag); err != nil {
+			return err
+		}
+		return t.S.WriteTo(w)
+	}
 	if err := w.WriteByte(t.Tag); err != nil {
 		return err
 	}
@@ -235,16 +266,20 @@ func (t *TaggedBlock) ReadFields(r *wio.Reader) error {
 	if err != nil {
 		return err
 	}
-	t.Tag = tag
-	t.B = new(Block)
+	t.Tag = tag &^ sparseTag
+	if tag&sparseTag != 0 {
+		t.B, t.S = nil, new(SparseBlock)
+		return t.S.ReadFields(r)
+	}
+	t.B, t.S = new(Block), nil
 	return t.B.ReadFields(r)
 }
 
 // String implements fmt.Stringer.
-func (t *TaggedBlock) String() string { return fmt.Sprintf("t%d:%v", t.Tag, t.B) }
+func (t *TaggedBlock) String() string { return fmt.Sprintf("t%d:%v", t.Tag, t.value()) }
 
 // RandomBlock generates a deterministic block; a fraction `zeroFrac` of
-// entries are zeroed to emulate sparse data stored densely.
+// entries are zeroed to emulate sparse data.
 func RandomBlock(r, c int32, seed int64, zeroFrac float64) *Block {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBlock(r, c)

@@ -70,7 +70,7 @@ type PassMapper struct {
 
 // Map implements mapred.Mapper.
 func (m *PassMapper) Map(key, value wio.Writable, out mapred.OutputCollector, _ mapred.Reporter) error {
-	return out.Collect(key, NewTagged(m.tag, value.(*Block)))
+	return out.Collect(key, tagValue(m.tag, value))
 }
 
 // BcastMapper replicates each block across one dimension:
@@ -94,7 +94,7 @@ func (m *BcastMapper) Configure(job *conf.JobConf) {
 // Map implements mapred.Mapper.
 func (m *BcastMapper) Map(key, value wio.Writable, out mapred.OutputCollector, _ mapred.Reporter) error {
 	k := key.(*matrix.BlockKey)
-	tb := NewTagged(m.tag, value.(*Block))
+	tb := tagValue(m.tag, value)
 	for t := 0; t < m.n; t++ {
 		var nk *matrix.BlockKey
 		switch m.mode {
@@ -161,7 +161,7 @@ func (m *ScaleMapper) Configure(job *conf.JobConf) {
 
 // Map implements mapred.Mapper.
 func (m *ScaleMapper) Map(key, value wio.Writable, out mapred.OutputCollector, _ mapred.Reporter) error {
-	return out.Collect(key, value.(*Block).ScaleShift(m.alpha, m.beta))
+	return out.Collect(key, denseOf(value).ScaleShift(m.alpha, m.beta))
 }
 
 // SideMulMapper is a map-only multiply against a small matrix loaded from
@@ -198,7 +198,7 @@ func (m *SideMulMapper) Map(key, value wio.Writable, out mapred.OutputCollector,
 	if m.err != nil {
 		return m.err
 	}
-	b := value.(*Block)
+	b := denseOf(value)
 	if m.mode == "left" {
 		return out.Collect(key, m.side.Mul(b))
 	}
@@ -221,7 +221,7 @@ func (r *CombineReducer) Configure(job *conf.JobConf) { r.op = job.Get(KeyOp) }
 
 // Reduce implements mapred.Reducer.
 func (r *CombineReducer) Reduce(key wio.Writable, values mapred.ValueIterator, out mapred.OutputCollector, _ mapred.Reporter) error {
-	var t0, t1 *Block
+	var t0, t1 wio.Writable
 	for {
 		v, ok := values.Next()
 		if !ok {
@@ -230,9 +230,9 @@ func (r *CombineReducer) Reduce(key wio.Writable, values mapred.ValueIterator, o
 		tb := v.(*TaggedBlock)
 		switch tb.Tag {
 		case 0:
-			t0 = tb.B
+			t0 = tb.value()
 		case 1:
-			t1 = tb.B
+			t1 = tb.value()
 		}
 	}
 	if t0 == nil || t1 == nil {
@@ -241,13 +241,17 @@ func (r *CombineReducer) Reduce(key wio.Writable, values mapred.ValueIterator, o
 	var res *Block
 	switch r.op {
 	case "ab":
-		res = t0.Mul(t1)
+		if s, ok := t0.(*SparseBlock); ok {
+			res = s.Mul(denseOf(t1))
+		} else {
+			res = denseOf(t0).Mul(denseOf(t1))
+		}
 	case "atb":
-		res = t0.TMul(t1)
+		res = denseOf(t0).TMul(denseOf(t1))
 	case "abt":
-		res = t0.MulT(t1)
+		res = denseOf(t0).MulT(denseOf(t1))
 	case "tab":
-		res = t1.TMul(t0)
+		res = denseOf(t1).TMul(denseOf(t0))
 	default:
 		return fmt.Errorf("sysml: unknown combine op %q", r.op)
 	}
@@ -296,7 +300,7 @@ func (r *GramReducer) Reduce(key wio.Writable, values mapred.ValueIterator, out 
 		if !ok {
 			break
 		}
-		b := v.(*Block)
+		b := denseOf(v)
 		var part *Block
 		switch r.op {
 		case "atself":
@@ -348,11 +352,11 @@ func (r *ElemReducer) Reduce(key wio.Writable, values mapred.ValueIterator, out 
 		tb := v.(*TaggedBlock)
 		switch tb.Tag {
 		case 0:
-			t0 = tb.B
+			t0 = denseOf(tb.value())
 		case 1:
-			t1 = tb.B
+			t1 = denseOf(tb.value())
 		case 2:
-			t2 = tb.B
+			t2 = denseOf(tb.value())
 		}
 	}
 	if t0 == nil || t1 == nil {
@@ -401,9 +405,9 @@ func (r *DotReducer) Reduce(_ wio.Writable, values mapred.ValueIterator, out map
 		}
 		tb := v.(*TaggedBlock)
 		if tb.Tag == 0 {
-			t0 = tb.B
+			t0 = denseOf(tb.value())
 		} else {
-			t1 = tb.B
+			t1 = denseOf(tb.value())
 		}
 	}
 	if t0 != nil && t1 != nil {
@@ -473,7 +477,7 @@ func ReadBlocks(fs dfs.FileSystem, path string) (map[matrix.BlockKey]*Block, err
 		}
 		for _, p := range pairs {
 			k := p.Key.(*matrix.BlockKey)
-			out[matrix.BlockKey{Row: k.Row, Col: k.Col}] = p.Value.(*Block)
+			out[matrix.BlockKey{Row: k.Row, Col: k.Col}] = denseOf(p.Value)
 		}
 	}
 	return out, nil

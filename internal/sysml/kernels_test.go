@@ -1,12 +1,14 @@
 package sysml_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"m3r/internal/sysml"
+	"m3r/internal/wio"
 )
 
 // The At-indexed loops the row-walking kernels replaced, kept as the
@@ -93,10 +95,11 @@ func sameBits(a, b *sysml.Block) error {
 	return nil
 }
 
-// TestBlockKernelsBitIdentical holds Mul, TMul and MulT to the At-indexed
-// loops, compared by bit pattern, over empty, vector and square shapes, the
-// special values and the pagerank_iter shape (a 99 %-zero 100×100 block of
-// G times a 100×1 block of the vector).
+// TestBlockKernelsBitIdentical holds Mul, TMul and MulT, and the CSR × dense
+// Mul, to the At-indexed loops, compared by bit pattern, over empty, vector
+// and square shapes, the special values in both operands and the
+// pagerank_iter shape (a 99 %-zero 100×100 block of G times a 100×1 block of
+// the vector).
 func TestBlockKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// r, m, c: Mul is (r×m)·(m×c), TMul (m×r)ᵀ·(m×c), MulT (r×m)·(c×m)ᵀ.
@@ -116,6 +119,9 @@ func TestBlockKernelsBitIdentical(t *testing.T) {
 			if err := sameBits(a.Mul(o), refMul(a, o)); err != nil {
 				t.Errorf("%s Mul: %v", name, err)
 			}
+			if err := sameBits(sysml.Sparsify(a).Mul(o), refMul(a, o)); err != nil {
+				t.Errorf("%s sparse Mul: %v", name, err)
+			}
 			at := kernelBlock(rng, s.m, s.r, s.zeroFrac, special)
 			if err := sameBits(at.TMul(o), refTMul(at, o)); err != nil {
 				t.Errorf("%s TMul: %v", name, err)
@@ -128,8 +134,86 @@ func TestBlockKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSparsifyDenseRoundTrip holds Sparsify to its contract: every entry
+// whose bits are not +0 is stored, in row and column order, and Dense gives
+// back the block bit for bit; through the wire too.
+func TestSparsifyDenseRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range []struct {
+		r, c     int32
+		zeroFrac float64
+	}{{0, 0, 0}, {0, 5, 0}, {5, 0, 0}, {1, 1, 1}, {3, 7, 0.5}, {16, 16, 0}, {100, 100, 0.99}} {
+		b := kernelBlock(rng, s.r, s.c, s.zeroFrac, true)
+		if len(b.V) > 1 {
+			b.V[0], b.V[len(b.V)-1] = math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef)
+		}
+		name := fmt.Sprintf("%dx%d/zero=%g", s.r, s.c, s.zeroFrac)
+		sp := sysml.Sparsify(b)
+		want := 0
+		for _, v := range b.V {
+			if math.Float64bits(v) != 0 {
+				want++
+			}
+		}
+		if len(sp.V) != want || len(sp.Idx) != int(s.r)+1+want {
+			t.Errorf("%s: %d entries, %d indices; want %d non-+0 entries", name, len(sp.V), len(sp.Idx), want)
+		}
+		if err := sameBits(sp.Dense(), b); err != nil {
+			t.Errorf("%s: Dense(Sparsify(b)): %v", name, err)
+		}
+		data, err := wio.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := new(sysml.SparseBlock)
+		if err := wio.Unmarshal(data, back); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if err := sameBits(back.Dense(), b); err != nil {
+			t.Errorf("%s: through the wire: %v", name, err)
+		}
+	}
+}
+
+// FuzzSparseBlockDecode feeds arbitrary bytes to SparseBlock.ReadFields:
+// an error, or a block that re-encodes to exactly the bytes it consumed and
+// whose Mul matches its Dense's bit for bit; never a panic.
+func FuzzSparseBlockDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for _, zeroFrac := range []float64{0, 0.5, 0.99} {
+		seed, err := wio.Marshal(sysml.Sparsify(kernelBlock(rng, 6, 5, zeroFrac, true)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 2, 2, 2, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r wio.Reader
+		r.ResetBytes(data)
+		s := new(sysml.SparseBlock)
+		if s.ReadFields(&r) != nil {
+			return
+		}
+		again, err := wio.Marshal(s)
+		if err != nil {
+			t.Fatalf("decoded %v does not encode: %v", s, err)
+		}
+		if !bytes.Equal(again, data[:r.Count()]) {
+			t.Fatalf("decoded %v re-encodes to %x, read from %x", s, again, data[:r.Count()])
+		}
+		if s.R <= 64 && s.C <= 64 {
+			o := sysml.RandomBlock(s.C, 2, 1, 0)
+			if err := sameBits(s.Mul(o), s.Dense().Mul(o)); err != nil {
+				t.Fatalf("%v: sparse Mul against dense: %v", s, err)
+			}
+		}
+	})
+}
+
 // BenchmarkBlockMul runs Mul on the pagerank_iter shape (a 99 %-zero
-// 100×100 block times a 100×1 block) and on dense 64×64 blocks, against the
+// 100×100 block times a 100×1 block) and on dense 64×64 blocks: the row
+// kernel on the dense block, the CSR kernel on its Sparsify, and the
 // At-indexed reference loop.
 func BenchmarkBlockMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -144,6 +228,13 @@ func BenchmarkBlockMul(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				c.a.Mul(c.o)
+			}
+		})
+		sparse := sysml.Sparsify(c.a)
+		b.Run(c.name+"/sparse", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sparse.Mul(c.o)
 			}
 		})
 		b.Run(c.name+"/at-reference", func(b *testing.B) {

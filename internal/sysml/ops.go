@@ -362,28 +362,38 @@ func (d *Driver) Dot(x, y Mat) (float64, error) {
 	return b.V[0], nil
 }
 
-// WriteMat generates a deterministic blocked matrix under d.Dir/name.
-// zeroFrac emulates sparsity (stored densely, as SystemML's inefficient
-// blocks would at this density). Blocks are spread round-robin over
-// Partitions part files.
+// WriteMat generates a deterministic blocked matrix under d.Dir/name, a
+// fraction zeroFrac of its entries zero. A matrix whose non-zero share is
+// below sparseTurnPoint is written as SparseBlocks, any other as Blocks.
+// Blocks are spread round-robin over Partitions part files.
 func (d *Driver) WriteMat(name string, rows, cols, rpb, cpb int32, seed int64, zeroFrac float64) (Mat, error) {
 	if rows%rpb != 0 || cols%cpb != 0 {
 		return Mat{}, fmt.Errorf("sysml: %s: %dx%d not divisible by %dx%d blocks", name, rows, cols, rpb, cpb)
 	}
 	m := Mat{Path: d.Dir + "/" + name, Rows: rows, Cols: cols, RPB: rpb, CPB: cpb}
 	files := make([][]wio.Pair, d.Partitions)
-	idx := 0
+	idx, nnz := 0, 0
 	for i := int32(0); i < rows/rpb; i++ {
 		for j := int32(0); j < cols/cpb; j++ {
 			b := RandomBlock(rpb, cpb, blockSeed(seed, i, j), zeroFrac)
+			nnz += nonZeros(b)
 			q := idx % d.Partitions
 			idx++
 			files[q] = append(files[q], wio.Pair{Key: matrix.NewBlockKey(i, j), Value: b})
 		}
 	}
+	valueClass := BlockName
+	if float64(nnz) < sparseTurnPoint*float64(rows)*float64(cols) {
+		valueClass = SparseBlockName
+		for _, pairs := range files {
+			for k := range pairs {
+				pairs[k].Value = Sparsify(pairs[k].Value.(*Block))
+			}
+		}
+	}
 	for q := 0; q < d.Partitions; q++ {
 		path := fmt.Sprintf("%s/part-%05d", m.Path, q)
-		if err := formats.WriteSeqFile(d.FS, path, matrix.BlockKeyName, BlockName, files[q]); err != nil {
+		if err := formats.WriteSeqFile(d.FS, path, matrix.BlockKeyName, valueClass, files[q]); err != nil {
 			return Mat{}, err
 		}
 	}

@@ -76,7 +76,23 @@ func refWrite(w *wio.Writer, v wio.Writable) {
 		w.WriteInt32(v.R)
 		w.WriteInt32(v.C)
 		refWriteFloat64s(w, v.V)
+	case *sysml.SparseBlock:
+		w.WriteInt32(v.R)
+		w.WriteInt32(v.C)
+		w.WriteUvarint(uint64(len(v.V)))
+		for i := range v.R {
+			w.WriteUvarint(uint64(v.Idx[i+1] - v.Idx[i]))
+		}
+		for _, j := range v.Idx[v.R+1:] {
+			w.WriteUvarint(uint64(j))
+		}
+		refWriteFloat64s(w, v.V)
 	case *sysml.TaggedBlock:
+		if v.S != nil {
+			w.WriteByte(v.Tag | 0x80)
+			refWrite(w, v.S)
+			break
+		}
 		w.WriteByte(v.Tag)
 		refWrite(w, v.B)
 	case *matrix.CSCBlock:
@@ -110,13 +126,15 @@ func arrayWritables(n int) []wio.Writable {
 	vs := floatsOfLen(n, int64(n))
 	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = int32(i*37 - 5)
+		idx[i] = int32(i * 37)
 	}
-	csc := &matrix.CSCBlock{Rows: int32(n), Cols: 2, ColPtr: []int32{0, int32(n / 2), int32(n)}, RowIdx: idx, Vals: vs}
+	csc := &matrix.CSCBlock{Rows: int32(37 * n), Cols: 2, ColPtr: []int32{0, int32(n / 2), int32(n)}, RowIdx: idx, Vals: vs}
 	dense := &matrix.DenseBlock{Vals: vs}
+	sparse := sysml.Sparsify(&sysml.Block{R: 2, C: int32(n), V: append(slices.Clone(vs), vs...)})
 	return []wio.Writable{
 		&sysml.Block{R: 1, C: int32(n), V: vs},
 		sysml.NewTagged(7, &sysml.Block{R: int32(n), C: 1, V: vs}),
+		sparse, &sysml.TaggedBlock{Tag: 1, S: sparse},
 		csc, dense, matrix.WrapCSC(csc), matrix.WrapDense(dense),
 	}
 }
@@ -379,8 +397,8 @@ func TestBlockCodecAllocationBounds(t *testing.T) {
 	}
 }
 
-// corruptArrays are serialized array-bearing writables whose dimensions or
-// counts were damaged. "within" marks counts that pass the length limit, so
+// corruptArrays are serialized array-bearing writables whose dimensions,
+// counts or index structure were damaged. "within" marks counts that pass the length limit, so
 // only knowing how many bytes follow (slice mode) keeps them from costing
 // their allocation.
 var corruptArrays = []struct {
@@ -401,9 +419,27 @@ var corruptArrays = []struct {
 	{"dense 2^26 of 1", matrix.DenseBlockName, "80808020" + "3ff0000000000000", true},
 	{"csc colptr 2^40", matrix.CSCBlockName, "0000000400000004" + "808080808020", false},
 	{"csc colptr 2^27 of 3", matrix.CSCBlockName, "0000000400000004" + "80808040" + "000204", true},
-	{"csc rowidx 2^40", matrix.CSCBlockName, "0000000400000004" + "02" + "0004" + "808080808020", false},
-	{"csc rowidx 2^27 of 2", matrix.CSCBlockName, "0000000400000004" + "02" + "0004" + "80808040" + "0002", true},
-	{"csc vals 3 of 1.5", matrix.CSCBlockName, "0000000400000004" + "02" + "0006" + "03" + "000204" + "3ff0000000000000" + "3ff0", true},
+	{"csc rowidx 2^40", matrix.CSCBlockName, "0000000400000001" + "02" + "0004" + "808080808020", false},
+	{"csc rowidx 2^27 of 2", matrix.CSCBlockName, "0000000400000001" + "02" + "0004" + "80808040" + "0002", true},
+	{"csc vals 3 of 1.5", matrix.CSCBlockName, "0000000400000001" + "02" + "0006" + "03" + "000204" + "3ff0000000000000" + "3ff0", true},
+	{"csc negative rows", matrix.CSCBlockName, "ffffffff00000001" + "02" + "0000" + "00", false},
+	{"csc 2 colptrs for 4 cols", matrix.CSCBlockName, "0000000400000004" + "02" + "0004" + "02" + "0012" + "3ff0000000000000" + "3ff0000000000000", false},
+	{"csc colptr from 1", matrix.CSCBlockName, "0000000400000001" + "02" + "0202" + "00", false},
+	{"csc colptr decreasing", matrix.CSCBlockName, "0000000400000002" + "03" + "000402" + "01" + "00" + "3ff0000000000000", false},
+	{"csc colptr past rowidx", matrix.CSCBlockName, "0000000400000001" + "02" + "0006" + "02" + "0002" + "3ff0000000000000" + "3ff0000000000000", false},
+	{"csc row 9 of 4", matrix.CSCBlockName, "0000000400000001" + "02" + "0004" + "02" + "0012" + "3ff0000000000000" + "3ff0000000000000", false},
+	{"csc row -1", matrix.CSCBlockName, "0000000400000001" + "02" + "0002" + "01" + "01" + "3ff0000000000000", false},
+	{"sparse negative cols", sysml.SparseBlockName, "00000002ffffffff" + "00" + "0000", false},
+	{"sparse nnz 2^40", sysml.SparseBlockName, "4000000040000000" + "808080808020", false},
+	{"sparse nnz 5 in 2x2", sysml.SparseBlockName, "0000000200000002" + "05" + "0302", false},
+	{"sparse 2^27 rows of 1", sysml.SparseBlockName, "0800000000000001" + "00" + "00", false},
+	{"sparse row counts past nnz", sysml.SparseBlockName, "0000000200000002" + "01" + "0101" + "00" + "3ff0000000000000", false},
+	{"sparse row counts short of nnz", sysml.SparseBlockName, "0000000200000002" + "02" + "0100" + "0000" + "3ff0000000000000" + "3ff0000000000000", false},
+	{"sparse column 2 of 2", sysml.SparseBlockName, "0000000200000002" + "01" + "0100" + "02" + "3ff0000000000000", false},
+	{"sparse columns repeat", sysml.SparseBlockName, "0000000200000002" + "02" + "0200" + "0101" + "3ff0000000000000" + "3ff0000000000000", false},
+	{"sparse columns decrease", sysml.SparseBlockName, "0000000200000002" + "02" + "0200" + "0100" + "3ff0000000000000" + "3ff0000000000000", false},
+	{"sparse vals 2 of 1.5", sysml.SparseBlockName, "0000000200000002" + "02" + "0101" + "0000" + "3ff0000000000000" + "3ff0", false},
+	{"tagged sparse negative rows", sysml.TaggedBlockName, "81" + "8000000000000001" + "00", false},
 	{"blockvalue csc colptr 2^40", matrix.BlockValueName, "00" + "0000000400000004" + "808080808020", false},
 	{"blockvalue dense 2^40", matrix.BlockValueName, "01" + "808080808020", false},
 	{"blockvalue dense 2^26 of 0", matrix.BlockValueName, "01" + "80808020", true},
@@ -421,8 +457,8 @@ func allocatedDuring(f func()) uint64 {
 // TestCorruptArrayLengthsAreErrors feeds each damaged value to the three
 // ways serialized records are decoded: an error every time, never a panic,
 // and — the readers being slice-mode — memory in proportion to the bytes
-// that are there (the 1 MiB allowance is the CSC index arrays' first chunk
-// plus the test's own), not to the count they claim.
+// that are there (the 1 MiB allowance is the first chunk of a CSC or sparse
+// block's index array plus the test's own), not to the count they claim.
 func TestCorruptArrayLengthsAreErrors(t *testing.T) {
 	for _, c := range corruptArrays {
 		data, err := hex.DecodeString(c.hex)
