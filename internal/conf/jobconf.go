@@ -61,12 +61,13 @@ const (
 	// from DefaultsEnv.
 	//
 	// KeyM3RShuffleBudget is the job's per-place cap on resident shuffle
-	// bytes; runs beyond it spill. On a pooled engine it caps the job within
-	// the pool, and an explicit value <= 0 opts the job out of accounting.
+	// bytes within the engine pool; runs beyond it spill. An explicit value
+	// <= 0 opts the job out of accounting.
 	KeyM3RShuffleBudget = "m3r.shuffle.budget.bytes"
-	// KeyM3REngineShuffleBudget is the engine-scoped per-place shuffle pool
-	// every job of the sequence shares (m3r.Options.ShuffleBudgetBytes).
-	// Engine-lifetime: setting it on a submitted job has no effect.
+	// KeyM3REngineShuffleBudget limits the engine-scoped per-place shuffle
+	// pool every job of the sequence shares (m3r.Options.ShuffleBudgetBytes);
+	// unset, the pool has no limit. Engine-lifetime: setting it on a
+	// submitted job has no effect.
 	KeyM3REngineShuffleBudget = "m3r.engine.shuffle.budget.bytes"
 	// KeyM3RCacheBudget is the engine-scoped per-place byte ceiling of the
 	// inter-job cache (m3r.Options.CacheBudgetBytes); cold entries spill

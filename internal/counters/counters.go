@@ -68,16 +68,13 @@ const (
 	// place accountants as reduce tasks drained resident runs.
 	BudgetReleasedBytes = "BUDGET_RELEASED_BYTES"
 	// PoolContendedBytes counts run bytes whose first reservation against
-	// the place's shuffle budget pool failed — shared-pool pressure on a
-	// pooled engine; on an unpooled engine, the job's own budget filling
-	// up (every overflow counts, since admission goes through the same
-	// pool machinery either way). A contended run may still end up
-	// resident if the largest-first policy evicted room for it.
+	// the place's shuffle pool failed: the pool's limit or the job's own
+	// cap within it filling up. A contended run may still end up resident
+	// if the largest-first policy evicted room for it.
 	PoolContendedBytes = "POOL_CONTENDED_BYTES"
 	// EvictedResidentRuns counts cold resident runs the largest-first spill
-	// policy re-spilled to disk to admit a smaller contended run — on
-	// pooled and unpooled engines alike (they are also counted in
-	// SPILLED_RUNS/SPILLED_BYTES like any other spill).
+	// policy re-spilled to disk to admit a smaller contended run (they are
+	// also counted in SPILLED_RUNS/SPILLED_BYTES like any other spill).
 	EvictedResidentRuns = "EVICTED_RESIDENT_RUNS"
 	LocalShufflePairs   = "LOCAL_SHUFFLE_PAIRS"
 	RemoteShufflePairs  = "REMOTE_SHUFFLE_PAIRS"

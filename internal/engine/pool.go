@@ -35,8 +35,8 @@ type BudgetPool struct {
 }
 
 // NewBudgetPool returns a pool over limit bytes. A non-positive limit admits
-// nothing (Reserve always fails) — callers gate unlimited operation before
-// constructing one.
+// nothing (Reserve always fails); math.MaxInt64 leaves only the views' caps
+// to bind.
 func NewBudgetPool(limit int64) *BudgetPool {
 	return &BudgetPool{limit: limit, jobs: make(map[string]int64)}
 }
@@ -67,16 +67,16 @@ func (p *BudgetPool) Jobs() int {
 
 // Job returns the job-scoped reservation view for id. jobCap, when positive,
 // additionally caps this job's total held bytes within the pool (the per-job
-// budget key of a pooled engine); non-positive means the pool limit alone
-// governs. Views are cheap handles: any number may exist per job and they
-// share the job's tally.
+// budget key); non-positive means the pool limit alone governs. Views are
+// cheap handles: any number may exist per job and they share the job's
+// tally.
 func (p *BudgetPool) Job(id string, jobCap int64) *JobBudget {
 	return &JobBudget{pool: p, id: id, jobCap: jobCap}
 }
 
-// JobBudget is one job's reservation handle on a BudgetPool. The M3R engine
-// keeps one per (job, place); unpooled jobs get a view over a private
-// single-job pool, so the admission code is identical either way.
+// JobBudget is one tag's reservation handle on a BudgetPool. The M3R engine
+// keeps one per (budgeted job, place), and one per place for its budgeted
+// cache, all over the engine's own per-place pools.
 type JobBudget struct {
 	pool   *BudgetPool
 	id     string
@@ -100,7 +100,7 @@ func (j *JobBudget) Reserve(n int64) bool {
 	p := j.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.held+n > p.limit {
+	if n > p.limit-p.held {
 		return false
 	}
 	if j.jobCap > 0 && p.jobs[j.id]+n > j.jobCap {
@@ -168,7 +168,7 @@ func (j *JobBudget) releaseAndReserve(freed, n int64) bool {
 	}
 	p.held -= freed
 	p.jobs[j.id] -= freed
-	if n > 0 && p.held+n <= p.limit && (j.jobCap <= 0 || p.jobs[j.id]+n <= j.jobCap) {
+	if n > 0 && n <= p.limit-p.held && (j.jobCap <= 0 || p.jobs[j.id]+n <= j.jobCap) {
 		p.held += n
 		p.jobs[j.id] += n
 		return true
@@ -194,14 +194,10 @@ func (j *JobBudget) releaseAndReserve(freed, n int64) bool {
 //
 // Returns admitted (the caller keeps the run resident), contended (the
 // first-try reservation failed — POOL_CONTENDED_BYTES observes it), and any
-// error the evictor's spill write surfaced. A nil evict degrades to plain
-// first-come admission.
+// error the evictor's spill write surfaced.
 func (j *JobBudget) ReserveEvicting(n int64, evict func(min int64) (int64, error)) (admitted, contended bool, err error) {
 	if j.Reserve(n) {
 		return true, false, nil
-	}
-	if evict == nil {
-		return false, true, nil
 	}
 	for {
 		freed, err := evict(n)

@@ -36,7 +36,7 @@ func newCluster(t *testing.T, nodes int) *cluster {
 
 // newClusterPool is newCluster with an explicit engine-scoped shuffle pool
 // on the M3R engine (m3r.Options.ShuffleBudgetBytes; 0 inherits the
-// environment default, negative forces no pool).
+// environment default, negative forces an unlimited pool).
 func newClusterPool(t *testing.T, nodes int, poolBytes int64) *cluster {
 	t.Helper()
 	return newClusterOpts(t, nodes, poolBytes, false)

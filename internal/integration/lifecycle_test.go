@@ -91,7 +91,8 @@ func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 // budget, accounting independent of the codec).
 // Every budgeted leg also passes the engine's own check at the shuffle
 // barrier — per place, the resident segments are no more bytes than the job
-// holds in the pool — or its Submit fails here.
+// holds in the pool — or its Submit fails here, and leaves the engine's pool
+// at zero.
 func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 	c := newCluster(t, 2)
 	if err := wordcount.Generate(c.fs, "/data/L", 64<<10, 9); err != nil {
@@ -132,6 +133,9 @@ func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 			rep, err := c.m3r.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
 			if err != nil {
 				t.Fatalf("%s: %v", leg.name(), err)
+			}
+			if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+				t.Errorf("%s: pool holds %d bytes after the job", leg.name(), held)
 			}
 
 			parts := readRawParts(t, c.fs, out)

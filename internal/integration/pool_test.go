@@ -31,7 +31,7 @@ func (l poolGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 
 // TestEnginePoolLifecycleEquivalenceWordCount extends the lifecycle
 // equivalence grid with the engine-pool axes: engine pool size × per-job cap.
-// Output must stay byte-identical to the unpooled engine at every point, the
+// Output must stay byte-identical to the unlimited pool's at every point, the
 // pool must drain to zero after every job (the end-of-job guarantee), and
 // the regime counters must hold: a starvation
 // pool spills everything and never evicts, a roomy pool with no cap stays
@@ -214,5 +214,61 @@ func TestConcurrentSubmitsSharedEngine(t *testing.T) {
 	}
 	if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
 		t.Fatalf("pool holds %d bytes after all concurrent jobs", held)
+	}
+}
+
+// TestConcurrentCappedJobsUnpooledEngine: on an engine whose pool has no
+// limit, two jobs with their own tight caps reserve in the same per-place
+// pools. Run concurrently, each must write what it wrote alone, both must
+// spill, and the pool must read zero afterwards.
+func TestConcurrentCappedJobsUnpooledEngine(t *testing.T) {
+	c := newClusterPool(t, 2, -1)
+	if err := wordcount.Generate(c.fs, "/data/cap", 64<<10, 31); err != nil {
+		t.Fatal(err)
+	}
+	jobs := []struct {
+		reducers int
+		cap      int64
+	}{{3, 4 << 10}, {2, 2 << 10}}
+	job := func(i int, out string) *conf.JobConf {
+		j := wordcount.NewJob("/data/cap", out, jobs[i].reducers, true)
+		j.SetInt64(conf.KeyM3RShuffleBudget, jobs[i].cap)
+		return j
+	}
+	serial := make([]map[string][]byte, len(jobs))
+	for i := range jobs {
+		out := fmt.Sprintf("/out/cap_serial%d", i)
+		if _, err := c.m3r.Submit(job(i, out)); err != nil {
+			t.Fatalf("serial job %d: %v", i, err)
+		}
+		serial[i] = readRawParts(t, c.fs, out)
+	}
+
+	var wg sync.WaitGroup
+	spilled := make([]int64, len(jobs))
+	errs := make([]error, len(jobs))
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := c.m3r.Submit(job(i, fmt.Sprintf("/out/cap_conc%d", i)))
+			if errs[i] = err; err == nil {
+				spilled[i] = rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent job %d: %v", i, err)
+		}
+		assertSameParts(t, fmt.Sprintf("concurrent job %d", i),
+			readRawParts(t, c.fs, fmt.Sprintf("/out/cap_conc%d", i)), serial[i])
+		if spilled[i] == 0 {
+			t.Errorf("concurrent job %d spilled nothing under a %d-byte cap", i, jobs[i].cap)
+		}
+	}
+	if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+		t.Fatalf("pool holds %d bytes after the concurrent capped jobs", held)
 	}
 }

@@ -27,7 +27,8 @@ type Options struct {
 	// Replication is the HDFS replication factor (default 2 when >1 node).
 	Replication int
 	// ShuffleBudgetBytes and CacheBudgetBytes are m3r.Options' fields of
-	// the same names: the engine's per-place shuffle pool and cache ceiling.
+	// the same names: the limit of the engine's per-place shuffle pool and
+	// the cache's ceiling within it.
 	ShuffleBudgetBytes int64
 	CacheBudgetBytes   int64
 	// Transport moves the M3R engine's cross-place shuffle frames; nil
@@ -55,8 +56,8 @@ type Cluster struct {
 	ownDir bool
 }
 
-// New builds a cluster.
-func New(opts Options) (*Cluster, error) {
+// New builds a cluster. On error it leaves behind no directory of its own.
+func New(opts Options) (c *Cluster, err error) {
 	nodes := opts.Nodes
 	if nodes <= 0 {
 		nodes = 4
@@ -80,12 +81,15 @@ func New(opts Options) (*Cluster, error) {
 	dir := opts.Dir
 	ownDir := false
 	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "m3r-lab-")
-		if err != nil {
+		if dir, err = os.MkdirTemp("", "m3r-lab-"); err != nil {
 			return nil, err
 		}
 		ownDir = true
+		defer func() {
+			if err != nil {
+				os.RemoveAll(dir)
+			}
+		}()
 	}
 	stats := sim.NewStats()
 	hosts := make([]string, nodes)

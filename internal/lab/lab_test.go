@@ -2,8 +2,10 @@ package lab_test
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 
+	"m3r/internal/conf"
 	"m3r/internal/lab"
 	"m3r/internal/sim"
 	"m3r/internal/wordcount"
@@ -51,5 +53,25 @@ func TestClusterExplicitDirKept(t *testing.T) {
 	// A caller-owned dir must survive Close.
 	if _, err := os.Stat(dir); err != nil {
 		t.Errorf("caller-owned dir removed: %v", err)
+	}
+}
+
+// TestFailedNewRemovesItsDir: a cluster that fails to build — here the M3R
+// engine rejects a malformed engine budget in the carrier — removes the temp
+// directory New made for it.
+func TestFailedNewRemovesItsDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	t.Setenv(conf.DefaultsEnv, conf.KeyM3REngineShuffleBudget+"=lots")
+	if c, err := lab.New(lab.Options{Nodes: 1, Cost: sim.Zero()}); err == nil {
+		c.Close()
+		t.Fatal("New succeeded with a non-integer engine budget")
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "m3r-lab-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("failed New left %v behind", left)
 	}
 }

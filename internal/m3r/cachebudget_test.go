@@ -17,7 +17,8 @@ import (
 )
 
 // newBudgetedCache wires a cache to a cacheGovernor over private per-place
-// pools of budget bytes — the unpooled-engine construction from m3r.New.
+// pools of budget bytes: on its own, the cache sees what a cap of budget
+// within the engine's unlimited pool gives it.
 func newBudgetedCache(t *testing.T, places int, budget int64) (*Cache, *cacheGovernor, *sim.Stats) {
 	t.Helper()
 	c, _ := newTestCache(places)

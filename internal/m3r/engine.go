@@ -2,6 +2,7 @@ package m3r
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"m3r/internal/conf"
@@ -26,15 +27,16 @@ type Options struct {
 	// Fallback, when set, receives jobs that request the stock Hadoop
 	// engine via conf.KeyForceHadoop (§5.3 integrated mode).
 	Fallback engine.Engine
-	// ShuffleBudgetBytes, when positive, gives the engine a per-place
-	// shuffle memory pool shared by every job of its sequence
+	// ShuffleBudgetBytes, when positive, limits the engine's per-place
+	// shuffle memory pool, which every job of its sequence shares
 	// (conf.KeyM3REngineShuffleBudget). Zero takes that key's
-	// conf.DefaultsEnv value; negative forces no pool.
+	// conf.DefaultsEnv value; negative leaves the pool unlimited, so only a
+	// job's own cap budgets it.
 	ShuffleBudgetBytes int64
 	// CacheBudgetBytes, when positive, puts the inter-job cache under a
-	// per-place byte ceiling (conf.KeyM3RCacheBudget) — within the shuffle
-	// pool when there is one, else in private per-place pools. Zero takes
-	// that key's conf.DefaultsEnv value; negative forces the unbounded cache.
+	// per-place byte ceiling (conf.KeyM3RCacheBudget), as the cache's cap
+	// within the shuffle pool. Zero takes that key's conf.DefaultsEnv value;
+	// negative forces the unbounded cache.
 	CacheBudgetBytes int64
 	// Transport moves cross-place shuffle frames; nil means the in-process
 	// loopback backend. The engine's runtime takes ownership: Close closes
@@ -59,12 +61,11 @@ type Engine struct {
 	cost     *sim.CostModel
 	fallback engine.Engine
 
-	// pools is the engine-scoped shuffle memory: one engine-lifetime
-	// BudgetPool per place (Options.ShuffleBudgetBytes /
-	// conf.KeyM3REngineShuffleBudget), shared by every job of the sequence
-	// through job-tagged reservations. Nil when the engine is unpooled —
-	// jobs then account against private per-job pools, the pre-pool
-	// behavior.
+	// pools is the engine's shuffle memory: one engine-lifetime BudgetPool
+	// per place, limited by Options.ShuffleBudgetBytes /
+	// conf.KeyM3REngineShuffleBudget (math.MaxInt64 when unset), shared by
+	// every budgeted job of the sequence and the budgeted cache through
+	// tagged reservations.
 	pools []*engine.BudgetPool
 
 	// cacheGov, when non-nil, is the budgeted cache's admission/eviction
@@ -108,12 +109,13 @@ func New(opts Options) (*Engine, error) {
 	})
 	cache := NewCache(rt)
 	cfs := NewCachingFileSystem(opts.Backing, cache, rt)
-	var pools []*engine.BudgetPool
+	limit := int64(math.MaxInt64)
 	if poolBytes > 0 {
-		pools = make([]*engine.BudgetPool, rt.NumPlaces())
-		for p := range pools {
-			pools[p] = engine.NewBudgetPool(poolBytes)
-		}
+		limit = poolBytes
+	}
+	pools := make([]*engine.BudgetPool, rt.NumPlaces())
+	for p := range pools {
+		pools[p] = engine.NewBudgetPool(limit)
 	}
 	var gov *cacheGovernor
 	if cacheBytes > 0 {
@@ -125,15 +127,11 @@ func New(opts Options) (*Engine, error) {
 			rt.Close()
 			return nil, fmt.Errorf("m3r: cache budget: %w", err)
 		}
+		// Cache reservations share the place's pool with the jobs' shuffle
+		// tags, capped at the cache budget.
 		budgets := make([]*engine.JobBudget, rt.NumPlaces())
 		for p := range budgets {
-			if pools != nil {
-				// Pooled engine: cache reservations share the place's pool
-				// with the jobs' shuffle tags, capped at the cache budget.
-				budgets[p] = pools[p].Job(cacheTag, cacheBytes)
-			} else {
-				budgets[p] = engine.NewBudgetPool(cacheBytes).Job(cacheTag, 0)
-			}
+			budgets[p] = pools[p].Job(cacheTag, cacheBytes)
 		}
 		gov = newCacheGovernor(stats, cache.Store(), budgets, codec)
 		cache.Store().SetResidency(gov)
@@ -188,9 +186,9 @@ func (e *Engine) Runtime() *x10.Runtime { return e.rt }
 func (e *Engine) Stats() *sim.Stats { return e.host.Stats }
 
 // ShufflePoolHeldBytes sums the bytes currently reserved across the engine
-// pool's places (0 when unpooled) by jobs — the engine-lifetime cache tag's
-// reservations are excluded, since cache entries legitimately stay resident
-// across job boundaries. Between jobs of a healthy sequence it is exactly
+// pool's places by jobs — the engine-lifetime cache tag's reservations are
+// excluded, since cache entries legitimately stay resident across job
+// boundaries. Between jobs of a healthy sequence it is exactly
 // zero: every job's cleanup drains its reservations, which the server-mode
 // equivalence tests pin.
 func (e *Engine) ShufflePoolHeldBytes() int64 {

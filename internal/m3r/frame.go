@@ -396,9 +396,11 @@ func (sc *shuffleCollector) ship(d int, frame []byte, dedupHits int64) ([]byte, 
 
 // arriveFrame is the destination side of a budgeted flush: map task src's
 // frame toward place becomes one sorted raw-format segment per partition —
-// the bytes a CodecNone spill file of the run consists of — and the segments
-// are admitted against place's pool. Nothing of frame is kept: the views die
-// here, so the sender's pooled buffer is free to reuse on return.
+// the bytes a CodecNone spill file of the run consists of — and each segment
+// is admitted against place's pool, in ascending partition order, so what a
+// task admits, evicts and spills is the same from one execution to the next.
+// Nothing of frame is kept: the views die here, so the sender's pooled buffer
+// is free to reuse on return.
 func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []byte, c runClasses) error {
 	scratch := recScratch.Get().(*[]spill.Rec)
 	defer func() {
@@ -409,7 +411,6 @@ func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []b
 	if err != nil {
 		return fmt.Errorf("m3r: shuffle frame at place %d: %w", place, err)
 	}
-	var runs []arrivedRun
 	for q, part := range byPartition {
 		if len(part) == 0 {
 			continue
@@ -424,12 +425,15 @@ func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []b
 		for _, r := range part {
 			seg = spill.AppendRec(seg, r)
 		}
-		runs = append(runs, arrivedRun{x.parts[q], &sourceRun{src: src, serializedRun: &serializedRun{
+		r := &sourceRun{src: src, serializedRun: &serializedRun{
 			seg: seg, nrecs: len(part), size: size,
 			keyClass: c.KeyClass, valClass: c.ValClass,
-		}}})
+		}}
+		if err := x.parts[q].admit(ctx, r); err != nil {
+			return err
+		}
 	}
-	return x.admitRuns(ctx, place, runs)
+	return nil
 }
 
 // segmentSource is the merge's view of a resident segment: the records of

@@ -2,6 +2,7 @@ package m3r
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -80,16 +81,11 @@ func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
 		x.cacheSpilled0 = e.cacheGov.spilledCount()
 		x.cacheReadmitted0 = e.cacheGov.readmittedCount()
 	}
-	// Budget admission: on a pooled engine every job is budgeted (the
-	// per-job key, when set, caps the job within the pool; an explicit
-	// non-positive value opts the job out entirely). On an unpooled engine
-	// a positive per-job key gets a private single-job pool: the same
-	// byte-identical output as the pre-pool per-job accountants, but with
-	// the largest-first policy active — a tight single job evicts its own
-	// larger resident runs (and counts POOL_CONTENDED_BYTES) rather than
-	// always spilling the newcomer.
+	// Budget admission: a job with a positive per-job key is budgeted, capped
+	// within the engine pool; one without the key is budgeted when the pool
+	// has a limit; an explicit non-positive key opts the job out.
 	capSet := job.Has(conf.KeyM3RShuffleBudget)
-	if (capSet && x.shuffleBudget > 0) || (!capSet && e.pools != nil) {
+	if (capSet && x.shuffleBudget > 0) || (!capSet && e.pools[0].Limit() < math.MaxInt64) {
 		var err error
 		if x.classes, err = declaredRunClasses(j.Resolved); err != nil {
 			return nil, err
@@ -97,11 +93,7 @@ func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
 		x.budgets = make([]*engine.JobBudget, e.rt.NumPlaces())
 		x.resident = make([]*engine.ResidentIndex[residentRun], e.rt.NumPlaces())
 		for p := range x.budgets {
-			if e.pools != nil {
-				x.budgets[p] = e.pools[p].Job(j.ID, x.shuffleBudget)
-			} else {
-				x.budgets[p] = engine.NewBudgetPool(x.shuffleBudget).Job(j.ID, 0)
-			}
+			x.budgets[p] = e.pools[p].Job(j.ID, x.shuffleBudget)
 			x.resident[p] = engine.NewResidentIndex[residentRun]()
 		}
 	}
@@ -181,20 +173,19 @@ type jobExec struct {
 	temp bool
 
 	// Shuffle, map side to merge open: its memory lifecycle
-	// (conf.KeyM3RShuffleBudget, over the engine pool of
-	// conf.KeyM3REngineShuffleBudget when one is configured). When the job
-	// is budgeted, its shuffle runs are bytes from collect to merge
-	// (frame.go) and each place accounts its resident runs — sorted segments
-	// in the shared spill record format (internal/spill) — against
-	// budgets[place], the job's tagged view of the place's pool. Runs that
-	// cannot be admitted go to disk through the spill codec and re-enter the
-	// merge as the resident ones do, as raw records (engine.RawMerge). Under
-	// contention the largest-first policy may instead re-spill a larger cold
-	// resident run (tracked per place in resident) to keep the smaller
-	// newcomer in memory. The reservations release incrementally as reduce
-	// tasks drain resident runs. Unbudgeted jobs (no pool and no positive
-	// per-job budget, or an explicit non-positive per-job budget) skip all of
-	// it and shuffle objects: the paper's pure in-memory design point.
+	// (conf.KeyM3RShuffleBudget, a cap within the engine pool of
+	// conf.KeyM3REngineShuffleBudget). When the job is budgeted, its shuffle runs
+	// are bytes from collect to merge (frame.go) and each place accounts its
+	// resident runs — sorted segments in the shared spill record format
+	// (internal/spill) — against budgets[place], the job's tagged view of the
+	// place's pool. Runs that cannot be admitted go to disk through the spill
+	// codec and re-enter the merge as the resident ones do, as raw records
+	// (engine.RawMerge). Under contention the largest-first policy may instead
+	// re-spill a larger cold resident run (tracked per place in resident) to keep
+	// the smaller newcomer in memory. The reservations release incrementally as
+	// reduce tasks drain resident runs. Unbudgeted jobs (an unlimited pool and no
+	// per-job budget, or an explicit non-positive per-job budget) skip all of it
+	// and shuffle objects: the paper's pure in-memory design point.
 	shuffleBudget int64
 	budgets       []*engine.JobBudget
 	resident      []*engine.ResidentIndex[residentRun]

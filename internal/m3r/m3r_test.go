@@ -2,6 +2,7 @@ package m3r
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"m3r/internal/sim"
 	"m3r/internal/types"
 	"m3r/internal/wio"
+	"m3r/internal/wordcount"
 	"m3r/internal/x10"
 )
 
@@ -284,7 +286,7 @@ func TestEngineBudgetDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		name, env     string
 		opt           int64
-		wantPool      int64 // 0 = no pool
+		wantPool      int64 // 0 = an unlimited pool
 		wantCacheGov  bool
 		wantErrNaming []string
 	}{
@@ -317,9 +319,9 @@ func TestEngineBudgetDefaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			var pool int64
-			if e.pools != nil {
-				pool = e.pools[0].Limit()
+			pool := e.pools[0].Limit()
+			if pool == math.MaxInt64 {
+				pool = 0
 			}
 			if pool != tc.wantPool {
 				t.Errorf("pool limit %d, want %d", pool, tc.wantPool)
@@ -328,5 +330,45 @@ func TestEngineBudgetDefaults(t *testing.T) {
 				t.Errorf("cache governor present = %v, want %v", got, tc.wantCacheGov)
 			}
 		})
+	}
+}
+
+// TestCappedJobReservesInEnginePool: on an engine whose pool has no limit, a
+// job with a positive per-job cap is budgeted within the engine's own pool,
+// so what it reserves shows in ShufflePoolHeldBytes and its cleanup takes it
+// back out.
+func TestCappedJobReservesInEnginePool(t *testing.T) {
+	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Options{Backing: backing, Places: 2, ShuffleBudgetBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	job := wordcount.NewJob("/data/in", "/out/capped", 2, true)
+	job.SetInt64(conf.KeyM3RShuffleBudget, 4096)
+	j, err := e.host.Open(job, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Lifecycle.Stop()
+	x, err := e.newJobExec(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(x.budgets) != 2 {
+		t.Fatalf("a capped job has %d place budgets, want 2", len(x.budgets))
+	}
+	if !x.budgets[0].Reserve(1) {
+		t.Fatal("one byte did not fit a 4096-byte cap")
+	}
+	if held := e.ShufflePoolHeldBytes(); held != 1 {
+		t.Errorf("ShufflePoolHeldBytes = %d after a one-byte reservation, want 1", held)
+	}
+	x.cleanup()
+	if held := e.ShufflePoolHeldBytes(); held != 0 {
+		t.Errorf("ShufflePoolHeldBytes = %d after cleanup, want 0", held)
 	}
 }

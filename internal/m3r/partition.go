@@ -55,43 +55,11 @@ type serializedRun struct {
 	size               int64
 }
 
-// arrivedRun is a budgeted run on its way into its partition.
-type arrivedRun struct {
-	pi *partitionInput
-	r  *sourceRun
-}
-
-// admitRuns installs what one map task's frame toward place became — a
-// sorted segment per partition, in ascending partition order — with batch
-// admission: the task's total is reserved in one pool transaction when it
-// fits, installing every run resident with a single lock round instead of
-// one admission (and one potential eviction loop) per partition. When the
-// batch does not fit in one piece each run takes the per-run path, in order,
-// so what a task admits, evicts and spills is the same from one execution to
-// the next.
-func (x *jobExec) admitRuns(ctx *engine.TaskContext, place int, runs []arrivedRun) error {
-	var total int64
-	for _, a := range runs {
-		total += a.r.size
-	}
-	if len(runs) > 1 && x.budgets[place].Reserve(total) {
-		for _, a := range runs {
-			a.pi.installResident(a.r)
-		}
-		return nil
-	}
-	for _, a := range runs {
-		if err := a.pi.admit(ctx, a.r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// admit is the per-run admission path. The place's pool decides: under
-// contention the largest-first policy may re-spill a larger cold resident
-// run of this job to keep the newcomer in memory; a run the pool cannot
-// admit goes to disk itself, inline on the flushing map task.
+// admit is a budgeted run's one admission path. The place's pool decides:
+// under contention the largest-first policy may re-spill a larger cold
+// resident run of this job to keep the newcomer in memory, and an admitted
+// run is offered to that policy in turn; a run the pool cannot admit goes to
+// disk itself, inline on the flushing map task.
 func (pi *partitionInput) admit(ctx *engine.TaskContext, r *sourceRun) error {
 	x := pi.x
 	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(r.size, func(min int64) (int64, error) {
@@ -104,7 +72,8 @@ func (pi *partitionInput) admit(ctx *engine.TaskContext, r *sourceRun) error {
 		ctx.Cells.PoolContendedBytes.Increment(r.size)
 	}
 	if admitted {
-		pi.installResident(r)
+		pi.install(r)
+		x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(r.src))
 		return nil
 	}
 	path, err := x.spillSegment(ctx, r.seg, r.nrecs)
@@ -114,13 +83,6 @@ func (pi *partitionInput) admit(ctx *engine.TaskContext, r *sourceRun) error {
 	r.seg, r.size, r.spillPath = nil, 0, path
 	pi.install(r)
 	return nil
-}
-
-// installResident installs a run whose size is reserved and offers it to the
-// largest-first policy.
-func (pi *partitionInput) installResident(r *sourceRun) {
-	pi.install(r)
-	pi.x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(r.src))
 }
 
 // checkResidentBytes is the accounting's invariant, checked once per place

@@ -246,7 +246,7 @@ func newSpillExec(budget int64, codec spill.Codec, nparts int) *jobExec {
 }
 
 // installRun installs source task src's sorted run for partition q through
-// the production flush path (a one-run flush takes the per-run admission).
+// the production flush path.
 func installRun(t *testing.T, x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.Pair) {
 	t.Helper()
 	if err := tryInstallRun(x, ctx, q, src, pairs); err != nil {

@@ -66,29 +66,13 @@ func NewTeam(n int) *Team {
 	return &Team{n: n, gen: make(chan struct{})}
 }
 
-// Barrier blocks until all n members have called it, then releases them
-// all. The barrier is reusable.
-func (t *Team) Barrier() {
-	t.mu.Lock()
-	t.count++
-	if t.count == t.n {
-		t.count = 0
-		close(t.gen)
-		t.gen = make(chan struct{})
-		t.mu.Unlock()
-		return
-	}
-	ch := t.gen
-	t.mu.Unlock()
-	<-ch
-}
-
-// BarrierCancel is Barrier with an escape hatch: if done closes while the
-// member is waiting, it stops waiting and returns done's cause via errf
-// (nil errf yields a generic error). The member's arrival is still counted
-// — all members of an M3R job share one cancel source, so once any member
-// leaves early, every member does, and the barrier generation is never
-// completed or reused; the job is tearing down.
+// BarrierCancel blocks until all n members have called it, then releases them
+// all; the barrier is reusable. If done closes while the member is waiting (a
+// nil done never does), it stops waiting and returns done's cause via errf (nil
+// errf yields a generic error). The member's arrival is still counted — all
+// members of an M3R job share one cancel source, so once any member leaves
+// early, every member does, and the barrier generation is never completed or
+// reused; the job is tearing down.
 func (t *Team) BarrierCancel(done <-chan struct{}, errf func() error) error {
 	t.mu.Lock()
 	t.count++

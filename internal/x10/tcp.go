@@ -292,9 +292,6 @@ func ServeFrames(addr string, place int, opts FrameServerOptions) (*FrameServer,
 // Addr returns the server's listen address.
 func (s *FrameServer) Addr() string { return s.ln.Addr().String() }
 
-// Place returns the place this server owns.
-func (s *FrameServer) Place() int { return s.place }
-
 // Served reports how many frames this server has echoed.
 func (s *FrameServer) Served() int64 { return s.served.Load() }
 

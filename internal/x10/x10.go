@@ -114,15 +114,6 @@ func (rt *Runtime) NumPlaces() int { return len(rt.places) }
 // Place returns place p.
 func (rt *Runtime) Place(p int) *Place { return rt.places[p] }
 
-// Hosts returns every place's host name, index-aligned with place ids.
-func (rt *Runtime) Hosts() []string {
-	out := make([]string, len(rt.places))
-	for i, p := range rt.places {
-		out[i] = p.host
-	}
-	return out
-}
-
 // PlaceOfHost resolves a host name to a place id, or -1. It runs per
 // block-locality resolution on every input split, so it is a map lookup,
 // not a scan over the place set.
@@ -136,12 +127,6 @@ func (rt *Runtime) PlaceOfHost(host string) int {
 // Stats returns the runtime's statistics sink (may be nil).
 func (rt *Runtime) Stats() *sim.Stats { return rt.stats }
 
-// Cost returns the runtime's cost model.
-func (rt *Runtime) Cost() *sim.CostModel { return rt.cost }
-
-// Transport returns the runtime's transport backend.
-func (rt *Runtime) Transport() Transport { return rt.transport }
-
 // Close releases the runtime's transport (connections to frame servers, for
 // the TCP backend; a no-op for inproc). Idempotent.
 func (rt *Runtime) Close() error { return rt.transport.Close() }
@@ -154,19 +139,4 @@ func (rt *Runtime) At(p int, f func()) {
 	place.workers <- struct{}{}
 	defer func() { <-place.workers }()
 	f()
-}
-
-// EveryPlace runs f(p) concurrently at every place (one worker slot each)
-// and waits for all, returning the first error.
-func (rt *Runtime) EveryPlace(f func(p int) error) error {
-	fin := NewFinish()
-	for i := range rt.places {
-		p := i
-		fin.Async(func() error {
-			var err error
-			rt.At(p, func() { err = f(p) })
-			return err
-		})
-	}
-	return fin.Wait()
 }
