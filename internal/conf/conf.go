@@ -19,36 +19,82 @@ import (
 	"m3r/internal/wio"
 )
 
-// Configuration is a concurrency-safe string-to-string property map.
+// Configuration is a concurrency-safe string-to-string property map in two
+// layers: frozen, a map shared with the clones taken from it and never
+// written again by anyone, and own, this configuration's writes since (nil
+// until the first). A key in own shadows the same key in frozen; every
+// reader sees the union.
 type Configuration struct {
-	mu sync.RWMutex
-	m  map[string]string
+	mu     sync.RWMutex
+	frozen map[string]string
+	own    map[string]string
 }
 
 // New returns an empty Configuration.
 func New() *Configuration {
-	return &Configuration{m: make(map[string]string)}
+	return &Configuration{}
 }
 
-// Clone returns a deep copy, its map sized for the copy up front: every
-// job, task attempt and delegated input takes one.
+// Clone returns an independent copy: writes to either side stay on that
+// side. The source's own writes are folded into a fresh frozen map, once,
+// which the source and the clone then share; a clone taken while the source
+// has no writes since costs one struct. So a job cloned for every task
+// attempt copies its properties once, not once an attempt.
 func (c *Configuration) Clone() *Configuration {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return &Configuration{m: maps.Clone(c.m)}
+	if len(c.own) == 0 {
+		defer c.mu.RUnlock()
+		return &Configuration{frozen: c.frozen}
+	}
+	c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.own) != 0 {
+		c.frozen, c.own = c.union(), nil
+	}
+	return &Configuration{frozen: c.frozen}
+}
+
+// union returns a new map of every property. The caller holds mu.
+func (c *Configuration) union() map[string]string {
+	m := make(map[string]string, len(c.frozen)+len(c.own))
+	maps.Copy(m, c.frozen)
+	maps.Copy(m, c.own)
+	return m
+}
+
+// lookup finds key in either layer. The caller holds mu.
+func (c *Configuration) lookup(key string) (string, bool) {
+	if v, ok := c.own[key]; ok {
+		return v, true
+	}
+	v, ok := c.frozen[key]
+	return v, ok
+}
+
+// setLocked stores a property in own. The caller holds mu for writing.
+func (c *Configuration) setLocked(key, value string) {
+	if c.own == nil {
+		c.own = make(map[string]string)
+	}
+	c.own[key] = value
 }
 
 // Set stores a property.
 func (c *Configuration) Set(key, value string) {
 	c.mu.Lock()
-	c.m[key] = value
+	c.setLocked(key, value)
 	c.mu.Unlock()
 }
 
-// Unset removes a property.
+// Unset removes a property. A frozen key cannot be deleted from the shared
+// map, so the configuration first takes its own copy of every property.
 func (c *Configuration) Unset(key string) {
 	c.mu.Lock()
-	delete(c.m, key)
+	if _, ok := c.frozen[key]; ok {
+		c.frozen, c.own = nil, c.union()
+	}
+	delete(c.own, key)
 	c.mu.Unlock()
 }
 
@@ -56,14 +102,15 @@ func (c *Configuration) Unset(key string) {
 func (c *Configuration) Get(key string) string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.m[key]
+	v, _ := c.lookup(key)
+	return v
 }
 
 // GetDefault returns the property value, or def when unset.
 func (c *Configuration) GetDefault(key, def string) string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if v, ok := c.m[key]; ok {
+	if v, ok := c.lookup(key); ok {
 		return v
 	}
 	return def
@@ -73,7 +120,7 @@ func (c *Configuration) GetDefault(key, def string) string {
 func (c *Configuration) Has(key string) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	_, ok := c.m[key]
+	_, ok := c.lookup(key)
 	return ok
 }
 
@@ -161,9 +208,14 @@ func (c *Configuration) GetStrings(key string) []string {
 func (c *Configuration) Names() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
+	out := make([]string, 0, c.lenLocked())
+	for k := range c.own {
 		out = append(out, k)
+	}
+	for k := range c.frozen {
+		if _, shadowed := c.own[k]; !shadowed {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -173,7 +225,17 @@ func (c *Configuration) Names() []string {
 func (c *Configuration) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.lenLocked()
+}
+
+func (c *Configuration) lenLocked() int {
+	n := len(c.frozen)
+	for k := range c.own {
+		if _, shadows := c.frozen[k]; !shadows {
+			n++
+		}
+	}
+	return n
 }
 
 // WriteTo implements wio.Writable.
@@ -202,7 +264,7 @@ func (c *Configuration) ReadFields(r *wio.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[string]string, min(n, uint64(r.Remaining()/2)))
+	c.frozen, c.own = nil, make(map[string]string, min(n, uint64(r.Remaining()/2)))
 	for i := uint64(0); i < n; i++ {
 		k, err := r.ReadString()
 		if err != nil {
@@ -212,7 +274,7 @@ func (c *Configuration) ReadFields(r *wio.Reader) error {
 		if err != nil {
 			return err
 		}
-		c.m[k] = v
+		c.own[k] = v
 	}
 	return nil
 }

@@ -169,6 +169,29 @@ func TestIsTemporaryOutput(t *testing.T) {
 	if !j2.IsTemporaryOutput("/exact/path") {
 		t.Error("explicit temp path list not honoured")
 	}
+	// Paths that name the same directory are the same output.
+	for _, tc := range []struct {
+		j    *conf.JobConf
+		path string
+	}{
+		{conf.NewJob(), "/data/temp_x/"},
+		{conf.NewJob(), "/data/temp_x/."},
+		{conf.NewJob(), "/data//temp_x"},
+		{j2, "/exact/path/"},
+		{j2, "/exact//path"},
+	} {
+		if !tc.j.IsTemporaryOutput(tc.path) {
+			t.Errorf("IsTemporaryOutput(%q) = false, want true", tc.path)
+		}
+	}
+	j3 := conf.NewJob()
+	j3.SetStrings(conf.KeyTempPaths, "/exact/path/")
+	if !j3.IsTemporaryOutput("/exact/path") || j3.IsTemporaryOutput("/exact/path2") {
+		t.Error("an explicit entry with a trailing slash names its directory and nothing else")
+	}
+	if conf.NewJob().IsTemporaryOutput("/data/temp_x/out") || conf.NewJob().IsTemporaryOutput("/data/temp_x/..") {
+		t.Error("only the last element of the cleaned path is the base name")
+	}
 }
 
 // TestDefaultsPrecedence pins the one rule every knob follows: an explicit

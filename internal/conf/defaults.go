@@ -28,7 +28,7 @@ func EnvDefaults() (*Configuration, error) {
 		if !ok || k == "" {
 			return nil, fmt.Errorf("conf: %s: field %q is not key=value", DefaultsEnv, field)
 		}
-		d.m[k] = v
+		d.Set(k, v)
 	}
 	return d, nil
 }
@@ -39,9 +39,13 @@ func (c *Configuration) SetDefaults(d *Configuration) {
 	defer d.mu.RUnlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, v := range d.m {
-		if _, ok := c.m[k]; !ok {
-			c.m[k] = v
+	// d's own layer first: a key it shadows in d's frozen layer is then
+	// already set in c when the frozen one comes round.
+	for _, layer := range [2]map[string]string{d.own, d.frozen} {
+		for k, v := range layer {
+			if _, ok := c.lookup(k); !ok {
+				c.setLocked(k, v)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package conf
 
-import "strings"
+import (
+	"path"
+	"strings"
+)
 
 // Well-known configuration keys. Names follow Hadoop 0.22 conventions where
 // one exists; M3R-specific extensions live under the "m3r." prefix exactly
@@ -204,17 +207,15 @@ func (j *JobConf) MapOutputValueClass() string {
 
 // IsTemporaryOutput reports whether path is a temporary output for M3R: its
 // base name starts with the configured prefix, or it appears in the explicit
-// temporary-paths list (§4.2.3).
-func (j *JobConf) IsTemporaryOutput(path string) bool {
-	for _, p := range j.GetStrings(KeyTempPaths) {
-		if p == path {
+// temporary-paths list (§4.2.3). Both sides are compared cleaned, so
+// "/data/temp_x/" and "/data/temp_x/." are the temporary "/data/temp_x".
+func (j *JobConf) IsTemporaryOutput(p string) bool {
+	p = path.Clean(p)
+	for _, t := range j.GetStrings(KeyTempPaths) {
+		if path.Clean(t) == p {
 			return true
 		}
 	}
-	base := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		base = path[i+1:]
-	}
 	prefix := j.GetDefault(KeyTempPrefix, DefaultTempPrefix)
-	return prefix != "" && strings.HasPrefix(base, prefix)
+	return prefix != "" && strings.HasPrefix(path.Base(p), prefix)
 }

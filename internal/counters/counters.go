@@ -4,9 +4,12 @@
 // counters updated (map input/output records, shuffled bytes, spilled
 // records, …) alongside user counters, as the paper notes M3R does (§5.3).
 //
-// Incr/Find take a mutex to resolve group/name strings; hot per-record
-// paths avoid that by resolving their Counter pointers once per task
-// (engine.TaskContext.Cells) and paying only the atomic add thereafter.
+// A job's set is a map. A task attempt's set is a Slab — its standard
+// counters on one static layout, embedded in the task's context — beside a
+// map, made on first use, for the user's counters. Hot per-record paths
+// increment a Slab field directly and pay only the atomic add; Incr/Find of
+// a layout name index the slab without a lock, and only other names take
+// the mutex.
 package counters
 
 import (
@@ -144,7 +147,10 @@ func (c *Counter) SetValue(v int64) { c.value.Store(v) }
 // Counters is a concurrent registry of counters keyed by group and name.
 type Counters struct {
 	mu sync.Mutex
-	m  map[key]*Counter
+	m  map[key]*Counter // nil until the first counter off the slab
+	// slab holds a task set's standard counters; nil in a job set, whose
+	// counters all live in m, so it lists only those something touched.
+	slab *Slab
 }
 
 // key names one counter. One flat map costs a counter set one table
@@ -153,47 +159,148 @@ type key struct{ group, name string }
 
 // New returns an empty counter set.
 func New() *Counters {
-	return &Counters{m: make(map[key]*Counter)}
+	return &Counters{}
 }
 
-// Cell names one counter of a NewCells set and where to store its pointer.
-type Cell struct {
-	Group, Name string
-	Ptr         **Counter
+// Slab is a task attempt's standard counters, one field each: the cells
+// both engines update per record, and the counters tasks Incr by name.
+// layout gives each field's group and name.
+type Slab struct {
+	MapInputRecords     Counter
+	MapOutputRecords    Counter
+	MapOutputBytes      Counter
+	CombineInputRecords Counter
+	ReduceInputGroups   Counter
+	ReduceInputRecords  Counter
+	ReduceOutputRecords Counter
+	SpilledRecords      Counter
+	SpilledRuns         Counter
+	SpilledBytes        Counter
+	SpilledRawBytes     Counter
+	BudgetReleasedBytes Counter
+	PoolContendedBytes  Counter
+	EvictedResidentRuns Counter
+	LocalShufflePairs   Counter
+	RemoteShufflePairs  Counter
+	ClonedPairs         Counter
+	AliasedPairs        Counter
+
+	CacheHitSplits       Counter
+	CacheMissSplits      Counter
+	TempOutputsElided    Counter
+	DedupHits            Counter
+	NetFrames            Counter
+	NetBytes             Counter
+	RemoteShuffleBytes   Counter
+	ReduceShuffleBytes   Counter
+	CombineOutputRecords Counter
 }
 
-// NewCells returns a counter set holding the cells' counters and stores
-// each one's pointer through its cell's Ptr: a task resolves its hot-path
-// cells this way. It is one pass over a set no other goroutine can see yet,
-// so it takes no lock; the counters share one allocation and the map is
-// made at its final size. Later Finds add counters as New's do.
-func NewCells(cells []Cell) *Counters {
-	cs := &Counters{m: make(map[key]*Counter, len(cells))}
-	slab := make([]Counter, len(cells))
-	for i, cell := range cells {
-		k := key{cell.Group, cell.Name}
-		c, ok := cs.m[k]
-		if !ok {
-			c = &slab[i]
-			c.group, c.name = cell.Group, cell.Name
-			cs.m[k] = c
-		}
-		*cell.Ptr = c
+// layout is the static layout of a Slab: every field with its group and
+// name, in field order. layoutIndex maps a name back to its row.
+var layout = [...]struct {
+	key
+	at func(*Slab) *Counter
+}{
+	{key{TaskGroup, MapInputRecords}, func(s *Slab) *Counter { return &s.MapInputRecords }},
+	{key{TaskGroup, MapOutputRecords}, func(s *Slab) *Counter { return &s.MapOutputRecords }},
+	{key{TaskGroup, MapOutputBytes}, func(s *Slab) *Counter { return &s.MapOutputBytes }},
+	{key{TaskGroup, CombineInputRecords}, func(s *Slab) *Counter { return &s.CombineInputRecords }},
+	{key{TaskGroup, ReduceInputGroups}, func(s *Slab) *Counter { return &s.ReduceInputGroups }},
+	{key{TaskGroup, ReduceInputRecords}, func(s *Slab) *Counter { return &s.ReduceInputRecords }},
+	{key{TaskGroup, ReduceOutputRecords}, func(s *Slab) *Counter { return &s.ReduceOutputRecords }},
+	{key{TaskGroup, SpilledRecords}, func(s *Slab) *Counter { return &s.SpilledRecords }},
+	{key{M3RGroup, SpilledRuns}, func(s *Slab) *Counter { return &s.SpilledRuns }},
+	{key{M3RGroup, SpilledBytes}, func(s *Slab) *Counter { return &s.SpilledBytes }},
+	{key{M3RGroup, SpilledRawBytes}, func(s *Slab) *Counter { return &s.SpilledRawBytes }},
+	{key{M3RGroup, BudgetReleasedBytes}, func(s *Slab) *Counter { return &s.BudgetReleasedBytes }},
+	{key{M3RGroup, PoolContendedBytes}, func(s *Slab) *Counter { return &s.PoolContendedBytes }},
+	{key{M3RGroup, EvictedResidentRuns}, func(s *Slab) *Counter { return &s.EvictedResidentRuns }},
+	{key{M3RGroup, LocalShufflePairs}, func(s *Slab) *Counter { return &s.LocalShufflePairs }},
+	{key{M3RGroup, RemoteShufflePairs}, func(s *Slab) *Counter { return &s.RemoteShufflePairs }},
+	{key{M3RGroup, ClonedPairs}, func(s *Slab) *Counter { return &s.ClonedPairs }},
+	{key{M3RGroup, AliasedPairs}, func(s *Slab) *Counter { return &s.AliasedPairs }},
+	{key{M3RGroup, CacheHitSplits}, func(s *Slab) *Counter { return &s.CacheHitSplits }},
+	{key{M3RGroup, CacheMissSplits}, func(s *Slab) *Counter { return &s.CacheMissSplits }},
+	{key{M3RGroup, TempOutputsElided}, func(s *Slab) *Counter { return &s.TempOutputsElided }},
+	{key{M3RGroup, DedupHits}, func(s *Slab) *Counter { return &s.DedupHits }},
+	{key{M3RGroup, NetFrames}, func(s *Slab) *Counter { return &s.NetFrames }},
+	{key{M3RGroup, NetBytes}, func(s *Slab) *Counter { return &s.NetBytes }},
+	{key{TaskGroup, RemoteShuffleBytes}, func(s *Slab) *Counter { return &s.RemoteShuffleBytes }},
+	{key{TaskGroup, ReduceShuffleBytes}, func(s *Slab) *Counter { return &s.ReduceShuffleBytes }},
+	{key{TaskGroup, CombineOutputRecords}, func(s *Slab) *Counter { return &s.CombineOutputRecords }},
+}
+
+var layoutIndex = func() map[key]int {
+	m := make(map[key]int, len(layout))
+	for i, l := range layout {
+		m[l.key] = i
 	}
+	return m
+}()
+
+// TaskSet makes cs a task attempt's counter set over the zero Slab s. The
+// caller embeds both (engine.TaskContext does), so the set costs no
+// allocation of its own; user counters go in a map made on first use.
+func TaskSet(cs *Counters, s *Slab) *Counters {
+	for _, l := range layout {
+		c := l.at(s)
+		c.group, c.name = l.group, l.name
+	}
+	*cs = Counters{slab: s}
 	return cs
+}
+
+// onSlab returns the slab counter group/name, or nil when the set has no
+// slab or the name is not on its layout.
+func (cs *Counters) onSlab(group, name string) *Counter {
+	if cs.slab == nil {
+		return nil
+	}
+	if i, ok := layoutIndex[key{group, name}]; ok {
+		return layout[i].at(cs.slab)
+	}
+	return nil
+}
+
+// each calls f for every counter of the set: a task set's whole slab, then
+// the map. The caller holds mu.
+func (cs *Counters) each(f func(*Counter)) {
+	if cs.slab != nil {
+		for _, l := range layout {
+			f(l.at(cs.slab))
+		}
+	}
+	for _, c := range cs.m {
+		f(c)
+	}
 }
 
 // Find returns (creating if necessary) the counter group/name.
 func (cs *Counters) Find(group, name string) *Counter {
+	if c := cs.onSlab(group, name); c != nil {
+		return c
+	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return cs.findLocked(group, name)
+	return cs.inMapLocked(group, name)
 }
 
 func (cs *Counters) findLocked(group, name string) *Counter {
+	if c := cs.onSlab(group, name); c != nil {
+		return c
+	}
+	return cs.inMapLocked(group, name)
+}
+
+// inMapLocked returns (creating if necessary) the map's counter group/name.
+func (cs *Counters) inMapLocked(group, name string) *Counter {
 	k := key{group, name}
 	c, ok := cs.m[k]
 	if !ok {
+		if cs.m == nil {
+			cs.m = make(map[key]*Counter)
+		}
 		c = &Counter{group: group, name: name}
 		cs.m[k] = c
 	}
@@ -207,6 +314,9 @@ func (cs *Counters) Incr(group, name string, amount int64) {
 
 // Value returns the current value of group/name (0 when absent).
 func (cs *Counters) Value(group, name string) int64 {
+	if c := cs.onSlab(group, name); c != nil {
+		return c.Value()
+	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if c, ok := cs.m[key{group, name}]; ok {
@@ -217,21 +327,21 @@ func (cs *Counters) Value(group, name string) int64 {
 
 // MergeFrom adds every non-zero counter in other into the receiver.
 // Engines use it to aggregate per-task counters into the job total.
-// Zero-valued counters are skipped: tasks pre-resolve hot-path cells
-// (engine.TaskContext.Cells) that often stay untouched — e.g. the M3R
-// shuffle cells in a Hadoop-engine task — and merging them would pad
-// every job report with irrelevant zero entries. Nothing is sorted: the
-// non-zero counters are gathered under other's lock and added under the
-// receiver's, never both at once, so a set may merge into itself.
+// Zero-valued counters are skipped: a task set's slab holds every standard
+// counter, most of which a given task never touches — e.g. the M3R shuffle
+// cells in a Hadoop-engine task — and merging them would pad every job
+// report with irrelevant zero entries. Nothing is sorted: the non-zero
+// counters are gathered under other's lock and added under the receiver's,
+// never both at once, so a set may merge into itself.
 func (cs *Counters) MergeFrom(other *Counters) {
 	var buf [32]*Counter
 	live := buf[:0]
 	other.mu.Lock()
-	for _, c := range other.m {
+	other.each(func(c *Counter) {
 		if c.Value() != 0 {
 			live = append(live, c)
 		}
-	}
+	})
 	other.mu.Unlock()
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -245,11 +355,11 @@ func (cs *Counters) Groups() []string {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	var out []string
-	for k := range cs.m {
-		if !slices.Contains(out, k.group) {
-			out = append(out, k.group)
+	cs.each(func(c *Counter) {
+		if !slices.Contains(out, c.group) {
+			out = append(out, c.group)
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -259,11 +369,11 @@ func (cs *Counters) GroupCounters(group string) []*Counter {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	var out []*Counter
-	for k, c := range cs.m {
-		if k.group == group {
+	cs.each(func(c *Counter) {
+		if c.group == group {
 			out = append(out, c)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
@@ -294,10 +404,11 @@ func (cs *Counters) WriteTo(w *wio.Writer) error {
 	return nil
 }
 
-// ReadFields implements wio.Writable.
+// ReadFields implements wio.Writable. A task set keeps its slab, zeroed.
 func (cs *Counters) ReadFields(r *wio.Reader) error {
 	cs.mu.Lock()
-	cs.m = make(map[key]*Counter)
+	cs.each(func(c *Counter) { c.SetValue(0) })
+	cs.m = nil
 	cs.mu.Unlock()
 	ng, err := r.ReadUvarint()
 	if err != nil {

@@ -2,6 +2,7 @@ package counters_test
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -130,45 +131,79 @@ func TestMergeFromSelfAndCrosswise(t *testing.T) {
 	}
 }
 
-// TestNewCellsSharesOneAllocation: a NewCells set's counters share one
-// allocation and its map is made at its final size, so the set costs the
-// same for 4 cells as for 8; every Ptr is filled, a name listed twice is
-// one counter, and Find returns the cells' counters.
-func TestNewCellsSharesOneAllocation(t *testing.T) {
-	ptrs := make([]*counters.Counter, 8)
-	cells := func(names ...string) []counters.Cell {
-		out := make([]counters.Cell, len(names))
-		for i, n := range names {
-			out[i] = counters.Cell{Group: "g", Name: n, Ptr: &ptrs[i]}
+// TestTaskSetIsOneSlab: a task set's standard counters are the fields of
+// the one Slab it was made over — distinct cells, each named by the
+// layout, and Find or Value of a cell's name reaches that cell — so
+// making the set allocates nothing, and neither does a Find of a layout
+// name; only a name off the layout makes the set's map.
+func TestTaskSetIsOneSlab(t *testing.T) {
+	var s counters.Slab
+	var cs counters.Counters
+	set := counters.TaskSet(&cs, &s)
+	if set != &cs {
+		t.Fatal("TaskSet returns the set it was given")
+	}
+	fields := reflect.ValueOf(&s).Elem()
+	seen := map[string]bool{}
+	for i := range fields.NumField() {
+		c := fields.Field(i).Addr().Interface().(*counters.Counter)
+		id := c.Group() + "/" + c.Name()
+		if c.Name() == "" || seen[id] {
+			t.Errorf("field %s is named %q, want a name of its own", fields.Type().Field(i).Name, id)
+			continue
 		}
-		return out
-	}
-	four, eight := cells("a", "b", "c", "d"), cells("a", "b", "c", "d", "e", "f", "g", "h")
-	small := testing.AllocsPerRun(100, func() { counters.NewCells(four) })
-	large := testing.AllocsPerRun(100, func() { counters.NewCells(eight) })
-	if small != large {
-		t.Errorf("NewCells: %.0f allocations for 4 cells, %.0f for 8; want equal", small, large)
-	}
-	plain := testing.AllocsPerRun(100, func() {
-		cs := counters.New()
-		for _, c := range eight {
-			cs.Find(c.Group, c.Name)
+		seen[id] = true
+		if set.Find(c.Group(), c.Name()) != c {
+			t.Errorf("Find(%s) is not field %s", id, fields.Type().Field(i).Name)
 		}
-	})
-	if large >= plain {
-		t.Errorf("NewCells: %.0f allocations, New and Find: %.0f; want fewer", large, plain)
+		set.Incr(c.Group(), c.Name(), int64(i+1))
+		if c.Value() != int64(i+1) || set.Value(c.Group(), c.Name()) != int64(i+1) {
+			t.Errorf("Incr(%s) missed field %s", id, fields.Type().Field(i).Name)
+		}
 	}
+	if got := len(set.GroupCounters(counters.TaskGroup)) + len(set.GroupCounters(counters.M3RGroup)); got != fields.NumField() {
+		t.Errorf("the set lists %d standard counters, its slab has %d", got, fields.NumField())
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		counters.TaskSet(&cs, &s)
+		cs.Incr(counters.M3RGroup, counters.CacheHitSplits, 1)
+		cs.Find(counters.TaskGroup, counters.ReduceShuffleBytes)
+	}); a != 0 {
+		t.Errorf("a task set and Finds of layout names allocate %v times, want 0", a)
+	}
+	user := set.Find("user", "x")
+	if user == set.Find("user", "y") || set.Find("user", "x") != user || len(set.GroupCounters("user")) != 2 {
+		t.Error("a name off the layout is a counter of its own in the set's map")
+	}
+}
 
-	cs := counters.NewCells(append(cells("a", "b", "a"), counters.Cell{Group: "h", Name: "a", Ptr: &ptrs[3]}))
-	if ptrs[0] != ptrs[2] || ptrs[0] == ptrs[1] || ptrs[0] == ptrs[3] {
-		t.Error("one counter per group and name")
+// TestTaskSetRoundTrip: a task set's WriteTo lists every slab counter and
+// every user counter, and ReadFields — into a job set or another task
+// set — gets back every name and value.
+func TestTaskSetRoundTrip(t *testing.T) {
+	var s counters.Slab
+	var cs counters.Counters
+	set := counters.TaskSet(&cs, &s)
+	s.MapInputRecords.Increment(7)
+	set.Incr(counters.M3RGroup, counters.NetBytes, 3)
+	set.Incr("user", "things", -4)
+	var buf bytes.Buffer
+	if err := set.WriteTo(wio.NewWriter(&buf)); err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range []struct{ group, name string }{{"g", "a"}, {"g", "b"}, {"g", "a"}, {"h", "a"}} {
-		if c := ptrs[i]; c.Group() != want.group || c.Name() != want.name || cs.Find(want.group, want.name) != c {
-			t.Errorf("cell %d: %s/%s, want %s/%s held by the set", i, c.Group(), c.Name(), want.group, want.name)
+	want := set.String()
+	var s2 counters.Slab
+	var cs2 counters.Counters
+	for _, out := range []*counters.Counters{counters.New(), counters.TaskSet(&cs2, &s2)} {
+		out.Incr("stale", "x", 1)
+		if err := out.ReadFields(wio.NewReader(bytes.NewReader(buf.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != want {
+			t.Errorf("round trip:\n%s\nwant\n%s", got, want)
 		}
 	}
-	if cs.Find("g", "z") == ptrs[1] || len(cs.GroupCounters("g")) != 3 {
-		t.Error("a Find past the cells makes a new counter")
+	if s2.MapInputRecords.Value() != 7 {
+		t.Error("ReadFields into a task set fills its slab")
 	}
 }

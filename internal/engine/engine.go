@@ -11,8 +11,8 @@
 // types resolve to raw comparators (ResolvedJob.SortCmp/RawSortCmp) so
 // comparisons skip both deserialization (Hadoop engine spills) and the
 // Comparable-interface hop (in-memory merges). Per-record accounting goes
-// through TaskContext.Cells — counters resolved once per task into atomic
-// cells — rather than locked group/name map lookups.
+// through TaskContext.Cells — the task's standard counters, one slab of
+// atomic cells — rather than locked group/name map lookups.
 package engine
 
 import (
@@ -82,69 +82,23 @@ type TaskContext struct {
 	Split    formats.InputSplit
 	TaskID   string
 
-	// Cells holds the hot-path counters, resolved once at task start so
-	// per-record accounting is a single atomic add instead of a locked
-	// group/name map lookup per increment.
-	Cells CounterCells
+	// Cells holds the task's standard counters on counters' static layout,
+	// so per-record accounting is a single atomic add on a field instead of
+	// a locked group/name map lookup per increment. set is the counter set
+	// over it that Counters points at.
+	Cells counters.Slab
+	set   counters.Counters
 
 	mu     sync.Mutex
 	status string
 	emit   func(key, value wio.Writable) error
 }
 
-// CounterCells is the set of per-record counters both engines update on
-// their hottest paths. TaskContext resolves them eagerly; everything else
-// (per-task launch counters, user counters) still goes through IncrCounter.
-type CounterCells struct {
-	MapInputRecords     *counters.Counter
-	MapOutputRecords    *counters.Counter
-	MapOutputBytes      *counters.Counter
-	CombineInputRecords *counters.Counter
-	ReduceInputGroups   *counters.Counter
-	ReduceInputRecords  *counters.Counter
-	ReduceOutputRecords *counters.Counter
-	SpilledRecords      *counters.Counter
-	SpilledRuns         *counters.Counter
-	SpilledBytes        *counters.Counter
-	SpilledRawBytes     *counters.Counter
-	BudgetReleasedBytes *counters.Counter
-	PoolContendedBytes  *counters.Counter
-	EvictedResidentRuns *counters.Counter
-	LocalShufflePairs   *counters.Counter
-	RemoteShufflePairs  *counters.Counter
-	ClonedPairs         *counters.Counter
-	AliasedPairs        *counters.Counter
-}
-
-// resolve points every cell at a counter of a new set and returns the set.
-func (c *CounterCells) resolve() *counters.Counters {
-	return counters.NewCells([]counters.Cell{
-		{Group: counters.TaskGroup, Name: counters.MapInputRecords, Ptr: &c.MapInputRecords},
-		{Group: counters.TaskGroup, Name: counters.MapOutputRecords, Ptr: &c.MapOutputRecords},
-		{Group: counters.TaskGroup, Name: counters.MapOutputBytes, Ptr: &c.MapOutputBytes},
-		{Group: counters.TaskGroup, Name: counters.CombineInputRecords, Ptr: &c.CombineInputRecords},
-		{Group: counters.TaskGroup, Name: counters.ReduceInputGroups, Ptr: &c.ReduceInputGroups},
-		{Group: counters.TaskGroup, Name: counters.ReduceInputRecords, Ptr: &c.ReduceInputRecords},
-		{Group: counters.TaskGroup, Name: counters.ReduceOutputRecords, Ptr: &c.ReduceOutputRecords},
-		{Group: counters.TaskGroup, Name: counters.SpilledRecords, Ptr: &c.SpilledRecords},
-		{Group: counters.M3RGroup, Name: counters.SpilledRuns, Ptr: &c.SpilledRuns},
-		{Group: counters.M3RGroup, Name: counters.SpilledBytes, Ptr: &c.SpilledBytes},
-		{Group: counters.M3RGroup, Name: counters.SpilledRawBytes, Ptr: &c.SpilledRawBytes},
-		{Group: counters.M3RGroup, Name: counters.BudgetReleasedBytes, Ptr: &c.BudgetReleasedBytes},
-		{Group: counters.M3RGroup, Name: counters.PoolContendedBytes, Ptr: &c.PoolContendedBytes},
-		{Group: counters.M3RGroup, Name: counters.EvictedResidentRuns, Ptr: &c.EvictedResidentRuns},
-		{Group: counters.M3RGroup, Name: counters.LocalShufflePairs, Ptr: &c.LocalShufflePairs},
-		{Group: counters.M3RGroup, Name: counters.RemoteShufflePairs, Ptr: &c.RemoteShufflePairs},
-		{Group: counters.M3RGroup, Name: counters.ClonedPairs, Ptr: &c.ClonedPairs},
-		{Group: counters.M3RGroup, Name: counters.AliasedPairs, Ptr: &c.AliasedPairs},
-	})
-}
-
-// NewTaskContext builds a context for one task attempt. Its cells are
-// resolved in one pass into one allocation (counters.NewCells).
+// NewTaskContext builds a context for one task attempt: one allocation,
+// its counter set included.
 func NewTaskContext(job *conf.JobConf, taskID string, split formats.InputSplit) *TaskContext {
 	c := &TaskContext{Job: job, Split: split, TaskID: taskID}
-	c.Counters = c.Cells.resolve()
+	c.Counters = counters.TaskSet(&c.set, &c.Cells)
 	return c
 }
 

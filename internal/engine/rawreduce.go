@@ -165,7 +165,7 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 	if m.newVal, err = wio.Factory(valClass); err != nil {
 		return fmt.Errorf("engine: map output value class: %w", err)
 	}
-	m.records = ctx.Cells.ReduceInputRecords
+	m.records = &ctx.Cells.ReduceInputRecords
 	for {
 		cur, ok := m.m.Peek()
 		if !ok {

@@ -494,7 +494,7 @@ func (r *oldMapRun) RunPairs(pairs []wio.Pair, out mapred.OutputCollector, ctx *
 		}
 		return r.runner.Run(reader, out, ctx)
 	}
-	inputCell := ctx.Cells.MapInputRecords
+	inputCell := &ctx.Cells.MapInputRecords
 	for _, p := range pairs {
 		inputCell.Increment(1)
 		if err := mapper.Map(p.Key, p.Value, out, ctx); err != nil {
@@ -530,7 +530,7 @@ func (r *newMapRun) Run(reader formats.RecordReader, out mapred.OutputCollector,
 	}
 	key := reader.CreateKey()
 	value := reader.CreateValue()
-	inputCell := ctx.Cells.MapInputRecords
+	inputCell := &ctx.Cells.MapInputRecords
 	for {
 		if r.freshInputs {
 			key = reader.CreateKey()
@@ -558,7 +558,7 @@ func (r *newMapRun) RunPairs(pairs []wio.Pair, out mapred.OutputCollector, ctx *
 	if err := r.mapper.Setup(ctx); err != nil {
 		return err
 	}
-	inputCell := ctx.Cells.MapInputRecords
+	inputCell := &ctx.Cells.MapInputRecords
 	for _, p := range pairs {
 		inputCell.Increment(1)
 		if err := r.mapper.Map(p.Key, p.Value, ctx); err != nil {

@@ -74,9 +74,9 @@ func (g *groupValues) Next() (wio.Writable, bool) {
 // ones.
 func DriveReduce(run ReduceRun, groupCmp wio.Comparator, in PairIter,
 	out mapred.OutputCollector, ctx *TaskContext, combine bool) error {
-	groupCell, recordCell := ctx.Cells.ReduceInputGroups, ctx.Cells.ReduceInputRecords
+	groupCell, recordCell := &ctx.Cells.ReduceInputGroups, &ctx.Cells.ReduceInputRecords
 	if combine {
-		groupCell, recordCell = nil, ctx.Cells.CombineInputRecords
+		groupCell, recordCell = nil, &ctx.Cells.CombineInputRecords
 	}
 	cur, ok, err := in.Next()
 	if err != nil {

@@ -59,7 +59,7 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 	buf.cmp = rawCmp
 	partitioner := r.Resolved.NewPartitioner()
 
-	outputCell, bytesCell := ctx.Cells.MapOutputRecords, ctx.Cells.MapOutputBytes
+	outputCell, bytesCell := &ctx.Cells.MapOutputRecords, &ctx.Cells.MapOutputBytes
 	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		// Per-record cancel check: one atomic load; the kill unwinds
@@ -108,7 +108,7 @@ func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
 	}
 	// Deferred, so a panicking mapper aborts its attempt too.
 	defer out.Abort()
-	outputCell := ctx.Cells.MapOutputRecords
+	outputCell := &ctx.Cells.MapOutputRecords
 	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		if err := lc.Err(); err != nil {

@@ -61,7 +61,7 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 	// Deferred, so a panicking reducer aborts its attempt too: the
 	// attempt-scoped scratch is discarded, never renamed into place.
 	defer out.Abort()
-	outputCell := ctx.Cells.ReduceOutputRecords
+	outputCell := &ctx.Cells.ReduceOutputRecords
 	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		// Per-record cancel check on the reduce output path.

@@ -119,6 +119,61 @@ func TestCountedOnce(t *testing.T) {
 	}
 }
 
+// TestReportListsOnlyTouchedCounters: a task's set holds every standard
+// counter in its slab, touched or not, and a job's report still lists only
+// two kinds of entry — task counters whose merged sum is not zero, and the
+// job-level counters the engine sets itself — on both engines, for a
+// combiner job and a budgeted one.
+func TestReportListsOnlyTouchedCounters(t *testing.T) {
+	jobLevel := map[string]bool{
+		counters.CacheResidentBytes: true, counters.CacheSpilledEntries: true, counters.CacheReadmittedEntries: true,
+	}
+	for _, tc := range []struct {
+		name     string
+		combiner bool
+		budget   int64
+	}{
+		{name: "wordcount with its combiner", combiner: true},
+		{name: "budgeted wordcount", budget: 24 << 10},
+	} {
+		for _, engineName := range []string{"m3r", "hadoop"} {
+			t.Run(tc.name+"/"+engineName, func(t *testing.T) {
+				c := newClusterPool(t, 3, -1)
+				var eng engine.Engine = c.m3r
+				if engineName == "hadoop" {
+					eng = c.hadoop
+				}
+				if err := wordcount.Generate(c.fs, "/data/t", 64<<10, 3); err != nil {
+					t.Fatal(err)
+				}
+				job := wordcount.NewJob("/data/t", "/out/wc", 3, false)
+				if !tc.combiner {
+					job.Unset(conf.KeyCombinerClass)
+				}
+				if tc.budget > 0 {
+					job.SetInt64(conf.KeyM3RShuffleBudget, tc.budget)
+				}
+				rep, err := eng.Submit(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range rep.Counters.Groups() {
+					for _, ctr := range rep.Counters.GroupCounters(g) {
+						if ctr.Value() == 0 && g != counters.JobGroup && !jobLevel[ctr.Name()] {
+							t.Errorf("the report lists %s/%s at 0", g, ctr.Name())
+						}
+					}
+				}
+				for _, name := range []string{counters.MapInputRecords, counters.MapOutputRecords, counters.ReduceOutputRecords} {
+					if rep.Counters.Value(counters.TaskGroup, name) == 0 {
+						t.Errorf("the report lacks %s", name)
+					}
+				}
+			})
+		}
+	}
+}
+
 // An engine handed no statistics sink makes its own: the task envelope's
 // absorb step and every caller of Stats() — Reset and Names do not take a nil
 // receiver — see a real one.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"m3r/internal/counters"
+	"m3r/internal/engine"
 	"m3r/internal/matrix"
 	"m3r/internal/sim"
 )
@@ -183,5 +185,46 @@ func TestMatVecTempOutputsElided(t *testing.T) {
 	}
 	if len(pairs) == 0 {
 		t.Fatal("cached partition empty")
+	}
+}
+
+// TestTempOutputTrailingSlash: an output path given with a trailing slash
+// is the same temporary output as without it (§4.2.3): its job puts no
+// bytes on the backing filesystem, counts TEMP_OUTPUTS_ELIDED, and the next
+// job reads it from the cache.
+func TestTempOutputTrailingSlash(t *testing.T) {
+	c := newCluster(t, 2)
+	cfg := matvecConfig("/mv")
+	cfg.Partitions = 4
+	if err := matrix.Generate(c.fs, cfg); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	before := c.stats.Snapshot()
+	it0 := matrix.IterationJobs(cfg, cfg.VPath(), cfg.Dir+"/temp_V_1/", 0)
+	var rep *engine.Report
+	for _, j := range it0 {
+		var err error
+		if rep, err = c.m3r.Submit(j); err != nil {
+			t.Fatalf("iteration 0: %v", err)
+		}
+	}
+	if n := rep.Counters.Value(counters.M3RGroup, counters.TempOutputsElided); n == 0 {
+		t.Error("the job writing /mv/temp_V_1/ elided no temporary output")
+	}
+	if w := sim.Delta(before, c.stats.Snapshot())[sim.HDFSWriteBytes]; w != 0 {
+		t.Errorf("iteration 0 wrote %d bytes to HDFS; its outputs are temporary", w)
+	}
+	if c.fs.Exists("/mv/temp_V_1") {
+		t.Error("the temporary vector was written to HDFS")
+	}
+
+	before = c.stats.Snapshot()
+	it1 := matrix.IterationJobs(cfg, cfg.Dir+"/temp_V_1", cfg.Dir+"/temp_V_2", 1)
+	if _, err := c.m3r.Submit(it1[0]); err != nil {
+		t.Fatalf("iteration 1 multiply: %v", err)
+	}
+	d := sim.Delta(before, c.stats.Snapshot())
+	if d[sim.CacheMisses] != 0 || d[sim.HDFSReadBytes] != 0 {
+		t.Errorf("iteration 1 multiply: %d cache misses, %d bytes read from HDFS; want the vector from the cache", d[sim.CacheMisses], d[sim.HDFSReadBytes])
 	}
 }

@@ -170,7 +170,7 @@ func (pi *partitionInput) takeReaders() []engine.RunReader {
 // its reservation returns to the place's accountant, so a long reduce phase
 // frees memory while it is still running.
 func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.RecSource, keyClass, valClass string, err error) {
-	acct, released := pi.x.budgets[pi.place], ctx.Cells.BudgetReleasedBytes
+	acct, released := pi.x.budgets[pi.place], &ctx.Cells.BudgetReleasedBytes
 	for _, r := range pi.takeRuns() {
 		if keyClass == "" {
 			keyClass, valClass = r.keyClass, r.valClass

@@ -408,7 +408,7 @@ type taskSink struct {
 	// immutable: the producer keeps its hands off what it emitted (§4.1), so
 	// the cache aliases the pair; otherwise it keeps a clone.
 	immutable bool
-	cells     *engine.CounterCells
+	cells     *counters.Slab
 }
 
 // openTaskSink opens the output of the task ctx describes: file part-<index>
