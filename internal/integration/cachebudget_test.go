@@ -77,6 +77,8 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 				i, tightBits[i], baseBits[i])
 		}
 	}
+	t.Logf("6 KiB cache budget: %d entries spilled, %d readmitted",
+		tight.m3r.CacheSpilledEntries(), tight.m3r.CacheReadmittedEntries())
 	if n := tight.m3r.CacheSpilledEntries(); n == 0 {
 		t.Error("6 KiB budget below the working set, but no entries spilled")
 	}

@@ -19,18 +19,38 @@
 // Mkdirs down its ancestors) use two-phase locking and acquire the least
 // common ancestor of the involved paths first, which (with a total order on
 // siblings) makes deadlock impossible.
+//
+// A store may take a cache budget (SetBudget): per place, a reservation
+// view on the place's engine.BudgetPool. The store then owns its blocks'
+// memory end to end. A committed block is admitted under its path's entry
+// lock with the largest-first policy of engine.ResidentIndex (size, then
+// admission order): under contention, resident blocks strictly larger than
+// the newcomer spill to disk in the shared spill record format, and a
+// newcomer that still does not fit spills itself, cold from birth. A freed
+// block releases its reservation; a read of a spilled block reinstates it
+// when its bytes fit without evicting, and serves it from disk otherwise,
+// so a read never fails on the tier a block is in. Whoever takes a block
+// out of the eviction index owns its reservation: a free releases only what
+// the index hands back, and an evictor whose victim was freed meanwhile
+// keeps the bytes to fund its admission retry. So every reservation is
+// released exactly once, and the pool's held bytes equal the resident bytes
+// the store counts at admit, free, evict and readmit.
 package kvstore
 
 import (
 	"fmt"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"m3r/internal/dfs"
+	"m3r/internal/engine"
+	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
@@ -150,10 +170,10 @@ func (t *table) del(path string) {
 // blockData is one block's storage state: resident pairs on the heap, or a
 // spilled image on disk in the shared spill record format (exactly one of
 // the two is live). size is the block's accounting size in the record
-// format — the bytes a Residency hook charged at commit — and stays
-// attached across spill/readmit transitions; 0 means the block is
-// unaccounted (no hook installed, or its pairs cannot round-trip through
-// the record format) and therefore never spills.
+// format — the bytes its admission reserved — and stays attached across
+// spill/readmit transitions; 0 means the block is unaccounted (no budget,
+// or its pairs cannot round-trip through the record format) and therefore
+// never spills.
 type blockData struct {
 	pairs []wio.Pair
 	size  int64
@@ -166,30 +186,6 @@ type blockData struct {
 type spilledBlock struct {
 	path               string
 	keyClass, valClass string
-}
-
-// Residency is the store's memory-accounting hook: when installed (the M3R
-// engine's budgeted cache), every committed block reports its byte
-// footprint, freed blocks report it back, and spilled blocks ask permission
-// before re-entering memory. The store calls BlockCommitted under the
-// path's entry lock (so a concurrent Delete can never report a free before
-// the commit is reported) and never while holding a dataTable mutex, so
-// implementations may call back into SpillBlock to evict.
-type Residency interface {
-	// BlockCommitted reports a block installed resident with accounting
-	// size size (> 0). An error fails the commit path loudly; the
-	// implementation guarantees it then holds no reservation for info.
-	BlockCommitted(info BlockInfo, size int64) error
-	// BlockFreed reports a block leaving the store. resident tells whether
-	// its pairs were still on the heap (a reservation may be held).
-	BlockFreed(info BlockInfo, size int64, resident bool)
-	// RequestReadmit asks whether a spilled block may be reinstated
-	// resident. A true return transfers a reservation of size bytes to the
-	// store, which must follow with exactly one of ReadmitCommit (the
-	// block is resident again) or ReadmitAbort (it is not).
-	RequestReadmit(info BlockInfo, size int64) bool
-	ReadmitCommit(info BlockInfo, size int64)
-	ReadmitAbort(info BlockInfo, size int64)
 }
 
 // dataTable is one place's block storage.
@@ -206,8 +202,24 @@ type Store struct {
 	seqMu   sync.Mutex
 	nextSeq int64
 
-	resMu     sync.RWMutex
-	residency Residency
+	budget     atomic.Pointer[budget] // nil: every block stays on the heap
+	resident   atomic.Int64           // bytes of resident accounted blocks
+	spilled    atomic.Int64           // blocks moved to disk (evictions and overflow)
+	readmitted atomic.Int64           // spilled blocks reinstated by a read
+}
+
+// budget is a store's cache budget: per place, the reservation view every
+// accounted block is charged to and the eviction index of the resident
+// accounted blocks, plus the directory spilled blocks live in, made on the
+// first spill.
+type budget struct {
+	places []*engine.JobBudget
+	idx    []*engine.ResidentIndex[BlockInfo]
+	codec  spill.Codec
+
+	dirMu sync.Mutex
+	dir   string
+	files int
 }
 
 // New creates a store over the runtime's places.
@@ -222,19 +234,184 @@ func New(rt *x10.Runtime) *Store {
 	return s
 }
 
-// SetResidency installs (or clears) the store's memory-accounting hook.
-// Install it before any blocks are written: blocks committed without a hook
-// are unaccounted forever.
-func (s *Store) SetResidency(r Residency) {
-	s.resMu.Lock()
-	s.residency = r
-	s.resMu.Unlock()
+// SetBudget puts the store's blocks under a cache budget: places holds one
+// reservation view per place, and spilled blocks are written with codec.
+// Set it before any block is written: blocks committed without a budget
+// stay unaccounted on the heap.
+func (s *Store) SetBudget(places []*engine.JobBudget, codec spill.Codec) {
+	b := &budget{places: places, codec: codec, idx: make([]*engine.ResidentIndex[BlockInfo], len(places))}
+	for p := range b.idx {
+		b.idx[p] = engine.NewResidentIndex[BlockInfo]()
+	}
+	s.budget.Store(b)
 }
 
-func (s *Store) residencyHook() Residency {
-	s.resMu.RLock()
-	defer s.resMu.RUnlock()
-	return s.residency
+// DropBudget takes the budget down at teardown: every reservation drains
+// and the spill directory goes. Resident blocks stay readable, spilled ones
+// do not, and nothing is admitted, evicted or readmitted afterwards.
+func (s *Store) DropBudget() {
+	b := s.budget.Swap(nil)
+	if b == nil {
+		return
+	}
+	for p, jb := range b.places {
+		jb.Drain()
+		b.idx[p].Close()
+	}
+	b.dirMu.Lock()
+	if b.dir != "" {
+		os.RemoveAll(b.dir)
+		b.dir = ""
+	}
+	b.dirMu.Unlock()
+}
+
+// Budgeted reports whether the store has a cache budget.
+func (s *Store) Budgeted() bool { return s.budget.Load() != nil }
+
+// BudgetHeldBytes sums the budget's reservations across places (0 without
+// a budget). At quiescence it equals ResidentBytes.
+func (s *Store) BudgetHeldBytes() int64 {
+	b := s.budget.Load()
+	if b == nil {
+		return 0
+	}
+	var held int64
+	for _, jb := range b.places {
+		held += jb.Held()
+	}
+	return held
+}
+
+// ResidentBytes returns the bytes of resident accounted blocks.
+func (s *Store) ResidentBytes() int64 { return s.resident.Load() }
+
+// SpilledBlocks returns how many blocks the budget has moved to disk.
+func (s *Store) SpilledBlocks() int64 { return s.spilled.Load() }
+
+// ReadmittedBlocks returns how many spilled blocks a read has reinstated.
+func (s *Store) ReadmittedBlocks() int64 { return s.readmitted.Load() }
+
+func (s *Store) noteResident(delta int64) {
+	s.resident.Add(delta)
+	s.rt.Stats().Add(sim.CacheResidentBytes, delta)
+}
+
+// admit charges a freshly committed block of size accounted bytes to its
+// place. Under contention, resident blocks strictly larger than the
+// newcomer are evicted first; a block that still does not fit spills. The
+// caller holds the block's path entry lock. An error leaves the block
+// resident and unreserved.
+func (s *Store) admit(b *budget, info BlockInfo, size int64) error {
+	admitted, _, err := b.places[info.Place].ReserveEvicting(size, func(min int64) (int64, error) {
+		return s.evictOne(b, info.Place, min)
+	})
+	if err != nil {
+		return err
+	}
+	if !admitted {
+		return s.spillBlock(b, info)
+	}
+	if b.idx[info.Place].Add(info, size, 0) {
+		s.noteResident(size)
+	}
+	return nil
+}
+
+// evictOne is the eviction callback of admit: spill the largest resident
+// block at place strictly larger than min and return its reservation size,
+// 0 when none qualifies. Taking the block out of the index makes its
+// reservation the evictor's, so it is returned unreleased — the pool folds
+// the release into its retry — and a block freed before the spill lands
+// funds the retry the same way. Ties break toward the earlier admission,
+// so the victim is a function of arrival order.
+func (s *Store) evictOne(b *budget, place int, min int64) (int64, error) {
+	info, size, ok := b.idx[place].TakeLargest(min)
+	if !ok {
+		return 0, nil
+	}
+	if err := s.spillBlock(b, info); err != nil {
+		// The block stays resident and goes back to the index with its
+		// reservation, under the data table's mutex so that a free either
+		// finds it there or has already gone — then the bytes are ours.
+		dt := s.data[place]
+		dt.mu.Lock()
+		_, present := dt.m[info]
+		if present {
+			b.idx[place].Add(info, size, 0)
+		}
+		dt.mu.Unlock()
+		if !present {
+			b.places[place].Release(size)
+			s.noteResident(-size)
+		}
+		return 0, err
+	}
+	s.noteResident(-size)
+	return size, nil
+}
+
+// spillBlock moves a resident block's pairs to a fresh file in the spill
+// directory, freeing their heap space. A block freed meanwhile is left
+// alone and the partial file removed. It takes only the data table's
+// mutex, so it can run inside another block's admission.
+func (s *Store) spillBlock(b *budget, info BlockInfo) error {
+	dt := s.data[info.Place]
+	dt.mu.Lock()
+	bd := dt.m[info]
+	var pairs []wio.Pair
+	if bd != nil {
+		pairs = bd.pairs
+	}
+	dt.mu.Unlock()
+	if bd == nil {
+		return nil
+	}
+	path, err := b.spillPath()
+	if err != nil {
+		return err
+	}
+	recs, keyClass, valClass, _, err := spill.MarshalRun(pairs)
+	if err != nil {
+		// Cannot happen for a block that encoded at commit (size > 0); fail
+		// loudly rather than silently skipping the victim.
+		return fmt.Errorf("kvstore: re-encoding block %+v for spill: %w", info, err)
+	}
+	enc, err := spill.EncodeRun(recs, b.codec)
+	if err != nil {
+		return err
+	}
+	if _, err := spill.WriteEncodedFile(path, enc); err != nil {
+		return err
+	}
+	dt.mu.Lock()
+	if dt.m[info] != bd {
+		dt.mu.Unlock()
+		os.Remove(path)
+		return nil
+	}
+	bd.pairs = nil
+	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass}
+	dt.mu.Unlock()
+	s.spilled.Add(1)
+	s.rt.Stats().Add(sim.CacheSpilledEntries, 1)
+	return nil
+}
+
+// spillPath returns a fresh file path for one spilled block, making the
+// store's spill directory on first use.
+func (b *budget) spillPath() (string, error) {
+	b.dirMu.Lock()
+	defer b.dirMu.Unlock()
+	if b.dir == "" {
+		d, err := os.MkdirTemp("", "m3r-cache-")
+		if err != nil {
+			return "", err
+		}
+		b.dir = d
+	}
+	b.files++
+	return filepath.Join(b.dir, fmt.Sprintf("blk_%06d", b.files)), nil
 }
 
 // metaPlace returns the place whose table holds path's metadata (static
@@ -476,16 +653,17 @@ func (s *Store) Delete(path string) error {
 }
 
 // freeBlocks removes block data, deletes any spilled images from disk, and
-// reports accounted blocks to the residency hook. Callers hold the owning
-// path's entry lock, so a free can never interleave with a readmit of the
-// same block (CreateReader readmits under that lock too).
+// releases the reservation of each block still in the eviction index — one
+// an evictor has taken out is the evictor's to settle. Callers hold the
+// owning path's entry lock, so a free can never interleave with a readmit
+// of the same block (CreateReader readmits under that lock too).
 func (s *Store) freeBlocks(blocks []BlockInfo) {
-	h := s.residencyHook()
-	for _, b := range blocks {
-		dt := s.data[b.Place]
+	b := s.budget.Load()
+	for _, info := range blocks {
+		dt := s.data[info.Place]
 		dt.mu.Lock()
-		bd := dt.m[b]
-		delete(dt.m, b)
+		bd := dt.m[info]
+		delete(dt.m, info)
 		dt.mu.Unlock()
 		if bd == nil {
 			continue
@@ -493,8 +671,12 @@ func (s *Store) freeBlocks(blocks []BlockInfo) {
 		if bd.spill != nil {
 			os.Remove(bd.spill.path)
 		}
-		if h != nil && bd.size > 0 {
-			h.BlockFreed(b, bd.size, bd.spill == nil)
+		if b == nil {
+			continue
+		}
+		if size, ok := b.idx[info.Place].Remove(info); ok {
+			b.places[info.Place].Release(size)
+			s.noteResident(-size)
 		}
 	}
 }
@@ -577,11 +759,11 @@ func (w *Writer) SetTag(tag string) { w.tag = tag }
 func (w *Writer) AppendAll(ps []wio.Pair) { w.pairs = append(w.pairs, ps...) }
 
 // Close installs the block into the store. The pairs slice is retained:
-// local readers alias it. With a residency hook installed, the block's
-// accounting size is computed (the record-format bytes it would occupy
-// spilled — the cost Hadoop always pays at collect time) and reported under
-// the path's entry lock, so a concurrent Delete can never report the free
-// before the commit; a hook error fails the Close.
+// local readers alias it. Under a budget, the block's accounting size is
+// computed (the record-format bytes it would occupy spilled — the cost
+// Hadoop always pays at collect time) and admitted under the path's entry
+// lock, so a concurrent Delete can never free the block before it is
+// charged; an admission error fails the Close.
 func (w *Writer) Close() (BlockInfo, error) {
 	if w.done {
 		return BlockInfo{}, fmt.Errorf("kvstore: writer for %s already closed", w.path)
@@ -592,9 +774,9 @@ func (w *Writer) Close() (BlockInfo, error) {
 	info := BlockInfo{Place: w.place, Seq: w.store.nextSeq, Tag: w.tag}
 	w.store.seqMu.Unlock()
 
-	h := w.store.residencyHook()
+	b := w.store.budget.Load()
 	var size int64
-	if h != nil && len(w.pairs) > 0 {
+	if b != nil && len(w.pairs) > 0 {
 		// A block whose pairs cannot round-trip through the record format
 		// (unregistered types) stays unaccounted and pinned on the heap,
 		// exactly like an unencodable shuffle run.
@@ -620,16 +802,8 @@ func (w *Writer) Close() (BlockInfo, error) {
 	dt.mu.Unlock()
 	m.blocks = append(m.blocks, info)
 	m.pairs += int64(len(w.pairs))
-	if h != nil && size > 0 {
-		if err := h.BlockCommitted(info, size); err != nil {
-			// The hook holds no reservation for the block; mark it
-			// unaccounted so the eventual free does not release bytes that
-			// were never charged, and surface the admission failure.
-			dt.mu.Lock()
-			if cur, ok := dt.m[info]; ok {
-				cur.size = 0
-			}
-			dt.mu.Unlock()
+	if size > 0 {
+		if err := w.store.admit(b, info, size); err != nil {
 			return BlockInfo{}, fmt.Errorf("kvstore: commit %s: %w", w.path, err)
 		}
 	}
@@ -647,9 +821,9 @@ type Reader struct {
 // CreateReader opens block info of path for reading at place. Local reads
 // alias the stored pairs; remote reads serialize them across the transport.
 // A spilled block decodes back off disk here — reinstated resident when the
-// residency hook grants the bytes (the transparent readmit of a tiered
-// cache), served transiently otherwise, so reads always succeed while the
-// budget decides only where the block lives afterwards.
+// budget has room for it (the transparent readmit of a tiered cache),
+// served transiently otherwise, so reads always succeed while the budget
+// decides only where the block lives afterwards.
 func (s *Store) CreateReader(place int, path string, info BlockInfo) (*Reader, error) {
 	path = dfs.CleanPath(path)
 	pairs, err := s.readBlock(path, info)
@@ -703,76 +877,26 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 		return pairs, nil
 	}
 	sp := *bd.spill
-	size := bd.size
 	dt.mu.Unlock()
 	pairs, err := decodeSpilledBlock(sp)
 	if err != nil {
 		return nil, fmt.Errorf("spilled block %+v: %w", info, err)
 	}
-	if h := s.residencyHook(); h != nil && size > 0 && h.RequestReadmit(info, size) {
-		installed := false
+	// A read never evicts: the block readmits only into free bytes. No free
+	// or readmit of it can interleave (both hold the path's entry lock), and
+	// no evictor can take it: a spilled block is in no index.
+	if b := s.budget.Load(); b != nil && b.places[info.Place].Reserve(bd.size) {
 		dt.mu.Lock()
-		if cur, ok := dt.m[info]; ok && cur.spill != nil {
-			cur.pairs = pairs
-			cur.spill = nil
-			installed = true
-		}
+		bd.pairs, bd.spill = pairs, nil
 		dt.mu.Unlock()
-		if installed {
-			os.Remove(sp.path)
-			h.ReadmitCommit(info, size)
-		} else {
-			// Unreachable under the path-lock discipline (frees and
-			// readmits serialize on the entry lock), kept so a future
-			// locking change cannot silently corrupt the ledger.
-			h.ReadmitAbort(info, size)
+		os.Remove(sp.path)
+		if b.idx[info.Place].Add(info, bd.size, 0) {
+			s.noteResident(bd.size)
 		}
+		s.readmitted.Add(1)
+		s.rt.Stats().Add(sim.CacheReadmittedEntries, 1)
 	}
 	return pairs, nil
-}
-
-// SpillBlock moves a resident block's pairs to disk at path in the spill
-// record format (compressed per codec), freeing their heap space, and
-// returns the accounting size the move released — 0 when the block is
-// already spilled, unaccounted, or gone (freed concurrently; the partial
-// file is removed). The caller (the residency hook's eviction policy) owns
-// releasing the returned reservation. Takes only dataTable mutexes, so it
-// is safe to call from within BlockCommitted.
-func (s *Store) SpillBlock(info BlockInfo, path string, codec spill.Codec) (int64, error) {
-	dt := s.data[info.Place]
-	dt.mu.Lock()
-	bd := dt.m[info]
-	if bd == nil || bd.spill != nil || bd.size == 0 {
-		dt.mu.Unlock()
-		return 0, nil
-	}
-	pairs := bd.pairs
-	size := bd.size
-	dt.mu.Unlock()
-	recs, keyClass, valClass, _, err := spill.MarshalRun(pairs)
-	if err != nil {
-		// Cannot happen for a block that encoded at commit (size > 0); fail
-		// loudly rather than silently skipping the victim.
-		return 0, fmt.Errorf("kvstore: re-encoding block %+v for spill: %w", info, err)
-	}
-	enc, err := spill.EncodeRun(recs, codec)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := spill.WriteEncodedFile(path, enc); err != nil {
-		return 0, err
-	}
-	dt.mu.Lock()
-	cur, ok := dt.m[info]
-	if !ok || cur.spill != nil {
-		dt.mu.Unlock()
-		os.Remove(path)
-		return 0, nil
-	}
-	cur.pairs = nil
-	cur.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass}
-	dt.mu.Unlock()
-	return size, nil
 }
 
 // decodeSpilledBlock reads a spilled block's records back into fresh

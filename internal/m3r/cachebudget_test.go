@@ -11,38 +11,50 @@ import (
 
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
+	"m3r/internal/kvstore"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/types"
 )
 
-// newBudgetedCache wires a cache to a cacheGovernor over private per-place
-// pools of budget bytes: on its own, the cache sees what a cap of budget
-// within the engine's unlimited pool gives it.
-func newBudgetedCache(t *testing.T, places int, budget int64) (*Cache, *cacheGovernor, *sim.Stats) {
+// newBudgetedCache puts a cache's store under private per-place pools of
+// budget bytes: on its own, the cache sees what a cap of budget within the
+// engine's unlimited pool gives it. The store's spill directory is made
+// under a private TMPDIR, where cacheSpillDir finds it.
+func newBudgetedCache(t *testing.T, places int, budget int64) (*Cache, *kvstore.Store, *sim.Stats) {
 	t.Helper()
-	c, _ := newTestCache(places)
-	stats := sim.NewStats()
+	t.Setenv("TMPDIR", t.TempDir())
+	c, rt := newTestCache(places)
 	budgets := make([]*engine.JobBudget, places)
 	for p := range budgets {
 		budgets[p] = engine.NewBudgetPool(budget).Job(cacheTag, 0)
 	}
-	g := newCacheGovernor(stats, c.Store(), budgets, spill.CodecNone)
-	c.Store().SetResidency(g)
-	t.Cleanup(func() {
-		c.Store().SetResidency(nil)
-		g.close()
-	})
-	return c, g, stats
+	c.Store().SetBudget(budgets, spill.CodecNone)
+	t.Cleanup(c.Store().DropBudget)
+	return c, c.Store(), rt.Stats()
+}
+
+// cacheSpillDir returns the one cache spill directory under TMPDIR, "" when
+// none was made.
+func cacheSpillDir(t *testing.T) string {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(os.TempDir(), "m3r-cache-*"))
+	if err != nil || len(dirs) > 1 {
+		t.Fatalf("cache spill directories: %v %v", dirs, err)
+	}
+	if len(dirs) == 0 {
+		return ""
+	}
+	return dirs[0]
 }
 
 // entrySize measures the accounting size of an n-pair output entry by
 // committing it under a generous budget and reading the resident gauge.
 func entrySize(t *testing.T, n int) int64 {
 	t.Helper()
-	c, g, _ := newBudgetedCache(t, 1, 1<<30)
+	c, st, _ := newBudgetedCache(t, 1, 1<<30)
 	writeOutput(t, c, 0, "/probe", n)
-	if got := g.residentBytes(); got > 0 {
+	if got := st.ResidentBytes(); got > 0 {
 		return got
 	}
 	t.Fatal("probe entry not accounted")
@@ -81,9 +93,9 @@ func checkPairs(t *testing.T, c *Cache, path string, n int) {
 
 // ledgerQuiescent pins the tentpole's accounting invariant: at quiescence
 // the cache tag's pool reservations equal the resident gauge exactly.
-func ledgerQuiescent(t *testing.T, g *cacheGovernor) {
+func ledgerQuiescent(t *testing.T, st *kvstore.Store) {
 	t.Helper()
-	if held, res := g.heldBytes(), g.residentBytes(); held != res {
+	if held, res := st.BudgetHeldBytes(), st.ResidentBytes(); held != res {
 		t.Fatalf("ledger: held=%d resident=%d", held, res)
 	}
 }
@@ -93,42 +105,42 @@ func ledgerQuiescent(t *testing.T, g *cacheGovernor) {
 // readmit leaves the entry spilled without corrupting the ledger.
 func TestCacheBudgetOverflowSpillsAndServes(t *testing.T) {
 	size := entrySize(t, 8)
-	c, g, stats := newBudgetedCache(t, 1, size) // room for exactly one entry
+	c, st, stats := newBudgetedCache(t, 1, size) // room for exactly one entry
 	writeOutput(t, c, 0, "/a", 8)
-	if g.residentBytes() != size || g.spilledCount() != 0 {
-		t.Fatalf("first entry should be resident: resident=%d spilled=%d", g.residentBytes(), g.spilledCount())
+	if st.ResidentBytes() != size || st.SpilledBlocks() != 0 {
+		t.Fatalf("first entry should be resident: resident=%d spilled=%d", st.ResidentBytes(), st.SpilledBlocks())
 	}
 	// Same-size newcomer: largest-first has no strictly larger victim, so
 	// the newcomer itself spills.
 	writeOutput(t, c, 0, "/b", 8)
-	if g.spilledCount() != 1 {
-		t.Fatalf("second entry should spill: spilled=%d", g.spilledCount())
+	if st.SpilledBlocks() != 1 {
+		t.Fatalf("second entry should spill: spilled=%d", st.SpilledBlocks())
 	}
-	ledgerQuiescent(t, g)
+	ledgerQuiescent(t, st)
 	// The spilled entry reads transparently; the budget is full, so the
 	// read must NOT readmit it.
 	checkPairs(t, c, "/b", 8)
-	if g.readmittedCount() != 0 {
-		t.Fatalf("full budget must deny readmit, got %d", g.readmittedCount())
+	if st.ReadmittedBlocks() != 0 {
+		t.Fatalf("full budget must deny readmit, got %d", st.ReadmittedBlocks())
 	}
 	checkPairs(t, c, "/a", 8)
-	ledgerQuiescent(t, g)
+	ledgerQuiescent(t, st)
 	// Dropping the resident entry frees budget; the next read of /b
 	// promotes it back to memory.
 	if err := c.Drop("/a"); err != nil {
 		t.Fatal(err)
 	}
-	if g.residentBytes() != 0 || g.heldBytes() != 0 {
-		t.Fatalf("drop should drain: resident=%d held=%d", g.residentBytes(), g.heldBytes())
+	if st.ResidentBytes() != 0 || st.BudgetHeldBytes() != 0 {
+		t.Fatalf("drop should drain: resident=%d held=%d", st.ResidentBytes(), st.BudgetHeldBytes())
 	}
 	checkPairs(t, c, "/b", 8)
-	if g.readmittedCount() != 1 {
-		t.Fatalf("read should readmit into freed budget, got %d", g.readmittedCount())
+	if st.ReadmittedBlocks() != 1 {
+		t.Fatalf("read should readmit into freed budget, got %d", st.ReadmittedBlocks())
 	}
-	if g.residentBytes() != size {
-		t.Fatalf("readmitted entry not accounted: %d", g.residentBytes())
+	if st.ResidentBytes() != size {
+		t.Fatalf("readmitted entry not accounted: %d", st.ResidentBytes())
 	}
-	ledgerQuiescent(t, g)
+	ledgerQuiescent(t, st)
 	if stats.Get(sim.CacheSpilledEntries) != 1 || stats.Get(sim.CacheReadmittedEntries) != 1 {
 		t.Fatalf("stats: spilled=%d readmitted=%d", stats.Get(sim.CacheSpilledEntries), stats.Get(sim.CacheReadmittedEntries))
 	}
@@ -138,32 +150,32 @@ func TestCacheBudgetOverflowSpillsAndServes(t *testing.T) {
 // larger cold resident instead of spilling itself.
 func TestCacheBudgetEvictsLargestFirst(t *testing.T) {
 	big := entrySize(t, 32)
-	c, g, _ := newBudgetedCache(t, 1, big)
+	c, st, _ := newBudgetedCache(t, 1, big)
 	writeOutput(t, c, 0, "/big", 32)
 	writeOutput(t, c, 0, "/small", 4)
-	if g.spilledCount() != 1 {
-		t.Fatalf("the big entry should have been evicted: spilled=%d", g.spilledCount())
+	if st.SpilledBlocks() != 1 {
+		t.Fatalf("the big entry should have been evicted: spilled=%d", st.SpilledBlocks())
 	}
-	small := g.residentBytes()
+	small := st.ResidentBytes()
 	if small <= 0 || small >= big {
 		t.Fatalf("the small newcomer should be resident: resident=%d big=%d", small, big)
 	}
-	ledgerQuiescent(t, g)
+	ledgerQuiescent(t, st)
 	// Both entries read back intact, evicted or not.
 	checkPairs(t, c, "/big", 32)
 	checkPairs(t, c, "/small", 4)
-	ledgerQuiescent(t, g)
+	ledgerQuiescent(t, st)
 }
 
 // TestCacheBudgetSplitEntries: input-split entries go through the same
 // admission, spill on overflow, and survive byte-identically.
 func TestCacheBudgetSplitEntries(t *testing.T) {
-	c, g, _ := newBudgetedCache(t, 2, 1) // admits nothing
+	c, st, _ := newBudgetedCache(t, 2, 1) // admits nothing
 	if err := c.PutSplit(1, "/data/f:0+100", somePairs(6)); err != nil {
 		t.Fatal(err)
 	}
-	if g.spilledCount() != 1 || g.residentBytes() != 0 {
-		t.Fatalf("split entry should spill under a full budget: spilled=%d resident=%d", g.spilledCount(), g.residentBytes())
+	if st.SpilledBlocks() != 1 || st.ResidentBytes() != 0 {
+		t.Fatalf("split entry should spill under a full budget: spilled=%d resident=%d", st.SpilledBlocks(), st.ResidentBytes())
 	}
 	ranges, ok, err := c.LookupSplit("/data/f:0+100", nil)
 	if err != nil || !ok {
@@ -173,29 +185,24 @@ func TestCacheBudgetSplitEntries(t *testing.T) {
 	if err != nil || len(pairs) != 6 {
 		t.Fatalf("read spilled split: n=%d err=%v", len(pairs), err)
 	}
-	ledgerQuiescent(t, g)
+	ledgerQuiescent(t, st)
 }
 
-// TestCacheGovernorCloseDrains: closing the governor returns every cache
-// reservation and removes the spill directory.
-func TestCacheGovernorCloseDrains(t *testing.T) {
+// TestCacheBudgetDropDrains: dropping the store's budget returns every
+// cache reservation and removes the spill directory.
+func TestCacheBudgetDropDrains(t *testing.T) {
 	size := entrySize(t, 8)
+	t.Setenv("TMPDIR", t.TempDir())
 	c, _ := newTestCache(1)
-	stats := sim.NewStats()
 	pool := engine.NewBudgetPool(size)
-	budgets := []*engine.JobBudget{pool.Job(cacheTag, 0)}
-	g := newCacheGovernor(stats, c.Store(), budgets, spill.CodecNone)
-	c.Store().SetResidency(g)
+	c.Store().SetBudget([]*engine.JobBudget{pool.Job(cacheTag, 0)}, spill.CodecNone)
 	writeOutput(t, c, 0, "/a", 8)
 	writeOutput(t, c, 0, "/b", 8) // spills, populating the spill dir
-	g.dirMu.Lock()
-	dir := g.dir
-	g.dirMu.Unlock()
+	dir := cacheSpillDir(t)
 	if dir == "" {
 		t.Fatal("spill dir not created")
 	}
-	c.Store().SetResidency(nil)
-	g.close()
+	c.Store().DropBudget()
 	if pool.Held() != 0 {
 		t.Fatalf("close must drain the pool, held=%d", pool.Held())
 	}
@@ -209,10 +216,10 @@ func TestCacheGovernorCloseDrains(t *testing.T) {
 // block whose file is gone) must surface as an error, not as "not cached" —
 // while a genuine miss stays ok=false with no error.
 func TestPathPairsDistinguishesErrorFromMiss(t *testing.T) {
-	c, g, _ := newBudgetedCache(t, 1, 1) // everything spills
+	c, st, _ := newBudgetedCache(t, 1, 1) // everything spills
 	writeOutput(t, c, 0, "/o/f", 5)
-	if g.spilledCount() != 1 {
-		t.Fatalf("entry should have spilled: %d", g.spilledCount())
+	if st.SpilledBlocks() != 1 {
+		t.Fatalf("entry should have spilled: %d", st.SpilledBlocks())
 	}
 	// A miss is not an error.
 	if _, ok, err := c.PathPairs("/no/such"); ok || err != nil {
@@ -220,9 +227,7 @@ func TestPathPairsDistinguishesErrorFromMiss(t *testing.T) {
 	}
 	// Destroy the spilled image and read: the entry IS cached, the read
 	// fails — the caller must see the failure, not a miss.
-	g.dirMu.Lock()
-	dir := g.dir
-	g.dirMu.Unlock()
+	dir := cacheSpillDir(t)
 	ents, err := os.ReadDir(dir)
 	if err != nil || len(ents) == 0 {
 		t.Fatalf("spill dir: %v entries=%d", err, len(ents))
@@ -240,20 +245,15 @@ func TestPathPairsDistinguishesErrorFromMiss(t *testing.T) {
 // TestGetCacheRecordReaderPropagatesReadError: the CacheFS query surfaces
 // PathPairs' new error return instead of reporting "not cached".
 func TestGetCacheRecordReaderPropagatesReadError(t *testing.T) {
-	c, rt := newTestCache(1)
-	budgets := []*engine.JobBudget{engine.NewBudgetPool(1).Job(cacheTag, 0)}
-	g := newCacheGovernor(sim.NewStats(), c.Store(), budgets, spill.CodecNone)
-	c.Store().SetResidency(g)
-	t.Cleanup(func() { c.Store().SetResidency(nil); g.close() })
+	c, _, _ := newBudgetedCache(t, 1, 1)
+	rt := c.rt
 	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir(), Hosts: []string{"node0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfs := NewCachingFileSystem(backing, c, rt)
 	writeOutput(t, c, 0, "/o/f", 5)
-	g.dirMu.Lock()
-	os.RemoveAll(g.dir)
-	g.dirMu.Unlock()
+	os.RemoveAll(cacheSpillDir(t))
 	if _, ok, err := cfs.GetCacheRecordReader("/o/f"); err == nil {
 		t.Fatalf("broken read must error, got ok=%v", ok)
 	}
@@ -399,7 +399,7 @@ func TestCacheRenameOntoExisting(t *testing.T) {
 // budget ledger.
 func TestOutputWriterAbortRacingClose(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		c, g, _ := newBudgetedCache(t, 1, 1<<20)
+		c, st, _ := newBudgetedCache(t, 1, 1<<20)
 		w, err := c.NewOutputWriter(0, "/race", true)
 		if err != nil {
 			t.Fatal(err)
@@ -421,10 +421,9 @@ func TestOutputWriterAbortRacingClose(t *testing.T) {
 		if err := c.Drop("/race"); err != nil {
 			t.Fatal(err)
 		}
-		if g.heldBytes() != 0 || g.residentBytes() != 0 {
-			t.Fatalf("iteration %d: held=%d resident=%d after drop", i, g.heldBytes(), g.residentBytes())
+		if st.BudgetHeldBytes() != 0 || st.ResidentBytes() != 0 {
+			t.Fatalf("iteration %d: held=%d resident=%d after drop", i, st.BudgetHeldBytes(), st.ResidentBytes())
 		}
-		c.Store().SetResidency(nil)
-		g.close()
+		st.DropBudget()
 	}
 }

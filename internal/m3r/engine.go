@@ -67,13 +67,15 @@ type Engine struct {
 	// every budgeted job of the sequence and the budgeted cache through
 	// tagged reservations.
 	pools []*engine.BudgetPool
-
-	// cacheGov, when non-nil, is the budgeted cache's admission/eviction
-	// governor (Options.CacheBudgetBytes / conf.KeyM3RCacheBudget),
-	// installed as the kvstore's residency hook. Nil means the unbounded
-	// in-memory cache, the paper's design point.
-	cacheGov *cacheGovernor
 }
+
+// cacheTag is the pool tag the budgeted cache's blocks are charged under
+// (Options.CacheBudgetBytes / conf.KeyM3RCacheBudget; without one, the
+// cache is the unbounded in-memory store, the paper's design point).
+// Unlike job tags it is engine-lifetime: entries outlive the jobs that
+// wrote them, so the tag's held bytes drain only as entries are dropped,
+// spilled, or the engine closes — never at a job boundary.
+const cacheTag = "m3r-cache"
 
 // New creates an M3R engine over opts.Places simulated places.
 func New(opts Options) (*Engine, error) {
@@ -117,7 +119,6 @@ func New(opts Options) (*Engine, error) {
 	for p := range pools {
 		pools[p] = engine.NewBudgetPool(limit)
 	}
-	var gov *cacheGovernor
 	if cacheBytes > 0 {
 		// Cache entries spill in the shared spill record format; they
 		// outlive jobs, so their codec is the engine-wide default, not a
@@ -133,8 +134,7 @@ func New(opts Options) (*Engine, error) {
 		for p := range budgets {
 			budgets[p] = pools[p].Job(cacheTag, cacheBytes)
 		}
-		gov = newCacheGovernor(stats, cache.Store(), budgets, codec)
-		cache.Store().SetResidency(gov)
+		cache.Store().SetBudget(budgets, codec)
 	}
 	return &Engine{
 		// Jobs see — and commit through — the caching filesystem; a temporary
@@ -146,7 +146,6 @@ func New(opts Options) (*Engine, error) {
 		cost:     cost,
 		fallback: opts.Fallback,
 		pools:    pools,
-		cacheGov: gov,
 	}, nil
 }
 
@@ -204,52 +203,28 @@ func (e *Engine) ShufflePoolHeldBytes() int64 {
 // CacheResidentBytes — the ledger invariant the accounting tests pin after
 // every job, success and failure alike — and it drains to zero as entries
 // are dropped or the engine closes.
-func (e *Engine) CachePoolHeldBytes() int64 {
-	if e.cacheGov == nil {
-		return 0
-	}
-	return e.cacheGov.heldBytes()
-}
+func (e *Engine) CachePoolHeldBytes() int64 { return e.cache.store.BudgetHeldBytes() }
 
 // CacheResidentBytes returns the bytes of cache blocks currently resident
 // under the cache budget (0 when unbudgeted).
-func (e *Engine) CacheResidentBytes() int64 {
-	if e.cacheGov == nil {
-		return 0
-	}
-	return e.cacheGov.residentBytes()
-}
+func (e *Engine) CacheResidentBytes() int64 { return e.cache.store.ResidentBytes() }
 
 // CacheSpilledEntries returns the cumulative count of cache blocks the
 // budget moved to disk (evictions and commit-time overflow).
-func (e *Engine) CacheSpilledEntries() int64 {
-	if e.cacheGov == nil {
-		return 0
-	}
-	return e.cacheGov.spilledCount()
-}
+func (e *Engine) CacheSpilledEntries() int64 { return e.cache.store.SpilledBlocks() }
 
 // CacheReadmittedEntries returns the cumulative count of spilled cache
 // blocks promoted back to memory by a later read.
-func (e *Engine) CacheReadmittedEntries() int64 {
-	if e.cacheGov == nil {
-		return 0
-	}
-	return e.cacheGov.readmittedCount()
-}
+func (e *Engine) CacheReadmittedEntries() int64 { return e.cache.store.ReadmittedBlocks() }
 
-// Close implements engine.Engine.
+// Close implements engine.Engine. The cache budget goes first, so nothing
+// spills or readmits during teardown: every cache reservation drains and
+// the cache spill directory is removed.
 func (e *Engine) Close() error {
 	if !e.host.Shut() {
 		return nil
 	}
-	if e.cacheGov != nil {
-		// Detach the hook first so nothing spills or readmits during
-		// teardown, then drain every cache reservation and remove the
-		// cache spill directory.
-		e.cache.Store().SetResidency(nil)
-		e.cacheGov.close()
-	}
+	e.cache.store.DropBudget()
 	dfs.DropInstance(e.host.FSID)
 	return e.rt.Close()
 }

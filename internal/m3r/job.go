@@ -74,13 +74,11 @@ func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
 		dedup:         job.GetBool(conf.KeyM3RDedup, true),
 		shuffleBudget: job.GetInt64(conf.KeyM3RShuffleBudget, 0),
 	}
-	// Budgeted-cache tiering counters are per-job deltas of the governor's
+	// Budgeted-cache tiering counters are per-job deltas of the store's
 	// engine-lifetime totals; snapshot before planning (a cache lookup can
 	// already readmit a spilled entry).
-	if e.cacheGov != nil {
-		x.cacheSpilled0 = e.cacheGov.spilledCount()
-		x.cacheReadmitted0 = e.cacheGov.readmittedCount()
-	}
+	x.cacheSpilled0 = e.cache.store.SpilledBlocks()
+	x.cacheReadmitted0 = e.cache.store.ReadmittedBlocks()
 	// Budget admission: a job with a positive per-job key is budgeted, capped
 	// within the engine pool; one without the key is budgeted when the pool
 	// has a limit; an explicit non-positive key opts the job out.
@@ -103,13 +101,13 @@ func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
 // countCacheTiering reports a committed job's share of the budgeted cache's
 // tiering in its counters.
 func (x *jobExec) countCacheTiering() {
-	gov := x.e.cacheGov
-	if gov == nil {
+	st := x.e.cache.store
+	if !st.Budgeted() {
 		return
 	}
-	x.Counters.Find(counters.M3RGroup, counters.CacheResidentBytes).SetValue(gov.residentBytes())
-	x.Counters.Find(counters.M3RGroup, counters.CacheSpilledEntries).SetValue(gov.spilledCount() - x.cacheSpilled0)
-	x.Counters.Find(counters.M3RGroup, counters.CacheReadmittedEntries).SetValue(gov.readmittedCount() - x.cacheReadmitted0)
+	x.Counters.Find(counters.M3RGroup, counters.CacheResidentBytes).SetValue(st.ResidentBytes())
+	x.Counters.Find(counters.M3RGroup, counters.CacheSpilledEntries).SetValue(st.SpilledBlocks() - x.cacheSpilled0)
+	x.Counters.Find(counters.M3RGroup, counters.CacheReadmittedEntries).SetValue(st.ReadmittedBlocks() - x.cacheReadmitted0)
 }
 
 // rollback undoes a job that failed, in any phase or at its commit. The
@@ -156,7 +154,7 @@ type jobExec struct {
 	e *Engine
 	*engine.Job
 
-	// Admission (newJobExec) and the report: the cache governor's totals at
+	// Admission (newJobExec) and the report: the cache store's totals at
 	// admission make the job's tiering counters deltas.
 	cacheSpilled0, cacheReadmitted0 int64
 

@@ -284,15 +284,15 @@ func TestEngineBudgetDefaults(t *testing.T) {
 	}
 	env := conf.KeyM3REngineShuffleBudget + "=4096 " + conf.KeyM3RCacheBudget + "=8192"
 	for _, tc := range []struct {
-		name, env     string
-		opt           int64
-		wantPool      int64 // 0 = an unlimited pool
-		wantCacheGov  bool
-		wantErrNaming []string
+		name, env       string
+		opt             int64
+		wantPool        int64 // 0 = an unlimited pool
+		wantCacheBudget bool
+		wantErrNaming   []string
 	}{
 		{name: "bare", wantPool: 0},
-		{name: "carrier", env: env, wantPool: 4096, wantCacheGov: true},
-		{name: "option beats carrier", env: env, opt: 1024, wantPool: 1024, wantCacheGov: true},
+		{name: "carrier", env: env, wantPool: 4096, wantCacheBudget: true},
+		{name: "option beats carrier", env: env, opt: 1024, wantPool: 1024, wantCacheBudget: true},
 		{name: "negative forces none", env: env, opt: -1},
 		{name: "non-integer budget", env: conf.KeyM3REngineShuffleBudget + "=64k",
 			wantErrNaming: []string{conf.KeyM3REngineShuffleBudget, `"64k"`}},
@@ -326,8 +326,8 @@ func TestEngineBudgetDefaults(t *testing.T) {
 			if pool != tc.wantPool {
 				t.Errorf("pool limit %d, want %d", pool, tc.wantPool)
 			}
-			if got := e.cacheGov != nil; got != tc.wantCacheGov {
-				t.Errorf("cache governor present = %v, want %v", got, tc.wantCacheGov)
+			if got := e.cache.store.Budgeted(); got != tc.wantCacheBudget {
+				t.Errorf("cache budget present = %v, want %v", got, tc.wantCacheBudget)
 			}
 		})
 	}

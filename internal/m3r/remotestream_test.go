@@ -65,6 +65,51 @@ func remoteCollector(t *testing.T, tr x10.Transport, n int) (*shuffleCollector, 
 	return sc, x
 }
 
+// TestUnbudgetedShuffleRemembersEveryObject pins the identity rule of the
+// unbudgeted remote shuffle, whose destination decodes objects: with
+// m3r.shuffle.dedup on, the encoder remembers every object of an immutable
+// map side, however small, so one key object delivered n times crosses once
+// and then as n−1 back-references, and the destination decodes all n as one
+// aliased object. Forgetting objects under some size would decode a fresh
+// key per pair — an allocation per record on shuffle_remote, whose mapper
+// emits one IntWritable key object for every remote pair. With dedup off,
+// every pair brings its own key.
+func TestUnbudgetedShuffleRemembersEveryObject(t *testing.T) {
+	const n = 100
+	for _, dedup := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dedup=%v", dedup), func(t *testing.T) {
+			x := newRemoteExec(t, &tamperTransport{tamper: func(_ int, f []byte) []byte { return f }})
+			x.dedup = dedup
+			sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(x.Conf, "task", nil))
+			key := types.NewText("k")
+			for i := 0; i < n; i++ {
+				if err := sc.deliver(1, key, types.NewInt(int32(i)), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sc.flush(); err != nil {
+				t.Fatal(err)
+			}
+			pairs := x.parts[1].runs[0].pairs
+			if len(pairs) != n {
+				t.Fatalf("%d pairs installed, want %d", len(pairs), n)
+			}
+			keys := map[wio.Writable]bool{}
+			for _, p := range pairs {
+				keys[p.Key] = true
+			}
+			hits := sc.ctx.Counters.Value(counters.M3RGroup, counters.DedupHits)
+			wantKeys, wantHits := 1, int64(n-1)
+			if !dedup {
+				wantKeys, wantHits = n, 0
+			}
+			if len(keys) != wantKeys || hits != wantHits {
+				t.Fatalf("%d distinct key objects and %d DEDUP_HITS, want %d and %d", len(keys), hits, wantKeys, wantHits)
+			}
+		})
+	}
+}
+
 // TestShuffleDecodeChecksTheEndOfTheStream: the decode loop at the
 // destination takes exactly the pairs the map task counted and then requires
 // the stream to end — marker next, nothing after it. Each way a frame can
