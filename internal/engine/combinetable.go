@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"m3r/internal/counters"
 	"m3r/internal/wio"
@@ -32,6 +33,12 @@ const combineFoldAt = 64
 // allocation per distinct key and a regrowth per doubling. Indexes into
 // slots' entries and into nodes are stored plus one, 0 meaning none.
 //
+// The slots, entries and nodes outlive the table: a table takes them from a
+// package pool and a successful Drain clears them — no key, value or slot
+// left — and gives them back, so the many tables of a job's map tasks stop
+// regrowing them from empty. Arrays past maxArenaLen are left to the
+// collector, and so are a failed drain's.
+//
 // A table belongs to one map task and is not safe for concurrent use.
 type CombineTable struct {
 	rj  *ResolvedJob
@@ -39,11 +46,9 @@ type CombineTable struct {
 	lc  *JobLifecycle
 	run ReduceRun
 
-	slots   []int32
-	shift   uint8 // 32 - log2(len(slots))
-	entries []combineEntry
-	nodes   []valueNode
-	free    int32
+	combineArena
+	box  *combineArena // what the arena came from and goes back to, or nil
+	free int32
 
 	// The fold in progress: its entry (0 outside a fold, when the combiner's
 	// Close may still emit), where its values iterator stands, and what the
@@ -69,12 +74,62 @@ type valueNode struct {
 	next  int32
 }
 
+// combineArena is a table's growable storage. A pooled one is empty: its
+// slots all zero, its entries and nodes of length 0 over cleared arrays.
+type combineArena struct {
+	slots   []int32
+	shift   uint8 // 32 - log2(len(slots))
+	entries []combineEntry
+	nodes   []valueNode
+}
+
+// maxArenaLen is the most entries or nodes an arena may hold and still be
+// pooled: a pool of outsized arrays would hold one job's peak for the next.
+const maxArenaLen = 1 << 16
+
+// arenaPool holds *combineArena. A sync.Pool, not a free list, so that the
+// collector empties it and an idle engine keeps no arena alive.
+var arenaPool sync.Pool
+
 // NewCombineTable returns an empty table over rj's combiner, configured,
 // for one partition of the map task ctx belongs to. lc may be nil.
 func NewCombineTable(rj *ResolvedJob, ctx *TaskContext, lc *JobLifecycle) *CombineTable {
+	box, _ := arenaPool.Get().(*combineArena)
+	return newCombineTable(rj, ctx, lc, box)
+}
+
+// newCombineTable builds the table on box's arena, or on a fresh one when
+// box is nil.
+func newCombineTable(rj *ResolvedJob, ctx *TaskContext, lc *JobLifecycle, box *combineArena) *CombineTable {
 	run := rj.NewCombineRun()
 	run.Configure(rj.Job)
-	return &CombineTable{rj: rj, ctx: ctx, lc: lc, run: run, slots: make([]int32, 8), shift: 32 - 3}
+	t := &CombineTable{rj: rj, ctx: ctx, lc: lc, run: run, box: box}
+	if box != nil {
+		t.combineArena, *box = *box, combineArena{}
+	} else {
+		t.slots, t.shift = make([]int32, 8), 32-3
+	}
+	return t
+}
+
+// takeArena detaches the table's arena, cleared, in its box; nil when the
+// arena is past maxArenaLen. The table holds no storage afterwards.
+func (t *CombineTable) takeArena() *combineArena {
+	a := t.combineArena
+	t.combineArena = combineArena{}
+	if len(a.entries) > maxArenaLen || len(a.nodes) > maxArenaLen {
+		return nil
+	}
+	clear(a.slots)
+	clear(a.entries)
+	clear(a.nodes)
+	a.entries, a.nodes = a.entries[:0], a.nodes[:0]
+	box := t.box
+	if box == nil {
+		box = new(combineArena)
+	}
+	*box = a
+	return box
 }
 
 // probe returns the slot holding key's entry, or the empty slot where it
@@ -210,6 +265,18 @@ func (c *tableCollector) Collect(key, value wio.Writable) error {
 // combined pairs sorted by key: what Combine returns for the pairs that were
 // added, in the order they were added. The table must not be used again.
 func (t *CombineTable) Drain() ([]wio.Pair, error) {
+	out, err := t.drain()
+	if err != nil {
+		return nil, err
+	}
+	if a := t.takeArena(); a != nil {
+		arenaPool.Put(a)
+	}
+	return out, nil
+}
+
+// drain is Drain up to giving the arena back.
+func (t *CombineTable) drain() ([]wio.Pair, error) {
 	total := 0
 	for i := range t.entries {
 		if err := t.lc.Err(); err != nil {

@@ -147,13 +147,23 @@ func combinerJob(t testing.TB, name string, newAPI, ints bool) *engine.ResolvedJ
 	return rj
 }
 
-// checkTableAgainstCombine adds pairs to a table — through one reused,
-// mutated key and value object when reuse is set, as an unmarked mapper
-// collects — and holds Drain to what Combine makes of the same pairs.
+// checkTableAgainstCombine adds pairs to a table and holds Drain to what
+// Combine makes of the same pairs.
 func checkTableAgainstCombine(t *testing.T, rj *engine.ResolvedJob, pairs []wio.Pair, reuse bool) {
 	t.Helper()
-	ctx := engine.NewTaskContext(rj.Job, "table", nil)
-	table := engine.NewCombineTable(rj, ctx, nil)
+	table := engine.NewCombineTable(rj, engine.NewTaskContext(rj.Job, "table", nil), nil)
+	addPairs(t, table, pairs, reuse)
+	got, err := table.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstCombine(t, rj, got, pairs)
+}
+
+// addPairs adds pairs to a table, through one reused, mutated key and value
+// object when reuse is set, as an unmarked mapper collects.
+func addPairs(t *testing.T, table *engine.CombineTable, pairs []wio.Pair, reuse bool) {
+	t.Helper()
 	key, value := &types.Text{}, wio.Writable(nil)
 	for _, p := range pairs {
 		k, v := p.Key, p.Value
@@ -175,10 +185,12 @@ func checkTableAgainstCombine(t *testing.T, rj *engine.ResolvedJob, pairs []wio.
 			t.Fatal(err)
 		}
 	}
-	got, err := table.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// checkAgainstCombine holds what a table drained to what Combine makes of
+// the pairs that were added to it.
+func checkAgainstCombine(t *testing.T, rj *engine.ResolvedJob, got, pairs []wio.Pair) {
+	t.Helper()
 	want, err := engine.Combine(rj, slices.Clone(pairs), engine.NewTaskContext(rj.Job, "combine", nil))
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +224,8 @@ func tablePairs(data []byte, nkeys int, ints bool) []wio.Pair {
 // FuzzCombineTable: random key sequences through a combiner of the set, by
 // way of the table and by way of Combine. data[0] picks the combiner, data[1]
 // the number of distinct keys (1 to 64) and whether the objects are reused.
+// The same input then goes through the next combiner of the set on the
+// first table's arena, so that every input is drained by a recycled one.
 func FuzzCombineTable(f *testing.F) {
 	for c := range tableCombiners {
 		f.Add([]byte{byte(c), 3, 1, 2, 1, 1, 3})
@@ -225,10 +239,79 @@ func FuzzCombineTable(f *testing.F) {
 		if len(data) < 2 || len(data) > 1<<13 {
 			return
 		}
-		c := tableCombiners[int(data[0])%len(tableCombiners)]
-		rj := combinerJob(t, c.name, c.newAPI, c.ints)
-		checkTableAgainstCombine(t, rj, tablePairs(data[2:], int(data[1]&0x3f)+1, c.ints), data[1]&0x80 != 0)
+		var arena *engine.CombineArena
+		for i := range 2 {
+			c := tableCombiners[(int(data[0])+i)%len(tableCombiners)]
+			rj := combinerJob(t, c.name, c.newAPI, c.ints)
+			pairs := tablePairs(data[2:], int(data[1]&0x3f)+1, c.ints)
+			table := engine.NewCombineTableOn(rj, engine.NewTaskContext(rj.Job, "table", nil), nil, arena)
+			addPairs(t, table, pairs, data[1]&0x80 != 0)
+			got, a, err := engine.DrainToArena(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstCombine(t, rj, got, pairs)
+			if a == nil || a.Pins() != 0 {
+				t.Fatalf("drain %d left an arena that cannot be pooled: %v", i, a)
+			}
+			arena = a
+		}
 	})
+}
+
+// TestCombineTableRecycledArena: a table that drained one job leaves an
+// arena that pins nothing, and a table of another job on that arena drains
+// what Combine returns; an arena past the cap is not pooled.
+func TestCombineTableRecycledArena(t *testing.T) {
+	// Text values under the order-keeping concatenation, 600 keys.
+	big := combinerJob(t, "test.combine.Concat", false, false)
+	bigPairs := make([]wio.Pair, 5000)
+	for i := range bigPairs {
+		bigPairs[i] = wio.Pair{Key: types.NewText(fmt.Sprintf("big%03d", i*7%600)), Value: types.NewText(strconv.Itoa(i) + ",")}
+	}
+	table := engine.NewCombineTableOn(big, engine.NewTaskContext(big.Job, "big", nil), nil, nil)
+	addPairs(t, table, bigPairs, true)
+	got, arena, err := engine.DrainToArena(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstCombine(t, big, got, bigPairs)
+	if arena == nil {
+		t.Fatal("a drained arena under the cap was not kept")
+	}
+	if n := arena.Pins(); n != 0 {
+		t.Fatalf("the kept arena holds %d keys, values, links or slots", n)
+	}
+	entries, nodes, entriesCap, nodesCap := arena.Lens()
+	if entries != 0 || nodes != 0 || entriesCap < 600 || nodesCap < 64 {
+		t.Fatalf("kept arena: %d/%d entries, %d/%d nodes; want empty over the first table's arrays",
+			entries, entriesCap, nodes, nodesCap)
+	}
+
+	// Int sums over 40 keys, fewer than the arena was sized for: its slots
+	// must read empty.
+	sum := combinerJob(t, "examples.WordCount$Reduce", false, true)
+	sumPairs := tablePairs(bytes.Repeat([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9}, 200), 40, true)
+	table = engine.NewCombineTableOn(sum, engine.NewTaskContext(sum.Job, "sum", nil), nil, arena)
+	addPairs(t, table, sumPairs, false)
+	if got, err = table.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstCombine(t, sum, got, sumPairs)
+
+	// One entry past the cap: the arena is the collector's.
+	drop := combinerJob(t, "test.combine.Drop", false, false)
+	table = engine.NewCombineTableOn(drop, engine.NewTaskContext(drop.Job, "drop", nil), nil, nil)
+	v := types.NewText("v")
+	for i := range engine.MaxArenaLen + 1 {
+		k := types.NewText(strconv.Itoa(i))
+		if err := table.Add(wio.HashCode(k), k, v, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, arena, err = engine.DrainToArena(table); err != nil || arena != nil {
+		t.Fatalf("an arena of %d entries was kept (err %v)", engine.MaxArenaLen+1, err)
+	}
 }
 
 // TestCombineTableRefusesRekeyingCombiner: what a fold emits must group

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,5 +140,64 @@ func TestFailedEvictionKeepsTheVictim(t *testing.T) {
 	}
 	if r.Len() != len(small) {
 		t.Fatalf("failed commit's block reads %d pairs, want %d", r.Len(), len(small))
+	}
+}
+
+// TestSpilledBlockLengthChecked: a spilled block decodes into exactly its
+// own pair count, and a file that holds another count — here the two
+// blocks' files swapped — is an error naming the file, never a short read
+// or another block's pairs.
+func TestSpilledBlockLengthChecked(t *testing.T) {
+	s, _ := budgetedStore(t, 1) // admits nothing: every block spills
+	a, _ := blockOf(4)
+	b, _ := blockOf(8)
+	if err := put(s, "/a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := put(s, "/b", b); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.SpilledBlocks(); n != 2 {
+		t.Fatalf("%d blocks spilled, want 2", n)
+	}
+	spillOf := func(path string) (BlockInfo, string) {
+		t.Helper()
+		info, ok := s.GetInfo(path)
+		if !ok || len(info.Blocks) != 1 {
+			t.Fatalf("%s: ok %v, %d blocks", path, ok, len(info.Blocks))
+		}
+		bd := s.data[0].m[info.Blocks[0]]
+		if bd == nil || bd.spill == nil {
+			t.Fatalf("%s is not spilled", path)
+		}
+		return info.Blocks[0], bd.spill.path
+	}
+	infoA, fileA := spillOf("/a")
+	infoB, fileB := spillOf("/b")
+	for path, want := range map[string]int{"/a": 4, "/b": 8} {
+		info, _ := spillOf(path)
+		r, err := s.CreateReader(0, path, info)
+		if err != nil || r.Len() != want || cap(r.Pairs()) != want {
+			t.Fatalf("%s before the swap: %d pairs of capacity %d, err %v; want %d", path, r.Len(), cap(r.Pairs()), err, want)
+		}
+	}
+
+	tmp := fileA + ".swap"
+	for _, mv := range [][2]string{{fileA, tmp}, {fileB, fileA}, {tmp, fileB}} {
+		if err := os.Rename(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		path, file string
+		info       BlockInfo
+	}{{"/a", fileA, infoA}, {"/b", fileB, infoB}} {
+		if r, err := s.CreateReader(0, c.path, c.info); err == nil || !strings.Contains(err.Error(), c.file) {
+			n := -1
+			if r != nil {
+				n = r.Len()
+			}
+			t.Errorf("%s over the other block's file: %d pairs, err %v; want an error naming %s", c.path, n, err, c.file)
+		}
 	}
 }

@@ -182,10 +182,13 @@ type blockData struct {
 
 // spilledBlock locates one block's on-disk image. The key/value class names
 // ride in memory (as with the shuffle's spilled runs) so a reader can
-// decode records back into fresh writables.
+// decode records back into fresh writables, and so does the pair count, so
+// that it decodes into a slice of the block's length and a file holding
+// another count is refused.
 type spilledBlock struct {
 	path               string
 	keyClass, valClass string
+	pairs              int
 }
 
 // dataTable is one place's block storage.
@@ -391,7 +394,7 @@ func (s *Store) spillBlock(b *budget, info BlockInfo) error {
 		return nil
 	}
 	bd.pairs = nil
-	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass}
+	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass, pairs: len(pairs)}
 	dt.mu.Unlock()
 	s.spilled.Add(1)
 	s.rt.Stats().Add(sim.CacheSpilledEntries, 1)
@@ -900,7 +903,8 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 }
 
 // decodeSpilledBlock reads a spilled block's records back into fresh
-// writables.
+// writables. A file of any other length than the block's is an error: the
+// block is never served short, or with another block's pairs.
 func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 	st, err := spill.OpenFile(sp.path)
 	if err != nil {
@@ -911,14 +915,14 @@ func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pairs []wio.Pair
+	pairs := make([]wio.Pair, 0, sp.pairs)
 	for {
 		rec, ok, err := st.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return pairs, nil
+			break
 		}
 		p, err := dec.Decode(rec)
 		if err != nil {
@@ -926,6 +930,10 @@ func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 		}
 		pairs = append(pairs, p)
 	}
+	if len(pairs) != sp.pairs {
+		return nil, fmt.Errorf("kvstore: spill file %s holds %d pairs, the block %d", sp.path, len(pairs), sp.pairs)
+	}
+	return pairs, nil
 }
 
 // Next returns the next pair, or ok=false at the end.

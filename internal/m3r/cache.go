@@ -183,9 +183,14 @@ func minI64(a, b int64) int64 {
 // ReadRanges materializes the pairs of the given ranges at place. Blocks
 // homed at place are aliased; remote blocks pay a real serialize/ship/
 // deserialize round trip (which partition stability exists to avoid).
+//
+// The result is for reading only. One range comes back as a view of the
+// block's own pairs, its capacity clipped to its length so that an append
+// copies; several are copied into one slice.
 func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, error) {
-	var out []wio.Pair
-	remote := false
+	var buf [4][]wio.Pair
+	parts := buf[:0]
+	remote, total := false, 0
 	for _, r := range ranges {
 		reader, err := c.store.CreateReader(place, r.Path, r.Block)
 		if err != nil {
@@ -203,8 +208,16 @@ func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, e
 		if from > to {
 			from = to
 		}
-		out = append(out, pairs[from:to]...)
+		parts = append(parts, pairs[from:to:to])
+		total += int(to - from)
 		remote = remote || reader.Remote
+	}
+	if len(parts) == 1 {
+		return parts[0], remote, nil
+	}
+	out := make([]wio.Pair, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
 	}
 	return out, remote, nil
 }

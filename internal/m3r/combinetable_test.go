@@ -27,10 +27,25 @@ import (
 
 // faultProbe is what a test shares with the combiners of its job.
 type faultProbe struct {
-	calls  atomic.Int64 // Reduce calls, over every task
-	at     int64        // the call that faults
-	fault  func() error // what it does: kill the job, return an error, panic
-	faulty atomic.Int64 // calls made after the fault
+	calls atomic.Int64 // Reduce calls, over every task
+	at    int64        // the call that faults
+	fault func() error // what it does: kill the job, return an error, panic
+	live  atomic.Int64 // combiners configured and not yet closed
+
+	// Once the fault has struck: how many combiners were live then, and
+	// how many calls began after it.
+	fired       atomic.Bool
+	liveAtFault atomic.Int64
+	faulty      atomic.Int64
+}
+
+// strike runs the fault, then records it, whether it returns or panics.
+func (p *faultProbe) strike() error {
+	defer func() {
+		p.liveAtFault.Store(p.live.Load())
+		p.fired.Store(true)
+	}()
+	return p.fault()
 }
 
 var (
@@ -47,16 +62,22 @@ type faultCombiner struct {
 func (c *faultCombiner) Configure(job *conf.JobConf) {
 	v, _ := faultProbes.Load(job.Get("test.fault.id"))
 	c.p = v.(*faultProbe)
+	c.p.live.Add(1)
+}
+
+func (c *faultCombiner) Close() error {
+	c.p.live.Add(-1)
+	return nil
 }
 
 func (c *faultCombiner) Reduce(key wio.Writable, values mapred.ValueIterator, out mapred.OutputCollector, r mapred.Reporter) error {
 	switch n := c.p.calls.Add(1); {
+	case c.p.fired.Load():
+		c.p.faulty.Add(1)
 	case n == c.p.at:
-		if err := c.p.fault(); err != nil {
+		if err := c.p.strike(); err != nil {
 			return err
 		}
-	case n > c.p.at:
-		c.p.faulty.Add(1)
 	}
 	return c.SumReducer.Reduce(key, values, out, r)
 }
@@ -91,7 +112,8 @@ func TestCombineTableFailurePaths(t *testing.T) {
 		at          int64
 		fault       func(lc *engine.JobLifecycle) error
 		want        func(err error) bool
-		// maxAfter bounds the combiner calls made after the fault.
+		// maxAfter bounds the combiner calls made after the fault; 0 bounds
+		// them by the combiners live when it struck.
 		maxAfter int64
 	}{
 		// The fold returns, the table is intact, and the Collect after it is
@@ -103,11 +125,12 @@ func TestCombineTableFailurePaths(t *testing.T) {
 		// Call 150 is in some task's drain, past its first partition, so
 		// that partition's pairs are already in a stream or a run. Each
 		// drain under way may finish the fold it is in, none starts another:
-		// without the poll every one of the 400 keys would be folded.
+		// without the poll every one of the 400 keys would be folded. A
+		// table's combiner is closed when its drain ends, so a call after
+		// the kill is one of a combiner live at it, and one each at most.
 		{name: "kill in a drain", input: "/in/cold", at: 150,
-			fault:    func(lc *engine.JobLifecycle) error { lc.Kill(engine.ErrJobKilled); return nil },
-			want:     func(err error) bool { return errors.Is(err, engine.ErrJobKilled) },
-			maxAfter: 8},
+			fault: func(lc *engine.JobLifecycle) error { lc.Kill(engine.ErrJobKilled); return nil },
+			want:  func(err error) bool { return errors.Is(err, engine.ErrJobKilled) }},
 		{name: "error in a fold", input: "/in/hot", at: 2,
 			fault: func(*engine.JobLifecycle) error { return errCombinerFault },
 			want: func(err error) bool {
@@ -137,9 +160,13 @@ func TestCombineTableFailurePaths(t *testing.T) {
 			if !tc.want(err) {
 				t.Fatalf("job error = %v", err)
 			}
-			if calls := p.calls.Load(); calls < tc.at || p.faulty.Load() > tc.maxAfter {
-				t.Errorf("%d combiner calls, %d of them after the fault at call %d; want at most %d after it",
-					calls, p.faulty.Load(), tc.at, tc.maxAfter)
+			maxAfter := tc.maxAfter
+			if maxAfter == 0 {
+				maxAfter = p.liveAtFault.Load()
+			}
+			if calls := p.calls.Load(); calls < tc.at || !p.fired.Load() || p.faulty.Load() > maxAfter {
+				t.Errorf("%d combiner calls, %d of them after the fault at call %d (%d combiners live at it); want at most %d after it",
+					calls, p.faulty.Load(), tc.at, p.liveAtFault.Load(), maxAfter)
 			}
 			assertSpillBaselines(t, e, streamBase, bufBase)
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {

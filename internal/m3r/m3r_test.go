@@ -110,6 +110,61 @@ func TestCacheOnlyPairSpaceRanges(t *testing.T) {
 	}
 }
 
+// TestReadRangesOneRangeIsAView: one range reads as the block's own pairs
+// with no spare capacity, so that what a caller appends lands in a copy;
+// two ranges read as a fresh slice.
+func TestReadRangesOneRangeIsAView(t *testing.T) {
+	c, _ := newTestCache(1)
+	for _, name := range []string{"/d/a:0+10", "/d/b:0+10"} {
+		if err := c.PutSplit(0, name, somePairs(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ranges []CachedRange
+	for _, name := range []string{"/d/a:0+10", "/d/b:0+10"} {
+		rs, ok, err := c.LookupSplit(name, nil)
+		if err != nil || !ok || len(rs) != 1 {
+			t.Fatalf("lookup %s: %+v ok=%v err=%v", name, rs, ok, err)
+		}
+		ranges = append(ranges, rs[0])
+	}
+	ranges[0].From, ranges[0].To = 3, 7
+	// blocksIntact: both blocks still hold keys 0 to 9.
+	blocksIntact := func(after string) {
+		t.Helper()
+		for _, r := range ranges {
+			reader, err := c.Store().CreateReader(0, r.Path, r.Block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range reader.Pairs() {
+				if p.Key.(*types.IntWritable).Get() != int32(i) {
+					t.Fatalf("after %s, %s's pair %d has key %v", after, r.Path, i, p.Key)
+				}
+			}
+		}
+	}
+
+	view, _, err := c.ReadRanges(0, ranges[:1])
+	if err != nil || len(view) != 4 || cap(view) != 4 || view[0].Key.(*types.IntWritable).Get() != 3 {
+		t.Fatalf("one-range read: len %d cap %d err %v, want keys 3 to 6 with no spare capacity", len(view), cap(view), err)
+	}
+	grown := append(view, wio.Pair{Key: types.NewInt(-1), Value: types.NewText("x")})
+	for i := range grown {
+		grown[i] = wio.Pair{Key: types.NewInt(-1), Value: types.NewText("x")}
+	}
+	blocksIntact("appending to a one-range read and overwriting the result")
+
+	both, _, err := c.ReadRanges(0, ranges)
+	if err != nil || len(both) != 14 {
+		t.Fatalf("two-range read: %d pairs, err %v; want 14", len(both), err)
+	}
+	for i := range both {
+		both[i] = wio.Pair{Key: types.NewInt(-1), Value: types.NewText("x")}
+	}
+	blocksIntact("overwriting a two-range read")
+}
+
 func TestCacheDropAndMove(t *testing.T) {
 	c, _ := newTestCache(2)
 	name := "/d/f:0+10"
