@@ -55,7 +55,7 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 	// pool would share the places' bytes with the cache budget under test.
 	base := newClusterPool(t, 3, -1) // unbounded cache
 	baseBits, _ := run(t, base)
-	if n := base.m3r.CacheSpilledEntries(); n != 0 {
+	if n := base.m3r.Cache().Store().SpilledBlocks(); n != 0 {
 		t.Fatalf("unbounded cache must not spill, spilled %d entries", n)
 	}
 
@@ -67,6 +67,7 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 	// temp drops free.
 	tight := newClusterCfg(t, 3, clusterConfig{poolBytes: -1, cacheBudget: 6 << 10})
 	tightBits, td := run(t, tight)
+	st := tight.m3r.Cache().Store()
 
 	if len(tightBits) != len(baseBits) {
 		t.Fatalf("budgeted run diverged: %d cells vs %d", len(tightBits), len(baseBits))
@@ -78,14 +79,14 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 		}
 	}
 	t.Logf("6 KiB cache budget: %d entries spilled, %d readmitted",
-		tight.m3r.CacheSpilledEntries(), tight.m3r.CacheReadmittedEntries())
-	if n := tight.m3r.CacheSpilledEntries(); n == 0 {
+		st.SpilledBlocks(), st.ReadmittedBlocks())
+	if n := st.SpilledBlocks(); n == 0 {
 		t.Error("6 KiB budget below the working set, but no entries spilled")
 	}
-	if n := tight.m3r.CacheReadmittedEntries(); n == 0 {
+	if n := st.ReadmittedBlocks(); n == 0 {
 		t.Error("temp drops free budget between iterations, but no entries readmitted")
 	}
-	if held, res := tight.m3r.CachePoolHeldBytes(), tight.m3r.CacheResidentBytes(); held != res {
+	if held, res := st.BudgetHeldBytes(), st.ResidentBytes(); held != res {
 		t.Errorf("cache ledger leak: pool holds %d bytes, %d resident", held, res)
 	}
 
@@ -97,13 +98,13 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 		spilled += rep.Counters.Value(counters.M3RGroup, counters.CacheSpilledEntries)
 		readmitted += rep.Counters.Value(counters.M3RGroup, counters.CacheReadmittedEntries)
 	}
-	if spilled != tight.m3r.CacheSpilledEntries() {
+	if spilled != st.SpilledBlocks() {
 		t.Errorf("per-job CACHE_SPILLED_ENTRIES sum to %d, engine total %d",
-			spilled, tight.m3r.CacheSpilledEntries())
+			spilled, st.SpilledBlocks())
 	}
-	if readmitted != tight.m3r.CacheReadmittedEntries() {
+	if readmitted != st.ReadmittedBlocks() {
 		t.Errorf("per-job CACHE_READMITTED_ENTRIES sum to %d, engine total %d",
-			readmitted, tight.m3r.CacheReadmittedEntries())
+			readmitted, st.ReadmittedBlocks())
 	}
 	// The gauge is a job-end snapshot: the driver drops temp outputs after
 	// each job returns, so it need not equal the engine's current value —
@@ -131,7 +132,8 @@ func TestFailedJobDrainsCacheReservations(t *testing.T) {
 	if _, err := c.m3r.Submit(wordcount.NewJob("/data/cachefail", "/out/wc1", 2, false)); err != nil {
 		t.Fatalf("seed job: %v", err)
 	}
-	held0, res0 := c.m3r.CachePoolHeldBytes(), c.m3r.CacheResidentBytes()
+	st := c.m3r.Cache().Store()
+	held0, res0 := st.BudgetHeldBytes(), st.ResidentBytes()
 	if held0 == 0 || held0 != res0 {
 		t.Fatalf("seed job should leave a clean resident cache: held=%d resident=%d", held0, res0)
 	}
@@ -144,7 +146,7 @@ func TestFailedJobDrainsCacheReservations(t *testing.T) {
 	if _, err := c.m3r.Submit(fail); err == nil {
 		t.Fatal("job with failing reducer should fail")
 	}
-	if held, res := c.m3r.CachePoolHeldBytes(), c.m3r.CacheResidentBytes(); held != held0 || res != res0 {
+	if held, res := st.BudgetHeldBytes(), st.ResidentBytes(); held != held0 || res != res0 {
 		t.Fatalf("failed job leaked cache budget: held %d->%d resident %d->%d",
 			held0, held, res0, res)
 	}

@@ -11,14 +11,21 @@
 // reading it from another place pays a real serialize/ship/deserialize
 // round trip through the x10 transport.
 //
+// The namespace is a tree: every entry but the root has a directory entry
+// as its parent. The store keeps it so itself, as HDFS does, by making the
+// missing parents of a path it writes or renames onto; a file never has
+// children.
+//
 // Locking follows the paper's protocol: each table entry is swapped for a
 // lock entry on acquisition — one shared sentinel, so an uncontended lock
 // allocates nothing — upgraded to a heavier-weight monitor (here: a queue
-// of wait channels) only when a second acquirer arrives. Single-path
-// operations take their one entry lock; multi-path operations (Rename, and
-// Mkdirs down its ancestors) use two-phase locking and acquire the least
-// common ancestor of the involved paths first, which (with a total order on
-// siblings) makes deadlock impossible.
+// of wait channels) only when a second acquirer arrives. Read-only and
+// removing single-path operations take their one entry lock; a write holds
+// its parent's lock too, so the parent cannot go while the entry is made.
+// Multi-path operations (Rename, and Mkdirs down its ancestors) use
+// two-phase locking and acquire the least common ancestor of the involved
+// paths first, then the rest in lexicographic order, in which an ancestor
+// precedes its descendants; with that total order deadlock is impossible.
 //
 // A store may take a cache budget (SetBudget): per place, a reservation
 // view on the place's engine.BudgetPool. The store then owns its blocks'
@@ -57,13 +64,14 @@ import (
 )
 
 // BlockInfo identifies one block of a path: the place that stores its data,
-// a store-assigned sequence number, and a caller-supplied tag. It is the
-// "metadata" of Fig. 5 — comparable with ==, as the paper requires a
-// "reasonable equals method".
+// a store-assigned sequence number, a caller-supplied tag, and the number of
+// pairs the block holds. It is the "metadata" of Fig. 5 — comparable with
+// ==, as the paper requires a "reasonable equals method".
 type BlockInfo struct {
 	Place int
 	Seq   int64
 	Tag   string
+	Pairs int64
 }
 
 // PathInfo describes a path in the store.
@@ -182,13 +190,10 @@ type blockData struct {
 
 // spilledBlock locates one block's on-disk image. The key/value class names
 // ride in memory (as with the shuffle's spilled runs) so a reader can
-// decode records back into fresh writables, and so does the pair count, so
-// that it decodes into a slice of the block's length and a file holding
-// another count is refused.
+// decode records back into fresh writables.
 type spilledBlock struct {
 	path               string
 	keyClass, valClass string
-	pairs              int
 }
 
 // dataTable is one place's block storage.
@@ -394,7 +399,7 @@ func (s *Store) spillBlock(b *budget, info BlockInfo) error {
 		return nil
 	}
 	bd.pairs = nil
-	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass, pairs: len(pairs)}
+	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass}
 	dt.mu.Unlock()
 	s.spilled.Add(1)
 	s.rt.Stats().Add(sim.CacheSpilledEntries, 1)
@@ -431,30 +436,24 @@ func (s *Store) metaPlace(path string) int {
 
 func (s *Store) tableOf(path string) *table { return s.meta[s.metaPlace(path)] }
 
-// lockPair acquires the entry locks of a multi-path operation's two
-// distinct paths following the 2PL/LCA protocol: their least common
-// ancestor directory first, then the paths in lexicographic order (an
-// ancestor is a prefix of its descendants, so it sorts first). It returns
-// an unlock function releasing everything (two-phase: nothing is released
-// until the operation commits). Single-path operations take their one
-// entry lock directly.
-func (s *Store) lockPair(a, b string) func() {
-	if b < a {
-		a, b = b, a
+// lockRename acquires the entry locks of a rename of src onto dst
+// following the 2PL/LCA protocol: the paths' least common ancestor first,
+// then src, dst and dst's ancestors below the LCA — the ones the rename may
+// have to make — in lexicographic order (an ancestor is a prefix of its
+// descendants, so it sorts first, as in Mkdirs). It returns those
+// ancestors, deepest first, and the locks held.
+func (s *Store) lockRename(src, dst string) (parents, held []string) {
+	lca := commonAncestor(src, dst)
+	for a := parentOf(dst); len(a) > len(lca); a = parentOf(a) {
+		parents = append(parents, a)
 	}
-	order := []string{commonAncestor(a, b), a, b}
-	if order[0] == a {
-		order = order[1:]
-	}
-	for _, p := range order {
+	held = append([]string{lca, src, dst}, parents...)
+	slices.Sort(held)
+	held = slices.Compact(held)
+	for _, p := range held {
 		s.tableOf(p).acquire(p)
 	}
-	return func() {
-		for i := len(order) - 1; i >= 0; i-- {
-			p := order[i]
-			s.tableOf(p).release(p)
-		}
-	}
+	return parents, held
 }
 
 // commonAncestor returns the deepest directory that is an ancestor of both
@@ -474,32 +473,69 @@ func (s *Store) putMeta(path string, m *pathMeta) { s.tableOf(path).put(path, m)
 
 func (s *Store) delMeta(path string) { s.tableOf(path).del(path) }
 
-// Mkdirs creates path and missing ancestors. Locks are taken top-down along
-// the tree (each new lock's LCA with the held set is its parent, which is
-// held), satisfying the protocol. Every ancestor is a prefix of path, so
-// the walk allocates only the entries it creates.
+// Mkdirs creates path and missing ancestors.
 func (s *Store) Mkdirs(path string) error {
 	path = dfs.CleanPath(path)
-	deepest := ""
-	defer func() {
-		for a := deepest; a != ""; a = parentOf(a) {
-			s.tableOf(a).release(a)
-		}
-	}()
-	for end := 1; ; end = nextAncestorEnd(path, end) {
-		a := path[:end]
+	if err := s.lockDirs(path); err != nil {
+		return fmt.Errorf("kvstore: mkdirs %s: %w", path, err)
+	}
+	s.releaseUp(path, "/")
+	return nil
+}
+
+// lockDirs locks dir and its ancestors top-down from the root, making the
+// missing ones directories. Each new lock's LCA with the held set is its
+// parent, which is held, satisfying the protocol; every ancestor is a
+// prefix of dir, so the walk allocates only the entries it creates. On
+// success every lock from the root to dir is held; on an ancestor that is
+// a file, none is.
+func (s *Store) lockDirs(dir string) error {
+	for end := 1; ; end = nextAncestorEnd(dir, end) {
+		a := dir[:end]
 		t := s.tableOf(a)
 		t.acquire(a)
-		deepest = a
 		if m, ok := t.get(a); !ok {
 			t.put(a, &pathMeta{dir: true})
 		} else if !m.dir {
-			return fmt.Errorf("kvstore: mkdirs %s: %s is a file", path, a)
+			s.releaseUp(a, "/")
+			return fmt.Errorf("%s is a file", a)
 		}
-		if end == len(path) {
+		if end == len(dir) {
 			return nil
 		}
 	}
+}
+
+// releaseUp releases the entry locks of path and its ancestors up to top.
+func (s *Store) releaseUp(path, top string) {
+	for a := path; ; a = parentOf(a) {
+		s.tableOf(a).release(a)
+		if a == top {
+			return
+		}
+	}
+}
+
+// lockForWrite takes the entry lock of path, which a write may create,
+// after its parent's, so that the parent stays a directory until the write
+// commits; a missing parent is made under lockDirs. It returns the topmost
+// lock held — the parent, or the root after a make — for releaseUp.
+func (s *Store) lockForWrite(path string) (top string, err error) {
+	top = path
+	if path != "/" {
+		top = parentOf(path)
+		t := s.tableOf(top)
+		t.acquire(top)
+		if m, ok := t.get(top); !ok || !m.dir {
+			t.release(top)
+			if err := s.lockDirs(top); err != nil {
+				return "", err
+			}
+			top = "/"
+		}
+	}
+	s.tableOf(path).acquire(path)
+	return top, nil
 }
 
 // nextAncestorEnd returns where the ancestor of the canonical path p one
@@ -641,18 +677,32 @@ func (s *Store) Delete(path string) error {
 		return nil
 	}
 	if m.dir {
-		for _, p := range s.subtree(path) {
-			s.tableOf(p).acquire(p)
-			if dm, ok := s.getMeta(p); ok {
-				s.freeBlocks(dm.blocks)
-				s.delMeta(p)
-			}
-			s.tableOf(p).release(p)
-		}
+		s.drain(path, func(p string, dm *pathMeta) {
+			s.freeBlocks(dm.blocks)
+			s.delMeta(p)
+		})
 	}
 	s.freeBlocks(m.blocks)
 	t.del(path)
 	return nil
+}
+
+// drain calls fn, under each one's entry lock, on every strict descendant
+// of dir, and lists them again until none is left; fn takes the entry out
+// of dir's subtree. The caller holds dir's entry lock. An entry is made
+// only under its parent's lock, so one made under a directory of the
+// subtree after a listing is in the next.
+func (s *Store) drain(dir string, fn func(p string, m *pathMeta)) {
+	for ps := s.subtree(dir); len(ps) > 0; ps = s.subtree(dir) {
+		for _, p := range ps {
+			t := s.tableOf(p)
+			t.acquire(p)
+			if m, ok := t.get(p); ok {
+				fn(p, m)
+			}
+			t.release(p)
+		}
+	}
 }
 
 // freeBlocks removes block data, deletes any spilled images from disk, and
@@ -684,9 +734,13 @@ func (s *Store) freeBlocks(blocks []BlockInfo) {
 	}
 }
 
-// Rename moves path src (file or directory subtree) to dst (Fig. 5 rename).
-// Renaming a missing source is a no-op (see Delete). Block data does not
-// move: only metadata is rewritten, exactly as in the paper's store.
+// Rename moves path src (file or directory subtree) to dst (Fig. 5 rename),
+// making dst's missing parents. Renaming a missing source is a no-op (see
+// Delete) and makes nothing. Block data does not move: only metadata is
+// rewritten, exactly as in the paper's store. Each directory moved in
+// stays locked at its new path until the rename commits, so nothing is
+// written, moved or deleted under it before the rest of the subtree
+// arrives.
 func (s *Store) Rename(src, dst string) error {
 	src, dst = dfs.CleanPath(src), dfs.CleanPath(dst)
 	if src == dst {
@@ -695,25 +749,38 @@ func (s *Store) Rename(src, dst string) error {
 	if dfs.IsAncestor(src, dst) {
 		return fmt.Errorf("kvstore: rename %s into its own subtree %s", src, dst)
 	}
-	unlock := s.lockPair(src, dst)
-	defer unlock()
+	parents, held := s.lockRename(src, dst)
+	defer func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			s.tableOf(held[i]).release(held[i])
+		}
+	}()
 	m, ok := s.getMeta(src)
 	if !ok {
 		return nil
 	}
+	// An existing source's ancestors exist, so a destination that is one of
+	// them exists too.
 	if _, exists := s.getMeta(dst); exists {
 		return fmt.Errorf("kvstore: rename to %s: %w", dst, dfs.ErrExists)
 	}
-	if m.dir {
-		for _, p := range s.subtree(src) {
-			s.tableOf(p).acquire(p)
-			if dm, ok := s.getMeta(p); ok {
-				np := dst + strings.TrimPrefix(p, src)
-				s.putMeta(np, dm)
-				s.delMeta(p)
-			}
-			s.tableOf(p).release(p)
+	for i := len(parents) - 1; i >= 0; i-- {
+		if pm, ok := s.getMeta(parents[i]); !ok {
+			s.putMeta(parents[i], &pathMeta{dir: true})
+		} else if !pm.dir {
+			return fmt.Errorf("kvstore: rename to %s: %s is a file", dst, parents[i])
 		}
+	}
+	if m.dir {
+		s.drain(src, func(p string, dm *pathMeta) {
+			np := dst + strings.TrimPrefix(p, src)
+			if dm.dir {
+				s.tableOf(np).acquire(np)
+				held = append(held, np)
+			}
+			s.putMeta(np, dm)
+			s.delMeta(p)
+		})
 	}
 	s.putMeta(dst, m)
 	s.delMeta(src)
@@ -732,15 +799,19 @@ type Writer struct {
 
 // CreateWriter starts a new block of path whose data will live at place —
 // "the createWriter call will create a block at the place where it is
-// invoked" (§5.2). The path is created (as a file) if missing.
+// invoked" (§5.2). The path is created (as a file) if missing, and so are
+// its missing parents (as directories).
 func (s *Store) CreateWriter(place int, path, tag string) (*Writer, error) {
 	path = dfs.CleanPath(path)
 	if place < 0 || place >= len(s.data) {
 		return nil, fmt.Errorf("kvstore: no such place %d", place)
 	}
+	top, err := s.lockForWrite(path)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: createWriter %s: %w", path, err)
+	}
+	defer s.releaseUp(path, top)
 	t := s.tableOf(path)
-	t.acquire(path)
-	defer t.release(path)
 	m, ok := t.get(path)
 	if ok && m.dir {
 		return nil, fmt.Errorf("kvstore: createWriter %s: is a directory", path)
@@ -754,19 +825,17 @@ func (s *Store) CreateWriter(place int, path, tag string) (*Writer, error) {
 // Append buffers one pair into the block.
 func (w *Writer) Append(p wio.Pair) { w.pairs = append(w.pairs, p) }
 
-// SetTag replaces the block tag before Close (e.g. to record the final
-// pair count).
-func (w *Writer) SetTag(tag string) { w.tag = tag }
-
 // AppendAll buffers pairs into the block.
 func (w *Writer) AppendAll(ps []wio.Pair) { w.pairs = append(w.pairs, ps...) }
 
-// Close installs the block into the store. The pairs slice is retained:
-// local readers alias it. Under a budget, the block's accounting size is
-// computed (the record-format bytes it would occupy spilled — the cost
-// Hadoop always pays at collect time) and admitted under the path's entry
-// lock, so a concurrent Delete can never free the block before it is
-// charged; an admission error fails the Close.
+// Close installs the block into the store, recording its pair count in
+// its BlockInfo. The pairs slice is retained: local readers alias it. Under
+// a budget, the block's accounting size is computed (the record-format
+// bytes it would occupy spilled — the cost Hadoop always pays at collect
+// time) and admitted under the path's entry lock, so a concurrent Delete
+// can never free the block before it is charged; an admission error fails
+// the Close. A path that has become a directory since CreateWriter fails
+// it too, and nothing is installed.
 func (w *Writer) Close() (BlockInfo, error) {
 	if w.done {
 		return BlockInfo{}, fmt.Errorf("kvstore: writer for %s already closed", w.path)
@@ -774,7 +843,7 @@ func (w *Writer) Close() (BlockInfo, error) {
 	w.done = true
 	w.store.seqMu.Lock()
 	w.store.nextSeq++
-	info := BlockInfo{Place: w.place, Seq: w.store.nextSeq, Tag: w.tag}
+	info := BlockInfo{Place: w.place, Seq: w.store.nextSeq, Tag: w.tag, Pairs: int64(len(w.pairs))}
 	w.store.seqMu.Unlock()
 
 	b := w.store.budget.Load()
@@ -788,10 +857,16 @@ func (w *Writer) Close() (BlockInfo, error) {
 		}
 	}
 
+	top, err := w.store.lockForWrite(w.path)
+	if err != nil {
+		return BlockInfo{}, fmt.Errorf("kvstore: commit %s: %w", w.path, err)
+	}
+	defer w.store.releaseUp(w.path, top)
 	t := w.store.tableOf(w.path)
-	t.acquire(w.path)
-	defer t.release(w.path)
 	m, ok := t.get(w.path)
+	if ok && m.dir {
+		return BlockInfo{}, fmt.Errorf("kvstore: commit %s: is a directory", w.path)
+	}
 	if !ok {
 		// Deleted between CreateWriter and Close; recreate, matching the
 		// last-writer-wins semantics of a cache.
@@ -804,7 +879,7 @@ func (w *Writer) Close() (BlockInfo, error) {
 	dt.m[info] = bd
 	dt.mu.Unlock()
 	m.blocks = append(m.blocks, info)
-	m.pairs += int64(len(w.pairs))
+	m.pairs += info.Pairs
 	if size > 0 {
 		if err := w.store.admit(b, info, size); err != nil {
 			return BlockInfo{}, fmt.Errorf("kvstore: commit %s: %w", w.path, err)
@@ -881,7 +956,7 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 	}
 	sp := *bd.spill
 	dt.mu.Unlock()
-	pairs, err := decodeSpilledBlock(sp)
+	pairs, err := decodeSpilledBlock(sp, info.Pairs)
 	if err != nil {
 		return nil, fmt.Errorf("spilled block %+v: %w", info, err)
 	}
@@ -902,10 +977,10 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 	return pairs, nil
 }
 
-// decodeSpilledBlock reads a spilled block's records back into fresh
+// decodeSpilledBlock reads a spilled block of n pairs back into fresh
 // writables. A file of any other length than the block's is an error: the
 // block is never served short, or with another block's pairs.
-func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
+func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 	st, err := spill.OpenFile(sp.path)
 	if err != nil {
 		return nil, err
@@ -915,7 +990,7 @@ func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs := make([]wio.Pair, 0, sp.pairs)
+	pairs := make([]wio.Pair, 0, n)
 	for {
 		rec, ok, err := st.Next()
 		if err != nil {
@@ -930,8 +1005,8 @@ func decodeSpilledBlock(sp spilledBlock) ([]wio.Pair, error) {
 		}
 		pairs = append(pairs, p)
 	}
-	if len(pairs) != sp.pairs {
-		return nil, fmt.Errorf("kvstore: spill file %s holds %d pairs, the block %d", sp.path, len(pairs), sp.pairs)
+	if int64(len(pairs)) != n {
+		return nil, fmt.Errorf("kvstore: spill file %s holds %d pairs, the block %d", sp.path, len(pairs), n)
 	}
 	return pairs, nil
 }

@@ -1,10 +1,14 @@
 package kvstore_test
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"m3r/internal/dfs"
 	"m3r/internal/kvstore"
 	"m3r/internal/sim"
 	"m3r/internal/types"
@@ -94,8 +98,10 @@ func TestGetInfoAndAttrs(t *testing.T) {
 	if !ok || info.Pairs != 4 || len(info.Blocks) != 1 {
 		t.Fatalf("info: %+v ok=%v", info, ok)
 	}
-	// Parent dir was created implicitly by CreateWriter? No — only
-	// Mkdirs creates dirs; the file path itself exists.
+	// CreateWriter made the missing parent a directory.
+	if dir, ok := s.GetInfo("/dir"); !ok || !dir.Dir || len(s.Children("/dir")) != 1 {
+		t.Fatalf("parent of a new file: %+v ok=%v, children %v", dir, ok, s.Children("/dir"))
+	}
 	if err := s.SetAttr("/dir/f", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +218,84 @@ func TestRenameFileAndSubtree(t *testing.T) {
 	if err := s.Rename("/dst", "/other"); err == nil {
 		t.Error("rename onto existing path should fail")
 	}
-	// Rename of missing source is a no-op.
-	if err := s.Rename("/nope", "/whatever"); err != nil {
-		t.Errorf("rename missing: %v", err)
+	// Rename of missing source is a no-op, and makes no parents.
+	if err := s.Rename("/nope", "/whatever/x"); err != nil || s.Exists("/whatever") {
+		t.Errorf("rename missing: %v, destination parent made: %v", err, s.Exists("/whatever"))
+	}
+}
+
+// TestRenameOntoAncestorKeepsBlocksReachable: a rename makes its
+// destination's missing parents, so a file is never left under a missing
+// directory, and a later rename onto that directory finds it present
+// instead of replacing its entry. Both blocks stay listed and readable.
+func TestRenameOntoAncestorKeepsBlocksReachable(t *testing.T) {
+	s, _ := newStore(2)
+	write := func(path string, n int) kvstore.BlockInfo {
+		t.Helper()
+		w, err := s.CreateWriter(0, path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.AppendAll(pairsN(n))
+		info, err := w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	three := write("/a/y/z", 3)
+	if err := s.Rename("/a/y", "/x/y"); err != nil {
+		t.Fatal(err)
+	}
+	two := write("/x/z", 2)
+	if err := s.Rename("/x/y", "/x"); !errors.Is(err, dfs.ErrExists) {
+		t.Fatalf("rename of /x/y onto its parent /x: %v, want dfs.ErrExists", err)
+	}
+	for _, c := range []struct {
+		path  string
+		block kvstore.BlockInfo
+		pairs int
+	}{{"/x/y/z", three, 3}, {"/x/z", two, 2}} {
+		info, ok := s.GetInfo(c.path)
+		if !ok || len(info.Blocks) != 1 || info.Blocks[0] != c.block {
+			t.Fatalf("%s: %+v ok=%v, want its one block %+v", c.path, info, ok, c.block)
+		}
+		if r, err := s.CreateReader(0, c.path, c.block); err != nil || r.Len() != c.pairs {
+			t.Fatalf("%s: read err %v, want %d pairs", c.path, err, c.pairs)
+		}
+	}
+	if dir, ok := s.GetInfo("/x"); !ok || !dir.Dir {
+		t.Fatalf("/x: %+v ok=%v, want the directory the first rename made", dir, ok)
+	}
+	if err := s.CheckTree(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseOntoDirectoryFails: a writer whose path became a directory
+// after CreateWriter fails its Close with an error naming the path, and
+// installs nothing.
+func TestCloseOntoDirectoryFails(t *testing.T) {
+	s, _ := newStore(2)
+	w, err := s.CreateWriter(0, "/p", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.AppendAll(pairsN(3))
+	if err := s.Delete("/p"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Mkdirs("/p/q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Close(); err == nil || !strings.Contains(err.Error(), "/p") {
+		t.Fatalf("close onto a directory: %v, want an error naming /p", err)
+	}
+	if info, ok := s.GetInfo("/p"); !ok || !info.Dir || len(info.Blocks) != 0 || info.Pairs != 0 {
+		t.Fatalf("/p after the failed close: %+v ok=%v, want an empty directory", info, ok)
+	}
+	if err := s.CheckTree(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -332,5 +413,119 @@ func TestCreateWriterErrors(t *testing.T) {
 	w.Close()
 	if _, err := w.Close(); err == nil {
 		t.Error("double close should fail")
+	}
+}
+
+// TestDeleteRacingWritesUnderTheTree: writers create files in /d/e while
+// /d is deleted, its subtree listed first. The files that sort before /d/e
+// keep the delete busy while the writers add files the listing missed. A
+// write holds its parent's lock, so each new file is either made before the
+// delete takes its parent, and is in the delete's next listing, or after,
+// when the writer makes the parents again; no file outlives its parent, and
+// no block its path.
+func TestDeleteRacingWritesUnderTheTree(t *testing.T) {
+	s, _ := newStore(3)
+	for round := range 20 {
+		for i := range 200 {
+			w, err := s.CreateWriter(i%3, fmt.Sprintf("/d/a%03d", i), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}
+		if err := s.Mkdirs("/d/e"); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 20 {
+					w, err := s.CreateWriter(g%3, fmt.Sprintf("/d/e/f%d_%d", g, i), "")
+					if err != nil {
+						t.Errorf("round %d: %v", round, err)
+						return
+					}
+					w.AppendAll(pairsN(1))
+					if _, err := w.Close(); err != nil {
+						t.Errorf("round %d: %v", round, err)
+						return
+					}
+				}
+			}()
+		}
+		if err := s.Delete("/d"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if err := s.CheckTree(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := s.Delete("/d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CheckTree(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRenameRacingWritesUnderTheDestination: a write and a delete wait for
+// /dst/a, a directory a rename is moving in, and act the moment it
+// appears. The files that sort between /src/a and /src/a/zz keep the
+// rename busy meanwhile. The rename holds each directory it moves in until
+// it commits, so the write lands on the moved /dst/a/zz as a second block
+// and the delete takes the whole moved subtree: nothing is overwritten,
+// and no file outlives its parent.
+func TestRenameRacingWritesUnderTheDestination(t *testing.T) {
+	s, _ := newStore(3)
+	for round := range 20 {
+		for i := range 200 {
+			w, err := s.CreateWriter(i%3, fmt.Sprintf("/src/a/%03d", i), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}
+		w, _ := s.CreateWriter(0, "/src/a/zz", "")
+		w.AppendAll(pairsN(1))
+		w.Close()
+		deleting := round%2 == 1
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !s.Exists("/dst/a") {
+				runtime.Gosched()
+			}
+			if deleting {
+				if err := s.Delete("/dst/a"); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			w, err := s.CreateWriter(1, "/dst/a/zz", "")
+			if err == nil {
+				w.AppendAll(pairsN(2))
+				_, err = w.Close()
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		if err := s.Rename("/src", "/dst"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if err := s.CheckTree(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if info, ok := s.GetInfo("/dst/a/zz"); !deleting && (!ok || info.Pairs != 3) {
+			t.Fatalf("round %d: /dst/a/zz %+v ok=%v, want the moved pair and the written two", round, info, ok)
+		}
+		if err := s.Delete("/dst"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestUncontendedMetadataAllocatesNothing(t *testing.T) {
 	if err := s.Mkdirs("/a/b/c"); err != nil {
 		t.Fatal(err)
 	}
-	w, _ := s.CreateWriter(1, "/a/b/c/f", "n=1")
+	w, _ := s.CreateWriter(1, "/a/b/c/f", "")
 	w.AppendAll(pairsN(1))
 	info, err := w.Close()
 	if err != nil {

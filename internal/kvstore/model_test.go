@@ -27,12 +27,12 @@ import (
 // map. It runs each script on two stores: the bare kvstore.New store and
 // the store of an M3R engine whose cache budget is only a few blocks wide,
 // where blocks spill, are evicted and readmit while the script runs; reads
-// must not tell the two tiers apart, and the cache ledger must balance
-// after every step.
+// must not tell the two tiers apart. After every step the store's tree is
+// checked — every entry but the root under a directory, every stored block
+// in exactly one path's block list — and the cache ledger must balance.
 //
-// Scripts keep the tree rooted: a write (as the M3R cache's writers do) or
-// a rename first makes its target's parent directory, so every path's
-// parent is a directory. A path under a missing parent is not generated.
+// Scripts write and rename under missing parents: the store makes them, and
+// so does the model.
 
 const modelPlaces = 4
 
@@ -102,13 +102,17 @@ func (m *model) mkdirs(p string) string {
 	return classNil
 }
 
-// createWriter is CreateWriter's half: the path exists as a file from here.
+// createWriter is CreateWriter's half: the path exists as a file from here,
+// under its parents.
 func (m *model) createWriter(p string) string {
 	n, ok := m.nodes[p]
 	if ok && n.dir {
 		return classOther
 	}
 	if !ok {
+		if c := m.mkdirs(dfs.Parent(p)); c != classNil {
+			return c
+		}
 		m.nodes[p] = &modelNode{}
 	}
 	return classNil
@@ -160,6 +164,9 @@ func (m *model) rename(src, dst string) string {
 	}
 	if _, ok := m.nodes[dst]; ok {
 		return classExists
+	}
+	if c := m.mkdirs(dfs.Parent(dst)); c != classNil {
+		return c
 	}
 	if n.dir {
 		for q, qn := range m.nodes {
@@ -229,7 +236,7 @@ type harness struct {
 	sc     script
 	bases  []pathBase
 	mine   func(string) bool
-	ledger func() error  // the cache ledger check, nil for the bare store
+	ledger func() error  // the tree and cache ledger checks, nil on a worker
 	keys   *atomic.Int32 // pair keys handed out, across a store's harnesses
 	what   string
 	worker bool // runs on a goroutine of its own
@@ -382,18 +389,11 @@ func (h *harness) step() bool {
 	return true
 }
 
-// write makes p's parent directory, then writes one block of n pairs to p
-// at place — the cache's write path.
+// write writes one block of n pairs to p at place.
 func (h *harness) write(place int, p string, n int) {
 	h.t.Helper()
-	parent := dfs.Parent(p)
-	want := h.m.mkdirs(parent)
-	h.expectClass("mkdirs "+parent, h.s.Mkdirs(parent), want)
-	if want != classNil {
-		return
-	}
-	w, err := h.s.CreateWriter(place, p, fmt.Sprintf("n=%d", n))
-	want = h.m.createWriter(p)
+	w, err := h.s.CreateWriter(place, p, "")
+	want := h.m.createWriter(p)
 	h.expectClass("createWriter "+p, err, want)
 	if want != classNil {
 		return
@@ -406,22 +406,15 @@ func (h *harness) write(place int, p string, n int) {
 	if err != nil {
 		h.fail("close %s: %v", p, err)
 	}
-	if info.Place != place || info.Tag != fmt.Sprintf("n=%d", n) {
-		h.fail("close %s: block %+v, want place %d tag n=%d", p, info, place, n)
+	if info.Place != place || info.Pairs != int64(n) || info.Tag != "" {
+		h.fail("close %s: block %+v, want place %d, %d pairs, no tag", p, info, place, n)
 	}
 	h.m.commit(p, info, mp)
 }
 
-// rename makes dst's parent directory, then renames p onto dst — the
-// cache's move path.
+// rename renames src onto dst and compares both paths with the model.
 func (h *harness) rename(src, dst string) {
 	h.t.Helper()
-	parent := dfs.Parent(dst)
-	want := h.m.mkdirs(parent)
-	h.expectClass("mkdirs "+parent, h.s.Mkdirs(parent), want)
-	if want != classNil {
-		return
-	}
 	h.expectClass("rename "+src+" "+dst, h.s.Rename(src, dst), h.m.rename(src, dst))
 	h.checkInfo(src)
 	h.checkInfo(dst)
@@ -511,7 +504,9 @@ func (h *harness) read(place int, p string, b kvstore.BlockInfo) {
 	}
 }
 
-// modelStore is one of the two stores a script runs on.
+// modelStore is one of the two stores a script runs on. Its ledger checks
+// the store's tree and, under a budget, that the pool holds what is
+// resident; it holds only at quiescence.
 type modelStore struct {
 	name   string
 	s      *kvstore.Store
@@ -536,15 +531,16 @@ func modelStores(t testing.TB) []modelStore {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
+	cached := e.Cache().Store()
 	ledger := func() error {
-		if held, res := e.CachePoolHeldBytes(), e.CacheResidentBytes(); held != res {
+		if held, res := cached.BudgetHeldBytes(), cached.ResidentBytes(); held != res {
 			return fmt.Errorf("cache ledger: pool holds %d bytes, %d resident", held, res)
 		}
-		return nil
+		return cached.CheckTree()
 	}
 	return []modelStore{
-		{name: "bare", s: bare},
-		{name: "budgeted", s: e.Cache().Store(), e: e, ledger: ledger},
+		{name: "bare", s: bare, ledger: bare.CheckTree},
+		{name: "budgeted", s: cached, e: e, ledger: ledger},
 	}
 }
 
@@ -569,9 +565,9 @@ func TestStoreModelSequential(t *testing.T) {
 			if n := ms.s.HeldLocks(); n != 0 {
 				t.Fatalf("%s: %d entry locks held after the script", h.what, n)
 			}
-			if ms.e != nil && (ms.e.CacheSpilledEntries() == 0 || ms.e.CacheReadmittedEntries() == 0) {
+			if ms.e != nil && (ms.s.SpilledBlocks() == 0 || ms.s.ReadmittedBlocks() == 0) {
 				t.Fatalf("%s: %d blocks spilled, %d readmitted; want both > 0",
-					h.what, ms.e.CacheSpilledEntries(), ms.e.CacheReadmittedEntries())
+					h.what, ms.s.SpilledBlocks(), ms.s.ReadmittedBlocks())
 			}
 		}
 	}
@@ -633,20 +629,19 @@ func TestStoreModelConcurrent(t *testing.T) {
 				t.Fatalf("%s: %d entry locks held", what, n)
 			}
 			checkUnion(t, what, ms.s, hs)
-			if ms.ledger != nil {
-				if err := ms.ledger(); err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
+			if err := ms.ledger(); err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
 			for _, c := range ms.s.Children("/") {
 				if err := ms.s.Delete(c); err != nil {
 					t.Fatalf("%s: delete %s: %v", what, c, err)
 				}
 			}
-			if ms.e != nil {
-				if held, res := ms.e.CachePoolHeldBytes(), ms.e.CacheResidentBytes(); held != 0 || res != 0 {
-					t.Fatalf("%s: after deleting everything the pool holds %d bytes, %d resident", what, held, res)
-				}
+			if err := ms.ledger(); err != nil {
+				t.Fatalf("%s: after deleting everything: %v", what, err)
+			}
+			if held, res := ms.s.BudgetHeldBytes(), ms.s.ResidentBytes(); held != 0 || res != 0 {
+				t.Fatalf("%s: after deleting everything the pool holds %d bytes, %d resident", what, held, res)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -77,11 +76,7 @@ type CachedRange struct {
 // holds the split's complete pair sequence (PutSplit writes it in one
 // block), so exactly one block is read even if concurrent misses on the
 // same split raced their inserts.
-//
-// An error means the entry exists but cannot be mapped (a multi-block entry
-// with a missing or malformed pair-count tag): the hit must fail loudly
-// rather than silently serve a truncated split.
-func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool, err error) {
+func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool) {
 	// Exact input-split entry.
 	sp := splitPath(name)
 	c.store.ViewInfo(sp, func(info kvstore.PathInfo) {
@@ -90,7 +85,7 @@ func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []Cac
 		}
 	})
 	if ok || fileSplit == nil {
-		return ranges, ok, nil
+		return ranges, ok
 	}
 	// Output cache: the file was produced (and cached) by an earlier job.
 	c.store.ViewInfo(fileSplit.path, func(info kvstore.PathInfo) {
@@ -101,8 +96,7 @@ func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []Cac
 			// Cache-only files live in a synthetic "pair index" byte space
 			// (their FileStatus.Size is the pair count), so any split range
 			// maps exactly onto pair ranges across the blocks.
-			ranges, err = pairRanges(fileSplit.path, info, fileSplit.start, fileSplit.start+fileSplit.length)
-			ok = err == nil
+			ranges, ok = pairRanges(fileSplit.path, info, fileSplit.start, fileSplit.start+fileSplit.length), true
 			return
 		}
 		// Disk-backed file: byte offsets do not map to pair indexes, so only a
@@ -115,10 +109,7 @@ func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []Cac
 			ok = true
 		}
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return ranges, ok, nil
+	return ranges, ok
 }
 
 // fileSplitView is the cache's view of a FileSplit.
@@ -130,54 +121,17 @@ type fileSplitView struct {
 }
 
 // pairRanges maps the pair-index interval [from, to) onto block ranges.
-func pairRanges(path string, info kvstore.PathInfo, from, to int64) ([]CachedRange, error) {
+func pairRanges(path string, info kvstore.PathInfo, from, to int64) []CachedRange {
 	var out []CachedRange
 	var off int64
 	for _, b := range info.Blocks {
-		n, err := blockPairs(info, b)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := maxI64(from-off, 0), minI64(to-off, n)
+		lo, hi := max(from-off, 0), min(to-off, b.Pairs)
 		if lo < hi {
 			out = append(out, CachedRange{Path: path, Block: b, From: lo, To: hi})
 		}
-		off += n
+		off += b.Pairs
 	}
-	return out, nil
-}
-
-// blockPairs returns one block's pair count. The store tracks only the
-// path total, so block sizes ride in the BlockInfo tag ("n=<count>"). A
-// multi-block entry with a missing or malformed tag is a loud error — the
-// caller is about to map pair indexes onto blocks, and treating the block
-// as empty would silently drop its pairs from cached splits.
-func blockPairs(info kvstore.PathInfo, b kvstore.BlockInfo) (int64, error) {
-	if s, ok := strings.CutPrefix(b.Tag, "n="); ok {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil && n >= 0 {
-			return n, nil
-		}
-	}
-	// Single-block fallback.
-	if len(info.Blocks) == 1 {
-		return info.Pairs, nil
-	}
-	return 0, fmt.Errorf("m3r: cache entry %s: block seq=%d at place %d has missing or malformed pair-count tag %q (%d blocks)",
-		info.Path, b.Seq, b.Place, b.Tag, len(info.Blocks))
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return out
 }
 
 // ReadRanges materializes the pairs of the given ranges at place. Blocks
@@ -228,11 +182,7 @@ func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, e
 // complete pair sequence, LookupSplit reads exactly one, and no block a
 // concurrent planner has resolved is ever invalidated by an insert.
 func (c *Cache) PutSplit(place int, name string, pairs []wio.Pair) error {
-	sp := splitPath(name)
-	if err := c.store.Mkdirs(dfs.Parent(sp)); err != nil {
-		return err
-	}
-	w, err := c.store.CreateWriter(place, sp, "n="+strconv.Itoa(len(pairs)))
+	w, err := c.store.CreateWriter(place, splitPath(name), "")
 	if err != nil {
 		return err
 	}
@@ -246,7 +196,6 @@ type OutputWriter struct {
 	cache *Cache
 	w     *kvstore.Writer
 	path  string
-	count int64
 	temp  bool
 }
 
@@ -254,9 +203,6 @@ type OutputWriter struct {
 // marks the entry cache-only (§4.2.3).
 func (c *Cache) NewOutputWriter(place int, path string, temp bool) (*OutputWriter, error) {
 	path = dfs.CleanPath(path)
-	if err := c.store.Mkdirs(dfs.Parent(path)); err != nil {
-		return nil, err
-	}
 	// Replace any stale entry for the same path.
 	if err := c.store.Delete(path); err != nil {
 		return nil, err
@@ -269,15 +215,10 @@ func (c *Cache) NewOutputWriter(place int, path string, temp bool) (*OutputWrite
 }
 
 // Append adds one pair to the cached file.
-func (o *OutputWriter) Append(p wio.Pair) {
-	o.w.Append(p)
-	o.count++
-}
+func (o *OutputWriter) Append(p wio.Pair) { o.w.Append(p) }
 
 // Close commits the cache entry.
 func (o *OutputWriter) Close() error {
-	// The block tag records the pair count for pair-space split mapping.
-	o.w.SetTag("n=" + strconv.FormatInt(o.count, 10))
 	if _, err := o.w.Close(); err != nil {
 		return err
 	}
@@ -312,14 +253,7 @@ func (c *Cache) Move(src, dst string) error {
 	if err := c.store.Rename(src, dst); err != nil {
 		return err
 	}
-	sp, dp := dfs.CleanPath(splitsRoot+src), dfs.CleanPath(splitsRoot+dst)
-	if c.store.Exists(sp) {
-		if err := c.store.Mkdirs(dfs.Parent(dp)); err != nil {
-			return err
-		}
-		return c.store.Rename(sp, dp)
-	}
-	return nil
+	return c.store.Rename(dfs.CleanPath(splitsRoot+src), dfs.CleanPath(splitsRoot+dst))
 }
 
 // pairIterator iterates the concatenated pairs of a path's blocks.
@@ -517,7 +451,8 @@ func (f *CachingFileSystem) BlockLocations(path string, start, length int64) ([]
 // blockLocations returns the locations of a cached file's blocks that
 // overlap [start, start+length) of its pair-index space, each hosted at its
 // home place's node. A missing path or a directory is dfs.ErrNotFound.
-func (c *Cache) blockLocations(path string, start, length int64) (out []dfs.BlockLocation, err error) {
+func (c *Cache) blockLocations(path string, start, length int64) ([]dfs.BlockLocation, error) {
+	var out []dfs.BlockLocation
 	file := false
 	c.store.ViewInfo(path, func(info kvstore.PathInfo) {
 		if info.Dir {
@@ -526,25 +461,20 @@ func (c *Cache) blockLocations(path string, start, length int64) (out []dfs.Bloc
 		file = true
 		var off int64
 		for _, b := range info.Blocks {
-			n, berr := blockPairs(info, b)
-			if berr != nil {
-				out, err = nil, berr
-				return
-			}
-			if off+n > start && off < start+length {
+			if off+b.Pairs > start && off < start+length {
 				out = append(out, dfs.BlockLocation{
 					Offset: off,
-					Length: n,
+					Length: b.Pairs,
 					Hosts:  []string{c.rt.Place(b.Place).Host()},
 				})
 			}
-			off += n
+			off += b.Pairs
 		}
 	})
 	if !file {
 		return nil, fmt.Errorf("m3r: cache locations %s: %w", path, dfs.ErrNotFound)
 	}
-	return out, err
+	return out, nil
 }
 
 // GetRawCache implements hmrext.CacheFS (§4.2.3): the returned filesystem's

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -177,9 +178,9 @@ func TestCacheBudgetSplitEntries(t *testing.T) {
 	if st.SpilledBlocks() != 1 || st.ResidentBytes() != 0 {
 		t.Fatalf("split entry should spill under a full budget: spilled=%d resident=%d", st.SpilledBlocks(), st.ResidentBytes())
 	}
-	ranges, ok, err := c.LookupSplit("/data/f:0+100", nil)
-	if err != nil || !ok {
-		t.Fatalf("lookup: ok=%v err=%v", ok, err)
+	ranges, ok := c.LookupSplit("/data/f:0+100", nil)
+	if !ok {
+		t.Fatal("lookup missed")
 	}
 	pairs, _, err := c.ReadRanges(1, ranges)
 	if err != nil || len(pairs) != 6 {
@@ -262,54 +263,65 @@ func TestGetCacheRecordReaderPropagatesReadError(t *testing.T) {
 	}
 }
 
-// TestBlockPairsMalformedTagFailsLoudly is the satellite regression for
-// blockPairs: a multi-block entry whose block tag is missing or malformed
-// must fail the lookup loudly instead of silently contributing 0 pairs.
-func TestBlockPairsMalformedTagFailsLoudly(t *testing.T) {
-	c, _ := newTestCache(1)
-	// Two blocks on one cache-only path: the first with a well-formed
-	// pair-count tag, the second with a malformed one — not "n=" followed
-	// by a decimal count and nothing else.
-	for b, bad := range []string{"bogus", "", "n=", "n=x", "n=-1", "n=3x", "n= 3", "n=+", "N=3", "n=99999999999999999999"} {
-		path := fmt.Sprintf("/multi%d", b)
-		for i, tag := range []string{"n=3", bad} {
-			w, err := c.Store().CreateWriter(0, path, tag)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.AppendAll(somePairs(3))
-			if _, err := w.Close(); err != nil {
-				t.Fatalf("tag %q block %d: %v", bad, i, err)
-			}
-		}
-		if err := c.Store().SetAttr(path, attrCacheOnly, "1"); err != nil {
+// TestUntaggedBlocksMapOntoPairRanges: a cache-only entry of several
+// blocks written without tags maps a split's pair-index range onto its
+// blocks by each block's own pair count, and so do its block locations.
+func TestUntaggedBlocksMapOntoPairRanges(t *testing.T) {
+	c, rt := newTestCache(2)
+	const path = "/multi"
+	var blocks []kvstore.BlockInfo
+	for place, n := range []int{3, 5} {
+		w, err := c.Store().CreateWriter(place, path, "")
+		if err != nil {
 			t.Fatal(err)
 		}
-		view := &fileSplitView{path: path, start: 0, length: 6}
-		_, _, err := c.LookupSplit(path+":0+6", view)
-		if err == nil {
-			t.Fatalf("tag %q: malformed multi-block tag must fail the lookup", bad)
+		w.AppendAll(somePairs(n))
+		b, err := w.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "pair-count tag") {
-			t.Fatalf("tag %q: unexpected error: %v", bad, err)
+		blocks = append(blocks, b)
+	}
+	if err := c.Store().SetAttr(path, attrCacheOnly, "1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		start, length int64
+		want          []CachedRange
+		keys          []int32
+	}{
+		{0, 8, []CachedRange{{path, blocks[0], 0, 3}, {path, blocks[1], 0, 5}}, []int32{0, 1, 2, 0, 1, 2, 3, 4}},
+		{2, 4, []CachedRange{{path, blocks[0], 2, 3}, {path, blocks[1], 0, 3}}, []int32{2, 0, 1, 2}},
+		{4, 4, []CachedRange{{path, blocks[1], 1, 5}}, []int32{1, 2, 3, 4}},
+	} {
+		name := fmt.Sprintf("%s:%d+%d", path, tc.start, tc.length)
+		ranges, ok := c.LookupSplit(name, &fileSplitView{path: path, start: tc.start, length: tc.length})
+		if !ok || !slices.Equal(ranges, tc.want) {
+			t.Fatalf("%s: ranges %+v ok=%v, want %+v", name, ranges, ok, tc.want)
+		}
+		pairs, _, err := c.ReadRanges(0, ranges)
+		if err != nil || len(pairs) != len(tc.keys) {
+			t.Fatalf("%s: read %d pairs, err %v; want %d", name, len(pairs), err, len(tc.keys))
+		}
+		for i, p := range pairs {
+			if k := p.Key.(*types.IntWritable).Get(); k != tc.keys[i] {
+				t.Fatalf("%s: pair %d has key %d, want %d", name, i, k, tc.keys[i])
+			}
 		}
 	}
-	// A single-block entry without a tag still falls back to the path
-	// total — the benign legacy layout stays readable.
-	wr, err := c.Store().CreateWriter(0, "/single", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr.AppendAll(somePairs(4))
-	if _, err := wr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store().SetAttr("/single", attrCacheOnly, "1"); err != nil {
-		t.Fatal(err)
-	}
-	ranges, ok, err := c.LookupSplit("/single:0+4", &fileSplitView{path: "/single", start: 0, length: 4})
-	if err != nil || !ok || len(ranges) != 1 {
-		t.Fatalf("single-block fallback: ok=%v ranges=%d err=%v", ok, len(ranges), err)
+	host := func(place int) []string { return []string{rt.Place(place).Host()} }
+	raw := &rawCacheFS{cache: c}
+	for _, tc := range []struct {
+		start, length int64
+		want          []dfs.BlockLocation
+	}{
+		{0, 8, []dfs.BlockLocation{{Offset: 0, Length: 3, Hosts: host(0)}, {Offset: 3, Length: 5, Hosts: host(1)}}},
+		{4, 1, []dfs.BlockLocation{{Offset: 3, Length: 5, Hosts: host(1)}}},
+	} {
+		locs, err := raw.BlockLocations(path, tc.start, tc.length)
+		if err != nil || !reflect.DeepEqual(locs, tc.want) {
+			t.Fatalf("locations of [%d, +%d): %+v err=%v, want %+v", tc.start, tc.length, locs, err, tc.want)
+		}
 	}
 }
 
@@ -358,10 +370,10 @@ func TestCacheCoherenceDirectoriesWithSplits(t *testing.T) {
 	if err := c.Move("/job/out", "/job/renamed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.LookupSplit("/job/out/part-00000:0+3", nil); ok {
+	if _, ok := c.LookupSplit("/job/out/part-00000:0+3", nil); ok {
 		t.Error("split entry reachable under the old directory name")
 	}
-	if _, ok, _ := c.LookupSplit("/job/renamed/part-00000:0+3", nil); !ok {
+	if _, ok := c.LookupSplit("/job/renamed/part-00000:0+3", nil); !ok {
 		t.Error("split entry not moved with its directory")
 	}
 	checkPairs(t, c, "/job/renamed/part-00001", 3)
@@ -373,7 +385,7 @@ func TestCacheCoherenceDirectoriesWithSplits(t *testing.T) {
 		if _, ok, _ := c.PathPairs(fmt.Sprintf("/job/renamed/part-0000%d", i)); ok {
 			t.Errorf("file entry %d survived the directory drop", i)
 		}
-		if _, ok, _ := c.LookupSplit(fmt.Sprintf("/job/renamed/part-0000%d:0+3", i), nil); ok {
+		if _, ok := c.LookupSplit(fmt.Sprintf("/job/renamed/part-0000%d:0+3", i), nil); ok {
 			t.Errorf("split entry %d survived the directory drop", i)
 		}
 	}

@@ -198,25 +198,6 @@ func (e *Engine) ShufflePoolHeldBytes() int64 {
 	return held
 }
 
-// CachePoolHeldBytes sums the bytes the cache tag holds reserved across
-// places (0 when the cache is unbudgeted). At quiescence it equals
-// CacheResidentBytes — the ledger invariant the accounting tests pin after
-// every job, success and failure alike — and it drains to zero as entries
-// are dropped or the engine closes.
-func (e *Engine) CachePoolHeldBytes() int64 { return e.cache.store.BudgetHeldBytes() }
-
-// CacheResidentBytes returns the bytes of cache blocks currently resident
-// under the cache budget (0 when unbudgeted).
-func (e *Engine) CacheResidentBytes() int64 { return e.cache.store.ResidentBytes() }
-
-// CacheSpilledEntries returns the cumulative count of cache blocks the
-// budget moved to disk (evictions and commit-time overflow).
-func (e *Engine) CacheSpilledEntries() int64 { return e.cache.store.SpilledBlocks() }
-
-// CacheReadmittedEntries returns the cumulative count of spilled cache
-// blocks promoted back to memory by a later read.
-func (e *Engine) CacheReadmittedEntries() int64 { return e.cache.store.ReadmittedBlocks() }
-
 // Close implements engine.Engine. The cache budget goes first, so nothing
 // spills or readmits during teardown: every cache reservation drains and
 // the cache spill directory is removed.

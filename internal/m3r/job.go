@@ -241,9 +241,7 @@ type mapAssignment struct {
 // plan computes the job's splits and assigns each to a place: cache blocks
 // pin cached splits (§3.2.1), PlacedSplits pin to their partition's stable
 // place (§4.3), HDFS locality pins file splits, and everything else
-// round-robins. A corrupt cache entry (blockPairs) fails the plan loudly
-// instead of quietly dropping pairs from a cached split. Reduce partitions
-// get their inputs here too, each at the place the stable mapping gives it.
+// round-robins. Reduce partitions get their inputs here too, each at the place the stable mapping gives it.
 func (x *jobExec) plan() ([]*mapAssignment, error) {
 	e := x.e
 	P := e.rt.NumPlaces()
@@ -261,10 +259,7 @@ func (x *jobExec) plan() ([]*mapAssignment, error) {
 		out = append(out, a)
 		if x.cacheEnabled {
 			if name, ok := formats.SplitName(s); ok {
-				ranges, hit, err := e.cache.LookupSplit(name, fileSplitViewOf(e.cfs, s))
-				if err != nil {
-					return nil, err
-				}
+				ranges, hit := e.cache.LookupSplit(name, fileSplitViewOf(e.cfs, s))
 				if hit && len(ranges) > 0 {
 					a.cached, a.hit = ranges, true
 					a.place = ranges[0].Block.Place

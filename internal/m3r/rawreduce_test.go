@@ -150,7 +150,7 @@ func TestRawReduceFailuresLeaveNothing(t *testing.T) {
 				})
 			}
 			streamBase, bufBase, goroutines := spill.OpenStreamCount(), encodeBufsOut.Load(), runtime.NumGoroutine()
-			held, resident := e.CachePoolHeldBytes(), e.CacheResidentBytes()
+			held, resident := e.cache.store.BudgetHeldBytes(), e.cache.store.ResidentBytes()
 			if held != resident || resident == 0 {
 				t.Fatalf("before the job the cache holds %d bytes for %d resident", held, resident)
 			}
@@ -180,7 +180,7 @@ func TestRawReduceFailuresLeaveNothing(t *testing.T) {
 				t.Errorf("%d values were handed out after the kill", n)
 			}
 			assertSpillBaselines(t, e, streamBase, bufBase)
-			if held, resident := e.CachePoolHeldBytes(), e.CacheResidentBytes(); held != resident {
+			if held, resident := e.cache.store.BudgetHeldBytes(), e.cache.store.ResidentBytes(); held != resident {
 				t.Errorf("after the failure the cache holds %d bytes for %d resident", held, resident)
 			}
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
