@@ -19,7 +19,10 @@ import (
 
 // RecSource is a stream of serialized spill records (spill.Stream or any
 // equivalent segment reader) — the merge Source at the raw-record element
-// type. A record must outlive the Next that returned it.
+// type. A record must stay valid through the source's next Next — the
+// tournament compares a replaced head with its successor, and RawMerge.Next's
+// caller reads the record its Advance moved past — but may die at the Next
+// after that: a spill.Stream recycles its block buffers.
 type RecSource = Source[spill.Rec]
 
 // keyedRec is the raw merge's element.
@@ -50,12 +53,15 @@ type RawMerge struct {
 	lc     *JobLifecycle
 
 	// Reduce's state: what survives the per-group iterators. head is the
-	// current group's first record; a group's iterator is drained before
-	// the next group's is made, so one head serves them all.
+	// current group's first record, its key bytes copied into headKey: the
+	// record itself dies while its source moves on through the group. A
+	// group's iterator is drained before the next group's is made, so one
+	// head serves them all.
 	newVal  func() wio.Writable
 	rd      wio.Reader
 	records *counters.Counter
 	head    keyedRec
+	headKey []byte
 }
 
 func (m *RawMerge) compare(a, b *keyedRec) int {
@@ -141,7 +147,9 @@ func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, lc *JobLi
 	return m, nil
 }
 
-// Next returns the next record in merge order.
+// Next returns the next record in merge order. It has already moved the
+// record's source on, so the record is good until the following Next — the
+// lookbehind a RecSource owes — and a caller that keeps it longer copies it.
 func (m *RawMerge) Next() (spill.Rec, bool, error) {
 	e, ok := m.m.Peek()
 	if !ok {
@@ -174,9 +182,10 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 		if err := m.lc.Err(); err != nil {
 			return err
 		}
-		// A Rec outlives its Next, so the group's first record is kept as
-		// it is: the key's bytes need no copy.
-		m.head = *cur
+		// The group's first record dies with its source's block, so the
+		// head keeps a copy of the key and nothing of the value.
+		m.headKey = append(m.headKey[:0], cur.K...)
+		m.head = keyedRec{Rec: spill.Rec{K: m.headKey}, prefix: cur.prefix, exact: cur.exact, key: cur.key}
 		key := m.head.key
 		if key == nil {
 			if key, err = decode(&m.rd, m.newKey, m.head.K, "key"); err != nil {

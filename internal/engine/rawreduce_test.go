@@ -705,3 +705,96 @@ func BenchmarkRawReduce(b *testing.B) {
 		}
 	}
 }
+
+// rawCaseNamed resolves the rawCases entry called name.
+func rawCaseNamed(t testing.TB, name string) *engine.ResolvedJob {
+	t.Helper()
+	for i, c := range rawCases {
+		if c.name == name {
+			return resolveRawCase(t, i)
+		}
+	}
+	t.Fatalf("no raw case %q", name)
+	return nil
+}
+
+// textLongRun is a run of (Text, Long) pairs: n records under each key, in
+// order, with values counting on from *seq.
+func textLongRun(seq *int64, keys []string, n ...int) []wio.Pair {
+	var run []wio.Pair
+	for i, k := range keys {
+		for j := 0; j < n[i]; j++ {
+			run = append(run, wio.Pair{Key: types.NewText(k), Value: types.NewLong(*seq)})
+			*seq++
+		}
+	}
+	return run
+}
+
+// TestRawReduceGroupSpansBlocks holds the driver to the reference when one
+// group runs through four blocks and more of one spilled source, under
+// prefix grouping (the sort order groups) and under a raw grouping
+// comparator. The group's first record is recycled — and poisoned, under
+// TestMain — while the group is still being read, so the driver must
+// compare against its own copy of the key. The keys outrun a sort prefix
+// and share one, so grouping reaches the raw bytes.
+func TestRawReduceGroupSpansBlocks(t *testing.T) {
+	const hot = "a-key-longer-than-any-sort-prefix"
+	for _, name := range []string{"text", "text/raw-grouping-coarser-than-the-prefix"} {
+		rj := rawCaseNamed(t, name)
+		var seq int64
+		runs := [][]wio.Pair{
+			// ~44 bytes a record: the hot key alone is four 64 KiB blocks.
+			textLongRun(&seq, []string{hot[:len(hot)-1], hot, hot + "z", "b" + hot}, 3, 6000, 3, 2),
+			textLongRun(&seq, []string{hot, hot + "y"}, 5, 1),
+			textLongRun(&seq, []string{"b" + hot}, 700),
+		}
+		for _, kind := range []int{leafRawStream, leafFlateStream, leafMixed} {
+			if err := rawMismatch(t, rj, runs, kind); err != nil {
+				t.Fatalf("%s, leaf kind %d: %v", name, kind, err)
+			}
+		}
+	}
+}
+
+// TestRawMergeReplacesHeadsAcrossBlocks: the tournament compares a source's
+// replaced head with the record that replaces it, and when the replaced head
+// ended a block the two lie in different blocks — so a stream keeps the
+// block of its last record until it has read the next one. Here source 0's
+// first block ends in the key b, its second block repeats c in the same
+// record layout, and all keys share a long prefix: a stream that handed the
+// first block back early, and got the same buffer again, would show the
+// replaced head as an equal c, and the merge would skip the replay that puts
+// source 1's bb in between. Poison is off for this test: it would only make
+// the stale head differ. Two collections empty the block pool first, so a
+// buffer handed back is the next one handed out.
+func TestRawMergeReplacesHeadsAcrossBlocks(t *testing.T) {
+	spill.PoisonRecycledBlocks.Store(false)
+	defer spill.PoisonRecycledBlocks.Store(true)
+	runtime.GC()
+	runtime.GC()
+	rj := rawCaseNamed(t, "text")
+	const prefix = "shared-prefix-"
+	// Every record is as long as the first; a block is cut at the record
+	// that takes it to 64 KiB.
+	per := int(runRecs(t, textLongRun(new(int64), []string{prefix + "a"}, 1))[0].EncodedLen())
+	inBlock := (64<<10 + per - 1) / per
+	var seq int64
+	runs := [][]wio.Pair{
+		textLongRun(&seq, []string{prefix + "a", prefix + "b", prefix + "c"}, inBlock-1, 1, inBlock),
+		textLongRun(&seq, []string{prefix + "bb"}, 1),
+	}
+	want, _ := referenceReduce(t, rj, runs, -1)
+	got := &recordingReducer{take: -1}
+	if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, leafRawStream), nil, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.groups) != len(want.groups) {
+		t.Fatalf("%d groups, the reference has %d", len(got.groups), len(want.groups))
+	}
+	for i, g := range got.groups {
+		if w := want.groups[i]; g.key != w.key || len(g.values) != len(w.values) {
+			t.Fatalf("group %d is %q with %d values, the reference has %q with %d", i, g.key, len(g.values), w.key, len(w.values))
+		}
+	}
+}

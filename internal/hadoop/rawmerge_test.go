@@ -2,11 +2,16 @@ package hadoop
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"m3r/internal/conf"
 	"m3r/internal/engine"
+	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -92,5 +97,78 @@ func TestMergerProducesGlobalOrder(t *testing.T) {
 	// Ties resolve by stream index: sources 0, 1, 2.
 	if string(srcOfFours) != "\x00\x01\x02" {
 		t.Errorf("tie-break order: %v", srcOfFours)
+	}
+}
+
+// TestMapSideMergeAcrossBlocks: a map task whose output spilled several
+// times merges the spills into its output file record by record, and each
+// record is written after the merge has moved its source on — across block
+// boundaries of multi-block segments, with recycled blocks poisoned
+// (TestMain). Every partition's merged segment must be byte for byte the
+// segment of the stably sorted records, per codec.
+func TestMapSideMergeAcrossBlocks(t *testing.T) {
+	for _, codec := range []spill.Codec{spill.CodecNone, spill.CodecFlate} {
+		job := conf.NewJob()
+		job.SetMapOutputKeyClass(types.TextName)
+		job.SetMapOutputValueClass(types.LongName)
+		job.SetNumReduceTasks(2)
+		rj, err := engine.Resolve(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rawCmp, err := rj.RawKeyComparator(types.TextName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := &jobRun{
+			engine: &Engine{host: &engine.Host{Stats: sim.NewStats()}, cost: sim.Zero()},
+			Job:    &engine.Job{Conf: job, Resolved: rj, Codec: codec},
+		}
+		b := &sortBuffer{
+			run: run, taskDir: t.TempDir(), parts: make([][]spill.Rec, 2),
+			limit: 256 << 10, cmp: rawCmp, ctx: engine.NewTaskContext(job, "map", nil),
+		}
+		// Keys share a prefix longer than a sort prefix and repeat, so ties
+		// across spills and raw comparisons are the common case.
+		rng := rand.New(rand.NewSource(int64(codec) + 1))
+		var want [2][]spill.Rec
+		for i := 0; i < 30000; i++ {
+			kb, err := wio.Marshal(types.NewText(fmt.Sprintf("a-shared-key-prefix-%03d", rng.Intn(300))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vb, err := wio.Marshal(types.NewLong(int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := spill.Rec{K: kb, V: vb}
+			want[i%2] = append(want[i%2], rec)
+			if err := b.add(i%2, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := b.finish(0, "node0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.spills) < 3 {
+			t.Fatalf("%s: %d spills, the test needs a merge of three or more", codec, len(b.spills))
+		}
+		data, err := os.ReadFile(out.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range want {
+			spill.SortRecs(want[p], rawCmp)
+			enc, err := spill.EncodeRun(want[p], codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := out.segments[p]
+			if got := data[seg.Off : seg.Off+seg.Len]; !bytes.Equal(got, enc.Data) {
+				t.Fatalf("%s: partition %d merged into %d bytes that differ from the %d of its sorted records",
+					codec, p, len(got), len(enc.Data))
+			}
+		}
 	}
 }

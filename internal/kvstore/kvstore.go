@@ -978,8 +978,9 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 }
 
 // decodeSpilledBlock reads a spilled block of n pairs back into fresh
-// writables. A file of any other length than the block's is an error: the
-// block is never served short, or with another block's pairs.
+// writables, each decoded before the next Next recycles its record's block.
+// A file of any other length than the block's is an error: the block is
+// never served short, or with another block's pairs.
 func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 	st, err := spill.OpenFile(sp.path)
 	if err != nil {

@@ -19,11 +19,14 @@ import (
 //	collect  key.WriteTo and value.WriteTo into the destination place's
 //	         frame — the task's own place included
 //	ship     a remote frame crosses the transport; the local one does not
-//	arrive   the frame is sliced into spill.Rec views per partition, sorted
-//	         under the job's raw key comparator, and rewritten in sorted
-//	         order into one exactly sized raw-format segment per partition
-//	admit    the segment is what the reservation holds; overflow and
-//	         eviction pass it through the spill codec (spill.EncodeSegment)
+//	arrive   the frame is sliced into spill.Rec views per partition and
+//	         sorted under the job's raw key comparator
+//	admit    each partition's run reserves its size first; an admitted run
+//	         is rewritten in sorted order into one exactly sized raw-format
+//	         segment, which the reservation holds, and a refused one goes
+//	         through the spill codec straight from the views
+//	         (spill.EncodeRun); eviction encodes a resident segment
+//	         (spill.EncodeSegment) to the same bytes
 //	merge    a resident segment and a spilled run enter the tournament as
 //	         raw records under one keyed leaf (engine.RawMerge); the key is
 //	         decoded once per group, a value when the reducer asks for it
@@ -97,7 +100,10 @@ func (f *shuffleFrame) add(q int, key, value wio.Writable, dedup bool) error {
 }
 
 func (f *shuffleFrame) addObject(v wio.Writable, dedup bool) error {
-	if dedup {
+	// No lookup while nothing is remembered: one in a nil map still checks
+	// that the interface key's dynamic type is hashable (runtime.mapKeyError),
+	// and a frame of small objects never remembers one.
+	if dedup && f.seen != nil {
 		if s, ok := f.seen[v]; ok {
 			f.table = binary.AppendUvarint(f.table, uint64(s.off)<<1|1)
 			f.table = binary.AppendUvarint(f.table, uint64(s.len))
@@ -395,12 +401,14 @@ func (sc *shuffleCollector) ship(d int, frame []byte, dedupHits int64) ([]byte, 
 }
 
 // arriveFrame is the destination side of a budgeted flush: map task src's
-// frame toward place becomes one sorted raw-format segment per partition —
-// the bytes a CodecNone spill file of the run consists of — and each segment
-// is admitted against place's pool, in ascending partition order, so what a
-// task admits, evicts and spills is the same from one execution to the next.
-// Nothing of frame is kept: the views die here, so the sender's pooled buffer
-// is free to reuse on return.
+// frame toward place is cut into one run per partition, sorted as views of
+// the frame, and each run is admitted against place's pool in ascending
+// partition order, so what a task admits, evicts and spills is the same from
+// one execution to the next. An admitted run is copied into one sorted
+// raw-format segment — the bytes a CodecNone spill file of the run consists
+// of — and a refused one is encoded to disk from the views. Nothing of frame
+// is kept: the views die here, so the sender's pooled buffer is free to
+// reuse on return.
 func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []byte, c runClasses) error {
 	scratch := recScratch.Get().(*[]spill.Rec)
 	defer func() {
@@ -416,20 +424,7 @@ func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []b
 			continue
 		}
 		spill.SortRecs(part, c.rawCmp)
-		var size, encoded int64
-		for _, r := range part {
-			size += r.Size()
-			encoded += r.EncodedLen()
-		}
-		seg := make([]byte, 0, encoded)
-		for _, r := range part {
-			seg = spill.AppendRec(seg, r)
-		}
-		r := &sourceRun{src: src, serializedRun: &serializedRun{
-			seg: seg, nrecs: len(part), size: size,
-			keyClass: c.KeyClass, valClass: c.ValClass,
-		}}
-		if err := x.parts[q].admit(ctx, r); err != nil {
+		if err := x.parts[q].admit(ctx, src, part, c); err != nil {
 			return err
 		}
 	}

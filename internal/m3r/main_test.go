@@ -4,9 +4,15 @@ import (
 	"testing"
 
 	"m3r/internal/lint/leakcheck"
+	"m3r/internal/spill"
 )
 
-// TestMain fails the package when place goroutines or merge workers
-// outlive the tests — the static loopcancel/closecheck invariants' runtime
-// counterpart (DESIGN.md "Static analysis").
-func TestMain(m *testing.M) { leakcheck.Main(m) }
+// TestMain poisons recycled spill blocks, so a record kept past its
+// stream's lookbehind reads garbage (spill.Stream), and fails the package
+// when place goroutines or merge workers outlive the tests — the static
+// loopcancel/closecheck invariants' runtime counterpart (DESIGN.md "Static
+// analysis").
+func TestMain(m *testing.M) {
+	spill.PoisonRecycledBlocks.Store(true)
+	leakcheck.Main(m)
+}

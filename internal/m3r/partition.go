@@ -55,33 +55,46 @@ type serializedRun struct {
 	size               int64
 }
 
-// admit is a budgeted run's one admission path. The place's pool decides:
-// under contention the largest-first policy may re-spill a larger cold
-// resident run of this job to keep the newcomer in memory, and an admitted
-// run is offered to that policy in turn; a run the pool cannot admit goes to
-// disk itself, inline on the flushing map task.
-func (pi *partitionInput) admit(ctx *engine.TaskContext, r *sourceRun) error {
+// admit is a budgeted run's one admission path: recs, the sorted run map
+// task src shipped to this partition, still views of its arrived frame. The
+// place's pool decides before a byte is copied. Under contention the
+// largest-first policy may re-spill a larger cold resident run of this job
+// to keep the newcomer in memory; an admitted run is laid out as a resident
+// segment and offered to that policy in turn. A run the pool cannot admit
+// is never resident: it goes to disk straight from the views, inline on the
+// flushing map task.
+func (pi *partitionInput) admit(ctx *engine.TaskContext, src int, recs []spill.Rec, c runClasses) error {
 	x := pi.x
-	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(r.size, func(min int64) (int64, error) {
+	var size, encoded int64
+	for _, rec := range recs {
+		size += rec.Size()
+		encoded += rec.EncodedLen()
+	}
+	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(size, func(min int64) (int64, error) {
 		return x.evictLargest(ctx, pi.place, min)
 	})
 	if err != nil {
 		return err
 	}
 	if contended {
-		ctx.Cells.PoolContendedBytes.Increment(r.size)
+		ctx.Cells.PoolContendedBytes.Increment(size)
 	}
-	if admitted {
+	r := &sourceRun{src: src, serializedRun: &serializedRun{
+		nrecs: len(recs), keyClass: c.KeyClass, valClass: c.ValClass,
+	}}
+	if !admitted {
+		if r.spillPath, err = x.spillRecs(ctx, recs); err != nil {
+			return err
+		}
 		pi.install(r)
-		x.resident[pi.place].Add(residentRun{r, pi}, r.size, int64(r.src))
 		return nil
 	}
-	path, err := x.spillSegment(ctx, r.seg, r.nrecs)
-	if err != nil {
-		return err
+	r.seg, r.size = make([]byte, 0, encoded), size
+	for _, rec := range recs {
+		r.seg = spill.AppendRec(r.seg, rec)
 	}
-	r.seg, r.size, r.spillPath = nil, 0, path
 	pi.install(r)
+	x.resident[pi.place].Add(residentRun{r, pi}, size, int64(src))
 	return nil
 }
 

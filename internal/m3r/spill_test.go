@@ -1,11 +1,14 @@
 package m3r
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -17,6 +20,7 @@ import (
 	"m3r/internal/engine"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 	"m3r/internal/wordcount"
@@ -528,4 +532,90 @@ func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
 	}
 	// The engine's stats follow these cells through the task envelope
 	// (integration's TestCountedOnce holds spill.bytes to SPILLED_BYTES).
+}
+
+// TestRefusedArrivalIsNeverResident: a run the pool refuses at arrival goes
+// to disk straight from its frame's sorted views — no resident segment is
+// laid out for it first. With the spill write stubbed out, per codec, a
+// refused arrival allocates no more times than the ceiling below, which a
+// resident segment would pass by one, and fewer bytes than the spilled
+// segment and half the run's raw segment, where a resident copy would cost
+// the whole raw segment.
+func TestRefusedArrivalIsNeverResident(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	t.Setenv("TMPDIR", t.TempDir())
+	var spilled int64
+	swapSpillWrite(t, func(_ string, enc spill.EncodedRun) (int64, error) {
+		spilled = int64(len(enc.Data))
+		return spilled, nil
+	})
+	pairs := textRun("refused", 2000)
+	recs, _, _, _, err := spill.MarshalRun(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw uint64
+	for _, r := range recs {
+		raw += uint64(r.EncodedLen())
+	}
+	// Text's raw comparator, as a WordCount job's runs are sorted under.
+	rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}, RawSortCmp: types.TextRawComparator{}}
+	var c runClasses
+	f := getFrame()
+	for _, p := range pairs {
+		if err := c.check(rj, p.Key, p.Value); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.add(0, p.Key, p.Value, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := bytes.Clone(f.seal())
+	putFrame(f)
+	// A collection empties the encoder pools, and a rebuilt flate.Writer
+	// would outweigh the run: no collection, and one P, while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		codec  spill.Codec
+		allocs float64
+	}{
+		// Measured on go1.24 linux/amd64: the frame's partition tables, the
+		// reservation's eviction callback, the run's two structs, the
+		// encoded segment and its path.
+		{spill.CodecNone, 7},
+		{spill.CodecFlate, 7},
+	} {
+		x := newSpillExec(1, tc.codec, 1) // a pool of one byte refuses every run
+		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+		arrive := func() {
+			if err := x.arriveFrame(ctx, 0, 0, frame, c); err != nil {
+				t.Fatal(err)
+			}
+			pi := x.parts[0]
+			if len(pi.runs) != 1 || pi.runs[0].spillPath == "" || pi.runs[0].seg != nil {
+				t.Fatalf("%s: the run was not refused", tc.codec)
+			}
+			pi.runs = pi.runs[:0]
+		}
+		const runs = 20
+		allocs := testing.AllocsPerRun(runs, arrive)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			arrive()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		if allocs > tc.allocs {
+			t.Errorf("%s: a refused arrival allocates %v times, ceiling %v", tc.codec, allocs, tc.allocs)
+		}
+		if limit := uint64(spilled) + raw/2; perRun >= limit {
+			t.Errorf("%s: a refused arrival allocates %d bytes, want under %d (the %d-byte spill and half the %d-byte raw run)",
+				tc.codec, perRun, limit, spilled, raw)
+		}
+		x.cleanup()
+	}
 }

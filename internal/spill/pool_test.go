@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"m3r/internal/testenv"
@@ -434,4 +435,178 @@ func TestEncodeSegmentMatchesEncodeRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writeRun encodes recs with codec into a fresh file and returns its path.
+func writeRun(t *testing.T, recs []Rec, codec Codec) string {
+	t.Helper()
+	enc, err := EncodeRun(recs, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run")
+	if _, err := WriteEncodedFile(path, enc); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRecLifetimeUnderPoison pins a record's lifetime under the recycling
+// contract, per codec, with released blocks poisoned: the first record of a
+// segment of four blocks reads as written through every Next in its block
+// and through the one that moves on to the second (the lookbehind a merge
+// compares with), and it changes once the stream reads the third block.
+// The last record survives the Next that ends the stream and changes at
+// Close.
+func TestRecLifetimeUnderPoison(t *testing.T) {
+	PoisonRecycledBlocks.Store(true)
+	defer PoisonRecycledBlocks.Store(false)
+	recs := compressibleRecs(4000)
+	same := func(a, b Rec) bool { return bytes.Equal(a.K, b.K) && bytes.Equal(a.V, b.V) }
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		s, err := OpenFile(writeRun(t, recs, codec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, cur, last := 1, s.cur, first
+		for i := 1; ; i++ {
+			r, ok, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if s.cur != cur {
+				blocks, cur = blocks+1, s.cur
+			}
+			switch intact := same(first, recs[0]); {
+			case blocks <= 2 && !intact:
+				t.Fatalf("%s: record 0 changed at record %d, in block %d", codec, i, blocks)
+			case blocks > 2 && intact:
+				t.Fatalf("%s: record 0 still reads as written at record %d, in block %d", codec, i, blocks)
+			}
+			last = r
+		}
+		if blocks < 3 {
+			t.Fatalf("%s: %d blocks, the test needs three", codec, blocks)
+		}
+		if !same(last, recs[len(recs)-1]) {
+			t.Fatalf("%s: the last record changed at the end of the stream", codec)
+		}
+		s.Close()
+		if same(last, recs[len(recs)-1]) {
+			t.Fatalf("%s: the last record still reads as written after Close", codec)
+		}
+	}
+}
+
+// TestStreamRecyclesBlockBuffers: once the pool is warm, a segment read
+// allocates no block buffer, per codec. Reading six stored blocks costs the
+// allocations of reading one (the file, the stream, its bufio.Reader); the
+// inflater allocates Huffman tables per flate block, so there it is bytes
+// that are pinned: five more blocks cost less than one block buffer.
+func TestStreamRecyclesBlockBuffers(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	read := func(path string) func() {
+		return func() {
+			s, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for {
+				_, ok, err := s.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return
+				}
+			}
+		}
+	}
+	// Bytes per run, measured as TestEncodeRunFlateReusesCompressor does:
+	// no collection and one P, so the pools keep what they are given.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	bytesPerRun := func(f func()) uint64 {
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		one := read(writeRun(t, compressibleRecs(1000), codec)) // ~50 KB: one block
+		six := read(writeRun(t, compressibleRecs(7000), codec)) // ~350 KB: six blocks
+		if b1, b6 := bytesPerRun(one), bytesPerRun(six); b6 >= b1+blockRawTarget {
+			t.Errorf("%s: reading six blocks allocates %d bytes, one block %d: block buffers are not recycled", codec, b6, b1)
+		}
+		if codec != CodecNone {
+			continue
+		}
+		if a1, a6 := testing.AllocsPerRun(runs, one), testing.AllocsPerRun(runs, six); a6 > a1 {
+			t.Errorf("%s: reading six blocks allocates %v times, one block %v: block buffers are not recycled", codec, a6, a1)
+		}
+	}
+}
+
+// TestStreamsShareTheBlockPool: concurrent streams — reduce tasks merging at
+// once — trade block buffers through the one pool, with released buffers
+// poisoned. Every record each stream returns reads as written while it is
+// valid, and none is handed a buffer another stream still reads.
+func TestStreamsShareTheBlockPool(t *testing.T) {
+	PoisonRecycledBlocks.Store(true)
+	defer PoisonRecycledBlocks.Store(false)
+	recs := compressibleRecs(4000)
+	paths := []string{writeRun(t, recs, CodecNone), writeRun(t, recs, CodecFlate)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				s, err := OpenFile(paths[(g+round)%len(paths)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var prev Rec
+				for i := 0; ; i++ {
+					r, ok, err := s.Next()
+					if err != nil || !ok {
+						if err != nil {
+							t.Error(err)
+						} else if i != len(recs) {
+							t.Errorf("goroutine %d: %d records, want %d", g, i, len(recs))
+						}
+						break
+					}
+					// The record before is still valid: the lookbehind.
+					if i > 0 && (!bytes.Equal(prev.K, recs[i-1].K) || !bytes.Equal(prev.V, recs[i-1].V)) {
+						t.Errorf("goroutine %d: record %d changed under the next Next", g, i-1)
+						break
+					}
+					if !bytes.Equal(r.K, recs[i].K) || !bytes.Equal(r.V, recs[i].V) {
+						t.Errorf("goroutine %d: record %d differs", g, i)
+						break
+					}
+					prev = r
+				}
+				s.Close()
+			}
+		}()
+	}
+	wg.Wait()
 }

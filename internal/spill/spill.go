@@ -510,17 +510,26 @@ type Segment struct {
 }
 
 // Stream reads records back from one byte range of a file, block by block.
-// Returned records alias blk, the current block's decoded bytes, which are
-// freshly allocated per block and never reused: a Rec outlives the Next
-// that returned it, every later Next and the Close, and the raw merge leans
-// on it — it holds a group's first record while it pulls the rest.
+// Returned records alias the decoded bytes of their block, which live in a
+// recycled buffer (blockBufs), as bufio.Scanner's tokens live in its buffer:
+// a Rec is valid through the stream's next Next and until the Next after
+// that, or until Close. The one record of lookbehind is what a merge needs
+// — engine.Tournament compares a source's replaced head with the record
+// that replaces it — so the stream keeps the block its last record came from
+// until it has read the block after; at the end of the segment the last
+// block stays until Close. A consumer that keeps a record longer copies what
+// it keeps: the raw merge copies a group's key, not its record.
 type Stream struct {
 	f      *os.File
 	lr     io.LimitedReader // the segment's bytes not yet buffered
 	br     *bufio.Reader
 	closed bool
-	blk    []byte
-	pos    int // parse position in blk
+	// cur holds the current block's decoded bytes, blk; prev the block
+	// before it, kept for the lookbehind. prev goes back to blockBufs at the
+	// end of the segment, cur at Close.
+	cur, prev *blockBuf
+	blk       []byte
+	pos       int // parse position in blk
 }
 
 // rem is how many of the segment's declared bytes are not yet consumed.
@@ -603,6 +612,10 @@ func OpenFile(path string) (*Stream, error) {
 func (s *Stream) Next() (Rec, bool, error) {
 	for s.pos >= len(s.blk) {
 		if s.rem() <= 0 {
+			// The last record stays good through this Next like any other,
+			// so only the block before its block goes back here.
+			putBlockBuf(s.prev)
+			s.prev = nil
 			return Rec{}, false, nil
 		}
 		if err := s.readBlock(); err != nil {
@@ -646,8 +659,17 @@ func (s *Stream) blkUvarint() (uint64, error) {
 }
 
 // readBlock consumes one block header and body from the segment and
-// installs the decoded bytes as the current block.
+// installs the decoded bytes as the current block. The block it replaces
+// becomes the lookbehind, and the one before that goes back to the pool —
+// unless the replaced block was empty and so holds no record to look at.
 func (s *Stream) readBlock() error {
+	if len(s.blk) > 0 {
+		putBlockBuf(s.prev)
+		s.prev = s.cur
+	} else {
+		putBlockBuf(s.cur)
+	}
+	s.cur, s.blk, s.pos = nil, nil, 0
 	cb, err := s.br.ReadByte()
 	if err != nil {
 		return unexpectedEOF(err)
@@ -679,16 +701,24 @@ func (s *Stream) readBlock() error {
 		return fmt.Errorf("%w: flate block declares implausible rawLen %d for %d stored bytes",
 			ErrBlockSizeMismatch, rawLen, storedLen)
 	}
+	bb := getBlockBuf(int(rawLen))
 	if c == CodecNone {
-		// Records alias the block, so a stored body is read into memory of
-		// its own.
-		body := make([]byte, storedLen)
-		if _, err := io.ReadFull(s.br, body); err != nil {
-			return unexpectedEOF(err)
-		}
-		s.blk, s.pos = body, 0
-		return nil
+		_, err = io.ReadFull(s.br, bb.b)
+		err = unexpectedEOF(err)
+	} else {
+		err = s.inflate(bb.b, storedLen)
 	}
+	if err != nil {
+		putBlockBuf(bb)
+		return err
+	}
+	s.cur, s.blk = bb, bb.b
+	return nil
+}
+
+// inflate reads a flate block's storedLen body bytes from the segment and
+// inflates them into raw, which must be exactly what they inflate to.
+func (s *Stream) inflate(raw []byte, storedLen uint64) error {
 	bd := blockDecoders.Get().(*blockDecoder)
 	defer blockDecoders.Put(bd)
 	if uint64(cap(bd.body)) < storedLen {
@@ -698,7 +728,6 @@ func (s *Stream) readBlock() error {
 	if _, err := io.ReadFull(s.br, body); err != nil {
 		return unexpectedEOF(err)
 	}
-	raw := make([]byte, rawLen)
 	// Reset discards whatever state the previous block left behind, a
 	// corrupt one's error included.
 	bd.src.Reset(body)
@@ -709,23 +738,22 @@ func (s *Stream) readBlock() error {
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: flate block inflated to %d of declared %d raw bytes",
-				ErrBlockSizeMismatch, got, rawLen)
+				ErrBlockSizeMismatch, got, len(raw))
 		}
 		return fmt.Errorf("spill: corrupt flate block: %w", err)
 	}
 	var one [1]byte
 	if m, _ := bd.fr.Read(one[:]); m != 0 {
 		return fmt.Errorf("%w: flate block inflates beyond declared %d raw bytes",
-			ErrBlockSizeMismatch, rawLen)
+			ErrBlockSizeMismatch, len(raw))
 	}
-	s.blk, s.pos = raw, 0
 	return nil
 }
 
 // blockDecoder is the pooled scratch of one flate block's decode: the
 // stored body, a reader over it and the inflater, Reset per block instead
-// of being built per block. The inflated bytes are not part of it — records
-// alias them.
+// of being built per block. The inflated bytes are a blockBuf of the
+// stream's.
 type blockDecoder struct {
 	body []byte
 	src  bytes.Reader
@@ -735,6 +763,44 @@ type blockDecoder struct {
 var blockDecoders = sync.Pool{New: func() any {
 	return &blockDecoder{fr: flate.NewReader(bytes.NewReader(nil))}
 }}
+
+// blockBuf is one block's decoded bytes, stored or inflated, recycled across
+// streams through blockBufs. b is resliced to each block's length; its
+// capacity is the largest block it has held, so after the first few blocks
+// a pooled buffer fits every block of ordinary records.
+type blockBuf struct{ b []byte }
+
+var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
+
+// PoisonRecycledBlocks is a test hook: while set, every block buffer going
+// back to its pool is overwritten with 0xDB first, so a Rec kept past its
+// lifetime reads garbage instead of, most of the time, its own bytes.
+var PoisonRecycledBlocks atomic.Bool
+
+// getBlockBuf checks out a buffer of exactly n bytes.
+func getBlockBuf(n int) *blockBuf {
+	bb := blockBufs.Get().(*blockBuf)
+	if cap(bb.b) < n {
+		bb.b = make([]byte, n)
+	}
+	bb.b = bb.b[:n]
+	return bb
+}
+
+// putBlockBuf returns bb, which no record may still alias, to the pool. A
+// nil bb is no block.
+func putBlockBuf(bb *blockBuf) {
+	if bb == nil {
+		return
+	}
+	if PoisonRecycledBlocks.Load() {
+		b := bb.b[:cap(bb.b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	blockBufs.Put(bb)
+}
 
 // unexpectedEOF upgrades a mid-record io.EOF to io.ErrUnexpectedEOF.
 func unexpectedEOF(err error) error {
@@ -763,6 +829,9 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.closed = true
+	putBlockBuf(s.prev)
+	putBlockBuf(s.cur)
+	s.prev, s.cur, s.blk, s.pos = nil, nil, nil, 0
 	openStreams.Add(-1)
 	return s.f.Close()
 }

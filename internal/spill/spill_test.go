@@ -66,7 +66,8 @@ func rawLen(recs []Rec) int64 {
 	return n
 }
 
-// readAll drains a stream, failing the test on error.
+// readAll drains a stream into copies of its records, failing the test on
+// error: a record's bytes are the stream's only until its next block.
 func readAll(t *testing.T, s *Stream) []Rec {
 	t.Helper()
 	var out []Rec
@@ -78,8 +79,13 @@ func readAll(t *testing.T, s *Stream) []Rec {
 		if !ok {
 			return out
 		}
-		out = append(out, r)
+		out = append(out, cloneRec(r))
 	}
+}
+
+// cloneRec copies r out of its stream's block.
+func cloneRec(r Rec) Rec {
+	return Rec{K: bytes.Clone(r.K), V: bytes.Clone(r.V)}
 }
 
 func TestRecRoundTrip(t *testing.T) {
@@ -386,7 +392,7 @@ func FuzzStreamNext(f *testing.F) {
 			if len(r.K)+len(r.V) > len(data) {
 				t.Fatalf("record larger than input: %d+%d bytes", len(r.K), len(r.V))
 			}
-			parsed = append(parsed, r)
+			parsed = append(parsed, cloneRec(r))
 		}
 		// Whatever parsed must survive a canonical re-serialization cycle
 		// unchanged (varint length prefixes in arbitrary input may be
