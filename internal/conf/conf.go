@@ -21,14 +21,22 @@ import (
 
 // Configuration is a concurrency-safe string-to-string property map in two
 // layers: frozen, a map shared with the clones taken from it and never
-// written again by anyone, and own, this configuration's writes since (nil
-// until the first). A key in own shadows the same key in frozen; every
-// reader sees the union.
+// written again by anyone, and own, this configuration's writes since. A key
+// in own shadows the same key in frozen; every reader sees the union.
+//
+// own keeps its first writes in line, in few, and only the rest in a map (a
+// key is in one of the two): a task attempt's clone of its job's conf sets a
+// key or two (its partition, its place), and those cost it no allocation.
 type Configuration struct {
 	mu     sync.RWMutex
 	frozen map[string]string
-	own    map[string]string
+	few    [2]prop
+	nfew   int
+	own    map[string]string // the rest of own; nil until needed
 }
+
+// prop is one property of own's in-line part.
+type prop struct{ key, value string }
 
 // New returns an empty Configuration.
 func New() *Configuration {
@@ -41,39 +49,87 @@ func New() *Configuration {
 // has no writes since costs one struct. So a job cloned for every task
 // attempt copies its properties once, not once an attempt.
 func (c *Configuration) Clone() *Configuration {
+	return &Configuration{frozen: c.freeze()}
+}
+
+// freeze folds c's own writes, if any, into a fresh frozen map, which c then
+// shares with whoever it returns it to.
+func (c *Configuration) freeze() map[string]string {
 	c.mu.RLock()
-	if len(c.own) == 0 {
+	if c.ownLen() == 0 {
 		defer c.mu.RUnlock()
-		return &Configuration{frozen: c.frozen}
+		return c.frozen
 	}
 	c.mu.RUnlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.own) != 0 {
-		c.frozen, c.own = c.union(), nil
+	if c.ownLen() != 0 {
+		c.frozen = c.union()
+		c.dropOwn()
 	}
-	return &Configuration{frozen: c.frozen}
+	return c.frozen
 }
 
 // union returns a new map of every property. The caller holds mu.
 func (c *Configuration) union() map[string]string {
-	m := make(map[string]string, len(c.frozen)+len(c.own))
+	m := make(map[string]string, len(c.frozen)+c.ownLen())
 	maps.Copy(m, c.frozen)
-	maps.Copy(m, c.own)
+	c.eachOwn(func(k, v string) { m[k] = v })
 	return m
+}
+
+// eachOwn calls f for every property of own. The caller holds mu.
+func (c *Configuration) eachOwn(f func(k, v string)) {
+	for _, p := range c.few[:c.nfew] {
+		f(p.key, p.value)
+	}
+	for k, v := range c.own {
+		f(k, v)
+	}
+}
+
+// ownLen is the number of properties in own. The caller holds mu.
+func (c *Configuration) ownLen() int { return c.nfew + len(c.own) }
+
+// dropOwn empties own. The caller holds mu for writing.
+func (c *Configuration) dropOwn() {
+	c.few, c.nfew, c.own = [len(c.few)]prop{}, 0, nil
+}
+
+// lookupOwn finds key in own. The caller holds mu.
+func (c *Configuration) lookupOwn(key string) (string, bool) {
+	for _, p := range c.few[:c.nfew] {
+		if p.key == key {
+			return p.value, true
+		}
+	}
+	v, ok := c.own[key]
+	return v, ok
 }
 
 // lookup finds key in either layer. The caller holds mu.
 func (c *Configuration) lookup(key string) (string, bool) {
-	if v, ok := c.own[key]; ok {
+	if v, ok := c.lookupOwn(key); ok {
 		return v, true
 	}
 	v, ok := c.frozen[key]
 	return v, ok
 }
 
-// setLocked stores a property in own. The caller holds mu for writing.
+// setLocked stores a property in own: in few while it has room, then in
+// the map. The caller holds mu for writing.
 func (c *Configuration) setLocked(key, value string) {
+	for i := range c.few[:c.nfew] {
+		if c.few[i].key == key {
+			c.few[i].value = value
+			return
+		}
+	}
+	if _, ok := c.own[key]; !ok && c.nfew < len(c.few) {
+		c.few[c.nfew] = prop{key, value}
+		c.nfew++
+		return
+	}
 	if c.own == nil {
 		c.own = make(map[string]string)
 	}
@@ -91,11 +147,22 @@ func (c *Configuration) Set(key, value string) {
 // map, so the configuration first takes its own copy of every property.
 func (c *Configuration) Unset(key string) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.frozen[key]; ok {
-		c.frozen, c.own = nil, c.union()
+		all := c.union()
+		c.dropOwn()
+		c.frozen, c.own = nil, all
+		delete(c.own, key)
+		return
 	}
 	delete(c.own, key)
-	c.mu.Unlock()
+	for i := range c.few[:c.nfew] {
+		if c.few[i].key == key {
+			c.nfew--
+			c.few[i], c.few[c.nfew] = c.few[c.nfew], prop{}
+			return
+		}
+	}
 }
 
 // Get returns the property value, or "" when unset.
@@ -209,11 +276,9 @@ func (c *Configuration) Names() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]string, 0, c.lenLocked())
-	for k := range c.own {
-		out = append(out, k)
-	}
+	c.eachOwn(func(k, _ string) { out = append(out, k) })
 	for k := range c.frozen {
-		if _, shadowed := c.own[k]; !shadowed {
+		if _, shadowed := c.lookupOwn(k); !shadowed {
 			out = append(out, k)
 		}
 	}
@@ -230,11 +295,11 @@ func (c *Configuration) Len() int {
 
 func (c *Configuration) lenLocked() int {
 	n := len(c.frozen)
-	for k := range c.own {
+	c.eachOwn(func(k, _ string) {
 		if _, shadows := c.frozen[k]; !shadows {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -264,6 +329,7 @@ func (c *Configuration) ReadFields(r *wio.Reader) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropOwn()
 	c.frozen, c.own = nil, make(map[string]string, min(n, uint64(r.Remaining()/2)))
 	for i := uint64(0); i < n; i++ {
 		k, err := r.ReadString()

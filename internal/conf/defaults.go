@@ -41,11 +41,13 @@ func (c *Configuration) SetDefaults(d *Configuration) {
 	defer c.mu.Unlock()
 	// d's own layer first: a key it shadows in d's frozen layer is then
 	// already set in c when the frozen one comes round.
-	for _, layer := range [2]map[string]string{d.own, d.frozen} {
-		for k, v := range layer {
-			if _, ok := c.lookup(k); !ok {
-				c.setLocked(k, v)
-			}
+	setUnset := func(k, v string) {
+		if _, ok := c.lookup(k); !ok {
+			c.setLocked(k, v)
 		}
+	}
+	d.eachOwn(setUnset)
+	for k, v := range d.frozen {
+		setUnset(k, v)
 	}
 }

@@ -121,7 +121,23 @@ func NewJob() *JobConf {
 func WrapJob(c *Configuration) *JobConf { return &JobConf{Configuration: c} }
 
 // CloneJob returns a deep copy of the JobConf.
-func (j *JobConf) CloneJob() *JobConf { return &JobConf{Configuration: j.Configuration.Clone()} }
+func (j *JobConf) CloneJob() *JobConf { return new(JobClone).Of(j) }
+
+// JobClone is a JobConf and its Configuration in one value, so that a clone
+// costs one allocation — or none of its own, inside a larger value its owner
+// allocates anyway (a task attempt's context).
+type JobClone struct {
+	job JobConf
+	c   Configuration
+}
+
+// Of makes o a clone of j, as CloneJob does, and returns it. o must be
+// zero.
+func (o *JobClone) Of(j *JobConf) *JobConf {
+	o.c.frozen = j.freeze()
+	o.job.Configuration = &o.c
+	return &o.job
+}
 
 // SetJobName names the job for reports.
 func (j *JobConf) SetJobName(name string) { j.Set(KeyJobName, name) }

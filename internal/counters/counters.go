@@ -239,6 +239,24 @@ var layoutIndex = func() map[key]int {
 	return m
 }()
 
+// taskStatRows is TaskStats resolved onto the layout once: row i's counter
+// is layout[taskStatRows[i]]. Every row is a slab counter.
+var taskStatRows = func() []int {
+	rows := make([]int, len(TaskStats))
+	for i, r := range TaskStats {
+		j, ok := layoutIndex[key{r.Group, r.Name}]
+		if !ok {
+			panic(fmt.Sprintf("counters: TaskStats row %s/%s is not on the slab", r.Group, r.Name))
+		}
+		rows[i] = j
+	}
+	return rows
+}()
+
+// TaskStat returns the value in s of the counter TaskStats' row i names: a
+// field load, not a lookup by name.
+func (s *Slab) TaskStat(i int) int64 { return layout[taskStatRows[i]].at(s).Value() }
+
 // TaskSet makes cs a task attempt's counter set over the zero Slab s. The
 // caller embeds both (engine.TaskContext does), so the set costs no
 // allocation of its own; user counters go in a map made on first use.

@@ -207,3 +207,19 @@ func TestTaskSetRoundTrip(t *testing.T) {
 		t.Error("ReadFields into a task set fills its slab")
 	}
 }
+
+// TestTaskStatReadsItsRow: TaskStat(i) is the value of the counter
+// TaskStats' row i names, in the task set over the slab.
+func TestTaskStatReadsItsRow(t *testing.T) {
+	var cs counters.Counters
+	var s counters.Slab
+	set := counters.TaskSet(&cs, &s)
+	for i, row := range counters.TaskStats {
+		set.Incr(row.Group, row.Name, int64(i+1))
+	}
+	for i, row := range counters.TaskStats {
+		if got := s.TaskStat(i); got != int64(i+1) || got != set.Value(row.Group, row.Name) {
+			t.Errorf("TaskStat(%d) = %d, want %d (%s/%s)", i, got, i+1, row.Group, row.Name)
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -19,6 +19,21 @@ import (
 
 // ErrNotFound is returned when a path does not exist.
 var ErrNotFound = errors.New("dfs: no such file or directory")
+
+// PathError is an operation's failure on a path, "dfs: <op> <path>: <err>".
+// It is formatted only when printed, so a miss its caller merely tests with
+// errors.Is — a cache-only path the backing store is asked about — costs one
+// allocation, not a formatted message.
+type PathError struct {
+	Op   string
+	Path string
+	Err  error
+}
+
+func (e *PathError) Error() string { return "dfs: " + e.Op + " " + e.Path + ": " + e.Err.Error() }
+
+// Unwrap returns the cause.
+func (e *PathError) Unwrap() error { return e.Err }
 
 // ErrExists is returned when a create/rename target already exists.
 var ErrExists = errors.New("dfs: path already exists")
@@ -47,7 +62,7 @@ type FileStatus struct {
 type BlockLocation struct {
 	Offset int64
 	Length int64
-	Hosts  []string
+	Hosts  []string // shared with the filesystem's own record: read-only
 }
 
 // FileSystem is the SPI both engines and all input/output formats use.
@@ -156,7 +171,7 @@ func IsAncestor(a, p string) bool {
 	if a == "/" {
 		return true
 	}
-	return p == a || strings.HasPrefix(p, a+"/")
+	return strings.HasPrefix(p, a) && (len(p) == len(a) || p[len(a)] == '/')
 }
 
 // Ancestors returns every ancestor of p from "/" down to p itself.
@@ -197,7 +212,8 @@ func WriteFile(fs FileSystem, path string, data []byte) error {
 	return w.Close()
 }
 
-// ListRecursive returns every file (not directory) under root.
+// ListRecursive returns every file (not directory) under root, sorted by
+// path.
 func ListRecursive(fs FileSystem, root string) ([]FileStatus, error) {
 	st, err := fs.Stat(root)
 	if err != nil {
@@ -206,19 +222,28 @@ func ListRecursive(fs FileSystem, root string) ([]FileStatus, error) {
 	if !st.IsDir {
 		return []FileStatus{st}, nil
 	}
-	var out []FileStatus
-	children, err := fs.List(root)
+	out, err := appendFiles(nil, fs, root)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(out, func(a, b FileStatus) int { return strings.Compare(a.Path, b.Path) })
+	return out, nil
+}
+
+// appendFiles appends the files under dir, taking each file's status from
+// its directory's listing.
+func appendFiles(out []FileStatus, fs FileSystem, dir string) ([]FileStatus, error) {
+	children, err := fs.List(dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range children {
-		sub, err := ListRecursive(fs, c.Path)
-		if err != nil {
+		if !c.IsDir {
+			out = append(out, c)
+		} else if out, err = appendFiles(out, fs, c.Path); err != nil {
 			return nil, err
 		}
-		out = append(out, sub...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 

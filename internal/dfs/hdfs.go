@@ -367,7 +367,7 @@ func (h *HDFS) OpenFrom(path, host string) (File, error) {
 	node, ok := h.files[path]
 	if !ok {
 		h.mu.RUnlock()
-		return nil, fmt.Errorf("dfs: open %s: %w", path, ErrNotFound)
+		return nil, &PathError{"open", path, ErrNotFound}
 	}
 	if node.dir {
 		h.mu.RUnlock()
@@ -477,7 +477,7 @@ func (h *HDFS) Delete(path string, recursive bool) error {
 	defer h.mu.Unlock()
 	node, ok := h.files[path]
 	if !ok {
-		return fmt.Errorf("dfs: delete %s: %w", path, ErrNotFound)
+		return &PathError{"delete", path, ErrNotFound}
 	}
 	if node.dir {
 		children := h.childrenLocked(path)
@@ -548,7 +548,7 @@ func (h *HDFS) Rename(src, dst string) error {
 	defer h.mu.Unlock()
 	node, ok := h.files[src]
 	if !ok {
-		return fmt.Errorf("dfs: rename %s: %w", src, ErrNotFound)
+		return &PathError{"rename", src, ErrNotFound}
 	}
 	if _, exists := h.files[dst]; exists {
 		return fmt.Errorf("dfs: rename to %s: %w", dst, ErrExists)
@@ -579,7 +579,7 @@ func (h *HDFS) Stat(path string) (FileStatus, error) {
 	defer h.mu.RUnlock()
 	node, ok := h.files[path]
 	if !ok {
-		return FileStatus{}, fmt.Errorf("dfs: stat %s: %w", path, ErrNotFound)
+		return FileStatus{}, &PathError{"stat", path, ErrNotFound}
 	}
 	return FileStatus{
 		Path:        path,
@@ -607,7 +607,7 @@ func (h *HDFS) List(path string) ([]FileStatus, error) {
 	defer h.mu.RUnlock()
 	node, ok := h.files[path]
 	if !ok {
-		return nil, fmt.Errorf("dfs: list %s: %w", path, ErrNotFound)
+		return nil, &PathError{"list", path, ErrNotFound}
 	}
 	if !node.dir {
 		return []FileStatus{{Path: path, Size: node.size, ModTime: node.mtime,
@@ -629,18 +629,21 @@ func (h *HDFS) BlockLocations(path string, start, length int64) ([]BlockLocation
 	defer h.mu.RUnlock()
 	node, ok := h.files[path]
 	if !ok {
-		return nil, fmt.Errorf("dfs: locations %s: %w", path, ErrNotFound)
+		return nil, &PathError{"locations", path, ErrNotFound}
 	}
 	if node.dir {
 		return nil, fmt.Errorf("dfs: locations %s: %w", path, ErrIsDirectory)
 	}
+	// A block's replica hosts never change once it is written, so every
+	// location shares its block's slice, capacity-clipped: read-only.
 	var out []BlockLocation
 	off := int64(0)
 	for _, b := range node.blocks {
 		if off+b.length > start && off < start+length {
-			hosts := make([]string, len(b.hosts))
-			copy(hosts, b.hosts)
-			out = append(out, BlockLocation{Offset: off, Length: b.length, Hosts: hosts})
+			if out == nil {
+				out = make([]BlockLocation, 0, len(node.blocks))
+			}
+			out = append(out, BlockLocation{Offset: off, Length: b.length, Hosts: b.hosts[:len(b.hosts):len(b.hosts)]})
 		}
 		off += b.length
 	}

@@ -56,7 +56,7 @@ func (l *Local) Open(path string) (File, error) {
 	f, err := os.Open(l.real(path))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("dfs: open %s: %w", path, ErrNotFound)
+			return nil, &PathError{"open", path, ErrNotFound}
 		}
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func (l *Local) Delete(path string, recursive bool) error {
 	st, err := os.Stat(real)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return fmt.Errorf("dfs: delete %s: %w", path, ErrNotFound)
+			return &PathError{"delete", path, ErrNotFound}
 		}
 		return err
 	}
@@ -94,7 +94,7 @@ func (l *Local) Rename(src, dst string) error {
 	}
 	if err := os.Rename(l.real(src), l.real(dst)); err != nil {
 		if os.IsNotExist(err) {
-			return fmt.Errorf("dfs: rename %s: %w", src, ErrNotFound)
+			return &PathError{"rename", src, ErrNotFound}
 		}
 		return err
 	}
@@ -111,7 +111,7 @@ func (l *Local) Stat(path string) (FileStatus, error) {
 	st, err := os.Stat(l.real(path))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return FileStatus{}, fmt.Errorf("dfs: stat %s: %w", path, ErrNotFound)
+			return FileStatus{}, &PathError{"stat", path, ErrNotFound}
 		}
 		return FileStatus{}, err
 	}
@@ -136,7 +136,7 @@ func (l *Local) List(path string) ([]FileStatus, error) {
 	entries, err := os.ReadDir(l.real(path))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("dfs: list %s: %w", path, ErrNotFound)
+			return nil, &PathError{"list", path, ErrNotFound}
 		}
 		st, serr := l.Stat(path)
 		if serr == nil && !st.IsDir {

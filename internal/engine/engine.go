@@ -97,7 +97,12 @@ type TaskContext struct {
 // NewTaskContext builds a context for one task attempt: one allocation,
 // its counter set included.
 func NewTaskContext(job *conf.JobConf, taskID string, split formats.InputSplit) *TaskContext {
-	c := &TaskContext{Job: job, Split: split, TaskID: taskID}
+	return new(TaskContext).init(job, taskID, split)
+}
+
+// init makes the zero context c one for a task attempt and returns it.
+func (c *TaskContext) init(job *conf.JobConf, taskID string, split formats.InputSplit) *TaskContext {
+	c.Job, c.Split, c.TaskID = job, split, taskID
 	c.Counters = counters.TaskSet(&c.set, &c.Cells)
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
@@ -55,6 +56,7 @@ type Job struct {
 
 	host       *Host
 	start      time.Time
+	attempt    string                       // "attempt_<ID>_", the prefix of its task attempts' ids
 	outputSpec formats.OutputFormat         // the instance whose CheckOutputSpecs admitted the job
 	committer  *formats.FileOutputCommitter // nil when the job writes no output
 }
@@ -88,7 +90,7 @@ func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 		lc = NewJobLifecycle()
 	}
 	lc.ApplyDeadlineConf(job)
-	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.New(), host: h, start: start}
+	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.New(), host: h, start: start, attempt: "attempt_" + id + "_"}
 	if j.Resolved, err = Resolve(job); err == nil {
 		if j.outputSpec, err = j.Resolved.NewOutputFormat(); err == nil {
 			err = j.outputSpec.CheckOutputSpecs(job)
@@ -198,15 +200,17 @@ func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSpli
 	}
 	j.Counters.Incr(counters.JobGroup, launched, 1)
 	j.host.Stats.Add(sim.TasksLaunched, 1)
-	taskJob := j.Conf.CloneJob()
+	// The context and the attempt's conf are one allocation.
+	t := new(taskAttempt)
+	taskJob := t.conf.Of(j.Conf)
 	taskJob.SetInt(conf.KeyTaskPartition, index)
-	ctx := NewTaskContext(taskJob, fmt.Sprintf("attempt_%s_%c_%06d_%d", j.ID, kind[0], index, attempt), split)
+	ctx := t.ctx.init(taskJob, j.attemptID(kind, index, attempt), split)
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%s task %d (%s) panicked: %v\n%s", kind, index, ctx.TaskID, p, debug.Stack())
 		}
-		for _, row := range counters.TaskStats {
-			if n := ctx.Counters.Value(row.Group, row.Name); n != 0 {
+		for i, row := range counters.TaskStats {
+			if n := ctx.Cells.TaskStat(i); n != 0 {
 				j.host.Stats.Add(row.Stat, n)
 			}
 		}
@@ -215,6 +219,27 @@ func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSpli
 		}
 	}()
 	return body(ctx)
+}
+
+// taskAttempt is what RunTask allocates for an attempt: its context and,
+// beside it, its conf.
+type taskAttempt struct {
+	ctx  TaskContext
+	conf conf.JobClone
+}
+
+// attemptID is Hadoop's attempt id, attempt_<job>_<m|r>_<index, six digits>_<attempt>.
+func (j *Job) attemptID(kind TaskKind, index, attempt int) string {
+	var buf [64]byte
+	b := append(buf[:0], j.attempt...)
+	b = append(b, kind[0], '_')
+	for w := 100000; w > 1 && index < w; w /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(index), 10)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(attempt), 10)
+	return string(b)
 }
 
 // TaskOutput is one task attempt's output under the job's committer: written
@@ -230,9 +255,19 @@ type TaskOutput struct {
 // OpenTaskOutput binds the attempt's work directory into taskJob and opens
 // the output format's record writer for fileName in it.
 func (j *Job) OpenTaskOutput(taskJob *conf.JobConf, attempt, fileName string) (*TaskOutput, error) {
-	o := &TaskOutput{j: j, taskJob: taskJob, attempt: attempt}
+	o := new(TaskOutput)
+	if err := j.InitTaskOutput(o, taskJob, attempt, fileName); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// InitTaskOutput is OpenTaskOutput into o, for a task that holds its output
+// by value. On error o writes nothing, so Commit and Abort are no-ops.
+func (j *Job) InitTaskOutput(o *TaskOutput, taskJob *conf.JobConf, attempt, fileName string) error {
+	*o = TaskOutput{j: j, taskJob: taskJob, attempt: attempt}
 	if j.committer == nil {
-		return o, nil
+		return nil
 	}
 	j.committer.SetupTask(taskJob, attempt)
 	outputFormat, err := j.Resolved.NewOutputFormat()
@@ -240,10 +275,11 @@ func (j *Job) OpenTaskOutput(taskJob *conf.JobConf, attempt, fileName string) (*
 		o.w, err = outputFormat.GetRecordWriter(taskJob, fileName)
 	}
 	if err != nil {
+		o.w = nil
 		j.committer.AbortTask(taskJob, attempt)
-		return nil, err
+		return err
 	}
-	return o, nil
+	return nil
 }
 
 // Write appends one record.

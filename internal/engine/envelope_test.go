@@ -339,3 +339,36 @@ func TestTaskEnvelope(t *testing.T) {
 		})
 	}
 }
+
+// TestAttemptIDs: an attempt's id is Hadoop's
+// attempt_<job>_<m|r>_<index, six digits>_<attempt>, the index padded to six
+// digits and never cut, and its conf carries the task's partition.
+func TestAttemptIDs(t *testing.T) {
+	h, _ := newEnvelopeHost(t)
+	j, err := h.Open(envelopeJob("/out"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Lifecycle.Stop()
+	for _, tc := range []struct {
+		kind           engine.TaskKind
+		index, attempt int
+	}{
+		{engine.MapTask, 0, 0}, {engine.MapTask, 7, 1}, {engine.ReduceTask, 42, 0},
+		{engine.ReduceTask, 123456, 3}, {engine.MapTask, 1234567, 12},
+	} {
+		want := fmt.Sprintf("attempt_%s_%c_%06d_%d", j.ID, tc.kind[0], tc.index, tc.attempt)
+		err := j.RunTask(tc.kind, tc.index, tc.attempt, nil, func(ctx *engine.TaskContext) error {
+			if ctx.TaskID != want {
+				t.Errorf("TaskID %q, want %q", ctx.TaskID, want)
+			}
+			if got := ctx.Job.GetInt(conf.KeyTaskPartition, -1); got != tc.index {
+				t.Errorf("%s: task partition %d, want %d", want, got, tc.index)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

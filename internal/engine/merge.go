@@ -55,9 +55,17 @@ type Tournament[T any] struct {
 // the loser, and sends the winner up; tree[0] holds the champion. It takes
 // ownership of heads and live.
 func NewTournament[T any](heads []T, live []bool, cmp func(a, b *T) int) *Tournament[T] {
+	t := new(Tournament[T])
+	t.init(heads, live, cmp)
+	return t
+}
+
+// init is NewTournament over the zero Tournament t, for an owner that holds
+// its tree by value.
+func (t *Tournament[T]) init(heads []T, live []bool, cmp func(a, b *T) int) {
 	k := len(heads)
 	var spare T // Replace's scratch, heads[k]
-	t := &Tournament[T]{
+	*t = Tournament[T]{
 		cmp:   cmp,
 		heads: append(heads, spare),
 		live:  live,
@@ -65,9 +73,13 @@ func NewTournament[T any](heads []T, live []bool, cmp func(a, b *T) int) *Tourna
 		k:     k,
 	}
 	if k <= 1 {
-		return t
+		return
 	}
-	winner := make([]int, 2*k)
+	var buf [64]int // the winners of a merge of up to 32 runs
+	winner := buf[:]
+	if 2*k > len(buf) {
+		winner = make([]int, 2*k)
+	}
 	for i := 0; i < k; i++ {
 		winner[k+i] = i
 	}
@@ -80,7 +92,6 @@ func NewTournament[T any](heads []T, live []bool, cmp func(a, b *T) int) *Tourna
 		}
 	}
 	t.tree[0] = winner[1]
-	return t
 }
 
 // wins reports whether source i's head should be emitted before source j's:
@@ -151,19 +162,24 @@ func (t *Tournament[T]) replay(w int) {
 // run is a RecSource and merges through RawMerge.)
 type RunReader = Source[wio.Pair]
 
-// sliceRunReader is the in-memory leaf.
-type sliceRunReader struct {
+// SliceRun is the in-memory leaf: a cursor over a sorted run whose pairs it
+// yields aliased (no copies). Reset aims one at a run, so a caller with many
+// runs may allocate their leaves together.
+type SliceRun struct {
 	pairs []wio.Pair
 	pos   int
 }
 
-// NewSliceRunReader returns a RunReader over an in-memory sorted run. The
-// yielded pairs alias the slice (no copies).
+// NewSliceRunReader returns a RunReader over an in-memory sorted run.
 func NewSliceRunReader(pairs []wio.Pair) RunReader {
-	return &sliceRunReader{pairs: pairs}
+	return &SliceRun{pairs: pairs}
 }
 
-func (r *sliceRunReader) Next() (wio.Pair, bool, error) {
+// Reset aims r at the start of pairs.
+func (r *SliceRun) Reset(pairs []wio.Pair) { r.pairs, r.pos = pairs, 0 }
+
+// Next implements RunReader.
+func (r *SliceRun) Next() (wio.Pair, bool, error) {
 	if r.pos >= len(r.pairs) {
 		// Drop the backing slice at exhaustion so the run's memory is
 		// collectable as soon as the consumer lets go of its pairs.
@@ -176,7 +192,8 @@ func (r *sliceRunReader) Next() (wio.Pair, bool, error) {
 	return p, true, nil
 }
 
-func (r *sliceRunReader) Close() error { return nil }
+// Close implements RunReader.
+func (r *SliceRun) Close() error { return nil }
 
 // SourceMerge streams the merge of k ordered sources — the single merge
 // iterator in the tree, instantiated at wio.Pair for in-memory runs
@@ -188,7 +205,7 @@ func (r *sliceRunReader) Close() error { return nil }
 // and stable-sorting the result.
 type SourceMerge[T any] struct {
 	srcs []Source[T]
-	t    *Tournament[T]
+	t    Tournament[T]
 }
 
 // NewSourceMerge opens a merge over sources, closing them all on error.
@@ -206,7 +223,9 @@ func NewSourceMerge[T any](srcs []Source[T], cmp func(a, b *T) int) (*SourceMerg
 		}
 		heads[i], live[i] = h, ok
 	}
-	return &SourceMerge[T]{srcs: srcs, t: NewTournament(heads, live, cmp)}, nil
+	m := &SourceMerge[T]{srcs: srcs}
+	m.t.init(heads, live, cmp)
+	return m, nil
 }
 
 // Peek returns the globally next element without consuming it, ok=false

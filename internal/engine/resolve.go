@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"unsafe"
 
 	"m3r/internal/conf"
@@ -78,6 +79,12 @@ type ResolvedJob struct {
 	newReduceRun  func() ReduceRun
 	newCombineRun func() ReduceRun
 	newPartition  func() mapred.Partitioner
+
+	// taggedImmutable is MapTaskImmutable's answer for each tagged mapper a
+	// task of the job has asked about: a mapper is probed once a job, not
+	// once a task.
+	taggedMu        sync.Mutex
+	taggedImmutable map[string]bool
 }
 
 // Resolve validates job and resolves its components.
@@ -330,14 +337,22 @@ func (rj *ResolvedJob) resolveMapSide() error {
 // splits the effective mapper is per-split, so the tagged mapper's marker
 // decides (the DelegatingMapper wrapper itself carries no marker).
 func MapTaskImmutable(rj *ResolvedJob, split formats.InputSplit) bool {
-	if t, ok := split.(*formats.TaggedInputSplit); ok {
-		m, err := registry.New(registry.KindMapper, t.MapperName)
-		if err != nil {
-			return false
-		}
-		return hmrext.IsImmutableOutput(m)
+	t, ok := split.(*formats.TaggedInputSplit)
+	if !ok {
+		return rj.MapImmutable
 	}
-	return rj.MapImmutable
+	rj.taggedMu.Lock()
+	defer rj.taggedMu.Unlock()
+	immutable, probed := rj.taggedImmutable[t.MapperName]
+	if !probed {
+		m, err := registry.New(registry.KindMapper, t.MapperName)
+		immutable = err == nil && hmrext.IsImmutableOutput(m)
+		if rj.taggedImmutable == nil {
+			rj.taggedImmutable = make(map[string]bool)
+		}
+		rj.taggedImmutable[t.MapperName] = immutable
+	}
+	return immutable
 }
 
 // SubstituteImmutableRunner swaps Hadoop's default MapRunner for M3R's
@@ -364,7 +379,10 @@ func (rj *ResolvedJob) SubstituteImmutableRunner() {
 		if err != nil {
 			panic(err)
 		}
-		return &oldMapRun{runner: mapred.NewImmutableMapRunner(inst.(mapred.Mapper))}
+		// The runner and its wrapper are one allocation.
+		r := &immutableMapRun{runner: *mapred.NewImmutableMapRunner(inst.(mapred.Mapper))}
+		r.oldMapRun.runner = &r.runner
+		return &r.oldMapRun
 	}
 }
 
@@ -456,6 +474,13 @@ type PairsRunner interface {
 // oldMapRun adapts a mapred.MapRunnable.
 type oldMapRun struct {
 	runner mapred.MapRunnable
+}
+
+// immutableMapRun is an oldMapRun over M3R's substituted runner, which it
+// holds.
+type immutableMapRun struct {
+	oldMapRun
+	runner mapred.ImmutableMapRunner
 }
 
 func (r *oldMapRun) Configure(job *conf.JobConf) { r.runner.Configure(job) }

@@ -28,16 +28,18 @@ type PairIter interface {
 
 // SlicePairs returns a PairIter over an in-memory sorted slice (the same
 // cursor the merge's in-memory leaf uses).
-func SlicePairs(pairs []wio.Pair) PairIter { return &sliceRunReader{pairs: pairs} }
+func SlicePairs(pairs []wio.Pair) PairIter { return &SliceRun{pairs: pairs} }
 
 // groupValues iterates the values of the current group directly off the
-// pair stream, advancing it until groupCmp reports a new key. cur/ok alias
-// DriveReduce's lookahead so the group boundary survives the iterator.
+// pair stream, advancing it until groupCmp reports a new key. cur/ok are
+// the stream's lookahead, so the group boundary survives the iterator; one
+// groupValues serves every group of a DriveReduce (a reducer does not keep
+// its values iterator past its Reduce call, as in Hadoop).
 type groupValues struct {
 	in         PairIter
 	groupCmp   wio.Comparator
-	cur        *wio.Pair
-	ok         *bool
+	cur        wio.Pair
+	ok         bool
 	groupKey   wio.Writable
 	recordCell *counters.Counter
 	err        error
@@ -47,7 +49,7 @@ type groupValues struct {
 
 // Next implements mapred.ValueIterator.
 func (g *groupValues) Next() (wio.Writable, bool) {
-	if g.done || g.err != nil || !*g.ok {
+	if g.done || g.err != nil || !g.ok {
 		return nil, false
 	}
 	if g.first {
@@ -58,12 +60,10 @@ func (g *groupValues) Next() (wio.Writable, bool) {
 	}
 	v := g.cur.Value
 	g.recordCell.Increment(1)
-	next, ok, err := g.in.Next()
-	if err != nil {
-		g.err = err
+	g.cur, g.ok, g.err = g.in.Next()
+	if g.err != nil {
 		return nil, false
 	}
-	*g.cur, *g.ok = next, ok
 	return v, true
 }
 
@@ -78,19 +78,16 @@ func DriveReduce(run ReduceRun, groupCmp wio.Comparator, in PairIter,
 	if combine {
 		groupCell, recordCell = nil, &ctx.Cells.CombineInputRecords
 	}
-	cur, ok, err := in.Next()
-	if err != nil {
-		return err
+	values := &groupValues{in: in, groupCmp: groupCmp, recordCell: recordCell}
+	if values.cur, values.ok, values.err = in.Next(); values.err != nil {
+		return values.err
 	}
-	for ok {
+	for values.ok {
 		if groupCell != nil {
 			groupCell.Increment(1)
 		}
-		values := &groupValues{
-			in: in, groupCmp: groupCmp, cur: &cur, ok: &ok,
-			groupKey: cur.Key, recordCell: recordCell, first: true,
-		}
-		if err := run.Reduce(cur.Key, values, out, ctx); err != nil {
+		values.groupKey, values.first, values.done = values.cur.Key, true, false
+		if err := run.Reduce(values.groupKey, values, out, ctx); err != nil {
 			return err
 		}
 		// Drain any values the reducer did not consume so the next group

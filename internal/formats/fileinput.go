@@ -2,7 +2,8 @@ package formats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
@@ -34,7 +35,7 @@ func ListInputFiles(job *conf.JobConf) ([]dfs.FileStatus, error) {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(a, b dfs.FileStatus) int { return strings.Compare(a.Path, b.Path) })
 	return out, nil
 }
 
@@ -62,7 +63,9 @@ func FileSplits(job *conf.JobConf, numSplits int) ([]InputSplit, error) {
 			goal = 1
 		}
 	}
-	var splits []InputSplit
+	// The splits are laid out in one slice, which the interfaces point
+	// into.
+	var cut []FileSplit
 	for _, f := range files {
 		if f.Size == 0 {
 			continue
@@ -83,14 +86,19 @@ func FileSplits(job *conf.JobConf, numSplits int) ([]InputSplit, error) {
 				if off+l > bl.Length {
 					l = bl.Length - off
 				}
-				splits = append(splits, &FileSplit{
-					Path:  f.Path,
-					Start: bl.Offset + off,
-					Len:   l,
-					Hosts: bl.Hosts,
+				cut = append(cut, FileSplit{
+					Path:     f.Path,
+					Start:    bl.Offset + off,
+					Len:      l,
+					Hosts:    bl.Hosts,
+					FileSize: f.Size,
 				})
 			}
 		}
+	}
+	splits := make([]InputSplit, len(cut))
+	for i := range cut {
+		splits[i] = &cut[i]
 	}
 	return splits, nil
 }

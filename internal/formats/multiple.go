@@ -107,12 +107,10 @@ func (*DelegatingInputFormat) GetSplits(job *conf.JobConf, numSplits int) ([]Inp
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range splits {
-			out = append(out, &TaggedInputSplit{
-				Base:            s,
-				InputFormatName: mi.inputFormat,
-				MapperName:      mi.mapper,
-			})
+		tagged := make([]TaggedInputSplit, len(splits))
+		for i, s := range splits {
+			tagged[i] = TaggedInputSplit{Base: s, InputFormatName: mi.inputFormat, MapperName: mi.mapper}
+			out = append(out, &tagged[i])
 		}
 	}
 	return out, nil

@@ -57,6 +57,9 @@ type FileSplit struct {
 	Start int64
 	Len   int64
 	Hosts []string
+	// FileSize is the whole file's length when the split's maker knew it
+	// (FileSplits records the listing's), 0 when it did not.
+	FileSize int64
 }
 
 // Length implements InputSplit.

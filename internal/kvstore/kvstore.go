@@ -903,19 +903,28 @@ type Reader struct {
 // served transiently otherwise, so reads always succeed while the budget
 // decides only where the block lives afterwards.
 func (s *Store) CreateReader(place int, path string, info BlockInfo) (*Reader, error) {
-	path = dfs.CleanPath(path)
-	pairs, err := s.readBlock(path, info)
+	pairs, remote, err := s.ReadPairs(place, path, info)
 	if err != nil {
 		return nil, err
 	}
+	return &Reader{pairs: pairs, Remote: remote}, nil
+}
+
+// ReadPairs is CreateReader for a caller that takes the block's pairs whole:
+// the pairs, and whether they crossed places.
+func (s *Store) ReadPairs(place int, path string, info BlockInfo) (pairs []wio.Pair, remote bool, err error) {
+	path = dfs.CleanPath(path)
+	if pairs, err = s.readBlock(path, info); err != nil {
+		return nil, false, err
+	}
 	if info.Place == place {
-		return &Reader{pairs: pairs}, nil
+		return pairs, false, nil
 	}
 	res, err := s.rt.ShipPairs(info.Place, place, pairs, true)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return &Reader{pairs: res.Pairs, Remote: true}, nil
+	return res.Pairs, true, nil
 }
 
 // readBlock returns the pairs of block info of path. The lookup and the

@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,11 +37,16 @@ const (
 type Cache struct {
 	store *kvstore.Store
 	rt    *x10.Runtime
+	hosts [][]string // hosts[p] is place p's host, the Hosts of a block homed there
 }
 
 // NewCache builds a cache over the runtime's places.
 func NewCache(rt *x10.Runtime) *Cache {
-	return &Cache{store: kvstore.New(rt), rt: rt}
+	hosts := make([][]string, rt.NumPlaces())
+	for p := range hosts {
+		hosts[p] = []string{rt.Place(p).Host()}
+	}
+	return &Cache{store: kvstore.New(rt), rt: rt, hosts: hosts}
 }
 
 // Store exposes the underlying kvstore (used by tests and cache queries).
@@ -77,11 +82,17 @@ type CachedRange struct {
 // block), so exactly one block is read even if concurrent misses on the
 // same split raced their inserts.
 func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool) {
+	return c.lookupSplit(nil, splitPath(name), fileSplit)
+}
+
+// lookupSplit is LookupSplit of the split at store path sp: a hit's ranges
+// are appended to dst, so a planner can keep every split's in one slice.
+func (c *Cache) lookupSplit(dst []CachedRange, sp string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool) {
+	ranges = dst
 	// Exact input-split entry.
-	sp := splitPath(name)
 	c.store.ViewInfo(sp, func(info kvstore.PathInfo) {
 		if !info.Dir && len(info.Blocks) > 0 {
-			ranges, ok = []CachedRange{{Path: sp, Block: info.Blocks[0], From: 0, To: -1}}, true
+			ranges, ok = append(ranges, CachedRange{Path: sp, Block: info.Blocks[0], From: 0, To: -1}), true
 		}
 	})
 	if ok || fileSplit == nil {
@@ -96,13 +107,12 @@ func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []Cac
 			// Cache-only files live in a synthetic "pair index" byte space
 			// (their FileStatus.Size is the pair count), so any split range
 			// maps exactly onto pair ranges across the blocks.
-			ranges, ok = pairRanges(fileSplit.path, info, fileSplit.start, fileSplit.start+fileSplit.length), true
+			ranges, ok = appendPairRanges(ranges, fileSplit.path, info, fileSplit.start, fileSplit.start+fileSplit.length), true
 			return
 		}
 		// Disk-backed file: byte offsets do not map to pair indexes, so only a
 		// whole-file split can be served from the cache.
 		if fileSplit.start == 0 && fileSplit.wholeFile {
-			ranges = make([]CachedRange, 0, len(info.Blocks))
 			for _, b := range info.Blocks {
 				ranges = append(ranges, CachedRange{Path: fileSplit.path, Block: b, From: 0, To: -1})
 			}
@@ -120,9 +130,9 @@ type fileSplitView struct {
 	wholeFile bool
 }
 
-// pairRanges maps the pair-index interval [from, to) onto block ranges.
-func pairRanges(path string, info kvstore.PathInfo, from, to int64) []CachedRange {
-	var out []CachedRange
+// appendPairRanges appends the block ranges the pair-index interval
+// [from, to) maps onto.
+func appendPairRanges(out []CachedRange, path string, info kvstore.PathInfo, from, to int64) []CachedRange {
 	var off int64
 	for _, b := range info.Blocks {
 		lo, hi := max(from-off, 0), min(to-off, b.Pairs)
@@ -146,11 +156,10 @@ func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, e
 	parts := buf[:0]
 	remote, total := false, 0
 	for _, r := range ranges {
-		reader, err := c.store.CreateReader(place, r.Path, r.Block)
+		pairs, crossed, err := c.store.ReadPairs(place, r.Path, r.Block)
 		if err != nil {
 			return nil, false, err
 		}
-		pairs := reader.Pairs()
 		to := r.To
 		if to < 0 || to > int64(len(pairs)) {
 			to = int64(len(pairs))
@@ -164,7 +173,7 @@ func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, e
 		}
 		parts = append(parts, pairs[from:to:to])
 		total += int(to - from)
-		remote = remote || reader.Remote
+		remote = remote || crossed
 	}
 	if len(parts) == 1 {
 		return parts[0], remote, nil
@@ -182,7 +191,12 @@ func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, e
 // complete pair sequence, LookupSplit reads exactly one, and no block a
 // concurrent planner has resolved is ever invalidated by an insert.
 func (c *Cache) PutSplit(place int, name string, pairs []wio.Pair) error {
-	w, err := c.store.CreateWriter(place, splitPath(name), "")
+	return c.putSplit(place, splitPath(name), pairs)
+}
+
+// putSplit is PutSplit of the split at store path sp.
+func (c *Cache) putSplit(place int, sp string, pairs []wio.Pair) error {
+	w, err := c.store.CreateWriter(place, sp, "")
 	if err != nil {
 		return err
 	}
@@ -202,16 +216,27 @@ type OutputWriter struct {
 // NewOutputWriter opens the output cache entry for path at place. temp
 // marks the entry cache-only (§4.2.3).
 func (c *Cache) NewOutputWriter(place int, path string, temp bool) (*OutputWriter, error) {
+	o := new(OutputWriter)
+	if err := c.openOutput(o, place, path, temp); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// openOutput is NewOutputWriter into o, for an owner that holds the writer
+// by value.
+func (c *Cache) openOutput(o *OutputWriter, place int, path string, temp bool) error {
 	path = dfs.CleanPath(path)
 	// Replace any stale entry for the same path.
 	if err := c.store.Delete(path); err != nil {
-		return nil, err
+		return err
 	}
 	w, err := c.store.CreateWriter(place, path, "")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &OutputWriter{cache: c, w: w, path: path, temp: temp}, nil
+	*o = OutputWriter{cache: c, w: w, path: path, temp: temp}
+	return nil
 }
 
 // Append adds one pair to the cached file.
@@ -285,11 +310,11 @@ func (c *Cache) PathPairs(path string) ([]wio.Pair, bool, error) {
 	}
 	var out []wio.Pair
 	for _, b := range info.Blocks {
-		r, err := c.store.CreateReader(b.Place, dfs.CleanPath(path), b)
+		pairs, _, err := c.store.ReadPairs(b.Place, dfs.CleanPath(path), b)
 		if err != nil {
 			return nil, false, fmt.Errorf("m3r: cache read %s: %w", path, err)
 		}
-		out = append(out, r.Pairs()...)
+		out = append(out, pairs...)
 	}
 	return out, true, nil
 }
@@ -415,12 +440,14 @@ func (f *CachingFileSystem) Exists(path string) bool {
 
 // List implements dfs.FileSystem over the union.
 func (f *CachingFileSystem) List(path string) ([]dfs.FileStatus, error) {
-	seen := make(map[string]bool)
-	var out []dfs.FileStatus
-	if sts, err := f.backing.List(path); err == nil {
-		for _, st := range sts {
+	var seen map[string]bool // made only when the backing store lists something
+	out, err := f.backing.List(path)
+	if err != nil {
+		out = nil
+	} else if len(out) > 0 {
+		seen = make(map[string]bool, len(out))
+		for _, st := range out {
 			seen[st.Path] = true
-			out = append(out, st)
 		}
 	}
 	for _, child := range f.cache.store.Children(dfs.CleanPath(path)) {
@@ -435,7 +462,7 @@ func (f *CachingFileSystem) List(path string) ([]dfs.FileStatus, error) {
 	if out == nil && !f.Exists(path) {
 		return nil, fmt.Errorf("m3r: list %s: %w", path, dfs.ErrNotFound)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(a, b dfs.FileStatus) int { return strings.Compare(a.Path, b.Path) })
 	return out, nil
 }
 
@@ -451,6 +478,7 @@ func (f *CachingFileSystem) BlockLocations(path string, start, length int64) ([]
 // blockLocations returns the locations of a cached file's blocks that
 // overlap [start, start+length) of its pair-index space, each hosted at its
 // home place's node. A missing path or a directory is dfs.ErrNotFound.
+// Every location homed at one place shares that place's Hosts slice.
 func (c *Cache) blockLocations(path string, start, length int64) ([]dfs.BlockLocation, error) {
 	var out []dfs.BlockLocation
 	file := false
@@ -462,11 +490,10 @@ func (c *Cache) blockLocations(path string, start, length int64) ([]dfs.BlockLoc
 		var off int64
 		for _, b := range info.Blocks {
 			if off+b.Pairs > start && off < start+length {
-				out = append(out, dfs.BlockLocation{
-					Offset: off,
-					Length: b.Pairs,
-					Hosts:  []string{c.rt.Place(b.Place).Host()},
-				})
+				if out == nil {
+					out = make([]dfs.BlockLocation, 0, len(info.Blocks))
+				}
+				out = append(out, dfs.BlockLocation{Offset: off, Length: b.Pairs, Hosts: c.hosts[b.Place]})
 			}
 			off += b.Pairs
 		}

@@ -327,7 +327,7 @@ func (sc *shuffleCollector) collectSerialized(q int, key, value wio.Writable, im
 	if err := sc.frames.classes.check(sc.x.Resolved, key, value); err != nil {
 		return err
 	}
-	d := sc.placeOf[q]
+	d := sc.jobParts[q].place
 	f := sc.frames.byPlace[d]
 	if f == nil {
 		f = getFrame()

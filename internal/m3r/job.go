@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -231,38 +232,59 @@ func (x *jobExec) cleanup() {
 
 // mapAssignment is one planned map task.
 type mapAssignment struct {
+	x      *jobExec
 	index  int
 	split  formats.InputSplit
 	place  int
 	cached []CachedRange
 	hit    bool
+	// splitPath is the split's store path in the input cache, "" when the
+	// split bypasses the cache (§4.2.1).
+	splitPath string
 }
 
 // plan computes the job's splits and assigns each to a place: cache blocks
 // pin cached splits (§3.2.1), PlacedSplits pin to their partition's stable
 // place (§4.3), HDFS locality pins file splits, and everything else
-// round-robins. Reduce partitions get their inputs here too, each at the place the stable mapping gives it.
-func (x *jobExec) plan() ([]*mapAssignment, error) {
+// round-robins. Reduce partitions get their inputs here too, each at the
+// place the stable mapping gives it. What it makes per split is the
+// split's store path; the assignments, the partitions, their run lists and
+// every hit's cached ranges are one slice each for the job.
+func (x *jobExec) plan() ([]mapAssignment, error) {
 	e := x.e
 	P := e.rt.NumPlaces()
 	splits, err := x.Resolved.InputFormat.GetSplits(x.Conf, P*2)
 	if err != nil {
 		return nil, err
 	}
-	for q := 0; q < x.Resolved.NumReducers; q++ {
-		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
+	R, N := x.Resolved.NumReducers, len(splits)
+	parts := make([]partitionInput, R)
+	x.parts = make([]*partitionInput, R)
+	// A partition receives at most one run from each map task: its run list
+	// is its share of one slice, at that length.
+	runs := make([]*sourceRun, R*N)
+	for q := range parts {
+		parts[q] = partitionInput{x: x, index: q, place: e.PlaceOfPartition(q), runs: runs[q*N : q*N : (q+1)*N]}
+		x.parts[q] = &parts[q]
 	}
 	rr := 0
-	out := make([]*mapAssignment, 0, len(splits))
+	out := make([]mapAssignment, N)
+	var ranges []CachedRange
 	for i, s := range splits {
-		a := &mapAssignment{index: i, split: s}
-		out = append(out, a)
+		a := &out[i]
+		a.x, a.index, a.split = x, i, s
 		if x.cacheEnabled {
-			if name, ok := formats.SplitName(s); ok {
-				ranges, hit := e.cache.LookupSplit(name, fileSplitViewOf(e.cfs, s))
-				if hit && len(ranges) > 0 {
-					a.cached, a.hit = ranges, true
-					a.place = ranges[0].Block.Place
+			if sp, view, ok := splitKey(e.cfs, s); ok {
+				a.splitPath = sp
+				var file *fileSplitView
+				if view.path != "" {
+					file = &view
+				}
+				n := len(ranges)
+				var hit bool
+				if ranges, hit = e.cache.lookupSplit(ranges, sp, file); hit && len(ranges) > n {
+					a.cached, a.hit = ranges[n:len(ranges):len(ranges)], true
+					a.place = a.cached[0].Block.Place
 					continue
 				}
 			}
@@ -287,22 +309,50 @@ func (x *jobExec) plan() ([]*mapAssignment, error) {
 	return out, nil
 }
 
-// fileSplitViewOf unwraps delegating splits down to a FileSplit and builds
-// the cache's view of it.
-func fileSplitViewOf(fs dfs.FileSystem, s formats.InputSplit) *fileSplitView {
+// Run is the assigned map task, at its place: the work the map phase's
+// x10.Finish spawns for it.
+func (a *mapAssignment) Run() error {
+	x := a.x
+	var err error
+	x.e.rt.At(a.place, func() {
+		err = x.RunTask(engine.MapTask, a.index, 0, a.split, func(ctx *engine.TaskContext) error {
+			return x.runMapTask(ctx, a)
+		})
+	})
+	return err
+}
+
+// splitKey resolves a split's cache identity by formats.SplitName's rules —
+// a FileSplit, a NamedSplit, a DelegatingSplit's delegate — as its store
+// path (splitPath of its name, built without the name) and, for a
+// FileSplit, the cache's view of it (the zero view for any other split).
+// ok=false means the split bypasses the cache (§4.2.1).
+func splitKey(fs dfs.FileSystem, s formats.InputSplit) (sp string, view fileSplitView, ok bool) {
 	for {
-		if d, ok := s.(formats.DelegatingSplit); ok {
-			s = d.GetDelegate()
-			continue
+		switch t := s.(type) {
+		case *formats.FileSplit:
+			var buf [128]byte
+			b := append(append(append(buf[:0], splitsRoot...), t.Path...), '/')
+			b = strconv.AppendInt(b, t.Start, 10)
+			b = strconv.AppendInt(append(b, '+'), t.Len, 10)
+			return dfs.CleanPath(string(b)), fileSplitViewOf(fs, t), true
+		case formats.NamedSplit:
+			return splitPath(t.GetName()), fileSplitView{}, true
+		case formats.DelegatingSplit:
+			s = t.GetDelegate()
+		default:
+			return "", fileSplitView{}, false
 		}
-		break
 	}
-	f, ok := s.(*formats.FileSplit)
-	if !ok {
-		return nil
-	}
-	v := &fileSplitView{path: dfs.CleanPath(f.Path), start: f.Start, length: f.Len}
-	if st, err := fs.Stat(v.path); err == nil {
+}
+
+// fileSplitViewOf builds the cache's view of a FileSplit. The file's size
+// is the split's own record of it, when the split has one.
+func fileSplitViewOf(fs dfs.FileSystem, f *formats.FileSplit) fileSplitView {
+	v := fileSplitView{path: dfs.CleanPath(f.Path), start: f.Start, length: f.Len}
+	if f.FileSize > 0 {
+		v.wholeFile = f.Start == 0 && f.Len == f.FileSize
+	} else if st, err := fs.Stat(v.path); err == nil {
 		v.wholeFile = f.Start == 0 && f.Len == st.Size
 	}
 	return v
@@ -310,13 +360,9 @@ func fileSplitViewOf(fs dfs.FileSystem, s formats.InputSplit) *fileSplitView {
 
 // run executes the map phase, the global shuffle barrier, and the reduce
 // phase across all places.
-func (x *jobExec) run(assignments []*mapAssignment) error {
+func (x *jobExec) run(assignments []mapAssignment) error {
 	e := x.e
 	P := e.rt.NumPlaces()
-	byPlace := make([][]*mapAssignment, P)
-	for _, a := range assignments {
-		byPlace[a.place] = append(byPlace[a.place], a)
-	}
 	team := x10.NewTeam(P)
 	var mapFailed atomic.Bool
 	fin := x10.NewFinish()
@@ -325,17 +371,10 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 		fin.Async(func() error {
 			// Map phase at this place: every task occupies a worker slot.
 			inner := x10.NewFinish()
-			for _, a := range byPlace[p] {
-				a := a
-				inner.Async(func() error {
-					var err error
-					e.rt.At(p, func() {
-						err = x.RunTask(engine.MapTask, a.index, 0, a.split, func(ctx *engine.TaskContext) error {
-							return x.runMapTask(ctx, a)
-						})
-					})
-					return err
-				})
+			for i := range assignments {
+				if a := &assignments[i]; a.place == p {
+					inner.AsyncTask(a)
+				}
 			}
 			mapErr := inner.Wait()
 			if mapErr != nil {
@@ -377,20 +416,10 @@ func (x *jobExec) run(assignments []*mapAssignment) error {
 			// Reduce phase: this place owns the partitions the stable
 			// mapping assigns to it (§3.2.2.2).
 			rinner := x10.NewFinish()
-			for q := 0; q < x.Resolved.NumReducers; q++ {
-				if e.PlaceOfPartition(q) != p {
-					continue
+			for _, pi := range x.parts {
+				if pi.place == p {
+					rinner.AsyncTask(pi)
 				}
-				q := q
-				rinner.Async(func() error {
-					var err error
-					e.rt.At(p, func() {
-						err = x.RunTask(engine.ReduceTask, q, 0, nil, func(ctx *engine.TaskContext) error {
-							return x.runReduceTask(ctx, q)
-						})
-					})
-					return err
-				})
 			}
 			return rinner.Wait()
 		})

@@ -23,46 +23,47 @@ func (x *jobExec) runMapTask(ctx *engine.TaskContext, a *mapAssignment) error {
 	mr := x.Resolved.NewMapRun()
 	mr.Configure(ctx.Job)
 
-	var collector mapred.OutputCollector
-	var finish func() error
-	var abort func()
+	// On a zero-reducer job the map output is the job's output (§5.3);
+	// otherwise it is the shuffle's.
+	var out mapOutput
+	if x.Resolved.MapOnly {
+		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split))
+		if err != nil {
+			return err
+		}
+		// The map phase's per-record cancel check is the sink's.
+		sink.records, sink.lc = &ctx.Cells.MapOutputRecords, x.Lifecycle
+		out = sink
+	} else {
+		out = x.newShuffleCollector(a, ctx)
+	}
 	// The abort runs on every failure exit — error return or panic (the
 	// envelope's recover sees it after this defer) — so a failed task never
 	// leaves partial output in the cache or pooled buffers adrift.
 	done := false
 	defer func() {
-		if !done && abort != nil {
-			abort()
+		if !done {
+			out.abort()
 		}
 	}()
-	if x.Resolved.MapOnly {
-		// §5.3: a zero-reducer job's map output is the job's output.
-		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split))
-		if err != nil {
-			return err
-		}
-		cells := &ctx.Cells
-		collector = mapred.CollectorFunc(func(k, v wio.Writable) error {
-			if err := x.Lifecycle.Err(); err != nil {
-				return err
-			}
-			cells.MapOutputRecords.Increment(1)
-			return sink.write(k, v)
-		})
-		finish, abort = sink.commit, sink.abort
-	} else {
-		sc := x.newShuffleCollector(a, ctx)
-		collector, finish, abort = sc, sc.flush, sc.abort
-	}
 
-	if err := x.feedMapTask(a, mr, collector, ctx); err != nil {
+	if err := x.feedMapTask(a, mr, out, ctx); err != nil {
 		return fmt.Errorf("map task %d: %w", a.index, err)
 	}
-	if err := finish(); err != nil {
+	if err := out.flush(); err != nil {
 		return fmt.Errorf("map task %d output: %w", a.index, err)
 	}
 	done = true
 	return nil
+}
+
+// mapOutput is where a map task's pairs go: a taskSink or a
+// shuffleCollector. flush completes it; abort, on every failure exit,
+// drops what it holds.
+type mapOutput interface {
+	mapred.OutputCollector
+	flush() error
+	abort()
 }
 
 // feedMapTask routes input into the mapper: cached pairs (aliased from the
@@ -79,8 +80,7 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 		ctx.IncrCounter(counters.M3RGroup, counters.CacheHitSplits, 1)
 		return runPairs(mr, pairs, out, ctx)
 	}
-	name, nameOK := formats.SplitName(a.split)
-	if nameOK && x.cacheEnabled {
+	if a.splitPath != "" {
 		reader, err := x.Resolved.InputFormat.GetRecordReader(a.split, ctx.Job)
 		if err != nil {
 			return err
@@ -92,7 +92,7 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 		if err != nil {
 			return err
 		}
-		if err := e.cache.PutSplit(a.place, name, pairs); err != nil {
+		if err := e.cache.putSplit(a.place, a.splitPath, pairs); err != nil {
 			return err
 		}
 		ctx.IncrCounter(counters.M3RGroup, counters.CacheMissSplits, 1)

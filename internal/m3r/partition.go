@@ -21,9 +21,23 @@ import (
 // as raw records (takeSources).
 type partitionInput struct {
 	x     *jobExec
+	index int
 	place int
 	mu    sync.Mutex
 	runs  []*sourceRun
+}
+
+// Run is the partition's reduce task, at its place: the work the reduce
+// phase's x10.Finish spawns for it.
+func (pi *partitionInput) Run() error {
+	x := pi.x
+	var err error
+	x.e.rt.At(pi.place, func() {
+		err = x.RunTask(engine.ReduceTask, pi.index, 0, nil, func(ctx *engine.TaskContext) error {
+			return x.runReduceTask(ctx, pi.index)
+		})
+	})
+	return err
 }
 
 // sourceRun is one map task's sorted contribution to a partition: pairs,
@@ -137,11 +151,20 @@ func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nre
 	x.e.cost.ChargeDisk(x.e.Stats(), stored)
 }
 
-// installRuns installs an unbudgeted map task's sorted run per partition.
-func (x *jobExec) installRuns(src int, runs [][]wio.Pair) {
-	for q, pairs := range runs {
-		if len(pairs) > 0 {
-			x.parts[q].install(&sourceRun{src: src, pairs: pairs})
+// installRuns installs an unbudgeted map task's sorted run per partition,
+// the task's runs in one allocation.
+func (x *jobExec) installRuns(src int, parts []collectPart) {
+	n := 0
+	for q := range parts {
+		if len(parts[q].run) > 0 {
+			n++
+		}
+	}
+	runs := make([]sourceRun, 0, n)
+	for q := range parts {
+		if pairs := parts[q].run; len(pairs) > 0 {
+			runs = append(runs, sourceRun{src: src, pairs: pairs})
+			x.parts[q].install(&runs[len(runs)-1])
 		}
 	}
 }
@@ -170,8 +193,10 @@ func (pi *partitionInput) takeRuns() []*sourceRun {
 func (pi *partitionInput) takeReaders() []engine.RunReader {
 	runs := pi.takeRuns()
 	out := make([]engine.RunReader, len(runs))
+	leaves := make([]engine.SliceRun, len(runs))
 	for i, r := range runs {
-		out[i] = engine.NewSliceRunReader(r.pairs)
+		leaves[i].Reset(r.pairs)
+		out[i] = &leaves[i]
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"m3r/internal/conf"
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
-	"m3r/internal/wio"
 )
 
 // runReduceTask is the body of one reduce partition at its stable place.
@@ -22,25 +21,21 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 		return err
 	}
 	defer sink.abort()
-	cells := &ctx.Cells
-	collector := mapred.CollectorFunc(func(k, v wio.Writable) error {
-		cells.ReduceOutputRecords.Increment(1)
-		return sink.write(k, v)
-	})
+	sink.records = &ctx.Cells.ReduceOutputRecords
 
 	// The HMR API promises reducers sorted input even in memory. Map tasks
 	// shipped sorted runs; merge them stably through the tournament tree,
 	// streaming straight into the reducer instead of materializing a merged
 	// copy of the partition.
 	if x.budgets != nil {
-		err = x.reduceSerialized(ctx, q, reducer, collector)
+		err = x.reduceSerialized(ctx, q, reducer, sink)
 	} else {
-		err = x.reducePairs(ctx, q, reducer, collector)
+		err = x.reducePairs(ctx, q, reducer, sink)
 	}
 	if err != nil {
 		return fmt.Errorf("reduce task %d: %w", q, err)
 	}
-	return sink.commit()
+	return sink.flush()
 }
 
 // reducePairs is an unbudgeted job's reduce: its runs are objects on the

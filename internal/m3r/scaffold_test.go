@@ -1,0 +1,298 @@
+package m3r
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"m3r/internal/conf"
+	"m3r/internal/dfs"
+	"m3r/internal/formats"
+	"m3r/internal/sim"
+	"m3r/internal/testenv"
+	"m3r/internal/types"
+	"m3r/internal/wio"
+)
+
+// What a job pays before and around its records: the plan per split and a
+// task's envelope and scaffolding. The ceilings below were set with go1.24
+// on amd64 when the plan and the task envelope stopped allocating per split
+// and per task (386 is not pinned: a word is half as wide there, and a few
+// slices round differently). Each is the measured value — the same in 20
+// runs at each of GOMAXPROCS 1, 2 and 4 — plus the benchmark's 3 %
+// allocation bound, rounded down to whole allocations. They skip under the
+// race detector, which drops a share of what sync.Pool is given.
+
+// scaffoldEngine is a four-place M3R engine with every knob the counts
+// depend on set explicitly, so no M3R_CONF_DEFAULTS carrier moves them:
+// no engine pool, no cache budget, the modelled costs zero.
+func scaffoldEngine(tb testing.TB) (*Engine, dfs.FileSystem) {
+	tb.Helper()
+	backing, err := dfs.NewHDFS(dfs.HDFSOptions{Root: tb.TempDir(), Hosts: []string{"n0", "n1", "n2", "n3"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := New(Options{Backing: backing, Places: 4, WorkersPerPlace: 1, ShuffleBudgetBytes: -1, CacheBudgetBytes: -1, Cost: sim.Zero(), Stats: sim.NewStats()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	return e, backing
+}
+
+// oneRecordFiles writes n SequenceFiles of one (Text, Int) record each
+// under dir: n splits.
+func oneRecordFiles(tb testing.TB, fs dfs.FileSystem, dir string, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		pairs := []wio.Pair{{Key: types.NewText(fmt.Sprintf("k%04d", i)), Value: types.NewInt(int32(i))}}
+		if err := formats.WriteSeqFile(fs, fmt.Sprintf("%s/part-%05d", dir, i), types.TextName, types.IntName, pairs); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// scaffoldJob is an identity job over the SequenceFiles under in, with
+// reducers reduce tasks (0: map-only), its knobs explicit.
+func scaffoldJob(in, out string, reducers int) *conf.JobConf {
+	job := conf.NewJob()
+	job.SetJobName("scaffold")
+	job.SetInputFormatClass(formats.SequenceFileInputFormatName)
+	job.SetOutputFormatClass(formats.SequenceFileOutputFormatName)
+	job.AddInputPath(in)
+	job.SetOutputPath(out)
+	job.SetNumReduceTasks(reducers)
+	job.SetMapOutputKeyClass(types.TextName)
+	job.SetMapOutputValueClass(types.IntName)
+	job.SetOutputKeyClass(types.TextName)
+	job.SetOutputValueClass(types.IntName)
+	job.SetInt64(conf.KeyM3RShuffleBudget, 0)
+	job.Set(conf.KeyM3RSpillCodec, "none")
+	job.SetBool(conf.KeyM3RCache, true)
+	job.SetBool(conf.KeyM3RDedup, true)
+	return job
+}
+
+// cachedSplitsJob returns the job of plan's fixture: n one-record files
+// whose splits a first run has put in the input cache.
+func cachedSplitsJob(tb testing.TB, e *Engine, fs dfs.FileSystem, n int) *conf.JobConf {
+	tb.Helper()
+	in := fmt.Sprintf("/plan/in%d", n)
+	oneRecordFiles(tb, fs, in, n)
+	if _, err := e.Submit(scaffoldJob(in, in+"_warm", 0)); err != nil {
+		tb.Fatal(err)
+	}
+	return scaffoldJob(in, in+"_out", 4)
+}
+
+// openExec admits job as Submit does, up to its plan; the test's cleanup
+// ends the admission.
+func openExec(tb testing.TB, e *Engine, job *conf.JobConf) *jobExec {
+	tb.Helper()
+	x, end := admit(tb, e, job)
+	tb.Cleanup(end)
+	return x
+}
+
+// admit admits job as Submit does, up to its plan, and returns what ends the
+// admission.
+func admit(tb testing.TB, e *Engine, job *conf.JobConf) (*jobExec, func()) {
+	tb.Helper()
+	j, err := e.host.Open(job, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x, err := e.newJobExec(j)
+	if err != nil {
+		j.Lifecycle.Stop()
+		tb.Fatal(err)
+	}
+	return x, func() {
+		x.cleanup()
+		j.Lifecycle.Stop()
+	}
+}
+
+// planAllocs is the mallocs of one plan of job, the mean over reps
+// admissions made beforehand.
+func planAllocs(tb testing.TB, e *Engine, job *conf.JobConf, reps int) float64 {
+	tb.Helper()
+	xs := make([]*jobExec, reps)
+	for i := range xs {
+		xs[i] = openExec(tb, e, job)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for _, x := range xs {
+		if _, err := x.plan(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	return float64(ms1.Mallocs-ms0.Mallocs) / float64(reps)
+}
+
+// TestPlanAllocsPerSplit: planning a job over n cached splits allocates at
+// most perSplit·n + fixed — what a split costs the plan is its store path
+// and its share of the job's slices, not closures, formatted names or
+// error strings.
+func TestPlanAllocsPerSplit(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	// Measured: 2.25 a split, 35 fixed (71 allocs at 16 splits, 179 at 64).
+	const perSplit, fixed = 2.32, 36
+	e, fs := scaffoldEngine(t)
+	small, large := 16, 64
+	a1 := planAllocs(t, e, cachedSplitsJob(t, e, fs, small), 5)
+	a2 := planAllocs(t, e, cachedSplitsJob(t, e, fs, large), 5)
+	slope := (a2 - a1) / float64(large-small)
+	t.Logf("plan: %d splits %.1f allocs, %d splits %.1f allocs: %.2f a split, %.1f fixed", small, a1, large, a2, slope, a1-slope*float64(small))
+	for _, m := range []struct {
+		n      int
+		allocs float64
+	}{{small, a1}, {large, a2}} {
+		if ceiling := perSplit*float64(m.n) + fixed; m.allocs > ceiling {
+			t.Errorf("plan over %d cached splits: %.1f allocs, ceiling %.1f·n + %.0f = %.1f", m.n, m.allocs, float64(perSplit), float64(fixed), ceiling)
+		}
+	}
+}
+
+// TestEmptyMapTaskAllocs: a map task whose split holds no record — a
+// cache hit on an empty block — costs at most a fixed number of
+// allocations, the whole attempt included: envelope, context and conf,
+// mapper, collector or output sink, and their commit.
+func TestEmptyMapTaskAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	e, fs := scaffoldEngine(t)
+	oneRecordFiles(t, fs, "/empty/in", 1)
+	const name = "/empty/split:0+0"
+	if err := e.cache.PutSplit(0, name, nil); err != nil {
+		t.Fatal(err)
+	}
+	cached, ok := e.cache.LookupSplit(name, nil)
+	if !ok {
+		t.Fatal("the empty split is not cached")
+	}
+	for _, tc := range []struct {
+		name     string
+		reducers int
+		ceiling  float64
+	}{
+		{"shuffle", 4, 6},   // measured 6
+		{"map-only", 0, 11}, // measured 11
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A temporary output (§4.2.3): each run replaces the one cache
+			// entry, and no file is committed twice.
+			x := openExec(t, e, scaffoldJob("/empty/in", "/empty/temp_"+tc.name, tc.reducers))
+			if _, err := x.plan(); err != nil {
+				t.Fatal(err)
+			}
+			a := &mapAssignment{x: x, place: 0, cached: cached, hit: true}
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := a.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s map task over an empty split: %.0f allocs", tc.name, allocs)
+			if allocs > tc.ceiling {
+				t.Errorf("%s map task over an empty split: %.0f allocs, ceiling %.0f", tc.name, allocs, tc.ceiling)
+			}
+		})
+	}
+}
+
+// BenchmarkPlan is the plan of a job over N cached one-record splits.
+func BenchmarkPlan(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e, fs := scaffoldEngine(b)
+			job := cachedSplitsJob(b, e, fs, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				x, end := admit(b, e, job)
+				b.StartTimer()
+				if _, err := x.plan(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				end()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkSmallJob is one map-only M3R job over 8 one-record splits,
+// cached by a first run, into a temporary output (§4.2.3, no file written):
+// what an intermediate job of a SystemML-style sequence pays for its
+// set-up, its tasks and its commit when its records cost nothing.
+func BenchmarkSmallJob(b *testing.B) {
+	e, fs := scaffoldEngine(b)
+	oneRecordFiles(b, fs, "/small/in", 8)
+	if _, err := e.Submit(scaffoldJob("/small/in", "/small/warm", 0)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := fmt.Sprintf("/small/temp_%d", i)
+		if _, err := e.Submit(scaffoldJob("/small/in", out, 0)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := e.cfs.Delete(out, true); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// namedSplit is a user split that names its own cache entry (§4.2.1).
+type namedSplit struct{ name string }
+
+func (namedSplit) Length() int64       { return 1 }
+func (namedSplit) Locations() []string { return nil }
+func (s namedSplit) GetName() string   { return s.name }
+
+// TestSplitKeyIsSplitPathOfSplitName: the store path the plan builds
+// straight from a split is the one its name maps to, for every split the
+// naming rules name; a split they do not name bypasses the cache.
+func TestSplitKeyIsSplitPathOfSplitName(t *testing.T) {
+	e, _ := scaffoldEngine(t)
+	file := &formats.FileSplit{Path: "/data/f", Start: 1 << 20, Len: 4096}
+	for _, s := range []formats.InputSplit{
+		file,
+		&formats.FileSplit{Path: "/data//odd:name/", Start: 0, Len: 0},
+		&formats.TaggedInputSplit{Base: file, MapperName: "m"},
+		&formats.TaggedInputSplit{Base: &formats.TaggedInputSplit{Base: file}},
+		namedSplit{"job/dir:7"},
+	} {
+		name, ok := formats.SplitName(s)
+		sp, _, kok := splitKey(e.cfs, s)
+		if !ok || !kok || sp != splitPath(name) {
+			t.Errorf("%v: splitKey %q (%v), splitPath(SplitName) %q (%v)", s, sp, kok, splitPath(name), ok)
+		}
+	}
+	if _, _, ok := splitKey(e.cfs, &formats.TaggedInputSplit{Base: unnamedSplit{}}); ok {
+		t.Error("a split no rule names has a store path")
+	}
+}
+
+type unnamedSplit struct{}
+
+func (unnamedSplit) Length() int64       { return 0 }
+func (unnamedSplit) Locations() []string { return nil }

@@ -2,6 +2,7 @@ package m3r
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"m3r/internal/counters"
@@ -44,22 +45,18 @@ type shuffleCollector struct {
 
 	partitioner mapred.Partitioner
 	immutable   bool
-	// placeOf maps partition -> place, precomputed from the engine's
-	// PlaceOfPartition so the §3.2.2.2 stability guarantee lives in exactly
-	// one place and the hot path pays an array index, not a division.
-	placeOf []int
-	// remoteCounts is the number of pairs encoded for each remote partition,
-	// so the receiving side allocates each decoded run once, at its length.
-	remoteCounts []int
+	// jobParts is the job's reduce inputs: partition q is at place
+	// jobParts[q].place, where the engine's stable mapping put it (§3.2.2.2).
+	jobParts []*partitionInput
 
 	// Where delivered pairs collect until flush: on an unbudgeted job
-	// localBufs, indexed by partition, and streams, by destination place;
-	// on a budgeted job frames, by destination place (frame.go). Not maps,
-	// so flush installs and ships in ascending order and a task's admission
+	// parts, indexed by partition, and streams, by destination place; on a
+	// budgeted job frames, by destination place (frame.go). Not maps, so
+	// flush installs and ships in ascending order and a task's admission
 	// and eviction sequence is the same on every execution.
-	localBufs [][]wio.Pair
-	streams   []*x10.OutStream
-	frames    *frameSet
+	parts   []collectPart
+	streams []*x10.OutStream
+	frames  *frameSet
 
 	// Combiner path: one of the two, indexed by partition. tables, with
 	// hashPartition set when the partitioner is the stock one and the hash a
@@ -68,6 +65,17 @@ type shuffleCollector struct {
 	tables        []*engine.CombineTable
 	hashPartition bool
 	combineBufs   [][]wio.Pair
+}
+
+// collectPart is an unbudgeted map task's state for one reduce partition.
+type collectPart struct {
+	// run is the sorted run the task installs in the partition: the
+	// co-located pairs as collected, or a remote partition's as decoded at
+	// its place.
+	run []wio.Pair
+	// remote is the number of pairs encoded for a remote partition, so the
+	// receiving side makes room for its decoded run once, at its length.
+	remote int
 }
 
 // encodeBufsOut counts what a task has checked out of the outbound pools and
@@ -101,18 +109,13 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		P:           x.e.rt.NumPlaces(),
 		partitioner: x.Resolved.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.Resolved, a.split),
+		jobParts:    x.parts,
 	}
 	if x.budgets != nil {
 		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, sc.P), classes: x.classes}
 	} else {
-		sc.localBufs = make([][]wio.Pair, sc.R)
+		sc.parts = make([]collectPart, sc.R)
 		sc.streams = make([]*x10.OutStream, sc.P)
-	}
-	// One allocation serves both per-partition tables.
-	perPartition := make([]int, 2*sc.R)
-	sc.placeOf, sc.remoteCounts = perPartition[:sc.R:sc.R], perPartition[sc.R:]
-	for q := range sc.placeOf {
-		sc.placeOf[q] = x.e.PlaceOfPartition(q)
 	}
 	switch {
 	case x.Resolved.CombineByHash:
@@ -194,7 +197,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 	if sc.frames != nil {
 		return sc.collectSerialized(q, key, value, immutable)
 	}
-	d := sc.placeOf[q]
+	d := sc.jobParts[q].place
 	if d == sc.place {
 		// Co-located: no serialization ever (§3.2.2.1); clone only to
 		// protect against output reuse (§4.1).
@@ -205,7 +208,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 		} else {
 			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
-		sc.localBufs[q] = append(sc.localBufs[q], wio.Pair{Key: k, Value: v})
+		sc.parts[q].run = append(sc.parts[q].run, wio.Pair{Key: k, Value: v})
 		sc.ctx.Cells.LocalShufflePairs.Increment(1)
 		return nil
 	}
@@ -229,15 +232,15 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 		return err
 	}
 	out.EndRecord()
-	sc.remoteCounts[q]++
+	sc.parts[q].remote++
 	sc.ctx.Cells.RemoteShufflePairs.Increment(1)
 	return nil
 }
 
 // flush completes the task's shuffle: run the combiner if configured, sort
-// each per-partition batch map-side, install the sorted runs into their
-// partitions, and ship each remote stream (decode on the destination side
-// yields fresh objects, with dedup aliases for repeated values).
+// each per-partition batch map-side, ship each remote stream (decode on the
+// destination side yields fresh objects, with dedup aliases for repeated
+// values) and install the sorted runs into their partitions.
 func (sc *shuffleCollector) flush() error {
 	if err := sc.flushCombined(); err != nil {
 		return err
@@ -248,14 +251,23 @@ func (sc *shuffleCollector) flush() error {
 	// Local batches become sorted runs here, on the map task's worker —
 	// after a combiner pass they arrive already sorted (key-preserving
 	// combiners keep Combine's sort order), which SortPairs recognises in
-	// one scan of the batch and leaves in place.
+	// one scan of the batch and leaves in place. A remote partition's run
+	// is still empty: its pairs are in a stream.
 	sortCmp := sc.x.Resolved.SortCmp
-	for _, pairs := range sc.localBufs {
-		engine.SortPairs(pairs, sortCmp)
+	remote := 0
+	for q := range sc.parts {
+		engine.SortPairs(sc.parts[q].run, sortCmp)
+		remote += sc.parts[q].remote
 	}
-	sc.x.installRuns(sc.src, sc.localBufs)
-	sc.localBufs = nil
-
+	// The decoded remote runs share one backing array, each partition's
+	// part exactly its length (capacity-clipped, so a run never grows into
+	// its neighbour's).
+	backing := make([]wio.Pair, remote)
+	for q := range sc.parts {
+		if n := sc.parts[q].remote; n > 0 {
+			sc.parts[q].run, backing = backing[:0:n], backing[n:]
+		}
+	}
 	for d, out := range sc.streams {
 		if out == nil {
 			continue
@@ -265,6 +277,8 @@ func (sc *shuffleCollector) flush() error {
 		}
 	}
 	sc.streams = nil
+	sc.x.installRuns(sc.src, sc.parts)
+	sc.parts = nil
 	return nil
 }
 
@@ -287,11 +301,11 @@ func (sc *shuffleCollector) flushCombined() error {
 		if err != nil {
 			return err
 		}
-		if sc.placeOf[q] == sc.place && sc.frames == nil {
+		if sc.jobParts[q].place == sc.place && sc.frames == nil {
 			// What is delivered below is all this partition gets, and the
 			// run it becomes is retained until the reducer drains it:
 			// exactly its length.
-			sc.localBufs[q] = make([]wio.Pair, 0, len(combined))
+			sc.parts[q].run = make([]wio.Pair, 0, len(combined))
 		}
 		// The combined pairs are engine-owned (cloned unless the combiner
 		// is marked), so they are safe to alias and to de-duplicate.
@@ -305,7 +319,8 @@ func (sc *shuffleCollector) flushCombined() error {
 }
 
 // shipRemote closes one destination's encoded stream, "ships" it, and
-// decodes it at the destination into sorted runs.
+// decodes it at the destination into the sorted runs of its partitions
+// there.
 func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 	// The stream returns to its pool on every exit path — error returns
 	// must not bleed grown buffers out of the pool. The chunks the decoded
@@ -328,13 +343,12 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 
 	// "Arrive" at place d: decode into fresh objects, exactly the pairs the
 	// task counted and then the end of the stream — a frame that stops
-	// short, runs on, or has lost its marker is corrupt, not merely odd.
-	byPartition := make([][]wio.Pair, sc.R)
+	// short, runs on, names a partition not at d or has lost its marker is
+	// corrupt, not merely odd.
 	total := 0
-	for q, n := range sc.remoteCounts {
-		if n > 0 && sc.placeOf[q] == d {
-			byPartition[q] = make([]wio.Pair, 0, n)
-			total += n
+	for q := range sc.parts {
+		if sc.jobParts[q].place == d {
+			total += sc.parts[q].remote
 		}
 	}
 	for i := 0; i < total; i++ {
@@ -342,19 +356,20 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 		if err != nil {
 			return fmt.Errorf("m3r: shuffle decode at place %d: pair %d of %d: %w", d, i, total, err)
 		}
-		if qv >= uint64(sc.R) {
+		if qv >= uint64(sc.R) || sc.jobParts[qv].place != d {
 			return fmt.Errorf("m3r: shuffle decode at place %d: partition %d of %d", d, qv, sc.R)
 		}
-		byPartition[qv] = append(byPartition[qv], pair)
+		sc.parts[qv].run = append(sc.parts[qv].run, pair)
 	}
 	if err := out.End(); err != nil {
 		return fmt.Errorf("m3r: shuffle decode at place %d: after %d pairs: %w", d, total, err)
 	}
 	sortCmp := sc.x.Resolved.SortCmp
-	for _, pairs := range byPartition {
-		engine.SortPairs(pairs, sortCmp)
+	for q := range sc.parts {
+		if sc.jobParts[q].place == d {
+			engine.SortPairs(sc.parts[q].run, sortCmp)
+		}
 	}
-	sc.x.installRuns(sc.src, byPartition)
 	return nil
 }
 
@@ -392,7 +407,7 @@ func (sc *shuffleCollector) abort() {
 	}
 	sc.streams = nil
 	sc.frames = nil
-	sc.localBufs = nil
+	sc.parts = nil
 	sc.tables = nil
 	sc.combineBufs = nil
 }
@@ -401,30 +416,37 @@ func (sc *shuffleCollector) abort() {
 // the mapper of a zero-reducer job (§5.3) — sends it: the attempt's file
 // under the job's committer and, beside it, the output's cache entry at the
 // task's place (§3.2.1). Either may be absent: a temporary output has no
-// file (§4.2.3), a job with the cache off no entry.
+// file (§4.2.3), a job with the cache off no entry. The sink holds both by
+// value, so opening it is one allocation of its own.
 type taskSink struct {
-	out    *engine.TaskOutput
-	cacheW *OutputWriter
+	out    engine.TaskOutput
+	cacheW OutputWriter
+	cached bool // cacheW is open
 	// immutable: the producer keeps its hands off what it emitted (§4.1), so
 	// the cache aliases the pair; otherwise it keeps a clone.
 	immutable bool
 	cells     *counters.Slab
+	// records counts what Collect takes; lc, when set, is checked for a
+	// kill before each record.
+	records *counters.Counter
+	lc      *engine.JobLifecycle
 }
 
 // openTaskSink opens the output of the task ctx describes: file part-<index>
 // of the job's output, cached at place.
 func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable bool) (*taskSink, error) {
-	fileName := fmt.Sprintf("part-%05d", index)
-	out, err := x.OpenTaskOutput(ctx.Job, ctx.TaskID, fileName)
-	if err != nil {
+	outPath := x.Conf.OutputPath()
+	path := partPath(outPath, index)
+	s := &taskSink{immutable: immutable, cells: &ctx.Cells}
+	if err := x.InitTaskOutput(&s.out, ctx.Job, ctx.TaskID, dfs.Base(path)); err != nil {
 		return nil, err
 	}
-	s := &taskSink{out: out, immutable: immutable, cells: &ctx.Cells}
-	if outPath := x.Conf.OutputPath(); outPath != "" && x.cacheEnabled {
-		if s.cacheW, err = x.e.cache.NewOutputWriter(place, dfs.Join(outPath, fileName), x.temp); err != nil {
-			out.Abort()
+	if outPath != "" && x.cacheEnabled {
+		if err := x.e.cache.openOutput(&s.cacheW, place, path, x.temp); err != nil {
+			s.out.Abort()
 			return nil, err
 		}
+		s.cached = true
 	}
 	if x.temp {
 		// Temporary output: bytes never reach the filesystem (§4.2.3).
@@ -433,8 +455,28 @@ func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immuta
 	return s, nil
 }
 
+// partPath is the path of part file index (part-<index, five digits>) under
+// the output directory outPath.
+func partPath(outPath string, index int) string {
+	var buf [128]byte
+	b := append(append(buf[:0], outPath...), "/part-"...)
+	for w := 10000; w > 1 && index < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return dfs.CleanPath(string(strconv.AppendInt(b, int64(index), 10)))
+}
+
+// Collect implements the collector contract for the task's output.
+func (s *taskSink) Collect(key, value wio.Writable) error {
+	if err := s.lc.Err(); err != nil {
+		return err
+	}
+	s.records.Increment(1)
+	return s.write(key, value)
+}
+
 func (s *taskSink) write(key, value wio.Writable) error {
-	if s.cacheW != nil {
+	if s.cached {
 		k, v := key, value
 		if !s.immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
@@ -447,28 +489,28 @@ func (s *taskSink) write(key, value wio.Writable) error {
 	return s.out.Write(key, value)
 }
 
-// commit publishes the task's output: the file, then the cache entry.
-func (s *taskSink) commit() error {
+// flush publishes the task's output: the file, then the cache entry.
+func (s *taskSink) flush() error {
 	if err := s.out.Commit(); err != nil {
 		return err
 	}
-	if s.cacheW != nil {
+	if s.cached {
 		if err := s.cacheW.Close(); err != nil {
 			return err
 		}
-		s.cacheW = nil
+		s.cached = false
 	}
 	return nil
 }
 
 // abort discards a failed task's partial output: the attempt's uncommitted
 // work directory and the partial cache entry, which later jobs would read as
-// a cache hit on a truncated file. After commit it does nothing, so tasks
+// a cache hit on a truncated file. After flush it does nothing, so tasks
 // defer it.
 func (s *taskSink) abort() {
 	s.out.Abort()
-	if s.cacheW != nil {
+	if s.cached {
+		s.cached = false
 		s.cacheW.Abort()
-		s.cacheW = nil
 	}
 }

@@ -226,9 +226,9 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
 	}
-	if sc.tables != nil || sc.combineBufs != nil || sc.localBufs != nil || sc.streams != nil {
-		t.Errorf("abort left buffers set: tables %v, combineBufs %v, localBufs %v, streams %v",
-			sc.tables != nil, sc.combineBufs != nil, sc.localBufs != nil, sc.streams != nil)
+	if sc.tables != nil || sc.combineBufs != nil || sc.parts != nil || sc.streams != nil {
+		t.Errorf("abort left buffers set: tables %v, combineBufs %v, parts %v, streams %v",
+			sc.tables != nil, sc.combineBufs != nil, sc.parts != nil, sc.streams != nil)
 	}
 }
 
@@ -270,7 +270,11 @@ func tryInstallRun(x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.
 // arrives — sliced, sorted, cut into segments, admitted.
 func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) error {
 	if x.budgets == nil {
-		x.installRuns(src, runs)
+		parts := make([]collectPart, len(runs))
+		for q, pairs := range runs {
+			parts[q].run = pairs
+		}
+		x.installRuns(src, parts)
 		return nil
 	}
 	f := getFrame()

@@ -143,6 +143,7 @@ type Decoder struct {
 	r     Reader
 	types []decType
 	objs  []Writable
+	name  []byte // a type name read from a stream-mode input
 }
 
 // decType is a type the stream has named: the registry is asked for its
@@ -245,15 +246,15 @@ func (d *Decoder) Decode() (Writable, error) {
 			return nil, err
 		}
 		if tid == uint64(len(d.types)) {
-			name, err := d.r.ReadString()
+			name, err := d.r.readStringBytes(&d.name)
 			if err != nil {
 				return nil, err
 			}
-			factory, err := Factory(name)
+			e, err := lookupName(name)
 			if err != nil {
 				return nil, err
 			}
-			d.types = append(d.types, decType{name, factory})
+			d.types = append(d.types, decType{e.name, e.new})
 		} else if tid > uint64(len(d.types)) {
 			return nil, fmt.Errorf("wio: type id %d out of range (have %d types)", tid, len(d.types))
 		}

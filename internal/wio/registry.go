@@ -18,8 +18,15 @@ import (
 // table under a mutex and publishes the copy.
 
 type regTable struct {
-	byName map[string]func() Writable
+	byName map[string]regEntry
 	byType map[reflect.Type]string
+}
+
+// regEntry is one registration: the name, kept so that a lookup by bytes can
+// hand out the registry's own string, and the factory.
+type regEntry struct {
+	name string
+	new  func() Writable
 }
 
 var (
@@ -46,7 +53,7 @@ func Register(name string, factory func() Writable) {
 		panic(fmt.Sprintf("wio: duplicate registration of writable %q", name))
 	}
 	next := &regTable{
-		byName: make(map[string]func() Writable, len(old.byName)+1),
+		byName: make(map[string]regEntry, len(old.byName)+1),
 		byType: make(map[reflect.Type]string, len(old.byType)+1),
 	}
 	for k, v := range old.byName {
@@ -55,7 +62,7 @@ func Register(name string, factory func() Writable) {
 	for k, v := range old.byType {
 		next.byType[k] = v
 	}
-	next.byName[name] = factory
+	next.byName[name] = regEntry{name, factory}
 	t := reflect.TypeOf(factory())
 	if _, dup := next.byType[t]; !dup {
 		next.byType[t] = name
@@ -67,11 +74,22 @@ func Register(name string, factory func() Writable) {
 // instantiate the same type once per record and want the lookup once per
 // stream.
 func Factory(name string) (func() Writable, error) {
-	factory, ok := registry.Load().byName[name]
+	e, ok := registry.Load().byName[name]
 	if !ok {
 		return nil, fmt.Errorf("wio: unknown writable type %q", name)
 	}
-	return factory, nil
+	return e.new, nil
+}
+
+// lookupName is Factory for a name still in the bytes it arrived in: the
+// registry's own copy of the name comes back, so a known name costs no
+// string.
+func lookupName(name []byte) (regEntry, error) {
+	e, ok := registry.Load().byName[string(name)]
+	if !ok {
+		return regEntry{}, fmt.Errorf("wio: unknown writable type %q", name)
+	}
+	return e, nil
 }
 
 // New instantiates a fresh writable for a registered name.

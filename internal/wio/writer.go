@@ -560,6 +560,23 @@ func (r *Reader) ReadString() (string, error) {
 	return string(b), err
 }
 
+// readStringBytes reads a string written by WriteString as bytes valid until
+// the next read: a view of the input in slice mode, *buf (grown as needed and
+// kept for the next call) in stream mode.
+func (r *Reader) readStringBytes(buf *[]byte) ([]byte, error) {
+	n, err := r.readLen()
+	if err != nil {
+		return nil, err
+	}
+	if r.r == nil && n <= uint64(int64(len(r.data))-r.count) {
+		b := r.data[r.count : r.count+int64(n)]
+		r.count += int64(n)
+		return b, nil
+	}
+	*buf, err = r.readBody((*buf)[:0], n)
+	return *buf, err
+}
+
 // ReadBytes reads a byte slice written by WriteBytes into a fresh buffer.
 func (r *Reader) ReadBytes() ([]byte, error) {
 	return r.ReadBytesBuf(nil)

@@ -18,8 +18,20 @@ type Finish struct {
 // NewFinish returns an empty finish scope.
 func NewFinish() *Finish { return &Finish{} }
 
+// Task is work for AsyncTask. A caller whose work is already a value
+// hands that over, and spawning it costs no closure of its own.
+type Task interface{ Run() error }
+
+// taskFunc is a function as a Task.
+type taskFunc func() error
+
+func (f taskFunc) Run() error { return f() }
+
 // Async runs f concurrently within the scope.
-func (fin *Finish) Async(f func() error) {
+func (fin *Finish) Async(f func() error) { fin.AsyncTask(taskFunc(f)) }
+
+// AsyncTask runs t concurrently within the scope.
+func (fin *Finish) AsyncTask(t Task) {
 	fin.wg.Add(1)
 	go func() {
 		defer fin.wg.Done()
@@ -30,7 +42,7 @@ func (fin *Finish) Async(f func() error) {
 				fin.report(fmt.Errorf("x10: async panicked: %v\n%s", r, debug.Stack()))
 			}
 		}()
-		if err := f(); err != nil {
+		if err := t.Run(); err != nil {
 			fin.report(err)
 		}
 	}()
