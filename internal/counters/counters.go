@@ -4,12 +4,14 @@
 // counters updated (map input/output records, shuffled bytes, spilled
 // records, …) alongside user counters, as the paper notes M3R does (§5.3).
 //
-// A job's set is a map. A task attempt's set is a Slab — its standard
-// counters on one static layout, embedded in the task's context — beside a
-// map, made on first use, for the user's counters. Hot per-record paths
-// increment a Slab field directly and pay only the atomic add; Incr/Find of
-// a layout name index the slab without a lock, and only other names take
-// the mutex.
+// A task attempt's set is a Slab — its standard counters on one static
+// layout, embedded in the task's context — beside a map, made on first use,
+// for the user's counters. A job's set (NewJob) is the same slab and the
+// job's own standard counters, allocated with the set, and lists only the
+// non-zero ones. Hot per-record paths increment a Slab field directly and
+// pay only the atomic add; Incr/Find of a layout name index the slab without
+// a lock, and only other names take the mutex. A cell holds only its value:
+// the layout names it.
 package counters
 
 import (
@@ -123,17 +125,12 @@ var TaskStats = []struct{ Group, Name, Stat string }{
 	{TaskGroup, ReduceShuffleBytes, sim.ShuffleFetchBytes},
 }
 
-// Counter is a single named accumulator, safe for concurrent use.
+// Counter is one accumulator, safe for concurrent use. It holds only its
+// value: a set names its counters, those on its slab by the static layout
+// and the others by the key of its map.
 type Counter struct {
-	group, name string
-	value       atomic.Int64
+	value atomic.Int64
 }
-
-// Group returns the counter's group name.
-func (c *Counter) Group() string { return c.group }
-
-// Name returns the counter's name within its group.
-func (c *Counter) Name() string { return c.name }
 
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.value.Load() }
@@ -144,25 +141,57 @@ func (c *Counter) Increment(amount int64) { c.value.Add(amount) }
 // SetValue overwrites the value.
 func (c *Counter) SetValue(v int64) { c.value.Store(v) }
 
+// Named is one counter of a set with its group and name, as GroupCounters
+// lists it.
+type Named struct {
+	*Counter
+	group, name string
+}
+
+// Group returns the counter's group name.
+func (n Named) Group() string { return n.group }
+
+// Name returns the counter's name within its group.
+func (n Named) Name() string { return n.name }
+
 // Counters is a concurrent registry of counters keyed by group and name.
 type Counters struct {
 	mu sync.Mutex
-	m  map[key]*Counter // nil until the first counter off the slab
-	// slab holds a task set's standard counters; nil in a job set, whose
-	// counters all live in m, so it lists only those something touched.
-	slab *Slab
+	m  map[key]*Counter // nil until the first counter off the layout
+	// slab holds a task or job set's standard counters, layout's rows, and
+	// jobCells a job set's own, jobLayout's rows. A task set lists every
+	// slab counter; a job set lists only those that are not zero, so its
+	// report names what its tasks and the engine touched, as a set of map
+	// counters did. A set made by New has neither and keeps every counter
+	// in m.
+	slab     *Slab
+	jobCells *[len(jobLayout)]Counter
 }
 
 // key names one counter. One flat map costs a counter set one table
 // however many groups it spans.
 type key struct{ group, name string }
 
-// New returns an empty counter set.
+// New returns an empty counter set whose counters all live in its map: it
+// lists every counter something touched, zero or not.
 func New() *Counters {
 	return &Counters{}
 }
 
-// Slab is a task attempt's standard counters, one field each: the cells
+// NewJob returns an empty job counter set: the standard counters, a task's
+// and the job's own, on cells allocated with the set, and the others in a
+// map made on first use. It lists only the counters that are not zero.
+func NewJob() *Counters {
+	s := new(struct {
+		cs   Counters
+		slab Slab
+		job  [len(jobLayout)]Counter
+	})
+	s.cs = Counters{slab: &s.slab, jobCells: &s.job}
+	return &s.cs
+}
+
+// Slab is a task attempt's standard counters, one cell each: the cells
 // both engines update per record, and the counters tasks Incr by name.
 // layout gives each field's group and name.
 type Slab struct {
@@ -197,7 +226,9 @@ type Slab struct {
 }
 
 // layout is the static layout of a Slab: every field with its group and
-// name, in field order. layoutIndex maps a name back to its row.
+// name, in field order. jobLayout names a job set's own cells, which follow
+// the slab's rows: row len(layout)+i is jobLayout[i]. layoutIndex maps a
+// name back to its row.
 var layout = [...]struct {
 	key
 	at func(*Slab) *Counter
@@ -231,13 +262,30 @@ var layout = [...]struct {
 	{key{TaskGroup, CombineOutputRecords}, func(s *Slab) *Counter { return &s.CombineOutputRecords }},
 }
 
+var jobLayout = [...]key{
+	{JobGroup, TotalLaunchedMaps},
+	{JobGroup, TotalLaunchedReduces},
+	{JobGroup, DataLocalMaps},
+}
+
+// layoutRows is the number of layout rows, a task's and a job's.
+const layoutRows = len(layout) + len(jobLayout)
+
 var layoutIndex = func() map[key]int {
-	m := make(map[key]int, len(layout))
-	for i, l := range layout {
-		m[l.key] = i
+	m := make(map[key]int, layoutRows)
+	for i := range layoutRows {
+		m[rowKey(i)] = i
 	}
 	return m
 }()
+
+// rowKey returns the group and name of layout row i.
+func rowKey(i int) key {
+	if i < len(layout) {
+		return layout[i].key
+	}
+	return jobLayout[i-len(layout)]
+}
 
 // taskStatRows is TaskStats resolved onto the layout once: row i's counter
 // is layout[taskStatRows[i]]. Every row is a slab counter.
@@ -245,7 +293,7 @@ var taskStatRows = func() []int {
 	rows := make([]int, len(TaskStats))
 	for i, r := range TaskStats {
 		j, ok := layoutIndex[key{r.Group, r.Name}]
-		if !ok {
+		if !ok || j >= len(layout) {
 			panic(fmt.Sprintf("counters: TaskStats row %s/%s is not on the slab", r.Group, r.Name))
 		}
 		rows[i] = j
@@ -261,36 +309,48 @@ func (s *Slab) TaskStat(i int) int64 { return layout[taskStatRows[i]].at(s).Valu
 // caller embeds both (engine.TaskContext does), so the set costs no
 // allocation of its own; user counters go in a map made on first use.
 func TaskSet(cs *Counters, s *Slab) *Counters {
-	for _, l := range layout {
-		c := l.at(s)
-		c.group, c.name = l.group, l.name
-	}
 	*cs = Counters{slab: s}
 	return cs
 }
 
-// onSlab returns the slab counter group/name, or nil when the set has no
-// slab or the name is not on its layout.
+// cell returns the set's counter of layout row i, or nil when the set has
+// no cell for that row.
+func (cs *Counters) cell(i int) *Counter {
+	switch {
+	case i < len(layout):
+		if cs.slab != nil {
+			return layout[i].at(cs.slab)
+		}
+	case cs.jobCells != nil:
+		return &cs.jobCells[i-len(layout)]
+	}
+	return nil
+}
+
+// onSlab returns the set's cell for group/name, or nil when the set has no
+// cells or the name is not on their layout.
 func (cs *Counters) onSlab(group, name string) *Counter {
 	if cs.slab == nil {
 		return nil
 	}
 	if i, ok := layoutIndex[key{group, name}]; ok {
-		return layout[i].at(cs.slab)
+		return cs.cell(i)
 	}
 	return nil
 }
 
-// each calls f for every counter of the set: a task set's whole slab, then
-// the map. The caller holds mu.
-func (cs *Counters) each(f func(*Counter)) {
+// each calls f for every counter the set lists: a task set's whole slab or
+// a job set's non-zero cells, then the map. The caller holds mu.
+func (cs *Counters) each(f func(key, *Counter)) {
 	if cs.slab != nil {
-		for _, l := range layout {
-			f(l.at(cs.slab))
+		for i := range layoutRows {
+			if c := cs.cell(i); c != nil && (cs.jobCells == nil || c.Value() != 0) {
+				f(rowKey(i), c)
+			}
 		}
 	}
-	for _, c := range cs.m {
-		f(c)
+	for k, c := range cs.m {
+		f(k, c)
 	}
 }
 
@@ -304,13 +364,6 @@ func (cs *Counters) Find(group, name string) *Counter {
 	return cs.inMapLocked(group, name)
 }
 
-func (cs *Counters) findLocked(group, name string) *Counter {
-	if c := cs.onSlab(group, name); c != nil {
-		return c
-	}
-	return cs.inMapLocked(group, name)
-}
-
 // inMapLocked returns (creating if necessary) the map's counter group/name.
 func (cs *Counters) inMapLocked(group, name string) *Counter {
 	k := key{group, name}
@@ -319,7 +372,7 @@ func (cs *Counters) inMapLocked(group, name string) *Counter {
 		if cs.m == nil {
 			cs.m = make(map[key]*Counter)
 		}
-		c = &Counter{group: group, name: name}
+		c = new(Counter)
 		cs.m[k] = c
 	}
 	return c
@@ -348,23 +401,45 @@ func (cs *Counters) Value(group, name string) int64 {
 // Zero-valued counters are skipped: a task set's slab holds every standard
 // counter, most of which a given task never touches — e.g. the M3R shuffle
 // cells in a Hadoop-engine task — and merging them would pad every job
-// report with irrelevant zero entries. Nothing is sorted: the non-zero
-// counters are gathered under other's lock and added under the receiver's,
-// never both at once, so a set may merge into itself.
+// report with irrelevant zero entries. Cells add row to row, without a lock.
+// Nothing is sorted: the non-zero map counters are gathered under other's
+// lock and added under the receiver's, never both at once, so a set may
+// merge into itself.
 func (cs *Counters) MergeFrom(other *Counters) {
-	var buf [32]*Counter
+	if other.slab != nil {
+		for i := range layoutRows {
+			oc := other.cell(i)
+			if oc == nil {
+				continue
+			}
+			if v := oc.Value(); v != 0 {
+				if c := cs.cell(i); c != nil {
+					c.Increment(v)
+				} else {
+					k := rowKey(i)
+					cs.Incr(k.group, k.name, v)
+				}
+			}
+		}
+	}
+	type entry struct {
+		key
+		v int64
+	}
+	var buf [8]entry
 	live := buf[:0]
 	other.mu.Lock()
-	other.each(func(c *Counter) {
-		if c.Value() != 0 {
-			live = append(live, c)
+	for k, c := range other.m {
+		if v := c.Value(); v != 0 {
+			live = append(live, entry{k, v})
 		}
-	})
+	}
 	other.mu.Unlock()
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for _, c := range live {
-		cs.findLocked(c.group, c.name).Increment(c.Value())
+	if len(live) == 0 {
+		return
+	}
+	for _, e := range live {
+		cs.Incr(e.group, e.name, e.v)
 	}
 }
 
@@ -373,9 +448,9 @@ func (cs *Counters) Groups() []string {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	var out []string
-	cs.each(func(c *Counter) {
-		if !slices.Contains(out, c.group) {
-			out = append(out, c.group)
+	cs.each(func(k key, _ *Counter) {
+		if !slices.Contains(out, k.group) {
+			out = append(out, k.group)
 		}
 	})
 	sort.Strings(out)
@@ -383,16 +458,16 @@ func (cs *Counters) Groups() []string {
 }
 
 // GroupCounters returns the counters of a group sorted by name.
-func (cs *Counters) GroupCounters(group string) []*Counter {
+func (cs *Counters) GroupCounters(group string) []Named {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	var out []*Counter
-	cs.each(func(c *Counter) {
-		if c.group == group {
-			out = append(out, c)
+	var out []Named
+	cs.each(func(k key, c *Counter) {
+		if k.group == group {
+			out = append(out, Named{c, k.group, k.name})
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	slices.SortFunc(out, func(a, b Named) int { return strings.Compare(a.name, b.name) })
 	return out
 }
 
@@ -425,7 +500,11 @@ func (cs *Counters) WriteTo(w *wio.Writer) error {
 // ReadFields implements wio.Writable. A task set keeps its slab, zeroed.
 func (cs *Counters) ReadFields(r *wio.Reader) error {
 	cs.mu.Lock()
-	cs.each(func(c *Counter) { c.SetValue(0) })
+	for i := range layoutRows {
+		if c := cs.cell(i); c != nil {
+			c.SetValue(0)
+		}
+	}
 	cs.m = nil
 	cs.mu.Unlock()
 	ng, err := r.ReadUvarint()

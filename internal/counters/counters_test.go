@@ -29,7 +29,7 @@ func TestFindAndIncrement(t *testing.T) {
 	if cs.Value("missing", "x") != 0 {
 		t.Error("missing counter should read 0")
 	}
-	if c.Group() != "g" || c.Name() != "n" {
+	if gc := cs.GroupCounters("g"); len(gc) != 1 || gc[0].Group() != "g" || gc[0].Name() != "n" || gc[0].Counter != c {
 		t.Error("group/name accessors")
 	}
 }
@@ -144,20 +144,22 @@ func TestTaskSetIsOneSlab(t *testing.T) {
 		t.Fatal("TaskSet returns the set it was given")
 	}
 	fields := reflect.ValueOf(&s).Elem()
+	names := listed(set)
 	seen := map[string]bool{}
 	for i := range fields.NumField() {
 		c := fields.Field(i).Addr().Interface().(*counters.Counter)
-		id := c.Group() + "/" + c.Name()
-		if c.Name() == "" || seen[id] {
+		n := names[c]
+		id := n.Group() + "/" + n.Name()
+		if n.Name() == "" || seen[id] {
 			t.Errorf("field %s is named %q, want a name of its own", fields.Type().Field(i).Name, id)
 			continue
 		}
 		seen[id] = true
-		if set.Find(c.Group(), c.Name()) != c {
+		if set.Find(n.Group(), n.Name()) != c {
 			t.Errorf("Find(%s) is not field %s", id, fields.Type().Field(i).Name)
 		}
-		set.Incr(c.Group(), c.Name(), int64(i+1))
-		if c.Value() != int64(i+1) || set.Value(c.Group(), c.Name()) != int64(i+1) {
+		set.Incr(n.Group(), n.Name(), int64(i+1))
+		if c.Value() != int64(i+1) || set.Value(n.Group(), n.Name()) != int64(i+1) {
 			t.Errorf("Incr(%s) missed field %s", id, fields.Type().Field(i).Name)
 		}
 	}
@@ -175,6 +177,17 @@ func TestTaskSetIsOneSlab(t *testing.T) {
 	if user == set.Find("user", "y") || set.Find("user", "x") != user || len(set.GroupCounters("user")) != 2 {
 		t.Error("a name off the layout is a counter of its own in the set's map")
 	}
+}
+
+// listed maps every counter a set lists to its name.
+func listed(set *counters.Counters) map[*counters.Counter]counters.Named {
+	names := map[*counters.Counter]counters.Named{}
+	for _, g := range set.Groups() {
+		for _, n := range set.GroupCounters(g) {
+			names[n.Counter] = n
+		}
+	}
+	return names
 }
 
 // TestTaskSetRoundTrip: a task set's WriteTo lists every slab counter and
@@ -221,5 +234,54 @@ func TestTaskStatReadsItsRow(t *testing.T) {
 		if got := s.TaskStat(i); got != int64(i+1) || got != set.Value(row.Group, row.Name) {
 			t.Errorf("TaskStat(%d) = %d, want %d (%s/%s)", i, got, i+1, row.Group, row.Name)
 		}
+	}
+}
+
+// TestJobSetListsWhatAMapSetDoes: a job set keeps the standard counters on
+// its cells and lists only the non-zero ones, so fed what an engine feeds a
+// job — task sets merged, the job's own counters, a gauge set to zero, user
+// counters — it writes the bytes a set of map counters writes. Making it is
+// one allocation, and merging a task's standard counters and counting the
+// launched tasks allocate nothing.
+func TestJobSetListsWhatAMapSetDoes(t *testing.T) {
+	var s counters.Slab
+	var ts counters.Counters
+	task := counters.TaskSet(&ts, &s)
+	s.MapInputRecords.Increment(7)
+	s.ClonedPairs.Increment(3)
+	task.Incr("user", "things", -4)
+	job, ref := counters.NewJob(), counters.New()
+	for _, cs := range []*counters.Counters{job, ref} {
+		cs.MergeFrom(task)
+		cs.MergeFrom(task)
+		cs.Incr(counters.JobGroup, counters.TotalLaunchedMaps, 2)
+		cs.Incr(counters.JobGroup, counters.DataLocalMaps, 1)
+		cs.Find(counters.M3RGroup, counters.CacheResidentBytes).SetValue(0)
+	}
+	var a, b bytes.Buffer
+	if err := job.WriteTo(wio.NewWriter(&a)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.WriteTo(wio.NewWriter(&b)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || job.String() != ref.String() {
+		t.Errorf("job set:\n%s\nmap set:\n%s", job, ref)
+	}
+	if job.Value(counters.TaskGroup, counters.MapInputRecords) != 14 || job.Value(counters.JobGroup, counters.TotalLaunchedMaps) != 2 {
+		t.Errorf("job set values: %s", job)
+	}
+	if n := testing.AllocsPerRun(100, func() { counters.NewJob() }); n != 1 {
+		t.Errorf("NewJob allocates %v times, want 1", n)
+	}
+	job = counters.NewJob()
+	s.ClonedPairs.SetValue(0)
+	var ts2 counters.Counters
+	std := counters.TaskSet(&ts2, &s)
+	if n := testing.AllocsPerRun(100, func() {
+		job.MergeFrom(std)
+		job.Incr(counters.JobGroup, counters.TotalLaunchedReduces, 1)
+	}); n != 0 {
+		t.Errorf("merging standard counters into a job set allocates %v times, want 0", n)
 	}
 }

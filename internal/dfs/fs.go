@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"slices"
 	"strings"
 	"sync"
@@ -175,18 +176,28 @@ func IsAncestor(a, p string) bool {
 }
 
 // Ancestors returns every ancestor of p from "/" down to p itself.
-func Ancestors(p string) []string {
+func Ancestors(p string) []string { return slices.Collect(AncestorsOf(p)) }
+
+// AncestorsOf yields every ancestor of p from "/" down to p itself. For a
+// canonical p each is a prefix of p, so the walk allocates nothing.
+func AncestorsOf(p string) iter.Seq[string] {
 	p = CleanPath(p)
-	out := []string{"/"}
-	if p == "/" {
-		return out
+	return func(yield func(string) bool) {
+		if !yield("/") {
+			return
+		}
+		for end := 1; end < len(p); {
+			next := strings.IndexByte(p[end+1:], '/')
+			if next < 0 {
+				end = len(p)
+			} else {
+				end += 1 + next
+			}
+			if !yield(p[:end]) {
+				return
+			}
+		}
 	}
-	cur := ""
-	for _, seg := range strings.Split(p[1:], "/") {
-		cur = cur + "/" + seg
-		out = append(out, cur)
-	}
-	return out
 }
 
 // ReadAll reads a whole file.
@@ -237,6 +248,7 @@ func appendFiles(out []FileStatus, fs FileSystem, dir string) ([]FileStatus, err
 	if err != nil {
 		return nil, err
 	}
+	out = slices.Grow(out, len(children))
 	for _, c := range children {
 		if !c.IsDir {
 			out = append(out, c)

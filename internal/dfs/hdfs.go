@@ -120,7 +120,7 @@ func (h *HDFS) blockPath(id int64) string {
 // mkdirsLocked inserts directory inodes for path and its ancestors. The
 // caller holds h.mu.
 func (h *HDFS) mkdirsLocked(path string) error {
-	for _, a := range Ancestors(path) {
+	for a := range AncestorsOf(path) {
 		node, ok := h.files[a]
 		if !ok {
 			h.files[a] = &inode{dir: true, mtime: time.Now()}

@@ -3,7 +3,10 @@ package engine_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,6 +17,7 @@ import (
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
 	"m3r/internal/mapreduce"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 )
@@ -437,5 +441,61 @@ func BenchmarkCombineTable(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// TestCombineTableAddOnARecycledArena: a table over an arena that has
+// already held a task's keys and values — the pooled arena a map task's
+// table takes — adds pairs of keys it holds without allocating at all: no
+// node, entry or slot array grows. The pairs are spread so that no key
+// reaches its fold, which allocates the combiner's output.
+func TestCombineTableAddOnARecycledArena(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the arena pool drops a share of what is Put under the race detector")
+	}
+	rj := combinerJob(t, "examples.WordCount$Reduce", false, true)
+	keys := make([]wio.Writable, 256)
+	hashes := make([]uint32, len(keys))
+	for i := range keys {
+		keys[i] = types.NewText(fmt.Sprintf("word%04d", i))
+		hashes[i] = wio.HashCode(keys[i])
+	}
+	one := types.NewInt(1)
+	const adds = 1000 // under 4 values a key: no fold
+	add := func(table *engine.CombineTable, i int) {
+		if err := table.Add(hashes[i%len(keys)], keys[i%len(keys)], one, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill := func(values int) *engine.CombineTable {
+		table := engine.NewCombineTable(rj, engine.NewTaskContext(rj.Job, "t", nil), nil)
+		for i := range values {
+			add(table, i)
+		}
+		return table
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Mallocs counts the whole process, so a stray allocation of another
+	// goroutine can land in a try; an arena that grows does in every try.
+	// The fewest over three tries is the table's.
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		// The first table sizes the arena for the measured one's keys and
+		// values, then hands it back to the pool.
+		if _, err := fill(len(keys) + adds).Drain(); err != nil {
+			t.Fatal(err)
+		}
+		table := fill(len(keys))
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := range adds {
+			add(table, i)
+		}
+		runtime.ReadMemStats(&ms1)
+		// The measured table keeps its arena: the next try sizes its own.
+		fewest = min(fewest, ms1.Mallocs-ms0.Mallocs)
+	}
+	if fewest != 0 {
+		t.Errorf("%d adds on a recycled arena allocate %d times, want 0", adds, fewest)
 	}
 }

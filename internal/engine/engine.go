@@ -92,6 +92,10 @@ type TaskContext struct {
 	mu     sync.Mutex
 	status string
 	emit   func(key, value wio.Writable) error
+
+	// mapRun is the storage of a substituted map runner
+	// (ResolvedJob.TaskMapRun).
+	mapRun immutableMapRun
 }
 
 // NewTaskContext builds a context for one task attempt: one allocation,

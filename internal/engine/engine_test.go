@@ -210,10 +210,17 @@ func TestNewTaskContextOnePiece(t *testing.T) {
 	job := baseJob()
 	ctx := engine.NewTaskContext(job, "t", nil)
 	cells := reflect.ValueOf(&ctx.Cells).Elem()
+	names := map[*counters.Counter]counters.Named{}
+	for _, g := range ctx.Counters.Groups() {
+		for _, n := range ctx.Counters.GroupCounters(g) {
+			names[n.Counter] = n
+		}
+	}
 	seen := map[*counters.Counter]bool{}
 	for i := range cells.NumField() {
 		c := cells.Field(i).Addr().Interface().(*counters.Counter)
-		if seen[c] || ctx.Counters.Find(c.Group(), c.Name()) != c {
+		n, ok := names[c]
+		if !ok || seen[c] || ctx.Counters.Find(n.Group(), n.Name()) != c {
 			t.Errorf("cell %s is not its own counter of the task's set", cells.Type().Field(i).Name)
 			continue
 		}

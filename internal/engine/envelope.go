@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"m3r/internal/conf"
@@ -57,6 +58,8 @@ type Job struct {
 	host       *Host
 	start      time.Time
 	attempt    string                       // "attempt_<ID>_", the prefix of its task attempts' ids
+	attempts   []taskAttempt                // the first attempts' storage, maps then reduces (LayOutTasks)
+	maps       int                          // the map tasks' share of attempts
 	outputSpec formats.OutputFormat         // the instance whose CheckOutputSpecs admitted the job
 	committer  *formats.FileOutputCommitter // nil when the job writes no output
 }
@@ -90,7 +93,7 @@ func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 		lc = NewJobLifecycle()
 	}
 	lc.ApplyDeadlineConf(job)
-	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.New(), host: h, start: start, attempt: "attempt_" + id + "_"}
+	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.NewJob(), host: h, start: start, attempt: "attempt_" + id + "_"}
 	if j.Resolved, err = Resolve(job); err == nil {
 		if j.outputSpec, err = j.Resolved.NewOutputFormat(); err == nil {
 			err = j.outputSpec.CheckOutputSpecs(job)
@@ -200,8 +203,9 @@ func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSpli
 	}
 	j.Counters.Incr(counters.JobGroup, launched, 1)
 	j.host.Stats.Add(sim.TasksLaunched, 1)
-	// The context and the attempt's conf are one allocation.
-	t := new(taskAttempt)
+	// The context and the attempt's conf are one piece: the job's, or one
+	// allocation.
+	t := j.newAttempt(kind, index, attempt)
 	taskJob := t.conf.Of(j.Conf)
 	taskJob.SetInt(conf.KeyTaskPartition, index)
 	ctx := t.ctx.init(taskJob, j.attemptID(kind, index, attempt), split)
@@ -221,11 +225,38 @@ func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSpli
 	return body(ctx)
 }
 
-// taskAttempt is what RunTask allocates for an attempt: its context and,
-// beside it, its conf.
+// taskAttempt is the storage of one attempt: its context and, beside it,
+// its conf. taken marks a slot of the job's layout that an attempt has.
 type taskAttempt struct {
-	ctx  TaskContext
-	conf conf.JobClone
+	ctx   TaskContext
+	conf  conf.JobClone
+	taken atomic.Bool
+}
+
+// LayOutTasks lays out the storage of the first attempt of each of the
+// job's maps map tasks and reduces reduce tasks, which RunTask then takes
+// from the job instead of allocating it; the storage dies with the job. An
+// engine calls it once its plan knows the counts. A retry, or a task beyond
+// them, allocates its own.
+func (j *Job) LayOutTasks(maps, reduces int) {
+	j.attempts = make([]taskAttempt, maps+reduces)
+	j.maps = maps
+}
+
+// newAttempt returns the storage of an attempt: the task's slot in the
+// job's layout for its first attempt, the first time it is asked for, and
+// a fresh allocation otherwise.
+func (j *Job) newAttempt(kind TaskKind, index, attempt int) *taskAttempt {
+	i, end := index, j.maps
+	if kind == ReduceTask {
+		i, end = j.maps+index, len(j.attempts)
+	}
+	if attempt == 0 && index >= 0 && i < end {
+		if t := &j.attempts[i]; t.taken.CompareAndSwap(false, true) {
+			return t
+		}
+	}
+	return new(taskAttempt)
 }
 
 // attemptID is Hadoop's attempt id, attempt_<job>_<m|r>_<index, six digits>_<attempt>.

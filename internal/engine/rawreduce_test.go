@@ -17,6 +17,7 @@ import (
 	"m3r/internal/mapred"
 	"m3r/internal/matrix"
 	"m3r/internal/spill"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 )
@@ -796,5 +797,68 @@ func TestRawMergeReplacesHeadsAcrossBlocks(t *testing.T) {
 		if w := want.groups[i]; g.key != w.key || len(g.values) != len(w.values) {
 			t.Fatalf("group %d is %q with %d values, the reference has %q with %d", i, g.key, len(g.values), w.key, len(w.values))
 		}
+	}
+}
+
+// TestRawMergeAllocsPerRecord is BenchmarkRawReduce's raw row as a ceiling:
+// nine resident runs of 300 (Text, Int) records with WordCount's Zipf keys,
+// merged as raw records, grouped and summed by RawMerge.Reduce. What a
+// record may allocate is its decoded value; a group adds its decoded key
+// and the reducer's output; the merge's set-up is shared by all of them.
+// The ceiling is the measured 1.509 (go1.24, amd64; it repeats exactly)
+// plus the benchmark's 3 % bound.
+func TestRawMergeAllocsPerRecord(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	const runCount, runLen, maxPerRec = 9, 300, 1.55
+	job := conf.NewJob()
+	job.SetMapOutputKeyClass(types.TextName)
+	job.SetMapOutputValueClass(types.IntName)
+	rj, err := engine.Resolve(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(24)), 1.3, 1.0, 999)
+	segs := make([][]byte, runCount)
+	for i := range segs {
+		run := make([]wio.Pair, runLen)
+		for j := range run {
+			run[j] = wio.Pair{Key: types.NewText(fmt.Sprintf("word%04d", zipf.Uint64())), Value: types.NewInt(1)}
+		}
+		engine.SortPairs(run, rj.SortCmp)
+		for _, r := range runRecs(t, run) {
+			segs[i] = spill.AppendRec(segs[i], r)
+		}
+	}
+	reduce := func() *engine.TaskContext {
+		srcs := make([]engine.RecSource, runCount)
+		for i, seg := range segs {
+			srcs[i] = &memSegment{seg}
+		}
+		ctx := engine.NewTaskContext(job, "t", nil)
+		m, err := rj.OpenRawMerge(srcs, types.TextName, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if err := m.Reduce(types.IntName, sumReducer{}, discard, ctx); err != nil {
+			t.Fatal(err)
+		}
+		return ctx
+	}
+	ctx := reduce()
+	groups := ctx.Cells.ReduceInputGroups.Value()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	reduce()
+	runtime.ReadMemStats(&ms1)
+	perRec := float64(ms1.Mallocs-ms0.Mallocs) / (runCount * runLen)
+	t.Logf("%.3f allocs/rec (%d records in %d groups)", perRec, runCount*runLen, groups)
+	if perRec > maxPerRec {
+		t.Errorf("RawMerge.Reduce allocates %.3f times a record, ceiling %.3f", perRec, maxPerRec)
 	}
 }

@@ -75,7 +75,7 @@ type ResolvedJob struct {
 	// engines' collectors hold each pair to.
 	MapOutput MapOutputClasses
 
-	newMapRun     func() MapRun
+	newMapRun     func(in *immutableMapRun) MapRun // in: storage for the substituted runner, or nil
 	newReduceRun  func() ReduceRun
 	newCombineRun func() ReduceRun
 	newPartition  func() mapred.Partitioner
@@ -292,7 +292,7 @@ func (rj *ResolvedJob) resolveMapSide() error {
 		}
 		immutable := hmrext.IsImmutableOutput(m)
 		rj.MapImmutable = immutable
-		rj.newMapRun = func() MapRun {
+		rj.newMapRun = func(*immutableMapRun) MapRun {
 			inst, err := registry.New(registry.KindMapper, newName)
 			if err != nil {
 				panic(err)
@@ -322,7 +322,7 @@ func (rj *ResolvedJob) resolveMapSide() error {
 		return fmt.Errorf("engine: %q is not a MapRunnable", runnerName)
 	}
 	rj.MapImmutable = hmrext.IsImmutableOutput(mProbe) && hmrext.IsImmutableOutput(rProbe)
-	rj.newMapRun = func() MapRun {
+	rj.newMapRun = func(*immutableMapRun) MapRun {
 		r, err := registry.New(registry.KindMapRunner, runnerName)
 		if err != nil {
 			panic(err)
@@ -374,15 +374,19 @@ func (rj *ResolvedJob) SubstituteImmutableRunner() {
 		return
 	}
 	rj.MapImmutable = hmrext.IsImmutableOutput(mProbe)
-	rj.newMapRun = func() MapRun {
+	rj.newMapRun = func(in *immutableMapRun) MapRun {
 		inst, err := registry.New(registry.KindMapper, mapperName)
 		if err != nil {
 			panic(err)
 		}
-		// The runner and its wrapper are one allocation.
-		r := &immutableMapRun{runner: *mapred.NewImmutableMapRunner(inst.(mapred.Mapper))}
-		r.oldMapRun.runner = &r.runner
-		return &r.oldMapRun
+		// The runner and its wrapper are one piece: the task's, or one
+		// allocation.
+		if in == nil {
+			in = new(immutableMapRun)
+		}
+		*in = immutableMapRun{runner: *mapred.NewImmutableMapRunner(inst.(mapred.Mapper))}
+		in.oldMapRun.runner = &in.runner
+		return &in.oldMapRun
 	}
 }
 
@@ -432,7 +436,12 @@ func resolveReducerRole(job *conf.JobConf, oldKey, newKey, def string) (func() R
 }
 
 // NewMapRun instantiates the map driver for one task.
-func (rj *ResolvedJob) NewMapRun() MapRun { return rj.newMapRun() }
+func (rj *ResolvedJob) NewMapRun() MapRun { return rj.newMapRun(nil) }
+
+// TaskMapRun is NewMapRun for the task ctx describes: a substituted runner
+// is built in the context's own storage, so it lives and dies with the
+// task's attempt.
+func (rj *ResolvedJob) TaskMapRun(ctx *TaskContext) MapRun { return rj.newMapRun(&ctx.mapRun) }
 
 // NewReduceRun instantiates the reduce driver for one task.
 func (rj *ResolvedJob) NewReduceRun() ReduceRun { return rj.newReduceRun() }

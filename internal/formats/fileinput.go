@@ -27,12 +27,19 @@ func ListInputFiles(job *conf.JobConf) ([]dfs.FileStatus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("formats: listing input %s: %w", p, err)
 		}
+		// The listing is ours: its data files are kept in place.
+		keep := files[:0]
 		for _, f := range files {
 			base := dfs.Base(f.Path)
 			if base == SuccessMarker || base == TemporaryDir || f.IsDir {
 				continue
 			}
-			out = append(out, f)
+			keep = append(keep, f)
+		}
+		if out == nil {
+			out = keep
+		} else {
+			out = append(out, keep...)
 		}
 	}
 	slices.SortFunc(out, func(a, b dfs.FileStatus) int { return strings.Compare(a.Path, b.Path) })
@@ -64,8 +71,8 @@ func FileSplits(job *conf.JobConf, numSplits int) ([]InputSplit, error) {
 		}
 	}
 	// The splits are laid out in one slice, which the interfaces point
-	// into.
-	var cut []FileSplit
+	// into; a file is at least one split.
+	cut := make([]FileSplit, 0, len(files))
 	for _, f := range files {
 		if f.Size == 0 {
 			continue

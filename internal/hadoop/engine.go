@@ -148,6 +148,7 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	if err != nil {
 		return nil, err
 	}
+	j.LayOutTasks(len(splits), rj.NumReducers)
 	run := &jobRun{engine: e, Job: j, jobDir: filepath.Join(e.localRoot, j.ID)}
 	if err := os.MkdirAll(run.jobDir, 0o755); err != nil {
 		return nil, err

@@ -17,11 +17,12 @@
 // children.
 //
 // Locking follows the paper's protocol: each table entry is swapped for a
-// lock entry on acquisition — one shared sentinel, so an uncontended lock
-// allocates nothing — upgraded to a heavier-weight monitor (here: a queue
-// of wait channels) only when a second acquirer arrives. Read-only and
-// removing single-path operations take their one entry lock; a write holds
-// its parent's lock too, so the parent cannot go while the entry is made.
+// lock entry on acquisition — a flag, so a lock allocates nothing —
+// upgraded to a heavier-weight monitor (here: the table's condition
+// variable) only when a second acquirer arrives. Read-only and removing
+// single-path operations take their one entry lock, and so does a block's
+// commit to an entry that exists; a write that makes its entry holds its
+// parent's lock too, so the parent cannot go while the entry is made.
 // Multi-path operations (Rename, and Mkdirs down its ancestors) use
 // two-phase locking and acquire the least common ancestor of the involved
 // paths first, then the rest in lexicographic order, in which an ancestor
@@ -93,66 +94,52 @@ type pathMeta struct {
 	attrs  map[string]string
 }
 
-// lockEntry is the monitor an entry lock is upgraded to under contention:
-// the queue that blocked acquirers park on. An uncontended lock is the
-// shared uncontended sentinel instead, so taking one allocates nothing.
-type lockEntry struct {
-	waiters []chan struct{}
-}
-
-// uncontended is the paper's lightweight lock: the entry a path's lock is
-// swapped for while one holder has it and nobody waits. It never queues
-// waiters; the second acquirer replaces it with a fresh lockEntry.
-var uncontended = new(lockEntry)
-
-// table is one place's concurrent hash table of metadata plus its lock
-// entries. A path is locked exactly while it has an entry in locks.
+// table is one place's concurrent hash table of metadata plus its entry
+// locks. A path is locked exactly while it has an entry in locks: false
+// while one holder has it and nobody waits — the paper's lightweight lock,
+// which allocates nothing — and true once a second acquirer arrives, which
+// upgrades it to the monitor: the waiters park on the table's condition
+// variable, and the release of a contended lock wakes them to race for it.
 type table struct {
 	mu    sync.Mutex
 	meta  map[string]*pathMeta
-	locks map[string]*lockEntry
+	locks map[string]bool
+	freed sync.Cond // on mu: a contended lock was released
 }
 
 func newTable() *table {
-	return &table{meta: make(map[string]*pathMeta), locks: make(map[string]*lockEntry)}
+	t := &table{meta: make(map[string]*pathMeta), locks: make(map[string]bool)}
+	t.freed.L = &t.mu
+	return t
 }
 
 // acquire blocks until the entry lock for key is held by the caller.
 func (t *table) acquire(key string) {
 	t.mu.Lock()
-	e, ok := t.locks[key]
-	if !ok {
-		t.locks[key] = uncontended
-		t.mu.Unlock()
-		return
+	for {
+		if _, held := t.locks[key]; !held {
+			t.locks[key] = false
+			t.mu.Unlock()
+			return
+		}
+		t.locks[key] = true
+		t.freed.Wait()
 	}
-	if e == uncontended {
-		e = &lockEntry{}
-		t.locks[key] = e
-	}
-	ch := make(chan struct{})
-	e.waiters = append(e.waiters, ch)
-	t.mu.Unlock()
-	<-ch
 }
 
-// release hands the entry lock to the next waiter, or frees it.
+// release frees the entry lock, waking its waiters when it has any.
 func (t *table) release(key string) {
 	t.mu.Lock()
-	e, ok := t.locks[key]
-	if !ok {
+	contended, held := t.locks[key]
+	if !held {
 		t.mu.Unlock()
 		panic(fmt.Sprintf("kvstore: release of unheld lock %q", key))
 	}
-	if len(e.waiters) > 0 {
-		ch := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		t.mu.Unlock()
-		close(ch)
-		return
-	}
 	delete(t.locks, key)
 	t.mu.Unlock()
+	if contended {
+		t.freed.Broadcast()
+	}
 }
 
 // get reads a path's metadata; callers hold the path's entry lock.
@@ -209,6 +196,9 @@ type Store struct {
 	data    []*dataTable
 	seqMu   sync.Mutex
 	nextSeq int64
+
+	attrMu sync.Mutex
+	attrs  map[[2]string]map[string]string // the shared one-attribute maps (sharedAttr)
 
 	budget     atomic.Pointer[budget] // nil: every block stays on the heap
 	resident   atomic.Int64           // bytes of resident accounted blocks
@@ -490,8 +480,7 @@ func (s *Store) Mkdirs(path string) error {
 // success every lock from the root to dir is held; on an ancestor that is
 // a file, none is.
 func (s *Store) lockDirs(dir string) error {
-	for end := 1; ; end = nextAncestorEnd(dir, end) {
-		a := dir[:end]
+	for a := range dfs.AncestorsOf(dir) {
 		t := s.tableOf(a)
 		t.acquire(a)
 		if m, ok := t.get(a); !ok {
@@ -500,10 +489,8 @@ func (s *Store) lockDirs(dir string) error {
 			s.releaseUp(a, "/")
 			return fmt.Errorf("%s is a file", a)
 		}
-		if end == len(dir) {
-			return nil
-		}
 	}
+	return nil
 }
 
 // releaseUp releases the entry locks of path and its ancestors up to top.
@@ -536,15 +523,6 @@ func (s *Store) lockForWrite(path string) (top string, err error) {
 	}
 	s.tableOf(path).acquire(path)
 	return top, nil
-}
-
-// nextAncestorEnd returns where the ancestor of the canonical path p one
-// level below p[:end] ends; p[:1] is "/" and p[:len(p)] is p.
-func nextAncestorEnd(p string, end int) int {
-	if i := strings.IndexByte(p[end+1:], '/'); i >= 0 {
-		return end + 1 + i
-	}
-	return len(p)
 }
 
 // parentOf returns the parent of a canonical path, or "" for the root.
@@ -588,7 +566,10 @@ func (s *Store) ViewInfo(path string, fn func(PathInfo)) bool {
 	return ok
 }
 
-// SetAttr sets a path attribute. The path must exist.
+// SetAttr sets a path attribute. The path must exist. An entry's
+// attributes are copy-on-write — a map installed on an entry is never
+// written again — so entries share them: a path whose one attribute is
+// key=value holds the store's one map of it (sharedAttr).
 func (s *Store) SetAttr(path, key, value string) error {
 	path = dfs.CleanPath(path)
 	t := s.tableOf(path)
@@ -598,11 +579,40 @@ func (s *Store) SetAttr(path, key, value string) error {
 	if !ok {
 		return fmt.Errorf("kvstore: setattr %s: %w", path, dfs.ErrNotFound)
 	}
-	if m.attrs == nil {
-		m.attrs = make(map[string]string)
+	if v, ok := m.attrs[key]; ok && v == value {
+		return nil
 	}
-	m.attrs[key] = value
+	if _, ok := m.attrs[key]; len(m.attrs) == 0 || ok && len(m.attrs) == 1 {
+		m.attrs = s.sharedAttr(key, value)
+		return nil
+	}
+	next := maps.Clone(m.attrs)
+	next[key] = value
+	m.attrs = next
 	return nil
+}
+
+// maxSharedAttrs bounds how many one-attribute maps a store keeps for its
+// entries to share.
+const maxSharedAttrs = 64
+
+// sharedAttr returns the one-attribute map {key: value} that entries share,
+// made on first use; past maxSharedAttrs distinct ones, a fresh map.
+func (s *Store) sharedAttr(key, value string) map[string]string {
+	s.attrMu.Lock()
+	defer s.attrMu.Unlock()
+	k := [2]string{key, value}
+	if a, ok := s.attrs[k]; ok {
+		return a
+	}
+	a := map[string]string{key: value}
+	if len(s.attrs) < maxSharedAttrs {
+		if s.attrs == nil {
+			s.attrs = make(map[[2]string]map[string]string)
+		}
+		s.attrs[k] = a
+	}
+	return a
 }
 
 // Exists reports whether path is present.
@@ -795,6 +805,18 @@ type Writer struct {
 	tag   string
 	pairs []wio.Pair
 	done  bool
+	// entry is the file entry the writer made, whose block storage the
+	// first Close takes; nil when the path existed.
+	entry *fileEntry
+}
+
+// fileEntry is a file entry a writer makes, with the storage of its first
+// block — its data and its place in the block list — in one allocation:
+// what a task's output costs the store's metadata.
+type fileEntry struct {
+	pathMeta
+	data  blockData
+	first [1]BlockInfo
 }
 
 // CreateWriter starts a new block of path whose data will live at place —
@@ -802,24 +824,37 @@ type Writer struct {
 // invoked" (§5.2). The path is created (as a file) if missing, and so are
 // its missing parents (as directories).
 func (s *Store) CreateWriter(place int, path, tag string) (*Writer, error) {
+	w := new(Writer)
+	if err := s.OpenWriter(w, place, path, tag); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// OpenWriter is CreateWriter into w, for an owner that holds its writer by
+// value.
+func (s *Store) OpenWriter(w *Writer, place int, path, tag string) error {
 	path = dfs.CleanPath(path)
 	if place < 0 || place >= len(s.data) {
-		return nil, fmt.Errorf("kvstore: no such place %d", place)
+		return fmt.Errorf("kvstore: no such place %d", place)
 	}
 	top, err := s.lockForWrite(path)
 	if err != nil {
-		return nil, fmt.Errorf("kvstore: createWriter %s: %w", path, err)
+		return fmt.Errorf("kvstore: createWriter %s: %w", path, err)
 	}
 	defer s.releaseUp(path, top)
 	t := s.tableOf(path)
 	m, ok := t.get(path)
 	if ok && m.dir {
-		return nil, fmt.Errorf("kvstore: createWriter %s: is a directory", path)
+		return fmt.Errorf("kvstore: createWriter %s: is a directory", path)
 	}
+	*w = Writer{store: s, path: path, place: place, tag: tag}
 	if !ok {
-		t.put(path, &pathMeta{})
+		w.entry = new(fileEntry)
+		w.entry.blocks = w.entry.first[:0]
+		t.put(path, &w.entry.pathMeta)
 	}
-	return &Writer{store: s, path: path, place: place, tag: tag}, nil
+	return nil
 }
 
 // Append buffers one pair into the block.
@@ -835,7 +870,9 @@ func (w *Writer) AppendAll(ps []wio.Pair) { w.pairs = append(w.pairs, ps...) }
 // time) and admitted under the path's entry lock, so a concurrent Delete
 // can never free the block before it is charged; an admission error fails
 // the Close. A path that has become a directory since CreateWriter fails
-// it too, and nothing is installed.
+// it too, and nothing is installed. The commit takes the entry's lock
+// alone while the entry exists, and makes it again under its parent's lock
+// when it was deleted meanwhile.
 func (w *Writer) Close() (BlockInfo, error) {
 	if w.done {
 		return BlockInfo{}, fmt.Errorf("kvstore: writer for %s already closed", w.path)
@@ -857,13 +894,19 @@ func (w *Writer) Close() (BlockInfo, error) {
 		}
 	}
 
-	top, err := w.store.lockForWrite(w.path)
-	if err != nil {
-		return BlockInfo{}, fmt.Errorf("kvstore: commit %s: %w", w.path, err)
+	t := w.store.tableOf(w.path)
+	t.acquire(w.path)
+	top := w.path
+	m, ok := t.get(w.path)
+	if !ok {
+		t.release(w.path)
+		var err error
+		if top, err = w.store.lockForWrite(w.path); err != nil {
+			return BlockInfo{}, fmt.Errorf("kvstore: commit %s: %w", w.path, err)
+		}
+		m, ok = t.get(w.path)
 	}
 	defer w.store.releaseUp(w.path, top)
-	t := w.store.tableOf(w.path)
-	m, ok := t.get(w.path)
 	if ok && m.dir {
 		return BlockInfo{}, fmt.Errorf("kvstore: commit %s: is a directory", w.path)
 	}
@@ -873,7 +916,13 @@ func (w *Writer) Close() (BlockInfo, error) {
 		m = &pathMeta{}
 		t.put(w.path, m)
 	}
-	bd := &blockData{pairs: w.pairs, size: size}
+	var bd *blockData
+	if e := w.entry; e != nil {
+		bd, w.entry = &e.data, nil
+	} else {
+		bd = new(blockData)
+	}
+	*bd = blockData{pairs: w.pairs, size: size}
 	dt := w.store.data[w.place]
 	dt.mu.Lock()
 	dt.m[info] = bd

@@ -205,10 +205,11 @@ func (c *Cache) putSplit(place int, sp string, pairs []wio.Pair) error {
 	return err
 }
 
-// OutputWriter accumulates one output file's pairs at a place.
+// OutputWriter accumulates one output file's pairs at a place. It holds
+// the store's writer by value, so opening one allocates only the entry.
 type OutputWriter struct {
 	cache *Cache
-	w     *kvstore.Writer
+	w     kvstore.Writer
 	path  string
 	temp  bool
 }
@@ -231,12 +232,8 @@ func (c *Cache) openOutput(o *OutputWriter, place int, path string, temp bool) e
 	if err := c.store.Delete(path); err != nil {
 		return err
 	}
-	w, err := c.store.CreateWriter(place, path, "")
-	if err != nil {
-		return err
-	}
-	*o = OutputWriter{cache: c, w: w, path: path, temp: temp}
-	return nil
+	*o = OutputWriter{cache: c, path: path, temp: temp}
+	return c.store.OpenWriter(&o.w, place, path, "")
 }
 
 // Append adds one pair to the cached file.
@@ -382,13 +379,16 @@ func (f *CachingFileSystem) Delete(path string, recursive bool) error {
 	return err
 }
 
-// Rename implements dfs.FileSystem: applied to both cache and backing.
+// Rename implements dfs.FileSystem: applied to both cache and backing. A
+// source that neither holds is the backing store's not-found error, as it
+// is without the cache.
 func (f *CachingFileSystem) Rename(src, dst string) error {
+	cached := f.cache.store.Exists(src)
 	if err := f.cache.Move(src, dst); err != nil {
 		return err
 	}
 	err := f.backing.Rename(src, dst)
-	if errors.Is(err, dfs.ErrNotFound) && !f.backing.Exists(dfs.CleanPath(src)) {
+	if cached && errors.Is(err, dfs.ErrNotFound) && !f.backing.Exists(dfs.CleanPath(src)) {
 		// Cache-only rename.
 		return nil
 	}

@@ -159,8 +159,17 @@ type jobExec struct {
 	// admission make the job's tiering counters deltas.
 	cacheSpilled0, cacheReadmitted0 int64
 
-	// Plan: one input per reduce partition, at its stable place.
+	// Plan: one input per reduce partition, at its stable place, and one
+	// assignment per map task.
 	parts []*partitionInput
+	maps  []mapAssignment
+
+	// Map, a job that shuffles: the planned tasks' collector state, row i
+	// map task i's (layOutCollectors) — R parts and P streams a task on an
+	// unbudgeted job, R combine tables a task when the job combines by hash.
+	collectParts   []collectPart
+	collectStreams []*x10.OutStream
+	collectTables  []*engine.CombineTable
 
 	// Map: whether splits are read through (and into) the cache, and whether
 	// remote pairs are de-duplicated on the wire.
@@ -241,6 +250,8 @@ type mapAssignment struct {
 	// splitPath is the split's store path in the input cache, "" when the
 	// split bypasses the cache (§4.2.1).
 	splitPath string
+	// sc is the task's shuffle collector (newShuffleCollector).
+	sc shuffleCollector
 }
 
 // plan computes the job's splits and assigns each to a place: cache blocks
@@ -258,6 +269,7 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 		return nil, err
 	}
 	R, N := x.Resolved.NumReducers, len(splits)
+	x.LayOutTasks(N, R)
 	parts := make([]partitionInput, R)
 	x.parts = make([]*partitionInput, R)
 	// A partition receives at most one run from each map task: its run list
@@ -269,6 +281,8 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 	}
 	rr := 0
 	out := make([]mapAssignment, N)
+	x.maps = out
+	x.layOutCollectors(N, R, P)
 	var ranges []CachedRange
 	for i, s := range splits {
 		a := &out[i]
@@ -307,6 +321,21 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 		}
 	}
 	return out, nil
+}
+
+// layOutCollectors lays out the collector state of a job's n map tasks
+// over r partitions and p places, one array each, when the job shuffles.
+func (x *jobExec) layOutCollectors(n, r, p int) {
+	if x.Resolved.MapOnly {
+		return
+	}
+	if x.budgets == nil {
+		x.collectParts = make([]collectPart, n*r)
+		x.collectStreams = make([]*x10.OutStream, n*p)
+	}
+	if x.Resolved.CombineByHash {
+		x.collectTables = make([]*engine.CombineTable, n*r)
+	}
 }
 
 // Run is the assigned map task, at its place: the work the map phase's

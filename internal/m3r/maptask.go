@@ -20,7 +20,7 @@ func (x *jobExec) runMapTask(ctx *engine.TaskContext, a *mapAssignment) error {
 	// cache) homes blocks at the writing task's place.
 	ctx.Job.SetInt(conf.KeyM3RTaskPlace, a.place)
 
-	mr := x.Resolved.NewMapRun()
+	mr := x.Resolved.TaskMapRun(ctx)
 	mr.Configure(ctx.Job)
 
 	// On a zero-reducer job the map output is the job's output (§5.3);

@@ -152,19 +152,13 @@ func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nre
 }
 
 // installRuns installs an unbudgeted map task's sorted run per partition,
-// the task's runs in one allocation.
+// each in its part's storage.
 func (x *jobExec) installRuns(src int, parts []collectPart) {
-	n := 0
-	for q := range parts {
-		if len(parts[q].run) > 0 {
-			n++
-		}
-	}
-	runs := make([]sourceRun, 0, n)
 	for q := range parts {
 		if pairs := parts[q].run; len(pairs) > 0 {
-			runs = append(runs, sourceRun{src: src, pairs: pairs})
-			x.parts[q].install(&runs[len(runs)-1])
+			r := &parts[q].installed
+			*r = sourceRun{src: src, pairs: pairs}
+			x.parts[q].install(r)
 		}
 	}
 }

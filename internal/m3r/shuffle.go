@@ -76,6 +76,8 @@ type collectPart struct {
 	// remote is the number of pairs encoded for a remote partition, so the
 	// receiving side makes room for its decoded run once, at its length.
 	remote int
+	// installed is the run as the partition holds it (installRuns).
+	installed sourceRun
 }
 
 // encodeBufsOut counts what a task has checked out of the outbound pools and
@@ -99,30 +101,44 @@ func putOutStream(s *x10.OutStream) {
 	encodeBufsOut.Add(-1)
 }
 
+// newShuffleCollector makes a's collector, in a. A task the plan laid out
+// takes its per-partition and per-place state from its row of the job's
+// arrays (jobExec.layOutCollectors); any other assignment allocates its own.
 func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext) *shuffleCollector {
-	sc := &shuffleCollector{
+	R, P := x.Resolved.NumReducers, x.e.rt.NumPlaces()
+	sc := &a.sc
+	*sc = shuffleCollector{
 		x:           x,
 		ctx:         ctx,
 		place:       a.place,
 		src:         a.index,
-		R:           x.Resolved.NumReducers,
-		P:           x.e.rt.NumPlaces(),
+		R:           R,
+		P:           P,
 		partitioner: x.Resolved.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.Resolved, a.split),
 		jobParts:    x.parts,
 	}
+	i := a.index
+	planned := i < len(x.maps) && a == &x.maps[i]
 	if x.budgets != nil {
-		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, sc.P), classes: x.classes}
+		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, P), classes: x.classes}
+	} else if planned {
+		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
+		sc.streams = x.collectStreams[i*P : (i+1)*P : (i+1)*P]
 	} else {
-		sc.parts = make([]collectPart, sc.R)
-		sc.streams = make([]*x10.OutStream, sc.P)
+		sc.parts = make([]collectPart, R)
+		sc.streams = make([]*x10.OutStream, P)
 	}
 	switch {
 	case x.Resolved.CombineByHash:
-		sc.tables = make([]*engine.CombineTable, sc.R)
+		if planned {
+			sc.tables = x.collectTables[i*R : (i+1)*R : (i+1)*R]
+		} else {
+			sc.tables = make([]*engine.CombineTable, R)
+		}
 		_, sc.hashPartition = sc.partitioner.(*mapred.HashPartitioner)
 	case x.Resolved.HasCombiner:
-		sc.combineBufs = make([][]wio.Pair, sc.R)
+		sc.combineBufs = make([][]wio.Pair, R)
 	}
 	return sc
 }
@@ -405,6 +421,11 @@ func (sc *shuffleCollector) abort() {
 			}
 		}
 	}
+	// A planned task's state is its row of the job's arrays: cleared, so
+	// the job holds nothing of a failed task's.
+	clear(sc.streams)
+	clear(sc.parts)
+	clear(sc.tables)
 	sc.streams = nil
 	sc.frames = nil
 	sc.parts = nil

@@ -214,41 +214,46 @@ func (b *Block) Dot(o *Block) float64 {
 
 // TaggedBlock routes blocks from different inputs of one shuffle to the
 // right operand slot in the reducer, SystemML's tagged-value pattern. It
-// carries one block of either kind: B when dense, S when sparse. On the wire
-// the sparse kind sets the tag byte's high bit (sparseTag), so a dense
-// TaggedBlock's bytes are those of a tag and a Block.
+// carries one block of either kind, by value: B when dense, S when Sparse is
+// set. On the wire the sparse kind sets the tag byte's high bit (sparseTag),
+// so a dense TaggedBlock's bytes are those of a tag and a Block.
+//
+// ReadFields decodes into B or S, so a decoded TaggedBlock is one object,
+// and a later ReadFields into the same TaggedBlock reuses their storage, as
+// a Block's does. Consumers take the block through value().
 type TaggedBlock struct {
-	Tag byte
-	B   *Block
-	S   *SparseBlock
+	Tag    byte
+	Sparse bool
+	B      Block
+	S      SparseBlock
 }
 
 // sparseTag marks a tag byte followed by a SparseBlock. Tags are operand
 // slots (0–2) and never reach it.
 const sparseTag = 0x80
 
-// NewTagged wraps b under tag.
-func NewTagged(tag byte, b *Block) *TaggedBlock { return &TaggedBlock{Tag: tag, B: b} }
+// NewTagged wraps b under tag. The TaggedBlock shares b's values.
+func NewTagged(tag byte, b *Block) *TaggedBlock { return &TaggedBlock{Tag: tag, B: *b} }
 
 // tagValue wraps a map input value, dense or sparse, under tag.
 func tagValue(tag byte, v wio.Writable) *TaggedBlock {
 	if s, ok := v.(*SparseBlock); ok {
-		return &TaggedBlock{Tag: tag, S: s}
+		return &TaggedBlock{Tag: tag, Sparse: true, S: *s}
 	}
 	return NewTagged(tag, v.(*Block))
 }
 
-// value returns the carried block, of whichever kind.
+// value returns the carried block, of whichever kind. It points into t.
 func (t *TaggedBlock) value() wio.Writable {
-	if t.S != nil {
-		return t.S
+	if t.Sparse {
+		return &t.S
 	}
-	return t.B
+	return &t.B
 }
 
 // WriteTo implements wio.Writable.
 func (t *TaggedBlock) WriteTo(w *wio.Writer) error {
-	if t.S != nil {
+	if t.Sparse {
 		if err := w.WriteByte(t.Tag | sparseTag); err != nil {
 			return err
 		}
@@ -266,12 +271,10 @@ func (t *TaggedBlock) ReadFields(r *wio.Reader) error {
 	if err != nil {
 		return err
 	}
-	t.Tag = tag &^ sparseTag
-	if tag&sparseTag != 0 {
-		t.B, t.S = nil, new(SparseBlock)
+	t.Tag, t.Sparse = tag&^sparseTag, tag&sparseTag != 0
+	if t.Sparse {
 		return t.S.ReadFields(r)
 	}
-	t.B, t.S = new(Block), nil
 	return t.B.ReadFields(r)
 }
 

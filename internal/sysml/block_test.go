@@ -63,7 +63,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	if err := wio.Unmarshal(data, outT); err != nil {
 		t.Fatal(err)
 	}
-	if outT.Tag != 2 || !closeMat(toDense(outT.B), toDense(b)) {
+	if outT.Tag != 2 || !closeMat(toDense(&outT.B), toDense(b)) {
 		t.Fatal("tagged round trip lost data")
 	}
 }

@@ -3,6 +3,8 @@ package wio_test
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"m3r/internal/sysml"
@@ -251,5 +253,42 @@ func BenchmarkDecodePair(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestEncodePairAllocs: a de-duplicating Encoder reused from stream to
+// stream, as a pooled x10.OutStream reuses it, encodes a remote shuffle
+// record — an IntWritable key, a 2 KiB BytesWritable value — without
+// allocating once its sink has grown: its type ids and identity table are
+// cleared per stream, not rebuilt.
+func TestEncodePairAllocs(t *testing.T) {
+	pairs := remotePairs(200, 2048)
+	var sink bytes.Buffer
+	enc := wio.NewEncoder(&sink, true)
+	stream := func() {
+		sink.Reset()
+		enc.Reset(&sink, true)
+		for _, p := range pairs {
+			if err := enc.EncodePair(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream()
+	// Mallocs counts the whole process, so a stray allocation of another
+	// goroutine can land in a try; one of the encoder's lands in every try.
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		stream()
+		runtime.ReadMemStats(&ms1)
+		fewest = min(fewest, ms1.Mallocs-ms0.Mallocs)
+	}
+	if fewest != 0 {
+		t.Errorf("a stream of %d pairs allocates %d times, want 0", len(pairs), fewest)
 	}
 }

@@ -88,13 +88,13 @@ func refWrite(w *wio.Writer, v wio.Writable) {
 		}
 		refWriteFloat64s(w, v.V)
 	case *sysml.TaggedBlock:
-		if v.S != nil {
+		if v.Sparse {
 			w.WriteByte(v.Tag | 0x80)
-			refWrite(w, v.S)
+			refWrite(w, &v.S)
 			break
 		}
 		w.WriteByte(v.Tag)
-		refWrite(w, v.B)
+		refWrite(w, &v.B)
 	case *matrix.CSCBlock:
 		w.WriteInt32(v.Rows)
 		w.WriteInt32(v.Cols)
@@ -134,7 +134,7 @@ func arrayWritables(n int) []wio.Writable {
 	return []wio.Writable{
 		&sysml.Block{R: 1, C: int32(n), V: vs},
 		sysml.NewTagged(7, &sysml.Block{R: int32(n), C: 1, V: vs}),
-		sparse, &sysml.TaggedBlock{Tag: 1, S: sparse},
+		sparse, &sysml.TaggedBlock{Tag: 1, Sparse: true, S: *sparse},
 		csc, dense, matrix.WrapCSC(csc), matrix.WrapDense(dense),
 	}
 }

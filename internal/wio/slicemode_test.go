@@ -267,7 +267,7 @@ func sampleWritables() []wio.Writable {
 		cfg, ctrs,
 		sysml.NewBlock(0, 0), sysml.RandomBlock(3, 4, 1, 0.3), sysml.NewTagged(2, sysml.RandomBlock(2, 2, 2, 0)),
 		sysml.Sparsify(sysml.NewBlock(0, 0)), sysml.Sparsify(sysml.RandomBlock(5, 6, 3, 0.7)),
-		&sysml.TaggedBlock{Tag: 1, S: sysml.Sparsify(sysml.RandomBlock(4, 3, 4, 0.6))},
+		&sysml.TaggedBlock{Tag: 1, Sparse: true, S: *sysml.Sparsify(sysml.RandomBlock(4, 3, 4, 0.6))},
 		matrix.NewBlockKey(3, -1), matrix.RandomCSC(6, 5, 0.4, 3), matrix.RandomDense(7, 4),
 		matrix.WrapCSC(matrix.RandomCSC(4, 4, 0.5, 5)), matrix.WrapDense(matrix.RandomDense(3, 6)), &matrix.BlockValue{},
 	}
