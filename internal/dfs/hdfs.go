@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"m3r/internal/sim"
@@ -195,6 +196,15 @@ var blockWriters = sync.Pool{New: func() any {
 	return bufio.NewWriterSize(nil, blockWriteBuf)
 }}
 
+// blockReadBuf is the size of the pooled buffers block files are read
+// through, a real client's 64 KiB packet.
+const blockReadBuf = 64 << 10
+
+var blockReadBufs = sync.Pool{New: func() any {
+	b := make([]byte, blockReadBuf)
+	return &b
+}}
+
 // Write implements io.Writer, cutting block files at block-size boundaries.
 func (w *hdfsWriter) Write(p []byte) (int, error) {
 	if w.closed {
@@ -377,9 +387,16 @@ func (h *HDFS) OpenFrom(path, host string) (File, error) {
 	copy(blocks, node.blocks)
 	size := node.size
 	h.mu.RUnlock()
+	openReaders.Add(1)
 	return &hdfsReader{fs: h, path: path, host: host, blocks: blocks, size: size}, nil
 }
 
+// hdfsReader streams a file's block files as a client streams packets: it
+// holds the open block's descriptor and one pooled read buffer, never a
+// whole block. A read of at least blockReadBuf bytes goes straight into the
+// caller's slice, as bufio.Reader's does; a shorter one refills the buffer
+// with one ReadAt of up to blockReadBuf bytes of the block (its whole length
+// when the block is shorter).
 type hdfsReader struct {
 	fs     *HDFS
 	path   string
@@ -387,11 +404,26 @@ type hdfsReader struct {
 	blocks []hdfsBlock
 	size   int64
 	pos    int64
+	closed bool
 
-	curIdx  int // index of cached block, -1 when none
-	curData []byte
-	curOff  int64 // file offset of curData[0]
+	// The open block, f == nil when none: its index and file offset.
+	f    *os.File
+	idx  int
+	base int64
+
+	buf    *[]byte // pooled, taken at the first buffered read
+	win    []byte  // buffered bytes of the open block, a prefix of *buf
+	winOff int64   // file offset of win[0]
 }
+
+// openReaders counts HDFS readers opened but not yet closed. A reader
+// holds a block file's descriptor between reads, so an unclosed one leaks
+// it; tests pin the count back to its baseline after a job, whatever its
+// end.
+var openReaders atomic.Int64
+
+// OpenReaderCount reports how many HDFS readers are currently open.
+func OpenReaderCount() int64 { return openReaders.Load() }
 
 // locate returns the block index and base offset containing file offset pos.
 func (r *hdfsReader) locate(pos int64) (int, int64) {
@@ -405,31 +437,100 @@ func (r *hdfsReader) locate(pos int64) (int, int64) {
 	return -1, off
 }
 
+// inBlock reports whether file offset pos lies in the open block.
+func (r *hdfsReader) inBlock(pos int64) bool {
+	return r.f != nil && pos >= r.base && pos < r.base+r.blocks[r.idx].length
+}
+
 // Read implements io.Reader.
 func (r *hdfsReader) Read(p []byte) (int, error) {
+	if r.closed {
+		return 0, fmt.Errorf("dfs: read of closed file %s", r.path)
+	}
 	if r.pos >= r.size {
 		return 0, io.EOF
 	}
-	idx, base := r.locate(r.pos)
-	if idx < 0 {
-		return 0, io.EOF
-	}
-	if r.curData == nil || idx != r.curIdx {
-		b := r.blocks[idx]
-		data, err := os.ReadFile(r.fs.blockPath(b.id))
-		if err != nil {
-			return 0, fmt.Errorf("dfs: reading block of %s: %w", r.path, err)
-		}
-		r.curIdx, r.curData, r.curOff = idx, data, base
-		r.fs.cost.ChargeDisk(r.fs.stats, b.length)
-		if r.host != "" && !hasHost(b.hosts, r.host) {
-			r.fs.cost.ChargeNet(r.fs.stats, b.length)
+	if !r.inBlock(r.pos) {
+		if err := r.enterBlock(); err != nil {
+			return 0, err
 		}
 	}
-	n := copy(p, r.curData[r.pos-r.curOff:])
+	n, err := r.readBlock(p)
 	r.pos += int64(n)
 	r.fs.stats.Add(sim.HDFSReadBytes, int64(n))
-	return n, nil
+	return n, err
+}
+
+// enterBlock opens the block holding r.pos in place of the open one and
+// charges it: every move onto a block pays its whole length in modelled
+// disk time, and in network time when no replica is on the reader's host.
+func (r *hdfsReader) enterBlock() error {
+	r.closeBlock()
+	idx, base := r.locate(r.pos)
+	if idx < 0 {
+		return io.EOF
+	}
+	b := r.blocks[idx]
+	f, err := os.Open(r.fs.blockPath(b.id))
+	if err != nil {
+		return fmt.Errorf("dfs: reading block of %s: %w", r.path, err)
+	}
+	r.f, r.idx, r.base = f, idx, base
+	r.fs.cost.ChargeDisk(r.fs.stats, b.length)
+	if r.host != "" && !hasHost(b.hosts, r.host) {
+		r.fs.cost.ChargeNet(r.fs.stats, b.length)
+	}
+	return nil
+}
+
+// readBlock reads from r.pos, which lies in the open block, without
+// crossing the block's end.
+func (r *hdfsReader) readBlock(p []byte) (int, error) {
+	if r.pos >= r.winOff && r.pos < r.winOff+int64(len(r.win)) {
+		return copy(p, r.win[r.pos-r.winOff:]), nil
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	at, left := r.pos-r.base, r.base+r.blocks[r.idx].length-r.pos
+	if len(p) >= blockReadBuf {
+		return r.readAt(p[:min(int64(len(p)), left)], at)
+	}
+	if r.buf == nil {
+		r.buf = blockReadBufs.Get().(*[]byte)
+	}
+	n, err := r.readAt((*r.buf)[:min(left, blockReadBuf)], at)
+	if err != nil {
+		r.win = nil
+		return 0, err
+	}
+	r.win, r.winOff = (*r.buf)[:n], r.pos
+	return copy(p, r.win), nil
+}
+
+// readAt fills p from offset off of the open block file. A file shorter
+// than its recorded length is io.ErrUnexpectedEOF, never a short read.
+func (r *hdfsReader) readAt(p []byte, off int64) (int, error) {
+	n, err := r.f.ReadAt(p, off)
+	if n == len(p) {
+		return n, nil
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return 0, fmt.Errorf("dfs: reading block of %s: %w", r.path, err)
+}
+
+// closeBlock closes the open block file, if any, and drops its buffered
+// bytes; the buffer itself stays with the reader.
+func (r *hdfsReader) closeBlock() error {
+	r.win = nil
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f = nil
+	return err
 }
 
 func hasHost(hosts []string, h string) bool {
@@ -441,7 +542,9 @@ func hasHost(hosts []string, h string) bool {
 	return false
 }
 
-// Seek implements io.Seeker.
+// Seek implements io.Seeker. A position inside the open block keeps it
+// open; any other closes it, so the next Read moves onto a block and pays
+// for it again.
 func (r *hdfsReader) Seek(offset int64, whence int) (int64, error) {
 	var abs int64
 	switch whence {
@@ -458,16 +561,26 @@ func (r *hdfsReader) Seek(offset int64, whence int) (int64, error) {
 		return 0, fmt.Errorf("dfs: negative seek position %d", abs)
 	}
 	r.pos = abs
-	if r.curData != nil && (abs < r.curOff || abs >= r.curOff+int64(len(r.curData))) {
-		r.curData = nil
+	if !r.inBlock(abs) {
+		r.closeBlock()
 	}
 	return abs, nil
 }
 
-// Close implements io.Closer.
+// Close implements io.Closer: the block's descriptor and the pooled buffer
+// go back.
 func (r *hdfsReader) Close() error {
-	r.curData = nil
-	return nil
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	err := r.closeBlock()
+	if r.buf != nil {
+		blockReadBufs.Put(r.buf)
+		r.buf = nil
+	}
+	openReaders.Add(-1)
+	return err
 }
 
 // Delete implements FileSystem.

@@ -59,6 +59,7 @@ func (*TextInputFormat) GetRecordReader(split InputSplit, job *conf.JobConf) (Re
 type LineRecordReader struct {
 	file  dfs.File
 	br    *bufio.Reader
+	long  []byte // a line longer than br's buffer, assembled
 	pos   int64
 	start int64
 	end   int64
@@ -87,7 +88,7 @@ func NewLineRecordReader(fs dfs.FileSystem, split *FileSplit) (*LineRecordReader
 		}
 		r.pos = split.Start - 1
 		r.br = bufio.NewReader(f)
-		line, err := r.br.ReadBytes('\n')
+		line, err := r.readLine()
 		r.pos += int64(len(line))
 		if err == io.EOF {
 			// The file ends inside this split's first (partial) line.
@@ -115,7 +116,7 @@ func (r *LineRecordReader) Next(key, value wio.Writable) (bool, error) {
 	if r.pos >= r.end {
 		return false, nil
 	}
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.readLine()
 	if err != nil && err != io.EOF {
 		return false, err
 	}
@@ -132,6 +133,22 @@ func (r *LineRecordReader) Next(key, value wio.Writable) (bool, error) {
 	}
 	value.(*types.Text).SetBytes(line)
 	return true, nil
+}
+
+// readLine returns the next line with its newline, valid until the next
+// call: a view of the bufio buffer, or of r.long for a line the buffer
+// cannot hold.
+func (r *LineRecordReader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	r.long = append(r.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.br.ReadSlice('\n')
+		r.long = append(r.long, line...)
+	}
+	return r.long, err
 }
 
 // Progress implements RecordReader.

@@ -266,7 +266,7 @@ func TestJobEnvelope(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					streams, goroutines := spill.OpenStreamCount(), runtime.NumGoroutine()
+					streams, readers, goroutines := spill.OpenStreamCount(), dfs.OpenReaderCount(), runtime.NumGoroutine()
 
 					p, lc := newEnvelopeProbe(), engine.NewJobLifecycle()
 					if row.arm != nil {
@@ -322,6 +322,9 @@ func TestJobEnvelope(t *testing.T) {
 					if got := spill.OpenStreamCount(); got != streams {
 						t.Errorf("OpenStreamCount %d, was %d before the job", got, streams)
 					}
+					if got := dfs.OpenReaderCount(); got != readers {
+						t.Errorf("OpenReaderCount %d, was %d before the job", got, readers)
+					}
 					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
 						time.Sleep(5 * time.Millisecond)
 					}
@@ -339,6 +342,9 @@ func TestJobEnvelope(t *testing.T) {
 						t.Fatalf("the corrected job, resubmitted to %s: %v", out, err)
 					}
 					checkCounts(t, readTextOutput(t, c.fs, out), want)
+					if got := dfs.OpenReaderCount(); got != readers {
+						t.Errorf("OpenReaderCount %d after the corrected job, was %d before the first", got, readers)
+					}
 				})
 			}
 		})

@@ -288,7 +288,7 @@ func TestKillGridBothEngines(t *testing.T) {
 	if err := wordcount.Generate(c.fs, "/data/K", 256<<10, 7); err != nil {
 		t.Fatal(err)
 	}
-	streamBase := spill.OpenStreamCount()
+	streamBase, readerBase := spill.OpenStreamCount(), dfs.OpenReaderCount()
 
 	engines := []engine.Engine{c.m3r, c.hadoop}
 	for _, eng := range engines {
@@ -342,6 +342,9 @@ func TestKillGridBothEngines(t *testing.T) {
 				}
 				if got := spill.OpenStreamCount(); got != streamBase {
 					t.Errorf("OpenStreamCount %d, baseline %d: leaked spill streams", got, streamBase)
+				}
+				if got := dfs.OpenReaderCount(); got != readerBase {
+					t.Errorf("OpenReaderCount %d, baseline %d: leaked HDFS readers", got, readerBase)
 				}
 				assertNoJobDroppings(t, c.fs, out, leg.name == "commit")
 			})
