@@ -221,8 +221,8 @@ var killLegs = []killLeg{
 		job.SetInt64("io.sort.bytes", 256)
 	}},
 	// Map tail / shuffle barrier: one task blocks in Close while every
-	// other task finishes — on m3r the remaining places wait at the shuffle
-	// barrier, which must wake on the kill.
+	// other task finishes — on m3r the map phase's finish waits for the
+	// gated task, and the kill releases it.
 	{name: "barrier", mapPoint: "map.close"},
 	// Mid reduce-side merge: spilled runs feed the merge and every reducer
 	// blocks at its first group, so spilled-run streams are open when the

@@ -387,71 +387,36 @@ func fileSplitViewOf(fs dfs.FileSystem, f *formats.FileSplit) fileSplitView {
 	return v
 }
 
-// run executes the map phase, the global shuffle barrier, and the reduce
-// phase across all places.
+// run executes the map phase, then the reduce phase, across all places.
+// §5.1's "no reducer is allowed to run until globally all shuffle messages
+// have been sent" is the map phase's finish: no reduce task is spawned
+// until every map task has returned. Each task runs at its own place,
+// whose worker slots bound how many run at once (Runtime.At).
 func (x *jobExec) run(assignments []mapAssignment) error {
-	e := x.e
-	P := e.rt.NumPlaces()
-	team := x10.NewTeam(P)
-	var mapFailed atomic.Bool
 	fin := x10.NewFinish()
-	for p := 0; p < P; p++ {
-		p := p
-		fin.Async(func() error {
-			// Map phase at this place: every task occupies a worker slot.
-			inner := x10.NewFinish()
-			for i := range assignments {
-				if a := &assignments[i]; a.place == p {
-					inner.AsyncTask(a)
-				}
-			}
-			mapErr := inner.Wait()
-			if mapErr != nil {
-				mapFailed.Store(true)
-			}
-			if x.Resolved.MapOnly {
-				return mapErr
-			}
-			// §5.1: "No reducer is allowed to run until globally all
-			// shuffle messages have been sent."
-			//
-			// A killed job wakes the wait early: every place shares the one
-			// cancel source, so whoever is parked here leaves with the
-			// cancellation cause instead of waiting for places that may be
-			// stuck in long map tails. (The generation is then abandoned,
-			// never reused — the job is tearing down.)
-			if err := team.BarrierCancel(x.Lifecycle.Done(), x.Lifecycle.Err); err != nil {
-				return err
-			}
-			if mapErr != nil {
-				return mapErr
-			}
-			if mapFailed.Load() {
-				return nil // another place failed; the job is already lost
-			}
-			if err := x.Lifecycle.Err(); err != nil {
-				return err
-			}
-			// Past the barrier no map task can contend the budget, so the
-			// largest-first policy has no more victims to pick: drop the
-			// eviction index so it stops pinning detached runs' pairs for
-			// the rest of the reduce phase.
-			if x.resident != nil {
-				x.resident[p].Close()
-				if err := x.checkResidentBytes(p); err != nil {
-					return err
-				}
-			}
-			// Reduce phase: this place owns the partitions the stable
-			// mapping assigns to it (§3.2.2.2).
-			rinner := x10.NewFinish()
-			for _, pi := range x.parts {
-				if pi.place == p {
-					rinner.AsyncTask(pi)
-				}
-			}
-			return rinner.Wait()
-		})
+	for i := range assignments {
+		fin.AsyncTask(&assignments[i])
+	}
+	if err := fin.Wait(); err != nil || x.Resolved.MapOnly {
+		return err
+	}
+	if err := x.Lifecycle.Err(); err != nil {
+		return err
+	}
+	// No map task can contend the budget any more, so the largest-first
+	// policy has no more victims to pick: drop each place's eviction index
+	// so it stops pinning detached runs' pairs for the reduce phase.
+	for p := range x.resident {
+		x.resident[p].Close()
+		if err := x.checkResidentBytes(p); err != nil {
+			return err
+		}
+	}
+	// Reduce phase: each partition runs at the place the stable mapping
+	// assigns it (§3.2.2.2).
+	fin = x10.NewFinish()
+	for _, pi := range x.parts {
+		fin.AsyncTask(pi)
 	}
 	return fin.Wait()
 }

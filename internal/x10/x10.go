@@ -3,7 +3,8 @@
 //
 //   - places: a fixed set of cluster nodes, each with a bounded pool of
 //     worker slots (the paper's "one process per host, 8 worker threads"),
-//   - finish/async structured concurrency and Team cyclic barriers ("no
+//   - finish/async structured concurrency: a job's map phase is one finish,
+//     and its reduce phase starts only when that finish is joined ("no
 //     reducer is allowed to run until globally all shuffle messages have
 //     been sent"),
 //   - a pluggable Transport whose cross-place sends pass through real

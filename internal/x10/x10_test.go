@@ -64,53 +64,23 @@ func TestAtWorkerLimit(t *testing.T) {
 	}
 }
 
+// task is a function as an x10.Task.
+type task func() error
+
+func (f task) Run() error { return f() }
+
 func TestFinishCollectsErrorsAndPanics(t *testing.T) {
 	fin := x10.NewFinish()
 	boom := errors.New("boom")
-	fin.Async(func() error { return nil })
-	fin.Async(func() error { return boom })
+	fin.AsyncTask(task(func() error { return nil }))
+	fin.AsyncTask(task(func() error { return boom }))
 	if err := fin.Wait(); !errors.Is(err, boom) {
 		t.Errorf("got %v", err)
 	}
 	fin2 := x10.NewFinish()
-	fin2.Async(func() error { panic("ouch") })
+	fin2.AsyncTask(task(func() error { panic("ouch") }))
 	if err := fin2.Wait(); err == nil {
 		t.Error("panic should surface as error")
-	}
-}
-
-func TestTeamBarrierReusable(t *testing.T) {
-	const n = 4
-	team := x10.NewTeam(n)
-	var phase atomic.Int32
-	var wrong atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 5; round++ {
-				phase.Add(1)
-				if err := team.BarrierCancel(nil, nil); err != nil {
-					wrong.Store(true)
-				}
-				// After the barrier everyone must see all n arrivals of
-				// this round.
-				if phase.Load() < int32((round+1)*n) {
-					wrong.Store(true)
-				}
-				if err := team.BarrierCancel(nil, nil); err != nil {
-					wrong.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if wrong.Load() {
-		t.Error("barrier released a member early")
-	}
-	if phase.Load() != 5*n {
-		t.Errorf("phase=%d", phase.Load())
 	}
 }
 
