@@ -47,17 +47,21 @@ type RawMerge struct {
 	groupByPrefix bool
 	// eager reports that the sort or the grouping order has no raw form: the
 	// leaves decode every key, once per record, and objects are compared.
-	eager  bool
-	newKey func() wio.Writable
-	m      *SourceMerge[keyedRec]
-	lc     *JobLifecycle
+	eager bool
+	// keys and vals hand out the decoded objects, from slabs no larger than
+	// what is still to come: unpulled records the leaves have not pulled,
+	// left records the reduce has not consumed, each negative when the runs'
+	// length is unknown.
+	keys, vals     wio.Alloc
+	unpulled, left int
+	m              *SourceMerge[keyedRec]
+	lc             *JobLifecycle
 
 	// Reduce's state: what survives the per-group iterators. head is the
 	// current group's first record, its key bytes copied into headKey: the
 	// record itself dies while its source moves on through the group. A
 	// group's iterator is drained before the next group's is made, so one
 	// head serves them all.
-	newVal  func() wio.Writable
 	rd      wio.Reader
 	records *counters.Counter
 	head    keyedRec
@@ -85,10 +89,11 @@ func (m *RawMerge) sameGroup(a, b *keyedRec) bool {
 	return m.rj.RawGroupCmp.CompareRaw(a.K, b.K) == 0
 }
 
-// decode reads b into a fresh object from factory: an M3R reducer may keep
-// what it is handed.
-func decode(rd *wio.Reader, factory func() wio.Writable, b []byte, what string) (wio.Writable, error) {
-	w := factory()
+// decode reads b into a distinct object from a's slabs, with left objects
+// still to come: an M3R reducer may keep what it is handed, and keeping it
+// keeps the rest of its slab.
+func decode(rd *wio.Reader, a *wio.Alloc, left int, b []byte, what string) (wio.Writable, error) {
+	w := a.New(left)
 	rd.ResetBytes(b)
 	if err := w.ReadFields(rd); err != nil {
 		return nil, fmt.Errorf("engine: serialized run: decoding %s: %w", what, err)
@@ -114,9 +119,10 @@ func (s *keyedSource) Next() (keyedRec, bool, error) {
 		e.prefix, e.exact = s.m.prefixer.SortPrefixRaw(rec.K)
 	}
 	if s.m.eager {
-		if e.key, err = decode(&s.rd, s.m.newKey, rec.K, "key"); err != nil {
+		if e.key, err = decode(&s.rd, &s.m.keys, s.m.unpulled, rec.K, "key"); err != nil {
 			return keyedRec{}, false, err
 		}
+		s.m.unpulled = countDown(s.m.unpulled)
 	}
 	return e, true, nil
 }
@@ -125,15 +131,17 @@ func (s *keyedSource) Close() error { return s.src.Close() }
 
 // OpenRawMerge opens the merge of srcs — sorted runs of one reduce
 // partition, keys of class keyClass, in source-task order — as one serial
-// Tournament. Reduce polls lc, when non-nil, once per record. It takes
+// Tournament. nrecs is how many records the runs hold together, or negative
+// when the caller does not know; it bounds the slabs decoded keys and values
+// come from. Reduce polls lc, when non-nil, once per record. It takes
 // ownership of srcs: they are closed on error and by Close.
-func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, lc *JobLifecycle) (*RawMerge, error) {
-	newKey, err := wio.Factory(keyClass)
+func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, nrecs int, lc *JobLifecycle) (*RawMerge, error) {
+	keys, err := wio.NewAlloc(keyClass)
 	if err != nil {
 		CloseAllOnErr(srcs)
 		return nil, fmt.Errorf("engine: map output key class: %w", err)
 	}
-	m := &RawMerge{rj: rj, newKey: newKey, lc: lc, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
+	m := &RawMerge{rj: rj, keys: keys, unpulled: nrecs, left: nrecs, lc: lc, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
 	if m.prefixer, _ = rj.RawSortCmp.(wio.RawSortPrefixer); m.prefixer != nil {
 		m.groupByPrefix = rj.GroupsBySort
 	}
@@ -170,7 +178,7 @@ func (m *RawMerge) Close() error { return m.m.Close() }
 // record, consumed or drained, so a kill lands inside a group however long.
 func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputCollector, ctx *TaskContext) error {
 	var err error
-	if m.newVal, err = wio.Factory(valClass); err != nil {
+	if m.vals, err = wio.NewAlloc(valClass); err != nil {
 		return fmt.Errorf("engine: map output value class: %w", err)
 	}
 	m.records = &ctx.Cells.ReduceInputRecords
@@ -188,7 +196,8 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 		m.head = keyedRec{Rec: spill.Rec{K: m.headKey}, prefix: cur.prefix, exact: cur.exact, key: cur.key}
 		key := m.head.key
 		if key == nil {
-			if key, err = decode(&m.rd, m.newKey, m.head.K, "key"); err != nil {
+			// The groups still to come are no more than the records.
+			if key, err = decode(&m.rd, &m.keys, m.left, m.head.K, "key"); err != nil {
 				return err
 			}
 		}
@@ -198,9 +207,10 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 			return err
 		}
 		// Drain any values the reducer did not consume so the next group
-		// starts at a group boundary.
+		// starts at a group boundary; nobody asked for them, so they stay
+		// bytes.
 		for {
-			if _, more := values.Next(); !more {
+			if _, more := values.advance(false); !more {
 				break
 			}
 		}
@@ -220,7 +230,10 @@ type rawValues struct {
 }
 
 // Next implements mapred.ValueIterator.
-func (g *rawValues) Next() (wio.Writable, bool) {
+func (g *rawValues) Next() (wio.Writable, bool) { return g.advance(true) }
+
+// advance moves past the group's next value, decoding it when asked to.
+func (g *rawValues) advance(decodeValue bool) (wio.Writable, bool) {
 	if g.done || g.err != nil {
 		return nil, false
 	}
@@ -238,8 +251,13 @@ func (g *rawValues) Next() (wio.Writable, bool) {
 	if g.err = m.lc.Err(); g.err != nil {
 		return nil, false
 	}
-	v, err := decode(&m.rd, m.newVal, cur.V, "value")
+	var v wio.Writable
+	var err error
+	if decodeValue {
+		v, err = decode(&m.rd, &m.vals, m.left, cur.V, "value")
+	}
 	if err == nil {
+		m.left = countDown(m.left)
 		err = m.m.Advance()
 	}
 	if err != nil {
@@ -248,4 +266,13 @@ func (g *rawValues) Next() (wio.Writable, bool) {
 	}
 	m.records.Increment(1)
 	return v, true
+}
+
+// countDown moves a count of records still to come past one, leaving an
+// unknown (negative) count, or one a corrupt run has overrun, alone.
+func countDown(n int) int {
+	if n > 0 {
+		return n - 1
+	}
+	return n
 }

@@ -320,11 +320,12 @@ func referenceReduce(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, ta
 	return red, ctx
 }
 
-// rawReduce runs red over srcs through the raw driver.
-func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, lc *engine.JobLifecycle,
+// rawReduce runs red over srcs, nrecs records or an unknown number when
+// negative, through the raw driver.
+func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, nrecs int, lc *engine.JobLifecycle,
 	red engine.ReduceRun) (*engine.TaskContext, error) {
 	ctx := engine.NewTaskContext(rj.Job, "raw", nil)
-	m, err := rj.OpenRawMerge(srcs, rj.Job.MapOutputKeyClass(), lc)
+	m, err := rj.OpenRawMerge(srcs, rj.Job.MapOutputKeyClass(), nrecs, lc)
 	if err != nil {
 		return ctx, err
 	}
@@ -337,14 +338,22 @@ func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, lc *engine.JobLi
 
 // rawMismatch holds the raw driver to the reference for one run set and leaf
 // kind, under a reducer that reads everything and one that abandons every
-// group after its first value, and checks what a retaining reducer was
-// handed.
+// group after its first value, with the records' count known and not, and
+// checks what a retaining reducer was handed.
 func rawMismatch(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, kind int) error {
 	dir := t.TempDir()
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
 	for _, take := range []int{-1, 1} {
 		want, wantCtx := referenceReduce(t, rj, runs, take)
 		got := &recordingReducer{take: take, keep: true}
-		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), nil, got)
+		nrecs := -1
+		if take < 0 {
+			nrecs = total
+		}
+		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), nrecs, nil, got)
 		if err != nil {
 			return err
 		}
@@ -406,12 +415,20 @@ func TestRawReduceMatchesDriveReduce(t *testing.T) {
 }
 
 // TestRawReduceShapes pins the run-set shapes a random draw seldom makes:
-// every run empty, one record in all, one record a run under one key, and
-// twelve runs that are each the same hot key.
+// every run empty, one record in all, one record a run under one key,
+// twelve runs that are each the same hot key, and runs long enough that the
+// decoded values take several slabs.
 func TestRawReduceShapes(t *testing.T) {
 	rj := resolveRawCase(t, 0)
 	one := func(s string, v int64) wio.Pair { return wio.Pair{Key: types.NewText(s), Value: types.NewLong(v)} }
-	var oneEach, hot [][]wio.Pair
+	var oneEach, hot, long [][]wio.Pair
+	for i := 0; i < 6; i++ {
+		var run []wio.Pair
+		for j := 0; j < 200; j++ {
+			run = append(run, one(fmt.Sprintf("key%02d", j*30/200), int64(200*i+j)))
+		}
+		long = append(long, run)
+	}
 	for i := 0; i < 12; i++ {
 		oneEach = append(oneEach, []wio.Pair{one("abcdefgh\x00", int64(i))})
 		var run []wio.Pair
@@ -425,6 +442,7 @@ func TestRawReduceShapes(t *testing.T) {
 		"one-record": {nil, {one("", 0)}, nil},
 		"one-each":   oneEach,
 		"one-hot":    hot,
+		"many-slabs": long,
 	} {
 		for kind := 0; kind < leafKinds; kind++ {
 			if err := rawMismatch(t, rj, runs, kind); err != nil {
@@ -495,7 +513,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		srcs := leaves()
 		bad := &errLeaf{inner: srcs[5], n: 150}
 		srcs[5] = bad
-		if _, err := rawReduce(rj, srcs, nil, &recordingReducer{take: -1}); !errors.Is(err, errLeafRead) || !bad.closed {
+		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); !errors.Is(err, errLeafRead) || !bad.closed {
 			t.Errorf("failing leaf: error %v, leaf closed %v; want the leaf's error and the leaf closed", err, bad.closed)
 		}
 
@@ -513,18 +531,18 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		if srcs[2], err = spill.OpenSegment(path, spill.Segment{Len: int64(len(full))}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rawReduce(rj, srcs, nil, &recordingReducer{take: -1}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("truncated block: error %v, want io.ErrUnexpectedEOF", err)
 		}
 
 		srcs = leaves()
 		srcs[0] = &memSegment{spill.AppendRec(nil, spill.Rec{K: []byte{1, 'a'}, V: []byte{1, 2, 3}})}
-		if _, err := rawReduce(rj, srcs, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
+		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
 			t.Errorf("three-byte LongWritable: error %v, want one that names the value's decoding", err)
 		}
 
 		red := &recordingReducer{take: -1, fail: errReduce, failAt: 1}
-		ctx, err := rawReduce(rj, leaves(), nil, red)
+		ctx, err := rawReduce(rj, leaves(), -1, nil, red)
 		if !errors.Is(err, errReduce) || red.closed != 0 {
 			t.Errorf("reducer error: error %v, reducer closed %d times; want the reducer's error and no Close", err, red.closed)
 		}
@@ -539,7 +557,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 					t.Errorf("reducer panic: recovered %v", p)
 				}
 			}()
-			m, err := rj.OpenRawMerge(leaves(), types.TextName, nil)
+			m, err := rj.OpenRawMerge(leaves(), types.TextName, -1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,7 +570,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		// group's 10th value and keeps asking.
 		lc := engine.NewJobLifecycle()
 		killer := &killingReducer{lc: lc, after: 10}
-		ctx, err = rawReduce(rj, leaves(), lc, killer)
+		ctx, err = rawReduce(rj, leaves(), -1, lc, killer)
 		if !errors.Is(err, engine.ErrJobKilled) {
 			t.Errorf("kill inside a group: error %v, want ErrJobKilled", err)
 		}
@@ -563,7 +581,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		// And one in a group the reducer abandons: the drain stops too.
 		lc = engine.NewJobLifecycle()
 		killer = &killingReducer{lc: lc, after: 10, abandon: true}
-		ctx, err = rawReduce(rj, leaves(), lc, killer)
+		ctx, err = rawReduce(rj, leaves(), -1, lc, killer)
 		if !errors.Is(err, engine.ErrJobKilled) {
 			t.Errorf("kill before a drain: error %v, want ErrJobKilled", err)
 		}
@@ -675,7 +693,7 @@ func BenchmarkRawReduce(b *testing.B) {
 				return engine.DriveReduce(sumReducer{}, rj.GroupCmp, m, discard, ctx, false)
 			},
 			"raw": func(ctx *engine.TaskContext) error {
-				m, err := rj.OpenRawMerge(leaves(), types.TextName, nil)
+				m, err := rj.OpenRawMerge(leaves(), types.TextName, -1, nil)
 				if err != nil {
 					return err
 				}
@@ -787,7 +805,7 @@ func TestRawMergeReplacesHeadsAcrossBlocks(t *testing.T) {
 	}
 	want, _ := referenceReduce(t, rj, runs, -1)
 	got := &recordingReducer{take: -1}
-	if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, leafRawStream), nil, got); err != nil {
+	if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, leafRawStream), -1, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.groups) != len(want.groups) {
@@ -803,10 +821,11 @@ func TestRawMergeReplacesHeadsAcrossBlocks(t *testing.T) {
 // TestRawMergeAllocsPerRecord is BenchmarkRawReduce's raw row as a ceiling:
 // nine resident runs of 300 (Text, Int) records with WordCount's Zipf keys,
 // merged as raw records, grouped and summed by RawMerge.Reduce. What a
-// record may allocate is its decoded value; a group adds its decoded key
-// and the reducer's output; the merge's set-up is shared by all of them.
-// The ceiling is the measured 1.509 (go1.24, amd64; it repeats exactly)
-// plus the benchmark's 3 % bound.
+// record may allocate is its decoded value, and a group its decoded key
+// and the reducer's output, but both come in slabs bounded by the records'
+// count; the merge's set-up is shared by all of them. The ceiling is the
+// measured 0.394 (go1.24, amd64; it repeats exactly) plus the benchmark's
+// 3 % bound.
 func TestRawMergeAllocsPerRecord(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are not pinned under the race detector")
@@ -814,7 +833,7 @@ func TestRawMergeAllocsPerRecord(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	const runCount, runLen, maxPerRec = 9, 300, 1.55
+	const runCount, runLen, maxPerRec = 9, 300, 0.41
 	job := conf.NewJob()
 	job.SetMapOutputKeyClass(types.TextName)
 	job.SetMapOutputValueClass(types.IntName)
@@ -840,7 +859,7 @@ func TestRawMergeAllocsPerRecord(t *testing.T) {
 			srcs[i] = &memSegment{seg}
 		}
 		ctx := engine.NewTaskContext(job, "t", nil)
-		m, err := rj.OpenRawMerge(srcs, types.TextName, nil)
+		m, err := rj.OpenRawMerge(srcs, types.TextName, runCount*runLen, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

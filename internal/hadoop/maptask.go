@@ -254,7 +254,7 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 // deserializeRecs rebuilds writables from serialized records using the
 // job's map output classes.
 func (r *jobRun) deserializeRecs(recs []spill.Rec) ([]wio.Pair, error) {
-	dec, err := spill.NewPairDecoder(r.Conf.MapOutputKeyClass(), r.Conf.MapOutputValueClass())
+	dec, err := spill.NewPairDecoder(r.Conf.MapOutputKeyClass(), r.Conf.MapOutputValueClass(), len(recs))
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +301,7 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 			}
 			streams = append(streams, s)
 		}
-		m, err := b.run.Resolved.OpenRawMerge(streams, b.run.Conf.MapOutputKeyClass(), nil)
+		m, err := b.run.Resolved.OpenRawMerge(streams, b.run.Conf.MapOutputKeyClass(), -1, nil)
 		if err != nil {
 			f.Close()
 			return nil, err

@@ -63,7 +63,7 @@ func TestMergerProducesGlobalOrder(t *testing.T) {
 	// The map-side merge of a job with IntWritable keys.
 	cmp := types.IntRawComparator{}
 	rj := &engine.ResolvedJob{SortCmp: cmp, GroupCmp: cmp, RawSortCmp: cmp, RawGroupCmp: cmp, GroupsBySort: true}
-	m, err := rj.OpenRawMerge(streams, types.IntName, nil)
+	m, err := rj.OpenRawMerge(streams, types.IntName, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 		streams = append(streams, s)
 	}
 	// The lifecycle is the reduce loop's per-record cancel check.
-	m, err := r.Resolved.OpenRawMerge(streams, r.Conf.MapOutputKeyClass(), r.Lifecycle)
+	m, err := r.Resolved.OpenRawMerge(streams, r.Conf.MapOutputKeyClass(), -1, r.Lifecycle)
 	if err != nil {
 		return err
 	}

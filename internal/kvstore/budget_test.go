@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -198,6 +199,63 @@ func TestSpilledBlockLengthChecked(t *testing.T) {
 				n = r.Len()
 			}
 			t.Errorf("%s over the other block's file: %d pairs, err %v; want an error naming %s", c.path, n, err, c.file)
+		}
+	}
+}
+
+// TestSpilledBlockReadsAreIndependent: a spilled block is decoded afresh at
+// every read, into objects from slabs. A reader may keep and even change
+// what it was handed: a second read, and every other object the first read
+// handed out — the changed one's slab-mates among them — are untouched.
+func TestSpilledBlockReadsAreIndependent(t *testing.T) {
+	const n = 600
+	s, _ := budgetedStore(t, 1) // admits nothing: the block spills, and never readmits
+	ps := make([]wio.Pair, n)
+	want := make([]string, n)
+	for i := range ps {
+		ps[i] = wio.Pair{Key: types.NewInt(int32(i)), Value: types.NewText(fmt.Sprintf("value %d", i))}
+		want[i] = fmt.Sprint(i, ps[i].Value)
+	}
+	if err := put(s, "/a", ps); err != nil {
+		t.Fatal(err)
+	}
+	info, ok := s.GetInfo("/a")
+	if !ok || len(info.Blocks) != 1 || s.SpilledBlocks() != 1 {
+		t.Fatalf("ok %v, %d blocks, %d spilled; want one spilled block", ok, len(info.Blocks), s.SpilledBlocks())
+	}
+	read := func() []wio.Pair {
+		t.Helper()
+		r, err := s.CreateReader(0, "/a", info.Blocks[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := r.Pairs()
+		if len(got) != n {
+			t.Fatalf("%d pairs read, want %d", len(got), n)
+		}
+		return got
+	}
+	first := read()
+	const changed = 100
+	first[changed].Key.(*types.IntWritable).V = -1
+	first[changed].Value.(*types.Text).Set("changed")
+	second := read()
+	mine := map[wio.Writable]bool{}
+	for _, p := range first {
+		mine[p.Key], mine[p.Value] = true, true
+	}
+	for i := range second {
+		if got := fmt.Sprint(second[i].Key.(*types.IntWritable).V, second[i].Value); got != want[i] {
+			t.Errorf("second read, pair %d: %q, want %q", i, got, want[i])
+		}
+		if mine[second[i].Key] || mine[second[i].Value] {
+			t.Fatalf("second read, pair %d: an object the first read handed out", i)
+		}
+		if i == changed {
+			continue
+		}
+		if got := fmt.Sprint(first[i].Key.(*types.IntWritable).V, first[i].Value); got != want[i] {
+			t.Errorf("first read, pair %d: %q after pair %d changed, want %q", i, got, changed, want[i])
 		}
 	}
 }

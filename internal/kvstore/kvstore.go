@@ -1035,17 +1035,18 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 	return pairs, nil
 }
 
-// decodeSpilledBlock reads a spilled block of n pairs back into fresh
-// writables, each decoded before the next Next recycles its record's block.
-// A file of any other length than the block's is an error: the block is
-// never served short, or with another block's pairs.
+// decodeSpilledBlock reads a spilled block of n pairs back into writables,
+// each decoded before the next Next recycles its record's block: distinct
+// objects from slabs of at most n, which the block's readers may keep. A
+// file of any other length than the block's is an error: the block is never
+// served short, or with another block's pairs.
 func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 	st, err := spill.OpenFile(sp.path)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass)
+	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass, int(n))
 	if err != nil {
 		return nil, err
 	}

@@ -197,11 +197,11 @@ func (pi *partitionInput) takeReaders() []engine.RunReader {
 
 // takeSources returns a budgeted job's merge leaves — a resident segment's
 // records or a spill file's stream, bytes either way — with the key and
-// value class they decode as. A resident segment's leaf gets the
-// incremental-release wrapper: as the merge exhausts (or abandons) the run,
-// its reservation returns to the place's accountant, so a long reduce phase
-// frees memory while it is still running.
-func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.RecSource, keyClass, valClass string, err error) {
+// value class they decode as and the number of records they hold. A
+// resident segment's leaf gets the incremental-release wrapper: as the merge
+// exhausts (or abandons) the run, its reservation returns to the place's
+// accountant, so a long reduce phase frees memory while it is still running.
+func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.RecSource, keyClass, valClass string, nrecs int, err error) {
 	acct, released := pi.x.budgets[pi.place], &ctx.Cells.BudgetReleasedBytes
 	for _, r := range pi.takeRuns() {
 		if keyClass == "" {
@@ -223,9 +223,10 @@ func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.Re
 		}
 		if err != nil {
 			engine.CloseAllOnErr(srcs)
-			return nil, "", "", err
+			return nil, "", "", 0, err
 		}
 		srcs = append(srcs, src)
+		nrecs += r.nrecs
 	}
-	return srcs, keyClass, valClass, nil
+	return srcs, keyClass, valClass, nrecs, nil
 }

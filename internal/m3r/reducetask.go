@@ -56,7 +56,7 @@ func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.Red
 // reduceSerialized is a budgeted job's reduce: its runs are bytes, resident
 // or spilled, and take the raw driver the Hadoop engine's segments take.
 func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
-	srcs, keyClass, valClass, err := x.parts[q].takeSources(ctx)
+	srcs, keyClass, valClass, nrecs, err := x.parts[q].takeSources(ctx)
 	if err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engin
 		// No run, so no class to decode as, and nothing to decode.
 		return reducer.Close()
 	}
-	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, x.Lifecycle)
+	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, nrecs, x.Lifecycle)
 	if err != nil {
 		return err
 	}

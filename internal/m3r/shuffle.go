@@ -255,8 +255,9 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 
 // flush completes the task's shuffle: run the combiner if configured, sort
 // each per-partition batch map-side, ship each remote stream (decode on the
-// destination side yields fresh objects, with dedup aliases for repeated
-// values) and install the sorted runs into their partitions.
+// destination side yields objects of their own, from slabs, with dedup
+// aliases for repeated values) and install the sorted runs into their
+// partitions.
 func (sc *shuffleCollector) flush() error {
 	if err := sc.flushCombined(); err != nil {
 		return err
@@ -357,9 +358,10 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 	}
 	e.rt.ChargeShip(sc.ctx.Counters, n, frames, int64(out.Encoder().DedupHits()))
 
-	// "Arrive" at place d: decode into fresh objects, exactly the pairs the
-	// task counted and then the end of the stream — a frame that stops
-	// short, runs on, names a partition not at d or has lost its marker is
+	// "Arrive" at place d: decode into objects of their own, from slabs no
+	// larger than the pairs still to come, exactly the pairs the task
+	// counted and then the end of the stream — a frame that stops short,
+	// runs on, names a partition not at d or has lost its marker is
 	// corrupt, not merely odd.
 	total := 0
 	for q := range sc.parts {
@@ -368,7 +370,7 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 		}
 	}
 	for i := 0; i < total; i++ {
-		qv, pair, err := nextRemotePair(out)
+		qv, pair, err := nextRemotePair(out, total-i)
 		if err != nil {
 			return fmt.Errorf("m3r: shuffle decode at place %d: pair %d of %d: %w", d, i, total, err)
 		}
@@ -389,13 +391,14 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 	return nil
 }
 
-// nextRemotePair decodes one record of a shuffle stream: the partition and
-// the pair deliver encoded for it.
-func nextRemotePair(in *x10.OutStream) (uint64, wio.Pair, error) {
+// nextRemotePair decodes one record of a shuffle stream, left records
+// before its end: the partition and the pair deliver encoded for it.
+func nextRemotePair(in *x10.OutStream, left int) (uint64, wio.Pair, error) {
 	dec, err := in.NextRecord()
 	if err != nil {
 		return 0, wio.Pair{}, err
 	}
+	dec.Expect(left)
 	q, err := dec.DecodeUvarint()
 	if err != nil {
 		return 0, wio.Pair{}, err

@@ -309,7 +309,7 @@ func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []stri
 	t.Helper()
 	var out []string
 	if x.budgets != nil {
-		srcs, keyClass, _, err := x.parts[q].takeSources(ctx)
+		srcs, keyClass, _, nrecs, err := x.parts[q].takeSources(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []stri
 			return nil
 		}
 		rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}, GroupCmp: wio.NaturalOrder{}}
-		m, err := rj.OpenRawMerge(srcs, keyClass, nil)
+		m, err := rj.OpenRawMerge(srcs, keyClass, nrecs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,10 +22,10 @@ const (
 )
 
 func init() {
-	wio.Register(BlockKeyName, func() wio.Writable { return new(BlockKey) })
-	wio.Register(CSCBlockName, func() wio.Writable { return new(CSCBlock) })
-	wio.Register(DenseBlockName, func() wio.Writable { return new(DenseBlock) })
-	wio.Register(BlockValueName, func() wio.Writable { return new(BlockValue) })
+	wio.RegisterNew[BlockKey](BlockKeyName)
+	wio.RegisterNew[CSCBlock](CSCBlockName)
+	wio.RegisterNew[DenseBlock](DenseBlockName)
+	wio.RegisterNew[BlockValue](BlockValueName)
 }
 
 // BlockKey is the paper's "custom key class that encapsulates a pair of

@@ -443,30 +443,37 @@ func MarshalRun(pairs []wio.Pair) (recs []Rec, keyClass, valClass string, size i
 var runMarshalers = sync.Pool{New: func() any { return new(wio.Writer) }}
 
 // PairDecoder is MarshalRun's inverse, one record at a time: it turns
-// records back into fresh writables of a run's key and value classes. The
-// class factories are resolved once, at construction, and every record
-// decodes through one slice-mode reader. Not for concurrent use.
+// records back into writables of a run's key and value classes, distinct
+// objects taken from each class's slabs (wio.Alloc). The classes are
+// resolved once, at construction, and every record decodes through one
+// slice-mode reader. Not for concurrent use.
 type PairDecoder struct {
-	newKey, newVal func() wio.Writable
-	rd             wio.Reader
+	keys, vals wio.Alloc
+	left       int // records still to come, or negative when unknown
+	rd         wio.Reader
 }
 
 // NewPairDecoder resolves the run's class names against the wio registry.
-func NewPairDecoder(keyClass, valClass string) (*PairDecoder, error) {
-	newKey, err := wio.Factory(keyClass)
+// n is how many records the decoder will be handed, or negative when the
+// caller does not know; no slab holds more objects than that.
+func NewPairDecoder(keyClass, valClass string, n int) (*PairDecoder, error) {
+	keys, err := wio.NewAlloc(keyClass)
 	if err != nil {
 		return nil, err
 	}
-	newVal, err := wio.Factory(valClass)
+	vals, err := wio.NewAlloc(valClass)
 	if err != nil {
 		return nil, err
 	}
-	return &PairDecoder{newKey: newKey, newVal: newVal}, nil
+	return &PairDecoder{keys: keys, vals: vals, left: n}, nil
 }
 
 // Decode deserializes one record.
 func (d *PairDecoder) Decode(rec Rec) (wio.Pair, error) {
-	k, v := d.newKey(), d.newVal()
+	k, v := d.keys.New(d.left), d.vals.New(d.left)
+	if d.left > 0 {
+		d.left--
+	}
 	d.rd.ResetBytes(rec.K)
 	if err := k.ReadFields(&d.rd); err != nil {
 		return wio.Pair{}, fmt.Errorf("spill: decoding key: %w", err)

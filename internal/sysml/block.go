@@ -31,9 +31,9 @@ const (
 )
 
 func init() {
-	wio.Register(BlockName, func() wio.Writable { return new(Block) })
-	wio.Register(SparseBlockName, func() wio.Writable { return new(SparseBlock) })
-	wio.Register(TaggedBlockName, func() wio.Writable { return new(TaggedBlock) })
+	wio.RegisterNew[Block](BlockName)
+	wio.RegisterNew[SparseBlock](SparseBlockName)
+	wio.RegisterNew[TaggedBlock](TaggedBlockName)
 }
 
 // Block is a dense row-major matrix block.

@@ -30,7 +30,7 @@ type Pair struct {
 const PairName = "m3r.io.PairWritable"
 
 func init() {
-	wio.Register(PairName, func() wio.Writable { return new(Pair) })
+	wio.RegisterNew[Pair](PairName)
 }
 
 // NewPair returns a Pair over the two components.

@@ -12,14 +12,14 @@ import (
 )
 
 func init() {
-	wio.Register("org.apache.hadoop.io.IntWritable", func() wio.Writable { return new(IntWritable) })
-	wio.Register("org.apache.hadoop.io.LongWritable", func() wio.Writable { return new(LongWritable) })
-	wio.Register("org.apache.hadoop.io.DoubleWritable", func() wio.Writable { return new(DoubleWritable) })
-	wio.Register("org.apache.hadoop.io.BooleanWritable", func() wio.Writable { return new(BoolWritable) })
-	wio.Register("org.apache.hadoop.io.Text", func() wio.Writable { return new(Text) })
-	wio.Register("org.apache.hadoop.io.BytesWritable", func() wio.Writable { return new(BytesWritable) })
+	wio.RegisterNew[IntWritable]("org.apache.hadoop.io.IntWritable")
+	wio.RegisterNew[LongWritable]("org.apache.hadoop.io.LongWritable")
+	wio.RegisterNew[DoubleWritable]("org.apache.hadoop.io.DoubleWritable")
+	wio.RegisterNew[BoolWritable]("org.apache.hadoop.io.BooleanWritable")
+	wio.RegisterNew[Text]("org.apache.hadoop.io.Text")
+	wio.RegisterNew[BytesWritable]("org.apache.hadoop.io.BytesWritable")
 	wio.Register("org.apache.hadoop.io.NullWritable", func() wio.Writable { return nullInstance })
-	wio.Register("org.apache.hadoop.io.VLongWritable", func() wio.Writable { return new(VLongWritable) })
+	wio.RegisterNew[VLongWritable]("org.apache.hadoop.io.VLongWritable")
 }
 
 // Registered names, exported so job configurations can reference them.

@@ -144,18 +144,20 @@ type Decoder struct {
 	types []decType
 	objs  []Writable
 	name  []byte // a type name read from a stream-mode input
+	left  int    // Expect's count of records still to come; negative unless given
 }
 
 // decType is a type the stream has named: the registry is asked for its
-// factory once, when the name arrives, not once per object.
+// class once, when the name arrives, not once per object, and the type's
+// objects come from its own allocator.
 type decType struct {
-	name string
-	new  func() Writable
+	name  string
+	alloc Alloc
 }
 
 // NewDecoder returns a Decoder consuming from r.
 func NewDecoder(r io.Reader) *Decoder {
-	d := new(Decoder)
+	d := &Decoder{left: -1}
 	d.r.Reset(r)
 	return d
 }
@@ -164,15 +166,25 @@ func NewDecoder(r io.Reader) *Decoder {
 // stream already in memory, decoding straight out of it (slice-mode Reader)
 // instead of through an io.Reader. It starts a new stream: the type and
 // object tables are emptied but keep their memory, for a decoder that is
-// pooled. With owned, the caller gives b up (Reader.ResetBytesOwned): byte
-// bodies of OwnedFloor bytes or more come back pointing into b, and Aliased
-// then says so. Count restarts at zero.
+// pooled, and no record count is expected. With owned, the caller gives b up
+// (Reader.ResetBytesOwned): byte bodies of OwnedFloor bytes or more come
+// back pointing into b, and Aliased then says so. Count restarts at zero.
 func (d *Decoder) ResetBytes(b []byte, owned bool) {
+	// The objects, and the slabs the types hand them out from, belong to
+	// whoever decoded them, not to a pooled table.
+	clear(d.types)
 	d.types = d.types[:0]
-	clear(d.objs) // the objects belong to whoever decoded them, not to a pooled table
+	clear(d.objs)
 	d.objs = d.objs[:0]
+	d.left = -1
 	d.ContinueBytes(b, owned)
 }
+
+// Expect tells the decoder that n records are still to come on this stream,
+// the next one included: a slab a type's objects come from holds no more
+// than n of them. Without it a type's slabs start after its first eight
+// objects and double (Alloc.New).
+func (d *Decoder) Expect(n int) { d.left = n }
 
 // ContinueBytes aims the decoder at b as the next piece of the stream it is
 // on — an Encoder's output cut between two values: the type and object
@@ -254,12 +266,12 @@ func (d *Decoder) Decode() (Writable, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.types = append(d.types, decType{e.name, e.new})
+			d.types = append(d.types, decType{e.name, allocOf(e)})
 		} else if tid > uint64(len(d.types)) {
 			return nil, fmt.Errorf("wio: type id %d out of range (have %d types)", tid, len(d.types))
 		}
 		t := &d.types[tid]
-		v := t.new()
+		v := t.alloc.New(d.left)
 		if err := v.ReadFields(&d.r); err != nil {
 			return nil, fmt.Errorf("wio: decoding %s: %w", t.name, err)
 		}

@@ -478,7 +478,7 @@ func TestCorruptArrayLengthsAreErrors(t *testing.T) {
 				return err
 			},
 			"spill run": func() error {
-				d, err := spill.NewPairDecoder(types.IntName, c.class)
+				d, err := spill.NewPairDecoder(types.IntName, c.class, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,10 +23,12 @@ type regTable struct {
 }
 
 // regEntry is one registration: the name, kept so that a lookup by bytes can
-// hand out the registry's own string, and the factory.
+// hand out the registry's own string, the factory, and, for a class
+// registered by RegisterNew, the maker of its slabs.
 type regEntry struct {
 	name string
 	new  func() Writable
+	slab func() slabSource
 }
 
 var (
@@ -42,10 +44,31 @@ func newRegistry() *atomic.Pointer[regTable] {
 	return p
 }
 
-// Register associates name with a factory producing fresh zero values.
-// Writable types register themselves from init functions. Registering the
-// same name twice panics, mirroring a classpath conflict.
+// Register associates name with a factory. Writable types register
+// themselves from init functions. Registering the same name twice panics,
+// mirroring a classpath conflict. A class whose factory is new(T) registers
+// through RegisterNew instead, so that decode sites can take it from slabs;
+// Register is for a factory that does more (a shared singleton, a
+// constructor).
 func Register(name string, factory func() Writable) {
+	register(regEntry{name: name, new: factory})
+}
+
+// RegisterNew registers new(T) as the factory of name, as Register would,
+// and lets a decode site take objects of the class from slabs (Alloc).
+func RegisterNew[T any, PT interface {
+	*T
+	Writable
+}](name string) {
+	register(regEntry{
+		name: name,
+		new:  func() Writable { return PT(new(T)) },
+		slab: func() slabSource { return new(slab[T, PT]) },
+	})
+}
+
+func register(e regEntry) {
+	name := e.name
 	registerMu.Lock()
 	defer registerMu.Unlock()
 	old := registry.Load()
@@ -62,17 +85,17 @@ func Register(name string, factory func() Writable) {
 	for k, v := range old.byType {
 		next.byType[k] = v
 	}
-	next.byName[name] = regEntry{name, factory}
-	t := reflect.TypeOf(factory())
+	next.byName[name] = e
+	t := reflect.TypeOf(e.new())
 	if _, dup := next.byType[t]; !dup {
 		next.byType[t] = name
 	}
 	registry.Store(next)
 }
 
-// Factory returns the registered factory for name, for callers that
-// instantiate the same type once per record and want the lookup once per
-// stream.
+// Factory returns the registered factory for name: a fresh object a call,
+// each its own allocation. A decode site that makes one object a record
+// takes an Alloc instead.
 func Factory(name string) (func() Writable, error) {
 	e, ok := registry.Load().byName[name]
 	if !ok {

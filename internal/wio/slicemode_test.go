@@ -472,7 +472,7 @@ func TestRegistryConcurrentRegisterAndLookup(t *testing.T) {
 		}()
 	}
 	for i := 0; i < names; i++ {
-		wio.Register(fmt.Sprint(prefix, i), func() wio.Writable { return new(lateWritable) })
+		wio.RegisterNew[lateWritable](fmt.Sprint(prefix, i))
 	}
 	close(stop)
 	wg.Wait()

@@ -49,8 +49,8 @@ func (rt *Runtime) ChargeShip(task *counters.Counters, bytes int64, frames int, 
 //
 // Cross-place sends serialize every pair with a de-duplicating encoder
 // (when dedup is true), route the encoded frame through the runtime's
-// transport, charge the modelled network, and decode into fresh objects on
-// the far side. Repeated objects — the broadcast vector blocks of
+// transport, charge the modelled network, and decode into objects of their
+// own, from slabs, on the far side. Repeated objects — the broadcast vector blocks of
 // §3.2.2.3 — are transmitted once and arrive as aliases. Large byte bodies
 // of the delivered pairs may be the arrived frames' own memory (OutStream):
 // they are the receiver's, like everything else it is handed.
@@ -75,10 +75,11 @@ func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipRe
 	rt.ChargeShip(nil, n, 0, int64(enc.DedupHits()))
 
 	out := make([]wio.Pair, 0, len(pairs))
-	for range pairs {
+	for i := range pairs {
 		var p wio.Pair
 		dec, err := s.NextRecord()
 		if err == nil {
+			dec.Expect(len(pairs) - i)
 			p, err = dec.DecodePair()
 		}
 		if err != nil {
