@@ -51,3 +51,6 @@ func (a *combineArena) Pins() int {
 func (a *combineArena) Lens() (entries, nodes, entriesCap, nodesCap int) {
 	return len(a.entries), len(a.nodes), cap(a.entries), cap(a.nodes)
 }
+
+// Replays reports how many leaf-to-root paths m's tournament has replayed.
+func (m *RawMerge) Replays() int { return m.m.t.replays }

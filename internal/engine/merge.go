@@ -47,6 +47,9 @@ type Tournament[T any] struct {
 	live  []bool
 	tree  []int
 	k     int
+	// replays counts the leaf-to-root paths replayed after the tree was
+	// built, for the tests that attribute a merge's work.
+	replays int
 }
 
 // NewTournament builds the tree over the primed heads (live[i] false marks
@@ -131,12 +134,30 @@ func (t *Tournament[T]) Replace(w int, head T) {
 	// Compared from the spare slot: a pointer to the parameter would move it
 	// to the heap. (cmp takes pointers so that a wide element is not copied.)
 	t.heads[t.k] = head
+	t.replaceFromSpare(w)
+}
+
+// spare is the slot Replace stages a new head in: a caller that builds a
+// wide element may build it there and call replaceFromSpare, and copy it
+// once instead of thrice.
+func (t *Tournament[T]) spare() *T { return &t.heads[t.k] }
+
+// replaceFromSpare is Replace of the head staged in the spare slot.
+func (t *Tournament[T]) replaceFromSpare(w int) {
 	equal := t.cmp(&t.heads[w], &t.heads[t.k]) == 0
 	t.heads[w] = t.heads[t.k]
 	if !equal {
 		t.replay(w)
 	}
 }
+
+// Continue returns source w's head for the caller to overwrite, in place,
+// with w's next element when the caller knows that element equals the one
+// consumed — it continues that head's key group. Nothing is compared or
+// replayed: w won every match with an equal key and keeps winning them, on
+// a tie by the same lower index as before, so equal keys keep their source
+// order.
+func (t *Tournament[T]) Continue(w int) *T { return &t.heads[w] }
 
 // Exhaust marks source w empty and replays its path. The head slot is
 // zeroed so the tree does not retain the last element.
@@ -148,6 +169,7 @@ func (t *Tournament[T]) Exhaust(w int) {
 }
 
 func (t *Tournament[T]) replay(w int) {
+	t.replays++
 	cur := w
 	for n := (t.k + w) / 2; n >= 1; n /= 2 {
 		if t.wins(t.tree[n], cur) {

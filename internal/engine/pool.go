@@ -12,8 +12,8 @@ import (
 // private allotment (the paper's long-lived engine, §5.3, treats node memory
 // as one pool across the job sequence). A job reserves through its JobBudget
 // view, which also enforces the job's own cap within the pool; reservations
-// are released incrementally as the reduce phase drains resident runs (see
-// NewReleasingSource), and whatever a failed or finished job still holds
+// are released incrementally as the reduce phase drains resident runs (the
+// M3R engine's segmentSource), and whatever a failed or finished job still holds
 // is returned wholesale by Drain, so the pool provably drains to zero
 // between jobs.
 //

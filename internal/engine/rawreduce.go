@@ -23,6 +23,16 @@ import (
 // tournament compares a replaced head with its successor, and RawMerge.Next's
 // caller reads the record its Advance moved past — but may die at the Next
 // after that: a spill.Stream recycles its block buffers.
+//
+// A record whose key is the very slice of the record before it — the same
+// first byte, the same length — continues that record's key group. The
+// grouped layout hands its records out so (spill.GroupCursor), and the raw
+// merge then does no key work for them: a continuation record takes the
+// summary and the decoded key of the record before it, replaces its
+// source's head without a replay and joins the reducer's group without a
+// group test. Since the record before it is still valid, the slice it
+// shares cannot have been recycled in between, so a continuation's key is
+// always the same bytes.
 type RecSource = Source[spill.Rec]
 
 // keyedRec is the raw merge's element.
@@ -33,6 +43,8 @@ type keyedRec struct {
 	// integer; 0 and false when the sort order has none.
 	prefix uint64
 	exact  bool
+	// cont marks a record that continues its source's key group (RecSource).
+	cont bool
 	// key is the decoded key of a job that orders or groups on objects.
 	key wio.Writable
 }
@@ -55,17 +67,18 @@ type RawMerge struct {
 	keys, vals     wio.Alloc
 	unpulled, left int
 	m              *SourceMerge[keyedRec]
+	keyed          []keyedSource // m's leaves, in source order
 	lc             *JobLifecycle
 
-	// Reduce's state: what survives the per-group iterators. head is the
-	// current group's first record, its key bytes copied into headKey: the
-	// record itself dies while its source moves on through the group. A
-	// group's iterator is drained before the next group's is made, so one
-	// head serves them all.
+	// Reduce's state. head is the current group's first record, its key
+	// bytes copied into headKey: the record itself dies while its source
+	// moves on through the group. A group's iterator is drained before the
+	// next group starts, so one head and one iterator serve them all.
 	rd      wio.Reader
 	records *counters.Counter
 	head    keyedRec
 	headKey []byte
+	values  rawValues
 }
 
 func (m *RawMerge) compare(a, b *keyedRec) int {
@@ -102,7 +115,7 @@ func decode(rd *wio.Reader, a *wio.Alloc, left int, b []byte, what string) (wio.
 }
 
 // keyedSource is the raw merge's leaf: it keys each record of a serialized
-// run as it is pulled.
+// run as it is pulled, once per key group (RawMerge.advance).
 type keyedSource struct {
 	src RecSource
 	m   *RawMerge
@@ -114,18 +127,31 @@ func (s *keyedSource) Next() (keyedRec, bool, error) {
 	if err != nil || !ok {
 		return keyedRec{}, false, err
 	}
-	e := keyedRec{Rec: rec}
+	var e keyedRec
+	err = s.key(&e, rec)
+	return e, err == nil, err
+}
+
+// key makes e rec keyed: its key summarized for the tournament, and decoded
+// when the job orders or groups on objects.
+func (s *keyedSource) key(e *keyedRec, rec spill.Rec) error {
+	*e = keyedRec{Rec: rec}
 	if s.m.prefixer != nil {
 		e.prefix, e.exact = s.m.prefixer.SortPrefixRaw(rec.K)
 	}
 	if s.m.eager {
+		var err error
 		if e.key, err = decode(&s.rd, &s.m.keys, s.m.unpulled, rec.K, "key"); err != nil {
-			return keyedRec{}, false, err
+			return err
 		}
 		s.m.unpulled = countDown(s.m.unpulled)
 	}
-	return e, true, nil
+	return nil
 }
+
+// sameSlice reports whether a and b are one non-empty slice: the same first
+// byte and the same length.
+func sameSlice(a, b []byte) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
 
 func (s *keyedSource) Close() error { return s.src.Close() }
 
@@ -146,8 +172,10 @@ func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, nrecs int
 		m.groupByPrefix = rj.GroupsBySort
 	}
 	leaves := make([]Source[keyedRec], len(srcs))
+	m.keyed = make([]keyedSource, len(srcs))
 	for i, s := range srcs {
-		leaves[i] = &keyedSource{src: s, m: m}
+		m.keyed[i] = keyedSource{src: s, m: m}
+		leaves[i] = &m.keyed[i]
 	}
 	if m.m, err = NewSourceMerge(leaves, m.compare); err != nil {
 		return nil, err
@@ -164,7 +192,36 @@ func (m *RawMerge) Next() (spill.Rec, bool, error) {
 		return spill.Rec{}, false, nil
 	}
 	rec := e.Rec
-	return rec, true, m.m.Advance()
+	return rec, true, m.advance()
+}
+
+// advance consumes the merge's head: its source's next record takes its
+// place in the tournament. A record that continues the consumed head's key
+// group — its source's record before it — keeps the head's key, summary and
+// decoded key and takes over only the value, without a comparison.
+func (m *RawMerge) advance() error {
+	t := &m.m.t
+	w, _ := t.Winner()
+	s := &m.keyed[w]
+	rec, ok, err := s.src.Next()
+	switch {
+	case err != nil:
+		return err
+	case !ok:
+		t.Exhaust(w)
+	case sameSlice(rec.K, t.heads[w].K):
+		h := t.Continue(w)
+		h.V, h.cont = rec.V, true
+		if m.eager {
+			m.unpulled = countDown(m.unpulled)
+		}
+	default:
+		if err := s.key(t.spare(), rec); err != nil {
+			return err
+		}
+		t.replaceFromSpare(w)
+	}
+	return nil
 }
 
 // Close closes every source, returning the first error.
@@ -202,7 +259,8 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 			}
 		}
 		ctx.Cells.ReduceInputGroups.Increment(1)
-		values := &rawValues{m: m, first: true}
+		values := &m.values
+		*values = rawValues{m: m, first: true}
 		if err := run.Reduce(key, values, out, ctx); err != nil {
 			return err
 		}
@@ -221,7 +279,8 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 }
 
 // rawValues iterates one group's values straight off the merge, decoding
-// each where it stands in the tournament as it is asked for.
+// each where it stands in the tournament as it is asked for. A record that
+// continues the group's source's key group is in the group without a test.
 type rawValues struct {
 	m     *RawMerge
 	err   error
@@ -244,7 +303,7 @@ func (g *rawValues) advance(decodeValue bool) (wio.Writable, bool) {
 	}
 	if g.first {
 		g.first = false
-	} else if !m.sameGroup(&m.head, cur) {
+	} else if !cur.cont && !m.sameGroup(&m.head, cur) {
 		g.done = true
 		return nil, false
 	}
@@ -258,7 +317,7 @@ func (g *rawValues) advance(decodeValue bool) (wio.Writable, bool) {
 	}
 	if err == nil {
 		m.left = countDown(m.left)
-		err = m.m.Advance()
+		err = m.advance()
 	}
 	if err != nil {
 		g.err = err

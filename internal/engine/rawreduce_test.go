@@ -172,29 +172,39 @@ func rawRuns(rj *engine.ResolvedJob, key func(*keyBytes) wio.Writable, data []by
 	return runs
 }
 
-// memSegment reads a resident raw-format segment as the M3R engine's
-// segmentSource does: views of the segment, cut one record at a time.
-type memSegment struct{ seg []byte }
+// memSegment reads a resident run as the M3R engine's segmentSource does:
+// views of its grouped bytes, one record at a time.
+type memSegment struct{ c spill.GroupCursor }
 
-func (s *memSegment) Next() (spill.Rec, bool, error) {
-	if len(s.seg) == 0 {
-		return spill.Rec{}, false, nil
-	}
-	rec, rest, err := spill.CutRec(s.seg)
-	s.seg = rest
-	return rec, err == nil, err
+func newMemSegment(recs []spill.Rec) *memSegment {
+	s := new(memSegment)
+	s.c.Reset(spill.AppendGrouped(nil, recs))
+	return s
 }
+
+func (s *memSegment) Next() (spill.Rec, bool, error) { return s.c.Next() }
 
 func (s *memSegment) Close() error { return nil }
 
-// The kinds of leaf a serialized run is read through.
+// The kinds of leaf a serialized run is read through: an M3R resident run,
+// the Hadoop engine's per-record spill segments stored and deflated, and
+// M3R's grouped spill segments, stored in blocks so small that a group of a
+// few records spans several, and deflated in 64 KiB ones.
 const (
 	leafSegment = iota
 	leafRawStream
 	leafFlateStream
-	leafMixed // run i through kind i%3
+	leafMixed // run i through kind leafSingle[i%len(leafSingle)]
+	leafGroupedStream
+	leafGroupedFlateStream
 	leafKinds
 )
+
+var leafSingle = []int{leafSegment, leafRawStream, leafFlateStream, leafGroupedStream, leafGroupedFlateStream}
+
+// smallGroupedBlock is where leafGroupedStream cuts its blocks: three or
+// four values.
+const smallGroupedBlock = 32
 
 func runRecs(t testing.TB, run []wio.Pair) []spill.Rec {
 	t.Helper()
@@ -214,21 +224,25 @@ func rawLeaves(t testing.TB, dir string, runs [][]wio.Pair, kind int) []engine.R
 		recs := runRecs(t, run)
 		k := kind
 		if kind == leafMixed {
-			k = i % 3
+			k = leafSingle[i%len(leafSingle)]
 		}
-		if k == leafSegment {
-			var seg []byte
-			for _, r := range recs {
-				seg = spill.AppendRec(seg, r)
-			}
-			srcs[i] = &memSegment{seg}
+		var enc spill.EncodedRun
+		var err error
+		switch k {
+		case leafSegment:
+			srcs[i] = newMemSegment(recs)
 			continue
+		case leafRawStream:
+			enc, err = spill.EncodeRun(recs, spill.CodecNone)
+		case leafFlateStream:
+			enc, err = spill.EncodeRun(recs, spill.CodecFlate)
+		case leafGroupedStream:
+			spill.GroupedBlockBytes.Store(smallGroupedBlock)
+			enc, err = spill.EncodeGroupedRun(recs, spill.CodecNone)
+			spill.GroupedBlockBytes.Store(0)
+		case leafGroupedFlateStream:
+			enc, err = spill.EncodeGroupedRun(recs, spill.CodecFlate)
 		}
-		codec := spill.CodecNone
-		if k == leafFlateStream {
-			codec = spill.CodecFlate
-		}
-		enc, err := spill.EncodeRun(recs, codec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,6 +471,18 @@ func TestRawReduceShapes(t *testing.T) {
 func FuzzRawReduce(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 2, 1, 2, 3, 1, 2, 0, 5, 4, 9, 9, 9, 200, 3, 1, 1, 1})
 	f.Add(append([]byte{7, 7}, slices.Repeat([]byte{11, 0, 1, 2, 0x7f, 0x80, 250, 3}, 24)...))
+	// Grouped leaves. Four Text keys, three runs in which each key is once:
+	// groups of one value, through the small-block grouped stream.
+	oneValue := []byte{0, leafGroupedStream, 3, 1, 1, 2, 1, 2, 1, 2, 3, 1, 1, 1, 2, 3, 0, 128, 182, 1, 222, 2, 0, 222}
+	f.Add(oneValue)
+	// One key, runs of 23 and 12 records: each run one group, the first
+	// across six small blocks — as a grouped stream, a resident run, mixed
+	// leaves, and under a sort that decodes every key.
+	oneKey := append([]byte{0, leafGroupedStream, 0, 2, 1, 2, 1, 23}, make([]byte, 23)...)
+	oneKey = append(append(oneKey, 12), make([]byte, 12)...)
+	for _, head := range [][2]byte{{0, leafGroupedStream}, {0, leafSegment}, {0, leafMixed}, {6, leafGroupedStream}, {0, leafGroupedFlateStream}} {
+		f.Add(append(head[:], oneKey[2:]...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 1<<11 {
 			return
@@ -536,7 +562,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		}
 
 		srcs = leaves()
-		srcs[0] = &memSegment{spill.AppendRec(nil, spill.Rec{K: []byte{1, 'a'}, V: []byte{1, 2, 3}})}
+		srcs[0] = newMemSegment([]spill.Rec{{K: []byte{1, 'a'}, V: []byte{1, 2, 3}}})
 		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
 			t.Errorf("three-byte LongWritable: error %v, want one that names the value's decoding", err)
 		}
@@ -668,14 +694,14 @@ func BenchmarkRawReduce(b *testing.B) {
 				run[j] = wio.Pair{Key: types.NewText(keys[shape](i*runLen + j)), Value: types.NewInt(1)}
 			}
 			engine.SortPairs(run, rj.SortCmp)
-			for _, r := range runRecs(b, run) {
-				segs[i] = spill.AppendRec(segs[i], r)
-			}
+			segs[i] = spill.AppendGrouped(nil, runRecs(b, run))
 		}
 		leaves := func() []engine.RecSource {
 			srcs := make([]engine.RecSource, runCount)
 			for i, seg := range segs {
-				srcs[i] = &memSegment{seg}
+				leaf := new(memSegment)
+				leaf.c.Reset(seg)
+				srcs[i] = leaf
 			}
 			return srcs
 		}
@@ -823,9 +849,9 @@ func TestRawMergeReplacesHeadsAcrossBlocks(t *testing.T) {
 // merged as raw records, grouped and summed by RawMerge.Reduce. What a
 // record may allocate is its decoded value, and a group its decoded key
 // and the reducer's output, but both come in slabs bounded by the records'
-// count; the merge's set-up is shared by all of them. The ceiling is the
-// measured 0.394 (go1.24, amd64; it repeats exactly) plus the benchmark's
-// 3 % bound.
+// count; the merge's set-up, its leaves and its one value iterator are
+// shared by all of them. The ceiling is the measured 0.266 (go1.24, amd64;
+// it repeats exactly) plus the benchmark's 3 % bound.
 func TestRawMergeAllocsPerRecord(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are not pinned under the race detector")
@@ -833,7 +859,7 @@ func TestRawMergeAllocsPerRecord(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	const runCount, runLen, maxPerRec = 9, 300, 0.41
+	const runCount, runLen, maxPerRec = 9, 300, 0.275
 	job := conf.NewJob()
 	job.SetMapOutputKeyClass(types.TextName)
 	job.SetMapOutputValueClass(types.IntName)
@@ -849,14 +875,14 @@ func TestRawMergeAllocsPerRecord(t *testing.T) {
 			run[j] = wio.Pair{Key: types.NewText(fmt.Sprintf("word%04d", zipf.Uint64())), Value: types.NewInt(1)}
 		}
 		engine.SortPairs(run, rj.SortCmp)
-		for _, r := range runRecs(t, run) {
-			segs[i] = spill.AppendRec(segs[i], r)
-		}
+		segs[i] = spill.AppendGrouped(nil, runRecs(t, run))
 	}
 	reduce := func() *engine.TaskContext {
 		srcs := make([]engine.RecSource, runCount)
 		for i, seg := range segs {
-			srcs[i] = &memSegment{seg}
+			leaf := new(memSegment)
+			leaf.c.Reset(seg)
+			srcs[i] = leaf
 		}
 		ctx := engine.NewTaskContext(job, "t", nil)
 		m, err := rj.OpenRawMerge(srcs, types.TextName, runCount*runLen, nil)
@@ -879,5 +905,127 @@ func TestRawMergeAllocsPerRecord(t *testing.T) {
 	t.Logf("%.3f allocs/rec (%d records in %d groups)", perRec, runCount*runLen, groups)
 	if perRec > maxPerRec {
 		t.Errorf("RawMerge.Reduce allocates %.3f times a record, ceiling %.3f", perRec, maxPerRec)
+	}
+}
+
+// countingText is Text's raw order with its prefixer's and comparator's
+// calls counted.
+type countingText struct {
+	types.TextRawComparator
+	prefixes, compares *int
+}
+
+func (c countingText) SortPrefixRaw(k []byte) (uint64, bool) {
+	*c.prefixes++
+	return c.TextRawComparator.SortPrefixRaw(k)
+}
+
+func (c countingText) CompareRaw(a, b []byte) int {
+	*c.compares++
+	return c.TextRawComparator.CompareRaw(a, b)
+}
+
+// zipfRuns is count sorted runs of n (Text, Long) records over WordCount's
+// Zipf keys, and how many key groups they hold, counted run by run.
+func zipfRuns(rj *engine.ResolvedJob, count, n int) (runs [][]wio.Pair, groups int) {
+	zipf := rand.NewZipf(rand.New(rand.NewSource(43)), 1.3, 1.0, 999)
+	var seq int64
+	for i := 0; i < count; i++ {
+		run := make([]wio.Pair, n)
+		for j := range run {
+			run[j] = wio.Pair{Key: types.NewText(fmt.Sprintf("word%04d", zipf.Uint64())), Value: types.NewLong(seq)}
+			seq++
+		}
+		engine.SortPairs(run, rj.SortCmp)
+		for j := range run {
+			if j == 0 || rj.SortCmp.Compare(run[j-1].Key, run[j].Key) != 0 {
+				groups++
+			}
+		}
+		runs = append(runs, run)
+	}
+	return runs, groups
+}
+
+// TestGroupedMergeWorksOncePerGroup attributes the grouped layout's saving
+// in the merge: over grouped runs — resident, and spilled in one block each
+// — the raw-sort prefixer runs once per key group of a run, not once per
+// record as over per-record streams, and the tournament replays a path at
+// most once per group and once per run's end; the reducer still sees the
+// reference's groups.
+func TestGroupedMergeWorksOncePerGroup(t *testing.T) {
+	rj := rawCaseNamed(t, "text")
+	const count, n = 8, 400
+	runs, groups := zipfRuns(rj, count, n)
+	want, _ := referenceReduce(t, rj, runs, -1)
+	var prefixes, compares int
+	counting := countingText{prefixes: &prefixes, compares: &compares}
+	rj.SortCmp, rj.RawSortCmp, rj.GroupCmp, rj.RawGroupCmp = counting, counting, counting, counting
+	for _, c := range []struct {
+		kind         int
+		wantPrefixes int
+	}{
+		{leafSegment, groups},
+		{leafGroupedFlateStream, groups},
+		{leafRawStream, count * n},
+	} {
+		prefixes, compares = 0, 0
+		m, err := rj.OpenRawMerge(rawLeaves(t, t.TempDir(), runs, c.kind), types.TextName, count*n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &recordingReducer{take: -1}
+		err = m.Reduce(types.LongName, got, discard, engine.NewTaskContext(rj.Job, "raw", nil))
+		replays := m.Replays()
+		m.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.groups) != len(want.groups) {
+			t.Fatalf("leaf kind %d: %d groups, the reference has %d", c.kind, len(got.groups), len(want.groups))
+		}
+		t.Logf("leaf kind %d: %d records in %d run groups: %d prefixes, %d raw compares, %d replays",
+			c.kind, count*n, groups, prefixes, compares, replays)
+		if prefixes != c.wantPrefixes {
+			t.Errorf("leaf kind %d: the prefixer ran %d times, want %d", c.kind, prefixes, c.wantPrefixes)
+		}
+		if replays > groups+count {
+			t.Errorf("leaf kind %d: %d replays, more than the %d run groups and %d runs", c.kind, replays, groups, count)
+		}
+	}
+}
+
+// TestEqualKeysKeepSourceOrder: a hot key every map task emitted reaches
+// the reducer with its values in map-task order — source by source, each
+// source's in its own order — whatever the runs' layouts, however many
+// blocks restate the key, and as a continuation or a restatement wins its
+// ties the same way.
+func TestEqualKeysKeepSourceOrder(t *testing.T) {
+	rj := rawCaseNamed(t, "text")
+	var runs [][]wio.Pair
+	var seq int64
+	for src := 0; src < 7; src++ {
+		runs = append(runs, textLongRun(&seq, []string{"a", "hot", "z"}, src%3, 5+7*src, 1))
+	}
+	for kind := 0; kind < leafKinds; kind++ {
+		got := &recordingReducer{take: -1}
+		if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, kind), -1, nil, got); err != nil {
+			t.Fatal(err)
+		}
+		var hot []int64
+		for _, g := range got.groups {
+			if strings.HasSuffix(g.key, "hot") {
+				for _, v := range g.values {
+					var l types.LongWritable
+					if err := wio.Unmarshal([]byte(v), &l); err != nil {
+						t.Fatal(err)
+					}
+					hot = append(hot, l.V)
+				}
+			}
+		}
+		if len(hot) != 7*5+7*21 || !slices.IsSorted(hot) {
+			t.Errorf("leaf kind %d: the hot key's %d values arrive as %v, want 182 in map-task order", kind, len(hot), hot)
+		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 // Reservecheck enforces budget-reservation pairing on the engine pool:
 // every JobBudget/BudgetPool Reserve or ReserveEvicting must (a) have its
 // admission result checked, and (b) sit in a function from which a
-// matching Release, Drain, or NewReleasingSource handoff is reachable
-// through same-package calls — or, failing that, in a package that drains
+// matching Release or Drain is reachable through same-package calls — or, failing that, in a package that drains
 // its budgets at end of job (the cleanup backstop the pool's
 // drain-to-zero harnesses assert). The pool's own package is exempt: it
 // is the mechanism, not a consumer.
@@ -30,8 +29,7 @@ func runReservecheck(pass *Pass) []Diag {
 	info := p.Info
 
 	// Releaser closure: functions that directly release or drain budget
-	// bytes (or hand the reservation to a releasing reader), plus
-	// everything that statically reaches one.
+	// bytes, plus everything that statically reaches one.
 	seed := make(map[*types.Func]bool)
 	packageDrains := false
 	for _, fd := range funcDecls(p) {
@@ -45,8 +43,7 @@ func runReservecheck(pass *Pass) []Diag {
 			if fn == nil {
 				return true
 			}
-			if isBudgetMethod(fn, "Release") || isBudgetMethod(fn, "Drain") ||
-				(fn.Pkg() != nil && fn.Pkg().Path() == enginePath && fn.Name() == "NewReleasingSource") {
+			if isBudgetMethod(fn, "Release") || isBudgetMethod(fn, "Drain") {
 				if obj != nil {
 					seed[obj] = true
 				}

@@ -21,15 +21,16 @@ import (
 //	ship     a remote frame crosses the transport; the local one does not
 //	arrive   the frame is sliced into spill.Rec views per partition and
 //	         sorted under the job's raw key comparator
-//	admit    each partition's run reserves its size first; an admitted run
-//	         is rewritten in sorted order into one exactly sized raw-format
-//	         segment, which the reservation holds, and a refused one goes
-//	         through the spill codec straight from the views
-//	         (spill.EncodeRun); eviction encodes a resident segment
-//	         (spill.EncodeSegment) to the same bytes
-//	merge    a resident segment and a spilled run enter the tournament as
-//	         raw records under one keyed leaf (engine.RawMerge); the key is
-//	         decoded once per group, a value when the reducer asks for it
+//	admit    each partition's run reserves its grouped size first, each key
+//	         once with its values after it (spill.GroupedLen); an admitted
+//	         run is laid out in exactly those bytes, which the reservation
+//	         holds, and a refused one is encoded as a grouped spill segment
+//	         (spill.EncodeGroupedRun); eviction encodes a resident run
+//	         (spill.EncodeGrouped) to the same bytes
+//	merge    a resident run and a spilled one enter the tournament as raw
+//	         records under one keyed leaf (engine.RawMerge); the tournament
+//	         moves once per key group of a run, the key is decoded once per
+//	         group, a value when the reducer asks for it
 //
 // A frame is the second wire layout beside wio.Encoder's stream:
 //
@@ -404,11 +405,10 @@ func (sc *shuffleCollector) ship(d int, frame []byte, dedupHits int64) ([]byte, 
 // frame toward place is cut into one run per partition, sorted as views of
 // the frame, and each run is admitted against place's pool in ascending
 // partition order, so what a task admits, evicts and spills is the same from
-// one execution to the next. An admitted run is copied into one sorted
-// raw-format segment — the bytes a CodecNone spill file of the run consists
-// of — and a refused one is encoded to disk from the views. Nothing of frame
-// is kept: the views die here, so the sender's pooled buffer is free to
-// reuse on return.
+// one execution to the next. An admitted run is copied into the grouped
+// layout and a refused one is encoded to disk from the views. Nothing of
+// frame is kept: the views die here, so the sender's pooled buffer is free
+// to reuse on return.
 func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []byte, c runClasses) error {
 	scratch := recScratch.Get().(*[]spill.Rec)
 	defer func() {
@@ -431,23 +431,40 @@ func (x *jobExec) arriveFrame(ctx *engine.TaskContext, place, src int, frame []b
 	return nil
 }
 
-// segmentSource is the merge's view of a resident segment: the records of
-// the raw record format, one at a time, as views of the segment.
-type segmentSource struct{ seg []byte }
+// segmentSource is the merge's view of a resident run: its records, one at
+// a time, as views of its grouped bytes. release hands the run's
+// reservation back to its place's pool, once: when the merge exhausts the
+// run, or abandons it (Close), so a long reduce phase frees budget while it
+// runs, for the other jobs sharing the pool. The memory itself lives until
+// the last record cut from it has been decoded; the shuffle's claim on the
+// bytes, which is what the pool tracks, ends here.
+type segmentSource struct {
+	c       spill.GroupCursor
+	release func()
+}
 
 func (s *segmentSource) Next() (spill.Rec, bool, error) {
-	if len(s.seg) == 0 {
-		// Drop the segment at exhaustion: the physical counterpart of the
-		// budget release the wrapping engine.NewReleasingSource performs now.
-		s.seg = nil
-		return spill.Rec{}, false, nil
+	rec, ok, err := s.c.Next()
+	if ok {
+		return rec, true, nil
 	}
-	rec, rest, err := spill.CutRec(s.seg)
+	s.done()
 	if err != nil {
 		return spill.Rec{}, false, fmt.Errorf("m3r: resident segment: %w", err)
 	}
-	s.seg = rest
-	return rec, true, nil
+	return spill.Rec{}, false, nil
 }
 
-func (s *segmentSource) Close() error { return nil }
+// done drops the run and releases its reservation, the first time only.
+func (s *segmentSource) done() {
+	s.c.Reset(nil)
+	if s.release != nil {
+		s.release()
+		s.release = nil
+	}
+}
+
+func (s *segmentSource) Close() error {
+	s.done()
+	return nil
+}

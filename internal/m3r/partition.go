@@ -53,14 +53,13 @@ type sourceRun struct {
 }
 
 // serializedRun is a budgeted job's run, bytes from collect to reducer:
-// exactly one of seg, the run resident as a raw-format segment, and
-// spillPath, the run in a spill file, with the key/value class names the
-// reduce decodes them as beside it (in memory, not on disk, keeping the
-// file format byte-identical to the Hadoop engine's). size is what a resident
-// segment holds reserved, Σ spill.Rec.Size() over its nrecs records and never
-// less than len(seg); it goes back to the place's budget pool when the reduce
-// merge drains the run. It is a separate allocation so that an unbudgeted
-// job's runs stay the three words they were.
+// exactly one of seg, the run resident in the grouped layout, and
+// spillPath, the run in a grouped spill file, with the key/value class
+// names the reduce decodes them as beside it (in memory, not on disk). size
+// is what a resident run holds reserved, its grouped length; it goes back to
+// the place's budget pool when the reduce merge drains the run. It is a
+// separate allocation so that an unbudgeted job's runs stay the three words
+// they were.
 type serializedRun struct {
 	seg                []byte
 	spillPath          string
@@ -71,19 +70,16 @@ type serializedRun struct {
 
 // admit is a budgeted run's one admission path: recs, the sorted run map
 // task src shipped to this partition, still views of its arrived frame. The
-// place's pool decides before a byte is copied. Under contention the
+// place's pool decides before a byte is copied, on the run's grouped size:
+// the bytes it will be resident in, each key once. Under contention the
 // largest-first policy may re-spill a larger cold resident run of this job
-// to keep the newcomer in memory; an admitted run is laid out as a resident
-// segment and offered to that policy in turn. A run the pool cannot admit
-// is never resident: it goes to disk straight from the views, inline on the
-// flushing map task.
+// to keep the newcomer in memory; an admitted run is laid out grouped and
+// offered to that policy in turn. A run the pool cannot admit is never
+// resident: it goes to disk straight from the views, inline on the flushing
+// map task.
 func (pi *partitionInput) admit(ctx *engine.TaskContext, src int, recs []spill.Rec, c runClasses) error {
 	x := pi.x
-	var size, encoded int64
-	for _, rec := range recs {
-		size += rec.Size()
-		encoded += rec.EncodedLen()
-	}
+	size := spill.GroupedLen(recs)
 	admitted, contended, err := x.budgets[pi.place].ReserveEvicting(size, func(min int64) (int64, error) {
 		return x.evictLargest(ctx, pi.place, min)
 	})
@@ -103,10 +99,7 @@ func (pi *partitionInput) admit(ctx *engine.TaskContext, src int, recs []spill.R
 		pi.install(r)
 		return nil
 	}
-	r.seg, r.size = make([]byte, 0, encoded), size
-	for _, rec := range recs {
-		r.seg = spill.AppendRec(r.seg, rec)
-	}
+	r.seg, r.size = spill.AppendGrouped(make([]byte, 0, size), recs), size
 	pi.install(r)
 	x.resident[pi.place].Add(residentRun{r, pi}, size, int64(src))
 	return nil
@@ -114,10 +107,10 @@ func (pi *partitionInput) admit(ctx *engine.TaskContext, src int, recs []spill.R
 
 // checkResidentBytes is the accounting's invariant, checked once per place
 // at the shuffle barrier, when every admission is over and no reducer has
-// released anything yet: the segments resident at place are no more bytes
-// than the job holds reserved there. A run is reserved at Σ Rec.Size(), its
-// segment is the same records with their real framing, so a violation is a
-// run resident without its reservation — the pool over-committing in silence.
+// released anything yet: the runs resident at place are no more bytes than
+// the job holds reserved there. A run is reserved at exactly its grouped
+// bytes, so a violation is a run resident without its reservation — the pool
+// over-committing in silence.
 func (x *jobExec) checkResidentBytes(place int) error {
 	var resident int64
 	for _, pi := range x.parts {
@@ -195,12 +188,12 @@ func (pi *partitionInput) takeReaders() []engine.RunReader {
 	return out
 }
 
-// takeSources returns a budgeted job's merge leaves — a resident segment's
+// takeSources returns a budgeted job's merge leaves — a resident run's
 // records or a spill file's stream, bytes either way — with the key and
 // value class they decode as and the number of records they hold. A
-// resident segment's leaf gets the incremental-release wrapper: as the merge
-// exhausts (or abandons) the run, its reservation returns to the place's
-// accountant, so a long reduce phase frees memory while it is still running.
+// resident run's leaf (segmentSource) hands its reservation back to the
+// place's accountant as the merge exhausts (or abandons) the run, so a long
+// reduce phase frees memory while it is still running.
 func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.RecSource, keyClass, valClass string, nrecs int, err error) {
 	acct, released := pi.x.budgets[pi.place], &ctx.Cells.BudgetReleasedBytes
 	for _, r := range pi.takeRuns() {
@@ -216,10 +209,12 @@ func (pi *partitionInput) takeSources(ctx *engine.TaskContext) (srcs []engine.Re
 			src, err = spill.OpenFile(r.spillPath)
 		default:
 			size := r.size
-			src = engine.NewReleasingSource(&segmentSource{r.seg}, func() {
+			leaf := &segmentSource{release: func() {
 				acct.Release(size)
 				released.Increment(size)
-			})
+			}}
+			leaf.c.Reset(r.seg)
+			src = leaf
 		}
 		if err != nil {
 			engine.CloseAllOnErr(srcs)

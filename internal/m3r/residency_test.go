@@ -1,12 +1,15 @@
 package m3r
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"m3r/internal/conf"
 	"m3r/internal/engine"
 	"m3r/internal/spill"
+	"m3r/internal/types"
 	"m3r/internal/wio"
 )
 
@@ -20,14 +23,8 @@ import (
 // drains to zero.
 func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 	big, smallB, smallC := textRun("aaaaaa", 60), textRun("b", 10), textRun("c", 10)
-	_, _, _, bigSize, err := spill.MarshalRun(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, smallSize, err := spill.MarshalRun(smallB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bigSize := groupedSize(t, big)
+	smallSize := groupedSize(t, smallB)
 	if 2*smallSize > bigSize {
 		t.Fatalf("test geometry broken: 2*small=%d > big=%d", 2*smallSize, bigSize)
 	}
@@ -93,10 +90,7 @@ func TestLargestFirstEvictionKeepsSmallRuns(t *testing.T) {
 // smaller one would be the opposite of the policy.
 func TestEvictionNeverTradesForEqualOrLarger(t *testing.T) {
 	runA, runB := textRun("a", 20), textRun("b", 20) // identical sizes
-	_, _, _, size, err := spill.MarshalRun(runA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := groupedSize(t, runA)
 	x := newSpillExec(size, spill.CodecNone, 1)
 	defer x.cleanup()
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
@@ -122,10 +116,7 @@ func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
 	swapSpillWrite(t, func(string, spill.EncodedRun) (int64, error) { return 0, injected })
 
 	big, small := textRun("aaaaaa", 60), textRun("b", 10)
-	_, _, _, bigSize, err := spill.MarshalRun(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bigSize := groupedSize(t, big)
 	x := newSpillExec(bigSize, spill.CodecNone, 1)
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 	installRun(t, x, ctx, 0, 0, big) // resident: no write involved
@@ -146,10 +137,7 @@ func TestEvictionWriteErrorFailsAdmission(t *testing.T) {
 // spill, every time (equal sizes never evict one another).
 func TestInstallRunsAdmitsInPartitionOrder(t *testing.T) {
 	const parts = 8
-	_, _, _, size, err := spill.MarshalRun(textRun("k", 20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := groupedSize(t, textRun("k", 20))
 	for round := 0; round < 20; round++ {
 		x := newSpillExec(2*size+size/2, spill.CodecNone, parts)
 		runs := make([][]wio.Pair, parts)
@@ -177,15 +165,13 @@ func TestInstallRunsAdmitsInPartitionOrder(t *testing.T) {
 }
 
 // TestResidentBytesInvariant: at the shuffle barrier the segments resident at
-// a place are no more bytes than the job holds reserved there. It holds
-// through admission, eviction and overflow, and a run resident without its
-// reservation — the over-commit the check exists to catch — breaks it.
+// a place are no more bytes than the job holds reserved there — exactly as
+// many, since a run reserves its grouped bytes. It holds through admission,
+// eviction and overflow, and a run resident without its reservation — the
+// over-commit the check exists to catch — breaks it.
 func TestResidentBytesInvariant(t *testing.T) {
 	big, small := textRun("aaaaaa", 60), textRun("b", 10)
-	_, _, _, bigSize, err := spill.MarshalRun(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bigSize := groupedSize(t, big)
 	x := newSpillExec(bigSize, spill.CodecNone, 2)
 	defer x.cleanup()
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
@@ -201,11 +187,83 @@ func TestResidentBytesInvariant(t *testing.T) {
 			resident += int64(len(r.seg))
 		}
 	}
-	if held := x.budgets[0].Held(); resident == 0 || resident >= held {
-		t.Fatalf("%d resident segment bytes against %d reserved: want some, and fewer (real framing is shorter than the estimate)", resident, held)
+	if held := x.budgets[0].Held(); resident == 0 || resident != held {
+		t.Fatalf("%d resident segment bytes against %d reserved: want some, and exactly the reservation", resident, held)
 	}
 	x.parts[0].install(&sourceRun{src: 3, serializedRun: &serializedRun{seg: make([]byte, bigSize)}})
 	if err := x.checkResidentBytes(0); err == nil {
 		t.Fatal("a segment resident without a reservation passed the barrier check")
+	}
+}
+
+// TestEvictedRunReadsLikeItsResidentSegment: a resident run and the spill
+// file its eviction writes yield the same record stream — the same keys and
+// values, in order, with a key group wherever the resident run has one —
+// under either codec, in blocks small enough that the file restates keys.
+func TestEvictedRunReadsLikeItsResidentSegment(t *testing.T) {
+	spill.GroupedBlockBytes.Store(64)
+	defer spill.GroupedBlockBytes.Store(0)
+	var hot []wio.Pair
+	for i := 0; i < 30; i++ {
+		for j := 0; j <= i%7; j++ {
+			hot = append(hot, wio.Pair{Key: types.NewText(fmt.Sprintf("k%02d", i)), Value: types.NewInt(int32(j))})
+		}
+	}
+	size := groupedSize(t, hot)
+	for _, codec := range []spill.Codec{spill.CodecNone, spill.CodecFlate} {
+		x := newSpillExec(size, codec, 1)
+		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
+		installRun(t, x, ctx, 0, 0, hot)
+		run := x.parts[0].runs[0]
+		if run.seg == nil {
+			t.Fatalf("%s: the run is not resident", codec)
+		}
+		var resident segmentSource
+		resident.c.Reset(run.seg)
+		want := readRecs(t, &resident)
+		installRun(t, x, ctx, 0, 1, textRun("b", 2)) // evicts the hot run
+		if run.spillPath == "" || ctx.Cells.EvictedResidentRuns.Value() != 1 {
+			t.Fatalf("%s: the hot run was not evicted", codec)
+		}
+		s, err := spill.OpenFile(run.spillPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readRecs(t, s)
+		s.Close()
+		if len(got) != len(want) || len(want) != len(hot) {
+			t.Fatalf("%s: %d records resident, %d spilled, %d collected", codec, len(want), len(got), len(hot))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d reads %+v resident and %+v spilled", codec, i, want[i], got[i])
+			}
+		}
+		x.cleanup()
+	}
+}
+
+// streamRec is a record as read off a RecSource: its bytes, and whether its
+// key is its predecessor's — the same slice, or, after a block boundary,
+// the same bytes.
+type streamRec struct {
+	k, v      string
+	sameGroup bool
+}
+
+func readRecs(t *testing.T, src engine.RecSource) []streamRec {
+	t.Helper()
+	var out []streamRec
+	var prev []byte
+	for {
+		r, ok, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, streamRec{string(r.K), string(r.V), prev != nil && bytes.Equal(r.K, prev)})
+		prev = bytes.Clone(r.K)
 	}
 }

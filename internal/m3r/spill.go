@@ -12,11 +12,10 @@ var spillWriteRun = spill.WriteEncodedFile
 // A run goes to disk inline on the flushing map task — a write error or
 // panic fails that task and with it the job — in one of two shapes: a run
 // the pool refuses at arrival as the sorted views of its frame (spillRecs),
-// and a resident run the largest-first policy evicts as its segment
-// (spillSegment). Either passes through the job's codec to the same exact
-// on-disk bytes — stored or flate blocks behind a segment header — so
-// counters, stats and cost charge the stored length. Both return the new
-// file's path.
+// and a resident run the largest-first policy evicts as its grouped bytes
+// (spillSegment). Either becomes the same grouped segment under the job's
+// codec — stored or flate blocks behind a segment header — so counters,
+// stats and cost charge the stored length. Both return the new file's path.
 
 // spillRecs spills a refused run straight from its records: it is never
 // laid out as a resident segment first.
@@ -25,7 +24,7 @@ func (x *jobExec) spillRecs(ctx *engine.TaskContext, recs []spill.Rec) (string, 
 	if err := x.Lifecycle.Err(); err != nil {
 		return "", err
 	}
-	enc, err := spill.EncodeRun(recs, x.Codec)
+	enc, err := spill.EncodeGroupedRun(recs, x.Codec)
 	if err != nil {
 		return "", err
 	}
@@ -37,7 +36,7 @@ func (x *jobExec) spillSegment(ctx *engine.TaskContext, seg []byte, nrecs int) (
 	if err := x.Lifecycle.Err(); err != nil {
 		return "", err
 	}
-	enc, err := spill.EncodeSegment(seg, x.Codec)
+	enc, err := spill.EncodeGrouped(seg, x.Codec)
 	if err != nil {
 		return "", err
 	}

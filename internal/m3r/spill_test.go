@@ -294,6 +294,17 @@ func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) 
 	return x.arriveFrame(ctx, 0, src, f.seal(), c)
 }
 
+// groupedSize is what pairs, one sorted run, reserve when they are admitted:
+// their grouped length.
+func groupedSize(t *testing.T, pairs []wio.Pair) int64 {
+	t.Helper()
+	recs, _, _, _, err := spill.MarshalRun(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spill.GroupedLen(recs)
+}
+
 // textRun builds a sorted run of (prefix###, i) pairs.
 func textRun(prefix string, n int) []wio.Pair {
 	out := make([]wio.Pair, n)
@@ -373,10 +384,7 @@ func assertSameStream(t *testing.T, what string, got, want []string) {
 // the freed budget stays free.
 func TestBudgetReleaseAndReadmission(t *testing.T) {
 	runA, runB, runC := textRun("a", 40), textRun("b", 40), textRun("c", 40)
-	_, _, _, size, err := spill.MarshalRun(runA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := groupedSize(t, runA)
 
 	// Reference: what partition 1's merge must yield, from an unbudgeted run.
 	ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
@@ -491,15 +499,12 @@ func FuzzBudgetedShuffle(f *testing.F) {
 // TestCompressedSpillChargesStoredBytesAndReadmitsRawSize pins the codec's
 // accounting contract end to end: with flate configured, SPILLED_BYTES
 // counts the stored (compressed) bytes and SPILLED_RAW_BYTES the raw
-// record-format bytes (so stored < raw on repetitive runs, where codec none
-// stores raw plus its framing); the budget,
-// however, keeps accounting in raw in-memory sizes whatever the codec; and
-// the merge output stays byte-identical to the raw-codec lifecycle.
+// grouped bytes (so stored < raw on repetitive runs, where codec none
+// stores raw plus its framing); the budget, however, keeps accounting in
+// the runs' grouped in-memory sizes whatever the codec; and the merge
+// output stays byte-identical to the raw-codec lifecycle.
 func TestCompressedSpillChargesStoredBytesAndReadmitsRawSize(t *testing.T) {
-	_, _, _, size, err := spill.MarshalRun(textRun("aaaa", 40))
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := groupedSize(t, textRun("aaaa", 40))
 
 	drive := func(codec spill.Codec) ([]string, *engine.TaskContext, *jobExec) {
 		x := newSpillExec(size, codec, 2) // budget = exactly one run

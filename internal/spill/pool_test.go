@@ -402,41 +402,6 @@ func BenchmarkSortRecs(b *testing.B) {
 	}
 }
 
-// TestEncodeSegmentMatchesEncodeRun: records already laid out in the record
-// format encode to the bytes EncodeRun gives them under either codec — the
-// same blocks, several of them here with one oversized record among them —
-// and a segment that is not whole records is refused.
-func TestEncodeSegmentMatchesEncodeRun(t *testing.T) {
-	recs := compressibleRecs(5000)
-	recs[100].V = bytes.Repeat([]byte("big value "), 10<<10) // a block of its own, past the target
-	var seg []byte
-	for _, r := range recs {
-		seg = AppendRec(seg, r)
-	}
-	for _, codec := range []Codec{CodecNone, CodecFlate} {
-		want, err := EncodeRun(recs, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EncodeSegment(seg, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Data, want.Data) || got.Raw != want.Raw {
-			t.Errorf("%s: EncodeSegment gives %d bytes (raw %d), EncodeRun %d (raw %d), or different ones",
-				codec, len(got.Data), got.Raw, len(want.Data), want.Raw)
-		}
-		if er, err := EncodeSegment(nil, codec); err != nil || len(er.Data) != 0 {
-			t.Errorf("%s: an empty segment encodes to %d bytes, err %v", codec, len(er.Data), err)
-		}
-		for _, cut := range []int{1, len(seg) - 1} {
-			if _, err := EncodeSegment(seg[:cut], codec); !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("%s: segment cut at %d: err %v, want io.ErrUnexpectedEOF", codec, cut, err)
-			}
-		}
-	}
-}
-
 // writeRun encodes recs with codec into a fresh file and returns its path.
 func writeRun(t *testing.T, recs []Rec, codec Codec) string {
 	t.Helper()

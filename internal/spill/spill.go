@@ -3,16 +3,20 @@
 // file is the partitions in order, an index (kept in memory, like Hadoop's
 // file.out.index) records each partition's byte range as a Segment.
 //
-// A segment has one layout. An empty one is zero bytes; any other is a
-// 6-byte header (magic "\xF5M3S", format version, segment codec id) followed
-// by blocks. Records are grouped into blocks of about blockRawTarget raw
-// bytes — a record never straddles a block, an oversized record simply gets
-// an oversized block — and each block is (codec id byte, uvarint rawLen,
-// uvarint storedLen, storedLen body bytes). Codec none stores every block as
-// it is; flate compresses each one and falls back to a stored block when
-// compression does not shrink the body, so storedLen never exceeds rawLen.
-// Sorted runs are highly repetitive in the key column, which is where the
-// cheap ratio lives.
+// An empty segment is zero bytes; any other is a 6-byte header (magic
+// "\xF5M3S", layout, segment codec id) followed by blocks. Records are
+// grouped into blocks of about blockRawTarget raw bytes — a record never
+// straddles a block, an oversized record simply gets an oversized block —
+// and each block is (codec id byte, uvarint rawLen, uvarint storedLen,
+// storedLen body bytes). Codec none stores every block as it is; flate
+// compresses each one and falls back to a stored block when compression does
+// not shrink the body, so storedLen never exceeds rawLen. Sorted runs are
+// highly repetitive in the key column, which is where the cheap ratio lives.
+//
+// The layout byte says how a block's raw bytes hold records: one after
+// another in the record unit above (layoutRecords, what SegmentWriter
+// writes), or as key groups, each key once with its values after it
+// (layoutGrouped, grouped.go).
 //
 // Every segment carries its own header, so segments of either codec mix
 // freely in one file and a fetched shuffle segment stays self-describing
@@ -20,9 +24,9 @@
 // transparently under merge leaves.
 //
 // The Hadoop engine writes map-side sort spills and shuffle segments in
-// this format; the M3R engine writes shuffle runs that exceed its memory
-// budget and cold cache blocks the same way, so one reader and one merge
-// serve both engines.
+// the per-record layout, and so does the kvstore its cold cache blocks; the
+// M3R engine writes the shuffle runs that exceed its memory budget in the
+// grouped one. One reader and one merge serve both engines.
 package spill
 
 import (
@@ -92,9 +96,16 @@ func ParseCodec(name string) (Codec, error) {
 // segMagic opens every non-empty segment.
 var segMagic = [4]byte{0xF5, 'M', '3', 'S'}
 
+// The segment layouts, the header's fifth byte. layoutRecords is the
+// original format's version byte, so a per-record segment's bytes did not
+// change when the grouped layout came.
 const (
-	formatVersion = 1
-	segHeaderLen  = len(segMagic) + 2 // magic + version byte + codec byte
+	layoutRecords = 1
+	layoutGrouped = 2
+)
+
+const (
+	segHeaderLen = len(segMagic) + 2 // magic + layout byte + codec byte
 
 	// blockRawTarget is the raw byte count at which a block is cut. 64 KiB
 	// keeps the compressor's window warm across many records while
@@ -119,35 +130,22 @@ func (r Rec) Size() int64 { return int64(len(r.K) + len(r.V) + 2*binary.MaxVarin
 
 // EncodedLen is the record's exact raw (pre-compression) length in the
 // spill record format: actual varint framing plus payload — the bytes
-// AppendRec adds, and what SPILLED_RAW_BYTES counts per record.
-func (r Rec) EncodedLen() int64 {
-	return int64(uvarintLen(uint64(len(r.K)))) + int64(len(r.K)) +
-		int64(uvarintLen(uint64(len(r.V)))) + int64(len(r.V))
-}
+// AppendRec adds, and what a per-record segment's raw length counts per
+// record.
+func (r Rec) EncodedLen() int64 { return int64(fieldLen(len(r.K)) + fieldLen(len(r.V))) }
 
 // AppendRec appends r in the record format to dst.
 func AppendRec(dst []byte, r Rec) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(r.K)))
-	dst = append(dst, r.K...)
-	dst = binary.AppendUvarint(dst, uint64(len(r.V)))
-	dst = append(dst, r.V...)
-	return dst
+	return appendField(appendField(dst, r.K), r.V)
 }
 
-// CutRec is AppendRec's inverse: it returns the record seg starts with, as
-// views of seg, and what follows it. A seg that ends inside the record is
-// io.ErrUnexpectedEOF.
-func CutRec(seg []byte) (Rec, []byte, error) {
-	var f [2][]byte
-	for i := range f {
-		n, w := binary.Uvarint(seg)
-		if w <= 0 || n > uint64(len(seg)-w) {
-			return Rec{}, nil, io.ErrUnexpectedEOF
-		}
-		f[i], seg = seg[w:w+int(n):w+int(n)], seg[w+int(n):]
-	}
-	return Rec{K: f[0], V: f[1]}, seg, nil
+// appendField appends b with its uvarint length before it.
+func appendField(dst, b []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
 }
+
+// fieldLen is what appendField adds for n bytes.
+func fieldLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // SegmentWriter writes one segment to an underlying buffered writer. The
 // caller owns w: Finish completes the segment but does not flush or close
@@ -156,6 +154,7 @@ func CutRec(seg []byte) (Rec, []byte, error) {
 type SegmentWriter struct {
 	w       *bufio.Writer
 	codec   Codec
+	layout  byte
 	written int64 // stored (on-disk) bytes emitted so far, header included
 	raw     int64 // raw record-format bytes accepted so far
 
@@ -182,9 +181,9 @@ type blockEncoder struct {
 
 var blockEncoders = sync.Pool{New: func() any { return new(blockEncoder) }}
 
-// NewSegmentWriter starts a segment with the given codec on w.
+// NewSegmentWriter starts a per-record segment with the given codec on w.
 func NewSegmentWriter(w *bufio.Writer, codec Codec) *SegmentWriter {
-	return &SegmentWriter{w: w, codec: codec}
+	return &SegmentWriter{w: w, codec: codec, layout: layoutRecords}
 }
 
 // Write appends one record to the segment.
@@ -234,7 +233,7 @@ func (sw *SegmentWriter) writeBlock(raw []byte) error {
 	enc := sw.enc
 	hdr := enc.hdr[:0]
 	if sw.written == 0 {
-		hdr = appendSegHeader(hdr, sw.codec)
+		hdr = appendSegHeader(hdr, sw.layout, sw.codec)
 	}
 	body, bcodec := raw, CodecNone
 	if sw.codec == CodecFlate {
@@ -264,9 +263,10 @@ func (sw *SegmentWriter) writeBlock(raw []byte) error {
 	return nil
 }
 
-// appendSegHeader appends the header that opens a segment of codec c.
-func appendSegHeader(dst []byte, c Codec) []byte {
-	return append(append(dst, segMagic[:]...), formatVersion, byte(c))
+// appendSegHeader appends the header that opens a segment of the given
+// layout and codec c.
+func appendSegHeader(dst []byte, layout byte, c Codec) []byte {
+	return append(append(dst, segMagic[:]...), layout, byte(c))
 }
 
 // appendBlockHeader appends a block's framing: its codec and its raw and
@@ -298,16 +298,16 @@ var runEncoders = sync.Pool{New: func() any {
 	return re
 }}
 
-// encode runs fill against a pooled SegmentWriter and returns the segment
-// it wrote.
-func encode(codec Codec, fill func(sw *SegmentWriter) error) (EncodedRun, error) {
+// encode runs fill against a pooled SegmentWriter of the given layout and
+// returns the segment it wrote.
+func encode(codec Codec, layout byte, fill func(sw *SegmentWriter) error) (EncodedRun, error) {
 	re := runEncoders.Get().(*runEncoder)
 	defer func() {
 		re.out.Reset()
 		re.bw.Reset(&re.out)
 		runEncoders.Put(re)
 	}()
-	re.sw = SegmentWriter{w: re.bw, codec: codec}
+	re.sw = SegmentWriter{w: re.bw, codec: codec, layout: layout}
 	err := fill(&re.sw)
 	_, raw, ferr := re.sw.Finish()
 	if err == nil {
@@ -329,36 +329,10 @@ func EncodeRun(recs []Rec, codec Codec) (EncodedRun, error) {
 	if codec == CodecNone {
 		return storeRecs(recs), nil
 	}
-	return encode(codec, func(sw *SegmentWriter) error {
+	return encode(codec, layoutRecords, func(sw *SegmentWriter) error {
 		for _, r := range recs {
 			if err := sw.Write(r); err != nil {
 				return err
-			}
-		}
-		return nil
-	})
-}
-
-// EncodeSegment is EncodeRun for records already laid out in the record
-// format: seg is the records AppendRec'd one after another, and the result
-// is byte for byte what EncodeRun(recs, codec) yields — blocks cut at the
-// record boundaries SegmentWriter.Write cuts them at, framed (and
-// compressed) straight out of seg. A seg that does not parse as whole
-// records is io.ErrUnexpectedEOF.
-func EncodeSegment(seg []byte, codec Codec) (EncodedRun, error) {
-	return encode(codec, func(sw *SegmentWriter) error {
-		sw.enc = blockEncoders.Get().(*blockEncoder) // Finish returns it
-		for block, rest := seg, seg; len(rest) > 0; {
-			var err error
-			if _, rest, err = CutRec(rest); err != nil {
-				return err
-			}
-			if n := len(block) - len(rest); n >= blockRawTarget || len(rest) == 0 {
-				if err := sw.writeBlock(block[:n]); err != nil {
-					return err
-				}
-				sw.raw += int64(n)
-				block = rest
 			}
 		}
 		return nil
@@ -378,7 +352,7 @@ func storeRecs(recs []Rec) EncodedRun {
 		raw += n
 		lo = hi
 	}
-	data := appendSegHeader(make([]byte, 0, size), CodecNone)
+	data := appendSegHeader(make([]byte, 0, size), layoutRecords, CodecNone)
 	for lo := 0; lo < len(recs); {
 		hi, n := blockEnd(recs, lo)
 		data = appendBlockHeader(data, CodecNone, n, n)
@@ -525,7 +499,8 @@ type Segment struct {
 // that replaces it — so the stream keeps the block its last record came from
 // until it has read the block after; at the end of the segment the last
 // block stays until Close. A consumer that keeps a record longer copies what
-// it keeps: the raw merge copies a group's key, not its record.
+// it keeps: the raw merge copies a group's key, not its record. In a grouped
+// segment the records of one group in one block share one key slice.
 type Stream struct {
 	f      *os.File
 	lr     io.LimitedReader // the segment's bytes not yet buffered
@@ -536,7 +511,10 @@ type Stream struct {
 	// end of the segment, cur at Close.
 	cur, prev *blockBuf
 	blk       []byte
-	pos       int // parse position in blk
+	pos       int // parse position in blk, per-record layout
+	// grouped marks a grouped segment, whose blocks gc reads.
+	grouped bool
+	gc      GroupCursor
 }
 
 // rem is how many of the segment's declared bytes are not yet consumed.
@@ -587,8 +565,12 @@ func (s *Stream) readHeader() error {
 	if err != nil {
 		return unexpectedEOF(err)
 	}
-	if v := hdr[4]; v != formatVersion {
-		return fmt.Errorf("spill: unsupported segment format version %d", v)
+	switch hdr[4] {
+	case layoutRecords:
+	case layoutGrouped:
+		s.grouped = true
+	default:
+		return fmt.Errorf("spill: unsupported segment format version %d", hdr[4])
 	}
 	if c := Codec(hdr[5]); !c.valid() {
 		return fmt.Errorf("%w id %d in segment header", ErrUnknownCodec, uint8(c))
@@ -617,15 +599,11 @@ func OpenFile(path string) (*Stream, error) {
 // bytes are owed, so EOF can only be corruption. Corrupt blocks
 // additionally surface ErrUnknownCodec and ErrBlockSizeMismatch.
 func (s *Stream) Next() (Rec, bool, error) {
+	if s.grouped {
+		return s.nextGrouped()
+	}
 	for s.pos >= len(s.blk) {
-		if s.rem() <= 0 {
-			// The last record stays good through this Next like any other,
-			// so only the block before its block goes back here.
-			putBlockBuf(s.prev)
-			s.prev = nil
-			return Rec{}, false, nil
-		}
-		if err := s.readBlock(); err != nil {
+		if ok, err := s.nextBlock(); !ok {
 			return Rec{}, false, err
 		}
 	}
@@ -650,6 +628,34 @@ func (s *Stream) Next() (Rec, bool, error) {
 	v := s.blk[s.pos : s.pos+int(vl) : s.pos+int(vl)]
 	s.pos += int(vl)
 	return Rec{K: k, V: v}, true, nil
+}
+
+// nextGrouped is Next on a grouped segment: every block starts a group, so
+// a group whose values run past its block is corruption.
+func (s *Stream) nextGrouped() (Rec, bool, error) {
+	for s.gc.done() {
+		if ok, err := s.nextBlock(); !ok {
+			return Rec{}, false, err
+		}
+		s.gc.Reset(s.blk)
+	}
+	return s.gc.Next()
+}
+
+// nextBlock installs the segment's next block, reporting false at the end
+// of the segment or on error.
+func (s *Stream) nextBlock() (bool, error) {
+	if s.rem() <= 0 {
+		// The last record stays good through this Next like any other,
+		// so only the block before its block goes back here.
+		putBlockBuf(s.prev)
+		s.prev = nil
+		return false, nil
+	}
+	if err := s.readBlock(); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // blkUvarint decodes one varint from the current block at pos.
@@ -839,6 +845,7 @@ func (s *Stream) Close() error {
 	putBlockBuf(s.prev)
 	putBlockBuf(s.cur)
 	s.prev, s.cur, s.blk, s.pos = nil, nil, nil, 0
+	s.gc.Reset(nil)
 	openStreams.Add(-1)
 	return s.f.Close()
 }

@@ -168,19 +168,37 @@ func drainErr(path string, seg Segment) error {
 // at open when the cut is inside the header, at Next after it — never a
 // silent ok=false that drops the remaining records. Every truncation point
 // of a one-block segment is tried, block boundaries included, and a
-// stride of them through a segment of several stored blocks.
+// stride of them through a segment of several stored blocks; and every one
+// of a grouped segment, in one block and with its groups cut across small
+// blocks.
 func TestTruncatedSegmentIsAnError(t *testing.T) {
 	small := []Rec{
 		{K: []byte("aa"), V: []byte("11")},
 		{K: []byte("bb"), V: []byte("2222")},
 		{K: []byte("cc"), V: []byte("3")},
 	}
+	groups := []Rec{
+		{K: []byte("aa"), V: []byte("11")},
+		{K: []byte("bb"), V: []byte("2222")},
+		{K: []byte("bb"), V: []byte("2")},
+		{K: []byte("bb"), V: nil},
+		{K: []byte("bb"), V: []byte("22")},
+		{K: []byte("cc"), V: []byte("3")},
+	}
 	base := OpenStreamCount()
 	for _, c := range []struct {
-		recs   []Rec
-		stride int64
-	}{{small, 1}, {compressibleRecs(4000), 997}} {
+		recs       []Rec
+		stride     int64
+		groupBlock int64 // grouped segment, blocks cut at this many bytes (0: 64 KiB)
+	}{{small, 1, -1}, {compressibleRecs(4000), 997, -1}, {groups, 1, 0}, {groups, 1, 6}} {
 		path, total := writeRecs(t, c.recs)
+		if c.groupBlock >= 0 {
+			GroupedBlockBytes.Store(c.groupBlock)
+			var enc EncodedRun
+			path, enc = writeGrouped(t, c.recs, CodecNone)
+			total = int64(len(enc.Data))
+			GroupedBlockBytes.Store(0)
+		}
 		full, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +368,10 @@ func FuzzStreamNext(f *testing.F) {
 		short := append([]byte(nil), enc.Data[:len(enc.Data)/2]...)
 		f.Add(short)
 	}
-	f.Add(append(append([]byte{}, segMagic[:]...), formatVersion, byte(CodecFlate), byte(CodecFlate), 0x05, 0x01, 'x'))
+	f.Add(append(append([]byte{}, segMagic[:]...), layoutRecords, byte(CodecFlate), byte(CodecFlate), 0x05, 0x01, 'x'))
+	for _, seed := range groupedSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Oversized length prefixes would make the reader allocate the
 		// declared size before discovering the bytes are missing; cap the
@@ -395,22 +416,28 @@ func FuzzStreamNext(f *testing.F) {
 			parsed = append(parsed, cloneRec(r))
 		}
 		// Whatever parsed must survive a canonical re-serialization cycle
-		// unchanged (varint length prefixes in arbitrary input may be
-		// non-minimal, so byte-identity with the input is not required).
+		// unchanged, in either layout (varint length prefixes in arbitrary
+		// input may be non-minimal, so byte-identity with the input is not
+		// required).
 		out, n := writeRecs(t, parsed)
-		s2, err := OpenSegment(out, Segment{Off: 0, Len: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s2.Close()
-		for i, want := range parsed {
-			got, ok, err := s2.Next()
-			if err != nil || !ok {
-				t.Fatalf("rec %d lost in rewrite: ok=%v err=%v", i, ok, err)
+		grouped, _ := writeGrouped(t, parsed, CodecNone)
+		for _, seg := range []struct {
+			path string
+			len  int64
+		}{{out, n}, {grouped, -1}} {
+			var s2 *Stream
+			if seg.len < 0 {
+				s2, err = OpenFile(seg.path)
+			} else {
+				s2, err = OpenSegment(seg.path, Segment{Off: 0, Len: seg.len})
 			}
-			if !bytes.Equal(got.K, want.K) || !bytes.Equal(got.V, want.V) {
-				t.Fatalf("rec %d changed in rewrite", i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if got := readAll(t, s2); !recsEqual(got, parsed) {
+				t.Fatalf("%d records rewritten to %s read back as %d others", len(parsed), seg.path, len(got))
+			}
+			s2.Close()
 		}
 	})
 }
@@ -714,7 +741,7 @@ func blockSegment(t *testing.T, blockCodec Codec, rawLen uint64, body []byte) []
 	t.Helper()
 	var b bytes.Buffer
 	b.Write(segMagic[:])
-	b.WriteByte(formatVersion)
+	b.WriteByte(layoutRecords)
 	b.WriteByte(byte(CodecFlate))
 	b.WriteByte(byte(blockCodec))
 	var tmp [binary.MaxVarintLen64]byte
@@ -828,7 +855,7 @@ func TestUnknownCodecIsAnError(t *testing.T) {
 func TestUnsupportedVersionIsAnError(t *testing.T) {
 	payload := AppendRec(nil, Rec{K: []byte("k"), V: []byte("v")})
 	seg := blockSegment(t, CodecNone, uint64(len(payload)), payload)
-	seg[4] = formatVersion + 1
+	seg[4] = layoutGrouped + 1
 	path := filepath.Join(t.TempDir(), "future")
 	if err := os.WriteFile(path, seg, 0o644); err != nil {
 		t.Fatal(err)

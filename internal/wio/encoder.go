@@ -145,6 +145,15 @@ type Decoder struct {
 	objs  []Writable
 	name  []byte // a type name read from a stream-mode input
 	left  int    // Expect's count of records still to come; negative unless given
+	// holders keeps, by class, the slab holders of the types earlier
+	// streams named, their slabs dropped, for the next stream's types.
+	holders []slabHolder
+}
+
+// slabHolder is one class's slab holder, kept across streams.
+type slabHolder struct {
+	name string
+	s    slabSource
 }
 
 // decType is a type the stream has named: the registry is asked for its
@@ -171,13 +180,33 @@ func NewDecoder(r io.Reader) *Decoder {
 // back pointing into b, and Aliased then says so. Count restarts at zero.
 func (d *Decoder) ResetBytes(b []byte, owned bool) {
 	// The objects, and the slabs the types hand them out from, belong to
-	// whoever decoded them, not to a pooled table.
+	// whoever decoded them, not to a pooled table: a type's slab holder
+	// stays for the next stream that names its class, but lets go of its
+	// slab.
+	for _, t := range d.types {
+		if t.alloc.s != nil {
+			t.alloc.s.drop()
+			if d.holder(t.name) == nil {
+				d.holders = append(d.holders, slabHolder{t.name, t.alloc.s})
+			}
+		}
+	}
 	clear(d.types)
 	d.types = d.types[:0]
 	clear(d.objs)
 	d.objs = d.objs[:0]
 	d.left = -1
 	d.ContinueBytes(b, owned)
+}
+
+// holder returns the kept slab holder of class name, or nil.
+func (d *Decoder) holder(name string) slabSource {
+	for _, h := range d.holders {
+		if h.name == name {
+			return h.s
+		}
+	}
+	return nil
 }
 
 // Expect tells the decoder that n records are still to come on this stream,
@@ -266,7 +295,9 @@ func (d *Decoder) Decode() (Writable, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.types = append(d.types, decType{e.name, allocOf(e)})
+			a := allocOf(e)
+			a.s = d.holder(e.name)
+			d.types = append(d.types, decType{e.name, a})
 		} else if tid > uint64(len(d.types)) {
 			return nil, fmt.Errorf("wio: type id %d out of range (have %d types)", tid, len(d.types))
 		}

@@ -27,6 +27,7 @@ const (
 type slabSource interface {
 	fill(n int)     // start a fresh slab of n zero values
 	take() Writable // the slab's next object
+	drop()          // let go of the slab, so that it pins no object
 }
 
 type slab[T any, PT interface {
@@ -35,6 +36,8 @@ type slab[T any, PT interface {
 }] struct{ s []T }
 
 func (s *slab[T, PT]) fill(n int) { s.s = make([]T, n) }
+
+func (s *slab[T, PT]) drop() { s.s = nil }
 
 func (s *slab[T, PT]) take() Writable {
 	p := PT(&s.s[0])

@@ -61,8 +61,9 @@ func TestAllocSlabSizes(t *testing.T) {
 }
 
 // TestResetBytesDropsSlabs: a pooled decoder starting a new stream keeps no
-// type of the last one, and so none of its slabs: the pool keeps no earlier
-// stream's objects alive.
+// type of the last one, and of its slabs only the holders, empty: the pool
+// keeps no earlier stream's objects alive. The next stream's type of the
+// same class takes the kept holder.
 func TestResetBytesDropsSlabs(t *testing.T) {
 	RegisterNew[slabProbe]("wio.slabProbe")
 	var w Writer
@@ -86,13 +87,27 @@ func TestResetBytesDropsSlabs(t *testing.T) {
 	if d.types[0].alloc.s == nil {
 		t.Fatal("the stream's objects did not come from a slab")
 	}
+	holder := d.types[0].alloc.s
 	d.ResetBytes(nil, false)
 	for i, dt := range d.types[:cap(d.types)] {
 		if dt.name != "" || dt.alloc.new != nil || dt.alloc.s != nil {
 			t.Errorf("type %d of the last stream is still held: %+v", i, dt)
 		}
 	}
+	if len(d.holders) != 1 || d.holders[0].s != holder {
+		t.Fatalf("the decoder keeps %d slab holders, want the last stream's one", len(d.holders))
+	}
+	if s := holder.(*slab[slabProbe, *slabProbe]).s; s != nil {
+		t.Errorf("the kept holder still pins %d objects of the last stream's slab", len(s))
+	}
 	if d.left >= 0 {
 		t.Error("the last stream's expected count survived ResetBytes")
+	}
+	d.ResetBytes(w.Bytes(), false)
+	if _, err := d.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	if d.types[0].alloc.s != holder {
+		t.Error("the next stream's type made a holder of its own")
 	}
 }
