@@ -29,7 +29,7 @@ type Source[T any] interface {
 }
 
 // Tournament is a loser tree over k ordered sources of T. The caller owns
-// the sources and pushes their head elements in: NewTournament takes every
+// the sources and pushes their head elements in: init takes every
 // source's primed head, Winner names the source whose head is globally
 // next, and the caller — after consuming that head — either Replaces it
 // with the source's next element or Exhausts the source. Keeping the
@@ -52,19 +52,11 @@ type Tournament[T any] struct {
 	replays int
 }
 
-// NewTournament builds the tree over the primed heads (live[i] false marks
-// a source empty from the start), bottom-up: leaf i sits at conceptual
-// node k+i; every internal node 1..k-1 plays its children's winners, keeps
-// the loser, and sends the winner up; tree[0] holds the champion. It takes
-// ownership of heads and live.
-func NewTournament[T any](heads []T, live []bool, cmp func(a, b *T) int) *Tournament[T] {
-	t := new(Tournament[T])
-	t.init(heads, live, cmp)
-	return t
-}
-
-// init is NewTournament over the zero Tournament t, for an owner that holds
-// its tree by value.
+// init builds t's tree over the primed heads (live[i] false marks a source
+// empty from the start), bottom-up: leaf i sits at conceptual node k+i;
+// every internal node 1..k-1 plays its children's winners, keeps the loser,
+// and sends the winner up; tree[0] holds the champion. It takes ownership
+// of heads and live. Owners hold their tree by value.
 func (t *Tournament[T]) init(heads []T, live []bool, cmp func(a, b *T) int) {
 	k := len(heads)
 	var spare T // Replace's scratch, heads[k]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"m3r/internal/conf"
 	"m3r/internal/engine"
@@ -45,10 +46,11 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 		// Attempt-scoped, so a retried attempt never aliases the files of a
 		// failed predecessor mid-teardown.
 		taskDir: filepath.Join(r.jobDir, fmt.Sprintf("map_%06d_%d", t.index, attempt)),
-		parts:   make([][]spill.Rec, r.Resolved.NumReducers),
+		parts:   sortParts(r.Resolved.NumReducers),
 		limit:   limit,
 		ctx:     ctx,
 	}
+	defer buf.release()
 	if err := os.MkdirAll(buf.taskDir, 0o755); err != nil {
 		return err
 	}
@@ -138,6 +140,29 @@ type sortBuffer struct {
 	spills []spillFile
 }
 
+// sortPartsPool recycles sort-buffer partitions across map tasks and jobs:
+// each slice keeps the capacity it grew to, and holds no record (release).
+var sortPartsPool sync.Pool // of *[][]spill.Rec
+
+// sortParts returns n empty partitions, the pool's if it has them.
+func sortParts(n int) [][]spill.Rec {
+	if parts, ok := sortPartsPool.Get().(*[][]spill.Rec); ok && cap(*parts) >= n {
+		return (*parts)[:n]
+	}
+	return make([][]spill.Rec, n)
+}
+
+// release clears the buffer's partitions, so that no record outlives its
+// task, and pools them.
+func (b *sortBuffer) release() {
+	for p, recs := range b.parts {
+		clear(recs)
+		b.parts[p] = recs[:0]
+	}
+	parts := b.parts
+	sortPartsPool.Put(&parts)
+}
+
 // spillFile records one on-disk spill and its per-partition segments.
 type spillFile struct {
 	path     string
@@ -191,7 +216,8 @@ func (b *sortBuffer) spill() error {
 		segments = append(segments, spill.Segment{Off: off, Len: segLen})
 		off += segLen
 		rawTotal += segRaw
-		b.parts[p] = nil
+		clear(b.parts[p])
+		b.parts[p] = b.parts[p][:0]
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()

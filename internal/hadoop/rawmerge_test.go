@@ -172,3 +172,25 @@ func TestMapSideMergeAcrossBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedPartsHoldNoRecord: a map task's sort-buffer partitions go back
+// to the pool empty, each keeping its capacity with every slot cleared, so
+// no record outlives its task.
+func TestReleasedPartsHoldNoRecord(t *testing.T) {
+	b := &sortBuffer{parts: sortParts(3)}
+	for i := range 100 {
+		b.parts[i%3] = append(b.parts[i%3], spill.Rec{K: []byte("k"), V: []byte("v")})
+	}
+	parts := b.parts // shares the partitions release empties
+	b.release()
+	for p, recs := range parts {
+		if len(recs) != 0 || cap(recs) < 33 {
+			t.Errorf("partition %d: len %d, cap %d after release", p, len(recs), cap(recs))
+		}
+		for i, r := range recs[:cap(recs)] {
+			if r.K != nil || r.V != nil {
+				t.Fatalf("partition %d slot %d still holds a record", p, i)
+			}
+		}
+	}
+}

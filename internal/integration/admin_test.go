@@ -8,6 +8,7 @@ import (
 
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/server"
 	"m3r/internal/types"
@@ -51,9 +52,9 @@ func init() {
 // TestDistributedCache: both engines expose registered cache files to
 // tasks (§5.3).
 func TestDistributedCache(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("alpha\nbeta\n"))
-	dfs.WriteFile(c.fs, "/cache/prefix.txt", []byte("PFX-"))
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("alpha\nbeta\n"))
+	dfs.WriteFile(c.FS, "/cache/prefix.txt", []byte("PFX-"))
 	for _, name := range []string{"hadoop", "m3r"} {
 		job := conf.NewJob()
 		job.AddInputPath("/in")
@@ -68,21 +69,21 @@ func TestDistributedCache(t *testing.T) {
 		mapred.AddCacheFile(job, "/cache/prefix.txt")
 		var err error
 		if name == "hadoop" {
-			_, err = c.hadoop.Submit(job)
+			_, err = c.Hadoop.Submit(job)
 		} else {
-			_, err = c.m3r.Submit(job)
+			_, err = c.M3R.Submit(job)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lines := readTextOutput(t, c.fs, "/out/dc-"+name)
+		lines := readTextOutput(t, c.FS, "/out/dc-"+name)
 		if len(lines) != 2 || lines[0] != "PFX-alpha\t1" || lines[1] != "PFX-beta\t1" {
 			t.Errorf("%s output: %v", name, lines)
 		}
 	}
 	// Unregistered files are refused.
 	job := conf.NewJob()
-	job.Set(conf.KeyFSInstance, c.m3r.FileSystem())
+	job.Set(conf.KeyFSInstance, c.M3R.FileSystem())
 	if _, err := mapred.ReadCacheFile(job, "/cache/prefix.txt"); err == nil {
 		t.Error("unregistered cache file should be refused")
 	}
@@ -91,20 +92,20 @@ func TestDistributedCache(t *testing.T) {
 // TestJobQueues: jobs carry their administrative queue through reports
 // and the server's listing (§5.3).
 func TestJobQueues(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/t", 8<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/t", 8<<10, 3); err != nil {
 		t.Fatal(err)
 	}
 	job := wordcount.NewJob("/data/t", "/out/q1", 1, true)
 	job.Set(conf.KeyJobQueueName, "interactive")
-	rep, err := c.m3r.Submit(job)
+	rep, err := c.M3R.Submit(job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Queue != "interactive" {
 		t.Errorf("queue: %q", rep.Queue)
 	}
-	rep, err = c.hadoop.Submit(wordcount.NewJob("/data/t", "/out/q2", 1, true))
+	rep, err = c.Hadoop.Submit(wordcount.NewJob("/data/t", "/out/q2", 1, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestJobQueues(t *testing.T) {
 	}
 
 	// Server-side listing.
-	srv, err := server.Serve(c.m3r, "127.0.0.1:0")
+	srv, err := server.Serve(c.M3R, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestJobQueues(t *testing.T) {
 // sharing places and cache safely — the "M3R instance runs all jobs in
 // the HMR job sequence submitted to it" design plus thread safety.
 func TestConcurrentSubmissions(t *testing.T) {
-	c := newCluster(t, 3)
-	if err := wordcount.Generate(c.fs, "/data/t", 32<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 3})
+	if err := wordcount.Generate(c.FS, "/data/t", 32<<10, 3); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/t")
+	want, err := wordcount.CountReference(c.FS, "/data/t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			out := fmt.Sprintf("/out/conc%d", i)
-			_, errs[i] = c.m3r.Submit(wordcount.NewJob("/data/t", out, 3, true))
+			_, errs[i] = c.M3R.Submit(wordcount.NewJob("/data/t", out, 3, true))
 		}(i)
 	}
 	wg.Wait()
@@ -182,6 +183,6 @@ func TestConcurrentSubmissions(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		checkCounts(t, readTextOutput(t, c.fs, fmt.Sprintf("/out/conc%d", i)), want)
+		checkCounts(t, readTextOutput(t, c.FS, fmt.Sprintf("/out/conc%d", i)), want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/mapreduce"
 	"m3r/internal/types"
@@ -156,9 +157,9 @@ func init() {
 
 // TestNewStyleAPIBothEngines runs a fully new-style (mapreduce API) job.
 func TestNewStyleAPIBothEngines(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("a b a\nc a b\n"))
-	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("a b a\nc a b\n"))
+	for _, eng := range []engine.Engine{c.Hadoop, c.M3R} {
 		job := conf.NewJob()
 		job.SetJobName("newstyle")
 		job.AddInputPath("/in")
@@ -173,7 +174,7 @@ func TestNewStyleAPIBothEngines(t *testing.T) {
 		if _, err := eng.Submit(job); err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		lines := readTextOutput(t, c.fs, "/out/new-"+eng.Name())
+		lines := readTextOutput(t, c.FS, "/out/new-"+eng.Name())
 		want := []string{"a\t3", "b\t2", "c\t1"}
 		if len(lines) != 3 {
 			t.Fatalf("%s: lines %v", eng.Name(), lines)
@@ -189,8 +190,8 @@ func TestNewStyleAPIBothEngines(t *testing.T) {
 // TestMixedAPIs: old-style mapper with new-style reducer (and vice versa),
 // the "any combination" support of §5.3.
 func TestMixedAPIs(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("x y x\n"))
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("x y x\n"))
 	// Old mapper + new reducer.
 	job := conf.NewJob()
 	job.AddInputPath("/in")
@@ -202,10 +203,10 @@ func TestMixedAPIs(t *testing.T) {
 	job.SetMapOutputValueClass(types.IntName)
 	job.SetOutputKeyClass(types.TextName)
 	job.SetOutputValueClass(types.IntName)
-	if _, err := c.m3r.Submit(job); err != nil {
+	if _, err := c.M3R.Submit(job); err != nil {
 		t.Fatalf("old map/new reduce: %v", err)
 	}
-	lines := readTextOutput(t, c.fs, "/out/mixed1")
+	lines := readTextOutput(t, c.FS, "/out/mixed1")
 	if len(lines) != 2 || lines[0] != "x\t2" || lines[1] != "y\t1" {
 		t.Errorf("mixed output: %v", lines)
 	}
@@ -220,10 +221,10 @@ func TestMixedAPIs(t *testing.T) {
 	job2.SetMapOutputValueClass(types.IntName)
 	job2.SetOutputKeyClass(types.TextName)
 	job2.SetOutputValueClass(types.IntName)
-	if _, err := c.hadoop.Submit(job2); err != nil {
+	if _, err := c.Hadoop.Submit(job2); err != nil {
 		t.Fatalf("new map/old reduce: %v", err)
 	}
-	lines = readTextOutput(t, c.fs, "/out/mixed2")
+	lines = readTextOutput(t, c.FS, "/out/mixed2")
 	if len(lines) != 2 || lines[0] != "x\t2" {
 		t.Errorf("mixed2 output: %v", lines)
 	}
@@ -232,9 +233,9 @@ func TestMixedAPIs(t *testing.T) {
 // TestMapOnlyJobBothEngines: zero reducers send map output straight to the
 // output format (§5.3).
 func TestMapOnlyJobBothEngines(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("hello\nworld\n"))
-	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("hello\nworld\n"))
+	for _, eng := range []engine.Engine{c.Hadoop, c.M3R} {
 		job := conf.NewJob()
 		job.SetJobName("maponly")
 		job.AddInputPath("/in")
@@ -247,7 +248,7 @@ func TestMapOnlyJobBothEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		lines := readTextOutput(t, c.fs, "/out/mo-"+eng.Name())
+		lines := readTextOutput(t, c.FS, "/out/mo-"+eng.Name())
 		joined := strings.Join(lines, "|")
 		if !strings.Contains(joined, "HELLO") || !strings.Contains(joined, "WORLD") {
 			t.Errorf("%s: output %v", eng.Name(), lines)
@@ -261,9 +262,9 @@ func TestMapOnlyJobBothEngines(t *testing.T) {
 // TestCustomComparators: descending sort comparator and first-character
 // grouping comparator, on both engines.
 func TestCustomComparators(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("apple\navocado\nbanana\ncherry\ncoconut\n"))
-	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("apple\navocado\nbanana\ncherry\ncoconut\n"))
+	for _, eng := range []engine.Engine{c.Hadoop, c.M3R} {
 		job := conf.NewJob()
 		job.AddInputPath("/in")
 		job.SetOutputPath("/out/cmp-" + eng.Name())
@@ -282,7 +283,7 @@ func TestCustomComparators(t *testing.T) {
 		// Descending sort puts 'c...' first; grouping by first letter
 		// yields groups c(2), b(1), a(2). The representative key is the
 		// first of each group in sort order.
-		lines := readTextOutput(t, c.fs, "/out/cmp-"+eng.Name())
+		lines := readTextOutput(t, c.FS, "/out/cmp-"+eng.Name())
 		if len(lines) != 3 {
 			t.Fatalf("%s: groups %v", eng.Name(), lines)
 		}
@@ -297,8 +298,8 @@ func TestCustomComparators(t *testing.T) {
 // Hadoop engine retries failed task attempts and completes; the M3R engine
 // fails the whole job on the first task failure.
 func TestFailureSemantics(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("some input line\n"))
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("some input line\n"))
 
 	newJob := func(out string) *conf.JobConf {
 		job := conf.NewJob()
@@ -317,19 +318,19 @@ func TestFailureSemantics(t *testing.T) {
 
 	// Hadoop: one injected failure, retry succeeds.
 	flakyRemaining.Store(1)
-	if _, err := c.hadoop.Submit(newJob("/out/flaky-h")); err != nil {
+	if _, err := c.Hadoop.Submit(newJob("/out/flaky-h")); err != nil {
 		t.Errorf("hadoop should survive one task failure: %v", err)
 	}
 
 	// M3R: no resilience — the job fails.
 	flakyRemaining.Store(1)
-	if _, err := c.m3r.Submit(newJob("/out/flaky-m")); err == nil {
+	if _, err := c.M3R.Submit(newJob("/out/flaky-m")); err == nil {
 		t.Error("m3r must fail the job on task failure (no resilience)")
 	}
 
 	// Hadoop: failures exceeding max attempts fail the job.
 	flakyRemaining.Store(100)
-	if _, err := c.hadoop.Submit(newJob("/out/flaky-h2")); err == nil {
+	if _, err := c.Hadoop.Submit(newJob("/out/flaky-h2")); err == nil {
 		t.Error("hadoop must fail after exhausting attempts")
 	}
 	flakyRemaining.Store(-1)
@@ -338,8 +339,8 @@ func TestFailureSemantics(t *testing.T) {
 // TestMultipleOutputs: a reducer writing a named side output, kept
 // cache-coherent under M3R (§4.2.2).
 func TestMultipleOutputs(t *testing.T) {
-	c := newCluster(t, 2)
-	dfs.WriteFile(c.fs, "/in/f", []byte("k k j\n"))
+	c := newCluster(t, lab.Options{Nodes: 2})
+	dfs.WriteFile(c.FS, "/in/f", []byte("k k j\n"))
 	job := conf.NewJob()
 	job.AddInputPath("/in")
 	job.SetOutputPath("/out/mo")
@@ -352,17 +353,17 @@ func TestMultipleOutputs(t *testing.T) {
 	job.SetOutputValueClass(types.IntName)
 	mapred.AddNamedOutput(job, "side", formats.SequenceFileOutputFormatName, types.TextName, types.IntName)
 
-	if _, err := c.m3r.Submit(job); err != nil {
+	if _, err := c.M3R.Submit(job); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	// The main output exists.
-	lines := readTextOutput(t, c.fs, "/out/mo")
+	lines := readTextOutput(t, c.FS, "/out/mo")
 	if len(lines) != 2 {
 		t.Fatalf("main output: %v", lines)
 	}
 	// The named output was written as a SequenceFile and entered the
 	// cache.
-	files, err := dfs.ListRecursive(c.fs, "/out/mo")
+	files, err := dfs.ListRecursive(c.FS, "/out/mo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +378,12 @@ func TestMultipleOutputs(t *testing.T) {
 		t.Fatalf("no side output among %+v", files)
 	}
 	for _, sidePath := range sidePaths {
-		pairs, err := formats.ReadSeqFileAll(c.fs, sidePath)
+		pairs, err := formats.ReadSeqFileAll(c.FS, sidePath)
 		if err != nil {
 			t.Fatalf("side pairs %s: %v", sidePath, err)
 		}
 		sidePairs += len(pairs)
-		if _, ok, err := c.m3r.CachingFS().GetCacheRecordReader(sidePath); err != nil || !ok {
+		if _, ok, err := c.M3R.CachingFS().GetCacheRecordReader(sidePath); err != nil || !ok {
 			t.Errorf("side output %s not cached", sidePath)
 		}
 		// The cached entry's blocks are homed at the place that ran the
@@ -393,12 +394,12 @@ func TestMultipleOutputs(t *testing.T) {
 		if _, err := fmt.Sscanf(dfs.Base(sidePath), "side-r-%d", &part); err != nil {
 			t.Fatalf("side file name %s: %v", sidePath, err)
 		}
-		info, ok := c.m3r.Cache().Store().GetInfo(sidePath)
+		info, ok := c.M3R.Cache().Store().GetInfo(sidePath)
 		if !ok || len(info.Blocks) == 0 {
 			t.Fatalf("no cache entry for %s", sidePath)
 		}
 		for _, b := range info.Blocks {
-			if want := c.m3r.PlaceOfPartition(part); b.Place != want {
+			if want := c.M3R.PlaceOfPartition(part); b.Place != want {
 				t.Errorf("%s block homed at place %d, want place %d (reduce partition %d)",
 					sidePath, b.Place, want, part)
 			}
@@ -412,11 +413,11 @@ func TestMultipleOutputs(t *testing.T) {
 // TestJobEndNotification: both engines fire the configured callback
 // (§5.3).
 func TestJobEndNotification(t *testing.T) {
-	c := newCluster(t, 1)
-	dfs.WriteFile(c.fs, "/in/f", []byte("x\n"))
+	c := newCluster(t, lab.Options{Nodes: 1})
+	dfs.WriteFile(c.FS, "/in/f", []byte("x\n"))
 	var fired atomic.Int32
 	engine.RegisterJobEndCallback("test-callback", func(string) { fired.Add(1) })
-	for i, eng := range []engine.Engine{c.hadoop, c.m3r} {
+	for i, eng := range []engine.Engine{c.Hadoop, c.M3R} {
 		job := conf.NewJob()
 		job.AddInputPath("/in")
 		job.SetOutputPath("/out/cb" + eng.Name())

@@ -19,6 +19,7 @@ import (
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -153,13 +154,13 @@ func orderJob(dir, out string, reducers int, mapper string) *conf.JobConf {
 // spill codec (and once unbudgeted, which pins that a difference is the
 // budgeted path's), and requires the same part files, byte for byte.
 func TestBudgetedShuffleEquivalence(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/words", 96<<10, 23); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/words", 96<<10, 23); err != nil {
 		t.Fatal(err)
 	}
-	writeOrderInput(t, c.fs, "/data/order", "abcdefgh", 5, 400)
+	writeOrderInput(t, c.FS, "/data/order", "abcdefgh", 5, 400)
 	// Only 'a' and 'c' groups: of four partitions, 1 and 3 get nothing.
-	writeOrderInput(t, c.fs, "/data/sparse", "ac", 3, 200)
+	writeOrderInput(t, c.FS, "/data/sparse", "ac", 3, 200)
 
 	wc := func(immutable, combiner bool) func(out string) *conf.JobConf {
 		return func(out string) *conf.JobConf {
@@ -224,10 +225,10 @@ func TestBudgetedShuffleEquivalence(t *testing.T) {
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := fmt.Sprintf("/out/c%02d", i)
-			if _, err := c.hadoop.Submit(tc.job(base + "/hadoop")); err != nil {
+			if _, err := c.Hadoop.Submit(tc.job(base + "/hadoop")); err != nil {
 				t.Fatalf("hadoop: %v", err)
 			}
-			want := readRawParts(t, c.fs, base+"/hadoop")
+			want := readRawParts(t, c.FS, base+"/hadoop")
 			var bytesOut int
 			for _, b := range want {
 				bytesOut += len(b)
@@ -245,11 +246,11 @@ func TestBudgetedShuffleEquivalence(t *testing.T) {
 				if leg.codec != "" {
 					job.Set(conf.KeyM3RSpillCodec, leg.codec)
 				}
-				rep, err := c.m3r.Submit(job)
+				rep, err := c.M3R.Submit(job)
 				if err != nil {
 					t.Fatalf("m3r %s: %v", leg.name, err)
 				}
-				assertSameParts(t, leg.name, readRawParts(t, c.fs, base+"/"+leg.name), want)
+				assertSameParts(t, leg.name, readRawParts(t, c.FS, base+"/"+leg.name), want)
 				if leg.budget > 0 {
 					if rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns) == 0 {
 						t.Errorf("%s: nothing spilled under a %d-byte budget", leg.name, leg.budget)
@@ -259,7 +260,7 @@ func TestBudgetedShuffleEquivalence(t *testing.T) {
 					}
 				}
 			}
-			if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+			if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 				t.Errorf("pool holds %d bytes after the jobs", held)
 			}
 		})

@@ -6,20 +6,20 @@ import (
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
 	"m3r/internal/hmrext"
-	"m3r/internal/m3r"
+	"m3r/internal/lab"
 	"m3r/internal/sim"
 	"m3r/internal/wordcount"
 )
 
 // submitWC generates input (once) and runs a wordcount on the M3R engine.
-func submitWC(t *testing.T, c *cluster, in, out string) {
+func submitWC(t *testing.T, c *lab.Cluster, in, out string) {
 	t.Helper()
-	if !c.fs.Exists(in) {
-		if err := wordcount.Generate(c.fs, in, 16<<10, 77); err != nil {
+	if !c.FS.Exists(in) {
+		if err := wordcount.Generate(c.FS, in, 16<<10, 77); err != nil {
 			t.Fatalf("generate: %v", err)
 		}
 	}
-	if _, err := c.m3r.Submit(wordcount.NewJob(in, out, 2, true)); err != nil {
+	if _, err := c.M3R.Submit(wordcount.NewJob(in, out, 2, true)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 }
@@ -28,30 +28,30 @@ func submitWC(t *testing.T, c *cluster, in, out string) {
 // filesystem transparently evicts it from the cache (§3.2.1), so a rerun
 // re-reads from disk.
 func TestCacheInvalidationOnDelete(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	submitWC(t, c, "/data/t", "/out/1")
 
 	// Second run: input splits come from the cache.
-	before := c.stats.Snapshot()
+	before := c.Stats.Snapshot()
 	submitWC(t, c, "/data/t", "/out/2")
-	d := sim.Delta(before, c.stats.Snapshot())
+	d := sim.Delta(before, c.Stats.Snapshot())
 	if d[sim.CacheMisses] != 0 {
 		t.Fatalf("second run missed the cache %d times", d[sim.CacheMisses])
 	}
 
 	// Deleting the input (via the caching fs) evicts its split entries.
-	cfs := c.m3r.CachingFS()
+	cfs := c.M3R.CachingFS()
 	// Re-create the data first since we are deleting the original.
-	data, _ := dfs.ReadAll(c.fs, "/data/t")
+	data, _ := dfs.ReadAll(c.FS, "/data/t")
 	if err := cfs.Delete("/data/t", false); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if err := dfs.WriteFile(cfs, "/data/t", data); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	before = c.stats.Snapshot()
+	before = c.Stats.Snapshot()
 	submitWC(t, c, "/data/t", "/out/3")
-	d = sim.Delta(before, c.stats.Snapshot())
+	d = sim.Delta(before, c.Stats.Snapshot())
 	if d[sim.CacheMisses] == 0 {
 		t.Error("run after delete should re-read from the filesystem")
 	}
@@ -60,17 +60,17 @@ func TestCacheInvalidationOnDelete(t *testing.T) {
 // TestCacheInvalidationOnRename: renames follow the data in the cache
 // (§3.2.1) — the renamed path serves cache hits, the old path is gone.
 func TestCacheInvalidationOnRename(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	submitWC(t, c, "/data/t", "/out/1")
-	cfs := c.m3r.CachingFS()
+	cfs := c.M3R.CachingFS()
 	if err := cfs.Rename("/data/t", "/data/moved"); err != nil {
 		t.Fatalf("rename: %v", err)
 	}
-	before := c.stats.Snapshot()
-	if _, err := c.m3r.Submit(wordcount.NewJob("/data/moved", "/out/2", 2, true)); err != nil {
+	before := c.Stats.Snapshot()
+	if _, err := c.M3R.Submit(wordcount.NewJob("/data/moved", "/out/2", 2, true)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	d := sim.Delta(before, c.stats.Snapshot())
+	d := sim.Delta(before, c.Stats.Snapshot())
 	if d[sim.CacheMisses] != 0 {
 		t.Errorf("renamed input missed the cache %d times; split entries should have moved", d[sim.CacheMisses])
 	}
@@ -79,9 +79,9 @@ func TestCacheInvalidationOnRename(t *testing.T) {
 // TestGetRawCache: operations on the synthetic cache-only filesystem evict
 // cached data without touching the underlying file (§4.2.3).
 func TestGetRawCache(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	submitWC(t, c, "/data/t", "/out/1")
-	var cacheFS hmrext.CacheFS = c.m3r.CachingFS()
+	var cacheFS hmrext.CacheFS = c.M3R.CachingFS()
 	raw := cacheFS.GetRawCache()
 
 	// The output is cached and on disk.
@@ -95,7 +95,7 @@ func TestGetRawCache(t *testing.T) {
 	if raw.Exists("/out/1/part-00000") {
 		t.Error("cache entry survived raw delete")
 	}
-	if !c.fs.Exists("/out/1/part-00000") {
+	if !c.FS.Exists("/out/1/part-00000") {
 		t.Error("raw cache delete must not touch the underlying file")
 	}
 	// Byte-level access through the raw cache is refused.
@@ -107,9 +107,9 @@ func TestGetRawCache(t *testing.T) {
 // TestGetCacheRecordReader: cache queries return the cached key/value
 // sequence (§4.2.4).
 func TestGetCacheRecordReader(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	submitWC(t, c, "/data/t", "/out/1")
-	cfs := c.m3r.CachingFS()
+	cfs := c.M3R.CachingFS()
 	it, ok, err := cfs.GetCacheRecordReader("/out/1/part-00000")
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestGetCacheRecordReader(t *testing.T) {
 func TestDedupAblation(t *testing.T) {
 	bytesWith := map[bool]int64{}
 	for _, dedup := range []bool{true, false} {
-		c := newCluster(t, 2)
-		if err := wordcount.Generate(c.fs, "/data/t", 16<<10, 3); err != nil {
+		c := newCluster(t, lab.Options{Nodes: 2})
+		if err := wordcount.Generate(c.FS, "/data/t", 16<<10, 3); err != nil {
 			t.Fatal(err)
 		}
 		job := wordcount.NewJob("/data/t", "/out/w", 4, true)
@@ -148,11 +148,11 @@ func TestDedupAblation(t *testing.T) {
 		// only check the knob wires through: same job, dedup off must not
 		// move FEWER bytes than dedup on.
 		job.SetBool(conf.KeyM3RDedup, dedup)
-		before := c.stats.Snapshot()
-		if _, err := c.m3r.Submit(job); err != nil {
+		before := c.Stats.Snapshot()
+		if _, err := c.M3R.Submit(job); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
-		d := sim.Delta(before, c.stats.Snapshot())
+		d := sim.Delta(before, c.Stats.Snapshot())
 		bytesWith[dedup] = d[sim.RemoteBytes]
 	}
 	if bytesWith[false] < bytesWith[true] {
@@ -161,27 +161,16 @@ func TestDedupAblation(t *testing.T) {
 }
 
 // TestForceHadoopFallback: a job carrying m3r.job.force.hadoop runs on the
-// fallback Hadoop engine when one is attached (§5.3 integrated mode).
+// fallback Hadoop engine when one is attached, as lab attaches one (§5.3
+// integrated mode).
 func TestForceHadoopFallback(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/t", 8<<10, 5); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/t", 8<<10, 5); err != nil {
 		t.Fatal(err)
 	}
-	me, err := m3r.New(m3r.Options{
-		Backing:  c.fs,
-		Places:   2,
-		Fallback: c.hadoop,
-		Stats:    c.stats,
-		Cost:     sim.Zero(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer me.Close()
-
 	job := wordcount.NewJob("/data/t", "/out/forced", 2, false)
 	job.SetBool(conf.KeyForceHadoop, true)
-	rep, err := me.Submit(job)
+	rep, err := c.M3R.Submit(job)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -189,7 +178,7 @@ func TestForceHadoopFallback(t *testing.T) {
 		t.Errorf("forced job ran on %q", rep.Engine)
 	}
 	// Without the flag it runs on m3r.
-	rep, err = me.Submit(wordcount.NewJob("/data/t", "/out/unforced", 2, false))
+	rep, err = c.M3R.Submit(wordcount.NewJob("/data/t", "/out/unforced", 2, false))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -201,18 +190,18 @@ func TestForceHadoopFallback(t *testing.T) {
 // TestCacheDisabled: with m3r.cache.enabled=false every run re-reads from
 // the filesystem (the cache ablation).
 func TestCacheDisabled(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/t", 16<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/t", 16<<10, 3); err != nil {
 		t.Fatal(err)
 	}
 	for i, out := range []string{"/out/1", "/out/2"} {
 		job := wordcount.NewJob("/data/t", out, 2, true)
 		job.SetBool(conf.KeyM3RCache, false)
-		before := c.stats.Snapshot()
-		if _, err := c.m3r.Submit(job); err != nil {
+		before := c.Stats.Snapshot()
+		if _, err := c.M3R.Submit(job); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		d := sim.Delta(before, c.stats.Snapshot())
+		d := sim.Delta(before, c.Stats.Snapshot())
 		if d[sim.CacheHits] != 0 {
 			t.Errorf("run %d hit the cache with caching disabled", i)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"m3r/internal/counters"
+	"m3r/internal/lab"
 	"m3r/internal/sysml"
 	"m3r/internal/wordcount"
 )
@@ -38,9 +39,9 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 	cfg := sysml.PageRankConfig{
 		Nodes: 120, BlockSize: 30, Sparsity: 0.1, Iterations: 3, Seed: 23,
 	}
-	run := func(t *testing.T, c *cluster) ([]uint64, *sysml.Driver) {
+	run := func(t *testing.T, c *lab.Cluster) ([]uint64, *sysml.Driver) {
 		t.Helper()
-		d := newDriver(t, c.m3r, "/pr", 3)
+		d := newDriver(t, c.M3R, "/pr", 3)
 		out, err := sysml.PageRank(d, cfg)
 		if err != nil {
 			t.Fatalf("pagerank: %v", err)
@@ -53,9 +54,9 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 
 	// Both runs without an engine pool, whatever the carrier says: a shuffle
 	// pool would share the places' bytes with the cache budget under test.
-	base := newClusterPool(t, 3, -1) // unbounded cache
+	base := newCluster(t, lab.Options{Nodes: 3, ShuffleBudgetBytes: -1}) // unbounded cache
 	baseBits, _ := run(t, base)
-	if n := base.m3r.Cache().Store().SpilledBlocks(); n != 0 {
+	if n := base.M3R.Cache().Store().SpilledBlocks(); n != 0 {
 		t.Fatalf("unbounded cache must not spill, spilled %d entries", n)
 	}
 
@@ -65,9 +66,9 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 	// each) and the partial products of the same iteration — so the tiering
 	// must both spill under pressure and readmit into the space the post-job
 	// temp drops free.
-	tight := newClusterCfg(t, 3, clusterConfig{poolBytes: -1, cacheBudget: 6 << 10})
+	tight := newCluster(t, lab.Options{Nodes: 3, ShuffleBudgetBytes: -1, CacheBudgetBytes: 6 << 10})
 	tightBits, td := run(t, tight)
-	st := tight.m3r.Cache().Store()
+	st := tight.M3R.Cache().Store()
 
 	if len(tightBits) != len(baseBits) {
 		t.Fatalf("budgeted run diverged: %d cells vs %d", len(tightBits), len(baseBits))
@@ -123,16 +124,16 @@ func TestPageRankTightCacheBudgetEquivalence(t *testing.T) {
 func TestFailedJobDrainsCacheReservations(t *testing.T) {
 	// No engine pool, whatever the carrier says: the cache's own 1 MiB
 	// budget is the ledger under test.
-	c := newClusterCfg(t, 2, clusterConfig{poolBytes: -1, cacheBudget: 1 << 20})
-	if err := wordcount.Generate(c.fs, "/data/cachefail", 32<<10, 9); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: -1, CacheBudgetBytes: 1 << 20})
+	if err := wordcount.Generate(c.FS, "/data/cachefail", 32<<10, 9); err != nil {
 		t.Fatal(err)
 	}
 
 	// Job 1 (success) caches the input's split entries and its output.
-	if _, err := c.m3r.Submit(wordcount.NewJob("/data/cachefail", "/out/wc1", 2, false)); err != nil {
+	if _, err := c.M3R.Submit(wordcount.NewJob("/data/cachefail", "/out/wc1", 2, false)); err != nil {
 		t.Fatalf("seed job: %v", err)
 	}
-	st := c.m3r.Cache().Store()
+	st := c.M3R.Cache().Store()
 	held0, res0 := st.BudgetHeldBytes(), st.ResidentBytes()
 	if held0 == 0 || held0 != res0 {
 		t.Fatalf("seed job should leave a clean resident cache: held=%d resident=%d", held0, res0)
@@ -143,7 +144,7 @@ func TestFailedJobDrainsCacheReservations(t *testing.T) {
 	// the ledger returns exactly to the seed level.
 	fail := wordcount.NewJob("/data/cachefail", "/out/wcfail", 2, false)
 	fail.SetReducerClass("test.FailingReducer")
-	if _, err := c.m3r.Submit(fail); err == nil {
+	if _, err := c.M3R.Submit(fail); err == nil {
 		t.Fatal("job with failing reducer should fail")
 	}
 	if held, res := st.BudgetHeldBytes(), st.ResidentBytes(); held != held0 || res != res0 {
@@ -154,17 +155,17 @@ func TestFailedJobDrainsCacheReservations(t *testing.T) {
 	// Job 3 reruns the failed job without the fault: served partly from the
 	// cache the failure left behind, byte-identical to a failure-free
 	// cluster.
-	if _, err := c.m3r.Submit(wordcount.NewJob("/data/cachefail", "/out/wc3", 2, false)); err != nil {
+	if _, err := c.M3R.Submit(wordcount.NewJob("/data/cachefail", "/out/wc3", 2, false)); err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
 
-	clean := newClusterCfg(t, 2, clusterConfig{poolBytes: -1, cacheBudget: 1 << 20})
-	if err := wordcount.Generate(clean.fs, "/data/cachefail", 32<<10, 9); err != nil {
+	clean := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: -1, CacheBudgetBytes: 1 << 20})
+	if err := wordcount.Generate(clean.FS, "/data/cachefail", 32<<10, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.m3r.Submit(wordcount.NewJob("/data/cachefail", "/out/wc3", 2, false)); err != nil {
+	if _, err := clean.M3R.Submit(wordcount.NewJob("/data/cachefail", "/out/wc3", 2, false)); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	requireSameLines(t, "post-failure rerun vs clean cluster",
-		readTextOutput(t, clean.fs, "/out/wc3"), readTextOutput(t, c.fs, "/out/wc3"))
+		readTextOutput(t, clean.FS, "/out/wc3"), readTextOutput(t, c.FS, "/out/wc3"))
 }

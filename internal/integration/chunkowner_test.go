@@ -7,6 +7,7 @@ import (
 
 	"m3r/internal/engine"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/microbench"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -17,7 +18,7 @@ import (
 // sizes that matter to the shuffle's ownership rule: one byte, either side of
 // the floor from which a decoded value points into the arrived chunk, an
 // ordinary 2 KiB, and one larger than two ceiling-sized chunks.
-func writeSizedInput(t *testing.T, c *cluster, cfg microbench.Config) {
+func writeSizedInput(t *testing.T, c *lab.Cluster, cfg microbench.Config) {
 	t.Helper()
 	sizes := []int{1, wio.OwnedFloor - 1, wio.OwnedFloor, 2048, 2*x10.ChunkCeiling + 1}
 	files := make([][]wio.Pair, cfg.Partitions)
@@ -28,7 +29,7 @@ func writeSizedInput(t *testing.T, c *cluster, cfg microbench.Config) {
 	}
 	for q, pairs := range files {
 		path := fmt.Sprintf("%s/part-%05d", cfg.InputDir(), q)
-		if err := formats.WriteSeqFile(c.fs, path, types.IntName, types.BytesName, pairs); err != nil {
+		if err := formats.WriteSeqFile(c.FS, path, types.IntName, types.BytesName, pairs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +55,7 @@ func TestRemoteValuesOutliveTheirStreams(t *testing.T) {
 			if transport == "tcp" {
 				tr = x10.NewTCPTransport(startFrameServers(t, places, x10.FrameServerOptions{}), x10.TCPOptions{})
 			}
-			c := newClusterTransport(t, places, tr)
+			c := newCluster(t, lab.Options{Nodes: places, Transport: tr})
 			pipelines := func(engineName string, round int) []microbench.Config {
 				dir := fmt.Sprintf("/own/%s%d", engineName, round)
 				return []microbench.Config{
@@ -64,9 +65,9 @@ func TestRemoteValuesOutliveTheirStreams(t *testing.T) {
 			}
 			run := func(engineName string, round int) {
 				t.Helper()
-				eng := map[string]engine.Engine{"m3r": c.m3r, "hadoop": c.hadoop}[engineName]
+				eng := map[string]engine.Engine{"m3r": c.M3R, "hadoop": c.Hadoop}[engineName]
 				cfgs := pipelines(engineName, round)
-				if err := microbench.Generate(c.fs, cfgs[0]); err != nil {
+				if err := microbench.Generate(c.FS, cfgs[0]); err != nil {
 					t.Fatal(err)
 				}
 				writeSizedInput(t, c, cfgs[1])
@@ -80,12 +81,12 @@ func TestRemoteValuesOutliveTheirStreams(t *testing.T) {
 			run("m3r", 1)
 			run("m3r", 2)
 
-			cache := c.m3r.CachingFS().Cache()
+			cache := c.M3R.CachingFS().Cache()
 			want, got := pipelines("hadoop", 1), pipelines("m3r", 1)
 			for i := range want {
 				for q := 0; q < places; q++ {
 					part := fmt.Sprintf("/final/part-%05d", q)
-					ref, err := formats.ReadSeqFileAll(c.fs, want[i].Dir+part)
+					ref, err := formats.ReadSeqFileAll(c.FS, want[i].Dir+part)
 					if err != nil {
 						t.Fatal(err)
 					}

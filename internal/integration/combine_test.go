@@ -14,6 +14,7 @@ import (
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/mapreduce"
 	"m3r/internal/matrix"
@@ -234,8 +235,8 @@ func orderReferenceBy(t *testing.T, fs dfs.FileSystem, dir string, groupOf func(
 // byte for byte, to the Hadoop engine's (which spills, and so combines,
 // several times a task) and to the sequential reference.
 func TestCombinerOrderEquivalence(t *testing.T) {
-	c := newCluster(t, 3)
-	orderInput(t, c.fs, "/in/order")
+	c := newCluster(t, lab.Options{Nodes: 3})
+	orderInput(t, c.FS, "/in/order")
 	mappers := []struct{ name, class string }{
 		{"reusing", "test.order.ReusingMapper"},
 		{"fresh", "test.order.FreshMapper"},
@@ -295,12 +296,12 @@ func TestCombinerOrderEquivalence(t *testing.T) {
 				// A file's 1 500 tagged words are some 20 KB of records:
 				// several spills, so several combiner passes, a map task.
 				hJob.SetInt(conf.KeySortBytes, 4096)
-				if _, err := c.hadoop.Submit(hJob); err != nil {
+				if _, err := c.Hadoop.Submit(hJob); err != nil {
 					t.Fatalf("%s: hadoop: %v", leg, err)
 				}
-				want := readRawParts(t, c.fs, fmt.Sprintf("/out/order/h%d", n))
+				want := readRawParts(t, c.FS, fmt.Sprintf("/out/order/h%d", n))
 				assertSameParts(t, leg+": hadoop vs reference", want,
-					orderReference(t, c.fs, "/in/order", orderFolds[cb.fold], orderFolds[reduceFold], R))
+					orderReference(t, c.FS, "/in/order", orderFolds[cb.fold], orderFolds[reduceFold], R))
 
 				for _, budget := range []int64{-1, 8192} {
 					mleg := fmt.Sprintf("%s/budget=%d", leg, budget)
@@ -316,11 +317,11 @@ func TestCombinerOrderEquivalence(t *testing.T) {
 							map[bool]string{true: "with", false: "without"}[cb.grouping])
 					}
 					setups := newAPISetups.Load()
-					report, err := c.m3r.Submit(job)
+					report, err := c.M3R.Submit(job)
 					if err != nil {
 						t.Fatalf("%s: m3r: %v", mleg, err)
 					}
-					assertSameParts(t, mleg, readRawParts(t, c.fs, out), want)
+					assertSameParts(t, mleg, readRawParts(t, c.FS, out), want)
 
 					mapOut := report.Counters.Value(counters.TaskGroup, counters.MapOutputRecords)
 					combineIn := report.Counters.Value(counters.TaskGroup, counters.CombineInputRecords)
@@ -356,8 +357,8 @@ func TestCombinerOrderEquivalence(t *testing.T) {
 // threshold must double and the combiner see each value a couple of times,
 // not once per record collected after the 64th.
 func TestCombinerThresholdDoubles(t *testing.T) {
-	c := newCluster(t, 1)
-	if err := dfs.WriteFile(c.fs, "/in/onekey/f", bytes.Repeat([]byte("k k k k k k k k k k\n"), 100)); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 1})
+	if err := dfs.WriteFile(c.FS, "/in/onekey/f", bytes.Repeat([]byte("k k k k k k k k k k\n"), 100)); err != nil {
 		t.Fatal(err)
 	}
 	build := func(out string) *conf.JobConf {
@@ -373,17 +374,17 @@ func TestCombinerThresholdDoubles(t *testing.T) {
 		job.SetOutputValueClass(types.TextName)
 		return job
 	}
-	if _, err := c.hadoop.Submit(build("/out/onekey/h")); err != nil {
+	if _, err := c.Hadoop.Submit(build("/out/onekey/h")); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.m3r.Submit(build("/out/onekey/m"))
+	report, err := c.M3R.Submit(build("/out/onekey/m"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := readRawParts(t, c.fs, "/out/onekey/h")
-	assertSameParts(t, "m3r vs hadoop", readRawParts(t, c.fs, "/out/onekey/m"), want)
+	want := readRawParts(t, c.FS, "/out/onekey/h")
+	assertSameParts(t, "m3r vs hadoop", readRawParts(t, c.FS, "/out/onekey/m"), want)
 	assertSameParts(t, "hadoop vs reference", want,
-		orderReference(t, c.fs, "/in/onekey", orderFolds["identity"], orderFolds["concat"], 1))
+		orderReference(t, c.FS, "/in/onekey", orderFolds["identity"], orderFolds["concat"], 1))
 	// A map task that collected n values folds 64, 128, 256, ... and at
 	// last all n: under 2n. Folding once per record would be 64 values or
 	// more for every record after the 64th.

@@ -7,6 +7,7 @@ import (
 	"m3r/internal/counters"
 	"m3r/internal/engine"
 	"m3r/internal/hadoop"
+	"m3r/internal/lab"
 	"m3r/internal/m3r"
 	"m3r/internal/microbench"
 	"m3r/internal/sim"
@@ -23,9 +24,9 @@ func TestCountedOnce(t *testing.T) {
 	// names the site): its sort spills, which its reports do not carry.
 	hadoopDirect := map[string]bool{sim.SpillBytes: true, sim.SpillRawBytes: true, sim.SpillFiles: true}
 
-	wordCount := func(combiner bool, budget int64, set ...string) func(c *cluster, eng engine.Engine) ([]*engine.Report, error) {
-		return func(c *cluster, eng engine.Engine) ([]*engine.Report, error) {
-			if err := wordcount.Generate(c.fs, "/data/t", 128<<10, 3); err != nil {
+	wordCount := func(combiner bool, budget int64, set ...string) func(c *lab.Cluster, eng engine.Engine) ([]*engine.Report, error) {
+		return func(c *lab.Cluster, eng engine.Engine) ([]*engine.Report, error) {
+			if err := wordcount.Generate(c.FS, "/data/t", 128<<10, 3); err != nil {
 				return nil, err
 			}
 			job := wordcount.NewJob("/data/t", "/out/wc", 3, false)
@@ -44,7 +45,7 @@ func TestCountedOnce(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		run  func(c *cluster, eng engine.Engine) ([]*engine.Report, error)
+		run  func(c *lab.Cluster, eng engine.Engine) ([]*engine.Report, error)
 		// moved lists statistics the case exists to move on the M3R engine.
 		moved []string
 	}{
@@ -60,9 +61,9 @@ func TestCountedOnce(t *testing.T) {
 		// Three chained jobs, every pair remote; the second and third read the
 		// previous one's output from the cache.
 		{name: "remote shuffle microbenchmark, cached after the first job",
-			run: func(c *cluster, eng engine.Engine) ([]*engine.Report, error) {
+			run: func(c *lab.Cluster, eng engine.Engine) ([]*engine.Report, error) {
 				cfg := microConfig("/mb", 100)
-				if err := microbench.Generate(c.fs, cfg); err != nil {
+				if err := microbench.Generate(c.FS, cfg); err != nil {
 					return nil, err
 				}
 				return microbench.Run(eng, cfg)
@@ -74,19 +75,19 @@ func TestCountedOnce(t *testing.T) {
 				// No engine pool, whatever the carrier says: the cases pick
 				// their own budgets, and a shared pool would move the
 				// eviction and spill statistics they assert on.
-				c := newClusterPool(t, 3, -1)
-				var eng engine.Engine = c.m3r
+				c := newCluster(t, lab.Options{Nodes: 3, ShuffleBudgetBytes: -1})
+				var eng engine.Engine = c.M3R
 				if engineName == "hadoop" {
-					eng = c.hadoop
+					eng = c.Hadoop
 				}
 				// The input is written before the snapshot; no mapped
 				// statistic moves outside a job.
-				before := c.stats.Snapshot()
+				before := c.Stats.Snapshot()
 				reports, err := tc.run(c, eng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := sim.Delta(before, c.stats.Snapshot())
+				d := sim.Delta(before, c.Stats.Snapshot())
 				for _, row := range counters.TaskStats {
 					if engineName == "hadoop" && hadoopDirect[row.Stat] {
 						continue
@@ -138,12 +139,12 @@ func TestReportListsOnlyTouchedCounters(t *testing.T) {
 	} {
 		for _, engineName := range []string{"m3r", "hadoop"} {
 			t.Run(tc.name+"/"+engineName, func(t *testing.T) {
-				c := newClusterPool(t, 3, -1)
-				var eng engine.Engine = c.m3r
+				c := newCluster(t, lab.Options{Nodes: 3, ShuffleBudgetBytes: -1})
+				var eng engine.Engine = c.M3R
 				if engineName == "hadoop" {
-					eng = c.hadoop
+					eng = c.Hadoop
 				}
-				if err := wordcount.Generate(c.fs, "/data/t", 64<<10, 3); err != nil {
+				if err := wordcount.Generate(c.FS, "/data/t", 64<<10, 3); err != nil {
 					t.Fatal(err)
 				}
 				job := wordcount.NewJob("/data/t", "/out/wc", 3, false)
@@ -178,16 +179,16 @@ func TestReportListsOnlyTouchedCounters(t *testing.T) {
 // absorb step and every caller of Stats() — Reset and Names do not take a nil
 // receiver — see a real one.
 func TestEnginesMakeTheirOwnStats(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/t", 32<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/t", 32<<10, 3); err != nil {
 		t.Fatal(err)
 	}
-	he, err := hadoop.New(hadoop.Options{FS: c.fs, LocalDir: t.TempDir()})
+	he, err := hadoop.New(hadoop.Options{FS: c.FS, LocalDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer he.Close()
-	me, err := m3r.New(m3r.Options{Backing: c.fs, Places: 2})
+	me, err := m3r.New(m3r.Options{Backing: c.FS, Places: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

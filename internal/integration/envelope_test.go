@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,9 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
+	"m3r/internal/hadoop"
+	"m3r/internal/lab"
+	"m3r/internal/m3r"
 	"m3r/internal/mapred"
 	"m3r/internal/spill"
 	"m3r/internal/types"
@@ -200,31 +204,52 @@ var envelopeRows = []envelopeRow{
 		arm: func(p *envelopeProbe, _ *engine.JobLifecycle) { p.reduceFault.Store(faultPanic) }},
 }
 
+// faultCluster is base with both engines rebuilt over fault, which stands
+// between them and base's HDFS (FS stays the bare one): what lab.Options
+// cannot express. pool is the M3R engine's ShuffleBudgetBytes.
+func faultCluster(t *testing.T, base *lab.Cluster, fault *envelopeFS, pool int64) *lab.Cluster {
+	t.Helper()
+	fault.FileSystem = base.FS
+	he, err := hadoop.New(hadoop.Options{FS: fault, Nodes: base.FS.Hosts(), LocalDir: t.TempDir(), Stats: base.Stats, Cost: base.Cost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := m3r.New(m3r.Options{Backing: fault, Places: base.Nodes, ShuffleBudgetBytes: pool, Stats: base.Stats, Cost: base.Cost})
+	if err != nil {
+		he.Close()
+		t.Fatal(err)
+	}
+	c := &lab.Cluster{FS: base.FS, Hadoop: he, M3R: me, Stats: base.Stats, Cost: base.Cost, Nodes: base.Nodes}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return c
+}
+
 func TestJobEnvelope(t *testing.T) {
 	legs := []struct {
 		name string
 		pool int64 // m3r.Options.ShuffleBudgetBytes
-		eng  func(c *cluster) engine.Engine
+		eng  func(c *lab.Cluster) engine.Engine
 		conf func(job *conf.JobConf)
 	}{
-		{name: "hadoop", pool: -1, eng: func(c *cluster) engine.Engine { return c.hadoop }},
+		{name: "hadoop", pool: -1, eng: func(c *lab.Cluster) engine.Engine { return c.Hadoop }},
 		// An explicit zero opts the job out of whatever budget the
 		// environment's defaults carry.
-		{name: "m3r", pool: -1, eng: func(c *cluster) engine.Engine { return c.m3r },
+		{name: "m3r", pool: -1, eng: func(c *lab.Cluster) engine.Engine { return c.M3R },
 			conf: func(job *conf.JobConf) { job.SetInt64(conf.KeyM3RShuffleBudget, 0) }},
-		{name: "m3r budgeted", pool: 1 << 20, eng: func(c *cluster) engine.Engine { return c.m3r }},
+		{name: "m3r budgeted", pool: 1 << 20, eng: func(c *lab.Cluster) engine.Engine { return c.M3R }},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
 			fault := &envelopeFS{}
-			c := newClusterCfg(t, 2, clusterConfig{poolBytes: leg.pool, wrap: func(fs dfs.FileSystem) dfs.FileSystem {
-				fault.FileSystem = fs
-				return fault
-			}})
-			if err := wordcount.Generate(c.fs, "/data/E", 32<<10, 23); err != nil {
+			c := faultCluster(t, newCluster(t, lab.Options{Nodes: 2}), fault, leg.pool)
+			if err := wordcount.Generate(c.FS, "/data/E", 32<<10, 23); err != nil {
 				t.Fatal(err)
 			}
-			want, err := wordcount.CountReference(c.fs, "/data/E")
+			want, err := wordcount.CountReference(c.FS, "/data/E")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +279,7 @@ func TestJobEnvelope(t *testing.T) {
 			for i, row := range envelopeRows {
 				t.Run(row.name, func(t *testing.T) {
 					id := leg.name + "/" + row.name
-					out := "/out/e" + itoa(i)
+					out := "/out/e" + strconv.Itoa(i)
 					// Through the engine's own filesystem: on M3R the cache is
 					// part of what "exists" means.
 					engFS, err := dfs.Instance(eng.FileSystem())
@@ -310,13 +335,13 @@ func TestJobEnvelope(t *testing.T) {
 					case row.is == nil && !strings.Contains(err.Error(), row.contains):
 						t.Fatalf("error = %v, want one that mentions %q", err, row.contains)
 					}
-					if got := c.fs.Exists(out); got != row.exists {
+					if got := c.FS.Exists(out); got != row.exists {
 						t.Errorf("after the failure: %s exists on the filesystem = %v, want %v", out, got, row.exists)
 					}
 					if got := engFS.Exists(out); got != row.exists {
 						t.Errorf("after the failure: %s exists for the engine's jobs = %v, want %v", out, got, row.exists)
 					}
-					if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+					if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 						t.Errorf("shuffle pool holds %d bytes after the failure", held)
 					}
 					if got := spill.OpenStreamCount(); got != streams {
@@ -341,7 +366,7 @@ func TestJobEnvelope(t *testing.T) {
 					if _, err := eng.Submit(mkJob("", out)); err != nil {
 						t.Fatalf("the corrected job, resubmitted to %s: %v", out, err)
 					}
-					checkCounts(t, readTextOutput(t, c.fs, out), want)
+					checkCounts(t, readTextOutput(t, c.FS, out), want)
 					if got := dfs.OpenReaderCount(); got != readers {
 						t.Errorf("OpenReaderCount %d after the corrected job, was %d before the first", got, readers)
 					}

@@ -8,6 +8,7 @@ import (
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -35,8 +36,8 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 		sizeKB := 4 + rng.Intn(60)
 		seqOutput := rng.Intn(2) == 0 && mapperName != mapred.IdentityMapperName
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			c := newCluster(t, 1+rng.Intn(4))
-			if err := wc.Generate(c.fs, "/data/t", int64(sizeKB)<<10, int64(trial)); err != nil {
+			c := newCluster(t, lab.Options{Nodes: 1 + rng.Intn(4)})
+			if err := wc.Generate(c.FS, "/data/t", int64(sizeKB)<<10, int64(trial)); err != nil {
 				t.Fatalf("generate: %v", err)
 			}
 
@@ -69,15 +70,15 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 				return job
 			}
 
-			if _, err := c.hadoop.Submit(build("/out/h")); err != nil {
+			if _, err := c.Hadoop.Submit(build("/out/h")); err != nil {
 				t.Fatalf("hadoop: %v", err)
 			}
-			if _, err := c.m3r.Submit(build("/out/m")); err != nil {
+			if _, err := c.M3R.Submit(build("/out/m")); err != nil {
 				t.Fatalf("m3r: %v", err)
 			}
 
-			hPairs := readAllOutput(t, c.fs, "/out/h", seqOutput)
-			mPairs := readAllOutput(t, c.fs, "/out/m", seqOutput)
+			hPairs := readAllOutput(t, c.FS, "/out/h", seqOutput)
+			mPairs := readAllOutput(t, c.FS, "/out/m", seqOutput)
 			if len(hPairs) != len(mPairs) {
 				t.Fatalf("output sizes differ: hadoop %d vs m3r %d (mapper=%s reducers=%d combiner=%v)",
 					len(hPairs), len(mPairs), mapperName, reducers, combiner)
@@ -114,7 +115,7 @@ func init() {
 // allocates is its own: the output must stay byte-identical to the Hadoop
 // engine's.
 func TestEngineEquivalenceSkewFlip(t *testing.T) {
-	c := newCluster(t, 1)
+	c := newCluster(t, lab.Options{Nodes: 1})
 	rng := rand.New(rand.NewSource(18))
 	for f, shape := range []struct {
 		letter byte
@@ -125,7 +126,7 @@ func TestEngineEquivalenceSkewFlip(t *testing.T) {
 			text = fmt.Appendf(text, "%c%03d", shape.letter, rng.Intn(300))
 			text = append(text, " \n"[min(w%12/11, 1)])
 		}
-		if err := dfs.WriteFile(c.fs, fmt.Sprintf("/in/skew/f%d", f), text); err != nil {
+		if err := dfs.WriteFile(c.FS, fmt.Sprintf("/in/skew/f%d", f), text); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,18 +140,18 @@ func TestEngineEquivalenceSkewFlip(t *testing.T) {
 			return job
 		}
 		leg := fmt.Sprintf("combiner=%v", combiner)
-		if _, err := c.hadoop.Submit(build("/out/skew-h-" + leg)); err != nil {
+		if _, err := c.Hadoop.Submit(build("/out/skew-h-" + leg)); err != nil {
 			t.Fatalf("%s: hadoop: %v", leg, err)
 		}
-		if _, err := c.m3r.Submit(build("/out/skew-m-" + leg)); err != nil {
+		if _, err := c.M3R.Submit(build("/out/skew-m-" + leg)); err != nil {
 			t.Fatalf("%s: m3r: %v", leg, err)
 		}
-		want := readRawParts(t, c.fs, "/out/skew-h-"+leg)
+		want := readRawParts(t, c.FS, "/out/skew-h-"+leg)
 		if len(want["part-00000"]) == 0 || len(want["part-00003"]) == 0 || len(want["part-00002"]) != 0 {
 			t.Fatalf("%s: the partitioner did not skew the output: part sizes %d %d %d %d", leg,
 				len(want["part-00000"]), len(want["part-00001"]), len(want["part-00002"]), len(want["part-00003"]))
 		}
-		assertSameParts(t, leg, readRawParts(t, c.fs, "/out/skew-m-"+leg), want)
+		assertSameParts(t, leg, readRawParts(t, c.FS, "/out/skew-m-"+leg), want)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/hadoop"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
@@ -284,13 +285,13 @@ func assertNoJobDroppings(t *testing.T, fs dfs.FileSystem, dir string, allowPart
 // ErrJobKilled cause, the shared shuffle pool drains, no spill stream stays
 // open, and no commit scratch survives.
 func TestKillGridBothEngines(t *testing.T) {
-	c := newClusterPool(t, 2, 1<<20) // engine pool: held-bytes must return to 0
-	if err := wordcount.Generate(c.fs, "/data/K", 256<<10, 7); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: 1 << 20}) // engine pool: held-bytes must return to 0
+	if err := wordcount.Generate(c.FS, "/data/K", 256<<10, 7); err != nil {
 		t.Fatal(err)
 	}
 	streamBase, readerBase := spill.OpenStreamCount(), dfs.OpenReaderCount()
 
-	engines := []engine.Engine{c.m3r, c.hadoop}
+	engines := []engine.Engine{c.M3R, c.Hadoop}
 	for _, eng := range engines {
 		sc, ok := eng.(engine.LifecycleSubmitter)
 		if !ok {
@@ -305,7 +306,7 @@ func TestKillGridBothEngines(t *testing.T) {
 
 				out := "/out/kill-" + gateID
 				job := killGridJob("/data/K", out, gateID, leg)
-				killedBefore := c.stats.Get(sim.JobsKilled)
+				killedBefore := c.Stats.Get(sim.JobsKilled)
 
 				lc := engine.NewJobLifecycle()
 				errCh := make(chan error, 1)
@@ -334,10 +335,10 @@ func TestKillGridBothEngines(t *testing.T) {
 				if errors.Is(err, engine.ErrDeadlineExceeded) {
 					t.Fatalf("kill misclassified as deadline: %v", err)
 				}
-				if got := c.stats.Get(sim.JobsKilled); got != killedBefore+1 {
+				if got := c.Stats.Get(sim.JobsKilled); got != killedBefore+1 {
 					t.Errorf("jobs.killed = %d, want %d", got, killedBefore+1)
 				}
-				if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+				if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 					t.Errorf("shuffle pool holds %d bytes after kill", held)
 				}
 				if got := spill.OpenStreamCount(); got != streamBase {
@@ -346,7 +347,7 @@ func TestKillGridBothEngines(t *testing.T) {
 				if got := dfs.OpenReaderCount(); got != readerBase {
 					t.Errorf("OpenReaderCount %d, baseline %d: leaked HDFS readers", got, readerBase)
 				}
-				assertNoJobDroppings(t, c.fs, out, leg.name == "commit")
+				assertNoJobDroppings(t, c.FS, out, leg.name == "commit")
 			})
 		}
 	}
@@ -356,13 +357,13 @@ func TestKillGridBothEngines(t *testing.T) {
 // fails with the distinct deadline cause on both engines, through plain
 // Submit (the engine arms the watchdog from the job conf itself).
 func TestDeadlineBothEngines(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/D", 64<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/D", 64<<10, 3); err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []engine.Engine{c.m3r, c.hadoop} {
+	for _, eng := range []engine.Engine{c.M3R, c.Hadoop} {
 		t.Run(eng.Name(), func(t *testing.T) {
-			before := c.stats.Get(sim.JobsDeadlineExceeded)
+			before := c.Stats.Get(sim.JobsDeadlineExceeded)
 			job := conf.NewJob()
 			job.SetJobName("deadline")
 			job.AddInputPath("/data/D")
@@ -382,10 +383,10 @@ func TestDeadlineBothEngines(t *testing.T) {
 			if errors.Is(err, engine.ErrJobKilled) {
 				t.Fatalf("deadline misclassified as kill: %v", err)
 			}
-			if got := c.stats.Get(sim.JobsDeadlineExceeded); got != before+1 {
+			if got := c.Stats.Get(sim.JobsDeadlineExceeded); got != before+1 {
 				t.Errorf("jobs.deadline.exceeded = %d, want %d", got, before+1)
 			}
-			assertNoJobDroppings(t, c.fs, "/out/deadline-"+eng.Name(), false)
+			assertNoJobDroppings(t, c.FS, "/out/deadline-"+eng.Name(), false)
 		})
 	}
 }
@@ -394,8 +395,8 @@ func TestDeadlineBothEngines(t *testing.T) {
 // create faults injected under two task attempts are absorbed by retry, the
 // job succeeds, and its output is byte-identical to a fault-free run.
 func TestHadoopRetryFlakyFS(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/F", 64<<10, 13); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/F", 64<<10, 13); err != nil {
 		t.Fatal(err)
 	}
 	mkJob := func(out string) *conf.JobConf {
@@ -403,19 +404,19 @@ func TestHadoopRetryFlakyFS(t *testing.T) {
 		job.SetInt64("io.sort.bytes", 2048) // multi-spill map tasks: many creates
 		return job
 	}
-	if _, err := c.hadoop.Submit(mkJob("/out/retry-clean")); err != nil {
+	if _, err := c.Hadoop.Submit(mkJob("/out/retry-clean")); err != nil {
 		t.Fatal(err)
 	}
-	want := readRawParts(t, c.fs, "/out/retry-clean")
+	want := readRawParts(t, c.FS, "/out/retry-clean")
 
 	hook, fired := hadoop.FailNthCreates(1, 2)
 	hadoop.SetCreateFileFault(hook)
 	defer hadoop.SetCreateFileFault(nil)
-	retriesBefore := c.stats.Get(sim.TaskRetries)
+	retriesBefore := c.Stats.Get(sim.TaskRetries)
 	job := mkJob("/out/retry-flaky")
 	job.SetInt(conf.KeyMaxMapAttempts, 4)
 	job.SetInt(conf.KeyMaxReduceAttempts, 4)
-	rep, err := c.hadoop.Submit(job)
+	rep, err := c.Hadoop.Submit(job)
 	if err != nil {
 		t.Fatalf("flaky job did not survive retry: %v", err)
 	}
@@ -425,10 +426,10 @@ func TestHadoopRetryFlakyFS(t *testing.T) {
 	if got := rep.Counters.Value(counters.JobGroup, counters.TaskAttemptRetries); got < 1 {
 		t.Errorf("TASK_ATTEMPT_RETRIES = %d, want >= 1", got)
 	}
-	if got := c.stats.Get(sim.TaskRetries); got <= retriesBefore {
+	if got := c.Stats.Get(sim.TaskRetries); got <= retriesBefore {
 		t.Errorf("task.retries did not move (%d)", got)
 	}
-	assertSameParts(t, "flaky-retry", readRawParts(t, c.fs, "/out/retry-flaky"), want)
+	assertSameParts(t, "flaky-retry", readRawParts(t, c.FS, "/out/retry-flaky"), want)
 
 	// With a single attempt allowed, the same fault is terminal and carries
 	// the injected cause.
@@ -437,7 +438,7 @@ func TestHadoopRetryFlakyFS(t *testing.T) {
 	job = mkJob("/out/retry-off")
 	job.SetInt(conf.KeyMaxMapAttempts, 1)
 	job.SetInt(conf.KeyMaxReduceAttempts, 1)
-	if _, err := c.hadoop.Submit(job); !errors.Is(err, hadoop.ErrInjectedFault) {
+	if _, err := c.Hadoop.Submit(job); !errors.Is(err, hadoop.ErrInjectedFault) {
 		t.Fatalf("single-attempt flaky job: %v, want the injected fault", err)
 	}
 }
@@ -447,11 +448,11 @@ func TestHadoopRetryFlakyFS(t *testing.T) {
 // hadoop engine — the paper's integrated-mode resilience story (§5.3) made
 // automatic. Off by default: without the key the failure is terminal.
 func TestM3RFailoverToHadoop(t *testing.T) {
-	c := newClusterFallback(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/FO", 32<<10, 17); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/FO", 32<<10, 17); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/FO")
+	want, err := wordcount.CountReference(c.FS, "/data/FO")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,13 +481,13 @@ func TestM3RFailoverToHadoop(t *testing.T) {
 	// Failover off (the default): the injected task failure is terminal,
 	// M3R's "no resilience" design point.
 	arm("fo-off")
-	if _, err := c.m3r.Submit(mkJob("fo-off", "/out/fo-off", false)); !errors.Is(err, errInjectedTask) {
+	if _, err := c.M3R.Submit(mkJob("fo-off", "/out/fo-off", false)); !errors.Is(err, errInjectedTask) {
 		t.Fatalf("without failover: %v, want the injected task failure", err)
 	}
 
 	// Failover on: the job rolls back and reruns on the hadoop engine.
 	arm("fo-on")
-	rep, err := c.m3r.Submit(mkJob("fo-on", "/out/fo-on", true))
+	rep, err := c.M3R.Submit(mkJob("fo-on", "/out/fo-on", true))
 	if err != nil {
 		t.Fatalf("failover did not rescue the job: %v", err)
 	}
@@ -496,9 +497,9 @@ func TestM3RFailoverToHadoop(t *testing.T) {
 	if got := rep.Counters.Value(counters.JobGroup, counters.FailoverJobs); got != 1 {
 		t.Errorf("FAILOVER_JOBS = %d, want 1", got)
 	}
-	if got := c.stats.Get(sim.FailoverJobs); got != 1 {
+	if got := c.Stats.Get(sim.FailoverJobs); got != 1 {
 		t.Errorf("failover.jobs = %d, want 1", got)
 	}
-	lines := readTextOutput(t, c.fs, "/out/fo-on")
+	lines := readTextOutput(t, c.FS, "/out/fo-on")
 	checkCounts(t, lines, want)
 }

@@ -10,6 +10,7 @@ import (
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/microbench"
 	"m3r/internal/wio"
 	"m3r/internal/wordcount"
@@ -94,18 +95,18 @@ func (l lifecycleGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 // holds in the pool — or its Submit fails here, and leaves the engine's pool
 // at zero.
 func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/L", 64<<10, 9); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/L", 64<<10, 9); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/L")
+	want, err := wordcount.CountReference(c.FS, "/data/L")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.hadoop.Submit(wordcount.NewJob("/data/L", "/out/h", 3, true)); err != nil {
+	if _, err := c.Hadoop.Submit(wordcount.NewJob("/data/L", "/out/h", 3, true)); err != nil {
 		t.Fatalf("hadoop reference: %v", err)
 	}
-	hadoopLines := readTextOutput(t, c.fs, "/out/h")
+	hadoopLines := readTextOutput(t, c.FS, "/out/h")
 	checkCounts(t, hadoopLines, want)
 
 	var refParts map[string][]byte // first m3r leg pins all the others
@@ -130,18 +131,18 @@ func TestShuffleLifecycleEquivalenceWordCount(t *testing.T) {
 		for _, codec := range codecs {
 			leg := lifecycleGridLeg{budget: budget, codec: codec}
 			out := "/out/" + leg.name()
-			rep, err := c.m3r.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
+			rep, err := c.M3R.Submit(leg.apply(wordcount.NewJob("/data/L", out, 3, true)))
 			if err != nil {
 				t.Fatalf("%s: %v", leg.name(), err)
 			}
-			if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+			if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 				t.Errorf("%s: pool holds %d bytes after the job", leg.name(), held)
 			}
 
-			parts := readRawParts(t, c.fs, out)
+			parts := readRawParts(t, c.FS, out)
 			if refParts == nil {
 				refParts = parts
-				lines := readTextOutput(t, c.fs, out)
+				lines := readTextOutput(t, c.FS, out)
 				checkCounts(t, lines, want)
 				requireSameLines(t, "m3r vs hadoop", hadoopLines, lines)
 			} else {
@@ -259,12 +260,12 @@ func assertSameSeqParts(t *testing.T, leg string, got, want map[string][]string)
 // lifecycle grid's corners: the workload whose values are opaque byte blobs
 // exercises the spill record path with large records.
 func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	cfg := microbench.Config{
 		Pairs: 200, ValueBytes: 512, Percent: 0,
 		Iterations: 1, Partitions: 3, Dir: "/mb", Seed: 5,
 	}
-	if err := microbench.GenerateUnaligned(c.fs, cfg, "/mb/foreign"); err != nil {
+	if err := microbench.GenerateUnaligned(c.FS, cfg, "/mb/foreign"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,11 +279,11 @@ func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
 	}
 	for _, leg := range legs {
 		out := "/mb/out_" + leg.name()
-		rep, err := c.m3r.Submit(leg.apply(cfg.RepartitionJob("/mb/foreign", out)))
+		rep, err := c.M3R.Submit(leg.apply(cfg.RepartitionJob("/mb/foreign", out)))
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name(), err)
 		}
-		parts := readSeqParts(t, c.fs, out)
+		parts := readSeqParts(t, c.FS, out)
 		if refParts == nil {
 			refParts = parts
 			if len(parts) == 0 {
@@ -299,11 +300,11 @@ func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
 	}
 
 	// Cross-engine: the Hadoop engine agrees pair-for-pair.
-	if _, err := c.hadoop.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/out_h")); err != nil {
+	if _, err := c.Hadoop.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/out_h")); err != nil {
 		t.Fatalf("hadoop: %v", err)
 	}
-	h := readAllOutput(t, c.fs, "/mb/out_h", true)
-	m := readAllOutput(t, c.fs, "/mb/out_"+legs[0].name(), true)
+	h := readAllOutput(t, c.FS, "/mb/out_h", true)
+	m := readAllOutput(t, c.FS, "/mb/out_"+legs[0].name(), true)
 	if len(h) != len(m) {
 		t.Fatalf("hadoop %d keys vs m3r %d", len(h), len(m))
 	}
@@ -319,13 +320,13 @@ func TestShuffleLifecycleEquivalenceRepartition(t *testing.T) {
 // every reserved byte released (BUDGET_RELEASED_BYTES > 0 and no spills) —
 // the "SpilledBytes == 0 when budget released fast enough" invariant.
 func TestReleasedBudgetObservedEndToEnd(t *testing.T) {
-	c := newClusterPool(t, 2, -1) // the job's own budget, no carrier pool below it
-	if err := wordcount.Generate(c.fs, "/data/R", 32<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: -1}) // the job's own budget, no carrier pool below it
+	if err := wordcount.Generate(c.FS, "/data/R", 32<<10, 3); err != nil {
 		t.Fatal(err)
 	}
 	job := wordcount.NewJob("/data/R", "/out/released", 3, true)
 	job.SetInt64(conf.KeyM3RShuffleBudget, 1<<30) // roomy: everything resident
-	rep, err := c.m3r.Submit(job)
+	rep, err := c.M3R.Submit(job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"m3r/internal/counters"
 	"m3r/internal/engine"
+	"m3r/internal/lab"
 	"m3r/internal/matrix"
 	"m3r/internal/sim"
 )
@@ -40,19 +41,19 @@ func vectorsClose(t *testing.T, got, want []float64, label string) {
 // on both engines and against the dense reference.
 func TestMatVecBothEngines(t *testing.T) {
 	const iters = 3
-	c := newCluster(t, 3)
+	c := newCluster(t, lab.Options{Nodes: 3})
 	want := matrix.ReferenceMultiply(matvecConfig("/mv"), iters)
 
 	// Hadoop engine.
 	hcfg := matvecConfig("/mvh")
-	if err := matrix.Generate(c.fs, hcfg); err != nil {
+	if err := matrix.Generate(c.FS, hcfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	outPath, _, err := matrix.RunIterations(c.hadoop, hcfg, iters)
+	outPath, _, err := matrix.RunIterations(c.Hadoop, hcfg, iters)
 	if err != nil {
 		t.Fatalf("hadoop iterations: %v", err)
 	}
-	got, err := matrix.ReadVector(c.fs, hcfg, outPath)
+	got, err := matrix.ReadVector(c.FS, hcfg, outPath)
 	if err != nil {
 		t.Fatalf("read result: %v", err)
 	}
@@ -60,14 +61,14 @@ func TestMatVecBothEngines(t *testing.T) {
 
 	// M3R engine.
 	mcfg := matvecConfig("/mvm")
-	if err := matrix.Generate(c.fs, mcfg); err != nil {
+	if err := matrix.Generate(c.FS, mcfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	outPath, _, err = matrix.RunIterations(c.m3r, mcfg, iters)
+	outPath, _, err = matrix.RunIterations(c.M3R, mcfg, iters)
 	if err != nil {
 		t.Fatalf("m3r iterations: %v", err)
 	}
-	got, err = matrix.ReadVector(c.fs, mcfg, outPath)
+	got, err = matrix.ReadVector(c.FS, mcfg, outPath)
 	if err != nil {
 		t.Fatalf("read result: %v", err)
 	}
@@ -80,9 +81,9 @@ func TestMatVecBothEngines(t *testing.T) {
 // of the second job in each iteration can be done without any
 // communication".
 func TestMatVecPartitionStability(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, lab.Options{Nodes: 3})
 	cfg := matvecConfig("/mv")
-	if err := matrix.Generate(c.fs, cfg); err != nil {
+	if err := matrix.Generate(c.FS, cfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 
@@ -90,11 +91,11 @@ func TestMatVecPartitionStability(t *testing.T) {
 
 	// Job 1 (multiply): V blocks are broadcast to all places; remote
 	// traffic is inherent. Record the baseline.
-	before := c.stats.Snapshot()
-	if _, err := c.m3r.Submit(jobs[0]); err != nil {
+	before := c.Stats.Snapshot()
+	if _, err := c.M3R.Submit(jobs[0]); err != nil {
 		t.Fatalf("multiply: %v", err)
 	}
-	afterJob1 := c.stats.Snapshot()
+	afterJob1 := c.Stats.Snapshot()
 	d1 := sim.Delta(before, afterJob1)
 	if d1[sim.RemoteBytes] == 0 {
 		t.Error("multiply job should broadcast V blocks remotely")
@@ -102,10 +103,10 @@ func TestMatVecPartitionStability(t *testing.T) {
 
 	// Job 2 (sum): all partial products of a block row are already at the
 	// row's place; the shuffle must be entirely local.
-	if _, err := c.m3r.Submit(jobs[1]); err != nil {
+	if _, err := c.M3R.Submit(jobs[1]); err != nil {
 		t.Fatalf("sum: %v", err)
 	}
-	d2 := sim.Delta(afterJob1, c.stats.Snapshot())
+	d2 := sim.Delta(afterJob1, c.Stats.Snapshot())
 	if d2[sim.RemoteBytes] != 0 {
 		t.Errorf("sum job shuffled %d bytes remotely; partition stability should make it 0", d2[sim.RemoteBytes])
 	}
@@ -118,25 +119,25 @@ func TestMatVecPartitionStability(t *testing.T) {
 // cache, iteration 2's multiply job must take all its G splits as cache
 // hits and re-read nothing from the filesystem.
 func TestMatVecCacheAcrossIterations(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	cfg := matvecConfig("/mv")
 	cfg.Partitions = 4
-	if err := matrix.Generate(c.fs, cfg); err != nil {
+	if err := matrix.Generate(c.FS, cfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 
 	it0 := matrix.IterationJobs(cfg, cfg.VPath(), cfg.Dir+"/temp_V_1", 0)
 	for _, j := range it0 {
-		if _, err := c.m3r.Submit(j); err != nil {
+		if _, err := c.M3R.Submit(j); err != nil {
 			t.Fatalf("iteration 0: %v", err)
 		}
 	}
-	before := c.stats.Snapshot()
+	before := c.Stats.Snapshot()
 	it1 := matrix.IterationJobs(cfg, cfg.Dir+"/temp_V_1", cfg.Dir+"/temp_V_2", 1)
-	if _, err := c.m3r.Submit(it1[0]); err != nil {
+	if _, err := c.M3R.Submit(it1[0]); err != nil {
 		t.Fatalf("iteration 1 multiply: %v", err)
 	}
-	d := sim.Delta(before, c.stats.Snapshot())
+	d := sim.Delta(before, c.Stats.Snapshot())
 	if d[sim.CacheMisses] != 0 {
 		t.Errorf("iteration 2 multiply had %d cache misses; G and V should be fully cached", d[sim.CacheMisses])
 	}
@@ -151,27 +152,27 @@ func TestMatVecCacheAcrossIterations(t *testing.T) {
 // TestMatVecTempOutputsElided: intermediate outputs carrying the temp
 // naming convention never reach the backing filesystem (§4.2.3).
 func TestMatVecTempOutputsElided(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	cfg := matvecConfig("/mv")
 	cfg.Partitions = 4
-	if err := matrix.Generate(c.fs, cfg); err != nil {
+	if err := matrix.Generate(c.FS, cfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	jobs := matrix.IterationJobs(cfg, cfg.VPath(), cfg.Dir+"/temp_V_1", 0)
 	for _, j := range jobs {
-		if _, err := c.m3r.Submit(j); err != nil {
+		if _, err := c.M3R.Submit(j); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
 	// Neither the partial products nor the temp vector may exist on the
 	// backing HDFS, but both must be visible through the caching fs.
-	if c.fs.Exists("/mv/temp_partials_0") {
+	if c.FS.Exists("/mv/temp_partials_0") {
 		t.Error("temporary partials were written to HDFS")
 	}
-	if c.fs.Exists("/mv/temp_V_1") {
+	if c.FS.Exists("/mv/temp_V_1") {
 		t.Error("temporary vector was written to HDFS")
 	}
-	cfs := c.m3r.CachingFS()
+	cfs := c.M3R.CachingFS()
 	if !cfs.Exists("/mv/temp_V_1") {
 		t.Error("temp vector not visible through the caching filesystem")
 	}
@@ -193,37 +194,37 @@ func TestMatVecTempOutputsElided(t *testing.T) {
 // bytes on the backing filesystem, counts TEMP_OUTPUTS_ELIDED, and the next
 // job reads it from the cache.
 func TestTempOutputTrailingSlash(t *testing.T) {
-	c := newCluster(t, 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
 	cfg := matvecConfig("/mv")
 	cfg.Partitions = 4
-	if err := matrix.Generate(c.fs, cfg); err != nil {
+	if err := matrix.Generate(c.FS, cfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	before := c.stats.Snapshot()
+	before := c.Stats.Snapshot()
 	it0 := matrix.IterationJobs(cfg, cfg.VPath(), cfg.Dir+"/temp_V_1/", 0)
 	var rep *engine.Report
 	for _, j := range it0 {
 		var err error
-		if rep, err = c.m3r.Submit(j); err != nil {
+		if rep, err = c.M3R.Submit(j); err != nil {
 			t.Fatalf("iteration 0: %v", err)
 		}
 	}
 	if n := rep.Counters.Value(counters.M3RGroup, counters.TempOutputsElided); n == 0 {
 		t.Error("the job writing /mv/temp_V_1/ elided no temporary output")
 	}
-	if w := sim.Delta(before, c.stats.Snapshot())[sim.HDFSWriteBytes]; w != 0 {
+	if w := sim.Delta(before, c.Stats.Snapshot())[sim.HDFSWriteBytes]; w != 0 {
 		t.Errorf("iteration 0 wrote %d bytes to HDFS; its outputs are temporary", w)
 	}
-	if c.fs.Exists("/mv/temp_V_1") {
+	if c.FS.Exists("/mv/temp_V_1") {
 		t.Error("the temporary vector was written to HDFS")
 	}
 
-	before = c.stats.Snapshot()
+	before = c.Stats.Snapshot()
 	it1 := matrix.IterationJobs(cfg, cfg.Dir+"/temp_V_1", cfg.Dir+"/temp_V_2", 1)
-	if _, err := c.m3r.Submit(it1[0]); err != nil {
+	if _, err := c.M3R.Submit(it1[0]); err != nil {
 		t.Fatalf("iteration 1 multiply: %v", err)
 	}
-	d := sim.Delta(before, c.stats.Snapshot())
+	d := sim.Delta(before, c.Stats.Snapshot())
 	if d[sim.CacheMisses] != 0 || d[sim.HDFSReadBytes] != 0 {
 		t.Errorf("iteration 1 multiply: %d cache misses, %d bytes read from HDFS; want the vector from the cache", d[sim.CacheMisses], d[sim.HDFSReadBytes])
 	}

@@ -6,6 +6,7 @@ import (
 
 	"m3r/internal/dfs"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/microbench"
 	"m3r/internal/sim"
 )
@@ -50,26 +51,26 @@ func countPairs(t *testing.T, fs dfs.FileSystem, dir string) int {
 func TestMicrobenchPreservesPairs(t *testing.T) {
 	for _, percent := range []int{0, 50, 100} {
 		t.Run(fmt.Sprintf("remote%d", percent), func(t *testing.T) {
-			c := newCluster(t, 3)
+			c := newCluster(t, lab.Options{Nodes: 3})
 			cfg := microConfig("/mb", percent)
-			if err := microbench.Generate(c.fs, cfg); err != nil {
+			if err := microbench.Generate(c.FS, cfg); err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			if _, err := microbench.Run(c.m3r, cfg); err != nil {
+			if _, err := microbench.Run(c.M3R, cfg); err != nil {
 				t.Fatalf("m3r run: %v", err)
 			}
-			if got := countPairs(t, c.fs, "/mb/final"); got != cfg.Pairs {
+			if got := countPairs(t, c.FS, "/mb/final"); got != cfg.Pairs {
 				t.Errorf("m3r final pairs: %d, want %d", got, cfg.Pairs)
 			}
 
 			hcfg := microConfig("/mbh", percent)
-			if err := microbench.Generate(c.fs, hcfg); err != nil {
+			if err := microbench.Generate(c.FS, hcfg); err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			if _, err := microbench.Run(c.hadoop, hcfg); err != nil {
+			if _, err := microbench.Run(c.Hadoop, hcfg); err != nil {
 				t.Fatalf("hadoop run: %v", err)
 			}
-			if got := countPairs(t, c.fs, "/mbh/final"); got != hcfg.Pairs {
+			if got := countPairs(t, c.FS, "/mbh/final"); got != hcfg.Pairs {
 				t.Errorf("hadoop final pairs: %d, want %d", got, hcfg.Pairs)
 			}
 		})
@@ -82,16 +83,16 @@ func TestMicrobenchPreservesPairs(t *testing.T) {
 func TestMicrobenchRemoteBytesScaleWithRatio(t *testing.T) {
 	var bytesAt = map[int]int64{}
 	for _, percent := range []int{0, 40, 100} {
-		c := newCluster(t, 3)
+		c := newCluster(t, lab.Options{Nodes: 3})
 		cfg := microConfig("/mb", percent)
-		if err := microbench.Generate(c.fs, cfg); err != nil {
+		if err := microbench.Generate(c.FS, cfg); err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		before := c.stats.Snapshot()
-		if _, err := microbench.Run(c.m3r, cfg); err != nil {
+		before := c.Stats.Snapshot()
+		if _, err := microbench.Run(c.M3R, cfg); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		d := sim.Delta(before, c.stats.Snapshot())
+		d := sim.Delta(before, c.Stats.Snapshot())
 		bytesAt[percent] = d[sim.RemoteBytes]
 	}
 	if bytesAt[0] != 0 {
@@ -105,29 +106,29 @@ func TestMicrobenchRemoteBytesScaleWithRatio(t *testing.T) {
 // TestMicrobenchCacheBenefit: iterations 2 and 3 must be all cache hits on
 // M3R (the constant-offset drop between iteration lines in Fig. 6).
 func TestMicrobenchCacheBenefit(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, lab.Options{Nodes: 3})
 	cfg := microConfig("/mb", 20)
-	if err := microbench.Generate(c.fs, cfg); err != nil {
+	if err := microbench.Generate(c.FS, cfg); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	if _, err := microbench.Run(c.m3r, cfg); err != nil {
+	if _, err := microbench.Run(c.M3R, cfg); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// Iteration 1 reads the input from HDFS (misses); iterations 2 and 3
 	// read the previous iteration's cached output (hits, no HDFS reads).
-	hits := c.stats.Get(sim.CacheHits)
+	hits := c.Stats.Get(sim.CacheHits)
 	if hits == 0 {
 		t.Error("iterations 2-3 should hit the cache")
 	}
 	// Intermediate outputs never reached HDFS.
-	if c.fs.Exists("/mb/temp_iter_1") || c.fs.Exists("/mb/temp_iter_2") {
+	if c.FS.Exists("/mb/temp_iter_1") || c.FS.Exists("/mb/temp_iter_2") {
 		t.Error("temporary iteration outputs must not be written to HDFS")
 	}
-	if !c.fs.Exists("/mb/final") {
+	if !c.FS.Exists("/mb/final") {
 		t.Error("final output must be written to HDFS")
 	}
 	// Consumed intermediates were deleted from the cache by Run.
-	if c.m3r.CachingFS().Exists("/mb/temp_iter_1") {
+	if c.M3R.CachingFS().Exists("/mb/temp_iter_1") {
 		t.Error("consumed intermediate input should have been deleted from the cache")
 	}
 }
@@ -136,32 +137,32 @@ func TestMicrobenchCacheBenefit(t *testing.T) {
 // layout shuffles remotely; after the one-off repartition job the same
 // pipeline at 0%% remote ratio shuffles nothing.
 func TestRepartitionAlignsData(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, lab.Options{Nodes: 3})
 	cfg := microConfig("/mb", 0)
-	if err := microbench.GenerateUnaligned(c.fs, cfg, "/mb/foreign"); err != nil {
+	if err := microbench.GenerateUnaligned(c.FS, cfg, "/mb/foreign"); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 
 	// Repartition once (this itself shuffles remotely — the 83s one-off).
-	before := c.stats.Snapshot()
-	if _, err := c.m3r.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/input")); err != nil {
+	before := c.Stats.Snapshot()
+	if _, err := c.M3R.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/input")); err != nil {
 		t.Fatalf("repartition: %v", err)
 	}
-	dRepart := sim.Delta(before, c.stats.Snapshot())
+	dRepart := sim.Delta(before, c.Stats.Snapshot())
 	if dRepart[sim.RemoteBytes] == 0 {
 		t.Error("repartitioning foreign data should shuffle remotely")
 	}
 
 	// Now the pipeline at 0% is fully local.
-	before = c.stats.Snapshot()
-	if _, err := microbench.Run(c.m3r, cfg); err != nil {
+	before = c.Stats.Snapshot()
+	if _, err := microbench.Run(c.M3R, cfg); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	d := sim.Delta(before, c.stats.Snapshot())
+	d := sim.Delta(before, c.Stats.Snapshot())
 	if d[sim.RemoteBytes] != 0 {
 		t.Errorf("post-repartition 0%% run shuffled %d bytes remotely", d[sim.RemoteBytes])
 	}
-	if got := countPairs(t, c.fs, "/mb/final"); got != cfg.Pairs {
+	if got := countPairs(t, c.FS, "/mb/final"); got != cfg.Pairs {
 		t.Errorf("final pairs: %d, want %d", got, cfg.Pairs)
 	}
 }

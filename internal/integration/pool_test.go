@@ -8,6 +8,7 @@ import (
 
 	"m3r/internal/conf"
 	"m3r/internal/counters"
+	"m3r/internal/lab"
 	"m3r/internal/server"
 	"m3r/internal/wordcount"
 )
@@ -37,21 +38,21 @@ func (l poolGridLeg) apply(job *conf.JobConf) *conf.JobConf {
 // pool spills everything and never evicts, a roomy pool with no cap stays
 // uncontended.
 func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
-	c := newCluster(t, 2) // reference engine: explicit unlimited budget
-	if err := wordcount.Generate(c.fs, "/data/P", 64<<10, 9); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2}) // reference engine: explicit unlimited budget
+	if err := wordcount.Generate(c.FS, "/data/P", 64<<10, 9); err != nil {
 		t.Fatal(err)
 	}
 	refJob := wordcount.NewJob("/data/P", "/out/ref", 3, true)
 	refJob.SetInt64(conf.KeyM3RShuffleBudget, 0) // opt out of any env pool cap
-	if _, err := c.m3r.Submit(refJob); err != nil {
+	if _, err := c.M3R.Submit(refJob); err != nil {
 		t.Fatal(err)
 	}
-	refParts := readRawParts(t, c.fs, "/out/ref")
-	want, err := wordcount.CountReference(c.fs, "/data/P")
+	refParts := readRawParts(t, c.FS, "/out/ref")
+	want, err := wordcount.CountReference(c.FS, "/data/P")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, readTextOutput(t, c.fs, "/out/ref"), want)
+	checkCounts(t, readTextOutput(t, c.FS, "/out/ref"), want)
 
 	legs := []poolGridLeg{{jobCap: 0}, {jobCap: 2 << 10}}
 	// A conf.DefaultsEnv per-job cap (the tight-budget CI leg's 4 KiB)
@@ -64,18 +65,18 @@ func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
 	for _, pool := range []int64{1, 8 << 10, 1 << 26} {
 		pool := pool
 		t.Run(fmt.Sprintf("pool%d", pool), func(t *testing.T) {
-			pc := newClusterPool(t, 2, pool)
-			if err := wordcount.Generate(pc.fs, "/data/P", 64<<10, 9); err != nil {
+			pc := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: pool})
+			if err := wordcount.Generate(pc.FS, "/data/P", 64<<10, 9); err != nil {
 				t.Fatal(err)
 			}
 			for _, leg := range legs {
 				out := "/out/" + leg.name(pool)
-				rep, err := pc.m3r.Submit(leg.apply(wordcount.NewJob("/data/P", out, 3, true)))
+				rep, err := pc.M3R.Submit(leg.apply(wordcount.NewJob("/data/P", out, 3, true)))
 				if err != nil {
 					t.Fatalf("%s: %v", leg.name(pool), err)
 				}
-				assertSameParts(t, leg.name(pool), readRawParts(t, pc.fs, out), refParts)
-				if held := pc.m3r.ShufflePoolHeldBytes(); held != 0 {
+				assertSameParts(t, leg.name(pool), readRawParts(t, pc.FS, out), refParts)
+				if held := pc.M3R.ShufflePoolHeldBytes(); held != 0 {
 					t.Fatalf("%s: pool holds %d bytes after the job finished", leg.name(pool), held)
 				}
 
@@ -117,15 +118,15 @@ func TestEnginePoolLifecycleEquivalenceWordCount(t *testing.T) {
 // — must produce byte-identical outputs, and the pool must drain to zero
 // after each phase.
 func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
-	c := newClusterPool(t, 2, 4<<10) // small pool: concurrent jobs contend
-	if err := wordcount.Generate(c.fs, "/data/two", 48<<10, 17); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: 4 << 10}) // small pool: concurrent jobs contend
+	if err := wordcount.Generate(c.FS, "/data/two", 48<<10, 17); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/two")
+	want, err := wordcount.CountReference(c.FS, "/data/two")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.Serve(c.m3r, "127.0.0.1:0")
+	srv, err := server.Serve(c.M3R, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +141,13 @@ func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
 		if _, err := client.Submit(wordcount.NewJob("/data/two", out, 3, true)); err != nil {
 			t.Fatalf("serial job %d: %v", i, err)
 		}
-		if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+		if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 			t.Fatalf("pool holds %d bytes after serial job %d", held, i)
 		}
 	}
-	serial0 := readRawParts(t, c.fs, "/out/serial0")
-	serial1 := readRawParts(t, c.fs, "/out/serial1")
-	checkCounts(t, readTextOutput(t, c.fs, "/out/serial0"), want)
+	serial0 := readRawParts(t, c.FS, "/out/serial0")
+	serial1 := readRawParts(t, c.FS, "/out/serial1")
+	checkCounts(t, readTextOutput(t, c.FS, "/out/serial0"), want)
 
 	// Phase 2: the same two jobs concurrently via submit-async — the
 	// motivating server-mode workload, racing on one pool.
@@ -167,9 +168,9 @@ func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
 			t.Fatalf("concurrent job %s: %+v", id, st)
 		}
 	}
-	assertSameParts(t, "concurrent job 0", readRawParts(t, c.fs, "/out/conc0"), serial0)
-	assertSameParts(t, "concurrent job 1", readRawParts(t, c.fs, "/out/conc1"), serial1)
-	if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+	assertSameParts(t, "concurrent job 0", readRawParts(t, c.FS, "/out/conc0"), serial0)
+	assertSameParts(t, "concurrent job 1", readRawParts(t, c.FS, "/out/conc1"), serial1)
+	if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 		t.Fatalf("pool holds %d bytes after the concurrent pair", held)
 	}
 }
@@ -181,15 +182,15 @@ func TestServerModeTwoJobPooledEquivalence(t *testing.T) {
 // zero. Under CI's -race legs this doubles as the concurrent-submit data
 // race pin for the engine state jobs now share.
 func TestConcurrentSubmitsSharedEngine(t *testing.T) {
-	c := newClusterPool(t, 2, 4<<10)
-	if err := wordcount.Generate(c.fs, "/data/cc", 32<<10, 23); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: 4 << 10})
+	if err := wordcount.Generate(c.FS, "/data/cc", 32<<10, 23); err != nil {
 		t.Fatal(err)
 	}
 	ref := wordcount.NewJob("/data/cc", "/out/cc_ref", 3, true)
-	if _, err := c.m3r.Submit(ref); err != nil {
+	if _, err := c.M3R.Submit(ref); err != nil {
 		t.Fatal(err)
 	}
-	refParts := readRawParts(t, c.fs, "/out/cc_ref")
+	refParts := readRawParts(t, c.FS, "/out/cc_ref")
 
 	const jobs = 4
 	var wg sync.WaitGroup
@@ -199,7 +200,7 @@ func TestConcurrentSubmitsSharedEngine(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = c.m3r.Submit(wordcount.NewJob("/data/cc", fmt.Sprintf("/out/cc_%d", i), 3, true))
+			_, errs[i] = c.M3R.Submit(wordcount.NewJob("/data/cc", fmt.Sprintf("/out/cc_%d", i), 3, true))
 		}()
 	}
 	wg.Wait()
@@ -210,9 +211,9 @@ func TestConcurrentSubmitsSharedEngine(t *testing.T) {
 	}
 	for i := 0; i < jobs; i++ {
 		assertSameParts(t, fmt.Sprintf("concurrent job %d", i),
-			readRawParts(t, c.fs, fmt.Sprintf("/out/cc_%d", i)), refParts)
+			readRawParts(t, c.FS, fmt.Sprintf("/out/cc_%d", i)), refParts)
 	}
-	if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+	if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 		t.Fatalf("pool holds %d bytes after all concurrent jobs", held)
 	}
 }
@@ -222,8 +223,8 @@ func TestConcurrentSubmitsSharedEngine(t *testing.T) {
 // pools. Run concurrently, each must write what it wrote alone, both must
 // spill, and the pool must read zero afterwards.
 func TestConcurrentCappedJobsUnpooledEngine(t *testing.T) {
-	c := newClusterPool(t, 2, -1)
-	if err := wordcount.Generate(c.fs, "/data/cap", 64<<10, 31); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: -1})
+	if err := wordcount.Generate(c.FS, "/data/cap", 64<<10, 31); err != nil {
 		t.Fatal(err)
 	}
 	jobs := []struct {
@@ -238,10 +239,10 @@ func TestConcurrentCappedJobsUnpooledEngine(t *testing.T) {
 	serial := make([]map[string][]byte, len(jobs))
 	for i := range jobs {
 		out := fmt.Sprintf("/out/cap_serial%d", i)
-		if _, err := c.m3r.Submit(job(i, out)); err != nil {
+		if _, err := c.M3R.Submit(job(i, out)); err != nil {
 			t.Fatalf("serial job %d: %v", i, err)
 		}
-		serial[i] = readRawParts(t, c.fs, out)
+		serial[i] = readRawParts(t, c.FS, out)
 	}
 
 	var wg sync.WaitGroup
@@ -251,7 +252,7 @@ func TestConcurrentCappedJobsUnpooledEngine(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := c.m3r.Submit(job(i, fmt.Sprintf("/out/cap_conc%d", i)))
+			rep, err := c.M3R.Submit(job(i, fmt.Sprintf("/out/cap_conc%d", i)))
 			if errs[i] = err; err == nil {
 				spilled[i] = rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns)
 			}
@@ -263,12 +264,12 @@ func TestConcurrentCappedJobsUnpooledEngine(t *testing.T) {
 			t.Fatalf("concurrent job %d: %v", i, err)
 		}
 		assertSameParts(t, fmt.Sprintf("concurrent job %d", i),
-			readRawParts(t, c.fs, fmt.Sprintf("/out/cap_conc%d", i)), serial[i])
+			readRawParts(t, c.FS, fmt.Sprintf("/out/cap_conc%d", i)), serial[i])
 		if spilled[i] == 0 {
 			t.Errorf("concurrent job %d spilled nothing under a %d-byte cap", i, jobs[i].cap)
 		}
 	}
-	if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+	if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 		t.Fatalf("pool holds %d bytes after the concurrent capped jobs", held)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"m3r/internal/conf"
 	"m3r/internal/counters"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -57,8 +58,8 @@ func init() {
 }
 
 func TestRawReduceOrderEquivalence(t *testing.T) {
-	c := newCluster(t, 3)
-	orderInput(t, c.fs, "/in/order")
+	c := newCluster(t, lab.Options{Nodes: 3})
+	orderInput(t, c.FS, "/in/order")
 	const R = 3
 	whole := func(k []byte) []byte { return k }
 	cases := []struct {
@@ -99,21 +100,21 @@ func TestRawReduceOrderEquivalence(t *testing.T) {
 				base := fmt.Sprintf("/out/raw/%d/%s", i, mapper)
 				hJob := build(base + "/hadoop")
 				hJob.SetInt(conf.KeySortBytes, 4096) // several spills a map task
-				if _, err := c.hadoop.Submit(hJob); err != nil {
+				if _, err := c.Hadoop.Submit(hJob); err != nil {
 					t.Fatalf("hadoop: %v", err)
 				}
-				want := readRawParts(t, c.fs, base+"/hadoop")
+				want := readRawParts(t, c.FS, base+"/hadoop")
 				assertSameParts(t, "hadoop vs reference", want,
-					orderReferenceBy(t, c.fs, "/in/order", tc.groupOf, orderFolds["identity"], orderFolds["concat"], R))
+					orderReferenceBy(t, c.FS, "/in/order", tc.groupOf, orderFolds["identity"], orderFolds["concat"], R))
 				for _, codec := range []string{"none", "flate"} {
 					job := build(base + "/m3r-" + codec)
 					job.SetInt64(conf.KeyM3RShuffleBudget, 8192)
 					job.Set(conf.KeyM3RSpillCodec, codec)
-					rep, err := c.m3r.Submit(job)
+					rep, err := c.M3R.Submit(job)
 					if err != nil {
 						t.Fatalf("m3r %s: %v", codec, err)
 					}
-					assertSameParts(t, "m3r "+codec, readRawParts(t, c.fs, base+"/m3r-"+codec), want)
+					assertSameParts(t, "m3r "+codec, readRawParts(t, c.FS, base+"/m3r-"+codec), want)
 					if rep.Counters.Value(counters.M3RGroup, counters.SpilledRuns) == 0 {
 						t.Errorf("m3r %s: nothing spilled under an 8 KiB budget", codec)
 					}

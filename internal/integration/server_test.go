@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"m3r/internal/lab"
 	"m3r/internal/server"
 	"m3r/internal/wordcount"
 )
@@ -13,11 +14,11 @@ import (
 // against an M3R server — §5.3's server mode: the client code is the same
 // as for a local engine.
 func TestServerModeWordCount(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/text", 32<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/text", 32<<10, 3); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	srv, err := server.Serve(c.m3r, "127.0.0.1:0")
+	srv, err := server.Serve(c.M3R, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -27,8 +28,8 @@ func TestServerModeWordCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	if client.FileSystem() != c.m3r.FileSystem() {
-		t.Errorf("client fs id %q, want %q", client.FileSystem(), c.m3r.FileSystem())
+	if client.FileSystem() != c.M3R.FileSystem() {
+		t.Errorf("client fs id %q, want %q", client.FileSystem(), c.M3R.FileSystem())
 	}
 
 	rep, err := client.Submit(wordcount.NewJob("/data/text", "/out/remote", 2, true))
@@ -38,21 +39,21 @@ func TestServerModeWordCount(t *testing.T) {
 	if rep.Engine != "m3r" || rep.JobName != "wordcount" {
 		t.Errorf("report: %+v", rep)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/text")
+	want, err := wordcount.CountReference(c.FS, "/data/text")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, readTextOutput(t, c.fs, "/out/remote"), want)
+	checkCounts(t, readTextOutput(t, c.FS, "/out/remote"), want)
 }
 
 // TestServerModeAsync exercises the submit/poll protocol, including a
 // failing job.
 func TestServerModeAsync(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/text", 8<<10, 9); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/text", 8<<10, 9); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	srv, err := server.Serve(c.m3r, "127.0.0.1:0")
+	srv, err := server.Serve(c.M3R, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -100,11 +101,11 @@ func TestServerModeAsync(t *testing.T) {
 // wrapping the Hadoop engine — engines are interchangeable behind the
 // daemon, as the paper's server mode demonstrates with BigSheets.
 func TestServerModeHadoopBackend(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/text", 8<<10, 9); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/text", 8<<10, 9); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	srv, err := server.Serve(c.hadoop, "127.0.0.1:0")
+	srv, err := server.Serve(c.Hadoop, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}

@@ -2,6 +2,7 @@ package integration_test
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"m3r/internal/conf"
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
@@ -104,9 +106,9 @@ func TestNoReducerBeforeEveryMapTask(t *testing.T) {
 			name  string
 			bytes int64
 		}{{"unbudgeted", -1}, {"pool1MiB", 1 << 20}} {
-			t.Run(itoa(places)+"places/"+pool.name, func(t *testing.T) {
-				c := newClusterPool(t, places, pool.bytes)
-				if err := wordcount.Generate(c.fs, "/data/O", 512<<10, 11); err != nil {
+			t.Run(strconv.Itoa(places)+"places/"+pool.name, func(t *testing.T) {
+				c := newCluster(t, lab.Options{Nodes: places, ShuffleBudgetBytes: pool.bytes})
+				if err := wordcount.Generate(c.FS, "/data/O", 512<<10, 11); err != nil {
 					t.Fatal(err)
 				}
 				streamBase, readerBase := spill.OpenStreamCount(), dfs.OpenReaderCount()
@@ -134,8 +136,8 @@ func TestNoReducerBeforeEveryMapTask(t *testing.T) {
 					if pool.bytes < 0 {
 						job.SetInt64(conf.KeyM3RShuffleBudget, 0)
 					}
-					launched0 := c.stats.Get(sim.TasksLaunched)
-					rep, err := c.m3r.Submit(job)
+					launched0 := c.Stats.Get(sim.TasksLaunched)
+					rep, err := c.M3R.Submit(job)
 					maps := p.mapsStarted.Load()
 					if maps < int32(places) {
 						t.Fatalf("%d map tasks over %d places: the job must span every place", maps, places)
@@ -162,12 +164,12 @@ func TestNoReducerBeforeEveryMapTask(t *testing.T) {
 						if len(p.seen) != 0 {
 							t.Errorf("%d reducers configured after a failed map task", len(p.seen))
 						}
-						if got := c.stats.Get(sim.TasksLaunched) - launched0; got != int64(maps) {
+						if got := c.Stats.Get(sim.TasksLaunched) - launched0; got != int64(maps) {
 							t.Errorf("%d tasks launched for %d map tasks: a reduce task was launched", got, maps)
 						}
-						assertNoJobDroppings(t, c.fs, "/out/"+id, false)
+						assertNoJobDroppings(t, c.FS, "/out/"+id, false)
 					}
-					if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+					if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 						t.Errorf("shuffle pool holds %d bytes", held)
 					}
 					if got := spill.OpenStreamCount(); got != streamBase {

@@ -8,6 +8,7 @@ import (
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
+	"m3r/internal/lab"
 	"m3r/internal/mapred"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
@@ -20,11 +21,11 @@ import (
 // (io.sort.mb far below the map output size) and checks the multi-spill
 // merge path produces the same answer.
 func TestHadoopMultiSpillMerge(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/t", 256<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/t", 256<<10, 3); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/t")
+	want, err := wordcount.CountReference(c.FS, "/data/t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,23 +33,23 @@ func TestHadoopMultiSpillMerge(t *testing.T) {
 	// A 16 KiB buffer against ~64 KiB of map output per task: every map
 	// task spills several times and must merge its spills.
 	job.SetInt64("io.sort.bytes", 16<<10)
-	rep, err := c.hadoop.Submit(job)
+	rep, err := c.Hadoop.Submit(job)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	maps := rep.Counters.Value(counters.JobGroup, counters.TotalLaunchedMaps)
-	if spills := c.stats.Get(sim.SpillFiles); spills <= maps {
+	if spills := c.Stats.Get(sim.SpillFiles); spills <= maps {
 		t.Fatalf("expected more spill files (%d) than map tasks (%d)", spills, maps)
 	}
-	checkCounts(t, readTextOutput(t, c.fs, "/out/spilled"), want)
+	checkCounts(t, readTextOutput(t, c.FS, "/out/spilled"), want)
 
 	// Compare against a single-spill run of the same job.
 	job2 := wordcount.NewJob("/data/t", "/out/unspilled", 3, false)
-	if _, err := c.hadoop.Submit(job2); err != nil {
+	if _, err := c.Hadoop.Submit(job2); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	a := readTextOutput(t, c.fs, "/out/spilled")
-	b := readTextOutput(t, c.fs, "/out/unspilled")
+	a := readTextOutput(t, c.FS, "/out/spilled")
+	b := readTextOutput(t, c.FS, "/out/unspilled")
 	if len(a) != len(b) {
 		t.Fatalf("spilled %d lines vs unspilled %d", len(a), len(b))
 	}
@@ -66,11 +67,11 @@ func TestHadoopMultiSpillMerge(t *testing.T) {
 // repetitive keys, and the output must match the raw-codec run line for
 // line.
 func TestHadoopMultiSpillMergeCompressed(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/tc", 256<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/tc", 256<<10, 3); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/tc")
+	want, err := wordcount.CountReference(c.FS, "/data/tc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,23 +81,23 @@ func TestHadoopMultiSpillMergeCompressed(t *testing.T) {
 		job.Set(conf.KeyM3RSpillCodec, codec)
 		return job
 	}
-	if _, err := c.hadoop.Submit(mkJob("/out/spilled_flate", "flate")); err != nil {
+	if _, err := c.Hadoop.Submit(mkJob("/out/spilled_flate", "flate")); err != nil {
 		t.Fatalf("flate submit: %v", err)
 	}
-	stored, raw := c.stats.Get(sim.SpillBytes), c.stats.Get(sim.SpillRawBytes)
+	stored, raw := c.Stats.Get(sim.SpillBytes), c.Stats.Get(sim.SpillRawBytes)
 	if raw == 0 {
 		t.Fatal("multi-spill job recorded no raw spill bytes")
 	}
 	if stored >= raw {
 		t.Fatalf("flate spills stored %d bytes >= raw %d", stored, raw)
 	}
-	checkCounts(t, readTextOutput(t, c.fs, "/out/spilled_flate"), want)
+	checkCounts(t, readTextOutput(t, c.FS, "/out/spilled_flate"), want)
 
-	if _, err := c.hadoop.Submit(mkJob("/out/spilled_none", "none")); err != nil {
+	if _, err := c.Hadoop.Submit(mkJob("/out/spilled_none", "none")); err != nil {
 		t.Fatalf("raw submit: %v", err)
 	}
-	a := readTextOutput(t, c.fs, "/out/spilled_flate")
-	b := readTextOutput(t, c.fs, "/out/spilled_none")
+	a := readTextOutput(t, c.FS, "/out/spilled_flate")
+	b := readTextOutput(t, c.FS, "/out/spilled_none")
 	if len(a) != len(b) {
 		t.Fatalf("flate %d lines vs raw %d", len(a), len(b))
 	}
@@ -112,11 +113,11 @@ func TestHadoopMultiSpillMergeCompressed(t *testing.T) {
 // via the SpilledRuns counter), and the job's output must stay
 // byte-identical to the unbudgeted, fully in-memory run of the same job.
 func TestM3RShuffleBudgetSpills(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/b", 128<<10, 5); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/b", 128<<10, 5); err != nil {
 		t.Fatal(err)
 	}
-	want, err := wordcount.CountReference(c.fs, "/data/b")
+	want, err := wordcount.CountReference(c.FS, "/data/b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestM3RShuffleBudgetSpills(t *testing.T) {
 	// 4 KiB per place against tens of KiB of shuffled runs: the first run
 	// or two stay resident, the rest must spill.
 	budgeted.SetInt64(conf.KeyM3RShuffleBudget, 4<<10)
-	rep, err := c.m3r.Submit(budgeted)
+	rep, err := c.M3R.Submit(budgeted)
 	if err != nil {
 		t.Fatalf("budgeted submit: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestM3RShuffleBudgetSpills(t *testing.T) {
 	// Explicit 0 (not merely unset): the control leg must stay in-memory
 	// even when CI's tight-budget leg injects a budget via the environment.
 	unbudgeted.SetInt64(conf.KeyM3RShuffleBudget, 0)
-	rep2, err := c.m3r.Submit(unbudgeted)
+	rep2, err := c.M3R.Submit(unbudgeted)
 	if err != nil {
 		t.Fatalf("unbudgeted submit: %v", err)
 	}
@@ -149,8 +150,8 @@ func TestM3RShuffleBudgetSpills(t *testing.T) {
 		t.Fatalf("unbudgeted job spilled %d runs", n)
 	}
 
-	a := readTextOutput(t, c.fs, "/out/budgeted")
-	b := readTextOutput(t, c.fs, "/out/unbudgeted")
+	a := readTextOutput(t, c.FS, "/out/budgeted")
+	b := readTextOutput(t, c.FS, "/out/unbudgeted")
 	if len(a) != len(b) {
 		t.Fatalf("budgeted %d lines vs unbudgeted %d", len(a), len(b))
 	}
@@ -166,8 +167,8 @@ func TestM3RShuffleBudgetSpills(t *testing.T) {
 // must clean the committer's _temporary directory off the caching
 // filesystem instead of leaving it for the next job to trip over.
 func TestM3RFailedJobLeavesNoScratch(t *testing.T) {
-	c := newCluster(t, 1)
-	dfs.WriteFile(c.fs, "/in/g", []byte("a line\n"))
+	c := newCluster(t, lab.Options{Nodes: 1})
+	dfs.WriteFile(c.FS, "/in/g", []byte("a line\n"))
 	job := conf.NewJob()
 	job.AddInputPath("/in")
 	job.SetOutputPath("/out/failing")
@@ -180,11 +181,11 @@ func TestM3RFailedJobLeavesNoScratch(t *testing.T) {
 	job.SetOutputValueClass(types.TextName)
 
 	flakyRemaining.Store(1)
-	if _, err := c.m3r.Submit(job); err == nil {
+	if _, err := c.M3R.Submit(job); err == nil {
 		t.Fatal("m3r job should have failed")
 	}
 	flakyRemaining.Store(-1)
-	fs := c.m3r.CachingFS()
+	fs := c.M3R.CachingFS()
 	if fs.Exists("/out/failing/_temporary") {
 		t.Error("failed job left _temporary behind")
 	}
@@ -198,27 +199,27 @@ func TestM3RFailedJobLeavesNoScratch(t *testing.T) {
 // explicit value on the job still wins, and a malformed carrier fails the
 // submission instead of running unconfigured.
 func TestConfDefaultsReachBothEngines(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/d", 64<<10, 3); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/d", 64<<10, 3); err != nil {
 		t.Fatal(err)
 	}
 	t.Setenv(conf.DefaultsEnv, conf.KeyM3RSpillCodec+"=flate "+conf.KeyM3RShuffleBudget+"=4096 "+conf.KeySortBytes+"=16384")
-	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
-		before := c.stats.Snapshot()
+	for _, eng := range []engine.Engine{c.Hadoop, c.M3R} {
+		before := c.Stats.Snapshot()
 		if _, err := eng.Submit(wordcount.NewJob("/data/d", "/out/d_"+eng.Name(), 3, false)); err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		d := sim.Delta(before, c.stats.Snapshot())
+		d := sim.Delta(before, c.Stats.Snapshot())
 		if stored, raw := d[sim.SpillBytes], d[sim.SpillRawBytes]; raw == 0 || stored >= raw {
 			t.Errorf("%s: stored %d vs raw %d spill bytes: the carrier's budget and flate codec did not apply", eng.Name(), stored, raw)
 		}
 		explicit := wordcount.NewJob("/data/d", "/out/d_none_"+eng.Name(), 3, false)
 		explicit.Set(conf.KeyM3RSpillCodec, "none")
-		before = c.stats.Snapshot()
+		before = c.Stats.Snapshot()
 		if _, err := eng.Submit(explicit); err != nil {
 			t.Fatalf("%s explicit: %v", eng.Name(), err)
 		}
-		d = sim.Delta(before, c.stats.Snapshot())
+		d = sim.Delta(before, c.Stats.Snapshot())
 		// Stored blocks are the raw bytes plus framing: never fewer, where
 		// flate on this repetitive input always stores fewer.
 		if stored, raw := d[sim.SpillBytes], d[sim.SpillRawBytes]; raw == 0 || stored < raw {
@@ -226,7 +227,7 @@ func TestConfDefaultsReachBothEngines(t *testing.T) {
 		}
 	}
 	t.Setenv(conf.DefaultsEnv, "M3R_SPILL_CODEC")
-	for _, eng := range []engine.Engine{c.hadoop, c.m3r} {
+	for _, eng := range []engine.Engine{c.Hadoop, c.M3R} {
 		if _, err := eng.Submit(wordcount.NewJob("/data/d", "/out/d_bad_"+eng.Name(), 3, false)); err == nil {
 			t.Errorf("%s accepted a job under a malformed %s", eng.Name(), conf.DefaultsEnv)
 		}
@@ -264,15 +265,15 @@ func init() {
 // single spilled-run file handle — every open segment is closed by the time
 // the failed Submit returns.
 func TestM3RAbortedMergeClosesSpillStreams(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/abort", 128<<10, 17); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/abort", 128<<10, 17); err != nil {
 		t.Fatal(err)
 	}
 	base := spill.OpenStreamCount()
 	job := wordcount.NewJob("/data/abort", "/out/abort", 3, false)
 	job.SetInt64(conf.KeyM3RShuffleBudget, 2<<10)
 	job.SetReducerClass("test.FailingReducer")
-	if _, err := c.m3r.Submit(job); err == nil {
+	if _, err := c.M3R.Submit(job); err == nil {
 		t.Fatal("job with failing reducer should fail")
 	}
 	if n := spill.OpenStreamCount(); n != base {

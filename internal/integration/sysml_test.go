@@ -9,6 +9,7 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
+	"m3r/internal/lab"
 	"m3r/internal/matrix"
 	"m3r/internal/sysml"
 	"m3r/internal/wio"
@@ -92,10 +93,10 @@ func TestSysmlPageRankBothEngines(t *testing.T) {
 	want := sysml.PageRankReference(cfg)
 	for _, which := range []string{"hadoop", "m3r"} {
 		t.Run(which, func(t *testing.T) {
-			c := newCluster(t, 3)
-			eng := engine.Engine(c.hadoop)
+			c := newCluster(t, lab.Options{Nodes: 3})
+			eng := engine.Engine(c.Hadoop)
 			if which == "m3r" {
-				eng = c.m3r
+				eng = c.M3R
 			}
 			d := newDriver(t, eng, "/pr", 3)
 			out, err := sysml.PageRank(d, cfg)
@@ -120,6 +121,46 @@ func TestSysmlPageRankBothEngines(t *testing.T) {
 			// result are dense.
 			wantValueClass(t, d, sysml.SparseBlockName, "/pr/G")
 			wantValueClass(t, d, sysml.BlockName, "/pr/p0", out.Path)
+
+			// The loop again over the same G and p0, as a benchmark rep
+			// runs it: the same ranks, bit for bit, G and p0 untouched, and
+			// nothing left behind but the inputs and the output.
+			listing := func() []dfs.FileStatus {
+				t.Helper()
+				left, err := d.FS.List(d.Dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, f := range left {
+					names = append(names, dfs.Base(f.Path))
+				}
+				if want := []string{"G", "p0", "pagerank_out"}; !slices.Equal(names, want) {
+					t.Fatalf("%s holds %v, want %v", d.Dir, names, want)
+				}
+				return left
+			}
+			before := listing()
+			if err := d.FS.Delete(out.Path, true); err != nil {
+				t.Fatal(err)
+			}
+			G := sysml.Mat{Path: "/pr/G", Rows: cfg.Nodes, Cols: cfg.Nodes, RPB: cfg.BlockSize, CPB: cfg.BlockSize}
+			p0 := sysml.Mat{Path: "/pr/p0", Rows: cfg.Nodes, Cols: 1, RPB: cfg.BlockSize, CPB: 1}
+			again, err := sysml.IteratePageRank(d, cfg, G, p0)
+			if err != nil {
+				t.Fatalf("pagerank again: %v", err)
+			}
+			if dense, err = d.ReadDense(again); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			for i, v := range colVec(dense) {
+				if math.Float64bits(v) != math.Float64bits(got[i]) {
+					t.Fatalf("rank %d: %g again, %g the first time", i, v, got[i])
+				}
+			}
+			if after := listing(); !slices.Equal(after[:2], before[:2]) {
+				t.Errorf("the loop rewrote its inputs: %v, then %v", before[:2], after[:2])
+			}
 		})
 	}
 }
@@ -132,10 +173,10 @@ func TestSysmlLinRegBothEngines(t *testing.T) {
 	want := sysml.LinRegReference(cfg)
 	for _, which := range []string{"hadoop", "m3r"} {
 		t.Run(which, func(t *testing.T) {
-			c := newCluster(t, 3)
-			eng := engine.Engine(c.hadoop)
+			c := newCluster(t, lab.Options{Nodes: 3})
+			eng := engine.Engine(c.Hadoop)
 			if which == "m3r" {
-				eng = c.m3r
+				eng = c.M3R
 			}
 			d := newDriver(t, eng, "/lr", 3)
 			w, err := sysml.LinReg(d, cfg)
@@ -169,10 +210,10 @@ func TestSysmlGNMFBothEngines(t *testing.T) {
 	wantW, wantH := sysml.GNMFReference(cfg)
 	for _, which := range []string{"hadoop", "m3r"} {
 		t.Run(which, func(t *testing.T) {
-			c := newCluster(t, 3)
-			eng := engine.Engine(c.hadoop)
+			c := newCluster(t, lab.Options{Nodes: 3})
+			eng := engine.Engine(c.Hadoop)
 			if which == "m3r" {
-				eng = c.m3r
+				eng = c.M3R
 			}
 			d := newDriver(t, eng, "/gnmf", 3)
 			W, H, err := sysml.GNMF(d, cfg)
@@ -211,10 +252,10 @@ func TestSysmlSparseMatVecMatchesDense(t *testing.T) {
 	bits := map[string][]uint64{}
 	for _, which := range []string{"hadoop", "m3r"} {
 		t.Run(which, func(t *testing.T) {
-			c := newCluster(t, 3)
-			eng := engine.Engine(c.hadoop)
+			c := newCluster(t, lab.Options{Nodes: 3})
+			eng := engine.Engine(c.Hadoop)
 			if which == "m3r" {
-				eng = c.m3r
+				eng = c.M3R
 			}
 			d := newDriver(t, eng, "/mv", 3)
 			sparse, err := d.WriteMat("G", n, n, bs, bs, 5, 0.9)
@@ -266,8 +307,8 @@ func TestSysmlSparseMatVecMatchesDense(t *testing.T) {
 // TestSysmlOpsUnit exercises individual op jobs against dense algebra on
 // the M3R engine.
 func TestSysmlOpsUnit(t *testing.T) {
-	c := newCluster(t, 2)
-	d := newDriver(t, c.m3r, "/ops", 2)
+	c := newCluster(t, lab.Options{Nodes: 2})
+	d := newDriver(t, c.M3R, "/ops", 2)
 
 	A, err := d.WriteMat("A", 40, 40, 20, 20, 7, 0.2)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"m3r/internal/counters"
+	"m3r/internal/lab"
 	"m3r/internal/microbench"
 	"m3r/internal/sim"
 	"m3r/internal/wordcount"
@@ -40,25 +41,25 @@ func startFrameServers(t *testing.T, places int, opts x10.FrameServerOptions) []
 // and requires byte-identical part files, while the TCP leg proves the
 // frames really crossed the wire (NET_* counters).
 func TestTCPLoopbackEquivalenceWordCount(t *testing.T) {
-	ref := newCluster(t, 2)
-	if err := wordcount.Generate(ref.fs, "/data/T", 128<<10, 11); err != nil {
+	ref := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(ref.FS, "/data/T", 128<<10, 11); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.m3r.Submit(wordcount.NewJob("/data/T", "/out/wc", 3, true)); err != nil {
+	if _, err := ref.M3R.Submit(wordcount.NewJob("/data/T", "/out/wc", 3, true)); err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	refParts := readRawParts(t, ref.fs, "/out/wc")
+	refParts := readRawParts(t, ref.FS, "/out/wc")
 
 	tr := x10.NewTCPTransport(startFrameServers(t, 2, x10.FrameServerOptions{}), x10.TCPOptions{})
-	c := newClusterTransport(t, 2, tr)
-	if err := wordcount.Generate(c.fs, "/data/T", 128<<10, 11); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, Transport: tr})
+	if err := wordcount.Generate(c.FS, "/data/T", 128<<10, 11); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.m3r.Submit(wordcount.NewJob("/data/T", "/out/wc", 3, true))
+	rep, err := c.M3R.Submit(wordcount.NewJob("/data/T", "/out/wc", 3, true))
 	if err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
-	assertSameParts(t, "tcp-loopback", readRawParts(t, c.fs, "/out/wc"), refParts)
+	assertSameParts(t, "tcp-loopback", readRawParts(t, c.FS, "/out/wc"), refParts)
 
 	if n := rep.Counters.Value(counters.M3RGroup, counters.NetFrames); n == 0 {
 		t.Error("tcp job reported no NET_FRAMES")
@@ -66,11 +67,11 @@ func TestTCPLoopbackEquivalenceWordCount(t *testing.T) {
 	if n := rep.Counters.Value(counters.M3RGroup, counters.NetBytes); n == 0 {
 		t.Error("tcp job reported no NET_BYTES")
 	}
-	if n := c.stats.Get(sim.NetFrames); n == 0 {
+	if n := c.Stats.Get(sim.NetFrames); n == 0 {
 		t.Error("engine stats saw no net.frames")
 	}
 	// The inproc leg must not grow network counters.
-	if n := ref.stats.Get(sim.NetFrames); n != 0 {
+	if n := ref.Stats.Get(sim.NetFrames); n != 0 {
 		t.Errorf("inproc leg counted %d net.frames", n)
 	}
 }
@@ -83,25 +84,25 @@ func TestTCPLoopbackEquivalenceRepartition(t *testing.T) {
 		Pairs: 200, ValueBytes: 512, Percent: 0,
 		Iterations: 1, Partitions: 3, Dir: "/mb", Seed: 5,
 	}
-	ref := newCluster(t, 2)
-	if err := microbench.GenerateUnaligned(ref.fs, cfg, "/mb/foreign"); err != nil {
+	ref := newCluster(t, lab.Options{Nodes: 2})
+	if err := microbench.GenerateUnaligned(ref.FS, cfg, "/mb/foreign"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.m3r.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/out")); err != nil {
+	if _, err := ref.M3R.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/out")); err != nil {
 		t.Fatalf("inproc: %v", err)
 	}
-	refParts := readSeqParts(t, ref.fs, "/mb/out")
+	refParts := readSeqParts(t, ref.FS, "/mb/out")
 
 	tr := x10.NewTCPTransport(startFrameServers(t, 2, x10.FrameServerOptions{}), x10.TCPOptions{})
-	c := newClusterTransport(t, 2, tr)
-	if err := microbench.GenerateUnaligned(c.fs, cfg, "/mb/foreign"); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2, Transport: tr})
+	if err := microbench.GenerateUnaligned(c.FS, cfg, "/mb/foreign"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.m3r.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/out"))
+	rep, err := c.M3R.Submit(cfg.RepartitionJob("/mb/foreign", "/mb/out"))
 	if err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
-	assertSameSeqParts(t, "tcp-loopback", readSeqParts(t, c.fs, "/mb/out"), refParts)
+	assertSameSeqParts(t, "tcp-loopback", readSeqParts(t, c.FS, "/mb/out"), refParts)
 	if n := rep.Counters.Value(counters.M3RGroup, counters.NetFrames); n == 0 {
 		t.Error("tcp repartition reported no NET_FRAMES")
 	}
@@ -114,16 +115,16 @@ func TestTCPLoopbackEquivalenceRepartition(t *testing.T) {
 func TestTCPWorkerDropMidShuffleFailsJob(t *testing.T) {
 	addrs := startFrameServers(t, 2, x10.FrameServerOptions{FailAfterFrames: 1})
 	tr := x10.NewTCPTransport(addrs, x10.TCPOptions{DialTimeout: 5 * time.Second})
-	c := newClusterCfg(t, 2, clusterConfig{poolBytes: 1 << 20, transport: tr})
+	c := newCluster(t, lab.Options{Nodes: 2, ShuffleBudgetBytes: 1 << 20, Transport: tr})
 	// 256 KiB over 64 KiB blocks: four-plus map tasks across two places, so
 	// with both servers failing after one frame, some map's ship hits a
 	// dead one deterministically.
-	if err := wordcount.Generate(c.fs, "/data/F", 256<<10, 13); err != nil {
+	if err := wordcount.Generate(c.FS, "/data/F", 256<<10, 13); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.m3r.Submit(wordcount.NewJob("/data/F", "/out/fault", 3, true))
+		_, err := c.M3R.Submit(wordcount.NewJob("/data/F", "/out/fault", 3, true))
 		done <- err
 	}()
 	select {
@@ -137,7 +138,7 @@ func TestTCPWorkerDropMidShuffleFailsJob(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("job hung after worker connection drop")
 	}
-	if held := c.m3r.ShufflePoolHeldBytes(); held != 0 {
+	if held := c.M3R.ShufflePoolHeldBytes(); held != 0 {
 		t.Fatalf("shuffle pool still holds %d bytes after failed job", held)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"m3r/internal/counters"
 	"m3r/internal/engine"
+	"m3r/internal/lab"
 	"m3r/internal/wordcount"
 )
 
@@ -20,27 +21,27 @@ func TestWordCountBothEngines(t *testing.T) {
 			name = "immutable"
 		}
 		t.Run(name, func(t *testing.T) {
-			c := newCluster(t, 3)
-			if err := wordcount.Generate(c.fs, "/data/text", 200<<10, 42); err != nil {
+			c := newCluster(t, lab.Options{Nodes: 3})
+			if err := wordcount.Generate(c.FS, "/data/text", 200<<10, 42); err != nil {
 				t.Fatalf("generate: %v", err)
 			}
-			want, err := wordcount.CountReference(c.fs, "/data/text")
+			want, err := wordcount.CountReference(c.FS, "/data/text")
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
 
 			hJob := wordcount.NewJob("/data/text", "/out/hadoop", 4, immutable)
-			if _, err := c.hadoop.Submit(hJob); err != nil {
+			if _, err := c.Hadoop.Submit(hJob); err != nil {
 				t.Fatalf("hadoop submit: %v", err)
 			}
 			mJob := wordcount.NewJob("/data/text", "/out/m3r", 4, immutable)
-			rep, err := c.m3r.Submit(mJob)
+			rep, err := c.M3R.Submit(mJob)
 			if err != nil {
 				t.Fatalf("m3r submit: %v", err)
 			}
 
-			hLines := readTextOutput(t, c.fs, "/out/hadoop")
-			mLines := readTextOutput(t, c.fs, "/out/m3r")
+			hLines := readTextOutput(t, c.FS, "/out/hadoop")
+			mLines := readTextOutput(t, c.FS, "/out/m3r")
 			if len(hLines) != len(mLines) {
 				t.Fatalf("engines disagree: hadoop %d lines, m3r %d lines", len(hLines), len(mLines))
 			}
@@ -93,15 +94,15 @@ func checkCounts(t *testing.T, lines []string, want map[string]int32) {
 // TestWordCountCounters sanity-checks the system counters both engines
 // maintain (§5.3).
 func TestWordCountCounters(t *testing.T) {
-	c := newCluster(t, 2)
-	if err := wordcount.Generate(c.fs, "/data/text", 64<<10, 7); err != nil {
+	c := newCluster(t, lab.Options{Nodes: 2})
+	if err := wordcount.Generate(c.FS, "/data/text", 64<<10, 7); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	hRep, err := c.hadoop.Submit(wordcount.NewJob("/data/text", "/out/h", 2, false))
+	hRep, err := c.Hadoop.Submit(wordcount.NewJob("/data/text", "/out/h", 2, false))
 	if err != nil {
 		t.Fatalf("hadoop: %v", err)
 	}
-	mRep, err := c.m3r.Submit(wordcount.NewJob("/data/text", "/out/m", 2, false))
+	mRep, err := c.M3R.Submit(wordcount.NewJob("/data/text", "/out/m", 2, false))
 	if err != nil {
 		t.Fatalf("m3r: %v", err)
 	}

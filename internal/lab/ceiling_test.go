@@ -1,6 +1,7 @@
 package lab_test
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -10,49 +11,33 @@ import (
 	"m3r/internal/counters"
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
-	"m3r/internal/formats"
 	"m3r/internal/lab"
 	"m3r/internal/microbench"
 	"m3r/internal/sim"
 	"m3r/internal/sysml"
 	"m3r/internal/testenv"
-	"m3r/internal/types"
 	"m3r/internal/wordcount"
 )
 
-// pinnedEngine submits every job with the knobs the ceiling depends on set
+// pinnedEngine submits every job with the knobs its ceiling depends on set
 // explicitly, so a default from the M3R_CONF_DEFAULTS carrier cannot move
-// it (explicit beats carrier).
-type pinnedEngine struct{ engine.Engine }
-
-func (e pinnedEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
-	job.SetInt64(conf.KeyM3RShuffleBudget, 0)
-	job.Set(conf.KeyM3RSpillCodec, "none")
-	return e.Engine.Submit(pinCommon(job))
-}
-
-// pinCommon sets the knobs every ceiling's jobs depend on whatever their
-// shuffle budget.
-func pinCommon(job *conf.JobConf) *conf.JobConf {
-	job.SetBool(conf.KeyM3RCache, true)
-	job.SetBool(conf.KeyM3RDedup, true)
-	job.SetInt(conf.KeyMaxMapAttempts, 1)
-	job.SetInt(conf.KeyMaxReduceAttempts, 1)
-	return job
-}
-
-// budgetedEngine is pinnedEngine for a budgeted job: a shuffle cap of
-// budget bytes within the engine's pool, spilling through codec.
-type budgetedEngine struct {
+// it (explicit beats carrier): the job's shuffle cap budget (0 opts it out
+// of the engine's pool), the spill codec ("" is none), cache and dedup on,
+// one attempt a task.
+type pinnedEngine struct {
 	engine.Engine
 	budget int64
 	codec  string
 }
 
-func (e budgetedEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
+func (e pinnedEngine) Submit(job *conf.JobConf) (*engine.Report, error) {
 	job.SetInt64(conf.KeyM3RShuffleBudget, e.budget)
-	job.Set(conf.KeyM3RSpillCodec, e.codec)
-	return e.Engine.Submit(pinCommon(job))
+	job.Set(conf.KeyM3RSpillCodec, cmp.Or(e.codec, "none"))
+	job.SetBool(conf.KeyM3RCache, true)
+	job.SetBool(conf.KeyM3RDedup, true)
+	job.SetInt(conf.KeyMaxMapAttempts, 1)
+	job.SetInt(conf.KeyMaxReduceAttempts, 1)
+	return e.Engine.Submit(job)
 }
 
 // skipUnpinned skips a ceiling where its counts are not pinned.
@@ -146,7 +131,7 @@ func TestWordCountAllocs(t *testing.T) {
 	if err := wordcount.Generate(c.FS, "/wc/in", 256<<10, 5); err != nil {
 		t.Fatal(err)
 	}
-	eng := pinnedEngine{c.M3R}
+	eng := pinnedEngine{Engine: c.M3R}
 	allocs, bytes := perRec(t, reps, func() error { return deleteIfExists(c.M3R.CachingFS(), "/wc/out") }, func() (int64, error) {
 		rep, err := eng.Submit(wordcount.NewJob("/wc/in", "/wc/out", 4, true))
 		if err != nil {
@@ -178,7 +163,7 @@ func TestShuffleRemoteAllocs(t *testing.T) {
 	if err := microbench.Generate(c.FS, cfg); err != nil {
 		t.Fatal(err)
 	}
-	eng := pinnedEngine{c.M3R}
+	eng := pinnedEngine{Engine: c.M3R}
 	allocs, bytes := perRec(t, reps, func() error { return deleteIfExists(c.M3R.CachingFS(), cfg.Dir+"/final") }, func() (int64, error) {
 		reports, err := microbench.Run(eng, cfg)
 		return mapOutputRecords(reports), err
@@ -191,8 +176,11 @@ func TestShuffleRemoteAllocs(t *testing.T) {
 
 // TestSortSpillAllocs is the workload ceiling of the benchmark's
 // sort_spill at a small fixed seed: WordCount without its combiner over
-// 256 KiB of generated text under an engine pool, cache budget and job cap
-// of an eighth of the input, spilling through flate, on M3R. Its ceiling
+// 256 KiB of generated text under an engine pool and cache budget of an
+// eighth of the input, spilling through flate, on M3R. The job's own cap
+// is pinned at the pool's size: the pool bounds the job anyway, as it
+// bounds the benchmark's uncapped job, while an unset key would take the
+// carrier's cap and an explicit 0 opts a job out of the pool. Its ceiling
 // is set as TestWordCountAllocs' is, over 2.380–2.382 allocs/rec, measured
 // when the budgeted runs became grouped and the raw merge came to make one
 // value iterator. Which runs spill follows task scheduling, so bytes spread
@@ -209,7 +197,7 @@ func TestSortSpillAllocs(t *testing.T) {
 	if err := wordcount.Generate(c.FS, "/ss/in", input, 5); err != nil {
 		t.Fatal(err)
 	}
-	eng := budgetedEngine{Engine: c.M3R, budget: pool, codec: "flate"}
+	eng := pinnedEngine{Engine: c.M3R, budget: pool, codec: "flate"}
 	allocs, bytes := perRec(t, reps, func() error { return deleteIfExists(c.M3R.CachingFS(), "/ss/out") }, func() (int64, error) {
 		rep, err := eng.Submit(sortSpillJob("/ss/in", "/ss/out"))
 		if err != nil {
@@ -226,22 +214,12 @@ func TestSortSpillAllocs(t *testing.T) {
 	}
 }
 
-// sortSpillJob is the benchmark's sort_spill job: WordCount's Fig. 4
-// mapper and its reducer, no combiner, four reducers.
+// sortSpillJob is the benchmark's sort_spill job: WordCount's Fig. 4 job
+// without its combiner.
 func sortSpillJob(in, out string) *conf.JobConf {
-	job := conf.NewJob()
+	job := wordcount.NewJob(in, out, 4, true)
 	job.SetJobName("sort_spill")
-	job.SetInputFormatClass(formats.TextInputFormatName)
-	job.SetOutputFormatClass(formats.TextOutputFormatName)
-	job.AddInputPath(in)
-	job.SetOutputPath(out)
-	job.SetNumReduceTasks(4)
-	job.SetMapperClass(wordcount.ImmutableMapperName)
-	job.SetReducerClass(wordcount.SumReducerName)
-	job.SetMapOutputKeyClass(types.TextName)
-	job.SetMapOutputValueClass(types.IntName)
-	job.SetOutputKeyClass(types.TextName)
-	job.SetOutputValueClass(types.IntName)
+	job.Unset(conf.KeyCombinerClass)
 	return job
 }
 
@@ -265,35 +243,6 @@ func ceilingCluster(t *testing.T, opts lab.Options) *lab.Cluster {
 	return c
 }
 
-// pageRankRep is one rep of the benchmark's pagerank_iter sequence on d:
-// MatVec then Scale per iteration, with the client's deletes in between.
-func pageRankRep(d *sysml.Driver, G, p0 sysml.Mat, alpha, teleport float64, iters int) error {
-	p := p0
-	for it := 0; it < iters; it++ {
-		gp, err := d.MatVec(G, p, fmt.Sprintf("%s/temp_gp_%d", d.Dir, it))
-		if err != nil {
-			return err
-		}
-		out := fmt.Sprintf("%s/temp_p_%d", d.Dir, it)
-		if it == iters-1 {
-			out = d.Dir + "/pagerank_out"
-		}
-		next, err := d.Scale(gp, alpha, teleport, out)
-		if err != nil {
-			return err
-		}
-		for _, path := range []string{gp.Path, p.Path} {
-			if path != p0.Path && d.FS.Exists(path) {
-				if err := d.FS.Delete(path, true); err != nil {
-					return err
-				}
-			}
-		}
-		p = next
-	}
-	return nil
-}
-
 // TestPageRankSequenceAllocs is the workload ceiling of a small fixed-seed
 // PageRank on M3R: 5 iterations over 800 nodes in 100-node blocks, i.e. 15
 // jobs a rep. It counts what the benchmark's m3r_allocs_per_rec counts —
@@ -307,36 +256,21 @@ func pageRankRep(d *sysml.Driver, G, p0 sysml.Mat, alpha, teleport float64, iter
 // barrier became the map phase's finish. 386 is not pinned. A change that
 // lowers the value lowers the ceiling; raising one is a change to a check.
 func TestPageRankSequenceAllocs(t *testing.T) {
-	if testenv.Race {
-		t.Skip("allocation counts rest on warm pools; the race detector drops a share of what is Put")
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
-	}
+	skipUnpinned(t)
 	const (
 		nodes, block, iters = 800, 100, 5
 		reps                = 12
 		maxAllocsPerRec     = 10.31
 		maxAllocsPerJob     = 688.0
 	)
-	c, err := lab.New(lab.Options{Nodes: 4, WorkersPerPlace: 1, ShuffleBudgetBytes: -1, CacheBudgetBytes: -1, Cost: sim.Zero()})
+	c := ceilingCluster(t, lab.Options{})
+	cfg := sysml.PageRankConfig{Nodes: nodes, BlockSize: block, Sparsity: 0.01, Iterations: iters, Seed: 3}
+	G, p0, err := sysml.WritePageRankInputs(&sysml.Driver{FS: c.FS, Partitions: 4, Dir: "/pr/in"}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	in := &sysml.Driver{FS: c.FS, Partitions: 4, Dir: "/pr/in"}
-	G, err := in.WriteMat("G", nodes, nodes, block, block, 3, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, err := in.WriteMat("p0", nodes, 1, block, 1, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const alpha = 0.85
-	teleport := (1 - alpha) / float64(nodes)
 	rep := func() (jobs int, recs int64) {
-		d, err := sysml.NewDriver(pinnedEngine{c.M3R}, "/pr/m3r", 4)
+		d, err := sysml.NewDriver(pinnedEngine{Engine: c.M3R}, "/pr/m3r", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +279,7 @@ func TestPageRankSequenceAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := pageRankRep(d, G, p0, alpha, teleport, iters); err != nil {
+		if _, err := sysml.IteratePageRank(d, cfg, G, p0); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range d.Reports {

@@ -1,10 +1,13 @@
 // Package lab assembles a complete simulated cluster — HDFS, the Hadoop
-// engine, and the M3R engine over the same nodes — for the examples, the
-// benchmark harness, and the CLI tools. It is the Go equivalent of the
-// paper's 20-node testbed, with the scaled-down cost model applied.
+// engine, and the M3R engine over the same nodes, the Hadoop engine
+// attached as the M3R engine's fallback — for the examples, the CLI tools,
+// the allocation ceilings and the integration tests. It is the Go
+// equivalent of the paper's 20-node testbed, with the scaled-down cost
+// model applied.
 package lab
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -139,12 +142,12 @@ func New(opts Options) (c *Cluster, err error) {
 	}, nil
 }
 
-// Close shuts both engines down and removes owned disk state.
+// Close shuts both engines down and removes owned disk state. It returns
+// every error among them; the M3R engine's is its transport's close.
 func (c *Cluster) Close() error {
-	c.M3R.Close()
-	c.Hadoop.Close()
+	err := errors.Join(c.M3R.Close(), c.Hadoop.Close())
 	if c.ownDir {
-		return os.RemoveAll(c.dir)
+		err = errors.Join(err, os.RemoveAll(c.dir))
 	}
-	return nil
+	return err
 }

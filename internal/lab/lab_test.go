@@ -1,6 +1,7 @@
 package lab_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"m3r/internal/lab"
 	"m3r/internal/sim"
 	"m3r/internal/wordcount"
+	"m3r/internal/x10"
 )
 
 func TestClusterLifecycle(t *testing.T) {
@@ -73,5 +75,30 @@ func TestFailedNewRemovesItsDir(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("failed New left %v behind", left)
+	}
+}
+
+// failingClose is the loopback transport with a Close that fails.
+type failingClose struct{ x10.Transport }
+
+var errTransportClose = errors.New("transport close failed")
+
+func (failingClose) Close() error { return errTransportClose }
+
+// TestCloseReportsTransportError: the M3R engine's Close is its transport's,
+// and the cluster's Close returns that error, having still removed the
+// directory it made.
+func TestCloseReportsTransportError(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	c, err := lab.New(lab.Options{Nodes: 2, Cost: sim.Zero(), Transport: failingClose{x10.Inproc()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); !errors.Is(err, errTransportClose) {
+		t.Errorf("Close = %v, want the transport's error", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "m3r-lab-*")); len(left) != 0 {
+		t.Errorf("Close left %v behind", left)
 	}
 }

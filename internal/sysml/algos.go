@@ -1,6 +1,7 @@
 package sysml
 
 import (
+	"cmp"
 	"fmt"
 )
 
@@ -21,41 +22,48 @@ type PageRankConfig struct {
 	Seed       int64
 }
 
-// PageRank runs p ← α·G·p + (1-α)/n per iteration and returns the final
-// ranks (dense, for verification) plus the output Mat handle.
+// PageRank writes G and p0 under d.Dir and runs IteratePageRank over them.
 func PageRank(d *Driver, cfg PageRankConfig) (Mat, error) {
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.85
-	}
-	G, err := d.WriteMat("G", cfg.Nodes, cfg.Nodes, cfg.BlockSize, cfg.BlockSize, cfg.Seed, 1-cfg.Sparsity)
+	G, p0, err := WritePageRankInputs(d, cfg)
 	if err != nil {
 		return Mat{}, err
 	}
-	p, err := d.WriteMat("p0", cfg.Nodes, 1, cfg.BlockSize, 1, cfg.Seed+1, 0)
-	if err != nil {
-		return Mat{}, err
+	return IteratePageRank(d, cfg, G, p0)
+}
+
+// WritePageRankInputs writes G and p0 under d.Dir; it needs only d.FS.
+func WritePageRankInputs(d *Driver, cfg PageRankConfig) (G, p0 Mat, err error) {
+	if G, err = d.WriteMat("G", cfg.Nodes, cfg.Nodes, cfg.BlockSize, cfg.BlockSize, cfg.Seed, 1-cfg.Sparsity); err == nil {
+		p0, err = d.WriteMat("p0", cfg.Nodes, 1, cfg.BlockSize, 1, cfg.Seed+1, 0)
 	}
-	teleport := (1 - cfg.Alpha) / float64(cfg.Nodes)
+	return G, p0, err
+}
+
+// IteratePageRank runs cfg.Iterations of p ← α·G·p + (1-α)/n from p0 into
+// d.Dir's temp_gp_<i>, temp_p_<i> and at last pagerank_out. It deletes what
+// it consumed but G and p0, so it reruns over them once pagerank_out is gone.
+func IteratePageRank(d *Driver, cfg PageRankConfig, G, p0 Mat) (Mat, error) {
+	alpha := cmp.Or(cfg.Alpha, 0.85)
+	teleport := (1 - alpha) / float64(cfg.Nodes)
+	p := p0
 	for it := 0; it < cfg.Iterations; it++ {
-		gp, err := d.MatVec(G, p, d.temp("gp"))
+		gp, err := d.MatVec(G, p, fmt.Sprintf("%s/temp_gp_%d", d.Dir, it))
 		if err != nil {
 			return Mat{}, fmt.Errorf("pagerank iteration %d: %w", it, err)
 		}
-		out := d.temp("p")
+		out := fmt.Sprintf("%s/temp_p_%d", d.Dir, it)
 		if it == cfg.Iterations-1 {
 			out = d.Dir + "/pagerank_out"
 		}
-		next, err := d.Scale(gp, cfg.Alpha, teleport, out)
+		next, err := d.Scale(gp, alpha, teleport, out)
 		if err != nil {
 			return Mat{}, fmt.Errorf("pagerank iteration %d: %w", it, err)
 		}
-		if err := d.drop(gp.Path); err != nil {
-			return Mat{}, err
+		if p.Path == p0.Path {
+			p.Path = "" // which drop skips: p0 stays
 		}
-		if p.Path != d.Dir+"/p0" {
-			if err := d.drop(p.Path); err != nil {
-				return Mat{}, err
-			}
+		if err := d.drop(gp.Path, p.Path); err != nil {
+			return Mat{}, err
 		}
 		p = next
 	}
