@@ -16,7 +16,6 @@
 package hadoop
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,7 +29,6 @@ import (
 	"m3r/internal/formats"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
-	"m3r/internal/wio"
 )
 
 // Options configures the engine.
@@ -382,22 +380,4 @@ func firstError(ch chan error) error {
 		}
 	}
 	return nil
-}
-
-// serializePair writes key and value through the wio layer, returning
-// separate byte slices — the immediate serialization Hadoop performs when
-// map output enters the sort buffer. Both are staged in *scratch (the
-// caller's, kept between records) and share one exactly sized allocation.
-func serializePair(scratch *[]byte, key, value wio.Writable) ([]byte, []byte, error) {
-	buf, err := wio.AppendMarshal((*scratch)[:0], key)
-	if err != nil {
-		return nil, nil, err
-	}
-	kl := len(buf)
-	if buf, err = wio.AppendMarshal(buf, value); err != nil {
-		return nil, nil, err
-	}
-	*scratch = buf
-	out := bytes.Clone(buf)
-	return out[:kl:kl], out[kl:], nil
 }

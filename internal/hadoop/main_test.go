@@ -7,9 +7,11 @@ import (
 	"m3r/internal/spill"
 )
 
-// TestMain poisons recycled spill blocks, so a record kept past its
-// stream's lookbehind reads garbage (spill.Stream).
+// TestMain poisons recycled spill blocks and sort-buffer chunks, so a
+// record kept past its stream's lookbehind (spill.Stream) or past its
+// spill (kvBuffer) reads garbage.
 func TestMain(m *testing.M) {
 	spill.PoisonRecycledBlocks.Store(true)
+	PoisonRecycledChunks.Store(true)
 	os.Exit(m.Run())
 }

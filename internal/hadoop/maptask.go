@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"m3r/internal/conf"
 	"m3r/internal/engine"
@@ -46,7 +45,8 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 		// Attempt-scoped, so a retried attempt never aliases the files of a
 		// failed predecessor mid-teardown.
 		taskDir: filepath.Join(r.jobDir, fmt.Sprintf("map_%06d_%d", t.index, attempt)),
-		parts:   sortParts(r.Resolved.NumReducers),
+		kv:      getKVBuffer(),
+		parts:   r.Resolved.NumReducers,
 		limit:   limit,
 		ctx:     ctx,
 	}
@@ -61,7 +61,6 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 	buf.cmp = rawCmp
 	partitioner := r.Resolved.NewPartitioner()
 
-	outputCell, bytesCell := &ctx.Cells.MapOutputRecords, &ctx.Cells.MapOutputBytes
 	lc := r.Lifecycle
 	collector := mapred.CollectorFunc(func(key, value wio.Writable) error {
 		// Per-record cancel check: one atomic load; the kill unwinds
@@ -76,14 +75,7 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 		if p < 0 || p >= r.Resolved.NumReducers {
 			return fmt.Errorf("hadoop: partitioner returned %d of %d", p, r.Resolved.NumReducers)
 		}
-		// Hadoop serializes map output immediately into the sort buffer.
-		kb, vb, err := serializePair(&buf.scratch, key, value)
-		if err != nil {
-			return err
-		}
-		outputCell.Increment(1)
-		bytesCell.Increment(int64(len(kb) + len(vb)))
-		return buf.add(p, spill.Rec{K: kb, V: vb})
+		return buf.collect(p, key, value)
 	})
 
 	if err := runner.Run(reader, collector, ctx); err != nil {
@@ -126,41 +118,30 @@ func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
 }
 
 // sortBuffer is the map side's in-memory output buffer with spill-to-disk,
-// Hadoop's io.sort.mb machinery.
+// Hadoop's io.sort.mb machinery. Its records live in kv, serialized the
+// moment they are collected, as Hadoop does; limit bounds their accounted
+// size (spill.Rec.Size), not the memory kv holds.
 type sortBuffer struct {
-	run     *jobRun
-	taskDir string
-	parts   [][]spill.Rec
-	bytes   int64
-	limit   int64
-	cmp     wio.RawComparator
-	ctx     *engine.TaskContext
-	scratch []byte // serializePair's staging, reused record to record
+	run      *jobRun
+	taskDir  string
+	kv       *kvBuffer
+	combined *kvBuffer // the combiner's output, one partition at a time; nil until needed
+	parts    int
+	bytes    int64
+	limit    int64
+	cmp      wio.RawComparator
+	ctx      *engine.TaskContext
 
 	spills []spillFile
 }
 
-// sortPartsPool recycles sort-buffer partitions across map tasks and jobs:
-// each slice keeps the capacity it grew to, and holds no record (release).
-var sortPartsPool sync.Pool // of *[][]spill.Rec
-
-// sortParts returns n empty partitions, the pool's if it has them.
-func sortParts(n int) [][]spill.Rec {
-	if parts, ok := sortPartsPool.Get().(*[][]spill.Rec); ok && cap(*parts) >= n {
-		return (*parts)[:n]
-	}
-	return make([][]spill.Rec, n)
-}
-
-// release clears the buffer's partitions, so that no record outlives its
-// task, and pools them.
+// release pools the buffer's arenas, so that no record outlives its task.
 func (b *sortBuffer) release() {
-	for p, recs := range b.parts {
-		clear(recs)
-		b.parts[p] = recs[:0]
+	b.kv.release()
+	if b.combined != nil {
+		b.combined.release()
 	}
-	parts := b.parts
-	sortPartsPool.Put(&parts)
+	b.kv, b.combined = nil, nil
 }
 
 // spillFile records one on-disk spill and its per-partition segments.
@@ -169,9 +150,15 @@ type spillFile struct {
 	segments []spill.Segment
 }
 
-// add buffers one record, spilling when the buffer exceeds its limit.
-func (b *sortBuffer) add(p int, r spill.Rec) error {
-	b.parts[p] = append(b.parts[p], r)
+// collect serializes one map-output record of partition p into the buffer,
+// counts it, and spills when the buffer reaches its limit.
+func (b *sortBuffer) collect(p int, key, value wio.Writable) error {
+	r, err := b.kv.collect(p, key, value)
+	if err != nil {
+		return err
+	}
+	b.ctx.Cells.MapOutputRecords.Increment(1)
+	b.ctx.Cells.MapOutputBytes.Increment(int64(len(r.K) + len(r.V)))
 	b.bytes += r.Size()
 	if b.bytes >= b.limit {
 		return b.spill()
@@ -179,8 +166,8 @@ func (b *sortBuffer) add(p int, r spill.Rec) error {
 	return nil
 }
 
-// spill sorts each partition (running the combiner when configured) and
-// writes one spill file.
+// spill sorts each partition (running the combiner when configured),
+// writes one spill file, and empties the buffer.
 func (b *sortBuffer) spill() error {
 	path := filepath.Join(b.taskDir, fmt.Sprintf("spill_%d", len(b.spills)))
 	f, err := createLocalFile(path)
@@ -190,10 +177,10 @@ func (b *sortBuffer) spill() error {
 	w := bufio.NewWriter(f)
 	var segments []spill.Segment
 	var off, rawTotal int64
-	var spilled int64
+	spilled := int64(len(b.kv.meta))
+	b.kv.layOut(b.parts)
 	for p := range b.parts {
-		recs := b.parts[p]
-		recs, err := b.prepare(recs)
+		recs, err := b.prepare(b.kv.partition(p))
 		if err != nil {
 			f.Close()
 			return err
@@ -212,12 +199,9 @@ func (b *sortBuffer) spill() error {
 			f.Close()
 			return err
 		}
-		spilled += int64(len(recs))
 		segments = append(segments, spill.Segment{Off: off, Len: segLen})
 		off += segLen
 		rawTotal += segRaw
-		clear(b.parts[p])
-		b.parts[p] = b.parts[p][:0]
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -226,6 +210,7 @@ func (b *sortBuffer) spill() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
+	b.kv.reset()
 	b.bytes = 0
 	b.spills = append(b.spills, spillFile{path: path, segments: segments})
 	b.ctx.Cells.SpilledRecords.Increment(spilled)
@@ -246,7 +231,7 @@ func (b *sortBuffer) chargeSpill(stored, raw, files, diskBytes int64) {
 }
 
 // prepare sorts one partition's records, applying the combiner when the
-// job has one.
+// job has one. What it returns is valid until the next spill or prepare.
 func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 	if len(recs) == 0 {
 		return recs, nil
@@ -256,8 +241,8 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 		return recs, nil
 	}
 	// Combine: deserialize, sort+combine through the shared driver,
-	// reserialize. The combiner contract requires key-preserving output,
-	// so combined output remains sorted.
+	// reserialize into the combiner's own buffer. The combiner contract
+	// requires key-preserving output, so combined output remains sorted.
 	pairs, err := b.run.deserializeRecs(recs)
 	if err != nil {
 		return nil, err
@@ -266,15 +251,18 @@ func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]spill.Rec, 0, len(combined))
+	if b.combined == nil {
+		b.combined = getKVBuffer()
+	}
+	out := b.combined
+	out.reset()
 	for _, p := range combined {
-		kb, vb, err := serializePair(&b.scratch, p.Key, p.Value)
-		if err != nil {
+		if _, err := out.collect(0, p.Key, p.Value); err != nil {
 			return nil, err
 		}
-		out = append(out, spill.Rec{K: kb, V: vb})
 	}
-	return out, nil
+	out.layOut(1)
+	return out.partition(0), nil
 }
 
 // deserializeRecs rebuilds writables from serialized records using the
@@ -313,10 +301,9 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
-	numParts := len(b.parts)
-	segments := make([]spill.Segment, numParts)
+	segments := make([]spill.Segment, b.parts)
 	var off, rawTotal int64
-	for p := 0; p < numParts; p++ {
+	for p := range b.parts {
 		var streams []engine.RecSource
 		for _, sp := range b.spills {
 			s, err := spill.OpenSegment(sp.path, sp.segments[p])

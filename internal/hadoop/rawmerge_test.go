@@ -103,94 +103,99 @@ func TestMergerProducesGlobalOrder(t *testing.T) {
 // TestMapSideMergeAcrossBlocks: a map task whose output spilled several
 // times merges the spills into its output file record by record, and each
 // record is written after the merge has moved its source on — across block
-// boundaries of multi-block segments, with recycled blocks poisoned
-// (TestMain). Every partition's merged segment must be byte for byte the
-// segment of the stably sorted records, per codec.
+// boundaries of multi-block segments, with recycled blocks and recycled
+// sort-buffer chunks poisoned (TestMain). Under the tiny limit the task
+// spills dozens of times, each spill reusing the chunks the one before it
+// wrote. Every partition's merged segment must be byte for byte the segment
+// of the stably sorted records, per codec and limit.
 func TestMapSideMergeAcrossBlocks(t *testing.T) {
 	for _, codec := range []spill.Codec{spill.CodecNone, spill.CodecFlate} {
-		job := conf.NewJob()
-		job.SetMapOutputKeyClass(types.TextName)
-		job.SetMapOutputValueClass(types.LongName)
-		job.SetNumReduceTasks(2)
-		rj, err := engine.Resolve(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rawCmp, err := rj.RawKeyComparator(types.TextName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := &jobRun{
-			engine: &Engine{host: &engine.Host{Stats: sim.NewStats()}, cost: sim.Zero()},
-			Job:    &engine.Job{Conf: job, Resolved: rj, Codec: codec},
-		}
-		b := &sortBuffer{
-			run: run, taskDir: t.TempDir(), parts: make([][]spill.Rec, 2),
-			limit: 256 << 10, cmp: rawCmp, ctx: engine.NewTaskContext(job, "map", nil),
-		}
-		// Keys share a prefix longer than a sort prefix and repeat, so ties
-		// across spills and raw comparisons are the common case.
-		rng := rand.New(rand.NewSource(int64(codec) + 1))
-		var want [2][]spill.Rec
-		for i := 0; i < 30000; i++ {
-			kb, err := wio.Marshal(types.NewText(fmt.Sprintf("a-shared-key-prefix-%03d", rng.Intn(300))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			vb, err := wio.Marshal(types.NewLong(int64(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := spill.Rec{K: kb, V: vb}
-			want[i%2] = append(want[i%2], rec)
-			if err := b.add(i%2, rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out, err := b.finish(0, "node0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b.spills) < 3 {
-			t.Fatalf("%s: %d spills, the test needs a merge of three or more", codec, len(b.spills))
-		}
-		data, err := os.ReadFile(out.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := range want {
-			spill.SortRecs(want[p], rawCmp)
-			enc, err := spill.EncodeRun(want[p], codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg := out.segments[p]
-			if got := data[seg.Off : seg.Off+seg.Len]; !bytes.Equal(got, enc.Data) {
-				t.Fatalf("%s: partition %d merged into %d bytes that differ from the %d of its sorted records",
-					codec, p, len(got), len(enc.Data))
-			}
+		for _, limit := range []int64{256 << 10, 16 << 10} {
+			mapSideMerge(t, codec, limit)
 		}
 	}
 }
 
-// TestReleasedPartsHoldNoRecord: a map task's sort-buffer partitions go back
-// to the pool empty, each keeping its capacity with every slot cleared, so
-// no record outlives its task.
-func TestReleasedPartsHoldNoRecord(t *testing.T) {
-	b := &sortBuffer{parts: sortParts(3)}
-	for i := range 100 {
-		b.parts[i%3] = append(b.parts[i%3], spill.Rec{K: []byte("k"), V: []byte("v")})
+func mapSideMerge(t *testing.T, codec spill.Codec, limit int64) {
+	t.Helper()
+	job := conf.NewJob()
+	job.SetMapOutputKeyClass(types.TextName)
+	job.SetMapOutputValueClass(types.LongName)
+	job.SetNumReduceTasks(2)
+	rj, err := engine.Resolve(job)
+	if err != nil {
+		t.Fatal(err)
 	}
-	parts := b.parts // shares the partitions release empties
-	b.release()
-	for p, recs := range parts {
-		if len(recs) != 0 || cap(recs) < 33 {
-			t.Errorf("partition %d: len %d, cap %d after release", p, len(recs), cap(recs))
+	rawCmp, err := rj.RawKeyComparator(types.TextName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &jobRun{
+		engine: &Engine{host: &engine.Host{Stats: sim.NewStats()}, cost: sim.Zero()},
+		Job:    &engine.Job{Conf: job, Resolved: rj, Codec: codec},
+	}
+	b := &sortBuffer{
+		run: run, taskDir: t.TempDir(), kv: getKVBuffer(), parts: 2,
+		limit: limit, cmp: rawCmp, ctx: engine.NewTaskContext(job, "map", nil),
+	}
+	defer b.release()
+	// Keys share a prefix longer than a sort prefix and repeat, so ties
+	// across spills and raw comparisons are the common case.
+	rng := rand.New(rand.NewSource(int64(codec) + limit))
+	var want [2][]spill.Rec
+	var wantBytes int64
+	const n = 30000
+	for i := 0; i < n; i++ {
+		key, value := types.NewText(fmt.Sprintf("a-shared-key-prefix-%03d", rng.Intn(300))), types.NewLong(int64(i))
+		kb, err := wio.Marshal(key)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, r := range recs[:cap(recs)] {
-			if r.K != nil || r.V != nil {
-				t.Fatalf("partition %d slot %d still holds a record", p, i)
-			}
+		vb, err := wio.Marshal(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i%2] = append(want[i%2], spill.Rec{K: kb, V: vb})
+		wantBytes += int64(len(kb) + len(vb))
+		if err := b.collect(i%2, key, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := b.finish(0, "node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	minSpills := 3
+	if limit < 64<<10 {
+		minSpills = 30
+	}
+	if len(b.spills) < minSpills {
+		t.Fatalf("%s, limit %d: %d spills, the test needs %d or more", codec, limit, len(b.spills), minSpills)
+	}
+	cells := &b.ctx.Cells
+	if got := cells.MapOutputRecords.Value(); got != n {
+		t.Errorf("%s, limit %d: MAP_OUTPUT_RECORDS %d, want %d", codec, limit, got, n)
+	}
+	if got := cells.SpilledRecords.Value(); got != n {
+		t.Errorf("%s, limit %d: SPILLED_RECORDS %d, want %d", codec, limit, got, n)
+	}
+	if got := cells.MapOutputBytes.Value(); got != wantBytes {
+		t.Errorf("%s, limit %d: MAP_OUTPUT_BYTES %d, want %d", codec, limit, got, wantBytes)
+	}
+	data, err := os.ReadFile(out.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range want {
+		spill.SortRecs(want[p], rawCmp)
+		enc, err := spill.EncodeRun(want[p], codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := out.segments[p]
+		if got := data[seg.Off : seg.Off+seg.Len]; !bytes.Equal(got, enc.Data) {
+			t.Fatalf("%s, limit %d: partition %d merged into %d bytes that differ from the %d of its sorted records",
+				codec, limit, p, len(got), len(enc.Data))
 		}
 	}
 }

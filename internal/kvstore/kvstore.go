@@ -889,7 +889,7 @@ func (w *Writer) Close() (BlockInfo, error) {
 		// A block whose pairs cannot round-trip through the record format
 		// (unregistered types) stays unaccounted and pinned on the heap,
 		// exactly like an unencodable shuffle run.
-		if _, _, _, sz, err := spill.MarshalRun(w.pairs); err == nil {
+		if sz, err := spill.RunSize(w.pairs); err == nil {
 			size = sz
 		}
 	}

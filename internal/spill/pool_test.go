@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -90,6 +91,47 @@ func TestMarshalRunMatchesMarshalPerField(t *testing.T) {
 }
 
 type unregistered struct{ wio.Writable }
+
+// TestRunSizeIsMarshalRunsSize: the counting pass sizes a run exactly as
+// MarshalRun does, fails where it fails, and allocates nothing warm.
+func TestRunSizeIsMarshalRunsSize(t *testing.T) {
+	big := wio.Pair{Key: types.NewText(strings.Repeat("k", 70000)), Value: types.NewBytes(make([]byte, 300))}
+	for _, pairs := range [][]wio.Pair{
+		wordPairs(1), wordPairs(3000), {big, big},
+		append(wordPairs(5), wio.Pair{Key: types.NewText(""), Value: types.NewInt(-1)}),
+	} {
+		_, _, _, want, err := MarshalRun(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunSize(pairs)
+		if err != nil || got != want {
+			t.Fatalf("RunSize of %d pairs = %d, %v; MarshalRun's size is %d", len(pairs), got, err, want)
+		}
+		if testenv.Race {
+			continue // sync.Pool sheds entries under the race detector
+		}
+		if a := testing.AllocsPerRun(20, func() { RunSize(pairs) }); a != 0 {
+			t.Errorf("RunSize of %d pairs allocates %v times", len(pairs), a)
+		}
+	}
+	if n, err := RunSize(nil); n != 0 || err != nil {
+		t.Errorf("RunSize(nil) = %d, %v", n, err)
+	}
+	unregistered := []wio.Pair{{Key: types.NewText("k"), Value: &unregisteredValue{}}}
+	if _, _, _, _, err := MarshalRun(unregistered); err == nil {
+		t.Fatal("MarshalRun took an unregistered value class")
+	}
+	if _, err := RunSize(unregistered); err == nil {
+		t.Error("RunSize took an unregistered value class")
+	}
+}
+
+// unregisteredValue is a Writable no registry entry names.
+type unregisteredValue struct{}
+
+func (*unregisteredValue) WriteTo(*wio.Writer) error    { return nil }
+func (*unregisteredValue) ReadFields(*wio.Reader) error { return nil }
 
 func TestMarshalRunAllocationsIndependentOfLength(t *testing.T) {
 	if testenv.Race {

@@ -416,6 +416,37 @@ func MarshalRun(pairs []wio.Pair) (recs []Rec, keyClass, valClass string, size i
 
 var runMarshalers = sync.Pool{New: func() any { return new(wio.Writer) }}
 
+// RunSize is the accounting size MarshalRun returns for pairs, and its
+// error, from a counting pass that keeps no byte and allocates nothing: what
+// a caller that only needs the size (the kvstore's budgeted commit) pays
+// instead of a marshalled copy of the run. An empty run is 0.
+func RunSize(pairs []wio.Pair) (int64, error) {
+	if len(pairs) == 0 {
+		return 0, nil
+	}
+	if _, err := wio.NameOf(pairs[0].Key); err != nil {
+		return 0, err
+	}
+	if _, err := wio.NameOf(pairs[0].Value); err != nil {
+		return 0, err
+	}
+	w := runSizers.Get().(*wio.Writer)
+	defer runSizers.Put(w)
+	w.Reset(io.Discard)
+	for _, p := range pairs {
+		if err := p.Key.WriteTo(w); err != nil {
+			return 0, err
+		}
+		if err := p.Value.WriteTo(w); err != nil {
+			return 0, err
+		}
+	}
+	return w.Count() + int64(len(pairs))*2*binary.MaxVarintLen32, nil // Rec.Size, summed
+}
+
+// runSizers are RunSize's stream-mode writers, each counting into io.Discard.
+var runSizers = sync.Pool{New: func() any { return wio.NewWriter(io.Discard) }}
+
 // PairDecoder is MarshalRun's inverse, one record at a time: it turns
 // records back into writables of a run's key and value classes, distinct
 // objects taken from each class's slabs (wio.Alloc). The classes are

@@ -40,7 +40,9 @@ type OutStream struct {
 
 // A chunk is one pooled buffer. The object is pointer-stable so that putting
 // it into a sync.Pool boxes nothing: a stream nobody pointed into costs no
-// allocation in steady state.
+// allocation in steady state. A chunk whose buffer was handed over goes back
+// to its pool without one (buf == nil), and getChunk gives it a new buffer:
+// a handed-over chunk then costs one allocation, not two.
 type chunk struct {
 	buf   []byte
 	shift int // cap(buf) == 1<<shift
@@ -82,12 +84,16 @@ var PoisonReleasedChunks atomic.Bool
 func getChunk(shift int) *chunk {
 	if shift <= maxChunkShift {
 		if c, _ := chunkPools[shift-minChunkShift].Get().(*chunk); c != nil {
+			if c.buf == nil {
+				c.buf = make([]byte, 0, 1<<shift)
+			}
 			return c
 		}
 	}
 	return &chunk{buf: make([]byte, 0, 1<<shift), shift: shift}
 }
 
+// putChunk pools c, with its buffer unless that was handed over.
 func putChunk(c *chunk) {
 	if PoisonReleasedChunks.Load() {
 		b := c.buf[:cap(c.buf)]
@@ -110,14 +116,13 @@ func GetOutStream(dedup bool) *OutStream {
 	return s
 }
 
-// Release returns the stream and every chunk no decoded value points into to
-// their pools. The stream remembers no object it encoded or decoded.
+// Release returns the stream and its chunks to their pools, each with its
+// buffer unless a decoded value points into it. The stream remembers no
+// object it encoded or decoded.
 func (s *OutStream) Release() {
 	s.settle() // a decode that failed inside a chunk may have pointed into it
 	for _, c := range s.chunks {
-		if c.buf != nil {
-			putChunk(c)
-		}
+		putChunk(c)
 	}
 	clear(s.chunks)
 	clear(s.arrived)
