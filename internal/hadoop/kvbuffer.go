@@ -52,11 +52,14 @@ const (
 	maxKVChunkShift = 16
 )
 
-var kvBuffers = sync.Pool{New: func() any {
+var kvBuffers = sync.Pool{New: func() any { return newKVBuffer() }}
+
+// newKVBuffer returns an empty buffer with no chunk yet.
+func newKVBuffer() *kvBuffer {
 	b := new(kvBuffer)
 	b.w.Reset(b)
 	return b
-}}
+}
 
 // PoisonRecycledChunks is a test hook: while set, every chunk is overwritten
 // with 0xDB when its buffer resets, so a record view kept past its spill
@@ -170,9 +173,15 @@ func (b *kvBuffer) layOut(parts int) {
 	}
 	b.recs = slices.Grow(b.recs[:0], len(b.meta))[:len(b.meta)]
 	for _, m := range b.meta {
-		c := b.chunks[m.chunk]
-		k, v := m.off+m.klen, m.off+m.klen+m.vlen
-		b.recs[b.ends[m.part]] = spill.Rec{K: c[m.off:k:k], V: c[k:v:v]}
+		var r spill.Rec
+		// A record of no bytes (NullWritable's) may name a chunk that was
+		// never made: nothing was written since the reset.
+		if m.klen+m.vlen > 0 {
+			c := b.chunks[m.chunk]
+			k, v := m.off+m.klen, m.off+m.klen+m.vlen
+			r = spill.Rec{K: c[m.off:k:k], V: c[k:v:v]}
+		}
+		b.recs[b.ends[m.part]] = r
 		b.ends[m.part]++
 	}
 }

@@ -161,6 +161,25 @@ func TestKVBufferFailedCollectLeavesNoRecord(t *testing.T) {
 	}
 }
 
+// TestKVBufferEmptyRecords: records of no bytes, NullWritable's, collect
+// and lay out in a buffer that has no chunk yet, and then among records
+// that have bytes.
+func TestKVBufferEmptyRecords(t *testing.T) {
+	b := newKVBuffer()
+	defer b.release()
+	collectAll(t, b, 2, []kvRec{
+		{0, types.Null(), types.Null()},
+		{1, types.Null(), types.Null()},
+	})
+	b.reset()
+	collectAll(t, b, 2, []kvRec{
+		{1, types.Null(), types.Null()},
+		{0, types.NewText("k"), types.Null()},
+		{1, types.Null(), types.NewInt(1)},
+		{0, types.Null(), types.Null()},
+	})
+}
+
 // TestReleasedKVBufferHoldsNoRecord: a released buffer goes back to the
 // pool with no index entry and no view left, each view slot cleared and
 // every chunk poisoned (TestMain sets the hook), so no record outlives its

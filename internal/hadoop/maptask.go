@@ -122,26 +122,23 @@ func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
 // moment they are collected, as Hadoop does; limit bounds their accounted
 // size (spill.Rec.Size), not the memory kv holds.
 type sortBuffer struct {
-	run      *jobRun
-	taskDir  string
-	kv       *kvBuffer
-	combined *kvBuffer // the combiner's output, one partition at a time; nil until needed
-	parts    int
-	bytes    int64
-	limit    int64
-	cmp      wio.RawComparator
-	ctx      *engine.TaskContext
+	run     *jobRun
+	taskDir string
+	kv      *kvBuffer
+	parts   int
+	bytes   int64
+	limit   int64
+	cmp     wio.RawComparator
+	ctx     *engine.TaskContext
+	pair    wio.Writer // slice mode: one combined pair at a time, reused
 
 	spills []spillFile
 }
 
-// release pools the buffer's arenas, so that no record outlives its task.
+// release pools the buffer's arena, so that no record outlives its task.
 func (b *sortBuffer) release() {
 	b.kv.release()
-	if b.combined != nil {
-		b.combined.release()
-	}
-	b.kv, b.combined = nil, nil
+	b.kv = nil
 }
 
 // spillFile records one on-disk spill and its per-partition segments.
@@ -176,29 +173,23 @@ func (b *sortBuffer) spill() error {
 	}
 	w := bufio.NewWriter(f)
 	var segments []spill.Segment
-	var off, rawTotal int64
-	spilled := int64(len(b.kv.meta))
+	var off, rawTotal, spilled int64
 	b.kv.layOut(b.parts)
 	for p := range b.parts {
-		recs, err := b.prepare(b.kv.partition(p))
-		if err != nil {
-			f.Close()
-			return err
-		}
 		// One SegmentWriter per partition: each segment carries its own
 		// header, so a reducer's byte-range fetch stays self-describing.
 		sw := spill.NewSegmentWriter(w, b.run.Codec)
-		for _, r := range recs {
-			if err := sw.Write(r); err != nil {
-				f.Close()
-				return err
-			}
+		n, err := b.writePartition(sw, b.kv.partition(p))
+		if err != nil {
+			f.Close()
+			return err
 		}
 		segLen, segRaw, err := sw.Finish()
 		if err != nil {
 			f.Close()
 			return err
 		}
+		spilled += int64(n) // what was written: the combiner's output, if any
 		segments = append(segments, spill.Segment{Off: off, Len: segLen})
 		off += segLen
 		rawTotal += segRaw
@@ -230,39 +221,48 @@ func (b *sortBuffer) chargeSpill(stored, raw, files, diskBytes int64) {
 	b.run.engine.cost.ChargeDisk(stats, diskBytes)
 }
 
-// prepare sorts one partition's records, applying the combiner when the
-// job has one. What it returns is valid until the next spill or prepare.
-func (b *sortBuffer) prepare(recs []spill.Rec) ([]spill.Rec, error) {
+// writePartition sorts one partition's records into sw, applying the
+// combiner when the job has one, and returns how many records it wrote.
+func (b *sortBuffer) writePartition(sw *spill.SegmentWriter, recs []spill.Rec) (int, error) {
 	if len(recs) == 0 {
-		return recs, nil
+		return 0, nil
 	}
 	if !b.run.Resolved.HasCombiner {
 		spill.SortRecs(recs, b.cmp)
-		return recs, nil
+		for _, r := range recs {
+			if err := sw.Write(r); err != nil {
+				return 0, err
+			}
+		}
+		return len(recs), nil
 	}
-	// Combine: deserialize, sort+combine through the shared driver,
-	// reserialize into the combiner's own buffer. The combiner contract
-	// requires key-preserving output, so combined output remains sorted.
+	// Combine: deserialize, sort+combine through the shared driver, and
+	// reserialize each pair into one scratch that sw copies from at once.
+	// The combiner contract requires key-preserving output, so combined
+	// output remains sorted.
 	pairs, err := b.run.deserializeRecs(recs)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	combined, err := engine.Combine(b.run.Resolved, pairs, b.ctx)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if b.combined == nil {
-		b.combined = getKVBuffer()
-	}
-	out := b.combined
-	out.reset()
 	for _, p := range combined {
-		if _, err := out.collect(0, p.Key, p.Value); err != nil {
-			return nil, err
+		b.pair.ResetBytes(b.pair.Bytes()[:0])
+		if err := p.Key.WriteTo(&b.pair); err != nil {
+			return 0, err
+		}
+		kl := len(b.pair.Bytes())
+		if err := p.Value.WriteTo(&b.pair); err != nil {
+			return 0, err
+		}
+		kv := b.pair.Bytes()
+		if err := sw.Write(spill.Rec{K: kv[:kl:kl], V: kv[kl:]}); err != nil {
+			return 0, err
 		}
 	}
-	out.layOut(1)
-	return out.partition(0), nil
+	return len(combined), nil
 }
 
 // deserializeRecs rebuilds writables from serialized records using the

@@ -15,6 +15,7 @@ import (
 	"m3r/internal/spill"
 	"m3r/internal/types"
 	"m3r/internal/wio"
+	"m3r/internal/wordcount"
 )
 
 func marshalInt(t *testing.T, v int32) []byte {
@@ -107,20 +108,27 @@ func TestMergerProducesGlobalOrder(t *testing.T) {
 // sort-buffer chunks poisoned (TestMain). Under the tiny limit the task
 // spills dozens of times, each spill reusing the chunks the one before it
 // wrote. Every partition's merged segment must be byte for byte the segment
-// of the stably sorted records, per codec and limit.
+// of the stably sorted records, per codec, limit and combiner; with
+// WordCount's combiner those are each spill's combined records, which
+// SPILLED_RECORDS counts.
 func TestMapSideMergeAcrossBlocks(t *testing.T) {
 	for _, codec := range []spill.Codec{spill.CodecNone, spill.CodecFlate} {
 		for _, limit := range []int64{256 << 10, 16 << 10} {
-			mapSideMerge(t, codec, limit)
+			for _, combine := range []bool{false, true} {
+				mapSideMerge(t, codec, limit, combine)
+			}
 		}
 	}
 }
 
-func mapSideMerge(t *testing.T, codec spill.Codec, limit int64) {
+func mapSideMerge(t *testing.T, codec spill.Codec, limit int64, combine bool) {
 	t.Helper()
 	job := conf.NewJob()
 	job.SetMapOutputKeyClass(types.TextName)
-	job.SetMapOutputValueClass(types.LongName)
+	job.SetMapOutputValueClass(types.IntName)
+	if combine {
+		job.SetCombinerClass(wordcount.SumReducerName)
+	}
 	job.SetNumReduceTasks(2)
 	rj, err := engine.Resolve(job)
 	if err != nil {
@@ -140,13 +148,15 @@ func mapSideMerge(t *testing.T, codec spill.Codec, limit int64) {
 	}
 	defer b.release()
 	// Keys share a prefix longer than a sort prefix and repeat, so ties
-	// across spills and raw comparisons are the common case.
+	// across spills and raw comparisons are the common case. The records
+	// are split into spills where the buffer's accounting splits them.
 	rng := rand.New(rand.NewSource(int64(codec) + limit))
-	var want [2][]spill.Rec
-	var wantBytes int64
+	var spills [][2][]spill.Rec
+	var cur [2][]spill.Rec
+	var wantBytes, size int64
 	const n = 30000
 	for i := 0; i < n; i++ {
-		key, value := types.NewText(fmt.Sprintf("a-shared-key-prefix-%03d", rng.Intn(300))), types.NewLong(int64(i))
+		key, value := types.NewText(fmt.Sprintf("a-shared-key-prefix-%03d", rng.Intn(300))), types.NewInt(int32(i%7))
 		kb, err := wio.Marshal(key)
 		if err != nil {
 			t.Fatal(err)
@@ -155,10 +165,26 @@ func mapSideMerge(t *testing.T, codec spill.Codec, limit int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i%2] = append(want[i%2], spill.Rec{K: kb, V: vb})
+		r := spill.Rec{K: kb, V: vb}
+		cur[i%2] = append(cur[i%2], r)
 		wantBytes += int64(len(kb) + len(vb))
+		if size += r.Size(); size >= limit {
+			spills, cur, size = append(spills, cur), [2][]spill.Rec{}, 0
+		}
 		if err := b.collect(i%2, key, value); err != nil {
 			t.Fatal(err)
+		}
+	}
+	spills = append(spills, cur) // finish's
+	var want [2][]spill.Rec
+	var wantSpilled int64
+	for _, sp := range spills {
+		for p, recs := range sp {
+			if combine {
+				recs = sumSorted(t, recs, rawCmp)
+			}
+			want[p] = append(want[p], recs...)
+			wantSpilled += int64(len(recs))
 		}
 	}
 	out, err := b.finish(0, "node0")
@@ -169,18 +195,21 @@ func mapSideMerge(t *testing.T, codec spill.Codec, limit int64) {
 	if limit < 64<<10 {
 		minSpills = 30
 	}
-	if len(b.spills) < minSpills {
-		t.Fatalf("%s, limit %d: %d spills, the test needs %d or more", codec, limit, len(b.spills), minSpills)
+	if len(b.spills) != len(spills) || len(b.spills) < minSpills {
+		t.Fatalf("%s, limit %d: %d spills, want %d, and the test needs %d or more", codec, limit, len(b.spills), len(spills), minSpills)
+	}
+	if combine && wantSpilled >= n {
+		t.Fatalf("%s, limit %d: the combiner merged no record", codec, limit)
 	}
 	cells := &b.ctx.Cells
 	if got := cells.MapOutputRecords.Value(); got != n {
-		t.Errorf("%s, limit %d: MAP_OUTPUT_RECORDS %d, want %d", codec, limit, got, n)
+		t.Errorf("%s, limit %d, combine %v: MAP_OUTPUT_RECORDS %d, want %d", codec, limit, combine, got, n)
 	}
-	if got := cells.SpilledRecords.Value(); got != n {
-		t.Errorf("%s, limit %d: SPILLED_RECORDS %d, want %d", codec, limit, got, n)
+	if got := cells.SpilledRecords.Value(); got != wantSpilled {
+		t.Errorf("%s, limit %d, combine %v: SPILLED_RECORDS %d, want %d", codec, limit, combine, got, wantSpilled)
 	}
 	if got := cells.MapOutputBytes.Value(); got != wantBytes {
-		t.Errorf("%s, limit %d: MAP_OUTPUT_BYTES %d, want %d", codec, limit, got, wantBytes)
+		t.Errorf("%s, limit %d, combine %v: MAP_OUTPUT_BYTES %d, want %d", codec, limit, combine, got, wantBytes)
 	}
 	data, err := os.ReadFile(out.file)
 	if err != nil {
@@ -194,8 +223,31 @@ func mapSideMerge(t *testing.T, codec spill.Codec, limit int64) {
 		}
 		seg := out.segments[p]
 		if got := data[seg.Off : seg.Off+seg.Len]; !bytes.Equal(got, enc.Data) {
-			t.Fatalf("%s, limit %d: partition %d merged into %d bytes that differ from the %d of its sorted records",
-				codec, limit, p, len(got), len(enc.Data))
+			t.Fatalf("%s, limit %d, combine %v: partition %d merged into %d bytes that differ from the %d of its sorted records",
+				codec, limit, combine, p, len(got), len(enc.Data))
 		}
 	}
+}
+
+// sumSorted is WordCount's combiner over one spilled partition: recs
+// sorted, then each run of equal keys folded into one record of their
+// IntWritable values' sum.
+func sumSorted(t *testing.T, recs []spill.Rec, cmp wio.RawComparator) []spill.Rec {
+	t.Helper()
+	spill.SortRecs(recs, cmp)
+	var out []spill.Rec
+	var sum int32
+	for i, r := range recs {
+		v := &types.IntWritable{}
+		if err := wio.Unmarshal(r.V, v); err != nil {
+			t.Fatal(err)
+		}
+		sum += v.Get()
+		if i+1 < len(recs) && bytes.Equal(recs[i+1].K, r.K) {
+			continue
+		}
+		out = append(out, spill.Rec{K: r.K, V: marshalInt(t, sum)})
+		sum = 0
+	}
+	return out
 }
