@@ -228,17 +228,23 @@ func (m *RawMerge) advance() error {
 func (m *RawMerge) Close() error { return m.m.Close() }
 
 // Reduce feeds the merged records group by group into run, emitting through
-// out — DriveReduce for serialized input, and both engines' reduce tasks'
-// record loop. Values are of class valClass. A group boundary is found on
-// the serialized key; the key becomes an object once per group and a value
-// once per Next. The merge's lifecycle (OpenRawMerge's lc) is polled per
-// record, consumed or drained, so a kill lands inside a group however long.
-func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputCollector, ctx *TaskContext) error {
+// out — DriveReduce for serialized input, both engines' reduce tasks' record
+// loop and the Hadoop engine's map-side combiner. Values are of class
+// valClass. A group boundary is found on the serialized key; the key becomes
+// an object once per group and a value once per Next. The merge's lifecycle
+// (OpenRawMerge's lc) is polled per record, consumed or drained, so a kill
+// lands inside a group however long. combine selects the combiner's counter,
+// COMBINE_INPUT_RECORDS, and counts no group, as DriveReduce's does.
+func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputCollector, ctx *TaskContext, combine bool) error {
 	var err error
 	if m.vals, err = wio.NewAlloc(valClass); err != nil {
 		return fmt.Errorf("engine: map output value class: %w", err)
 	}
+	groups := &ctx.Cells.ReduceInputGroups
 	m.records = &ctx.Cells.ReduceInputRecords
+	if combine {
+		m.records, groups = &ctx.Cells.CombineInputRecords, nil
+	}
 	for {
 		cur, ok := m.m.Peek()
 		if !ok {
@@ -258,7 +264,9 @@ func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputColle
 				return err
 			}
 		}
-		ctx.Cells.ReduceInputGroups.Increment(1)
+		if groups != nil {
+			groups.Increment(1)
+		}
 		values := &m.values
 		*values = rawValues{m: m, first: true}
 		if err := run.Reduce(key, values, out, ctx); err != nil {

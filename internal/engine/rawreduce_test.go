@@ -319,8 +319,9 @@ func (r *recordingReducer) Reduce(key wio.Writable, values mapred.ValueIterator,
 
 var discard = mapred.CollectorFunc(func(_, _ wio.Writable) error { return nil })
 
-// referenceReduce is the statement's right-hand side.
-func referenceReduce(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, take int) (*recordingReducer, *engine.TaskContext) {
+// referenceReduce is the statement's right-hand side, run as a reducer or,
+// with combine, as a combiner.
+func referenceReduce(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, take int, combine bool) (*recordingReducer, *engine.TaskContext) {
 	t.Helper()
 	var all []wio.Pair
 	for _, run := range runs {
@@ -328,22 +329,23 @@ func referenceReduce(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, ta
 	}
 	engine.SortPairs(all, rj.SortCmp)
 	red, ctx := &recordingReducer{take: take}, engine.NewTaskContext(rj.Job, "reference", nil)
-	if err := engine.DriveReduce(red, rj.GroupCmp, engine.SlicePairs(all), discard, ctx, false); err != nil {
+	if err := engine.DriveReduce(red, rj.GroupCmp, engine.SlicePairs(all), discard, ctx, combine); err != nil {
 		t.Fatal(err)
 	}
 	return red, ctx
 }
 
 // rawReduce runs red over srcs, nrecs records or an unknown number when
-// negative, through the raw driver.
+// negative, through the raw driver, as a reducer or, with combine, as a
+// combiner.
 func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, nrecs int, lc *engine.JobLifecycle,
-	red engine.ReduceRun) (*engine.TaskContext, error) {
+	red engine.ReduceRun, combine bool) (*engine.TaskContext, error) {
 	ctx := engine.NewTaskContext(rj.Job, "raw", nil)
 	m, err := rj.OpenRawMerge(srcs, rj.Job.MapOutputKeyClass(), nrecs, lc)
 	if err != nil {
 		return ctx, err
 	}
-	err = m.Reduce(rj.Job.MapOutputValueClass(), red, discard, ctx)
+	err = m.Reduce(rj.Job.MapOutputValueClass(), red, discard, ctx, combine)
 	if cerr := m.Close(); err == nil {
 		err = cerr
 	}
@@ -353,21 +355,23 @@ func rawReduce(rj *engine.ResolvedJob, srcs []engine.RecSource, nrecs int, lc *e
 // rawMismatch holds the raw driver to the reference for one run set and leaf
 // kind, under a reducer that reads everything and one that abandons every
 // group after its first value, with the records' count known and not, and
-// checks what a retaining reducer was handed.
+// checks what a retaining reducer was handed. A third pass, two values a
+// group, runs both drivers in combine mode, whose counters must agree too.
 func rawMismatch(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, kind int) error {
 	dir := t.TempDir()
 	total := 0
 	for _, run := range runs {
 		total += len(run)
 	}
-	for _, take := range []int{-1, 1} {
-		want, wantCtx := referenceReduce(t, rj, runs, take)
+	for _, take := range []int{-1, 1, 2} {
+		combine := take == 2
+		want, wantCtx := referenceReduce(t, rj, runs, take, combine)
 		got := &recordingReducer{take: take, keep: true}
 		nrecs := -1
 		if take < 0 {
 			nrecs = total
 		}
-		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), nrecs, nil, got)
+		ctx, err := rawReduce(rj, rawLeaves(t, dir, runs, kind), nrecs, nil, got, combine)
 		if err != nil {
 			return err
 		}
@@ -386,6 +390,7 @@ func rawMismatch(t testing.TB, rj *engine.ResolvedJob, runs [][]wio.Pair, kind i
 		for _, cell := range []func(*engine.TaskContext) int64{
 			func(c *engine.TaskContext) int64 { return c.Cells.ReduceInputGroups.Value() },
 			func(c *engine.TaskContext) int64 { return c.Cells.ReduceInputRecords.Value() },
+			func(c *engine.TaskContext) int64 { return c.Cells.CombineInputRecords.Value() },
 		} {
 			if cell(ctx) != cell(wantCtx) {
 				return fmt.Errorf("take %d: the driver counted %d, the reference %d", take, cell(ctx), cell(wantCtx))
@@ -539,7 +544,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		srcs := leaves()
 		bad := &errLeaf{inner: srcs[5], n: 150}
 		srcs[5] = bad
-		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); !errors.Is(err, errLeafRead) || !bad.closed {
+		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}, false); !errors.Is(err, errLeafRead) || !bad.closed {
 			t.Errorf("failing leaf: error %v, leaf closed %v; want the leaf's error and the leaf closed", err, bad.closed)
 		}
 
@@ -557,18 +562,18 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		if srcs[2], err = spill.OpenSegment(path, spill.Segment{Len: int64(len(full))}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}, false); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("truncated block: error %v, want io.ErrUnexpectedEOF", err)
 		}
 
 		srcs = leaves()
 		srcs[0] = newMemSegment([]spill.Rec{{K: []byte{1, 'a'}, V: []byte{1, 2, 3}}})
-		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}); err == nil || !strings.Contains(err.Error(), "decoding value") {
+		if _, err := rawReduce(rj, srcs, -1, nil, &recordingReducer{take: -1}, false); err == nil || !strings.Contains(err.Error(), "decoding value") {
 			t.Errorf("three-byte LongWritable: error %v, want one that names the value's decoding", err)
 		}
 
 		red := &recordingReducer{take: -1, fail: errReduce, failAt: 1}
-		ctx, err := rawReduce(rj, leaves(), -1, nil, red)
+		ctx, err := rawReduce(rj, leaves(), -1, nil, red, false)
 		if !errors.Is(err, errReduce) || red.closed != 0 {
 			t.Errorf("reducer error: error %v, reducer closed %d times; want the reducer's error and no Close", err, red.closed)
 		}
@@ -589,14 +594,14 @@ func TestRawReduceFailurePaths(t *testing.T) {
 			}
 			// As a reduce task holds it: closed on the way out of a panic.
 			defer m.Close()
-			m.Reduce(types.LongName, red, discard, engine.NewTaskContext(rj.Job, "panic", nil))
+			m.Reduce(types.LongName, red, discard, engine.NewTaskContext(rj.Job, "panic", nil), false)
 		}()
 
 		// A kill inside a group: the reducer kills its own job after the
 		// group's 10th value and keeps asking.
 		lc := engine.NewJobLifecycle()
 		killer := &killingReducer{lc: lc, after: 10}
-		ctx, err = rawReduce(rj, leaves(), -1, lc, killer)
+		ctx, err = rawReduce(rj, leaves(), -1, lc, killer, false)
 		if !errors.Is(err, engine.ErrJobKilled) {
 			t.Errorf("kill inside a group: error %v, want ErrJobKilled", err)
 		}
@@ -607,7 +612,7 @@ func TestRawReduceFailurePaths(t *testing.T) {
 		// And one in a group the reducer abandons: the drain stops too.
 		lc = engine.NewJobLifecycle()
 		killer = &killingReducer{lc: lc, after: 10, abandon: true}
-		ctx, err = rawReduce(rj, leaves(), -1, lc, killer)
+		ctx, err = rawReduce(rj, leaves(), -1, lc, killer, false)
 		if !errors.Is(err, engine.ErrJobKilled) {
 			t.Errorf("kill before a drain: error %v, want ErrJobKilled", err)
 		}
@@ -724,7 +729,7 @@ func BenchmarkRawReduce(b *testing.B) {
 					return err
 				}
 				defer m.Close()
-				return m.Reduce(types.IntName, sumReducer{}, discard, ctx)
+				return m.Reduce(types.IntName, sumReducer{}, discard, ctx, false)
 			},
 		}
 		for _, row := range []string{"decode-at-leaf", "raw"} {
@@ -829,9 +834,9 @@ func TestRawMergeReplacesHeadsAcrossBlocks(t *testing.T) {
 		textLongRun(&seq, []string{prefix + "a", prefix + "b", prefix + "c"}, inBlock-1, 1, inBlock),
 		textLongRun(&seq, []string{prefix + "bb"}, 1),
 	}
-	want, _ := referenceReduce(t, rj, runs, -1)
+	want, _ := referenceReduce(t, rj, runs, -1, false)
 	got := &recordingReducer{take: -1}
-	if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, leafRawStream), -1, nil, got); err != nil {
+	if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, leafRawStream), -1, nil, got, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.groups) != len(want.groups) {
@@ -890,7 +895,7 @@ func TestRawMergeAllocsPerRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if err := m.Reduce(types.IntName, sumReducer{}, discard, ctx); err != nil {
+		if err := m.Reduce(types.IntName, sumReducer{}, discard, ctx, false); err != nil {
 			t.Fatal(err)
 		}
 		return ctx
@@ -957,7 +962,7 @@ func TestGroupedMergeWorksOncePerGroup(t *testing.T) {
 	rj := rawCaseNamed(t, "text")
 	const count, n = 8, 400
 	runs, groups := zipfRuns(rj, count, n)
-	want, _ := referenceReduce(t, rj, runs, -1)
+	want, _ := referenceReduce(t, rj, runs, -1, false)
 	var prefixes, compares int
 	counting := countingText{prefixes: &prefixes, compares: &compares}
 	rj.SortCmp, rj.RawSortCmp, rj.GroupCmp, rj.RawGroupCmp = counting, counting, counting, counting
@@ -975,7 +980,7 @@ func TestGroupedMergeWorksOncePerGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := &recordingReducer{take: -1}
-		err = m.Reduce(types.LongName, got, discard, engine.NewTaskContext(rj.Job, "raw", nil))
+		err = m.Reduce(types.LongName, got, discard, engine.NewTaskContext(rj.Job, "raw", nil), false)
 		replays := m.Replays()
 		m.Close()
 		if err != nil {
@@ -1009,7 +1014,7 @@ func TestEqualKeysKeepSourceOrder(t *testing.T) {
 	}
 	for kind := 0; kind < leafKinds; kind++ {
 		got := &recordingReducer{take: -1}
-		if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, kind), -1, nil, got); err != nil {
+		if _, err := rawReduce(rj, rawLeaves(t, t.TempDir(), runs, kind), -1, nil, got, false); err != nil {
 			t.Fatal(err)
 		}
 		var hot []int64

@@ -105,8 +105,10 @@ func DriveReduce(run ReduceRun, groupCmp wio.Comparator, in PairIter,
 }
 
 // Combine runs the job's combiner over an unsorted buffer of map output
-// pairs and returns the combined pairs. Both engines use it: Hadoop before
-// spilling a buffer to disk, M3R before shipping a buffer into the shuffle.
+// pairs and returns the combined pairs: M3R's sort-then-combine path, taken
+// before it ships a buffer into the shuffle when the job's combine cannot
+// go through CombineTable. (The Hadoop engine combines serialized records
+// through RawMerge.Reduce's combine mode.)
 //
 // Hadoop serializes combiner output the moment it is collected, so a
 // combiner may legally reuse its output objects between groups. To keep

@@ -240,7 +240,6 @@ type mapOutput struct {
 	file string
 	// segments[p] is the byte range of partition p inside file.
 	segments []spill.Segment
-	records  int64
 }
 
 // pendingTask is a schedulable map task.
@@ -359,7 +358,7 @@ func (r *jobRun) runReducePhase() error {
 				r.engine.cost.ChargeHeartbeat(r.engine.Stats())
 				err := r.runAttempts(maxAttempts, func(attempt int) error {
 					return r.RunTask(engine.ReduceTask, t.partition, attempt, nil, func(ctx *engine.TaskContext) error {
-						return r.runReduceTask(ctx, t.partition, node, attempt)
+						return r.runReduceTask(ctx, t.partition, node)
 					})
 				})
 				if err != nil {

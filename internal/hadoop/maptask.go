@@ -227,8 +227,8 @@ func (b *sortBuffer) writePartition(sw *spill.SegmentWriter, recs []spill.Rec) (
 	if len(recs) == 0 {
 		return 0, nil
 	}
+	spill.SortRecs(recs, b.cmp)
 	if !b.run.Resolved.HasCombiner {
-		spill.SortRecs(recs, b.cmp)
 		for _, r := range recs {
 			if err := sw.Write(r); err != nil {
 				return 0, err
@@ -236,52 +236,59 @@ func (b *sortBuffer) writePartition(sw *spill.SegmentWriter, recs []spill.Rec) (
 		}
 		return len(recs), nil
 	}
-	// Combine: deserialize, sort+combine through the shared driver, and
-	// reserialize each pair into one scratch that sw copies from at once.
-	// The combiner contract requires key-preserving output, so combined
-	// output remains sorted.
-	pairs, err := b.run.deserializeRecs(recs)
-	if err != nil {
-		return 0, err
-	}
-	combined, err := engine.Combine(b.run.Resolved, pairs, b.ctx)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range combined {
-		b.pair.ResetBytes(b.pair.Bytes()[:0])
-		if err := p.Key.WriteTo(&b.pair); err != nil {
-			return 0, err
-		}
-		kl := len(b.pair.Bytes())
-		if err := p.Value.WriteTo(&b.pair); err != nil {
-			return 0, err
-		}
-		kv := b.pair.Bytes()
-		if err := sw.Write(spill.Rec{K: kv[:kl:kl], V: kv[kl:]}); err != nil {
-			return 0, err
-		}
-	}
-	return len(combined), nil
+	return b.combine(sw, recs)
 }
 
-// deserializeRecs rebuilds writables from serialized records using the
-// job's map output classes.
-func (r *jobRun) deserializeRecs(recs []spill.Rec) ([]wio.Pair, error) {
-	dec, err := spill.NewPairDecoder(r.Conf.MapOutputKeyClass(), r.Conf.MapOutputValueClass(), len(recs))
+// combine runs the combiner over one partition's sorted records as Hadoop's
+// sortAndSpill does, over a raw iterator: RawMerge decodes a key once per
+// group, a value only when asked. Each combined pair is serialized into one
+// scratch that sw copies at once; a combiner preserves keys, so its output
+// stays sorted.
+func (b *sortBuffer) combine(sw *spill.SegmentWriter, recs []spill.Rec) (int, error) {
+	rj := b.run.Resolved
+	run := rj.NewCombineRun()
+	run.Configure(rj.Job)
+	m, err := rj.OpenRawMerge([]engine.RecSource{&sortedRecs{recs: recs}}, b.run.Conf.MapOutputKeyClass(), len(recs), b.run.Lifecycle)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := make([]wio.Pair, 0, len(recs))
-	for _, rc := range recs {
-		p, err := dec.Decode(rc)
-		if err != nil {
-			return nil, err
+	defer m.Close()
+	n := 0
+	out := mapred.CollectorFunc(func(key, value wio.Writable) error {
+		b.pair.ResetBytes(b.pair.Bytes()[:0])
+		if err := key.WriteTo(&b.pair); err != nil {
+			return err
 		}
-		out = append(out, p)
+		kl := len(b.pair.Bytes())
+		if err := value.WriteTo(&b.pair); err != nil {
+			return err
+		}
+		kv := b.pair.Bytes()
+		n++
+		return sw.Write(spill.Rec{K: kv[:kl:kl], V: kv[kl:]})
+	})
+	if err := m.Reduce(b.run.Conf.MapOutputValueClass(), run, out, b.ctx, true); err != nil {
+		return 0, err
 	}
-	return out, nil
+	b.ctx.Cells.CombineOutputRecords.Increment(int64(n))
+	return n, nil
 }
+
+// sortedRecs is the combiner's one merge source: a partition's sorted
+// records, views of the sort buffer's arena, which holds them until the
+// spill is written.
+type sortedRecs struct{ recs []spill.Rec }
+
+func (s *sortedRecs) Next() (spill.Rec, bool, error) {
+	if len(s.recs) == 0 {
+		return spill.Rec{}, false, nil
+	}
+	r := s.recs[0]
+	s.recs = s.recs[1:]
+	return r, true, nil
+}
+
+func (s *sortedRecs) Close() error { return nil }
 
 // finish flushes the remaining buffer and merges all spills into the final
 // map output file.

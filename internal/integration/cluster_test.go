@@ -20,12 +20,15 @@ import (
 )
 
 // newCluster builds opts' lab cluster over the test defaults: no modelled
-// delays (tests assert on mechanism via stats), state under t.TempDir(),
-// 64 KiB HDFS blocks, replication 1. It closes with the test, and a Close
-// error fails the test.
+// delays (tests assert on mechanism via stats), state under opts.Dir or
+// else t.TempDir(), 64 KiB HDFS blocks, replication 1. It closes with the
+// test, and a Close error fails the test.
 func newCluster(t *testing.T, opts lab.Options) *lab.Cluster {
 	t.Helper()
-	opts.Cost, opts.Dir, opts.BlockSize, opts.Replication = sim.Zero(), t.TempDir(), 64<<10, 1
+	if opts.Dir == "" {
+		opts.Dir = t.TempDir()
+	}
+	opts.Cost, opts.BlockSize, opts.Replication = sim.Zero(), 64<<10, 1
 	c, err := lab.New(opts)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)

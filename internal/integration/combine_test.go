@@ -183,30 +183,7 @@ func orderReference(t *testing.T, fs dfs.FileSystem, dir string, combine, reduce
 func orderReferenceBy(t *testing.T, fs dfs.FileSystem, dir string, groupOf func(k []byte) []byte,
 	combine, reduce func([][]byte) [][]byte, R int) map[string][]byte {
 	t.Helper()
-	files, err := dfs.ListRecursive(fs, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type kv struct{ k, v []byte }
-	var mapped []kv
-	for _, f := range files {
-		data, err := dfs.ReadAll(fs, f.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off := 0; off < len(data); {
-			end := len(data)
-			if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-				end = off + nl
-			}
-			tagMap(types.NewLong(int64(off)), &types.Text{B: data[off:end]}, func(k, v []byte) error {
-				mapped = append(mapped, kv{k, v})
-				return nil
-			})
-			off = end + 1
-		}
-	}
-	sort.SliceStable(mapped, func(i, j int) bool { return bytes.Compare(mapped[i].k, mapped[j].k) < 0 })
+	mapped := orderMapped(t, fs, dir)
 	parts := make(map[string][]byte)
 	for q := 0; q < R; q++ {
 		parts[fmt.Sprintf("part-%05d", q)] = nil
@@ -230,10 +207,67 @@ func orderReferenceBy(t *testing.T, fs dfs.FileSystem, dir string, groupOf func(
 	return parts
 }
 
+// orderKV is one record the reference's map emits.
+type orderKV struct{ k, v []byte }
+
+// orderMapped is the reference's map: every file under dir in path order,
+// each line through the mapper's Map, stably sorted by key bytes.
+func orderMapped(t *testing.T, fs dfs.FileSystem, dir string) []orderKV {
+	t.Helper()
+	files, err := dfs.ListRecursive(fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mapped []orderKV
+	for _, f := range files {
+		data, err := dfs.ReadAll(fs, f.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			end := len(data)
+			if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
+				end = off + nl
+			}
+			tagMap(types.NewLong(int64(off)), &types.Text{B: data[off:end]}, func(k, v []byte) error {
+				mapped = append(mapped, orderKV{k, v})
+				return nil
+			})
+			off = end + 1
+		}
+	}
+	sort.SliceStable(mapped, func(i, j int) bool { return bytes.Compare(mapped[i].k, mapped[j].k) < 0 })
+	return mapped
+}
+
+// orderGroups is how many groups the reference's reducer is handed: the
+// distinct keys under dir whose values the combiner's fold does not drop.
+func orderGroups(t *testing.T, fs dfs.FileSystem, dir string, combine func([][]byte) [][]byte) int64 {
+	t.Helper()
+	mapped := orderMapped(t, fs, dir)
+	var n int64
+	for i := 0; i < len(mapped); {
+		j := i
+		for j < len(mapped) && bytes.Equal(mapped[j].k, mapped[i].k) {
+			j++
+		}
+		if len(combine([][]byte{mapped[i].v})) > 0 {
+			n++
+		}
+		i = j
+	}
+	return n
+}
+
 // TestCombinerOrderEquivalence runs every mapper × combiner × R ×
 // {unbudgeted, budgeted} on the M3R engine and holds its committed output,
 // byte for byte, to the Hadoop engine's (which spills, and so combines,
-// several times a task) and to the sequential reference.
+// several times a task) and to the sequential reference. The Hadoop
+// engine's combiner counters are held too: it combines every record it
+// collects once, in the spill that writes it, and never in the final
+// merge, so COMBINE_INPUT_RECORDS is MAP_OUTPUT_RECORDS; its reducers are
+// handed the reference's groups; and what they fetch does not depend on
+// how the mapper builds its records.
 func TestCombinerOrderEquivalence(t *testing.T) {
 	c := newCluster(t, lab.Options{Nodes: 3})
 	orderInput(t, c.FS, "/in/order")
@@ -255,6 +289,8 @@ func TestCombinerOrderEquivalence(t *testing.T) {
 		{name: "concat-grouping", fold: "concat", grouping: true},
 	}
 	n := 0
+	groups := make(map[string]int64)       // by combiner fold
+	shuffleBytes := make(map[string]int64) // by combiner and R
 	for _, m := range mappers {
 		for _, cb := range combiners {
 			for _, R := range []int{1, 3, 4} {
@@ -296,12 +332,28 @@ func TestCombinerOrderEquivalence(t *testing.T) {
 				// A file's 1 500 tagged words are some 20 KB of records:
 				// several spills, so several combiner passes, a map task.
 				hJob.SetInt(conf.KeySortBytes, 4096)
-				if _, err := c.Hadoop.Submit(hJob); err != nil {
+				hReport, err := c.Hadoop.Submit(hJob)
+				if err != nil {
 					t.Fatalf("%s: hadoop: %v", leg, err)
 				}
 				want := readRawParts(t, c.FS, fmt.Sprintf("/out/order/h%d", n))
 				assertSameParts(t, leg+": hadoop vs reference", want,
 					orderReference(t, c.FS, "/in/order", orderFolds[cb.fold], orderFolds[reduceFold], R))
+				hCount := func(name string) int64 { return hReport.Counters.Value(counters.TaskGroup, name) }
+				if in, out := hCount(counters.CombineInputRecords), hCount(counters.MapOutputRecords); in != out || in == 0 {
+					t.Errorf("%s: hadoop: COMBINE_INPUT_RECORDS %d, MAP_OUTPUT_RECORDS %d: want them equal, and not 0", leg, in, out)
+				}
+				if _, ok := groups[cb.fold]; !ok {
+					groups[cb.fold] = orderGroups(t, c.FS, "/in/order", orderFolds[cb.fold])
+				}
+				if got := hCount(counters.ReduceInputGroups); got != groups[cb.fold] {
+					t.Errorf("%s: hadoop: REDUCE_INPUT_GROUPS %d, the reference has %d", leg, got, groups[cb.fold])
+				}
+				fetched, key := hCount(counters.ReduceShuffleBytes), fmt.Sprintf("%s/R=%d", cb.name, R)
+				if first, ok := shuffleBytes[key]; ok && fetched != first {
+					t.Errorf("%s: hadoop: REDUCE_SHUFFLE_BYTES %d, %d under the first mapper", leg, fetched, first)
+				}
+				shuffleBytes[key] = fetched
 
 				for _, budget := range []int64{-1, 8192} {
 					mleg := fmt.Sprintf("%s/budget=%d", leg, budget)

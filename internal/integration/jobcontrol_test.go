@@ -2,6 +2,9 @@ package integration_test
 
 import (
 	"errors"
+	"fmt"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -392,8 +395,9 @@ func TestDeadlineBothEngines(t *testing.T) {
 }
 
 // TestHadoopRetryFlakyFS proves bounded re-execution end to end: transient
-// create faults injected under two task attempts are absorbed by retry, the
-// job succeeds, and its output is byte-identical to a fault-free run.
+// create faults injected under two task attempts, and an open fault under a
+// reduce attempt, are absorbed by retry, the job succeeds, and its output
+// is byte-identical to a fault-free run.
 func TestHadoopRetryFlakyFS(t *testing.T) {
 	c := newCluster(t, lab.Options{Nodes: 2})
 	if err := wordcount.Generate(c.FS, "/data/F", 64<<10, 13); err != nil {
@@ -440,6 +444,178 @@ func TestHadoopRetryFlakyFS(t *testing.T) {
 	job.SetInt(conf.KeyMaxReduceAttempts, 1)
 	if _, err := c.Hadoop.Submit(job); !errors.Is(err, hadoop.ErrInjectedFault) {
 		t.Fatalf("single-attempt flaky job: %v, want the injected fault", err)
+	}
+
+	// A reduce attempt opens each map output's segment in place, through
+	// the same seam: its first open fails, and the retry absorbs it.
+	streamBase := spill.OpenStreamCount()
+	hook3, fired3 := failFirstReopen()
+	hadoop.SetCreateFileFault(hook3)
+	job = mkJob("/out/retry-reduce")
+	job.SetInt(conf.KeyMaxMapAttempts, 1)
+	job.SetInt(conf.KeyMaxReduceAttempts, 4)
+	if rep, err = c.Hadoop.Submit(job); err != nil {
+		t.Fatalf("job with a flaky reduce-side open did not survive retry: %v", err)
+	}
+	if got := fired3(); got != 1 {
+		t.Fatalf("%d reduce-side open faults fired, want 1", got)
+	}
+	if got := rep.Counters.Value(counters.JobGroup, counters.TaskAttemptRetries); got < 1 {
+		t.Errorf("reduce-side open: TASK_ATTEMPT_RETRIES = %d, want >= 1", got)
+	}
+	assertSameParts(t, "flaky-reduce-open", readRawParts(t, c.FS, "/out/retry-reduce"), want)
+
+	// With a single reduce attempt it is terminal.
+	hook4, _ := failFirstReopen()
+	hadoop.SetCreateFileFault(hook4)
+	job = mkJob("/out/retry-reduce-off")
+	job.SetInt(conf.KeyMaxMapAttempts, 1)
+	job.SetInt(conf.KeyMaxReduceAttempts, 1)
+	if _, err := c.Hadoop.Submit(job); !errors.Is(err, hadoop.ErrInjectedFault) {
+		t.Fatalf("single-attempt job with a flaky reduce-side open: %v, want the injected fault", err)
+	}
+	if got := spill.OpenStreamCount(); got != streamBase {
+		t.Errorf("OpenStreamCount %d, baseline %d: failed reduce attempts leaked segment streams", got, streamBase)
+	}
+}
+
+// failFirstReopen returns a fault hook that fails the first operation on a
+// path it has seen before, once, and reports how many times it fired. A map
+// attempt creates each of its attempt-scoped paths once, so that is the
+// first reduce-side open of a map output.
+func failFirstReopen() (func(string) error, func() int) {
+	var mu sync.Mutex
+	seen := make(map[string]bool)
+	fired := 0
+	hook := func(path string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[path] && fired == 0 {
+			fired++
+			return fmt.Errorf("%w: reopen of %s", hadoop.ErrInjectedFault, path)
+		}
+		seen[path] = true
+		return nil
+	}
+	return hook, func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return fired
+	}
+}
+
+// listLocalReducer is gateReducer's count with a look around: at its first
+// group it walks the directory test.listlocal.dir names and records, under
+// that name, every path it finds below a reduce_ directory and whether it
+// saw a map task's directory.
+type listLocalReducer struct {
+	gateReducer
+	dir    string
+	listed bool
+}
+
+// localListing is what one job's listLocalReducers found.
+type localListing struct {
+	mu       sync.Mutex
+	listings int
+	sawMap   bool
+	reduce   []string
+}
+
+var localListings sync.Map // dir -> *localListing
+
+func (r *listLocalReducer) Configure(job *conf.JobConf) { r.dir = job.Get("test.listlocal.dir") }
+
+func (r *listLocalReducer) Reduce(key wio.Writable, values mapred.ValueIterator, out mapred.OutputCollector, rep mapred.Reporter) error {
+	if !r.listed {
+		r.listed = true
+		v, _ := localListings.LoadOrStore(r.dir, new(localListing))
+		l := v.(*localListing)
+		err := filepath.WalkDir(r.dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				// A directory another task removes mid-walk.
+				return nil
+			}
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			switch name := d.Name(); {
+			case strings.HasPrefix(name, "map_"):
+				l.sawMap = true
+			case strings.Contains(path, string(filepath.Separator)+"reduce_"):
+				l.reduce = append(l.reduce, path)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		l.mu.Lock()
+		l.listings++
+		l.mu.Unlock()
+	}
+	return r.gateReducer.Reduce(key, values, out, rep)
+}
+
+func init() {
+	mapred.RegisterReducer("test.ListLocalReducer", func() mapred.Reducer { return &listLocalReducer{} })
+}
+
+// TestHadoopReduceMakesNoLocalFile: a reduce attempt merges every map
+// output's segment where the map task left it, so it makes no file or
+// directory of its own. On a 4-map × 4-reduce job no path through the fault
+// seam and nothing in the cluster's directories, listed from inside every
+// reducer, lies below a reduce_ directory — while the reducers' opens do go
+// through the seam, and their listing does see the map tasks' directories.
+func TestHadoopReduceMakesNoLocalFile(t *testing.T) {
+	dir := t.TempDir()
+	c := newCluster(t, lab.Options{Nodes: 2, Dir: dir})
+	if err := wordcount.Generate(c.FS, "/data/L", 240<<10, 7); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var paths []string
+	hadoop.SetCreateFileFault(func(path string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		paths = append(paths, path)
+		return nil
+	})
+	defer hadoop.SetCreateFileFault(nil)
+	job := wordcount.NewJob("/data/L", "/out/nolocal", 4, false)
+	job.SetReducerClass("test.ListLocalReducer")
+	job.Set("test.listlocal.dir", dir)
+	job.SetInt(conf.KeyNumMapTasks, 1) // no block subdivided: four blocks, four map tasks
+	rep, err := c.Hadoop.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maps := rep.Counters.Value(counters.JobGroup, counters.TotalLaunchedMaps); maps != 4 {
+		t.Fatalf("%d map tasks, want 4", maps)
+	}
+	seen := make(map[string]bool)
+	reopened := 0
+	for _, p := range paths {
+		if strings.Contains(p, string(filepath.Separator)+"reduce_") {
+			t.Errorf("a task made %s, below a reduce attempt's directory", p)
+		}
+		if seen[p] {
+			reopened++
+		}
+		seen[p] = true
+	}
+	if reopened == 0 {
+		t.Errorf("no reduce-side open among the %d operations through the fault seam", len(paths))
+	}
+	v, ok := localListings.Load(dir)
+	if !ok {
+		t.Fatal("no reducer listed the local directory")
+	}
+	l := v.(*localListing)
+	if l.listings != 4 || !l.sawMap {
+		t.Errorf("%d reducers listed the cluster's directories, want 4; map task directories seen: %v", l.listings, l.sawMap)
+	}
+	for _, p := range l.reduce {
+		t.Errorf("a reducer found %s, below a reduce attempt's directory", p)
 	}
 }
 

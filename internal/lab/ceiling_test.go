@@ -216,15 +216,18 @@ func TestSortSpillAllocs(t *testing.T) {
 }
 
 // TestHadoopAllocs is the workload ceiling of the Hadoop engine, the
-// baseline every M3R figure is a ratio to: the benchmark's sort_spill job
-// (flate spills) and WordCount with its combiner, each over 256 KiB of
-// generated text with four reducers, counted as TestWordCountAllocs counts
-// M3R's. Its ceilings are set as TestWordCountAllocs' are, over the values
-// measured in 20 runs at each of GOMAXPROCS 1, 2 and 4 when map output came
-// to be collected into a byte arena: 2.295–2.296 allocs/rec without the
-// combiner and 3.436–3.437 with it, set with go1.24 on amd64 (3.296–3.297
-// and 4.545–4.546 before). Bytes are logged only: they spread over
-// 74.9–98.9 and 154.8–169.8 B/rec (91.0–110.7 and 177.9–186.4 before).
+// baseline every M3R figure is a ratio to, on small versions of the four
+// benchmark workloads, counted as the M3R ceilings count theirs: the
+// sort_spill job (flate spills) and WordCount with its combiner, each over
+// 256 KiB of generated text with four reducers, TestShuffleRemoteAllocs'
+// three chained jobs and TestPageRankSequenceAllocs' fifteen. Its ceilings
+// are set as TestWordCountAllocs' are, over the values measured in 20 runs
+// at each of GOMAXPROCS 1, 2 and 4, with go1.24 on amd64, when reducers came
+// to merge map output in place and the combiner to run on sorted raw
+// records: sort_spill 2.278–2.280 allocs/rec (2.295–2.296 before),
+// wordcount 2.520–2.521 (3.436–3.437 before), shuffle_remote 6.280–6.289
+// and pagerank_iter 30.255–30.279. Bytes are logged only: they spread over
+// 74.1–97.2, 81.5–96.1, 2 533–2 656 and 8 817–8 864 B/rec.
 func TestHadoopAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const reps = 8
@@ -232,23 +235,53 @@ func TestHadoopAllocs(t *testing.T) {
 	if err := wordcount.Generate(c.FS, "/h/in", 256<<10, 5); err != nil {
 		t.Fatal(err)
 	}
+	// shuffle_remote's partition files are a block each, as the benchmark's.
+	mbc := ceilingCluster(t, lab.Options{BlockSize: 8 << 20})
+	mb := microbench.Config{Pairs: 1000, ValueBytes: 2048, Percent: 100, Iterations: 3, Partitions: 4, Dir: "/h/mb", Seed: 5}
+	if err := microbench.Generate(mbc.FS, mb); err != nil {
+		t.Fatal(err)
+	}
+	pr := sysml.PageRankConfig{Nodes: 800, BlockSize: 100, Sparsity: 0.01, Iterations: 5, Seed: 3}
+	G, p0, err := sysml.WritePageRankInputs(&sysml.Driver{FS: c.FS, Partitions: 4, Dir: "/h/pr/in"}, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(job func() *conf.JobConf) func(engine.Engine) ([]*engine.Report, error) {
+		return func(eng engine.Engine) ([]*engine.Report, error) {
+			rep, err := eng.Submit(job())
+			return []*engine.Report{rep}, err
+		}
+	}
 	for _, tc := range []struct {
 		name            string
-		job             func() *conf.JobConf
+		c               *lab.Cluster
 		codec           string
+		out             string // removed before every rep
+		run             func(engine.Engine) ([]*engine.Report, error)
 		maxAllocsPerRec float64
 	}{
-		{"sort_spill", func() *conf.JobConf { return sortSpillJob("/h/in", "/h/out") }, "flate", 2.37},
-		{"wordcount", func() *conf.JobConf { return wordcount.NewJob("/h/in", "/h/out", 4, true) }, "", 3.54},
+		{"sort_spill", c, "flate", "/h/out", submit(func() *conf.JobConf { return sortSpillJob("/h/in", "/h/out") }), 2.35},
+		{"wordcount", c, "", "/h/out", submit(func() *conf.JobConf { return wordcount.NewJob("/h/in", "/h/out", 4, true) }), 2.60},
+		{"shuffle_remote", mbc, "", mb.Dir + "/final", func(eng engine.Engine) ([]*engine.Report, error) {
+			return microbench.Run(eng, mb)
+		}, 6.48},
+		{"pagerank_iter", c, "", "/h/pr/run", func(eng engine.Engine) ([]*engine.Report, error) {
+			d, err := sysml.NewDriver(eng, "/h/pr/run", 4)
+			if err != nil {
+				return nil, err
+			}
+			_, err = sysml.IteratePageRank(d, pr, G, p0)
+			return d.Reports, err
+		}, 31.19},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := pinnedEngine{Engine: c.Hadoop, codec: tc.codec}
-			allocs, bytes := perRec(t, reps, func() error { return deleteIfExists(c.FS, "/h/out") }, func() (int64, error) {
-				rep, err := eng.Submit(tc.job())
+			eng := pinnedEngine{Engine: tc.c.Hadoop, codec: tc.codec}
+			allocs, bytes := perRec(t, reps, func() error { return deleteIfExists(tc.c.FS, tc.out) }, func() (int64, error) {
+				reports, err := tc.run(eng)
 				if err != nil {
 					return 0, err
 				}
-				return mapOutputRecords([]*engine.Report{rep}), nil
+				return mapOutputRecords(reports), nil
 			})
 			t.Logf("%.3f allocs/rec, %.1f B/rec", allocs, bytes)
 			if allocs > tc.maxAllocsPerRec {

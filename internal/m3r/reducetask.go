@@ -69,5 +69,5 @@ func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engin
 		return err
 	}
 	defer merged.Close()
-	return merged.Reduce(valClass, reducer, out, ctx)
+	return merged.Reduce(valClass, reducer, out, ctx, false)
 }
