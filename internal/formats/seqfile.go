@@ -234,7 +234,9 @@ func NewSeqReader(fs dfs.FileSystem, path string, start, length int64) (*SeqRead
 			f.Close()
 			return nil, err
 		}
-		r.cr = &countingReader{br: bufio.NewReader(f), pos: start}
+		hr.br.Reset(f) // the header's reader, emptied for the new offset
+		hr.pos = start
+		r.cr = hr
 		if err := r.scanToSync(); err != nil {
 			if err == io.EOF {
 				r.done = true

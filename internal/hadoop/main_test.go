@@ -9,9 +9,8 @@ import (
 
 // TestMain poisons recycled spill blocks and sort-buffer chunks, so a
 // record kept past its stream's lookbehind (spill.Stream) or past its
-// spill (kvBuffer) reads garbage.
+// spill (spill.Buffer) reads garbage.
 func TestMain(m *testing.M) {
 	spill.PoisonRecycledBlocks.Store(true)
-	PoisonRecycledChunks.Store(true)
 	os.Exit(m.Run())
 }

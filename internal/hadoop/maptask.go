@@ -45,12 +45,12 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 		// Attempt-scoped, so a retried attempt never aliases the files of a
 		// failed predecessor mid-teardown.
 		taskDir: filepath.Join(r.jobDir, fmt.Sprintf("map_%06d_%d", t.index, attempt)),
-		kv:      getKVBuffer(),
+		kv:      spill.GetBuffer(),
 		parts:   r.Resolved.NumReducers,
 		limit:   limit,
 		ctx:     ctx,
 	}
-	defer buf.release()
+	defer buf.kv.Release() // no record outlives its task
 	if err := os.MkdirAll(buf.taskDir, 0o755); err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
 type sortBuffer struct {
 	run     *jobRun
 	taskDir string
-	kv      *kvBuffer
+	kv      *spill.Buffer
 	parts   int
 	bytes   int64
 	limit   int64
@@ -133,12 +133,6 @@ type sortBuffer struct {
 	pair    wio.Writer // slice mode: one combined pair at a time, reused
 
 	spills []spillFile
-}
-
-// release pools the buffer's arena, so that no record outlives its task.
-func (b *sortBuffer) release() {
-	b.kv.release()
-	b.kv = nil
 }
 
 // spillFile records one on-disk spill and its per-partition segments.
@@ -150,7 +144,7 @@ type spillFile struct {
 // collect serializes one map-output record of partition p into the buffer,
 // counts it, and spills when the buffer reaches its limit.
 func (b *sortBuffer) collect(p int, key, value wio.Writable) error {
-	r, err := b.kv.collect(p, key, value)
+	r, err := b.kv.Collect(p, key, value, false)
 	if err != nil {
 		return err
 	}
@@ -174,12 +168,12 @@ func (b *sortBuffer) spill() error {
 	w := bufio.NewWriter(f)
 	var segments []spill.Segment
 	var off, rawTotal, spilled int64
-	b.kv.layOut(b.parts)
+	b.kv.LayOut(b.parts)
 	for p := range b.parts {
 		// One SegmentWriter per partition: each segment carries its own
 		// header, so a reducer's byte-range fetch stays self-describing.
 		sw := spill.NewSegmentWriter(w, b.run.Codec)
-		n, err := b.writePartition(sw, b.kv.partition(p))
+		n, err := b.writePartition(sw, b.kv.Partition(p))
 		if err != nil {
 			f.Close()
 			return err
@@ -201,7 +195,7 @@ func (b *sortBuffer) spill() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	b.kv.reset()
+	b.kv.Reset()
 	b.bytes = 0
 	b.spills = append(b.spills, spillFile{path: path, segments: segments})
 	b.ctx.Cells.SpilledRecords.Increment(spilled)

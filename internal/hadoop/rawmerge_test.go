@@ -143,10 +143,10 @@ func mapSideMerge(t *testing.T, codec spill.Codec, limit int64, combine bool) {
 		Job:    &engine.Job{Conf: job, Resolved: rj, Codec: codec},
 	}
 	b := &sortBuffer{
-		run: run, taskDir: t.TempDir(), kv: getKVBuffer(), parts: 2,
+		run: run, taskDir: t.TempDir(), kv: spill.GetBuffer(), parts: 2,
 		limit: limit, cmp: rawCmp, ctx: engine.NewTaskContext(job, "map", nil),
 	}
-	defer b.release()
+	defer b.kv.Release()
 	// Keys share a prefix longer than a sort prefix and repeat, so ties
 	// across spills and raw comparisons are the common case. The records
 	// are split into spills where the buffer's accounting splits them.

@@ -197,64 +197,57 @@ func TestSecondMapOutputClassFailsBudgetedJob(t *testing.T) {
 	}
 }
 
-// TestIdentityRule pins which objects a frame remembers: one whose
-// serialized form is larger than the table entry that would remember it,
-// and no other. The small value is written out every time and the table
-// stays unmade; the large one is written once and referred back to, and
-// both come out of the frame as the bytes they went in as.
+// TestIdentityRule pins which objects a remote buffer refers back to: one
+// whose serialized form is larger than the identity table's entry for it
+// (32 bytes, spill.Buffer), and no other. The small value is written out
+// every time; the large one is written once and referred back to, again
+// written when dedup is off, and both arrive as the bytes they went in as.
 func TestIdentityRule(t *testing.T) {
 	one := types.NewInt(1)
-	small := types.NewBytes(bytes.Repeat([]byte{'s'}, identityEntryBytes-1)) // a length byte and 31 more: 32
-	big := types.NewBytes(bytes.Repeat([]byte{'b'}, identityEntryBytes))     // 33
+	small := types.NewBytes(bytes.Repeat([]byte{'s'}, 31)) // a length byte and 31 more: 32
+	big := types.NewBytes(bytes.Repeat([]byte{'b'}, 32))   // 33
 	key := func(i int) wio.Writable { return types.NewText(fmt.Sprintf("key%04d", i)) }
 
-	f := getFrame()
-	defer putFrame(f)
+	b := getBuffer()
+	defer putBuffer(b)
+	collect := func(q int, k, v wio.Writable, dedup bool) {
+		if _, err := b.Collect(q, k, v, dedup); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 10; i++ {
-		if err := f.add(i%2, key(i), one, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.add(i%2, key(i), small, true); err != nil {
-			t.Fatal(err)
-		}
+		collect(i%2, key(i), one, true)
+		collect(i%2, key(i), small, true)
 	}
-	if f.seen != nil || f.hits != 0 {
-		t.Fatalf("objects of at most %d bytes made an identity table of %d entries and %d hits",
-			identityEntryBytes, len(f.seen), f.hits)
-	}
-	payloadBefore := f.w.Count()
 	for i := 0; i < 10; i++ {
-		if err := f.add(i%2, key(i), big, true); err != nil {
-			t.Fatal(err)
-		}
+		collect(i%2, key(i), big, true)
 	}
-	if len(f.seen) != 1 || f.hits != 9 {
-		t.Fatalf("ten sends of one %d-byte object: %d table entries, %d hits; want 1 and 9",
-			identityEntryBytes+1, len(f.seen), f.hits)
-	}
-	if grew, want := f.w.Count()-payloadBefore, int64(10*8+identityEntryBytes+1); grew != want {
-		t.Fatalf("payload grew %d bytes for ten keys and one value, want %d", grew, want)
-	}
-	// Without dedup the same object is written out again.
-	if err := f.add(0, key(0), big, false); err != nil {
-		t.Fatal(err)
-	}
-	if f.hits != 9 {
-		t.Fatalf("a send with dedup off made a back-reference")
-	}
+	collect(0, key(0), big, false)
 
-	byPartition, err := sliceFrame(f.seal(), 2, new([]spill.Rec))
+	var payload int
+	_, hits, err := b.Ship(2, func(frame []byte) ([]byte, error) {
+		payload = int(binary.BigEndian.Uint64(frame[len(frame)-16:]))
+		return frame, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(byPartition[0]) + len(byPartition[1]); got != 31 {
-		t.Fatalf("%d records out of the frame, want 31", got)
+	if hits != 9 {
+		t.Fatalf("%d back-references, want 9: the large value's nine repeats with dedup on", hits)
+	}
+	// Ten keys of 8 bytes and their 5-byte ones and 32-byte smalls, then
+	// ten keys and one big, then one key and the big again.
+	if want := 20*8 + 10*4 + 10*32 + 10*8 + 33 + 8 + 33; payload != want {
+		t.Fatalf("payload of %d bytes, want %d", payload, want)
+	}
+	if got := len(b.Partition(0)) + len(b.Partition(1)); got != 31 {
+		t.Fatalf("%d records arrived, want 31", got)
 	}
 	bigBytes, _ := wio.Marshal(big)
-	for q, recs := range byPartition {
-		for i, r := range recs[10:] {
+	for q := range 2 {
+		for i, r := range b.Partition(q)[10:] {
 			if !bytes.Equal(r.V, bigBytes) {
-				t.Fatalf("partition %d: record %d of the large value comes out as %d other bytes", q, i, len(r.V))
+				t.Fatalf("partition %d: record %d of the large value arrives as %d other bytes", q, i, len(r.V))
 			}
 		}
 	}
@@ -293,56 +286,52 @@ var frameSeeds = []struct {
 	{"table ends inside a record", testFrame("k1vv", []uint64{0, 2 << 1}, 4, 1), false},
 }
 
+// TestSliceFrameSeeds decodes each seed as an arrived frame of two
+// partitions.
 func TestSliceFrameSeeds(t *testing.T) {
 	for _, s := range frameSeeds {
-		byPartition, err := sliceFrame(s.frame, 2, new([]spill.Rec))
+		b := getBuffer()
+		err := b.Decode(s.frame, 2)
 		if (err == nil) != s.ok {
 			t.Errorf("%s: err = %v, want ok=%v", s.name, err, s.ok)
 		}
-		if err != nil && !errors.Is(err, errCorruptFrame) {
+		if err != nil && !errors.Is(err, spill.ErrCorruptFrame) {
 			t.Errorf("%s: err = %v, not a corrupt-frame error", s.name, err)
 		}
 		if s.name == "valid" {
 			want := [][]spill.Rec{{{K: []byte("k1"), V: []byte("vvvv")}}, {{K: []byte("k2"), V: []byte("vvvv")}}}
 			for q := range want {
-				if len(byPartition[q]) != 1 || !bytes.Equal(byPartition[q][0].K, want[q][0].K) || !bytes.Equal(byPartition[q][0].V, want[q][0].V) {
-					t.Errorf("valid: partition %d = %q, want %q", q, byPartition[q], want[q])
+				if got := b.Partition(q); len(got) != 1 || !bytes.Equal(got[0].K, want[q][0].K) || !bytes.Equal(got[0].V, want[q][0].V) {
+					t.Errorf("valid: partition %d = %q, want %q", q, got, want[q])
 				}
 			}
 		}
+		putBuffer(b)
 	}
 }
 
-// FuzzShuffleFrame offers arbitrary bytes as an arrived frame: they slice
-// into records or return an error — never a panic, never an allocation sized
-// by a field that was not checked against the frame. What does slice must
-// be as many records as the footer says and must survive the rest of the
-// arrival: the sort, the rewrite into segments and their admission.
+// FuzzShuffleFrame offers arbitrary bytes as an arrived frame: they decode
+// into records or return an error — never a panic (spill's FuzzDecodeFrame
+// bounds what decoding allocates). What does decode must be as many records
+// as the footer says and must survive the rest of the arrival: the sort,
+// the rewrite into segments and their admission.
 func FuzzShuffleFrame(f *testing.F) {
 	for _, s := range frameSeeds {
 		f.Add(s.frame, uint8(2))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte, parts uint8) {
 		R := int(parts%8) + 1
-		var scratch []spill.Rec
-		byPartition, err := sliceFrame(frame, R, &scratch)
-		// The views are the one allocation a frame's own fields size, and a
-		// record is at least three table bytes.
-		if cap(scratch) > len(frame)/3 {
-			t.Fatalf("slicing a %d-byte frame allocated room for %d records", len(frame), cap(scratch))
-		}
-		if err != nil {
-			if !errors.Is(err, errCorruptFrame) {
+		b := getBuffer()
+		defer putBuffer(b)
+		if err := b.Decode(frame, R); err != nil {
+			if !errors.Is(err, spill.ErrCorruptFrame) {
 				t.Fatalf("error %v is not a corrupt-frame error", err)
 			}
 			return
 		}
-		if len(byPartition) != R {
-			t.Fatalf("%d partitions, want %d", len(byPartition), R)
-		}
 		n := 0
-		for _, recs := range byPartition {
-			n += len(recs)
+		for q := range R {
+			n += len(b.Partition(q))
 		}
 		if want := binary.BigEndian.Uint64(frame[len(frame)-8:]); uint64(n) != want {
 			t.Fatalf("%d records, the footer says %d", n, want)
@@ -351,7 +340,7 @@ func FuzzShuffleFrame(f *testing.F) {
 		defer x.cleanup()
 		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 		c := runClasses{MapOutputClasses: engine.MapOutputClasses{KeyClass: types.BytesName, ValClass: types.BytesName}, rawCmp: rawBytesOrder{}}
-		if err := x.arriveFrame(ctx, 0, 0, frame, c); err != nil {
+		if err := x.arriveFrame(ctx, 0, b, c); err != nil {
 			t.Fatal(err)
 		}
 		if err := x.checkResidentBytes(0); err != nil {
@@ -364,7 +353,7 @@ func FuzzShuffleFrame(f *testing.F) {
 			}
 		}
 		if got != n {
-			t.Fatalf("%d records arrived of %d sliced", got, n)
+			t.Fatalf("%d records arrived of %d decoded", got, n)
 		}
 	})
 }

@@ -7,8 +7,9 @@ import (
 	"m3r/internal/spill"
 )
 
-// TestMain poisons recycled spill blocks, so a record kept past its
-// stream's lookbehind reads garbage (spill.Stream), and fails the package
+// TestMain poisons recycled spill blocks and budgeted collect buffers, so a
+// record kept past its stream's lookbehind (spill.Stream) or past its
+// task's flush (spill.Buffer) reads garbage, and fails the package
 // when place goroutines or merge workers outlive the tests — the static
 // loopcancel/closecheck invariants' runtime counterpart (DESIGN.md "Static
 // analysis").

@@ -9,6 +9,7 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/mapred"
+	"m3r/internal/spill"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
 )
@@ -30,7 +31,7 @@ import (
 // That is the unbudgeted job, the paper's design point. Under a shuffle
 // budget a run must be sized, may be evicted and is decoded at the merge
 // anyway, so every pair — co-located ones included — is serialized once, at
-// collect, and stays bytes until the reducer (frame.go).
+// collect, into its place's spill.Buffer, and stays bytes until the reducer.
 //
 // At flush, every per-partition batch is sorted map-side before it is
 // installed as a run in the partition's input: map tasks already run in
@@ -82,7 +83,7 @@ type collectPart struct {
 
 // encodeBufsOut counts what a task has checked out of the outbound pools and
 // not yet returned: the unbudgeted shuffle's per-destination streams
-// (x10.OutStream) and a budgeted job's frames (framePool). Every exit path of
+// (x10.OutStream) and a budgeted job's buffers (getBuffer). Every exit path of
 // a task — commit, error, abort, panic — must bring it back to baseline,
 // which the fault-injection tests pin (a leak here quietly bleeds grown
 // buffers out of the pools on every failed job).
@@ -121,7 +122,7 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 	i := a.index
 	planned := i < len(x.maps) && a == &x.maps[i]
 	if x.budgets != nil {
-		sc.frames = &frameSet{byPlace: make([]*shuffleFrame, P), classes: x.classes}
+		sc.frames = &frameSet{byPlace: make([]*spill.Buffer, P), classes: x.classes}
 	} else if planned {
 		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
 		sc.streams = x.collectStreams[i*P : (i+1)*P : (i+1)*P]
@@ -418,9 +419,9 @@ func (sc *shuffleCollector) abort() {
 		}
 	}
 	if sc.frames != nil {
-		for _, f := range sc.frames.byPlace {
-			if f != nil {
-				putFrame(f)
+		for _, b := range sc.frames.byPlace {
+			if b != nil {
+				putBuffer(b)
 			}
 		}
 	}

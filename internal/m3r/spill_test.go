@@ -266,8 +266,8 @@ func tryInstallRun(x *jobExec, ctx *engine.TaskContext, q, src int, pairs []wio.
 
 // flushRuns delivers source task src's sorted runs, indexed by partition, as
 // a flush toward place 0 does: on an unbudgeted exec the pairs are installed
-// as they are; on a budgeted one they are collected into a frame, which
-// arrives — sliced, sorted, cut into segments, admitted.
+// as they are; on a budgeted one they are collected into a buffer, which
+// arrives — laid out, sorted, cut into segments, admitted.
 func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) error {
 	if x.budgets == nil {
 		parts := make([]collectPart, len(runs))
@@ -277,8 +277,8 @@ func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) 
 		x.installRuns(src, parts)
 		return nil
 	}
-	f := getFrame()
-	defer putFrame(f)
+	b := getBuffer()
+	defer putBuffer(b)
 	var c runClasses
 	rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}}
 	for q, pairs := range runs {
@@ -286,12 +286,13 @@ func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) 
 			if err := c.check(rj, p.Key, p.Value); err != nil {
 				return err
 			}
-			if err := f.add(q, p.Key, p.Value, false); err != nil {
+			if _, err := b.Collect(q, p.Key, p.Value, false); err != nil {
 				return err
 			}
 		}
 	}
-	return x.arriveFrame(ctx, 0, src, f.seal(), c)
+	b.LayOut(len(runs))
+	return x.arriveFrame(ctx, src, b, c)
 }
 
 // groupedSize is what pairs, one sorted run, reserve when they are admitted:
@@ -572,17 +573,23 @@ func TestRefusedArrivalIsNeverResident(t *testing.T) {
 	// Text's raw comparator, as a WordCount job's runs are sorted under.
 	rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}, RawSortCmp: types.TextRawComparator{}}
 	var c runClasses
-	f := getFrame()
+	b := getBuffer()
+	defer putBuffer(b)
 	for _, p := range pairs {
 		if err := c.check(rj, p.Key, p.Value); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.add(0, p.Key, p.Value, false); err != nil {
+		if _, err := b.Collect(0, p.Key, p.Value, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	frame := bytes.Clone(f.seal())
-	putFrame(f)
+	var frame []byte
+	if _, _, err := b.Ship(1, func(f []byte) ([]byte, error) {
+		frame = bytes.Clone(f)
+		return f, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// A collection empties the encoder pools, and a rebuilt flate.Writer
 	// would outweigh the run: no collection, and one P, while measuring.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -591,16 +598,19 @@ func TestRefusedArrivalIsNeverResident(t *testing.T) {
 		codec  spill.Codec
 		allocs float64
 	}{
-		// Measured on go1.24 linux/amd64: the frame's partition tables, the
-		// reservation's eviction callback, the run's two structs, the
-		// encoded segment and its path.
-		{spill.CodecNone, 7},
-		{spill.CodecFlate, 7},
+		// Measured on go1.24 linux/amd64: the reservation's eviction
+		// callback, the run's two structs, the encoded segment and its
+		// path. Decoding into a pooled buffer allocates nothing.
+		{spill.CodecNone, 5},
+		{spill.CodecFlate, 5},
 	} {
 		x := newSpillExec(1, tc.codec, 1) // a pool of one byte refuses every run
 		ctx := engine.NewTaskContext(conf.NewJob(), "task", nil)
 		arrive := func() {
-			if err := x.arriveFrame(ctx, 0, 0, frame, c); err != nil {
+			if err := b.Decode(frame, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.arriveFrame(ctx, 0, b, c); err != nil {
 				t.Fatal(err)
 			}
 			pi := x.parts[0]

@@ -1,13 +1,12 @@
-package hadoop
+package spill
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
+	"sort"
 	"testing"
 
-	"m3r/internal/spill"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 )
@@ -40,7 +39,7 @@ func (failing) WriteTo(w *wio.Writer) error {
 
 func (failing) ReadFields(*wio.Reader) error { return nil }
 
-// kvRec is one record collected in a kvBuffer test and the bytes it must
+// kvRec is one record collected in a Buffer test and the bytes it must
 // read back as.
 type kvRec struct {
 	part       int
@@ -50,11 +49,11 @@ type kvRec struct {
 // collectAll collects recs into b and checks that every view layOut makes
 // is its record's serialized bytes, partition by partition in collect order.
 // It returns the index entries.
-func collectAll(t *testing.T, b *kvBuffer, parts int, recs []kvRec) []kvMeta {
+func collectAll(t *testing.T, b *Buffer, parts int, recs []kvRec) []kvMeta {
 	t.Helper()
-	want := make([][]spill.Rec, parts)
+	want := make([][]Rec, parts)
 	for i, r := range recs {
-		got, err := b.collect(r.part, r.key, r.value)
+		got, err := b.Collect(r.part, r.key, r.value, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +67,11 @@ func collectAll(t *testing.T, b *kvBuffer, parts int, recs []kvRec) []kvMeta {
 		if !bytes.Equal(got.K, kb) || !bytes.Equal(got.V, vb) {
 			t.Fatalf("record %d: collect returned a view of %d+%d bytes that differs from its %d+%d", i, len(got.K), len(got.V), len(kb), len(vb))
 		}
-		want[r.part] = append(want[r.part], spill.Rec{K: kb, V: vb})
+		want[r.part] = append(want[r.part], Rec{K: kb, V: vb})
 	}
-	b.layOut(parts)
+	b.LayOut(parts)
 	for p := range parts {
-		got := b.partition(p)
+		got := b.Partition(p)
 		if len(got) != len(want[p]) {
 			t.Fatalf("partition %d: %d views, want %d", p, len(got), len(want[p]))
 		}
@@ -85,13 +84,14 @@ func collectAll(t *testing.T, b *kvBuffer, parts int, recs []kvRec) []kvMeta {
 	return b.meta
 }
 
-// TestKVBufferMovesARecordWhole: a record that does not fit what is left
+// TestKVBufferMovesAnObjectWhole: an object that does not fit what is left
 // of its chunk moves, the bytes it had written so far with it, to the start
-// of the next chunk; the records before it stay where they were.
-func TestKVBufferMovesARecordWhole(t *testing.T) {
-	b := getKVBuffer()
-	defer b.release()
-	first := 1 << minKVChunkShift
+// of the next chunk; the objects before it — its record's key among them —
+// stay where they were.
+func TestKVBufferMovesAnObjectWhole(t *testing.T) {
+	b := GetBuffer()
+	defer b.Release()
+	first := 1 << minChunkShift
 	meta := collectAll(t, b, 2, []kvRec{
 		{0, types.NewText("a"), types.NewBytes(bytes.Repeat([]byte{1}, first-600))},
 		// The key fits behind the first record; the value, written in
@@ -99,37 +99,40 @@ func TestKVBufferMovesARecordWhole(t *testing.T) {
 		{1, types.NewText(string(bytes.Repeat([]byte{'k'}, 400))), &pieces{b: bytes.Repeat([]byte{2}, 1000), step: 100}},
 		{0, types.NewText("c"), types.NewInt(3)},
 	})
-	if m := meta[1]; m.chunk != 1 || m.off != 0 {
-		t.Errorf("the second record is at chunk %d offset %d, want the start of chunk 1", m.chunk, m.off)
+	if k, v := meta[1].k, meta[0].v; chunkOf(b, k) != 0 || k.off != v.off+v.n {
+		t.Errorf("the second key is at chunk %d offset %d, want chunk 0 right after the first value", chunkOf(b, k), k.off)
 	}
-	if m := meta[2]; m.chunk != 1 || m.off != meta[1].klen+meta[1].vlen {
-		t.Errorf("the third record is at chunk %d offset %d, want chunk 1 right after the second", m.chunk, m.off)
+	if v := meta[1].v; chunkOf(b, v) != 1 || int(v.off) != b.starts[1] || b.starts[1] != int(meta[1].k.off+meta[1].k.n) {
+		t.Errorf("the second value is at chunk %d offset %d, want the start of chunk 1, right after its key", chunkOf(b, v), v.off)
+	}
+	if k := meta[2].k; chunkOf(b, k) != 1 || k.off != meta[1].v.off+meta[1].v.n {
+		t.Errorf("the third key is at chunk %d offset %d, want chunk 1 right after the second value", chunkOf(b, k), k.off)
 	}
 	if got, want := cap(b.chunks[1]), 2*first; got != want {
 		t.Errorf("chunk 1 holds %d bytes, want the ladder's %d", got, want)
 	}
 }
 
-// TestKVBufferRecordAboveCeiling: a record larger than the chunk ceiling
+// TestKVBufferRecordAboveCeiling: a value larger than the chunk ceiling
 // gets a chunk of its own size, the records after it continue behind it,
 // and the reset drops that chunk and keeps the ladder's.
 func TestKVBufferRecordAboveCeiling(t *testing.T) {
-	b := getKVBuffer()
-	defer b.release()
-	huge := 3 << maxKVChunkShift
+	b := GetBuffer()
+	defer b.Release()
+	huge := 3 << maxChunkShift
 	meta := collectAll(t, b, 1, []kvRec{
 		{0, types.NewText("small"), types.NewInt(1)},
 		{0, types.NewText("huge"), types.NewBytes(bytes.Repeat([]byte{7}, huge))},
 		{0, types.NewText("after"), types.NewInt(2)},
 	})
-	big := meta[1].chunk
-	if c := b.chunks[big]; meta[1].off != 0 || cap(c) < huge || cap(c) <= 1<<maxKVChunkShift {
-		t.Errorf("the huge record is at offset %d of a %d-byte chunk", meta[1].off, cap(c))
+	big := chunkOf(b, meta[1].v)
+	if c := b.chunks[big]; int(meta[1].v.off) != b.starts[big] || cap(c) < huge || cap(c) <= 1<<maxChunkShift {
+		t.Errorf("the huge value is at offset %d of a %d-byte chunk", int(meta[1].v.off)-b.starts[big], cap(c))
 	}
-	if meta[2].chunk != big {
-		t.Errorf("the record after the huge one is in chunk %d, want %d", meta[2].chunk, big)
+	if chunkOf(b, meta[2].k) != big {
+		t.Errorf("the record after the huge one is in chunk %d, want %d", chunkOf(b, meta[2].k), big)
 	}
-	b.reset()
+	b.Reset()
 	if b.chunks[big] != nil {
 		t.Errorf("reset kept the %d-byte chunk", cap(b.chunks[big]))
 	}
@@ -143,35 +146,68 @@ func TestKVBufferRecordAboveCeiling(t *testing.T) {
 }
 
 // TestKVBufferFailedCollectLeavesNoRecord: a key or value whose
-// serialization fails leaves no bytes and no index entry behind.
+// serialization fails leaves no bytes, no index entry and no identity
+// behind, also when the failing value had moved to a new chunk.
 func TestKVBufferFailedCollectLeavesNoRecord(t *testing.T) {
-	b := getKVBuffer()
-	defer b.release()
-	if _, err := b.collect(0, types.NewText("ok"), types.NewInt(1)); err != nil {
+	b := GetBuffer()
+	defer b.Release()
+	big := types.NewBytes(bytes.Repeat([]byte{'b'}, 64))
+	if _, err := b.Collect(0, types.NewText("ok"), big, true); err != nil {
 		t.Fatal(err)
 	}
-	used := len(b.buf)
-	for _, r := range []kvRec{{0, failing{}, types.NewInt(1)}, {0, types.NewText("k"), failing{}}} {
-		if _, err := b.collect(r.part, r.key, r.value); err == nil {
+	cur, used := b.cur, len(b.buf)
+	for _, r := range []kvRec{
+		{0, big, failing{}}, // a back-reference, then a failure
+		{0, failing{}, types.NewInt(1)},
+		{0, types.NewText("k"), failing{}},
+		// The value moves to a new chunk before it fails.
+		{0, types.NewText("k"), &pieces{b: bytes.Repeat([]byte{2}, 8<<10), step: 4 << 10}},
+	} {
+		if f, ok := r.value.(*pieces); ok {
+			r.value = failAfter{f}
+		}
+		if _, err := b.Collect(r.part, r.key, r.value, true); err == nil {
 			t.Fatal("a failing writable collected")
 		}
-		if len(b.meta) != 1 || len(b.buf) != used {
-			t.Fatalf("after a failed collect: %d records, %d bytes, want 1 and %d", len(b.meta), len(b.buf), used)
+		if len(b.meta) != 1 || b.cur != cur || len(b.buf) != used || b.hits != 0 || len(b.seen) != 0 {
+			t.Fatalf("after a failed collect: %d records, chunk %d, %d bytes, %d hits, %d identities; want 1, %d, %d, 0, 0",
+				len(b.meta), b.cur, len(b.buf), b.hits, len(b.seen), cur, used)
 		}
 	}
+	// The next record writes where the failed ones started.
+	rec, err := b.Collect(1, types.NewText("next"), types.NewInt(2), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := b.meta[1]; int(m.k.off) != b.starts[cur]+used || string(rec.K[1:]) != "next" {
+		t.Errorf("the record after the failures is at %d, want %d", m.k.off, b.starts[cur]+used)
+	}
+}
+
+// chunkOf is the chunk of the arena that holds s.
+func chunkOf(b *Buffer, s span) int {
+	return sort.SearchInts(b.starts[:b.cur+1], int(s.off)+1) - 1
+}
+
+// failAfter writes its pieces, then fails.
+type failAfter struct{ *pieces }
+
+func (f failAfter) WriteTo(w *wio.Writer) error {
+	f.pieces.WriteTo(w)
+	return errors.New("failAfter: refused")
 }
 
 // TestKVBufferEmptyRecords: records of no bytes, NullWritable's, collect
 // and lay out in a buffer that has no chunk yet, and then among records
 // that have bytes.
 func TestKVBufferEmptyRecords(t *testing.T) {
-	b := newKVBuffer()
-	defer b.release()
+	b := buffers.New().(*Buffer) // no chunk yet
+	defer b.Release()
 	collectAll(t, b, 2, []kvRec{
 		{0, types.Null(), types.Null()},
 		{1, types.Null(), types.Null()},
 	})
-	b.reset()
+	b.Reset()
 	collectAll(t, b, 2, []kvRec{
 		{1, types.Null(), types.Null()},
 		{0, types.NewText("k"), types.Null()},
@@ -181,21 +217,23 @@ func TestKVBufferEmptyRecords(t *testing.T) {
 }
 
 // TestReleasedKVBufferHoldsNoRecord: a released buffer goes back to the
-// pool with no index entry and no view left, each view slot cleared and
-// every chunk poisoned (TestMain sets the hook), so no record outlives its
-// task; it keeps the ladder's chunks and its scratch's capacity.
+// pool with no index entry and no view left, each view slot cleared before
+// the scratch goes back to its own pool and every chunk poisoned
+// (PoisonRecycledBlocks), so no record outlives its task; it keeps the
+// ladder's chunks and its index's capacity.
 func TestReleasedKVBufferHoldsNoRecord(t *testing.T) {
-	b := getKVBuffer()
+	defer PoisonRecycledBlocks.Store(PoisonRecycledBlocks.Swap(true))
+	b := GetBuffer()
 	var recs []kvRec
 	for i := range 300 {
 		recs = append(recs, kvRec{i % 3, types.NewText(fmt.Sprintf("key-%d", i)), types.NewLong(int64(i))})
 	}
 	collectAll(t, b, 3, recs)
-	view := b.partition(1)[0]
-	views := b.recs // shares the slots release clears
-	b.release()
-	if len(b.meta) != 0 || len(b.recs) != 0 || cap(b.recs) < len(recs) || len(b.chunks) == 0 {
-		t.Errorf("released: %d records, %d views (cap %d), %d chunks", len(b.meta), len(b.recs), cap(b.recs), len(b.chunks))
+	view := b.Partition(1)[0]
+	views := b.sc.recs // shares the slots release clears
+	b.Release()
+	if len(b.meta) != 0 || cap(b.meta) < len(recs) || b.sc != nil || len(b.chunks) == 0 {
+		t.Errorf("released: %d records (cap %d), scratch held %v, %d chunks", len(b.meta), cap(b.meta), b.sc != nil, len(b.chunks))
 	}
 	for i, r := range views {
 		if r.K != nil || r.V != nil {
@@ -204,47 +242,5 @@ func TestReleasedKVBufferHoldsNoRecord(t *testing.T) {
 	}
 	if !bytes.Equal(view.K, bytes.Repeat([]byte{0xDB}, len(view.K))) {
 		t.Errorf("a view kept past release reads %x, not the poison", view.K)
-	}
-}
-
-// BenchmarkHadoopCollect is the Hadoop map task's collect: records
-// serialized into the sort buffer's arena, 4 096 a spill, and the arena
-// reset as a spill resets it. Rows: WordCount's (Text, Int) and the
-// shuffle microbenchmark's 2 KiB values; ns/rec and allocs/rec.
-func BenchmarkHadoopCollect(b *testing.B) {
-	const perSpill = 4096
-	// A reset poisons every chunk under the test hook; time the collect.
-	defer PoisonRecycledChunks.Store(PoisonRecycledChunks.Swap(false))
-	keys := make([]wio.Writable, 512)
-	for i := range keys {
-		keys[i] = types.NewText(fmt.Sprintf("word-%d", i))
-	}
-	for _, row := range []struct {
-		name  string
-		value wio.Writable
-	}{
-		{"text-int", types.NewInt(1)},
-		{"2KiB-values", types.NewBytes(bytes.Repeat([]byte{'v'}, 2048))},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			kv := getKVBuffer()
-			defer kv.release()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for range b.N {
-				for i := range perSpill {
-					if _, err := kv.collect(i%4, keys[i%len(keys)], row.value); err != nil {
-						b.Fatal(err)
-					}
-				}
-				kv.reset()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			recs := float64(b.N) * perSpill
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
-		})
 	}
 }

@@ -617,3 +617,36 @@ func TestStreamsShareTheBlockPool(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestOpenSmallSegmentBytes: opening a segment allocates a read buffer no
+// larger than the segment, so a reducer that opens one stream per small map
+// output segment does not pay bufio's 4 KiB default for each.
+func TestOpenSmallSegmentBytes(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector allocates beside the program")
+	}
+	path := writeRun(t, []Rec{{K: []byte("key"), V: []byte("value")}}, CodecNone)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() {
+		s, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, open) // warms the pools too
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	// The stream, the file and its name, and the read buffer.
+	if perOpen := (after.TotalAlloc - before.TotalAlloc) / runs; perOpen > 1024 {
+		t.Errorf("opening a %d-byte segment allocates %d bytes in %v allocations, want at most 1 KiB", st.Size(), perOpen, allocs)
+	}
+}

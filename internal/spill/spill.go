@@ -575,7 +575,7 @@ func OpenSegment(path string, seg Segment) (*Stream, error) {
 		return nil, err
 	}
 	s := &Stream{f: f, lr: io.LimitedReader{R: f, N: seg.Len}}
-	s.br = bufio.NewReader(&s.lr)
+	s.br = bufio.NewReaderSize(&s.lr, int(min(seg.Len, 4096))) // a reducer opens one per map output
 	if seg.Len > 0 {
 		if err := s.readHeader(); err != nil {
 			f.Close()
@@ -817,8 +817,9 @@ type blockBuf struct{ b []byte }
 var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
 
 // PoisonRecycledBlocks is a test hook: while set, every block buffer going
-// back to its pool is overwritten with 0xDB first, so a Rec kept past its
-// lifetime reads garbage instead of, most of the time, its own bytes.
+// back to its pool, and every Buffer's chunks and frame at its reset, are
+// overwritten with 0xDB first, so a Rec kept past its lifetime reads
+// garbage instead of, most of the time, its own bytes.
 var PoisonRecycledBlocks atomic.Bool
 
 // getBlockBuf checks out a buffer of exactly n bytes.
@@ -838,12 +839,15 @@ func putBlockBuf(bb *blockBuf) {
 		return
 	}
 	if PoisonRecycledBlocks.Load() {
-		b := bb.b[:cap(bb.b)]
-		for i := range b {
-			b[i] = 0xDB
-		}
+		poisonBytes(bb.b[:cap(bb.b)])
 	}
 	blockBufs.Put(bb)
+}
+
+func poisonBytes(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // unexpectedEOF upgrades a mid-record io.EOF to io.ErrUnexpectedEOF.

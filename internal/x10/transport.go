@@ -58,10 +58,11 @@ func (rt *Runtime) RemoteTransport() bool { return rt.transport.Name() != "inpro
 
 // ShipFrame routes one already-encoded frame from place `from` to place
 // `to` through the runtime's transport, returning the frame as delivered.
-// The M3R engine's budgeted shuffle uses it directly: the map task builds
-// the frame (internal/m3r/frame.go), the destination place slices it into
-// segments, and this is the wire in between. Objects cross through an
-// OutStream and ShipStream.
+// The M3R engine's budgeted shuffle uses it directly: a map task's buffer
+// toward a remote place writes itself as a frame (spill.Buffer.Ship), the
+// destination place decodes the frame into an index over what arrived, and
+// this is the wire in between. Objects cross through an OutStream and
+// ShipStream.
 func (rt *Runtime) ShipFrame(from, to int, frame []byte) ([]byte, error) {
 	return rt.transport.Ship(from, to, frame)
 }
