@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"m3r/internal/conf"
 	"m3r/internal/engine"
@@ -165,7 +166,8 @@ func (b *sortBuffer) spill() error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
+	w := getSpillWriter(f)
+	defer putSpillWriter(w)
 	var segments []spill.Segment
 	var off, rawTotal, spilled int64
 	b.kv.LayOut(b.parts)
@@ -201,6 +203,22 @@ func (b *sortBuffer) spill() error {
 	b.ctx.Cells.SpilledRecords.Increment(spilled)
 	b.chargeSpill(off, rawTotal, 1, off)
 	return nil
+}
+
+// spillWriters buffer the spill files and the merged map output file that
+// map tasks write, 4 KiB each as bufio.NewWriter's, pooled across tasks.
+var spillWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+
+func getSpillWriter(f *os.File) *bufio.Writer {
+	w := spillWriters.Get().(*bufio.Writer)
+	w.Reset(f)
+	return w
+}
+
+// putSpillWriter pools w, dropping its file and whatever it did not flush.
+func putSpillWriter(w *bufio.Writer) {
+	w.Reset(nil)
+	spillWriters.Put(w)
 }
 
 // chargeSpill accounts one file of sorted map output: its stored and raw
@@ -301,7 +319,8 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriter(f)
+	w := getSpillWriter(f)
+	defer putSpillWriter(w)
 	segments := make([]spill.Segment, b.parts)
 	var off, rawTotal int64
 	for p := range b.parts {

@@ -9,6 +9,7 @@ import (
 	"m3r/internal/formats"
 	"m3r/internal/lab"
 	"m3r/internal/microbench"
+	"m3r/internal/spill"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
@@ -46,8 +47,7 @@ func writeSizedInput(t *testing.T, c *lab.Cluster, cfg microbench.Config) {
 // Over the TCP loopback what arrives is the socket's own buffer, and every
 // sent chunk goes back: same check, other half of the rule.
 func TestRemoteValuesOutliveTheirStreams(t *testing.T) {
-	x10.PoisonReleasedChunks.Store(true)
-	defer x10.PoisonReleasedChunks.Store(false)
+	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
 	const places = 3
 	for _, transport := range []string{"inproc", "tcp"} {
 		t.Run(transport, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 
 	"m3r/internal/counters"
 	"m3r/internal/engine"
+	"m3r/internal/spill"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 	"m3r/internal/wordcount"
@@ -231,8 +232,7 @@ func TestShuffleStreamOverDyingFrameServer(t *testing.T) {
 // while later tasks take streams and chunks from the same pools and give
 // them back overwritten.
 func TestShuffleValuesOwnTheirChunks(t *testing.T) {
-	x10.PoisonReleasedChunks.Store(true)
-	defer x10.PoisonReleasedChunks.Store(false)
+	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
 	body := func(i, n int) []byte { return []byte(strings.Repeat(string(rune('a'+i%26)), n)) }
 	sizes := []int{1, wio.OwnedFloor - 1, wio.OwnedFloor, 2048, 300 << 10}
 

@@ -95,8 +95,8 @@ func getOutStream(dedup bool) *x10.OutStream {
 	return x10.GetOutStream(dedup)
 }
 
-// putOutStream returns a stream, and the chunks of it that nothing decoded
-// points into, to their pools.
+// putOutStream returns a stream, with the chunks of it that nothing decoded
+// points into, to its pool.
 func putOutStream(s *x10.OutStream) {
 	s.Release()
 	encodeBufsOut.Add(-1)

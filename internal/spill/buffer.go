@@ -3,7 +3,6 @@ package spill
 import (
 	"errors"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -15,28 +14,17 @@ import (
 // MapOutputBuffer: a Hadoop map task's between two spills, or a budgeted
 // M3R map task's toward one place, shipped as a frame (frame.go) to a remote
 // one. A record's key and value go through the buffer's own stream-mode
-// wio.Writer into a chunked arena, and one pointer-free kvMeta into the
-// index: no heap object per record.
-//
-// The arena grows by a chunk, never by copying one. Chunk k holds
-// 1<<(minChunkShift+k) bytes up to the ceiling; an object (a key or a value)
-// that does not fit moves, the bytes it has so far with it, to the next
-// chunk, as x10.OutStream's do, and one larger than the ceiling gets a chunk
-// of its own size. The chunks, each as long as what it holds, are the
-// objects back to back, and an object is addressed by its offset in them,
-// under 2 GiB. Views are valid until the next Reset.
+// wio.Writer into an Arena, each its own unit, and one pointer-free kvMeta
+// into the index: no heap object per record. An object is addressed by its
+// offset in the arena, under 2 GiB. Views are valid until the next Reset.
 type Buffer struct {
-	w      wio.Writer // stream mode, writing into the buffer itself
-	chunks [][]byte   // the arena; those before cur are as long as what they hold
-	starts []int      // where each chunk starts in the arena's bytes
-	cur    int
-	buf    []byte // chunks[cur] as written so far, here so that Write appends to a field
-	obj    int    // where in buf the object being written starts
-	meta   []kvMeta
-	ends   []int                 // layOut's end of each partition in sc.recs
-	sc     *scratch              // from LayOut, Ship or Decode to the next reset
-	seen   map[wio.Writable]span // objects worth a back-reference, by identity
-	hits   int64                 // back-references made
+	w    wio.Writer // stream mode, writing into a
+	a    Arena
+	meta []kvMeta
+	ends []int                 // layOut's end of each partition in sc.recs
+	sc   *scratch              // from LayOut, Ship or Decode to the next reset
+	seen map[wio.Writable]span // objects worth a back-reference, by identity
+	hits int64                 // back-references made
 }
 
 // scratch is what a buffer needs only from LayOut, Ship or Decode to its next
@@ -75,8 +63,8 @@ const identityEntryBytes = 32
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 var buffers = sync.Pool{New: func() any {
-	b := &Buffer{chunks: make([][]byte, 1), starts: make([]int, 1)} // chunk 0, not made yet
-	b.w.Reset(b)
+	b := &Buffer{a: NewArena(minChunkShift, maxChunkShift)}
+	b.w.Reset(&b.a)
 	return b
 }}
 
@@ -89,22 +77,12 @@ func (b *Buffer) Release() {
 	buffers.Put(b)
 }
 
-// Reset forgets every record. Chunks above the ceiling are dropped, the rest
-// kept, and the scratch goes back to its pool; under PoisonRecycledBlocks
-// every chunk and the frame are overwritten first.
+// Reset forgets every record: the arena resets, and the scratch goes back to
+// its pool, its frame poisoned first under PoisonRecycledBlocks.
 func (b *Buffer) Reset() {
-	poison := PoisonRecycledBlocks.Load()
-	for i, c := range b.chunks {
-		if poison {
-			poisonBytes(c[:cap(c)])
-		}
-		if cap(c) > 1<<maxChunkShift {
-			c = nil
-		}
-		b.chunks[i] = c[:0]
-	}
+	b.a.Reset()
 	if s := b.sc; s != nil {
-		if poison {
+		if PoisonRecycledBlocks.Load() {
 			poisonBytes(s.wire[:cap(s.wire)])
 		}
 		clear(s.recs)
@@ -112,7 +90,7 @@ func (b *Buffer) Reset() {
 		scratches.Put(s)
 	}
 	b.meta, b.sc = b.meta[:0], nil
-	b.cur, b.buf, b.obj, b.seen, b.hits = 0, nil, 0, nil, 0 // the first write takes chunks[0] back
+	b.seen, b.hits = nil, 0
 }
 
 // scratch checks the buffer's scratch out, once a reset.
@@ -130,7 +108,7 @@ func (b *Buffer) scratch() *scratch {
 // identity, is indexed as a back-reference to its bytes instead of written
 // again. A record whose key or value fails to serialize leaves nothing.
 func (b *Buffer) Collect(p int, key, value wio.Writable, dedup bool) (Rec, error) {
-	cur, end, hits := b.cur, len(b.buf), b.hits
+	end, hits := b.a.Len(), b.hits
 	k, err := b.object(key, dedup)
 	if err == nil {
 		var v span
@@ -139,14 +117,12 @@ func (b *Buffer) Collect(p int, key, value wio.Writable, dedup bool) (Rec, error
 				b.meta = slices.Grow(b.meta, max(len(b.meta), 256))
 			}
 			b.meta = append(b.meta, kvMeta{part: int32(p), k: k, v: v})
-			chunks, at := b.payload(), cur // where the key started, or moved on from
-			return Rec{K: view(chunks, b.starts, &at, k), V: view(chunks, b.starts, &at, v)}, nil
+			chunks, at := b.a.Chunks(), b.a.cur // the value's chunk; the key's or after it
+			return Rec{K: view(chunks, b.a.starts, &at, k), V: view(chunks, b.a.starts, &at, v)}, nil
 		}
 	}
-	if b.cur != cur {
-		b.cur, b.buf = cur, b.chunks[cur]
-	}
-	b.buf, b.hits = b.buf[:end], hits
+	b.a.Rewind(end)
+	b.hits = hits
 	clear(b.seen) // an identity may name the bytes just dropped
 	return Rec{}, err
 }
@@ -163,11 +139,15 @@ func (b *Buffer) object(v wio.Writable, dedup bool) (span, error) {
 			return s, nil
 		}
 	}
-	b.obj = len(b.buf)
+	b.a.Mark()
 	if err := v.WriteTo(&b.w); err != nil {
 		return span{}, err
 	}
-	s := span{off: int32(b.starts[b.cur] + b.obj), n: int32(len(b.buf) - b.obj)}
+	off, n := b.a.Unit()
+	if off+n > math.MaxInt32 {
+		return span{}, errors.New("spill: a buffer holds less than 2 GiB")
+	}
+	s := span{off: int32(off), n: int32(n)}
 	if dedup && s.n > identityEntryBytes {
 		if b.seen == nil {
 			b.seen = make(map[wio.Writable]span)
@@ -177,69 +157,10 @@ func (b *Buffer) object(v wio.Writable, dedup bool) (span, error) {
 	return s, nil
 }
 
-// Write implements io.Writer for the buffer's wio.Writer.
-func (b *Buffer) Write(p []byte) (int, error) {
-	if len(p) > cap(b.buf)-len(b.buf) {
-		if err := b.overflow(len(p)); err != nil {
-			return 0, err
-		}
-	}
-	b.buf = append(b.buf, p...) // within capacity: never reallocates
-	return len(p), nil
-}
-
-// Grow makes room for n more bytes of the current object, so a body written
-// in pieces (wio.Writer's WriteFloat64s) moves once; a failure shows at the
-// next Write.
-func (b *Buffer) Grow(n int) {
-	if n > cap(b.buf)-len(b.buf) {
-		b.overflow(n)
-	}
-}
-
-// overflow makes room for need more bytes of the current object by moving
-// it to the next chunk: the ladder's size there, or the power of two that
-// holds the object if that is larger; a chunk kept from an earlier spill is
-// reused when it is large enough.
-func (b *Buffer) overflow(need int) error {
-	obj := b.buf[b.obj:]
-	next, start := b.cur+1, 0
-	if b.buf == nil {
-		next = 0 // nothing written since the reset
-	} else {
-		b.chunks[b.cur] = b.buf[:b.obj]
-		start = b.starts[b.cur] + b.obj
-	}
-	if start+len(obj)+need > math.MaxInt32 {
-		return errors.New("spill: a buffer holds less than 2 GiB")
-	}
-	size := 1 << max(min(minChunkShift+next, maxChunkShift), bits.Len(uint(len(obj)+need-1)))
-	if next == len(b.chunks) {
-		b.chunks, b.starts = append(b.chunks, nil), append(b.starts, 0)
-	}
-	c := b.chunks[next]
-	if cap(c) < size {
-		c = make([]byte, 0, size)
-	}
-	b.chunks[next], b.starts[next] = c, start
-	b.buf = append(c[:0], obj...)
-	b.cur, b.obj = next, 0
-	return nil
-}
-
-// payload returns the chunks that hold bytes, each as long as what it holds.
-func (b *Buffer) payload() [][]byte {
-	if b.buf == nil {
-		return nil
-	}
-	b.chunks[b.cur] = b.buf
-	return b.chunks[:b.cur+1]
-}
-
 // LayOut makes a view of every record collected, partition by partition and
 // each partition in collect order, for Partition. The views are valid until
 // the next reset.
-func (b *Buffer) LayOut(parts int) { b.layOut(b.payload(), b.starts, parts) }
+func (b *Buffer) LayOut(parts int) { b.layOut(b.a.Chunks(), b.a.starts, parts) }
 
 // layOut fills the scratch with the views of b.meta's records in chunks, which
 // start at starts, and b.ends with where each partition ends in it.

@@ -31,7 +31,7 @@ var ErrCorruptFrame = errors.New("spill: corrupt shuffle frame")
 // as Decode does. It returns the frame's length and the back-references
 // Collect made.
 func (b *Buffer) Ship(parts int, send func([]byte) ([]byte, error)) (int, int64, error) {
-	chunks, n := b.payload(), frameFooterLen+4*len(b.meta) // a record's table entries are 3 bytes or more
+	chunks, n := b.a.Chunks(), frameFooterLen+4*len(b.meta) // a record's table entries are 3 bytes or more
 	for _, c := range chunks {
 		n += len(c)
 	}

@@ -817,9 +817,10 @@ type blockBuf struct{ b []byte }
 var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
 
 // PoisonRecycledBlocks is a test hook: while set, every block buffer going
-// back to its pool, and every Buffer's chunks and frame at its reset, are
-// overwritten with 0xDB first, so a Rec kept past its lifetime reads
-// garbage instead of, most of the time, its own bytes.
+// back to its pool, every Arena's chunks (a Buffer's, an x10.OutStream's)
+// and every Buffer's frame at their reset are overwritten with 0xDB first,
+// so a Rec or a decoded value kept past its lifetime reads garbage instead
+// of, most of the time, its own bytes.
 var PoisonRecycledBlocks atomic.Bool
 
 // getBlockBuf checks out a buffer of exactly n bytes.
@@ -844,9 +845,13 @@ func putBlockBuf(bb *blockBuf) {
 	blockBufs.Put(bb)
 }
 
+// poisonBytes fills b with 0xDB, doubling what is filled with each copy.
 func poisonBytes(b []byte) {
-	for i := range b {
-		b[i] = 0xDB
+	if len(b) > 0 {
+		b[0] = 0xDB
+	}
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"m3r/internal/sim"
+	"m3r/internal/spill"
 	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -52,8 +53,7 @@ func TestShipPairsEncodeBufferPooled(t *testing.T) {
 		t.Errorf("non-aliasing ShipPairs allocs/op = %.0f, want <= %.0f: the stream or its chunks are not pooled", allocs, max)
 	}
 
-	x10.PoisonReleasedChunks.Store(true)
-	defer x10.PoisonReleasedChunks.Store(false)
+	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
 	large := shipBenchPairs(256, 4*wio.OwnedFloor) // ~260 KiB: the ladder and then ceiling-sized chunks
 	first := ship(large)
 	// Per pair the key and the value, not its bytes; per send a dozen fresh
@@ -64,7 +64,7 @@ func TestShipPairsEncodeBufferPooled(t *testing.T) {
 	ship(small) // reuses whatever the sends above gave back
 	for i, p := range first {
 		if !wio.Equal(p.Key, large[i].Key) || !wio.Equal(p.Value, large[i].Value) {
-			t.Fatalf("pair %d of an earlier delivery changed under later sends: its chunk went back to the pool", i)
+			t.Fatalf("pair %d of an earlier delivery changed under later sends: the stream kept its chunk", i)
 		}
 	}
 }
