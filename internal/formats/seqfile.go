@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
 	"m3r/internal/registry"
+	"m3r/internal/spill"
 	"m3r/internal/wio"
 )
 
@@ -130,148 +132,291 @@ func (s *SeqWriter) Close() error {
 	return s.c.Close()
 }
 
-// countingReader tracks the file offset of the next unread byte.
-type countingReader struct {
-	br  *bufio.Reader
-	pos int64
-}
+// The read window. A SeqReader decodes every record where it lies in one
+// byte window, which it fills by reading the file straight into it: no
+// buffered reader between the file and the window, no copy of a record
+// before its fields are decoded.
+const (
+	// readMin is the shortest read a window asks for while room allows: an
+	// HDFS reader hands a read of at least its own 64 KiB buffer to the
+	// block file instead of copying it through that buffer.
+	readMin = 64 << 10
+	// copyWindow is the pooled copy-mode window: a record of up to readMin
+	// bytes left unread at a fill still leaves readMin to read into.
+	copyWindow = 2 * readMin
+	// ownedWindowMax caps a fresh owned window; a split's remainder that is
+	// shorter sizes it instead.
+	ownedWindowMax = 1 << 20
+	// probeBytes is the room an owned window keeps past the split's end:
+	// enough for the read that finds the end of the file, or for the sync
+	// escape and marker that end the split.
+	probeBytes = 4 + syncSize
+	// pastEnd is how far past the split's end a read reaches when room
+	// allows, beyond what the record being read needs.
+	pastEnd = 4 << 10
+)
 
-func (c *countingReader) readFull(p []byte) error {
-	n, err := io.ReadFull(c.br, p)
-	c.pos += int64(n)
-	return err
-}
-
-// discard skips n bytes that are already buffered.
-func (c *countingReader) discard(n int) {
-	c.br.Discard(n)
-	c.pos += int64(n)
-}
-
-func (c *countingReader) readByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.pos++
-	}
-	return b, err
-}
+// copyWindows pools the copy-mode windows of every reader.
+var copyWindows = sync.Pool{New: func() any {
+	b := make([]byte, copyWindow)
+	return &b
+}}
 
 // SeqReader reads records from one split of a SequenceFile.
+//
+// It has two ownership rules. In copy mode (the default) the window is
+// reused from record to record and from reader to reader (pooled), and
+// records decode in wio.Reader's copying slice mode: nothing returned points
+// into it. A caller that fills fresh holders for every record and keeps them
+// switches the reader to owned mode (ReadOwned): records then decode with
+// wio.Reader.ResetBytesOwned, so a byte body of wio.OwnedFloor bytes or more
+// is a view of the window. A window that any record aliases keeps every byte
+// it has read — reads only go into the room behind them, and a fill that
+// needs more gets a fresh window of its own — while one that no record
+// aliases is reused.
 type SeqReader struct {
 	file     dfs.File
-	cr       *countingReader
+	path     string
 	sync     [syncSize]byte
 	keyClass string
 	valClass string
 	start    int64
 	end      int64
 	done     bool
-	scratch  []byte
-	rd       wio.Reader // slice-mode view of the current record's key, then value
+	// The window: win[off:] are the unread bytes, and win[0] is the file's
+	// byte at offset base. eof: the file has nothing past win.
+	win  []byte
+	off  int
+	base int64
+	eof  bool
+	// pooled is the copy-mode window's pool handle, nil once it went back.
+	pooled  *[]byte
+	owned   bool
+	aliased bool       // owned: a record decoded from win points into it
+	rd      wio.Reader // slice-mode view of the current record's key, then value
 }
 
 // NewSeqReader opens the byte range [start, start+length) of the
 // SequenceFile at path on fs. A length of <0 means "to end of file".
 func NewSeqReader(fs dfs.FileSystem, path string, start, length int64) (*SeqReader, error) {
+	end := start + length
+	if length < 0 {
+		st, err := fs.Stat(path)
+		if err != nil {
+			return nil, err
+		}
+		end = st.Size
+	}
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &SeqReader{file: f, start: start}
-	// The header is always read from offset 0, whatever the split.
-	hr := &countingReader{br: bufio.NewReader(f)}
-	magic := make([]byte, len(seqMagic))
-	if err := hr.readFull(magic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("formats: reading SequenceFile header of %s: %w", path, err)
+	r := &SeqReader{file: f, path: path, start: start, end: end, pooled: copyWindows.Get().(*[]byte)}
+	r.win = (*r.pooled)[:0]
+	// The header is always read from offset 0, whatever the split; a split
+	// that starts past it reads no further than its start for it.
+	if start > 0 {
+		r.end = start
 	}
-	if string(magic) != seqMagic {
-		f.Close()
-		return nil, fmt.Errorf("formats: %s is not a SequenceFile", path)
+	err = r.readHeader()
+	r.end = end
+	switch {
+	case err != nil:
+	case start > 0:
+		err = r.enter(start)
+	default:
+		// The header ends with the file's first sync marker: a split that
+		// ends before it owns no record.
+		r.done = r.pos()-syncSize >= r.end
 	}
-	ver, err := hr.readByte()
 	if err != nil {
-		f.Close()
+		r.Close()
 		return nil, err
-	}
-	if ver != seqVersion {
-		f.Close()
-		return nil, fmt.Errorf("formats: %s: unsupported SequenceFile version %d", path, ver)
-	}
-	wr := wio.NewReader(hr.br)
-	if r.keyClass, err = wr.ReadString(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if r.valClass, err = wr.ReadString(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	hr.pos += wr.Count()
-	if err := hr.readFull(r.sync[:]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	headerEnd := hr.pos
-
-	if length < 0 {
-		st, err := fs.Stat(path)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		r.end = st.Size
-	} else {
-		r.end = start + length
-	}
-
-	if start <= headerEnd {
-		r.cr = hr
-	} else {
-		// Enter mid-file: seek to start and scan for the first full sync
-		// marker; records resume immediately after it.
-		if _, err := f.Seek(start, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		hr.br.Reset(f) // the header's reader, emptied for the new offset
-		hr.pos = start
-		r.cr = hr
-		if err := r.scanToSync(); err != nil {
-			if err == io.EOF {
-				r.done = true
-			} else {
-				f.Close()
-				return nil, err
-			}
-		} else if r.cr.pos-syncSize >= r.end {
-			// The first marker after start lies past the split's end — the
-			// split sits inside one large record — so the records behind
-			// that marker are another split's, as Next decides for every
-			// later marker.
-			r.done = true
-		}
 	}
 	return r, nil
 }
 
-// scanToSync advances past the next full sync marker, or to the end of the
-// file with io.EOF when there is none. It searches the bufio window in place:
-// a window without the marker is dropped except for its last syncSize-1
-// bytes, which may begin a marker that the next refill completes.
-func (r *SeqReader) scanToSync() error {
-	br := r.cr.br
-	for {
-		if _, err := br.Peek(syncSize); err != nil {
-			r.cr.discard(br.Buffered())
-			return io.EOF
+// readHeader parses the header at the start of the window: magic, version,
+// the class names and the sync marker.
+func (r *SeqReader) readHeader() error {
+	for n := 64; ; n *= 2 {
+		if err := r.fill(n); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return err
 		}
-		window, _ := br.Peek(br.Buffered())
-		if i := bytes.Index(window, r.sync[:]); i >= 0 {
-			r.cr.discard(i + syncSize)
+		hdr := r.win[r.off:]
+		if len(hdr) >= len(seqMagic) && string(hdr[:len(seqMagic)]) != seqMagic {
+			return fmt.Errorf("formats: %s is not a SequenceFile", r.path)
+		}
+		if len(hdr) > len(seqMagic) && hdr[len(seqMagic)] != seqVersion {
+			return fmt.Errorf("formats: %s: unsupported SequenceFile version %d", r.path, hdr[len(seqMagic)])
+		}
+		at, err := r.parseClasses(hdr)
+		switch {
+		case err == nil && len(hdr) >= at+syncSize:
+			copy(r.sync[:], hdr[at:])
+			r.off += at + syncSize
+			return nil
+		case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+			return fmt.Errorf("formats: reading SequenceFile header of %s: %w", r.path, err)
+		case r.eof:
+			return fmt.Errorf("formats: reading SequenceFile header of %s: %w", r.path, io.ErrUnexpectedEOF)
+		}
+	}
+}
+
+// parseClasses reads the class names behind the magic and version of hdr
+// and returns where the sync marker starts.
+func (r *SeqReader) parseClasses(hdr []byte) (int, error) {
+	if len(hdr) <= len(seqMagic) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	r.rd.ResetBytes(hdr[len(seqMagic)+1:])
+	var err error
+	if r.keyClass, err = r.rd.ReadString(); err != nil {
+		return 0, err
+	}
+	if r.valClass, err = r.rd.ReadString(); err != nil {
+		return 0, err
+	}
+	return len(seqMagic) + 1 + int(r.rd.Count()), nil
+}
+
+// enter moves the reader to a split that starts at file offset start > 0
+// and scans for the first full sync marker there — the header's own, for a
+// split that starts inside it: records resume immediately after it.
+func (r *SeqReader) enter(start int64) error {
+	if start <= r.base+int64(len(r.win)) {
+		r.off = int(start - r.base)
+	} else {
+		if _, err := r.file.Seek(start, io.SeekStart); err != nil {
+			return err
+		}
+		r.win, r.off, r.base, r.eof = r.win[:0], 0, start, false
+	}
+	switch err := r.scanToSync(); {
+	case err == io.EOF:
+		r.done = true
+	case err != nil:
+		return err
+	case r.pos()-syncSize >= r.end:
+		// The first marker after start lies past the split's end — the
+		// split sits inside one large record — so the records behind that
+		// marker are another split's, as Next decides for every later
+		// marker.
+		r.done = true
+	}
+	return nil
+}
+
+// scanToSync advances past the next full sync marker, or to the end of the
+// file with io.EOF when there is none. It searches the window in place: a
+// window without the marker is dropped except for its last syncSize-1
+// bytes, which may begin a marker that the next fill completes.
+func (r *SeqReader) scanToSync() error {
+	for {
+		if i := bytes.Index(r.win[r.off:], r.sync[:]); i >= 0 {
+			r.off += i + syncSize
 			return nil
 		}
-		r.cr.discard(len(window) - (syncSize - 1))
+		r.off = max(r.off, len(r.win)-(syncSize-1))
+		switch err := r.fill(len(r.win) - r.off + 1); err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			r.off = len(r.win)
+			return io.EOF
+		default:
+			return err
+		}
+	}
+}
+
+// pos is the file offset of the next unread byte.
+func (r *SeqReader) pos() int64 { return r.base + int64(r.off) }
+
+// fill makes n unread bytes available in the window. It returns io.EOF when
+// the file ends with no byte unread and io.ErrUnexpectedEOF when it ends
+// with fewer than n.
+func (r *SeqReader) fill(n int) error {
+	for len(r.win)-r.off < n {
+		if r.eof {
+			if r.off == len(r.win) {
+				return io.EOF
+			}
+			return io.ErrUnexpectedEOF
+		}
+		r.makeRoom(n)
+		// Read to the split's end, or a little past it, in one read when
+		// the window has room; never less than the record needs.
+		readAt := r.base + int64(len(r.win))
+		room := int64(cap(r.win) - len(r.win))
+		ask := max(n-(len(r.win)-r.off), int(min(room, max(r.end-readAt, pastEnd))))
+		m, err := r.file.Read(r.win[len(r.win) : len(r.win)+ask])
+		r.win = r.win[:len(r.win)+m]
+		if err == io.EOF {
+			r.eof = true
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// makeRoom readies the window for a read towards n unread bytes. The read
+// goes into the room behind the bytes already read when that room takes
+// what is missing — and readMin, unless records alias the window, whose
+// read bytes then stay as they are. Otherwise the unread bytes move to the
+// front of a window that no record aliases and that can hold n, or whole
+// to a fresh window: a record cut by the last fill moves whole.
+func (r *SeqReader) makeRoom(n int) {
+	unread, room := len(r.win)-r.off, cap(r.win)-len(r.win)
+	switch {
+	case room >= n-unread && (room >= readMin || r.aliased):
+	case !r.aliased && cap(r.win) >= n:
+		r.base += int64(r.off)
+		r.win = r.win[:copy(r.win, r.win[r.off:])]
+		r.off = 0
+	case r.owned:
+		r.fresh(max(n, r.ownedWindow()))
+	default:
+		r.fresh(n)
+	}
+}
+
+// ownedWindow is the size of a fresh owned window: the rest of the split,
+// up to ownedWindowMax, and room to probe past its end.
+func (r *SeqReader) ownedWindow() int {
+	return int(min(ownedWindowMax, max(r.end-r.pos(), 0)+probeBytes))
+}
+
+// fresh moves the unread bytes to a new window of size bytes, which no
+// record aliases yet; a pooled window goes back.
+func (r *SeqReader) fresh(size int) {
+	w := make([]byte, len(r.win)-r.off, size)
+	copy(w, r.win[r.off:])
+	r.release()
+	r.base += int64(r.off)
+	r.win, r.off, r.aliased = w, 0, false
+}
+
+// release returns the copy-mode window to its pool, poisoned under
+// spill.PoisonRecycledBlocks; the reader no longer holds it.
+func (r *SeqReader) release() {
+	if r.pooled == nil {
+		return
+	}
+	spill.PoisonRecycled((*r.pooled)[:copyWindow])
+	copyWindows.Put(r.pooled)
+	r.pooled = nil
+}
+
+// ReadOwned switches the reader to owned mode, for a caller that fills fresh
+// holders for every record and keeps them; it calls ReadOwned once, before
+// its first Next. The unread bytes of the pooled window move to a fresh
+// window, and the pooled one goes back.
+func (r *SeqReader) ReadOwned() {
+	if !r.owned {
+		r.owned = true
+		r.fresh(max(len(r.win)-r.off, r.ownedWindow()))
 	}
 }
 
@@ -281,72 +426,77 @@ func (r *SeqReader) KeyClass() string { return r.keyClass }
 // ValClass returns the value class name from the header.
 func (r *SeqReader) ValClass() string { return r.valClass }
 
-func (r *SeqReader) readInt32() (int32, error) {
-	var b [4]byte
-	if err := r.cr.readFull(b[:]); err != nil {
-		return 0, err
-	}
-	return int32(binary.BigEndian.Uint32(b[:])), nil
-}
-
-// Next fills key and value with the next record of the split.
+// Next fills key and value with the next record of the split. A file that
+// ends inside a record or a sync marker is an error, never the end of the
+// split.
 func (r *SeqReader) Next(key, value wio.Writable) (bool, error) {
-	if r.done {
-		return false, nil
-	}
-	for {
-		recLen, err := r.readInt32()
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			r.done = true
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		if recLen == syncEscape {
-			// The marker's first byte is the boundary position.
-			markerStart := r.cr.pos
-			var marker [syncSize]byte
-			if err := r.cr.readFull(marker[:]); err != nil {
+	for !r.done {
+		if err := r.fill(4); err != nil {
+			if err == io.EOF {
 				r.done = true
 				return false, nil
 			}
-			if !bytes.Equal(marker[:], r.sync[:]) {
+			return false, r.truncated(err)
+		}
+		recLen := int32(binary.BigEndian.Uint32(r.win[r.off:]))
+		if recLen == syncEscape {
+			if err := r.fill(4 + syncSize); err != nil {
+				return false, r.truncated(err)
+			}
+			// The marker's first byte is the boundary position.
+			markerStart := r.pos() + 4
+			if !bytes.Equal(r.win[r.off+4:r.off+4+syncSize], r.sync[:]) {
 				return false, fmt.Errorf("formats: corrupt SequenceFile: bad sync marker at %d", markerStart)
 			}
-			if markerStart >= r.end {
-				r.done = true
-				return false, nil
-			}
+			r.off += 4 + syncSize
+			r.done = markerStart >= r.end
 			continue
 		}
 		if recLen < 0 || recLen > maxSeqRecord {
 			return false, fmt.Errorf("formats: corrupt SequenceFile: record length %d", recLen)
 		}
-		keyLen, err := r.readInt32()
-		if err != nil {
-			return false, err
+		if err := r.fill(8); err != nil {
+			return false, r.truncated(err)
 		}
+		keyLen := int32(binary.BigEndian.Uint32(r.win[r.off+4:]))
 		if keyLen < 0 || keyLen > recLen {
 			return false, fmt.Errorf("formats: corrupt SequenceFile: key length %d of %d", keyLen, recLen)
 		}
-		if cap(r.scratch) < int(recLen) {
-			r.scratch = make([]byte, recLen)
+		if err := r.fill(8 + int(recLen)); err != nil {
+			return false, r.truncated(err)
 		}
-		buf := r.scratch[:recLen]
-		if err := r.cr.readFull(buf); err != nil {
+		rec := r.win[r.off+8 : r.off+8+int(recLen)]
+		r.off += 8 + int(recLen)
+		if err := r.decode(key, rec[:keyLen]); err != nil {
 			return false, err
 		}
-		r.rd.ResetBytes(buf[:keyLen])
-		if err := key.ReadFields(&r.rd); err != nil {
-			return false, err
-		}
-		r.rd.ResetBytes(buf[keyLen:])
-		if err := value.ReadFields(&r.rd); err != nil {
+		if err := r.decode(value, rec[keyLen:]); err != nil {
 			return false, err
 		}
 		return true, nil
 	}
+	return false, nil
+}
+
+// decode reads w's fields from b under the reader's ownership rule.
+func (r *SeqReader) decode(w wio.Writable, b []byte) error {
+	if r.owned {
+		r.rd.ResetBytesOwned(b)
+	} else {
+		r.rd.ResetBytes(b)
+	}
+	err := w.ReadFields(&r.rd)
+	r.aliased = r.aliased || r.rd.Aliased()
+	return err
+}
+
+// truncated is err where the file ended inside a record or a marker: an
+// error naming where. Any other read error passes as it is.
+func (r *SeqReader) truncated(err error) error {
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	return fmt.Errorf("formats: SequenceFile %s truncated in the record at %d: %w", r.path, r.pos(), io.ErrUnexpectedEOF)
 }
 
 // Progress reports completion in [0,1].
@@ -354,15 +504,20 @@ func (r *SeqReader) Progress() float32 {
 	if r.end == r.start {
 		return 1
 	}
-	p := float32(r.cr.pos-r.start) / float32(r.end-r.start)
+	p := float32(r.pos()-r.start) / float32(r.end-r.start)
 	if p > 1 {
 		p = 1
 	}
 	return p
 }
 
-// Close closes the underlying file.
-func (r *SeqReader) Close() error { return r.file.Close() }
+// Close closes the underlying file; the copy-mode window goes back to its
+// pool. Values decoded in owned mode keep the windows they point into.
+func (r *SeqReader) Close() error {
+	r.release()
+	r.win = nil
+	return r.file.Close()
+}
 
 // seqRecordReader adapts SeqReader to the RecordReader interface.
 type seqRecordReader struct {
@@ -469,13 +624,14 @@ func WriteSeqFile(fs dfs.FileSystem, path, keyClass, valClass string, pairs []wi
 }
 
 // ReadSeqFileAll reads every record of the SequenceFile at path into fresh
-// pairs.
+// pairs, in owned mode: large byte bodies are views of the read windows.
 func ReadSeqFileAll(fs dfs.FileSystem, path string) ([]wio.Pair, error) {
 	sr, err := NewSeqReader(fs, path, 0, -1)
 	if err != nil {
 		return nil, err
 	}
 	defer sr.Close()
+	sr.ReadOwned()
 	rr := seqRecordReader{sr}
 	var out []wio.Pair
 	for {

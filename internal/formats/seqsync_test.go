@@ -3,6 +3,7 @@ package formats
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"testing"
@@ -10,11 +11,33 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/sim"
 	"m3r/internal/types"
+	"m3r/internal/wio"
 )
+
+// byteScanner is the reference readers' source: the file through a
+// bufio.Reader, one byte offset kept beside it.
+type byteScanner struct {
+	br  *bufio.Reader
+	pos int64
+}
+
+func (c *byteScanner) readFull(p []byte) error {
+	n, err := io.ReadFull(c.br, p)
+	c.pos += int64(n)
+	return err
+}
+
+func (c *byteScanner) readByte() (byte, error) {
+	b, err := c.br.ReadByte()
+	if err == nil {
+		c.pos++
+	}
+	return b, err
+}
 
 // refScanToSync is the scanner scanToSync replaced, kept as its reference:
 // one ReadByte at a time through a syncSize ring, comparing at every byte.
-func refScanToSync(cr *countingReader, sync []byte) error {
+func refScanToSync(cr *byteScanner, sync []byte) error {
 	var window [syncSize]byte
 	if err := cr.readFull(window[:]); err != nil {
 		return io.EOF
@@ -37,16 +60,55 @@ func refScanToSync(cr *countingReader, sync []byte) error {
 	}
 }
 
+// refNext is the record loop read field by field from cr: the next record
+// of a split that ends at end, as an (IntWritable, BytesWritable) pair.
+func refNext(cr *byteScanner, sync []byte, end int64) (ok bool, key int32, value []byte, err error) {
+	var b [4]byte
+	for {
+		if err := cr.readFull(b[:]); err != nil {
+			return false, 0, nil, nil
+		}
+		recLen := int32(binary.BigEndian.Uint32(b[:]))
+		if recLen == syncEscape {
+			markerStart := cr.pos
+			marker := make([]byte, syncSize)
+			if err := cr.readFull(marker); err != nil || !bytes.Equal(marker, sync) {
+				return false, 0, nil, fmt.Errorf("bad marker at %d", markerStart)
+			}
+			if markerStart >= end {
+				return false, 0, nil, nil
+			}
+			continue
+		}
+		if err := cr.readFull(b[:]); err != nil {
+			return false, 0, nil, err
+		}
+		rec := make([]byte, recLen)
+		if err := cr.readFull(rec); err != nil {
+			return false, 0, nil, err
+		}
+		keyLen := binary.BigEndian.Uint32(b[:])
+		k, v := new(types.IntWritable), new(types.BytesWritable)
+		if err := wio.Unmarshal(rec[:keyLen], k); err != nil {
+			return false, 0, nil, err
+		}
+		if err := wio.Unmarshal(rec[keyLen:], v); err != nil {
+			return false, 0, nil, err
+		}
+		return true, k.Get(), v.B, nil
+	}
+}
+
 // TestScanToSyncMatchesByteScanner enters a multi-block SequenceFile at
 // every offset — inside a marker, one byte before one, past the last one,
 // past the end — and requires the position after the scan, the first record
 // and the position after it to equal the byte-at-a-time scanner's. The file
 // holds near-markers (15 of the 16 bytes, from either end) in its payloads
-// and one record several bufio windows long, so refills with and without a
+// and one record longer than a block, so refills with and without a
 // carried partial match both occur at every alignment.
 func TestScanToSyncMatchesByteScanner(t *testing.T) {
-	// A read stops at a block boundary, so with blocks that are no multiple
-	// of the bufio window the window edges fall differently for every start.
+	// A read stops at a block boundary, so a fill of the window ends at a
+	// block's edge, which falls differently for every start.
 	const blockSize = 5000
 	fs, err := dfs.NewHDFS(dfs.HDFSOptions{
 		Root:      t.TempDir(),
@@ -116,7 +178,7 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerEnd := hdr.cr.pos
+	headerEnd := hdr.pos()
 	hdr.Close()
 
 	type step struct {
@@ -131,7 +193,7 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 		if err != nil {
 			t.Fatalf("start %d: %v", r.start, err)
 		}
-		return step{pos: r.cr.pos, ok: ok, key: k.Get(), value: append([]byte(nil), v.B...)}
+		return step{pos: r.pos(), ok: ok, key: k.Get(), value: append([]byte(nil), v.B...)}
 	}
 	found := 0
 	// A reader scans only when it starts past the header.
@@ -140,7 +202,8 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 		if err != nil {
 			t.Fatalf("start %d: %v", start, err)
 		}
-		// The reference: the same reader state, positioned by refScanToSync.
+		// The reference: the file read byte by byte from start, positioned
+		// by refScanToSync.
 		f, err := fs.Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -148,23 +211,33 @@ func TestScanToSyncMatchesByteScanner(t *testing.T) {
 		if _, err := f.Seek(start, io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
-		want := &SeqReader{file: f, sync: got.sync, start: start, end: got.end,
-			cr: &countingReader{br: bufio.NewReader(f), pos: start}}
-		want.done = refScanToSync(want.cr, want.sync[:]) == io.EOF
-		if got.cr.pos != want.cr.pos || got.done != want.done {
-			t.Fatalf("start %d: scan ended at %d (done %v), byte scanner at %d (done %v)",
-				start, got.cr.pos, got.done, want.cr.pos, want.done)
+		ref := &byteScanner{br: bufio.NewReader(f), pos: start}
+		refDone := refScanToSync(ref, marker) == io.EOF
+		if !refDone && ref.pos-syncSize >= got.end {
+			refDone = true
 		}
-		if !want.done {
+		if got.pos() != ref.pos || got.done != refDone {
+			t.Fatalf("start %d: scan ended at %d (done %v), byte scanner at %d (done %v)",
+				start, got.pos(), got.done, ref.pos, refDone)
+		}
+		if !refDone {
 			found++
 		}
-		g, w := next(got), next(want)
+		g := next(got)
+		var w step
+		if !refDone {
+			w.ok, w.key, w.value, err = refNext(ref, marker, got.end)
+			if err != nil {
+				t.Fatalf("start %d: reference: %v", start, err)
+			}
+		}
+		w.pos = ref.pos
 		if g.pos != w.pos || g.ok != w.ok || g.key != w.key || !bytes.Equal(g.value, w.value) {
 			t.Fatalf("start %d: first record %d (%d bytes, ok %v) ending at %d, byte scanner's %d (%d bytes, ok %v) ending at %d",
 				start, g.key, len(g.value), g.ok, g.pos, w.key, len(w.value), w.ok, w.pos)
 		}
 		got.Close()
-		want.Close()
+		f.Close()
 	}
 	if found == 0 || found == int(st.Size+2-headerEnd) {
 		t.Fatalf("%d of %d start offsets found a marker: want some with and some without", found, st.Size+2-headerEnd)

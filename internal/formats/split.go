@@ -3,6 +3,14 @@
 // the file output committer, and the MultipleInputs split-tagging
 // machinery. It also declares the M3R split extensions (NamedSplit,
 // DelegatingSplit, PlacedSplit) from paper §4.2.1 and §4.3.
+//
+// The SequenceFile reader has two ownership rules. By default it copies: a
+// record decodes into the caller's holders out of one read window that the
+// reader reuses, and pools across readers, so a holder may be filled again
+// at every Next. A caller that fills fresh holders for every record and
+// keeps them — the M3R cache's cold fill, ReadSeqFileAll — asks for owned
+// mode (SeqReader.ReadOwned): large byte bodies are then views of the
+// window, which the reader never writes again once a record points into it.
 package formats
 
 import (

@@ -1,6 +1,8 @@
 package integration_test
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"m3r/internal/conf"
@@ -9,8 +11,11 @@ import (
 	"m3r/internal/hadoop"
 	"m3r/internal/lab"
 	"m3r/internal/m3r"
+	"m3r/internal/mapred"
 	"m3r/internal/microbench"
 	"m3r/internal/sim"
+	"m3r/internal/types"
+	"m3r/internal/wio"
 	"m3r/internal/wordcount"
 )
 
@@ -54,9 +59,11 @@ func TestCountedOnce(t *testing.T) {
 		// Splits streamed past the cache are misses too (the stat said so
 		// before the counter did).
 		{name: "wordcount past the cache", run: wordCount(true, 0, conf.KeyM3RCache, "false"), moved: []string{sim.CacheMisses}},
-		// A budget a fraction of the shuffle (128 KiB of text): runs overflow to disk and
-		// larger resident ones are evicted for smaller newcomers.
-		{name: "budgeted with a spill", run: wordCount(false, 24<<10),
+		// A budget a fraction of the shuffle (128 KiB of text): runs overflow
+		// to disk and larger resident ones are evicted for smaller newcomers,
+		// whatever order the map tasks deliver in (rankPartitioner).
+		{name: "budgeted with a spill", run: wordCount(false, rankBudget,
+			conf.KeyNumReducers, "6", conf.KeyPartitionerClass, "test.RankPartitioner"),
 			moved: []string{sim.SpillBytes, sim.SpillRawBytes, sim.SpillFiles, sim.EvictedRuns}},
 		// Three chained jobs, every pair remote; the second and third read the
 		// previous one's output from the cache.
@@ -118,6 +125,47 @@ func TestCountedOnce(t *testing.T) {
 			})
 		}
 	}
+}
+
+// rankPartitioner makes a budgeted WordCount evict under every order in
+// which its map tasks deliver. WordCount's text draws words by Zipf rank
+// (wordcount.Generate: "word0000" is the most frequent, about 28 % of the
+// words, "word0001" and "word0002" together about 18 %), and with six
+// reducers on three places, place 0 holds partitions 0 and 3. Partition 0
+// gets "word0000" alone and partition 3 the next two ranks, so every map
+// task sends place 0 a large run and then a smaller one: a task's frame
+// admits its partitions in ascending order. Under rankBudget a large run
+// fits alone, any two runs of place 0 do not, and every small run is
+// smaller than every large one (run sizes follow from the seeded input, not
+// from the order), so place 0 holds one run at a time, the first run to
+// arrive is a large one, and the first small run to arrive evicts the large
+// run resident. Every other word goes to partitions 1, 2, 4 and 5 by rank.
+type rankPartitioner struct{}
+
+func (rankPartitioner) Configure(*conf.JobConf) {}
+
+func (rankPartitioner) GetPartition(key, _ wio.Writable, numPartitions int) int {
+	rank, err := strconv.Atoi(strings.TrimPrefix(key.(*types.Text).String(), "word"))
+	switch {
+	case err != nil || numPartitions != 6:
+		return 1
+	case rank == 0:
+		return 0
+	case rank <= 2:
+		return 3
+	}
+	return []int{1, 2, 4, 5}[rank%4]
+}
+
+// rankBudget is the budget under which rankPartitioner's case evicts: over
+// the largest run a map task sends place 0 and under the smallest pair. The
+// six map tasks' large runs are 3 457–3 552 bytes and their small ones
+// 2 199–2 304 (grouped, as the pool reserves them), so 4 608 leaves a fifth
+// of slack on either side.
+const rankBudget = 4608
+
+func init() {
+	mapred.RegisterPartitioner("test.RankPartitioner", func() mapred.Partitioner { return rankPartitioner{} })
 }
 
 // TestReportListsOnlyTouchedCounters: a task's set holds every standard

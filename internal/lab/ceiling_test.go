@@ -175,6 +175,46 @@ func TestShuffleRemoteAllocs(t *testing.T) {
 	}
 }
 
+// TestShuffleRemoteColdAllocs is the cold half of TestShuffleRemoteAllocs:
+// allocations per map-output record of the sequence's first run on a fresh
+// cluster, whose first job reads the four partition files from HDFS into
+// the cache. A throwaway fresh cluster runs the sequence first, so the
+// process's pools are as warm as the benchmark's cold rep finds them. Its
+// ceiling is set as TestWordCountAllocs' is, over 1.351–1.412 allocs/rec,
+// measured when the SequenceFile reader came to decode records in place
+// and the cold fill to keep value bodies as views of the read (3.038–3.097
+// before).
+func TestShuffleRemoteColdAllocs(t *testing.T) {
+	skipUnpinned(t)
+	const maxAllocsPerRec = 1.46
+	cfg := microbench.Config{Pairs: 1000, ValueBytes: 2048, Percent: 100, Iterations: 3, Partitions: 4, Dir: "/mb", Seed: 5}
+	cold := func() float64 {
+		c := ceilingCluster(t, lab.Options{BlockSize: 8 << 20})
+		if err := microbench.Generate(c.FS, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		reports, err := microbench.Run(pinnedEngine{Engine: c.M3R}, cfg)
+		runtime.ReadMemStats(&ms1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[0].Counters.Value(counters.M3RGroup, counters.CacheMissSplits) == 0 {
+			t.Fatal("the first job read no split from HDFS")
+		}
+		return float64(ms1.Mallocs-ms0.Mallocs) / float64(mapOutputRecords(reports))
+	}
+	cold()
+	allocs := cold()
+	t.Logf("%.3f allocs/rec", allocs)
+	if allocs > maxAllocsPerRec {
+		t.Errorf("%.3f allocs/rec, ceiling %.3f", allocs, maxAllocsPerRec)
+	}
+}
+
 // TestSortSpillAllocs is the workload ceiling of the benchmark's
 // sort_spill at a small fixed seed: WordCount without its combiner over
 // 256 KiB of generated text under an engine pool and cache budget of an
@@ -182,17 +222,18 @@ func TestShuffleRemoteAllocs(t *testing.T) {
 // is pinned at the pool's size: the pool bounds the job anyway, as it
 // bounds the benchmark's uncapped job, while an unset key would take the
 // carrier's cap and an explicit 0 opts a job out of the pool. Its ceiling
-// is set as TestWordCountAllocs' is, over 2.380–2.382 allocs/rec, measured
+// is set as TestWordCountAllocs' is, over 2.377–2.378 allocs/rec, measured
+// when spill streams came to take their read buffers from a pool (2.380–2.382
 // when the budgeted runs became grouped and the raw merge came to make one
-// value iterator. Which runs spill follows task scheduling, so bytes spread
-// over 96.1–115.1 B/rec and are logged only.
+// value iterator). Which runs spill follows task scheduling, so bytes spread
+// over 91.7–116.7 B/rec and are logged only.
 func TestSortSpillAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const (
 		input           = 256 << 10
 		pool            = input / 8
 		reps            = 8
-		maxAllocsPerRec = 2.46
+		maxAllocsPerRec = 2.45
 	)
 	c := ceilingCluster(t, lab.Options{ShuffleBudgetBytes: pool, CacheBudgetBytes: pool})
 	if err := wordcount.Generate(c.FS, "/ss/in", input, 5); err != nil {
@@ -222,11 +263,14 @@ func TestSortSpillAllocs(t *testing.T) {
 // 256 KiB of generated text with four reducers, TestShuffleRemoteAllocs'
 // three chained jobs and TestPageRankSequenceAllocs' fifteen. Its ceilings
 // are set as TestWordCountAllocs' are, over the values measured in 20 runs
-// at each of GOMAXPROCS 1, 2 and 4, with go1.24 on amd64, when map tasks came
-// to take their spill writers from a pool: sort_spill 2.278–2.279 allocs/rec,
-// wordcount 2.520–2.521, shuffle_remote 6.232–6.240 (6.256–6.263 before) and
-// pagerank_iter 29.481–29.510 (29.853–29.879 before). Bytes are logged only:
-// they spread over 69.0–83.8, 77.5–86.3, 2 449–2 569 and 6 741–6 862 B/rec.
+// at each of GOMAXPROCS 1, 2 and 4, with go1.24 on amd64, when the
+// SequenceFile reader came to decode records in place out of a pooled
+// window and spill streams to take their read buffers from a pool:
+// sort_spill 2.276–2.277 allocs/rec, wordcount 2.518–2.519, shuffle_remote
+// 2.116–2.125 (6.232–6.240 before: the old reader's length and marker
+// reads allocated) and pagerank_iter 24.717–24.749 (29.481–29.510 before).
+// Bytes are logged only: they spread over 68.5–84.1, 75.7–84.5,
+// 2 286–2 449 and 4 365–4 561 B/rec.
 func TestHadoopAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const reps = 8
@@ -263,7 +307,7 @@ func TestHadoopAllocs(t *testing.T) {
 		{"wordcount", c, "", "/h/out", submit(func() *conf.JobConf { return wordcount.NewJob("/h/in", "/h/out", 4, true) }), 2.60},
 		{"shuffle_remote", mbc, "", mb.Dir + "/final", func(eng engine.Engine) ([]*engine.Report, error) {
 			return microbench.Run(eng, mb)
-		}, 6.43},
+		}, 2.19},
 		{"pagerank_iter", c, "", "/h/pr/run", func(eng engine.Engine) ([]*engine.Report, error) {
 			d, err := sysml.NewDriver(eng, "/h/pr/run", 4)
 			if err != nil {
@@ -271,7 +315,7 @@ func TestHadoopAllocs(t *testing.T) {
 			}
 			_, err = sysml.IteratePageRank(d, pr, G, p0)
 			return d.Reports, err
-		}, 30.40},
+		}, 25.50},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := pinnedEngine{Engine: tc.c.Hadoop, codec: tc.codec}

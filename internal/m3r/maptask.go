@@ -128,12 +128,24 @@ var pairScratchPool = sync.Pool{
 	},
 }
 
+// ownedReader is a record reader that can hand large byte bodies out as
+// views of its read buffers, for a caller that keeps every record in fresh
+// holders (formats.SeqReader.ReadOwned).
+type ownedReader interface {
+	ReadOwned()
+}
+
 // materialize reads a whole split with fresh holders per record, producing
 // the key/value sequence the cache retains. It appends into a pooled
 // scratch buffer and copies into an exactly-sized slice at the end — the
 // cache retains the result indefinitely, so the returned slice must not
-// alias pooled storage.
+// alias pooled storage. A reader that can give its read windows up to the
+// records it decodes (ownedReader: the SequenceFile reader) is asked to:
+// large byte bodies are then views of the bytes read, not copies.
 func materialize(reader formats.RecordReader) ([]wio.Pair, error) {
+	if o, ok := reader.(ownedReader); ok {
+		o.ReadOwned()
+	}
 	sp := pairScratchPool.Get().(*[]wio.Pair)
 	scratch := (*sp)[:0]
 	release := func() {

@@ -548,8 +548,14 @@ type Stream struct {
 	gc      GroupCursor
 }
 
-// rem is how many of the segment's declared bytes are not yet consumed.
-func (s *Stream) rem() int64 { return s.lr.N + int64(s.br.Buffered()) }
+// rem is how many of the segment's declared bytes are not yet consumed; none
+// once the stream is closed.
+func (s *Stream) rem() int64 {
+	if s.closed {
+		return 0
+	}
+	return s.lr.N + int64(s.br.Buffered())
+}
 
 // openStreams counts Streams opened but not yet closed. Every open segment
 // holds a file handle, so a merge that terminates early (reducer error, job
@@ -575,15 +581,40 @@ func OpenSegment(path string, seg Segment) (*Stream, error) {
 		return nil, err
 	}
 	s := &Stream{f: f, lr: io.LimitedReader{R: f, N: seg.Len}}
-	s.br = bufio.NewReaderSize(&s.lr, int(min(seg.Len, 4096))) // a reducer opens one per map output
+	s.br = segReaders.Get().(*bufio.Reader) // a reducer opens one per map output
+	s.br.Reset(&s.lr)
 	if seg.Len > 0 {
 		if err := s.readHeader(); err != nil {
+			putSegReader(s.br)
 			f.Close()
 			return nil, err
 		}
 	}
 	openStreams.Add(1)
 	return s, nil
+}
+
+// segReaders pools the streams' 4 KiB readers. No record aliases one: a
+// record lives in its block's blockBuf.
+var segReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4096) }}
+
+// putSegReader returns br to its pool, its buffer poisoned under
+// PoisonRecycledBlocks (read full of 0xDB), and its source dropped.
+func putSegReader(br *bufio.Reader) {
+	if PoisonRecycledBlocks.Load() {
+		br.Reset(poisonSource{})
+		br.Peek(br.Size())
+	}
+	br.Reset(nil)
+	segReaders.Put(br)
+}
+
+// poisonSource reads as an endless run of 0xDB.
+type poisonSource struct{}
+
+func (poisonSource) Read(p []byte) (int, error) {
+	poisonBytes(p)
+	return len(p), nil
 }
 
 // readHeader consumes and checks the segment header.
@@ -816,11 +847,12 @@ type blockBuf struct{ b []byte }
 
 var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
 
-// PoisonRecycledBlocks is a test hook: while set, every block buffer going
-// back to its pool, every Arena's chunks (a Buffer's, an x10.OutStream's)
-// and every Buffer's frame at their reset are overwritten with 0xDB first,
-// so a Rec or a decoded value kept past its lifetime reads garbage instead
-// of, most of the time, its own bytes.
+// PoisonRecycledBlocks is a test hook: while set, every block buffer and
+// stream reader going back to its pool, every formats.SeqReader copy-mode
+// window going back to its, every Arena's chunks (a Buffer's, an
+// x10.OutStream's) and every Buffer's frame at their reset are overwritten
+// with 0xDB first, so a Rec or a decoded value kept past its lifetime reads
+// garbage instead of, most of the time, its own bytes.
 var PoisonRecycledBlocks atomic.Bool
 
 // getBlockBuf checks out a buffer of exactly n bytes.
@@ -839,10 +871,16 @@ func putBlockBuf(bb *blockBuf) {
 	if bb == nil {
 		return
 	}
-	if PoisonRecycledBlocks.Load() {
-		poisonBytes(bb.b[:cap(bb.b)])
-	}
+	PoisonRecycled(bb.b[:cap(bb.b)])
 	blockBufs.Put(bb)
+}
+
+// PoisonRecycled overwrites b with 0xDB while PoisonRecycledBlocks is set.
+// A pool's owner calls it on a buffer going back to the pool.
+func PoisonRecycled(b []byte) {
+	if PoisonRecycledBlocks.Load() {
+		poisonBytes(b)
+	}
 }
 
 // poisonBytes fills b with 0xDB, doubling what is filled with each copy.
@@ -884,7 +922,8 @@ func (s *Stream) Close() error {
 	s.closed = true
 	putBlockBuf(s.prev)
 	putBlockBuf(s.cur)
-	s.prev, s.cur, s.blk, s.pos = nil, nil, nil, 0
+	putSegReader(s.br)
+	s.prev, s.cur, s.blk, s.pos, s.br = nil, nil, nil, 0, nil
 	s.gc.Reset(nil)
 	openStreams.Add(-1)
 	return s.f.Close()
