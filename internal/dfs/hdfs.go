@@ -406,10 +406,12 @@ type hdfsReader struct {
 	pos    int64
 	closed bool
 
-	// The open block, f == nil when none: its index and file offset.
+	// The open block, f == nil when none: its index, its file offset and
+	// the bytes read of it since the reader moved onto it.
 	f    *os.File
 	idx  int
 	base int64
+	read int64
 
 	buf    *[]byte // pooled, taken at the first buffered read
 	win    []byte  // buffered bytes of the open block, a prefix of *buf
@@ -457,13 +459,12 @@ func (r *hdfsReader) Read(p []byte) (int, error) {
 	}
 	n, err := r.readBlock(p)
 	r.pos += int64(n)
+	r.read += int64(n)
 	r.fs.stats.Add(sim.HDFSReadBytes, int64(n))
 	return n, err
 }
 
-// enterBlock opens the block holding r.pos in place of the open one and
-// charges it: every move onto a block pays its whole length in modelled
-// disk time, and in network time when no replica is on the reader's host.
+// enterBlock opens the block holding r.pos in place of the open one.
 func (r *hdfsReader) enterBlock() error {
 	r.closeBlock()
 	idx, base := r.locate(r.pos)
@@ -476,10 +477,6 @@ func (r *hdfsReader) enterBlock() error {
 		return fmt.Errorf("dfs: reading block of %s: %w", r.path, err)
 	}
 	r.f, r.idx, r.base = f, idx, base
-	r.fs.cost.ChargeDisk(r.fs.stats, b.length)
-	if r.host != "" && !hasHost(b.hosts, r.host) {
-		r.fs.cost.ChargeNet(r.fs.stats, b.length)
-	}
 	return nil
 }
 
@@ -522,12 +519,21 @@ func (r *hdfsReader) readAt(p []byte, off int64) (int, error) {
 }
 
 // closeBlock closes the open block file, if any, and drops its buffered
-// bytes; the buffer itself stays with the reader.
+// bytes; the buffer itself stays with the reader. It charges the block for
+// what was read of it: that many bytes of modelled disk time, and of network
+// time, one latency included, when no replica is on the reader's host. A
+// read of a whole block pays its whole length; a split's header read of
+// the first block, a hundred bytes.
 func (r *hdfsReader) closeBlock() error {
 	r.win = nil
 	if r.f == nil {
 		return nil
 	}
+	r.fs.cost.ChargeDisk(r.fs.stats, r.read)
+	if r.host != "" && !hasHost(r.blocks[r.idx].hosts, r.host) {
+		r.fs.cost.ChargeNet(r.fs.stats, r.read)
+	}
+	r.read = 0
 	err := r.f.Close()
 	r.f = nil
 	return err
@@ -543,8 +549,7 @@ func hasHost(hosts []string, h string) bool {
 }
 
 // Seek implements io.Seeker. A position inside the open block keeps it
-// open; any other closes it, so the next Read moves onto a block and pays
-// for it again.
+// open; any other closes it, so the next Read moves onto a block again.
 func (r *hdfsReader) Seek(offset int64, whence int) (int64, error) {
 	var abs int64
 	switch whence {

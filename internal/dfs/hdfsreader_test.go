@@ -193,11 +193,12 @@ func newReaderFS(t testing.TB, blockSize int64) (*HDFS, *sim.Stats) {
 // length in bytes, so the modelled network time counts the calls.
 const netCall = 1 << 30
 
-// TestHDFSReadCharges pins what a reader charges: a block's whole length of
-// disk time each time the reader moves onto it, its length of network time
-// plus one call's latency when it has no replica on the reader's host, and
-// every byte returned as read. The file's three blocks are 1024, 1024 and
-// 500 bytes on hosts n0, n1 and n2, read from n0.
+// TestHDFSReadCharges pins what a reader charges: each time it moves onto a
+// block, the bytes it reads there before it moves off of disk time, as many
+// of network time plus one call's latency when the block has no replica on
+// the reader's host, and every byte returned as read. A sequential read
+// pays each block's whole length once. The file's three blocks are 1024,
+// 1024 and 500 bytes on hosts n0, n1 and n2, read from n0.
 func TestHDFSReadCharges(t *testing.T) {
 	cases := []struct {
 		name string
@@ -230,7 +231,7 @@ func TestHDFSReadCharges(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}, 4096, 1, 1024, 320},
+		}, 320, 1, 100, 320},
 		{"split entry", func(t *testing.T, f File) {
 			// A line reader's split at 1024: one byte before it, then on.
 			if _, err := f.Seek(1023, io.SeekStart); err != nil {
@@ -239,7 +240,7 @@ func TestHDFSReadCharges(t *testing.T) {
 			if _, err := io.ReadFull(bufio.NewReader(f), make([]byte, 1000)); err != nil {
 				t.Fatal(err)
 			}
-		}, 2048, 1, 1024, 1025},
+		}, 1025, 1, 1024, 1025},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -265,6 +266,42 @@ func TestHDFSReadCharges(t *testing.T) {
 				t.Errorf("HDFSReadBytes = %d, want %d", got, c.returned)
 			}
 		})
+	}
+}
+
+// TestHDFSSplitChargesItsHeaderBytes is a SequenceFile split's shape: a
+// 305 KB file of 64 KiB blocks, read from the host of none of them, whose
+// splits at 64 and 128 KiB each read a hundred header bytes from offset 0
+// and then their own 64 KiB. Block 0 is charged the hundred bytes it gave,
+// not its 65 536, plus the one network latency of moving onto it.
+func TestHDFSSplitChargesItsHeaderBytes(t *testing.T) {
+	const block, header = 64 << 10, 100
+	fs, stats := newReaderFS(t, block)
+	if err := WriteFile(fs, "/seq", patterned(305<<10)); err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []int64{block, 2 * block} {
+		disk0, net0 := stats.Get(sim.DiskDelayNs), stats.Get(sim.NetDelayNs)
+		f, err := fs.OpenFrom("/seq", "elsewhere")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(f, make([]byte, header)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Seek(start, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(f, make([]byte, block)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		disk, net := stats.Get(sim.DiskDelayNs)-disk0, stats.Get(sim.NetDelayNs)-net0
+		if want := int64(header + block); disk != want || net != 2*netCall+want {
+			t.Errorf("split at %d: charged disk %d, net %d calls + %d; want %d, 2 + %d", start, disk, net/netCall, net%netCall, want, want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"m3r/internal/mapred"
 	"m3r/internal/mapreduce"
 	"m3r/internal/registry"
+	"m3r/internal/types"
 	"m3r/internal/wio"
 )
 
@@ -170,7 +171,10 @@ func Resolve(job *conf.JobConf) (*ResolvedJob, error) {
 		}
 		rj.SortCmp = c.(wio.Comparator)
 	} else if kc := job.MapOutputKeyClass(); kc != "" {
-		if raw := rawComparatorFor(kc); raw != nil {
+		// The standard types' raw comparators; a job with a custom key class
+		// falls back to deserializing comparison, as Hadoop does for a key
+		// class without a registered WritableComparator.
+		if raw := types.RawComparatorFor(kc); raw != nil {
 			rj.RawSortCmp = raw
 			rj.SortCmp = raw
 		}
@@ -269,10 +273,6 @@ func (rj *ResolvedJob) RawKeyComparator(keyClass string) (wio.RawComparator, err
 	}
 	return wio.NewDeserializingComparator(rj.SortCmp, newKey), nil
 }
-
-// rawComparatorFor is overridable glue to internal/types (set in init by
-// rawcmp.go) without creating an import the resolver itself doesn't need.
-var rawComparatorFor = func(string) wio.RawComparator { return nil }
 
 // resolveMapSide builds the map-run factory for either API style.
 func (rj *ResolvedJob) resolveMapSide() error {

@@ -214,9 +214,10 @@ func NewSeqReader(fs dfs.FileSystem, path string, start, length int64) (*SeqRead
 	r := &SeqReader{file: f, path: path, start: start, end: end, pooled: copyWindows.Get().(*[]byte)}
 	r.win = (*r.pooled)[:0]
 	// The header is always read from offset 0, whatever the split; a split
-	// that starts past it reads no further than its start for it.
+	// that starts past it reads no more of the file for it than the header
+	// needs and a read's reach past it (pastEnd), not the first block.
 	if start > 0 {
-		r.end = start
+		r.end = 0
 	}
 	err = r.readHeader()
 	r.end = end

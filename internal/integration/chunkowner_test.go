@@ -15,13 +15,17 @@ import (
 	"m3r/internal/x10"
 )
 
+// chunkCeiling is the largest chunk an unbudgeted remote shuffle buffer
+// (spill.GetObjectBuffer) takes for objects that fit one.
+const chunkCeiling = 128 << 10
+
 // writeSizedInput writes a microbenchmark input whose values run through the
 // sizes that matter to the shuffle's ownership rule: one byte, either side of
 // the floor from which a decoded value points into the arrived chunk, an
 // ordinary 2 KiB, and one larger than two ceiling-sized chunks.
 func writeSizedInput(t *testing.T, c *lab.Cluster, cfg microbench.Config) {
 	t.Helper()
-	sizes := []int{1, wio.OwnedFloor - 1, wio.OwnedFloor, 2048, 2*x10.ChunkCeiling + 1}
+	sizes := []int{1, wio.OwnedFloor - 1, wio.OwnedFloor, 2048, 2*chunkCeiling + 1}
 	files := make([][]wio.Pair, cfg.Partitions)
 	for i := 0; i < cfg.Pairs; i++ {
 		val := bytes.Repeat([]byte{byte('a' + i%26)}, sizes[i%len(sizes)])

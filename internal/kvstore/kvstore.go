@@ -58,7 +58,6 @@ import (
 
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
-	"m3r/internal/sim"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
@@ -292,7 +291,6 @@ func (s *Store) ReadmittedBlocks() int64 { return s.readmitted.Load() }
 
 func (s *Store) noteResident(delta int64) {
 	s.resident.Add(delta)
-	s.rt.Stats().Add(sim.CacheResidentBytes, delta)
 }
 
 // admit charges a freshly committed block of size accounted bytes to its
@@ -392,7 +390,6 @@ func (s *Store) spillBlock(b *budget, info BlockInfo) error {
 	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass}
 	dt.mu.Unlock()
 	s.spilled.Add(1)
-	s.rt.Stats().Add(sim.CacheSpilledEntries, 1)
 	return nil
 }
 
@@ -1030,7 +1027,6 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 			s.noteResident(bd.size)
 		}
 		s.readmitted.Add(1)
-		s.rt.Stats().Add(sim.CacheReadmittedEntries, 1)
 	}
 	return pairs, nil
 }

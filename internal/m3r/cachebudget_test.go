@@ -106,7 +106,7 @@ func ledgerQuiescent(t *testing.T, st *kvstore.Store) {
 // readmit leaves the entry spilled without corrupting the ledger.
 func TestCacheBudgetOverflowSpillsAndServes(t *testing.T) {
 	size := entrySize(t, 8)
-	c, st, stats := newBudgetedCache(t, 1, size) // room for exactly one entry
+	c, st, _ := newBudgetedCache(t, 1, size) // room for exactly one entry
 	writeOutput(t, c, 0, "/a", 8)
 	if st.ResidentBytes() != size || st.SpilledBlocks() != 0 {
 		t.Fatalf("first entry should be resident: resident=%d spilled=%d", st.ResidentBytes(), st.SpilledBlocks())
@@ -142,8 +142,8 @@ func TestCacheBudgetOverflowSpillsAndServes(t *testing.T) {
 		t.Fatalf("readmitted entry not accounted: %d", st.ResidentBytes())
 	}
 	ledgerQuiescent(t, st)
-	if stats.Get(sim.CacheSpilledEntries) != 1 || stats.Get(sim.CacheReadmittedEntries) != 1 {
-		t.Fatalf("stats: spilled=%d readmitted=%d", stats.Get(sim.CacheSpilledEntries), stats.Get(sim.CacheReadmittedEntries))
+	if st.SpilledBlocks() != 1 || st.ReadmittedBlocks() != 1 {
+		t.Fatalf("store totals: spilled=%d readmitted=%d", st.SpilledBlocks(), st.ReadmittedBlocks())
 	}
 }
 

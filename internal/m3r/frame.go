@@ -1,6 +1,7 @@
 package m3r
 
 import (
+	"errors"
 	"fmt"
 
 	"m3r/internal/engine"
@@ -15,8 +16,9 @@ import (
 //
 //	collect  key.WriteTo and value.WriteTo into the destination place's
 //	         spill.Buffer — the task's own place included
-//	ship     a remote buffer crosses as a frame (spill/frame.go) and is
-//	         indexed again where it arrives; the local one is laid out as is
+//	ship     a remote buffer crosses as a frame (spill/frame.go), chunk by
+//	         chunk, and is indexed again where it arrives; the local one is
+//	         laid out as is
 //	arrive   each partition's views are sorted under the raw key comparator
 //	admit    each partition's run reserves its grouped size first, each key
 //	         once with its values after it (spill.GroupedLen); an admitted
@@ -29,17 +31,18 @@ import (
 //	         moves once per key group of a run, the key is decoded once per
 //	         group, a value when the reducer asks for it
 
-// runClasses is what rides in memory beside a budgeted job's serialized
-// runs: the one key class and one value class their bytes decode as, the
-// dynamic types a collected pair must have to be of those classes, and the
-// comparator that orders the serialized keys. The job's declared map-output
-// classes fix them when set (Submit); else a task's first pair does.
+// runClasses is what rides in memory beside a task's serialized pairs: the
+// one key class and one value class their bytes decode as, the dynamic types
+// a delivered pair must have to be of those classes, and, on a budgeted job,
+// the comparator that orders the serialized keys. The job's declared
+// map-output classes fix them when set (Submit); else a task's first pair
+// does.
 type runClasses struct {
 	engine.MapOutputClasses
 	rawCmp wio.RawComparator
 }
 
-// declaredRunClasses resolves the job's declared map-output classes.
+// declaredRunClasses resolves a budgeted job's declared map-output classes.
 func declaredRunClasses(rj *engine.ResolvedJob) (runClasses, error) {
 	c := runClasses{MapOutputClasses: rj.MapOutput}
 	if c.KeyClass != "" {
@@ -54,14 +57,11 @@ func declaredRunClasses(rj *engine.ResolvedJob) (runClasses, error) {
 // check fixes a class the job left undeclared by the first pair checked,
 // then fails a pair that is not of the run's classes. The common case is two
 // pointer compares.
-func (c *runClasses) check(rj *engine.ResolvedJob, key, value wio.Writable) error {
+func (c *runClasses) check(key, value wio.Writable) error {
 	if c.KeyType == nil {
 		name, err := wio.NameOf(key)
 		if err != nil {
 			return fmt.Errorf("m3r: map output key: %w", err)
-		}
-		if c.rawCmp, err = rj.RawKeyComparator(name); err != nil {
-			return err
 		}
 		c.KeyClass, c.KeyType = name, engine.TypeOf(key)
 	}
@@ -75,16 +75,16 @@ func (c *runClasses) check(rj *engine.ResolvedJob, key, value wio.Writable) erro
 	return c.Check(key, value)
 }
 
-// frameSet is a budgeted task's buffer toward each place and its runs' classes.
-type frameSet struct {
-	byPlace []*spill.Buffer
-	classes runClasses
-}
-
-// getBuffer and putBuffer check buffers in and out through encodeBufsOut.
+// getBuffer, getObjectBuffer and putBuffer check buffers in and out through
+// encodeBufsOut.
 func getBuffer() *spill.Buffer {
 	encodeBufsOut.Add(1)
 	return spill.GetBuffer()
+}
+
+func getObjectBuffer() *spill.Buffer {
+	encodeBufsOut.Add(1)
+	return spill.GetObjectBuffer()
 }
 
 func putBuffer(b *spill.Buffer) {
@@ -98,14 +98,11 @@ func putBuffer(b *spill.Buffer) {
 // a marked one's pair still counts as aliased — the counters say what the
 // map side declared, as on the unbudgeted path.
 func (sc *shuffleCollector) collectSerialized(q int, key, value wio.Writable, immutable bool) error {
-	if err := sc.frames.classes.check(sc.x.Resolved, key, value); err != nil {
-		return err
-	}
 	d := sc.jobParts[q].place
-	b := sc.frames.byPlace[d]
+	b := sc.bufs[d]
 	if b == nil {
 		b = getBuffer()
-		sc.frames.byPlace[d] = b
+		sc.bufs[d] = b
 	}
 	if d == sc.place {
 		sc.ctx.Cells.LocalShufflePairs.Increment(1)
@@ -130,12 +127,18 @@ func (sc *shuffleCollector) collectSerialized(q int, key, value wio.Writable, im
 // in, so a task's admission and eviction sequence is the same on every
 // execution.
 func (sc *shuffleCollector) flushFrames() error {
+	if sc.classes.rawCmp == nil && sc.classes.KeyType != nil {
+		var err error
+		if sc.classes.rawCmp, err = sc.x.Resolved.RawKeyComparator(sc.classes.KeyClass); err != nil {
+			return err
+		}
+	}
 	for i := -1; i < sc.P; i++ {
 		d := i
 		if i < 0 {
 			d = sc.place
 		}
-		if b := sc.frames.byPlace[d]; b != nil {
+		if b := sc.bufs[d]; b != nil {
 			if err := sc.deliverFrame(d, b); err != nil {
 				return err
 			}
@@ -145,25 +148,35 @@ func (sc *shuffleCollector) flushFrames() error {
 }
 
 // deliverFrame has b arrive at place d: laid out from its own index at the
-// task's place, else shipped through the runtime's transport (inproc's
-// memory loopback, or tcp's round trip to d's echoing frame server) and
-// indexed as it arrived. b returns to the pool on every exit path.
+// task's place, else shipped (shipBuffer) and indexed as it arrived. b
+// returns to the pool on every exit path.
 func (sc *shuffleCollector) deliverFrame(d int, b *spill.Buffer) error {
 	defer func() {
-		sc.frames.byPlace[d] = nil
+		sc.bufs[d] = nil
 		putBuffer(b)
 	}()
 	if d == sc.place {
 		b.LayOut(sc.R)
-	} else {
-		rt := sc.x.e.rt
-		n, hits, err := b.Ship(sc.R, func(frame []byte) ([]byte, error) { return rt.ShipFrame(sc.place, d, frame) })
-		if err != nil {
-			return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
-		}
-		rt.ChargeShip(sc.ctx.Counters, int64(n), 1, hits)
+	} else if err := sc.shipBuffer(d, b); err != nil {
+		return err
 	}
-	return sc.x.arriveFrame(sc.ctx, sc.src, b, sc.frames.classes)
+	return sc.x.arriveFrame(sc.ctx, sc.src, b, sc.classes)
+}
+
+// shipBuffer carries b to place d through the runtime's transport, a frame a
+// piece (inproc's memory loopback, or a round trip each to d's echoing frame
+// server over tcp), and indexes it as it arrived there.
+func (sc *shuffleCollector) shipBuffer(d int, b *spill.Buffer) error {
+	rt := sc.x.e.rt
+	n, frames, hits, err := b.Ship(sc.R, func(piece []byte) ([]byte, error) { return rt.ShipFrame(sc.place, d, piece) })
+	if errors.Is(err, spill.ErrCorruptFrame) {
+		return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
+	}
+	if err != nil {
+		return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
+	}
+	rt.ChargeShip(sc.ctx.Counters, int64(n), frames, hits)
+	return nil
 }
 
 // arriveFrame is the destination side of a budgeted flush: map task src's

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,9 +226,9 @@ func TestIdentityRule(t *testing.T) {
 	collect(0, key(0), big, false)
 
 	var payload int
-	_, hits, err := b.Ship(2, func(frame []byte) ([]byte, error) {
-		payload = int(binary.BigEndian.Uint64(frame[len(frame)-16:]))
-		return frame, nil
+	_, _, hits, err := b.Ship(2, func(piece []byte) ([]byte, error) {
+		payload = int(binary.BigEndian.Uint64(piece[len(piece)-16:])) // the last piece's footer
+		return piece, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,12 +287,24 @@ var frameSeeds = []struct {
 	{"table ends inside a record", testFrame("k1vv", []uint64{0, 2 << 1}, 4, 1), false},
 }
 
+// framePieces cuts frame where it crossed: the payload its footer says, if
+// it says one the frame holds, then the table and footer.
+func framePieces(frame []byte) [][]byte {
+	if len(frame) < 16 {
+		return [][]byte{frame}
+	}
+	if n := binary.BigEndian.Uint64(frame[len(frame)-16:]); n <= uint64(len(frame)-16) {
+		return [][]byte{frame[:n], frame[n:]}
+	}
+	return [][]byte{frame}
+}
+
 // TestSliceFrameSeeds decodes each seed as an arrived frame of two
 // partitions.
 func TestSliceFrameSeeds(t *testing.T) {
 	for _, s := range frameSeeds {
 		b := getBuffer()
-		err := b.Decode(s.frame, 2)
+		err := b.Decode(framePieces(s.frame), 2)
 		if (err == nil) != s.ok {
 			t.Errorf("%s: err = %v, want ok=%v", s.name, err, s.ok)
 		}
@@ -310,20 +323,31 @@ func TestSliceFrameSeeds(t *testing.T) {
 	}
 }
 
-// FuzzShuffleFrame offers arbitrary bytes as an arrived frame: they decode
-// into records or return an error — never a panic (spill's FuzzDecodeFrame
-// bounds what decoding allocates). What does decode must be as many records
-// as the footer says and must survive the rest of the arrival: the sort,
-// the rewrite into segments and their admission.
+// FuzzShuffleFrame offers arbitrary bytes as an arrived frame, cut into
+// pieces where the fuzzer says: they decode into records or return an error — an object across
+// a cut too — never a panic (spill's FuzzDecodeFrame bounds what decoding
+// allocates). What does decode must be as many records as the footer says
+// and must survive the rest of the arrival: the sort, the rewrite into
+// segments and their admission.
 func FuzzShuffleFrame(f *testing.F) {
 	for _, s := range frameSeeds {
-		f.Add(s.frame, uint8(2))
+		f.Add(s.frame, binary.BigEndian.AppendUint16(nil, uint16(len(framePieces(s.frame)[0]))), uint8(2))
 	}
-	f.Fuzz(func(t *testing.T, frame []byte, parts uint8) {
+	f.Fuzz(func(t *testing.T, frame, cuts []byte, parts uint8) {
 		R := int(parts%8) + 1
 		b := getBuffer()
 		defer putBuffer(b)
-		if err := b.Decode(frame, R); err != nil {
+		// cuts names the offsets, two bytes each, modulo the length plus one.
+		at := []int{0, len(frame)}
+		for ; len(cuts) >= 2; cuts = cuts[2:] {
+			at = append(at, int(binary.BigEndian.Uint16(cuts))%(len(frame)+1))
+		}
+		slices.Sort(at)
+		var pieces [][]byte
+		for i := 1; i < len(at); i++ {
+			pieces = append(pieces, frame[at[i-1]:at[i]])
+		}
+		if err := b.Decode(pieces, R); err != nil {
 			if !errors.Is(err, spill.ErrCorruptFrame) {
 				t.Fatalf("error %v is not a corrupt-frame error", err)
 			}

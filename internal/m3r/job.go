@@ -15,6 +15,7 @@ import (
 	"m3r/internal/engine"
 	"m3r/internal/formats"
 	"m3r/internal/sim"
+	"m3r/internal/spill"
 	"m3r/internal/x10"
 )
 
@@ -83,6 +84,7 @@ func (e *Engine) newJobExec(j *engine.Job) (*jobExec, error) {
 	// Budget admission: a job with a positive per-job key is budgeted, capped
 	// within the engine pool; one without the key is budgeted when the pool
 	// has a limit; an explicit non-positive key opts the job out.
+	x.classes.MapOutputClasses = j.Resolved.MapOutput
 	capSet := job.Has(conf.KeyM3RShuffleBudget)
 	if (capSet && x.shuffleBudget > 0) || (!capSet && e.pools[0].Limit() < math.MaxInt64) {
 		var err error
@@ -165,11 +167,12 @@ type jobExec struct {
 	maps  []mapAssignment
 
 	// Map, a job that shuffles: the planned tasks' collector state, row i
-	// map task i's (layOutCollectors) — R parts and P streams a task on an
-	// unbudgeted job, R combine tables a task when the job combines by hash.
-	collectParts   []collectPart
-	collectStreams []*x10.OutStream
-	collectTables  []*engine.CombineTable
+	// map task i's (layOutCollectors) — P buffers a task, R parts a task on
+	// an unbudgeted job, R combine tables a task when the job combines by
+	// hash.
+	collectParts  []collectPart
+	collectBufs   []*spill.Buffer
+	collectTables []*engine.CombineTable
 
 	// Map: whether splits are read through (and into) the cache, and whether
 	// remote pairs are de-duplicated on the wire.
@@ -197,7 +200,7 @@ type jobExec struct {
 	shuffleBudget int64
 	budgets       []*engine.JobBudget
 	resident      []*engine.ResidentIndex[residentRun]
-	classes       runClasses // the declared map-output classes of a budgeted job
+	classes       runClasses // the declared map-output classes
 	spillMu       sync.Mutex
 	spillDir      string
 	spillSeq      atomic.Int64
@@ -329,9 +332,9 @@ func (x *jobExec) layOutCollectors(n, r, p int) {
 	if x.Resolved.MapOnly {
 		return
 	}
+	x.collectBufs = make([]*spill.Buffer, n*p)
 	if x.budgets == nil {
 		x.collectParts = make([]collectPart, n*r)
-		x.collectStreams = make([]*x10.OutStream, n*p)
 	}
 	if x.Resolved.CombineByHash {
 		x.collectTables = make([]*engine.CombineTable, n*r)

@@ -1,6 +1,7 @@
 package m3r
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -53,7 +54,7 @@ func newRemoteExec(t *testing.T, tr x10.Transport) *jobExec {
 
 // remoteCollector is the collector of one map task at place 0 of a
 // newRemoteExec job, with n pairs delivered to partition 1: one remote
-// stream, several chunks long at n = 1000.
+// buffer, several chunks long at n = 1000.
 func remoteCollector(t *testing.T, tr x10.Transport, n int) (*shuffleCollector, *jobExec) {
 	t.Helper()
 	x := newRemoteExec(t, tr)
@@ -68,7 +69,7 @@ func remoteCollector(t *testing.T, tr x10.Transport, n int) (*shuffleCollector, 
 
 // TestUnbudgetedShuffleRemembersEveryObject pins the identity rule of the
 // unbudgeted remote shuffle, whose destination decodes objects: with
-// m3r.shuffle.dedup on, the encoder remembers every object of an immutable
+// m3r.shuffle.dedup on, the buffer remembers every object of an immutable
 // map side, however small, so one key object delivered n times crosses once
 // and then as n−1 back-references, and the destination decodes all n as one
 // aliased object. Forgetting objects under some size would decode a fresh
@@ -111,64 +112,67 @@ func TestUnbudgetedShuffleRemembersEveryObject(t *testing.T) {
 	}
 }
 
-// TestShuffleDecodeChecksTheEndOfTheStream: the decode loop at the
-// destination takes exactly the pairs the map task counted and then requires
-// the stream to end — marker next, nothing after it. Each way a frame can
-// disagree with the count is its own error, the task's streams go back to
-// the pool, and nothing of the frame is installed.
+// TestShuffleDecodeChecksTheEndOfTheStream: the arrival at the destination
+// takes exactly the pairs the map task counted for each partition, and the
+// frame — every chunk, then the table and footer — must end where its footer
+// says. Each way what arrives can disagree is its own error, the task's
+// buffers go back to the pool, and nothing of the frame is installed.
 func TestShuffleDecodeChecksTheEndOfTheStream(t *testing.T) {
 	const pairs = 1000
-	var chunks int // of the untampered stream
+	var pieces int // of the untampered frame
 	t.Run("intact", func(t *testing.T) {
 		tr := &tamperTransport{tamper: func(_ int, f []byte) []byte { return f }}
 		sc, x := remoteCollector(t, tr, pairs)
 		if err := sc.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if chunks = tr.calls; chunks < 3 {
-			t.Fatalf("stream crossed in %d chunks; the cases below need several", chunks)
+		if pieces = tr.calls; pieces < 4 {
+			t.Fatalf("the frame crossed in %d pieces; the cases below need several chunks", pieces)
 		}
 		if got := len(x.parts[1].runs[0].pairs); got != pairs {
 			t.Fatalf("%d pairs installed, want %d", got, pairs)
 		}
 	})
+	corrupt := "spill: corrupt shuffle frame: "
 	for _, tc := range []struct {
 		name   string
 		tamper func(call int, frame []byte) []byte
 		want   string
 	}{
 		{"truncated chunk list", func(call int, f []byte) []byte {
-			if call == chunks {
+			if call == pieces-1 {
 				return nil // the last chunk never arrives
 			}
 			return f
-		}, fmt.Sprintf("of %d: stream ends after %d chunks", pairs, chunks)},
+		}, corrupt + "a payload of"},
 		{"chunk cut short", func(call int, f []byte) []byte {
 			if call == 2 {
 				return f[:len(f)-3]
 			}
 			return f
-		}, "unexpected EOF"},
+		}, corrupt + "a payload of"},
 		{"extra record", func(call int, f []byte) []byte {
-			if call == chunks {
-				// The chunk's records once more where the marker was, then
-				// the marker: one stream, more pairs than were counted.
-				return append(append([]byte(nil), f[:len(f)-1]...), f...)
+			if call == pieces {
+				// One more record of partition 1, of an empty key and
+				// value: a well-formed frame, one pair more than counted.
+				table := append(append([]byte(nil), f[:len(f)-16]...), 1, 0, 0)
+				table = binary.BigEndian.AppendUint64(table, binary.BigEndian.Uint64(f[len(f)-16:]))
+				return binary.BigEndian.AppendUint64(table, pairs+1)
 			}
 			return f
-		}, fmt.Sprintf("after %d pairs: wio: tag 1 where the end-of-stream marker belongs", pairs)},
+		}, fmt.Sprintf("%d pairs of partition 1, %d sent", pairs+1, pairs)},
 		{"missing marker", func(call int, f []byte) []byte {
-			if call == chunks {
-				return f[:len(f)-1]
+			if call == pieces {
+				return f[:len(f)-16] // no footer
 			}
 			return f
-		}, fmt.Sprintf("after %d pairs: no end-of-stream marker", pairs)},
+		}, corrupt},
 		{"trailing bytes", func(call int, f []byte) []byte {
-			if call == chunks {
+			if call == pieces {
 				return append(append([]byte(nil), f...), 0, 0)
 			}
 			return f
-		}, "2 bytes and 0 chunks follow the end-of-stream marker"},
+		}, corrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bufBase := encodeBufsOut.Load()
@@ -179,18 +183,18 @@ func TestShuffleDecodeChecksTheEndOfTheStream(t *testing.T) {
 			}
 			sc.abort()
 			if got := encodeBufsOut.Load(); got != bufBase {
-				t.Errorf("streams out %d, baseline %d", got, bufBase)
+				t.Errorf("buffers out %d, baseline %d", got, bufBase)
 			}
 			if n := len(x.parts[1].runs); n != 0 {
-				t.Errorf("%d runs installed from a corrupt stream", n)
+				t.Errorf("%d runs installed from a corrupt frame", n)
 			}
 		})
 	}
 }
 
-// TestShuffleStreamOverDyingFrameServer ships one destination's stream, one
+// TestShuffleStreamOverDyingFrameServer ships one destination's buffer, one
 // frame per chunk, to a frame server that dies between two of them: the task
-// fails with the transport's error, the stream is back in its pool, and once
+// fails with the transport's error, the buffer is back in its pool, and once
 // engine and servers are closed no goroutine of theirs is left.
 func TestShuffleStreamOverDyingFrameServer(t *testing.T) {
 	var frames int64
@@ -213,10 +217,10 @@ func TestShuffleStreamOverDyingFrameServer(t *testing.T) {
 		}
 		sc.abort()
 		if got := encodeBufsOut.Load(); got != bufBase {
-			t.Errorf("streams out %d, baseline %d", got, bufBase)
+			t.Errorf("buffers out %d, baseline %d", got, bufBase)
 		}
 		if n := len(x.parts[1].runs); n != 0 {
-			t.Errorf("%d runs installed from half a stream", n)
+			t.Errorf("%d runs installed from half a buffer", n)
 		}
 	})
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
@@ -228,8 +232,8 @@ func TestShuffleStreamOverDyingFrameServer(t *testing.T) {
 }
 
 // TestShuffleValuesOwnTheirChunks is the hand-off seen from the engine: the
-// values a destination decoded out of a stream's chunks stay what they were
-// while later tasks take streams and chunks from the same pools and give
+// values a destination decoded out of a buffer's chunks stay what they were
+// while later tasks take buffers and chunks from the same pools and give
 // them back overwritten.
 func TestShuffleValuesOwnTheirChunks(t *testing.T) {
 	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
@@ -254,7 +258,7 @@ func TestShuffleValuesOwnTheirChunks(t *testing.T) {
 			var i int
 			fmt.Sscanf(p.Key.(*types.Text).String(), "%d", &i)
 			if want := body(run.src+i, sizes[i%len(sizes)]); string(p.Value.(*types.BytesWritable).B) != string(want) {
-				t.Fatalf("task %d pair %d: a %d-byte value changed after its stream was released", run.src, i, len(want))
+				t.Fatalf("task %d pair %d: a %d-byte value changed after its buffer was released", run.src, i, len(want))
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"m3r/internal/mapred"
 	"m3r/internal/spill"
 	"m3r/internal/wio"
-	"m3r/internal/x10"
 )
 
 // shuffleCollector receives one map task's output and routes it to reduce
@@ -21,8 +20,9 @@ import (
 //     serialization — aliased when the map side declared ImmutableOutput,
 //     deep-cloned otherwise (§3.2.2.1, §4.1);
 //   - pairs for remote places are serialized immediately into a
-//     per-destination stream through the de-duplicating encoder, so a
-//     broadcast value crosses the wire once per place (§3.2.2.3);
+//     per-destination spill.Buffer, de-duplicating by identity, so a
+//     broadcast value crosses the wire once per place (§3.2.2.3), and
+//     become objects again where they arrive;
 //   - with a combiner configured, pairs are held per partition and combined
 //     before delivery: grouped by key as they arrive and folded through the
 //     combiner as a key fills up (engine.CombineTable) when the job's keys
@@ -50,14 +50,16 @@ type shuffleCollector struct {
 	// jobParts[q].place, where the engine's stable mapping put it (§3.2.2.2).
 	jobParts []*partitionInput
 
-	// Where delivered pairs collect until flush: on an unbudgeted job
-	// parts, indexed by partition, and streams, by destination place; on a
-	// budgeted job frames, by destination place (frame.go). Not maps, so
-	// flush installs and ships in ascending order and a task's admission
-	// and eviction sequence is the same on every execution.
-	parts   []collectPart
-	streams []*x10.OutStream
-	frames  *frameSet
+	// Where delivered pairs collect until flush: bufs, by destination
+	// place — on an unbudgeted job the remote ones only, and parts, by
+	// partition, the co-located pairs; on a budgeted job every place's
+	// (frame.go). Not maps, so flush installs and ships in ascending order
+	// and a task's admission and eviction sequence is the same on every
+	// execution. classes are what the buffers' bytes decode as.
+	parts    []collectPart
+	bufs     []*spill.Buffer
+	classes  runClasses
+	budgeted bool
 
 	// Combiner path: one of the two, indexed by partition. tables, with
 	// hashPartition set when the partitioner is the stock one and the hash a
@@ -74,33 +76,19 @@ type collectPart struct {
 	// co-located pairs as collected, or a remote partition's as decoded at
 	// its place.
 	run []wio.Pair
-	// remote is the number of pairs encoded for a remote partition, so the
-	// receiving side makes room for its decoded run once, at its length.
+	// remote is the number of pairs serialized for a remote partition, so
+	// the receiving side makes room for its decoded run once, at its length.
 	remote int
 	// installed is the run as the partition holds it (installRuns).
 	installed sourceRun
 }
 
-// encodeBufsOut counts what a task has checked out of the outbound pools and
-// not yet returned: the unbudgeted shuffle's per-destination streams
-// (x10.OutStream) and a budgeted job's buffers (getBuffer). Every exit path of
-// a task — commit, error, abort, panic — must bring it back to baseline,
+// encodeBufsOut counts the buffers a task has checked out of the outbound
+// pools (getBuffer, getObjectBuffer) and not yet returned. Every exit path
+// of a task — commit, error, abort, panic — must bring it back to baseline,
 // which the fault-injection tests pin (a leak here quietly bleeds grown
 // buffers out of the pools on every failed job).
 var encodeBufsOut atomic.Int64
-
-// getOutStream checks a stream for one destination place out of the pool.
-func getOutStream(dedup bool) *x10.OutStream {
-	encodeBufsOut.Add(1)
-	return x10.GetOutStream(dedup)
-}
-
-// putOutStream returns a stream, with the chunks of it that nothing decoded
-// points into, to its pool.
-func putOutStream(s *x10.OutStream) {
-	s.Release()
-	encodeBufsOut.Add(-1)
-}
 
 // newShuffleCollector makes a's collector, in a. A task the plan laid out
 // takes its per-partition and per-place state from its row of the job's
@@ -118,17 +106,22 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		partitioner: x.Resolved.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.Resolved, a.split),
 		jobParts:    x.parts,
+		classes:     x.classes,
+		budgeted:    x.budgets != nil,
 	}
 	i := a.index
 	planned := i < len(x.maps) && a == &x.maps[i]
-	if x.budgets != nil {
-		sc.frames = &frameSet{byPlace: make([]*spill.Buffer, P), classes: x.classes}
-	} else if planned {
-		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
-		sc.streams = x.collectStreams[i*P : (i+1)*P : (i+1)*P]
+	if planned {
+		sc.bufs = x.collectBufs[i*P : (i+1)*P : (i+1)*P]
 	} else {
+		sc.bufs = make([]*spill.Buffer, P)
+	}
+	switch {
+	case sc.budgeted:
+	case planned:
+		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
+	default:
 		sc.parts = make([]collectPart, R)
-		sc.streams = make([]*x10.OutStream, P)
 	}
 	switch {
 	case x.Resolved.CombineByHash:
@@ -211,7 +204,12 @@ func (sc *shuffleCollector) collectGrouped(key, value wio.Writable) error {
 
 // deliver routes one pair to its partition's place.
 func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bool) error {
-	if sc.frames != nil {
+	// A pair not of the task's classes fails here, co-located or not, as
+	// on every engine and budget.
+	if err := sc.classes.check(key, value); err != nil {
+		return err
+	}
+	if sc.budgeted {
 		return sc.collectSerialized(q, key, value, immutable)
 	}
 	d := sc.jobParts[q].place
@@ -231,31 +229,26 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 	}
 	// Remote: serialize now (immediately, like Hadoop's collect — the
 	// object may be reused right after we return) into the destination's
-	// stream. De-duplication identifies repeats by object identity, which
+	// buffer. De-duplication identifies repeats by object identity, which
 	// is only sound when emitted objects are never mutated; on unmarked
 	// map sides it is disabled (a reused-and-mutated object must not
 	// back-reference its stale bytes). This mirrors real M3R, where
 	// unmarked output is copied before the serializer ever sees it.
-	out := sc.streams[d]
-	if out == nil {
-		out = getOutStream(sc.x.dedup && immutable)
-		sc.streams[d] = out
+	b := sc.bufs[d]
+	if b == nil {
+		b = getObjectBuffer()
+		sc.bufs[d] = b
 	}
-	enc := out.Encoder()
-	if err := enc.EncodeUvarint(uint64(q)); err != nil {
+	if _, err := b.Collect(q, key, value, sc.x.dedup && immutable); err != nil {
 		return err
 	}
-	if err := enc.EncodePair(wio.Pair{Key: key, Value: value}); err != nil {
-		return err
-	}
-	out.EndRecord()
 	sc.parts[q].remote++
 	sc.ctx.Cells.RemoteShufflePairs.Increment(1)
 	return nil
 }
 
 // flush completes the task's shuffle: run the combiner if configured, sort
-// each per-partition batch map-side, ship each remote stream (decode on the
+// each per-partition batch map-side, ship each remote buffer (decode on the
 // destination side yields objects of their own, from slabs, with dedup
 // aliases for repeated values) and install the sorted runs into their
 // partitions.
@@ -263,14 +256,14 @@ func (sc *shuffleCollector) flush() error {
 	if err := sc.flushCombined(); err != nil {
 		return err
 	}
-	if sc.frames != nil {
+	if sc.budgeted {
 		return sc.flushFrames()
 	}
 	// Local batches become sorted runs here, on the map task's worker —
 	// after a combiner pass they arrive already sorted (key-preserving
 	// combiners keep Combine's sort order), which SortPairs recognises in
 	// one scan of the batch and leaves in place. A remote partition's run
-	// is still empty: its pairs are in a stream.
+	// is still empty: its pairs are in a buffer.
 	sortCmp := sc.x.Resolved.SortCmp
 	remote := 0
 	for q := range sc.parts {
@@ -286,15 +279,15 @@ func (sc *shuffleCollector) flush() error {
 			sc.parts[q].run, backing = backing[:0:n], backing[n:]
 		}
 	}
-	for d, out := range sc.streams {
-		if out == nil {
+	for d, b := range sc.bufs {
+		if b == nil {
 			continue
 		}
-		if err := sc.shipRemote(d, out); err != nil {
+		if err := sc.deliverObjects(d, b); err != nil {
 			return err
 		}
 	}
-	sc.streams = nil
+	sc.bufs = nil
 	sc.x.installRuns(sc.src, sc.parts)
 	sc.parts = nil
 	return nil
@@ -319,7 +312,7 @@ func (sc *shuffleCollector) flushCombined() error {
 		if err != nil {
 			return err
 		}
-		if sc.jobParts[q].place == sc.place && sc.frames == nil {
+		if sc.jobParts[q].place == sc.place && !sc.budgeted {
 			// What is delivered below is all this partition gets, and the
 			// run it becomes is retained until the reducer drains it:
 			// exactly its length.
@@ -336,52 +329,36 @@ func (sc *shuffleCollector) flushCombined() error {
 	return nil
 }
 
-// shipRemote closes one destination's encoded stream, "ships" it, and
-// decodes it at the destination into the sorted runs of its partitions
-// there.
-func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
-	// The stream returns to its pool on every exit path — error returns
-	// must not bleed grown buffers out of the pool. The chunks the decoded
-	// values point into do not return with it: they are the destination's
-	// from here on, alive as long as any of those values is.
+// deliverObjects ships one destination's buffer (shipBuffer) and decodes
+// it at the destination into the sorted runs of its partitions there. b
+// returns to the pool on every exit path; the chunks the decoded values
+// point into do not return with it: they are the destination's from here on,
+// alive as long as any of those values is.
+func (sc *shuffleCollector) deliverObjects(d int, b *spill.Buffer) error {
 	defer func() {
-		sc.streams[d] = nil
-		putOutStream(out)
+		sc.bufs[d] = nil
+		putBuffer(b)
 	}()
-	e := sc.x.e
-	// The wire in between: the runtime's transport carries the stream's
-	// chunks to place d (a memory loopback on inproc; a round trip each
-	// over a loopback socket to d's echoing frame server on tcp) and the
-	// stream holds the bytes as delivered there.
-	n, frames, err := e.rt.ShipStream(sc.place, d, out)
-	if err != nil {
-		return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
+	if err := sc.shipBuffer(d, b); err != nil {
+		return err
 	}
-	e.rt.ChargeShip(sc.ctx.Counters, n, frames, int64(out.Encoder().DedupHits()))
-
-	// "Arrive" at place d: decode into objects of their own, from slabs no
-	// larger than the pairs still to come, exactly the pairs the task
-	// counted and then the end of the stream — a frame that stops short,
-	// runs on, names a partition not at d or has lost its marker is
-	// corrupt, not merely odd.
+	// "Arrive" at place d: exactly the pairs the task counted for each of
+	// its partitions and none for another's — a frame that says otherwise
+	// is corrupt, not merely odd — decoded into objects of their own, from
+	// slabs no larger than the pairs still to come, in collect order.
 	total := 0
 	for q := range sc.parts {
+		want := 0
 		if sc.jobParts[q].place == d {
-			total += sc.parts[q].remote
+			want = sc.parts[q].remote
 		}
+		if got := len(b.Partition(q)); got != want {
+			return fmt.Errorf("m3r: shuffle decode at place %d: %d pairs of partition %d, %d sent", d, got, q, want)
+		}
+		total += want
 	}
-	for i := 0; i < total; i++ {
-		qv, pair, err := nextRemotePair(out, total-i)
-		if err != nil {
-			return fmt.Errorf("m3r: shuffle decode at place %d: pair %d of %d: %w", d, i, total, err)
-		}
-		if qv >= uint64(sc.R) || sc.jobParts[qv].place != d {
-			return fmt.Errorf("m3r: shuffle decode at place %d: partition %d of %d", d, qv, sc.R)
-		}
-		sc.parts[qv].run = append(sc.parts[qv].run, pair)
-	}
-	if err := out.End(); err != nil {
-		return fmt.Errorf("m3r: shuffle decode at place %d: after %d pairs: %w", d, total, err)
+	if err := b.Unpack(sc.classes.KeyClass, sc.classes.ValClass, func(q int, kv wio.Pair) { sc.parts[q].run = append(sc.parts[q].run, kv) }); err != nil {
+		return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
 	}
 	sortCmp := sc.x.Resolved.SortCmp
 	for q := range sc.parts {
@@ -392,46 +369,21 @@ func (sc *shuffleCollector) shipRemote(d int, out *x10.OutStream) error {
 	return nil
 }
 
-// nextRemotePair decodes one record of a shuffle stream, left records
-// before its end: the partition and the pair deliver encoded for it.
-func nextRemotePair(in *x10.OutStream, left int) (uint64, wio.Pair, error) {
-	dec, err := in.NextRecord()
-	if err != nil {
-		return 0, wio.Pair{}, err
-	}
-	dec.Expect(left)
-	q, err := dec.DecodeUvarint()
-	if err != nil {
-		return 0, wio.Pair{}, err
-	}
-	pair, err := dec.DecodePair()
-	return q, pair, err
-}
-
-// abort releases the collector's resources after a failed task: any streams
-// and frames flush never shipped go back to their pools, and the
-// buffered pairs are dropped so they are collectable before the job's
-// cleanup finishes.
+// abort releases the collector's resources after a failed task: any
+// buffers flush never shipped go back to their pool, and the buffered pairs
+// are dropped so they are collectable before the job's cleanup finishes.
 func (sc *shuffleCollector) abort() {
-	for _, out := range sc.streams {
-		if out != nil {
-			putOutStream(out)
-		}
-	}
-	if sc.frames != nil {
-		for _, b := range sc.frames.byPlace {
-			if b != nil {
-				putBuffer(b)
-			}
+	for _, b := range sc.bufs {
+		if b != nil {
+			putBuffer(b)
 		}
 	}
 	// A planned task's state is its row of the job's arrays: cleared, so
 	// the job holds nothing of a failed task's.
-	clear(sc.streams)
+	clear(sc.bufs)
 	clear(sc.parts)
 	clear(sc.tables)
-	sc.streams = nil
-	sc.frames = nil
+	sc.bufs = nil
 	sc.parts = nil
 	sc.tables = nil
 	sc.combineBufs = nil

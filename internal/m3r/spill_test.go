@@ -226,9 +226,9 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 	if got := encodeBufsOut.Load(); got != bufBase {
 		t.Errorf("encode buffers out %d, baseline %d: leaked pooled buffers", got, bufBase)
 	}
-	if sc.tables != nil || sc.combineBufs != nil || sc.parts != nil || sc.streams != nil {
-		t.Errorf("abort left buffers set: tables %v, combineBufs %v, parts %v, streams %v",
-			sc.tables != nil, sc.combineBufs != nil, sc.parts != nil, sc.streams != nil)
+	if sc.tables != nil || sc.combineBufs != nil || sc.parts != nil || sc.bufs != nil {
+		t.Errorf("abort left buffers set: tables %v, combineBufs %v, parts %v, bufs %v",
+			sc.tables != nil, sc.combineBufs != nil, sc.parts != nil, sc.bufs != nil)
 	}
 }
 
@@ -283,12 +283,18 @@ func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) 
 	rj := &engine.ResolvedJob{SortCmp: wio.NaturalOrder{}}
 	for q, pairs := range runs {
 		for _, p := range pairs {
-			if err := c.check(rj, p.Key, p.Value); err != nil {
+			if err := c.check(p.Key, p.Value); err != nil {
 				return err
 			}
 			if _, err := b.Collect(q, p.Key, p.Value, false); err != nil {
 				return err
 			}
+		}
+	}
+	if c.KeyType != nil {
+		var err error
+		if c.rawCmp, err = rj.RawKeyComparator(c.KeyClass); err != nil {
+			return err
 		}
 	}
 	b.LayOut(len(runs))
@@ -576,16 +582,17 @@ func TestRefusedArrivalIsNeverResident(t *testing.T) {
 	b := getBuffer()
 	defer putBuffer(b)
 	for _, p := range pairs {
-		if err := c.check(rj, p.Key, p.Value); err != nil {
+		if err := c.check(p.Key, p.Value); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := b.Collect(0, p.Key, p.Value, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var frame []byte
-	if _, _, err := b.Ship(1, func(f []byte) ([]byte, error) {
-		frame = bytes.Clone(f)
+	c.rawCmp = rj.RawSortCmp
+	var frame [][]byte
+	if _, _, _, err := b.Ship(1, func(f []byte) ([]byte, error) {
+		frame = append(frame, bytes.Clone(f))
 		return f, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -86,6 +86,27 @@ func TestMapOutputTypeMismatch(t *testing.T) {
 		{"m3r-budgeted", me, 4 << 10},
 	}
 	n := 0
+	check := func(t *testing.T, job *conf.JobConf, eng engine.Engine, want string) {
+		t.Helper()
+		out := job.OutputPath()
+		streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
+		_, err := eng.Submit(job)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %v, want one that says %q", err, want)
+		}
+		if backing.Exists(out) || me.CachingFS().Exists(out) {
+			t.Errorf("the failed job left %s behind", out)
+		}
+		if got := spill.OpenStreamCount(); got != streamBase {
+			t.Errorf("OpenStreamCount %d, baseline %d", got, streamBase)
+		}
+		if got := encodeBufsOut.Load(); got != bufBase {
+			t.Errorf("encode buffers out %d, baseline %d", got, bufBase)
+		}
+		if held := me.ShufflePoolHeldBytes(); held != 0 {
+			t.Errorf("pool holds %d bytes after the failed job", held)
+		}
+	}
 	for _, side := range []string{"key", "value"} {
 		want := "Type mismatch in key from map: expected " + types.TextName + ", received " + types.LongName
 		if side == "value" {
@@ -112,26 +133,34 @@ func TestMapOutputTypeMismatch(t *testing.T) {
 					job.SetOutputValueClass(types.IntName)
 					job.Set("test.odd.side", side)
 					job.SetInt64(conf.KeyM3RShuffleBudget, leg.budget)
-					streamBase, bufBase := spill.OpenStreamCount(), encodeBufsOut.Load()
-
-					_, err := leg.eng.Submit(job)
-					if err == nil || !strings.Contains(err.Error(), want) {
-						t.Fatalf("error %v, want one that says %q", err, want)
-					}
-					if backing.Exists(out) || me.CachingFS().Exists(out) {
-						t.Errorf("the failed job left %s behind", out)
-					}
-					if got := spill.OpenStreamCount(); got != streamBase {
-						t.Errorf("OpenStreamCount %d, baseline %d", got, streamBase)
-					}
-					if got := encodeBufsOut.Load(); got != bufBase {
-						t.Errorf("encode buffers out %d, baseline %d", got, bufBase)
-					}
-					if held := me.ShufflePoolHeldBytes(); held != 0 {
-						t.Errorf("pool holds %d bytes after the failed job", held)
-					}
+					check(t, job, leg.eng, want)
 				})
 			}
 		}
+	}
+	// A job that declares no value class: the task's first pair fixes it,
+	// and a second class fails the job on either budget — the unbudgeted
+	// shuffle's remote pairs are bytes of one class until they arrive, as a
+	// budgeted one's are. The Hadoop engine refuses such a job outright.
+	for _, leg := range legs {
+		t.Run("value/undeclared/"+leg.name, func(t *testing.T) {
+			n++
+			job := conf.NewJob()
+			job.SetInputFormatClass(formats.TextInputFormatName)
+			job.AddInputPath("/in/odd")
+			job.SetOutputPath(fmt.Sprintf("/out/odd%d", n))
+			job.SetNumReduceTasks(2)
+			job.SetMapperClass("test.OddMapper")
+			job.SetReducerClass(wordcount.SumReducerName)
+			job.SetMapOutputKeyClass(types.TextName)
+			job.SetOutputKeyClass(types.TextName)
+			job.Set("test.odd.side", "value")
+			job.SetInt64(conf.KeyM3RShuffleBudget, leg.budget)
+			want := "Type mismatch in value from map: expected " + types.IntName + ", received " + types.LongName
+			if leg.eng == engine.Engine(he) {
+				want = "needs map output key/value classes"
+			}
+			check(t, job, leg.eng, want)
+		})
 	}
 }

@@ -101,40 +101,35 @@ func (c *CostModel) ChargeDisk(s *Stats, n int64) {
 
 // Stats counter names.
 const (
-	RemoteBytes     = "remote.bytes"     // bytes serialized across places
-	RemoteTransfers = "remote.transfers" // number of remote batches
-	LocalPairs      = "local.pairs"      // pairs delivered without serialization
-	DedupHits       = "dedup.hits"       // objects elided by the dedup encoder
-	ClonedPairs     = "cloned.pairs"     // pairs cloned for mutation safety
-	AliasedPairs    = "aliased.pairs"    // pairs aliased thanks to ImmutableOutput
-	CacheHits       = "cache.hits"       // splits served from the KV cache
-	CacheMisses     = "cache.misses"     // splits read from the filesystem
-	CacheWrites     = "cache.writes"     // output blocks written to the cache
-	// Budgeted-cache tiering (the cache-scoped pool tag): resident.bytes is
-	// a gauge (admits minus departures), the entry counts are events.
-	CacheResidentBytes     = "cache.resident.bytes"     // bytes of cache blocks resident under the budget
-	CacheSpilledEntries    = "cache.spilled.entries"    // cache blocks moved to disk (evictions + overflow)
-	CacheReadmittedEntries = "cache.readmitted.entries" // spilled cache blocks promoted back to memory
-	SpillBytes             = "spill.bytes"              // bytes written to spill files (compressed when a codec is set)
-	SpillRawBytes          = "spill.raw.bytes"          // raw record-format bytes of the same spills (ratio = bytes/raw)
-	SpillFiles             = "spill.files"              // number of spill files
-	EvictedRuns            = "evicted.runs"             // resident runs re-spilled largest-first
-	ShuffleFetchBytes      = "shuffle.fetch.bytes"      // reduce-side segment fetch bytes
-	HDFSReadBytes          = "hdfs.read.bytes"
-	HDFSWriteBytes         = "hdfs.write.bytes"
-	TasksLaunched          = "tasks.launched"
-	JobsKilled             = "jobs.killed"            // jobs cancelled by an explicit kill
-	JobsDeadlineExceeded   = "jobs.deadline.exceeded" // jobs cancelled by their deadline watchdog
-	TaskRetries            = "task.retries"           // Hadoop-engine task attempts re-executed
-	NetFrames              = "net.frames"             // frames shipped over a remote place transport
-	NetBytes               = "net.bytes"              // payload bytes shipped over a remote place transport
-	NetRedials             = "net.redials"            // transport connections re-established after an I/O error
-	FailoverJobs           = "failover.jobs"          // M3R jobs resubmitted to the fallback engine
-	ModeledDelayNs         = "modeled.delay.ns"
-	JVMStartNs             = "modeled.jvmstart.ns"
-	HeartbeatNs            = "modeled.heartbeat.ns"
-	NetDelayNs             = "modeled.net.ns"
-	DiskDelayNs            = "modeled.disk.ns"
+	RemoteBytes          = "remote.bytes"        // bytes serialized across places
+	RemoteTransfers      = "remote.transfers"    // number of remote batches
+	LocalPairs           = "local.pairs"         // pairs delivered without serialization
+	DedupHits            = "dedup.hits"          // objects elided by the dedup encoder
+	ClonedPairs          = "cloned.pairs"        // pairs cloned for mutation safety
+	AliasedPairs         = "aliased.pairs"       // pairs aliased thanks to ImmutableOutput
+	CacheHits            = "cache.hits"          // splits served from the KV cache
+	CacheMisses          = "cache.misses"        // splits read from the filesystem
+	CacheWrites          = "cache.writes"        // output blocks written to the cache
+	SpillBytes           = "spill.bytes"         // bytes written to spill files (compressed when a codec is set)
+	SpillRawBytes        = "spill.raw.bytes"     // raw record-format bytes of the same spills (ratio = bytes/raw)
+	SpillFiles           = "spill.files"         // number of spill files
+	EvictedRuns          = "evicted.runs"        // resident runs re-spilled largest-first
+	ShuffleFetchBytes    = "shuffle.fetch.bytes" // reduce-side segment fetch bytes
+	HDFSReadBytes        = "hdfs.read.bytes"
+	HDFSWriteBytes       = "hdfs.write.bytes"
+	TasksLaunched        = "tasks.launched"
+	JobsKilled           = "jobs.killed"            // jobs cancelled by an explicit kill
+	JobsDeadlineExceeded = "jobs.deadline.exceeded" // jobs cancelled by their deadline watchdog
+	TaskRetries          = "task.retries"           // Hadoop-engine task attempts re-executed
+	NetFrames            = "net.frames"             // frames shipped over a remote place transport
+	NetBytes             = "net.bytes"              // payload bytes shipped over a remote place transport
+	NetRedials           = "net.redials"            // transport connections re-established after an I/O error
+	FailoverJobs         = "failover.jobs"          // M3R jobs resubmitted to the fallback engine
+	ModeledDelayNs       = "modeled.delay.ns"
+	JVMStartNs           = "modeled.jvmstart.ns"
+	HeartbeatNs          = "modeled.heartbeat.ns"
+	NetDelayNs           = "modeled.net.ns"
+	DiskDelayNs          = "modeled.disk.ns"
 )
 
 // Stats is a concurrent named-counter sink. Add and Get sit on per-call

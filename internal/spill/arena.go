@@ -2,17 +2,15 @@ package spill
 
 import "math/bits"
 
-// Arena is a chunked byte arena, the sink both outbound shuffle buffers
-// serialize into: a Buffer's stream-mode wio.Writer and an x10.OutStream's
-// wio.Encoder write to it. It grows by a chunk, never by copying one. Chunk
-// k holds 1<<(minShift+k) bytes up to the ceiling, 1<<maxShift. What is
-// written comes in units — a record of a stream, a key or a value of a
-// Buffer — and Mark says where the next one starts: a unit never straddles
-// two chunks. When one does not fit, the bytes it has so far move to the
-// next chunk, and a unit larger than the ceiling gets a chunk of its own
-// size. No chunk is empty: a unit that had a chunk to itself and outgrew it
-// replaces that chunk. A byte's offset is where it lies in the chunks taken
-// end to end.
+// Arena is a chunked byte arena, the sink a Buffer's stream-mode wio.Writer
+// serializes into. It grows by a chunk, never by copying one. Chunk k holds
+// 1<<(minShift+k) bytes up to the ceiling, 1<<maxShift. What is written
+// comes in units — a key or a value of a Buffer — and Mark says where the
+// next one starts: a unit never straddles two chunks. When one does not
+// fit, the bytes it has so far move to the next chunk, and a unit larger
+// than the ceiling gets a chunk of its own size. No chunk is empty: a unit
+// that had a chunk to itself and outgrew it replaces that chunk. A byte's
+// offset is where it lies in the chunks taken end to end.
 //
 // The arena keeps its chunks across Reset, so whoever pools the arena's
 // owner pools them with it. Reset drops a chunk above the ceiling, and a
@@ -124,6 +122,9 @@ func (a *Arena) Chunks() [][]byte {
 // are b's holder's from then on, and the arena takes a new chunk in their
 // place.
 func (a *Arena) HandOver(i int, b []byte) {
+	if i >= len(a.chunks) {
+		return
+	}
 	if c := a.chunks[i]; len(c) > 0 && len(b) > 0 && &c[0] == &b[0] {
 		a.chunks[i] = nil
 	}

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// ladders are the two arenas the tree builds: a Buffer's, and an
-// x10.OutStream's (its minChunkShift and maxChunkShift; x10 imports spill,
-// so the test cannot name them). Every arena test runs on both.
+// ladders are the two arenas the tree builds: a Buffer's and an object
+// Buffer's (named for x10.OutStream, whose ladder it was). Every arena test
+// runs on both.
 var ladders = []struct {
 	name               string
 	minShift, maxShift int
 }{
 	{"buffer", minChunkShift, maxChunkShift},
-	{"outstream", 14, 17},
+	{"outstream", objectMinChunkShift, objectMaxChunkShift},
 }
 
 func forLadders(t *testing.T, test func(t *testing.T, a *Arena)) {

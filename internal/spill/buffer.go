@@ -11,8 +11,8 @@ import (
 )
 
 // Buffer is a map task's serialized output toward one destination, Hadoop's
-// MapOutputBuffer: a Hadoop map task's between two spills, or a budgeted
-// M3R map task's toward one place, shipped as a frame (frame.go) to a remote
+// MapOutputBuffer: a Hadoop map task's between two spills, or an M3R map
+// task's toward one place, shipped chunk by chunk (frame.go) to a remote
 // one. A record's key and value go through the buffer's own stream-mode
 // wio.Writer into an Arena, each its own unit, and one pointer-free kvMeta
 // into the index: no heap object per record. An object is addressed by its
@@ -25,18 +25,28 @@ type Buffer struct {
 	sc   *scratch              // from LayOut, Ship or Decode to the next reset
 	seen map[wio.Writable]span // objects worth a back-reference, by identity
 	hits int64                 // back-references made
+	// floor: with dedup, an object of more than floor bytes is remembered.
+	floor int32
+	pool  *sync.Pool
 }
 
 // scratch is what a buffer needs only from LayOut, Ship or Decode to its next
-// reset: the views records are laid out in, partition by partition, and the
-// frame. Few buffers are laid out at once, so it is pooled apart from them.
+// reset: the views records are laid out in, partition by partition, and
+// what crossed. Few buffers are laid out at once, so it is pooled apart from
+// them.
 type scratch struct {
-	recs []Rec
-	wire []byte
+	recs    []Rec
+	wire    []byte   // the table and footer Ship sends
+	arrived [][]byte // Ship's pieces as they arrived
+	payload [][]byte // Decode's payload pieces, and where each starts
+	starts  []int
+	refs    []span         // the objects back-references name (Decode)
+	objs    []wio.Writable // Unpack's object for each of refs
+	dec     PairDecoder    // Unpack's, its slab holders kept
 }
 
 // span locates one object's bytes: its offset in the arena's bytes (after
-// Decode, in the frame's payload) and its length.
+// Decode, in the payload's) and its length.
 type span struct{ off, n int32 }
 
 // kvMeta is one record: its partition and its key's and value's bytes. No
@@ -55,30 +65,64 @@ const (
 	maxChunkShift = 16
 )
 
+// An object buffer's chunks climb from 16 KiB to 128 KiB. A chunk crosses as
+// one transport frame, over a socket a round trip, so a payload of a few
+// kilobytes must stay one (from 4 KiB a 69 KB send took five). A chunk a
+// decoded value points into is handed over whole: the ceiling trades the
+// fixed cost per chunk against the unused tail such a chunk strands for as
+// long as any of its values lives.
+const (
+	objectMinChunkShift = 14
+	objectMaxChunkShift = 17
+)
+
 // identityEntryBytes is what remembering an object costs, an interface key
 // and a span, rounded up: a back-reference saves no more than the bytes it
 // replaces, so a 9-byte Text is never remembered; an 80 KB matrix block is.
+// An object buffer remembers every object instead: its records arrive as
+// objects, and a back-reference saves the object, not just its bytes.
 const identityEntryBytes = 32
+
+// maxKeptObjs bounds the identity table a buffer keeps across resets:
+// clearing a map costs time in its capacity, not its length, so one huge
+// task must not tax every small one after it.
+const maxKeptObjs = 1 << 16
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-var buffers = sync.Pool{New: func() any {
-	b := &Buffer{a: NewArena(minChunkShift, maxChunkShift)}
-	b.w.Reset(&b.a)
-	return b
-}}
+var buffers, objectBuffers sync.Pool
 
-// GetBuffer checks an empty buffer out of the pool. The caller releases it.
+func init() {
+	pool := func(p *sync.Pool, minShift, maxShift int, floor int32) {
+		p.New = func() any {
+			b := &Buffer{a: NewArena(minShift, maxShift), floor: floor, pool: p}
+			b.w.Reset(&b.a)
+			return b
+		}
+	}
+	pool(&buffers, minChunkShift, maxChunkShift, identityEntryBytes)
+	pool(&objectBuffers, objectMinChunkShift, objectMaxChunkShift, -1)
+}
+
+// GetBuffer checks an empty buffer out of the pool: the Hadoop engine's
+// sort buffer, and a budgeted M3R task's toward one place, whose records
+// stay bytes until the merge. The caller releases it.
 func GetBuffer() *Buffer { return buffers.Get().(*Buffer) }
+
+// GetObjectBuffer checks an empty buffer out of the pool of those whose
+// records cross to another place to become objects there (Unpack): an
+// unbudgeted M3R task's toward a remote place, and ShipPairs'. The caller
+// releases it.
+func GetObjectBuffer() *Buffer { return objectBuffers.Get().(*Buffer) }
 
 // Release empties the buffer and pools it.
 func (b *Buffer) Release() {
 	b.Reset()
-	buffers.Put(b)
+	b.pool.Put(b)
 }
 
 // Reset forgets every record: the arena resets, and the scratch goes back to
-// its pool, its frame poisoned first under PoisonRecycledBlocks.
+// its pool, its table poisoned first under PoisonRecycledBlocks.
 func (b *Buffer) Reset() {
 	b.a.Reset()
 	if s := b.sc; s != nil {
@@ -86,11 +130,20 @@ func (b *Buffer) Reset() {
 			poisonBytes(s.wire[:cap(s.wire)])
 		}
 		clear(s.recs)
-		s.recs, s.wire = s.recs[:0], s.wire[:0]
+		clear(s.arrived)
+		clear(s.objs)
+		s.dec.release()
+		s.recs, s.wire, s.arrived, s.objs = s.recs[:0], s.wire[:0], s.arrived[:0], s.objs[:0]
+		s.payload, s.refs = nil, s.refs[:0]
 		scratches.Put(s)
 	}
 	b.meta, b.sc = b.meta[:0], nil
-	b.seen, b.hits = nil, 0
+	if len(b.seen) > maxKeptObjs {
+		b.seen = nil
+	} else {
+		clear(b.seen)
+	}
+	b.hits = 0
 }
 
 // scratch checks the buffer's scratch out, once a reset.
@@ -130,10 +183,11 @@ func (b *Buffer) Collect(p int, key, value wio.Writable, dedup bool) (Rec, error
 // object writes v as the arena's next object, or with dedup finds it there
 // already, and returns where its bytes are.
 func (b *Buffer) object(v wio.Writable, dedup bool) (span, error) {
-	// No lookup while nothing is remembered: one in a nil map still checks
-	// that the interface key's dynamic type is hashable (runtime.mapKeyError),
-	// and a buffer of small objects never remembers one.
-	if dedup && b.seen != nil {
+	// No lookup while nothing is remembered: one in an empty map still
+	// checks that the interface key's dynamic type is hashable
+	// (runtime.mapKeyError), and a buffer of small objects never remembers
+	// one.
+	if dedup && len(b.seen) > 0 {
 		if s, ok := b.seen[v]; ok {
 			b.hits++
 			return s, nil
@@ -148,7 +202,7 @@ func (b *Buffer) object(v wio.Writable, dedup bool) (span, error) {
 		return span{}, errors.New("spill: a buffer holds less than 2 GiB")
 	}
 	s := span{off: int32(off), n: int32(n)}
-	if dedup && s.n > identityEntryBytes {
+	if dedup && s.n > b.floor {
 		if b.seen == nil {
 			b.seen = make(map[wio.Writable]span)
 		}

@@ -1,15 +1,19 @@
 package spill
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+
+	"m3r/internal/wio"
 )
 
-// A frame is a Buffer's wire form, in which a budgeted M3R task's output
-// toward a remote place crosses, beside wio.Encoder's stream:
+// A frame is a Buffer's wire form, in which every move of pairs from one
+// place to another crosses:
 //
 //	payload  the serialized objects, back to back: the arena's chunks
 //	table    per record, uvarints: partition, key entry, value entry. An
@@ -18,29 +22,36 @@ import (
 //	         already passed (identity de-duplication, §3.2.2.3)
 //	footer   payload length and record count, 8 bytes each, big-endian
 //
-// There is no tag byte and no per-object type id: a run holds one key class
-// and one value class, fixed per task and kept in memory beside the run.
+// It crosses in pieces, one transport frame each: every chunk of the
+// payload, then the table and footer. An object lies in one piece. There is
+// no tag byte and no per-object type id: a buffer holds one key class and
+// one value class, which the receiver knows apart from the bytes.
 
 const frameFooterLen = 16
 
-// ErrCorruptFrame is the cause of every Decode error.
+// ErrCorruptFrame is the cause of every Decode and Unpack error.
 var ErrCorruptFrame = errors.New("spill: corrupt shuffle frame")
 
-// Ship writes the buffer's records as a frame, sends it through send, which
-// returns it as it arrived at the destination, and then holds the records
-// as Decode does. It returns the frame's length and the back-references
-// Collect made.
-func (b *Buffer) Ship(parts int, send func([]byte) ([]byte, error)) (int, int64, error) {
-	chunks, n := b.a.Chunks(), frameFooterLen+4*len(b.meta) // a record's table entries are 3 bytes or more
-	for _, c := range chunks {
-		n += len(c)
-	}
+// Ship sends the buffer's records as a frame through send, piece by piece:
+// each of the arena's chunks, then the table and footer. send returns a
+// piece as it arrived at the destination, and the buffer then holds the
+// records as Decode does. Ship returns the bytes and the pieces that
+// crossed, and the back-references Collect made.
+func (b *Buffer) Ship(parts int, send func([]byte) ([]byte, error)) (n, pieces int, hits int64, err error) {
 	s := b.scratch()
-	s.wire = slices.Grow(s.wire[:0], n)
-	for _, c := range chunks {
-		s.wire = append(s.wire, c...)
+	s.arrived = s.arrived[:0]
+	payloadLen := 0
+	for _, c := range b.a.Chunks() {
+		p, err := send(c)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		s.arrived = append(s.arrived, p)
+		payloadLen += len(c)
+		n += len(p)
 	}
-	payloadLen, at := len(s.wire), int32(0) // at: where the objects so far end
+	s.wire = slices.Grow(s.wire[:0], frameFooterLen+4*len(b.meta)) // a record's table entries are 3 bytes or more
+	at := int32(0)                                                 // where the objects so far end
 	// A back-reference is any object that does not start where the payload ends.
 	entry := func(o span) {
 		if o.off != at {
@@ -58,17 +69,23 @@ func (b *Buffer) Ship(parts int, send func([]byte) ([]byte, error)) (int, int64,
 	}
 	s.wire = binary.BigEndian.AppendUint64(s.wire, uint64(payloadLen))
 	s.wire = binary.BigEndian.AppendUint64(s.wire, uint64(len(b.meta)))
-	frame, err := send(s.wire)
+	p, err := send(s.wire)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return len(frame), b.hits, b.Decode(frame, parts)
+	s.arrived = append(s.arrived, p)
+	n += len(p)
+	return n, len(s.arrived), b.hits, b.Decode(s.arrived, parts)
 }
 
 // frameCursor walks a frame's table, bounding every field before its use.
 type frameCursor struct {
 	table            []byte
 	tpos, ppos, plen int
+	payload          [][]byte // the payload's pieces, and where each starts
+	starts           []int
+	at               int    // the piece ppos is in
+	refs             []span // what the back-references name
 }
 
 func (c *frameCursor) uvarint() (uint64, error) {
@@ -81,7 +98,8 @@ func (c *frameCursor) uvarint() (uint64, error) {
 }
 
 // object locates the next object's bytes in the payload: its next n bytes,
-// or a back-reference, which may only reach bytes an earlier object put there.
+// or a back-reference, which may only reach bytes an earlier object put
+// there. Either lies in one piece.
 func (c *frameCursor) object() (span, error) {
 	e, err := c.uvarint()
 	off, n, ref := uint64(c.ppos), e>>1, e&1 == 1
@@ -96,30 +114,65 @@ func (c *frameCursor) object() (span, error) {
 		return span{}, fmt.Errorf("%w: object of %d bytes at payload byte %d of %d", ErrCorruptFrame, n, c.ppos, c.plen)
 	case ref && (off > uint64(c.ppos) || n > uint64(c.ppos)-off):
 		return span{}, fmt.Errorf("%w: back-reference to bytes %d+%d with the payload at byte %d", ErrCorruptFrame, off, n, c.ppos)
-	case !ref:
+	}
+	o := span{off: int32(off), n: int32(n)}
+	if n == 0 {
+		return o, nil
+	}
+	i := c.at
+	if ref {
+		i = sort.SearchInts(c.starts, int(off)+1) - 1
+		if k := len(c.refs); k == 0 || c.refs[k-1] != o { // one object sent over and over: one entry
+			c.refs = append(c.refs, o)
+		}
+	} else {
+		for off >= uint64(c.starts[i]+len(c.payload[i])) {
+			i++
+		}
+		c.at = i
 		c.ppos += int(n)
 	}
-	return span{off: int32(off), n: int32(n)}, nil
+	if end := c.starts[i] + len(c.payload[i]); off+n > uint64(end) {
+		return span{}, fmt.Errorf("%w: object at payload bytes %d+%d crosses the end of a piece at %d", ErrCorruptFrame, off, n, end)
+	}
+	return o, nil
 }
 
-// Decode indexes the records of frame, as it arrived, in place of the
-// buffer's own and lays them out as LayOut does. Whatever the bytes are, the
-// result is records or an ErrCorruptFrame, and nothing is allocated on the
-// word of a field not checked against the frame's length.
-func (b *Buffer) Decode(frame []byte, parts int) error {
-	if len(frame) < frameFooterLen || len(frame) > math.MaxInt32 {
-		return fmt.Errorf("%w: %d bytes, not between the footer's and 2 GiB", ErrCorruptFrame, len(frame))
+// Decode indexes the records of a frame as it arrived, in pieces — the
+// payload's, then the table and footer — in place of the buffer's own, and
+// lays them out as LayOut does. Whatever the bytes are, the result is
+// records or an ErrCorruptFrame, and nothing is allocated on the word of a
+// field not checked against the frame's length. The pieces must stay as
+// they are until the buffer's next reset.
+func (b *Buffer) Decode(pieces [][]byte, parts int) error {
+	total := 0
+	for _, p := range pieces {
+		total += len(p)
 	}
-	body, footer := frame[:len(frame)-frameFooterLen], frame[len(frame)-frameFooterLen:]
+	if len(pieces) == 0 || total > math.MaxInt32 {
+		return fmt.Errorf("%w: %d bytes in %d pieces, not one piece or more under 2 GiB", ErrCorruptFrame, total, len(pieces))
+	}
+	last := pieces[len(pieces)-1]
+	if len(last) < frameFooterLen {
+		return fmt.Errorf("%w: a last piece of %d bytes, shorter than the footer", ErrCorruptFrame, len(last))
+	}
+	table, footer := last[:len(last)-frameFooterLen], last[len(last)-frameFooterLen:]
 	payloadLen, n := binary.BigEndian.Uint64(footer), binary.BigEndian.Uint64(footer[8:])
-	if payloadLen > uint64(len(body)) {
-		return fmt.Errorf("%w: payload of %d bytes in a frame body of %d", ErrCorruptFrame, payloadLen, len(body))
+	if plen := total - len(last); payloadLen != uint64(plen) {
+		return fmt.Errorf("%w: a payload of %d bytes where %d arrived before the table", ErrCorruptFrame, payloadLen, plen)
 	}
-	c := frameCursor{table: body[payloadLen:], plen: int(payloadLen)}
 	// A record is at least three table bytes.
-	if n > uint64(len(c.table))/3 {
-		return fmt.Errorf("%w: %d records in a table of %d bytes", ErrCorruptFrame, n, len(c.table))
+	if n > uint64(len(table))/3 {
+		return fmt.Errorf("%w: %d records in a table of %d bytes", ErrCorruptFrame, n, len(table))
 	}
+	s := b.scratch()
+	s.payload, s.starts = pieces[:len(pieces)-1], s.starts[:0]
+	at := 0
+	for _, p := range s.payload {
+		s.starts = append(s.starts, at)
+		at += len(p)
+	}
+	c := frameCursor{table: table, plen: int(payloadLen), payload: s.payload, starts: s.starts, refs: s.refs[:0]}
 	b.meta = slices.Grow(b.meta[:0], int(n))
 	for range n {
 		q, err := c.uvarint()
@@ -134,13 +187,93 @@ func (b *Buffer) Decode(frame []byte, parts int) error {
 			m.v, err = c.object()
 		}
 		if err != nil {
+			s.refs = c.refs
 			return err
 		}
 		b.meta = append(b.meta, m)
 	}
+	s.refs = c.refs
 	if c.tpos != len(c.table) || c.ppos != c.plen {
 		return fmt.Errorf("%w: %d records end at table byte %d of %d, payload byte %d of %d", ErrCorruptFrame, n, c.tpos, len(c.table), c.ppos, c.plen)
 	}
-	b.layOut([][]byte{body[:payloadLen]}, []int{0}, parts)
+	b.layOut(s.payload, s.starts, parts)
 	return nil
+}
+
+// Unpack turns the records that arrived (Ship, Decode) into objects of the
+// classes named, from slabs, and hands each to f with its partition, in
+// collect order. Every back-reference to one object decodes to that one
+// object. A value of wio.OwnedFloor bytes or more is a view of its piece
+// unless the piece is less than half full; such a piece is the values' from
+// then on, and if it is the very chunk that was sent, the buffer's arena
+// forgets it (Arena.HandOver). The buffer's views die at the next reset; the
+// objects do not.
+func (b *Buffer) Unpack(keyClass, valClass string, f func(p int, kv wio.Pair)) error {
+	s := b.sc
+	d := &s.dec
+	if err := d.reuse(keyClass, valClass, len(b.meta)); err != nil {
+		return err
+	}
+	slices.SortFunc(s.refs, byOffset)
+	s.refs = slices.CompactFunc(s.refs, func(x, y span) bool { return x.off == y.off })
+	s.objs = slices.Grow(s.objs[:0], len(s.refs))[:len(s.refs)]
+	u := unpacker{b: b}
+	for _, m := range b.meta {
+		k, err := u.object(&d.keys, m.k)
+		if err != nil {
+			return fmt.Errorf("%w: key: %w", ErrCorruptFrame, err)
+		}
+		v, err := u.object(&d.vals, m.v)
+		if err != nil {
+			return fmt.Errorf("%w: value: %w", ErrCorruptFrame, err)
+		}
+		if d.left > 0 {
+			d.left--
+		}
+		f(int(m.part), wio.Pair{Key: k, Value: v})
+	}
+	return nil
+}
+
+func byOffset(x, y span) int { return cmp.Compare(x.off, y.off) }
+
+// unpacker is Unpack's walk through the payload: at is the piece the last
+// new object was in and next where the new objects so far end.
+type unpacker struct {
+	b    *Buffer
+	at   int
+	next int32
+}
+
+// object decodes the object o locates, or finds it decoded already.
+func (u *unpacker) object(a *wio.Alloc, o span) (wio.Writable, error) {
+	s := u.b.sc
+	r, named := -1, false
+	if o.n > 0 {
+		r, named = slices.BinarySearchFunc(s.refs, o, byOffset)
+	}
+	if o.n > 0 && o.off != u.next { // a back-reference
+		if !named || s.objs[r] == nil || s.refs[r].n != o.n {
+			return nil, fmt.Errorf("back-reference to bytes %d+%d names no object", o.off, o.n)
+		}
+		return s.objs[r], nil
+	}
+	raw := view(s.payload, s.starts, &u.at, o)
+	owned := false
+	if o.n > 0 {
+		p := s.payload[u.at]
+		owned = 2*len(p) >= cap(p)
+	}
+	v, aliased, err := s.dec.read(a, raw, owned)
+	if err != nil {
+		return nil, err
+	}
+	if aliased {
+		u.b.a.HandOver(u.at, s.payload[u.at])
+	}
+	if named {
+		s.objs[r], s.refs[r].n = v, o.n
+	}
+	u.next += o.n
+	return v, nil
 }

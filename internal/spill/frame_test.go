@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"m3r/internal/types"
@@ -13,9 +14,9 @@ import (
 
 // referenceFrame is the frame of recs written the plain way: one contiguous
 // payload, each object marshaled onto its end unless, with dedup, an object
-// of more than identityEntryBytes was written before, then the table and
-// the footer.
-func referenceFrame(t *testing.T, recs []kvRec, dedup bool) []byte {
+// of more than floor bytes was written before, then the table and the
+// footer.
+func referenceFrame(t *testing.T, recs []kvRec, dedup bool, floor int) []byte {
 	t.Helper()
 	var payload, table []byte
 	seen := make(map[wio.Writable][2]uint64)
@@ -30,7 +31,7 @@ func referenceFrame(t *testing.T, recs []kvRec, dedup bool) []byte {
 			t.Fatal(err)
 		}
 		table = binary.AppendUvarint(table, uint64(len(b))<<1)
-		if len(b) > identityEntryBytes {
+		if len(b) > floor {
 			seen[v] = [2]uint64{uint64(len(payload)), uint64(len(b))}
 		}
 		payload = append(payload, b...)
@@ -67,68 +68,101 @@ func frameRecs() []kvRec {
 	return append(recs, kvRec{1, types.Null(), types.Null()}, kvRec{2, shared, shared})
 }
 
-// TestShipIsTheReferenceFrame: the frame Ship sends is the one the plain
-// writer makes, with and without dedup, and what arrives — the same bytes,
-// or a copy as tcp delivers — lays out per partition in collect order, the
-// views pointing into what arrived.
+// TestShipIsTheReferenceFrame: the pieces Ship sends — every chunk, then
+// the table and footer — are, end to end, the frame the plain writer makes,
+// with and without dedup, for a buffer that remembers objects over 32 bytes
+// and for one that remembers every object; and what arrives — the same
+// bytes, or a copy as tcp delivers — lays out per partition in collect
+// order, the views pointing into what arrived.
 func TestShipIsTheReferenceFrame(t *testing.T) {
 	recs := frameRecs()
-	for _, dedup := range []bool{false, true} {
-		for _, copied := range []bool{false, true} {
-			t.Run(fmt.Sprintf("dedup=%v/copied=%v", dedup, copied), func(t *testing.T) {
-				b := GetBuffer()
-				defer b.Release()
-				for _, r := range recs {
-					if _, err := b.Collect(r.part, r.key, r.value, dedup); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var sent []byte
-				n, hits, err := b.Ship(3, func(f []byte) ([]byte, error) {
-					sent = bytes.Clone(f)
-					if copied {
-						return bytes.Clone(f), nil
-					}
-					return f, nil
+	for _, kind := range []struct {
+		name  string
+		get   func() *Buffer
+		floor int
+	}{{"", GetBuffer, identityEntryBytes}, {"object/", GetObjectBuffer, -1}} {
+		for _, dedup := range []bool{false, true} {
+			for _, copied := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%sdedup=%v/copied=%v", kind.name, dedup, copied), func(t *testing.T) {
+					shipReference(t, kind.get(), recs, dedup, copied, kind.floor)
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := referenceFrame(t, recs, dedup); !bytes.Equal(sent, want) || n != len(want) {
-					t.Fatalf("shipped %d bytes (%d reported) differ from the reference's %d", len(sent), n, len(want))
-				}
-				if dedup && hits == 0 {
-					t.Error("no back-reference made")
-				}
-				if copied {
-					poisonBytes(b.sc.wire)
-				}
-				for p := range 3 {
-					got := b.Partition(p)
-					i := 0
-					for _, r := range recs {
-						if r.part != p {
-							continue
-						}
-						kb, _ := wio.Marshal(r.key)
-						vb, _ := wio.Marshal(r.value)
-						if i >= len(got) || !bytes.Equal(got[i].K, kb) || !bytes.Equal(got[i].V, vb) {
-							t.Fatalf("partition %d record %d arrives differently", p, i)
-						}
-						i++
-					}
-					if i != len(got) {
-						t.Fatalf("partition %d: %d records arrived, %d sent", p, len(got), i)
-					}
-				}
-			})
+			}
 		}
 	}
 }
 
-// FuzzDecodeFrame decodes arbitrary bytes as an arrived frame into a new
-// buffer: records or an ErrCorruptFrame, never a panic, and no room made
-// for more records than the table can hold (a record is at least three
+func shipReference(t *testing.T, b *Buffer, recs []kvRec, dedup, copied bool, floor int) {
+	defer b.Release()
+	for _, r := range recs {
+		if _, err := b.Collect(r.part, r.key, r.value, dedup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sent []byte
+	n, pieces, hits, err := b.Ship(3, func(f []byte) ([]byte, error) {
+		sent = append(sent, f...)
+		if copied {
+			return bytes.Clone(f), nil
+		}
+		return f, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceFrame(t, recs, dedup, floor); !bytes.Equal(sent, want) || n != len(want) {
+		t.Fatalf("shipped %d bytes (%d reported) differ from the reference's %d", len(sent), n, len(want))
+	}
+	if want := len(b.a.Chunks()) + 1; pieces != want || want < 3 {
+		t.Fatalf("%d pieces crossed, want the %d chunks and the table", pieces, want-1)
+	}
+	if dedup && hits == 0 {
+		t.Error("no back-reference made")
+	}
+	if copied {
+		poisonBytes(b.sc.wire)
+		for _, c := range b.a.Chunks() {
+			poisonBytes(c)
+		}
+	}
+	for p := range 3 {
+		got := b.Partition(p)
+		i := 0
+		for _, r := range recs {
+			if r.part != p {
+				continue
+			}
+			kb, _ := wio.Marshal(r.key)
+			vb, _ := wio.Marshal(r.value)
+			if i >= len(got) || !bytes.Equal(got[i].K, kb) || !bytes.Equal(got[i].V, vb) {
+				t.Fatalf("partition %d record %d arrives differently", p, i)
+			}
+			i++
+		}
+		if i != len(got) {
+			t.Fatalf("partition %d: %d records arrived, %d sent", p, len(got), i)
+		}
+	}
+}
+
+// cutFrame cuts frame into pieces at the offsets cuts names, two bytes
+// each, big-endian, taken modulo the frame's length plus one.
+func cutFrame(frame, cuts []byte) [][]byte {
+	at := []int{0, len(frame)}
+	for ; len(cuts) >= 2; cuts = cuts[2:] {
+		at = append(at, int(binary.BigEndian.Uint16(cuts))%(len(frame)+1))
+	}
+	slices.Sort(at)
+	pieces := make([][]byte, 0, len(at)-1)
+	for i := 1; i < len(at); i++ {
+		pieces = append(pieces, frame[at[i-1]:at[i]])
+	}
+	return pieces
+}
+
+// FuzzDecodeFrame decodes arbitrary bytes, cut into pieces where the fuzzer
+// says, as an arrived frame into a new buffer: records or an
+// ErrCorruptFrame — an object across a cut too — never a panic, and no room
+// made for more records than the table can hold (a record is at least three
 // table bytes).
 func FuzzDecodeFrame(f *testing.F) {
 	b := GetBuffer()
@@ -137,16 +171,23 @@ func FuzzDecodeFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	if _, _, err := b.Ship(3, func(frame []byte) ([]byte, error) {
-		f.Add(bytes.Clone(frame), uint8(3))
-		return frame, nil
+	var frame []byte
+	if _, _, _, err := b.Ship(3, func(piece []byte) ([]byte, error) {
+		frame = append(frame, piece...)
+		return piece, nil
 	}); err != nil {
 		f.Fatal(err)
 	}
 	b.Release()
-	f.Fuzz(func(t *testing.T, frame []byte, parts uint8) {
+	// Uncut: the whole frame a piece, a corrupt one; cut before the table,
+	// the one good cut; cut inside an object too.
+	table := binary.BigEndian.AppendUint16(nil, uint16(binary.BigEndian.Uint64(frame[len(frame)-16:])))
+	f.Add(frame, []byte{}, uint8(3))
+	f.Add(frame, table, uint8(3))
+	f.Add(frame, append([]byte{0, 3}, table...), uint8(3))
+	f.Fuzz(func(t *testing.T, frame, cuts []byte, parts uint8) {
 		b := Buffer{sc: new(scratch)} // a new scratch: its capacity is what Decode made
-		err := b.Decode(frame, int(parts%8)+1)
+		err := b.Decode(cutFrame(frame, cuts), int(parts%8)+1)
 		if n := max(cap(b.meta), cap(b.sc.recs)); n > len(frame)/3 {
 			t.Fatalf("decoding %d bytes made room for %d records", len(frame), n)
 		}

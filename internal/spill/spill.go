@@ -453,9 +453,10 @@ var runSizers = sync.Pool{New: func() any { return wio.NewWriter(io.Discard) }}
 // resolved once, at construction, and every record decodes through one
 // slice-mode reader. Not for concurrent use.
 type PairDecoder struct {
-	keys, vals wio.Alloc
-	left       int // records still to come, or negative when unknown
-	rd         wio.Reader
+	keys, vals         wio.Alloc
+	keyClass, valClass string
+	left               int // records still to come, or negative when unknown
+	rd                 wio.Reader
 }
 
 // NewPairDecoder resolves the run's class names against the wio registry.
@@ -470,7 +471,42 @@ func NewPairDecoder(keyClass, valClass string, n int) (*PairDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PairDecoder{keys: keys, vals: vals, left: n}, nil
+	return &PairDecoder{keys: keys, vals: vals, keyClass: keyClass, valClass: valClass, left: n}, nil
+}
+
+// reuse readies d for n records of the classes named, as NewPairDecoder
+// would, keeping the allocators — and their slab holders — of a class it
+// decoded before.
+func (d *PairDecoder) reuse(keyClass, valClass string, n int) error {
+	if err := reuseAlloc(&d.keys, &d.keyClass, keyClass); err != nil {
+		return err
+	}
+	if err := reuseAlloc(&d.vals, &d.valClass, valClass); err != nil {
+		return err
+	}
+	d.left = n
+	return nil
+}
+
+func reuseAlloc(a *wio.Alloc, class *string, name string) error {
+	if name != "" && name == *class {
+		a.Reset()
+		return nil
+	}
+	na, err := wio.NewAlloc(name)
+	if err != nil {
+		*class = ""
+		return err
+	}
+	*a, *class = na, name
+	return nil
+}
+
+// release lets go of everything d decoded: its slabs and its last input.
+func (d *PairDecoder) release() {
+	d.keys.Reset()
+	d.vals.Reset()
+	d.rd.ResetBytes(nil)
 }
 
 // Decode deserializes one record.
@@ -488,6 +524,25 @@ func (d *PairDecoder) Decode(rec Rec) (wio.Pair, error) {
 		return wio.Pair{}, fmt.Errorf("spill: decoding value: %w", err)
 	}
 	return wio.Pair{Key: k, Value: v}, nil
+}
+
+// read decodes one object of a's class out of b, which with owned the
+// object may keep views of (wio.Reader.ResetBytesOwned), and reports whether
+// it does. An object that leaves bytes of b unread is an error.
+func (d *PairDecoder) read(a *wio.Alloc, b []byte, owned bool) (wio.Writable, bool, error) {
+	v := a.New(d.left)
+	if owned {
+		d.rd.ResetBytesOwned(b)
+	} else {
+		d.rd.ResetBytes(b)
+	}
+	if err := v.ReadFields(&d.rd); err != nil {
+		return nil, false, err
+	}
+	if n := d.rd.Remaining(); n != 0 {
+		return nil, false, fmt.Errorf("%d of %d bytes left unread", n, len(b))
+	}
+	return v, d.rd.Aliased(), nil
 }
 
 // runFileWriter wraps the handle every run-file write goes through — the
@@ -849,8 +904,8 @@ var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
 
 // PoisonRecycledBlocks is a test hook: while set, every block buffer and
 // stream reader going back to its pool, every formats.SeqReader copy-mode
-// window going back to its, every Arena's chunks (a Buffer's, an
-// x10.OutStream's) and every Buffer's frame at their reset are overwritten
+// window going back to its, and every Buffer's arena chunks and frame table
+// at its reset are overwritten
 // with 0xDB first, so a Rec or a decoded value kept past its lifetime reads
 // garbage instead of, most of the time, its own bytes.
 var PoisonRecycledBlocks atomic.Bool

@@ -189,22 +189,20 @@ func remotePairs(n, valBytes int) []wio.Pair {
 	return pairs
 }
 
-// BenchmarkEncodePair is the encode half of a remote shuffle record: 2 000
-// pairs with 2 KiB values through one de-duplicating Encoder per stream, the
-// Encoder reused from stream to stream as a pooled x10.OutStream reuses it.
-// What it prices beside the copy of the value is the bookkeeping per object:
-// the type id (a scan over the stream's reflect.Types) and the identity
-// table insert (into a table cleared, not rebuilt, per stream). ns/op is ns
-// per pair.
+// BenchmarkEncodePair is the encode half of the layer ladder's wio rung:
+// 2 000 pairs with 2 KiB values through a new de-duplicating Encoder per
+// stream, as the rung encodes each run. What it prices beside the copy of
+// the value is the bookkeeping per object: the type id (a scan over the
+// stream's reflect.Types) and the identity table insert. ns/op is ns per
+// pair.
 func BenchmarkEncodePair(b *testing.B) {
 	pairs := remotePairs(2000, 2048)
 	var sink bytes.Buffer
-	enc := wio.NewEncoder(&sink, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(pairs) {
 		sink.Reset()
-		enc.Reset(&sink, true)
+		enc := wio.NewEncoder(&sink, true)
 		for _, p := range pairs[:min(len(pairs), b.N-i)] {
 			if err := enc.EncodePair(p); err != nil {
 				b.Fatal(err)
@@ -217,38 +215,49 @@ func BenchmarkEncodePair(b *testing.B) {
 	b.SetBytes(int64(sink.Len() / len(pairs)))
 }
 
-// BenchmarkDecodePair is the decode half, per value size and Reader mode:
-// copying (every body allocated and copied out of the frame) against owned
-// (bodies of OwnedFloor bytes or more point into it). The sizes straddle the
-// floor; ns/op is ns per pair.
+// BenchmarkDecodePair is the decode half of a remote shuffle record as a
+// shuffle's arrival reads it (spill.Buffer.Unpack): a key and a value read
+// out of the arrived bytes, per value size and Reader mode — copying (every
+// body allocated and copied out of the frame) against owned (bodies of
+// OwnedFloor bytes or more point into it). The sizes straddle the floor;
+// ns/op is ns per pair.
 func BenchmarkDecodePair(b *testing.B) {
 	for _, valBytes := range []int{64, 255, 256, 2048} {
 		pairs := remotePairs(2000, valBytes)
-		var sink bytes.Buffer
-		enc := wio.NewEncoder(&sink, true)
+		var w wio.Writer
 		for _, p := range pairs {
-			if err := enc.EncodePair(p); err != nil {
+			if err := p.Key.WriteTo(&w); err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Value.WriteTo(&w); err != nil {
 				b.Fatal(err)
 			}
 		}
-		frame := sink.Bytes()
+		frame := w.Bytes()
 		for _, owned := range []bool{false, true} {
 			mode := "copying"
 			if owned {
 				mode = "owned"
 			}
 			b.Run(fmt.Sprintf("value=%d/%s", valBytes, mode), func(b *testing.B) {
-				var dec wio.Decoder
+				var r wio.Reader
 				b.SetBytes(int64(len(frame) / len(pairs)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i += len(pairs) {
-					dec.ResetBytes(frame, owned)
+					if owned {
+						r.ResetBytesOwned(frame)
+					} else {
+						r.ResetBytes(frame)
+					}
 					for range min(len(pairs), b.N-i) {
-						p, err := dec.DecodePair()
-						if err != nil {
+						k, v := new(types.IntWritable), new(types.BytesWritable)
+						if err := k.ReadFields(&r); err != nil {
 							b.Fatal(err)
 						}
-						benchSink = p.Value
+						if err := v.ReadFields(&r); err != nil {
+							b.Fatal(err)
+						}
+						benchSink = v
 					}
 				}
 			})
@@ -256,18 +265,19 @@ func BenchmarkDecodePair(b *testing.B) {
 	}
 }
 
-// TestEncodePairAllocs: a de-duplicating Encoder reused from stream to
-// stream, as a pooled x10.OutStream reuses it, encodes a remote shuffle
-// record — an IntWritable key, a 2 KiB BytesWritable value — without
-// allocating once its sink has grown: its type ids and identity table are
-// cleared per stream, not rebuilt.
+// TestEncodePairAllocs: a de-duplicating Encoder encodes a remote shuffle
+// record — an IntWritable key, a 2 KiB BytesWritable value — without an
+// allocation of its own per pair: what a new encoder's stream allocates is
+// the encoder, its type table and the growth of its identity table, which
+// remembers every object. On a stream of 2 000 pairs that is 51 allocations
+// (go1.24, amd64), held under one in 25 pairs.
 func TestEncodePairAllocs(t *testing.T) {
-	pairs := remotePairs(200, 2048)
+	pairs := remotePairs(2000, 2048)
 	var sink bytes.Buffer
-	enc := wio.NewEncoder(&sink, true)
+	sink.Grow(len(pairs) * 2100)
 	stream := func() {
 		sink.Reset()
-		enc.Reset(&sink, true)
+		enc := wio.NewEncoder(&sink, true)
 		for _, p := range pairs {
 			if err := enc.EncodePair(p); err != nil {
 				t.Fatal(err)
@@ -279,7 +289,7 @@ func TestEncodePairAllocs(t *testing.T) {
 	}
 	stream()
 	// Mallocs counts the whole process, so a stray allocation of another
-	// goroutine can land in a try; one of the encoder's lands in every try.
+	// goroutine can land in a try.
 	fewest := uint64(math.MaxUint64)
 	for range 3 {
 		var ms0, ms1 runtime.MemStats
@@ -288,7 +298,8 @@ func TestEncodePairAllocs(t *testing.T) {
 		runtime.ReadMemStats(&ms1)
 		fewest = min(fewest, ms1.Mallocs-ms0.Mallocs)
 	}
-	if fewest != 0 {
-		t.Errorf("a stream of %d pairs allocates %d times, want 0", len(pairs), fewest)
+	t.Logf("a stream of %d pairs allocates %d times", len(pairs), fewest)
+	if limit := uint64(len(pairs) / 25); fewest > limit {
+		t.Errorf("a stream of %d pairs allocates %d times, want at most %d", len(pairs), fewest, limit)
 	}
 }

@@ -44,31 +44,6 @@ func NewEncoder(w io.Writer, dedup bool) *Encoder {
 	return &Encoder{w: NewWriter(w), dedup: dedup}
 }
 
-// maxKeptObjs bounds the identity table an Encoder carries from one stream
-// to the next: clearing a map costs time in its capacity, not its length, so
-// one huge stream must not tax every small one that follows it.
-const maxKeptObjs = 1 << 16
-
-// Reset re-targets the encoder at w as a new stream: no type has been named
-// and no object seen. The tables keep their memory, which is what pooling an
-// Encoder with its frame buys — a map task's encoder remembers thousands of
-// objects, and growing that table from empty each task was a twentieth of a
-// remote pair's allocated bytes.
-func (e *Encoder) Reset(w io.Writer, dedup bool) {
-	e.w.Reset(w)
-	e.types = e.types[:0]
-	if len(e.objs) > maxKeptObjs {
-		e.objs = nil
-	} else {
-		clear(e.objs)
-	}
-	e.dedup = dedup
-	e.nextID, e.hits = 0, 0
-}
-
-// Count reports bytes emitted so far.
-func (e *Encoder) Count() int64 { return e.w.Count() }
-
 // DedupHits reports how many writes were satisfied by a back-reference.
 func (e *Encoder) DedupHits() uint64 { return e.hits }
 
@@ -119,12 +94,6 @@ func (e *Encoder) Encode(v Writable) error {
 	return v.WriteTo(e.w)
 }
 
-// EncodeUvarint writes a raw unsigned varint into the stream, for callers
-// that interleave framing (e.g. partition numbers) with encoded values.
-func (e *Encoder) EncodeUvarint(v uint64) error {
-	return e.w.WriteUvarint(v)
-}
-
 // EncodePair writes a key/value pair.
 func (e *Encoder) EncodePair(p Pair) error {
 	if err := e.Encode(p.Key); err != nil {
@@ -143,17 +112,7 @@ type Decoder struct {
 	r     Reader
 	types []decType
 	objs  []Writable
-	name  []byte // a type name read from a stream-mode input
-	left  int    // Expect's count of records still to come; negative unless given
-	// holders keeps, by class, the slab holders of the types earlier
-	// streams named, their slabs dropped, for the next stream's types.
-	holders []slabHolder
-}
-
-// slabHolder is one class's slab holder, kept across streams.
-type slabHolder struct {
-	name string
-	s    slabSource
+	name  []byte // a type name read from the stream
 }
 
 // decType is a type the stream has named: the registry is asked for its
@@ -166,92 +125,9 @@ type decType struct {
 
 // NewDecoder returns a Decoder consuming from r.
 func NewDecoder(r io.Reader) *Decoder {
-	d := &Decoder{left: -1}
+	d := &Decoder{}
 	d.r.Reset(r)
 	return d
-}
-
-// ResetBytes aims the decoder — the zero Decoder will do — at b, an encoded
-// stream already in memory, decoding straight out of it (slice-mode Reader)
-// instead of through an io.Reader. It starts a new stream: the type and
-// object tables are emptied but keep their memory, for a decoder that is
-// pooled, and no record count is expected. With owned, the caller gives b up
-// (Reader.ResetBytesOwned): byte bodies of OwnedFloor bytes or more come
-// back pointing into b, and Aliased then says so. Count restarts at zero.
-func (d *Decoder) ResetBytes(b []byte, owned bool) {
-	// The objects, and the slabs the types hand them out from, belong to
-	// whoever decoded them, not to a pooled table: a type's slab holder
-	// stays for the next stream that names its class, but lets go of its
-	// slab.
-	for _, t := range d.types {
-		if t.alloc.s != nil {
-			t.alloc.s.drop()
-			if d.holder(t.name) == nil {
-				d.holders = append(d.holders, slabHolder{t.name, t.alloc.s})
-			}
-		}
-	}
-	clear(d.types)
-	d.types = d.types[:0]
-	clear(d.objs)
-	d.objs = d.objs[:0]
-	d.left = -1
-	d.ContinueBytes(b, owned)
-}
-
-// holder returns the kept slab holder of class name, or nil.
-func (d *Decoder) holder(name string) slabSource {
-	for _, h := range d.holders {
-		if h.name == name {
-			return h.s
-		}
-	}
-	return nil
-}
-
-// Expect tells the decoder that n records are still to come on this stream,
-// the next one included: a slab a type's objects come from holds no more
-// than n of them. Without it a type's slabs start after its first eight
-// objects and double (Alloc.New).
-func (d *Decoder) Expect(n int) { d.left = n }
-
-// ContinueBytes aims the decoder at b as the next piece of the stream it is
-// on — an Encoder's output cut between two values: the type and object
-// tables carry over, so a back-reference may name an object an earlier piece
-// delivered. owned is as for ResetBytes and holds for this piece alone; Count
-// and Aliased restart.
-func (d *Decoder) ContinueBytes(b []byte, owned bool) {
-	if owned {
-		d.r.ResetBytesOwned(b)
-	} else {
-		d.r.ResetBytes(b)
-	}
-}
-
-// Aliased reports whether a value decoded from the current piece points into
-// it, which only an owned piece allows.
-func (d *Decoder) Aliased() bool { return d.r.Aliased() }
-
-// Remaining reports the undecoded bytes of a decoder over bytes in memory.
-func (d *Decoder) Remaining() int { return d.r.Remaining() }
-
-// DecodeEnd consumes the end-of-stream marker Encoder.Close wrote. Unlike
-// Decode, which reports a marker and an input that simply stops both as
-// io.EOF, it tells them apart: a receiver that knows how many values to
-// expect calls it after the last one, and a stream cut short of its marker,
-// or carrying on past the count, is an error.
-func (d *Decoder) DecodeEnd() error {
-	tag, err := d.r.ReadByte()
-	if err == io.EOF {
-		return fmt.Errorf("wio: stream ends without its end-of-stream marker: %w", io.ErrUnexpectedEOF)
-	}
-	if err != nil {
-		return err
-	}
-	if tag != tagDone {
-		return fmt.Errorf("wio: tag %d where the end-of-stream marker belongs", tag)
-	}
-	return nil
 }
 
 // Count reports bytes consumed so far.
@@ -295,14 +171,12 @@ func (d *Decoder) Decode() (Writable, error) {
 			if err != nil {
 				return nil, err
 			}
-			a := allocOf(e)
-			a.s = d.holder(e.name)
-			d.types = append(d.types, decType{e.name, a})
+			d.types = append(d.types, decType{e.name, allocOf(e)})
 		} else if tid > uint64(len(d.types)) {
 			return nil, fmt.Errorf("wio: type id %d out of range (have %d types)", tid, len(d.types))
 		}
 		t := &d.types[tid]
-		v := t.alloc.New(d.left)
+		v := t.alloc.New(-1)
 		if err := v.ReadFields(&d.r); err != nil {
 			return nil, fmt.Errorf("wio: decoding %s: %w", t.name, err)
 		}
@@ -311,11 +185,6 @@ func (d *Decoder) Decode() (Writable, error) {
 	default:
 		return nil, fmt.Errorf("wio: corrupt stream: unknown tag %d", tag)
 	}
-}
-
-// DecodeUvarint reads a raw unsigned varint written by EncodeUvarint.
-func (d *Decoder) DecodeUvarint() (uint64, error) {
-	return d.r.ReadUvarint()
 }
 
 // DecodePair reads a key/value pair.

@@ -454,7 +454,7 @@ func allocatedDuring(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestCorruptArrayLengthsAreErrors feeds each damaged value to the three
+// TestCorruptArrayLengthsAreErrors feeds each damaged value to the two
 // ways serialized records are decoded: an error every time, never a panic,
 // and — the readers being slice-mode — memory in proportion to the bytes
 // that are there (the 1 MiB allowance is the first chunk of a CSC or sparse
@@ -469,13 +469,6 @@ func TestCorruptArrayLengthsAreErrors(t *testing.T) {
 			"Unmarshal": func() error {
 				v, _ := wio.New(c.class)
 				return wio.Unmarshal(data, v)
-			},
-			"Decoder.Decode": func() error {
-				frame := append([]byte{1, 0, byte(len(c.class))}, c.class...) // tagNew, type id 0, its name
-				var dec wio.Decoder
-				dec.ResetBytes(append(frame, data...), false)
-				_, err := dec.Decode()
-				return err
 			},
 			"spill run": func() error {
 				d, err := spill.NewPairDecoder(types.IntName, c.class, 1)

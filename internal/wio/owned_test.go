@@ -2,9 +2,6 @@ package wio_test
 
 import (
 	"bytes"
-	"errors"
-	"io"
-	"strings"
 	"testing"
 
 	"m3r/internal/types"
@@ -108,130 +105,5 @@ func TestOwnedValuesKeepToTheirOwnBytes(t *testing.T) {
 	vals[0].B = vals[0].B[:cap(vals[0].B)]
 	if len(vals[0].B) != n {
 		t.Fatalf("a's view spans %d bytes, its body had %d", len(vals[0].B), n)
-	}
-}
-
-// TestDecoderContinuesAcrossPieces cuts one Encoder stream between values and
-// decodes the pieces one after the other: type ids and back-references reach
-// across the cuts, ownership is per piece, and ResetBytes starts over.
-func TestDecoderContinuesAcrossPieces(t *testing.T) {
-	shared := types.NewBytes(body('s', 3*wio.OwnedFloor))
-	vals := []wio.Writable{types.NewInt(1), shared, types.NewText("k"), shared, types.NewInt(2), shared}
-	var sink bytes.Buffer
-	enc := wio.NewEncoder(&sink, true)
-	var cuts []int
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		cuts = append(cuts, sink.Len())
-	}
-	enc.Close()
-	if enc.DedupHits() != 2 {
-		t.Fatalf("%d back-references, want 2", enc.DedupHits())
-	}
-	frame := sink.Bytes()
-	pieces := [][]byte{frame[:cuts[1]], frame[cuts[1]:cuts[3]], frame[cuts[3]:]}
-
-	var dec wio.Decoder
-	for round := 0; round < 2; round++ { // the second round is a pooled decoder's next stream
-		var got []wio.Writable
-		for i, p := range pieces {
-			if i == 0 {
-				dec.ResetBytes(p, true)
-			} else {
-				dec.ContinueBytes(p, false)
-			}
-			for dec.Remaining() > 0 && len(got) < len(vals) {
-				v, err := dec.Decode()
-				if err != nil {
-					t.Fatalf("piece %d: %v", i, err)
-				}
-				got = append(got, v)
-			}
-			if want := i == 0; dec.Aliased() != want {
-				t.Fatalf("piece %d: Aliased %v, want %v", i, dec.Aliased(), want)
-			}
-		}
-		if err := dec.DecodeEnd(); err != nil || dec.Remaining() != 0 {
-			t.Fatalf("end of stream: %v, %d bytes left", err, dec.Remaining())
-		}
-		for i, v := range vals {
-			if !wio.Equal(got[i], v) {
-				t.Fatalf("value %d: got %v, want %v", i, got[i], v)
-			}
-		}
-		if got[1] != got[3] || got[3] != got[5] {
-			t.Fatal("back-references across pieces did not arrive as aliases of one object")
-		}
-	}
-}
-
-// TestDecodeEndTellsMarkerFromSilence pins the three things that can sit
-// where a counted stream should end.
-func TestDecodeEndTellsMarkerFromSilence(t *testing.T) {
-	var sink bytes.Buffer
-	enc := wio.NewEncoder(&sink, false)
-	enc.Encode(types.NewInt(7))
-	noMarker := bytes.Clone(sink.Bytes())
-	enc.Encode(types.NewInt(8))
-	enc.Close()
-	full := sink.Bytes()
-
-	var dec wio.Decoder
-	dec.ResetBytes(noMarker, false)
-	dec.Decode()
-	if err := dec.DecodeEnd(); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "without its end-of-stream marker") {
-		t.Errorf("stream that just stops: %v", err)
-	}
-	dec.ResetBytes(full, false)
-	dec.Decode()
-	if err := dec.DecodeEnd(); err == nil || !strings.Contains(err.Error(), "where the end-of-stream marker belongs") {
-		t.Errorf("a value where the marker belongs: %v", err)
-	}
-	dec.ResetBytes(full, false)
-	dec.Decode()
-	dec.Decode()
-	if err := dec.DecodeEnd(); err != nil || dec.Remaining() != 0 {
-		t.Errorf("marker in place: %v, %d bytes left", err, dec.Remaining())
-	}
-}
-
-// TestEncoderResetStartsAFreshStream: an Encoder reused through Reset writes
-// the bytes a new one writes — types named again, object ids from zero,
-// nothing remembered of the stream before — with de-duplication switched as
-// asked.
-func TestEncoderResetStartsAFreshStream(t *testing.T) {
-	shared := types.NewText("shared")
-	first := []wio.Writable{types.NewBytes([]byte("b")), shared, shared, nil}
-	second := []wio.Writable{shared, types.NewInt(3), shared, types.NewLong(4), types.NewInt(5)}
-	encodeAll := func(enc *wio.Encoder, vals []wio.Writable) {
-		t.Helper()
-		for _, v := range vals {
-			if err := enc.Encode(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var reusedOut bytes.Buffer
-	reused := wio.NewEncoder(&reusedOut, true)
-	encodeAll(reused, first)
-	for _, dedup := range []bool{true, false} {
-		var freshOut bytes.Buffer
-		fresh := wio.NewEncoder(&freshOut, dedup)
-		encodeAll(fresh, second)
-		reusedOut.Reset()
-		reused.Reset(&reusedOut, dedup)
-		encodeAll(reused, second)
-		if !bytes.Equal(reusedOut.Bytes(), freshOut.Bytes()) {
-			t.Errorf("dedup %v: reused encoder wrote %x, a new one %x", dedup, reusedOut.Bytes(), freshOut.Bytes())
-		}
-		if reused.DedupHits() != fresh.DedupHits() || reused.Count() != fresh.Count() {
-			t.Errorf("dedup %v: reused encoder counts %d hits %d bytes, a new one %d and %d",
-				dedup, reused.DedupHits(), reused.Count(), fresh.DedupHits(), fresh.Count())
-		}
 	}
 }

@@ -68,6 +68,16 @@ func NewAlloc(name string) (Alloc, error) {
 
 func allocOf(e regEntry) Alloc { return Alloc{new: e.new, mk: e.slab} }
 
+// Reset readies a for a new decode site's objects of its class, as
+// NewAlloc would, but keeps the holder of its slabs: it lets go of the slab,
+// so that an allocator kept for reuse pins no object it handed out.
+func (a *Alloc) Reset() {
+	if a.s != nil {
+		a.s.drop()
+	}
+	a.avail, a.made = 0, 0
+}
+
 // New returns a fresh zero-valued object of the class. left is how many
 // objects the site knows are still to come, this one included, or a
 // negative number when it does not know; it bounds the size of a new slab.

@@ -1,8 +1,11 @@
 package wio
 
 import (
+	"bytes"
 	"slices"
 	"testing"
+
+	"m3r/internal/testenv"
 )
 
 type slabProbe struct{ v int64 }
@@ -60,54 +63,60 @@ func TestAllocSlabSizes(t *testing.T) {
 	}
 }
 
-// TestResetBytesDropsSlabs: a pooled decoder starting a new stream keeps no
-// type of the last one, and of its slabs only the holders, empty: the pool
-// keeps no earlier stream's objects alive. The next stream's type of the
-// same class takes the kept holder.
-func TestResetBytesDropsSlabs(t *testing.T) {
-	RegisterNew[slabProbe]("wio.slabProbe")
-	var w Writer
-	enc := NewEncoder(&w, false)
-	for i := 0; i < 100; i++ {
-		if err := enc.Encode(new(slabProbe)); err != nil {
-			t.Fatal(err)
+// Zero-size writables: making one allocates nothing, so a decode of them
+// allocates only what the decoder itself does.
+type (
+	noneA struct{}
+	noneB struct{}
+	noneC struct{}
+)
+
+func (*noneA) WriteTo(*Writer) error    { return nil }
+func (*noneA) ReadFields(*Reader) error { return nil }
+func (*noneB) WriteTo(*Writer) error    { return nil }
+func (*noneB) ReadFields(*Reader) error { return nil }
+func (*noneC) WriteTo(*Writer) error    { return nil }
+func (*noneC) ReadFields(*Reader) error { return nil }
+
+func init() {
+	Register("wio.decoder.NoneA", func() Writable { return new(noneA) })
+	Register("wio.decoder.NoneB", func() Writable { return new(noneB) })
+	Register("wio.decoder.NoneC", func() Writable { return new(noneC) })
+}
+
+// TestDecoderNamesAllocateNothing: a decoder meeting the names of three
+// registered classes looks each up in the bytes it arrived in and keeps the
+// registry's own string, so the names cost no allocation — with the
+// decoder's tables grown by a stream before, a whole stream costs none.
+func TestDecoderNamesAllocateNothing(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, false)
+	for i := 0; i < 4; i++ {
+		for _, v := range []Writable{new(noneA), new(noneB), new(noneC)} {
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var d Decoder
-	d.ResetBytes(w.Bytes(), false)
-	d.Expect(100)
-	for i := 0; i < 100; i++ {
-		if _, err := d.Decode(); err != nil {
-			t.Fatal(err)
+	var src bytes.Reader
+	d := NewDecoder(&src)
+	decodeAll := func() {
+		src.Reset(buf.Bytes())
+		d.Reaim(&src)
+		for i := 0; i < 12; i++ {
+			if _, err := d.Decode(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if d.types[0].alloc.s == nil {
-		t.Fatal("the stream's objects did not come from a slab")
-	}
-	holder := d.types[0].alloc.s
-	d.ResetBytes(nil, false)
-	for i, dt := range d.types[:cap(d.types)] {
-		if dt.name != "" || dt.alloc.new != nil || dt.alloc.s != nil {
-			t.Errorf("type %d of the last stream is still held: %+v", i, dt)
-		}
-	}
-	if len(d.holders) != 1 || d.holders[0].s != holder {
-		t.Fatalf("the decoder keeps %d slab holders, want the last stream's one", len(d.holders))
-	}
-	if s := holder.(*slab[slabProbe, *slabProbe]).s; s != nil {
-		t.Errorf("the kept holder still pins %d objects of the last stream's slab", len(s))
-	}
-	if d.left >= 0 {
-		t.Error("the last stream's expected count survived ResetBytes")
-	}
-	d.ResetBytes(w.Bytes(), false)
-	if _, err := d.Decode(); err != nil {
-		t.Fatal(err)
-	}
-	if d.types[0].alloc.s != holder {
-		t.Error("the next stream's type made a holder of its own")
+	decodeAll()
+	if n := testing.AllocsPerRun(100, decodeAll); n != 0 {
+		t.Errorf("a stream of three registered classes: %v allocs, want 0", n)
 	}
 }

@@ -2,6 +2,7 @@ package wio_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -96,19 +97,18 @@ func intLongStream(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
-// decodeAllocs is what one stream of n pairs allocates through a pooled
-// decoder, told the pairs still to come before each one when expect is set,
-// as the unbudgeted shuffle's arrival is.
-func decodeAllocs(t *testing.T, n int, expect bool) float64 {
+// decodeAllocs is what one stream of n pairs allocates through a decoder
+// that decoded one before (Decoder.Reaim): the stream's own allocations,
+// its tables' growth aside.
+func decodeAllocs(t *testing.T, n int) float64 {
 	t.Helper()
 	stream := intLongStream(t, n)
-	var d wio.Decoder
+	var src bytes.Reader
+	d := wio.NewDecoder(&src)
 	decode := func() {
-		d.ResetBytes(stream, false)
+		src.Reset(stream)
+		d.Reaim(&src)
 		for i := 0; i < n; i++ {
-			if expect {
-				d.Expect(n - i)
-			}
 			p, err := d.DecodePair()
 			if err != nil {
 				t.Fatal(err)
@@ -117,8 +117,8 @@ func decodeAllocs(t *testing.T, n int, expect bool) float64 {
 				t.Fatalf("pair %d decoded as (%d, %d)", i, k, v)
 			}
 		}
-		if err := d.DecodeEnd(); err != nil {
-			t.Fatal(err)
+		if _, err := d.Decode(); err != io.EOF {
+			t.Fatalf("after %d pairs: %v, want the end of the stream", n, err)
 		}
 	}
 	decode()
@@ -135,36 +135,29 @@ func skipUnpinned(t *testing.T) {
 	}
 }
 
-// TestDecoderSlabAllocs is the ceiling of the wio.Decoder decode site: a
-// 1 000-pair stream of one key and one value class through a pooled
-// decoder. Told the count, each class takes nine slabs (8, 8, 16, … 256,
-// 256, 232); not told, eight objects from the factory and then slabs of 8,
-// 16, … 256. The slab holders are the decoder's, kept across streams. The
-// ceilings are the measured 18 and 32 (go1.24, amd64; they repeat exactly)
-// plus the benchmark's 3 % bound, rounded up.
+// TestDecoderSlabAllocs is the count of the wio.Decoder decode site, the
+// layer ladder's wio rung: a 1 000-pair stream of one key and one value
+// class, which the decoder is not told the length of. Each class takes
+// eight objects from the factory, then a slab holder and slabs of 8, 16, …
+// 256, 256, 256: 2 × (8 + 1 + 8) = 34 allocations, exactly.
 func TestDecoderSlabAllocs(t *testing.T) {
 	skipUnpinned(t)
-	const n = 1000
-	for _, c := range []struct {
-		expect  bool
-		ceiling float64
-	}{{true, 19}, {false, 33}} {
-		got := decodeAllocs(t, n, c.expect)
-		t.Logf("expect %v: %v allocs a %d-pair stream", c.expect, got, n)
-		if got > c.ceiling {
-			t.Errorf("expect %v: a %d-pair stream allocates %v times, ceiling %v", c.expect, n, got, c.ceiling)
-		}
+	const n, want = 1000, 34
+	got := decodeAllocs(t, n)
+	t.Logf("%v allocs a %d-pair stream", got, n)
+	if got != want {
+		t.Errorf("a %d-pair stream allocates %v times, want %v", n, got, want)
 	}
 }
 
-// TestShortStreamsAllocLikeTheFactory: a stream the decoder is told holds
-// fewer than eight pairs takes every object from the plain factory, one
-// allocation an IntWritable or LongWritable and nothing more, as before
-// there were slabs — PageRank's streams are one to seven pairs long.
+// TestShortStreamsAllocLikeTheFactory: a stream of fewer than eight pairs
+// takes every object from the plain factory, one allocation an IntWritable
+// or LongWritable and nothing more, as before there were slabs — PageRank's
+// streams are one to seven pairs long.
 func TestShortStreamsAllocLikeTheFactory(t *testing.T) {
 	skipUnpinned(t)
 	for _, n := range []int{1, 3, 7} {
-		if got, want := decodeAllocs(t, n, true), float64(2*n); got != want {
+		if got, want := decodeAllocs(t, n), float64(2*n); got != want {
 			t.Errorf("a %d-pair stream allocates %v times, the factory %v", n, got, want)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 
 	"m3r/internal/conf"
 	"m3r/internal/counters"
@@ -353,8 +354,9 @@ func TestHashCodeOfSerializedFormIsFNV1a(t *testing.T) {
 }
 
 // TestDecoderBytesMatchesDecoder decodes one encoded frame — type table,
-// back-references, nil, end marker — through both Decoder constructors, at
-// every truncation point.
+// back-references, nil, end marker — from a reader that hands it over whole
+// and from one that hands it over a byte a read, at every truncation point:
+// values, counts and errors do not depend on how the bytes come.
 func TestDecoderBytesMatchesDecoder(t *testing.T) {
 	var frame bytes.Buffer
 	enc := wio.NewEncoder(&frame, true)
@@ -369,13 +371,12 @@ func TestDecoderBytesMatchesDecoder(t *testing.T) {
 	}
 	for cut := 0; cut <= frame.Len(); cut++ {
 		b := frame.Bytes()[:cut]
-		sd, md := wio.NewDecoder(bytes.NewReader(b)), new(wio.Decoder)
-		md.ResetBytes(b, false)
+		sd, md := wio.NewDecoder(bytes.NewReader(b)), wio.NewDecoder(iotest.OneByteReader(bytes.NewReader(b)))
 		for i := 0; ; i++ {
 			sv, serr := sd.Decode()
 			mv, merr := md.Decode()
 			if !sameErr(serr, merr) || sd.Count() != md.Count() || !reflect.DeepEqual(sv, mv) {
-				t.Fatalf("cut %d value %d: stream %v, %v (Count %d); slice %v, %v (Count %d)",
+				t.Fatalf("cut %d value %d: whole %v, %v (Count %d); a byte a read %v, %v (Count %d)",
 					cut, i, sv, serr, sd.Count(), mv, merr, md.Count())
 			}
 			if serr != nil {

@@ -153,8 +153,8 @@ func (w *Writer) WriteFloat64s(vs []float64) error {
 		return nil
 	}
 	if len(vs) > chunkBytes/8 {
-		// The array leaves in pieces; a sink that can make room (an
-		// x10.OutStream, a bytes.Buffer) is told the whole size first, so it
+		// The array leaves in pieces; a sink that can make room (a
+		// spill.Arena, a bytes.Buffer) is told the whole size first, so it
 		// grows once instead of under every piece.
 		if g, ok := w.w.(interface{ Grow(n int) }); ok {
 			g.Grow(8 * len(vs))

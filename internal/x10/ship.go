@@ -2,9 +2,11 @@ package x10
 
 import (
 	"fmt"
+	"reflect"
 
 	"m3r/internal/counters"
 	"m3r/internal/sim"
+	"m3r/internal/spill"
 	"m3r/internal/wio"
 )
 
@@ -47,49 +49,51 @@ func (rt *Runtime) ChargeShip(task *counters.Counters, bytes int64, frames int, 
 // copying, no cost — this is the co-location benefit of §3.2.2.1. (Whether
 // the pairs are safe to alias is the engine's concern via ImmutableOutput.)
 //
-// Cross-place sends serialize every pair with a de-duplicating encoder
-// (when dedup is true), route the encoded frame through the runtime's
-// transport, charge the modelled network, and decode into objects of their
-// own, from slabs, on the far side. Repeated objects — the broadcast vector blocks of
-// §3.2.2.3 — are transmitted once and arrive as aliases. Large byte bodies
-// of the delivered pairs may be the arrived frames' own memory (OutStream):
-// they are the receiver's, like everything else it is handed.
+// Cross-place sends serialize every pair into a spill.Buffer, the one
+// outbound buffer of the engines' shuffles too, ship it chunk by chunk
+// through the runtime's transport, charge the modelled network, and decode
+// into objects of their own, from slabs, on the far side. With dedup, a
+// repeated object — the broadcast vector blocks of §3.2.2.3 — is
+// transmitted once and arrives as aliases of one object. The pairs must be
+// of one key class and one value class, the first pair's. Large byte bodies
+// of the delivered pairs may be the arrived chunks' own memory
+// (spill.Buffer.Unpack): they are the receiver's, like everything else it is
+// handed.
 func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipResult, error) {
 	if from == to {
 		rt.stats.Add(sim.LocalPairs, int64(len(pairs)))
 		return ShipResult{Pairs: pairs}, nil
 	}
-	s := GetOutStream(dedup)
-	defer s.Release()
-	enc := s.Encoder()
-	for _, p := range pairs {
-		if err := enc.EncodePair(p); err != nil {
+	b := spill.GetObjectBuffer()
+	defer b.Release()
+	var keyClass, valClass string
+	for i, p := range pairs {
+		if i == 0 {
+			var err error
+			if keyClass, err = wio.NameOf(p.Key); err == nil {
+				valClass, err = wio.NameOf(p.Value)
+			}
+			if err != nil {
+				return ShipResult{}, fmt.Errorf("x10: serializing for place %d: %w", to, err)
+			}
+		} else if reflect.TypeOf(p.Key) != reflect.TypeOf(pairs[0].Key) || reflect.TypeOf(p.Value) != reflect.TypeOf(pairs[0].Value) {
+			return ShipResult{}, fmt.Errorf("x10: serializing for place %d: pair %d is a (%T, %T), not a (%s, %s)", to, i, p.Key, p.Value, keyClass, valClass)
+		}
+		if _, err := b.Collect(0, p.Key, p.Value, dedup); err != nil {
 			return ShipResult{}, fmt.Errorf("x10: serializing for place %d: %w", to, err)
 		}
-		s.EndRecord()
 	}
-	n, _, err := rt.ShipStream(from, to, s)
+	n, frames, hits, err := b.Ship(1, func(piece []byte) ([]byte, error) { return rt.transport.Ship(from, to, piece) })
 	if err != nil {
 		return ShipResult{}, fmt.Errorf("x10: shipping to place %d: %w", to, err)
 	}
-	rt.ChargeShip(nil, n, 0, int64(enc.DedupHits()))
+	rt.ChargeShip(nil, int64(n), frames, hits)
 
 	out := make([]wio.Pair, 0, len(pairs))
-	for i := range pairs {
-		var p wio.Pair
-		dec, err := s.NextRecord()
-		if err == nil {
-			dec.Expect(len(pairs) - i)
-			p, err = dec.DecodePair()
-		}
-		if err != nil {
+	if len(pairs) > 0 {
+		if err := b.Unpack(keyClass, valClass, func(_ int, kv wio.Pair) { out = append(out, kv) }); err != nil {
 			return ShipResult{}, fmt.Errorf("x10: deserializing at place %d: %w", to, err)
 		}
-		out = append(out, p)
 	}
-	// Exactly the pairs sent, then the end of the stream and nothing more.
-	if err := s.End(); err != nil {
-		return ShipResult{}, fmt.Errorf("x10: deserializing at place %d: %w", to, err)
-	}
-	return ShipResult{Pairs: out, Bytes: n, DedupHits: enc.DedupHits(), Remote: true}, nil
+	return ShipResult{Pairs: out, Bytes: int64(n), DedupHits: uint64(hits), Remote: true}, nil
 }

@@ -27,16 +27,17 @@ func shipBenchPairs(n, valBytes int) []wio.Pair {
 }
 
 // TestShipPairsEncodeBufferPooled pins the ownership rule of a shipped
-// stream from the allocator's side. A payload nothing decoded points into —
-// values under wio.OwnedFloor — costs the stream nothing in steady state:
-// the stream, its encoder and decoder and every chunk come from their pools
-// and go back, and what is allocated is the decode side's fresh objects. A
-// payload whose values point into the arrived chunks keeps those chunks: no
-// value is copied out, and what the next send overwrites — with the poison
-// hook, everything handed back — is never a delivered value.
+// buffer from the allocator's side, with every chunk that goes back to the
+// pool poisoned first. A payload nothing decoded points into — values under
+// wio.OwnedFloor — costs the send nothing in steady state: the buffer, its
+// scratch and every chunk come from their pools and go back, and what is
+// allocated is the decode side's fresh objects. A payload whose values point
+// into the arrived chunks keeps those chunks: no value is copied out, and
+// what the next send overwrites is never a delivered value.
 func TestShipPairsEncodeBufferPooled(t *testing.T) {
+	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
 	rt, _ := newRT(2, 2)
-	small := shipBenchPairs(256, wio.OwnedFloor-1) // ~68 KiB encoded, several chunks
+	small := shipBenchPairs(256, wio.OwnedFloor-1) // ~68 KiB serialized, several chunks
 	ship := func(pairs []wio.Pair) []wio.Pair {
 		res, err := rt.ShipPairs(0, 1, pairs, false)
 		if err != nil {
@@ -48,12 +49,11 @@ func TestShipPairsEncodeBufferPooled(t *testing.T) {
 		ship(small) // warm the pools
 	}
 	// Per pair the key, the value and the value's bytes; per send the result
-	// slice and the decoder's two type names.
+	// slice and the pair decoder.
 	if allocs, max := testing.AllocsPerRun(20, func() { ship(small) }), float64(3*len(small)+3); allocs > max && !testenv.Race {
-		t.Errorf("non-aliasing ShipPairs allocs/op = %.0f, want <= %.0f: the stream or its chunks are not pooled", allocs, max)
+		t.Errorf("non-aliasing ShipPairs allocs/op = %.0f, want <= %.0f: the buffer or its chunks are not pooled", allocs, max)
 	}
 
-	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
 	large := shipBenchPairs(256, 4*wio.OwnedFloor) // ~260 KiB: the ladder and then ceiling-sized chunks
 	first := ship(large)
 	// Per pair the key and the value, not its bytes; per send a dozen fresh
@@ -64,7 +64,7 @@ func TestShipPairsEncodeBufferPooled(t *testing.T) {
 	ship(small) // reuses whatever the sends above gave back
 	for i, p := range first {
 		if !wio.Equal(p.Key, large[i].Key) || !wio.Equal(p.Value, large[i].Value) {
-			t.Fatalf("pair %d of an earlier delivery changed under later sends: the stream kept its chunk", i)
+			t.Fatalf("pair %d of an earlier delivery changed under later sends: the buffer kept its chunk", i)
 		}
 	}
 }

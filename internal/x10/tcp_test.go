@@ -237,15 +237,15 @@ func TestTCPFailAfterFramesDropsEverything(t *testing.T) {
 	}
 }
 
-// TestTCPShipPairsAcrossChunks sends one destination a stream of many
+// TestTCPShipPairsAcrossChunks sends one destination a buffer of many
 // chunks — small values, values that point into what arrives, one value
 // larger than two ceiling-sized chunks, and an object repeated from the
 // first chunk to the last — over a socket, one frame per chunk. What arrives
 // is what the in-process transport delivers, back-references included; and a
-// frame server that dies between two chunks of the stream fails the send
-// with ErrTransport, not with half a stream decoded.
+// frame server that dies between two chunks of the buffer fails the send
+// with ErrTransport, not with half a buffer decoded.
 func TestTCPShipPairsAcrossChunks(t *testing.T) {
-	repeated := types.NewText(strings.Repeat("repeated", 100))
+	repeated := types.NewBytes([]byte(strings.Repeat("repeated", 100)))
 	var pairs []wio.Pair
 	for i := 0; i < 600; i++ {
 		var v wio.Writable
@@ -255,7 +255,7 @@ func TestTCPShipPairsAcrossChunks(t *testing.T) {
 		case i == 301:
 			v = types.NewBytes([]byte(strings.Repeat("huge", 80<<10)))
 		case i%2 == 0:
-			v = types.NewText(strings.Repeat(string(rune('a'+i%26)), 20))
+			v = types.NewBytes([]byte(strings.Repeat(string(rune('a'+i%26)), 20)))
 		default:
 			v = types.NewBytes([]byte(strings.Repeat(string(rune('A'+i%26)), 1500)))
 		}
@@ -276,7 +276,7 @@ func TestTCPShipPairsAcrossChunks(t *testing.T) {
 	}
 	frames := servers[1].Served()
 	if frames < 6 {
-		t.Fatalf("stream of %d bytes crossed in %d frames; it should span many chunks", got.Bytes, frames)
+		t.Fatalf("buffer of %d bytes crossed in %d frames; it should span many chunks", got.Bytes, frames)
 	}
 	if got.Bytes != want.Bytes || got.DedupHits != want.DedupHits || got.DedupHits != 11 {
 		t.Fatalf("tcp: %d bytes, %d back-references; inproc: %d and %d", got.Bytes, got.DedupHits, want.Bytes, want.DedupHits)
@@ -296,7 +296,7 @@ func TestTCPShipPairsAcrossChunks(t *testing.T) {
 	dying := x10.NewRuntime(x10.Options{Places: 2, Transport: tr, Stats: sim.NewStats()})
 	defer dying.Close()
 	if _, err := dying.ShipPairs(0, 1, pairs, true); !errors.Is(err, x10.ErrTransport) {
-		t.Fatalf("stream cut between two chunks: %v, want ErrTransport", err)
+		t.Fatalf("buffer cut between two chunks: %v, want ErrTransport", err)
 	}
 	if n := servers[1].Served(); n != frames/2 {
 		t.Errorf("dying server took %d frames, want %d", n, frames/2)

@@ -12,8 +12,8 @@ var ErrTransport = errors.New("x10: transport failure")
 // Transport is the wire layer between places: it moves already-encoded
 // frames from one place to another and reports the bytes as they exist at
 // the destination. The runtime's serialization boundary (ShipPairs, the
-// M3R shuffle's per-destination streams) produces and consumes the
-// frames; the transport only carries them, so every backend is
+// M3R shuffle's per-destination buffers, spill.Buffer.Ship) produces and
+// consumes the frames; the transport only carries them, so every backend is
 // byte-identical at the payload level by construction.
 //
 // All places share one OS process under either backend. Inproc (the
@@ -25,7 +25,7 @@ type Transport interface {
 	// Ship delivers frame from place `from` to place `to`, returning the
 	// frame bytes as they arrived at the destination. A backend never
 	// keeps or writes either slice. Who owns what arrived is the caller's
-	// rule (OutStream): inproc returns frame itself, so a receiver whose
+	// rule (spill.Buffer.Unpack): inproc returns frame itself, so a receiver whose
 	// decoded values point into the result has taken the sender's buffer
 	// and the sender must not reuse it; tcp returns a buffer read off the
 	// socket, the receiver's from the start, and the sent frame is the
@@ -58,11 +58,9 @@ func (rt *Runtime) RemoteTransport() bool { return rt.transport.Name() != "inpro
 
 // ShipFrame routes one already-encoded frame from place `from` to place
 // `to` through the runtime's transport, returning the frame as delivered.
-// The M3R engine's budgeted shuffle uses it directly: a map task's buffer
-// toward a remote place writes itself as a frame (spill.Buffer.Ship), the
-// destination place decodes the frame into an index over what arrived, and
-// this is the wire in between. Objects cross through an OutStream and
-// ShipStream.
+// The M3R engine's shuffle uses it directly: a map task's buffer toward a
+// remote place ships itself piece by piece (spill.Buffer.Ship), the
+// destination place indexes what arrived, and this is the wire in between.
 func (rt *Runtime) ShipFrame(from, to int, frame []byte) ([]byte, error) {
 	return rt.transport.Ship(from, to, frame)
 }

@@ -161,6 +161,27 @@ func TestShipPairsDedup(t *testing.T) {
 	}
 }
 
+// TestShipPairsOneClass: a cross-place send is of one key class and one
+// value class, the first pair's, as a shuffle buffer's bytes are; a pair of
+// another class, or a nil writable, fails the send before anything crosses.
+func TestShipPairsOneClass(t *testing.T) {
+	rt, stats := newRT(2, 1)
+	one := wio.Pair{Key: types.NewInt(1), Value: types.NewText("x")}
+	for name, pairs := range map[string][]wio.Pair{
+		"other value class": {one, {Key: types.NewInt(2), Value: types.NewLong(3)}},
+		"other key class":   {one, {Key: types.NewText("k"), Value: types.NewText("y")}},
+		"nil value":         {one, {Key: types.NewInt(2)}},
+		"nil first key":     {{Value: types.NewText("x")}, one},
+	} {
+		if _, err := rt.ShipPairs(0, 1, pairs, true); err == nil {
+			t.Errorf("%s: the send succeeded", name)
+		}
+	}
+	if n := stats.Get(sim.RemoteTransfers); n != 0 {
+		t.Errorf("%d transfers charged for failed sends", n)
+	}
+}
+
 func TestCostModelAccounting(t *testing.T) {
 	stats := sim.NewStats()
 	cost := &sim.CostModel{
