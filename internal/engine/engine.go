@@ -51,6 +51,9 @@ type Report struct {
 	Queue    string
 	Counters *counters.Counters
 	Wall     time.Duration
+	// Phases is where the job's time went, phase by phase at each place
+	// (phases.go); nil on a Report no engine ran.
+	Phases *Phases
 }
 
 // String renders a one-line job summary.
@@ -96,6 +99,11 @@ type TaskContext struct {
 	// mapRun is the storage of a substituted map runner
 	// (ResolvedJob.TaskMapRun).
 	mapRun immutableMapRun
+
+	// phases is the job's phase times, nil outside a job's RunTask; cell is
+	// the task's own span's (Begin).
+	phases *Phases
+	cell   int
 }
 
 // NewTaskContext builds a context for one task attempt: one allocation,

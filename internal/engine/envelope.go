@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -34,6 +35,9 @@ type Host struct {
 	mu     sync.Mutex
 	seq    int
 	closed bool
+
+	places int               // SetPlaces
+	labels []context.Context // a phase at a place's profiler labels, place*NumPhases + phase
 }
 
 // Shut refuses further submissions and reports whether this call was the
@@ -57,6 +61,7 @@ type Job struct {
 
 	host       *Host
 	start      time.Time
+	phases     *Phases
 	attempt    string                       // "attempt_<ID>_", the prefix of its task attempts' ids
 	attempts   []taskAttempt                // the first attempts' storage, maps then reduces (LayOutTasks)
 	maps       int                          // the map tasks' share of attempts
@@ -93,7 +98,7 @@ func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 		lc = NewJobLifecycle()
 	}
 	lc.ApplyDeadlineConf(job)
-	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.NewJob(), host: h, start: start, attempt: "attempt_" + id + "_"}
+	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.NewJob(), host: h, start: start, phases: h.newPhases(start), attempt: "attempt_" + id + "_"}
 	if j.Resolved, err = Resolve(job); err == nil {
 		if j.outputSpec, err = j.Resolved.NewOutputFormat(); err == nil {
 			err = j.outputSpec.CheckOutputSpecs(job)
@@ -117,7 +122,8 @@ func (j *Job) WritesOutput() bool { return j.committer != nil }
 
 // Run sets the output up, runs body — the engine's phases — and decides the
 // job: committed, notified and reported, or aborted with nothing of it left
-// on the filesystem. Nothing fallible stands between the set-up and the body,
+// on the filesystem. Either way it returns the job's Report, whose Phases a
+// failed job's caller may read; its Counters are the committed tasks'. Nothing fallible stands between the set-up and the body,
 // and every way out after the set-up that is not a commit is an abort: body
 // error, commit error, a panic passing through. The error is the body's or
 // the commit's, or in their place the cancellation cause when the job was
@@ -141,7 +147,7 @@ func (j *Job) Run(body func() error) (*Report, error) {
 			}
 		}()
 		if err := j.committer.SetupJob(j.Conf); err != nil {
-			return nil, err
+			return j.report(), err
 		}
 	}
 	err := body()
@@ -151,7 +157,9 @@ func (j *Job) Run(body func() error) (*Report, error) {
 		err = j.Lifecycle.Err()
 	}
 	if err == nil && j.committer != nil {
+		span := j.Begin(PhaseCommit, 0)
 		err = j.committer.CommitJob(j.Conf)
+		span.End()
 	}
 	if err != nil {
 		if cause := j.Lifecycle.Err(); cause != nil {
@@ -162,10 +170,15 @@ func (j *Job) Run(body func() error) (*Report, error) {
 				j.host.Stats.Add(sim.JobsKilled, 1)
 			}
 		}
-		return nil, err
+		return j.report(), err
 	}
 	committed = true
 	NotifyJobEnd(j.Conf, j.ID)
+	return j.report(), nil
+}
+
+// report is the job's Report as it stands.
+func (j *Job) report() *Report {
 	return &Report{
 		JobID:    j.ID,
 		JobName:  j.Conf.JobName(),
@@ -173,7 +186,8 @@ func (j *Job) Run(body func() error) (*Report, error) {
 		Queue:    j.Conf.GetDefault(conf.KeyJobQueueName, "default"),
 		Counters: j.Counters,
 		Wall:     time.Since(j.start),
-	}, nil
+		Phases:   j.phases,
+	}
 }
 
 // TaskKind names a task's kind; its first letter stands for it in attempt ids.
@@ -192,14 +206,15 @@ const (
 // every way out the attempt's counters are absorbed: the rows of
 // counters.TaskStats into the engine's stats always — a failed or killed
 // attempt still reports what it handled — and all of them into the job's
-// counters on success only.
-func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSplit, body func(*TaskContext) error) (err error) {
+// counters on success only. The attempt is one span of its kind's phase at
+// place.
+func (j *Job) RunTask(kind TaskKind, index, attempt, place int, split formats.InputSplit, body func(*TaskContext) error) (err error) {
 	if err := j.Lifecycle.Err(); err != nil {
 		return err
 	}
-	launched := counters.TotalLaunchedMaps
+	launched, phase := counters.TotalLaunchedMaps, PhaseMap
 	if kind == ReduceTask {
-		launched = counters.TotalLaunchedReduces
+		launched, phase = counters.TotalLaunchedReduces, PhaseReduce
 	}
 	j.Counters.Incr(counters.JobGroup, launched, 1)
 	j.host.Stats.Add(sim.TasksLaunched, 1)
@@ -209,7 +224,10 @@ func (j *Job) RunTask(kind TaskKind, index, attempt int, split formats.InputSpli
 	taskJob := t.conf.Of(j.Conf)
 	taskJob.SetInt(conf.KeyTaskPartition, index)
 	ctx := t.ctx.init(taskJob, j.attemptID(kind, index, attempt), split)
+	ctx.phases, ctx.cell = j.phases, cellOf(place, phase)
+	span := j.phases.begin(ctx.cell, -1)
 	defer func() {
+		span.End()
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%s task %d (%s) panicked: %v\n%s", kind, index, ctx.TaskID, p, debug.Stack())
 		}

@@ -174,7 +174,8 @@ func TestEnvelopeVerdicts(t *testing.T) {
 				}
 				return
 			}
-			if !errors.Is(err, tc.want) || rep != nil || notified != 0 {
+			// A failed job still reports, so that its phases can be read.
+			if !errors.Is(err, tc.want) || rep == nil || rep.JobID != j.ID || rep.Phases == nil || notified != 0 {
 				t.Errorf("error %v (want %v), report %v, notified %d times", err, tc.want, rep, notified)
 			}
 			if tc.wantStat != "" && h.Stats.Get(tc.wantStat) != 1 {
@@ -305,7 +306,7 @@ func TestTaskEnvelope(t *testing.T) {
 				j.Lifecycle.Kill(nil)
 			}
 			ran := false
-			err = j.RunTask(engine.ReduceTask, 7, 2, nil, func(ctx *engine.TaskContext) error {
+			err = j.RunTask(engine.ReduceTask, 7, 2, 0, nil, func(ctx *engine.TaskContext) error {
 				ran = true
 				if ctx.TaskID != "attempt_job_test_0001_r_000007_2" || ctx.Job == j.Conf || ctx.Job.GetInt(conf.KeyTaskPartition, -1) != 7 {
 					t.Errorf("task %s, conf shared %v, partition %s", ctx.TaskID, ctx.Job == j.Conf, ctx.Job.Get(conf.KeyTaskPartition))
@@ -358,7 +359,7 @@ func TestAttemptIDs(t *testing.T) {
 		{engine.ReduceTask, 123456, 3}, {engine.MapTask, 1234567, 12},
 	} {
 		want := fmt.Sprintf("attempt_%s_%c_%06d_%d", j.ID, tc.kind[0], tc.index, tc.attempt)
-		err := j.RunTask(tc.kind, tc.index, tc.attempt, nil, func(ctx *engine.TaskContext) error {
+		err := j.RunTask(tc.kind, tc.index, tc.attempt, 0, nil, func(ctx *engine.TaskContext) error {
 			if ctx.TaskID != want {
 				t.Errorf("TaskID %q, want %q", ctx.TaskID, want)
 			}

@@ -91,8 +91,10 @@ func New(opts Options) (*Engine, error) {
 	if stats == nil {
 		stats = sim.NewStats()
 	}
+	host := &engine.Host{Name: "hadoop", FSID: dfs.RegisterInstance(opts.FS), FS: opts.FS, Stats: stats}
+	host.SetPlaces(len(nodes)) // a node is a place
 	e := &Engine{
-		host:       &engine.Host{Name: "hadoop", FSID: dfs.RegisterInstance(opts.FS), FS: opts.FS, Stats: stats},
+		host:       host,
 		nodes:      nodes,
 		mapSlots:   ms,
 		reduceSlot: rs,
@@ -142,7 +144,9 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	if !rj.MapOnly && (job.MapOutputKeyClass() == "" || job.MapOutputValueClass() == "") {
 		return nil, fmt.Errorf("hadoop: job %q needs map output key/value classes for the shuffle", job.JobName())
 	}
+	span := j.Begin(engine.PhasePlan, 0)
 	splits, err := rj.InputFormat.GetSplits(job, job.GetInt(conf.KeyNumMapTasks, len(e.nodes)*e.mapSlots))
+	span.End()
 	if err != nil {
 		return nil, err
 	}
@@ -151,13 +155,20 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	if err := os.MkdirAll(run.jobDir, 0o755); err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(run.jobDir)
+	defer func() {
+		span := j.Begin(engine.PhaseCleanup, 0)
+		os.RemoveAll(run.jobDir)
+		span.End()
+	}()
 
 	phase := "map"
 	report, err := j.Run(func() error {
 		err := run.runMapPhase(splits)
 		if err == nil && !rj.MapOnly {
 			phase = "reduce"
+			// Nothing stands between the phases here: the reducers open
+			// what the map tasks left in place.
+			j.Begin(engine.PhaseBarrier, 0).End()
 			err = run.runReducePhase()
 		}
 		if err == nil {
@@ -166,7 +177,7 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("hadoop: %s %s phase: %w", j.ID, phase, err)
+		return report, fmt.Errorf("hadoop: %s %s phase: %w", j.ID, phase, err)
 	}
 	return report, nil
 }
@@ -287,7 +298,7 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 	maxAttempts := r.maxAttempts(conf.KeyMaxMapAttempts)
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(r.engine.nodes)*r.engine.mapSlots)
-	for _, node := range r.engine.nodes {
+	for place, node := range r.engine.nodes {
 		for slot := 0; slot < r.engine.mapSlots; slot++ {
 			wg.Add(1)
 			go func(node string) {
@@ -309,8 +320,8 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 						r.Counters.Incr(counters.JobGroup, counters.DataLocalMaps, 1)
 					}
 					err := r.runAttempts(maxAttempts, func(attempt int) error {
-						return r.RunTask(engine.MapTask, t.index, attempt, t.split, func(ctx *engine.TaskContext) error {
-							return r.runMapTask(ctx, t, node, attempt)
+						return r.RunTask(engine.MapTask, t.index, attempt, place, t.split, func(ctx *engine.TaskContext) error {
+							return r.runMapTask(ctx, t, place, node, attempt)
 						})
 					})
 					if err != nil {
@@ -331,12 +342,14 @@ func (r *jobRun) runMapPhase(splits []formats.InputSplit) error {
 func (r *jobRun) runReducePhase() error {
 	type reduceTask struct {
 		partition int
+		place     int
 		node      string
 	}
 	queues := make(map[string][]reduceTask)
 	for p := 0; p < r.Resolved.NumReducers; p++ {
-		node := r.engine.nodes[p%len(r.engine.nodes)]
-		queues[node] = append(queues[node], reduceTask{partition: p, node: node})
+		place := p % len(r.engine.nodes)
+		node := r.engine.nodes[place]
+		queues[node] = append(queues[node], reduceTask{partition: p, place: place, node: node})
 	}
 	// Reducers get their own attempt bound — the old code reused the map
 	// key here, so mapred.reduce.max.attempts was silently ignored.
@@ -357,8 +370,8 @@ func (r *jobRun) runReducePhase() error {
 				}
 				r.engine.cost.ChargeHeartbeat(r.engine.Stats())
 				err := r.runAttempts(maxAttempts, func(attempt int) error {
-					return r.RunTask(engine.ReduceTask, t.partition, attempt, nil, func(ctx *engine.TaskContext) error {
-						return r.runReduceTask(ctx, t.partition, node)
+					return r.RunTask(engine.ReduceTask, t.partition, attempt, t.place, nil, func(ctx *engine.TaskContext) error {
+						return r.runReduceTask(ctx, t.partition, t.place, node)
 					})
 				})
 				if err != nil {

@@ -19,7 +19,7 @@ import (
 // runMapTask is the body of one map task attempt on node (engine.Job.RunTask
 // is its envelope): new "JVM", read the split, sort/spill the output, merge
 // spills into the final map output file served to reducers (§3.1).
-func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string, attempt int) error {
+func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, place int, node string, attempt int) error {
 	r.engine.cost.ChargeJVMStart(r.engine.Stats())
 	taskJob := ctx.Job
 	runner := r.Resolved.NewMapRun()
@@ -32,7 +32,7 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 	defer reader.Close()
 
 	if r.Resolved.MapOnly {
-		return r.runMapOnlyTask(t, ctx, runner, reader)
+		return r.runMapOnlyTask(t, ctx, place, runner, reader)
 	}
 
 	// The sort buffer bound follows Hadoop's io.sort.mb; io.sort.bytes
@@ -50,6 +50,7 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 		parts:   r.Resolved.NumReducers,
 		limit:   limit,
 		ctx:     ctx,
+		place:   place,
 	}
 	defer buf.kv.Release() // no record outlives its task
 	if err := os.MkdirAll(buf.taskDir, 0o755); err != nil {
@@ -95,7 +96,7 @@ func (r *jobRun) runMapTask(ctx *engine.TaskContext, t *pendingTask, node string
 
 // runMapOnlyTask sends map output straight to the output format (§5.3:
 // "map-only jobs ... output from the mapper is sent directly to output").
-func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
+func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext, place int,
 	runner engine.MapRun, reader formats.RecordReader) error {
 	out, err := r.OpenTaskOutput(ctx.Job, ctx.TaskID, fmt.Sprintf("part-%05d", t.index))
 	if err != nil {
@@ -115,6 +116,8 @@ func (r *jobRun) runMapOnlyTask(t *pendingTask, ctx *engine.TaskContext,
 	if err := runner.Run(reader, collector, ctx); err != nil {
 		return err
 	}
+	span := ctx.Begin(engine.PhaseCommit, place)
+	defer span.End()
 	return out.Commit()
 }
 
@@ -131,6 +134,7 @@ type sortBuffer struct {
 	limit   int64
 	cmp     wio.RawComparator
 	ctx     *engine.TaskContext
+	place   int        // the task's node's index, for its spans
 	pair    wio.Writer // slice mode: one combined pair at a time, reused
 
 	spills []spillFile
@@ -161,6 +165,8 @@ func (b *sortBuffer) collect(p int, key, value wio.Writable) error {
 // spill sorts each partition (running the combiner when configured),
 // writes one spill file, and empties the buffer.
 func (b *sortBuffer) spill() error {
+	span := b.ctx.Begin(engine.PhaseSpill, b.place)
+	defer span.End()
 	path := filepath.Join(b.taskDir, fmt.Sprintf("spill_%d", len(b.spills)))
 	f, err := createLocalFile(path)
 	if err != nil {
@@ -239,6 +245,8 @@ func (b *sortBuffer) writePartition(sw *spill.SegmentWriter, recs []spill.Rec) (
 	if len(recs) == 0 {
 		return 0, nil
 	}
+	span := b.ctx.Begin(engine.PhaseSort, b.place)
+	defer span.End()
 	spill.SortRecs(recs, b.cmp)
 	if !b.run.Resolved.HasCombiner {
 		for _, r := range recs {
@@ -314,6 +322,8 @@ func (b *sortBuffer) finish(taskIndex int, node string) (*mapOutput, error) {
 	}
 	// Multi-spill: k-way merge each partition into file.out, re-reading
 	// and re-writing every byte (Hadoop's on-disk merge).
+	span := b.ctx.Begin(engine.PhaseSpill, b.place)
+	defer span.End()
 	outPath := filepath.Join(b.taskDir, "file.out")
 	f, err := createLocalFile(outPath)
 	if err != nil {

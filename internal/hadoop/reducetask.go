@@ -14,12 +14,14 @@ import (
 // map task's segment for this partition in place (network when the map ran
 // elsewhere), externally merge the sorted segments, group, reduce, and write
 // committed output (§3.1).
-func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node string) error {
+func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition, place int, node string) error {
 	r.engine.cost.ChargeJVMStart(r.engine.Stats())
 	taskJob := ctx.Job
 
 	// Copy phase: open this partition's segment of every map output.
+	span := ctx.Begin(engine.PhaseArrive, place)
 	streams, err := r.fetchSegments(partition, node, ctx)
+	span.End()
 	if err != nil {
 		return err
 	}
@@ -27,7 +29,9 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 	// Sort phase: external k-way merge of the fetched (sorted) segments, raw:
 	// a record stays bytes until the reducer is handed it. The lifecycle is
 	// the reduce loop's per-record cancel check.
+	span = ctx.Begin(engine.PhaseMergeOpen, place)
 	m, err := r.Resolved.OpenRawMerge(streams, r.Conf.MapOutputKeyClass(), -1, r.Lifecycle)
+	span.End()
 	if err != nil {
 		return err
 	}
@@ -57,6 +61,8 @@ func (r *jobRun) runReduceTask(ctx *engine.TaskContext, partition int, node stri
 	if err := m.Reduce(r.Conf.MapOutputValueClass(), reducer, collector, ctx, false); err != nil {
 		return err
 	}
+	span = ctx.Begin(engine.PhaseCommit, place)
+	defer span.End()
 	return out.Commit()
 }
 

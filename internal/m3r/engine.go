@@ -136,10 +136,12 @@ func New(opts Options) (*Engine, error) {
 		}
 		cache.Store().SetBudget(budgets, codec)
 	}
+	// Jobs see — and commit through — the caching filesystem; a temporary
+	// output stays in the cache and is never written through it.
+	host := &engine.Host{Name: "m3r", FSID: dfs.RegisterInstance(cfs), FS: cfs, Stats: stats, ElideTemp: true}
+	host.SetPlaces(rt.NumPlaces())
 	return &Engine{
-		// Jobs see — and commit through — the caching filesystem; a temporary
-		// output stays in the cache and is never written through it.
-		host:     &engine.Host{Name: "m3r", FSID: dfs.RegisterInstance(cfs), FS: cfs, Stats: stats, ElideTemp: true},
+		host:     host,
 		rt:       rt,
 		cache:    cache,
 		cfs:      cfs,

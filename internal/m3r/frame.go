@@ -160,6 +160,8 @@ func (sc *shuffleCollector) deliverFrame(d int, b *spill.Buffer) error {
 	} else if err := sc.shipBuffer(d, b); err != nil {
 		return err
 	}
+	span := sc.ctx.Begin(engine.PhaseArrive, d)
+	defer span.End()
 	return sc.x.arriveFrame(sc.ctx, sc.src, b, sc.classes)
 }
 
@@ -167,6 +169,8 @@ func (sc *shuffleCollector) deliverFrame(d int, b *spill.Buffer) error {
 // piece (inproc's memory loopback, or a round trip each to d's echoing frame
 // server over tcp), and indexes it as it arrived there.
 func (sc *shuffleCollector) shipBuffer(d int, b *spill.Buffer) error {
+	span := sc.ctx.Begin(engine.PhaseShip, sc.place)
+	defer span.End()
 	rt := sc.x.e.rt
 	n, frames, hits, err := b.Ship(sc.R, func(piece []byte) ([]byte, error) { return rt.ShipFrame(sc.place, d, piece) })
 	if errors.Is(err, spill.ErrCorruptFrame) {

@@ -43,14 +43,20 @@ func (e *Engine) SubmitControlled(userJob *conf.JobConf, lc *engine.JobLifecycle
 	if err != nil {
 		return nil, err
 	}
-	defer x.cleanup()
+	defer func() {
+		span := j.Begin(engine.PhaseCleanup, 0)
+		x.cleanup()
+		span.End()
+	}()
+	span := j.Begin(engine.PhasePlan, 0)
 	assignments, err := x.plan()
+	span.End()
 	if err != nil {
 		return nil, err
 	}
 	report, err := j.Run(func() error { return x.run(assignments) })
 	if err != nil {
-		return x.rollback(userJob, fmt.Errorf("m3r: %s: %w", j.ID, err))
+		return x.rollback(userJob, report, fmt.Errorf("m3r: %s: %w", j.ID, err))
 	}
 	x.countCacheTiering()
 	return report, nil
@@ -122,8 +128,9 @@ func (x *jobExec) countCacheTiering() {
 // cache hit output that was never committed (§3.2.1); dropping them also
 // returns their cache-pool reservations. Then, when the job asks for it
 // (m3r.job.failover) and was not cancelled, it reruns on the resilient engine
-// (§5.3 integrated mode), whose real files no stale entry now shadows.
-func (x *jobExec) rollback(userJob *conf.JobConf, err error) (*engine.Report, error) {
+// (§5.3 integrated mode), whose real files no stale entry now shadows;
+// otherwise the failed job's report goes back with its error.
+func (x *jobExec) rollback(userJob *conf.JobConf, report *engine.Report, err error) (*engine.Report, error) {
 	e := x.e
 	x.cleanup()
 	if out := x.Conf.OutputPath(); out != "" {
@@ -132,7 +139,7 @@ func (x *jobExec) rollback(userJob *conf.JobConf, err error) (*engine.Report, er
 	if x.Lifecycle.Err() == nil && x.Conf.GetBool(conf.KeyM3RFailover, false) && e.fallback != nil {
 		return e.failover(userJob, x.Lifecycle, err)
 	}
-	return nil, err
+	return report, err
 }
 
 // failover reruns a failed job on the fallback engine (m3r.job.failover).
@@ -347,7 +354,7 @@ func (a *mapAssignment) Run() error {
 	x := a.x
 	var err error
 	x.e.rt.At(a.place, func() {
-		err = x.RunTask(engine.MapTask, a.index, 0, a.split, func(ctx *engine.TaskContext) error {
+		err = x.RunTask(engine.MapTask, a.index, 0, a.place, a.split, func(ctx *engine.TaskContext) error {
 			return x.runMapTask(ctx, a)
 		})
 	})
@@ -409,12 +416,15 @@ func (x *jobExec) run(assignments []mapAssignment) error {
 	// No map task can contend the budget any more, so the largest-first
 	// policy has no more victims to pick: drop each place's eviction index
 	// so it stops pinning detached runs' pairs for the reduce phase.
+	span := x.Begin(engine.PhaseBarrier, 0)
 	for p := range x.resident {
 		x.resident[p].Close()
 		if err := x.checkResidentBytes(p); err != nil {
+			span.End()
 			return err
 		}
 	}
+	span.End()
 	// Reduce phase: each partition runs at the place the stable mapping
 	// assigns it (§3.2.2.2).
 	fin = x10.NewFinish()

@@ -33,7 +33,7 @@ func (pi *partitionInput) Run() error {
 	x := pi.x
 	var err error
 	x.e.rt.At(pi.place, func() {
-		err = x.RunTask(engine.ReduceTask, pi.index, 0, nil, func(ctx *engine.TaskContext) error {
+		err = x.RunTask(engine.ReduceTask, pi.index, 0, pi.place, nil, func(ctx *engine.TaskContext) error {
 			return x.runReduceTask(ctx, pi.index)
 		})
 	})
@@ -93,7 +93,10 @@ func (pi *partitionInput) admit(ctx *engine.TaskContext, src int, recs []spill.R
 		nrecs: len(recs), keyClass: c.KeyClass, valClass: c.ValClass,
 	}}
 	if !admitted {
-		if r.spillPath, err = x.spillRecs(ctx, recs); err != nil {
+		span := ctx.Begin(engine.PhaseSpill, pi.place)
+		r.spillPath, err = x.spillRecs(ctx, recs)
+		span.End()
+		if err != nil {
 			return err
 		}
 		pi.install(r)

@@ -41,7 +41,9 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 // reducePairs is an unbudgeted job's reduce: its runs are objects on the
 // heap, merged and grouped as objects.
 func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
+	span := ctx.Begin(engine.PhaseMergeOpen, x.parts[q].place)
 	merged, err := engine.NewMergeIter(x.parts[q].takeReaders(), x.Resolved.SortCmp)
+	span.End()
 	if err != nil {
 		return err
 	}
@@ -56,15 +58,19 @@ func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.Red
 // reduceSerialized is a budgeted job's reduce: its runs are bytes, resident
 // or spilled, and take the raw driver the Hadoop engine's segments take.
 func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
+	span := ctx.Begin(engine.PhaseMergeOpen, x.parts[q].place)
 	srcs, keyClass, valClass, nrecs, err := x.parts[q].takeSources(ctx)
 	if err != nil {
+		span.End()
 		return err
 	}
 	if len(srcs) == 0 {
+		span.End()
 		// No run, so no class to decode as, and nothing to decode.
 		return reducer.Close()
 	}
 	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, nrecs, x.Lifecycle)
+	span.End()
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,9 @@ func (x *jobExec) evictLargest(ctx *engine.TaskContext, place int, min int64) (i
 		return 0, nil
 	}
 	victim, pi := k.r, k.pi
+	span := ctx.Begin(engine.PhaseSpill, place)
 	path, err := x.spillSegment(ctx, victim.seg, victim.nrecs)
+	span.End()
 	if err != nil {
 		return 0, err
 	}

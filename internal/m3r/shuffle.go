@@ -253,10 +253,13 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 // aliases for repeated values) and install the sorted runs into their
 // partitions.
 func (sc *shuffleCollector) flush() error {
-	if err := sc.flushCombined(); err != nil {
-		return err
-	}
-	if sc.budgeted {
+	span := sc.ctx.Begin(engine.PhaseSort, sc.place)
+	err := sc.flushCombined()
+	if err != nil || sc.budgeted {
+		span.End()
+		if err != nil {
+			return err
+		}
 		return sc.flushFrames()
 	}
 	// Local batches become sorted runs here, on the map task's worker —
@@ -270,6 +273,7 @@ func (sc *shuffleCollector) flush() error {
 		engine.SortPairs(sc.parts[q].run, sortCmp)
 		remote += sc.parts[q].remote
 	}
+	span.End()
 	// The decoded remote runs share one backing array, each partition's
 	// part exactly its length (capacity-clipped, so a run never grows into
 	// its neighbour's).
@@ -342,6 +346,8 @@ func (sc *shuffleCollector) deliverObjects(d int, b *spill.Buffer) error {
 	if err := sc.shipBuffer(d, b); err != nil {
 		return err
 	}
+	span := sc.ctx.Begin(engine.PhaseArrive, d)
+	defer span.End()
 	// "Arrive" at place d: exactly the pairs the task counted for each of
 	// its partitions and none for another's — a frame that says otherwise
 	// is corrupt, not merely odd — decoded into objects of their own, from
@@ -407,6 +413,9 @@ type taskSink struct {
 	// kill before each record.
 	records *counters.Counter
 	lc      *engine.JobLifecycle
+	// ctx and place are the task's, for the commit's span.
+	ctx   *engine.TaskContext
+	place int
 }
 
 // openTaskSink opens the output of the task ctx describes: file part-<index>
@@ -414,7 +423,7 @@ type taskSink struct {
 func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable bool) (*taskSink, error) {
 	outPath := x.Conf.OutputPath()
 	path := partPath(outPath, index)
-	s := &taskSink{immutable: immutable, cells: &ctx.Cells}
+	s := &taskSink{immutable: immutable, cells: &ctx.Cells, ctx: ctx, place: place}
 	if err := x.InitTaskOutput(&s.out, ctx.Job, ctx.TaskID, dfs.Base(path)); err != nil {
 		return nil, err
 	}
@@ -468,6 +477,8 @@ func (s *taskSink) write(key, value wio.Writable) error {
 
 // flush publishes the task's output: the file, then the cache entry.
 func (s *taskSink) flush() error {
+	span := s.ctx.Begin(engine.PhaseCommit, s.place)
+	defer span.End()
 	if err := s.out.Commit(); err != nil {
 		return err
 	}
