@@ -139,6 +139,38 @@ func (o *JobClone) Of(j *JobConf) *JobConf {
 	return &o.job
 }
 
+// CloneJobWith is CloneJob, then SetDefaults(defaults) (nil: none), then
+// Set of each key/value pair of kv, in one step: the copy's properties are
+// one fresh map, which its clones share. Written one after the other, the
+// writes would be folded into a second map at the copy's first clone — a
+// job's conf at submission, cloned by each of its task attempts. j is not
+// written to.
+func (j *JobConf) CloneJobWith(defaults *Configuration, kv ...string) *JobConf {
+	j.mu.RLock()
+	m := j.union()
+	j.mu.RUnlock()
+	if defaults != nil {
+		defaults.mu.RLock()
+		setUnset := func(k, v string) {
+			if _, ok := m[k]; !ok {
+				m[k] = v
+			}
+		}
+		defaults.eachOwn(setUnset)
+		for k, v := range defaults.frozen {
+			setUnset(k, v)
+		}
+		defaults.mu.RUnlock()
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		m[kv[i]] = kv[i+1]
+	}
+	o := new(JobClone)
+	o.c.frozen = m
+	o.job.Configuration = &o.c
+	return &o.job
+}
+
 // SetJobName names the job for reports.
 func (j *JobConf) SetJobName(name string) { j.Set(KeyJobName, name) }
 

@@ -250,3 +250,30 @@ func TestCloneCopiesNoMap(t *testing.T) {
 		t.Errorf("a clone allocates %v times at 10 properties, %v at 1000", allocs[0], allocs[1])
 	}
 }
+
+// TestCloneJobWith: the copy holds the source's properties, the defaults it
+// leaves unset and the pairs written over both, the source is not written
+// to, and the copy's first clone copies no map.
+func TestCloneJobWith(t *testing.T) {
+	src := conf.NewJob()
+	src.Set("a", "src")
+	src.Set("b", "src")
+	src.Clone()
+	src.Set("c", "src") // an own write since the last clone
+	defaults := conf.New()
+	defaults.Set("b", "default")
+	defaults.Set("d", "default")
+	got := src.CloneJobWith(defaults, "c", "kv", "e", "kv")
+	for k, want := range map[string]string{"a": "src", "b": "src", "c": "kv", "d": "default", "e": "kv"} {
+		if v := got.Get(k); v != want {
+			t.Errorf("%s = %q, want %q", k, v, want)
+		}
+	}
+	if src.Has("d") || src.Has("e") || src.Get("c") != "src" {
+		t.Errorf("the source was written to: d %q, e %q, c %q", src.Get("d"), src.Get("e"), src.Get("c"))
+	}
+	var clone conf.JobClone
+	if a := testing.AllocsPerRun(100, func() { clone = conf.JobClone{}; clone.Of(got) }); a != 0 {
+		t.Errorf("a clone of the copy allocates %v times, want 0", a)
+	}
+}

@@ -71,3 +71,28 @@ func BenchmarkCleanPath(b *testing.B) {
 		})
 	}
 }
+
+// TestIsChildIsBelow: the listing predicates agree with a prefix-string
+// reference on canonical paths, and allocate nothing.
+func TestIsChildIsBelow(t *testing.T) {
+	paths := []string{"/", "/a", "/ab", "/a/b", "/a/b/c", "/a/bc", "/b", "/a/b/c/d"}
+	for _, dir := range paths {
+		prefix := dir + "/"
+		if dir == "/" {
+			prefix = "/"
+		}
+		for _, p := range paths {
+			below := p != dir && strings.HasPrefix(p, prefix)
+			child := below && !strings.Contains(p[len(prefix):], "/")
+			if got := dfs.IsBelow(p, dir); got != below {
+				t.Errorf("IsBelow(%q, %q) = %v, want %v", p, dir, got, below)
+			}
+			if got := dfs.IsChild(p, dir); got != child {
+				t.Errorf("IsChild(%q, %q) = %v, want %v", p, dir, got, child)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { dfs.IsChild("/a/b", "/a"); dfs.IsBelow("/a/b/c", "/a") }); a != 0 {
+		t.Errorf("the predicates allocate %v times", a)
+	}
+}

@@ -175,6 +175,40 @@ func IsAncestor(a, p string) bool {
 	return strings.HasPrefix(p, a) && (len(p) == len(a) || p[len(a)] == '/')
 }
 
+// IsBelow reports whether p is strictly below the directory dir, both
+// canonical, allocating nothing.
+func IsBelow(p, dir string) bool {
+	if dir == "/" {
+		return len(p) > 1 && p[0] == '/'
+	}
+	return len(p) > len(dir)+1 && p[len(dir)] == '/' && strings.HasPrefix(p, dir)
+}
+
+// IsChild reports whether p is directly below the directory dir, both
+// canonical, allocating nothing.
+func IsChild(p, dir string) bool {
+	if !IsBelow(p, dir) {
+		return false
+	}
+	if dir == "/" {
+		dir = ""
+	}
+	return strings.IndexByte(p[len(dir)+1:], '/') < 0
+}
+
+// listCap is the room a listing makes for its first entry: enough for a
+// directory of a few part files, so that a small one is one allocation.
+const listCap = 8
+
+// AppendListed appends p to a listing, making room for listCap entries the
+// first time.
+func AppendListed(out []string, p string) []string {
+	if out == nil {
+		out = make([]string, 0, listCap)
+	}
+	return append(out, p)
+}
+
 // Ancestors returns every ancestor of p from "/" down to p itself.
 func Ancestors(p string) []string { return slices.Collect(AncestorsOf(p)) }
 

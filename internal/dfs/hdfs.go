@@ -598,11 +598,11 @@ func (h *HDFS) Delete(path string, recursive bool) error {
 		return &PathError{"delete", path, ErrNotFound}
 	}
 	if node.dir {
-		children := h.childrenLocked(path)
-		if len(children) > 0 && !recursive {
+		below := h.subtreeLocked(path)
+		if len(below) > 0 && !recursive {
 			return fmt.Errorf("dfs: delete %s: directory not empty", path)
 		}
-		for _, c := range h.subtreeLocked(path) {
+		for _, c := range below {
 			h.removeLocked(c)
 		}
 	}
@@ -625,17 +625,9 @@ func (h *HDFS) removeLocked(path string) {
 // childrenLocked returns direct children paths. Caller holds h.mu.
 func (h *HDFS) childrenLocked(dir string) []string {
 	var out []string
-	prefix := dir + "/"
-	if dir == "/" {
-		prefix = "/"
-	}
 	for p := range h.files {
-		if p == dir || !strings.HasPrefix(p, prefix) {
-			continue
-		}
-		rest := p[len(prefix):]
-		if rest != "" && !strings.Contains(rest, "/") {
-			out = append(out, p)
+		if IsChild(p, dir) {
+			out = AppendListed(out, p)
 		}
 	}
 	sort.Strings(out)
@@ -645,13 +637,9 @@ func (h *HDFS) childrenLocked(dir string) []string {
 // subtreeLocked returns all strict descendants of dir. Caller holds h.mu.
 func (h *HDFS) subtreeLocked(dir string) []string {
 	var out []string
-	prefix := dir + "/"
-	if dir == "/" {
-		prefix = "/"
-	}
 	for p := range h.files {
-		if p != dir && strings.HasPrefix(p, prefix) {
-			out = append(out, p)
+		if IsBelow(p, dir) {
+			out = AppendListed(out, p)
 		}
 	}
 	sort.Strings(out)
@@ -731,8 +719,9 @@ func (h *HDFS) List(path string) ([]FileStatus, error) {
 		return []FileStatus{{Path: path, Size: node.size, ModTime: node.mtime,
 			BlockSize: h.blockSize, Replication: h.replication}}, nil
 	}
-	var out []FileStatus
-	for _, c := range h.childrenLocked(path) {
+	children := h.childrenLocked(path)
+	out := make([]FileStatus, 0, len(children))
+	for _, c := range children {
 		n := h.files[c]
 		out = append(out, FileStatus{Path: c, Size: n.size, IsDir: n.dir,
 			ModTime: n.mtime, BlockSize: h.blockSize, Replication: h.replication})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,8 +62,9 @@ type Job struct {
 
 	host       *Host
 	start      time.Time
-	phases     *Phases
+	phases     Phases
 	attempt    string                       // "attempt_<ID>_", the prefix of its task attempts' ids
+	ids        Strings                      // the bytes its attempts' ids are cut from
 	attempts   []taskAttempt                // the first attempts' storage, maps then reduces (LayOutTasks)
 	maps       int                          // the map tasks' share of attempts
 	outputSpec formats.OutputFormat         // the instance whose CheckOutputSpecs admitted the job
@@ -82,23 +84,32 @@ func (h *Host) Open(userJob *conf.JobConf, lc *JobLifecycle) (*Job, error) {
 		return nil, fmt.Errorf("%s: engine is closed", h.Name)
 	}
 	h.seq++
-	id := fmt.Sprintf("job_%s_%04d", h.Name, h.seq)
+	seq := h.seq
 	h.mu.Unlock()
+	// The job's id, job_<engine>_<seq, four digits>, is the middle of its
+	// attempts' prefix, attempt_<id>_: one string for both.
+	var buf [64]byte
+	b := append(append(append(buf[:0], "attempt_job_"...), h.Name...), '_')
+	for w := 1000; w > 1 && seq < w; w /= 10 {
+		b = append(b, '0')
+	}
+	attempt := string(append(strconv.AppendInt(b, int64(seq), 10), '_'))
+	id := attempt[len("attempt_") : len(attempt)-1]
 
 	// The client's conf is copied at submission, as JobClient.submitJob
-	// writes job.xml (§3.1).
-	job := userJob.CloneJob()
+	// writes job.xml (§3.1), with the carrier's defaults and the job's
+	// filesystem in the same map, which its tasks' confs then share.
 	defaults, err := conf.EnvDefaults()
 	if err != nil {
 		return nil, err
 	}
-	job.SetDefaults(defaults)
-	job.Set(conf.KeyFSInstance, h.FSID)
+	job := userJob.CloneJobWith(defaults, conf.KeyFSInstance, h.FSID)
 	if lc == nil {
 		lc = NewJobLifecycle()
 	}
 	lc.ApplyDeadlineConf(job)
-	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.NewJob(), host: h, start: start, phases: h.newPhases(start), attempt: "attempt_" + id + "_"}
+	j := &Job{ID: id, Conf: job, Lifecycle: lc, Counters: counters.NewJob(), host: h, start: start, attempt: attempt}
+	h.initPhases(&j.phases, start)
 	if j.Resolved, err = Resolve(job); err == nil {
 		if j.outputSpec, err = j.Resolved.NewOutputFormat(); err == nil {
 			err = j.outputSpec.CheckOutputSpecs(job)
@@ -186,7 +197,7 @@ func (j *Job) report() *Report {
 		Queue:    j.Conf.GetDefault(conf.KeyJobQueueName, "default"),
 		Counters: j.Counters,
 		Wall:     time.Since(j.start),
-		Phases:   j.phases,
+		Phases:   &j.phases,
 	}
 }
 
@@ -224,7 +235,7 @@ func (j *Job) RunTask(kind TaskKind, index, attempt, place int, split formats.In
 	taskJob := t.conf.Of(j.Conf)
 	taskJob.SetInt(conf.KeyTaskPartition, index)
 	ctx := t.ctx.init(taskJob, j.attemptID(kind, index, attempt), split)
-	ctx.phases, ctx.cell = j.phases, cellOf(place, phase)
+	ctx.phases, ctx.cell = &j.phases, cellOf(place, phase)
 	span := j.phases.begin(ctx.cell, -1)
 	defer func() {
 		span.End()
@@ -259,6 +270,9 @@ type taskAttempt struct {
 func (j *Job) LayOutTasks(maps, reduces int) {
 	j.attempts = make([]taskAttempt, maps+reduces)
 	j.maps = maps
+	// A first attempt's id below index 10^6 is the prefix, a kind letter, a
+	// six-digit index, one attempt digit and three underscores' worth.
+	j.ids.Grow((maps + reduces) * (len(j.attempt) + 10))
 }
 
 // newAttempt returns the storage of an attempt: the task's slot in the
@@ -277,7 +291,8 @@ func (j *Job) newAttempt(kind TaskKind, index, attempt int) *taskAttempt {
 	return new(taskAttempt)
 }
 
-// attemptID is Hadoop's attempt id, attempt_<job>_<m|r>_<index, six digits>_<attempt>.
+// attemptID is Hadoop's attempt id, attempt_<job>_<m|r>_<index, six digits>_<attempt>,
+// cut from the job's id bytes.
 func (j *Job) attemptID(kind TaskKind, index, attempt int) string {
 	var buf [64]byte
 	b := append(buf[:0], j.attempt...)
@@ -288,7 +303,42 @@ func (j *Job) attemptID(kind TaskKind, index, attempt int) string {
 	b = strconv.AppendInt(b, int64(index), 10)
 	b = append(b, '_')
 	b = strconv.AppendInt(b, int64(attempt), 10)
-	return string(b)
+	return j.ids.Cut(b)
+}
+
+// Strings is where a job keeps strings of its own bookkeeping — its
+// attempts' ids, its splits' store paths, its part files' paths: cut from
+// chunks of bytes, one allocation a chunk rather than one a string. Grow
+// sizes a chunk for what the owner knows is coming; a string that does not
+// fit starts a further chunk of stringsChunk bytes. A chunk is only ever
+// appended to, so a string cut from it never changes, and it lives as long
+// as any string cut from it does. Safe for concurrent use.
+type Strings struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+const stringsChunk = 256
+
+// Grow starts a chunk with room for n bytes.
+func (s *Strings) Grow(n int) {
+	s.mu.Lock()
+	s.b = strings.Builder{}
+	s.b.Grow(n)
+	s.mu.Unlock()
+}
+
+// Cut returns b as a string in the current chunk.
+func (s *Strings) Cut(b []byte) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.b.Cap()-s.b.Len() < len(b) {
+		s.b = strings.Builder{}
+		s.b.Grow(max(stringsChunk, len(b)))
+	}
+	n := s.b.Len()
+	s.b.Write(b)
+	return s.b.String()[n:]
 }
 
 // TaskOutput is one task attempt's output under the job's committer: written

@@ -43,25 +43,26 @@ var phaseNames = [NumPhases]string{"plan", "map", "sort", "ship", "arrive", "spi
 
 func (p Phase) String() string { return phaseNames[p] }
 
-// PhaseTime is one phase at one place of a job: the real time its spans
-// took, how many there were, and when the first began and the last ended,
-// as offsets from the job's start (Report.Wall is on the same clock).
+// PhaseTime is one phase of a job, at one place or over all of them: the
+// real time its spans took and how many there were.
 type PhaseTime struct {
 	Nanos, Count int64
-	First, Last  time.Duration
 }
 
 // Phases is a job's phase times by place, laid out once per job; spans of
-// concurrent tasks add to it atomically.
+// concurrent tasks add to it atomically. Beside them it keeps, for each
+// phase over all places, when its first span began and its last ended.
 type Phases struct {
 	start  time.Time
 	cells  []phaseCell       // place*NumPhases + phase
 	labels []context.Context // the host's, same index; nil: no labels
+	window [NumPhases]struct {
+		first, last atomic.Int64 // offsets in ns, first+1 so that 0 is unset
+	}
 }
 
 type phaseCell struct {
 	nanos, count atomic.Int64
-	first, last  atomic.Int64 // offsets in ns, first+1 so that 0 is unset
 }
 
 // SetPlaces sizes the phase times of the host's jobs to n places and builds
@@ -77,11 +78,11 @@ func (h *Host) SetPlaces(n int) {
 	}
 }
 
-// newPhases lays out a job's phase times, on the host's places (one, for a
-// host that never set them).
-func (h *Host) newPhases(start time.Time) *Phases {
-	n := max(h.places, 1)
-	return &Phases{start: start, cells: make([]phaseCell, n*int(NumPhases)), labels: h.labels}
+// initPhases lays out a job's phase times in p, on the host's places (one,
+// for a host that never set them).
+func (h *Host) initPhases(p *Phases, start time.Time) {
+	p.start, p.labels = start, h.labels
+	p.cells = make([]phaseCell, max(h.places, 1)*int(NumPhases))
 }
 
 // Places is the number of places the times are kept for.
@@ -89,31 +90,30 @@ func (p *Phases) Places() int { return len(p.cells) / int(NumPhases) }
 
 // At is phase ph at place.
 func (p *Phases) At(place int, ph Phase) PhaseTime {
-	c := &p.cells[place*int(NumPhases)+int(ph)]
-	t := PhaseTime{Nanos: c.nanos.Load(), Count: c.count.Load(), Last: time.Duration(c.last.Load())}
-	if f := c.first.Load(); f > 0 {
-		t.First = time.Duration(f - 1)
-	}
-	return t
+	c := &p.cells[cellOf(place, ph)]
+	return PhaseTime{Nanos: c.nanos.Load(), Count: c.count.Load()}
 }
 
-// Total is phase ph over every place: the times and counts summed, the
-// earliest first and the latest last.
+// Total is phase ph over every place.
 func (p *Phases) Total(ph Phase) PhaseTime {
 	var t PhaseTime
 	for place := range p.Places() {
 		a := p.At(place, ph)
-		if a.Count == 0 {
-			continue
-		}
-		if t.Count == 0 || a.First < t.First {
-			t.First = a.First
-		}
-		t.Last = max(t.Last, a.Last)
 		t.Nanos += a.Nanos
 		t.Count += a.Count
 	}
 	return t
+}
+
+// Window is when phase ph's first span began and its last span ended, at
+// any place, as offsets from the job's start (Report.Wall is on the same
+// clock); zero for a phase the job never entered.
+func (p *Phases) Window(ph Phase) (first, last time.Duration) {
+	w := &p.window[ph]
+	if f := w.first.Load(); f > 0 {
+		first = time.Duration(f - 1)
+	}
+	return first, time.Duration(w.last.Load())
 }
 
 // Span is one open stretch of a phase; End closes it. The zero Span, and a
@@ -148,13 +148,14 @@ func (s Span) End() {
 	c := &p.cells[s.cell]
 	c.nanos.Add(int64(end - s.at))
 	c.count.Add(1)
-	for f := c.first.Load(); f == 0 || int64(s.at)+1 < f; f = c.first.Load() {
-		if c.first.CompareAndSwap(f, int64(s.at)+1) {
+	w := &p.window[int(s.cell)%int(NumPhases)]
+	for f := w.first.Load(); f == 0 || int64(s.at)+1 < f; f = w.first.Load() {
+		if w.first.CompareAndSwap(f, int64(s.at)+1) {
 			break
 		}
 	}
-	for l := c.last.Load(); int64(end) > l; l = c.last.Load() {
-		if c.last.CompareAndSwap(l, int64(end)) {
+	for l := w.last.Load(); int64(end) > l; l = w.last.Load() {
+		if w.last.CompareAndSwap(l, int64(end)) {
 			break
 		}
 	}

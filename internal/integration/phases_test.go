@@ -17,19 +17,26 @@ var taskPhases = []engine.Phase{engine.PhaseMap, engine.PhaseSort, engine.PhaseS
 	engine.PhaseSpill, engine.PhaseMergeOpen, engine.PhaseReduce, engine.PhaseCommit}
 
 // checkNested fails every task span of rep that is not inside its job's
-// span: [0, Wall] on the job's clock.
+// span, [0, Wall] on the job's clock, and a phase whose places do not sum to
+// its total.
 func checkNested(t *testing.T, rep *engine.Report) {
 	t.Helper()
 	p := rep.Phases
-	for place := range p.Places() {
-		for _, ph := range taskPhases {
+	for _, ph := range taskPhases {
+		var sum engine.PhaseTime
+		for place := range p.Places() {
 			pt := p.At(place, ph)
-			if pt.Count == 0 {
-				continue
-			}
-			if pt.First < 0 || pt.First > pt.Last || pt.Last > rep.Wall || pt.Nanos < 0 {
-				t.Errorf("%s at place %d: %+v outside the job's span of %v", ph, place, pt, rep.Wall)
-			}
+			sum.Nanos += pt.Nanos
+			sum.Count += pt.Count
+		}
+		if sum != p.Total(ph) || sum.Nanos < 0 {
+			t.Errorf("%s: places sum to %+v, total %+v", ph, sum, p.Total(ph))
+		}
+		if sum.Count == 0 {
+			continue
+		}
+		if first, last := p.Window(ph); first < 0 || first > last || last > rep.Wall {
+			t.Errorf("%s: spans from %v to %v, outside the job's span of %v", ph, first, last, rep.Wall)
 		}
 	}
 }
@@ -84,8 +91,9 @@ func TestReportPhases(t *testing.T) {
 				if p.Total(engine.PhaseSort).Count == 0 || p.Total(engine.PhaseMergeOpen).Count != reduces {
 					t.Errorf("sort %+v, merge_open %+v", p.Total(engine.PhaseSort), p.Total(engine.PhaseMergeOpen))
 				}
-				if m, r := p.Total(engine.PhaseMap), p.Total(engine.PhaseReduce); r.First < m.Last {
-					t.Errorf("a reducer began at %v, before the last map task ended at %v", r.First, m.Last)
+				_, mapEnd := p.Window(engine.PhaseMap)
+				if reduceStart, _ := p.Window(engine.PhaseReduce); reduceStart < mapEnd {
+					t.Errorf("a reducer began at %v, before the last map task ended at %v", reduceStart, mapEnd)
 				}
 				// A Hadoop map task always writes at least one spill; an M3R
 				// one only over its budget.

@@ -626,20 +626,12 @@ func (s *Store) Exists(path string) bool {
 // hash-partitioned, so this scans every place's table.)
 func (s *Store) Children(dir string) []string {
 	dir = dfs.CleanPath(dir)
-	prefix := dir + "/"
-	if dir == "/" {
-		prefix = "/"
-	}
 	var out []string
 	for _, t := range s.meta {
 		t.mu.Lock()
 		for p := range t.meta {
-			if p == dir || !strings.HasPrefix(p, prefix) {
-				continue
-			}
-			rest := p[len(prefix):]
-			if rest != "" && !strings.Contains(rest, "/") {
-				out = append(out, p)
+			if dfs.IsChild(p, dir) {
+				out = dfs.AppendListed(out, p)
 			}
 		}
 		t.mu.Unlock()
@@ -650,16 +642,12 @@ func (s *Store) Children(dir string) []string {
 
 // subtree returns all strict descendants of dir across every table.
 func (s *Store) subtree(dir string) []string {
-	prefix := dir + "/"
-	if dir == "/" {
-		prefix = "/"
-	}
 	var out []string
 	for _, t := range s.meta {
 		t.mu.Lock()
 		for p := range t.meta {
-			if p != dir && strings.HasPrefix(p, prefix) {
-				out = append(out, p)
+			if dfs.IsBelow(p, dir) {
+				out = dfs.AppendListed(out, p)
 			}
 		}
 		t.mu.Unlock()
@@ -856,6 +844,9 @@ func (s *Store) OpenWriter(w *Writer, place int, path, tag string) error {
 
 // Append buffers one pair into the block.
 func (w *Writer) Append(p wio.Pair) { w.pairs = append(w.pairs, p) }
+
+// Grow makes room for n more pairs in the block.
+func (w *Writer) Grow(n int) { w.pairs = slices.Grow(w.pairs, n) }
 
 // AppendAll buffers pairs into the block.
 func (w *Writer) AppendAll(ps []wio.Pair) { w.pairs = append(w.pairs, ps...) }

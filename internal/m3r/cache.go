@@ -239,6 +239,9 @@ func (c *Cache) openOutput(o *OutputWriter, place int, path string, temp bool) e
 // Append adds one pair to the cached file.
 func (o *OutputWriter) Append(p wio.Pair) { o.w.Append(p) }
 
+// Grow makes room for n more pairs.
+func (o *OutputWriter) Grow(n int) { o.w.Grow(n) }
+
 // Close commits the cache entry.
 func (o *OutputWriter) Close() error {
 	if _, err := o.w.Close(); err != nil {

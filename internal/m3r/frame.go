@@ -98,7 +98,7 @@ func putBuffer(b *spill.Buffer) {
 // a marked one's pair still counts as aliased — the counters say what the
 // map side declared, as on the unbudgeted path.
 func (sc *shuffleCollector) collectSerialized(q int, key, value wio.Writable, immutable bool) error {
-	d := sc.jobParts[q].place
+	d := sc.x.parts[q].place
 	b := sc.bufs[d]
 	if b == nil {
 		b = getBuffer()

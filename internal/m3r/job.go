@@ -180,6 +180,11 @@ type jobExec struct {
 	collectParts  []collectPart
 	collectBufs   []*spill.Buffer
 	collectTables []*engine.CombineTable
+	arena         pairArena // an unbudgeted job's small runs
+
+	// Task output: the output tasks' sinks, map task i's on a map-only job,
+	// reduce task q's otherwise (layOutSinks).
+	sinks []taskSink
 
 	// Map: whether splits are read through (and into) the cache, and whether
 	// remote pairs are de-duplicated on the wire.
@@ -268,9 +273,9 @@ type mapAssignment struct {
 // pin cached splits (§3.2.1), PlacedSplits pin to their partition's stable
 // place (§4.3), HDFS locality pins file splits, and everything else
 // round-robins. Reduce partitions get their inputs here too, each at the
-// place the stable mapping gives it. What it makes per split is the
-// split's store path; the assignments, the partitions, their run lists and
-// every hit's cached ranges are one slice each for the job.
+// place the stable mapping gives it. The assignments, the partitions, their
+// run lists, every hit's cached ranges and the splits' store paths are one
+// slice or one chunk each for the job.
 func (x *jobExec) plan() ([]mapAssignment, error) {
 	e := x.e
 	P := e.rt.NumPlaces()
@@ -293,12 +298,21 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 	out := make([]mapAssignment, N)
 	x.maps = out
 	x.layOutCollectors(N, R, P)
+	if x.Resolved.MapOnly {
+		x.layOutSinks(N)
+	} else {
+		x.layOutSinks(R)
+	}
 	var ranges []CachedRange
+	var keys engine.Strings
+	if x.cacheEnabled && N > 0 {
+		keys.Grow(N * splitKeyLen(splits[0]))
+	}
 	for i, s := range splits {
 		a := &out[i]
 		a.x, a.index, a.split = x, i, s
 		if x.cacheEnabled {
-			if sp, view, ok := splitKey(e.cfs, s); ok {
+			if sp, view, ok := splitKey(e.cfs, s, &keys); ok {
 				a.splitPath = sp
 				var file *fileSplitView
 				if view.path != "" {
@@ -333,6 +347,12 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 	return out, nil
 }
 
+// planned reports whether a is the plan's assignment of its task.
+func (a *mapAssignment) planned() bool {
+	x := a.x
+	return a.index < len(x.maps) && a == &x.maps[a.index]
+}
+
 // layOutCollectors lays out the collector state of a job's n map tasks
 // over r partitions and p places, one array each, when the job shuffles.
 func (x *jobExec) layOutCollectors(n, r, p int) {
@@ -365,8 +385,9 @@ func (a *mapAssignment) Run() error {
 // a FileSplit, a NamedSplit, a DelegatingSplit's delegate — as its store
 // path (splitPath of its name, built without the name) and, for a
 // FileSplit, the cache's view of it (the zero view for any other split).
-// ok=false means the split bypasses the cache (§4.2.1).
-func splitKey(fs dfs.FileSystem, s formats.InputSplit) (sp string, view fileSplitView, ok bool) {
+// ok=false means the split bypasses the cache (§4.2.1). A FileSplit's path is
+// cut from keys.
+func splitKey(fs dfs.FileSystem, s formats.InputSplit, keys *engine.Strings) (sp string, view fileSplitView, ok bool) {
 	for {
 		switch t := s.(type) {
 		case *formats.FileSplit:
@@ -374,13 +395,32 @@ func splitKey(fs dfs.FileSystem, s formats.InputSplit) (sp string, view fileSpli
 			b := append(append(append(buf[:0], splitsRoot...), t.Path...), '/')
 			b = strconv.AppendInt(b, t.Start, 10)
 			b = strconv.AppendInt(append(b, '+'), t.Len, 10)
-			return dfs.CleanPath(string(b)), fileSplitViewOf(fs, t), true
+			return dfs.CleanPath(keys.Cut(b)), fileSplitViewOf(fs, t), true
 		case formats.NamedSplit:
 			return splitPath(t.GetName()), fileSplitView{}, true
 		case formats.DelegatingSplit:
 			s = t.GetDelegate()
 		default:
 			return "", fileSplitView{}, false
+		}
+	}
+}
+
+// splitKeyLen is the length of a FileSplit's store path as splitKey builds
+// it, and a guess for any other split: what plan sizes the chunk of its
+// splits' paths by, from its first split, with two bytes to spare for the
+// digits of the others.
+func splitKeyLen(s formats.InputSplit) int {
+	for {
+		switch t := s.(type) {
+		case *formats.FileSplit:
+			var buf [40]byte
+			n := len(strconv.AppendInt(strconv.AppendInt(buf[:0], t.Start, 10), t.Len, 10))
+			return len(splitsRoot) + len(t.Path) + 1 + 1 + n + 2
+		case formats.DelegatingSplit:
+			s = t.GetDelegate()
+		default:
+			return 64
 		}
 	}
 }

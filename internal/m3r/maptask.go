@@ -2,6 +2,7 @@ package m3r
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"m3r/internal/conf"
@@ -27,7 +28,7 @@ func (x *jobExec) runMapTask(ctx *engine.TaskContext, a *mapAssignment) error {
 	// otherwise it is the shuffle's.
 	var out mapOutput
 	if x.Resolved.MapOnly {
-		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split))
+		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split), a.planned())
 		if err != nil {
 			return err
 		}
@@ -78,6 +79,7 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 			return err
 		}
 		ctx.IncrCounter(counters.M3RGroup, counters.CacheHitSplits, 1)
+		expect(out, len(pairs))
 		return runPairs(mr, pairs, out, ctx)
 	}
 	if a.splitPath != "" {
@@ -92,11 +94,14 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 		if err != nil {
 			return err
 		}
-		if err := e.cache.putSplit(a.place, a.splitPath, pairs); err != nil {
+		// The store keeps the path as long as the entry: a copy of its own,
+		// not a view of the job's chunk of paths.
+		if err := e.cache.putSplit(a.place, strings.Clone(a.splitPath), pairs); err != nil {
 			return err
 		}
 		ctx.IncrCounter(counters.M3RGroup, counters.CacheMissSplits, 1)
 		e.Stats().Add(sim.CacheWrites, 1)
+		expect(out, len(pairs))
 		return runPairs(mr, pairs, out, ctx)
 	}
 	// Unnameable split: stream it, bypassing the cache (§4.2.1).
@@ -107,6 +112,14 @@ func (x *jobExec) feedMapTask(a *mapAssignment, mr engine.MapRun,
 	defer reader.Close()
 	ctx.IncrCounter(counters.M3RGroup, counters.CacheMissSplits, 1)
 	return mr.Run(reader, out, ctx)
+}
+
+// expect tells a task's sink how many records its output is made of
+// (taskSink.expect); any other output needs no telling.
+func expect(out mapred.OutputCollector, n int) {
+	if s, ok := out.(*taskSink); ok {
+		s.expect(n)
+	}
 }
 
 // runPairs feeds in-memory pairs to the map task, preferring the direct

@@ -151,9 +151,8 @@ func (x *jobExec) chargeSpill(ctx *engine.TaskContext, enc spill.EncodedRun, nre
 // each in its part's storage.
 func (x *jobExec) installRuns(src int, parts []collectPart) {
 	for q := range parts {
-		if pairs := parts[q].run; len(pairs) > 0 {
-			r := &parts[q].installed
-			*r = sourceRun{src: src, pairs: pairs}
+		if r := &parts[q].run; len(r.pairs) > 0 {
+			r.src = src
 			x.parts[q].install(r)
 		}
 	}
@@ -178,17 +177,18 @@ func (pi *partitionInput) takeRuns() []*sourceRun {
 	return runs
 }
 
-// takeReaders returns an unbudgeted job's merge leaves: the runs are read
-// where they lie.
-func (pi *partitionInput) takeReaders() []engine.RunReader {
+// takeReaders returns an unbudgeted job's merge leaves, the runs read where
+// they lie, and the number of pairs they hold.
+func (pi *partitionInput) takeReaders() (readers []engine.RunReader, nrecs int) {
 	runs := pi.takeRuns()
 	out := make([]engine.RunReader, len(runs))
 	leaves := make([]engine.SliceRun, len(runs))
 	for i, r := range runs {
 		leaves[i].Reset(r.pairs)
 		out[i] = &leaves[i]
+		nrecs += len(r.pairs)
 	}
-	return out
+	return out, nrecs
 }
 
 // takeSources returns a budgeted job's merge leaves — a resident run's

@@ -16,7 +16,7 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 	reducer := x.Resolved.NewReduceRun()
 	reducer.Configure(ctx.Job)
 
-	sink, err := x.openTaskSink(ctx, place, q, x.Resolved.ReduceImmutable)
+	sink, err := x.openTaskSink(ctx, place, q, x.Resolved.ReduceImmutable, true)
 	if err != nil {
 		return err
 	}
@@ -42,7 +42,9 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 // heap, merged and grouped as objects.
 func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
 	span := ctx.Begin(engine.PhaseMergeOpen, x.parts[q].place)
-	merged, err := engine.NewMergeIter(x.parts[q].takeReaders(), x.Resolved.SortCmp)
+	readers, nrecs := x.parts[q].takeReaders()
+	expect(out, nrecs)
+	merged, err := engine.NewMergeIter(readers, x.Resolved.SortCmp)
 	span.End()
 	if err != nil {
 		return err
@@ -69,6 +71,7 @@ func (x *jobExec) reduceSerialized(ctx *engine.TaskContext, q int, reducer engin
 		// No run, so no class to decode as, and nothing to decode.
 		return reducer.Close()
 	}
+	expect(out, nrecs)
 	merged, err := x.Resolved.OpenRawMerge(srcs, keyClass, nrecs, x.Lifecycle)
 	span.End()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
+	"m3r/internal/engine"
 	"m3r/internal/formats"
 	"m3r/internal/sim"
 	"m3r/internal/testenv"
@@ -287,12 +288,12 @@ func TestSplitKeyIsSplitPathOfSplitName(t *testing.T) {
 		namedSplit{"job/dir:7"},
 	} {
 		name, ok := formats.SplitName(s)
-		sp, _, kok := splitKey(e.cfs, s)
+		sp, _, kok := splitKey(e.cfs, s, new(engine.Strings))
 		if !ok || !kok || sp != splitPath(name) {
 			t.Errorf("%v: splitKey %q (%v), splitPath(SplitName) %q (%v)", s, sp, kok, splitPath(name), ok)
 		}
 	}
-	if _, _, ok := splitKey(e.cfs, &formats.TaggedInputSplit{Base: unnamedSplit{}}); ok {
+	if _, _, ok := splitKey(e.cfs, &formats.TaggedInputSplit{Base: unnamedSplit{}}, new(engine.Strings)); ok {
 		t.Error("a split no rule names has a store path")
 	}
 }

@@ -46,9 +46,6 @@ type shuffleCollector struct {
 
 	partitioner mapred.Partitioner
 	immutable   bool
-	// jobParts is the job's reduce inputs: partition q is at place
-	// jobParts[q].place, where the engine's stable mapping put it (§3.2.2.2).
-	jobParts []*partitionInput
 
 	// Where delivered pairs collect until flush: bufs, by destination
 	// place — on an unbudgeted job the remote ones only, and parts, by
@@ -60,6 +57,8 @@ type shuffleCollector struct {
 	bufs     []*spill.Buffer
 	classes  runClasses
 	budgeted bool
+	// arena backs an unbudgeted task's small runs: the job's.
+	arena *pairArena
 
 	// Combiner path: one of the two, indexed by partition. tables, with
 	// hashPartition set when the partitioner is the stock one and the hash a
@@ -72,15 +71,13 @@ type shuffleCollector struct {
 
 // collectPart is an unbudgeted map task's state for one reduce partition.
 type collectPart struct {
-	// run is the sorted run the task installs in the partition: the
-	// co-located pairs as collected, or a remote partition's as decoded at
-	// its place.
-	run []wio.Pair
+	// run is the sorted run the task installs in the partition, as the
+	// partition holds it (installRuns): its pairs are the co-located pairs
+	// as collected, or a remote partition's as decoded at its place.
+	run sourceRun
 	// remote is the number of pairs serialized for a remote partition, so
 	// the receiving side makes room for its decoded run once, at its length.
 	remote int
-	// installed is the run as the partition holds it (installRuns).
-	installed sourceRun
 }
 
 // encodeBufsOut counts the buffers a task has checked out of the outbound
@@ -105,12 +102,11 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		P:           P,
 		partitioner: x.Resolved.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.Resolved, a.split),
-		jobParts:    x.parts,
 		classes:     x.classes,
 		budgeted:    x.budgets != nil,
 	}
 	i := a.index
-	planned := i < len(x.maps) && a == &x.maps[i]
+	planned := a.x != nil && a.planned()
 	if planned {
 		sc.bufs = x.collectBufs[i*P : (i+1)*P : (i+1)*P]
 	} else {
@@ -122,6 +118,9 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
 	default:
 		sc.parts = make([]collectPart, R)
+	}
+	if !sc.budgeted {
+		sc.arena = &x.arena
 	}
 	switch {
 	case x.Resolved.CombineByHash:
@@ -212,7 +211,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 	if sc.budgeted {
 		return sc.collectSerialized(q, key, value, immutable)
 	}
-	d := sc.jobParts[q].place
+	d := sc.x.parts[q].place
 	if d == sc.place {
 		// Co-located: no serialization ever (§3.2.2.1); clone only to
 		// protect against output reuse (§4.1).
@@ -223,7 +222,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 		} else {
 			sc.ctx.Cells.AliasedPairs.Increment(1)
 		}
-		sc.parts[q].run = append(sc.parts[q].run, wio.Pair{Key: k, Value: v})
+		sc.parts[q].run.pairs = sc.arena.append(sc.parts[q].run.pairs, wio.Pair{Key: k, Value: v})
 		sc.ctx.Cells.LocalShufflePairs.Increment(1)
 		return nil
 	}
@@ -270,17 +269,17 @@ func (sc *shuffleCollector) flush() error {
 	sortCmp := sc.x.Resolved.SortCmp
 	remote := 0
 	for q := range sc.parts {
-		engine.SortPairs(sc.parts[q].run, sortCmp)
+		engine.SortPairs(sc.parts[q].run.pairs, sortCmp)
 		remote += sc.parts[q].remote
 	}
 	span.End()
 	// The decoded remote runs share one backing array, each partition's
 	// part exactly its length (capacity-clipped, so a run never grows into
 	// its neighbour's).
-	backing := make([]wio.Pair, remote)
+	backing := sc.arena.make(remote)[:remote]
 	for q := range sc.parts {
 		if n := sc.parts[q].remote; n > 0 {
-			sc.parts[q].run, backing = backing[:0:n], backing[n:]
+			sc.parts[q].run.pairs, backing = backing[:0:n], backing[n:]
 		}
 	}
 	for d, b := range sc.bufs {
@@ -316,11 +315,11 @@ func (sc *shuffleCollector) flushCombined() error {
 		if err != nil {
 			return err
 		}
-		if sc.jobParts[q].place == sc.place && !sc.budgeted {
+		if sc.x.parts[q].place == sc.place && !sc.budgeted {
 			// What is delivered below is all this partition gets, and the
 			// run it becomes is retained until the reducer drains it:
 			// exactly its length.
-			sc.parts[q].run = make([]wio.Pair, 0, len(combined))
+			sc.parts[q].run.pairs = sc.arena.make(len(combined))
 		}
 		// The combined pairs are engine-owned (cloned unless the combiner
 		// is marked), so they are safe to alias and to de-duplicate.
@@ -355,7 +354,7 @@ func (sc *shuffleCollector) deliverObjects(d int, b *spill.Buffer) error {
 	total := 0
 	for q := range sc.parts {
 		want := 0
-		if sc.jobParts[q].place == d {
+		if sc.x.parts[q].place == d {
 			want = sc.parts[q].remote
 		}
 		if got := len(b.Partition(q)); got != want {
@@ -363,13 +362,13 @@ func (sc *shuffleCollector) deliverObjects(d int, b *spill.Buffer) error {
 		}
 		total += want
 	}
-	if err := b.Unpack(sc.classes.KeyClass, sc.classes.ValClass, func(q int, kv wio.Pair) { sc.parts[q].run = append(sc.parts[q].run, kv) }); err != nil {
+	if err := b.Unpack(sc.classes.KeyClass, sc.classes.ValClass, func(q int, kv wio.Pair) { sc.parts[q].run.pairs = append(sc.parts[q].run.pairs, kv) }); err != nil {
 		return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
 	}
 	sortCmp := sc.x.Resolved.SortCmp
 	for q := range sc.parts {
-		if sc.jobParts[q].place == d {
-			engine.SortPairs(sc.parts[q].run, sortCmp)
+		if sc.x.parts[q].place == d {
+			engine.SortPairs(sc.parts[q].run.pairs, sortCmp)
 		}
 	}
 	return nil
@@ -400,8 +399,10 @@ func (sc *shuffleCollector) abort() {
 // under the job's committer and, beside it, the output's cache entry at the
 // task's place (§3.2.1). Either may be absent: a temporary output has no
 // file (§4.2.3), a job with the cache off no entry. The sink holds both by
-// value, so opening it is one allocation of its own.
+// value; a planned task's is its slot of the job's layOutSinks, any other
+// one allocation of its own.
 type taskSink struct {
+	path   string // the part file's
 	out    engine.TaskOutput
 	cacheW OutputWriter
 	cached bool // cacheW is open
@@ -418,12 +419,32 @@ type taskSink struct {
 	place int
 }
 
-// openTaskSink opens the output of the task ctx describes: file part-<index>
-// of the job's output, cached at place.
-func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable bool) (*taskSink, error) {
+// layOutSinks lays out the sinks of the job's n output tasks, each with its
+// part file's path, the paths cut from one chunk.
+func (x *jobExec) layOutSinks(n int) {
 	outPath := x.Conf.OutputPath()
-	path := partPath(outPath, index)
-	s := &taskSink{immutable: immutable, cells: &ctx.Cells, ctx: ctx, place: place}
+	x.sinks = make([]taskSink, n)
+	var paths engine.Strings
+	paths.Grow(n * (len(outPath) + len("/part-00000")))
+	for i := range x.sinks {
+		x.sinks[i].path = partPath(outPath, i, &paths)
+	}
+}
+
+// openTaskSink opens the output of the task ctx describes: file part-<index>
+// of the job's output, cached at place. planned says the task is the plan's
+// and its sink the job's.
+func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable, planned bool) (*taskSink, error) {
+	outPath := x.Conf.OutputPath()
+	var s *taskSink
+	if planned && index < len(x.sinks) {
+		s = &x.sinks[index]
+		*s = taskSink{path: s.path}
+	} else {
+		s = &taskSink{path: partPath(outPath, index, nil)}
+	}
+	s.immutable, s.cells, s.ctx, s.place = immutable, &ctx.Cells, ctx, place
+	path := s.path
 	if err := x.InitTaskOutput(&s.out, ctx.Job, ctx.TaskID, dfs.Base(path)); err != nil {
 		return nil, err
 	}
@@ -442,14 +463,31 @@ func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immuta
 }
 
 // partPath is the path of part file index (part-<index, five digits>) under
-// the output directory outPath.
-func partPath(outPath string, index int) string {
+// the output directory outPath, cut from paths when it is not nil.
+func partPath(outPath string, index int, paths *engine.Strings) string {
 	var buf [128]byte
 	b := append(append(buf[:0], outPath...), "/part-"...)
 	for w := 10000; w > 1 && index < w; w /= 10 {
 		b = append(b, '0')
 	}
-	return dfs.CleanPath(string(strconv.AppendInt(b, int64(index), 10)))
+	b = strconv.AppendInt(b, int64(index), 10)
+	if paths == nil {
+		return dfs.CleanPath(string(b))
+	}
+	return dfs.CleanPath(paths.Cut(b))
+}
+
+// sinkExpectMax bounds what expect reserves: a task that writes fewer pairs
+// than it expected leaves at most that many unused in its cache entry.
+const sinkExpectMax = 16
+
+// expect tells the sink that the task has n records to make its output of,
+// so that a cached output starts with room for that many pairs, up to
+// sinkExpectMax, rather than growing from one.
+func (s *taskSink) expect(n int) {
+	if s.cached {
+		s.cacheW.Grow(min(n, sinkExpectMax))
+	}
 }
 
 // Collect implements the collector contract for the task's output.

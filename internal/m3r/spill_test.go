@@ -272,7 +272,7 @@ func flushRuns(x *jobExec, ctx *engine.TaskContext, src int, runs [][]wio.Pair) 
 	if x.budgets == nil {
 		parts := make([]collectPart, len(runs))
 		for q, pairs := range runs {
-			parts[q].run = pairs
+			parts[q].run.pairs = pairs
 		}
 		x.installRuns(src, parts)
 		return nil
@@ -351,7 +351,8 @@ func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []stri
 			out = append(out, string(r.K)+"\x00"+string(r.V))
 		}
 	}
-	m, err := engine.NewMergeIter(x.parts[q].takeReaders(), wio.NaturalOrder{})
+	readers, _ := x.parts[q].takeReaders()
+	m, err := engine.NewMergeIter(readers, wio.NaturalOrder{})
 	if err != nil {
 		t.Fatal(err)
 	}

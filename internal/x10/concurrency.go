@@ -25,19 +25,37 @@ type Task interface{ Run() error }
 // AsyncTask runs t concurrently within the scope.
 func (fin *Finish) AsyncTask(t Task) {
 	fin.wg.Add(1)
-	go func() {
-		defer fin.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				// Keep the stack: a UDF panic surfaced as a bare value is
-				// undiagnosable once the goroutine is gone.
-				fin.report(fmt.Errorf("x10: async panicked: %v\n%s", r, debug.Stack()))
-			}
-		}()
-		if err := t.Run(); err != nil {
-			fin.report(err)
+	go runSpawned()
+	spawned <- spawn{fin, t}
+}
+
+// spawned hands every goroutine AsyncTask starts its task. The goroutine's
+// function is then a plain function that captures nothing, so starting it
+// allocates no closure; each send has the receiver started just before it,
+// so no send waits on a goroutine that will not come, and no goroutine on a
+// send.
+var spawned = make(chan spawn, 64)
+
+type spawn struct {
+	fin *Finish
+	t   Task
+}
+
+// runSpawned runs one task AsyncTask spawned, in its scope.
+func runSpawned() {
+	s := <-spawned
+	fin := s.fin
+	defer fin.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			// Keep the stack: a UDF panic surfaced as a bare value is
+			// undiagnosable once the goroutine is gone.
+			fin.report(fmt.Errorf("x10: async panicked: %v\n%s", r, debug.Stack()))
 		}
 	}()
+	if err := s.t.Run(); err != nil {
+		fin.report(err)
+	}
 }
 
 func (fin *Finish) report(err error) {
