@@ -114,9 +114,11 @@ func TestUnbudgetedShuffleRemembersEveryObject(t *testing.T) {
 
 // TestShuffleDecodeChecksTheEndOfTheStream: the arrival at the destination
 // takes exactly the pairs the map task counted for each partition, and the
-// frame — every chunk, then the table and footer — must end where its footer
-// says. Each way what arrives can disagree is its own error, the task's
-// buffers go back to the pool, and nothing of the frame is installed.
+// frame — every chunk, the last with the table and footer behind it — must
+// end where its footer says. Each way what arrives can disagree is an error
+// (a chunk cut short shifts where the table starts in the last piece, so it
+// is caught walking the table), the task's buffers go back to the pool, and
+// nothing of the frame is installed.
 func TestShuffleDecodeChecksTheEndOfTheStream(t *testing.T) {
 	const pairs = 1000
 	var pieces int // of the untampered frame
@@ -126,7 +128,7 @@ func TestShuffleDecodeChecksTheEndOfTheStream(t *testing.T) {
 		if err := sc.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if pieces = tr.calls; pieces < 4 {
+		if pieces = tr.calls; pieces < 3 {
 			t.Fatalf("the frame crossed in %d pieces; the cases below need several chunks", pieces)
 		}
 		if got := len(x.parts[1].runs[0].pairs); got != pairs {
@@ -150,7 +152,7 @@ func TestShuffleDecodeChecksTheEndOfTheStream(t *testing.T) {
 				return f[:len(f)-3]
 			}
 			return f
-		}, corrupt + "a payload of"},
+		}, corrupt},
 		{"extra record", func(call int, f []byte) []byte {
 			if call == pieces {
 				// One more record of partition 1, of an empty key and

@@ -23,7 +23,10 @@ import (
 //	footer   payload length and record count, 8 bytes each, big-endian
 //
 // It crosses in pieces, one transport frame each: every chunk of the
-// payload, then the table and footer. An object lies in one piece. There is
+// payload, the table and footer behind the last chunk when that chunk has
+// room for them, else as a piece of their own. The footer ends the last
+// piece, so what of the payload is in it is known from the footer's length
+// and the pieces before it. An object lies in one piece. There is
 // no tag byte and no per-object type id: a buffer holds one key class and
 // one value class, which the receiver knows apart from the bytes.
 
@@ -33,22 +36,19 @@ const frameFooterLen = 16
 var ErrCorruptFrame = errors.New("spill: corrupt shuffle frame")
 
 // Ship sends the buffer's records as a frame through send, piece by piece:
-// each of the arena's chunks, then the table and footer. send returns a
-// piece as it arrived at the destination, and the buffer then holds the
-// records as Decode does. Ship returns the bytes and the pieces that
-// crossed, and the back-references Collect made.
+// each of the arena's chunks, the last with the table and footer written
+// into its spare room behind its bytes when they fit there, else followed by
+// them. So a buffer of one chunk with room to spare crosses as one piece.
+// send returns a piece as it arrived at the destination, and the buffer
+// then holds the records as Decode does. Ship returns the bytes and the
+// pieces that crossed, and the back-references Collect made.
 func (b *Buffer) Ship(parts int, send func([]byte) ([]byte, error)) (n, pieces int, hits int64, err error) {
 	s := b.scratch()
 	s.arrived = s.arrived[:0]
+	chunks := b.a.Chunks()
 	payloadLen := 0
-	for _, c := range b.a.Chunks() {
-		p, err := send(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		s.arrived = append(s.arrived, p)
+	for _, c := range chunks {
 		payloadLen += len(c)
-		n += len(p)
 	}
 	s.wire = slices.Grow(s.wire[:0], frameFooterLen+4*len(b.meta)) // a record's table entries are 3 bytes or more
 	at := int32(0)                                                 // where the objects so far end
@@ -69,13 +69,34 @@ func (b *Buffer) Ship(parts int, send func([]byte) ([]byte, error)) (n, pieces i
 	}
 	s.wire = binary.BigEndian.AppendUint64(s.wire, uint64(payloadLen))
 	s.wire = binary.BigEndian.AppendUint64(s.wire, uint64(len(b.meta)))
-	p, err := send(s.wire)
-	if err != nil {
-		return 0, 0, 0, err
+	tail := s.wire
+	for i, c := range chunks {
+		if i == len(chunks)-1 && cap(c)-len(c) >= len(tail) {
+			// The arena writes no byte past a chunk's length before its
+			// next reset, so the room behind the last chunk is free.
+			c, tail = append(c, tail...), nil
+		}
+		if err := b.send(send, c, &n); err != nil {
+			return 0, 0, 0, err
+		}
 	}
-	s.arrived = append(s.arrived, p)
-	n += len(p)
+	if tail != nil {
+		if err := b.send(send, tail, &n); err != nil {
+			return 0, 0, 0, err
+		}
+	}
 	return n, len(s.arrived), b.hits, b.Decode(s.arrived, parts)
+}
+
+// send sends one piece of a frame and keeps it as it arrived.
+func (b *Buffer) send(send func([]byte) ([]byte, error), piece []byte, n *int) error {
+	p, err := send(piece)
+	if err != nil {
+		return err
+	}
+	b.sc.arrived = append(b.sc.arrived, p)
+	*n += len(p)
+	return nil
 }
 
 // frameCursor walks a frame's table, bounding every field before its use.
@@ -139,7 +160,8 @@ func (c *frameCursor) object() (span, error) {
 }
 
 // Decode indexes the records of a frame as it arrived, in pieces — the
-// payload's, then the table and footer — in place of the buffer's own, and
+// payload's, the last ending in the table and footer — in place of the
+// buffer's own, and
 // lays them out as LayOut does. Whatever the bytes are, the result is
 // records or an ErrCorruptFrame, and nothing is allocated on the word of a
 // field not checked against the frame's length. The pieces must stay as
@@ -156,17 +178,24 @@ func (b *Buffer) Decode(pieces [][]byte, parts int) error {
 	if len(last) < frameFooterLen {
 		return fmt.Errorf("%w: a last piece of %d bytes, shorter than the footer", ErrCorruptFrame, len(last))
 	}
-	table, footer := last[:len(last)-frameFooterLen], last[len(last)-frameFooterLen:]
+	footer := last[len(last)-frameFooterLen:]
 	payloadLen, n := binary.BigEndian.Uint64(footer), binary.BigEndian.Uint64(footer[8:])
-	if plen := total - len(last); payloadLen != uint64(plen) {
-		return fmt.Errorf("%w: a payload of %d bytes where %d arrived before the table", ErrCorruptFrame, payloadLen, plen)
+	before := total - len(last) // the payload bytes of the pieces before the last
+	if payloadLen < uint64(before) || payloadLen-uint64(before) > uint64(len(last)-frameFooterLen) {
+		return fmt.Errorf("%w: a payload of %d bytes where %d arrived before the last piece of %d", ErrCorruptFrame, payloadLen, before, len(last))
 	}
+	inLast := int(payloadLen) - before
+	table := last[inLast : len(last)-frameFooterLen]
 	// A record is at least three table bytes.
 	if n > uint64(len(table))/3 {
 		return fmt.Errorf("%w: %d records in a table of %d bytes", ErrCorruptFrame, n, len(table))
 	}
 	s := b.scratch()
-	s.payload, s.starts = pieces[:len(pieces)-1], s.starts[:0]
+	s.payload, s.starts = append(s.payload[:0], pieces[:len(pieces)-1]...), s.starts[:0]
+	if inLast > 0 {
+		// The table is dead once decoded: the piece's bytes count as held.
+		s.payload = append(s.payload, last[:inLast:len(last)])
+	}
 	at := 0
 	for _, p := range s.payload {
 		s.starts = append(s.starts, at)

@@ -68,8 +68,9 @@ func frameRecs() []kvRec {
 	return append(recs, kvRec{1, types.Null(), types.Null()}, kvRec{2, shared, shared})
 }
 
-// TestShipIsTheReferenceFrame: the pieces Ship sends — every chunk, then
-// the table and footer — are, end to end, the frame the plain writer makes,
+// TestShipIsTheReferenceFrame: the pieces Ship sends — every chunk, the
+// table and footer behind the last or after it — are, end to end, the frame
+// the plain writer makes,
 // with and without dedup, for a buffer that remembers objects over 32 bytes
 // and for one that remembers every object; and what arrives — the same
 // bytes, or a copy as tcp delivers — lays out per partition in collect
@@ -112,8 +113,13 @@ func shipReference(t *testing.T, b *Buffer, recs []kvRec, dedup, copied bool, fl
 	if want := referenceFrame(t, recs, dedup, floor); !bytes.Equal(sent, want) || n != len(want) {
 		t.Fatalf("shipped %d bytes (%d reported) differ from the reference's %d", len(sent), n, len(want))
 	}
-	if want := len(b.a.Chunks()) + 1; pieces != want || want < 3 {
-		t.Fatalf("%d pieces crossed, want the %d chunks and the table", pieces, want-1)
+	chunks := b.a.Chunks()
+	want := len(chunks) + 1
+	if last := chunks[len(chunks)-1]; cap(last)-len(last) >= len(b.sc.wire) {
+		want-- // the table rode behind the last chunk
+	}
+	if pieces != want || len(chunks) < 2 {
+		t.Fatalf("%d pieces crossed, want %d for %d chunks", pieces, want, len(chunks))
 	}
 	if dedup && hits == 0 {
 		t.Error("no back-reference made")
@@ -179,8 +185,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	b.Release()
-	// Uncut: the whole frame a piece, a corrupt one; cut before the table,
-	// the one good cut; cut inside an object too.
+	// Uncut: the whole frame a piece, as a buffer of one chunk sends it; cut
+	// before the table, as one whose last chunk has no room for it; cut
+	// inside an object too.
 	table := binary.BigEndian.AppendUint16(nil, uint16(binary.BigEndian.Uint64(frame[len(frame)-16:])))
 	f.Add(frame, []byte{}, uint8(3))
 	f.Add(frame, table, uint8(3))
@@ -195,4 +202,39 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("error %v is not a corrupt-frame error", err)
 		}
 	})
+}
+
+// TestOneChunkBufferIsOneFrame: a buffer whose records fit one chunk with
+// room for the table and footer crosses as one piece — frames equal chunks —
+// in place or copied, and arrives as what was collected.
+func TestOneChunkBufferIsOneFrame(t *testing.T) {
+	for _, copied := range []bool{false, true} {
+		b := GetObjectBuffer()
+		for i := range 20 {
+			if _, err := b.Collect(i%2, types.NewText(fmt.Sprintf("k%02d", i)), types.NewInt(int32(i)), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chunks := len(b.a.Chunks())
+		_, pieces, _, err := b.Ship(2, func(f []byte) ([]byte, error) {
+			if copied {
+				return bytes.Clone(f), nil
+			}
+			return f, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunks != 1 || pieces != chunks {
+			t.Errorf("copied %v: %d pieces for %d chunks, want one", copied, pieces, chunks)
+		}
+		for p := range 2 {
+			for j, r := range b.Partition(p) {
+				if want := fmt.Sprintf("k%02d", 2*j+p); string(r.K[1:]) != want {
+					t.Errorf("copied %v: partition %d record %d key %q, want %q", copied, p, j, r.K, want)
+				}
+			}
+		}
+		b.Release()
+	}
 }
