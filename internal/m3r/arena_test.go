@@ -14,7 +14,9 @@ import (
 // leaves the arena.
 func TestPairArenaRuns(t *testing.T) {
 	var a pairArena
-	pair := func(run, i int) wio.Pair { return wio.Pair{Key: types.NewInt(int32(run)), Value: types.NewInt(int32(i))} }
+	pair := func(run, i int) wio.Pair {
+		return wio.Pair{Key: types.NewInt(int32(run)), Value: types.NewInt(int32(i))}
+	}
 	check := func(run int, got []wio.Pair, n int) {
 		t.Helper()
 		if len(got) != n {
