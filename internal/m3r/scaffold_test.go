@@ -380,3 +380,56 @@ func TestOneRangeReadIsAView(t *testing.T) {
 		t.Errorf("a one-range read at the block's place allocates %v times, want 0", a)
 	}
 }
+
+// TestPlannedTaskAllocs: a planned first attempt — a map task over a cached
+// one-record split of a shuffling job, then a reduce task over what the map
+// tasks shipped — costs at most a fixed number of allocations, the whole
+// attempt included. Its envelope, context, conf, id, collector state and
+// output sink are the job's layout, so what is left is the task's own: its
+// mapper or reducer, its record's clone or decode, its merge, and its output
+// file and cache entry. The ceilings are the largest mean measured in 20
+// runs at each of GOMAXPROCS 1, 2 and 4 plus 3 %, as the others in this
+// file are.
+func TestPlannedTaskAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	const splits, mapCeiling, reduceCeiling = 16, 4.37, 58.19
+	e, fs := scaffoldEngine(t)
+	job := cachedSplitsJob(t, e, fs, splits)
+	// A whole run of the job first warms the pools its tasks draw on.
+	warm := job.CloneJob()
+	warm.SetOutputPath("/plan/warm_shuffle")
+	if _, err := e.Submit(warm); err != nil {
+		t.Fatal(err)
+	}
+	x := openExec(t, e, job)
+	assignments, err := x.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms0, ms1 runtime.MemStats
+	mean := func(n int, run func(i int) error) float64 {
+		runtime.ReadMemStats(&ms0)
+		for i := range n {
+			if err := run(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		return float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
+	}
+	perMap := mean(len(assignments), func(i int) error { return assignments[i].Run() })
+	perReduce := mean(len(x.parts), func(q int) error { return x.parts[q].Run() })
+	t.Logf("a planned map task %.2f allocs, a planned reduce task %.2f allocs", perMap, perReduce)
+	if perMap > mapCeiling {
+		t.Errorf("a planned map task: %.2f allocs, ceiling %.2f", perMap, mapCeiling)
+	}
+	if perReduce > reduceCeiling {
+		t.Errorf("a planned reduce task: %.2f allocs, ceiling %.2f", perReduce, reduceCeiling)
+	}
+}

@@ -132,9 +132,10 @@ func (b *Buffer) Reset() {
 		clear(s.recs)
 		clear(s.arrived)
 		clear(s.objs)
+		clear(s.payload)
 		s.dec.release()
 		s.recs, s.wire, s.arrived, s.objs = s.recs[:0], s.wire[:0], s.arrived[:0], s.objs[:0]
-		s.payload, s.refs = nil, s.refs[:0]
+		s.payload, s.refs = s.payload[:0], s.refs[:0]
 		scratches.Put(s)
 	}
 	b.meta, b.sc = b.meta[:0], nil

@@ -193,8 +193,7 @@ func (b *Buffer) Decode(pieces [][]byte, parts int) error {
 	s := b.scratch()
 	s.payload, s.starts = append(s.payload[:0], pieces[:len(pieces)-1]...), s.starts[:0]
 	if inLast > 0 {
-		// The table is dead once decoded: the piece's bytes count as held.
-		s.payload = append(s.payload, last[:inLast:len(last)])
+		s.payload = append(s.payload, last[:inLast])
 	}
 	at := 0
 	for _, p := range s.payload {
