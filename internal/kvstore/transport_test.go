@@ -90,10 +90,10 @@ func TestCreateReaderTransportFailureSurfaces(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker slot leaked: retry blocked on At")
 	}
-	// The failed read's one ship, then the healed read's two: the block's
-	// one payload chunk and its table.
-	if tr.ships != 3 {
-		t.Fatalf("transport shipped %d times, want 3", tr.ships)
+	// The failed read's one ship, then the healed read's one: the block's
+	// one payload chunk with its table behind it.
+	if tr.ships != 2 {
+		t.Fatalf("transport shipped %d times, want 2", tr.ships)
 	}
 }
 
