@@ -53,14 +53,14 @@ func TestReportPhases(t *testing.T) {
 	}
 	for _, eng := range []engine.Engine{c.M3R, c.Hadoop} {
 		for _, spilling := range []bool{false, true} {
-			name := eng.Name()
-			job := wordcount.NewJob("/data/P", "/out/phases-"+name, 3, false)
+			// Both knobs explicit, so that no carrier default moves them.
+			name, budget, sortBytes := eng.Name(), int64(0), int64(4<<20)
 			if spilling {
-				name += "-spill"
-				job = wordcount.NewJob("/data/P", "/out/phases-"+name, 3, false)
-				job.SetInt64(conf.KeyM3RShuffleBudget, 4<<10)
-				job.SetInt64(conf.KeySortBytes, 4<<10)
+				name, budget, sortBytes = name+"-spill", 4<<10, 4<<10
 			}
+			job := wordcount.NewJob("/data/P", "/out/phases-"+name, 3, false)
+			job.SetInt64(conf.KeyM3RShuffleBudget, budget)
+			job.SetInt64(conf.KeySortBytes, sortBytes)
 			t.Run(name, func(t *testing.T) {
 				rep, err := eng.Submit(job)
 				if err != nil {

@@ -3,6 +3,7 @@ package m3r
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -390,7 +391,8 @@ func TestOneRangeReadIsAView(t *testing.T) {
 // mapper or reducer, its record's clone or decode, its merge, and its output
 // file and cache entry. The ceilings are the largest mean measured in 20
 // runs at each of GOMAXPROCS 1, 2 and 4 plus 3 %, as the others in this
-// file are.
+// file are. The count is the whole process's, so each is the fewest of
+// three tries, each a fresh admission of the job to an output of its own.
 func TestPlannedTaskAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -398,20 +400,15 @@ func TestPlannedTaskAllocs(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	// Measured: 3.12–4.06 and 55.25–56.25 (5.25 and 64.25–65.00 before a
-	// job laid out its tasks' ids, sinks and small runs).
-	const splits, mapCeiling, reduceCeiling = 16, 4.18, 57.93
+	// Measured: 3.12 and 54.75 in all 60 (one try: 5.25 and 64.25–65.00
+	// before a job laid out its tasks' ids, sinks and small runs).
+	const splits, mapCeiling, reduceCeiling = 16, 3.21, 56.39
 	e, fs := scaffoldEngine(t)
 	job := cachedSplitsJob(t, e, fs, splits)
 	// A whole run of the job first warms the pools its tasks draw on.
 	warm := job.CloneJob()
 	warm.SetOutputPath("/plan/warm_shuffle")
 	if _, err := e.Submit(warm); err != nil {
-		t.Fatal(err)
-	}
-	x := openExec(t, e, job)
-	assignments, err := x.plan()
-	if err != nil {
 		t.Fatal(err)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -426,8 +423,18 @@ func TestPlannedTaskAllocs(t *testing.T) {
 		runtime.ReadMemStats(&ms1)
 		return float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
 	}
-	perMap := mean(len(assignments), func(i int) error { return assignments[i].Run() })
-	perReduce := mean(len(x.parts), func(q int) error { return x.parts[q].Run() })
+	perMap, perReduce := math.Inf(1), math.Inf(1)
+	for try := range 3 {
+		tried := job.CloneJob()
+		tried.SetOutputPath(fmt.Sprintf("/plan/planned_%d", try))
+		x := openExec(t, e, tried)
+		assignments, err := x.plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perMap = min(perMap, mean(len(assignments), func(i int) error { return assignments[i].Run() }))
+		perReduce = min(perReduce, mean(len(x.parts), func(q int) error { return x.parts[q].Run() }))
+	}
 	t.Logf("a planned map task %.2f allocs, a planned reduce task %.2f allocs", perMap, perReduce)
 	if perMap > mapCeiling {
 		t.Errorf("a planned map task: %.2f allocs, ceiling %.2f", perMap, mapCeiling)
