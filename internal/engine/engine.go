@@ -52,8 +52,8 @@ type Report struct {
 	Counters *counters.Counters
 	Wall     time.Duration
 	// Phases is where the job's time went, phase by phase at each place
-	// (phases.go); nil on a Report no engine ran.
-	Phases *Phases
+	// (phases.go); no places on a Report no engine ran.
+	Phases Phases
 }
 
 // String renders a one-line job summary.

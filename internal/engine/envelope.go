@@ -134,7 +134,8 @@ func (j *Job) WritesOutput() bool { return j.committer != nil }
 // Run sets the output up, runs body — the engine's phases — and decides the
 // job: committed, notified and reported, or aborted with nothing of it left
 // on the filesystem. Either way it returns the job's Report, whose Phases a
-// failed job's caller may read; its Counters are the committed tasks'. Nothing fallible stands between the set-up and the body,
+// failed job's caller may read; its Counters are the committed tasks'.
+// Nothing fallible stands between the set-up and the body,
 // and every way out after the set-up that is not a commit is an abort: body
 // error, commit error, a panic passing through. The error is the body's or
 // the commit's, or in their place the cancellation cause when the job was
@@ -197,7 +198,7 @@ func (j *Job) report() *Report {
 		Queue:    j.Conf.GetDefault(conf.KeyJobQueueName, "default"),
 		Counters: j.Counters,
 		Wall:     time.Since(j.start),
-		Phases:   &j.phases,
+		Phases:   j.phases,
 	}
 }
 

@@ -49,20 +49,19 @@ type PhaseTime struct {
 	Nanos, Count int64
 }
 
-// Phases is a job's phase times by place, laid out once per job; spans of
-// concurrent tasks add to it atomically. Beside them it keeps, for each
-// phase over all places, when its first span began and its last ended.
+// Phases is a job's phase times by place, laid out once per job, one slice;
+// spans of concurrent tasks add to it atomically. Beside them it keeps, for
+// each phase over all places, when its first span began and its last
+// ended. A Report holds a copy, which shares the times and nothing else of
+// the job's.
 type Phases struct {
-	start  time.Time
-	cells  []phaseCell       // place*NumPhases + phase
-	labels []context.Context // the host's, same index; nil: no labels
-	window [NumPhases]struct {
-		first, last atomic.Int64 // offsets in ns, first+1 so that 0 is unset
-	}
-}
-
-type phaseCell struct {
-	nanos, count atomic.Int64
+	start time.Time
+	// vals is, for each cell place*NumPhases + phase, its nanoseconds then
+	// its span count; after them, for each phase, its first span's start
+	// (an offset in ns, plus one so that 0 is unset) then its last span's
+	// end.
+	vals   []atomic.Int64
+	labels []context.Context // the host's, by cell; nil: no labels
 }
 
 // SetPlaces sizes the phase times of the host's jobs to n places and builds
@@ -82,16 +81,16 @@ func (h *Host) SetPlaces(n int) {
 // for a host that never set them).
 func (h *Host) initPhases(p *Phases, start time.Time) {
 	p.start, p.labels = start, h.labels
-	p.cells = make([]phaseCell, max(h.places, 1)*int(NumPhases))
+	p.vals = make([]atomic.Int64, 2*(max(h.places, 1)+1)*int(NumPhases))
 }
 
 // Places is the number of places the times are kept for.
-func (p *Phases) Places() int { return len(p.cells) / int(NumPhases) }
+func (p *Phases) Places() int { return len(p.vals)/(2*int(NumPhases)) - 1 }
 
 // At is phase ph at place.
 func (p *Phases) At(place int, ph Phase) PhaseTime {
-	c := &p.cells[cellOf(place, ph)]
-	return PhaseTime{Nanos: c.nanos.Load(), Count: c.count.Load()}
+	i := 2 * cellOf(place, ph)
+	return PhaseTime{Nanos: p.vals[i].Load(), Count: p.vals[i+1].Load()}
 }
 
 // Total is phase ph over every place.
@@ -109,11 +108,17 @@ func (p *Phases) Total(ph Phase) PhaseTime {
 // any place, as offsets from the job's start (Report.Wall is on the same
 // clock); zero for a phase the job never entered.
 func (p *Phases) Window(ph Phase) (first, last time.Duration) {
-	w := &p.window[ph]
-	if f := w.first.Load(); f > 0 {
+	w := p.window(ph)
+	if f := w[0].Load(); f > 0 {
 		first = time.Duration(f - 1)
 	}
-	return first, time.Duration(w.last.Load())
+	return first, time.Duration(w[1].Load())
+}
+
+// window is phase ph's first start and last end.
+func (p *Phases) window(ph Phase) []atomic.Int64 {
+	i := len(p.vals) - 2*int(NumPhases-ph)
+	return p.vals[i : i+2]
 }
 
 // Span is one open stretch of a phase; End closes it. The zero Span, and a
@@ -145,17 +150,16 @@ func (s Span) End() {
 		return
 	}
 	end := time.Since(p.start)
-	c := &p.cells[s.cell]
-	c.nanos.Add(int64(end - s.at))
-	c.count.Add(1)
-	w := &p.window[int(s.cell)%int(NumPhases)]
-	for f := w.first.Load(); f == 0 || int64(s.at)+1 < f; f = w.first.Load() {
-		if w.first.CompareAndSwap(f, int64(s.at)+1) {
+	p.vals[2*s.cell].Add(int64(end - s.at))
+	p.vals[2*s.cell+1].Add(1)
+	w := p.window(Phase(int(s.cell) % int(NumPhases)))
+	for f := w[0].Load(); f == 0 || int64(s.at)+1 < f; f = w[0].Load() {
+		if w[0].CompareAndSwap(f, int64(s.at)+1) {
 			break
 		}
 	}
-	for l := w.last.Load(); int64(end) > l; l = w.last.Load() {
-		if w.last.CompareAndSwap(l, int64(end)) {
+	for l := w[1].Load(); int64(end) > l; l = w[1].Load() {
+		if w[1].CompareAndSwap(l, int64(end)) {
 			break
 		}
 	}

@@ -21,7 +21,7 @@ var taskPhases = []engine.Phase{engine.PhaseMap, engine.PhaseSort, engine.PhaseS
 // its total.
 func checkNested(t *testing.T, rep *engine.Report) {
 	t.Helper()
-	p := rep.Phases
+	p := &rep.Phases
 	for _, ph := range taskPhases {
 		var sum engine.PhaseTime
 		for place := range p.Places() {
@@ -66,8 +66,8 @@ func TestReportPhases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := rep.Phases
-				if p == nil || p.Places() != 2 {
+				p := &rep.Phases
+				if p.Places() != 2 {
 					t.Fatalf("phases %v, want 2 places", p)
 				}
 				checkNested(t, rep)
@@ -123,11 +123,11 @@ func TestFailedJobReportsItsPhases(t *testing.T) {
 			job.SetReducerClass("test.FailingReducer")
 			job.SetInt(conf.KeyMaxReduceAttempts, 1)
 			rep, err := eng.Submit(job)
-			if err == nil || rep == nil || rep.Phases == nil {
+			if err == nil || rep == nil || rep.Phases.Places() == 0 {
 				t.Fatalf("error %v, report %v", err, rep)
 			}
 			checkNested(t, rep)
-			p := rep.Phases
+			p := &rep.Phases
 			if p.Total(engine.PhaseMap).Count == 0 || p.Total(engine.PhaseReduce).Count == 0 {
 				t.Errorf("map %+v, reduce %+v: the phases reached are missing", p.Total(engine.PhaseMap), p.Total(engine.PhaseReduce))
 			}
@@ -149,11 +149,11 @@ func TestFailedJobReportsItsPhases(t *testing.T) {
 			job.SetOutputValueClass(types.IntName)
 			job.SetInt(conf.KeyJobDeadlineMS, 50)
 			rep, err := eng.Submit(job)
-			if !errors.Is(err, engine.ErrDeadlineExceeded) || rep == nil || rep.Phases == nil {
+			if !errors.Is(err, engine.ErrDeadlineExceeded) || rep == nil || rep.Phases.Places() == 0 {
 				t.Fatalf("error %v, report %v", err, rep)
 			}
 			checkNested(t, rep)
-			p := rep.Phases
+			p := &rep.Phases
 			if p.Total(engine.PhasePlan).Count != 1 || p.Total(engine.PhaseMap).Count == 0 {
 				t.Errorf("plan %+v, map %+v: the phases reached are missing", p.Total(engine.PhasePlan), p.Total(engine.PhaseMap))
 			}

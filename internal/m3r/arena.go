@@ -9,9 +9,8 @@ import (
 // pairArena backs the small sorted runs an unbudgeted job's map tasks make:
 // a run is carved from a chunk of pairs the job allocates, so it costs no
 // allocation of its own, and a run that is the chunk's last carve grows in
-// place. A run larger than arenaMax pairs is allocated on its own, as it was
-// before there was an arena, so a large shuffle's runs keep exactly their
-// length. Chunks are small and all one size, so what the last one leaves
+// place. A run larger than arenaMax pairs is allocated on its own, so a
+// large shuffle's runs keep exactly their length. Chunks are small and all one size, so what the last one leaves
 // unused is at most arenaChunk pairs a job. The arena is the job's: nothing
 // in it is recycled, and a chunk dies with the last run cut from it, at the
 // latest when the job's reducers let go of their runs.

@@ -106,7 +106,7 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		budgeted:    x.budgets != nil,
 	}
 	i := a.index
-	planned := a.x != nil && a.planned()
+	planned := i < len(x.maps) && a == &x.maps[i]
 	if planned {
 		sc.bufs = x.collectBufs[i*P : (i+1)*P : (i+1)*P]
 	} else {

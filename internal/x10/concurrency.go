@@ -33,7 +33,10 @@ func (fin *Finish) AsyncTask(t Task) {
 // function is then a plain function that captures nothing, so starting it
 // allocates no closure; each send has the receiver started just before it,
 // so no send waits on a goroutine that will not come, and no goroutine on a
-// send.
+// send. The buffer lets a finish start a phase's tasks — tens of them on
+// the benchmark's jobs — without waiting for each goroutine to be
+// scheduled; past it, AsyncTask waits until a started goroutine takes its
+// task.
 var spawned = make(chan spawn, 64)
 
 type spawn struct {
