@@ -376,18 +376,19 @@ func ceilingCluster(t *testing.T, opts lab.Options) *lab.Cluster {
 // cycle empties a sync.Pool between them.
 //
 // The ceilings are the largest value measured in 20 runs at each of
-// GOMAXPROCS 1, 2 and 4 (8.73 allocs/rec, 582 allocs/job in all 60) plus
-// the benchmark's 3 % bound, set with go1.24 on amd64 when a job came to lay
-// its tasks' bookkeeping out once (9.98–10.00 and 665–667 before). 386 is
-// not pinned. A change that lowers the value lowers the ceiling; raising
+// GOMAXPROCS 1, 2 and 4 (8.73–8.74 allocs/rec, 582–583 allocs/job: how
+// many chunks the job's pair arena takes follows how its tasks interleave)
+// plus the benchmark's 3 % bound, set with go1.24 on amd64 when a job came
+// to lay its tasks' bookkeeping out once (9.98–10.00 and 665–667 before).
+// 386 is not pinned. A change that lowers the value lowers the ceiling; raising
 // one is a change to a check.
 func TestPageRankSequenceAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const (
 		nodes, block, iters = 800, 100, 5
 		reps                = 12
-		maxAllocsPerRec     = 8.99
-		maxAllocsPerJob     = 599.0
+		maxAllocsPerRec     = 9.00
+		maxAllocsPerJob     = 600.0
 	)
 	c := ceilingCluster(t, lab.Options{})
 	cfg := sysml.PageRankConfig{Nodes: nodes, BlockSize: block, Sparsity: 0.01, Iterations: iters, Seed: 3}

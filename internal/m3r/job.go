@@ -347,9 +347,9 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 	return out, nil
 }
 
-// planned reports whether a is the plan's assignment of its task.
-func (a *mapAssignment) planned() bool {
-	x := a.x
+// planned reports whether a is the plan's assignment of its task, whose
+// state is its row of the job's layout.
+func (x *jobExec) planned(a *mapAssignment) bool {
 	return a.index < len(x.maps) && a == &x.maps[a.index]
 }
 

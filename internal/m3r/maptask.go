@@ -28,7 +28,7 @@ func (x *jobExec) runMapTask(ctx *engine.TaskContext, a *mapAssignment) error {
 	// otherwise it is the shuffle's.
 	var out mapOutput
 	if x.Resolved.MapOnly {
-		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split), a.planned())
+		sink, err := x.openTaskSink(ctx, a.place, a.index, engine.MapTaskImmutable(x.Resolved, a.split), x.planned(a))
 		if err != nil {
 			return err
 		}

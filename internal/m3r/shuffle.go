@@ -106,7 +106,7 @@ func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext)
 		budgeted:    x.budgets != nil,
 	}
 	i := a.index
-	planned := i < len(x.maps) && a == &x.maps[i]
+	planned := x.planned(a)
 	if planned {
 		sc.bufs = x.collectBufs[i*P : (i+1)*P : (i+1)*P]
 	} else {
@@ -409,12 +409,11 @@ type taskSink struct {
 	// immutable: the producer keeps its hands off what it emitted (§4.1), so
 	// the cache aliases the pair; otherwise it keeps a clone.
 	immutable bool
-	cells     *counters.Slab
 	// records counts what Collect takes; lc, when set, is checked for a
 	// kill before each record.
 	records *counters.Counter
 	lc      *engine.JobLifecycle
-	// ctx and place are the task's, for the commit's span.
+	// ctx and place are the task's: its counters and its commit's span.
 	ctx   *engine.TaskContext
 	place int
 }
@@ -443,7 +442,7 @@ func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immuta
 	} else {
 		s = &taskSink{path: partPath(outPath, index, nil)}
 	}
-	s.immutable, s.cells, s.ctx, s.place = immutable, &ctx.Cells, ctx, place
+	s.immutable, s.ctx, s.place = immutable, ctx, place
 	path := s.path
 	if err := x.InitTaskOutput(&s.out, ctx.Job, ctx.TaskID, dfs.Base(path)); err != nil {
 		return nil, err
@@ -504,9 +503,9 @@ func (s *taskSink) write(key, value wio.Writable) error {
 		k, v := key, value
 		if !s.immutable {
 			k, v = wio.MustClone(key), wio.MustClone(value)
-			s.cells.ClonedPairs.Increment(1)
+			s.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
-			s.cells.AliasedPairs.Increment(1)
+			s.ctx.Cells.AliasedPairs.Increment(1)
 		}
 		s.cacheW.Append(wio.Pair{Key: k, Value: v})
 	}
