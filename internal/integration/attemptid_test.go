@@ -103,7 +103,9 @@ func TestTaskIDsAreHadoops(t *testing.T) {
 		job.SetMapOutputValueClass(types.IntName)
 		job.SetOutputKeyClass(types.TextName)
 		job.SetOutputValueClass(types.IntName)
-		job.Set("test.ids", t.Name()+eng.Name())
+		key := t.Name() + eng.Name()
+		seenTaskIDs.Delete(key) // a repeated run (-count) starts afresh
+		job.Set("test.ids", key)
 		rep, err := eng.Submit(job)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
@@ -114,7 +116,7 @@ func TestTaskIDsAreHadoops(t *testing.T) {
 				want = append(want, fmt.Sprintf("attempt_%s_%s_%06d_%d", rep.JobID, kind, i, 0))
 			}
 		}
-		v, _ := seenTaskIDs.Load(t.Name() + eng.Name())
+		v, _ := seenTaskIDs.Load(key)
 		got := slices.Sorted(slices.Values(v.(*taskIDs).ids))
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: tasks ran as\n%v\nwant\n%v", eng.Name(), got, want)
