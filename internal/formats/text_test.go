@@ -3,11 +3,15 @@ package formats_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"m3r/internal/dfs"
 	"m3r/internal/formats"
+	"m3r/internal/sim"
+	"m3r/internal/spill"
 	"m3r/internal/types"
 )
 
@@ -130,4 +134,169 @@ func TestLineRecordReaderAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(2000, next); n != 0 {
 		t.Errorf("%.2f allocations a line, want 0", n)
 	}
+}
+
+// lineFiles are the files the every-offset and fuzz checks read: those of
+// TestLineRecordReaderRecords, a line longer than the reader's 128 KiB copy
+// window between two short ones, and a file of newlines only.
+func lineFiles() []struct{ name, content string } {
+	long := strings.Repeat("L", 10000)
+	return []struct{ name, content string }{
+		{"crlf", "one\r\ntwo\r\n\r\nfour\r\n"},
+		{"mixed endings", "a\r\nb\nc\r\n\nd\re\n"},
+		{"no final newline", "first\nsecond\nlast"},
+		{"final carriage return kept", "x\ny\r"},
+		{"long lines", long + "\nshort\n" + long + "\r\n" + long},
+		{"only a long line", long + long},
+		{"a line past the window", "head\n" + strings.Repeat("W", 300<<10) + "\r\ntail\n"},
+		{"newlines only", strings.Repeat("\n", 1000)},
+	}
+}
+
+// cutOffsets are the offsets content is cut at: every one for a file of up
+// to 16 KiB; past that, every one within 8 bytes of a line's end, of the
+// file's ends and of each 64 KiB multiple, and every 1021st, so that a cut
+// lands on both sides of every line and window edge without reading a long
+// file once per byte.
+func cutOffsets(content string) []int64 {
+	n := len(content)
+	near := func(k, edge int) bool { return k-edge <= 8 && edge-k <= 8 }
+	var offs []int64
+	for k := 0; k <= n; k++ {
+		keep := n <= 16<<10 || near(k, 0) || near(k, n) || near(k%(64<<10), 0) || near(k%(64<<10), 64<<10) || k%1021 == 0
+		for d := -8; !keep && d <= 8; d++ {
+			keep = k+d > 0 && k+d <= n && content[k+d-1] == '\n'
+		}
+		if keep {
+			offs = append(offs, int64(k))
+		}
+	}
+	return offs
+}
+
+// readCuts reads path of size bytes as the splits cut at offs, in order,
+// and checks that each split's lines start inside it.
+func readCuts(t *testing.T, fs dfs.FileSystem, path string, size int64, offs ...int64) []lineRec {
+	t.Helper()
+	var got []lineRec
+	bounds := append(append([]int64{0}, offs...), size)
+	for i := 0; i+1 < len(bounds); i++ {
+		start, end := bounds[i], bounds[i+1]
+		for _, r := range readSplit(t, fs, path, start, end) {
+			if r.off < start || r.off >= end {
+				t.Fatalf("cuts %v: split [%d, %d) read the line at %d", offs, start, end, r.off)
+			}
+			got = append(got, r)
+		}
+	}
+	return got
+}
+
+// TestLineRecordReaderEveryOffset: each of lineFiles cut in two at every
+// offset of cutOffsets, and in three at random offsets, reads back as the
+// reference split of the whole, over 16 KiB blocks.
+func TestLineRecordReaderEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, c := range lineFiles() {
+		t.Run(c.name, func(t *testing.T) {
+			_, fs, cleanup := newJobFS(t, 16<<10)
+			defer cleanup()
+			if err := dfs.WriteFile(fs, "/in", []byte(c.content)); err != nil {
+				t.Fatal(err)
+			}
+			want := referenceLines(c.content)
+			size := int64(len(c.content))
+			for _, k := range cutOffsets(c.content) {
+				if got := readCuts(t, fs, "/in", size, k); !slices.Equal(got, want) {
+					t.Fatalf("cut at %d: got %.200q\nwant %.200q", k, got, want)
+				}
+			}
+			for range 100 {
+				a, b := rng.Int63n(size+1), rng.Int63n(size+1)
+				a, b = min(a, b), max(a, b)
+				if got := readCuts(t, fs, "/in", size, a, b); !slices.Equal(got, want) {
+					t.Fatalf("cuts at %d, %d: got %.200q\nwant %.200q", a, b, got, want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzLineRecordReader reads the file spec spells — its bytes, with each
+// 0xff spelling 48 KiB of 'x', so three in a row make a line longer than
+// the reader's 128 KiB copy window — as three splits cut at a and b, over
+// 5000-byte blocks, under spill.PoisonRecycledBlocks, with fresh holders
+// for every record. Every line comes back once, at its offset, unchanged,
+// and every value still reads as written after its reader is closed and
+// another has read the file through the recycled windows.
+func FuzzLineRecordReader(f *testing.F) {
+	f.Add([]byte("one\r\ntwo\n\nfour"), uint32(3), uint32(9))
+	f.Add([]byte("\n\n\n\r\n\r"), uint32(1), uint32(4))
+	f.Add([]byte("a\xff\xff\xffb\nc\r\n\xff\n"), uint32(70000), uint32(147460))
+	fs, err := dfs.NewHDFS(dfs.HDFSOptions{Root: f.TempDir(), BlockSize: 5000, Stats: sim.NewStats()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, spec []byte, a, b uint32) {
+		was := spill.PoisonRecycledBlocks.Swap(true)
+		defer spill.PoisonRecycledBlocks.Store(was)
+		var content []byte
+		for _, c := range spec {
+			if len(content) >= 1<<20 {
+				break
+			}
+			if c == 0xff {
+				content = append(content, bytes.Repeat([]byte{'x'}, 48<<10)...)
+			} else {
+				content = append(content, c)
+			}
+		}
+		if err := dfs.WriteFile(fs, "/f", content); err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Delete("/f", false)
+		size := int64(len(content))
+		cuts := []int64{0, int64(a) % (size + 1), int64(b) % (size + 1), size}
+		cuts[1], cuts[2] = min(cuts[1], cuts[2]), max(cuts[1], cuts[2])
+		var offs []int64
+		var vals []*types.Text
+		for i := 0; i < 3; i++ {
+			rr, err := formats.NewLineRecordReader(fs, &formats.FileSplit{Path: "/f", Start: cuts[i], Len: cuts[i+1] - cuts[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				k, v := rr.CreateKey(), rr.CreateValue()
+				ok, err := rr.Next(k, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if off := k.(*types.LongWritable).Get(); off < cuts[i] || off >= cuts[i+1] {
+					t.Fatalf("cuts %v: split %d read the line at %d", cuts, i, off)
+				}
+				offs = append(offs, k.(*types.LongWritable).Get())
+				vals = append(vals, v.(*types.Text))
+			}
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(when string) {
+			want := referenceLines(string(content))
+			if len(vals) != len(want) {
+				t.Fatalf("cuts %v: %d lines, want %d", cuts, len(vals), len(want))
+			}
+			for i, w := range want {
+				if offs[i] != w.off || vals[i].String() != w.text {
+					t.Fatalf("cuts %v, %s: line %d at %d is %.80q, want %.80q at %d", cuts, when, i, offs[i], vals[i].String(), w.text, w.off)
+				}
+			}
+		}
+		check("as read")
+		readSplit(t, fs, "/f", 0, size)
+		check("after another reader")
+	})
 }
