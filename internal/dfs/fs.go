@@ -8,6 +8,7 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -234,14 +235,25 @@ func AncestorsOf(p string) iter.Seq[string] {
 	}
 }
 
-// ReadAll reads a whole file.
+// ReadAll reads a whole file into one slice sized from its length. The
+// length is a hint: the read still goes to the end of the file.
 func ReadAll(fs FileSystem, path string) ([]byte, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer
+	b.Grow(int(size) + bytes.MinRead)
+	_, err = b.ReadFrom(f)
+	return b.Bytes(), err
 }
 
 // WriteFile creates path with the given contents.

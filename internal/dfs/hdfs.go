@@ -196,15 +196,6 @@ var blockWriters = sync.Pool{New: func() any {
 	return bufio.NewWriterSize(nil, blockWriteBuf)
 }}
 
-// blockReadBuf is the size of the pooled buffers block files are read
-// through, a real client's 64 KiB packet.
-const blockReadBuf = 64 << 10
-
-var blockReadBufs = sync.Pool{New: func() any {
-	b := make([]byte, blockReadBuf)
-	return &b
-}}
-
 // Write implements io.Writer, cutting block files at block-size boundaries.
 func (w *hdfsWriter) Write(p []byte) (int, error) {
 	if w.closed {
@@ -391,12 +382,10 @@ func (h *HDFS) OpenFrom(path, host string) (File, error) {
 	return &hdfsReader{fs: h, path: path, host: host, blocks: blocks, size: size}, nil
 }
 
-// hdfsReader streams a file's block files as a client streams packets: it
-// holds the open block's descriptor and one pooled read buffer, never a
-// whole block. A read of at least blockReadBuf bytes goes straight into the
-// caller's slice, as bufio.Reader's does; a shorter one refills the buffer
-// with one ReadAt of up to blockReadBuf bytes of the block (its whole length
-// when the block is shorter).
+// hdfsReader streams a file's block files: it holds the open block's
+// descriptor and no buffer. Each read is one ReadAt of the block file
+// straight into the caller's slice, cut at the block's end; the record
+// readers above it read into windows of their own.
 type hdfsReader struct {
 	fs     *HDFS
 	path   string
@@ -412,10 +401,6 @@ type hdfsReader struct {
 	idx  int
 	base int64
 	read int64
-
-	buf    *[]byte // pooled, taken at the first buffered read
-	win    []byte  // buffered bytes of the open block, a prefix of *buf
-	winOff int64   // file offset of win[0]
 }
 
 // openReaders counts HDFS readers opened but not yet closed. A reader
@@ -457,7 +442,9 @@ func (r *hdfsReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	n, err := r.readBlock(p)
+	// One ReadAt into p, cut at the block's end.
+	left := r.base + r.blocks[r.idx].length - r.pos
+	n, err := r.readAt(p[:min(int64(len(p)), left)], r.pos-r.base)
 	r.pos += int64(n)
 	r.read += int64(n)
 	r.fs.stats.Add(sim.HDFSReadBytes, int64(n))
@@ -480,31 +467,6 @@ func (r *hdfsReader) enterBlock() error {
 	return nil
 }
 
-// readBlock reads from r.pos, which lies in the open block, without
-// crossing the block's end.
-func (r *hdfsReader) readBlock(p []byte) (int, error) {
-	if r.pos >= r.winOff && r.pos < r.winOff+int64(len(r.win)) {
-		return copy(p, r.win[r.pos-r.winOff:]), nil
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	at, left := r.pos-r.base, r.base+r.blocks[r.idx].length-r.pos
-	if len(p) >= blockReadBuf {
-		return r.readAt(p[:min(int64(len(p)), left)], at)
-	}
-	if r.buf == nil {
-		r.buf = blockReadBufs.Get().(*[]byte)
-	}
-	n, err := r.readAt((*r.buf)[:min(left, blockReadBuf)], at)
-	if err != nil {
-		r.win = nil
-		return 0, err
-	}
-	r.win, r.winOff = (*r.buf)[:n], r.pos
-	return copy(p, r.win), nil
-}
-
 // readAt fills p from offset off of the open block file. A file shorter
 // than its recorded length is io.ErrUnexpectedEOF, never a short read.
 func (r *hdfsReader) readAt(p []byte, off int64) (int, error) {
@@ -518,14 +480,12 @@ func (r *hdfsReader) readAt(p []byte, off int64) (int, error) {
 	return 0, fmt.Errorf("dfs: reading block of %s: %w", r.path, err)
 }
 
-// closeBlock closes the open block file, if any, and drops its buffered
-// bytes; the buffer itself stays with the reader. It charges the block for
+// closeBlock closes the open block file, if any. It charges the block for
 // what was read of it: that many bytes of modelled disk time, and of network
 // time, one latency included, when no replica is on the reader's host. A
 // read of a whole block pays its whole length; a split's header read of
 // the first block, a hundred bytes.
 func (r *hdfsReader) closeBlock() error {
-	r.win = nil
 	if r.f == nil {
 		return nil
 	}
@@ -572,18 +532,13 @@ func (r *hdfsReader) Seek(offset int64, whence int) (int64, error) {
 	return abs, nil
 }
 
-// Close implements io.Closer: the block's descriptor and the pooled buffer
-// go back.
+// Close implements io.Closer: the block's descriptor goes back.
 func (r *hdfsReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	err := r.closeBlock()
-	if r.buf != nil {
-		blockReadBufs.Put(r.buf)
-		r.buf = nil
-	}
 	openReaders.Add(-1)
 	return err
 }

@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"m3r/internal/conf"
 	"m3r/internal/dfs"
 	"m3r/internal/registry"
-	"m3r/internal/spill"
 	"m3r/internal/wio"
 )
 
@@ -132,68 +130,23 @@ func (s *SeqWriter) Close() error {
 	return s.c.Close()
 }
 
-// The read window. A SeqReader decodes every record where it lies in one
-// byte window, which it fills by reading the file straight into it: no
-// buffered reader between the file and the window, no copy of a record
-// before its fields are decoded.
-const (
-	// readMin is the shortest read a window asks for while room allows: an
-	// HDFS reader hands a read of at least its own 64 KiB buffer to the
-	// block file instead of copying it through that buffer.
-	readMin = 64 << 10
-	// copyWindow is the pooled copy-mode window: a record of up to readMin
-	// bytes left unread at a fill still leaves readMin to read into.
-	copyWindow = 2 * readMin
-	// ownedWindowMax caps a fresh owned window; a split's remainder that is
-	// shorter sizes it instead.
-	ownedWindowMax = 1 << 20
-	// probeBytes is the room an owned window keeps past the split's end:
-	// enough for the read that finds the end of the file, or for the sync
-	// escape and marker that end the split.
-	probeBytes = 4 + syncSize
-	// pastEnd is how far past the split's end a read reaches when room
-	// allows, beyond what the record being read needs.
-	pastEnd = 4 << 10
-)
-
-// copyWindows pools the copy-mode windows of every reader.
-var copyWindows = sync.Pool{New: func() any {
-	b := make([]byte, copyWindow)
-	return &b
-}}
-
-// SeqReader reads records from one split of a SequenceFile.
+// SeqReader reads records from one split of a SequenceFile, decoding each
+// where it lies in the reader's window.
 //
-// It has two ownership rules. In copy mode (the default) the window is
-// reused from record to record and from reader to reader (pooled), and
-// records decode in wio.Reader's copying slice mode: nothing returned points
-// into it. A caller that fills fresh holders for every record and keeps them
-// switches the reader to owned mode (ReadOwned): records then decode with
-// wio.Reader.ResetBytesOwned, so a byte body of wio.OwnedFloor bytes or more
-// is a view of the window. A window that any record aliases keeps every byte
-// it has read — reads only go into the room behind them, and a fill that
-// needs more gets a fresh window of its own — while one that no record
-// aliases is reused.
+// In copy mode (the default) records decode in wio.Reader's copying slice
+// mode: nothing returned points into the window. A caller that fills fresh
+// holders for every record and keeps them switches the reader to owned mode
+// (ReadOwned): records then decode with wio.Reader.ResetBytesOwned, so a
+// byte body of wio.OwnedFloor bytes or more is a view of the window, which
+// then keeps every byte it has read.
 type SeqReader struct {
-	file     dfs.File
+	window
 	path     string
 	sync     [syncSize]byte
 	keyClass string
 	valClass string
-	start    int64
-	end      int64
 	done     bool
-	// The window: win[off:] are the unread bytes, and win[0] is the file's
-	// byte at offset base. eof: the file has nothing past win.
-	win  []byte
-	off  int
-	base int64
-	eof  bool
-	// pooled is the copy-mode window's pool handle, nil once it went back.
-	pooled  *[]byte
-	owned   bool
-	aliased bool       // owned: a record decoded from win points into it
-	rd      wio.Reader // slice-mode view of the current record's key, then value
+	rd       wio.Reader // slice-mode view of the current record's key, then value
 }
 
 // NewSeqReader opens the byte range [start, start+length) of the
@@ -211,8 +164,8 @@ func NewSeqReader(fs dfs.FileSystem, path string, start, length int64) (*SeqRead
 	if err != nil {
 		return nil, err
 	}
-	r := &SeqReader{file: f, path: path, start: start, end: end, pooled: copyWindows.Get().(*[]byte)}
-	r.win = (*r.pooled)[:0]
+	r := &SeqReader{path: path}
+	r.open(f, start, end)
 	// The header is always read from offset 0, whatever the split; a split
 	// that starts past it reads no more of the file for it than the header
 	// needs and a read's reach past it (pastEnd), not the first block.
@@ -286,13 +239,8 @@ func (r *SeqReader) parseClasses(hdr []byte) (int, error) {
 // and scans for the first full sync marker there — the header's own, for a
 // split that starts inside it: records resume immediately after it.
 func (r *SeqReader) enter(start int64) error {
-	if start <= r.base+int64(len(r.win)) {
-		r.off = int(start - r.base)
-	} else {
-		if _, err := r.file.Seek(start, io.SeekStart); err != nil {
-			return err
-		}
-		r.win, r.off, r.base, r.eof = r.win[:0], 0, start, false
+	if err := r.seek(start); err != nil {
+		return err
 	}
 	switch err := r.scanToSync(); {
 	case err == io.EOF:
@@ -329,85 +277,6 @@ func (r *SeqReader) scanToSync() error {
 			return err
 		}
 	}
-}
-
-// pos is the file offset of the next unread byte.
-func (r *SeqReader) pos() int64 { return r.base + int64(r.off) }
-
-// fill makes n unread bytes available in the window. It returns io.EOF when
-// the file ends with no byte unread and io.ErrUnexpectedEOF when it ends
-// with fewer than n.
-func (r *SeqReader) fill(n int) error {
-	for len(r.win)-r.off < n {
-		if r.eof {
-			if r.off == len(r.win) {
-				return io.EOF
-			}
-			return io.ErrUnexpectedEOF
-		}
-		r.makeRoom(n)
-		// Read to the split's end, or a little past it, in one read when
-		// the window has room; never less than the record needs.
-		readAt := r.base + int64(len(r.win))
-		room := int64(cap(r.win) - len(r.win))
-		ask := max(n-(len(r.win)-r.off), int(min(room, max(r.end-readAt, pastEnd))))
-		m, err := r.file.Read(r.win[len(r.win) : len(r.win)+ask])
-		r.win = r.win[:len(r.win)+m]
-		if err == io.EOF {
-			r.eof = true
-		} else if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// makeRoom readies the window for a read towards n unread bytes. The read
-// goes into the room behind the bytes already read when that room takes
-// what is missing — and readMin, unless records alias the window, whose
-// read bytes then stay as they are. Otherwise the unread bytes move to the
-// front of a window that no record aliases and that can hold n, or whole
-// to a fresh window: a record cut by the last fill moves whole.
-func (r *SeqReader) makeRoom(n int) {
-	unread, room := len(r.win)-r.off, cap(r.win)-len(r.win)
-	switch {
-	case room >= n-unread && (room >= readMin || r.aliased):
-	case !r.aliased && cap(r.win) >= n:
-		r.base += int64(r.off)
-		r.win = r.win[:copy(r.win, r.win[r.off:])]
-		r.off = 0
-	case r.owned:
-		r.fresh(max(n, r.ownedWindow()))
-	default:
-		r.fresh(n)
-	}
-}
-
-// ownedWindow is the size of a fresh owned window: the rest of the split,
-// up to ownedWindowMax, and room to probe past its end.
-func (r *SeqReader) ownedWindow() int {
-	return int(min(ownedWindowMax, max(r.end-r.pos(), 0)+probeBytes))
-}
-
-// fresh moves the unread bytes to a new window of size bytes, which no
-// record aliases yet; a pooled window goes back.
-func (r *SeqReader) fresh(size int) {
-	w := make([]byte, len(r.win)-r.off, size)
-	copy(w, r.win[r.off:])
-	r.release()
-	r.base += int64(r.off)
-	r.win, r.off, r.aliased = w, 0, false
-}
-
-// release returns the copy-mode window to its pool, poisoned under
-// spill.PoisonRecycledBlocks; the reader no longer holds it.
-func (r *SeqReader) release() {
-	if r.pooled == nil {
-		return
-	}
-	spill.PoisonRecycled((*r.pooled)[:copyWindow])
-	copyWindows.Put(r.pooled)
-	r.pooled = nil
 }
 
 // ReadOwned switches the reader to owned mode, for a caller that fills fresh
@@ -501,24 +370,11 @@ func (r *SeqReader) truncated(err error) error {
 }
 
 // Progress reports completion in [0,1].
-func (r *SeqReader) Progress() float32 {
-	if r.end == r.start {
-		return 1
-	}
-	p := float32(r.pos()-r.start) / float32(r.end-r.start)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
+func (r *SeqReader) Progress() float32 { return r.progress() }
 
 // Close closes the underlying file; the copy-mode window goes back to its
 // pool. Values decoded in owned mode keep the windows they point into.
-func (r *SeqReader) Close() error {
-	r.release()
-	r.win = nil
-	return r.file.Close()
-}
+func (r *SeqReader) Close() error { return r.close() }
 
 // seqRecordReader adapts SeqReader to the RecordReader interface.
 type seqRecordReader struct {

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 
@@ -55,15 +56,9 @@ func (*TextInputFormat) GetRecordReader(split InputSplit, job *conf.JobConf) (Re
 // from a byte range of a file, handling lines that straddle split
 // boundaries the way Hadoop does: a reader starting mid-file discards the
 // (partial) first line it lands in, and every reader finishes the line
-// that crosses its end offset.
-type LineRecordReader struct {
-	file  dfs.File
-	br    *bufio.Reader
-	long  []byte // a line longer than br's buffer, assembled
-	pos   int64
-	start int64
-	end   int64
-}
+// that crosses its end offset. Lines are cut where they lie in the
+// reader's window, in copy mode: a value holds a copy of its line.
+type LineRecordReader struct{ window }
 
 // NewLineRecordReader opens the split's byte range on fs.
 func NewLineRecordReader(fs dfs.FileSystem, split *FileSplit) (*LineRecordReader, error) {
@@ -71,36 +66,22 @@ func NewLineRecordReader(fs dfs.FileSystem, split *FileSplit) (*LineRecordReader
 	if err != nil {
 		return nil, err
 	}
-	r := &LineRecordReader{
-		file:  f,
-		start: split.Start,
-		end:   split.Start + split.Len,
-		pos:   split.Start,
-	}
+	r := new(LineRecordReader)
+	r.open(f, split.Start, split.Start+split.Len)
 	if split.Start > 0 {
 		// Start one byte early: if that byte is exactly a newline, the
 		// line beginning at split.Start belongs to us; otherwise we are
 		// mid-line and skip to the next newline. (Equivalent to Hadoop's
 		// "skip first line unless offset 0".)
-		if _, err := f.Seek(split.Start-1, io.SeekStart); err != nil {
-			f.Close()
+		err := r.seek(split.Start - 1)
+		if err == nil {
+			_, err = r.line()
+		}
+		if err != nil && err != io.EOF {
+			r.Close()
 			return nil, err
 		}
-		r.pos = split.Start - 1
-		r.br = bufio.NewReader(f)
-		line, err := r.readLine()
-		r.pos += int64(len(line))
-		if err == io.EOF {
-			// The file ends inside this split's first (partial) line.
-			return r, nil
-		}
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return r, nil
 	}
-	r.br = bufio.NewReader(f)
 	return r, nil
 }
 
@@ -113,18 +94,18 @@ func (*LineRecordReader) CreateValue() wio.Writable { return new(types.Text) }
 // Next implements RecordReader: key is the byte offset of the line start,
 // value the line without its trailing newline.
 func (r *LineRecordReader) Next(key, value wio.Writable) (bool, error) {
-	if r.pos >= r.end {
+	at := r.pos()
+	if at >= r.end {
 		return false, nil
 	}
-	line, err := r.readLine()
+	line, err := r.line()
 	if err != nil && err != io.EOF {
 		return false, err
 	}
 	if len(line) == 0 {
 		return false, nil
 	}
-	key.(*types.LongWritable).Set(r.pos)
-	r.pos += int64(len(line))
+	key.(*types.LongWritable).Set(at)
 	if line[len(line)-1] == '\n' {
 		line = line[:len(line)-1]
 		if len(line) > 0 && line[len(line)-1] == '\r' {
@@ -135,36 +116,34 @@ func (r *LineRecordReader) Next(key, value wio.Writable) (bool, error) {
 	return true, nil
 }
 
-// readLine returns the next line with its newline, valid until the next
-// call: a view of the bufio buffer, or of r.long for a line the buffer
-// cannot hold.
-func (r *LineRecordReader) readLine() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
+// line consumes the next line and returns it with its newline, a view of
+// the window valid until the next fill. A last line without a newline
+// comes with io.EOF, as does the empty line at the end of the file.
+func (r *LineRecordReader) line() ([]byte, error) {
+	for scanned := 0; ; {
+		unread := r.win[r.off:]
+		if i := bytes.IndexByte(unread[scanned:], '\n'); i >= 0 {
+			r.off += scanned + i + 1
+			return unread[:scanned+i+1], nil
+		}
+		scanned = len(unread)
+		switch err := r.fill(scanned + 1); err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			unread = r.win[r.off:]
+			r.off = len(r.win)
+			return unread, io.EOF
+		default:
+			return nil, err
+		}
 	}
-	r.long = append(r.long[:0], line...)
-	for err == bufio.ErrBufferFull {
-		line, err = r.br.ReadSlice('\n')
-		r.long = append(r.long, line...)
-	}
-	return r.long, err
 }
 
 // Progress implements RecordReader.
-func (r *LineRecordReader) Progress() float32 {
-	if r.end == r.start {
-		return 1
-	}
-	p := float32(r.pos-r.start) / float32(r.end-r.start)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
+func (r *LineRecordReader) Progress() float32 { return r.progress() }
 
 // Close implements RecordReader.
-func (r *LineRecordReader) Close() error { return r.file.Close() }
+func (r *LineRecordReader) Close() error { return r.close() }
 
 // TextOutputFormat writes "key<sep>value\n" lines using the writables'
 // String methods, Hadoop's default output format.

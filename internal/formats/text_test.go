@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"m3r/internal/formats"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 )
 
@@ -155,7 +157,7 @@ func lineFiles() []struct{ name, content string } {
 
 // cutOffsets are the offsets content is cut at: every one for a file of up
 // to 16 KiB; past that, every one within 8 bytes of a line's end, of the
-// file's ends and of each 64 KiB multiple, and every 1021st, so that a cut
+// file's ends and of each 64 KiB multiple, and every 4093rd, so that a cut
 // lands on both sides of every line and window edge without reading a long
 // file once per byte.
 func cutOffsets(content string) []int64 {
@@ -163,7 +165,7 @@ func cutOffsets(content string) []int64 {
 	near := func(k, edge int) bool { return k-edge <= 8 && edge-k <= 8 }
 	var offs []int64
 	for k := 0; k <= n; k++ {
-		keep := n <= 16<<10 || near(k, 0) || near(k, n) || near(k%(64<<10), 0) || near(k%(64<<10), 64<<10) || k%1021 == 0
+		keep := n <= 16<<10 || near(k, 0) || near(k, n) || near(k%(64<<10), 0) || near(k%(64<<10), 64<<10) || k%4093 == 0
 		for d := -8; !keep && d <= 8; d++ {
 			keep = k+d > 0 && k+d <= n && content[k+d-1] == '\n'
 		}
@@ -299,4 +301,95 @@ func FuzzLineRecordReader(f *testing.F) {
 		readSplit(t, fs, "/f", 0, size)
 		check("after another reader")
 	})
+}
+
+// TestLineRecordReaderChargesItsSplit: each split of a text file of 16 KiB
+// blocks — short lines, and lines of 20 and 150 KiB that splits start and
+// end inside — is charged, as bytes read and as disk time, for nothing
+// before the byte ahead of its start and for at most the line that crosses
+// its end and a read's reach past it.
+func TestLineRecordReaderChargesItsSplit(t *testing.T) {
+	var b strings.Builder
+	for i := 0; b.Len() < 400<<10; i++ {
+		switch i % 97 {
+		case 13:
+			b.WriteString(strings.Repeat("m", 20<<10))
+		case 50:
+			b.WriteString(strings.Repeat("g", 150<<10))
+		default:
+			fmt.Fprintf(&b, "line %d", i)
+		}
+		b.WriteByte('\n')
+	}
+	content := b.String()
+	size := int64(len(content))
+	stats := sim.NewStats()
+	fs, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir(), BlockSize: 16 << 10, Stats: stats, Cost: &sim.CostModel{DiskBytesPerSec: 1e9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dfs.WriteFile(fs, "/in", []byte(content)); err != nil {
+		t.Fatal(err)
+	}
+	const pastEnd = 4 << 10
+	var got []lineRec
+	cuts := []int64{0, 1, 1000, 30000, 64 << 10, 100000, 140000, 200000, 300001, size - 10, size}
+	for i := 0; i+1 < len(cuts); i++ {
+		start, end := cuts[i], cuts[i+1]
+		// The split needs the bytes from the one ahead of its start to the
+		// end of the line holding its last byte.
+		first, need := max(start-1, 0), size
+		if nl := strings.IndexByte(content[end-1:], '\n'); nl >= 0 {
+			need = end + int64(nl)
+		}
+		read0, disk0 := stats.Get(sim.HDFSReadBytes), stats.Get(sim.DiskDelayNs)
+		got = append(got, readSplit(t, fs, "/in", start, end)...)
+		read, disk := stats.Get(sim.HDFSReadBytes)-read0, stats.Get(sim.DiskDelayNs)-disk0
+		lo, hi := need-first, min(need+pastEnd, size)-first
+		if read < lo || read > hi || disk != read {
+			t.Errorf("split [%d, %d): read %d bytes, disk charged %d; want %d–%d, charged as read", start, end, read, disk, lo, hi)
+		}
+	}
+	if !slices.Equal(got, referenceLines(content)) {
+		t.Error("the splits' lines differ from the reference split")
+	}
+}
+
+// TestLineRecordReaderLongLineAllocs: a 1 MiB line, read with reused
+// holders, costs at most ⌈log₂(1 MiB / 128 KiB)⌉ + 2 windows beyond what a
+// one-byte line costs: a window that a line outgrows is replaced by one
+// twice its size. The collector is off, as it would empty the window pool,
+// and the race detector drops a share of what goes back to it.
+func TestLineRecordReaderLongLineAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector drops a share of the pooled windows")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, fs, cleanup := newJobFS(t, 4<<20)
+	defer cleanup()
+	perLine := func(n int) float64 {
+		path := fmt.Sprintf("/line%d", n)
+		if err := dfs.WriteFile(fs, path, []byte(strings.Repeat("x", n)+"\n")); err != nil {
+			t.Fatal(err)
+		}
+		split := &formats.FileSplit{Path: path, Len: int64(n + 1)}
+		k, v := new(types.LongWritable), new(types.Text)
+		return testing.AllocsPerRun(20, func() {
+			rr, err := formats.NewLineRecordReader(fs, split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := rr.Next(k, v); !ok || err != nil || v.Len() != n {
+				t.Fatalf("Next = %v, %v, a line of %d bytes; want %d", ok, err, v.Len(), n)
+			}
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := perLine(1), perLine(1<<20)
+	t.Logf("%.0f allocations for a 1-byte line, %.0f for a 1 MiB line", short, long)
+	if windows := long - short; windows > 5 {
+		t.Errorf("%.0f windows for a 1 MiB line, want at most 5", windows)
+	}
 }

@@ -217,6 +217,82 @@ func TestShuffleRemoteColdAllocs(t *testing.T) {
 	}
 }
 
+// coldAllocsPerRec returns the allocations per map-output record of one
+// run on a fresh cluster built with opts, whose input write puts there and
+// whose first job reads that input from HDFS into the cache. A throwaway
+// fresh cluster runs first, so the process's pools are as warm as the
+// benchmark's cold rep finds them.
+func coldAllocsPerRec(t *testing.T, opts lab.Options, write func(dfs.FileSystem) error, run func(engine.Engine) ([]*engine.Report, error)) float64 {
+	t.Helper()
+	cold := func() float64 {
+		c := ceilingCluster(t, opts)
+		if err := write(c.FS); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		reports, err := run(c.M3R)
+		runtime.ReadMemStats(&ms1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[0].Counters.Value(counters.M3RGroup, counters.CacheMissSplits) == 0 {
+			t.Fatal("the first job read no split from HDFS")
+		}
+		return float64(ms1.Mallocs-ms0.Mallocs) / float64(mapOutputRecords(reports))
+	}
+	cold()
+	return cold()
+}
+
+// TestWordCountColdAllocs is the cold half of TestWordCountAllocs: the
+// allocations per map-output record of its job's first run on a fresh
+// cluster, which reads the text from HDFS through the line reader. Its
+// ceiling is set as TestWordCountAllocs' is, over 2.749–2.755 allocs/rec,
+// measured when the line reader came to cut lines in the read window
+// (2.748–2.756 with the bufio.Reader it replaced).
+func TestWordCountColdAllocs(t *testing.T) {
+	skipUnpinned(t)
+	const maxAllocsPerRec = 2.84
+	allocs := coldAllocsPerRec(t, lab.Options{}, func(fs dfs.FileSystem) error {
+		return wordcount.Generate(fs, "/wc/in", 256<<10, 5)
+	}, func(eng engine.Engine) ([]*engine.Report, error) {
+		rep, err := pinnedEngine{Engine: eng}.Submit(wordcount.NewJob("/wc/in", "/wc/out", 4, true))
+		return []*engine.Report{rep}, err
+	})
+	t.Logf("%.3f allocs/rec", allocs)
+	if allocs > maxAllocsPerRec {
+		t.Errorf("%.3f allocs/rec, ceiling %.3f", allocs, maxAllocsPerRec)
+	}
+}
+
+// TestSortSpillColdAllocs is the cold half of TestSortSpillAllocs: the
+// allocations per map-output record of its job's first run on a fresh
+// cluster, which reads the text from HDFS through the line reader. Its
+// ceiling is set as TestWordCountAllocs' is, over 2.597–2.602 allocs/rec,
+// measured when the line reader came to cut lines in the read window
+// (2.598–2.603 with the bufio.Reader it replaced).
+func TestSortSpillColdAllocs(t *testing.T) {
+	skipUnpinned(t)
+	const (
+		input           = 256 << 10
+		pool            = input / 8
+		maxAllocsPerRec = 2.68
+	)
+	allocs := coldAllocsPerRec(t, lab.Options{ShuffleBudgetBytes: pool, CacheBudgetBytes: pool}, func(fs dfs.FileSystem) error {
+		return wordcount.Generate(fs, "/ss/in", input, 5)
+	}, func(eng engine.Engine) ([]*engine.Report, error) {
+		rep, err := pinnedEngine{Engine: eng, budget: pool, codec: "flate"}.Submit(sortSpillJob("/ss/in", "/ss/out"))
+		return []*engine.Report{rep}, err
+	})
+	t.Logf("%.3f allocs/rec", allocs)
+	if allocs > maxAllocsPerRec {
+		t.Errorf("%.3f allocs/rec, ceiling %.3f", allocs, maxAllocsPerRec)
+	}
+}
+
 // TestSortSpillAllocs is the workload ceiling of the benchmark's
 // sort_spill at a small fixed seed: WordCount without its combiner over
 // 256 KiB of generated text under an engine pool and cache budget of an
