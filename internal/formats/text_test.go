@@ -303,11 +303,48 @@ func FuzzLineRecordReader(f *testing.F) {
 	})
 }
 
+// spanFS records the lowest and highest file offsets the reads of its
+// files touch.
+type spanFS struct {
+	dfs.FileSystem
+	lo, hi int64
+}
+
+func (s *spanFS) Open(path string) (dfs.File, error) {
+	f, err := s.FileSystem.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &spanFile{File: f, fs: s}, nil
+}
+
+type spanFile struct {
+	dfs.File
+	fs  *spanFS
+	pos int64
+}
+
+func (f *spanFile) Seek(off int64, whence int) (int64, error) {
+	pos, err := f.File.Seek(off, whence)
+	f.pos = pos
+	return pos, err
+}
+
+func (f *spanFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	if n > 0 {
+		f.fs.lo, f.fs.hi = min(f.fs.lo, f.pos), max(f.fs.hi, f.pos+int64(n))
+	}
+	f.pos += int64(n)
+	return n, err
+}
+
 // TestLineRecordReaderChargesItsSplit: each split of a text file of 16 KiB
 // blocks — short lines, and lines of 20 and 150 KiB that splits start and
-// end inside — is charged, as bytes read and as disk time, for nothing
-// before the byte ahead of its start and for at most the line that crosses
-// its end and a read's reach past it.
+// end inside — reads from the byte ahead of its start, nothing before it,
+// through the line that crosses its end and at most a read's reach past
+// that, each byte once, and is charged for those bytes, as bytes read and
+// as disk time.
 func TestLineRecordReaderChargesItsSplit(t *testing.T) {
 	var b strings.Builder
 	for i := 0; b.Len() < 400<<10; i++ {
@@ -324,13 +361,14 @@ func TestLineRecordReaderChargesItsSplit(t *testing.T) {
 	content := b.String()
 	size := int64(len(content))
 	stats := sim.NewStats()
-	fs, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir(), BlockSize: 16 << 10, Stats: stats, Cost: &sim.CostModel{DiskBytesPerSec: 1e9}})
+	hdfs, err := dfs.NewHDFS(dfs.HDFSOptions{Root: t.TempDir(), BlockSize: 16 << 10, Stats: stats, Cost: &sim.CostModel{DiskBytesPerSec: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dfs.WriteFile(fs, "/in", []byte(content)); err != nil {
+	if err := dfs.WriteFile(hdfs, "/in", []byte(content)); err != nil {
 		t.Fatal(err)
 	}
+	fs := &spanFS{FileSystem: hdfs}
 	const pastEnd = 4 << 10
 	var got []lineRec
 	cuts := []int64{0, 1, 1000, 30000, 64 << 10, 100000, 140000, 200000, 300001, size - 10, size}
@@ -343,11 +381,14 @@ func TestLineRecordReaderChargesItsSplit(t *testing.T) {
 			need = end + int64(nl)
 		}
 		read0, disk0 := stats.Get(sim.HDFSReadBytes), stats.Get(sim.DiskDelayNs)
+		fs.lo, fs.hi = size, 0
 		got = append(got, readSplit(t, fs, "/in", start, end)...)
 		read, disk := stats.Get(sim.HDFSReadBytes)-read0, stats.Get(sim.DiskDelayNs)-disk0
-		lo, hi := need-first, min(need+pastEnd, size)-first
-		if read < lo || read > hi || disk != read {
-			t.Errorf("split [%d, %d): read %d bytes, disk charged %d; want %d–%d, charged as read", start, end, read, disk, lo, hi)
+		if fs.lo != first || fs.hi < need || fs.hi > min(need+pastEnd, size) {
+			t.Errorf("split [%d, %d) read [%d, %d); want from %d to between %d and %d", start, end, fs.lo, fs.hi, first, need, min(need+pastEnd, size))
+		}
+		if read != fs.hi-fs.lo || disk != read {
+			t.Errorf("split [%d, %d) read [%d, %d) and was charged %d bytes read, %d of disk", start, end, fs.lo, fs.hi, read, disk)
 		}
 	}
 	if !slices.Equal(got, referenceLines(content)) {
@@ -359,12 +400,15 @@ func TestLineRecordReaderChargesItsSplit(t *testing.T) {
 // holders, costs at most ⌈log₂(1 MiB / 128 KiB)⌉ + 2 windows beyond what a
 // one-byte line costs: a window that a line outgrows is replaced by one
 // twice its size. The collector is off, as it would empty the window pool,
-// and the race detector drops a share of what goes back to it.
+// and the race detector drops a share of what goes back to it. The memory
+// limit bounds what a reader that regrows its window unchecked could take:
+// the collector runs there, and the count then fails.
 func TestLineRecordReaderLongLineAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector drops a share of the pooled windows")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(512 << 20))
 	_, fs, cleanup := newJobFS(t, 4<<20)
 	defer cleanup()
 	perLine := func(n int) float64 {
