@@ -401,8 +401,8 @@ func TestLineRecordReaderChargesItsSplit(t *testing.T) {
 // one-byte line costs: a window that a line outgrows is replaced by one
 // twice its size. The collector is off, as it would empty the window pool,
 // and the race detector drops a share of what goes back to it. The memory
-// limit bounds what a reader that regrows its window unchecked could take:
-// the collector runs there, and the count then fails.
+// limit bounds what a reader that regrows its window without doubling
+// could take with the collector off: the collector runs at the limit.
 func TestLineRecordReaderLongLineAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector drops a share of the pooled windows")
