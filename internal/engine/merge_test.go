@@ -262,7 +262,7 @@ type decodedRun struct {
 
 func newDecodedRun(t testing.TB, src engine.RecSource, keyClass, valClass string) engine.RunReader {
 	t.Helper()
-	dec, err := spill.NewPairDecoder(keyClass, valClass, -1)
+	dec, err := spill.NewPairDecoder(keyClass, valClass, -1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,11 @@ type RawMerge struct {
 	// keys and vals hand out the decoded objects, from slabs no larger than
 	// what is still to come: unpulled records the leaves have not pulled,
 	// left records the reduce has not consumed, each negative when the runs'
-	// length is unknown.
+	// length is unknown. kept says the reducer may hand them on to a cache
+	// (ImmutableOutput): then they take no shared slab, and the readers
+	// below are not transient.
 	keys, vals     wio.Alloc
+	kept           bool
 	unpulled, left int
 	m              *SourceMerge[keyedRec]
 	keyed          []keyedSource // m's leaves, in source order
@@ -162,12 +165,14 @@ func (s *keyedSource) Close() error { return s.src.Close() }
 // come from. Reduce polls lc, when non-nil, once per record. It takes
 // ownership of srcs: they are closed on error and by Close.
 func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, nrecs int, lc *JobLifecycle) (*RawMerge, error) {
-	keys, err := wio.NewAlloc(keyClass)
+	kept := rj.ReduceImmutable
+	keys, err := wio.NewAlloc(keyClass, kept)
 	if err != nil {
 		CloseAllOnErr(srcs)
 		return nil, fmt.Errorf("engine: map output key class: %w", err)
 	}
-	m := &RawMerge{rj: rj, keys: keys, unpulled: nrecs, left: nrecs, lc: lc, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
+	m := &RawMerge{rj: rj, keys: keys, kept: kept, unpulled: nrecs, left: nrecs, lc: lc, eager: rj.RawSortCmp == nil || rj.RawGroupCmp == nil}
+	m.rd.SetTransient(!kept)
 	if m.prefixer, _ = rj.RawSortCmp.(wio.RawSortPrefixer); m.prefixer != nil {
 		m.groupByPrefix = rj.GroupsBySort
 	}
@@ -175,6 +180,7 @@ func (rj *ResolvedJob) OpenRawMerge(srcs []RecSource, keyClass string, nrecs int
 	m.keyed = make([]keyedSource, len(srcs))
 	for i, s := range srcs {
 		m.keyed[i] = keyedSource{src: s, m: m}
+		m.keyed[i].rd.SetTransient(!kept)
 		leaves[i] = &m.keyed[i]
 	}
 	if m.m, err = NewSourceMerge(leaves, m.compare); err != nil {
@@ -237,7 +243,7 @@ func (m *RawMerge) Close() error { return m.m.Close() }
 // COMBINE_INPUT_RECORDS, and counts no group, as DriveReduce's does.
 func (m *RawMerge) Reduce(valClass string, run ReduceRun, out mapred.OutputCollector, ctx *TaskContext, combine bool) error {
 	var err error
-	if m.vals, err = wio.NewAlloc(valClass); err != nil {
+	if m.vals, err = wio.NewAlloc(valClass, m.kept); err != nil {
 		return fmt.Errorf("engine: map output value class: %w", err)
 	}
 	groups := &ctx.Cells.ReduceInputGroups

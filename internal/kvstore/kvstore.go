@@ -1024,7 +1024,9 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 
 // decodeSpilledBlock reads a spilled block of n pairs back into writables,
 // each decoded before the next Next recycles its record's block: distinct
-// objects from slabs of at most n, which the block's readers may keep. A
+// objects from slabs of at most n, which the block's readers may keep, and
+// which the cache keeps when the block readmits — so none from a slab shared
+// with objects that die with a job (spill.NewPairDecoder's kept). A
 // file of any other length than the block's is an error: the block is never
 // served short, or with another block's pairs.
 func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
@@ -1033,7 +1035,7 @@ func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 		return nil, err
 	}
 	defer st.Close()
-	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass, int(n))
+	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass, int(n), true)
 	if err != nil {
 		return nil, err
 	}

@@ -163,7 +163,7 @@ func (sc *shuffleCollector) Collect(key, value wio.Writable) error {
 		// unmarked map sides pay a clone here.
 		k, v := key, value
 		if !sc.immutable {
-			k, v = wio.MustClone(key), wio.MustClone(value)
+			k, v = sc.clone(key, value)
 			sc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
 			sc.ctx.Cells.AliasedPairs.Increment(1)
@@ -201,6 +201,17 @@ func (sc *shuffleCollector) collectGrouped(key, value wio.Writable) error {
 	return t.Add(h, key, value, !sc.immutable)
 }
 
+// clone copies a pair the mapper may reuse (§4.1). The copy is reducer
+// input and dies with the job, so it comes from the shared slabs
+// (wio.CloneTransient) — unless the reducer may hand it on to the cache
+// (ImmutableOutput), which keeps nothing from a shared slab.
+func (sc *shuffleCollector) clone(key, value wio.Writable) (wio.Writable, wio.Writable) {
+	if sc.x.Resolved.ReduceImmutable {
+		return wio.MustClone(key), wio.MustClone(value)
+	}
+	return wio.MustCloneTransient(key), wio.MustCloneTransient(value)
+}
+
 // deliver routes one pair to its partition's place.
 func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bool) error {
 	// A pair not of the task's classes fails here, co-located or not, as
@@ -217,7 +228,7 @@ func (sc *shuffleCollector) deliver(q int, key, value wio.Writable, immutable bo
 		// protect against output reuse (§4.1).
 		k, v := key, value
 		if !immutable {
-			k, v = wio.MustClone(key), wio.MustClone(value)
+			k, v = sc.clone(key, value)
 			sc.ctx.Cells.ClonedPairs.Increment(1)
 		} else {
 			sc.ctx.Cells.AliasedPairs.Increment(1)
@@ -362,7 +373,7 @@ func (sc *shuffleCollector) deliverObjects(d int, b *spill.Buffer) error {
 		}
 		total += want
 	}
-	if err := b.Unpack(sc.classes.KeyClass, sc.classes.ValClass, func(q int, kv wio.Pair) { sc.parts[q].run.pairs = append(sc.parts[q].run.pairs, kv) }); err != nil {
+	if err := b.Unpack(sc.classes.KeyClass, sc.classes.ValClass, sc.x.Resolved.ReduceImmutable, func(q int, kv wio.Pair) { sc.parts[q].run.pairs = append(sc.parts[q].run.pairs, kv) }); err != nil {
 		return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
 	}
 	sortCmp := sc.x.Resolved.SortCmp

@@ -11,8 +11,8 @@ import (
 
 // pairDecodeAllocs is what decoding a block of n (IntWritable, LongWritable)
 // records allocates, the decoder included, told the count as a spilled cache
-// block's read is.
-func pairDecodeAllocs(t *testing.T, n int) float64 {
+// block's read is; kept as the decoder's.
+func pairDecodeAllocs(t *testing.T, n int, kept bool) float64 {
 	t.Helper()
 	pairs := make([]wio.Pair, n)
 	for i := range pairs {
@@ -23,7 +23,7 @@ func pairDecodeAllocs(t *testing.T, n int) float64 {
 		t.Fatal(err)
 	}
 	decode := func() {
-		d, err := NewPairDecoder(keyClass, valClass, n)
+		d, err := NewPairDecoder(keyClass, valClass, n, kept)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,21 +58,28 @@ func skipUnpinned(t *testing.T) {
 func TestPairDecoderSlabAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const n, ceiling = 1000, 22
-	got := pairDecodeAllocs(t, n)
+	got := pairDecodeAllocs(t, n, false)
 	t.Logf("%v allocs a %d-record block", got, n)
 	if got > ceiling {
 		t.Errorf("a %d-record block allocates %v times, ceiling %v", n, got, ceiling)
 	}
 }
 
-// TestShortBlocksAllocLikeTheFactory: a block of fewer than eight records
-// takes every object from the plain factory: the decoder and one allocation
-// an IntWritable or LongWritable, as before there were slabs.
-func TestShortBlocksAllocLikeTheFactory(t *testing.T) {
+// TestShortBlocksTakeSharedSlabs pins the short-site rule. A block of fewer
+// than eight records whose objects die with the job takes every object from
+// its class's shared slab, so with the shared slabs warm it allocates only
+// the decoder — where the factory took one allocation an object. One whose
+// objects a cache may keep (a spilled cache block's read) still takes every
+// object from the factory: the decoder and one allocation an IntWritable or
+// LongWritable.
+func TestShortBlocksTakeSharedSlabs(t *testing.T) {
 	skipUnpinned(t)
 	for _, n := range []int{1, 3, 7} {
-		if got, want := pairDecodeAllocs(t, n), float64(1+2*n); got != want {
-			t.Errorf("a %d-record block allocates %v times, the factory %v", n, got, want)
+		if got, want := pairDecodeAllocs(t, n, false), 1.0; got != want {
+			t.Errorf("a %d-record transient block allocates %v times, want %v: the decoder", n, got, want)
+		}
+		if got, want := pairDecodeAllocs(t, n, true), float64(1+2*n); got != want {
+			t.Errorf("a %d-record kept block allocates %v times, the factory %v", n, got, want)
 		}
 	}
 }

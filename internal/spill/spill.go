@@ -455,45 +455,50 @@ var runSizers = sync.Pool{New: func() any { return wio.NewWriter(io.Discard) }}
 type PairDecoder struct {
 	keys, vals         wio.Alloc
 	keyClass, valClass string
-	left               int // records still to come, or negative when unknown
+	left               int  // records still to come, or negative when unknown
+	kept               bool // a cache may keep the objects
 	rd                 wio.Reader
 }
 
 // NewPairDecoder resolves the run's class names against the wio registry.
 // n is how many records the decoder will be handed, or negative when the
-// caller does not know; no slab holds more objects than that.
-func NewPairDecoder(keyClass, valClass string, n int) (*PairDecoder, error) {
-	keys, err := wio.NewAlloc(keyClass)
-	if err != nil {
+// caller does not know; no slab holds more objects than that. kept says a
+// cache may keep the objects — a spilled cache block's read — so they take
+// no shared slab (wio.NewAlloc) and their float bodies exact
+// allocations; otherwise they die with the job and a short block's objects
+// and every short float body come from the shared slabs.
+func NewPairDecoder(keyClass, valClass string, n int, kept bool) (*PairDecoder, error) {
+	d := &PairDecoder{}
+	if err := d.reuse(keyClass, valClass, n, kept); err != nil {
 		return nil, err
 	}
-	vals, err := wio.NewAlloc(valClass)
-	if err != nil {
-		return nil, err
-	}
-	return &PairDecoder{keys: keys, vals: vals, keyClass: keyClass, valClass: valClass, left: n}, nil
+	return d, nil
 }
 
 // reuse readies d for n records of the classes named, as NewPairDecoder
 // would, keeping the allocators — and their slab holders — of a class it
-// decoded before.
-func (d *PairDecoder) reuse(keyClass, valClass string, n int) error {
-	if err := reuseAlloc(&d.keys, &d.keyClass, keyClass); err != nil {
+// decoded before with the same kept.
+func (d *PairDecoder) reuse(keyClass, valClass string, n int, kept bool) error {
+	if kept != d.kept {
+		d.keyClass, d.valClass, d.kept = "", "", kept
+	}
+	if err := reuseAlloc(&d.keys, &d.keyClass, keyClass, kept); err != nil {
 		return err
 	}
-	if err := reuseAlloc(&d.vals, &d.valClass, valClass); err != nil {
+	if err := reuseAlloc(&d.vals, &d.valClass, valClass, kept); err != nil {
 		return err
 	}
 	d.left = n
+	d.rd.SetTransient(!kept)
 	return nil
 }
 
-func reuseAlloc(a *wio.Alloc, class *string, name string) error {
+func reuseAlloc(a *wio.Alloc, class *string, name string, kept bool) error {
 	if name != "" && name == *class {
 		a.Reset()
 		return nil
 	}
-	na, err := wio.NewAlloc(name)
+	na, err := wio.NewAlloc(name, kept)
 	if err != nil {
 		*class = ""
 		return err

@@ -71,7 +71,7 @@ func TestUnpackOwnsWhatItPointsInto(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got [2][]wio.Pair
-			if err := b.Unpack(types.IntName, types.BytesName, func(p int, kv wio.Pair) { got[p] = append(got[p], kv) }); err != nil {
+			if err := b.Unpack(types.IntName, types.BytesName, false, func(p int, kv wio.Pair) { got[p] = append(got[p], kv) }); err != nil {
 				t.Fatal(err)
 			}
 			payload := arrived[:len(arrived)-1]
@@ -161,7 +161,7 @@ func TestUnpackRejectsAReferenceToNoObject(t *testing.T) {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 		var got []wio.Pair
-		err := b.Unpack(types.IntName, types.IntName, func(_ int, kv wio.Pair) { got = append(got, kv) })
+		err := b.Unpack(types.IntName, types.IntName, false, func(_ int, kv wio.Pair) { got = append(got, kv) })
 		switch {
 		case tc.ok && (err != nil || got[1].Key != got[0].Key || got[1].Value != got[0].Value):
 			t.Errorf("%+v: %v; want the first record's objects again", tc, err)

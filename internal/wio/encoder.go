@@ -123,10 +123,13 @@ type decType struct {
 	alloc Alloc
 }
 
-// NewDecoder returns a Decoder consuming from r.
+// NewDecoder returns a Decoder consuming from r. What it decodes dies with
+// the stream: its objects and float bodies are transient (NewAlloc,
+// Reader.SetTransient).
 func NewDecoder(r io.Reader) *Decoder {
 	d := &Decoder{}
 	d.r.Reset(r)
+	d.r.SetTransient(true)
 	return d
 }
 
@@ -171,7 +174,7 @@ func (d *Decoder) Decode() (Writable, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.types = append(d.types, decType{e.name, allocOf(e)})
+			d.types = append(d.types, decType{e.name, allocOf(e, false)})
 		} else if tid > uint64(len(d.types)) {
 			return nil, fmt.Errorf("wio: type id %d out of range (have %d types)", tid, len(d.types))
 		}

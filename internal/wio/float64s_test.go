@@ -471,7 +471,7 @@ func TestCorruptArrayLengthsAreErrors(t *testing.T) {
 				return wio.Unmarshal(data, v)
 			},
 			"spill run": func() error {
-				d, err := spill.NewPairDecoder(types.IntName, c.class, 1)
+				d, err := spill.NewPairDecoder(types.IntName, c.class, 1, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -24,11 +24,13 @@ type regTable struct {
 
 // regEntry is one registration: the name, kept so that a lookup by bytes can
 // hand out the registry's own string, the factory, and, for a class
-// registered by RegisterNew, the maker of its slabs.
+// registered by RegisterNew, the maker of its slabs. id numbers the
+// registrations from 0: it indexes a class's shared slab (sharedSlabs).
 type regEntry struct {
 	name string
 	new  func() Writable
 	slab func() slabSource
+	id   int
 }
 
 var (
@@ -85,6 +87,7 @@ func register(e regEntry) {
 	for k, v := range old.byType {
 		next.byType[k] = v
 	}
+	e.id = len(old.byName)
 	next.byName[name] = e
 	t := reflect.TypeOf(e.new())
 	if _, dup := next.byType[t]; !dup {
@@ -131,6 +134,16 @@ func NameOf(v Writable) (string, error) {
 		return "", fmt.Errorf("wio: type %T is not registered", v)
 	}
 	return name, nil
+}
+
+// entryOf returns the registration of v's dynamic type.
+func entryOf(v Writable) (regEntry, error) {
+	t := registry.Load()
+	name, ok := t.byType[reflect.TypeOf(v)]
+	if !ok {
+		return regEntry{}, fmt.Errorf("wio: type %T is not registered", v)
+	}
+	return t.byName[name], nil
 }
 
 // Registered reports whether a name is known to the registry.

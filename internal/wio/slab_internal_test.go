@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"m3r/internal/testenv"
 )
@@ -13,52 +14,74 @@ type slabProbe struct{ v int64 }
 func (*slabProbe) WriteTo(*Writer) error    { return nil }
 func (*slabProbe) ReadFields(*Reader) error { return nil }
 
+func init() { RegisterNew[slabProbe]("wio.test.SlabProbe") }
+
 // recordingSlab notes the size of every slab it starts.
 type recordingSlab struct {
 	slabSource
 	sizes *[]int
 }
 
-func (r recordingSlab) fill(n int) {
+func (r recordingSlab) fill(n int) (unsafe.Pointer, uintptr) {
 	*r.sizes = append(*r.sizes, n)
-	r.slabSource.fill(n)
+	return r.slabSource.fill(n)
 }
 
-// TestAllocSlabSizes pins the slab rule: each slab as large as all handed
-// out before it, from 8 up to 256; a known count bounds every slab and
-// below eight objects means the plain factory; an unknown one takes eight
-// objects from the factory first.
+// TestAllocSlabSizes pins the slab rule: each of a site's own slabs as large
+// as all handed out before it, from 8 up to 256; a known count bounds every
+// slab, and what is left below eight objects comes from the shared slab —
+// from the plain factory at a kept site; an unknown count takes eight
+// objects there first.
 func TestAllocSlabSizes(t *testing.T) {
-	// slabs reports the size of each slab started while objects are taken
-	// with the counts left(i) says are still to come.
-	slabs := func(objects int, left func(i int) int) []int {
-		var sizes []int
-		a := allocOf(regEntry{
-			name: "probe",
-			new:  func() Writable { return new(slabProbe) },
-			slab: func() slabSource { return recordingSlab{new(slab[slabProbe, *slabProbe]), &sizes} },
-		})
+	probe := registry.Load().byName["wio.test.SlabProbe"]
+	// slabs reports the size of each slab the site starts of its own, and
+	// how many objects came from the shared slab and from the factory,
+	// while objects are taken with the counts left(i) says are still to
+	// come.
+	slabs := func(objects int, left func(i int) int, kept bool) (own []int, shared, factory int) {
+		e := probe
+		e.new = func() Writable { factory++; return new(slabProbe) }
+		e.slab = func() slabSource {
+			var sizes []int
+			return recordingSlab{new(slab[slabProbe, *slabProbe]), &sizes}
+		}
+		a := allocOf(e, kept)
 		for i := 0; i < objects; i++ {
 			a.New(left(i))
 		}
-		return sizes
+		ownObjects := 0
+		if a.s != nil {
+			own = *a.s.(recordingSlab).sizes
+			for _, n := range own {
+				ownObjects += n
+			}
+			ownObjects -= a.avail
+		}
+		return own, objects - ownObjects - factory, factory
 	}
 	for _, c := range []struct {
 		name    string
 		objects int
 		left    func(i int) int
-		want    []int
+		kept    bool
+		own     []int
+		shared  int
+		factory int
 	}{
-		{"known 1000", 1000, func(i int) int { return 1000 - i }, []int{8, 8, 16, 32, 64, 128, 256, 256, 232}},
-		{"known 10", 10, func(i int) int { return 10 - i }, []int{8}},
-		{"known 7", 7, func(i int) int { return 7 - i }, nil},
-		{"known 263", 263, func(i int) int { return 263 - i }, []int{8, 8, 16, 32, 64, 128}},
-		{"overstated", 20, func(i int) int { return 1000 - i }, []int{8, 8, 16}},
-		{"unknown", 1000, func(int) int { return -1 }, []int{8, 16, 32, 64, 128, 256, 256, 256}},
-		{"unknown 8", 8, func(int) int { return -1 }, nil},
+		{"known 1000", 1000, func(i int) int { return 1000 - i }, false, []int{8, 8, 16, 32, 64, 128, 256, 256, 232}, 0, 0},
+		{"known 10", 10, func(i int) int { return 10 - i }, false, []int{8}, 2, 0},
+		{"known 10 kept", 10, func(i int) int { return 10 - i }, true, []int{8}, 0, 2},
+		{"known 7", 7, func(i int) int { return 7 - i }, false, nil, 7, 0},
+		{"known 7 kept", 7, func(i int) int { return 7 - i }, true, nil, 0, 7},
+		{"known 263", 263, func(i int) int { return 263 - i }, false, []int{8, 8, 16, 32, 64, 128}, 7, 0},
+		{"overstated", 20, func(i int) int { return 1000 - i }, false, []int{8, 8, 16}, 0, 0},
+		{"unknown", 1000, func(int) int { return -1 }, false, []int{8, 16, 32, 64, 128, 256, 256, 256}, 8, 0},
+		{"unknown kept", 1000, func(int) int { return -1 }, true, []int{8, 16, 32, 64, 128, 256, 256, 256}, 0, 8},
+		{"unknown 8", 8, func(int) int { return -1 }, false, nil, 8, 0},
 	} {
-		if got := slabs(c.objects, c.left); !slices.Equal(got, c.want) {
-			t.Errorf("%s: slabs %v, want %v", c.name, got, c.want)
+		own, shared, factory := slabs(c.objects, c.left, c.kept)
+		if !slices.Equal(own, c.own) || shared != c.shared || factory != c.factory {
+			t.Errorf("%s: own slabs %v, %d shared, %d from the factory; want %v, %d, %d", c.name, own, shared, factory, c.own, c.shared, c.factory)
 		}
 	}
 }

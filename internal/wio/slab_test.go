@@ -51,26 +51,28 @@ func TestRegisterNewKeepsDecodedClassesOnSlabs(t *testing.T) {
 			continue
 		}
 		slabs++
-		a, err := wio.NewAlloc(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[wio.Writable]bool{}
-		for i := 0; i < 600; i++ {
-			left := -1
-			if i%2 == 0 {
-				left = 600 - i
+		for _, kept := range []bool{false, true} {
+			a, err := wio.NewAlloc(name, kept)
+			if err != nil {
+				t.Fatal(err)
 			}
-			w := a.New(left)
-			if seen[w] {
-				t.Fatalf("%s: object %d was handed out before", name, i)
-			}
-			seen[w] = true
-			if reflect.TypeOf(w) != reflect.TypeOf(f()) || !zeroPtr(w) {
-				t.Fatalf("%s: object %d is %T %v, not a zero value of the factory's type", name, i, w, w)
-			}
-			if got, err := wio.NameOf(w); err != nil || got != name {
-				t.Fatalf("%s: NameOf object %d = %q, %v", name, i, got, err)
+			seen := map[wio.Writable]bool{}
+			for i := 0; i < 600; i++ {
+				left := -1
+				if i%2 == 0 {
+					left = 600 - i
+				}
+				w := a.New(left)
+				if seen[w] {
+					t.Fatalf("%s: object %d was handed out before", name, i)
+				}
+				seen[w] = true
+				if reflect.TypeOf(w) != reflect.TypeOf(f()) || !zeroPtr(w) {
+					t.Fatalf("%s: object %d is %T %v, not a zero value of the factory's type", name, i, w, w)
+				}
+				if got, err := wio.NameOf(w); err != nil || got != name {
+					t.Fatalf("%s: NameOf object %d = %q, %v", name, i, got, err)
+				}
 			}
 		}
 	}
@@ -138,11 +140,13 @@ func skipUnpinned(t *testing.T) {
 // TestDecoderSlabAllocs is the count of the wio.Decoder decode site, the
 // layer ladder's wio rung: a 1 000-pair stream of one key and one value
 // class, which the decoder is not told the length of. Each class takes
-// eight objects from the factory, then a slab holder and slabs of 8, 16, …
-// 256, 256, 256: 2 × (8 + 1 + 8) = 34 allocations, exactly.
+// eight objects from its shared slab, then a slab holder and slabs of its
+// own of 8, 16, … 256, 256, 256: 2 × (1 + 8) = 18 allocations, exactly (a
+// shared slab of 256 serves 32 such streams, which AllocsPerRun's whole
+// average over 20 does not see).
 func TestDecoderSlabAllocs(t *testing.T) {
 	skipUnpinned(t)
-	const n, want = 1000, 34
+	const n, want = 1000, 18
 	got := decodeAllocs(t, n)
 	t.Logf("%v allocs a %d-pair stream", got, n)
 	if got != want {
@@ -150,15 +154,16 @@ func TestDecoderSlabAllocs(t *testing.T) {
 	}
 }
 
-// TestShortStreamsAllocLikeTheFactory: a stream of fewer than eight pairs
-// takes every object from the plain factory, one allocation an IntWritable
-// or LongWritable and nothing more, as before there were slabs — PageRank's
-// streams are one to seven pairs long.
-func TestShortStreamsAllocLikeTheFactory(t *testing.T) {
+// TestShortStreamsTakeSharedSlabs: a stream of fewer than eight pairs takes
+// every object from its class's shared slab, so with the decoder's tables
+// and the shared slabs warm it allocates nothing — where the factory took
+// one allocation an IntWritable or LongWritable. PageRank's arrivals are
+// one to seven pairs long.
+func TestShortStreamsTakeSharedSlabs(t *testing.T) {
 	skipUnpinned(t)
 	for _, n := range []int{1, 3, 7} {
-		if got, want := decodeAllocs(t, n), float64(2*n); got != want {
-			t.Errorf("a %d-pair stream allocates %v times, the factory %v", n, got, want)
+		if got := decodeAllocs(t, n); got != 0 {
+			t.Errorf("a %d-pair stream allocates %v times, want 0", n, got)
 		}
 	}
 }

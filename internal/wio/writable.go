@@ -206,9 +206,17 @@ func Equal(a, b Writable) bool {
 // declared ImmutableOutput (§4.1 of the paper); keeping it a full round trip
 // rather than a type-specific fast path preserves that cost structure. Only
 // the intermediate buffer is recycled: every field is still written out and
-// read back into a fresh object.
-func Clone(v Writable) (Writable, error) {
-	name, err := NameOf(v)
+// read back into a fresh object, an exact allocation of its own, as are its
+// bodies — what a cache may keep.
+func Clone(v Writable) (Writable, error) { return clone(v, false) }
+
+// CloneTransient is Clone for a copy that dies with the job: the same round
+// trip into a fresh object, taken from its class's shared slab, whose float
+// bodies are cut from the shared float slab (Reader.SetTransient).
+func CloneTransient(v Writable) (Writable, error) { return clone(v, true) }
+
+func clone(v Writable, transient bool) (Writable, error) {
+	e, err := entryOf(v)
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +225,20 @@ func Clone(v Writable) (Writable, error) {
 		return nil, err
 	}
 	defer putWriter(w)
-	out, err := New(name)
-	if err != nil {
-		return nil, err
+	var out Writable
+	if transient && e.slab != nil {
+		out = sharedObject(e.id, e.slab)
+	} else {
+		out = e.new()
 	}
-	if err := Unmarshal(w.out, out); err != nil {
+	r := readerPool.Get().(*Reader)
+	r.ResetBytes(w.out)
+	r.transient = transient
+	err = out.ReadFields(r)
+	r.ResetBytes(nil)
+	r.transient = false
+	readerPool.Put(r)
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -229,8 +246,14 @@ func Clone(v Writable) (Writable, error) {
 
 // MustClone is Clone, panicking on error. Engines use it on pairs that have
 // already been serialized once, so failure indicates a programming error.
-func MustClone(v Writable) Writable {
-	out, err := Clone(v)
+func MustClone(v Writable) Writable { return mustClone(v, false) }
+
+// MustCloneTransient is CloneTransient, panicking on error as MustClone
+// does.
+func MustCloneTransient(v Writable) Writable { return mustClone(v, true) }
+
+func mustClone(v Writable, transient bool) Writable {
+	out, err := clone(v, transient)
 	if err != nil {
 		panic(fmt.Sprintf("wio: clone %T: %v", v, err))
 	}

@@ -271,13 +271,18 @@ func (w *Writer) Flush() error {
 // bytes or more, read for a holder that has no capacity of its own, is a
 // sub-slice of the input instead of an allocation and a copy. Values, Count
 // and errors are those of the copying mode.
+//
+// A transient Reader (SetTransient) decodes objects that die with the job:
+// the fresh []float64 bodies ReadFloat64s makes for them are cut from a
+// shared slab instead of allocated one by one.
 type Reader struct {
-	r       io.Reader // nil in slice mode
-	data    []byte    // slice-mode source; data[count:] is unread
-	buf     [chunkBytes]byte
-	count   int64
-	owned   bool // data was given up by the caller: large bodies may point into it
-	aliased bool // a body returned since the last reset points into data
+	r         io.Reader // nil in slice mode
+	data      []byte    // slice-mode source; data[count:] is unread
+	buf       [chunkBytes]byte
+	count     int64
+	owned     bool // data was given up by the caller: large bodies may point into it
+	aliased   bool // a body returned since the last reset points into data
+	transient bool // fresh float bodies come from a shared slab; kept across resets
 }
 
 // OwnedFloor is the shortest byte body an owned-mode Reader hands out as a
@@ -323,6 +328,14 @@ func (r *Reader) ResetBytesOwned(b []byte) {
 	r.ResetBytes(b)
 	r.owned = true
 }
+
+// SetTransient says whether what r decodes dies with the job, so that a
+// fresh []float64 body ReadFloat64s makes is cut, capacity clipped to its
+// length, from a shared slab of bodies that die with the job
+// (transientFloats). It lasts across Reset and ResetBytes. A site whose
+// objects a cache may keep leaves it off: a kept body must not keep
+// transient ones alive.
+func (r *Reader) SetTransient(on bool) { r.transient = on }
 
 // Aliased reports whether a value returned since the last reset points into
 // the slice given to ResetBytesOwned.
@@ -453,14 +466,14 @@ func (r *Reader) ReadFloat64s(dst []float64, count uint64) ([]float64, error) {
 	if r.r == nil {
 		rest := len(r.data) - int(r.count)
 		if 8*n <= rest {
-			dst = resizeFloat64s(dst, n)
+			dst = r.resizeFloat64s(dst, n)
 			getFloat64s(dst, r.data[r.count:])
 			r.count += int64(8 * n)
 			return dst, nil
 		}
 		// Truncated, and known to be before allocating for n (as in
 		// readBody): decode the whole elements and consume the cut one.
-		dst = resizeFloat64s(dst, rest/8)
+		dst = r.resizeFloat64s(dst, rest/8)
 		getFloat64s(dst, r.data[r.count:])
 		r.count += int64(rest)
 		if rest%8 == 0 {
@@ -468,7 +481,7 @@ func (r *Reader) ReadFloat64s(dst []float64, count uint64) ([]float64, error) {
 		}
 		return dst, io.ErrUnexpectedEOF
 	}
-	dst = resizeFloat64s(dst, n)
+	dst = r.resizeFloat64s(dst, n)
 	for i := 0; i < len(dst); {
 		k := min(len(dst)-i, chunkBytes/8)
 		got, err := io.ReadFull(r.r, r.buf[:8*k])
@@ -485,11 +498,16 @@ func (r *Reader) ReadFloat64s(dst []float64, count uint64) ([]float64, error) {
 	return dst, nil
 }
 
-func resizeFloat64s(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// resizeFloat64s returns s at length n, reusing its capacity, or a fresh
+// body: a transient reader's from the shared float slab.
+func (r *Reader) resizeFloat64s(s []float64, n int) []float64 {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case r.transient:
+		return transientFloats(n)
 	}
-	return s[:n]
+	return make([]float64, n)
 }
 
 // ReadVarint reads a zig-zag encoded signed varint.

@@ -58,7 +58,8 @@ func (rt *Runtime) ChargeShip(task *counters.Counters, bytes int64, frames int, 
 // of one key class and one value class, the first pair's. Large byte bodies
 // of the delivered pairs may be the arrived chunks' own memory
 // (spill.Buffer.Unpack): they are the receiver's, like everything else it is
-// handed.
+// handed, and may be kept as long as it likes, so none comes from a slab
+// shared with objects that die with a job (Unpack's kept).
 func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipResult, error) {
 	if from == to {
 		rt.stats.Add(sim.LocalPairs, int64(len(pairs)))
@@ -91,7 +92,7 @@ func (rt *Runtime) ShipPairs(from, to int, pairs []wio.Pair, dedup bool) (ShipRe
 
 	out := make([]wio.Pair, 0, len(pairs))
 	if len(pairs) > 0 {
-		if err := b.Unpack(keyClass, valClass, func(_ int, kv wio.Pair) { out = append(out, kv) }); err != nil {
+		if err := b.Unpack(keyClass, valClass, true, func(_ int, kv wio.Pair) { out = append(out, kv) }); err != nil {
 			return ShipResult{}, fmt.Errorf("x10: deserializing at place %d: %w", to, err)
 		}
 	}
