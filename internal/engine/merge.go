@@ -56,15 +56,16 @@ type Tournament[T any] struct {
 // empty from the start), bottom-up: leaf i sits at conceptual node k+i;
 // every internal node 1..k-1 plays its children's winners, keeps the loser,
 // and sends the winner up; tree[0] holds the champion. It takes ownership
-// of heads and live. Owners hold their tree by value.
-func (t *Tournament[T]) init(heads []T, live []bool, cmp func(a, b *T) int) {
+// of heads, live and tree, a zeroed max(k, 1) long. Owners hold their tree
+// by value.
+func (t *Tournament[T]) init(heads []T, live []bool, tree []int, cmp func(a, b *T) int) {
 	k := len(heads)
 	var spare T // Replace's scratch, heads[k]
 	*t = Tournament[T]{
 		cmp:   cmp,
 		heads: append(heads, spare),
 		live:  live,
-		tree:  make([]int, max(k, 1)),
+		tree:  tree,
 		k:     k,
 	}
 	if k <= 1 {
@@ -225,21 +226,31 @@ type SourceMerge[T any] struct {
 // NewSourceMerge opens a merge over sources, closing them all on error.
 func NewSourceMerge[T any](srcs []Source[T], cmp func(a, b *T) int) (*SourceMerge[T], error) {
 	k := len(srcs)
-	heads := make([]T, k, k+1) // room for the tournament's spare slot
-	live := make([]bool, k)
+	m := new(SourceMerge[T])
+	if err := m.open(srcs, cmp, make([]T, k, k+1), make([]bool, k), make([]int, max(k, 1))); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// open primes every source's head into heads, a len(srcs) long with room
+// for one more, and builds the tree, live and tree its storage (tree
+// max(len(srcs), 1) long), closing every source on error.
+func (m *SourceMerge[T]) open(srcs []Source[T], cmp func(a, b *T) int, heads []T, live []bool, tree []int) error {
 	for i, s := range srcs {
 		h, ok, err := s.Next()
 		if err != nil {
 			for _, s := range srcs {
 				s.Close()
 			}
-			return nil, err
+			return err
 		}
 		heads[i], live[i] = h, ok
 	}
-	m := &SourceMerge[T]{srcs: srcs}
-	m.t.init(heads, live, cmp)
-	return m, nil
+	clear(tree)
+	m.srcs = srcs
+	m.t.init(heads, live, tree, cmp)
+	return nil
 }
 
 // Peek returns the globally next element without consuming it, ok=false
@@ -302,6 +313,66 @@ type MergeIter = SourceMerge[wio.Pair]
 // NewMergeIter opens a merge over readers. On error the readers are closed.
 func NewMergeIter(readers []RunReader, cmp wio.Comparator) (*MergeIter, error) {
 	return NewSourceMerge(readers, pairCompare(cmp))
+}
+
+// PairMerges is the storage of a job's in-memory merges, laid out together:
+// n merges (one a reduce partition) of up to k sorted runs each (one a map
+// task), so that opening one allocates only its comparator. A merge it has
+// no room for — the zero PairMerges has none — is laid out on its own.
+type PairMerges struct {
+	k       int
+	merges  []MergeIter
+	leaves  []SliceRun
+	readers []RunReader
+	heads   []wio.Pair
+	live    []bool
+	tree    []int
+}
+
+// LayOut makes room in p for n merges of up to k runs each, in six
+// allocations whatever n and k.
+func (p *PairMerges) LayOut(n, k int) {
+	*p = PairMerges{
+		k:       k,
+		merges:  make([]MergeIter, n),
+		leaves:  make([]SliceRun, n*k),
+		readers: make([]RunReader, n*k),
+		heads:   make([]wio.Pair, n*(k+1)),
+		live:    make([]bool, n*k),
+		tree:    make([]int, n*max(k, 1)),
+	}
+}
+
+// Open opens merge i over m in-memory sorted runs, run(j) the j-th in
+// source order, ordered by cmp: in its room when p has one for it, which
+// the next Open of i reuses, so the merge opened before must be done.
+func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair, cmp wio.Comparator) (*MergeIter, error) {
+	var (
+		mi      *MergeIter
+		leaves  []SliceRun
+		readers []RunReader
+		heads   []wio.Pair
+		live    []bool
+		tree    []int
+	)
+	if k, w := p.k, max(p.k, 1); i < len(p.merges) && m <= k {
+		mi = &p.merges[i]
+		leaves, readers = p.leaves[i*k:i*k+m], p.readers[i*k:i*k+m]
+		heads = p.heads[i*(k+1) : i*(k+1)+m : i*(k+1)+m+1]
+		live, tree = p.live[i*k:i*k+m], p.tree[i*w:i*w+max(m, 1)]
+	} else {
+		mi = new(MergeIter)
+		leaves, readers = make([]SliceRun, m), make([]RunReader, m)
+		heads, live, tree = make([]wio.Pair, m, m+1), make([]bool, m), make([]int, max(m, 1))
+	}
+	for j := range leaves {
+		leaves[j].Reset(run(j))
+		readers[j] = &leaves[j]
+	}
+	if err := mi.open(readers, pairCompare(cmp), heads, live, tree); err != nil {
+		return nil, err
+	}
+	return mi, nil
 }
 
 // pairCompare adapts a key comparator to the pair-element shape the

@@ -149,7 +149,37 @@ func (s Span) End() {
 	if p == nil {
 		return
 	}
-	end := time.Since(p.start)
+	s.close(time.Since(p.start))
+	if p.labels != nil {
+		if s.back < 0 {
+			pprof.SetGoroutineLabels(context.Background())
+		} else {
+			pprof.SetGoroutineLabels(p.labels[s.back])
+		}
+	}
+}
+
+// Then closes s and opens a span of phase ph at place in its stead, with
+// one reading of the clock for the end of the one and the start of the
+// other: a task's hand-off from one phase to the next (ship to arrive). The
+// new span hands the labels back where s would have.
+func (s Span) Then(ph Phase, place int) Span {
+	p := s.p
+	if p == nil {
+		return Span{}
+	}
+	at := time.Since(p.start)
+	s.close(at)
+	i := cellOf(place, ph)
+	if p.labels != nil {
+		pprof.SetGoroutineLabels(p.labels[i])
+	}
+	return Span{p: p, cell: int32(i), back: s.back, at: at}
+}
+
+// close adds s, ending at end, to its cell and to its phase's window.
+func (s Span) close(end time.Duration) {
+	p := s.p
 	p.vals[2*s.cell].Add(int64(end - s.at))
 	p.vals[2*s.cell+1].Add(1)
 	w := p.window(Phase(int(s.cell) % int(NumPhases)))
@@ -161,13 +191,6 @@ func (s Span) End() {
 	for l := w[1].Load(); int64(end) > l; l = w[1].Load() {
 		if w[1].CompareAndSwap(l, int64(end)) {
 			break
-		}
-	}
-	if p.labels != nil {
-		if s.back < 0 {
-			pprof.SetGoroutineLabels(context.Background())
-		} else {
-			pprof.SetGoroutineLabels(p.labels[s.back])
 		}
 	}
 }

@@ -155,32 +155,39 @@ func (sc *shuffleCollector) deliverFrame(d int, b *spill.Buffer) error {
 		sc.bufs[d] = nil
 		putBuffer(b)
 	}()
+	var span engine.Span
 	if d == sc.place {
 		b.LayOut(sc.R)
-	} else if err := sc.shipBuffer(d, b); err != nil {
-		return err
+		span = sc.ctx.Begin(engine.PhaseArrive, d)
+	} else {
+		ship, err := sc.shipBuffer(d, b)
+		if err != nil {
+			return err
+		}
+		span = ship.Then(engine.PhaseArrive, d)
 	}
-	span := sc.ctx.Begin(engine.PhaseArrive, d)
 	defer span.End()
 	return sc.x.arriveFrame(sc.ctx, sc.src, b, sc.classes)
 }
 
 // shipBuffer carries b to place d through the runtime's transport, a frame a
 // piece (inproc's memory loopback, or a round trip each to d's echoing frame
-// server over tcp), and indexes it as it arrived there.
-func (sc *shuffleCollector) shipBuffer(d int, b *spill.Buffer) error {
+// server over tcp), and indexes it as it arrived there. It returns its ship
+// span still open, for the caller to hand on to the arrival with one clock
+// reading (Span.Then); on error the span is closed.
+func (sc *shuffleCollector) shipBuffer(d int, b *spill.Buffer) (engine.Span, error) {
 	span := sc.ctx.Begin(engine.PhaseShip, sc.place)
-	defer span.End()
 	rt := sc.x.e.rt
 	n, frames, hits, err := b.Ship(sc.R, func(piece []byte) ([]byte, error) { return rt.ShipFrame(sc.place, d, piece) })
-	if errors.Is(err, spill.ErrCorruptFrame) {
-		return fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
-	}
 	if err != nil {
-		return fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
+		span.End()
+		if errors.Is(err, spill.ErrCorruptFrame) {
+			return engine.Span{}, fmt.Errorf("m3r: shuffle decode at place %d: %w", d, err)
+		}
+		return engine.Span{}, fmt.Errorf("m3r: shuffle ship to place %d: %w", d, err)
 	}
 	rt.ChargeShip(sc.ctx.Counters, int64(n), frames, hits)
-	return nil
+	return span, nil
 }
 
 // arriveFrame is the destination side of a budgeted flush: map task src's

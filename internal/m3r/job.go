@@ -182,6 +182,12 @@ type jobExec struct {
 	collectTables []*engine.CombineTable
 	arena         pairArena // an unbudgeted job's small runs
 
+	// Reduce, an unbudgeted job: its merges, partition q's in room q, of at
+	// most one run a planned map task, laid out by the first reduce task to
+	// open one (partitionInput.openMerge).
+	merges     engine.PairMerges
+	mergesOnce sync.Once
+
 	// Task output: the output tasks' sinks, map task i's on a map-only job,
 	// reduce task q's otherwise (layOutSinks).
 	sinks []taskSink

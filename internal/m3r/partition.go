@@ -177,18 +177,19 @@ func (pi *partitionInput) takeRuns() []*sourceRun {
 	return runs
 }
 
-// takeReaders returns an unbudgeted job's merge leaves, the runs read where
-// they lie, and the number of pairs they hold.
-func (pi *partitionInput) takeReaders() (readers []engine.RunReader, nrecs int) {
+// openMerge opens an unbudgeted job's merge of the partition's runs, read
+// where they lie, in the partition's room of the job's merges, and returns
+// it with the number of pairs they hold.
+func (pi *partitionInput) openMerge(cmp wio.Comparator) (*engine.MergeIter, int, error) {
 	runs := pi.takeRuns()
-	out := make([]engine.RunReader, len(runs))
-	leaves := make([]engine.SliceRun, len(runs))
-	for i, r := range runs {
-		leaves[i].Reset(r.pairs)
-		out[i] = &leaves[i]
+	nrecs := 0
+	for _, r := range runs {
 		nrecs += len(r.pairs)
 	}
-	return out, nrecs
+	x := pi.x
+	x.mergesOnce.Do(func() { x.merges.LayOut(len(x.parts), len(x.maps)) })
+	m, err := x.merges.Open(pi.index, len(runs), func(j int) []wio.Pair { return runs[j].pairs }, cmp)
+	return m, nrecs, err
 }
 
 // takeSources returns a budgeted job's merge leaves — a resident run's

@@ -42,13 +42,12 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 // heap, merged and grouped as objects.
 func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
 	span := ctx.Begin(engine.PhaseMergeOpen, x.parts[q].place)
-	readers, nrecs := x.parts[q].takeReaders()
-	expect(out, nrecs)
-	merged, err := engine.NewMergeIter(readers, x.Resolved.SortCmp)
+	merged, nrecs, err := x.parts[q].openMerge(x.Resolved.SortCmp)
 	span.End()
 	if err != nil {
 		return err
 	}
+	expect(out, nrecs)
 	defer merged.Close()
 	// The cancel wrapper is the reduce phase's per-record check: one atomic
 	// load per pair, surfacing the kill as the stream error so the merge

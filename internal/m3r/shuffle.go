@@ -353,10 +353,11 @@ func (sc *shuffleCollector) deliverObjects(d int, b *spill.Buffer) error {
 		sc.bufs[d] = nil
 		putBuffer(b)
 	}()
-	if err := sc.shipBuffer(d, b); err != nil {
+	ship, err := sc.shipBuffer(d, b)
+	if err != nil {
 		return err
 	}
-	span := sc.ctx.Begin(engine.PhaseArrive, d)
+	span := ship.Then(engine.PhaseArrive, d)
 	defer span.End()
 	// "Arrive" at place d: exactly the pairs the task counted for each of
 	// its partitions and none for another's — a frame that says otherwise

@@ -351,8 +351,7 @@ func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []stri
 			out = append(out, string(r.K)+"\x00"+string(r.V))
 		}
 	}
-	readers, _ := x.parts[q].takeReaders()
-	m, err := engine.NewMergeIter(readers, wio.NaturalOrder{})
+	m, _, err := x.parts[q].openMerge(wio.NaturalOrder{})
 	if err != nil {
 		t.Fatal(err)
 	}
