@@ -149,16 +149,17 @@ func TestWordCountAllocs(t *testing.T) {
 // shuffle_remote at a small fixed seed: the paper's shuffle microbenchmark
 // at 100 % remote, 1 000 pairs of 2 KiB values in four partition files of
 // one block each, three chained jobs, on M3R. Its ceiling is set as
-// TestWordCountAllocs' is, over 0.499–0.506 allocs/rec, measured when a
-// job's tasks came to take their ids, sinks and small runs from the job's
-// layout and a frame's table to ride behind its last chunk (0.567–0.573
-// before); bytes spread over 2 338.1–2 367.9 B/rec at GOMAXPROCS 4 and are
-// logged only.
+// TestWordCountAllocs' is, over 0.481–0.484 allocs/rec, measured when a
+// job came to lay out its reduce merges once (0.499–0.506 when a job's
+// tasks came to take their ids, sinks and small runs from the job's layout
+// and a frame's table to ride behind its last chunk, 0.567–0.573 before);
+// bytes spread over 2 338.1–2 367.9 B/rec at GOMAXPROCS 4 and are logged
+// only.
 func TestShuffleRemoteAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const (
 		reps            = 6
-		maxAllocsPerRec = 0.52
+		maxAllocsPerRec = 0.50
 	)
 	c := ceilingCluster(t, lab.Options{BlockSize: 8 << 20})
 	cfg := microbench.Config{Pairs: 1000, ValueBytes: 2048, Percent: 100, Iterations: 3, Partitions: 4, Dir: "/mb", Seed: 5}
@@ -181,14 +182,15 @@ func TestShuffleRemoteAllocs(t *testing.T) {
 // cluster, whose first job reads the four partition files from HDFS into
 // the cache. A throwaway fresh cluster runs the sequence first, so the
 // process's pools are as warm as the benchmark's cold rep finds them. Its
-// ceiling is set as TestWordCountAllocs' is, over 1.287–1.346 allocs/rec,
-// measured when a job's tasks came to take their ids, sinks and small runs
-// from the job's layout (1.351–1.412 before, and 3.038–3.097 before the
-// SequenceFile reader came to decode records in place and the cold fill to
-// keep value bodies as views of the read).
+// ceiling is set as TestWordCountAllocs' is, over 1.268–1.325 allocs/rec,
+// measured when a job came to lay out its reduce merges once (1.287–1.346
+// when a job's tasks came to take their ids, sinks and small runs from the
+// job's layout, 1.351–1.412 before, and 3.038–3.097 before the SequenceFile
+// reader came to decode records in place and the cold fill to keep value
+// bodies as views of the read).
 func TestShuffleRemoteColdAllocs(t *testing.T) {
 	skipUnpinned(t)
-	const maxAllocsPerRec = 1.38
+	const maxAllocsPerRec = 1.36
 	cfg := microbench.Config{Pairs: 1000, ValueBytes: 2048, Percent: 100, Iterations: 3, Partitions: 4, Dir: "/mb", Seed: 5}
 	cold := func() float64 {
 		c := ceilingCluster(t, lab.Options{BlockSize: 8 << 20})
@@ -349,7 +351,9 @@ func TestSortSpillAllocs(t *testing.T) {
 // reads allocated) and pagerank_iter 24.717–24.749 (29.481–29.510 before);
 // then shuffle_remote 2.078–2.088 and pagerank_iter 23.905–23.948, when a
 // job came to cut its tasks' ids from one chunk and to start their
-// goroutines without a closure.
+// goroutines without a closure; then pagerank_iter 22.319–22.355, when the
+// reduce's raw merge came to take short runs of objects, and its float
+// bodies, from shared slabs.
 // Bytes are logged only: they spread over 68.5–84.1, 75.7–84.5,
 // 2 286–2 449 and 4 365–4 561 B/rec.
 func TestHadoopAllocs(t *testing.T) {
@@ -396,7 +400,7 @@ func TestHadoopAllocs(t *testing.T) {
 			}
 			_, err = sysml.IteratePageRank(d, pr, G, p0)
 			return d.Reports, err
-		}, 24.66},
+		}, 23.03},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := pinnedEngine{Engine: tc.c.Hadoop, codec: tc.codec}
@@ -452,19 +456,22 @@ func ceilingCluster(t *testing.T, opts lab.Options) *lab.Cluster {
 // cycle empties a sync.Pool between them.
 //
 // The ceilings are the largest value measured in 20 runs at each of
-// GOMAXPROCS 1, 2 and 4 (8.73–8.74 allocs/rec, 582–583 allocs/job: how
-// many chunks the job's pair arena takes follows how its tasks interleave)
-// plus the benchmark's 3 % bound, set with go1.24 on amd64 when a job came
-// to lay its tasks' bookkeeping out once (9.98–10.00 and 665–667 before).
-// 386 is not pinned. A change that lowers the value lowers the ceiling; raising
-// one is a change to a check.
+// GOMAXPROCS 1, 2 and 4 (5.69 allocs/rec and 379 allocs/job in all 60)
+// plus the benchmark's 3 % bound, set with go1.24 on amd64 when the map
+// side's clones and the short arrivals came to take their objects and
+// float bodies from shared slabs and a job to lay out its reduce merges
+// once (8.73–8.74 and 582–583 before, how many chunks the job's pair arena
+// took following how its tasks interleaved; 9.98–10.00 and 665–667 before
+// a job came to lay its tasks' bookkeeping out once). 386 is not pinned. A
+// change that lowers the value lowers the ceiling; raising one is a change
+// to a check.
 func TestPageRankSequenceAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const (
 		nodes, block, iters = 800, 100, 5
 		reps                = 12
-		maxAllocsPerRec     = 9.00
-		maxAllocsPerJob     = 600.0
+		maxAllocsPerRec     = 5.86
+		maxAllocsPerJob     = 390.0
 	)
 	c := ceilingCluster(t, lab.Options{})
 	cfg := sysml.PageRankConfig{Nodes: nodes, BlockSize: block, Sparsity: 0.01, Iterations: iters, Seed: 3}

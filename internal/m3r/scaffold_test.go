@@ -400,9 +400,12 @@ func TestPlannedTaskAllocs(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	// Measured: 3.12 and 54.75 in all 60 (one try: 5.25 and 64.25–65.00
-	// before a job laid out its tasks' ids, sinks and small runs).
-	const splits, mapCeiling, reduceCeiling = 16, 3.21, 56.39
+	// Measured: 1.12 and 50.25 in all 60, once a map task's clone came
+	// from the shared slabs and the first reduce task to open a merge came
+	// to lay out every partition's (3.12 and 54.75 before; one try: 5.25
+	// and 64.25–65.00 before a job laid out its tasks' ids, sinks and small
+	// runs).
+	const splits, mapCeiling, reduceCeiling = 16, 1.15, 51.76
 	e, fs := scaffoldEngine(t)
 	job := cachedSplitsJob(t, e, fs, splits)
 	// A whole run of the job first warms the pools its tasks draw on.

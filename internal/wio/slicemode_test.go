@@ -157,10 +157,12 @@ func stepArg(i int) byte { return byte(i * 7) }
 func compareReaders(t *testing.T, data, script []byte) {
 	t.Helper()
 	stream := wio.NewReader(bytes.NewReader(data))
-	var slice, owned wio.Reader
+	var slice, owned, transient wio.Reader
 	slice.ResetBytes(data)
 	owned.ResetBytesOwned(bytes.Clone(data))
-	var sbuf, mbuf, obuf opBufs
+	transient.ResetBytes(data)
+	transient.SetTransient(true) // float bodies cut from the shared slab
+	var sbuf, mbuf, obuf, tbuf opBufs
 	for i, op := range script {
 		arg := stepArg(i)
 		sv, serr := readOp(stream, op, arg, &sbuf)
@@ -168,7 +170,7 @@ func compareReaders(t *testing.T, data, script []byte) {
 			name string
 			r    *wio.Reader
 			bufs *opBufs
-		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}} {
+		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}, {"transient", &transient, &tbuf}} {
 			mv, merr := readOp(m.r, op, arg, m.bufs)
 			if !sameErr(serr, merr) {
 				t.Fatalf("step %d op %d over %d bytes: stream err %v, %s err %v", i, op%numOps, len(data), serr, m.name, merr)
