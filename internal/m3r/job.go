@@ -183,10 +183,9 @@ type jobExec struct {
 	arena         pairArena // an unbudgeted job's small runs
 
 	// Reduce, an unbudgeted job: its merges, partition q's in room q, of at
-	// most one run a planned map task, laid out by the first reduce task to
-	// open one (partitionInput.openMerge).
-	merges     engine.PairMerges
-	mergesOnce sync.Once
+	// most one run a planned map task, laid out at the barrier
+	// (layOutMerges).
+	merges engine.PairMerges
 
 	// Task output: the output tasks' sinks, map task i's on a map-only job,
 	// reduce task q's otherwise (layOutSinks).
@@ -374,6 +373,14 @@ func (x *jobExec) layOutCollectors(n, r, p int) {
 	}
 }
 
+// layOutMerges lays out an unbudgeted job's reduce merges, one a partition
+// of up to one run a map task, before its reduce tasks start.
+func (x *jobExec) layOutMerges() {
+	if x.budgets == nil {
+		x.merges.LayOut(len(x.parts), len(x.maps))
+	}
+}
+
 // Run is the assigned map task, at its place: the work the map phase's
 // x10.Finish spawns for it.
 func (a *mapAssignment) Run() error {
@@ -470,6 +477,7 @@ func (x *jobExec) run(assignments []mapAssignment) error {
 			return err
 		}
 	}
+	x.layOutMerges()
 	span.End()
 	// Reduce phase: each partition runs at the place the stable mapping
 	// assigns it (§3.2.2.2).

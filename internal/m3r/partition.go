@@ -186,9 +186,7 @@ func (pi *partitionInput) openMerge(cmp wio.Comparator) (*engine.MergeIter, int,
 	for _, r := range runs {
 		nrecs += len(r.pairs)
 	}
-	x := pi.x
-	x.mergesOnce.Do(func() { x.merges.LayOut(len(x.parts), len(x.maps)) })
-	m, err := x.merges.Open(pi.index, len(runs), func(j int) []wio.Pair { return runs[j].pairs }, cmp)
+	m, err := pi.x.merges.Open(pi.index, len(runs), func(j int) []wio.Pair { return runs[j].pairs }, cmp)
 	return m, nrecs, err
 }
 

@@ -400,12 +400,12 @@ func TestPlannedTaskAllocs(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	// Measured: 1.12 and 50.25 in all 60, once a map task's clone came
-	// from the shared slabs and the first reduce task to open a merge came
-	// to lay out every partition's (3.12 and 54.75 before; one try: 5.25
-	// and 64.25–65.00 before a job laid out its tasks' ids, sinks and small
+	// Measured: 1.12 and 48.75 in all 60, once a map task's clone came
+	// from the shared slabs and the job came to lay out its reduce merges
+	// at the barrier (3.12 and 54.75 before; one try: 5.25 and
+	// 64.25–65.00 before a job laid out its tasks' ids, sinks and small
 	// runs).
-	const splits, mapCeiling, reduceCeiling = 16, 1.15, 51.76
+	const splits, mapCeiling, reduceCeiling = 16, 1.15, 50.21
 	e, fs := scaffoldEngine(t)
 	job := cachedSplitsJob(t, e, fs, splits)
 	// A whole run of the job first warms the pools its tasks draw on.
@@ -436,6 +436,7 @@ func TestPlannedTaskAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		perMap = min(perMap, mean(len(assignments), func(i int) error { return assignments[i].Run() }))
+		x.layOutMerges() // the barrier's, as jobExec.run lays them out
 		perReduce = min(perReduce, mean(len(x.parts), func(q int) error { return x.parts[q].Run() }))
 	}
 	t.Logf("a planned map task %.2f allocs, a planned reduce task %.2f allocs", perMap, perReduce)

@@ -231,12 +231,13 @@ func (b *Buffer) Decode(pieces [][]byte, parts int) error {
 // Unpack turns the records that arrived (Ship, Decode) into objects of the
 // classes named, from slabs, and hands each to f with its partition, in
 // collect order. kept says whoever is handed them may pass them on to a
-// cache, so they take no shared slab (PairDecoder). Every back-reference to one object decodes to that one
-// object. A value of wio.OwnedFloor bytes or more is a view of its piece
-// unless the piece is less than half full; such a piece is the values' from
-// then on, and if it is the very chunk that was sent, the buffer's arena
-// forgets it (Arena.HandOver). The buffer's views die at the next reset; the
-// objects do not.
+// cache, so they take no shared slab (NewPairDecoder). Every
+// back-reference to one object decodes to that one object. A value of
+// wio.OwnedFloor bytes or more is a view of its piece unless the piece is
+// less than half full; such a piece is the values' from then on, and if it
+// is the very chunk that was sent, the buffer's arena forgets it
+// (Arena.HandOver). The buffer's views die at the next reset; the objects
+// do not.
 func (b *Buffer) Unpack(keyClass, valClass string, kept bool, f func(p int, kv wio.Pair)) error {
 	s := b.sc
 	d := &s.dec

@@ -150,11 +150,17 @@ func AppendMarshal(dst []byte, v Writable) ([]byte, error) {
 }
 
 // Unmarshal deserializes b into v, which must have the matching type.
-func Unmarshal(b []byte, v Writable) error {
+func Unmarshal(b []byte, v Writable) error { return unmarshal(b, v, false) }
+
+// unmarshal is Unmarshal through a reader that is transient or not
+// (Reader.SetTransient).
+func unmarshal(b []byte, v Writable, transient bool) error {
 	r := readerPool.Get().(*Reader)
 	r.ResetBytes(b)
+	r.transient = transient
 	err := v.ReadFields(r)
 	r.ResetBytes(nil)
+	r.transient = false
 	readerPool.Put(r)
 	return err
 }
@@ -231,14 +237,7 @@ func clone(v Writable, transient bool) (Writable, error) {
 	} else {
 		out = e.new()
 	}
-	r := readerPool.Get().(*Reader)
-	r.ResetBytes(w.out)
-	r.transient = transient
-	err = out.ReadFields(r)
-	r.ResetBytes(nil)
-	r.transient = false
-	readerPool.Put(r)
-	if err != nil {
+	if err := unmarshal(w.out, out, transient); err != nil {
 		return nil, err
 	}
 	return out, nil
