@@ -233,9 +233,10 @@ func NewSourceMerge[T any](srcs []Source[T], cmp func(a, b *T) int) (*SourceMerg
 	return m, nil
 }
 
-// open primes every source's head into heads, a len(srcs) long with room
-// for one more, and builds the tree, live and tree its storage (tree
-// max(len(srcs), 1) long), closing every source on error.
+// open primes every source's head into heads (len(srcs) long, with room
+// for one more) and builds the tournament over them in live and tree (tree
+// max(len(srcs), 1) long, cleared here, so a room may be opened again),
+// closing every source on error.
 func (m *SourceMerge[T]) open(srcs []Source[T], cmp func(a, b *T) int, heads []T, live []bool, tree []int) error {
 	for i, s := range srcs {
 		h, ok, err := s.Next()
