@@ -348,29 +348,20 @@ func (p *PairMerges) LayOut(n, k int) {
 // source order, ordered by cmp: in its room when p has one for it, which
 // the next Open of i reuses, so the merge opened before must be done.
 func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair, cmp wio.Comparator) (*MergeIter, error) {
-	var (
-		mi      *MergeIter
-		leaves  []SliceRun
-		readers []RunReader
-		heads   []wio.Pair
-		live    []bool
-		tree    []int
-	)
-	if k, w := p.k, max(p.k, 1); i < len(p.merges) && m <= k {
-		mi = &p.merges[i]
-		leaves, readers = p.leaves[i*k:i*k+m], p.readers[i*k:i*k+m]
-		heads = p.heads[i*(k+1) : i*(k+1)+m : i*(k+1)+m+1]
-		live, tree = p.live[i*k:i*k+m], p.tree[i*w:i*w+max(m, 1)]
-	} else {
-		mi = new(MergeIter)
-		leaves, readers = make([]SliceRun, m), make([]RunReader, m)
-		heads, live, tree = make([]wio.Pair, m, m+1), make([]bool, m), make([]int, max(m, 1))
+	if i >= len(p.merges) || m > p.k {
+		var own PairMerges
+		own.LayOut(1, m)
+		return own.Open(0, m, run, cmp)
 	}
+	k, w := p.k, max(p.k, 1)
+	leaves, readers := p.leaves[i*k:i*k+m], p.readers[i*k:i*k+m]
 	for j := range leaves {
 		leaves[j].Reset(run(j))
 		readers[j] = &leaves[j]
 	}
-	if err := mi.open(readers, pairCompare(cmp), heads, live, tree); err != nil {
+	heads := p.heads[i*(k+1) : i*(k+1)+m : i*(k+1)+m+1]
+	mi := &p.merges[i]
+	if err := mi.open(readers, pairCompare(cmp), heads, p.live[i*k:i*k+m], p.tree[i*w:i*w+max(m, 1)]); err != nil {
 		return nil, err
 	}
 	return mi, nil

@@ -121,6 +121,53 @@ func TestMergeRunsMatchesSort(t *testing.T) {
 	}
 }
 
+// TestPairMergesMatchTheSort: merges opened in the rooms of one PairMerges
+// layout — every room, each opened again over fewer runs and over none, and
+// after a merge abandoned where its last run leads, as a failed attempt
+// leaves its room — and merges it has no room for (more runs than a room
+// holds, a room past the layout, the zero PairMerges) stream exactly what
+// the stable sort of their runs does.
+func TestPairMergesMatchTheSort(t *testing.T) {
+	cmp := types.IntRawComparator{}
+	rng := rand.New(rand.NewSource(7))
+	var p engine.PairMerges
+	const rooms, k = 3, 5
+	p.LayOut(rooms, k)
+	check := func(p *engine.PairMerges, i int, runs [][]wio.Pair) {
+		t.Helper()
+		it, err := p.Open(i, len(runs), func(j int) []wio.Pair { return runs[j] }, cmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, sortedReference(runs, cmp), drainIter(t, it))
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []int{k, 2, 1, 0, k} {
+		for i := range rooms {
+			check(&p, i, makeRuns(rng, m, 40, 6))
+		}
+	}
+	// Runs whose heads sort 2, 3, 1: the last run leads.
+	last := [][]wio.Pair{
+		{{Key: types.NewInt(2), Value: types.NewInt(0)}},
+		{{Key: types.NewInt(3), Value: types.NewInt(1)}},
+		{{Key: types.NewInt(1), Value: types.NewInt(2)}},
+	}
+	abandoned, err := p.Open(1, len(last), func(j int) []wio.Pair { return last[j] }, cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := abandoned.Peek(); !ok || p.Value.(*types.IntWritable).V != 2 {
+		t.Fatalf("the merge leads with %v, want its last run's pair", p)
+	}
+	check(&p, 1, makeRuns(rng, 1, 40, 6))
+	check(&p, 0, makeRuns(rng, k+3, 40, 6))
+	check(&p, rooms, makeRuns(rng, 2, 40, 6))
+	check(new(engine.PairMerges), 0, makeRuns(rng, 3, 40, 6))
+}
+
 // TestMergeRunsAllEqualKeys pins the pure-stability case: every key equal,
 // so the output must be exactly the runs concatenated in order.
 func TestMergeRunsAllEqualKeys(t *testing.T) {
