@@ -318,11 +318,14 @@ func NewMergeIter(readers []RunReader, cmp wio.Comparator) (*MergeIter, error) {
 
 // PairMerges is the storage of a job's in-memory merges, laid out together:
 // n merges (one a reduce partition) of up to k sorted runs each (one a map
-// task), so that opening one allocates only its comparator. A merge it has
-// no room for — the zero PairMerges has none — is laid out on its own.
+// task), under the job's one comparator and cancel check, so that opening
+// one allocates nothing. A merge it has no room for is laid out on its own.
 type PairMerges struct {
 	k       int
+	cmp     func(a, b *wio.Pair) int
+	lc      *JobLifecycle
 	merges  []MergeIter
+	cancels []cancelPairIter
 	leaves  []SliceRun
 	readers []RunReader
 	heads   []wio.Pair
@@ -330,28 +333,38 @@ type PairMerges struct {
 	tree    []int
 }
 
-// LayOut makes room in p for n merges of up to k runs each, in six
+// LayOut makes room in p for n merges of up to k runs each, ordered by cmp
+// and read through lc's cancel check (CancelPairIter), in eight
 // allocations whatever n and k.
-func (p *PairMerges) LayOut(n, k int) {
-	*p = PairMerges{
-		k:       k,
-		merges:  make([]MergeIter, n),
-		leaves:  make([]SliceRun, n*k),
-		readers: make([]RunReader, n*k),
-		heads:   make([]wio.Pair, n*(k+1)),
-		live:    make([]bool, n*k),
-		tree:    make([]int, n*max(k, 1)),
+func (p *PairMerges) LayOut(n, k int, cmp wio.Comparator, lc *JobLifecycle) {
+	*p = PairMerges{k: k, cmp: pairCompare(cmp), lc: lc}
+	p.layOutRooms(n)
+}
+
+// layOutRooms makes p's n rooms of up to p.k runs each.
+func (p *PairMerges) layOutRooms(n int) {
+	k := p.k
+	p.merges = make([]MergeIter, n)
+	p.leaves = make([]SliceRun, n*k)
+	p.readers = make([]RunReader, n*k)
+	p.heads = make([]wio.Pair, n*(k+1))
+	p.live = make([]bool, n*k)
+	p.tree = make([]int, n*max(k, 1))
+	if p.lc != nil {
+		p.cancels = make([]cancelPairIter, n)
 	}
 }
 
 // Open opens merge i over m in-memory sorted runs, run(j) the j-th in
-// source order, ordered by cmp: in its room when p has one for it, which
-// the next Open of i reuses, so the merge opened before must be done.
-func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair, cmp wio.Comparator) (*MergeIter, error) {
+// source order, in its room when p has one for it, which the next Open of
+// i reuses, so the merge opened before must be done. It returns the merge,
+// which its caller closes, and what a reducer reads of it: the merge
+// through the job's cancel check.
+func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair) (*MergeIter, PairIter, error) {
 	if i >= len(p.merges) || m > p.k {
-		var own PairMerges
-		own.LayOut(1, m)
-		return own.Open(0, m, run, cmp)
+		own := PairMerges{k: m, cmp: p.cmp, lc: p.lc}
+		own.layOutRooms(1)
+		return own.Open(0, m, run)
 	}
 	k, w := p.k, max(p.k, 1)
 	leaves, readers := p.leaves[i*k:i*k+m], p.readers[i*k:i*k+m]
@@ -361,10 +374,14 @@ func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair, cmp wio.Comparat
 	}
 	heads := p.heads[i*(k+1) : i*(k+1)+m : i*(k+1)+m+1]
 	mi := &p.merges[i]
-	if err := mi.open(readers, pairCompare(cmp), heads, p.live[i*k:i*k+m], p.tree[i*w:i*w+max(m, 1)]); err != nil {
-		return nil, err
+	if err := mi.open(readers, p.cmp, heads, p.live[i*k:i*k+m], p.tree[i*w:i*w+max(m, 1)]); err != nil {
+		return nil, nil, err
 	}
-	return mi, nil
+	if p.lc == nil {
+		return mi, mi, nil
+	}
+	p.cancels[i] = cancelPairIter{in: mi, lc: p.lc}
+	return mi, &p.cancels[i], nil
 }
 
 // pairCompare adapts a key comparator to the pair-element shape the

@@ -12,6 +12,7 @@ import (
 
 	"m3r/internal/engine"
 	"m3r/internal/spill"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 )
@@ -125,21 +126,24 @@ func TestMergeRunsMatchesSort(t *testing.T) {
 // layout — every room, each opened again over fewer runs and over none, and
 // after a merge abandoned where its last run leads, as a failed attempt
 // leaves its room — and merges it has no room for (more runs than a room
-// holds, a room past the layout, the zero PairMerges) stream exactly what
-// the stable sort of their runs does.
+// holds, a room past the layout, a layout of no room) stream exactly what
+// the stable sort of their runs does, read through the layout's cancel
+// check, which surfaces a kill as the stream's error. Opening a merge in a
+// room allocates nothing.
 func TestPairMergesMatchTheSort(t *testing.T) {
 	cmp := types.IntRawComparator{}
 	rng := rand.New(rand.NewSource(7))
+	lc := engine.NewJobLifecycle()
 	var p engine.PairMerges
 	const rooms, k = 3, 5
-	p.LayOut(rooms, k)
+	p.LayOut(rooms, k, cmp, lc)
 	check := func(p *engine.PairMerges, i int, runs [][]wio.Pair) {
 		t.Helper()
-		it, err := p.Open(i, len(runs), func(j int) []wio.Pair { return runs[j] }, cmp)
+		it, in, err := p.Open(i, len(runs), func(j int) []wio.Pair { return runs[j] })
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, sortedReference(runs, cmp), drainIter(t, it))
+		requireIdentical(t, sortedReference(runs, cmp), drainIter(t, in))
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +159,7 @@ func TestPairMergesMatchTheSort(t *testing.T) {
 		{{Key: types.NewInt(3), Value: types.NewInt(1)}},
 		{{Key: types.NewInt(1), Value: types.NewInt(2)}},
 	}
-	abandoned, err := p.Open(1, len(last), func(j int) []wio.Pair { return last[j] }, cmp)
+	abandoned, _, err := p.Open(1, len(last), func(j int) []wio.Pair { return last[j] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,30 @@ func TestPairMergesMatchTheSort(t *testing.T) {
 	check(&p, 1, makeRuns(rng, 1, 40, 6))
 	check(&p, 0, makeRuns(rng, k+3, 40, 6))
 	check(&p, rooms, makeRuns(rng, 2, 40, 6))
-	check(new(engine.PairMerges), 0, makeRuns(rng, 3, 40, 6))
+	var none engine.PairMerges
+	none.LayOut(0, 0, cmp, nil)
+	check(&none, 0, makeRuns(rng, 3, 40, 6))
+
+	if !testenv.Race {
+		runs := makeRuns(rng, k, 40, 6)
+		if n := testing.AllocsPerRun(20, func() {
+			it, _, err := p.Open(2, k, func(j int) []wio.Pair { return runs[j] })
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+		}); n != 0 {
+			t.Errorf("opening a merge in its room: %.1f allocations, want 0", n)
+		}
+	}
+	_, in, err := p.Open(0, 2, func(j int) []wio.Pair { return last[j] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc.Kill(engine.ErrJobKilled)
+	if _, ok, err := in.Next(); ok || !errors.Is(err, engine.ErrJobKilled) {
+		t.Fatalf("after the kill: ok=%v err=%v, want the cancellation cause", ok, err)
+	}
 }
 
 // TestMergeRunsAllEqualKeys pins the pure-stability case: every key equal,
@@ -356,7 +383,7 @@ func spillRun(t *testing.T, dir string, i int, run []wio.Pair) engine.RunReader 
 }
 
 // drainIter collects a MergeIter into a slice.
-func drainIter(t *testing.T, it *engine.MergeIter) []wio.Pair {
+func drainIter(t *testing.T, it engine.PairIter) []wio.Pair {
 	t.Helper()
 	var out []wio.Pair
 	for {

@@ -283,12 +283,7 @@ func (r *SeqReader) scanToSync() error {
 // holders for every record and keeps them; it calls ReadOwned once, before
 // its first Next. The unread bytes of the pooled window move to a fresh
 // window, and the pooled one goes back.
-func (r *SeqReader) ReadOwned() {
-	if !r.owned {
-		r.owned = true
-		r.fresh(max(len(r.win)-r.off, r.ownedWindow()))
-	}
-}
+func (r *SeqReader) ReadOwned() { r.own() }
 
 // KeyClass returns the key class name from the header.
 func (r *SeqReader) KeyClass() string { return r.keyClass }
@@ -351,7 +346,7 @@ func (r *SeqReader) Next(key, value wio.Writable) (bool, error) {
 // decode reads w's fields from b under the reader's ownership rule.
 func (r *SeqReader) decode(w wio.Writable, b []byte) error {
 	if r.owned {
-		r.rd.ResetBytesOwned(b)
+		r.rd.ResetBytesOwned(b, wio.OwnedFloor)
 	} else {
 		r.rd.ResetBytes(b)
 	}

@@ -57,7 +57,8 @@ func (*TextInputFormat) GetRecordReader(split InputSplit, job *conf.JobConf) (Re
 // boundaries the way Hadoop does: a reader starting mid-file discards the
 // (partial) first line it lands in, and every reader finishes the line
 // that crosses its end offset. Lines are cut where they lie in the
-// reader's window, in copy mode: a value holds a copy of its line.
+// reader's window. In copy mode (the default) a value holds a copy of its
+// line; in owned mode (ReadOwned) it is a view of the window.
 type LineRecordReader struct{ window }
 
 // NewLineRecordReader opens the split's byte range on fs.
@@ -84,6 +85,15 @@ func NewLineRecordReader(fs dfs.FileSystem, split *FileSplit) (*LineRecordReader
 	}
 	return r, nil
 }
+
+// ReadOwned switches the reader to owned mode, for a caller that fills fresh
+// holders for every record and keeps them; it calls ReadOwned once, before
+// its first Next. Every non-empty line is then handed out as a view of the
+// window, capacity clipped to the line, and the window — a fresh one, the
+// size of the split's rest up to 1 MiB — is the lines' from then on: no
+// later fill writes over a byte a line points into. The unread bytes of the
+// pooled window move to the fresh one, and the pooled one goes back.
+func (r *LineRecordReader) ReadOwned() { r.own() }
 
 // CreateKey implements RecordReader.
 func (*LineRecordReader) CreateKey() wio.Writable { return new(types.LongWritable) }
@@ -112,12 +122,18 @@ func (r *LineRecordReader) Next(key, value wio.Writable) (bool, error) {
 			line = line[:len(line)-1]
 		}
 	}
-	value.(*types.Text).SetBytes(line)
+	if t := value.(*types.Text); r.owned && len(line) > 0 {
+		t.B = line[:len(line):len(line)]
+		r.aliased = true
+	} else {
+		t.SetBytes(line)
+	}
 	return true, nil
 }
 
 // line consumes the next line and returns it with its newline, a view of
-// the window valid until the next fill. A last line without a newline
+// the window valid until the next fill (in owned mode, once a line aliases
+// the window, for good). A last line without a newline
 // comes with io.EOF, as does the empty line at the end of the file.
 func (r *LineRecordReader) line() ([]byte, error) {
 	for scanned := 0; ; {

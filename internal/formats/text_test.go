@@ -44,23 +44,56 @@ func referenceLines(content string) []lineRec {
 // as the engines' map loops do.
 func readSplit(t *testing.T, fs dfs.FileSystem, path string, start, end int64) []lineRec {
 	t.Helper()
+	recs, _ := readLines(t, fs, path, start, end, false)
+	return recs
+}
+
+// readLines reads every record of one split: in copy mode with one key and
+// value holder, as the engines' map loops do; owned (ReadOwned), with fresh
+// holders for every record, as the cache's cold fill does, returning the
+// values it was handed beside the records.
+func readLines(t *testing.T, fs dfs.FileSystem, path string, start, end int64, owned bool) ([]lineRec, []*types.Text) {
+	t.Helper()
 	rr, err := formats.NewLineRecordReader(fs, &formats.FileSplit{Path: path, Start: start, Len: end - start})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rr.Close()
+	if owned {
+		rr.ReadOwned()
+	}
 	k, v := rr.CreateKey(), rr.CreateValue()
 	var out []lineRec
+	var vals []*types.Text
 	for {
+		if owned {
+			k, v = rr.CreateKey(), rr.CreateValue()
+		}
 		ok, err := rr.Next(k, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			return out
+			return out, vals
 		}
-		out = append(out, lineRec{k.(*types.LongWritable).Get(), v.(*types.Text).String()})
+		text := v.(*types.Text)
+		if owned {
+			if cap(text.B) != len(text.B) {
+				t.Fatalf("owned line at %d: %d bytes of capacity %d", k.(*types.LongWritable).Get(), len(text.B), cap(text.B))
+			}
+			vals = append(vals, text)
+		}
+		out = append(out, lineRec{k.(*types.LongWritable).Get(), text.String()})
 	}
+}
+
+// textsOf is the lines vals hold now.
+func textsOf(vals []*types.Text) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = v.String()
+	}
+	return out
 }
 
 // TestLineRecordReaderRecords: offsets and lines, split by split, for line
@@ -177,27 +210,35 @@ func cutOffsets(content string) []int64 {
 }
 
 // readCuts reads path of size bytes as the splits cut at offs, in order,
-// and checks that each split's lines start inside it.
-func readCuts(t *testing.T, fs dfs.FileSystem, path string, size int64, offs ...int64) []lineRec {
+// in copy or owned mode (readLines), and checks that each split's lines
+// start inside it.
+func readCuts(t *testing.T, fs dfs.FileSystem, path string, size int64, owned bool, offs ...int64) ([]lineRec, []*types.Text) {
 	t.Helper()
 	var got []lineRec
+	var vals []*types.Text
 	bounds := append(append([]int64{0}, offs...), size)
 	for i := 0; i+1 < len(bounds); i++ {
 		start, end := bounds[i], bounds[i+1]
-		for _, r := range readSplit(t, fs, path, start, end) {
+		recs, vs := readLines(t, fs, path, start, end, owned)
+		for _, r := range recs {
 			if r.off < start || r.off >= end {
 				t.Fatalf("cuts %v: split [%d, %d) read the line at %d", offs, start, end, r.off)
 			}
-			got = append(got, r)
 		}
+		got, vals = append(got, recs...), append(vals, vs...)
 	}
-	return got
+	return got, vals
 }
 
 // TestLineRecordReaderEveryOffset: each of lineFiles cut in two at every
 // offset of cutOffsets, and in three at random offsets, reads back as the
-// reference split of the whole, over 16 KiB blocks.
+// reference split of the whole, over 16 KiB blocks, in owned mode and in
+// copy mode: the same lines at the same offsets. Under
+// spill.PoisonRecycledBlocks, the owned values still read as their lines
+// after their readers closed and the copy-mode read recycled the pooled
+// windows.
 func TestLineRecordReaderEveryOffset(t *testing.T) {
+	defer spill.PoisonRecycledBlocks.Store(spill.PoisonRecycledBlocks.Swap(true))
 	rng := rand.New(rand.NewSource(52))
 	for _, c := range lineFiles() {
 		t.Run(c.name, func(t *testing.T) {
@@ -207,18 +248,30 @@ func TestLineRecordReaderEveryOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := referenceLines(c.content)
+			wantTexts := make([]string, len(want))
+			for i, w := range want {
+				wantTexts[i] = w.text
+			}
 			size := int64(len(c.content))
-			for _, k := range cutOffsets(c.content) {
-				if got := readCuts(t, fs, "/in", size, k); !slices.Equal(got, want) {
-					t.Fatalf("cut at %d: got %.200q\nwant %.200q", k, got, want)
+			check := func(cuts ...int64) {
+				t.Helper()
+				owned, vals := readCuts(t, fs, "/in", size, true, cuts...)
+				if !slices.Equal(owned, want) {
+					t.Fatalf("owned, cuts %v: got %.200q\nwant %.200q", cuts, owned, want)
 				}
+				if got, _ := readCuts(t, fs, "/in", size, false, cuts...); !slices.Equal(got, want) {
+					t.Fatalf("copy, cuts %v: got %.200q\nwant %.200q", cuts, got, want)
+				}
+				if got := textsOf(vals); !slices.Equal(got, wantTexts) {
+					t.Fatalf("owned, cuts %v: after the readers closed and the windows recycled, values %.200q\nwant %.200q", cuts, got, wantTexts)
+				}
+			}
+			for _, k := range cutOffsets(c.content) {
+				check(k)
 			}
 			for range 100 {
 				a, b := rng.Int63n(size+1), rng.Int63n(size+1)
-				a, b = min(a, b), max(a, b)
-				if got := readCuts(t, fs, "/in", size, a, b); !slices.Equal(got, want) {
-					t.Fatalf("cuts at %d, %d: got %.200q\nwant %.200q", a, b, got, want)
-				}
+				check(min(a, b), max(a, b))
 			}
 		})
 	}
@@ -228,9 +281,10 @@ func TestLineRecordReaderEveryOffset(t *testing.T) {
 // 0xff spelling 48 KiB of 'x', so three in a row make a line longer than
 // the reader's 128 KiB copy window — as three splits cut at a and b, over
 // 5000-byte blocks, under spill.PoisonRecycledBlocks, with fresh holders
-// for every record. Every line comes back once, at its offset, unchanged,
-// and every value still reads as written after its reader is closed and
-// another has read the file through the recycled windows.
+// for every record, in copy mode and in owned mode. In both, every line
+// comes back once, at its offset, unchanged, and every value still reads as
+// written after its reader is closed and another has read the file through
+// the recycled windows.
 func FuzzLineRecordReader(f *testing.F) {
 	f.Add([]byte("one\r\ntwo\n\nfour"), uint32(3), uint32(9))
 	f.Add([]byte("\n\n\n\r\n\r"), uint32(1), uint32(4))
@@ -262,10 +316,14 @@ func FuzzLineRecordReader(f *testing.F) {
 		cuts[1], cuts[2] = min(cuts[1], cuts[2]), max(cuts[1], cuts[2])
 		var offs []int64
 		var vals []*types.Text
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 6; i++ {
+			owned, i := i >= 3, i%3
 			rr, err := formats.NewLineRecordReader(fs, &formats.FileSplit{Path: "/f", Start: cuts[i], Len: cuts[i+1] - cuts[i]})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if owned {
+				rr.ReadOwned()
 			}
 			for {
 				k, v := rr.CreateKey(), rr.CreateValue()
@@ -288,12 +346,13 @@ func FuzzLineRecordReader(f *testing.F) {
 		}
 		check := func(when string) {
 			want := referenceLines(string(content))
+			want = append(want, want...) // copy mode's lines, then owned mode's
 			if len(vals) != len(want) {
 				t.Fatalf("cuts %v: %d lines, want %d", cuts, len(vals), len(want))
 			}
 			for i, w := range want {
 				if offs[i] != w.off || vals[i].String() != w.text {
-					t.Fatalf("cuts %v, %s: line %d at %d is %.80q, want %.80q at %d", cuts, when, i, offs[i], vals[i].String(), w.text, w.off)
+					t.Fatalf("cuts %v, %s, owned %v: line %d at %d is %.80q, want %.80q at %d", cuts, when, 2*i >= len(want), i%(len(want)/2), offs[i], vals[i].String(), w.text, w.off)
 				}
 			}
 		}
@@ -399,7 +458,9 @@ func TestLineRecordReaderChargesItsSplit(t *testing.T) {
 // TestLineRecordReaderLongLineAllocs: a 1 MiB line, read with reused
 // holders, costs at most ⌈log₂(1 MiB / 128 KiB)⌉ + 2 windows beyond what a
 // one-byte line costs: a window that a line outgrows is replaced by one
-// twice its size. The collector is off, as it would empty the window pool,
+// twice its size. In owned mode a 1 MiB line that crosses the split's end
+// costs at most ⌈log₂(1 MiB / 20 B)⌉ + 2 windows beyond a one-byte one, 20
+// bytes being the room an owned window keeps past the split. The collector is off, as it would empty the window pool,
 // and the race detector drops a share of what goes back to it. The memory
 // limit bounds what a reader that regrows its window without doubling
 // could take with the collector off: the collector runs at the limit.
@@ -435,5 +496,37 @@ func TestLineRecordReaderLongLineAllocs(t *testing.T) {
 	t.Logf("%.0f allocations for a 1-byte line, %.0f for a 1 MiB line", short, long)
 	if windows := long - short; windows > 5 {
 		t.Errorf("%.0f windows for a 1 MiB line, want at most 5", windows)
+	}
+
+	// Owned, the split is the first 3 bytes and its second line is n bytes
+	// long: the fresh window, sized to the split, grows to the line's end,
+	// at least doubling each time.
+	ownedTail := func(n int) float64 {
+		path := fmt.Sprintf("/tail%d", n)
+		if err := dfs.WriteFile(fs, path, []byte("a\n"+strings.Repeat("x", n)+"\n")); err != nil {
+			t.Fatal(err)
+		}
+		split := &formats.FileSplit{Path: path, Len: 3}
+		return testing.AllocsPerRun(20, func() {
+			rr, err := formats.NewLineRecordReader(fs, split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr.ReadOwned()
+			for _, want := range []int{1, n} {
+				k, v := new(types.LongWritable), new(types.Text)
+				if ok, err := rr.Next(k, v); !ok || err != nil || v.Len() != want {
+					t.Fatalf("owned Next = %v, %v, a line of %d bytes; want %d", ok, err, v.Len(), want)
+				}
+			}
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long = ownedTail(1), ownedTail(1<<20)
+	t.Logf("owned: %.0f allocations for a 1-byte line past the split, %.0f for a 1 MiB one", short, long)
+	if windows := long - short; windows > 18 {
+		t.Errorf("owned: %.0f windows for a 1 MiB line past the split, want at most ⌈log₂(1 MiB / 20 B)⌉ + 2 = 18", windows)
 	}
 }

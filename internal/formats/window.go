@@ -42,11 +42,11 @@ var copyWindows = sync.Pool{New: func() any {
 //
 // It has two ownership rules. In copy mode (the default) the window is
 // reused from record to record and from reader to reader (pooled), and
-// nothing a reader returns points into it. In owned mode (SeqReader only)
-// records may be views of the window: a window that any record aliases
-// keeps every byte it has read — reads only go into the room behind them,
-// and a fill that needs more gets a fresh window of its own — while one
-// that no record aliases is reused.
+// nothing a reader returns points into it. In owned mode (own: SeqReader
+// and LineRecordReader's ReadOwned) records may be views of the window: a
+// window that any record aliases keeps every byte it has read — reads only
+// go into the room behind them, and a fill that needs more gets a fresh
+// window of its own — while one that no record aliases is reused.
 type window struct {
 	file dfs.File
 	// The split is [start, end): a fill reads to its end, and pastEnd
@@ -70,6 +70,16 @@ func (w *window) open(file dfs.File, start, end int64) {
 	w.file, w.start, w.end = file, start, end
 	w.pooled = copyWindows.Get().(*[]byte)
 	w.win = (*w.pooled)[:0]
+}
+
+// own switches the window to owned mode, before the first record a caller
+// keeps: the unread bytes of the pooled window move to a fresh window, and
+// the pooled one goes back.
+func (w *window) own() {
+	if !w.owned {
+		w.owned = true
+		w.fresh(max(len(w.win)-w.off, w.ownedWindow()))
+	}
 }
 
 // pos is the file offset of the next unread byte.
@@ -123,9 +133,10 @@ func (w *window) fill(n int) error {
 // read bytes then stay as they are. Otherwise the unread bytes move to the
 // front of a window that no record aliases and that can hold n, or whole
 // to a fresh window: a record cut by the last fill moves whole. A fresh
-// copy-mode window is at least twice the one it replaces, so a record that
-// outgrows window after window — a line whose end no read has found yet,
-// asked for a byte at a time — is copied O(its length) times in all.
+// copy-mode window is at least twice the one it replaces, and a fresh owned
+// one at least twice the bytes it takes over, so a record that outgrows
+// window after window — a line whose end no read has found yet, asked for a
+// byte at a time — is copied O(its length) times in all.
 func (w *window) makeRoom(n int) {
 	unread, room := len(w.win)-w.off, cap(w.win)-len(w.win)
 	switch {
@@ -135,7 +146,7 @@ func (w *window) makeRoom(n int) {
 		w.win = w.win[:copy(w.win, w.win[w.off:])]
 		w.off = 0
 	case w.owned:
-		w.fresh(max(n, w.ownedWindow()))
+		w.fresh(max(n, w.ownedWindow(), 2*unread))
 	default:
 		w.fresh(max(n, 2*cap(w.win)))
 	}

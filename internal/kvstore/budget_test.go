@@ -1,9 +1,13 @@
 package kvstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +15,7 @@ import (
 	"m3r/internal/engine"
 	"m3r/internal/sim"
 	"m3r/internal/spill"
+	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
 	"m3r/internal/x10"
@@ -19,11 +24,16 @@ import (
 // budgetedStore is a one-place store under a private pool of limit bytes,
 // its spill directory under a private TMPDIR.
 func budgetedStore(t *testing.T, limit int64) (*Store, *engine.BudgetPool) {
+	return budgetedStoreCodec(t, limit, spill.CodecNone)
+}
+
+// budgetedStoreCodec is budgetedStore spilling its blocks through codec.
+func budgetedStoreCodec(t *testing.T, limit int64, codec spill.Codec) (*Store, *engine.BudgetPool) {
 	t.Helper()
 	t.Setenv("TMPDIR", t.TempDir())
 	s := New(x10.NewRuntime(x10.Options{Places: 1, Stats: sim.NewStats(), Cost: sim.Zero()}))
 	pool := engine.NewBudgetPool(limit)
-	s.SetBudget([]*engine.JobBudget{pool.Job("cache", 0)}, spill.CodecNone)
+	s.SetBudget([]*engine.JobBudget{pool.Job("cache", 0)}, codec)
 	t.Cleanup(s.DropBudget)
 	return s, pool
 }
@@ -257,5 +267,233 @@ func TestSpilledBlockReadsAreIndependent(t *testing.T) {
 		if got := fmt.Sprint(first[i].Key.(*types.IntWritable).V, first[i].Value); got != want[i] {
 			t.Errorf("first read, pair %d: %q after pair %d changed, want %q", i, got, changed, want[i])
 		}
+	}
+}
+
+// TestSpilledBlockReadsBackWhereItLies: a spilled block of (LongWritable,
+// Text) lines, several segment blocks long, and one of (IntWritable,
+// BytesWritable) bodies from empty to one longer than a segment block read
+// back equal to what was written, under both codecs, every non-empty body a
+// view of one buffer a segment block: a read allocates one fewer object a
+// body than a copying read (allocsSaved). The first read's values are the
+// first read's alone: they read as written after a second read, after the
+// block readmits, is evicted again and is read back, and after plain
+// streams have sent their recycled block buffers back to the pool,
+// poisoned. A spill file cut short fails with io.ErrUnexpectedEOF, and one
+// whose first block declares another raw length with
+// spill.ErrBlockSizeMismatch.
+func TestSpilledBlockReadsBackWhereItLies(t *testing.T) {
+	if !spill.PoisonRecycledBlocks.Load() {
+		t.Fatal("the package's TestMain poisons recycled blocks")
+	}
+	lines := make([]wio.Pair, 3000)
+	for i := range lines {
+		lines[i] = wio.Pair{Key: types.NewLong(int64(i) * 61), Value: types.NewText(fmt.Sprintf("line %d: %s", i, strings.Repeat(string(rune('a'+i%26)), i%50)))}
+	}
+	sizes := []int{0, 1, wio.OwnedFloor - 1, wio.OwnedFloor, 3000, 100 << 10}
+	bodies := make([]wio.Pair, 60)
+	for i := range bodies {
+		bodies[i] = wio.Pair{Key: types.NewInt(int32(i)), Value: types.NewBytes(bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)]))}
+	}
+	text := func(ps []wio.Pair) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = fmt.Sprintf("%v\t%q", p.Key, wio.Writable(p.Value))
+			if b, ok := p.Value.(*types.BytesWritable); ok {
+				out[i] = fmt.Sprintf("%v\t%q", p.Key, b.B)
+			}
+		}
+		return out
+	}
+	for _, codec := range []spill.Codec{spill.CodecNone, spill.CodecFlate} {
+		for name, block := range map[string][]wio.Pair{"lines": lines, "bodies": bodies} {
+			t.Run(fmt.Sprintf("%s/%v", name, codec), func(t *testing.T) {
+				_, _, _, size, err := spill.MarshalRun(block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := text(block)
+				// The pool holds the block: a small block's commit evicts
+				// it, the larger one.
+				s, _ := budgetedStoreCodec(t, size, codec)
+				small, _ := blockOf(4)
+				for path, ps := range map[string][]wio.Pair{"/a": block, "/b": small} {
+					if err := put(s, path, ps); err != nil {
+						t.Fatal(err)
+					}
+				}
+				info, ok := s.GetInfo("/a")
+				if !ok || len(info.Blocks) != 1 {
+					t.Fatalf("/a: ok %v, %d blocks", ok, len(info.Blocks))
+				}
+				blk := info.Blocks[0]
+				spilled := func() spilledBlock {
+					t.Helper()
+					bd := s.data[0].m[blk]
+					if bd == nil || bd.spill == nil {
+						t.Fatal("/a is not spilled")
+					}
+					return *bd.spill
+				}
+				read := func(when string) []wio.Pair {
+					t.Helper()
+					ps, _, err := s.ReadPairs(0, "/a", blk)
+					if err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
+					if got := text(ps); !slices.Equal(got, want) {
+						t.Fatalf("%s: the block reads back otherwise than written", when)
+					}
+					return ps
+				}
+				sp := spilled()
+				if !testenv.Race { // sync.Pool drops a share of what is Put
+					allocsSaved(t, sp, blk.Pairs, block, size)
+				}
+				first := read("first read")
+				for _, p := range first {
+					if b, ok := p.Value.(*types.BytesWritable); ok && cap(b.B) != len(b.B) {
+						t.Fatalf("a body of %d bytes with capacity %d", len(b.B), cap(b.B))
+					}
+					if b, ok := p.Value.(*types.Text); ok && cap(b.B) != len(b.B) {
+						t.Fatalf("a line of %d bytes with capacity %d", len(b.B), cap(b.B))
+					}
+				}
+				check := func(when string) {
+					t.Helper()
+					if got := text(first); !slices.Equal(got, want) {
+						t.Fatalf("the first read's values changed %s", when)
+					}
+				}
+				read("second read")
+				check("after a second read")
+
+				// Readmit: /b goes, so /a's read reinstates it; then /c's
+				// commit evicts it again, and it reads back from its new file.
+				if err := s.Delete("/b"); err != nil {
+					t.Fatal(err)
+				}
+				read("readmitting read")
+				if s.ReadmittedBlocks() != 1 || s.data[0].m[blk].spill != nil {
+					t.Fatalf("%d blocks readmitted; /a's read did not reinstate it", s.ReadmittedBlocks())
+				}
+				if err := put(s, "/c", small); err != nil {
+					t.Fatal(err)
+				}
+				sp = spilled()
+				read("read after a second eviction")
+				check("after an evict/readmit cycle")
+
+				// Plain streams take block buffers from the pool and give
+				// them back poisoned.
+				for range 3 {
+					st, err := spill.OpenFile(sp.path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for {
+						_, ok, err := st.Next()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+					}
+					st.Close()
+				}
+				check("after other streams recycled their blocks")
+
+				// Damage: a cut file, then a first block that declares one
+				// more or one fewer raw byte (a varint's low bit flipped).
+				intact, err := os.ReadFile(sp.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					name string
+					data []byte
+					want error
+				}{
+					{"cut short", intact[:len(intact)/2], io.ErrUnexpectedEOF},
+					{"another raw length", func() []byte {
+						b := bytes.Clone(intact)
+						b[7] ^= 1 // 6 header bytes, the codec byte, then rawLen
+						return b
+					}(), spill.ErrBlockSizeMismatch},
+				} {
+					if err := os.WriteFile(sp.path, c.data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := s.ReadPairs(0, "/a", blk); !errors.Is(err, c.want) {
+						t.Errorf("%s: %v, want %v", c.name, err, c.want)
+					}
+				}
+				if err := os.WriteFile(sp.path, intact, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				read("read of the restored file")
+				check("at the end")
+			})
+		}
+	}
+}
+
+// copyingRead is decodeSpilledBlock as it was before spilled blocks were
+// read where they lie: a stream of pooled block buffers, and every body
+// copied out of them.
+func copyingRead(t *testing.T, sp spilledBlock, n int64) {
+	st, err := spill.OpenFile(sp.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass, int(n), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		rec, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return
+		}
+		if _, err := dec.Decode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// allocsSaved checks that decodeSpilledBlock reads the n pairs of sp —
+// block as written, of size record-format bytes — back in at least one
+// allocation fewer a non-empty body than a copying read of the same file
+// does, less one fresh buffer a segment block.
+func allocsSaved(t *testing.T, sp spilledBlock, n int64, block []wio.Pair, size int64) {
+	t.Helper()
+	owned := testing.AllocsPerRun(5, func() {
+		if _, err := decodeSpilledBlock(sp, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	copied := testing.AllocsPerRun(5, func() { copyingRead(t, sp, n) })
+	// One fresh buffer a segment block: at most one a 64 KiB, and one an
+	// oversized record.
+	nonEmpty, segBlocks := 0, size>>16+1
+	for _, p := range block {
+		if b, ok := p.Value.(*types.BytesWritable); !ok || len(b.B) > 0 {
+			nonEmpty++
+		}
+		if b, ok := p.Value.(*types.BytesWritable); ok && len(b.B) >= 64<<10 {
+			segBlocks++
+		}
+	}
+	// A collection may empty the pooled flate decoders between runs: their
+	// refill is a few allocations of noise.
+	const noise = 8
+	if saved := copied - owned; saved < float64(int64(nonEmpty)-segBlocks-noise) {
+		t.Errorf("%.0f allocations to read %d pairs back, %.0f copying them: want at least %d fewer (%d non-empty bodies, at most %d segment blocks, %d of noise)",
+			owned, len(block), copied, int64(nonEmpty)-segBlocks-noise, nonEmpty, segBlocks, noise)
 	}
 }

@@ -1022,19 +1022,24 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 	return pairs, nil
 }
 
-// decodeSpilledBlock reads a spilled block of n pairs back into writables,
-// each decoded before the next Next recycles its record's block: distinct
-// objects from slabs of at most n, which the block's readers may keep, and
-// which the cache keeps when the block readmits — so none from a slab shared
-// with objects that die with a job (spill.NewPairDecoder's kept). A
-// file of any other length than the block's is an error: the block is never
-// served short, or with another block's pairs.
+// decodeSpilledBlock reads a spilled block of n pairs back into writables:
+// distinct objects from slabs of at most n, which the block's readers may
+// keep, and which the cache keeps when the block readmits — so none from a
+// slab shared with objects that die with a job (spill.NewPairDecoder's
+// kept). The file is read as an owned stream: each of its segment blocks
+// is one fresh buffer of exactly its record-format bytes, and every
+// non-empty key and value body is a view of it (DecodeOwned), so the pairs
+// cost one body allocation a segment block, not one a record, and a
+// readmitted block holds its record-format bytes and its objects. A file of
+// any other length than the block's is an error: the block is never served
+// short, or with another block's pairs.
 func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 	st, err := spill.OpenFile(sp.path)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
+	st.ReadOwned()
 	dec, err := spill.NewPairDecoder(sp.keyClass, sp.valClass, int(n), true)
 	if err != nil {
 		return nil, err
@@ -1048,7 +1053,7 @@ func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 		if !ok {
 			break
 		}
-		p, err := dec.Decode(rec)
+		p, err := dec.DecodeOwned(rec)
 		if err != nil {
 			return nil, err
 		}

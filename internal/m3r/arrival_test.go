@@ -73,6 +73,7 @@ func TestArrivedObjectsAreTheReducers(t *testing.T) {
 	}
 	red := &keepingReducer{perTask: perTask, keys: keys}
 	discard := mapred.CollectorFunc(func(_, _ wio.Writable) error { return nil })
+	x.layOutMerges() // the barrier's, as jobExec.run lays them out
 	if err := x.reducePairs(engine.NewTaskContext(x.Conf, "reduce", nil), 1, red, discard); err != nil {
 		t.Fatal(err)
 	}

@@ -377,7 +377,7 @@ func (x *jobExec) layOutCollectors(n, r, p int) {
 // of up to one run a map task, before its reduce tasks start.
 func (x *jobExec) layOutMerges() {
 	if x.budgets == nil {
-		x.merges.LayOut(len(x.parts), len(x.maps))
+		x.merges.LayOut(len(x.parts), len(x.maps), x.Resolved.SortCmp, x.Lifecycle)
 	}
 }
 

@@ -141,9 +141,9 @@ var pairScratchPool = sync.Pool{
 	},
 }
 
-// ownedReader is a record reader that can hand large byte bodies out as
-// views of its read buffers, for a caller that keeps every record in fresh
-// holders (formats.SeqReader.ReadOwned).
+// ownedReader is a record reader that can hand byte bodies out as views of
+// its read buffers, for a caller that keeps every record in fresh holders
+// (formats.SeqReader.ReadOwned, formats.LineRecordReader.ReadOwned).
 type ownedReader interface {
 	ReadOwned()
 }
@@ -153,8 +153,9 @@ type ownedReader interface {
 // scratch buffer and copies into an exactly-sized slice at the end — the
 // cache retains the result indefinitely, so the returned slice must not
 // alias pooled storage. A reader that can give its read windows up to the
-// records it decodes (ownedReader: the SequenceFile reader) is asked to:
-// large byte bodies are then views of the bytes read, not copies.
+// records it decodes (ownedReader: the SequenceFile and line readers) is
+// asked to: byte bodies — a SequenceFile's from wio.OwnedFloor bytes up,
+// every non-empty line — are then views of the bytes read, not copies.
 func materialize(reader formats.RecordReader) ([]wio.Pair, error) {
 	if o, ok := reader.(ownedReader); ok {
 		o.ReadOwned()

@@ -179,15 +179,16 @@ func (pi *partitionInput) takeRuns() []*sourceRun {
 
 // openMerge opens an unbudgeted job's merge of the partition's runs, read
 // where they lie, in the partition's room of the job's merges, and returns
-// it with the number of pairs they hold.
-func (pi *partitionInput) openMerge(cmp wio.Comparator) (*engine.MergeIter, int, error) {
+// it, what the reducer reads of it (engine.PairMerges.Open) and the number
+// of pairs they hold.
+func (pi *partitionInput) openMerge() (*engine.MergeIter, engine.PairIter, int, error) {
 	runs := pi.takeRuns()
 	nrecs := 0
 	for _, r := range runs {
 		nrecs += len(r.pairs)
 	}
-	m, err := pi.x.merges.Open(pi.index, len(runs), func(j int) []wio.Pair { return runs[j].pairs }, cmp)
-	return m, nrecs, err
+	m, in, err := pi.x.merges.Open(pi.index, len(runs), func(j int) []wio.Pair { return runs[j].pairs })
+	return m, in, nrecs, err
 }
 
 // takeSources returns a budgeted job's merge leaves — a resident run's

@@ -42,17 +42,17 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 // heap, merged and grouped as objects.
 func (x *jobExec) reducePairs(ctx *engine.TaskContext, q int, reducer engine.ReduceRun, out mapred.OutputCollector) error {
 	span := ctx.Begin(engine.PhaseMergeOpen, x.parts[q].place)
-	merged, nrecs, err := x.parts[q].openMerge(x.Resolved.SortCmp)
+	// in is the merge through the job's cancel check, the reduce phase's
+	// per-record check: one atomic load per pair, surfacing the kill as the
+	// stream error so the merge closes and the sink aborts through the
+	// normal failure path.
+	merged, in, nrecs, err := x.parts[q].openMerge()
 	span.End()
 	if err != nil {
 		return err
 	}
 	expect(out, nrecs)
 	defer merged.Close()
-	// The cancel wrapper is the reduce phase's per-record check: one atomic
-	// load per pair, surfacing the kill as the stream error so the merge
-	// closes and the sink aborts through the normal failure path.
-	in := engine.CancelPairIter(merged, x.Lifecycle)
 	return engine.DriveReduce(reducer, x.Resolved.GroupCmp, in, out, ctx, false)
 }
 

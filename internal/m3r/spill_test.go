@@ -351,7 +351,8 @@ func drainMerge(t *testing.T, x *jobExec, ctx *engine.TaskContext, q int) []stri
 			out = append(out, string(r.K)+"\x00"+string(r.V))
 		}
 	}
-	m, _, err := x.parts[q].openMerge(wio.NaturalOrder{})
+	x.merges.LayOut(len(x.parts), 4, wio.NaturalOrder{}, nil) // as jobExec.layOutMerges does at the barrier
+	m, _, _, err := x.parts[q].openMerge()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -512,6 +512,74 @@ func TestRecLifetimeUnderPoison(t *testing.T) {
 	}
 }
 
+// TestOwnedStreamRecordsOutliveIt: an owned stream (ReadOwned) takes no
+// block buffer from the pool and gives none back, so every record it
+// returned still reads as written after the stream is closed and plain
+// streams have recycled their buffers, poisoned, per codec; each record's
+// key and value are clipped to themselves, and one block's records share
+// its one buffer of exactly the block's raw length.
+func TestOwnedStreamRecordsOutliveIt(t *testing.T) {
+	PoisonRecycledBlocks.Store(true)
+	defer PoisonRecycledBlocks.Store(false)
+	recs := compressibleRecs(4000)
+	for _, codec := range []Codec{CodecNone, CodecFlate} {
+		path := writeRun(t, recs, codec)
+		s, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ReadOwned()
+		var kept []Rec
+		blocks := map[*byte]bool{} // the blocks' buffers, by their first byte
+		for {
+			r, ok, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if s.cur != nil || s.prev != nil {
+				t.Fatalf("%s: an owned stream holds a pooled block buffer", codec)
+			}
+			if cap(r.K) != len(r.K) || cap(r.V) != len(r.V) {
+				t.Fatalf("%s: record %d is not clipped to itself", codec, len(kept))
+			}
+			if cap(s.blk) != len(s.blk) {
+				t.Fatalf("%s: a block of %d raw bytes in a buffer of %d", codec, len(s.blk), cap(s.blk))
+			}
+			blocks[&s.blk[0]] = true
+			kept = append(kept, r)
+		}
+		s.Close()
+		if len(blocks) < 3 {
+			t.Fatalf("%s: %d blocks, the test needs three", codec, len(blocks))
+		}
+		for range 3 {
+			p, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, ok, err := p.Next(); err != nil {
+					t.Fatal(err)
+				} else if !ok {
+					break
+				}
+			}
+			p.Close()
+		}
+		if len(kept) != len(recs) {
+			t.Fatalf("%s: %d records, want %d", codec, len(kept), len(recs))
+		}
+		for i, r := range kept {
+			if !bytes.Equal(r.K, recs[i].K) || !bytes.Equal(r.V, recs[i].V) {
+				t.Fatalf("%s: record %d changed after the stream closed and others recycled their blocks", codec, i)
+			}
+		}
+	}
+}
+
 // TestStreamRecyclesBlockBuffers: once the pool is warm, a segment read
 // allocates no block buffer, per codec. Reading six stored blocks costs the
 // allocations of reading one (the file, the stream, its bufio.Reader); the

@@ -514,33 +514,48 @@ func (d *PairDecoder) release() {
 	d.rd.ResetBytes(nil)
 }
 
-// Decode deserializes one record.
-func (d *PairDecoder) Decode(rec Rec) (wio.Pair, error) {
+// Decode deserializes one record, copying every body out of it.
+func (d *PairDecoder) Decode(rec Rec) (wio.Pair, error) { return d.decode(rec, false) }
+
+// DecodeOwned deserializes one record of an owned Stream (ReadOwned), whose
+// block is the decoded objects' alone: every non-empty byte body is a view
+// of the record's bytes (wio.Reader.ResetBytesOwned with floor 0), not a
+// copy.
+func (d *PairDecoder) DecodeOwned(rec Rec) (wio.Pair, error) { return d.decode(rec, true) }
+
+func (d *PairDecoder) decode(rec Rec, owned bool) (wio.Pair, error) {
 	k, v := d.keys.New(d.left), d.vals.New(d.left)
 	if d.left > 0 {
 		d.left--
 	}
-	d.rd.ResetBytes(rec.K)
+	d.reset(rec.K, owned, 0)
 	if err := k.ReadFields(&d.rd); err != nil {
 		return wio.Pair{}, fmt.Errorf("spill: decoding key: %w", err)
 	}
-	d.rd.ResetBytes(rec.V)
+	d.reset(rec.V, owned, 0)
 	if err := v.ReadFields(&d.rd); err != nil {
 		return wio.Pair{}, fmt.Errorf("spill: decoding value: %w", err)
 	}
 	return wio.Pair{Key: k, Value: v}, nil
 }
 
-// read decodes one object of a's class out of b, which with owned the
-// object may keep views of (wio.Reader.ResetBytesOwned), and reports whether
-// it does. An object that leaves bytes of b unread is an error.
-func (d *PairDecoder) read(a *wio.Alloc, b []byte, owned bool) (wio.Writable, bool, error) {
-	v := a.New(d.left)
+// reset aims the reader at b: copying, or with owned over a b it gives up,
+// handing bodies of floor bytes or more out as views of it.
+func (d *PairDecoder) reset(b []byte, owned bool, floor int) {
 	if owned {
-		d.rd.ResetBytesOwned(b)
+		d.rd.ResetBytesOwned(b, floor)
 	} else {
 		d.rd.ResetBytes(b)
 	}
+}
+
+// read decodes one object of a's class out of b, an arrived piece that with
+// owned the object may keep views of from wio.OwnedFloor bytes up
+// (wio.Reader.ResetBytesOwned), and reports whether it does. An object that
+// leaves bytes of b unread is an error.
+func (d *PairDecoder) read(a *wio.Alloc, b []byte, owned bool) (wio.Writable, bool, error) {
+	v := a.New(d.left)
+	d.reset(b, owned, wio.OwnedFloor)
 	if err := v.ReadFields(&d.rd); err != nil {
 		return nil, false, err
 	}
@@ -592,6 +607,11 @@ type Segment struct {
 // block stays until Close. A consumer that keeps a record longer copies what
 // it keeps: the raw merge copies a group's key, not its record. In a grouped
 // segment the records of one group in one block share one key slice.
+//
+// An owned stream (ReadOwned) recycles nothing: each block is read or
+// inflated into a fresh buffer of exactly its raw length, which belongs to
+// the records read from it from then on, so a record stays valid for as
+// long as anything points into it.
 type Stream struct {
 	f      *os.File
 	lr     io.LimitedReader // the segment's bytes not yet buffered
@@ -606,6 +626,8 @@ type Stream struct {
 	// grouped marks a grouped segment, whose blocks gc reads.
 	grouped bool
 	gc      GroupCursor
+	// owned: every block is a fresh buffer, never a blockBuf (ReadOwned).
+	owned bool
 }
 
 // rem is how many of the segment's declared bytes are not yet consumed; none
@@ -712,6 +734,13 @@ func OpenFile(path string) (*Stream, error) {
 	}
 	return OpenSegment(path, Segment{Off: 0, Len: st.Size()})
 }
+
+// ReadOwned switches the stream to owned mode, for a caller that keeps what
+// it decodes from the records as views of them (PairDecoder.DecodeOwned):
+// each block from the next on is read or inflated into a fresh buffer of
+// exactly its raw length, which never goes back to the pool. The caller
+// calls it before its first Next.
+func (s *Stream) ReadOwned() { s.owned = true }
 
 // Next returns the next record, or ok=false at the end of the segment,
 // pulling and decoding the next block when the current one is exhausted. A
@@ -836,18 +865,25 @@ func (s *Stream) readBlock() error {
 		return fmt.Errorf("%w: flate block declares implausible rawLen %d for %d stored bytes",
 			ErrBlockSizeMismatch, rawLen, storedLen)
 	}
-	bb := getBlockBuf(int(rawLen))
+	var bb *blockBuf
+	var raw []byte
+	if s.owned {
+		raw = make([]byte, rawLen)
+	} else {
+		bb = getBlockBuf(int(rawLen))
+		raw = bb.b
+	}
 	if c == CodecNone {
-		_, err = io.ReadFull(s.br, bb.b)
+		_, err = io.ReadFull(s.br, raw)
 		err = unexpectedEOF(err)
 	} else {
-		err = s.inflate(bb.b, storedLen)
+		err = s.inflate(raw, storedLen)
 	}
 	if err != nil {
 		putBlockBuf(bb)
 		return err
 	}
-	s.cur, s.blk = bb, bb.b
+	s.cur, s.blk = bb, raw
 	return nil
 }
 

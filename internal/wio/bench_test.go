@@ -245,7 +245,7 @@ func BenchmarkDecodePair(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i += len(pairs) {
 					if owned {
-						r.ResetBytesOwned(frame)
+						r.ResetBytesOwned(frame, wio.OwnedFloor)
 					} else {
 						r.ResetBytes(frame)
 					}

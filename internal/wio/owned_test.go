@@ -21,8 +21,8 @@ func body(fill byte, n int) []byte { return bytes.Repeat([]byte{fill}, n) }
 
 // TestOwnedModeViewsFromTheFloorUp pins which bodies an owned reader hands
 // out as views of its input: those of OwnedFloor bytes or more read for a
-// holder without capacity, and no others — and that the copying mode never
-// does.
+// holder without capacity, and no others; at floor 0, every non-empty body
+// — and that the copying mode never does.
 func TestOwnedModeViewsFromTheFloorUp(t *testing.T) {
 	small, atFloor := body('s', wio.OwnedFloor-1), body('f', wio.OwnedFloor)
 	frame := encodeBodies(small, atFloor, atFloor)
@@ -36,7 +36,7 @@ func TestOwnedModeViewsFromTheFloorUp(t *testing.T) {
 	}
 
 	var r wio.Reader
-	r.ResetBytesOwned(frame)
+	r.ResetBytesOwned(frame, wio.OwnedFloor)
 	got, err := r.ReadBytes()
 	if err != nil || !bytes.Equal(got, small) || inFrame(got) || r.Aliased() {
 		t.Fatalf("body under the floor: %v, in frame %v, Aliased %v", err, inFrame(got), r.Aliased())
@@ -67,6 +67,23 @@ func TestOwnedModeViewsFromTheFloorUp(t *testing.T) {
 	if r.Aliased() {
 		t.Fatal("copying mode reports Aliased")
 	}
+
+	// Floor 0, an input that is one block's alone: every body but the
+	// empty one is a view, and the empty one reads as the copying mode's.
+	frame = encodeBodies(body('o', 1), nil, small)
+	r.ResetBytesOwned(frame, 0)
+	for i, want := range [][]byte{body('o', 1), nil, small} {
+		got, err = r.ReadBytes()
+		if err != nil || !bytes.Equal(got, want) || (len(want) > 0) != (len(got) > 0 && inFrame(got)) || cap(got) != len(got) {
+			t.Fatalf("floor 0, body %d: %v, %d bytes of capacity %d, in frame %v", i, err, len(got), cap(got), len(got) > 0 && inFrame(got))
+		}
+		if want == nil && got != nil {
+			t.Fatalf("floor 0: the empty body reads %#v, the copying mode's nil", got)
+		}
+	}
+	if !r.Aliased() {
+		t.Fatal("floor 0: views handed out, Aliased false")
+	}
 }
 
 // TestOwnedValuesKeepToTheirOwnBytes decodes neighbouring values as views of
@@ -77,7 +94,7 @@ func TestOwnedValuesKeepToTheirOwnBytes(t *testing.T) {
 	n := 2 * wio.OwnedFloor
 	var vals [3]types.BytesWritable
 	var r wio.Reader
-	r.ResetBytesOwned(encodeBodies(body('a', n), body('b', n), body('c', n)))
+	r.ResetBytesOwned(encodeBodies(body('a', n), body('b', n), body('c', n)), wio.OwnedFloor)
 	for i := range vals {
 		if err := vals[i].ReadFields(&r); err != nil {
 			t.Fatal(err)

@@ -150,19 +150,21 @@ func readOp(r *wio.Reader, op, arg byte, bufs *opBufs) (any, error) {
 // stepArg is the argument of a script's i-th step.
 func stepArg(i int) byte { return byte(i * 7) }
 
-// compareReaders runs script over data in the stream mode, the slice mode and
-// the owned slice mode and fails on the first step where value, error or
-// Count differ. The owned reader gets a copy of data: a recycled buffer that
-// is a view of the input (op 11 after a large body) is written through.
+// compareReaders runs script over data in the stream mode, the slice mode,
+// the owned slice mode at wio.OwnedFloor and at floor 0, and the transient
+// slice mode, and fails on the first step where value, error or Count
+// differ. Each owned reader gets a copy of data: a recycled buffer that is a
+// view of the input (op 11 after a large body) is written through.
 func compareReaders(t *testing.T, data, script []byte) {
 	t.Helper()
 	stream := wio.NewReader(bytes.NewReader(data))
-	var slice, owned, transient wio.Reader
+	var slice, owned, block, transient wio.Reader
 	slice.ResetBytes(data)
-	owned.ResetBytesOwned(bytes.Clone(data))
+	owned.ResetBytesOwned(bytes.Clone(data), wio.OwnedFloor)
+	block.ResetBytesOwned(bytes.Clone(data), 0)
 	transient.ResetBytes(data)
 	transient.SetTransient(true) // float bodies cut from the shared slab
-	var sbuf, mbuf, obuf, tbuf opBufs
+	var sbuf, mbuf, obuf, bbuf, tbuf opBufs
 	for i, op := range script {
 		arg := stepArg(i)
 		sv, serr := readOp(stream, op, arg, &sbuf)
@@ -170,7 +172,7 @@ func compareReaders(t *testing.T, data, script []byte) {
 			name string
 			r    *wio.Reader
 			bufs *opBufs
-		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}, {"transient", &transient, &tbuf}} {
+		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}, {"owned floor 0", &block, &bbuf}, {"transient", &transient, &tbuf}} {
 			mv, merr := readOp(m.r, op, arg, m.bufs)
 			if !sameErr(serr, merr) {
 				t.Fatalf("step %d op %d over %d bytes: stream err %v, %s err %v", i, op%numOps, len(data), serr, m.name, merr)

@@ -267,10 +267,10 @@ func (w *Writer) Flush() error {
 // re-aimed at each record's bytes.
 //
 // Slice mode copies everything it returns out of the slice, unless the slice
-// was given up to the reader (ResetBytesOwned): then a byte body of OwnedFloor
-// bytes or more, read for a holder that has no capacity of its own, is a
-// sub-slice of the input instead of an allocation and a copy. Values, Count
-// and errors are those of the copying mode.
+// was given up to the reader (ResetBytesOwned): then a byte body at least as
+// long as the floor the caller states, read for a holder that has no
+// capacity of its own, is a sub-slice of the input instead of an allocation
+// and a copy. Values, Count and errors are those of the copying mode.
 //
 // A transient Reader (SetTransient) decodes objects that die with the job:
 // the fresh []float64 bodies ReadFloat64s makes for them are cut from a
@@ -280,18 +280,21 @@ type Reader struct {
 	data      []byte    // slice-mode source; data[count:] is unread
 	buf       [chunkBytes]byte
 	count     int64
-	owned     bool // data was given up by the caller: large bodies may point into it
-	aliased   bool // a body returned since the last reset points into data
-	transient bool // fresh float bodies come from a shared slab; kept across resets
+	floor     uint64 // owned: the shortest body that may point into data; 0 when data is not the reader's
+	aliased   bool   // a body returned since the last reset points into data
+	transient bool   // fresh float bodies come from a shared slab; kept across resets
 }
 
-// OwnedFloor is the shortest byte body an owned-mode Reader hands out as a
-// sub-slice of its input. A shorter one is copied as in the copying mode: a
-// value that points into a frame keeps the whole frame alive and out of its
-// pool, which a key of a few bytes must not do to a frame of many kilobytes —
-// a stream of short words gives every frame back — and the saving shrinks
-// with the body (BenchmarkDecodePair: 2 KiB values decode in an eighth of the
-// copying mode's time, 256-byte ones in under half of it).
+// OwnedFloor is the floor for an input that is only partly the values': a
+// chunk handed over from a recycled arena or a pooled read window, which a
+// body below the floor does not claim. A value that points into such a
+// chunk keeps the whole chunk alive and out of its pool, which a key of a
+// few bytes must not do to a chunk of many kilobytes — a stream of short
+// words gives every chunk back — and the saving shrinks with the body
+// (BenchmarkDecodePair: 2 KiB values decode in an eighth of the copying
+// mode's time, 256-byte ones in under half of it). An input that belongs to
+// one block of values alone, and lives exactly as long as they do, takes
+// floor 0: every body is a view.
 const OwnedFloor = 256
 
 // NewReader returns a Reader consuming from r.
@@ -306,7 +309,7 @@ func (r *Reader) Count() int64 { return r.count }
 func (r *Reader) Reset(in io.Reader) {
 	r.r, r.data = in, nil
 	r.count = 0
-	r.owned, r.aliased = false, false
+	r.floor, r.aliased = 0, false
 }
 
 // ResetBytes switches the reader to slice mode over b and zeroes Count. The
@@ -314,19 +317,21 @@ func (r *Reader) Reset(in io.Reader) {
 func (r *Reader) ResetBytes(b []byte) {
 	r.r, r.data = nil, b
 	r.count = 0
-	r.owned, r.aliased = false, false
+	r.floor, r.aliased = 0, false
 }
 
 // ResetBytesOwned is ResetBytes over a slice the caller gives up: the reader
-// still never writes to b, but a byte body of at least OwnedFloor bytes read
-// for a holder without capacity (ReadBytes, ReadBytesBuf of an empty buffer)
-// is returned as b[i:j:j] — capacity clipped to the body, so an append to it
-// reallocates instead of running into the bytes behind it. Once Aliased
-// reports true, b belongs to the values decoded from it: the caller may
-// neither write to it nor reuse it.
-func (r *Reader) ResetBytesOwned(b []byte) {
+// still never writes to b, but a non-empty byte body of at least floor bytes
+// read for a holder without capacity (ReadBytes, ReadBytesBuf of an empty
+// buffer) is returned as b[i:j:j] — capacity clipped to the body, so an
+// append to it reallocates instead of running into the bytes behind it. The
+// floor is the caller's statement of what b is: OwnedFloor for a chunk that
+// a short body must not pin, 0 for a buffer that is one block's alone. Once
+// Aliased reports true, b belongs to the values decoded from it: the caller
+// may neither write to it nor reuse it.
+func (r *Reader) ResetBytesOwned(b []byte, floor int) {
 	r.ResetBytes(b)
-	r.owned = true
+	r.floor = uint64(max(floor, 1))
 }
 
 // SetTransient says whether what r decodes dies with the job, so that a
@@ -633,7 +638,7 @@ func (r *Reader) readBody(buf []byte, n uint64) ([]byte, error) {
 		}
 		return nil, io.ErrUnexpectedEOF
 	}
-	if r.owned && cap(buf) == 0 && n >= OwnedFloor {
+	if r.floor > 0 && cap(buf) == 0 && n >= r.floor {
 		// The body is whole (checked above) and the input is the reader's
 		// to give away: the value is the bytes where they already are.
 		i := r.count
