@@ -127,17 +127,10 @@ func (lc *JobLifecycle) ApplyDeadlineConf(job *conf.JobConf) {
 	}
 }
 
-// CancelPairIter wraps a reduce input stream with the job's cancel check:
-// one atomic load per pair, returning the cancellation cause as the stream
-// error so DriveReduce unwinds through its normal error path (merge close,
-// committer abort). A nil lifecycle returns the stream unchanged.
-func CancelPairIter(in PairIter, lc *JobLifecycle) PairIter {
-	if lc == nil {
-		return in
-	}
-	return &cancelPairIter{in: in, lc: lc}
-}
-
+// cancelPairIter is a reduce input stream read through the job's cancel
+// check (PairMerges.Open): one atomic load per pair, returning the
+// cancellation cause as the stream error so DriveReduce unwinds through its
+// normal error path (merge close, committer abort).
 type cancelPairIter struct {
 	in PairIter
 	lc *JobLifecycle

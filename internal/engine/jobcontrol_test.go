@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"m3r/internal/conf"
-	"m3r/internal/wio"
 )
 
 func TestJobLifecycleNilReceiver(t *testing.T) {
@@ -86,35 +85,5 @@ func TestApplyDeadlineConf(t *testing.T) {
 	}
 	if !errors.Is(lc.Err(), ErrDeadlineExceeded) {
 		t.Fatalf("Err = %v, want ErrDeadlineExceeded", lc.Err())
-	}
-}
-
-type slicePairIter struct {
-	pairs []wio.Pair
-	i     int
-}
-
-func (s *slicePairIter) Next() (wio.Pair, bool, error) {
-	if s.i >= len(s.pairs) {
-		return wio.Pair{}, false, nil
-	}
-	p := s.pairs[s.i]
-	s.i++
-	return p, true, nil
-}
-
-func TestCancelPairIter(t *testing.T) {
-	in := &slicePairIter{pairs: make([]wio.Pair, 3)}
-	if got := CancelPairIter(in, nil); got != PairIter(in) {
-		t.Fatal("nil lifecycle must return the stream unchanged")
-	}
-	lc := NewJobLifecycle()
-	it := CancelPairIter(in, lc)
-	if _, ok, err := it.Next(); !ok || err != nil {
-		t.Fatalf("first pair: ok=%v err=%v", ok, err)
-	}
-	lc.Kill(ErrJobKilled)
-	if _, ok, err := it.Next(); ok || !errors.Is(err, ErrJobKilled) {
-		t.Fatalf("post-kill pair: ok=%v err=%v, want cancellation cause", ok, err)
 	}
 }

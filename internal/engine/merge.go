@@ -319,7 +319,7 @@ func NewMergeIter(readers []RunReader, cmp wio.Comparator) (*MergeIter, error) {
 // PairMerges is the storage of a job's in-memory merges, laid out together:
 // n merges (one a reduce partition) of up to k sorted runs each (one a map
 // task), under the job's one comparator and cancel check, so that opening
-// one allocates nothing. A merge it has no room for is laid out on its own.
+// one allocates nothing.
 type PairMerges struct {
 	k       int
 	cmp     func(a, b *wio.Pair) int
@@ -334,38 +334,25 @@ type PairMerges struct {
 }
 
 // LayOut makes room in p for n merges of up to k runs each, ordered by cmp
-// and read through lc's cancel check (CancelPairIter), in eight
-// allocations whatever n and k.
+// and read through lc's cancel check, in eight allocations whatever n and
+// k.
 func (p *PairMerges) LayOut(n, k int, cmp wio.Comparator, lc *JobLifecycle) {
 	*p = PairMerges{k: k, cmp: pairCompare(cmp), lc: lc}
-	p.layOutRooms(n)
-}
-
-// layOutRooms makes p's n rooms of up to p.k runs each.
-func (p *PairMerges) layOutRooms(n int) {
-	k := p.k
 	p.merges = make([]MergeIter, n)
+	p.cancels = make([]cancelPairIter, n)
 	p.leaves = make([]SliceRun, n*k)
 	p.readers = make([]RunReader, n*k)
 	p.heads = make([]wio.Pair, n*(k+1))
 	p.live = make([]bool, n*k)
 	p.tree = make([]int, n*max(k, 1))
-	if p.lc != nil {
-		p.cancels = make([]cancelPairIter, n)
-	}
 }
 
-// Open opens merge i over m in-memory sorted runs, run(j) the j-th in
-// source order, in its room when p has one for it, which the next Open of
-// i reuses, so the merge opened before must be done. It returns the merge,
-// which its caller closes, and what a reducer reads of it: the merge
-// through the job's cancel check.
+// Open opens merge i, i below n, over m ≤ k in-memory sorted runs, run(j)
+// the j-th in source order, in its room, which the next Open of i reuses, so
+// the merge opened before must be done. It returns the merge, which its
+// caller closes, and what a reducer reads of it: the merge through the
+// job's cancel check.
 func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair) (*MergeIter, PairIter, error) {
-	if i >= len(p.merges) || m > p.k {
-		own := PairMerges{k: m, cmp: p.cmp, lc: p.lc}
-		own.layOutRooms(1)
-		return own.Open(0, m, run)
-	}
 	k, w := p.k, max(p.k, 1)
 	leaves, readers := p.leaves[i*k:i*k+m], p.readers[i*k:i*k+m]
 	for j := range leaves {
@@ -376,9 +363,6 @@ func (p *PairMerges) Open(i, m int, run func(j int) []wio.Pair) (*MergeIter, Pai
 	mi := &p.merges[i]
 	if err := mi.open(readers, p.cmp, heads, p.live[i*k:i*k+m], p.tree[i*w:i*w+max(m, 1)]); err != nil {
 		return nil, nil, err
-	}
-	if p.lc == nil {
-		return mi, mi, nil
 	}
 	p.cancels[i] = cancelPairIter{in: mi, lc: p.lc}
 	return mi, &p.cancels[i], nil

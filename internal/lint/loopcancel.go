@@ -10,11 +10,11 @@ import (
 // packages (internal/m3r, internal/hadoop, internal/engine), a loop that
 // pumps records via .Next() inside a function that can see a
 // JobLifecycle — directly, or through a field of its receiver or
-// parameters — must poll cancellation: lc.Err()/lc.Done() in the loop, a
-// same-package helper that polls, or an iterator wrapped with
-// engine.CancelPairIter. Functions with no lifecycle in reach (generic
-// merge kernels like SourceMerge, DriveReduce) are exempt by design —
-// their callers own cancellation by wrapping the input iterator.
+// parameters — must poll cancellation: lc.Err()/lc.Done() in the loop or
+// a same-package helper that polls. Functions with no lifecycle in reach
+// (generic merge kernels like SourceMerge, DriveReduce) are exempt by
+// design — their callers own cancellation by wrapping the input iterator,
+// as engine.PairMerges does.
 var Loopcancel = &Analyzer{
 	Name: "loopcancel",
 	Doc:  "record loops in task-execution paths must poll the JobLifecycle",
@@ -59,7 +59,6 @@ func runLoopcancel(pass *Pass) []Diag {
 		if !lifecycleReachable(info, fd) {
 			continue
 		}
-		wrapped := cancelWrappedObjs(info, fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			body, rangeVal := loopBody(n)
 			if body == nil {
@@ -69,13 +68,8 @@ func runLoopcancel(pass *Pass) []Diag {
 			if recv == nil {
 				return true
 			}
-			if id, ok := ast.Unparen(recv).(*ast.Ident); ok {
-				if obj := identObj(info, id); obj != nil && wrapped[obj] {
-					return true // iterator wrapped with CancelPairIter
-				}
-			}
 			if !loopPolls(info, body, polling) {
-				diags = append(diags, Diag{Pos: n.Pos(), Message: "per-record loop cannot observe job cancellation; poll lc.Err() in the loop or wrap the iterator with engine.CancelPairIter"})
+				diags = append(diags, Diag{Pos: n.Pos(), Message: "per-record loop cannot observe job cancellation; poll lc.Err() in the loop"})
 			}
 			return true
 		})
@@ -132,7 +126,7 @@ func recordLoopReceiver(info *types.Info, body *ast.BlockStmt, rangeVal *ast.Ide
 }
 
 // directPoll reports whether call observes a lifecycle: Err/Done/Kill on
-// a *engine.JobLifecycle, or engine.CancelPairIter (whose Next polls).
+// a *engine.JobLifecycle.
 func directPoll(info *types.Info, call *ast.CallExpr) bool {
 	fn := staticCallee(info, call)
 	if fn == nil {
@@ -145,7 +139,7 @@ func directPoll(info *types.Info, call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	return fn.Pkg() != nil && fn.Pkg().Path() == enginePath && fn.Name() == "CancelPairIter"
+	return false
 }
 
 // loopPolls reports whether the loop body observes cancellation: a direct
@@ -171,36 +165,6 @@ func loopPolls(info *types.Info, body *ast.BlockStmt, polling map[*types.Func]bo
 		return true
 	})
 	return polls
-}
-
-// cancelWrappedObjs collects variables assigned from
-// engine.CancelPairIter anywhere in the function: loops pumping those
-// iterators poll by construction.
-func cancelWrappedObjs(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
-	wrapped := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := staticCallee(info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != enginePath || fn.Name() != "CancelPairIter" {
-			return true
-		}
-		for _, l := range as.Lhs {
-			if id, ok := l.(*ast.Ident); ok {
-				if obj := identObj(info, id); obj != nil {
-					wrapped[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	return wrapped
 }
 
 // lifecycleReachable reports whether fd can see a JobLifecycle: an

@@ -92,21 +92,6 @@ func (t *task) pollsViaHelper() error {
 
 func (t *task) check() error { return t.lc.Err() }
 
-// wrapped pumps an iterator wrapped with CancelPairIter: polling is the
-// iterator's job.
-func (t *task) wrapped() error {
-	merged := engine.CancelPairIter(t.src, t.lc)
-	for {
-		_, ok, err := merged.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
-}
-
 // orphan has no lifecycle in reach: cancellation is its caller's problem,
 // as with the generic merge kernels.
 func orphan(src *iter) (int, error) {

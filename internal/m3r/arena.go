@@ -26,7 +26,7 @@ const (
 
 // make returns an empty run with room for n pairs.
 func (a *pairArena) make(n int) []wio.Pair {
-	if a == nil || n > arenaMax {
+	if n > arenaMax {
 		return make([]wio.Pair, 0, n)
 	}
 	a.mu.Lock()
@@ -49,7 +49,7 @@ func (a *pairArena) carveLocked(n int) []wio.Pair {
 // place when it is the chunk's last carve and there is room after it, and
 // otherwise moving it to a carve twice its size.
 func (a *pairArena) append(run []wio.Pair, p wio.Pair) []wio.Pair {
-	if len(run) < cap(run) || a == nil || cap(run) >= arenaMax {
+	if len(run) < cap(run) || cap(run) >= arenaMax {
 		return append(run, p)
 	}
 	a.mu.Lock()

@@ -55,9 +55,10 @@ func arrivalKey(v, perTask, keys int) string { return fmt.Sprintf("word%03d", v%
 func TestArrivedObjectsAreTheReducers(t *testing.T) {
 	const tasks, perTask, keys = 3, 1000, 40
 	x := newRemoteExec(t, &tamperTransport{tamper: func(_ int, f []byte) []byte { return f }})
+	maps := layOutMapTasks(x, tasks+1)
 	ship := func(src int) {
 		t.Helper()
-		sc := x.newShuffleCollector(&mapAssignment{index: src, place: 0}, engine.NewTaskContext(x.Conf, "map", nil))
+		sc := x.newShuffleCollector(&maps[src], engine.NewTaskContext(x.Conf, "map", nil))
 		for i := 0; i < perTask; i++ {
 			v := src*perTask + i
 			if err := sc.deliver(1, types.NewText(arrivalKey(v, perTask, keys)), types.NewInt(int32(v)), true); err != nil {

@@ -72,21 +72,17 @@ type CachedRange struct {
 	To    int64
 }
 
-// LookupSplit resolves a split against the cache: first by exact split
-// name (input cache), then against the output cache of the split's file
-// (§3.2.1). ok=false is a cache miss (or an unnameable split, §4.2.1).
+// lookupSplit resolves the split at store path sp against the cache: first
+// by exact split entry (input cache), then against the output cache of the
+// split's file (§3.2.1). ok=false is a cache miss (or an unnameable split,
+// §4.2.1). A hit's ranges are appended to dst, so a planner can keep every
+// split's in one slice.
 //
 // Entries without committed blocks are misses: a concurrent job may have
 // created the path but not yet closed its writer. Each input-split block
-// holds the split's complete pair sequence (PutSplit writes it in one
+// holds the split's complete pair sequence (putSplit writes it in one
 // block), so exactly one block is read even if concurrent misses on the
 // same split raced their inserts.
-func (c *Cache) LookupSplit(name string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool) {
-	return c.lookupSplit(nil, splitPath(name), fileSplit)
-}
-
-// lookupSplit is LookupSplit of the split at store path sp: a hit's ranges
-// are appended to dst, so a planner can keep every split's in one slice.
 func (c *Cache) lookupSplit(dst []CachedRange, sp string, fileSplit *fileSplitView) (ranges []CachedRange, ok bool) {
 	ranges = dst
 	// Exact input-split entry.
@@ -185,16 +181,12 @@ func (c *Cache) ReadRanges(place int, ranges []CachedRange) ([]wio.Pair, bool, e
 	return out, remote, nil
 }
 
-// PutSplit installs the pairs of a freshly read split into the input cache
-// at place, as a single complete block. Jobs racing on the same cold split
-// may each insert a block; that is benign — every block holds the split's
-// complete pair sequence, LookupSplit reads exactly one, and no block a
-// concurrent planner has resolved is ever invalidated by an insert.
-func (c *Cache) PutSplit(place int, name string, pairs []wio.Pair) error {
-	return c.putSplit(place, splitPath(name), pairs)
-}
-
-// putSplit is PutSplit of the split at store path sp.
+// putSplit installs the pairs of a freshly read split into the input cache
+// at place, as a single complete block at store path sp. Jobs racing on the
+// same cold split may each insert a block; that is benign — every block
+// holds the split's complete pair sequence, lookupSplit reads exactly one,
+// and no block a concurrent planner has resolved is ever invalidated by an
+// insert.
 func (c *Cache) putSplit(place int, sp string, pairs []wio.Pair) error {
 	w, err := c.store.CreateWriter(place, sp, "")
 	if err != nil {

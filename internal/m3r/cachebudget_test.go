@@ -172,13 +172,13 @@ func TestCacheBudgetEvictsLargestFirst(t *testing.T) {
 // admission, spill on overflow, and survive byte-identically.
 func TestCacheBudgetSplitEntries(t *testing.T) {
 	c, st, _ := newBudgetedCache(t, 2, 1) // admits nothing
-	if err := c.PutSplit(1, "/data/f:0+100", somePairs(6)); err != nil {
+	if err := c.putSplit(1, splitPath("/data/f:0+100"), somePairs(6)); err != nil {
 		t.Fatal(err)
 	}
 	if st.SpilledBlocks() != 1 || st.ResidentBytes() != 0 {
 		t.Fatalf("split entry should spill under a full budget: spilled=%d resident=%d", st.SpilledBlocks(), st.ResidentBytes())
 	}
-	ranges, ok := c.LookupSplit("/data/f:0+100", nil)
+	ranges, ok := c.lookupSplit(nil, splitPath("/data/f:0+100"), nil)
 	if !ok {
 		t.Fatal("lookup missed")
 	}
@@ -295,7 +295,7 @@ func TestUntaggedBlocksMapOntoPairRanges(t *testing.T) {
 		{4, 4, []CachedRange{{path, blocks[1], 1, 5}}, []int32{1, 2, 3, 4}},
 	} {
 		name := fmt.Sprintf("%s:%d+%d", path, tc.start, tc.length)
-		ranges, ok := c.LookupSplit(name, &fileSplitView{path: path, start: tc.start, length: tc.length})
+		ranges, ok := c.lookupSplit(nil, splitPath(name), &fileSplitView{path: path, start: tc.start, length: tc.length})
 		if !ok || !slices.Equal(ranges, tc.want) {
 			t.Fatalf("%s: ranges %+v ok=%v, want %+v", name, ranges, ok, tc.want)
 		}
@@ -361,7 +361,7 @@ func TestCacheCoherenceDirectoriesWithSplits(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		path := fmt.Sprintf("/job/out/part-0000%d", i)
 		writeOutput(t, c, i, path, 3)
-		if err := c.PutSplit(i, fmt.Sprintf("%s:0+3", path), somePairs(3)); err != nil {
+		if err := c.putSplit(i, splitPath(fmt.Sprintf("%s:0+3", path)), somePairs(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,10 +370,10 @@ func TestCacheCoherenceDirectoriesWithSplits(t *testing.T) {
 	if err := c.Move("/job/out", "/job/renamed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.LookupSplit("/job/out/part-00000:0+3", nil); ok {
+	if _, ok := c.lookupSplit(nil, splitPath("/job/out/part-00000:0+3"), nil); ok {
 		t.Error("split entry reachable under the old directory name")
 	}
-	if _, ok := c.LookupSplit("/job/renamed/part-00000:0+3", nil); !ok {
+	if _, ok := c.lookupSplit(nil, splitPath("/job/renamed/part-00000:0+3"), nil); !ok {
 		t.Error("split entry not moved with its directory")
 	}
 	checkPairs(t, c, "/job/renamed/part-00001", 3)
@@ -385,7 +385,7 @@ func TestCacheCoherenceDirectoriesWithSplits(t *testing.T) {
 		if _, ok, _ := c.PathPairs(fmt.Sprintf("/job/renamed/part-0000%d", i)); ok {
 			t.Errorf("file entry %d survived the directory drop", i)
 		}
-		if _, ok := c.LookupSplit(fmt.Sprintf("/job/renamed/part-0000%d:0+3", i), nil); ok {
+		if _, ok := c.lookupSplit(nil, splitPath(fmt.Sprintf("/job/renamed/part-0000%d:0+3", i)), nil); ok {
 			t.Errorf("split entry %d survived the directory drop", i)
 		}
 	}

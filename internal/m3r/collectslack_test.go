@@ -15,7 +15,8 @@ import (
 )
 
 // markTestExec is a jobExec for WordCount over four partitions at one place,
-// with or without its combiner, ready for collectors to be made on it.
+// with or without its combiner, laid out for four map tasks whose
+// collectors are made on it.
 func markTestExec(t *testing.T, combiner bool) *jobExec {
 	t.Helper()
 	e := newFaultEngine(t, 1)
@@ -36,6 +37,7 @@ func markTestExec(t *testing.T, combiner bool) *jobExec {
 	for q := 0; q < rj.NumReducers; q++ {
 		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
 	}
+	layOutMapTasks(x, 4)
 	return x
 }
 
@@ -54,7 +56,7 @@ func collectTask(t *testing.T, x *jobExec, task int, keys []wio.Writable) uint64
 	t.Helper()
 	one := types.NewInt(1)
 	ctx := engine.NewTaskContext(x.Conf, fmt.Sprintf("task%d", task), nil)
-	sc := x.newShuffleCollector(&mapAssignment{index: task}, ctx)
+	sc := x.newShuffleCollector(&x.maps[task], ctx)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, k := range keys {

@@ -76,9 +76,10 @@ func TestBudgetedCollectChecksClasses(t *testing.T) {
 				}
 			}
 			x := budgetedTestExec(t, e, job, 1<<20)
+			task := &layOutMapTasks(x, 1)[0]
 			bufBase := encodeBufsOut.Load()
 			collector := func() *shuffleCollector {
-				sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(job, "task", nil))
+				sc := x.newShuffleCollector(task, engine.NewTaskContext(job, "task", nil))
 				if err := sc.Collect(types.NewText("word"), types.NewInt(1)); err != nil {
 					t.Fatal(err)
 				}
@@ -114,9 +115,10 @@ func TestBudgetedCollectChecksClasses(t *testing.T) {
 		job.Unset(conf.KeyMapOutputValueClass)
 		job.Unset(conf.KeyOutputValueClass)
 		x := budgetedTestExec(t, e, job, 1<<20)
+		task := &layOutMapTasks(x, 1)[0]
 		// One key per partition: place 0's own, and place 1's.
 		for _, word := range []string{"a", "b", "c", "d"} {
-			sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(job, "task", nil))
+			sc := x.newShuffleCollector(task, engine.NewTaskContext(job, "task", nil))
 			err := sc.Collect(types.NewText(word), &ghostWritable{})
 			if err == nil || !strings.Contains(err.Error(), "*m3r.ghostWritable is not registered") {
 				t.Errorf("Collect of an unregistered value class = %v, want an error naming it", err)
@@ -433,11 +435,14 @@ func BenchmarkBudgetedCollect(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				x := budgetedTestExec(b, e, job, poolBytes)
+				maps := layOutMapTasks(x, tasks)
 				runtime.ReadMemStats(&before)
 				b.StartTimer()
 				for task, keys := range words {
 					ctx := engine.NewTaskContext(job, "task", nil)
-					sc := x.newShuffleCollector(&mapAssignment{index: task, place: task}, ctx)
+					a := &maps[task]
+					a.place = task
+					sc := x.newShuffleCollector(a, ctx)
 					for _, k := range keys {
 						if err := sc.Collect(k, one); err != nil {
 							b.Fatal(err)

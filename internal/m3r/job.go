@@ -173,18 +173,16 @@ type jobExec struct {
 	parts []*partitionInput
 	maps  []mapAssignment
 
-	// Map, a job that shuffles: the planned tasks' collector state, row i
-	// map task i's (layOutCollectors) — P buffers a task, R parts a task on
-	// an unbudgeted job, R combine tables a task when the job combines by
-	// hash.
+	// Map, a job that shuffles: the tasks' collector state, row i map task
+	// i's (layOutCollectors) — P buffers a task, R parts a task on an
+	// unbudgeted job, R combine tables a task when the job combines by hash.
 	collectParts  []collectPart
 	collectBufs   []*spill.Buffer
 	collectTables []*engine.CombineTable
 	arena         pairArena // an unbudgeted job's small runs
 
 	// Reduce, an unbudgeted job: its merges, partition q's in room q, of at
-	// most one run a planned map task, laid out at the barrier
-	// (layOutMerges).
+	// most one run a map task, laid out at the barrier (layOutMerges).
 	merges engine.PairMerges
 
 	// Task output: the output tasks' sinks, map task i's on a map-only job,
@@ -350,12 +348,6 @@ func (x *jobExec) plan() ([]mapAssignment, error) {
 		}
 	}
 	return out, nil
-}
-
-// planned reports whether a is the plan's assignment of its task, whose
-// state is its row of the job's layout.
-func (x *jobExec) planned(a *mapAssignment) bool {
-	return a.index < len(x.maps) && a == &x.maps[a.index]
 }
 
 // layOutCollectors lays out the collector state of a job's n map tasks

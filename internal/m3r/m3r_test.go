@@ -31,13 +31,13 @@ func somePairs(n int) []wio.Pair {
 func TestSplitCacheHitAndMiss(t *testing.T) {
 	c, _ := newTestCache(2)
 	name := "/data/f:0+100"
-	if _, ok := c.LookupSplit(name, nil); ok {
+	if _, ok := c.lookupSplit(nil, splitPath(name), nil); ok {
 		t.Fatal("empty cache should miss")
 	}
-	if err := c.PutSplit(1, name, somePairs(5)); err != nil {
+	if err := c.putSplit(1, splitPath(name), somePairs(5)); err != nil {
 		t.Fatal(err)
 	}
-	ranges, ok := c.LookupSplit(name, nil)
+	ranges, ok := c.lookupSplit(nil, splitPath(name), nil)
 	if !ok || len(ranges) != 1 || ranges[0].Block.Place != 1 {
 		t.Fatalf("lookup: %+v ok=%v", ranges, ok)
 	}
@@ -46,7 +46,7 @@ func TestSplitCacheHitAndMiss(t *testing.T) {
 		t.Fatalf("read: n=%d remote=%v err=%v", len(pairs), remote, err)
 	}
 	// Different split of the same file is still a miss.
-	if _, ok := c.LookupSplit("/data/f:100+50", nil); ok {
+	if _, ok := c.lookupSplit(nil, splitPath("/data/f:100+50"), nil); ok {
 		t.Error("different range must miss")
 	}
 	// Reading from another place is remote.
@@ -70,7 +70,7 @@ func TestOutputCacheWholeFileLookup(t *testing.T) {
 	}
 	// A whole-file split of a disk-backed file is served from cache.
 	view := &fileSplitView{path: "/out/part-00000", start: 0, length: 999, wholeFile: true}
-	ranges, ok := c.LookupSplit("/out/part-00000:0+999", view)
+	ranges, ok := c.lookupSplit(nil, splitPath("/out/part-00000:0+999"), view)
 	if !ok {
 		t.Fatal("whole-file lookup should hit")
 	}
@@ -81,7 +81,7 @@ func TestOutputCacheWholeFileLookup(t *testing.T) {
 	// A partial split of a disk-backed file cannot be served (byte
 	// offsets don't map to pairs).
 	view2 := &fileSplitView{path: "/out/part-00000", start: 10, length: 20}
-	if _, ok := c.LookupSplit("/out/part-00000:10+20", view2); ok {
+	if _, ok := c.lookupSplit(nil, splitPath("/out/part-00000:10+20"), view2); ok {
 		t.Error("partial split of disk-backed file must miss")
 	}
 }
@@ -97,7 +97,7 @@ func TestCacheOnlyPairSpaceRanges(t *testing.T) {
 	}
 	// Cache-only files live in pair-index space: any sub-range resolves.
 	view := &fileSplitView{path: "/tmp/part-00000", start: 3, length: 4}
-	ranges, ok := c.LookupSplit("/tmp/part-00000:3+4", view)
+	ranges, ok := c.lookupSplit(nil, splitPath("/tmp/part-00000:3+4"), view)
 	if !ok {
 		t.Fatal("pair-space range should hit")
 	}
@@ -116,13 +116,13 @@ func TestCacheOnlyPairSpaceRanges(t *testing.T) {
 func TestReadRangesOneRangeIsAView(t *testing.T) {
 	c, _ := newTestCache(1)
 	for _, name := range []string{"/d/a:0+10", "/d/b:0+10"} {
-		if err := c.PutSplit(0, name, somePairs(10)); err != nil {
+		if err := c.putSplit(0, splitPath(name), somePairs(10)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var ranges []CachedRange
 	for _, name := range []string{"/d/a:0+10", "/d/b:0+10"} {
-		rs, ok := c.LookupSplit(name, nil)
+		rs, ok := c.lookupSplit(nil, splitPath(name), nil)
 		if !ok || len(rs) != 1 {
 			t.Fatalf("lookup %s: %+v ok=%v", name, rs, ok)
 		}
@@ -168,7 +168,7 @@ func TestReadRangesOneRangeIsAView(t *testing.T) {
 func TestCacheDropAndMove(t *testing.T) {
 	c, _ := newTestCache(2)
 	name := "/d/f:0+10"
-	c.PutSplit(0, name, somePairs(2))
+	c.putSplit(0, splitPath(name), somePairs(2))
 	w, _ := c.NewOutputWriter(0, "/d/f", false)
 	w.Append(somePairs(1)[0])
 	w.Close()
@@ -176,10 +176,10 @@ func TestCacheDropAndMove(t *testing.T) {
 	if err := c.Move("/d/f", "/d/g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.LookupSplit(name, nil); ok {
+	if _, ok := c.lookupSplit(nil, splitPath(name), nil); ok {
 		t.Error("split entries should move with the file")
 	}
-	if _, ok := c.LookupSplit("/d/g:0+10", nil); !ok {
+	if _, ok := c.lookupSplit(nil, splitPath("/d/g:0+10"), nil); !ok {
 		t.Error("split entries should be reachable under the new name")
 	}
 	if _, ok, _ := c.PathPairs("/d/g"); !ok {
@@ -192,7 +192,7 @@ func TestCacheDropAndMove(t *testing.T) {
 	if _, ok, _ := c.PathPairs("/d/g"); ok {
 		t.Error("dropped entry still present")
 	}
-	if _, ok := c.LookupSplit("/d/g:0+10", nil); ok {
+	if _, ok := c.lookupSplit(nil, splitPath("/d/g:0+10"), nil); ok {
 		t.Error("dropped split entries still present")
 	}
 }

@@ -16,7 +16,7 @@ func (x *jobExec) runReduceTask(ctx *engine.TaskContext, q int) error {
 	reducer := x.Resolved.NewReduceRun()
 	reducer.Configure(ctx.Job)
 
-	sink, err := x.openTaskSink(ctx, place, q, x.Resolved.ReduceImmutable, true)
+	sink, err := x.openTaskSink(ctx, place, q, x.Resolved.ReduceImmutable)
 	if err != nil {
 		return err
 	}

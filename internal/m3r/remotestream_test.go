@@ -58,7 +58,7 @@ func newRemoteExec(t *testing.T, tr x10.Transport) *jobExec {
 func remoteCollector(t *testing.T, tr x10.Transport, n int) (*shuffleCollector, *jobExec) {
 	t.Helper()
 	x := newRemoteExec(t, tr)
-	sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(x.Conf, "task", nil))
+	sc := x.newShuffleCollector(&layOutMapTasks(x, 1)[0], engine.NewTaskContext(x.Conf, "task", nil))
 	for i := 0; i < n; i++ {
 		if err := sc.deliver(1, types.NewText(fmt.Sprintf("word%04d-%s", i, strings.Repeat("x", 80))), types.NewInt(int32(i)), true); err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestUnbudgetedShuffleRemembersEveryObject(t *testing.T) {
 		t.Run(fmt.Sprintf("dedup=%v", dedup), func(t *testing.T) {
 			x := newRemoteExec(t, &tamperTransport{tamper: func(_ int, f []byte) []byte { return f }})
 			x.dedup = dedup
-			sc := x.newShuffleCollector(&mapAssignment{place: 0}, engine.NewTaskContext(x.Conf, "task", nil))
+			sc := x.newShuffleCollector(&layOutMapTasks(x, 1)[0], engine.NewTaskContext(x.Conf, "task", nil))
 			key := types.NewText("k")
 			for i := 0; i < n; i++ {
 				if err := sc.deliver(1, key, types.NewInt(int32(i)), true); err != nil {
@@ -243,8 +243,9 @@ func TestShuffleValuesOwnTheirChunks(t *testing.T) {
 	sizes := []int{1, wio.OwnedFloor - 1, wio.OwnedFloor, 2048, 300 << 10}
 
 	x := newRemoteExec(t, nil)
-	for task := 0; task < 3; task++ {
-		sc := x.newShuffleCollector(&mapAssignment{place: 0, index: task}, engine.NewTaskContext(x.Conf, "task", nil))
+	maps := layOutMapTasks(x, 3)
+	for task := range maps {
+		sc := x.newShuffleCollector(&maps[task], engine.NewTaskContext(x.Conf, "task", nil))
 		for i := 0; i < 60; i++ {
 			v := types.NewBytes(body(task+i, sizes[i%len(sizes)]))
 			if err := sc.deliver(1, types.NewText(fmt.Sprintf("%04d", i)), v, true); err != nil {

@@ -99,6 +99,26 @@ func openExec(tb testing.TB, e *Engine, job *conf.JobConf) *jobExec {
 	return x
 }
 
+// layOutMapTasks lays x out for n map tasks as plan does — their attempts,
+// their collectors' rows and the output tasks' sinks — and returns the
+// tasks, each at place 0. A test that drives collectors without a plan
+// takes its tasks from here.
+func layOutMapTasks(x *jobExec, n int) []mapAssignment {
+	R := x.Resolved.NumReducers
+	x.LayOutTasks(n, R)
+	x.maps = make([]mapAssignment, n)
+	for i := range x.maps {
+		x.maps[i].x, x.maps[i].index = x, i
+	}
+	x.layOutCollectors(n, R, x.e.rt.NumPlaces())
+	if x.Resolved.MapOnly {
+		x.layOutSinks(n)
+	} else {
+		x.layOutSinks(R)
+	}
+	return x.maps
+}
+
 // admit admits job as Submit does, up to its plan, and returns what ends the
 // admission.
 func admit(tb testing.TB, e *Engine, job *conf.JobConf) (*jobExec, func()) {
@@ -171,10 +191,9 @@ func TestPlanAllocsPerSplit(t *testing.T) {
 // TestEmptyMapTaskAllocs: a map task whose split holds no record — a
 // cache hit on an empty block — costs at most a fixed number of
 // allocations, the whole attempt included: envelope, context and conf,
-// mapper, collector or output sink, and their commit. The assignment is
-// not the plan's and runs task 0 over and over, so after the first run
-// each allocates its attempt and collector state, as a retry does; a
-// planned task's first attempt takes them from the job.
+// mapper, collector or output sink, and their commit. The plan's task 0
+// runs over and over, so after the first run each allocates its attempt,
+// as a retry does; its collector state and sink are the job's rows.
 func TestEmptyMapTaskAllocs(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -185,10 +204,10 @@ func TestEmptyMapTaskAllocs(t *testing.T) {
 	e, fs := scaffoldEngine(t)
 	oneRecordFiles(t, fs, "/empty/in", 1)
 	const name = "/empty/split:0+0"
-	if err := e.cache.PutSplit(0, name, nil); err != nil {
+	if err := e.cache.putSplit(0, splitPath(name), nil); err != nil {
 		t.Fatal(err)
 	}
-	cached, ok := e.cache.LookupSplit(name, nil)
+	cached, ok := e.cache.lookupSplit(nil, splitPath(name), nil)
 	if !ok {
 		t.Fatal("the empty split is not cached")
 	}
@@ -197,8 +216,8 @@ func TestEmptyMapTaskAllocs(t *testing.T) {
 		reducers int
 		ceiling  float64
 	}{
-		{"shuffle", 4, 3},  // measured 3 (4 before attempt ids came from the job's chunk)
-		{"map-only", 0, 4}, // measured 4 (5 before)
+		{"shuffle", 4, 1},  // measured 1 (3 before the task took its collector rows from the plan, 4 before attempt ids came from the job's chunk)
+		{"map-only", 0, 2}, // measured 2 (4 before the task took its sink from the plan, 5 before that)
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A temporary output (§4.2.3): each run replaces the one cache
@@ -207,7 +226,8 @@ func TestEmptyMapTaskAllocs(t *testing.T) {
 			if _, err := x.plan(); err != nil {
 				t.Fatal(err)
 			}
-			a := &mapAssignment{x: x, place: 0, cached: cached, hit: true}
+			a := &x.maps[0]
+			a.place, a.cached, a.hit = 0, cached, true
 			allocs := testing.AllocsPerRun(50, func() {
 				if err := a.Run(); err != nil {
 					t.Fatal(err)
@@ -367,10 +387,10 @@ func TestOneRangeReadIsAView(t *testing.T) {
 	e, _ := scaffoldEngine(t)
 	pairs := []wio.Pair{{Key: types.NewText("a"), Value: types.NewInt(1)}, {Key: types.NewText("b"), Value: types.NewInt(2)}}
 	const name = "/view/split:0+2"
-	if err := e.cache.PutSplit(1, name, pairs); err != nil {
+	if err := e.cache.putSplit(1, splitPath(name), pairs); err != nil {
 		t.Fatal(err)
 	}
-	ranges, ok := e.cache.LookupSplit(name, nil)
+	ranges, ok := e.cache.lookupSplit(nil, splitPath(name), nil)
 	if !ok || len(ranges) != 1 {
 		t.Fatalf("lookup: %d ranges, hit %v", len(ranges), ok)
 	}

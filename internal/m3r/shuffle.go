@@ -87,48 +87,32 @@ type collectPart struct {
 // buffers out of the pools on every failed job).
 var encodeBufsOut atomic.Int64
 
-// newShuffleCollector makes a's collector, in a. A task the plan laid out
-// takes its per-partition and per-place state from its row of the job's
-// arrays (jobExec.layOutCollectors); any other assignment allocates its own.
+// newShuffleCollector makes a's collector, in a, over a's row of the job's
+// arrays (jobExec.layOutCollectors): its per-partition and per-place state.
 func (x *jobExec) newShuffleCollector(a *mapAssignment, ctx *engine.TaskContext) *shuffleCollector {
 	R, P := x.Resolved.NumReducers, x.e.rt.NumPlaces()
+	i := a.index
 	sc := &a.sc
 	*sc = shuffleCollector{
 		x:           x,
 		ctx:         ctx,
 		place:       a.place,
-		src:         a.index,
+		src:         i,
 		R:           R,
 		P:           P,
 		partitioner: x.Resolved.NewPartitioner(),
 		immutable:   engine.MapTaskImmutable(x.Resolved, a.split),
+		bufs:        x.collectBufs[i*P : (i+1)*P : (i+1)*P],
 		classes:     x.classes,
 		budgeted:    x.budgets != nil,
 	}
-	i := a.index
-	planned := x.planned(a)
-	if planned {
-		sc.bufs = x.collectBufs[i*P : (i+1)*P : (i+1)*P]
-	} else {
-		sc.bufs = make([]*spill.Buffer, P)
-	}
-	switch {
-	case sc.budgeted:
-	case planned:
-		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
-	default:
-		sc.parts = make([]collectPart, R)
-	}
 	if !sc.budgeted {
+		sc.parts = x.collectParts[i*R : (i+1)*R : (i+1)*R]
 		sc.arena = &x.arena
 	}
 	switch {
 	case x.Resolved.CombineByHash:
-		if planned {
-			sc.tables = x.collectTables[i*R : (i+1)*R : (i+1)*R]
-		} else {
-			sc.tables = make([]*engine.CombineTable, R)
-		}
+		sc.tables = x.collectTables[i*R : (i+1)*R : (i+1)*R]
 		_, sc.hashPartition = sc.partitioner.(*mapred.HashPartitioner)
 	case x.Resolved.HasCombiner:
 		sc.combineBufs = make([][]wio.Pair, R)
@@ -395,8 +379,8 @@ func (sc *shuffleCollector) abort() {
 			putBuffer(b)
 		}
 	}
-	// A planned task's state is its row of the job's arrays: cleared, so
-	// the job holds nothing of a failed task's.
+	// The task's state is its row of the job's arrays: cleared, so the job
+	// holds nothing of a failed task's.
 	clear(sc.bufs)
 	clear(sc.parts)
 	clear(sc.tables)
@@ -411,8 +395,7 @@ func (sc *shuffleCollector) abort() {
 // under the job's committer and, beside it, the output's cache entry at the
 // task's place (§3.2.1). Either may be absent: a temporary output has no
 // file (§4.2.3), a job with the cache off no entry. The sink holds both by
-// value; a planned task's is its slot of the job's layOutSinks, any other
-// one allocation of its own.
+// value, in its task's slot of the job's layOutSinks.
 type taskSink struct {
 	path   string // the part file's
 	out    engine.TaskOutput
@@ -442,25 +425,17 @@ func (x *jobExec) layOutSinks(n int) {
 	}
 }
 
-// openTaskSink opens the output of the task ctx describes: file part-<index>
-// of the job's output, cached at place. planned says the task is the plan's
-// and its sink the job's.
-func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable, planned bool) (*taskSink, error) {
-	outPath := x.Conf.OutputPath()
-	var s *taskSink
-	if planned && index < len(x.sinks) {
-		s = &x.sinks[index]
-		*s = taskSink{path: s.path}
-	} else {
-		s = &taskSink{path: partPath(outPath, index, nil)}
-	}
-	s.immutable, s.ctx, s.place = immutable, ctx, place
-	path := s.path
-	if err := x.InitTaskOutput(&s.out, ctx.Job, ctx.TaskID, dfs.Base(path)); err != nil {
+// openTaskSink opens the output of the task ctx describes, in its slot of
+// the job's layOutSinks: file part-<index> of the job's output, cached at
+// place.
+func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immutable bool) (*taskSink, error) {
+	s := &x.sinks[index]
+	*s = taskSink{path: s.path, immutable: immutable, ctx: ctx, place: place}
+	if err := x.InitTaskOutput(&s.out, ctx.Job, ctx.TaskID, dfs.Base(s.path)); err != nil {
 		return nil, err
 	}
-	if outPath != "" && x.cacheEnabled {
-		if err := x.e.cache.openOutput(&s.cacheW, place, path, x.temp); err != nil {
+	if x.Conf.OutputPath() != "" && x.cacheEnabled {
+		if err := x.e.cache.openOutput(&s.cacheW, place, s.path, x.temp); err != nil {
 			s.out.Abort()
 			return nil, err
 		}
@@ -474,7 +449,7 @@ func (x *jobExec) openTaskSink(ctx *engine.TaskContext, place, index int, immuta
 }
 
 // partPath is the path of part file index (part-<index, five digits>) under
-// the output directory outPath, cut from paths when it is not nil.
+// the output directory outPath, cut from paths.
 func partPath(outPath string, index int, paths *engine.Strings) string {
 	var buf [128]byte
 	b := append(append(buf[:0], outPath...), "/part-"...)
@@ -482,9 +457,6 @@ func partPath(outPath string, index int, paths *engine.Strings) string {
 		b = append(b, '0')
 	}
 	b = strconv.AppendInt(b, int64(index), 10)
-	if paths == nil {
-		return dfs.CleanPath(string(b))
-	}
 	return dfs.CleanPath(paths.Cut(b))
 }
 

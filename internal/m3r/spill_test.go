@@ -201,7 +201,7 @@ func TestAbortDropsBufferedPairs(t *testing.T) {
 		x.parts = append(x.parts, &partitionInput{x: x, place: e.PlaceOfPartition(q)})
 	}
 	ctx := engine.NewTaskContext(job, "task", nil)
-	sc := x.newShuffleCollector(&mapAssignment{place: 0}, ctx)
+	sc := x.newShuffleCollector(&layOutMapTasks(x, 1)[0], ctx)
 	for i := 0; i < 64; i++ {
 		if err := sc.Collect(types.NewText(fmt.Sprintf("word%04d", i)), types.NewInt(1)); err != nil {
 			t.Fatal(err)

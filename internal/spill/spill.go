@@ -375,11 +375,12 @@ func blockEnd(recs []Rec, lo int) (hi, n int) {
 
 // MarshalRun serializes a run of pairs into the spill record format: the
 // records, the key/value class names needed to decode them (taken from the
-// first pair), and the run's accounting size — what the M3R shuffle does to
-// a run at admission and eviction and the kvstore to a cache block at
-// commit and spill. The whole run is marshalled once into pooled scratch
-// and copied into one exactly sized slab that every Rec sub-slices, so the
-// cost is two allocations per run however long it is.
+// first pair), and the run's accounting size — what the kvstore does to a
+// cache block when it spills it (kvstore.spillBlock, its only engine caller; the
+// M3R shuffle's runs are bytes from collect on, in the grouped layout). The
+// whole run is marshalled once into pooled scratch and copied into one
+// exactly sized slab that every Rec sub-slices, so the cost is two
+// allocations per run however long it is.
 func MarshalRun(pairs []wio.Pair) (recs []Rec, keyClass, valClass string, size int64, err error) {
 	if keyClass, err = wio.NameOf(pairs[0].Key); err != nil {
 		return nil, "", "", 0, err
