@@ -148,6 +148,23 @@ func startProfiles() (stop func()) {
 	}
 }
 
+// printReport prints a job's report line and, for every phase the job
+// entered, its spans, the real milliseconds they summed to over every place
+// and its window — from its first span's start to its last span's end — as
+// a share of the job's wall.
+func printReport(r *engine.Report) {
+	fmt.Println(r)
+	for ph := range engine.NumPhases {
+		t := r.Phases.Total(ph)
+		if t.Count == 0 {
+			continue
+		}
+		first, last := r.Phases.Window(ph)
+		fmt.Printf("  phase %-10s %6d spans %10.3f ms  window %5.1f%% of wall\n",
+			ph, t.Count, float64(t.Nanos)/1e6, 100*float64(last-first)/float64(max(r.Wall, 1)))
+	}
+}
+
 func main() {
 	flag.Var(&confProps, "D", "job configuration override key=value (repeatable)")
 	flag.Parse()
@@ -204,7 +221,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(rep)
+		printReport(rep)
 		fmt.Print(rep.Counters)
 	case "matvec":
 		cfg := matrix.Config{
@@ -219,7 +236,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, r := range reports {
-			fmt.Println(r)
+			printReport(r)
 		}
 	case "microbench":
 		cfg := microbench.Config{
@@ -234,7 +251,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, r := range reports {
-			fmt.Println(r)
+			printReport(r)
 		}
 	case "pagerank", "gnmf", "linreg":
 		d, err := sysml.NewDriver(eng, "/sysml", *nodes)
@@ -260,7 +277,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, r := range d.Reports {
-			fmt.Println(r)
+			printReport(r)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown job %q\n", *jobName)

@@ -27,7 +27,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestSmokeBudgetedWordCount runs a budgeted WordCount end to end through
-// the CLI: the -D key must reach the job (runs spill) and the run must exit 0.
+// the CLI: the -D key must reach the job (runs spill), the report's phase
+// table must list the commit phase and the run must exit 0.
 func TestSmokeBudgetedWordCount(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-job", "wordcount", "-mb", "1", "-nodes", "2",
 		"-D", conf.KeyM3RShuffleBudget+"=4096")
@@ -42,6 +43,14 @@ func TestSmokeBudgetedWordCount(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(string(m[1])); n <= 0 {
 		t.Fatalf("SPILLED_RUNS=%d under a 4 KiB budget, want > 0", n)
+	}
+	// The report's phase table: the tasks' and the job's commits.
+	m = regexp.MustCompile(`(?m)^  phase commit +(\d+) spans +[0-9.]+ ms  window +[0-9.]+% of wall$`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no commit row in the printed phase table:\n%s", out)
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n <= 0 {
+		t.Fatalf("%d commit spans, want > 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package integration_test
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -89,11 +90,12 @@ func memoryOf(v reflect.Value, f func(unsafe.Pointer)) {
 // entry. The jobs make transient objects at every site that does: a
 // PageRank without ImmutableOutput clones its map output and decodes its
 // short arrivals from the shared slabs. What the cache keeps comes from
-// every site that feeds it: the cold fill of G and p0, the reduce sink's
-// clones, and the arrivals, as objects and through the raw merge, of a
-// shuffle whose ImmutableOutput reducer hands its input objects to the
-// cache as they are; and, on a second cluster whose cache budget is tight,
-// the blocks it spills and readmits.
+// every site that feeds it: the cold fill of G and p0, the sinks' clones
+// (a map-only scale's, of 20 or so blocks, in slabs of their own, which
+// the test finds as slab-mates), and the arrivals, as objects and through
+// the raw merge, of a shuffle whose ImmutableOutput reducer hands its input
+// objects to the cache as they are; and, on a second cluster whose cache
+// budget is tight, the blocks it spills and readmits.
 func TestCachedObjectsShareNoTransientSlab(t *testing.T) {
 	var slabs transientSlabs
 	wio.SetTransientSlabHook(slabs.note)
@@ -107,6 +109,17 @@ func TestCachedObjectsShareNoTransientSlab(t *testing.T) {
 	c := newCluster(t, lab.Options{Nodes: 3, ShuffleBudgetBytes: -1})
 	if _, err := sysml.PageRank(newDriver(t, c.M3R, "/pr", 3), pr); err != nil {
 		t.Fatalf("pagerank: %v", err)
+	}
+	// PageRank's map-only scale over a G of 8×8 blocks: each sink clones a
+	// split's 20 or so blocks, enough for slabs of their own, into an
+	// output that stays.
+	wd := newDriver(t, c.M3R, "/pr-wide", 3)
+	G, _, err := sysml.WritePageRankInputs(wd, sysml.PageRankConfig{Nodes: 240, BlockSize: 30, Sparsity: 0.1, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wd.Scale(G, 0.85, 0.01, "/pr-wide/scaled"); err != nil {
+		t.Fatalf("scale: %v", err)
 	}
 	for _, run := range []struct {
 		eng engine.Engine
@@ -125,7 +138,7 @@ func TestCachedObjectsShareNoTransientSlab(t *testing.T) {
 		t.Fatalf("pagerank under a tight cache budget: %v", err)
 	}
 
-	objects := 0
+	objects, slabbed := 0, 0
 	for _, c := range []*lab.Cluster{c, tight} {
 		cfs := c.M3R.CachingFS()
 		files, err := dfs.ListRecursive(cfs.GetRawCache(), "/")
@@ -136,6 +149,9 @@ func TestCachedObjectsShareNoTransientSlab(t *testing.T) {
 			pairs, ok, err := cfs.Cache().PathPairs(f.Path)
 			if err != nil || !ok {
 				t.Fatalf("%s: cached %v, %v", f.Path, ok, err)
+			}
+			if c != tight && strings.HasPrefix(f.Path, "/pr-wide/scaled/") && slabMates(pairs) {
+				slabbed++
 			}
 			for i, p := range pairs {
 				for _, w := range []wio.Writable{p.Key, p.Value} {
@@ -149,11 +165,33 @@ func TestCachedObjectsShareNoTransientSlab(t *testing.T) {
 			}
 		}
 	}
+	if slabbed == 0 {
+		t.Errorf("no unmarked PageRank output holds blocks from a slab: the test reads no clone of the sink's slabs")
+	}
 	if n := tight.M3R.Cache().Store().ReadmittedBlocks(); n == 0 {
 		t.Errorf("no spilled block was readmitted: the test reads no readmitted object")
 	}
-	t.Logf("%d cached objects, %d transient slabs", objects, len(slabs.slabs))
+	t.Logf("%d cached objects, %d transient slabs, %d unmarked outputs slabbed", objects, len(slabs.slabs), slabbed)
 	if objects < 1000 || len(slabs.slabs) == 0 {
 		t.Fatalf("%d cached objects and %d transient slabs: the jobs did not exercise both sides", objects, len(slabs.slabs))
 	}
+}
+
+// slabMates reports whether the first eight values of pairs, all Blocks,
+// lie next to each other in memory: one slab's, as a cloning sink of eight
+// pairs or more takes them.
+func slabMates(pairs []wio.Pair) bool {
+	if len(pairs) < 8 {
+		return false
+	}
+	for i := range 8 {
+		b, ok := pairs[i].Value.(*sysml.Block)
+		if !ok {
+			return false
+		}
+		if i > 0 && uintptr(unsafe.Pointer(b)) != uintptr(unsafe.Pointer(pairs[i-1].Value.(*sysml.Block)))+unsafe.Sizeof(*b) {
+			return false
+		}
+	}
+	return true
 }

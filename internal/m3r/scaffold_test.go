@@ -13,7 +13,9 @@ import (
 	"m3r/internal/dfs"
 	"m3r/internal/engine"
 	"m3r/internal/formats"
+	"m3r/internal/matrix"
 	"m3r/internal/sim"
+	"m3r/internal/sysml"
 	"m3r/internal/testenv"
 	"m3r/internal/types"
 	"m3r/internal/wio"
@@ -467,5 +469,50 @@ func TestPlannedTaskAllocs(t *testing.T) {
 	}
 	if perReduce > reduceCeiling {
 		t.Errorf("a planned reduce task: %.2f allocs, ceiling %.2f", perReduce, reduceCeiling)
+	}
+}
+
+// TestSinkCloneAllocs: a task's cloning sink (its output not ImmutableOutput)
+// that collects 16 pairs of BlockKey and a 100×1 Block, reused, costs the 16
+// float bodies of its copies plus a constant: the copies' keys and values
+// come from slabs of their own at flush, and the sink's run, its decoder and
+// its layout come from pools. The constant is the cache entry — its store
+// entry, its pairs' slice and four slabs of 8 — measured 6 (22 in all), in
+// all 20 runs at each of GOMAXPROCS 1, 2 and 4; 54 before a sink
+// serialized its pairs at Collect and decoded them at flush, when each pair
+// cost a key, a value and a body.
+func TestSinkCloneAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("ceilings are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	const pairs, constant = 16, 6
+	e, _ := scaffoldEngine(t)
+	// A temporary output: the sink opens the cache entry and no file.
+	x := openExec(t, e, scaffoldJob("/sink/in", "/sink/temp_out", 0))
+	x.layOutSinks(1)
+	ctx := engine.NewTaskContext(x.Conf, "attempt_sink", nil)
+	key, value := matrix.NewBlockKey(0, 0), sysml.NewBlock(100, 1)
+	allocs := testing.AllocsPerRun(50, func() {
+		s, err := x.openTaskSink(ctx, 0, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.records = &ctx.Cells.MapOutputRecords
+		for i := range pairs {
+			key.Row, value.V[0] = int32(i), float64(i)
+			if err := s.Collect(key, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a cloning sink of %d blocks: %.0f allocs", pairs, allocs)
+	if allocs > pairs+constant {
+		t.Errorf("a cloning sink of %d blocks: %.0f allocs, ceiling %d bodies + %d", pairs, allocs, pairs, constant)
 	}
 }

@@ -80,11 +80,12 @@ type collectPart struct {
 	remote int
 }
 
-// encodeBufsOut counts the buffers a task has checked out of the outbound
-// pools (getBuffer, getObjectBuffer) and not yet returned. Every exit path
-// of a task — commit, error, abort, panic — must bring it back to baseline,
-// which the fault-injection tests pin (a leak here quietly bleeds grown
-// buffers out of the pools on every failed job).
+// encodeBufsOut counts the buffers a task has checked out of the pools
+// (getBuffer, getObjectBuffer) — its outbound ones and its sink's run — and
+// not yet returned. Every exit path of a task — commit, error, abort,
+// panic — must bring it back to baseline, which the fault-injection tests
+// pin (a leak here quietly bleeds grown buffers out of the pools on every
+// failed job).
 var encodeBufsOut atomic.Int64
 
 // newShuffleCollector makes a's collector, in a, over a's row of the job's
@@ -404,6 +405,14 @@ type taskSink struct {
 	// immutable: the producer keeps its hands off what it emitted (§4.1), so
 	// the cache aliases the pair; otherwise it keeps a clone.
 	immutable bool
+	// run is a cloning sink's output so far, each pair serialized at Collect
+	// (the producer may then reuse its objects) and decoded into the cache
+	// entry at flush, every object of the run in one kept decode: wio.Clone's
+	// two halves, with the count known at the second. A pair of other classes
+	// than the run's ends it: what it holds is decoded, and a new run starts.
+	run                *spill.Buffer
+	keyType, valType   engine.TypeWord
+	keyClass, valClass string
 	// records counts what Collect takes; lc, when set, is checked for a
 	// kill before each record.
 	records *counters.Counter
@@ -465,10 +474,11 @@ func partPath(outPath string, index int, paths *engine.Strings) string {
 const sinkExpectMax = 16
 
 // expect tells the sink that the task has n records to make its output of,
-// so that a cached output starts with room for that many pairs, up to
-// sinkExpectMax, rather than growing from one.
+// so that an aliasing sink's cache entry starts with room for that many
+// pairs, up to sinkExpectMax, rather than growing from one. A cloning sink
+// knows its count exactly when it decodes its run.
 func (s *taskSink) expect(n int) {
-	if s.cached {
+	if s.cached && s.immutable {
 		s.cacheW.Grow(min(n, sinkExpectMax))
 	}
 }
@@ -483,23 +493,80 @@ func (s *taskSink) Collect(key, value wio.Writable) error {
 }
 
 func (s *taskSink) write(key, value wio.Writable) error {
-	if s.cached {
-		k, v := key, value
-		if !s.immutable {
-			k, v = wio.MustClone(key), wio.MustClone(value)
-			s.ctx.Cells.ClonedPairs.Increment(1)
-		} else {
-			s.ctx.Cells.AliasedPairs.Increment(1)
+	switch {
+	case !s.cached:
+	case s.immutable:
+		s.ctx.Cells.AliasedPairs.Increment(1)
+		s.cacheW.Append(wio.Pair{Key: key, Value: value})
+	default:
+		if err := s.serialize(key, value); err != nil {
+			return err
 		}
-		s.cacheW.Append(wio.Pair{Key: k, Value: v})
+		s.ctx.Cells.ClonedPairs.Increment(1)
 	}
 	return s.out.Write(key, value)
 }
 
-// flush publishes the task's output: the file, then the cache entry.
+// serialize writes a pair to be cloned into the run, every field of it,
+// ending the run first if the pair's classes are not the run's.
+func (s *taskSink) serialize(key, value wio.Writable) error {
+	if kt, vt := engine.TypeOf(key), engine.TypeOf(value); kt != s.keyType || vt != s.valType {
+		if err := s.decodeRun(); err != nil {
+			return err
+		}
+		kc, err := wio.NameOf(key)
+		if err != nil {
+			return err
+		}
+		vc, err := wio.NameOf(value)
+		if err != nil {
+			return err
+		}
+		s.keyType, s.valType, s.keyClass, s.valClass = kt, vt, kc, vc
+	}
+	if s.run == nil {
+		s.run = getObjectBuffer()
+	}
+	_, err := s.run.Collect(0, key, value, false)
+	return err
+}
+
+// decodeRun appends the run's pairs to the cache entry as fresh objects, the
+// entry grown by their exact count, and empties the run.
+func (s *taskSink) decodeRun() error {
+	if s.run == nil {
+		return nil
+	}
+	s.run.LayOut(1)
+	recs := s.run.Partition(0)
+	d, err := s.run.KeptDecoder(s.keyClass, s.valClass)
+	if err != nil {
+		return err
+	}
+	s.cacheW.Grow(len(recs))
+	for _, rec := range recs {
+		kv, err := d.Decode(rec)
+		if err != nil {
+			return err
+		}
+		s.cacheW.Append(kv)
+	}
+	s.run.Reset()
+	return nil
+}
+
+// flush publishes the task's output: the cloned run into the cache entry,
+// then the file, then the entry.
 func (s *taskSink) flush() error {
 	span := s.ctx.Begin(engine.PhaseCommit, s.place)
 	defer span.End()
+	if s.cached {
+		err := s.decodeRun()
+		s.releaseRun()
+		if err != nil {
+			return err
+		}
+	}
 	if err := s.out.Commit(); err != nil {
 		return err
 	}
@@ -518,8 +585,17 @@ func (s *taskSink) flush() error {
 // defer it.
 func (s *taskSink) abort() {
 	s.out.Abort()
+	s.releaseRun()
 	if s.cached {
 		s.cached = false
 		s.cacheW.Abort()
+	}
+}
+
+// releaseRun pools the run's buffer.
+func (s *taskSink) releaseRun() {
+	if s.run != nil {
+		putBuffer(s.run)
+		s.run = nil
 	}
 }

@@ -28,6 +28,9 @@ type Buffer struct {
 	// floor: with dedup, an object of more than floor bytes is remembered.
 	floor int32
 	pool  *sync.Pool
+	// kept is KeptDecoder's, made at its first call: only a sink's buffer
+	// decodes its own records, and a decoder is as large as a buffer.
+	kept *PairDecoder
 }
 
 // scratch is what a buffer needs only from LayOut, Ship or Decode to its next
@@ -137,6 +140,9 @@ func (b *Buffer) Reset() {
 		s.recs, s.wire, s.arrived, s.objs = s.recs[:0], s.wire[:0], s.arrived[:0], s.objs[:0]
 		s.payload, s.refs = s.payload[:0], s.refs[:0]
 		scratches.Put(s)
+	}
+	if b.kept != nil {
+		b.kept.release()
 	}
 	b.meta, b.sc = b.meta[:0], nil
 	if len(b.seen) > maxKeptObjs {
@@ -257,6 +263,24 @@ func view(chunks [][]byte, starts []int, at *int, s span) []byte {
 	}
 	off -= starts[i]
 	return chunks[i][off : off+int(s.n) : off+int(s.n)]
+}
+
+// KeptDecoder readies the buffer's own decoder for the records collected,
+// of the classes named, as objects a cache may keep (NewPairDecoder's
+// kept): each key and value from a slab of its own class's, sized by the
+// exact count, or from the factory below wio's slab minimum, and every float
+// body an exact allocation. Its Decode copies every body out of the record,
+// so no object points into a chunk the arena reuses. The decoder, with its
+// allocators' slab holders, stays with the buffer through resets and the
+// pool; each reset lets go of its slabs.
+func (b *Buffer) KeptDecoder(keyClass, valClass string) (*PairDecoder, error) {
+	if b.kept == nil {
+		b.kept = new(PairDecoder)
+	}
+	if err := b.kept.reuse(keyClass, valClass, len(b.meta), true); err != nil {
+		return nil, err
+	}
+	return b.kept, nil
 }
 
 // Partition returns partition p's views after LayOut, Ship or Decode.
