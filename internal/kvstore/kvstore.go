@@ -176,10 +176,12 @@ type blockData struct {
 
 // spilledBlock locates one block's on-disk image. The key/value class names
 // ride in memory (as with the shuffle's spilled runs) so a reader can
-// decode records back into fresh writables.
+// decode records back into fresh writables, and so do the records' key and
+// value bytes, summed, which bound the run's float slab at read-back.
 type spilledBlock struct {
 	path               string
 	keyClass, valClass string
+	runBytes           int
 }
 
 // dataTable is one place's block storage.
@@ -386,8 +388,12 @@ func (s *Store) spillBlock(b *budget, info BlockInfo) error {
 		os.Remove(path)
 		return nil
 	}
+	runBytes := 0
+	for _, r := range recs {
+		runBytes += len(r.K) + len(r.V)
+	}
 	bd.pairs = nil
-	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass}
+	bd.spill = &spilledBlock{path: path, keyClass: keyClass, valClass: valClass, runBytes: runBytes}
 	dt.mu.Unlock()
 	s.spilled.Add(1)
 	return nil
@@ -1023,16 +1029,19 @@ func (s *Store) blockPairs(info BlockInfo) ([]wio.Pair, error) {
 }
 
 // decodeSpilledBlock reads a spilled block of n pairs back into writables:
-// distinct objects from slabs of at most n, which the block's readers may
-// keep, and which the cache keeps when the block readmits — so none from a
-// slab shared with objects that die with a job (spill.NewPairDecoder's
-// kept). The file is read as an owned stream: each of its segment blocks
-// is one fresh buffer of exactly its record-format bytes, and every
-// non-empty key and value body is a view of it (DecodeOwned), so the pairs
-// cost one body allocation a segment block, not one a record, and a
-// readmitted block holds its record-format bytes and its objects. A file of
-// any other length than the block's is an error: the block is never served
-// short, or with another block's pairs.
+// distinct objects, which the block's readers may keep, and which the cache
+// keeps when the block readmits — so none from a slab shared with objects
+// that die with a job (spill.NewPairDecoder's kept). All of them are the
+// one block's, so they take slabs of their own as one run
+// (PairDecoder.OneEntry): each class's objects one slab of min(n, 256) at a
+// time, and every float body one slab of the block's. The file is read as
+// an owned stream: each of its segment blocks is one fresh buffer of
+// exactly its record-format bytes, and every non-empty key and value body
+// is a view of it (DecodeOwned), so the pairs cost one body allocation a
+// segment block, not one a record, and a readmitted block holds its
+// record-format bytes and its objects. A file of any other length than the
+// block's is an error: the block is never served short, or with another
+// block's pairs.
 func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 	st, err := spill.OpenFile(sp.path)
 	if err != nil {
@@ -1044,6 +1053,7 @@ func decodeSpilledBlock(sp spilledBlock, n int64) ([]wio.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
+	dec.OneEntry(sp.runBytes)
 	pairs := make([]wio.Pair, 0, n)
 	for {
 		rec, ok, err := st.Next()

@@ -305,20 +305,21 @@ func TestSortSpillColdAllocs(t *testing.T) {
 // is pinned at the pool's size: the pool bounds the job anyway, as it
 // bounds the benchmark's uncapped job, while an unset key would take the
 // carrier's cap and an explicit 0 opts a job out of the pool. Its ceiling
-// is set as TestWordCountAllocs' is, over 2.268–2.269 allocs/rec, measured
-// when a spilled cache block came to read back as views of one buffer a
-// segment block (2.377–2.378 before, when spill streams came to take their
-// read buffers from a pool; 2.380–2.382 when the budgeted runs became
-// grouped and the raw merge came to make one value iterator). Which runs
-// spill follows task scheduling, so bytes spread over 91.7–116.7 B/rec and
-// are logged only.
+// is set as TestWordCountAllocs' is, over 2.265–2.266 allocs/rec, measured
+// when a cloning sink's run came to decode into one exact slab a class
+// (2.268–2.269 before, when a spilled cache block came to read back as
+// views of one buffer a segment block; 2.377–2.378 before that, when spill
+// streams came to take their read buffers from a pool; 2.380–2.382 when
+// the budgeted runs became grouped and the raw merge came to make one
+// value iterator). Which runs spill follows task scheduling, so bytes
+// spread over 91.7–116.7 B/rec and are logged only.
 func TestSortSpillAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const (
 		input           = 256 << 10
 		pool            = input / 8
 		reps            = 8
-		maxAllocsPerRec = 2.34
+		maxAllocsPerRec = 2.33
 	)
 	c := ceilingCluster(t, lab.Options{ShuffleBudgetBytes: pool, CacheBudgetBytes: pool})
 	if err := wordcount.Generate(c.FS, "/ss/in", input, 5); err != nil {
@@ -461,26 +462,28 @@ func ceilingCluster(t *testing.T, opts lab.Options) *lab.Cluster {
 // cycle empties a sync.Pool between them.
 //
 // The ceilings are the largest value measured in 20 runs at each of
-// GOMAXPROCS 1, 2 and 4 (5.07–5.08 allocs/rec and 338–339 allocs/job)
+// GOMAXPROCS 1, 2 and 4 (4.67–4.68 allocs/rec and 311–312 allocs/job)
 // plus the benchmark's 3 % bound, set with go1.24 on amd64 when a cloning
-// output sink came to serialize its pairs at Collect and decode them at
-// commit into slabs of their own (5.63–5.64 and 375–376 before, when a job
-// came to build its reduce merges' comparator and cancel checks once, with
-// their layout; 5.69 and 379 in all 60 before that, when the map side's clones
-// and the short arrivals came to take their objects and float bodies from
-// shared slabs and a job to lay out its reduce merges once; 8.73–8.74 and
-// 582–583 before that, how many chunks the job's pair arena took following
-// how its tasks interleaved; 9.98–10.00 and 665–667 before a job came to
-// lay its tasks' bookkeeping out once). 386 is not pinned. A
-// change that lowers the value lowers the ceiling; raising one is a change
-// to a check.
+// sink's run came to decode into one exact slab a class and its float
+// bodies into one slab of the run's (5.07–5.08 and 338–339 before, when a
+// cloning output sink came to serialize its pairs at Collect and decode
+// them at commit into slabs of their own; 5.63–5.64 and 375–376 before
+// that, when a job came to build its reduce merges' comparator and cancel
+// checks once, with their layout; 5.69 and 379 in all 60 before that, when
+// the map side's clones and the short arrivals came to take their objects
+// and float bodies from shared slabs and a job to lay out its reduce
+// merges once; 8.73–8.74 and 582–583 before that, how many chunks the
+// job's pair arena took following how its tasks interleaved; 9.98–10.00
+// and 665–667 before a job came to lay its tasks' bookkeeping out once).
+// 386 is not pinned. A change that lowers the value lowers the ceiling;
+// raising one is a change to a check.
 func TestPageRankSequenceAllocs(t *testing.T) {
 	skipUnpinned(t)
 	const (
 		nodes, block, iters = 800, 100, 5
 		reps                = 12
-		maxAllocsPerRec     = 5.23
-		maxAllocsPerJob     = 349.0
+		maxAllocsPerRec     = 4.82
+		maxAllocsPerJob     = 321.0
 	)
 	c := ceilingCluster(t, lab.Options{})
 	cfg := sysml.PageRankConfig{Nodes: nodes, BlockSize: block, Sparsity: 0.01, Iterations: iters, Seed: 3}

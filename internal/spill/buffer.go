@@ -266,13 +266,15 @@ func view(chunks [][]byte, starts []int, at *int, s span) []byte {
 }
 
 // KeptDecoder readies the buffer's own decoder for the records collected,
-// of the classes named, as objects a cache may keep (NewPairDecoder's
-// kept): each key and value from a slab of its own class's, sized by the
-// exact count, or from the factory below wio's slab minimum, and every float
-// body an exact allocation. Its Decode copies every body out of the record,
-// so no object points into a chunk the arena reuses. The decoder, with its
-// allocators' slab holders, stays with the buffer through resets and the
-// pool; each reset lets go of its slabs.
+// of the classes named, as objects that all join one cache entry
+// (PairDecoder.OneEntry): the keys from one slab of their class's, the
+// values from another — each of the exact count, up to 256 — and every
+// float body from one slab of the run's, which the arena's length bounds
+// (a buffer collected without dedup holds each key and value once). Its
+// Decode copies every body out of the record, so no object points into a
+// chunk the arena reuses. The decoder, with its allocators' slab holders,
+// stays with the buffer through resets and the pool; each reset lets go of
+// its slabs.
 func (b *Buffer) KeptDecoder(keyClass, valClass string) (*PairDecoder, error) {
 	if b.kept == nil {
 		b.kept = new(PairDecoder)
@@ -280,6 +282,7 @@ func (b *Buffer) KeptDecoder(keyClass, valClass string) (*PairDecoder, error) {
 	if err := b.kept.reuse(keyClass, valClass, len(b.meta), true); err != nil {
 		return nil, err
 	}
+	b.kept.OneEntry(b.a.Len())
 	return b.kept, nil
 }
 

@@ -466,8 +466,9 @@ type PairDecoder struct {
 // caller does not know; no slab holds more objects than that. kept says a
 // cache may keep the objects — a spilled cache block's read — so they take
 // no shared slab (wio.NewAlloc) and their float bodies exact
-// allocations; otherwise they die with the job and a short block's objects
-// and every short float body come from the shared slabs.
+// allocations, or with OneEntry slabs of their own; otherwise they die with
+// the job and a short block's objects and every short float body come from
+// the shared slabs.
 func NewPairDecoder(keyClass, valClass string, n int, kept bool) (*PairDecoder, error) {
 	d := &PairDecoder{}
 	if err := d.reuse(keyClass, valClass, n, kept); err != nil {
@@ -508,11 +509,26 @@ func reuseAlloc(a *wio.Alloc, class *string, name string, kept bool) error {
 	return nil
 }
 
-// release lets go of everything d decoded: its slabs and its last input.
+// OneEntry says the n records d was readied for (NewPairDecoder, kept) are
+// exactly n, that every object decoded from them joins one cache entry, and
+// that their keys' and values' bytes total runBytes: each class's objects
+// then come from one slab of min(n, 256) at a time, and every fresh float
+// body from one slab of the run's (wio.Reader.StartRun). Objects that live
+// and die together pin nothing else by sharing slabs. It lasts until the
+// decoder is readied again.
+func (d *PairDecoder) OneEntry(runBytes int) {
+	d.keys.Exact()
+	d.vals.Exact()
+	d.rd.StartRun(runBytes)
+}
+
+// release lets go of everything d decoded: its slabs, its run's float slab
+// and its last input.
 func (d *PairDecoder) release() {
 	d.keys.Reset()
 	d.vals.Reset()
 	d.rd.ResetBytes(nil)
+	d.rd.SetTransient(!d.kept)
 }
 
 // Decode deserializes one record, copying every body out of it.

@@ -32,7 +32,9 @@ import (
 // so a site that expects fewer than minSlab takes them from the shared slab
 // (or, kept, the factory). A site that does not know takes minSlab objects
 // there first: then its own slabs of 8, 16, 32, … 256. A shared slab holds
-// maxSlab objects.
+// maxSlab objects. A site whose count is exact (Alloc.Exact) has nothing to
+// strand: each of its slabs holds all that is still to come, up to maxSlab,
+// however few.
 const (
 	minSlab = 8
 	maxSlab = 256
@@ -41,7 +43,7 @@ const (
 // Float bodies. A transient Reader (SetTransient) cuts a fresh []float64 of
 // at most floatCutMax elements from a shared slab of floatSlab, capacity
 // clipped to its length; a longer one is an exact allocation, as is every
-// body a kept site decodes.
+// body a kept site decodes outside a run (Reader.StartRun).
 const (
 	floatSlab   = 8192
 	floatCutMax = floatSlab / 8
@@ -159,6 +161,7 @@ type Alloc struct {
 	mk    func() slabSource
 	id    int        // the class's registration id
 	kept  bool       // a cache may keep the objects: no shared slab
+	exact bool       // New's left is exact (Exact)
 	s     slabSource // the site's own slabs, made with the first
 	avail int        // objects left in s
 	made  int        // objects handed out so far
@@ -186,8 +189,16 @@ func (a *Alloc) Reset() {
 	if a.s != nil {
 		a.s.drop()
 	}
-	a.avail, a.made = 0, 0
+	a.avail, a.made, a.exact = 0, 0, false
 }
+
+// Exact says the counts the site gives New are exact, not bounds: every
+// object it says is still to come will come, as when a run's records are
+// counted as they were written and all join one cache entry. A new slab then
+// holds all of them, up to maxSlab — one allocation for a run of up to
+// maxSlab objects — with no ramp and no factory below minSlab. It lasts
+// until Reset.
+func (a *Alloc) Exact() { a.exact = true }
 
 // New returns a fresh zero-valued object of the class. left is how many
 // objects the site knows are still to come, this one included, or a
@@ -198,17 +209,20 @@ func (a *Alloc) New(left int) Writable {
 		a.avail--
 		return a.s.take()
 	}
+	exact := a.exact && left > 0
 	n := min(max(a.made-1, minSlab), maxSlab)
 	switch {
+	case exact:
+		n = min(left, maxSlab)
 	case left >= 0:
 		n = min(n, left)
 	case a.made <= minSlab:
 		n = 0
 	}
 	switch {
-	case a.mk == nil || n < minSlab && a.kept:
+	case a.mk == nil || n < minSlab && a.kept && !exact:
 		return a.new()
-	case n < minSlab:
+	case n < minSlab && !exact:
 		return sharedObject(a.id, a.mk)
 	}
 	if a.s == nil {

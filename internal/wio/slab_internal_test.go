@@ -31,14 +31,16 @@ func (r recordingSlab) fill(n int) (unsafe.Pointer, uintptr) {
 // as all handed out before it, from 8 up to 256; a known count bounds every
 // slab, and what is left below eight objects comes from the shared slab —
 // from the plain factory at a kept site; an unknown count takes eight
-// objects there first.
+// objects there first. An exact count (Exact) makes each slab all that is
+// still to come, up to 256, however few; objects past it take the kept
+// rule.
 func TestAllocSlabSizes(t *testing.T) {
 	probe := registry.Load().byName["wio.test.SlabProbe"]
 	// slabs reports the size of each slab the site starts of its own, and
 	// how many objects came from the shared slab and from the factory,
 	// while objects are taken with the counts left(i) says are still to
 	// come.
-	slabs := func(objects int, left func(i int) int, kept bool) (own []int, shared, factory int) {
+	slabs := func(objects int, left func(i int) int, kept, exact bool) (own []int, shared, factory int) {
 		e := probe
 		e.new = func() Writable { factory++; return new(slabProbe) }
 		e.slab = func() slabSource {
@@ -46,6 +48,9 @@ func TestAllocSlabSizes(t *testing.T) {
 			return recordingSlab{new(slab[slabProbe, *slabProbe]), &sizes}
 		}
 		a := allocOf(e, kept)
+		if exact {
+			a.Exact()
+		}
 		for i := 0; i < objects; i++ {
 			a.New(left(i))
 		}
@@ -79,9 +84,28 @@ func TestAllocSlabSizes(t *testing.T) {
 		{"unknown kept", 1000, func(int) int { return -1 }, true, []int{8, 16, 32, 64, 128, 256, 256, 256}, 0, 8},
 		{"unknown 8", 8, func(int) int { return -1 }, false, nil, 8, 0},
 	} {
-		own, shared, factory := slabs(c.objects, c.left, c.kept)
+		own, shared, factory := slabs(c.objects, c.left, c.kept, false)
 		if !slices.Equal(own, c.own) || shared != c.shared || factory != c.factory {
 			t.Errorf("%s: own slabs %v, %d shared, %d from the factory; want %v, %d, %d", c.name, own, shared, factory, c.own, c.shared, c.factory)
+		}
+	}
+	known := func(n int) func(int) int { return func(i int) int { return max(n-i, 0) } }
+	for _, c := range []struct {
+		name    string
+		objects int
+		left    func(i int) int
+		own     []int
+		factory int
+	}{
+		{"exact 1000", 1000, known(1000), []int{256, 256, 256, 232}, 0},
+		{"exact 16", 16, known(16), []int{16}, 0},
+		{"exact 7", 7, known(7), []int{7}, 0},
+		{"exact 1", 1, known(1), []int{1}, 0},
+		{"exact 16, 2 past it", 18, known(16), []int{16}, 2},
+	} {
+		own, shared, factory := slabs(c.objects, c.left, true, true)
+		if !slices.Equal(own, c.own) || shared != 0 || factory != c.factory {
+			t.Errorf("%s: own slabs %v, %d shared, %d from the factory; want %v, 0, %d", c.name, own, shared, factory, c.own, c.factory)
 		}
 	}
 }

@@ -151,20 +151,23 @@ func readOp(r *wio.Reader, op, arg byte, bufs *opBufs) (any, error) {
 func stepArg(i int) byte { return byte(i * 7) }
 
 // compareReaders runs script over data in the stream mode, the slice mode,
-// the owned slice mode at wio.OwnedFloor and at floor 0, and the transient
-// slice mode, and fails on the first step where value, error or Count
-// differ. Each owned reader gets a copy of data: a recycled buffer that is a
-// view of the input (op 11 after a large body) is written through.
+// the owned slice mode at wio.OwnedFloor and at floor 0, the transient
+// slice mode and a kept run's slice mode (StartRun), and fails on the first
+// step where value, error or Count differ. Each owned reader gets a copy of
+// data: a recycled buffer that is a view of the input (op 11 after a large
+// body) is written through.
 func compareReaders(t *testing.T, data, script []byte) {
 	t.Helper()
 	stream := wio.NewReader(bytes.NewReader(data))
-	var slice, owned, block, transient wio.Reader
+	var slice, owned, block, transient, run wio.Reader
 	slice.ResetBytes(data)
 	owned.ResetBytesOwned(bytes.Clone(data), wio.OwnedFloor)
 	block.ResetBytesOwned(bytes.Clone(data), 0)
 	transient.ResetBytes(data)
 	transient.SetTransient(true) // float bodies cut from the shared slab
-	var sbuf, mbuf, obuf, bbuf, tbuf opBufs
+	run.StartRun(len(data))      // float bodies cut from one slab of data's
+	run.ResetBytes(data)
+	var sbuf, mbuf, obuf, bbuf, tbuf, rbuf opBufs
 	for i, op := range script {
 		arg := stepArg(i)
 		sv, serr := readOp(stream, op, arg, &sbuf)
@@ -172,7 +175,7 @@ func compareReaders(t *testing.T, data, script []byte) {
 			name string
 			r    *wio.Reader
 			bufs *opBufs
-		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}, {"owned floor 0", &block, &bbuf}, {"transient", &transient, &tbuf}} {
+		}{{"slice", &slice, &mbuf}, {"owned", &owned, &obuf}, {"owned floor 0", &block, &bbuf}, {"transient", &transient, &tbuf}, {"kept run", &run, &rbuf}} {
 			mv, merr := readOp(m.r, op, arg, m.bufs)
 			if !sameErr(serr, merr) {
 				t.Fatalf("step %d op %d over %d bytes: stream err %v, %s err %v", i, op%numOps, len(data), serr, m.name, merr)
@@ -237,6 +240,10 @@ func FuzzSliceModeReader(f *testing.F) {
 	// index as an int8: 0, 7, 14, 21 fit, 28 is more than is left, the ones
 	// after start at the end of input, and from step 19 on they are negative.
 	f.Add(bytes.Repeat([]byte{0x40, 9, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 0x7f}, 40), []byte{13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13, 13})
+	// A kept run's slab: bulk reads of 0, 7, 14 and 21 doubles over 42, each
+	// fresh, so the slab made at the second read is used to its last double;
+	// then one past the end.
+	f.Add(bytes.Repeat([]byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 1}, 42), []byte{13, 13, 13, 13, 13})
 	// Bodies at and around wio.OwnedFloor, which the owned mode returns as
 	// views: read fresh (10), into a recycled buffer (11), as a string (9),
 	// and cut short.

@@ -157,10 +157,10 @@ func Unmarshal(b []byte, v Writable) error { return unmarshal(b, v, false) }
 func unmarshal(b []byte, v Writable, transient bool) error {
 	r := readerPool.Get().(*Reader)
 	r.ResetBytes(b)
-	r.transient = transient
+	r.SetTransient(transient)
 	err := v.ReadFields(r)
 	r.ResetBytes(nil)
-	r.transient = false
+	r.SetTransient(false)
 	readerPool.Put(r)
 	return err
 }

@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Writer wraps an io.Writer with primitive encoding methods in the style of
@@ -40,11 +41,10 @@ type Writer struct {
 	count int64
 }
 
-// chunkBytes sizes the staging array a Writer and a Reader each own: room
-// for any one primitive, and for the 64 doubles a stream-mode WriteFloat64s
-// or ReadFloat64s moves per call on the underlying stream. It is a field,
-// not a local, because a local would escape through the io.Writer/io.Reader
-// call and cost an allocation per array.
+// chunkBytes sizes a Writer's staging array: room for any one primitive,
+// and for the 64 doubles a stream-mode WriteFloat64s moves per call on the
+// underlying stream. It is a field, not a local, because a local would
+// escape through the io.Writer call and cost an allocation per array.
 const chunkBytes = 64 * 8
 
 // NewWriter returns a Writer emitting to w.
@@ -274,16 +274,33 @@ func (w *Writer) Flush() error {
 //
 // A transient Reader (SetTransient) decodes objects that die with the job:
 // the fresh []float64 bodies ReadFloat64s makes for them are cut from a
-// shared slab instead of allocated one by one.
+// shared slab instead of allocated one by one. A Reader in a run (StartRun)
+// decodes objects that all join one cache entry: their fresh bodies are cut
+// from one slab of the run's.
 type Reader struct {
-	r         io.Reader // nil in slice mode
-	data      []byte    // slice-mode source; data[count:] is unread
-	buf       [chunkBytes]byte
-	count     int64
-	floor     uint64 // owned: the shortest body that may point into data; 0 when data is not the reader's
-	aliased   bool   // a body returned since the last reset points into data
-	transient bool   // fresh float bodies come from a shared slab; kept across resets
+	r     io.Reader // nil in slice mode
+	data  []byte    // slice-mode source; data[count:] is unread
+	count int64
+	floor uint64 // owned: the shortest body that may point into data; 0 when data is not the reader's
+	// A run's: what is left of its float slab, made at the first fresh
+	// body, and the run's bytes not yet given to ResetBytes.
+	floats []float64
+	run    int
+	// buf holds a primitive that stream mode reads, or that slice mode
+	// finds cut short; a stream-mode ReadFloat64s reads into its result.
+	buf     [8]byte
+	aliased bool       // a body returned since the last reset points into data
+	bodies  bodySource // where fresh float bodies come from; kept across resets
 }
+
+// bodySource says where a Reader's fresh float bodies come from.
+type bodySource uint8
+
+const (
+	exactBodies     bodySource = iota // each its own allocation
+	transientBodies                   // cut from a shared slab (SetTransient)
+	runBodies                         // cut from the run's slab (StartRun)
+)
 
 // OwnedFloor is the floor for an input that is only partly the values': a
 // chunk handed over from a recycled arena or a pooled read window, which a
@@ -318,6 +335,7 @@ func (r *Reader) ResetBytes(b []byte) {
 	r.r, r.data = nil, b
 	r.count = 0
 	r.floor, r.aliased = 0, false
+	r.run -= min(len(b), r.run)
 }
 
 // ResetBytesOwned is ResetBytes over a slice the caller gives up: the reader
@@ -337,10 +355,31 @@ func (r *Reader) ResetBytesOwned(b []byte, floor int) {
 // SetTransient says whether what r decodes dies with the job, so that a
 // fresh []float64 body ReadFloat64s makes is cut, capacity clipped to its
 // length, from a shared slab of bodies that die with the job
-// (transientFloats). It lasts across Reset and ResetBytes. A site whose
-// objects a cache may keep leaves it off: a kept body must not keep
-// transient ones alive.
-func (r *Reader) SetTransient(on bool) { r.transient = on }
+// (transientFloats). It lasts across Reset and ResetBytes, and ends a run
+// (StartRun), letting go of its slab. A site whose objects a cache may keep
+// leaves it off: a kept body must not keep transient ones alive.
+func (r *Reader) SetTransient(on bool) {
+	r.bodies, r.floats, r.run = exactBodies, nil, 0
+	if on {
+		r.bodies = transientBodies
+	}
+}
+
+// StartRun says the next n bytes r is aimed at, by ResetBytes or
+// ResetBytesOwned, are one run whose decoded objects all join one cache
+// entry, so that the fresh []float64 bodies ReadFloat64s makes for them are
+// cut, capacity clipped to their length, from one slab of the run's. The
+// slab is made at the first fresh body, as long as the doubles the run's
+// unread bytes can hold: a run that decodes no double makes none, and the
+// bodies of a run never need more than its slab — each consumes 8 of those
+// bytes a double — so a slab never outgrows its run. A body that finds the
+// slab short (the run was longer than n said) takes a fresh slab of what
+// is left. The run lasts until the next StartRun or SetTransient; a slab
+// pins every body cut from it, so only a site whose objects live and die
+// together starts one.
+func (r *Reader) StartRun(n int) {
+	r.bodies, r.floats, r.run = runBodies, nil, max(n, 0)
+}
 
 // Aliased reports whether a value returned since the last reset points into
 // the slice given to ResetBytesOwned.
@@ -486,31 +525,38 @@ func (r *Reader) ReadFloat64s(dst []float64, count uint64) ([]float64, error) {
 		}
 		return dst, io.ErrUnexpectedEOF
 	}
+	// Stream mode reads the bytes into dst's own memory and turns them into
+	// doubles where they lie, element i's 8 bytes into element i: no
+	// staging copy, and one Read for the whole array where the stream can.
 	dst = r.resizeFloat64s(dst, n)
-	for i := 0; i < len(dst); {
-		k := min(len(dst)-i, chunkBytes/8)
-		got, err := io.ReadFull(r.r, r.buf[:8*k])
-		r.count += int64(got)
-		getFloat64s(dst[i:i+got/8], r.buf[:got])
-		i += got / 8
-		if err != nil {
-			if err == io.ErrUnexpectedEOF && got%8 == 0 {
-				err = io.EOF // the stream ended between two elements
-			}
-			return dst[:i], err
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst))
+	got, err := io.ReadFull(r.r, raw)
+	r.count += int64(got)
+	getFloat64s(dst[:got/8], raw[:got])
+	if err != nil {
+		if err == io.ErrUnexpectedEOF && got%8 == 0 {
+			err = io.EOF // the stream ended between two elements
 		}
+		return dst[:got/8], err
 	}
 	return dst, nil
 }
 
 // resizeFloat64s returns s at length n, reusing its capacity, or a fresh
-// body: a transient reader's from the shared float slab.
+// body: a transient reader's from the shared float slab, a run's from the
+// run's slab.
 func (r *Reader) resizeFloat64s(s []float64, n int) []float64 {
 	switch {
 	case cap(s) >= n:
 		return s[:n]
-	case r.transient:
+	case r.bodies == transientBodies:
 		return transientFloats(n)
+	case r.bodies == runBodies:
+		if len(r.floats) < n {
+			r.floats = make([]float64, max(n, (r.Remaining()+r.run)/8))
+		}
+		s, r.floats = r.floats[:n:n], r.floats[n:]
+		return s
 	}
 	return make([]float64, n)
 }
